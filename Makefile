@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz bench-construction bench-routing bench-scan bench-serving bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check build vet test race chaos fuzz bench-smoke bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
 
 # check is the full tier-1 gate: build, vet, tests, and the race detector
 # over every package that runs concurrent construction or routing code.
@@ -52,7 +52,9 @@ chaos:
 # before, during and after any migration), and the membership differential
 # (fuzzed join/leave/crash/tick/rebalance sequences against a live elastic
 # cluster — every answered query must match the dataset oracle through the
-# churn).
+# churn), and the wire-codec round trip (every message type: arbitrary bytes
+# decode to an error or to a message that re-encodes to itself, never a panic
+# or an allocation larger than the input).
 fuzz:
 	$(GO) test ./internal/sim -run FuzzInvariants -fuzz FuzzInvariants -fuzztime 30s
 	$(GO) test ./internal/workload -run FuzzMinimalDelta -fuzz FuzzMinimalDelta -fuzztime 30s
@@ -60,6 +62,14 @@ fuzz:
 	$(GO) test ./internal/colstore -run FuzzScanDifferential -fuzz FuzzScanDifferential -fuzztime 30s
 	$(GO) test ./internal/drift -run FuzzDriftDifferential -fuzz FuzzDriftDifferential -fuzztime 30s
 	$(GO) test ./internal/dist -run FuzzMembershipDifferential -fuzz FuzzMembershipDifferential -fuzztime 30s
+	$(GO) test ./internal/dist -run FuzzWireRoundTrip -fuzz FuzzWireRoundTrip -fuzztime 30s
+
+# bench-smoke builds and smoke-tests the end-to-end benchmark (benchmark/,
+# BENCHMARK.json). It is its own module (paw/benchmark, replace paw => ../),
+# so the root `go build ./...` and `go test ./...` never see it: this target
+# is what catches an internal API change that would break the benchmark.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # bench-construction regenerates BENCH_construction.json: construction
 # ns/op, allocs/op and parallel speedup at 1/2/4/8 workers, tracked across
@@ -78,14 +88,6 @@ bench-routing:
 # encoded-vs-naive speedup per selectivity), tracked across PRs.
 bench-scan:
 	$(GO) run ./cmd/pawbench -scan BENCH_scan.json
-
-# bench-serving regenerates BENCH_serving.json: closed-loop qps, p50/p99 and
-# the saturation point of the serving front-end over an in-process cluster,
-# for the multiplexed binary transport vs the legacy gob baseline (pipeline
-# depth sweep on one connection plus a many-clients sweep), tracked across
-# PRs.
-bench-serving:
-	$(GO) run ./cmd/pawbench -serving BENCH_serving.json
 
 # bench-drift regenerates BENCH_drift.json: the drifting-workload scenario
 # family played against live clusters with the drift controller attached —

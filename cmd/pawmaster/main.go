@@ -96,9 +96,8 @@ func main() {
 		rebalBudget  = flag.Int64("rebalance-budget", 0, "max payload bytes one rebalance round ships; excess moves defer to later rounds (0: unbounded; graceful-leave drains always ignore it)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "post-cutover wait for in-flight old-epoch queries before the epoch retires anyway (expiries are counted)")
 
-		gobTransport   = flag.Bool("gob-transport", false, "speak the legacy gob protocol to workers instead of the multiplexed binary frames (differential oracle)")
-		connsPerWorker = flag.Int("conns-per-worker", 2, "multiplexed connections per worker (binary transport)")
-		clientPipeline = flag.Int("client-pipeline", 32, "max in-flight queries per binary client session")
+		connsPerWorker = flag.Int("conns-per-worker", 2, "multiplexed connections per worker")
+		clientPipeline = flag.Int("client-pipeline", 32, "max in-flight queries per client session")
 		planCache      = flag.Int("plan-cache", 1024, "routed-plan (descriptor) cache entries (0: off)")
 		resultCache    = flag.Int("result-cache", 256, "clean-result cache entries, invalidated on layout/placement change (0: off)")
 		maxInflight    = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue (0: unbounded, no admission)")
@@ -187,7 +186,6 @@ func main() {
 		SlowQuery:    *slowQuery,
 		DrainTimeout: *drainTimeout,
 
-		Transport:          transportFlag(*gobTransport),
 		ConnsPerWorker:     *connsPerWorker,
 		ClientPipeline:     *clientPipeline,
 		PlanCacheSize:      *planCache,
@@ -314,13 +312,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	m.Close()
-}
-
-func transportFlag(gob bool) dist.Transport {
-	if gob {
-		return dist.TransportGob
-	}
-	return dist.TransportBinary
 }
 
 func fatalf(format string, args ...any) {

@@ -12,9 +12,10 @@
 // — routing, per-range scatter, per-attempt RPCs, and each touched worker's
 // per-partition scan spans with rows/bytes/zone-skipping/encoding-mix detail.
 //
-// Load mode speaks the multiplexed binary protocol: all in-flight queries
-// pipeline over one connection, so the driver measures the serving path, not
-// a per-connection handshake.
+// Every mode speaks the one multiplexed frame protocol over one connection: a
+// -timeout expiry abandons that query only (the REPL keeps its session), and
+// load mode pipelines all in-flight queries, so the driver measures the
+// serving path, not a per-connection handshake.
 package main
 
 import (
@@ -45,22 +46,22 @@ func main() {
 	)
 	flag.Parse()
 
-	if *concurrency > 0 {
-		if *sql == "" {
-			fatalf("-concurrency requires -sql")
-		}
-		if err := runLoad(*connect, *sql, *partial, *timeout, *concurrency, *duration); err != nil {
-			fatalf("%v", err)
-		}
-		return
+	if *concurrency > 0 && *sql == "" {
+		fatalf("-concurrency requires -sql")
 	}
-
-	c, err := dist.Dial(*connect)
+	c, err := dist.DialMux(*connect)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer c.Close()
 	c.SetAllowPartial(*partial)
+
+	if *concurrency > 0 {
+		if err := runLoad(c, *sql, *timeout, *concurrency, *duration); err != nil {
+			fatalf("%v", err)
+		}
+		return
+	}
 
 	run := func(stmt string) {
 		ctx := context.Background()
@@ -80,11 +81,6 @@ func main() {
 		cancel()
 		if err != nil {
 			fmt.Printf("error: %v\n", err)
-			if errors.Is(err, context.DeadlineExceeded) {
-				// The deadline interrupted the exchange mid-message; the gob
-				// stream is poisoned and must be re-established.
-				fatalf("connection poisoned by the deadline; re-run pawsql")
-			}
 			return
 		}
 		if *explain {
@@ -121,15 +117,9 @@ func main() {
 	}
 }
 
-// runLoad drives stmt from conc goroutines over one multiplexed connection
-// for the window and prints throughput and latency quantiles.
-func runLoad(addr, stmt string, partial bool, timeout time.Duration, conc int, window time.Duration) error {
-	cl, err := dist.DialMux(addr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	cl.SetAllowPartial(partial)
+// runLoad drives stmt from conc goroutines over cl's one multiplexed
+// connection for the window and prints throughput and latency quantiles.
+func runLoad(cl *dist.MuxClient, stmt string, timeout time.Duration, conc int, window time.Duration) error {
 	// One untimed warmup query validates the statement (and primes the
 	// master's worker links) before the clock starts.
 	if _, err := cl.Query(stmt); err != nil {

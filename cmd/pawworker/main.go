@@ -125,7 +125,7 @@ func main() {
 		if adv == "" {
 			adv = addr
 		}
-		hb = dist.NewHeartbeater(*joinAddr, dist.TransportBinary)
+		hb = dist.NewHeartbeater(*joinAddr)
 		// Fleets come up in any order: retry a refused join until the deadline
 		// so workers started before the master still converge. A checksum
 		// rejection is not retried — no amount of waiting fixes disagreeing

@@ -134,7 +134,7 @@ func main() {
 	defer m.Close()
 	fmt.Printf("master: %s (metadata %d bytes)\n\n", maddr, rm.MemoryFootprint())
 
-	client, err := dist.Dial(maddr)
+	client, err := dist.DialMux(maddr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,19 +163,14 @@ func main() {
 	}
 	trace.WriteTree(os.Stdout, eresp.TraceID, eresp.Spans)
 
-	// Failover demo: kill one worker and re-run a query from a client that
-	// opted into partial results. Partitions whose primary died are scanned
+	// Failover demo: kill one worker and re-run a query after opting the
+	// client into partial results. Partitions whose primary died are scanned
 	// on their replicas; partitions the budget left single-copy are reported
 	// as failed instead of sinking the whole query.
 	fmt.Printf("\nkilling worker 0 (%s) ...\n", addrs[0])
 	fleet[0].Close()
-	survivor, err := dist.Dial(maddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer survivor.Close()
-	survivor.SetAllowPartial(true)
-	resp, err := survivor.Query("SELECT * FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20")
+	client.SetAllowPartial(true)
+	resp, err := client.Query("SELECT * FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20")
 	if err != nil {
 		log.Fatal(err)
 	}

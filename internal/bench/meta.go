@@ -9,7 +9,6 @@ const (
 	ConstructionSchema = "paw/bench-construction/v1"
 	RoutingSchema      = "paw/bench-routing/v1"
 	ScanSchema         = "paw/bench-scan/v1"
-	ServingSchema      = "paw/bench-serving/v1"
 	DriftSchema        = "paw/bench-drift/v1"
 	RebalanceSchema    = "paw/bench-rebalance/v1"
 )

@@ -219,7 +219,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 		return rep, err
 	}
 	workers = append(workers, joiner)
-	hb := dist.NewHeartbeater(maddr, dist.TransportBinary)
+	hb := dist.NewHeartbeater(maddr)
 	defer hb.Close()
 
 	var stop atomic.Bool

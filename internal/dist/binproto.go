@@ -13,12 +13,7 @@ import (
 // Binary codecs for the wire messages carried by the serve frame protocol
 // (DESIGN.md §12). The format is positional little-endian — no field tags,
 // no reflection — because both ends are always the same build of this
-// repository; cross-version compatibility is the gob oracle path's job.
-//
-// The methods are deliberately named AppendWire/UnmarshalWire, NOT
-// AppendBinary/UnmarshalBinary: the standard encoding.BinaryUnmarshaler
-// method names would hijack gob's encoding of the same structs on the
-// legacy path and break its wire format.
+// repository. The golden fixtures under testdata/wire pin it byte for byte.
 //
 // Frame type bytes. Requests and responses use distinct types so a
 // mismatched reply is detected at the protocol layer, not by misdecoding.

@@ -206,8 +206,8 @@ func TestChaosCorruptResponseTriggersRetry(t *testing.T) {
 }
 
 // TestChaosSlowCallRetried: the worker sits on the first request longer than
-// the per-call timeout; the call must expire (SetReadDeadline over the gob
-// exchange), be retried on a fresh connection, and succeed — while the
+// the per-call timeout; the call must expire, the link that stopped
+// answering be dropped, the retry succeed on a fresh one — while the
 // second, clean query proves the path is healthy again.
 func TestChaosSlowCallRetried(t *testing.T) {
 	cfg := fastChaosConfig(1)
@@ -378,9 +378,9 @@ func TestChaosDeadlineExpiryNoLeak(t *testing.T) {
 	}
 }
 
-// TestChaosPartialResults: no replicas, one worker dead. A client that opted
-// into partial results gets the surviving partitions plus the failed-ID
-// list; a default client gets an error.
+// TestChaosPartialResults: no replicas, one worker dead. A default client
+// gets an error; once it opts into partial results it gets the surviving
+// partitions plus the failed-ID list.
 func TestChaosPartialResults(t *testing.T) {
 	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig(1))
 	maddr, err := tc.master.Start("127.0.0.1:0")
@@ -393,22 +393,17 @@ func TestChaosPartialResults(t *testing.T) {
 	}
 	tc.workers[1].Close()
 
-	strict, err := Dial(maddr)
+	cl, err := DialMux(maddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer strict.Close()
-	if _, err := strict.Query(chaosSQL); err == nil {
+	defer cl.Close()
+	if _, err := cl.Query(chaosSQL); err == nil {
 		t.Fatal("default client must see the failure")
 	}
 
-	partial, err := Dial(maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer partial.Close()
-	partial.SetAllowPartial(true)
-	resp, err := partial.Query(chaosSQL)
+	cl.SetAllowPartial(true)
+	resp, err := cl.Query(chaosSQL)
 	if err != nil {
 		t.Fatalf("partial-mode query must succeed: %v", err)
 	}
@@ -441,21 +436,12 @@ func TestChaosPartialResults(t *testing.T) {
 func TestChaosWorkerDeadlineDrop(t *testing.T) {
 	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
 	reg := tc.workerRegs[0]
-	c, err := Dial(tc.addrs[0]) // same framing; talk ScanRequest directly
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	ids := perWorkerIDs(tc.rep, 1)[0]
-	var resp ScanResponse
-	req := ScanRequest{
+	resp := scanWorker(t, tc.addrs[0], ScanRequest{
 		Query:    tc.data.Domain(),
 		IDs:      ids,
 		Deadline: time.Now().Add(-time.Second).UnixNano(),
-	}
-	if err := c.conn.call(context.Background(), req, &resp); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if resp.Err == "" {
 		t.Fatal("expired deadline must fail the scan")
 	}
@@ -487,16 +473,8 @@ func TestChaosPartialBatchStatsFlushed(t *testing.T) {
 	if foreign < 0 || len(mine) == 0 {
 		t.Skip("need both hosted and foreign partitions")
 	}
-	c, err := Dial(tc.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	batch := append(append([]layout.ID(nil), mine...), foreign)
-	var resp ScanResponse
-	if err := c.conn.call(context.Background(), ScanRequest{Query: tc.data.Domain(), IDs: batch}, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := scanWorker(t, tc.addrs[0], ScanRequest{Query: tc.data.Domain(), IDs: batch})
 	if resp.Err == "" {
 		t.Fatal("foreign partition must fail the batch")
 	}

@@ -22,7 +22,7 @@ type testCluster struct {
 	workers []*Worker
 	master  *Master
 	maddr   string
-	client  *Client
+	client  *MuxClient
 }
 
 func startCluster(t *testing.T, nWorkers int) *testCluster {
@@ -64,7 +64,7 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 	}
 	tc.master = m
 	tc.maddr = maddr
-	cl, err := Dial(maddr)
+	cl, err := DialMux(maddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +79,37 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 	return tc
 }
 
+// scanWorker sends one ScanRequest straight to a worker, bypassing the
+// master, over a one-connection link that stays open until the test ends.
+func scanWorker(t *testing.T, addr string, req ScanRequest) ScanResponse {
+	t.Helper()
+	l, err := dialMuxLink(context.Background(), addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.close)
+	var resp ScanResponse
+	if err := l.scan(context.Background(), &req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// oracleRows is the dataset oracle for sql: the rewritten ranges are disjoint,
+// so the expected row count is the sum of their dataset.CountInBox counts.
+func oracleRows(t *testing.T, m *Master, data *dataset.Dataset, sql string) int {
+	t.Helper()
+	plan, err := m.Router().RouteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, rp := range plan.Ranges {
+		want += data.CountInBox(rp.Range, nil)
+	}
+	return want
+}
+
 func TestDistributedQueryCorrectness(t *testing.T) {
 	tc := startCluster(t, 4)
 	statements := []struct {
@@ -89,24 +120,12 @@ func TestDistributedQueryCorrectness(t *testing.T) {
 		{"SELECT * FROM t WHERE l_shipdate BETWEEN 100 AND 800", ""},
 		{"SELECT * FROM t WHERE l_quantity <= 5 OR l_quantity >= 45", ""},
 	}
-	rw, err := router.NewMaster(tc.layout, tc.data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range statements {
 		resp, err := tc.client.Query(s.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", s.sql, err)
 		}
-		plan, err := rw.RouteSQL(s.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, rp := range plan.Ranges {
-			want += tc.data.CountInBox(rp.Range, nil)
-		}
-		if resp.Rows != want {
+		if want := oracleRows(t, tc.master, tc.data, s.sql); resp.Rows != want {
 			t.Errorf("%q: %d rows over the wire, want %d", s.sql, resp.Rows, want)
 		}
 		if resp.PartitionsScanned == 0 || resp.BytesScanned == 0 {
@@ -170,15 +189,7 @@ func TestWorkerRejectsForeignPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wk.Close()
-	c, err := Dial(addr) // same framing; talk ScanRequest directly
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var resp ScanResponse
-	if err := c.conn.call(context.Background(), ScanRequest{Query: data.Domain(), IDs: []layout.ID{l.Parts[1].ID}}, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := scanWorker(t, addr, ScanRequest{Query: data.Domain(), IDs: []layout.ID{l.Parts[1].ID}})
 	if resp.Err == "" {
 		t.Fatal("foreign partition must be rejected")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,19 +15,17 @@ import (
 // join handshake against the master's client port, then beats on a fixed
 // period so the failure detector keeps the worker Alive, and finally asks
 // for a graceful leave (the master drains the worker's partitions before
-// answering). It speaks either transport — the binary frame protocol or the
-// legacy gob envelope — matching whatever the master serves.
+// answering). Member traffic rides the client port as dedicated
+// msgMemberReq/msgMemberResp frames.
 //
 // A Heartbeater survives connection loss: each failed call drops the cached
 // connection and the next call redials, so a master restart shows up as a
 // few missed beats, not a dead worker process.
 type Heartbeater struct {
-	addr      string
-	transport Transport
+	addr string
 
 	mu  sync.Mutex
 	mux *serve.Mux
-	gob *conn
 
 	index atomic.Int64
 
@@ -38,13 +35,12 @@ type Heartbeater struct {
 	done     chan struct{}
 }
 
-// NewHeartbeater targets a master's client port over the given transport.
-func NewHeartbeater(masterAddr string, t Transport) *Heartbeater {
+// NewHeartbeater targets a master's client port.
+func NewHeartbeater(masterAddr string) *Heartbeater {
 	h := &Heartbeater{
-		addr:      masterAddr,
-		transport: t,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		addr: masterAddr,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	h.index.Store(-1)
 	return h
@@ -53,31 +49,11 @@ func NewHeartbeater(masterAddr string, t Transport) *Heartbeater {
 // Index returns the slot the master assigned at join time (-1 before Join).
 func (h *Heartbeater) Index() int { return int(h.index.Load()) }
 
-// call performs one membership exchange, redialing lazily and dropping the
-// cached connection on any transport error so the next call starts clean.
+// call performs one membership exchange, dialing lazily. Any failure past
+// the send drops the cached connection — a beat that timed out against a
+// wedged master included, since a fresh dial is the cheapest probe of whether
+// the master is still there — so the next call starts clean.
 func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberResponse, error) {
-	var resp MemberResponse
-	var err error
-	if h.transport == TransportGob {
-		resp, err = h.callGob(ctx, req)
-	} else {
-		resp, err = h.callMux(ctx, req)
-	}
-	if err != nil {
-		if !serve.IsNotSent(err) {
-			h.dropConn()
-		}
-		return MemberResponse{}, err
-	}
-	if resp.Err != "" {
-		// The master executed and refused (checksum mismatch, unknown op):
-		// the connection is healthy, the request is not.
-		return resp, errors.New(resp.Err)
-	}
-	return resp, nil
-}
-
-func (h *Heartbeater) callMux(ctx context.Context, req MemberRequest) (MemberResponse, error) {
 	h.mu.Lock()
 	mx := h.mux
 	if mx == nil {
@@ -91,50 +67,27 @@ func (h *Heartbeater) callMux(ctx context.Context, req MemberRequest) (MemberRes
 	}
 	h.mu.Unlock()
 	var resp MemberResponse
-	err := mx.Call(ctx, msgMemberReq, &req, func(typ byte, payload []byte) error {
-		if typ != msgMemberResp {
-			return fmt.Errorf("dist: unexpected frame type %d for member response", typ)
+	if err := roundTrip(ctx, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire); err != nil {
+		if !serve.IsNotSent(err) {
+			h.dropConn()
 		}
-		return resp.UnmarshalWire(payload)
-	})
-	return resp, err
-}
-
-func (h *Heartbeater) callGob(ctx context.Context, req MemberRequest) (MemberResponse, error) {
-	h.mu.Lock()
-	c := h.gob
-	if c == nil {
-		nc, err := net.Dial("tcp", h.addr)
-		if err != nil {
-			h.mu.Unlock()
-			return MemberResponse{}, fmt.Errorf("dist: dialing master %s: %w", h.addr, err)
-		}
-		c = newConn(nc)
-		h.gob = c
-	}
-	h.mu.Unlock()
-	// The gob session loop carries membership inside the query exchange.
-	qreq := QueryRequest{Member: &req}
-	var qresp QueryResponse
-	if err := c.call(ctx, &qreq, &qresp); err != nil {
 		return MemberResponse{}, err
 	}
-	if qresp.Member == nil {
-		return MemberResponse{}, errors.New("dist: master answered a member request without a member response")
+	if resp.Err != "" {
+		// The master executed and refused (checksum mismatch, unknown op):
+		// the connection is healthy, the request is not.
+		return resp, errors.New(resp.Err)
 	}
-	return *qresp.Member, nil
+	return resp, nil
 }
 
 func (h *Heartbeater) dropConn() {
 	h.mu.Lock()
-	mx, c := h.mux, h.gob
-	h.mux, h.gob = nil, nil
+	mx := h.mux
+	h.mux = nil
 	h.mu.Unlock()
 	if mx != nil {
 		mx.Close()
-	}
-	if c != nil {
-		c.Close()
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // Lifecycle edge cases: Close is idempotent on both node types, a closed
 // node cannot be restarted, and one client connection safely multiplexes
-// concurrent queries (the conn mutex serialises the gob exchange).
+// concurrent queries.
 
 func TestWorkerCloseIdempotent(t *testing.T) {
 	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
@@ -82,8 +82,8 @@ func TestMasterDoubleStart(t *testing.T) {
 }
 
 // TestClientConcurrentQueries hammers one client connection from many
-// goroutines: the per-connection mutex must serialise the request/response
-// pairs so no goroutine sees another's answer (run under -race).
+// goroutines: the mux must match every pipelined response to its request by
+// sequence so no goroutine sees another's answer (run under -race).
 func TestClientConcurrentQueries(t *testing.T) {
 	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig(1))
 	maddr, err := tc.master.Start("127.0.0.1:0")
@@ -94,7 +94,7 @@ func TestClientConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(maddr)
+	cl, err := DialMux(maddr)
 	if err != nil {
 		t.Fatal(err)
 	}

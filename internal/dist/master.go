@@ -1,10 +1,7 @@
 package dist
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -46,15 +43,11 @@ type Config struct {
 	// breakdown, partitions touched). 0 disables the slow-query log.
 	SlowQuery time.Duration
 
-	// Transport selects the worker wire protocol: TransportBinary (the
-	// multiplexed frame protocol, default) or TransportGob (the legacy
-	// codec-per-connection path, kept as the differential oracle).
-	Transport Transport
 	// ConnsPerWorker is the fixed pool size of multiplexed connections per
-	// worker under TransportBinary (default 2). All in-flight scans pipeline
-	// over this pool; it spreads write contention, not concurrency.
+	// worker (default 2). All in-flight scans pipeline over this pool; it
+	// spreads write contention, not concurrency.
 	ConnsPerWorker int
-	// ClientPipeline bounds the requests one binary client session may have
+	// ClientPipeline bounds the requests one client session may have
 	// executing concurrently on the master (default 32).
 	ClientPipeline int
 
@@ -87,15 +80,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the production defaults: the default retry policy,
-// a 5s per-call timeout, a 30s query timeout, the multiplexed binary
-// transport over 2 conns/worker, a 1024-plan descriptor cache, a 256-entry
-// result cache, and admission control at 256 in-flight queries.
+// a 5s per-call timeout, a 30s query timeout, 2 multiplexed connections per
+// worker, a 1024-plan descriptor cache, a 256-entry result cache, and
+// admission control at 256 in-flight queries.
 func DefaultConfig() Config {
 	return Config{
 		Retry:              DefaultRetryPolicy(),
 		CallTimeout:        5 * time.Second,
 		QueryTimeout:       30 * time.Second,
-		Transport:          TransportBinary,
 		ConnsPerWorker:     2,
 		ClientPipeline:     32,
 		PlanCacheSize:      1024,
@@ -151,6 +143,9 @@ type Master struct {
 	cfg Config
 	jit *jitter
 	seq atomic.Uint64 // request-ID source
+	// routedHook, when set, runs on the serving path between routing and
+	// scatter, with the routed view pinned. Test-only.
+	routedHook func()
 
 	// fleet is the elastic worker-set snapshot (addresses, breakers, down
 	// flags, call timers), swapped atomically when a worker joins or moves
@@ -167,7 +162,7 @@ type Master struct {
 	admission   *serve.Admission
 
 	mu         sync.Mutex
-	links      []workerLink
+	links      []*muxLink
 	metricsReg *obs.Registry
 	listener   net.Listener
 	closed     bool
@@ -245,7 +240,7 @@ func NewMasterReplicated(r *router.Master, workerAddrs []string, rep placement.R
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	m := &Master{
-		links: make([]workerLink, len(workerAddrs)),
+		links: make([]*muxLink, len(workerAddrs)),
 	}
 	m.fleet.Store(newFleet(workerAddrs))
 	m.view.Store(&routeView{router: r, replicas: rep})
@@ -256,8 +251,8 @@ func NewMasterReplicated(r *router.Master, workerAddrs []string, rep placement.R
 // routeView is one immutable routing snapshot: the router over one sealed
 // layout, the placement of that layout's partitions, and the layout epoch
 // the workers know those partition IDs under. inflight counts the queries
-// currently served from the snapshot, so a cutover can wait for the old
-// epoch to drain before retiring it on the workers.
+// currently pinned to the snapshot (planFor), so a cutover can wait for the
+// old epoch to drain before retiring it on the workers.
 type routeView struct {
 	router   *router.Master
 	replicas placement.Replicated // partition -> replica set, primary first
@@ -420,7 +415,7 @@ func (m *Master) InvalidateCaches() {
 
 // workerLink returns (dialing lazily) the persistent link to worker i. The
 // dial respects ctx's deadline.
-func (m *Master) workerLink(ctx context.Context, i int) (workerLink, error) {
+func (m *Master) workerLink(ctx context.Context, i int) (*muxLink, error) {
 	m.mu.Lock()
 	if i < len(m.links) && m.links[i] != nil {
 		l := m.links[i]
@@ -432,21 +427,9 @@ func (m *Master) workerLink(ctx context.Context, i int) (workerLink, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("dist: worker %d has no address (not joined yet)", i)
 	}
-	var l workerLink
-	switch m.cfg.Transport {
-	case TransportGob:
-		var d net.Dialer
-		nc, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, ctxErr(ctx, err))
-		}
-		l = &gobLink{c: newConn(nc)}
-	default:
-		ml, err := dialMuxLink(ctx, addr, m.cfg.ConnsPerWorker)
-		if err != nil {
-			return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, ctxErr(ctx, err))
-		}
-		l = ml
+	l, err := dialMuxLink(ctx, addr, m.cfg.ConnsPerWorker)
+	if err != nil {
+		return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -466,13 +449,39 @@ func (m *Master) workerLink(ctx context.Context, i int) (workerLink, error) {
 	return l, nil
 }
 
-// dropWorkerLink discards a broken link so the next call redials.
-func (m *Master) dropWorkerLink(i int) {
+// dropWorkerLink discards worker i's link so the next call redials. Every
+// call in flight on a dying link fails together; dead names the link the
+// caller saw fail, so the stragglers do not close the replacement a faster
+// sibling already dialed.
+func (m *Master) dropWorkerLink(i int, dead *muxLink) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if i < len(m.links) && m.links[i] != nil {
-		m.links[i].close()
+	if dead != nil && i < len(m.links) && m.links[i] == dead {
+		dead.close()
 		m.links[i] = nil
+	}
+}
+
+// linkFailed classifies a failed worker call under the serve.Mux.Call error
+// contract and drops the link when — and only when — a connection of it is
+// down. A request that never reached the wire (serve.NotSentError: the
+// deadline expired while queued) and a call abandoned by the caller's own
+// context (done is the query's or migration's context: a sibling RPC failed,
+// the client hung up, the deadline passed) both leave the multiplexed link
+// healthy: the late response is discarded by sequence number, and closing the
+// link would fail every other query pipelined on it. Anything else drops the
+// link and counts a redial: a serve.ClosedError, an I/O or decode failure, a
+// failed dial (l is nil), or the per-call timeout firing while the caller is
+// still live — the worker has stopped answering on that link.
+func (m *Master) linkFailed(done context.Context, w int, l *muxLink, err error) {
+	switch {
+	case serve.IsNotSent(err):
+		m.m.cleanExpiries.Inc()
+	case done.Err() != nil && errors.Is(err, done.Err()):
+		// Abandoned by its own caller; nothing is wrong with the link.
+	default:
+		m.dropWorkerLink(w, l)
+		m.m.redials.Inc()
 	}
 }
 
@@ -489,9 +498,10 @@ func (e errWorkerUnhealthy) Error() string {
 // jitter between attempts, and a per-query retry budget. Scans are read-only
 // and idempotent, so resends are safe. budget may be nil (no query budget).
 //
-// A failure whose request never reached the wire (serve.NotSentError — a
-// deadline that expired while queued) leaves the link in place; any other
-// failure drops it for a redial, because the stream state is unknown.
+// A failure that leaves the multiplexed link healthy — the request never
+// reached the wire, or the query's own context abandoned the call — keeps the
+// link and, being no fault of the worker, counts neither a redial nor a
+// breaker failure (linkFailed).
 //
 // When the query is traced (tq non-nil), every attempt records an "rpc" span
 // under parent — so retries and failovers are visible as sibling spans — and
@@ -547,15 +557,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		}
 		rpc.Int(trace.KeyError, 1)
 		rpc.End()
-		if serve.IsNotSent(err) {
-			// The link was never touched (clean expiry while queued): keep
-			// it — redialing would churn a healthy connection and poison the
-			// other callers pipelined on it.
-			m.m.cleanExpiries.Inc()
-		} else {
-			m.dropWorkerLink(w)
-			m.m.redials.Inc()
-		}
+		m.linkFailed(ctx, w, l, err)
 		if ctx.Err() != nil {
 			// The query itself is done (deadline or sibling cancellation):
 			// the worker is not to blame, and retrying is pointless.
@@ -691,15 +693,38 @@ func (m *Master) route(v *routeView, sql string) (router.Plan, bool, error) {
 // current view serves it. next reports which side was chosen (next-view
 // results must not populate the caches: their keys belong to the epoch that
 // has not cut over yet); hit reports a descriptor-cache hit.
+//
+// The returned view is pinned (inflight already counts this query) and the
+// caller must unpin it when the query is done; on error nothing is pinned.
+// Pinning here, before the plan is even routed, is what lets a cutover retire
+// the old epoch safely: the pin is taken and then the view re-checked, so
+// either the cutover's drain loop sees the pin, or the query sees the cutover
+// and pins the view that replaced it. A view retired between "load" and "pin"
+// would otherwise fail the scatter with "worker has no layout epoch N".
 func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next, hit bool, err error) {
 	if mg := m.mig.Load(); mg != nil {
-		plan, err := mg.view.router.RouteSQL(sql)
-		if err == nil && mg.planReady(plan) {
-			return mg.view, plan, true, false, nil
+		mg.view.inflight.Add(1)
+		// Still the migration in progress, or the view it cut over to.
+		if m.mig.Load() == mg || m.view.Load() == mg.view {
+			plan, err := mg.view.router.RouteSQL(sql)
+			if err == nil && mg.planReady(plan) {
+				return mg.view, plan, true, false, nil
+			}
 		}
+		mg.view.inflight.Add(-1)
 	}
-	v = m.view.Load()
+	for {
+		v = m.view.Load()
+		v.inflight.Add(1)
+		if m.view.Load() == v {
+			break
+		}
+		v.inflight.Add(-1) // lost a race with a cutover: pin its successor
+	}
 	plan, hit, err = m.route(v, sql)
+	if err != nil {
+		v.inflight.Add(-1)
+	}
 	return v, plan, false, hit, err
 }
 
@@ -889,6 +914,10 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 		rsp.End()
 		return QueryResponse{}, err
 	}
+	defer view.inflight.Add(-1)
+	if m.routedHook != nil {
+		m.routedHook()
+	}
 	if st != nil {
 		st.epoch = view.epoch
 		st.next = next
@@ -906,8 +935,6 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 		rsp.Int(trace.KeyNextView, 1)
 	}
 	rsp.End()
-	view.inflight.Add(1)
-	defer view.inflight.Add(-1)
 	var total QueryResponse
 	total.SubQueries = len(plan.Ranges)
 	var budget *atomic.Int64
@@ -1115,8 +1142,6 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 }
 
 // Start serves the client protocol on addr and returns the bound address.
-// Sessions speak either the binary frame protocol (preamble-detected) or
-// the legacy gob protocol; both run the same serving path.
 func (m *Master) Start(addr string) (string, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -1162,26 +1187,6 @@ func (m *Master) Start(addr string) (string, error) {
 	return l.Addr().String(), nil
 }
 
-// serveClient detects the session protocol by its first bytes and runs the
-// matching codec loop.
-func (m *Master) serveClient(c net.Conn) {
-	defer c.Close()
-	br := bufio.NewReader(c)
-	peek, err := br.Peek(len(serve.Magic))
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			m.m.clientsDropped.Inc()
-		}
-		return
-	}
-	if bytes.Equal(peek, serve.Magic[:]) {
-		br.Discard(len(serve.Magic))
-		m.serveBinaryClient(c, br)
-		return
-	}
-	m.serveGobClient(c, br)
-}
-
 // handleQueryRequest runs one client query on the serving path; failures
 // become response-carried errors with their typed code.
 func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryResponse {
@@ -1198,13 +1203,16 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 	return resp
 }
 
-// serveBinaryClient pipelines query frames: each request executes on its
-// own goroutine (bounded by ClientPipeline) and responses return in
-// completion order, so one expensive query never blocks the cheap ones
-// behind it on the same connection.
-func (m *Master) serveBinaryClient(c net.Conn, br *bufio.Reader) {
+// serveClient runs one client session: query and membership frames pipeline
+// over it, each request executing on its own goroutine (bounded by
+// ClientPipeline) with responses returning in completion order, so one
+// expensive query never blocks the cheap ones behind it on the same
+// connection. A peer that does not open with the protocol preamble, or whose
+// stream breaks mid-frame, is dropped and counted.
+func (m *Master) serveClient(c net.Conn) {
+	defer c.Close()
 	client := c.RemoteAddr().String()
-	err := serve.ServeConn(c, br, m.cfg.ClientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
+	err := serve.ServeConn(c, m.cfg.ClientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
 		switch typ {
 		case msgQueryReq:
 			var req QueryRequest
@@ -1226,39 +1234,6 @@ func (m *Master) serveBinaryClient(c net.Conn, br *bufio.Reader) {
 	})
 	if err != nil && !errors.Is(err, io.EOF) && !m.isClosed() {
 		m.m.clientsDropped.Inc()
-	}
-}
-
-// serveGobClient is the legacy session loop: one request/response exchange
-// at a time over a gob codec pair.
-func (m *Master) serveGobClient(c net.Conn, br *bufio.Reader) {
-	client := c.RemoteAddr().String()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(c)
-	for {
-		var req QueryRequest
-		if err := dec.Decode(&req); err != nil {
-			// EOF is the client hanging up cleanly; anything else is a
-			// dropped session worth counting.
-			if !errors.Is(err, io.EOF) && !m.isClosed() {
-				m.m.clientsDropped.Inc()
-			}
-			return
-		}
-		var resp QueryResponse
-		if req.Member != nil {
-			// The member envelope: the homogeneous gob stream cannot carry
-			// a second message type, so membership traffic rides inside the
-			// query exchange (QueryRequest.Member / QueryResponse.Member).
-			mresp := m.handleMember(req.Member)
-			resp = QueryResponse{Member: &mresp}
-		} else {
-			resp = m.handleQueryRequest(client, req)
-		}
-		if err := enc.Encode(&resp); err != nil {
-			m.m.clientsDropped.Inc()
-			return
-		}
 	}
 }
 
@@ -1295,71 +1270,3 @@ func (m *Master) Close() error {
 	m.wg.Wait()
 	return err
 }
-
-// Client speaks SQL to a master over TCP with the legacy gob protocol. Its
-// connection mutex serialises exchanges; for pipelined concurrent queries
-// over one connection use MuxClient.
-type Client struct {
-	conn *conn
-	// allowPartial opts future queries into partial results (SetAllowPartial).
-	allowPartial bool
-}
-
-// Dial connects to a master with the legacy gob protocol.
-func Dial(addr string) (*Client, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: newConn(c)}, nil
-}
-
-// SetAllowPartial opts this client's queries into partial results: when no
-// replica of a partition survives, the master answers from the rest and
-// reports the failures in QueryResponse.FailedPartitions instead of erroring.
-// Call before issuing queries; not safe concurrently with Query.
-func (c *Client) SetAllowPartial(v bool) { c.allowPartial = v }
-
-// Query runs one SQL statement with no client-side deadline (the master's
-// configured QueryTimeout still applies).
-func (c *Client) Query(sql string) (QueryResponse, error) {
-	return c.QueryContext(context.Background(), sql)
-}
-
-// QueryContext runs one SQL statement under ctx. A context deadline is both
-// enforced locally (the read/write deadlines on the connection) and shipped
-// to the master, which threads it through every worker scan. After a
-// deadline or cancellation error the connection is poisoned mid-message;
-// the client must be re-dialed.
-func (c *Client) QueryContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return c.call(ctx, sql, false)
-}
-
-// Explain runs one SQL statement with a forced trace (EXPLAIN ANALYZE); the
-// response carries the assembled span tree. Mirrors MuxClient.Explain so the
-// differential oracle can compare both transports' traced behaviour.
-func (c *Client) Explain(ctx context.Context, sql string) (QueryResponse, error) {
-	return c.call(ctx, sql, true)
-}
-
-func (c *Client) call(ctx context.Context, sql string, explain bool) (QueryResponse, error) {
-	req := QueryRequest{SQL: sql, AllowPartial: c.allowPartial, Trace: explain}
-	if d, ok := ctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMillis = ms
-	}
-	var resp QueryResponse
-	if err := c.conn.call(ctx, req, &resp); err != nil {
-		return QueryResponse{}, err
-	}
-	if resp.Err != "" {
-		return QueryResponse{}, respError(resp)
-	}
-	return resp, nil
-}
-
-// Close closes the client connection.
-func (c *Client) Close() error { return c.conn.Close() }

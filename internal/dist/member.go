@@ -17,11 +17,8 @@ import (
 // The state machine itself lives in internal/membership (pure, clock-as-
 // argument); this file owns the wire protocol and the glue to the fleet.
 //
-// Member traffic rides the client port on both transports: the binary frame
-// protocol carries dedicated msgMemberReq/msgMemberResp frames, and the
-// legacy gob session loop carries the same messages inside the query
-// exchange (QueryRequest.Member / QueryResponse.Member) because its
-// homogeneous stream cannot introduce a second message type.
+// Member traffic rides the client port as dedicated msgMemberReq/msgMemberResp
+// frames beside the query frames.
 
 // Member operations carried by MemberRequest.
 const (
@@ -299,7 +296,7 @@ func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 	}()
 }
 
-// handleMember executes one membership operation from either transport.
+// handleMember executes one membership operation.
 func (m *Master) handleMember(req *MemberRequest) MemberResponse {
 	ms := m.member.Load()
 	if ms == nil {

@@ -157,73 +157,69 @@ func elasticMemberConfig() MembershipConfig {
 	}
 }
 
-// TestMembershipJoinBeatLeaveTransports drives the full worker lifecycle —
-// join handshake, heartbeats, graceful leave with drain — through the
-// Heartbeater over both client transports.
-func TestMembershipJoinBeatLeaveTransports(t *testing.T) {
-	for _, tr := range []Transport{TransportBinary, TransportGob} {
-		t.Run(tr.String(), func(t *testing.T) {
-			tc := startElasticCluster(t, 3, 2, 4000, elasticMemberConfig(), fastMigConfig())
-			tc.checkExact(t)
-			before := tc.master.NumWorkers()
+// TestMembershipJoinBeatLeave drives the full worker lifecycle — join
+// handshake, heartbeats, graceful leave with drain — through the Heartbeater
+// over the master's client port.
+func TestMembershipJoinBeatLeave(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 4000, elasticMemberConfig(), fastMigConfig())
+	tc.checkExact(t)
+	before := tc.master.NumWorkers()
 
-			wk := NewWorker(nil, nil)
-			waddr, err := wk.Start("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer wk.Close()
-			hb := NewHeartbeater(tc.addr, tr)
-			defer hb.Close()
-			ctx := context.Background()
-			jresp, err := hb.Join(ctx, -1, waddr, membership.Checksum(nil))
-			if err != nil {
-				t.Fatalf("join over %v: %v", tr, err)
-			}
-			if jresp.Index != before {
-				t.Fatalf("fresh join got slot %d, want %d", jresp.Index, before)
-			}
-			if got := tc.master.NumWorkers(); got != before+1 {
-				t.Fatalf("fleet size = %d after join, want %d", got, before+1)
-			}
-			tc.workers[jresp.Index] = wk
-			if _, err := hb.Beat(ctx); err != nil {
-				t.Fatalf("beat over %v: %v", tr, err)
-			}
-			view, ok := tc.master.MembershipView()
-			if !ok {
-				t.Fatal("membership must be enabled")
-			}
-			if mem, ok := view.Member(jresp.Index); !ok || mem.State != membership.Alive {
-				t.Fatalf("joined worker state = %v, want Alive", mem.State)
-			}
+	wk := NewWorker(nil, nil)
+	waddr, err := wk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Close()
+	hb := NewHeartbeater(tc.addr)
+	defer hb.Close()
+	ctx := context.Background()
+	jresp, err := hb.Join(ctx, -1, waddr, membership.Checksum(nil))
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if jresp.Index != before {
+		t.Fatalf("fresh join got slot %d, want %d", jresp.Index, before)
+	}
+	if got := tc.master.NumWorkers(); got != before+1 {
+		t.Fatalf("fleet size = %d after join, want %d", got, before+1)
+	}
+	tc.workers[jresp.Index] = wk
+	if _, err := hb.Beat(ctx); err != nil {
+		t.Fatalf("beat: %v", err)
+	}
+	view, ok := tc.master.MembershipView()
+	if !ok {
+		t.Fatal("membership must be enabled")
+	}
+	if mem, ok := view.Member(jresp.Index); !ok || mem.State != membership.Alive {
+		t.Fatalf("joined worker state = %v, want Alive", mem.State)
+	}
 
-			// Move data onto the joiner, then leave gracefully: the drain must
-			// pull everything back off before the call returns.
-			if _, err := tc.master.Rebalance(ctx, false); err != nil {
-				t.Fatalf("rebalance after join: %v", err)
-			}
-			if got := len(membership.HostedIDs(tc.master.Placement(), jresp.Index)); got == 0 {
-				t.Fatal("rebalance must place partitions on the joiner")
-			}
-			tc.checkExact(t)
-			if _, err := hb.Leave(ctx); err != nil {
-				t.Fatalf("leave over %v: %v", tr, err)
-			}
-			if got := len(membership.HostedIDs(tc.master.Placement(), jresp.Index)); got != 0 {
-				t.Fatalf("left worker still hosts %d partitions", got)
-			}
-			wk.Close() // safe now: nothing routes to it
-			tc.checkExact(t)
+	// Move data onto the joiner, then leave gracefully: the drain must
+	// pull everything back off before the call returns.
+	if _, err := tc.master.Rebalance(ctx, false); err != nil {
+		t.Fatalf("rebalance after join: %v", err)
+	}
+	if got := len(membership.HostedIDs(tc.master.Placement(), jresp.Index)); got == 0 {
+		t.Fatal("rebalance must place partitions on the joiner")
+	}
+	tc.checkExact(t)
+	if _, err := hb.Leave(ctx); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	if got := len(membership.HostedIDs(tc.master.Placement(), jresp.Index)); got != 0 {
+		t.Fatalf("left worker still hosts %d partitions", got)
+	}
+	wk.Close() // safe now: nothing routes to it
+	tc.checkExact(t)
 
-			snap := tc.reg.Snapshot()
-			if got := snap.Counter(MetricMemberJoins); got < 1 {
-				t.Errorf("member joins = %d, want >= 1", got)
-			}
-			if got := snap.Counter(MetricMemberLeaves); got < 1 {
-				t.Errorf("member leaves = %d, want >= 1", got)
-			}
-		})
+	snap := tc.reg.Snapshot()
+	if got := snap.Counter(MetricMemberJoins); got < 1 {
+		t.Errorf("member joins = %d, want >= 1", got)
+	}
+	if got := snap.Counter(MetricMemberLeaves); got < 1 {
+		t.Errorf("member leaves = %d, want >= 1", got)
 	}
 }
 
@@ -377,7 +373,7 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb := NewHeartbeater(maddr, TransportBinary)
+	hb := NewHeartbeater(maddr)
 	if _, err := hb.Join(context.Background(), 0, waddr,
 		membership.Checksum(membership.HostedIDs(rep, 0))); err != nil {
 		t.Fatal(err)
@@ -396,34 +392,5 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestMembershipGobQueriesUnaffected: on the gob transport the member
-// envelope rides inside the query exchange — plain queries (Member == nil)
-// must be untouched by membership being enabled on the same session.
-func TestMembershipGobQueriesUnaffected(t *testing.T) {
-	tc := startElasticCluster(t, 2, 1, 2000, elasticMemberConfig(), fastMigConfig())
-	c, err := Dial(tc.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	dom := tc.data.Domain()
-	resp, err := c.Query(migSQL(tc.data.Names(), dom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Rows != tc.data.NumRows() {
-		t.Fatalf("rows = %d, want %d", resp.Rows, tc.data.NumRows())
-	}
-	if resp.Member != nil {
-		t.Fatal("a plain query response must not carry a member payload")
-	}
-	// And a member exchange on the same session works too.
-	hb := NewHeartbeater(tc.addr, TransportGob)
-	defer hb.Close()
-	if _, err := hb.Join(context.Background(), -1, "127.0.0.1:1", membership.Checksum(nil)); err != nil {
-		t.Fatalf("gob join: %v", err)
 	}
 }

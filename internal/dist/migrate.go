@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"paw/internal/layout"
 	"paw/internal/placement"
 	"paw/internal/router"
-	"paw/internal/serve"
 )
 
 // Partition migration (DESIGN.md §13): the drift re-partitioner hands the
@@ -216,21 +216,25 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 	m.m.migrations.Inc()
 	m.m.layoutEpoch.Set(int64(mig.Epoch))
 
-	// Retire the old epoch once no in-flight query can still reference it.
-	// Best-effort: a worker that is down redials on the next admin call or
-	// drops the stale view when it restarts.
-	drainCtx, cancel := context.WithTimeout(context.Background(), m.cfg.DrainTimeout)
-	for cur.inflight.Load() > 0 && drainCtx.Err() == nil {
+	m.retireView(cur)
+	return nil
+}
+
+// retireView retires a view that has stopped being routable — the old epoch
+// after a cutover, the half-installed next epoch after an abort — once no
+// query pinned to it (planFor) is still in flight, bounded by DrainTimeout so
+// a wedged query cannot pin an epoch forever.
+func (m *Master) retireView(v *routeView) {
+	deadline := time.Now().Add(m.cfg.DrainTimeout)
+	for v.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	cancel()
-	if n := cur.inflight.Load(); n > 0 {
+	if n := v.inflight.Load(); n > 0 {
 		m.m.drainTimeouts.Inc()
 		slog.Warn("epoch drain timed out, retiring anyway",
-			"epoch", cur.epoch, "inflight", n, "timeout", m.cfg.DrainTimeout)
+			"epoch", v.epoch, "inflight", n, "timeout", m.cfg.DrainTimeout)
 	}
-	m.retireEpoch(cur.epoch)
-	return nil
+	m.retireEpoch(v.epoch)
 }
 
 // workerHolds reports whether w appears in the replica set ws.
@@ -249,21 +253,34 @@ func workerHolds(ws []int, w int) bool {
 func (m *Master) abortMigration(am *activeMigration) {
 	m.mig.Store(nil)
 	m.m.migrationsAborted.Inc()
-	m.retireEpoch(am.view.epoch)
+	m.retireView(am.view)
 	slog.Warn("migration aborted, old placement keeps serving",
 		"epoch", am.view.epoch)
 }
 
-// retireEpoch asks every worker to drop a layout epoch, best-effort.
+// retireEpoch asks the workers to drop a layout epoch, best-effort and all at
+// once under one shared 1s bound. Slots the fleet knows to be gone — never
+// joined (no address), declared Dead, or Left — are skipped rather than
+// dialed: a departed worker has no views left to retire, and a dead one drops
+// them when it restarts.
 func (m *Master) retireEpoch(epoch uint64) {
-	for w, n := 0, m.NumWorkers(); w < n; w++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		err := m.adminCall(ctx, w, AdminRequest{Op: AdminRetire, Epoch: epoch})
-		cancel()
-		if err != nil {
-			slog.Debug("epoch retire failed", "worker", w, "epoch", epoch, "err", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	f := m.fleet.Load()
+	var wg sync.WaitGroup
+	for w, addr := range f.addrs {
+		if addr == "" || f.isDown(w) {
+			continue
 		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := m.adminCall(ctx, w, AdminRequest{Op: AdminRetire, Epoch: epoch}); err != nil {
+				slog.Debug("epoch retire failed", "worker", w, "epoch", epoch, "err", err)
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
 // adminCall performs one admin RPC against worker w, discarding the
@@ -305,10 +322,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 			return resp, nil
 		}
 		lastErr = err
-		if !serve.IsNotSent(err) {
-			m.dropWorkerLink(w)
-			m.m.redials.Inc()
-		}
+		m.linkFailed(ctx, w, l, err)
 		if ctx.Err() != nil {
 			return AdminResponse{}, lastErr
 		}

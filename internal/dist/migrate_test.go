@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paw/internal/blockstore"
 	"paw/internal/colstore"
@@ -46,8 +48,10 @@ func migLeaf(b geom.Box, rows int64) *layout.Node {
 
 // buildMigFixture starts nWorkers workers (each optionally behind a faultnet
 // script) and a master serving the quadrant layout, and constructs the patch
-// migration without applying it.
-func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script, cfg Config) *migClusterFixture {
+// migration without applying it. An optional scanHook is installed on every
+// worker before it serves, called with the worker's index and the partition
+// of each kernel scan.
+func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script, cfg Config, scanHook ...func(w int, id layout.ID)) *migClusterFixture {
 	t.Helper()
 	data := dataset.Uniform(6000, 2, 19)
 	dom := data.Domain()
@@ -109,6 +113,9 @@ func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script
 	addrs := make([]string, nWorkers)
 	for w := 0; w < nWorkers; w++ {
 		wk := NewWorker(store, hosted[w])
+		if len(scanHook) > 0 {
+			wk.scanHook = func(id layout.ID) { scanHook[0](w, id) }
+		}
 		inner, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -518,4 +525,85 @@ func TestChaosMigrationCorruptedStream(t *testing.T) {
 			tc.checkQueries(t)
 		})
 	}
+}
+
+// TestMigrationCutoverWaitsForRoutedQuery: a query that has routed against
+// the served view — but not started scattering yet — is in flight as far as a
+// cutover is concerned (benchmark/README.md, finding 1). The hook holds one
+// query between route and scatter while a migration installs and cuts over;
+// the old epoch must survive on the workers until that query has answered,
+// exactly and without a retry.
+func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
+	cfg := fastMigConfig()
+	cfg.ResultCacheSize = 0
+	tc := buildMigFixture(t, 2, nil, cfg)
+	var holding atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	tc.master.routedHook = func() {
+		if holding.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+	}
+
+	// The probe straddles the surviving left half and the rebuilt right half.
+	dom := tc.data.Domain()
+	w0, h0 := dom.Hi[0]-dom.Lo[0], dom.Hi[1]-dom.Lo[1]
+	probe := geom.Box{Lo: geom.Point{dom.Lo[0] + 0.3*w0, dom.Lo[1] + 0.2*h0}, Hi: geom.Point{dom.Lo[0] + 0.9*w0, dom.Lo[1] + 0.8*h0}}
+	type answer struct {
+		resp QueryResponse
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := tc.master.Query(migSQL(tc.data.Names(), probe))
+		answered <- answer{resp, err}
+	}()
+	<-held
+
+	migrated := make(chan error, 1)
+	go func() { migrated <- tc.master.ApplyMigration(context.Background(), tc.mig) }()
+	waitFor(t, "the cutover", func() bool { return tc.master.Epoch() == 1 })
+	// A cutover that overlooked the held query retires epoch 0 within
+	// microseconds; give it every chance to.
+	holdsEpoch0 := func() bool {
+		for _, wk := range tc.workers {
+			if es := wk.Epochs(); len(es) == 0 || es[0] != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline) && holdsEpoch0(); {
+		time.Sleep(time.Millisecond)
+	}
+	if !holdsEpoch0() {
+		t.Error("epoch 0 was retired while a query routed under it had not answered")
+	}
+	close(release)
+
+	a := <-answered
+	if a.err != nil {
+		t.Fatalf("held query: %v", a.err)
+	}
+	if want := tc.data.CountInBox(probe, nil); a.resp.Rows != want {
+		t.Fatalf("held query: %d rows, want %d", a.resp.Rows, want)
+	}
+	if err := <-migrated; err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	snap := tc.reg.Snapshot()
+	if got := snap.Counter(MetricRetries) + snap.Counter(MetricCallFailures); got != 0 {
+		t.Errorf("retries + call failures = %d, want 0", got)
+	}
+	if got := snap.Counter(MetricDrainTimeouts); got != 0 {
+		t.Errorf("drain timeouts = %d, want 0", got)
+	}
+	// With the query answered the drain completes and epoch 0 is gone.
+	for w, wk := range tc.workers {
+		if es := wk.Epochs(); len(es) != 1 || es[0] != 1 {
+			t.Errorf("worker %d serves epochs %v after the migration, want [1]", w, es)
+		}
+	}
+	tc.checkQueries(t)
 }

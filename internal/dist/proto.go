@@ -2,8 +2,8 @@
 // system: a master node that owns the partition-layout metadata and rewrites
 // SQL into partition-ID lists, worker nodes that host materialised
 // partitions and execute scans, and a client speaking SQL to the master.
-// Messages are gob-encoded over TCP with one encoder/decoder pair per
-// connection.
+// Every hop speaks one wire protocol: the positional binary codecs of
+// binproto.go inside the multiplexed, CRC-checked frames of internal/serve.
 //
 // The package complements internal/cluster: the simulator predicts
 // end-to-end times under a disk model, while dist actually moves the scan
@@ -19,16 +19,8 @@
 package dist
 
 import (
-	"context"
-	"encoding/gob"
-	"fmt"
-	"net"
-	"sync"
-	"time"
-
 	"paw/internal/geom"
 	"paw/internal/layout"
-	"paw/internal/serve"
 	"paw/internal/trace"
 )
 
@@ -56,7 +48,7 @@ type ScanRequest struct {
 	TraceID uint64
 }
 
-// Admin operations carried by AdminRequest (binary transport only).
+// Admin operations carried by AdminRequest.
 const (
 	// AdminInstall publishes one partition into a layout epoch on the
 	// worker, either by aliasing a partition it already holds (ReuseID >= 0)
@@ -73,11 +65,7 @@ const (
 )
 
 // AdminRequest is the master-to-worker migration control message: install a
-// partition into a layout epoch, or retire an epoch. Admin frames ride the
-// multiplexed binary transport only — the legacy gob worker loop decodes a
-// homogeneous ScanRequest stream and cannot carry them, which is why
-// migrations require TransportBinary (the gob path stays the query-time
-// differential oracle).
+// partition into a layout epoch, fetch one, or retire an epoch.
 type AdminRequest struct {
 	Op    int
 	Epoch uint64
@@ -123,8 +111,7 @@ type ScanResponse struct {
 	// Spans carries the worker's trace fragment when the request was traced
 	// (ScanRequest.TraceID != 0): span IDs are worker-local starting at 1,
 	// Parent 0 meaning "attach to the master's requesting span" — the master
-	// remaps them into the query trace (trace.T.Attach). Both transports
-	// carry the field, so gob and binary stay byte-identical per payload.
+	// remaps them into the query trace (trace.T.Attach).
 	Spans []trace.Span
 }
 
@@ -142,14 +129,6 @@ type QueryRequest struct {
 	// samples it regardless of the tracing configuration and returns the
 	// assembled span tree in QueryResponse.Spans.
 	Trace bool
-	// Member, when non-nil, makes this exchange a membership operation (join
-	// handshake, heartbeat, graceful leave) instead of a query — the envelope
-	// that lets member traffic ride the legacy gob session loop, whose
-	// homogeneous QueryRequest stream cannot carry a second message type.
-	// The binary transport uses dedicated member frames instead. SQL is
-	// ignored when Member is set; nil (the overwhelmingly common case) gob-
-	// encodes to nothing.
-	Member *MemberRequest
 }
 
 // QueryResponse is the master's reply after scattering the scan work.
@@ -161,8 +140,7 @@ type QueryResponse struct {
 	SubQueries        int
 	Err               string
 	// ErrCode is the typed code for Err (ErrCodeNone for generic failures;
-	// ErrCodeOverloaded when admission control shed the query). The field is
-	// a late, gob-compatible addition: old decoders ignore it.
+	// ErrCodeOverloaded when admission control shed the query).
 	ErrCode int
 	// Partial reports that some partitions were unreachable and the result
 	// covers only the rest (only when the request allowed partial results).
@@ -174,70 +152,4 @@ type QueryResponse struct {
 	// byte-identical whether master-side tracing is on or off.
 	TraceID uint64
 	Spans   []trace.Span
-	// Member answers a membership operation (QueryRequest.Member); nil on
-	// every query response.
-	Member *MemberResponse
 }
-
-// conn wraps a TCP connection with its gob codec pair and a mutex so
-// concurrent callers serialise request/response exchanges.
-type conn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func newConn(c net.Conn) *conn {
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-}
-
-// call performs one request/response round trip under ctx: the context
-// deadline maps to SetReadDeadline/SetWriteDeadline on the connection, and a
-// cancellation mid-call interrupts the blocked I/O the same way, so a hung
-// peer can never wedge the caller.
-//
-// A call that fails mid-exchange poisons the gob stream and the caller must
-// drop the connection; but a call whose context was already done when it
-// reached the stream — a clean deadline expiry, typically while queued
-// behind another exchange on the connection mutex — never touched the codec
-// pair and returns a serve.NotSentError so the caller can keep the
-// connection (the redial-on-clean-expiry churn this avoids is a regression
-// test).
-func (c *conn) call(ctx context.Context, req, resp any) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return &serve.NotSentError{Err: fmt.Errorf("dist: call aborted: %w", err)}
-	}
-	if d, ok := ctx.Deadline(); ok {
-		c.c.SetDeadline(d)
-	} else {
-		c.c.SetDeadline(time.Time{})
-	}
-	// A cancellation (sibling failure, client gone) interrupts in-flight
-	// reads/writes by expiring the connection deadline.
-	stop := context.AfterFunc(ctx, func() {
-		c.c.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
-	if err := c.enc.Encode(req); err != nil {
-		return fmt.Errorf("dist: sending request: %w", ctxErr(ctx, err))
-	}
-	if err := c.dec.Decode(resp); err != nil {
-		return fmt.Errorf("dist: reading response: %w", ctxErr(ctx, err))
-	}
-	return nil
-}
-
-// ctxErr substitutes the context's error for an I/O error caused by the
-// deadline interrupt, so callers can distinguish "deadline expired" from a
-// genuinely broken peer with errors.Is.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-func (c *conn) Close() error { return c.c.Close() }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,5 +234,60 @@ func TestRebalanceAutoTriggersOnTick(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := tc.master.Epoch(); got != epoch {
 		t.Errorf("ticks on a converged cluster moved the epoch %d -> %d", epoch, got)
+	}
+}
+
+// TestRebalanceLeaveDoesNotDialDeparted: once a worker has left and shut
+// down, later epoch transitions must not go looking for it — retiring an
+// epoch on a departed slot cost a redial and up to a second per transition
+// (benchmark/README.md, finding 2). Worker 0 leaves and exits, a bare
+// listener takes over its address to count connection attempts, and then
+// worker 1 leaves gracefully: that whole leave — drain, cutover, retire —
+// must complete without a single dial to worker 0's address.
+func TestRebalanceLeaveDoesNotDialDeparted(t *testing.T) {
+	tc := startElasticCluster(t, 4, 2, 4000, elasticMemberConfig(), fastMigConfig())
+	tc.checkExact(t)
+	departed := tc.master.fleet.Load().addrs[0]
+	if resp := tc.master.handleMember(&MemberRequest{Op: MemberLeave, Index: 0}); resp.Err != "" {
+		t.Fatalf("first leave: %s", resp.Err)
+	}
+	tc.workers[0].Close()
+
+	var ln net.Listener
+	waitFor(t, "worker 0's address to be free again", func() bool {
+		var err error
+		ln, err = net.Listen("tcp", departed)
+		return err == nil
+	})
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			c.Close()
+		}
+	}()
+
+	redialsBefore := tc.reg.Snapshot().Counter(MetricRedials)
+	if resp := tc.master.handleMember(&MemberRequest{Op: MemberLeave, Index: 1}); resp.Err != "" {
+		t.Fatalf("second leave: %s", resp.Err)
+	}
+	tc.workers[1].Close()
+	tc.checkExact(t)
+	if got := dials.Load(); got != 0 {
+		t.Errorf("the second leave dialed the departed worker's address %d time(s)", got)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricRedials) - redialsBefore; got != 0 {
+		t.Errorf("redials during the second leave = %d, want 0", got)
+	}
+	// The workers that are still members did retire the drained epochs.
+	for _, w := range []int{2, 3} {
+		if es := tc.workers[w].Epochs(); len(es) != 1 || es[0] != tc.master.Epoch() {
+			t.Errorf("worker %d serves epochs %v, want only the current epoch %d", w, es, tc.master.Epoch())
+		}
 	}
 }

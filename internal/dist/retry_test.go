@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"testing"
 
 	"paw/internal/blockstore"
@@ -138,15 +137,7 @@ func TestWorkerMetricsCountScans(t *testing.T) {
 	}
 	defer wk.Close()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var resp ScanResponse
-	if err := c.conn.call(context.Background(), ScanRequest{Query: data.Domain(), IDs: ids}, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := scanWorker(t, addr, ScanRequest{Query: data.Domain(), IDs: ids})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}

@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -24,9 +22,7 @@ import (
 	"paw/internal/workload"
 )
 
-// servingFixture is a worker fleet shared by one or more masters, so the
-// differential tests can point a binary-transport master and a gob-transport
-// master at the exact same data.
+// servingFixture is a worker fleet one or more masters can be wired over.
 type servingFixture struct {
 	data    *dataset.Dataset
 	layout  *layout.Layout
@@ -66,9 +62,10 @@ func startServingWorkers(t *testing.T, nWorkers int) *servingFixture {
 	return f
 }
 
-// startServingMaster wires a master over the fixture's workers with the
-// given transport and serving config, starts its client listener, and
-// registers cleanup.
+// startServingMaster wires a master over the fixture's workers with the given
+// serving config (the tests start from fastChaosConfig, whose caches are off,
+// so every query exercises the full scatter path), starts its client
+// listener, and registers cleanup.
 func (f *servingFixture) startServingMaster(t *testing.T, cfg Config) (*Master, string) {
 	t.Helper()
 	rm, err := router.NewMaster(f.layout, f.data.Names())
@@ -88,23 +85,6 @@ func (f *servingFixture) startServingMaster(t *testing.T, cfg Config) (*Master, 
 	return m, addr
 }
 
-// servingTestConfig is fastChaosConfig plus explicit serving knobs; caches
-// stay off so every query exercises the full scatter path.
-func servingTestConfig(transport Transport) Config {
-	cfg := fastChaosConfig(1)
-	cfg.Transport = transport
-	return cfg
-}
-
-func gobBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 var servingStatements = []string{
 	"SELECT * FROM t WHERE l_quantity >= 10 AND l_quantity <= 20",
 	"SELECT * FROM t WHERE l_shipdate BETWEEN 100 AND 800",
@@ -112,148 +92,93 @@ var servingStatements = []string{
 	"SELECT * FROM t",
 }
 
-// TestDifferentialBinaryVsGob is the acceptance oracle for the binary
-// protocol: a binary-transport master serving a MuxClient and a gob-
-// transport master serving a legacy Client — over the very same workers and
-// data — must return byte-identical query results for clean queries, SQL
-// failures, and partial results with a dead worker.
-func TestDifferentialBinaryVsGob(t *testing.T) {
+// TestDifferentialWireVsInProcess is the acceptance oracle for the wire
+// protocol: a query answered over the network (MuxClient → frames → master)
+// and the same query answered in-process (Master.QueryContext) on the same
+// master must be deeply equal — for clean queries, SQL failures, and partial
+// results with a dead worker — and both must match the dataset oracle. The
+// client hop may add framing, never meaning.
+func TestDifferentialWireVsInProcess(t *testing.T) {
 	f := startServingWorkers(t, 3)
-	_, binAddr := f.startServingMaster(t, servingTestConfig(TransportBinary))
-	_, gobAddr := f.startServingMaster(t, servingTestConfig(TransportGob))
-
-	binCl, err := DialMux(binAddr)
+	m, addr := f.startServingMaster(t, fastChaosConfig(1))
+	cl, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer binCl.Close()
-	gobCl, err := Dial(gobAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobCl.Close()
+	defer cl.Close()
+	ctx := context.Background()
 
 	for _, sql := range servingStatements {
-		bresp, berr := binCl.Query(sql)
-		gresp, gerr := gobCl.Query(sql)
-		if berr != nil || gerr != nil {
-			t.Fatalf("%q: binary err=%v, gob err=%v", sql, berr, gerr)
+		wire, werr := cl.Query(sql)
+		local, lerr := m.QueryContext(ctx, sql)
+		if werr != nil || lerr != nil {
+			t.Fatalf("%q: wire err=%v, in-process err=%v", sql, werr, lerr)
 		}
-		if !bytes.Equal(gobBytes(t, bresp), gobBytes(t, gresp)) {
-			t.Errorf("%q: responses differ:\n  binary: %+v\n  gob:    %+v", sql, bresp, gresp)
+		if !reflect.DeepEqual(wire, local) {
+			t.Errorf("%q: responses differ:\n  wire:       %+v\n  in-process: %+v", sql, wire, local)
 		}
-		if bresp.Rows == 0 && sql == "SELECT * FROM t" {
-			t.Errorf("%q: zero rows", sql)
+		if want := oracleRows(t, m, f.data, sql); wire.Rows != want {
+			t.Errorf("%q: %d rows, dataset oracle says %d", sql, wire.Rows, want)
 		}
 	}
 
 	// Failure case: an invalid statement must produce the identical error
-	// text through both protocol stacks.
+	// text whether or not it crossed the wire.
 	const badSQL = "SELECT * FROM t WHERE nosuchcol >= 1"
-	_, berr := binCl.Query(badSQL)
-	_, gerr := gobCl.Query(badSQL)
-	if berr == nil || gerr == nil {
-		t.Fatalf("bad SQL: binary err=%v, gob err=%v", berr, gerr)
+	_, werr := cl.Query(badSQL)
+	_, lerr := m.QueryContext(ctx, badSQL)
+	if werr == nil || lerr == nil {
+		t.Fatalf("bad SQL: wire err=%v, in-process err=%v", werr, lerr)
 	}
-	if berr.Error() != gerr.Error() {
-		t.Errorf("error text differs:\n  binary: %v\n  gob:    %v", berr, gerr)
+	if werr.Error() != lerr.Error() {
+		t.Errorf("error text differs:\n  wire:       %v\n  in-process: %v", werr, lerr)
 	}
 
-	// Partial-results case: kill one worker (no replicas); both stacks must
-	// report the identical surviving aggregate and failed-partition list.
+	// Partial-results case: kill one worker (no replicas); both paths must
+	// report the identical surviving aggregate and failed-partition list, and
+	// the survivors plus the failed partitions' rows must add up to the
+	// dataset. The in-process side takes the serving path's per-request
+	// opt-in directly (QueryContext only knows the master-wide default).
 	f.workers[1].Close()
-	binCl.SetAllowPartial(true)
-	gobCl.SetAllowPartial(true)
+	cl.SetAllowPartial(true)
 	const sql = "SELECT * FROM t"
-	bresp, berr := binCl.Query(sql)
-	gresp, gerr := gobCl.Query(sql)
-	if berr != nil || gerr != nil {
-		t.Fatalf("partial: binary err=%v, gob err=%v", berr, gerr)
+	wire, werr := cl.Query(sql)
+	local, lerr := m.query(ctx, localClient, sql, true, false)
+	if werr != nil || lerr != nil {
+		t.Fatalf("partial: wire err=%v, in-process err=%v", werr, lerr)
 	}
-	if !bresp.Partial || len(bresp.FailedPartitions) == 0 {
-		t.Fatalf("partial: binary response not partial: %+v", bresp)
+	if !wire.Partial || len(wire.FailedPartitions) == 0 {
+		t.Fatalf("partial: wire response not partial: %+v", wire)
 	}
-	if !bytes.Equal(gobBytes(t, bresp), gobBytes(t, gresp)) {
-		t.Errorf("partial responses differ:\n  binary: %+v\n  gob:    %+v", bresp, gresp)
+	if !reflect.DeepEqual(wire, local) {
+		t.Errorf("partial responses differ:\n  wire:       %+v\n  in-process: %+v", wire, local)
 	}
-}
-
-// TestGobCleanExpiryKeepsConnection is the regression test for the legacy
-// transport's connection churn: a call whose deadline expires while queued
-// behind another exchange on the connection mutex never touched the stream,
-// so the master must keep the connection — no redial — and the next query
-// must reuse it.
-func TestGobCleanExpiryKeepsConnection(t *testing.T) {
-	f := startServingWorkers(t, 1)
-	cfg := servingTestConfig(TransportGob)
-	cfg.QueryTimeout = 0
-	m, _ := f.startServingMaster(t, cfg)
-	reg := obs.New()
-	m.SetMetrics(reg)
-
-	if _, err := m.Query(servingStatements[0]); err != nil {
-		t.Fatal(err) // establishes the worker connection
+	lost := 0
+	for _, id := range wire.FailedPartitions {
+		lost += int(f.layout.Parts[id].FullRows)
 	}
-	m.mu.Lock()
-	link := m.links[0].(*gobLink)
-	m.mu.Unlock()
-
-	// Simulate an exchange in flight: hold the connection mutex so the next
-	// call queues on it past its deadline.
-	link.c.mu.Lock()
-	errc := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_, err := m.QueryContext(ctx, servingStatements[1])
-		errc <- err
-	}()
-	time.Sleep(150 * time.Millisecond) // deadline passes while queued
-	link.c.mu.Unlock()
-	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued query: err=%v, want deadline exceeded", err)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap.Counter(MetricRedials); got != 0 {
-		t.Errorf("redials = %d, want 0 (clean expiry must keep the connection)", got)
-	}
-	if got := snap.Counter(MetricCleanExpiries); got < 1 {
-		t.Errorf("clean expiries = %d, want >= 1", got)
-	}
-
-	// The kept connection serves the next query.
-	if _, err := m.Query(servingStatements[2]); err != nil {
-		t.Fatalf("query after clean expiry: %v", err)
-	}
-	m.mu.Lock()
-	same := m.links[0] == workerLink(link)
-	m.mu.Unlock()
-	if !same {
-		t.Error("connection was replaced despite the clean expiry")
-	}
-	if got := reg.Snapshot().Counter(MetricRedials); got != 0 {
-		t.Errorf("redials after reuse = %d, want 0", got)
+	if want := f.data.CountInBox(f.data.Domain(), nil); wire.Rows+lost != want {
+		t.Errorf("partial: %d surviving + %d lost rows, dataset oracle says %d", wire.Rows, lost, want)
 	}
 }
 
 // TestMuxClientConcurrentCorrectness: N goroutine clients multiplexing mixed
-// queries over binary connections must each get responses byte-identical to
+// queries over their connections must each get responses deeply equal to
 // serial execution, and tearing everything down must return the process to
 // its goroutine baseline.
 func TestMuxClientConcurrentCorrectness(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := startServingWorkers(t, 3)
-	m, addr := f.startServingMaster(t, servingTestConfig(TransportBinary))
+	m, addr := f.startServingMaster(t, fastChaosConfig(1))
 
 	// Serial ground truth, computed on the master directly.
-	want := make(map[string][]byte, len(servingStatements))
+	want := make(map[string]QueryResponse, len(servingStatements))
 	for _, sql := range servingStatements {
 		resp, err := m.Query(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[sql] = gobBytes(t, resp)
+		want[sql] = resp
 	}
 
 	const clients, rounds = 8, 6
@@ -279,7 +204,7 @@ func TestMuxClientConcurrentCorrectness(t *testing.T) {
 					errs <- fmt.Errorf("client %d: %w", g, err)
 					return
 				}
-				if !bytes.Equal(gobBytes(t, resp), want[sql]) {
+				if !reflect.DeepEqual(resp, want[sql]) {
 					errs <- fmt.Errorf("client %d: %q diverged from serial execution: %+v", g, sql, resp)
 					return
 				}
@@ -316,7 +241,7 @@ func TestMuxClientConcurrentCorrectness(t *testing.T) {
 // recomputed one.
 func TestResultCacheHitMissInvalidate(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := servingTestConfig(TransportBinary)
+	cfg := fastChaosConfig(1)
 	cfg.PlanCacheSize = 64
 	cfg.ResultCacheSize = 64
 	m, _ := f.startServingMaster(t, cfg)
@@ -364,7 +289,7 @@ func TestResultCacheHitMissInvalidate(t *testing.T) {
 // still routes once — the descriptor cache serves the plan.
 func TestPlanCacheServesRepeatedSQL(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := servingTestConfig(TransportBinary)
+	cfg := fastChaosConfig(1)
 	cfg.PlanCacheSize = 64
 	cfg.ResultCacheSize = 0
 	m, _ := f.startServingMaster(t, cfg)
@@ -391,7 +316,7 @@ func TestPlanCacheServesRepeatedSQL(t *testing.T) {
 // recovered worker is observed immediately.
 func TestPartialResultsNotCached(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := servingTestConfig(TransportBinary)
+	cfg := fastChaosConfig(1)
 	cfg.ResultCacheSize = 64
 	cfg.AllowPartial = true
 	m, _ := f.startServingMaster(t, cfg)
@@ -538,7 +463,7 @@ func TestAdmissionShedsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := servingTestConfig(TransportBinary)
+	cfg := fastChaosConfig(1)
 	cfg.MaxInflightQueries = 1
 	m.Configure(cfg)
 	m.admission = serve.NewAdmission(1, 0) // no queue: saturate -> shed

@@ -74,7 +74,7 @@ func startTracedCluster(t *testing.T, nWorkers int, cfg Config, tracer *trace.Tr
 	}
 	tc.master = m
 	tc.maddr = maddr
-	cl, err := Dial(maddr)
+	cl, err := DialMux(maddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ var tracedStatements = []string{
 
 // TestTracedVsUntracedIdentical is the differential oracle for the tracing
 // layer: two identically-built clusters, one tracing every query, must
-// produce deeply equal responses over both transports — spans never leak
-// into untraced responses, and instrumentation never perturbs results.
+// produce deeply equal responses over the wire — spans never leak into
+// untraced responses, and instrumentation never perturbs results.
 func TestTracedVsUntracedIdentical(t *testing.T) {
 	plain := startTracedCluster(t, 3, tracedConfig(), nil)
 	tracer := trace.New(trace.Config{SampleEvery: 1})
@@ -124,31 +124,6 @@ func TestTracedVsUntracedIdentical(t *testing.T) {
 	// The traced master really did sample: the test is not vacuous.
 	if n := len(tracer.Traces()); n != len(tracedStatements) {
 		t.Fatalf("tracer retained %d traces, want %d", n, len(tracedStatements))
-	}
-
-	// Same property over the multiplexed binary transport.
-	mp, err := DialMux(plain.maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
-	mt, err := DialMux(traced.maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mt.Close()
-	for _, sql := range tracedStatements {
-		want, err := mp.Query(sql)
-		if err != nil {
-			t.Fatalf("%q untraced mux: %v", sql, err)
-		}
-		got, err := mt.Query(sql)
-		if err != nil {
-			t.Fatalf("%q traced mux: %v", sql, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: traced mux response diverges\n traced: %+v\nuntraced: %+v", sql, got, want)
-		}
 	}
 }
 
@@ -248,22 +223,6 @@ func TestExplainWithoutTracer(t *testing.T) {
 	}
 	if resp.TraceID == 0 || len(resp.Spans) == 0 {
 		t.Fatalf("explain without a tracer returned no trace: id=%d spans=%d", resp.TraceID, len(resp.Spans))
-	}
-	// Mux transport explain too.
-	mc, err := DialMux(tc.maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	mresp, err := mc.Explain(context.Background(), "SELECT * FROM t WHERE l_quantity >= 40")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mresp.TraceID == 0 || len(mresp.Spans) == 0 {
-		t.Fatal("mux explain returned no trace")
-	}
-	if mresp.Rows != resp.Rows {
-		t.Fatalf("transports disagree: %d vs %d rows", mresp.Rows, resp.Rows)
 	}
 }
 

@@ -11,70 +11,22 @@ import (
 	"paw/internal/serve"
 )
 
-// Transport selects the master↔worker wire protocol.
-type Transport int
-
-const (
-	// TransportBinary is the production path: the length-prefixed binary
-	// frame protocol of internal/serve, with requests from many concurrent
-	// queries pipelined over a small fixed pool of connections per worker and
-	// responses matched back by sequence number.
-	TransportBinary Transport = iota
-	// TransportGob is the legacy one-gob-codec-per-connection protocol,
-	// retained as the differential oracle for the binary path: both must
-	// return byte-identical query results, including failures and partial
-	// results.
-	TransportGob
-)
-
-// String names the transport for logs and benchmark reports.
-func (t Transport) String() string {
-	if t == TransportGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// workerLink is one master→worker transport endpoint. Implementations
-// must be safe for concurrent scan calls.
-type workerLink interface {
-	// scan performs one ScanRequest round trip. The error contract follows
-	// serve.Mux.Call: a serve.NotSentError means the link was never touched
-	// and remains healthy; any other failure means the caller should drop
-	// the link and redial.
-	scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error
-	// admin performs one migration-control round trip (same error contract
-	// as scan). Only the binary transport carries admin frames.
-	admin(ctx context.Context, req *AdminRequest, resp *AdminResponse) error
-	close()
-}
-
-// gobLink adapts the legacy codec-pair connection to the link interface.
-type gobLink struct{ c *conn }
-
-func (l *gobLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
-	return l.c.call(ctx, req, resp)
-}
-
-// admin fails: the gob worker loop decodes a homogeneous ScanRequest stream,
-// so migration control cannot ride it. Migrations require TransportBinary;
-// the gob path remains the query-time differential oracle.
-func (l *gobLink) admin(context.Context, *AdminRequest, *AdminResponse) error {
-	return errors.New("dist: partition migration requires the binary transport (gob is the query-path oracle only)")
-}
-
-func (l *gobLink) close() { l.c.Close() }
-
-// muxLink fans scan calls over a fixed pool of multiplexed binary
-// connections round-robin. Any number of requests may be in flight on each
-// connection; the pool exists to spread framing/write contention, not to
-// bound concurrency.
+// muxLink is the master's transport endpoint to one worker: scan and admin
+// calls fan over a fixed pool of multiplexed connections round-robin. Any
+// number of requests may be in flight on each connection; the pool exists to
+// spread framing/write contention, not to bound concurrency. Errors follow
+// the serve.Mux.Call contract: a serve.NotSentError or the caller's own
+// context error leaves the link healthy; anything else means a connection of
+// the pool is down and the link must be dropped and redialed.
 type muxLink struct {
 	muxes []*serve.Mux
 	next  atomic.Uint32
 }
 
 // dialMuxLink opens n multiplexed connections to addr under ctx's deadline.
+// A dial cut short by ctx reports ctx's error rather than the I/O error the
+// interrupt produced, so callers can tell "deadline expired" from a genuinely
+// unreachable peer with errors.Is.
 func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
 	if n < 1 {
 		n = 1
@@ -85,6 +37,9 @@ func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
 		nc, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			l.close()
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
 			return nil, err
 		}
 		mx, err := serve.NewMux(nc)
@@ -97,24 +52,32 @@ func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
 	return l, nil
 }
 
-func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
-	mx := l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
-	return mx.Call(ctx, msgScanReq, req, func(typ byte, payload []byte) error {
-		if typ != msgScanResp {
-			return fmt.Errorf("dist: unexpected frame type %d for scan response", typ)
+// roundTrip performs one pipelined exchange on mx: req goes out as a frame
+// of type typ and the reply, which must be a frame of type want, is handed to
+// dec (a message's UnmarshalWire). Distinct request and response types catch
+// a mismatched reply at the protocol layer instead of misdecoding it.
+func roundTrip(ctx context.Context, mx *serve.Mux, typ byte, req serve.Marshaler, want byte, dec func([]byte) error) error {
+	return mx.Call(ctx, typ, req, func(got byte, payload []byte) error {
+		if got != want {
+			return fmt.Errorf("dist: frame type %d in reply to a type-%d request, want %d", got, typ, want)
 		}
-		return resp.UnmarshalWire(payload)
+		return dec(payload)
 	})
 }
 
+// pick returns the pool's next connection, round-robin.
+func (l *muxLink) pick() *serve.Mux {
+	return l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
+}
+
+// scan performs one ScanRequest round trip.
+func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
+	return roundTrip(ctx, l.pick(), msgScanReq, req, msgScanResp, resp.UnmarshalWire)
+}
+
+// admin performs one migration-control round trip.
 func (l *muxLink) admin(ctx context.Context, req *AdminRequest, resp *AdminResponse) error {
-	mx := l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
-	return mx.Call(ctx, msgAdminReq, req, func(typ byte, payload []byte) error {
-		if typ != msgAdminResp {
-			return fmt.Errorf("dist: unexpected frame type %d for admin response", typ)
-		}
-		return resp.UnmarshalWire(payload)
-	})
+	return roundTrip(ctx, l.pick(), msgAdminReq, req, msgAdminResp, resp.UnmarshalWire)
 }
 
 func (l *muxLink) close() {
@@ -125,17 +88,16 @@ func (l *muxLink) close() {
 	}
 }
 
-// MuxClient speaks SQL to a master over the multiplexed binary protocol.
-// Unlike the gob Client — whose connection mutex serialises exchanges — a
-// MuxClient is safe for concurrent use and pipelines every in-flight query
-// over its one connection; a deadline or cancellation abandons only the one
-// call, never the connection.
+// MuxClient speaks SQL to a master over the multiplexed binary protocol. It
+// is safe for concurrent use and pipelines every in-flight query over its one
+// connection; a deadline or cancellation abandons only the one call, never
+// the connection.
 type MuxClient struct {
 	mux          *serve.Mux
 	allowPartial atomic.Bool
 }
 
-// DialMux connects to a master's client port with the binary protocol.
+// DialMux connects to a master's client port.
 func DialMux(addr string) (*MuxClient, error) {
 	mx, err := serve.DialMux(addr)
 	if err != nil {
@@ -179,13 +141,7 @@ func (c *MuxClient) call(ctx context.Context, sql string, explain bool) (QueryRe
 		req.TimeoutMillis = ms
 	}
 	var resp QueryResponse
-	err := c.mux.Call(ctx, msgQueryReq, &req, func(typ byte, payload []byte) error {
-		if typ != msgQueryResp {
-			return fmt.Errorf("dist: unexpected frame type %d for query response", typ)
-		}
-		return resp.UnmarshalWire(payload)
-	})
-	if err != nil {
+	if err := roundTrip(ctx, c.mux, msgQueryReq, &req, msgQueryResp, resp.UnmarshalWire); err != nil {
 		return QueryResponse{}, err
 	}
 	if resp.Err != "" {

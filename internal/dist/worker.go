@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -24,8 +22,8 @@ import (
 	"paw/internal/trace"
 )
 
-// workerMaxInflight bounds the scan requests one binary session may have
-// executing concurrently. The scan pool bounds actual kernel parallelism;
+// workerMaxInflight bounds the scan requests one session may have executing
+// concurrently. The scan pool bounds actual kernel parallelism;
 // this only caps per-session queue build-up.
 const workerMaxInflight = 64
 
@@ -33,8 +31,7 @@ const workerMaxInflight = 64
 // A worker only answers for the partitions assigned to it; requests for
 // foreign partitions are errors (they indicate a master/placement bug).
 //
-// Sessions speak either the multiplexed binary frame protocol (detected by
-// the serve.Magic preamble) or the legacy gob codec pair. Binary sessions
+// Sessions speak the multiplexed frame protocol of internal/serve and
 // pipeline: every request runs on its own goroutine and responses return in
 // completion order.
 type Worker struct {
@@ -74,7 +71,7 @@ type Worker struct {
 	wg       sync.WaitGroup
 	closed   bool
 	// conns tracks live sessions so Close can terminate connections parked
-	// in Decode (a master holds its connections open between queries;
+	// in a frame read (a master holds its connections open between queries;
 	// without this, Close would block on wg.Wait forever).
 	conns map[net.Conn]bool
 	// m is the optional worker telemetry (SetMetrics).
@@ -289,9 +286,10 @@ func (w *Worker) untrackConn(c net.Conn) {
 	}
 }
 
-// serveConn detects the session protocol by its first bytes: the binary
-// frame protocol announces itself with the serve.Magic preamble, anything
-// else is a legacy gob codec pair.
+// serveConn runs one master session: scan and admin frames pipeline over it.
+// A peer that does not open with the protocol preamble, or whose stream
+// breaks mid-frame, is dropped and counted; a clean hang-up or the worker's
+// own Close is not a drop.
 func (w *Worker) serveConn(c net.Conn) {
 	if !w.trackConn(c) {
 		c.Close()
@@ -299,25 +297,7 @@ func (w *Worker) serveConn(c net.Conn) {
 	}
 	defer w.untrackConn(c)
 	defer c.Close()
-	br := bufio.NewReader(c)
-	peek, err := br.Peek(len(serve.Magic))
-	if err != nil {
-		if !errors.Is(err, io.EOF) && !w.isClosed() {
-			w.m.dropped.Inc()
-		}
-		return
-	}
-	if bytes.Equal(peek, serve.Magic[:]) {
-		br.Discard(len(serve.Magic))
-		w.serveBinaryConn(c, br)
-		return
-	}
-	w.serveGobConn(c, br)
-}
-
-// serveBinaryConn pipelines scan frames over one multiplexed session.
-func (w *Worker) serveBinaryConn(c net.Conn, br *bufio.Reader) {
-	err := serve.ServeConn(c, br, workerMaxInflight, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
+	err := serve.ServeConn(c, workerMaxInflight, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
 		switch typ {
 		case msgScanReq:
 			var req ScanRequest
@@ -339,28 +319,6 @@ func (w *Worker) serveBinaryConn(c net.Conn, br *bufio.Reader) {
 	})
 	if err != nil && !errors.Is(err, io.EOF) && !w.isClosed() {
 		w.m.dropped.Inc()
-	}
-}
-
-// serveGobConn is the legacy session loop: one exchange at a time.
-func (w *Worker) serveGobConn(c net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(c)
-	for {
-		var req ScanRequest
-		if err := dec.Decode(&req); err != nil {
-			// Connection-level failures end the session; the master will
-			// redial. A clean EOF or our own Close is not a drop.
-			if !errors.Is(err, io.EOF) && !w.isClosed() {
-				w.m.dropped.Inc()
-			}
-			return
-		}
-		resp := w.handle(req)
-		if err := enc.Encode(&resp); err != nil {
-			w.m.dropped.Inc()
-			return
-		}
 	}
 }
 
@@ -587,8 +545,8 @@ func (w *Worker) Ready() (bool, string) {
 }
 
 // Close stops the listener, terminates live sessions (masters park
-// connections in Decode between queries — they observe the reset and redial)
-// and waits for the serving goroutines to finish. Close is idempotent.
+// connections in a frame read between queries — they observe the reset and
+// redial) and waits for the serving goroutines to finish. Close is idempotent.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	if w.closed {

@@ -9,8 +9,7 @@
 //
 // The package is payload-agnostic: messages are opaque byte slices plus a
 // one-byte type tag. internal/dist supplies the binary codecs for its
-// request/response structs and keeps the historical gob codec path alive as
-// the differential oracle for this one.
+// request/response structs.
 package serve
 
 import (
@@ -21,10 +20,9 @@ import (
 	"io"
 )
 
-// Magic is the 4-byte connection preamble a binary-protocol dialer sends
-// before its first frame. Servers that also speak the legacy gob protocol
-// peek these bytes to pick the codec for the session: a gob stream's first
-// bytes are a type-descriptor message that never matches.
+// Magic is the 4-byte connection preamble a dialer (NewMux) sends before its
+// first frame and ServeConn verifies before reading one: a peer speaking
+// anything else is refused up front instead of being misparsed as frames.
 var Magic = [4]byte{'P', 'A', 'W', '1'}
 
 // Frame layout (all integers little-endian):

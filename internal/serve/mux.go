@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,7 +147,7 @@ func (m *Mux) Close() error {
 }
 
 // send frames and writes one request. It returns a NotSentError when ctx
-// expired (or the mux was already down) before any byte was written.
+// expired before any byte was written.
 func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
@@ -166,9 +167,14 @@ func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) err
 	if d, ok := ctx.Deadline(); ok {
 		m.c.SetWriteDeadline(d)
 	}
-	_, err := m.c.Write(m.wbuf)
+	n, err := m.c.Write(m.wbuf)
 	m.c.SetWriteDeadline(time.Time{})
 	if err != nil {
+		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			// The deadline beat the first byte: nothing reached the wire and
+			// the stream is intact — this call expired, the connection did not.
+			return &NotSentError{Err: context.DeadlineExceeded}
+		}
 		// The frame may be partially written: the stream is unusable.
 		err = fmt.Errorf("serve: writing request: %w", err)
 		m.closeWith(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,8 @@ type blob []byte
 
 func (b blob) AppendWire(buf []byte) []byte { return append(buf, b...) }
 
-// startServer runs a frame server for every accepted connection (consuming
-// the protocol preamble first) and returns its address. The server shuts
-// down via t.Cleanup.
+// startServer runs a frame server for every accepted connection and returns
+// its address. The server shuts down via t.Cleanup.
 func startServer(t *testing.T, maxInflight int, h Handler) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,11 +39,7 @@ func startServer(t *testing.T, maxInflight int, h Handler) string {
 			go func() {
 				defer wg.Done()
 				defer c.Close()
-				var magic [4]byte
-				if _, err := io.ReadFull(c, magic[:]); err != nil || magic != Magic {
-					return
-				}
-				ServeConn(c, c, maxInflight, h)
+				ServeConn(c, maxInflight, h)
 			}()
 		}
 	}()
@@ -295,5 +291,80 @@ func TestServeConnBoundsInflight(t *testing.T) {
 	}
 	if peak == 0 {
 		t.Fatal("no handler ever ran")
+	}
+}
+
+// TestServeConnVerifiesPreamble: ServeConn refuses a peer that does not open
+// with Magic — ErrCorrupt, before any frame reaches the handler — and reports
+// a peer that hangs up without a word as a clean io.EOF.
+func TestServeConnVerifiesPreamble(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		hello string
+		want  error
+	}{
+		{"wrong protocol", "GET / HTTP/1.1\r\n\r\n", ErrCorrupt},
+		{"silent hang-up", "", io.EOF},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			go func() {
+				client.Write([]byte(c.hello))
+				client.Close()
+			}()
+			err := ServeConn(server, 4, func(byte, []byte) (byte, Marshaler, error) {
+				t.Error("handler ran for a peer that sent no preamble")
+				return 0, blob(nil), nil
+			})
+			if !errors.Is(err, c.want) {
+				t.Fatalf("err=%v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// expiringConn fails the next Write the way a socket does when its write
+// deadline has already passed: no byte leaves, os.ErrDeadlineExceeded.
+type expiringConn struct {
+	net.Conn
+	expireNext bool
+}
+
+func (c *expiringConn) Write(p []byte) (int, error) {
+	if c.expireNext {
+		c.expireNext = false
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.Conn.Write(p)
+}
+
+// TestMuxWriteDeadlineBeforeFirstByteKeepsConnection: a call whose deadline
+// passes between the context check and the write never put a byte on the
+// wire. It is a clean expiry (NotSentError), not a dead connection — every
+// other call pipelined on the mux, and the next one, must be unaffected.
+func TestMuxWriteDeadlineBeforeFirstByteKeepsConnection(t *testing.T) {
+	addr := startServer(t, 4, echoHandler)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := &expiringConn{Conn: nc}
+	m, err := NewMux(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ec.expireNext = true
+	err = m.Call(context.Background(), 5, blob("late"), func(byte, []byte) error { return nil })
+	if !IsNotSent(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want a NotSentError wrapping context.DeadlineExceeded", err)
+	}
+	var got []byte
+	err = m.Call(context.Background(), 5, blob("next"), func(_ byte, payload []byte) error {
+		got = append(got, payload...)
+		return nil
+	})
+	if err != nil || string(got) != "next" {
+		t.Fatalf("call after the expiry: err=%v payload=%q, want the echo", err, got)
 	}
 }

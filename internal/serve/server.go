@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -15,19 +16,28 @@ import (
 // response message instead).
 type Handler func(typ byte, payload []byte) (respTyp byte, resp Marshaler, err error)
 
-// ServeConn runs one binary-protocol session: frames are read from r
-// (which wraps c and may hold peeked preamble bytes), each request is
-// dispatched to h on its own goroutine — at most maxInflight concurrently —
-// and responses are written back tagged with the request's sequence number,
-// in completion order rather than arrival order. That is what lets a
-// session pipeline: a cheap request is never stuck behind an expensive one.
+// ServeConn runs one binary-protocol session on c: it verifies the Magic
+// preamble (a peer that opens with anything else is refused with ErrCorrupt
+// before any frame is read), then reads frames, dispatches each request to h
+// on its own goroutine — at most maxInflight concurrently — and writes the
+// responses back tagged with the request's sequence number, in completion
+// order rather than arrival order. That is what lets a session pipeline: a
+// cheap request is never stuck behind an expensive one.
 //
 // ServeConn returns when the connection dies or a handler reports a fatal
-// error; it drains its request goroutines before returning. The caller
-// still owns c and closes it.
-func ServeConn(c net.Conn, r io.Reader, maxInflight int, h Handler) error {
+// error (io.EOF: the peer hung up between frames); it drains its request
+// goroutines before returning. The caller still owns c and closes it.
+func ServeConn(c net.Conn, maxInflight int, h Handler) error {
 	if maxInflight < 1 {
 		maxInflight = 1
+	}
+	r := bufio.NewReader(c)
+	var preamble [len(Magic)]byte
+	if _, err := io.ReadFull(r, preamble[:]); err != nil {
+		return err
+	}
+	if preamble != Magic {
+		return fmt.Errorf("%w: bad preamble %q", ErrCorrupt, preamble[:])
 	}
 	var (
 		wmu  sync.Mutex
