@@ -27,9 +27,13 @@ test:
 # the elastic membership substrate (failure detector, ring placement,
 # rebalance planner) and the tracing substrate (spans assemble across scatter
 # goroutines) under the race detector in short mode. Any new fan-out point
-# must pass this before merging.
+# must pass this before merging. The store's materialisation fan-out
+# (blockstore.Materialize over colstore.Builder) must produce byte-identical
+# tables at any width, so those two packages run serial and parallel
+# (-cpu 1,2): their determinism tests compare the encodings.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/colstore/... ./internal/blockstore/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/...
+	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/...
+	$(GO) test -race -short -cpu 1,2 ./internal/colstore/... ./internal/blockstore/...
 
 # chaos runs the deterministic fault-injection suite (DESIGN.md §10) under
 # the race detector: every TestChaos* scenario drives the distributed path

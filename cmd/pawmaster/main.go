@@ -43,9 +43,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
+	"paw/internal/blockstore"
 	"paw/internal/colstore"
 	"paw/internal/dataset"
 	"paw/internal/dist"
@@ -231,6 +233,9 @@ func main() {
 			"traces", "http://"+srv.Addr()+"/traces",
 			"pprof", "http://"+srv.Addr()+"/debug/pprof/")
 	}
+	// Whatever the master encodes itself — drift-rebuilt partitions, the
+	// rebalance fallback — it lays out like the workers' stores.
+	builder := workerStore.Builder(data)
 	if *driftOn {
 		if *driftHist == "" || *driftDelta <= 0 {
 			fatalf("-drift needs -drift-hist (the reference query log) and -drift-delta > 0")
@@ -244,7 +249,7 @@ func main() {
 		if err != nil {
 			fatalf("reading %s: %v", *driftHist, err)
 		}
-		ctl := drift.New(m, data, histLog.Workload(), drift.Config{
+		ctl := drift.New(m, data, builder, histLog.Workload(), drift.Config{
 			Window:     *driftWindow,
 			CheckEvery: *driftCheck,
 			Delta:      *driftDelta,
@@ -264,26 +269,7 @@ func main() {
 			"delta", *driftDelta, "cost_factor", *driftCost, "reference_queries", histLog.Len())
 	}
 	if *memberOn {
-		// The master holds the full dataset, so it can re-encode any
-		// partition's payload itself — the rebalance fallback when no live
-		// worker still holds a copy.
-		all := make([]int, data.NumRows())
-		for i := range all {
-			all[i] = i
-		}
-		byPart := l.RouteIndices(data, all)
-		src := func(id layout.ID) ([]byte, int64, error) {
-			rows, ok := byPart[id]
-			if !ok {
-				return nil, 0, fmt.Errorf("partition %d routes no rows", id)
-			}
-			tab := colstore.FromDataset(data, rows, colstore.DefaultGroupRows)
-			var buf bytes.Buffer
-			if err := tab.Encode(&buf); err != nil {
-				return nil, 0, err
-			}
-			return buf.Bytes(), int64(len(rows)), nil
-		}
+		src := payloadSource(l, data, builder)
 		err := m.EnableMembership(dist.MembershipConfig{
 			Detector:          membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 			TickEvery:         *memberTick,
@@ -312,6 +298,33 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	m.Close()
+}
+
+// workerStore is the block store configuration pawworker materialises with.
+var workerStore = blockstore.Config{}
+
+// payloadSource is the rebalance fallback for a partition no live worker still
+// holds: the master has the full dataset, so it re-encodes the partition
+// itself. With the workers' store's builder the payload is byte-for-byte what
+// a worker would have shipped.
+func payloadSource(l *layout.Layout, data *dataset.Dataset, builder *colstore.Builder) func(layout.ID) ([]byte, int64, error) {
+	all := make([]int, data.NumRows())
+	for i := range all {
+		all[i] = i
+	}
+	byPart := l.RouteIndices(data, all)
+	return func(id layout.ID) ([]byte, int64, error) {
+		rows, ok := byPart[id]
+		if !ok {
+			return nil, 0, fmt.Errorf("partition %d routes no rows", id)
+		}
+		// Build reorders its argument; byPart is shared between calls.
+		var buf bytes.Buffer
+		if err := builder.Build(slices.Clone(rows)).Encode(&buf); err != nil {
+			return nil, 0, err
+		}
+		return buf.Bytes(), int64(len(rows)), nil
+	}
 }
 
 func fatalf(format string, args ...any) {

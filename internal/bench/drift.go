@@ -185,7 +185,8 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	sample := data.Sample(1200, sc.Seed+1)
 	l := core.Build(data, sample, data.Domain(), sc.Hist, core.Params{MinRows: 20, Delta: sc.Delta})
 	l.Route(data)
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 256})
+	storeCfg := blockstore.Config{GroupRows: 256}
+	store := blockstore.Materialize(l, data, storeCfg)
 
 	place := placement.RoundRobin(l, opt.Workers)
 	perWorker := make([][]layout.ID, opt.Workers)
@@ -235,12 +236,11 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		MinPartRows:  64,
 		MaxPartRows:  256,
 		BuildSample:  800,
-		GroupRows:    256,
 		Replicas:     1,
 		Validate:     true,
 		Seed:         sc.Seed,
 	}
-	ctl := drift.New(m, data, sc.Hist, dcfg)
+	ctl := drift.New(m, data, storeCfg.Builder(data), sc.Hist, dcfg)
 	ctl.Attach(false)
 
 	stream := sc.Stream()

@@ -50,6 +50,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Builder returns the partition-table builder of a store with this
+// configuration. Whoever re-encodes a partition of such a store outside it — a
+// migration payload, a rebalance fallback — builds it with this, so that the
+// partition is laid out exactly as Materialize lays it out.
+func (c Config) Builder(data *dataset.Dataset) *colstore.Builder {
+	return colstore.NewBuilder(data, c.withDefaults().GroupRows)
+}
+
 // StoredPartition is a materialised partition.
 type StoredPartition struct {
 	ID     layout.ID
@@ -75,24 +83,24 @@ type Store struct {
 }
 
 // Materialize routes the full dataset through the layout and writes every
-// partition as a columnar table. The layout must already be sealed; Route is
-// (re)run here so partition sizes reflect the dataset.
+// partition as a columnar table in the one physical row order colstore.Builder
+// defines. The layout must already be sealed; the routing pass (re)sets its
+// partition sizes so they reflect the dataset.
+//
+// Every row is routed once, in parallel; a counting sort then deals the row
+// indices into per-partition slices, and the builder clusters and encodes the
+// partitions concurrently. Results land in partition-indexed slots and are
+// summed in ID order, so the store is identical at any GOMAXPROCS.
 func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	rows := make([]int, data.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	l.RouteParallel(data, runtime.NumCPU())
-	byPart := l.RouteIndices(data, rows)
-	routing := time.Since(start)
+	byPart := partitionRows(l, l.RouteAssign(data, runtime.GOMAXPROCS(0)))
+	s := &Store{cfg: cfg, parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
 
-	s := &Store{cfg: cfg, parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: routing}
-	for _, p := range l.Parts {
-		tab := colstore.FromDataset(data, byPart[p.ID], cfg.GroupRows)
+	stored := make([]StoredPartition, len(l.Parts))
+	cfg.Builder(data).BuildAll(byPart, func(i int, tab *colstore.Table) {
 		if len(cfg.ZoneQueries) > 0 {
-			if err := tab.SetZoneMaps(cfg.ZoneQueries, zoneMapBits(data, byPart[p.ID], tab, cfg.ZoneQueries)); err != nil {
+			if err := tab.SetZoneMaps(cfg.ZoneQueries, zoneMapBits(data, byPart[i], tab, cfg.ZoneQueries)); err != nil {
 				panic(err) // impossible: bits are built from this table's groups
 			}
 		}
@@ -100,18 +108,38 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 		if blocks == 0 {
 			blocks = 1
 		}
-		s.parts[p.ID] = &StoredPartition{ID: p.ID, Table: tab, Blocks: blocks}
-		s.BytesWritten += tab.Bytes()
+		stored[i] = StoredPartition{ID: layout.ID(i), Table: tab, Blocks: blocks}
+	})
+	for i := range stored {
+		s.parts[stored[i].ID] = &stored[i]
+		s.BytesWritten += stored[i].Table.Bytes()
 	}
 	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (cfg.WriteMBps * 1e6) * float64(time.Second))
 	return s
 }
 
+// partitionRows turns the per-row partition assignment of a routing pass into
+// the ascending row indices of each partition: a counting sort over one
+// backing array, sized by the FullRows the same pass set.
+func partitionRows(l *layout.Layout, assign []int32) [][]int {
+	byPart := make([][]int, len(l.Parts))
+	backing := make([]int, len(assign)-int(l.Unrouted))
+	for i, p := range l.Parts {
+		byPart[i], backing = backing[:0:p.FullRows], backing[p.FullRows:]
+	}
+	for r, id := range assign {
+		if id >= 0 {
+			byPart[id] = append(byPart[id], r)
+		}
+	}
+	return byPart
+}
+
 // zoneMapBits computes per-row-group feature-vector incidence bits for a
 // partition table directly from the source rows: one maxskip.RowVector per
 // row, unioned across the rows of each group. rows lists the partition's
-// source row indices in table order (nil meaning the whole dataset, matching
-// colstore.FromDataset).
+// source row indices in table order — the order colstore.Builder left them
+// in, not the order they were routed in.
 func zoneMapBits(data *dataset.Dataset, rows []int, tab *colstore.Table, queries []geom.Box) [][]uint64 {
 	words := (len(queries) + 63) / 64
 	bits := make([][]uint64, tab.NumGroups())
@@ -120,11 +148,7 @@ func zoneMapBits(data *dataset.Dataset, rows []int, tab *colstore.Table, queries
 	for gi := range bits {
 		g := make([]uint64, words)
 		n := tab.GroupRows(gi)
-		for i := 0; i < n; i++ {
-			r := next + i
-			if rows != nil {
-				r = rows[next+i]
-			}
+		for _, r := range rows[next : next+n] {
 			maxskip.RowVector(data, r, queries, vec)
 			for w := 0; w < words; w++ {
 				g[w] |= vec[w]

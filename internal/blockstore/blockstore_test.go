@@ -1,10 +1,14 @@
 package blockstore
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"paw/internal/colstore"
 	"paw/internal/dataset"
 	"paw/internal/kdtree"
+	"paw/internal/layout"
 	"paw/internal/workload"
 )
 
@@ -102,4 +106,77 @@ func TestRowGroupPruningReducesBytes(t *testing.T) {
 		t.Errorf("row-group pruning read %d of %d nominal bytes — no pruning at all", read, nominal)
 	}
 	t.Logf("row-group pruning: read %d / nominal %d (%.0f%%)", read, nominal, 100*float64(read)/float64(nominal))
+}
+
+// encodeStore serialises every partition table of a store, in ID order.
+func encodeStore(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for id := 0; id < s.NumPartitions(); id++ {
+		p, err := s.Partition(layout.ID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Table.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestMaterializeDeterministic: the parallel fan-out leaks no scheduling into
+// the store. Encoded tables, zone maps included, and the byte and block totals
+// are identical serial and parallel and from run to run. (`make race` also
+// runs this package at -cpu 1,2.)
+func TestMaterializeDeterministic(t *testing.T) {
+	data := dataset.TPCHLike(60_000, 11).Project(4)
+	l := kdtree.Build(data, data.Sample(6000, 12), data.Domain(), kdtree.Params{MinRows: 100})
+	zone := workload.Uniform(data.Domain(), workload.Defaults(8, 13)).Boxes()
+	cfg := Config{GroupRows: 256, ZoneQueries: zone}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref := Materialize(l, data, cfg)
+	want := encodeStore(t, ref)
+	for _, procs := range []int{1, 2, 4, 4} {
+		runtime.GOMAXPROCS(procs)
+		s := Materialize(l, data, cfg)
+		if s.BytesWritten != ref.BytesWritten || s.TotalBlocks() != ref.TotalBlocks() || s.SimWriteTime != ref.SimWriteTime {
+			t.Fatalf("GOMAXPROCS=%d: wrote %d bytes / %d blocks, serial %d / %d",
+				procs, s.BytesWritten, s.TotalBlocks(), ref.BytesWritten, ref.TotalBlocks())
+		}
+		if !bytes.Equal(encodeStore(t, s), want) {
+			t.Fatalf("GOMAXPROCS=%d: encoded partitions differ from the serial store", procs)
+		}
+	}
+}
+
+// TestMaterializeRoutesOnce: the store's partitions hold exactly the rows the
+// layout's own routing assigns them, and the routing pass sets the layout's
+// partition sizes.
+func TestMaterializeRoutesOnce(t *testing.T) {
+	data := dataset.OSMLike(20_000, 5, 14)
+	l := kdtree.Build(data, data.Sample(2000, 15), data.Domain(), kdtree.Params{MinRows: 50})
+	s := Materialize(l, data, Config{GroupRows: 128})
+	byPart := l.RouteIndices(data, allRows(data.NumRows()))
+	builder := colstore.NewBuilder(data, 128)
+	for _, p := range l.Parts {
+		sp, err := s.Partition(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sp.Table.NumRows(), len(byPart[p.ID]); got != want || p.FullRows != int64(want) {
+			t.Fatalf("partition %d: table %d rows, FullRows %d, routing says %d", p.ID, got, p.FullRows, want)
+		}
+		// The table equals the builder's table for that row set.
+		var a, b bytes.Buffer
+		if err := sp.Table.Encode(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := builder.Build(byPart[p.ID]).Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("partition %d: stored table differs from Builder.Build of its rows", p.ID)
+		}
+	}
 }

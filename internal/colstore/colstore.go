@@ -11,6 +11,9 @@
 package colstore
 
 import (
+	"math"
+	"slices"
+
 	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/sma"
@@ -48,8 +51,10 @@ func (g *rowGroup) encodedBytes() int64 {
 }
 
 // FromDataset materialises the given rows of data (all rows when rows is
-// nil) into a columnar table with groupRows rows per row group, choosing
-// the cheapest exact encoding per column chunk.
+// nil), in the order given, into a columnar table with groupRows rows per row
+// group, choosing the cheapest exact encoding per column chunk. It is the
+// order-preserving primitive; partition tables are built by a Builder, which
+// chooses the order.
 func FromDataset(data *dataset.Dataset, rows []int, groupRows int) *Table {
 	if groupRows < 1 {
 		groupRows = DefaultGroupRows
@@ -61,26 +66,52 @@ func FromDataset(data *dataset.Dataset, rows []int, groupRows int) *Table {
 		}
 	}
 	t := &Table{names: append([]string(nil), data.Names()...), rows: len(rows)}
-	dims := data.Dims()
-	var vals, sortScratch []float64
+	var enc groupEncoder
 	for s := 0; s < len(rows); s += groupRows {
-		e := s + groupRows
-		if e > len(rows) {
-			e = len(rows)
-		}
-		chunk := rows[s:e]
-		g := rowGroup{cols: make([]column, dims), rows: len(chunk)}
-		for d := 0; d < dims; d++ {
-			vals = vals[:0]
-			for _, r := range chunk {
-				vals = append(vals, data.At(r, d))
+		chunk := rows[s:min(s+groupRows, len(rows))]
+		t.groups = append(t.groups, enc.encode(data.Dims(), len(chunk), func(d int, dst []float64) {
+			col := data.Column(d)
+			for i, r := range chunk {
+				dst[i] = col[r]
 			}
-			g.cols[d], sortScratch = encodeColumn(vals, sortScratch)
-		}
-		g.stats = sma.Compute(data, chunk)
-		t.groups = append(t.groups, g)
+		}))
 	}
 	return t
+}
+
+// groupEncoder encodes row groups, reusing its staging buffers across groups.
+type groupEncoder struct {
+	vals    []float64
+	scratch encodeScratch
+}
+
+// encode builds one row group of n rows: fill(d, dst) writes column d's
+// values, in row order, into dst[:n]. The group's SMAs are accumulated from
+// the same values in the same order.
+func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowGroup {
+	g := rowGroup{cols: make([]column, dims), rows: n, stats: sma.Aggregates{
+		Count: int64(n),
+		Min:   make([]float64, dims),
+		Max:   make([]float64, dims),
+		Sum:   make([]float64, dims),
+	}}
+	e.vals = slices.Grow(e.vals[:0], n)[:n]
+	for d := 0; d < dims; d++ {
+		fill(d, e.vals)
+		g.cols[d] = encodeColumn(e.vals, &e.scratch)
+		mn, mx, sum := math.Inf(1), math.Inf(-1), 0.0
+		for _, v := range e.vals {
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+			sum += v
+		}
+		g.stats.Min[d], g.stats.Max[d], g.stats.Sum[d] = mn, mx, sum
+	}
+	return g
 }
 
 // fromColumns rebuilds a table from fully decoded row groups (the PAWC v1
@@ -88,12 +119,12 @@ func FromDataset(data *dataset.Dataset, rows []int, groupRows int) *Table {
 // build path uses so v1 and v2 tables are indistinguishable in memory.
 func fromColumns(names []string, groups [][][]float64, stats []sma.Aggregates) *Table {
 	t := &Table{names: names}
-	var sortScratch []float64
+	var scratch encodeScratch
 	for gi, cols := range groups {
 		n := len(cols[0])
 		g := rowGroup{cols: make([]column, len(cols)), rows: n, stats: stats[gi]}
 		for d, vals := range cols {
-			g.cols[d], sortScratch = encodeColumn(vals, sortScratch)
+			g.cols[d] = encodeColumn(vals, &scratch)
 		}
 		t.rows += n
 		t.groups = append(t.groups, g)

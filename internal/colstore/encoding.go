@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -122,15 +123,20 @@ func forAt(packed []uint64, i int, w uint8) uint64 {
 	return v & (1<<uint(w) - 1)
 }
 
+// encodeScratch is the reusable staging of encodeColumn's dictionary probe.
+type encodeScratch struct {
+	sorted []float64
+	set    []uint64 // open-addressing set of value bit patterns
+}
+
 // encodeColumn picks the cheapest exact encoding for vals and returns the
 // encoded column. The choice is a pure function of the values, so encoding
-// is deterministic. sortScratch is reused across calls to stage the
-// dictionary probe; it is grown as needed and returned.
-func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
+// is deterministic. sc is reused across calls.
+func encodeColumn(vals []float64, sc *encodeScratch) column {
 	n := len(vals)
 	c := column{kind: colRaw, n: n}
 	if n == 0 {
-		return c, sortScratch
+		return c
 	}
 
 	// Pass 1: min and run structure.
@@ -170,16 +176,6 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 		forBitsN = uint8(bits.Len64(maxDelta))
 	}
 
-	// Dictionary probe: sorted distinct values.
-	sortScratch = append(sortScratch[:0], vals...)
-	sort.Float64s(sortScratch)
-	card := 1
-	for i := 1; i < n; i++ {
-		if sortScratch[i] != sortScratch[i-1] {
-			card++
-		}
-	}
-
 	// Candidate payload sizes; pick the smallest, preferring RLE, then
 	// dictionary, then FOR on ties (whole-run rejection beats per-code
 	// comparison beats bit extraction).
@@ -188,19 +184,32 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 	if rleB := int64(4 + runs*12); rleB < bestB {
 		best, bestB = colRLE, rleB
 	}
-	if card <= dictMaxCard {
-		w := int64(2)
-		if card <= 256 {
-			w = 1
+	forB := int64(math.MaxInt64)
+	if forOK {
+		forB = 9 + int64(forWords(n, forBitsN))*8
+	}
+	// Dictionary probe. No dictionary is smaller than one entry plus a byte
+	// per row, so there is nothing to probe when RLE already matches that
+	// floor or FOR beats it; otherwise count the distinct values, giving up
+	// at the count past which a dictionary cannot be the smallest.
+	card := 0
+	if dictFloor := 4 + 8 + int64(n); bestB > dictFloor && forB >= dictFloor {
+		tooMany := int((bestB-4-int64(n))/8) + 1
+		if tooMany > dictMaxCard+1 {
+			tooMany = dictMaxCard + 1
 		}
-		if dictB := 4 + int64(card)*8 + w*int64(n); dictB < bestB {
-			best, bestB = colDict, dictB
+		if card = sc.distinct(vals, tooMany); card < tooMany {
+			w := int64(2)
+			if card <= 256 {
+				w = 1
+			}
+			if dictB := 4 + int64(card)*8 + w*int64(n); dictB < bestB {
+				best, bestB = colDict, dictB
+			}
 		}
 	}
-	if forOK {
-		if forB := 9 + int64(forWords(n, forBitsN))*8; forB < bestB {
-			best, bestB = colFOR, forB
-		}
+	if forB < bestB {
+		best, bestB = colFOR, forB
 	}
 
 	switch best {
@@ -222,10 +231,12 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 		c.runLens = append(c.runLens, length)
 	case colDict:
 		c.kind = colDict
+		sc.sorted = append(sc.sorted[:0], vals...)
+		slices.Sort(sc.sorted)
 		c.dict = make([]float64, 0, card)
-		for i := 0; i < n; i++ {
-			if i == 0 || sortScratch[i] != sortScratch[i-1] {
-				c.dict = append(c.dict, sortScratch[i])
+		for i, v := range sc.sorted {
+			if i == 0 || v != sc.sorted[i-1] {
+				c.dict = append(c.dict, v)
 			}
 		}
 		if card <= 256 {
@@ -259,7 +270,46 @@ func encodeColumn(vals []float64, sortScratch []float64) (column, []float64) {
 	default:
 		c.raw = append([]float64(nil), vals...)
 	}
-	return c, sortScratch
+	return c
+}
+
+// distinct counts the distinct values of vals as float comparison sees them
+// (-0 equals +0, every NaN is a value of its own) — what sorting and counting
+// value changes would give, without the sort. It returns limit as soon as the
+// count reaches it.
+func (sc *encodeScratch) distinct(vals []float64, limit int) int {
+	// A power-of-two table at most half full. No float in it is a NaN, so a
+	// NaN's bit pattern marks an empty slot.
+	const empty = 0x7FF8000000000001
+	logSize := bits.Len(uint(2*len(vals) - 1))
+	sc.set = slices.Grow(sc.set[:0], 1<<logSize)[:1<<logSize]
+	for i := range sc.set {
+		sc.set[i] = empty
+	}
+	card := 0
+	for _, v := range vals {
+		k := math.Float64bits(v)
+		switch {
+		case v == 0:
+			k = 0
+		case v != v:
+			if card++; card >= limit {
+				return limit
+			}
+			continue
+		}
+		h := k * 0x9E3779B97F4A7C15 >> (64 - logSize)
+		for sc.set[h] != empty && sc.set[h] != k {
+			h = (h + 1) & (1<<logSize - 1)
+		}
+		if sc.set[h] == empty {
+			sc.set[h] = k
+			if card++; card >= limit {
+				return limit
+			}
+		}
+	}
+	return card
 }
 
 // dictCode returns the code of v in the sorted dictionary.

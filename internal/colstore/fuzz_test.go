@@ -87,15 +87,19 @@ func fuzzQuery(rng *rand.Rand, dom geom.Box) geom.Box {
 }
 
 // FuzzScanDifferential proves the vectorized kernels are byte-identical to
-// the retained naive scan across every encoding, and that both PAWC v2 and
-// the legacy v1 layout round-trip to tables with identical scan results and
-// statistics.
+// the retained naive scan across every encoding, on arrival-order tables and
+// on the builder's clustered ones, and that both PAWC v2 and the legacy v1
+// layout round-trip to tables with identical scan results and statistics.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(2), uint16(32), int64(2))
 	f.Add(int64(42), uint16(1000), uint8(4), uint16(128), int64(7))
 	f.Add(int64(-3), uint16(2500), uint8(5), uint16(512), int64(11))
 	f.Add(int64(987654), uint16(1), uint8(1), uint16(1), int64(13))
 	f.Add(int64(31), uint16(513), uint8(3), uint16(4096), int64(17))
+	// Several tiles of duplicate-heavy and constant columns: clustered, these
+	// become all-covered groups and whole-run accepts.
+	f.Add(int64(0x249), uint16(2999), uint8(4), uint16(63), int64(19))
+	f.Add(int64(0x208), uint16(2047), uint8(3), uint16(255), int64(23))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, dimsRaw uint8, groupRaw uint16, qseed int64) {
 		rows := 1 + int(rowsRaw)%3000
 		dims := 1 + int(dimsRaw)%5
@@ -115,6 +119,9 @@ func FuzzScanDifferential(f *testing.F) {
 		check := func(label string, tb *Table) {
 			for qi, q := range queries {
 				nPts, nst := tb.ScanNaive(q)
+				if want := data.CountInBox(q, nil); nst.Matched != want {
+					t.Fatalf("%s q%d: naive matched %d, dataset %d", label, qi, nst.Matched, want)
+				}
 				cst := sc.Count(tb, q)
 				if cst.Matched != nst.Matched {
 					t.Fatalf("%s q%d: vectorized matched %d, naive %d", label, qi, cst.Matched, nst.Matched)
@@ -144,6 +151,18 @@ func FuzzScanDifferential(f *testing.F) {
 			}
 		}
 		check("direct", tab)
+
+		// The same rows in the builder's physical order — tight tiles and
+		// long runs, the shapes production tables have — through the same
+		// kernel-vs-naive and byte-accounting checks.
+		all := make([]int, rows)
+		for i := range all {
+			all[i] = i
+		}
+		clustered := NewBuilder(data, groupRows).Build(all)
+		enc = clustered.EncodedBytes()
+		check("clustered", clustered)
+		enc = tab.EncodedBytes()
 
 		// PAWC v2 round trip, including feature-vector zone maps built from
 		// the fuzz queries (zone skipping must never change results).

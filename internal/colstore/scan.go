@@ -110,6 +110,12 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		}
 	}
 
+	if len(s.order) == 0 && !materialize {
+		// Every dimension covered and nothing to decode: the whole group
+		// matches, and a count needs no selection vector to say so.
+		st.Matched += g.rows
+		return 0
+	}
 	var read int64
 	sel := s.sel[:0]
 	if len(s.order) == 0 {

@@ -35,8 +35,10 @@ type Controller struct {
 	cfg    Config
 	master *dist.Master
 	data   *dataset.Dataset
-	mon    *Monitor
-	hist   workload.Workload
+	// builder encodes migration payloads in the store's physical row order.
+	builder *colstore.Builder
+	mon     *Monitor
+	hist    workload.Workload
 
 	// mu serializes the trigger pipeline; the master's ApplyMigration
 	// rejects overlap anyway, but one pipeline at a time keeps cur/hist
@@ -92,17 +94,19 @@ type Report struct {
 }
 
 // New builds a controller for a serving master. data must be the dataset the
-// cluster's layout was materialised from, hist the workload the layout was
-// built for (the monitor's initial reference), cfg.Delta the δ it was built
-// with.
-func New(m *dist.Master, data *dataset.Dataset, hist workload.Workload, cfg Config) *Controller {
+// cluster's layout was materialised from, builder the workers' store's
+// (blockstore.Config.Builder), so that a rebuilt partition ships laid out like
+// a materialised one; hist is the workload the layout was built for (the
+// monitor's initial reference), cfg.Delta the δ it was built with.
+func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, hist workload.Workload, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg:    cfg,
-		master: m,
-		data:   data,
-		mon:    NewMonitor(hist, cfg),
-		hist:   hist.Clone(),
+		cfg:     cfg,
+		master:  m,
+		data:    data,
+		builder: builder,
+		mon:     NewMonitor(hist, cfg),
+		hist:    hist.Clone(),
 	}
 	c.cur.Store(m.Router().Layout())
 	c.inst.Store(&driftInstruments{})
@@ -436,8 +440,7 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		}
 		place[id] = ws
 		var buf bytes.Buffer
-		tab := colstore.FromDataset(c.data, payloadRows[id], c.cfg.GroupRows)
-		if err := tab.Encode(&buf); err != nil {
+		if err := c.builder.Build(payloadRows[id]).Encode(&buf); err != nil {
 			return nil, 0, fmt.Errorf("drift: encoding partition %d payload: %w", id, err)
 		}
 		moved += int64(buf.Len())

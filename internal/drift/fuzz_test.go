@@ -35,7 +35,6 @@ func FuzzDriftDifferential(f *testing.F) {
 			MinPartRows:  64,
 			MaxPartRows:  256,
 			BuildSample:  400,
-			GroupRows:    128,
 			Replicas:     1,
 			Validate:     true,
 			Seed:         seed,

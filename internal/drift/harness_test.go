@@ -55,6 +55,9 @@ type driftCluster struct {
 	oracleRowsBySQL map[string]int
 }
 
+// storeConfig is how every test cluster's block store is materialised.
+var storeConfig = blockstore.Config{GroupRows: 256}
+
 // startDriftCluster spins up workers + master over loopback TCP on the
 // left-weighted scenario and attaches a drift controller (manual trigger).
 func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftCluster {
@@ -62,7 +65,7 @@ func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftClust
 	data := unitData(t, rows, 7)
 	hist := workload.Uniform(box2(0, 0, 0.45, 1), workload.Defaults(30, 11))
 	l := buildLeftLayout(t, data, hist, cfg.Delta)
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 256})
+	store := blockstore.Materialize(l, data, storeConfig)
 
 	place := placement.RoundRobin(l, nWorkers)
 	perWorker := make([][]layout.ID, nWorkers)
@@ -94,7 +97,7 @@ func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftClust
 		t.Fatal(err)
 	}
 	tc.master = m
-	tc.ctl = New(m, data, hist, cfg)
+	tc.ctl = New(m, data, storeConfig.Builder(data), hist, cfg)
 	tc.ctl.Attach(false)
 	t.Cleanup(func() {
 		m.Close()

@@ -61,8 +61,6 @@ type Config struct {
 	MaxPartRows int
 	// BuildSample caps the construction sample for the region rebuild.
 	BuildSample int
-	// GroupRows is the colstore row-group size for migrated payloads.
-	GroupRows int
 	// Parallelism is the rebuild's parbuild width (0 = GOMAXPROCS).
 	Parallelism int
 	// Replicas is the replica count for partitions added by a rebuild
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BuildSample <= 0 {
 		c.BuildSample = 2000
-	}
-	if c.GroupRows <= 0 {
-		c.GroupRows = 512
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1

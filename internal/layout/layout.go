@@ -183,23 +183,7 @@ func Seal(method string, root *Node, rowBytes int64) *Layout {
 // logical layout is computed on a sample, then the full dataset is routed
 // through it (§VI-A). Route may be called repeatedly; counts are reset.
 func (l *Layout) Route(data *dataset.Dataset) {
-	for _, p := range l.Parts {
-		p.FullRows = 0
-	}
-	l.Unrouted = 0
-	cols := hoistColumns(data)
-	pt := make(geom.Point, len(cols))
-	for i := 0; i < data.NumRows(); i++ {
-		for d, col := range cols {
-			pt[d] = col[i]
-		}
-		if part := l.Root.routeDown(pt); part != nil {
-			part.FullRows++
-		} else {
-			l.Unrouted++
-		}
-	}
-	l.TotalBytes = int64(data.NumRows()) * l.RowBytes
+	l.route(data, 1, nil)
 }
 
 // hoistColumns caches the dataset's contiguous column slices so routing hot
@@ -213,34 +197,41 @@ func hoistColumns(data *dataset.Dataset) [][]float64 {
 }
 
 // RouteParallel is Route with the row scan fanned out over up to workers
-// goroutines; results are identical to Route. Routing dominates layout
-// materialisation time (Table II), so the block store uses this on
-// multi-core hosts.
+// goroutines; results are identical to Route.
 func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) {
+	l.route(data, workers, nil)
+}
+
+// RouteAssign is RouteParallel that also returns the partition every row
+// routes to (-1 for a row no leaf accepts), so a caller that needs the rows
+// of each partition — the block store — routes the dataset exactly once.
+func (l *Layout) RouteAssign(data *dataset.Dataset, workers int) []int32 {
+	assign := make([]int32, data.NumRows())
+	l.route(data, workers, assign)
+	return assign
+}
+
+// route is the one routing pass behind Route, RouteParallel and RouteAssign:
+// contiguous row chunks are routed on up to workers goroutines, each with its
+// own count vector (and its own slice of assign, when non-nil), and the
+// counts are merged in chunk order.
+func (l *Layout) route(data *dataset.Dataset, workers int, assign []int32) {
 	n := data.NumRows()
 	if workers < 2 || n < 4096 {
-		l.Route(data)
-		return
-	}
-	if workers > n {
-		workers = n
+		workers = 1
 	}
 	cols := hoistColumns(data)
-	nParts := len(l.Parts)
 	counts := make([][]int64, workers)
 	unrouted := make([]int64, workers)
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
-		counts[w] = make([]int64, nParts)
+		counts[w] = make([]int64, len(l.Parts))
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
@@ -249,10 +240,15 @@ func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) {
 				for d, col := range cols {
 					pt[d] = col[i]
 				}
+				id := int32(-1)
 				if part := l.Root.routeDown(pt); part != nil {
 					counts[w][part.ID]++
+					id = int32(part.ID)
 				} else {
 					unrouted[w]++
+				}
+				if assign != nil {
+					assign[i] = id
 				}
 			}
 		}(w, lo, hi)
@@ -263,9 +259,6 @@ func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) {
 	}
 	l.Unrouted = 0
 	for w := range counts {
-		if counts[w] == nil {
-			continue
-		}
 		for id, c := range counts[w] {
 			l.Parts[id].FullRows += c
 		}
