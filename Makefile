@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz bench-smoke bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check build vet test race chaos fuzz loc bench-smoke bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
 
 # check is the full tier-1 gate: build, vet, tests, and the race detector
 # over every package that runs concurrent construction or routing code.
@@ -71,9 +71,20 @@ fuzz:
 # bench-smoke builds and smoke-tests the end-to-end benchmark (benchmark/,
 # BENCHMARK.json). It is its own module (paw/benchmark, replace paw => ../),
 # so the root `go build ./...` and `go test ./...` never see it: this target
-# is what catches an internal API change that would break the benchmark.
+# is what catches an internal API change that would break the benchmark —
+# vet first, so a compile break is reported as one rather than as a failed
+# test binary.
 bench-smoke:
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test Go line count of every package and of module paw
+# (benchmark/ is its own module and is left out): the figure ROADMAP.md and
+# DESIGN.md §16 quote each round. Run it at the parent and at the change; the
+# difference is a PR's "net effect" line.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  module paw (non-test, excluding benchmark/)\n", t }'
 
 # bench-construction regenerates BENCH_construction.json: construction
 # ns/op, allocs/op and parallel speedup at 1/2/4/8 workers, tracked across

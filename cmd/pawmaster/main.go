@@ -1,20 +1,19 @@
 // Command pawmaster is the networked master node of Fig. 4: it loads the
-// layout metadata, connects to the workers (round-robin partition ownership,
-// matching pawworker's convention) and serves SQL over TCP for pawsql
+// layout metadata, connects to the workers (ring partition ownership,
+// matching pawworker's derivation) and serves SQL over TCP for pawsql
 // clients.
 //
 //	pawmaster -data data.pawd -layout layout.pawl \
 //	          -workers 127.0.0.1:7101,127.0.0.1:7102 -listen 127.0.0.1:7100
 //
 // With -replicas R > 1 the master keeps R copies of every partition and
-// fails scans over to the next live replica when a worker is down. The
-// placement rule is -placement: "mod" (replica r of partition p on worker
-// (p+r) mod W, the legacy convention) or "ring" (consistent hashing over
-// -vnodes virtual nodes — the rule elastic clusters rebalance to, so a
-// ring-placed cluster's first rebalance is a no-op). pawworker must be
-// started with the same -placement, -replicas and -vnodes values so every
-// process derives the same placement without coordination. The retry,
-// backoff and breaker flags tune the failure handling of DESIGN.md §10.
+// fails scans over to the next live replica when a worker is down.
+// Placement is consistent hashing over -vnodes virtual nodes per worker — the
+// rule elastic clusters rebalance to, so a static fleet's first rebalance is
+// a no-op. pawworker must be started with the same -replicas and -vnodes
+// values so every process derives the same placement without coordination.
+// The retry, backoff and breaker flags tune the failure handling of
+// DESIGN.md §10.
 //
 // With -membership the fleet is elastic (DESIGN.md §15): workers join and
 // leave through a checksum-validated handshake on the client port, silent
@@ -55,7 +54,6 @@ import (
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
-	"paw/internal/placement"
 	"paw/internal/router"
 	"paw/internal/trace"
 	"paw/internal/workload"
@@ -76,7 +74,6 @@ func main() {
 		slowQuery   = flag.Duration("slow-query", 0, "log a structured slow-query record for queries at or above this latency (0: off)")
 
 		replicas     = flag.Int("replicas", 1, "copies per partition (pawworker needs the same value)")
-		placeRule    = flag.String("placement", "mod", "placement rule: mod or ring (pawworker needs the same value)")
 		vnodes       = flag.Int("vnodes", membership.DefaultVNodes, "virtual nodes per worker for ring placement and rebalance targets")
 		partial      = flag.Bool("partial", false, "answer from surviving replicas when a partition is lost instead of failing the query")
 		callTimeout  = flag.Duration("call-timeout", 5*time.Second, "per-scan-RPC timeout, dial included (0: only the query deadline bounds calls)")
@@ -155,19 +152,11 @@ func main() {
 	for i, p := range l.Parts {
 		ids[i] = p.ID
 	}
-	var rep placement.Replicated
-	switch *placeRule {
-	case "mod":
-		rep = membership.ModPlacement(ids, len(addrs), *replicas)
-	case "ring":
-		all := make([]int, len(addrs))
-		for i := range all {
-			all[i] = i
-		}
-		rep = membership.RingPlacement(ids, all, *replicas, *vnodes)
-	default:
-		fatalf("unknown -placement %q (want mod or ring)", *placeRule)
+	all := make([]int, len(addrs))
+	for i := range all {
+		all[i] = i
 	}
+	rep := membership.RingPlacement(ids, all, *replicas, *vnodes)
 	m, err := dist.NewMasterReplicated(rm, addrs, rep)
 	if err != nil {
 		fatalf("%v", err)

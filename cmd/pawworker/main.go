@@ -1,11 +1,9 @@
 // Command pawworker hosts a share of a partitioned dataset and serves scan
 // requests from a pawmaster. Workers take the dataset and layout files
-// produced by pawgen; partition ownership follows the placement rule named
-// by -placement — "mod" (replica r of partition p on worker (p+r) mod
-// workers, the legacy convention) or "ring" (consistent hashing, the rule
-// elastic clusters rebalance to) — so all processes agree without
-// coordination. Start every worker and the master with the same -placement,
-// -replicas and -vnodes values.
+// produced by pawgen; partition ownership follows the consistent-hash ring
+// (the rule elastic clusters rebalance to), so all processes agree without
+// coordination. Start every worker and the master with the same -replicas
+// and -vnodes values.
 //
 //	pawgen gen -dataset tpch -rows 120000 -out data.pawd
 //	pawgen partition -in data.pawd -method paw -layout-out layout.pawl
@@ -27,13 +25,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"paw/internal/blockstore"
@@ -51,8 +49,7 @@ func main() {
 		index      = flag.Int("index", -1, "this worker's slot (-1 with -join: the master assigns one)")
 		workers    = flag.Int("workers", 1, "total worker count the static placement is derived over")
 		replicas   = flag.Int("replicas", 1, "copies per partition (match pawmaster)")
-		placeRule  = flag.String("placement", "mod", "placement rule deriving this worker's partitions: mod or ring (match pawmaster)")
-		vnodes     = flag.Int("vnodes", membership.DefaultVNodes, "virtual nodes per worker for -placement ring (match pawmaster)")
+		vnodes     = flag.Int("vnodes", membership.DefaultVNodes, "virtual nodes per worker on the placement ring (match pawmaster)")
 		listen     = flag.String("listen", "127.0.0.1:0", "listen address")
 		metrics    = flag.String("metrics", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address; empty disables")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -90,11 +87,17 @@ func main() {
 		data := loadData(*dataPath)
 		l := loadLayout(*layoutPath)
 		store := blockstore.Materialize(l, data, blockstore.Config{})
-		rep, err := placementFor(l, *placeRule, *workers, *replicas, *vnodes)
-		if err != nil {
-			fatalf("%v", err)
+		// The same derivation pawmaster runs, so the join checksum only
+		// matches when every flag agrees.
+		ids := make([]layout.ID, len(l.Parts))
+		for i, p := range l.Parts {
+			ids[i] = p.ID
 		}
-		mine = membership.HostedIDs(rep, *index)
+		all := make([]int, *workers)
+		for i := range all {
+			all[i] = i
+		}
+		mine = membership.HostedIDs(membership.RingPlacement(ids, all, *replicas, *vnodes), *index)
 		w = dist.NewWorker(store, mine)
 	}
 
@@ -115,7 +118,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("pawworker %d/%d serving %d partitions on %s\n", *index, *workers, len(mine), addr)
+	if !fresh {
+		fmt.Printf("pawworker %d/%d serving %d partitions on %s\n", *index, *workers, len(mine), addr)
+	}
 
 	// Elastic mode: join handshake (the checksum proves master and worker
 	// derived the same partition set), then heartbeats until shutdown.
@@ -126,13 +131,14 @@ func main() {
 			adv = addr
 		}
 		hb = dist.NewHeartbeater(*joinAddr)
-		// Fleets come up in any order: retry a refused join until the deadline
-		// so workers started before the master still converge. A checksum
-		// rejection is not retried — no amount of waiting fixes disagreeing
-		// flags.
+		// Fleets come up in any order: retry a join that never reached the
+		// master until the deadline, so workers started before the master still
+		// converge. A join the master executed and refused is not retried — no
+		// amount of waiting fixes disagreeing flags or a master without
+		// -membership.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		resp, err := hb.Join(ctx, *index, adv, membership.Checksum(mine))
-		for err != nil && ctx.Err() == nil && !strings.Contains(err.Error(), "digest") {
+		for err != nil && ctx.Err() == nil && !errors.Is(err, dist.ErrRefused) {
 			time.Sleep(500 * time.Millisecond)
 			resp, err = hb.Join(ctx, *index, adv, membership.Checksum(mine))
 		}
@@ -141,6 +147,10 @@ func main() {
 			fatalf("joining %s: %v", *joinAddr, err)
 		}
 		hb.Start(*beatEvery)
+		if fresh {
+			// A fresh joiner has no slot until the master assigns one.
+			fmt.Printf("pawworker joined as slot %d, serving 0 partitions on %s\n", resp.Index, addr)
+		}
 		slog.Info("joined cluster", "master", *joinAddr, "slot", resp.Index,
 			"epoch", resp.Epoch, "advertise", adv)
 	}
@@ -163,28 +173,6 @@ func main() {
 		hb.Close()
 	}
 	w.Close()
-}
-
-// placementFor derives the shared placement of the static fleet under the
-// named rule — the same derivation pawmaster runs, so the join checksum only
-// matches when every flag agrees.
-func placementFor(l *layout.Layout, rule string, workers, replicas, vnodes int) (rep map[layout.ID][]int, err error) {
-	ids := make([]layout.ID, len(l.Parts))
-	for i, p := range l.Parts {
-		ids[i] = p.ID
-	}
-	switch rule {
-	case "mod":
-		return membership.ModPlacement(ids, workers, replicas), nil
-	case "ring":
-		all := make([]int, workers)
-		for i := range all {
-			all[i] = i
-		}
-		return membership.RingPlacement(ids, all, replicas, vnodes), nil
-	default:
-		return nil, fmt.Errorf("unknown -placement %q (want mod or ring)", rule)
-	}
 }
 
 func loadData(path string) *dataset.Dataset {

@@ -16,7 +16,6 @@ import (
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/maxskip"
-	"paw/internal/parbuild"
 )
 
 // Config configures the store.
@@ -196,20 +195,6 @@ func (s *Store) ScanPartition(id layout.ID, q geom.Box) (colstore.ScanStats, err
 	sc := s.scanners.Get()
 	defer s.scanners.Put(sc)
 	return sc.Count(p.Table, q), nil
-}
-
-// ScanPartitionParallel scans one partition's row groups in parallel on the
-// given bounded pool. Totals are deterministic at any worker count; a nil or
-// serial pool degrades to ScanPartition.
-func (s *Store) ScanPartitionParallel(id layout.ID, q geom.Box, pool *parbuild.Pool) (colstore.ScanStats, error) {
-	if pool == nil || pool.Workers() <= 1 {
-		return s.ScanPartition(id, q)
-	}
-	p, err := s.Partition(id)
-	if err != nil {
-		return colstore.ScanStats{}, err
-	}
-	return p.Table.CountParallel(q, pool, &s.scanners), nil
 }
 
 // ScanAll scans the listed partitions and sums the statistics — the storage

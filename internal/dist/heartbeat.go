@@ -11,6 +11,12 @@ import (
 	"paw/internal/serve"
 )
 
+// ErrRefused marks a membership request the master executed and refused
+// (checksum mismatch, membership disabled, a tracker rejection): the
+// connection is healthy, the request is not, and retrying it unchanged cannot
+// succeed. Transport failures never carry it.
+var ErrRefused = errors.New("refused by master")
+
 // Heartbeater is the worker side of the membership protocol: it performs the
 // join handshake against the master's client port, then beats on a fixed
 // period so the failure detector keeps the worker Alive, and finally asks
@@ -74,9 +80,7 @@ func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberRespon
 		return MemberResponse{}, err
 	}
 	if resp.Err != "" {
-		// The master executed and refused (checksum mismatch, unknown op):
-		// the connection is healthy, the request is not.
-		return resp, errors.New(resp.Err)
+		return resp, fmt.Errorf("%w: %s", ErrRefused, resp.Err)
 	}
 	return resp, nil
 }

@@ -358,7 +358,7 @@ func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Ti
 			slot = fmt.Sprintf("slot %d", idx)
 		}
 		return MemberResponse{Index: -1, Err: fmt.Sprintf(
-			"dist: join rejected for %s: worker's hosted-partition digest %016x does not match the %016x the master's placement expects — master and worker derived different placements (check that -placement, -workers, -replicas and the layout flags agree on both sides)",
+			"dist: join rejected for %s: worker's hosted-partition digest %016x does not match the %016x the master's placement expects — master and worker derived different placements (check that -workers, -replicas, -vnodes and the layout flags agree on both sides)",
 			slot, req.Sum, expected)}
 	}
 	mem, tr, err := ms.tracker.Join(idx, req.Addr, now)

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -247,6 +249,41 @@ func TestMembershipJoinChecksumMismatch(t *testing.T) {
 		t.Fatalf("matching checksum rejected: %s", resp.Err)
 	}
 	tc.checkExact(t)
+}
+
+// TestHeartbeaterRefusalIsTyped: a join the master executed and refused —
+// membership off, a digest mismatch — carries ErrRefused, so a join loop can
+// stop at once; a join that never reached a master does not, so it retries.
+func TestHeartbeaterRefusalIsTyped(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	static := startCluster(t, 2) // no EnableMembership
+	hb := NewHeartbeater(static.maddr)
+	defer hb.Close()
+	if _, err := hb.Join(ctx, -1, "127.0.0.1:1", membership.Checksum(nil)); !errors.Is(err, ErrRefused) {
+		t.Fatalf("join against a master without membership: err=%v, want ErrRefused", err)
+	}
+
+	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
+	hb2 := NewHeartbeater(tc.addr)
+	defer hb2.Close()
+	_, err := hb2.Join(ctx, 0, tc.master.fleet.Load().addrs[0], 0xdeadbeef)
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("mismatched digest: err=%v, want ErrRefused naming the digests", err)
+	}
+
+	l, lerr := net.Listen("tcp", "127.0.0.1:0")
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	dead := l.Addr().String()
+	l.Close()
+	hb3 := NewHeartbeater(dead)
+	defer hb3.Close()
+	if _, err := hb3.Join(ctx, -1, "127.0.0.1:1", membership.Checksum(nil)); err == nil || errors.Is(err, ErrRefused) {
+		t.Fatalf("join against a closed port: err=%v, want a transport error", err)
+	}
 }
 
 // TestMembershipSuspectDeadTick drives the failure detector with an explicit

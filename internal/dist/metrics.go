@@ -66,9 +66,8 @@ const (
 	MetricWorkerScanBytesSkipped = "worker_scan_bytes_skipped"
 
 	// MetricWorkerSharedScans counts kernel passes avoided by attaching to an
-	// identical in-flight scan (same partitions, same predicate class)
-	// instead of running them: one per partition of an attached batch, one
-	// per attached single-partition scan.
+	// identical in-flight batch (same epoch, same partitions, same predicate
+	// class) instead of running them: one per partition of an attached batch.
 	MetricWorkerSharedScans = "worker_shared_scans_total"
 
 	// Migration counters (DESIGN.md §13): the drift re-partitioner's

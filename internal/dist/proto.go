@@ -37,7 +37,7 @@ type ScanRequest struct {
 	// of doing work the master has already given up on.
 	Deadline int64
 	// Epoch selects the layout version the IDs are meant under (DESIGN.md
-	// §13). 0 is the initial epoch (the worker's materialised store), so
+	// §13). 0 is the initial epoch (the tables the worker started with), so
 	// pre-epoch masters stay wire-compatible; during a migration the master
 	// double-routes and a late scan under the previous epoch still resolves
 	// against the old partition set.

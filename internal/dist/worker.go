@@ -35,38 +35,31 @@ const workerMaxInflight = 64
 // pipeline: every request runs on its own goroutine and responses return in
 // completion order.
 type Worker struct {
-	store    *blockstore.Store
-	assigned map[layout.ID]bool
 	// scanPool parallelises row-group scans within a partition. Fan is safe
 	// for concurrent drivers, so all connections share the one bounded pool —
 	// total scan parallelism stays bounded regardless of session count.
 	scanPool *parbuild.Pool
-	// flight coalesces concurrent identical scans (same partition, same
-	// predicate class): one kernel pass runs and every waiter shares its
-	// stats. Keys are partition ID + query-box bytes.
-	flight serve.Flight[colstore.ScanStats]
-	// batchFlight coalesces whole identical scan batches (same partition
-	// list, same predicate class). Per-partition sharing alone rarely fires
-	// in the serving path: identical concurrent batches walk the same ID
-	// list in the same order, so they stay one partition out of phase and
-	// never overlap inside any single short kernel pass. Batch-level keys
-	// make the whole multi-partition execution the sharing window.
+	// scanners recycles scanner scratch across every table of every epoch.
+	scanners colstore.ScannerPool
+	// batchFlight coalesces whole identical scan batches (same epoch, same
+	// partition list, same predicate class): one execution runs and every
+	// waiter shares its response. The batch is the only sharing window
+	// (DESIGN.md §12): identical concurrent batches walk the same ID list in
+	// the same order, so nothing finer than the batch ever overlaps.
 	batchFlight serve.Flight[ScanResponse]
 	// scanHook, when set, observes every kernel scan actually executed (not
 	// the shared attachments). Test-only.
 	scanHook func(layout.ID)
-	// tabScanners recycles scanner state for epoch-view tables (the store
-	// has its own pool for the base epoch's partitions).
-	tabScanners colstore.ScannerPool
 
 	mu sync.Mutex
-	// views maps layout epochs to the partitions servable under them
-	// (DESIGN.md §13). Epoch 0 is the materialised store the worker started
-	// with; migrations install later epochs partition by partition — as
-	// aliases of tables the worker already holds (renamed partitions move
-	// zero bytes) or from shipped payloads — and the master retires an epoch
-	// once no in-flight query can still reference it.
-	views    map[uint64]*epochView
+	// views maps layout epochs to the tables servable under them (DESIGN.md
+	// §13). Epoch 0 holds the tables the worker started with; migrations
+	// install later epochs partition by partition — as aliases of tables the
+	// worker already holds (renamed partitions move zero bytes) or from
+	// shipped payloads — and the master retires an epoch once no in-flight
+	// query can still reference it, which releases every table no later
+	// epoch aliases.
+	views    map[uint64]map[layout.ID]*colstore.Table
 	listener net.Listener
 	wg       sync.WaitGroup
 	closed   bool
@@ -78,54 +71,41 @@ type Worker struct {
 	m workerMetrics
 }
 
-// NewWorker builds a worker serving the assigned partitions of store.
+// NewWorker builds a worker serving the assigned partitions of store as
+// layout epoch 0. Only the assigned tables are kept: the store itself is not
+// retained, and a nil store makes an empty worker (a joiner that receives its
+// partitions by install).
 func NewWorker(store *blockstore.Store, assigned []layout.ID) *Worker {
-	m := make(map[layout.ID]bool, len(assigned))
-	for _, id := range assigned {
-		m[id] = true
+	base := make(map[layout.ID]*colstore.Table, len(assigned))
+	if store != nil {
+		for _, id := range assigned {
+			if sp, err := store.Partition(id); err == nil {
+				base[id] = sp.Table
+			}
+		}
 	}
 	return &Worker{
-		store:    store,
-		assigned: m,
 		scanPool: parbuild.New(0),
 		conns:    make(map[net.Conn]bool),
-		views:    map[uint64]*epochView{0: {base: true}},
+		views:    map[uint64]map[layout.ID]*colstore.Table{0: base},
 	}
 }
 
-// epochView is one layout epoch's servable partition set. The base view
-// (epoch 0) answers from the worker's materialised store and assignment set;
-// installed views answer from their table map, whose entries either alias
-// tables of earlier epochs (renamed partitions) or were decoded from
-// migration payloads (rebuilt partitions).
-type epochView struct {
-	base   bool
-	tables map[layout.ID]*colstore.Table
-}
-
-// lookup resolves (epoch, id) to the table to scan. useStore reports that
-// the base store should scan the partition instead (its scanner pool and
-// block accounting are partition-aware).
-func (w *Worker) lookup(epoch uint64, id layout.ID) (tab *colstore.Table, useStore bool, err error) {
+// lookup resolves (epoch, id) to the table to scan. It locks per partition
+// rather than per batch: installs write the next epoch's map while planFor
+// already serves installed partitions from it.
+func (w *Worker) lookup(epoch uint64, id layout.ID) (*colstore.Table, error) {
 	w.mu.Lock()
-	v := w.views[epoch]
-	if v != nil && !v.base {
-		tab = v.tables[id]
-	}
+	v, ok := w.views[epoch]
+	tab := v[id]
 	w.mu.Unlock()
 	switch {
-	case v == nil:
-		return nil, false, fmt.Errorf("worker has no layout epoch %d", epoch)
-	case v.base:
-		if !w.assigned[id] {
-			return nil, false, fmt.Errorf("worker does not host partition %d", id)
-		}
-		return nil, true, nil
+	case !ok:
+		return nil, fmt.Errorf("worker has no layout epoch %d", epoch)
 	case tab == nil:
-		return nil, false, fmt.Errorf("worker does not host partition %d in epoch %d", id, epoch)
-	default:
-		return tab, false, nil
+		return nil, fmt.Errorf("worker does not host partition %d in epoch %d", id, epoch)
 	}
+	return tab, nil
 }
 
 // handleAdmin executes one migration-control request under the worker mutex
@@ -140,16 +120,9 @@ func (w *Worker) handleAdmin(req AdminRequest) AdminResponse {
 		w.m.epochRetires.Inc()
 		return AdminResponse{}
 	case AdminFetch:
-		tab, useStore, err := w.lookup(req.Epoch, req.ID)
+		tab, err := w.lookup(req.Epoch, req.ID)
 		if err != nil {
 			return AdminResponse{Err: fmt.Sprintf("fetching partition %d: %v", req.ID, err)}
-		}
-		if useStore {
-			sp, err := w.store.Partition(req.ID)
-			if err != nil {
-				return AdminResponse{Err: fmt.Sprintf("fetching partition %d: %v", req.ID, err)}
-			}
-			tab = sp.Table
 		}
 		var buf bytes.Buffer
 		if err := tab.Encode(&buf); err != nil {
@@ -157,44 +130,32 @@ func (w *Worker) handleAdmin(req AdminRequest) AdminResponse {
 		}
 		return AdminResponse{Payload: buf.Bytes(), Rows: int64(tab.NumRows())}
 	case AdminInstall:
+		if req.Epoch == 0 {
+			return AdminResponse{Err: "cannot install into the base epoch"}
+		}
 		var tab *colstore.Table
+		var err error
 		if req.ReuseID < 0 {
-			t, err := colstore.Decode(bytes.NewReader(req.Payload))
-			if err != nil {
+			if tab, err = colstore.Decode(bytes.NewReader(req.Payload)); err != nil {
 				return AdminResponse{Err: fmt.Sprintf("decoding partition %d payload (req %d): %v", req.ID, req.Seq, err)}
 			}
-			if int64(t.NumRows()) != req.Rows {
-				return AdminResponse{Err: fmt.Sprintf("partition %d payload has %d rows, expected %d", req.ID, t.NumRows(), req.Rows)}
+			if int64(tab.NumRows()) != req.Rows {
+				return AdminResponse{Err: fmt.Sprintf("partition %d payload has %d rows, expected %d", req.ID, tab.NumRows(), req.Rows)}
 			}
-			tab = t
 			w.m.installedBytes.Add(int64(len(req.Payload)))
 		} else {
-			t, useStore, err := w.lookup(req.ReuseEpoch, req.ReuseID)
-			if err != nil {
+			if tab, err = w.lookup(req.ReuseEpoch, req.ReuseID); err != nil {
 				return AdminResponse{Err: fmt.Sprintf("aliasing partition %d: %v", req.ID, err)}
 			}
-			if useStore {
-				sp, err := w.store.Partition(req.ReuseID)
-				if err != nil {
-					return AdminResponse{Err: fmt.Sprintf("aliasing partition %d: %v", req.ID, err)}
-				}
-				t = sp.Table
+			if int64(tab.NumRows()) != req.Rows {
+				return AdminResponse{Err: fmt.Sprintf("alias source %d has %d rows, expected %d", req.ReuseID, tab.NumRows(), req.Rows)}
 			}
-			if int64(t.NumRows()) != req.Rows {
-				return AdminResponse{Err: fmt.Sprintf("alias source %d has %d rows, expected %d", req.ReuseID, t.NumRows(), req.Rows)}
-			}
-			tab = t
 		}
 		w.mu.Lock()
 		if w.views[req.Epoch] == nil {
-			w.views[req.Epoch] = &epochView{tables: make(map[layout.ID]*colstore.Table)}
+			w.views[req.Epoch] = make(map[layout.ID]*colstore.Table)
 		}
-		v := w.views[req.Epoch]
-		if v.base {
-			w.mu.Unlock()
-			return AdminResponse{Err: "cannot install into the base epoch"}
-		}
-		v.tables[req.ID] = tab
+		w.views[req.Epoch][req.ID] = tab
 		w.mu.Unlock()
 		w.m.installs.Inc()
 		return AdminResponse{}
@@ -322,47 +283,16 @@ func (w *Worker) serveConn(c net.Conn) {
 	}
 }
 
-// scanKey is the scan-sharing key: one partition under one predicate class
-// in one layout epoch. The box bytes identify the predicate — two requests
-// share a kernel pass only when their rewritten range is bit-identical, so
-// sharing can never change a result. The epoch participates because the same
-// ID names different physical partitions in different epochs; renamed
-// partitions that alias one table could legally share across epochs, but the
-// key cannot know which IDs alias without racing the install path.
-func scanKey(epoch uint64, id layout.ID, q geom.Box) string {
-	b := make([]byte, 0, 16+16*len(q.Lo))
-	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(id)))
-	for _, v := range q.Lo {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+// scanPartition runs the kernel scan of one partition under one layout epoch.
+func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, error) {
+	tab, err := w.lookup(epoch, id)
+	if err != nil {
+		return colstore.ScanStats{}, err
 	}
-	for _, v := range q.Hi {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	if w.scanHook != nil {
+		w.scanHook(id)
 	}
-	return string(b)
-}
-
-// scanPartition runs (or attaches to) the kernel scan of one partition under
-// one layout epoch. shared reports an attachment: the stats describe a
-// kernel pass another request ran.
-func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, bool, error) {
-	st, shared, err := w.flight.Do(scanKey(epoch, id, q), func() (colstore.ScanStats, error) {
-		tab, useStore, err := w.lookup(epoch, id)
-		if err != nil {
-			return colstore.ScanStats{}, err
-		}
-		if w.scanHook != nil {
-			w.scanHook(id)
-		}
-		if useStore {
-			return w.store.ScanPartitionParallel(id, q, w.scanPool)
-		}
-		return tab.CountParallel(q, w.scanPool, &w.tabScanners), nil
-	})
-	if shared {
-		w.m.sharedScans.Inc()
-	}
-	return st, shared, err
+	return tab.CountParallel(q, w.scanPool, &w.scanners), nil
 }
 
 // batchKey is the whole-batch sharing key: the layout epoch, the ordered
@@ -473,7 +403,7 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			break
 		}
 		sp := tq.Start("scan", root)
-		st, sharedScan, err := w.scanPartition(req.Epoch, id, req.Query)
+		st, err := w.scanPartition(req.Epoch, id, req.Query)
 		if err != nil {
 			if tq != nil {
 				sp.Int(trace.KeyPartition, int64(id))
@@ -497,9 +427,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			sp.Int(trace.KeyEncDict, int64(st.ColsDict))
 			sp.Int(trace.KeyEncRLE, int64(st.ColsRLE))
 			sp.Int(trace.KeyEncFOR, int64(st.ColsFOR))
-			if sharedScan {
-				sp.Int(trace.KeyShared, 1)
-			}
 			sp.End()
 		}
 		resp.Rows += st.Matched

@@ -123,29 +123,6 @@ func RingPlacement(ids []layout.ID, workers []int, replicas, vnodes int) placeme
 	return out
 }
 
-// ModPlacement is the legacy static rule — replica r of partition p on
-// worker (p+r) mod workers — kept as the single shared implementation for
-// statically-configured clusters (pawmaster and pawworker previously each
-// hard-coded it, which is how they could silently disagree).
-func ModPlacement(ids []layout.ID, workers, replicas int) placement.Replicated {
-	if workers < 1 {
-		workers = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > workers {
-		replicas = workers
-	}
-	out := make(placement.Replicated, len(ids))
-	for _, id := range ids {
-		for r := 0; r < replicas; r++ {
-			out[id] = append(out[id], (int(id)+r)%workers)
-		}
-	}
-	return out
-}
-
 // HostedIDs inverts a placement: the partitions worker w must host (any
 // position in the replica set), sorted ascending.
 func HostedIDs(rep placement.Replicated, w int) []layout.ID {

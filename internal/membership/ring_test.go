@@ -136,18 +136,6 @@ func TestRingLoadBalance(t *testing.T) {
 	}
 }
 
-func TestModPlacementMatchesLegacyRule(t *testing.T) {
-	ids := seqIDs(100)
-	place := ModPlacement(ids, 4, 2)
-	for _, id := range ids {
-		want := []int{int(id) % 4, (int(id) + 1) % 4}
-		got := place[id]
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("partition %d: got %v want %v", id, got, want)
-		}
-	}
-}
-
 func TestChecksumOrderIndependentAndDiscriminating(t *testing.T) {
 	a := Checksum([]layout.ID{1, 2, 3})
 	b := Checksum([]layout.ID{3, 1, 2})
@@ -167,7 +155,7 @@ func TestChecksumOrderIndependentAndDiscriminating(t *testing.T) {
 
 func TestHostedIDsInvertsPlacement(t *testing.T) {
 	ids := seqIDs(50)
-	place := ModPlacement(ids, 3, 2)
+	place := RingPlacement(ids, seqWorkers(3), 2, 0)
 	for w := 0; w < 3; w++ {
 		for _, id := range HostedIDs(place, w) {
 			found := false

@@ -64,8 +64,8 @@ const (
 	KeyEncDict
 	KeyEncRLE
 	KeyEncFOR
-	// KeyShared marks work answered by attaching to an identical in-flight
-	// scan (shared-flight coalescing) instead of running a kernel pass.
+	// KeyShared marks a worker batch answered by attaching to an identical
+	// in-flight batch instead of running its kernel passes.
 	KeyShared
 	// KeyCacheHit marks a result served from the master's result cache.
 	KeyCacheHit
