@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz loc bench-smoke bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check build vet test race chaos fuzz loc bench-smoke bench-kernels bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
 
 # check is the full tier-1 gate: build, vet, tests, and the race detector
 # over every package that runs concurrent construction or routing code.
@@ -73,9 +73,21 @@ fuzz:
 # so the root `go build ./...` and `go test ./...` never see it: this target
 # is what catches an internal API change that would break the benchmark —
 # vet first, so a compile break is reported as one rather than as a failed
-# test binary.
+# test binary. It also runs every selection-kernel benchmark case once, so a
+# kernel that panics on an odd group size fails here.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) bench-kernels BENCHTIME=1x
+
+# bench-kernels times filterAll and refine on every encoding, each on one
+# replayed row group and on 256 fresh ones at p ≈ ½ (BenchmarkKernel,
+# DESIGN.md §11 "Branch-free selection"). A kernel with a data-dependent
+# branch reads ~4× apart on the two; these read within ~1.3× (RLE, which works
+# a run at a time, pays per run). Read both columns; nothing is asserted on
+# time.
+BENCHTIME ?= 20000x
+bench-kernels:
+	$(GO) test ./internal/colstore -run '^$$' -bench Kernel -benchtime=$(BENCHTIME)
 
 # loc prints the non-test Go line count of every package and of module paw
 # (benchmark/ is its own module and is left out): the figure ROADMAP.md and

@@ -30,8 +30,8 @@ func runScan(cfg bench.Config, path string) error {
 	fmt.Fprintf(os.Stderr, "scan benchmark (%d rows, %d groups, %.2fx compression, %v, decode %.0f MB/s) -> %s\n",
 		rep.Rows, rep.RowGroups, rep.CompressionRatio, rep.Encodings, rep.DecodeMBPerSec, path)
 	for _, r := range rep.Results {
-		fmt.Fprintf(os.Stderr, "  %-9s %-16s sel=%.3f  %10d ns/op  %8.0f MB/s  %6.1f allocs/op  read %8d skip %8d  %6.2fx\n",
-			r.Family, r.Mode, r.TargetSelectivity, r.NsPerOp, r.MBPerSec, r.AllocsPerOp, r.BytesRead, r.BytesSkipped, r.SpeedupVsNaive)
+		fmt.Fprintf(os.Stderr, "  %-9s %-16s sel=%.3f  %10d ns/op  %8.0f MB/s (%5.0f decoded)  %6.1f allocs/op  read %8d skip %8d  %6.2fx\n",
+			r.Family, r.Mode, r.TargetSelectivity, r.NsPerOp, r.MBPerSec, r.DecodedMBPerSec, r.AllocsPerOp, r.BytesRead, r.BytesSkipped, r.SpeedupVsNaive)
 	}
 	return nil
 }

@@ -2,12 +2,14 @@ package bench
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"paw/internal/colstore"
 	"paw/internal/geom"
 	"paw/internal/parbuild"
+	"paw/internal/workload"
 )
 
 // ScanResult is one (family, mode, selectivity) cell of the columnar-scan
@@ -18,7 +20,14 @@ import (
 type ScanResult struct {
 	// Family is the query shape: "clustered" constrains only the sort
 	// dimension (the others are SMA-covered), "multidim" adds predicates on
-	// the unsorted dictionary columns so the refinement kernels run.
+	// the unsorted dictionary columns so the refinement kernels run. Both
+	// replay one box on a table sorted on its predicate column, so every
+	// decoded group's outcomes are ones the branch predictor has seen.
+	// "boundary" is what a cluster sees instead: the multidim box on a table
+	// in colstore.Builder's clustered order (the production order), a
+	// different δ-perturbed copy of the box on every op, so the decoded groups
+	// are the ones a query edge cuts and no (group, box) pair recurs inside
+	// the predictor's memory. Its figures are means over the boxes.
 	Family string `json:"family"`
 	// Mode is the execution path: "naive" (row-at-a-time over fully decoded
 	// groups), "vectorized" (selection-vector count), "materialize"
@@ -35,6 +44,10 @@ type ScanResult struct {
 	NsPerOp           int64   `json:"ns_per_op"`
 	RowsPerSec        float64 `json:"rows_per_sec"`
 	MBPerSec          float64 `json:"mb_per_sec"`
+	// DecodedMBPerSec is BytesRead over the op's time: the rate the end-to-end
+	// benchmark reports as colstore.scan_mb_per_s. MBPerSec credits skipped
+	// bytes; this does not.
+	DecodedMBPerSec   float64 `json:"decoded_mb_per_sec"`
 	AllocsPerOp       float64 `json:"allocs_per_op"`
 	BytesRead         int64   `json:"bytes_read"`
 	BytesSkipped      int64   `json:"bytes_skipped"`
@@ -74,7 +87,13 @@ type ScanReport struct {
 var scanSelectivities = map[string][]float64{
 	"clustered": {0.5, 0.1, 0.01, 0.001},
 	"multidim":  {0.1, 0.01},
+	"boundary":  {0.5, 0.1},
 }
+
+// boundaryBoxes is how many δ-perturbed copies of its box the boundary family
+// cycles through: at ~10 decoded groups of 4096 rows a box, a cycle is ~10⁷
+// predicate outcomes, far past any branch predictor's history.
+const boundaryBoxes = 256
 
 // scanSortDim is the dimension the benchmark table is clustered on. The
 // TPC-H stand-in's dim 1 (extendedprice) is continuous, so sorting by it
@@ -95,6 +114,7 @@ func ScanBench(cfg Config) ScanReport {
 	for i := range order {
 		order[i] = i
 	}
+	all := slices.Clone(order) // for the boundary family's builder, which reorders it
 	sort.Slice(order, func(a, b int) bool {
 		return data.At(order[a], scanSortDim) < data.At(order[b], scanSortDim)
 	})
@@ -176,6 +196,7 @@ func ScanBench(cfg Config) ScanReport {
 			perSec := 1e9 / float64(res.NsPerOp())
 			out.RowsPerSec = float64(n) * perSec
 			out.MBPerSec = float64(rep.RawBytes) / 1e6 * perSec
+			out.DecodedMBPerSec = float64(st.BytesRead) / 1e6 * perSec
 		}
 		return out
 	}
@@ -201,12 +222,44 @@ func ScanBench(cfg Config) ScanReport {
 			mat.SpeedupVsNaive = speedup(naive.NsPerOp, mat.NsPerOp)
 			rep.Results = append(rep.Results, mat)
 
-			par := measure(family, "parallel", pool.Workers(), sel, tab.CountParallel(q, pool, &sp), func() {
-				tab.CountParallel(q, pool, &sp)
+			par := measure(family, "parallel", pool.Workers(), sel, tab.CountParallel(q, pool, &sp, sc), func() {
+				tab.CountParallel(q, pool, &sp, sc)
 			})
 			par.SpeedupVsNaive = speedup(naive.NsPerOp, par.NsPerOp)
 			rep.Results = append(rep.Results, par)
 		}
+	}
+
+	// The boundary family: same rows, the builder's order, a fresh box per op.
+	btab := colstore.NewBuilder(data, colstore.DefaultGroupRows).Build(all)
+	for _, sel := range scanSelectivities["boundary"] {
+		base := workload.Workload{{Box: query("multidim", sel)}}
+		boxes := workload.Future(base, cfg.DeltaFrac, boundaryBoxes, cfg.Seed).Boxes()
+		mean := func(count func(geom.Box) colstore.ScanStats) colstore.ScanStats {
+			var st colstore.ScanStats
+			for _, q := range boxes {
+				st.Add(count(q))
+			}
+			st.Matched /= len(boxes)
+			st.BytesRead /= int64(len(boxes))
+			st.BytesSkipped /= int64(len(boxes))
+			st.GroupsRead /= len(boxes)
+			st.GroupsSkipped /= len(boxes)
+			return st
+		}
+		next := 0
+		cycle := func(count func(geom.Box) colstore.ScanStats) func() {
+			return func() {
+				count(boxes[next%len(boxes)])
+				next++
+			}
+		}
+		naive := measure("boundary", "naive", 0, sel, mean(btab.CountNaive), cycle(btab.CountNaive))
+		rep.Results = append(rep.Results, naive)
+		count := func(q geom.Box) colstore.ScanStats { return sc.Count(btab, q) }
+		vec := measure("boundary", "vectorized", 0, sel, mean(count), cycle(count))
+		vec.SpeedupVsNaive = speedup(naive.NsPerOp, vec.NsPerOp)
+		rep.Results = append(rep.Results, vec)
 	}
 
 	// Feature-vector zone maps over the multidim queries: the scan skips row

@@ -197,16 +197,18 @@ func (s *Store) ScanPartition(id layout.ID, q geom.Box) (colstore.ScanStats, err
 	return sc.Count(p.Table, q), nil
 }
 
-// ScanAll scans the listed partitions and sums the statistics — the storage
-// side of Fig. 4's query flow.
+// ScanAll scans the listed partitions on one scanner and sums the statistics
+// — the storage side of Fig. 4's query flow.
 func (s *Store) ScanAll(ids []layout.ID, q geom.Box) (colstore.ScanStats, error) {
 	var total colstore.ScanStats
+	sc := s.scanners.Get()
+	defer s.scanners.Put(sc)
 	for _, id := range ids {
-		st, err := s.ScanPartition(id, q)
+		p, err := s.Partition(id)
 		if err != nil {
 			return total, err
 		}
-		total.Add(st)
+		total.Add(sc.Count(p.Table, q))
 	}
 	return total, nil
 }

@@ -63,16 +63,29 @@ func TestUnknownPartition(t *testing.T) {
 }
 
 // TestScanAgainstRouter: scanning exactly the partitions the master selects
-// returns exactly the query's result rows.
+// returns exactly the query's result rows, and ScanAll — one scanner for the
+// whole list — reports what the same partitions report scanned one by one.
 func TestScanAgainstRouter(t *testing.T) {
 	data := dataset.Uniform(6000, 2, 3)
 	l := kdtree.Build(data, allRows(6000), data.Domain(), kdtree.Params{MinRows: 200})
 	s := Materialize(l, data, Config{GroupRows: 128})
 	w := workload.Uniform(data.Domain(), workload.Defaults(30, 4))
 	for _, q := range w.Boxes() {
-		st, err := s.ScanAll(l.PartitionsFor(q), q)
+		ids := l.PartitionsFor(q)
+		st, err := s.ScanAll(ids, q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var sum colstore.ScanStats
+		for _, id := range ids {
+			one, err := s.ScanPartition(id, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Add(one)
+		}
+		if st != sum {
+			t.Fatalf("ScanAll %+v != sum of ScanPartition %+v", st, sum)
 		}
 		if want := data.CountInBox(q, nil); st.Matched != want {
 			t.Fatalf("scan matched %d rows, dataset has %d in %v", st.Matched, want, q)

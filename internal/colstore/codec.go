@@ -546,15 +546,14 @@ func decodeV2(lr *leReader) (*Table, error) {
 		if rows == 0 || rows > maxDecodeRows {
 			return nil, fmt.Errorf("colstore: group %d row count %d out of range", gi, rows)
 		}
-		g := rowGroup{cols: make([]column, dims), rows: int(rows)}
-		for d := 0; d < dims; d++ {
-			c, err := decodeColumnPayload(lr, int(rows))
-			if err != nil {
+		cols := make([]column, dims)
+		for d := range cols {
+			if cols[d], err = decodeColumnPayload(lr, int(rows)); err != nil {
 				return nil, fmt.Errorf("colstore: group %d col %d: %w", gi, d, err)
 			}
-			g.cols[d] = c
 		}
-		if g.stats, err = decodeStats(lr, dims); err != nil {
+		stats, err := decodeStats(lr, dims)
+		if err != nil {
 			return nil, err
 		}
 		if zones != nil {
@@ -565,7 +564,7 @@ func decodeV2(lr *leReader) (*Table, error) {
 			zones.bits = append(zones.bits, vec)
 		}
 		t.rows += int(rows)
-		t.groups = append(t.groups, g)
+		t.groups = append(t.groups, newRowGroup(cols, int(rows), stats))
 	}
 	t.zones = zones
 	return t, nil

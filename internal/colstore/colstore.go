@@ -39,16 +39,22 @@ type rowGroup struct {
 	cols  []column
 	rows  int
 	stats sma.Aggregates
+	// encoded is the group's physical payload size under its encodings. A
+	// scan asks for it once per group, so it is summed once, by newRowGroup.
+	encoded int64
+}
+
+// newRowGroup assembles a row group from its encoded columns.
+func newRowGroup(cols []column, rows int, stats sma.Aggregates) rowGroup {
+	g := rowGroup{cols: cols, rows: rows, stats: stats}
+	for i := range cols {
+		g.encoded += cols[i].payloadBytes()
+	}
+	return g
 }
 
 // encodedBytes is the group's physical payload size under its encodings.
-func (g *rowGroup) encodedBytes() int64 {
-	var b int64
-	for i := range g.cols {
-		b += g.cols[i].payloadBytes()
-	}
-	return b
-}
+func (g *rowGroup) encodedBytes() int64 { return g.encoded }
 
 // FromDataset materialises the given rows of data (all rows when rows is
 // nil), in the order given, into a columnar table with groupRows rows per row
@@ -89,16 +95,17 @@ type groupEncoder struct {
 // values, in row order, into dst[:n]. The group's SMAs are accumulated from
 // the same values in the same order.
 func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowGroup {
-	g := rowGroup{cols: make([]column, dims), rows: n, stats: sma.Aggregates{
+	cols := make([]column, dims)
+	stats := sma.Aggregates{
 		Count: int64(n),
 		Min:   make([]float64, dims),
 		Max:   make([]float64, dims),
 		Sum:   make([]float64, dims),
-	}}
+	}
 	e.vals = slices.Grow(e.vals[:0], n)[:n]
 	for d := 0; d < dims; d++ {
 		fill(d, e.vals)
-		g.cols[d] = encodeColumn(e.vals, &e.scratch)
+		cols[d] = encodeColumn(e.vals, &e.scratch)
 		mn, mx, sum := math.Inf(1), math.Inf(-1), 0.0
 		for _, v := range e.vals {
 			if v < mn {
@@ -109,9 +116,9 @@ func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowG
 			}
 			sum += v
 		}
-		g.stats.Min[d], g.stats.Max[d], g.stats.Sum[d] = mn, mx, sum
+		stats.Min[d], stats.Max[d], stats.Sum[d] = mn, mx, sum
 	}
-	return g
+	return newRowGroup(cols, n, stats)
 }
 
 // fromColumns rebuilds a table from fully decoded row groups (the PAWC v1
@@ -122,12 +129,12 @@ func fromColumns(names []string, groups [][][]float64, stats []sma.Aggregates) *
 	var scratch encodeScratch
 	for gi, cols := range groups {
 		n := len(cols[0])
-		g := rowGroup{cols: make([]column, len(cols)), rows: n, stats: stats[gi]}
+		enc := make([]column, len(cols))
 		for d, vals := range cols {
-			g.cols[d] = encodeColumn(vals, &scratch)
+			enc[d] = encodeColumn(vals, &scratch)
 		}
 		t.rows += n
-		t.groups = append(t.groups, g)
+		t.groups = append(t.groups, newRowGroup(enc, n, stats[gi]))
 	}
 	return t
 }

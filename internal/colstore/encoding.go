@@ -112,15 +112,16 @@ func forWords(n int, w uint8) int {
 }
 
 // forAt extracts delta i from the packed words at w bits per value. w must
-// be in (0, 32].
+// be in (0, 32]. The shift counts are masked to what they can be anyway, which
+// spares the compiler's guard for counts of 64 and over.
 func forAt(packed []uint64, i int, w uint8) uint64 {
-	bitPos := i * int(w)
-	word, off := bitPos>>6, uint(bitPos&63)
+	bitPos := uint(i) * uint(w)
+	word, off := bitPos>>6, bitPos&63
 	v := packed[word] >> off
 	if off+uint(w) > 64 {
-		v |= packed[word+1] << (64 - off)
+		v |= packed[word+1] << ((64 - off) & 63)
 	}
-	return v & (1<<uint(w) - 1)
+	return v & (1<<(w&63) - 1)
 }
 
 // encodeScratch is the reusable staging of encodeColumn's dictionary probe.
@@ -394,149 +395,175 @@ func (c *column) forDeltaRange(lo, hi float64) (dLo, dHi uint64, ok bool) {
 	return dLo, dHi, dLo <= dHi
 }
 
-// filterAll appends to sel the indices in [0, n) whose value lies in
-// [lo, hi], in ascending order, and returns the encoded bytes it decoded
-// (the dictionary probe alone when the code range is empty or total; the
-// whole payload when every position is tested).
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag move
+// (SETcc), not a jump: it is how the selection kernels advance their output
+// cursor by a predicate's outcome without branching on it.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The selection kernels below carry no data-dependent branch in their
+// per-value loops. The groups a scan decodes under a PAW layout are the ones a
+// query edge cuts — interior groups are pruned or covered — so a row passes
+// with p ≈ ½ in no learnable order, and `if pass { append }` pays a mispredict
+// on every other row. Instead each loop writes the position to sel[n]
+// unconditionally and advances n by b2i(pass): a rejected position is simply
+// overwritten by the next one. That needs room for a write at every step,
+// which the caller guarantees (len(sel) == c.n for filterAll; refine writes
+// at or behind its read cursor). Dictionary codes and FOR deltas test the
+// interval with the single unsigned compare x-lo <= hi-lo; raw values keep
+// the two float comparisons, so -0 == +0 and NaN never matches. DESIGN.md §11.
+
+// fillIdentity sets sel[i] = i.
+func fillIdentity(sel []int32) {
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+}
+
+// filterAll writes to sel, which must hold c.n entries, the indices in
+// [0, c.n) whose value lies in [lo, hi], in ascending order, and returns that
+// prefix plus the encoded bytes it decoded (the dictionary probe alone when
+// the code range is empty or total; the whole payload when every position is
+// tested).
 func (c *column) filterAll(lo, hi float64, sel []int32) ([]int32, int64) {
+	sel = sel[:c.n]
+	n := 0
 	switch c.kind {
 	case colDict:
 		cLo, cHi := c.dictCodeRange(lo, hi)
 		probe := int64(4) + int64(len(c.dict))*8
 		if cLo >= cHi {
-			return sel, probe
+			return sel[:0], probe
 		}
 		if cLo == 0 && cHi == len(c.dict) {
-			for i := 0; i < c.n; i++ {
-				sel = append(sel, int32(i))
-			}
+			fillIdentity(sel)
 			return sel, probe
 		}
 		if c.codes8 != nil {
-			lo8, hi8 := uint8(cLo), uint8(cHi-1)
+			lo8, span := uint8(cLo), uint8(cHi-1-cLo)
 			for i, code := range c.codes8 {
-				if code >= lo8 && code <= hi8 {
-					sel = append(sel, int32(i))
-				}
+				sel[n] = int32(i)
+				n += b2i(code-lo8 <= span)
 			}
 		} else {
-			lo16, hi16 := uint16(cLo), uint16(cHi-1)
+			lo16, span := uint16(cLo), uint16(cHi-1-cLo)
 			for i, code := range c.codes16 {
-				if code >= lo16 && code <= hi16 {
-					sel = append(sel, int32(i))
-				}
+				sel[n] = int32(i)
+				n += b2i(code-lo16 <= span)
 			}
 		}
-		return sel, c.payloadBytes()
 	case colRLE:
-		start := int32(0)
+		// A run at a time: a passing run is a range of positions.
+		start := 0
 		for r, v := range c.runVals {
-			length := int32(c.runLens[r])
+			length := int(c.runLens[r])
 			if v >= lo && v <= hi {
-				for i := start; i < start+length; i++ {
-					sel = append(sel, i)
+				run := sel[n : n+length]
+				for k := range run {
+					run[k] = int32(start + k)
 				}
+				n += length
 			}
 			start += length
 		}
-		return sel, c.payloadBytes()
 	case colFOR:
 		dLo, dHi, ok := c.forDeltaRange(lo, hi)
 		if !ok {
-			return sel, 9 // header only: base + bit width
+			return sel[:0], 9 // header only: base + bit width
 		}
 		if c.forBits == 0 {
-			for i := 0; i < c.n; i++ {
-				sel = append(sel, int32(i))
-			}
+			fillIdentity(sel)
 			return sel, 9
 		}
-		for i := 0; i < c.n; i++ {
-			if d := forAt(c.packed, i, c.forBits); d >= dLo && d <= dHi {
-				sel = append(sel, int32(i))
-			}
+		packed, w, span := c.packed, c.forBits, dHi-dLo
+		for i := range sel {
+			sel[n] = int32(i)
+			n += b2i(forAt(packed, i, w)-dLo <= span)
 		}
-		return sel, c.payloadBytes()
 	default:
 		for i, v := range c.raw {
-			if v >= lo && v <= hi {
-				sel = append(sel, int32(i))
-			}
+			sel[n] = int32(i)
+			n += b2i(v >= lo) & b2i(v <= hi)
 		}
-		return sel, c.payloadBytes()
 	}
+	return sel[:n], c.payloadBytes()
 }
 
 // refine filters sel in place, keeping indices whose value lies in [lo, hi],
 // and returns the surviving prefix plus the encoded bytes it touched.
 func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
-	out := sel[:0]
+	n := 0
 	switch c.kind {
 	case colDict:
 		cLo, cHi := c.dictCodeRange(lo, hi)
 		touched := int64(4) + int64(len(c.dict))*8 // dictionary probe
 		if cLo >= cHi {
-			return out, touched
+			return sel[:0], touched
 		}
 		if cLo == 0 && cHi == len(c.dict) {
 			return sel, touched
 		}
 		if c.codes8 != nil {
-			lo8, hi8 := uint8(cLo), uint8(cHi-1)
+			codes, lo8, span := c.codes8, uint8(cLo), uint8(cHi-1-cLo)
 			for _, i := range sel {
-				if code := c.codes8[i]; code >= lo8 && code <= hi8 {
-					out = append(out, i)
-				}
+				sel[n] = i
+				n += b2i(codes[i]-lo8 <= span)
 			}
 		} else {
-			lo16, hi16 := uint16(cLo), uint16(cHi-1)
+			codes, lo16, span := c.codes16, uint16(cLo), uint16(cHi-1-cLo)
 			for _, i := range sel {
-				if code := c.codes16[i]; code >= lo16 && code <= hi16 {
-					out = append(out, i)
-				}
+				sel[n] = i
+				n += b2i(codes[i]-lo16 <= span)
 			}
 		}
-		return out, touched + c.valueBytes(len(sel))
+		return sel[:n], touched + c.valueBytes(len(sel))
 	case colRLE:
+		// A run at a time: the positions of one run are one contiguous stretch
+		// of the ascending selection vector, and they pass or fail together.
 		ri, runEnd := 0, int32(c.runLens[0])
 		runsTouched := 0
-		lastRun := -1
-		for _, i := range sel {
-			for i >= runEnd {
+		for k := 0; k < len(sel); {
+			for sel[k] >= runEnd {
 				ri++
 				runEnd += int32(c.runLens[ri])
 			}
-			if ri != lastRun {
-				runsTouched++
-				lastRun = ri
+			end := k + 1
+			for end < len(sel) && sel[end] < runEnd {
+				end++
 			}
+			runsTouched++
 			if v := c.runVals[ri]; v >= lo && v <= hi {
-				out = append(out, i)
+				n += copy(sel[n:], sel[k:end])
 			}
+			k = end
 		}
-		return out, int64(runsTouched) * 12
+		return sel[:n], int64(runsTouched) * 12
 	case colFOR:
 		dLo, dHi, ok := c.forDeltaRange(lo, hi)
 		if !ok {
-			return out, 0
+			return sel[:0], 0
 		}
 		if c.forBits == 0 {
 			return sel, 0
 		}
+		packed, w, span := c.packed, c.forBits, dHi-dLo
 		for _, i := range sel {
-			if d := forAt(c.packed, int(i), c.forBits); d >= dLo && d <= dHi {
-				out = append(out, i)
-			}
+			sel[n] = i
+			n += b2i(forAt(packed, int(i), w)-dLo <= span)
 		}
-		return out, c.valueBytes(len(sel))
 	default:
+		raw := c.raw
 		for _, i := range sel {
-			if v := c.raw[i]; v >= lo && v <= hi {
-				out = append(out, i)
-			}
+			sel[n] = i
+			v := raw[i]
+			n += b2i(v >= lo) & b2i(v <= hi)
 		}
-		return out, c.valueBytes(len(sel))
 	}
+	return sel[:n], c.valueBytes(len(sel))
 }
 
 // gather materializes value(sel[k]) into dst[k*stride+off] for every k.

@@ -100,6 +100,11 @@ func FuzzScanDifferential(f *testing.F) {
 	// become all-covered groups and whole-run accepts.
 	f.Add(int64(0x249), uint16(2999), uint8(4), uint16(63), int64(19))
 	f.Add(int64(0x208), uint16(2047), uint8(3), uint16(255), int64(23))
+	// The kernels write before they test, so the edges of the selection
+	// vector matter: one-row groups throughout, and a last group of one row
+	// (rows % groupRows == 1) after full ones.
+	f.Add(int64(0x923), uint16(299), uint8(4), uint16(0), int64(29))
+	f.Add(int64(0x11c), uint16(1024), uint8(5), uint16(255), int64(31))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, dimsRaw uint8, groupRaw uint16, qseed int64) {
 		rows := 1 + int(rowsRaw)%3000
 		dims := 1 + int(dimsRaw)%5

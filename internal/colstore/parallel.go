@@ -34,22 +34,21 @@ const parallelMinGroups = 4
 
 // CountParallel evaluates q across the table's row groups in parallel on
 // the given bounded pool, merging per-chunk statistics in chunk order so
-// the totals are deterministic at any worker count. sp supplies per-task
-// scanner scratch (nil uses the package pool). A nil/serial pool or a small
-// table degrades to the serial kernel.
-func (t *Table) CountParallel(q geom.Box, pool *parbuild.Pool, sp *ScannerPool) ScanStats {
+// the totals are deterministic at any worker count. lead is the caller's own
+// scanner: a nil/serial pool or a table under 2*parallelMinGroups row groups
+// is counted on it directly, so a caller that walks many small tables (a
+// worker batch: ~3 groups per partition) checks out one scanner for all of
+// them. Only a fanned-out table draws per-task scratch from sp (nil uses the
+// package pool).
+func (t *Table) CountParallel(q geom.Box, pool *parbuild.Pool, sp *ScannerPool, lead *Scanner) ScanStats {
+	groups := len(t.groups)
+	if pool.Workers() <= 1 || groups < 2*parallelMinGroups {
+		return lead.Count(t, q)
+	}
 	if sp == nil {
 		sp = &defaultScanners
 	}
-	groups := len(t.groups)
-	if pool.Workers() <= 1 || groups < 2*parallelMinGroups {
-		s := sp.Get()
-		defer sp.Put(s)
-		return s.Count(t, q)
-	}
 	zi := t.zoneIndex(q)
-	lead := sp.Get()
-	defer sp.Put(lead)
 	if cap(lead.chunks) < pool.Workers() {
 		lead.chunks = make([]ScanStats, pool.Workers())
 	}

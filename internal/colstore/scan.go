@@ -116,13 +116,16 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		st.Matched += g.rows
 		return 0
 	}
+	// The kernels write a position before they know whether it survives, so
+	// the selection vector holds the whole group up front.
+	if cap(s.sel) < g.rows {
+		s.sel = make([]int32, g.rows)
+	}
 	var read int64
-	sel := s.sel[:0]
+	sel := s.sel[:g.rows]
 	if len(s.order) == 0 {
 		// Every dimension covered: the whole group matches.
-		for i := 0; i < g.rows; i++ {
-			sel = append(sel, int32(i))
-		}
+		fillIdentity(sel)
 	} else {
 		for oi, d := range s.order {
 			c := &g.cols[d]
@@ -163,7 +166,6 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		}
 		st.RowsDecoded += int64(len(sel))
 	}
-	s.sel = sel[:0]
 	return read
 }
 

@@ -6,6 +6,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/parbuild"
+	"paw/internal/sma"
 	"paw/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestCountParallelMatchesSerial(t *testing.T) {
 		pool := parbuild.New(workers)
 		for _, q := range w.Boxes() {
 			serial := sc.Count(tab, q)
-			par := tab.CountParallel(q, pool, &sp)
+			par := tab.CountParallel(q, pool, &sp, sc)
 			if par != serial {
 				t.Fatalf("workers=%d: parallel stats %+v != serial %+v", workers, par, serial)
 			}
@@ -49,7 +50,7 @@ func TestCountParallelMatchesSerial(t *testing.T) {
 	}
 	// A nil pool and nil scanner pool must degrade cleanly.
 	q := w.Boxes()[0]
-	if got := tab.CountParallel(q, nil, nil); got != sc.Count(tab, q) {
+	if got := tab.CountParallel(q, nil, nil, sc); got != sc.Count(tab, q) {
 		t.Fatal("nil pool must fall back to the serial kernel")
 	}
 }
@@ -120,5 +121,64 @@ func TestEncodingCountsAndCompression(t *testing.T) {
 	raw := int64(n) * 2 * 8
 	if tab.EncodedBytes() >= raw {
 		t.Errorf("encoded %d bytes >= raw %d", tab.EncodedBytes(), raw)
+	}
+}
+
+// TestScannerSelCapacityAcrossGroups: the kernels write a position before
+// they know whether it survives, so the selection vector must hold a whole
+// group before the first write — whatever the scanner last scanned. One
+// scanner walks groups that shrink, grow and change shape, ending on the
+// widest single write there is: an RLE first predicate whose one run covers a
+// group larger than any before it.
+func TestScannerSelCapacityAcrossGroups(t *testing.T) {
+	table := func(rows, groupRows int, seed int64) (*Table, geom.Box) {
+		data := fuzzDataset(seed, rows, 3)
+		dom := data.Domain()
+		q := dom.Clone()
+		for d := range q.Lo {
+			q.Lo[d] += 0.25 * (dom.Hi[d] - dom.Lo[d])
+		}
+		return FromDataset(data, nil, groupRows), q
+	}
+	// One RLE run over the whole group under an envelope wider than its
+	// value (a decoded table's statistics may be loose), so the predicate is
+	// neither pruned nor covered and filterAll fills every position at once.
+	const wide = 5000
+	raw := make([]float64, wide)
+	for i := range raw {
+		raw[i] = float64(i % 10)
+	}
+	oneRun := &Table{names: []string{"a", "b"}, rows: wide, groups: []rowGroup{newRowGroup(
+		[]column{
+			{kind: colRLE, n: wide, runVals: []float64{5}, runLens: []uint32{wide}},
+			{kind: colRaw, n: wide, raw: raw},
+		}, wide, sma.Aggregates{Count: wide, Min: []float64{0, 0}, Max: []float64{10, 9}, Sum: []float64{5 * wide, 4.5 * wide}},
+	)}}
+	oneRunQ := geom.Box{Lo: geom.Point{4, 0}, Hi: geom.Point{6, 4.5}}
+
+	sc := NewScanner()
+	for _, step := range []struct {
+		name            string
+		rows, groupRows int
+	}{
+		{"7-row group", 7, 7},
+		{"2048-row group", 2048, 2048},
+		{"4096 rows in groups of 1000", 4096, 1000},
+		{"1025 rows in groups of 1024", 1025, 1024},
+	} {
+		tab, q := table(step.rows, step.groupRows, int64(step.rows))
+		if got, want := sc.Count(tab, q), tab.CountNaive(q); got.Matched != want.Matched {
+			t.Fatalf("%s: matched %d, naive %d", step.name, got.Matched, want.Matched)
+		}
+		if _, got := sc.Scan(tab, q); got.Matched != tab.CountNaive(q).Matched {
+			t.Fatalf("%s: scan matched %d, naive %d", step.name, got.Matched, tab.CountNaive(q).Matched)
+		}
+	}
+	got, want := sc.Count(oneRun, oneRunQ), oneRun.CountNaive(oneRunQ)
+	if got.Matched != want.Matched || got.Matched != wide/2 {
+		t.Fatalf("one-run group: matched %d, naive %d, want %d", got.Matched, want.Matched, wide/2)
+	}
+	if got.ColsRLE != 1 || got.ColsRaw != 1 {
+		t.Fatalf("one-run group must filter on the RLE column and refine on the raw one: %+v", got)
 	}
 }

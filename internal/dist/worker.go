@@ -283,8 +283,9 @@ func (w *Worker) serveConn(c net.Conn) {
 	}
 }
 
-// scanPartition runs the kernel scan of one partition under one layout epoch.
-func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, error) {
+// scanPartition runs the kernel scan of one partition under one layout epoch
+// on sc, the batch's scanner.
+func (w *Worker) scanPartition(sc *colstore.Scanner, epoch uint64, id layout.ID, q geom.Box) (colstore.ScanStats, error) {
 	tab, err := w.lookup(epoch, id)
 	if err != nil {
 		return colstore.ScanStats{}, err
@@ -292,7 +293,7 @@ func (w *Worker) scanPartition(epoch uint64, id layout.ID, q geom.Box) (colstore
 	if w.scanHook != nil {
 		w.scanHook(id)
 	}
-	return tab.CountParallel(q, w.scanPool, &w.scanners), nil
+	return tab.CountParallel(q, w.scanPool, &w.scanners, sc), nil
 }
 
 // batchKey is the whole-batch sharing key: the layout epoch, the ordered
@@ -392,6 +393,11 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 		root.Int(trace.KeyEpoch, int64(req.Epoch))
 		root.Int(trace.KeyPartitions, int64(len(req.IDs)))
 	}
+	// One scanner for the whole batch: a partition is ~3 row groups, so a
+	// checkout per partition would cost as much as the scan it serves. Only
+	// the table lookup stays per partition (lookup says why).
+	sc := w.scanners.Get()
+	defer w.scanners.Put(sc)
 	for _, id := range req.IDs {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			resp.Err = fmt.Sprintf("scan deadline exceeded at partition %d (req %d)", id, req.Seq)
@@ -403,7 +409,7 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			break
 		}
 		sp := tq.Start("scan", root)
-		st, err := w.scanPartition(req.Epoch, id, req.Query)
+		st, err := w.scanPartition(sc, req.Epoch, id, req.Query)
 		if err != nil {
 			if tq != nil {
 				sp.Int(trace.KeyPartition, int64(id))

@@ -2,10 +2,13 @@ package dist
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"paw/internal/blockstore"
+	"paw/internal/colstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -16,6 +19,14 @@ import (
 // workerFixture materialises a small multi-partition store and returns it
 // with the dataset and every partition ID.
 func workerFixture(t *testing.T, minParts int) (*dataset.Dataset, *blockstore.Store, []layout.ID) {
+	t.Helper()
+	data, _, store, ids := workerFixtureLayout(t, minParts)
+	return data, store, ids
+}
+
+// workerFixtureLayout is workerFixture plus the layout the store was
+// materialised from, for tests that need a partition's rows.
+func workerFixtureLayout(t *testing.T, minParts int) (*dataset.Dataset, *layout.Layout, *blockstore.Store, []layout.ID) {
 	t.Helper()
 	data := dataset.Uniform(12000, 3, 11)
 	rows := make([]int, data.NumRows())
@@ -32,7 +43,7 @@ func workerFixture(t *testing.T, minParts int) (*dataset.Dataset, *blockstore.St
 	for _, p := range l.Parts {
 		ids = append(ids, p.ID)
 	}
-	return data, store, ids
+	return data, l, store, ids
 }
 
 // TestWorkerOneTablePath: a table answers identically however it reached the
@@ -136,5 +147,103 @@ func TestWorkerBatchAllocsFlat(t *testing.T) {
 	one, many := allocs(1), allocs(24)
 	if many-one > 2 {
 		t.Fatalf("batch of 24 allocates %.0f, batch of 1 allocates %.0f: per-partition allocations are back", many, one)
+	}
+}
+
+// TestWorkerBatchOneScanner: a batch of small partitions scans all of them on
+// one scanner, checked out once and held to the end, and answers exactly what
+// the same partitions answer one batch each, which is what the dataset says.
+func TestWorkerBatchOneScanner(t *testing.T) {
+	data, l, store, ids := workerFixtureLayout(t, 24)
+	var small []layout.ID
+	for _, id := range ids {
+		if sp, _ := store.Partition(id); sp.Table.NumGroups() < 8 && len(small) < 24 {
+			small = append(small, id)
+		}
+	}
+	if len(small) < 24 {
+		t.Fatalf("only %d partitions under 8 row groups, need 24", len(small))
+	}
+	// Half the domain on every dimension: partitions pruned, covered and cut.
+	q := data.Domain()
+	for d := range q.Lo {
+		q.Hi[d] = q.Lo[d] + 0.5*(q.Hi[d]-q.Lo[d])
+	}
+
+	wk := NewWorker(store, ids)
+	batch := wk.handle(ScanRequest{Query: q, IDs: small})
+	if batch.Err != "" {
+		t.Fatal(batch.Err)
+	}
+	sum := ScanResponse{FailedPartition: -1}
+	for _, id := range small {
+		one := wk.handle(ScanRequest{Query: q, IDs: []layout.ID{id}})
+		if one.Err != "" {
+			t.Fatal(one.Err)
+		}
+		sum.Rows += one.Rows
+		sum.BytesRead += one.BytesRead
+		sum.BytesSkipped += one.BytesSkipped
+		sum.GroupsRead += one.GroupsRead
+		sum.GroupsSkipped += one.GroupsSkipped
+		sum.GroupsZoneSkipped += one.GroupsZoneSkipped
+	}
+	if !reflect.DeepEqual(batch, sum) {
+		t.Fatalf("batch %+v != sum of its single-partition batches %+v", batch, sum)
+	}
+	inBatch := make(map[layout.ID]bool, len(small))
+	for _, id := range small {
+		inBatch[id] = true
+	}
+	var rows []int
+	for r, id := range l.RouteAssign(data, 1) {
+		if inBatch[layout.ID(id)] {
+			rows = append(rows, r)
+		}
+	}
+	if want := data.CountInBox(q, rows); batch.Rows != want {
+		t.Fatalf("batch matched %d rows, dataset says %d", batch.Rows, want)
+	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool sheds scanners under the race detector")
+	}
+	// Pool accounting. On one P with the collector off a sync.Pool is exact: a
+	// Get returns what the last Put left, or finds nothing and allocates. The
+	// hook runs before every partition's scan and takes whatever the pool
+	// holds at that moment; with the batch's one scanner checked out for the
+	// whole batch that is nothing, every time. A checkout per partition would
+	// have put a scanner back between two partitions, and the hook would get
+	// it without allocating.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	taken := make([]*colstore.Scanner, 0, len(small)+2) // kept, so a Get that misses must allocate
+	getAllocates := func(sp *colstore.ScannerPool) bool {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		taken = append(taken, sp.Get())
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs != before
+	}
+	wk = NewWorker(store, ids)
+	served := 0
+	wk.scanHook = func(layout.ID) {
+		if !getAllocates(&wk.scanners) {
+			served++
+		}
+	}
+	if resp := wk.handle(ScanRequest{Query: q, IDs: small}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	if served != 0 {
+		t.Fatalf("the pool held a scanner at %d of %d partition boundaries: the batch does not keep one scanner checked out", served, len(small))
+	}
+	// What the batch returns at its end is that one scanner and no other.
+	if getAllocates(&wk.scanners) {
+		t.Fatal("the batch returned no scanner to the pool")
+	}
+	if !getAllocates(&wk.scanners) {
+		t.Fatal("the batch returned more than one scanner to the pool")
 	}
 }
