@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz loc bench-smoke bench-kernels bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check build vet test race chaos fuzz loc bench-smoke bench-kernels bench-request-path bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
 
 # check is the full tier-1 gate: build, vet, tests, and the race detector
 # over every package that runs concurrent construction or routing code.
@@ -58,7 +58,9 @@ chaos:
 # cluster — every answered query must match the dataset oracle through the
 # churn), and the wire-codec round trip (every message type: arbitrary bytes
 # decode to an error or to a message that re-encodes to itself, never a panic
-# or an allocation larger than the input).
+# or an allocation larger than the input), and the SQL rewriter (arbitrary
+# clause and statement bytes: an error or disjoint boxes, never a panic — a
+# statement is client input to the master).
 fuzz:
 	$(GO) test ./internal/sim -run FuzzInvariants -fuzz FuzzInvariants -fuzztime 30s
 	$(GO) test ./internal/workload -run FuzzMinimalDelta -fuzz FuzzMinimalDelta -fuzztime 30s
@@ -67,17 +69,20 @@ fuzz:
 	$(GO) test ./internal/drift -run FuzzDriftDifferential -fuzz FuzzDriftDifferential -fuzztime 30s
 	$(GO) test ./internal/dist -run FuzzMembershipDifferential -fuzz FuzzMembershipDifferential -fuzztime 30s
 	$(GO) test ./internal/dist -run FuzzWireRoundTrip -fuzz FuzzWireRoundTrip -fuzztime 30s
+	$(GO) test ./internal/sqlrew -run 'FuzzRewrite$$' -fuzz 'FuzzRewrite$$' -fuzztime 30s
+	$(GO) test ./internal/sqlrew -run FuzzRewriteSQL -fuzz FuzzRewriteSQL -fuzztime 30s
 
 # bench-smoke builds and smoke-tests the end-to-end benchmark (benchmark/,
 # BENCHMARK.json). It is its own module (paw/benchmark, replace paw => ../),
 # so the root `go build ./...` and `go test ./...` never see it: this target
 # is what catches an internal API change that would break the benchmark —
 # vet first, so a compile break is reported as one rather than as a failed
-# test binary. It also runs every selection-kernel benchmark case once, so a
-# kernel that panics on an odd group size fails here.
+# test binary. It also runs every selection-kernel and request-path benchmark
+# case once, so a kernel that panics on an odd group size fails here.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-kernels BENCHTIME=1x
+	$(MAKE) bench-request-path BENCHTIME=1x
 
 # bench-kernels times filterAll and refine on every encoding, each on one
 # replayed row group and on 256 fresh ones at p ≈ ½ (BenchmarkKernel,
@@ -88,6 +93,15 @@ bench-smoke:
 BENCHTIME ?= 20000x
 bench-kernels:
 	$(GO) test ./internal/colstore -run '^$$' -bench Kernel -benchtime=$(BENCHTIME)
+
+# bench-request-path times the fixed per-query cost in front of the scan: the
+# SQL rewrite of the end-to-end benchmark's statement shape (ns, bytes and
+# allocations per statement; TestRewriteAllocs pins the last) and one
+# Mux.Call/ServeConn round trip over loopback TCP with 1 and with 8 calls in
+# flight (DESIGN.md §12). Nothing is asserted on time.
+bench-request-path:
+	$(GO) test ./internal/sqlrew -run '^$$' -bench 'RewriteSQL$$' -benchmem -benchtime=$(BENCHTIME)
+	$(GO) test ./internal/serve -run '^$$' -bench 'ServeConnEcho' -benchmem -benchtime=$(BENCHTIME)
 
 # loc prints the non-test Go line count of every package and of module paw
 # (benchmark/ is its own module and is left out): the figure ROADMAP.md and

@@ -230,3 +230,27 @@ func TestMasterWorkerDown(t *testing.T) {
 		t.Fatal("query over a dead worker must error")
 	}
 }
+
+// TestQueryCaseChangingRunesNeverPanic: a statement is client input, and a
+// rune whose upper case has another byte length used to move the WHERE offset
+// off the statement — a slice panic on a handler goroutine, the whole master
+// gone from one frame. Such statements get their rows or an error.
+func TestQueryCaseChangingRunesNeverPanic(t *testing.T) {
+	tc := startCluster(t, 2)
+	for sql, like := range map[string]string{
+		"ɐɐɐɐɐɐɐɐ WHERE":                              "SELECT * FROM t",
+		"SELECT ıſıſıſ FROM t WHERE l_quantity >= 45": "SELECT * FROM t WHERE l_quantity >= 45",
+	} {
+		resp, err := tc.client.Query(sql)
+		if err != nil {
+			t.Errorf("%q: %v", sql, err)
+			continue
+		}
+		if want := oracleRows(t, tc.master, tc.data, like); resp.Rows != want {
+			t.Errorf("%q: %d rows, want %d (those of %q)", sql, resp.Rows, want, like)
+		}
+	}
+	if _, err := tc.client.Query("SELECT * FROM t WHERE NOT l_quantity == 5"); err == nil {
+		t.Error("== under NOT must be an error")
+	}
+}

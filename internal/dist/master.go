@@ -1083,13 +1083,22 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 			err  error
 		}
 		results := make(chan result, len(byWorker))
+		call := func(w int, bids []layout.ID, round int) {
+			var r result
+			r.w, r.ids = w, bids
+			r.err = m.callWorker(sctx, w, ScanRequest{Query: q, IDs: bids, Epoch: v.epoch}, &r.resp, budget, tq, span, round)
+			results <- r
+		}
 		for w, bids := range byWorker {
-			go func(w int, bids []layout.ID, round int) {
-				var r result
-				r.w, r.ids = w, bids
-				r.err = m.callWorker(sctx, w, ScanRequest{Query: q, IDs: bids, Epoch: v.epoch}, &r.resp, budget, tq, span, round)
-				results <- r
-			}(w, bids, round)
+			if len(byWorker) > 1 {
+				go call(w, bids, round)
+				continue
+			}
+			// The only batch of the round has no sibling to overlap with or
+			// to be cancelled for: it runs on this goroutine. (Never the last
+			// of several — the collector below, which cancels siblings on a
+			// non-retryable failure, could not run until that call returned.)
+			call(w, bids, round)
 		}
 		var next []layout.ID
 		fatal := false
@@ -1204,8 +1213,8 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 }
 
 // serveClient runs one client session: query and membership frames pipeline
-// over it, each request executing on its own goroutine (bounded by
-// ClientPipeline) with responses returning in completion order, so one
+// over it, up to ClientPipeline requests executing at once on the session's
+// handler goroutines, with responses returning in completion order, so one
 // expensive query never blocks the cheap ones behind it on the same
 // connection. A peer that does not open with the protocol preamble, or whose
 // stream breaks mid-frame, is dropped and counted.

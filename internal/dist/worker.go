@@ -32,8 +32,8 @@ const workerMaxInflight = 64
 // foreign partitions are errors (they indicate a master/placement bug).
 //
 // Sessions speak the multiplexed frame protocol of internal/serve and
-// pipeline: every request runs on its own goroutine and responses return in
-// completion order.
+// pipeline: requests run concurrently and responses return in completion
+// order.
 type Worker struct {
 	// scanPool parallelises row-group scans within a partition. Fan is safe
 	// for concurrent drivers, so all connections share the one bounded pool —

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -97,12 +98,15 @@ func DialMux(addr string) (*Mux, error) {
 }
 
 // readLoop delivers response frames to their waiters until the connection
-// dies; any terminal error fails every in-flight and future call.
+// dies; any terminal error fails every in-flight and future call. It reads
+// through a buffer, as ServeConn does: a small reply's header and payload
+// arrive in one read(2), not one each.
 func (m *Mux) readLoop() {
+	r := bufio.NewReader(m.c)
 	var hdr [headerLen]byte
 	for {
 		buf := m.pool.Get().([]byte)
-		typ, seq, payload, err := ReadFrame(m.c, &hdr, buf)
+		typ, seq, payload, err := ReadFrame(r, &hdr, buf)
 		if err != nil {
 			m.closeWith(err)
 			return

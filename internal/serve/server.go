@@ -9,7 +9,7 @@ import (
 )
 
 // Handler executes one request frame and returns the response message. It
-// is called from per-request goroutines, so implementations must be safe
+// is called from several goroutines at once, so implementations must be safe
 // for concurrent use. The payload is only valid for the duration of the
 // call. A non-nil error is session-fatal: no response can be produced and
 // the connection is dropped (per-request failures travel inside the
@@ -18,15 +18,21 @@ type Handler func(typ byte, payload []byte) (respTyp byte, resp Marshaler, err e
 
 // ServeConn runs one binary-protocol session on c: it verifies the Magic
 // preamble (a peer that opens with anything else is refused with ErrCorrupt
-// before any frame is read), then reads frames, dispatches each request to h
-// on its own goroutine — at most maxInflight concurrently — and writes the
-// responses back tagged with the request's sequence number, in completion
-// order rather than arrival order. That is what lets a session pipeline: a
-// cheap request is never stuck behind an expensive one.
+// before any frame is read), then reads frames, runs each request through h
+// — at most maxInflight concurrently — and writes the responses back tagged
+// with the request's sequence number, in completion order rather than arrival
+// order. That is what lets a session pipeline: a cheap request is never stuck
+// behind an expensive one.
+//
+// Requests run on handler goroutines that live as long as the session: a
+// frame goes to a handler parked between requests if there is one, starts a
+// new handler while fewer than maxInflight exist, and otherwise waits for the
+// first to finish. A handler's stack, once grown into h, is reused by the
+// requests that follow instead of being regrown from 2 KB for every frame.
 //
 // ServeConn returns when the connection dies or a handler reports a fatal
-// error (io.EOF: the peer hung up between frames); it drains its request
-// goroutines before returning. The caller still owns c and closes it.
+// error (io.EOF: the peer hung up between frames); every handler has exited
+// by then. The caller still owns c and closes it.
 func ServeConn(c net.Conn, maxInflight int, h Handler) error {
 	if maxInflight < 1 {
 		maxInflight = 1
@@ -57,12 +63,35 @@ func ServeConn(c net.Conn, maxInflight int, h Handler) error {
 		emu.Unlock()
 		c.Close() // unblocks the read loop and any blocked writer
 	}
-	sem := make(chan struct{}, maxInflight)
+	type job struct {
+		typ     byte
+		seq     uint64
+		payload []byte
+	}
+	run := func(j job) {
+		defer pool.Put(j.payload[:0])
+		respTyp, resp, herr := h(j.typ, j.payload)
+		if herr != nil {
+			fatal(fmt.Errorf("serve: handler for frame type %d: %w", j.typ, herr))
+			return
+		}
+		wmu.Lock()
+		pbuf = resp.AppendWire(pbuf[:0])
+		wbuf = AppendFrame(wbuf[:0], respTyp, j.seq, pbuf)
+		_, werr := c.Write(wbuf)
+		wmu.Unlock()
+		if werr != nil {
+			fatal(werr)
+		}
+	}
+	jobs := make(chan job) // unbuffered: a send succeeds only into a parked handler
+	handlers := 0
 	var hdr [headerLen]byte
 	for {
 		buf := pool.Get().([]byte)
 		typ, seq, payload, err := ReadFrame(r, &hdr, buf)
 		if err != nil {
+			close(jobs)
 			wg.Wait()
 			emu.Lock()
 			defer emu.Unlock()
@@ -71,27 +100,29 @@ func ServeConn(c net.Conn, maxInflight int, h Handler) error {
 			}
 			return err
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(typ byte, seq uint64, payload []byte) {
-			defer func() {
-				pool.Put(payload[:0])
-				<-sem
-				wg.Done()
-			}()
-			respTyp, resp, herr := h(typ, payload)
-			if herr != nil {
-				fatal(fmt.Errorf("serve: handler for frame type %d: %w", typ, herr))
-				return
+		j := job{typ, seq, payload}
+		select {
+		case jobs <- j: // a parked handler took it
+		default:
+			if handlers == maxInflight {
+				jobs <- j // all busy: the first to finish takes it
+				continue
 			}
-			wmu.Lock()
-			pbuf = resp.AppendWire(pbuf[:0])
-			wbuf = AppendFrame(wbuf[:0], respTyp, seq, pbuf)
-			_, werr := c.Write(wbuf)
-			wmu.Unlock()
-			if werr != nil {
-				fatal(werr)
-			}
-		}(typ, seq, payload)
+			handlers++
+			wg.Add(1)
+			go func(j job) {
+				defer wg.Done()
+				if testHookHandlerStart != nil {
+					testHookHandlerStart()
+				}
+				for ok := true; ok; j, ok = <-jobs {
+					run(j)
+				}
+			}(j)
+		}
 	}
 }
+
+// testHookHandlerStart, when a test sets it, is called by every handler
+// goroutine ServeConn starts.
+var testHookHandlerStart func()

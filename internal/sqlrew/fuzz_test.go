@@ -1,6 +1,10 @@
 package sqlrew
 
-import "testing"
+import (
+	"testing"
+
+	"paw/internal/geom"
+)
 
 // FuzzRewrite asserts the lexer/parser/rewriter never panic on arbitrary
 // input and that accepted clauses always yield interiorly disjoint boxes.
@@ -29,15 +33,51 @@ func FuzzRewrite(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		for i := range boxes {
-			if boxes[i].Dims() != 3 {
-				t.Fatalf("box with %d dims from %q", boxes[i].Dims(), clause)
-			}
-			for j := i + 1; j < len(boxes); j++ {
-				if inter, ok := boxes[i].Intersection(boxes[j]); ok && inter.Volume() > 0 {
-					t.Fatalf("overlapping boxes from %q", clause)
-				}
+		checkDisjoint(t, clause, boxes, 3)
+	})
+}
+
+func checkDisjoint(t *testing.T, in string, boxes []geom.Box, dims int) {
+	t.Helper()
+	for i := range boxes {
+		if boxes[i].Dims() != dims {
+			t.Fatalf("box with %d dims from %q", boxes[i].Dims(), in)
+		}
+		for j := i + 1; j < len(boxes); j++ {
+			if inter, ok := boxes[i].Intersection(boxes[j]); ok && inter.Volume() > 0 {
+				t.Fatalf("overlapping boxes from %q", in)
 			}
 		}
+	}
+}
+
+// FuzzRewriteSQL feeds whole statements — arbitrary bytes, valid UTF-8 or
+// not — through the path a client frame takes: an error or disjoint boxes,
+// never a panic.
+func FuzzRewriteSQL(f *testing.F) {
+	seeds := []string{
+		"SELECT * FROM t WHERE a >= 10 AND b <= 50",
+		"SELECT * FROM t",
+		"select * from t where not (a <> 1 or x between 2 and 3)",
+		"ɐɐɐɐɐɐɐɐ WHERE",
+		"SELECT ıſıſıſ FROM t WHERE x >= 4",
+		"SELECT * FROM t WHERE nowhere >= 1",
+		"WHERE NOT a == 5",
+		"\xc9 WHERE \xff >= 1",
+		"WHEREWHERE WHERE WHERE",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	r, err := New([]string{"a", "b", "x", "nowhere"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, stmt string) {
+		boxes, err := r.RewriteSQL(stmt)
+		if err != nil {
+			return
+		}
+		checkDisjoint(t, stmt, boxes, 4)
 	})
 }

@@ -12,13 +12,13 @@ import (
 	"unicode"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokNumber
-	tokOp // >= <= > < = <>
+	tokOp
 	tokLParen
 	tokRParen
 	tokAnd
@@ -27,91 +27,125 @@ const (
 	tokBetween
 )
 
+// opKind is a comparison operator, numbered so that op^1 is its logical
+// negation (NOT a >= v is a < v) and, for the inequalities, op^2 its mirror
+// image (10 <= a is a >= 10).
+type opKind uint8
+
+const (
+	opGE opKind = iota
+	opLT
+	opLE
+	opGT
+	opEQ
+	opNE
+)
+
+var keywords = [...]string{"and", "or", "not", "between"} // tokAnd … tokBetween, in order
+
+// token is one lexeme; text is its slice of the clause, not a copy.
 type token struct {
 	kind tokenKind
+	op   opKind
 	text string
 	num  float64
 	pos  int
 }
 
 func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
+	if t.kind == tokEOF {
 		return "end of input"
-	default:
-		return fmt.Sprintf("%q", t.text)
 	}
+	return fmt.Sprintf("%q", t.text)
 }
 
-// lex tokenises a WHERE clause. Keywords are case-insensitive.
-func lex(s string) ([]token, error) {
-	var out []token
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			out = append(out, token{kind: tokLParen, text: "(", pos: i})
-			i++
-		case c == ')':
-			out = append(out, token{kind: tokRParen, text: ")", pos: i})
-			i++
-		case c == '>' || c == '<' || c == '=':
-			op := string(c)
-			if i+1 < len(s) && (s[i+1] == '=' || (c == '<' && s[i+1] == '>')) {
-				op += string(s[i+1])
-			}
-			out = append(out, token{kind: tokOp, text: op, pos: i})
-			i += len(op)
-		case c == '-' || c == '.' || (c >= '0' && c <= '9'):
-			j := i + 1
-			for j < len(s) && (s[j] == '.' || s[j] == 'e' || s[j] == 'E' || s[j] == '-' || s[j] == '+' || (s[j] >= '0' && s[j] <= '9')) {
-				// Allow '-'/'+' only directly after an exponent marker.
-				if (s[j] == '-' || s[j] == '+') && !(s[j-1] == 'e' || s[j-1] == 'E') {
-					break
-				}
-				j++
-			}
-			text := s[i:j]
-			v, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sqlrew: bad number %q at position %d", text, i)
-			}
-			out = append(out, token{kind: tokNumber, text: text, num: v, pos: i})
-			i = j
-		case isIdentStart(rune(c)):
-			j := i + 1
-			for j < len(s) && isIdentPart(rune(s[j])) {
-				j++
-			}
-			word := s[i:j]
-			switch strings.ToUpper(word) {
-			case "AND":
-				out = append(out, token{kind: tokAnd, text: word, pos: i})
-			case "OR":
-				out = append(out, token{kind: tokOr, text: word, pos: i})
-			case "NOT":
-				out = append(out, token{kind: tokNot, text: word, pos: i})
-			case "BETWEEN":
-				out = append(out, token{kind: tokBetween, text: word, pos: i})
-			default:
-				out = append(out, token{kind: tokIdent, text: word, pos: i})
-			}
-			i = j
-		default:
-			return nil, fmt.Errorf("sqlrew: unexpected character %q at position %d", c, i)
+// lexer yields the tokens of a WHERE clause one at a time, straight from the
+// string. Keywords are case-insensitive. A lexical error is kept in err and
+// ends the input: every later call returns tokEOF.
+type lexer struct {
+	s   string
+	pos int
+	err error
+}
+
+func (l *lexer) fail(format string, args ...any) token {
+	l.err, l.pos = fmt.Errorf(format, args...), len(l.s)
+	return token{kind: tokEOF, pos: l.pos}
+}
+
+func (l *lexer) next() (t token) {
+	s, i := l.s, l.pos
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
+		i++
+	}
+	if i == len(s) {
+		l.pos = i
+		return token{kind: tokEOF, pos: i}
+	}
+	t.pos = i
+	j := i + 1
+	switch c := s[i]; {
+	case c == '(':
+		t.kind = tokLParen
+	case c == ')':
+		t.kind = tokRParen
+	case c == '>' || c == '<' || c == '=':
+		if j < len(s) && (s[j] == '=' || (c == '<' && s[j] == '>')) {
+			j++
 		}
+		switch s[i:j] {
+		case ">=":
+			t.op = opGE
+		case "<=":
+			t.op = opLE
+		case ">":
+			t.op = opGT
+		case "<":
+			t.op = opLT
+		case "=":
+			t.op = opEQ
+		case "<>":
+			t.op = opNE
+		default:
+			return l.fail("sqlrew: unknown operator %q at position %d", s[i:j], i)
+		}
+		t.kind = tokOp
+	case c == '-' || c == '.' || (c >= '0' && c <= '9'):
+		for j < len(s) && (s[j] == '.' || s[j] == 'e' || s[j] == 'E' || s[j] == '-' || s[j] == '+' || (s[j] >= '0' && s[j] <= '9')) {
+			// Allow '-'/'+' only directly after an exponent marker.
+			if (s[j] == '-' || s[j] == '+') && !(s[j-1] == 'e' || s[j-1] == 'E') {
+				break
+			}
+			j++
+		}
+		var err error
+		if t.num, err = strconv.ParseFloat(s[i:j], 64); err != nil {
+			return l.fail("sqlrew: bad number %q at position %d", s[i:j], i)
+		}
+		t.kind = tokNumber
+	case isIdentStart(c):
+		for j < len(s) && isIdentPart(s[j]) {
+			j++
+		}
+		t.kind = tokIdent
+		for k, word := range keywords {
+			if len(word) == j-i && strings.EqualFold(s[i:j], word) {
+				t.kind = tokAnd + tokenKind(k)
+			}
+		}
+	default:
+		return l.fail("sqlrew: unexpected character %q at position %d", c, i)
 	}
-	out = append(out, token{kind: tokEOF, pos: len(s)})
-	return out, nil
+	t.text, l.pos = s[i:j], j
+	return t
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers are classified a byte at a time, a byte above 0x7f as the
+// Latin-1 character of that value.
+func isIdentStart(c byte) bool {
+	return c == '_' || unicode.IsLetter(rune(c))
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }

@@ -1,131 +1,124 @@
 package sqlrew
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// The AST is deliberately small: boolean structure over atomic comparisons.
-type expr interface{ isExpr() }
+	"paw/internal/geom"
+)
 
-type orExpr struct{ terms []expr }
-type andExpr struct{ factors []expr }
-type notExpr struct{ inner expr }
-
-// pred is an atomic comparison col OP value, with OP one of
-// >=, <=, >, <, =, <>.
-type pred struct {
-	col string
-	op  string
-	val float64
-}
-
-func (orExpr) isExpr()  {}
-func (andExpr) isExpr() {}
-func (notExpr) isExpr() {}
-func (pred) isExpr()    {}
-
+// The parser is one recursive descent that builds no tree: it carries the
+// negation flag down (De Morgan: under NOT, AND and OR swap and every
+// comparison flips) and produces the disjunctive normal form directly, one
+// box per conjunction, in the order a left-to-right cross product gives.
+//
+// Every parse function takes the list parsed so far and the connective that
+// joins what it parses onto it — conj for AND, otherwise OR — and returns the
+// joined list; it owns left and may change its boxes in place, so a run of
+// ANDed comparisons tightens one box instead of multiplying eight lists.
 type parser struct {
-	toks []token
-	pos  int
+	lexer
+	tok token // one token of lookahead
+	r   *Rewriter
 }
 
-func parse(s string) (expr, error) {
-	toks, err := lex(s)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("sqlrew: unexpected %s at position %d", p.peek(), p.peek().pos)
-	}
-	return e, nil
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) advance() { p.tok = p.next() }
 
 func (p *parser) expect(kind tokenKind, what string) (token, error) {
-	if p.peek().kind != kind {
-		return token{}, fmt.Errorf("sqlrew: expected %s, found %s at position %d", what, p.peek(), p.peek().pos)
+	t := p.tok
+	if t.kind != kind {
+		return token{}, fmt.Errorf("sqlrew: expected %s, found %s at position %d", what, t, t.pos)
 	}
-	return p.next(), nil
+	p.advance()
+	return t, nil
 }
 
-func (p *parser) parseOr() (expr, error) {
-	first, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// identity is the list that joining by conj leaves unchanged: everything for
+// AND, nothing for OR.
+func (p *parser) identity(conj bool) []geom.Box {
+	if conj {
+		return []geom.Box{geom.UniverseBox(p.r.dims)}
 	}
-	terms := []expr{first}
-	for p.peek().kind == tokOr {
-		p.next()
-		t, err := p.parseAnd()
+	return nil
+}
+
+// join combines two lists: OR concatenates, AND is the cross product, left
+// box major, without the pairs that do not meet.
+func join(left, right []geom.Box, conj bool) []geom.Box {
+	if !conj {
+		if len(left) == 0 {
+			return right
+		}
+		return append(left, right...)
+	}
+	var out []geom.Box
+	for _, a := range left {
+		for _, b := range right {
+			if c, ok := a.Intersection(b); ok {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
+// parseChain parses `operand {sep operand}` at one precedence level: sep is
+// tokOr over AND-chains, or tokAnd over unaries. Operands whose connective is
+// the one the chain itself is joined by fold straight onto left.
+func (p *parser) parseChain(sep tokenKind, neg bool, left []geom.Box, conj bool) ([]geom.Box, error) {
+	inner := (sep == tokAnd) != neg
+	acc := left
+	if inner != conj {
+		acc = p.identity(inner)
+	}
+	for {
+		var err error
+		if sep == tokOr {
+			acc, err = p.parseChain(tokAnd, neg, acc, inner)
+		} else {
+			acc, err = p.parseUnary(neg, acc, inner)
+		}
 		if err != nil {
 			return nil, err
 		}
-		terms = append(terms, t)
-	}
-	if len(terms) == 1 {
-		return first, nil
-	}
-	return orExpr{terms: terms}, nil
-}
-
-func (p *parser) parseAnd() (expr, error) {
-	first, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	factors := []expr{first}
-	for p.peek().kind == tokAnd {
-		p.next()
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if p.tok.kind != sep {
+			break
 		}
-		factors = append(factors, f)
+		p.advance()
 	}
-	if len(factors) == 1 {
-		return first, nil
+	if inner != conj {
+		acc = join(left, acc, conj)
 	}
-	return andExpr{factors: factors}, nil
+	return acc, nil
 }
 
-func (p *parser) parseUnary() (expr, error) {
-	switch p.peek().kind {
+func (p *parser) parseUnary(neg bool, left []geom.Box, conj bool) ([]geom.Box, error) {
+	switch p.tok.kind {
 	case tokNot:
-		p.next()
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return notExpr{inner: inner}, nil
+		p.advance()
+		return p.parseUnary(!neg, left, conj)
 	case tokLParen:
-		p.next()
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
+		p.advance()
+		out, err := p.parseChain(tokOr, neg, left, conj)
+		if err == nil {
+			_, err = p.expect(tokRParen, "')'")
 		}
-		if _, err := p.expect(tokRParen, "')'"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return out, err
 	default:
-		return p.parsePredicate()
+		return p.parsePredicate(neg, left, conj)
 	}
 }
 
 // parsePredicate accepts `col OP number`, `number OP col`, and
 // `col BETWEEN a AND b`.
-func (p *parser) parsePredicate() (expr, error) {
-	switch p.peek().kind {
+func (p *parser) parsePredicate(neg bool, left []geom.Box, conj bool) ([]geom.Box, error) {
+	switch p.tok.kind {
 	case tokIdent:
-		col := p.next().text
-		switch p.peek().kind {
+		col := p.tok
+		p.advance()
+		switch p.tok.kind {
 		case tokBetween:
-			p.next()
+			p.advance()
 			lo, err := p.expect(tokNumber, "number")
 			if err != nil {
 				return nil, err
@@ -137,141 +130,101 @@ func (p *parser) parsePredicate() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return andExpr{factors: []expr{
-				pred{col: col, op: ">=", val: lo.num},
-				pred{col: col, op: "<=", val: hi.num},
-			}}, nil
+			if neg {
+				return p.bounds(left, conj, col, false, bound{opLT, lo.num}, bound{opGT, hi.num})
+			}
+			return p.bounds(left, conj, col, true, bound{opGE, lo.num}, bound{opLE, hi.num})
 		case tokOp:
-			op := p.next().text
+			op := p.tok.op
+			p.advance()
 			v, err := p.expect(tokNumber, "number")
 			if err != nil {
 				return nil, err
 			}
-			return pred{col: col, op: op, val: v.num}, nil
+			return p.comparison(neg, left, conj, col, op, v.num)
 		default:
-			return nil, fmt.Errorf("sqlrew: expected comparison after column %q at position %d", col, p.peek().pos)
+			return nil, fmt.Errorf("sqlrew: expected comparison after column %q at position %d", col.text, p.tok.pos)
 		}
 	case tokNumber:
-		v := p.next()
+		v := p.tok
+		p.advance()
 		op, err := p.expect(tokOp, "comparison operator")
 		if err != nil {
 			return nil, err
 		}
-		colTok, err := p.expect(tokIdent, "column name")
+		col, err := p.expect(tokIdent, "column name")
 		if err != nil {
 			return nil, err
 		}
-		return pred{col: colTok.text, op: flipOp(op.text), val: v.num}, nil
+		if op.op < opEQ {
+			op.op ^= 2 // 10 <= A means A >= 10
+		}
+		return p.comparison(neg, left, conj, col, op.op, v.num)
 	default:
-		return nil, fmt.Errorf("sqlrew: expected predicate, found %s at position %d", p.peek(), p.peek().pos)
+		return nil, fmt.Errorf("sqlrew: expected predicate, found %s at position %d", p.tok, p.tok.pos)
 	}
 }
 
-// flipOp mirrors an operator across its operands: 10 <= A means A >= 10.
-func flipOp(op string) string {
-	switch op {
-	case "<=":
-		return ">="
-	case ">=":
-		return "<="
-	case "<":
-		return ">"
-	case ">":
-		return "<"
-	default: // = and <> are symmetric
-		return op
+// comparison joins `col op v` onto left. A box has no hole, so <> (and a
+// negated =) is the two disjuncts col < v OR col > v.
+func (p *parser) comparison(neg bool, left []geom.Box, conj bool, col token, op opKind, v float64) ([]geom.Box, error) {
+	if neg {
+		op ^= 1
 	}
+	if op == opNE {
+		return p.bounds(left, conj, col, false, bound{opLT, v}, bound{opGT, v})
+	}
+	return p.bounds(left, conj, col, conj, bound{op, v})
 }
 
-// pushNot eliminates NOT nodes by De Morgan's laws and operator negation.
-func pushNot(e expr, negated bool) expr {
-	switch v := e.(type) {
-	case notExpr:
-		return pushNot(v.inner, !negated)
-	case andExpr:
-		out := make([]expr, len(v.factors))
-		for i, f := range v.factors {
-			out[i] = pushNot(f, negated)
-		}
-		if negated {
-			return orExpr{terms: out}
-		}
-		return andExpr{factors: out}
-	case orExpr:
-		out := make([]expr, len(v.terms))
-		for i, t := range v.terms {
-			out[i] = pushNot(t, negated)
-		}
-		if negated {
-			return andExpr{factors: out}
-		}
-		return orExpr{terms: out}
-	case pred:
-		if !negated {
-			return v
-		}
-		return negatePred(v)
-	default:
-		panic(fmt.Sprintf("sqlrew: unknown expr %T", e))
-	}
+// bound is one side of a column's range: an operator other than <> and its
+// operand.
+type bound struct {
+	op opKind
+	v  float64
 }
 
-func negatePred(p pred) expr {
-	switch p.op {
-	case ">=":
-		return pred{col: p.col, op: "<", val: p.val}
-	case "<=":
-		return pred{col: p.col, op: ">", val: p.val}
-	case ">":
-		return pred{col: p.col, op: "<=", val: p.val}
-	case "<":
-		return pred{col: p.col, op: ">=", val: p.val}
-	case "=":
-		return pred{col: p.col, op: "<>", val: p.val}
-	case "<>":
-		return pred{col: p.col, op: "=", val: p.val}
-	default:
-		panic(fmt.Sprintf("sqlrew: unknown operator %q", p.op))
+// bounds joins onto left the bounds bs on one column, themselves joined by
+// inner: it is parseChain's fold with bounds for operands. Under AND a bound
+// tightens every box in place; under OR it adds its half-space as a disjunct.
+func (p *parser) bounds(left []geom.Box, conj bool, col token, inner bool, bs ...bound) ([]geom.Box, error) {
+	dim, ok := p.r.column(col.text)
+	if !ok {
+		return nil, fmt.Errorf("sqlrew: unknown column %q", col.text)
 	}
+	acc := left
+	if inner != conj {
+		acc = p.identity(inner)
+	}
+	for _, b := range bs {
+		if !inner {
+			acc = append(acc, geom.UniverseBox(p.r.dims))
+			b.tighten(acc[len(acc)-1], dim)
+			continue
+		}
+		for _, box := range acc {
+			b.tighten(box, dim)
+		}
+	}
+	if inner != conj {
+		acc = join(left, acc, conj)
+	}
+	return acc, nil
 }
 
-// toDNF converts a NOT-free expression into a disjunction of conjunctions of
-// atomic predicates. Inequality (<>) predicates are expanded into two
-// disjuncts first.
-func toDNF(e expr) [][]pred {
-	switch v := e.(type) {
-	case pred:
-		if v.op == "<>" {
-			return [][]pred{
-				{{col: v.col, op: "<", val: v.val}},
-				{{col: v.col, op: ">", val: v.val}},
-			}
-		}
-		return [][]pred{{v}}
-	case orExpr:
-		var out [][]pred
-		for _, t := range v.terms {
-			out = append(out, toDNF(t)...)
-		}
-		return out
-	case andExpr:
-		// Cross-product of the factors' DNFs.
-		out := [][]pred{{}}
-		for _, f := range v.factors {
-			fd := toDNF(f)
-			var next [][]pred
-			for _, conj := range out {
-				for _, fc := range fd {
-					merged := make([]pred, 0, len(conj)+len(fc))
-					merged = append(merged, conj...)
-					merged = append(merged, fc...)
-					next = append(next, merged)
-				}
-			}
-			out = next
-		}
-		return out
-	default:
-		panic(fmt.Sprintf("sqlrew: NOT should have been eliminated, found %T", e))
+// tighten intersects box with `column dim op v`, in place.
+func (b bound) tighten(box geom.Box, dim int) {
+	switch b.op {
+	case opGE:
+		box.Lo[dim] = math.Max(box.Lo[dim], b.v)
+	case opGT:
+		box.Lo[dim] = math.Max(box.Lo[dim], math.Nextafter(b.v, math.Inf(1)))
+	case opLE:
+		box.Hi[dim] = math.Min(box.Hi[dim], b.v)
+	case opLT:
+		box.Hi[dim] = math.Min(box.Hi[dim], math.Nextafter(b.v, math.Inf(-1)))
+	case opEQ:
+		box.Lo[dim] = math.Max(box.Lo[dim], b.v)
+		box.Hi[dim] = math.Min(box.Hi[dim], b.v)
 	}
 }

@@ -9,47 +9,65 @@ import (
 	"paw/internal/geom"
 )
 
+// randCase spells a keyword in random letter case.
+func randCase(rng *rand.Rand, kw string) string {
+	b := []byte(strings.ToLower(kw))
+	for i := range b {
+		if rng.Intn(2) == 0 {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
 // randExpr generates a random predicate tree, returning both its SQL text
 // and a direct evaluator — the oracle the parser+rewriter must agree with.
+// There is deliberately no second parser to compare against.
 func randExpr(rng *rand.Rand, cols []string, depth int) (string, func([]float64) bool) {
 	if depth <= 0 || rng.Float64() < 0.4 {
 		// Leaf: a comparison on a random column with a value in [0, 10].
 		c := rng.Intn(len(cols))
 		v := float64(rng.Intn(101)) / 10
-		switch rng.Intn(6) {
-		case 0:
-			return fmt.Sprintf("%s >= %g", cols[c], v), func(x []float64) bool { return x[c] >= v }
-		case 1:
-			return fmt.Sprintf("%s <= %g", cols[c], v), func(x []float64) bool { return x[c] <= v }
-		case 2:
-			return fmt.Sprintf("%s > %g", cols[c], v), func(x []float64) bool { return x[c] > v }
-		case 3:
-			return fmt.Sprintf("%s < %g", cols[c], v), func(x []float64) bool { return x[c] < v }
-		case 4:
-			return fmt.Sprintf("%s = %g", cols[c], v), func(x []float64) bool { return x[c] == v }
-		default:
+		if rng.Intn(7) == 6 {
 			lo := float64(rng.Intn(101)) / 10
 			hi := lo + float64(rng.Intn(41))/10
-			return fmt.Sprintf("%s BETWEEN %g AND %g", cols[c], lo, hi),
+			return fmt.Sprintf("%s %s %g %s %g", cols[c], randCase(rng, "between"), lo, randCase(rng, "and"), hi),
 				func(x []float64) bool { return x[c] >= lo && x[c] <= hi }
 		}
+		ops := []struct {
+			op, mirrored string
+			eval         func(x, v float64) bool
+		}{
+			{">=", "<=", func(x, v float64) bool { return x >= v }},
+			{"<=", ">=", func(x, v float64) bool { return x <= v }},
+			{">", "<", func(x, v float64) bool { return x > v }},
+			{"<", ">", func(x, v float64) bool { return x < v }},
+			{"=", "=", func(x, v float64) bool { return x == v }},
+			{"<>", "<>", func(x, v float64) bool { return x != v }},
+		}
+		o := ops[rng.Intn(len(ops))]
+		eval := func(x []float64) bool { return o.eval(x[c], v) }
+		if rng.Intn(3) == 0 { // number OP col
+			return fmt.Sprintf("%g %s %s", v, o.mirrored, cols[c]), eval
+		}
+		return fmt.Sprintf("%s %s %g", cols[c], o.op, v), eval
 	}
 	switch rng.Intn(3) {
 	case 0: // AND
 		ls, lf := randExpr(rng, cols, depth-1)
 		rs, rf := randExpr(rng, cols, depth-1)
-		return fmt.Sprintf("(%s AND %s)", ls, rs), func(x []float64) bool { return lf(x) && rf(x) }
+		return fmt.Sprintf("(%s %s %s)", ls, randCase(rng, "and"), rs), func(x []float64) bool { return lf(x) && rf(x) }
 	case 1: // OR
 		ls, lf := randExpr(rng, cols, depth-1)
 		rs, rf := randExpr(rng, cols, depth-1)
-		return fmt.Sprintf("(%s OR %s)", ls, rs), func(x []float64) bool { return lf(x) || rf(x) }
+		return fmt.Sprintf("(%s %s %s)", ls, randCase(rng, "or"), rs), func(x []float64) bool { return lf(x) || rf(x) }
 	default: // NOT
 		s, f := randExpr(rng, cols, depth-1)
-		return fmt.Sprintf("NOT (%s)", s), func(x []float64) bool { return !f(x) }
+		return fmt.Sprintf("%s (%s)", randCase(rng, "not"), s), func(x []float64) bool { return !f(x) }
 	}
 }
 
-// TestRandomClausesSemantics: for hundreds of random predicate trees, the
+// TestRandomClausesSemantics: for a thousand random predicate trees, the
 // rewritten disjoint range set must classify random points exactly like
 // direct evaluation, and the ranges must be pairwise interior-disjoint.
 func TestRandomClausesSemantics(t *testing.T) {
@@ -59,8 +77,8 @@ func TestRandomClausesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 300; iter++ {
-		sql, eval := randExpr(rng, cols, 3)
+	for iter := 0; iter < 1000; iter++ {
+		sql, eval := randExpr(rng, cols, 4)
 		boxes, err := r.Rewrite(sql)
 		if err != nil {
 			t.Fatalf("clause %q failed to parse: %v", sql, err)

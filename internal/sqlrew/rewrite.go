@@ -2,8 +2,8 @@ package sqlrew
 
 import (
 	"fmt"
-	"math"
 	"strings"
+	"unicode/utf8"
 
 	"paw/internal/geom"
 )
@@ -41,20 +41,29 @@ func (r *Rewriter) Rewrite(where string) ([]geom.Box, error) {
 	if strings.TrimSpace(where) == "" {
 		return []geom.Box{geom.UniverseBox(r.dims)}, nil
 	}
-	ast, err := parse(where)
+	p := parser{lexer: lexer{s: where}, r: r}
+	p.advance()
+	raw, err := p.parseChain(tokOr, false, nil, false)
+	if p.err != nil {
+		return nil, p.err // a lexical error reads as end of input to the descent
+	}
+	if err == nil && p.tok.kind != tokEOF {
+		err = fmt.Errorf("sqlrew: unexpected %s at position %d", p.tok, p.tok.pos)
+	}
 	if err != nil {
 		return nil, err
 	}
-	dnf := toDNF(pushNot(ast, false))
-	var raw []geom.Box
-	for _, conj := range dnf {
-		box, ok, err := r.conjToBox(conj)
-		if err != nil {
-			return nil, err
+	// Drop the conjunctions the parse left unsatisfiable.
+	n := 0
+	for _, b := range raw {
+		if !b.IsEmpty() {
+			raw[n] = b
+			n++
 		}
-		if ok {
-			raw = append(raw, box)
-		}
+	}
+	raw = raw[:n]
+	if len(raw) <= 1 {
+		return raw, nil
 	}
 	// Disjointify: each disjunct minus the union of its predecessors.
 	var out []geom.Box
@@ -66,46 +75,50 @@ func (r *Rewriter) Rewrite(where string) ([]geom.Box, error) {
 }
 
 // RewriteSQL accepts a full "SELECT ... FROM ... [WHERE ...]" statement and
-// rewrites its WHERE clause (everything after the last top-level WHERE
-// keyword). Statements without WHERE scan everything.
+// rewrites its WHERE clause (everything after the last WHERE keyword).
+// Statements without WHERE scan everything.
 func (r *Rewriter) RewriteSQL(stmt string) ([]geom.Box, error) {
-	upper := strings.ToUpper(stmt)
-	idx := strings.LastIndex(upper, "WHERE")
+	idx := lastWhere(stmt)
 	if idx < 0 {
 		return []geom.Box{geom.UniverseBox(r.dims)}, nil
 	}
-	return r.Rewrite(stmt[idx+len("WHERE"):])
+	return r.Rewrite(stmt[idx+len("where"):])
 }
 
-// conjToBox intersects a conjunction of predicates into a single box; ok is
-// false when the conjunction is unsatisfiable.
-func (r *Rewriter) conjToBox(conj []pred) (geom.Box, bool, error) {
-	box := geom.UniverseBox(r.dims)
-	for _, p := range conj {
-		dim, ok := r.cols[strings.ToLower(p.col)]
-		if !ok {
-			return geom.Box{}, false, fmt.Errorf("sqlrew: unknown column %q", p.col)
-		}
-		switch p.op {
-		case ">=":
-			box.Lo[dim] = math.Max(box.Lo[dim], p.val)
-		case ">":
-			box.Lo[dim] = math.Max(box.Lo[dim], math.Nextafter(p.val, math.Inf(1)))
-		case "<=":
-			box.Hi[dim] = math.Min(box.Hi[dim], p.val)
-		case "<":
-			box.Hi[dim] = math.Min(box.Hi[dim], math.Nextafter(p.val, math.Inf(-1)))
-		case "=":
-			box.Lo[dim] = math.Max(box.Lo[dim], p.val)
-			box.Hi[dim] = math.Min(box.Hi[dim], p.val)
-		default:
-			return geom.Box{}, false, fmt.Errorf("sqlrew: operator %q must not reach box conversion", p.op)
+// lastWhere returns the byte offset of the last WHERE keyword in stmt, or -1.
+// It folds case on the statement's own bytes, so the offset is one into stmt,
+// and takes the word only where no identifier byte touches it: a column named
+// nowhere is not a keyword.
+func lastWhere(stmt string) int {
+	const n = len("where")
+	for i := len(stmt) - n; i >= 0; i-- {
+		if stmt[i]|0x20 == 'w' && strings.EqualFold(stmt[i:i+n], "where") &&
+			(i == 0 || !isIdentPart(stmt[i-1])) &&
+			(i+n == len(stmt) || !isIdentPart(stmt[i+n])) {
+			return i
 		}
 	}
-	if box.IsEmpty() {
-		return geom.Box{}, false, nil
+	return -1
+}
+
+// column resolves a column name, case-insensitively, to its dimension. An
+// ASCII name is folded on the stack and indexes the map without allocating;
+// any other goes through the strings.ToLower that New keyed the map with.
+func (r *Rewriter) column(name string) (int, bool) {
+	var buf [64]byte
+	key := buf[:0]
+	for i := 0; i < len(name) && len(name) <= len(buf) && name[i] < utf8.RuneSelf; i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key = append(key, c)
 	}
-	return box, true, nil
+	if len(key) < len(name) {
+		key = []byte(strings.ToLower(name))
+	}
+	dim, ok := r.cols[string(key)]
+	return dim, ok
 }
 
 // Dims returns the schema dimensionality.

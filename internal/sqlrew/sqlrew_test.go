@@ -3,6 +3,7 @@ package sqlrew
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"paw/internal/geom"
@@ -17,8 +18,25 @@ func mustNew(t *testing.T, cols ...string) *Rewriter {
 	return r
 }
 
+// lexAll drains a lexer: every token up to and including tokEOF, or the
+// lexical error.
+func lexAll(s string) ([]token, error) {
+	l := lexer{s: s}
+	var out []token
+	for {
+		t := l.next()
+		if l.err != nil {
+			return nil, l.err
+		}
+		out = append(out, t)
+		if t.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexerBasics(t *testing.T) {
-	toks, err := lex("A >= 10 AND b_2 <= 5.5e2 OR (C < -3)")
+	toks, err := lexAll("A >= 10 AND b_2 <= 5.5e2 OR (C < -3)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +50,9 @@ func TestLexerBasics(t *testing.T) {
 			t.Errorf("token %d kind = %d, want %d (%s)", i, toks[i].kind, k, toks[i])
 		}
 	}
+	if toks[1].op != opGE || toks[5].op != opLE || toks[10].op != opLT {
+		t.Errorf("operators lexed as %d %d %d", toks[1].op, toks[5].op, toks[10].op)
+	}
 	if toks[6].num != 550 {
 		t.Errorf("5.5e2 parsed as %v", toks[6].num)
 	}
@@ -41,11 +62,38 @@ func TestLexerBasics(t *testing.T) {
 }
 
 func TestLexerErrors(t *testing.T) {
-	if _, err := lex("A >= #"); err == nil {
+	if _, err := lexAll("A >= #"); err == nil {
 		t.Error("bad character must error")
 	}
-	if _, err := lex("A >= 1.2.3"); err == nil {
+	if _, err := lexAll("A >= 1.2.3"); err == nil {
 		t.Error("bad number must error")
+	}
+	if _, err := lexAll("A == 1"); err == nil {
+		t.Error("an operator that is not a comparison must error")
+	}
+	// After an error the input is over: the parser may keep asking.
+	l := lexer{s: "# A"}
+	for i := 0; i < 3; i++ {
+		if tok := l.next(); tok.kind != tokEOF || l.err == nil {
+			t.Fatalf("call %d after a bad character: %v, err %v", i, tok.kind, l.err)
+		}
+	}
+}
+
+// TestOperatorNegation pins the opKind layout the parser leans on: op^1 is
+// the logical negation, and op^2 mirrors an inequality across its operands.
+func TestOperatorNegation(t *testing.T) {
+	neg := map[opKind]opKind{opGE: opLT, opLT: opGE, opLE: opGT, opGT: opLE, opEQ: opNE, opNE: opEQ}
+	for op, want := range neg {
+		if op^1 != want {
+			t.Errorf("op %d negates to %d, want %d", op, op^1, want)
+		}
+	}
+	flip := map[opKind]opKind{opGE: opLE, opLE: opGE, opLT: opGT, opGT: opLT}
+	for op, want := range flip {
+		if op^2 != want {
+			t.Errorf("op %d mirrors to %d, want %d", op, op^2, want)
+		}
 	}
 }
 
@@ -316,6 +364,83 @@ func TestDisjointUnionEquivalence(t *testing.T) {
 			if got != want {
 				t.Fatalf("clause %q point (%v,%v): got %v, want %v", clause, a, b, got, want)
 			}
+		}
+	}
+}
+
+// TestRewriteSQLFindsWhereInTheStatementItself: the clause is located on the
+// statement's own bytes. Upper-casing the statement first moved the offset
+// for runes whose case pair has another byte length — ɐ grows (a panic, from
+// one client frame), ı and ſ shrink (a shifted clause) — and matched the
+// letters inside an identifier.
+func TestRewriteSQLFindsWhereInTheStatementItself(t *testing.T) {
+	r := mustNew(t, "x", "nowhere")
+	boxes, err := r.RewriteSQL("ɐɐɐɐɐɐɐɐ WHERE")
+	if err != nil || len(boxes) != 1 || !boxes[0].Contains(geom.Point{1e18, -1e18}) {
+		t.Errorf("growing runes before an empty clause: %v, %v; want everything", boxes, err)
+	}
+	boxes, err = r.RewriteSQL("SELECT ıſıſıſ FROM t WHERE x >= 4")
+	if err != nil || len(boxes) != 1 || boxes[0].Lo[0] != 4 || !math.IsInf(boxes[0].Lo[1], -1) {
+		t.Errorf("shrinking runes before the clause: %v, %v; want x >= 4", boxes, err)
+	}
+	boxes, err = r.RewriteSQL("SELECT * FROM t WHERE nowhere >= 1")
+	if err != nil || len(boxes) != 1 || boxes[0].Lo[1] != 1 || !math.IsInf(boxes[0].Lo[0], -1) {
+		t.Errorf("a column named nowhere: %v, %v; want nowhere >= 1", boxes, err)
+	}
+	for stmt, want := range map[string]int{
+		"":                            -1,
+		"wher":                        -1,
+		"where":                       0,
+		"WHERE x":                     0,
+		"SELECT * FROM anywhere":      -1,
+		"SELECT * FROM t where_x":     -1,
+		"SELECT * FROM t WHERE1":      -1,
+		"SELECT * FROM t\tWhErE(x=1)": 16,
+		"a WHERE b WHERE c":           10,
+	} {
+		if got := lastWhere(stmt); got != want {
+			t.Errorf("lastWhere(%q) = %d, want %d", stmt, got, want)
+		}
+	}
+}
+
+// TestRewriteNegatedDoubleEquals: == lexed as an operator nothing could
+// convert, which was an error — except under NOT, where negating it panicked.
+func TestRewriteNegatedDoubleEquals(t *testing.T) {
+	r := mustNew(t, "x")
+	for _, clause := range []string{"NOT x == 5", "NOT (x >= 1 AND 5 == x)"} {
+		if boxes, err := r.Rewrite(clause); err == nil {
+			t.Errorf("clause %q must error, rewrote to %v", clause, boxes)
+		}
+	}
+}
+
+// TestColumnLookupFoldsLikeNew: a clause names a column in any case, found
+// without allocating; names beyond ASCII go through the same strings.ToLower
+// that New keyed them with.
+func TestColumnLookupFoldsLikeNew(t *testing.T) {
+	long := strings.Repeat("Long_Column_", 8) // longer than the lookup's stack buffer
+	r := mustNew(t, "Price", "ª", long)
+	for name, want := range map[string]int{"price": 0, "PRICE": 0, "ª": 1, strings.ToUpper(long): 2} {
+		if dim, ok := r.column(name); !ok || dim != want {
+			t.Errorf("column(%q) = %d, %v; want %d", name, dim, ok, want)
+		}
+	}
+	if _, ok := r.column("pricey"); ok {
+		t.Error("unknown column resolved")
+	}
+	if boxes, err := r.Rewrite("ª >= 2 AND " + strings.ToLower(long) + " <= 3"); err != nil || len(boxes) != 1 || boxes[0].Lo[1] != 2 || boxes[0].Hi[2] != 3 {
+		t.Errorf("non-ASCII and long column names: %v, %v", boxes, err)
+	}
+}
+
+// TestKeywordTableOrder: the lexer maps keywords[k] to tokAnd+k.
+func TestKeywordTableOrder(t *testing.T) {
+	want := map[string]tokenKind{"AND": tokAnd, "Or": tokOr, "nOt": tokNot, "BETWEEN": tokBetween, "andy": tokIdent, "o": tokIdent}
+	for word, kind := range want {
+		l := lexer{s: word}
+		if tok := l.next(); tok.kind != kind || tok.text != word {
+			t.Errorf("%q lexed as kind %d (%s), want %d", word, tok.kind, tok, kind)
 		}
 	}
 }
