@@ -25,14 +25,16 @@ test:
 # the benchmark harness, the invariant/simulation suites, the online
 # reorganization path (ingest, adaptive baseline, drift monitor + migration),
 # the elastic membership substrate (failure detector, ring placement,
-# rebalance planner) and the tracing substrate (spans assemble across scatter
-# goroutines) under the race detector in short mode. Any new fan-out point
-# must pass this before merging. The store's materialisation fan-out
+# rebalance planner), the tracing substrate (spans assemble across scatter
+# goroutines), the SQL rewriter and pawmaster's boot check (invariant.CheckData
+# fans the dataset out) under the race detector in short mode. Any new fan-out
+# point must pass this before merging. The store's materialisation fan-out
 # (blockstore.Materialize over colstore.Builder) must produce byte-identical
-# tables at any width, so those two packages run serial and parallel
-# (-cpu 1,2): their determinism tests compare the encodings.
+# tables — and so identical data envelopes — at any width, so those two
+# packages run serial and parallel (-cpu 1,2): their determinism tests compare
+# the encodings.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/...
+	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
 	$(GO) test -race -short -cpu 1,2 ./internal/colstore/... ./internal/blockstore/...
 
 # chaos runs the deterministic fault-injection suite (DESIGN.md §10) under
@@ -78,11 +80,15 @@ fuzz:
 # is what catches an internal API change that would break the benchmark —
 # vet first, so a compile break is reported as one rather than as a failed
 # test binary. It also runs every selection-kernel and request-path benchmark
-# case once, so a kernel that panics on an odd group size fails here.
+# case once, so a kernel that panics on an odd group size fails here, and
+# range routing over the 5 184-partition grid with a data envelope on every
+# partition (ns/query; TestAppendPartitionsForEnvelopesAllocs pins its 0
+# allocations in tier 1).
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-kernels BENCHTIME=1x
 	$(MAKE) bench-request-path BENCHTIME=1x
+	$(GO) test ./internal/layout -run '^$$' -bench 'AppendPartitionsForEnvelopes$$' -benchmem -benchtime=1x
 
 # bench-kernels times filterAll and refine on every encoding, each on one
 # replayed row group and on 256 fresh ones at p ≈ ½ (BenchmarkKernel,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/kdtree"
@@ -111,8 +112,12 @@ func runBuild(args []string) {
 		}
 	})
 
+	// Materialising binds the dataset to the layout as pawworker's store
+	// will: beside the partition sizes of a routing pass it leaves every
+	// partition's data envelope (§V-A), which the layout file carries to
+	// pawmaster. The store itself is dropped.
 	phase("route", func() {
-		l.Route(data)
+		blockstore.Materialize(l, data, blockstore.Config{})
 	})
 
 	var r *layout.BuildReport

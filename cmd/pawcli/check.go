@@ -59,6 +59,14 @@ func checkFile(path string, seed int64) error {
 	if err := invariant.CheckSealed(l, seed); err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s, index height %d\n", path, l, l.IndexHeight())
+	described, boxes := 0, 0
+	for _, p := range l.Parts {
+		if len(p.Precise) > 0 {
+			described++
+			boxes += len(p.Precise)
+		}
+	}
+	fmt.Printf("%s: %s, index height %d, precise descriptors on %d partitions (%d boxes)\n",
+		path, l, l.IndexHeight(), described, boxes)
 	return nil
 }

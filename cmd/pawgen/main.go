@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 
+	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/histogram"
@@ -168,7 +169,9 @@ func cmdPartition(args []string) {
 	default:
 		fatalf("unknown method %q", *method)
 	}
-	l.Route(data)
+	// Not just routed: materialising as pawworker will also leaves every
+	// partition's data envelope (§V-A) in the file pawmaster routes on.
+	blockstore.Materialize(l, data, blockstore.Config{})
 	f, err := os.Create(*layoutOut)
 	if err != nil {
 		fatalf("%v", err)

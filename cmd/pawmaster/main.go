@@ -51,6 +51,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
+	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
@@ -122,23 +123,9 @@ func main() {
 	if *dataPath == "" || *layoutPath == "" || *workers == "" {
 		fatalf("-data, -layout and -workers are required")
 	}
-	f, err := os.Open(*dataPath)
+	data, l, err := load(*dataPath, *layoutPath)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	data, err := dataset.Read(f)
-	f.Close()
-	if err != nil {
-		fatalf("reading %s: %v", *dataPath, err)
-	}
-	lf, err := os.Open(*layoutPath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	l, err := layout.Decode(lf)
-	lf.Close()
-	if err != nil {
-		fatalf("reading %s: %v", *layoutPath, err)
 	}
 	rm, err := router.NewMaster(l, data.Names())
 	if err != nil {
@@ -287,6 +274,36 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	m.Close()
+}
+
+// load reads the dataset and the layout and checks that they belong together.
+// The layout file carries each partition's precise descriptor, computed from
+// the dataset it was built over; beside another dataset those boxes would make
+// the master drop partitions that hold matching rows — silently, where a
+// descriptor-less layout would only have mis-sized them.
+func load(dataPath, layoutPath string) (*dataset.Dataset, *layout.Layout, error) {
+	f, err := os.Open(dataPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := dataset.Read(f)
+	f.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", dataPath, err)
+	}
+	lf, err := os.Open(layoutPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := layout.Decode(lf)
+	lf.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", layoutPath, err)
+	}
+	if err := invariant.CheckData(l, data); err != nil {
+		return nil, nil, fmt.Errorf("%s was not built over %s: %w", layoutPath, dataPath, err)
+	}
+	return data, l, nil
 }
 
 // workerStore is the block store configuration pawworker materialises with.

@@ -86,7 +86,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table2", "table4", "fig15", "fig16", "fig17", "fig18", "fig19",
 		"fig20", "fig21", "fig22a", "fig22b", "fig23", "fig24", "fig25",
-		"ablation_alpha", "ablation_multigroup", "ablation_beam", "baseline_maxskip", "baseline_adaptive", "ablation_placement", "scenarios",
+		"ablation_alpha", "ablation_multigroup", "ablation_beam", "baseline_maxskip", "baseline_adaptive", "ablation_placement", "ablation_envelope", "scenarios",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {
@@ -162,5 +162,25 @@ func TestExperimentsRunTiny(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMaterializeLeavesScenarioLayoutsAlone: a scenario's layouts are cached
+// and shared, and blockstore.Materialize installs data envelopes on the layout
+// it is handed; an experiment that materialises must not switch the §V-A
+// plug-in on for every experiment after it (table4 would read 0.0071 MB for
+// 0.034).
+func TestMaterializeLeavesScenarioLayoutsAlone(t *testing.T) {
+	s := table4Scenario(tinyConfig())
+	l := s.Layout(MPAW)
+	before := l.AvgCost(s.Fut.Boxes(), nil)
+	endToEnd(l, s.Data, s.Fut.Boxes())
+	for _, p := range l.Parts {
+		if p.Precise != nil {
+			t.Fatalf("partition %d kept precise descriptor %v", p.ID, p.Precise)
+		}
+	}
+	if after := l.AvgCost(s.Fut.Boxes(), nil); after != before {
+		t.Errorf("modelled cost moved from %v to %v", before, after)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
+	"paw/internal/descriptor"
 	"paw/internal/dist"
 	"paw/internal/drift"
 	"paw/internal/geom"
@@ -186,7 +187,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	l := core.Build(data, sample, data.Domain(), sc.Hist, core.Params{MinRows: 20, Delta: sc.Delta})
 	l.Route(data)
 	storeCfg := blockstore.Config{GroupRows: 256}
-	store := blockstore.Materialize(l, data, storeCfg)
+	store := materialize(l, data, storeCfg)
 
 	place := placement.RoundRobin(l, opt.Workers)
 	perWorker := make([][]layout.ID, opt.Workers)
@@ -383,7 +384,12 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		live = append(live, workload.Query{Box: stream[i], Seq: int64(i - lastLo)})
 	}
 	liveBoxes := live.Boxes()
-	res.PatchedCost = m.Router().Layout().AvgCost(liveBoxes, nil)
+	// Region descriptors against region descriptors: the partitions a
+	// migration added carry data envelopes, the offline rebuild none. (The
+	// stream is over; nothing routes on the served layout any more.)
+	served := m.Router().Layout()
+	descriptor.Uninstall(served)
+	res.PatchedCost = served.AvgCost(liveBoxes, nil)
 	offline, err := offlineDriftLayout(data, live, dcfg)
 	if err != nil {
 		return res, err

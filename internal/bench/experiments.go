@@ -8,6 +8,7 @@ import (
 	"paw/internal/cluster"
 	"paw/internal/core"
 	"paw/internal/dataset"
+	"paw/internal/descriptor"
 	"paw/internal/geom"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
@@ -45,6 +46,7 @@ func Registry() []Experiment {
 		{"baseline_maxskip", "Extra baseline: MaxSkip feature clustering", BaselineMaxSkip},
 		{"baseline_adaptive", "Extra baseline: adaptive repartitioning stream", BaselineAdaptive},
 		{"ablation_placement", "Ablation: workload-aware partition placement", AblationPlacement},
+		{"ablation_envelope", "Ablation: Table IV's I/O cost with the store's data envelopes", AblationEnvelope},
 		{"scenarios", "The three workload scenarios of Fig. 1 / Table I", Scenarios},
 	}
 }
@@ -136,9 +138,7 @@ func buildUnrouted(s *Scenario, method string) *layout.Layout {
 // Table4 reproduces Table IV: I/O cost and end-to-end time at δ=0 under the
 // default setting.
 func Table4(cfg Config) []*Table {
-	data := cfg.tpch()
-	hist := workload.Uniform(data.Domain(), cfg.genParams(cfg.NumQueries/2, cfg.Seed+11))
-	s := NewScenario(cfg, data, hist, 0, cfg.Seed+13)
+	s := table4Scenario(cfg)
 	tIO := &Table{
 		ID: "table4", Title: "Query cost at δ=0, default settings",
 		XLabel: "measure", Methods: []string{MKdTree, MQdTree, MPAW},
@@ -157,10 +157,29 @@ func Table4(cfg Config) []*Table {
 	return []*Table{tIO}
 }
 
+// table4Scenario is the default TPC-H scenario at δ=0.
+func table4Scenario(cfg Config) *Scenario {
+	data := cfg.tpch()
+	hist := workload.Uniform(data.Domain(), cfg.genParams(cfg.NumQueries/2, cfg.Seed+11))
+	return NewScenario(cfg, data, hist, 0, cfg.Seed+13)
+}
+
+// materialize is blockstore.Materialize without its one side effect on
+// routing: the data envelopes it installs are the §V-A plug-in, which the
+// paper's methods are reported without, and a scenario's layouts are cached
+// and shared by every experiment that runs afterwards. The live-cluster
+// benches use it too, so the BENCH_*.json they regenerate stay comparable.
+// (AblationEnvelope records what leaving the envelopes on does.)
+func materialize(l *layout.Layout, data *dataset.Dataset, cfg blockstore.Config) *blockstore.Store {
+	store := blockstore.Materialize(l, data, cfg)
+	descriptor.Uninstall(l)
+	return store
+}
+
 // endToEnd materialises the layout and runs the workload on the simulated
 // cluster, returning (avg nominal I/O per query in MB, avg elapsed in ms).
 func endToEnd(l *layout.Layout, data *dataset.Dataset, queries []geom.Box) (float64, float64) {
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
+	store := materialize(l, data, blockstore.Config{GroupRows: 512})
 	c := cluster.New(cluster.Defaults(), store, l)
 	avg, err := c.RunWorkload(queries, func(q geom.Box) []layout.ID { return l.PartitionsFor(q) })
 	if err != nil {

@@ -106,7 +106,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	}
 	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 5))
 	l := core.Build(data, rowIdx, data.Domain(), hist, core.Params{MinRows: opt.Rows / 16})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
+	store := materialize(l, data, blockstore.Config{GroupRows: 512})
 	rep.Partitions = len(l.Parts)
 
 	ids := make([]layout.ID, len(l.Parts))

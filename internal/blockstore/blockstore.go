@@ -83,8 +83,14 @@ type Store struct {
 
 // Materialize routes the full dataset through the layout and writes every
 // partition as a columnar table in the one physical row order colstore.Builder
-// defines. The layout must already be sealed; the routing pass (re)sets its
-// partition sizes so they reflect the dataset.
+// defines. The layout must already be sealed. Materialize is where a dataset
+// is bound to a layout, and it leaves the layout describing that dataset: the
+// routing pass (re)sets FullRows, TotalBytes and Unrouted, and every
+// partition's Precise descriptor (§V-A) is replaced by the one data envelope of
+// its table — none for an empty partition — so the master drops, before any
+// hop, a partition whose every row group a worker would have skipped. A
+// descriptor computed for other data does not survive; descriptor.Install
+// after materialising puts an N-box one back.
 //
 // Every row is routed once, in parallel; a counting sort then deals the row
 // indices into per-partition slices, and the builder clusters and encodes the
@@ -112,6 +118,10 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	for i := range stored {
 		s.parts[stored[i].ID] = &stored[i]
 		s.BytesWritten += stored[i].Table.Bytes()
+		l.Parts[i].Precise = nil
+		if env, ok := stored[i].Table.Envelope(); ok {
+			l.Parts[i].Precise = []geom.Box{env}
+		}
 	}
 	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (cfg.WriteMBps * 1e6) * float64(time.Second))
 	return s

@@ -2,13 +2,18 @@ package blockstore
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"paw/internal/colstore"
+	"paw/internal/core"
 	"paw/internal/dataset"
+	"paw/internal/geom"
+	"paw/internal/invariant"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
+	"paw/internal/qdtree"
 	"paw/internal/workload"
 )
 
@@ -149,7 +154,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := Materialize(l, data, cfg)
-	want := encodeStore(t, ref)
+	want, wantEnv := encodeStore(t, ref), envelopes(l)
 	for _, procs := range []int{1, 2, 4, 4} {
 		runtime.GOMAXPROCS(procs)
 		s := Materialize(l, data, cfg)
@@ -159,6 +164,9 @@ func TestMaterializeDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(encodeStore(t, s), want) {
 			t.Fatalf("GOMAXPROCS=%d: encoded partitions differ from the serial store", procs)
+		}
+		if !reflect.DeepEqual(envelopes(l), wantEnv) {
+			t.Fatalf("GOMAXPROCS=%d: data envelopes differ from the serial store's", procs)
 		}
 	}
 }
@@ -190,6 +198,76 @@ func TestMaterializeRoutesOnce(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("partition %d: stored table differs from Builder.Build of its rows", p.ID)
+		}
+	}
+}
+
+// envelopes copies the layout's precise descriptors out, one list per
+// partition.
+func envelopes(l *layout.Layout) [][]geom.Box {
+	out := make([][]geom.Box, len(l.Parts))
+	for i, p := range l.Parts {
+		for _, b := range p.Precise {
+			out[i] = append(out[i], b.Clone())
+		}
+	}
+	return out
+}
+
+// TestMaterializeInstallsEnvelopes: after Materialize every non-empty
+// partition carries exactly one precise box, the envelope of its table, and
+// an empty one none — whatever was installed before, and whichever dataset
+// the layout was last materialised over. A box kept from other data would
+// make the master drop partitions that hold matching rows.
+func TestMaterializeInstallsEnvelopes(t *testing.T) {
+	data := dataset.TPCHLike(30_000, 21).Project(4)
+	other := dataset.TPCHLike(9_000, 22).Project(4)
+	dom := data.Domain()
+	sample := data.Sample(3000, 23)
+	hist := workload.Uniform(dom, workload.Defaults(20, 24))
+	layouts := map[string]*layout.Layout{
+		"paw":     core.Build(data, sample, dom, hist, core.Params{MinRows: 30, Delta: 0.01 * (dom.Hi[0] - dom.Lo[0])}),
+		"qd-tree": qdtree.Build(data, sample, dom, hist.Boxes(), qdtree.Params{MinRows: 30}),
+		"kd-tree": kdtree.Build(data, sample, dom, kdtree.Params{MinRows: 30}),
+	}
+	for name, l := range layouts {
+		// A lying descriptor: a box no row is in.
+		lie := dom.Clone()
+		for d := range lie.Lo {
+			lie.Lo[d], lie.Hi[d] = dom.Hi[d]+1, dom.Hi[d]+2
+		}
+		for _, p := range l.Parts {
+			p.Precise = []geom.Box{lie, lie}
+		}
+		var first [][]geom.Box
+		for _, ds := range []*dataset.Dataset{data, other} {
+			s := Materialize(l, ds, Config{GroupRows: 128})
+			empty := 0
+			for _, p := range l.Parts {
+				sp, err := s.Partition(p.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env, ok := sp.Table.Envelope()
+				switch {
+				case !ok && p.Precise != nil:
+					t.Fatalf("%s: empty partition %d kept descriptor %v", name, p.ID, p.Precise)
+				case ok && (len(p.Precise) != 1 || !p.Precise[0].Equal(env)):
+					t.Fatalf("%s: partition %d has descriptor %v, its table's envelope is %v", name, p.ID, p.Precise, env)
+				case !ok:
+					empty++
+				}
+			}
+			if err := invariant.CheckRouting(l, invariant.Inputs{Data: ds, Domain: dom, Seed: 25}); err != nil {
+				t.Fatalf("%s over %d rows (%d empty partitions): %v", name, ds.NumRows(), empty, err)
+			}
+			if first == nil {
+				first = envelopes(l)
+			}
+		}
+		// The second dataset's envelopes replaced the first's.
+		if reflect.DeepEqual(envelopes(l), first) {
+			t.Errorf("%s: materialising a different dataset left every envelope unchanged", name)
 		}
 	}
 }

@@ -263,6 +263,27 @@ func (t *Table) Count(q geom.Box) ScanStats {
 // GroupStats returns the SMA aggregates of row group i.
 func (t *Table) GroupStats(i int) sma.Aggregates { return t.groups[i].stats }
 
+// Envelope returns the table's data envelope: the union of its row groups'
+// min/max statistics, folded from the SMAs without reading a value; false for
+// a table with no rows. A query that misses the envelope misses every group's
+// statistics on the same dimension, so CanPrune holds for each group: skipping
+// the whole table then changes neither the rows a scan returns nor the bytes
+// it reads.
+func (t *Table) Envelope() (geom.Box, bool) {
+	if len(t.groups) == 0 {
+		return geom.Box{}, false
+	}
+	env := geom.NewBox(t.groups[0].stats.Min, t.groups[0].stats.Max)
+	for i := range t.groups[1:] {
+		st := &t.groups[i+1].stats
+		for d := range env.Lo {
+			env.Lo[d] = math.Min(env.Lo[d], st.Min[d])
+			env.Hi[d] = math.Max(env.Hi[d], st.Max[d])
+		}
+	}
+	return env, true
+}
+
 // GroupRows returns the row count of row group i.
 func (t *Table) GroupRows(i int) int { return t.groups[i].rows }
 

@@ -1,9 +1,11 @@
 package colstore
 
 import (
+	"math/rand"
 	"testing"
 
 	"paw/internal/dataset"
+	"paw/internal/sma"
 )
 
 func TestGroupAccessors(t *testing.T) {
@@ -95,6 +97,49 @@ func TestEncodeWriteFailures(t *testing.T) {
 	for _, cut := range []int{0, 3, 6, 10, 20, 100, 1000, 3000} {
 		if err := tab.Encode(&failWriter{left: cut}); err == nil {
 			t.Errorf("Encode with %d-byte budget must fail", cut)
+		}
+	}
+}
+
+// TestEnvelopeIsUnionOfGroupStats: the data envelope is exactly the fold of the
+// row groups' statistics and holds every row — on an empty table (none), one
+// group, full groups and a ragged last group, built in source order and by the
+// Builder.
+func TestEnvelopeIsUnionOfGroupStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 65, 640, 1000} {
+		data := dataset.TPCHLike(max(n, 1), int64(n)+1).Project(1 + rng.Intn(5))
+		rows := rng.Perm(data.NumRows())[:n]
+		for name, tab := range map[string]*Table{
+			"FromDataset": FromDataset(data, rows, 64),
+			"Builder":     NewBuilder(data, 64).Build(append([]int{}, rows...)),
+		} {
+			env, ok := tab.Envelope()
+			if ok != (n > 0) {
+				t.Fatalf("%s, %d rows: envelope present = %v", name, n, ok)
+			}
+			if !ok {
+				continue
+			}
+			want := tab.GroupStats(0)
+			for g := 1; g < tab.NumGroups(); g++ {
+				want = sma.Merge(want, tab.GroupStats(g))
+			}
+			if !env.Equal(want.MBR()) {
+				t.Errorf("%s, %d rows: envelope %v, groups fold to %v", name, n, env, want.MBR())
+			}
+			for g := 0; g < tab.NumGroups(); g++ {
+				for _, p := range tab.GroupPoints(g) {
+					if !env.Contains(p) {
+						t.Fatalf("%s, %d rows: envelope %v disowns %v", name, n, env, p)
+					}
+				}
+			}
+			// The caller owns the box: changing it does not reach the statistics.
+			env.Lo[0], env.Hi[0] = 1, 0
+			if again, _ := tab.Envelope(); !again.Equal(want.MBR()) {
+				t.Errorf("%s, %d rows: envelope aliases the group statistics", name, n)
+			}
 		}
 	}
 }

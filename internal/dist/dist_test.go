@@ -2,16 +2,21 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/layout"
+	"paw/internal/obs"
 	"paw/internal/placement"
 	"paw/internal/router"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -23,6 +28,9 @@ type testCluster struct {
 	master  *Master
 	maddr   string
 	client  *MuxClient
+	// reg is the master's registry; workerReg is shared by all the workers,
+	// so its counters are fleet totals.
+	reg, workerReg *obs.Registry
 }
 
 func startCluster(t *testing.T, nWorkers int) *testCluster {
@@ -39,10 +47,11 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 	for id, w := range place {
 		perWorker[w] = append(perWorker[w], id)
 	}
-	tc := &testCluster{data: data, layout: l}
+	tc := &testCluster{data: data, layout: l, reg: obs.New(), workerReg: obs.New()}
 	addrs := make([]string, nWorkers)
 	for w := 0; w < nWorkers; w++ {
 		wk := NewWorker(store, perWorker[w])
+		wk.SetMetrics(tc.workerReg)
 		addr, err := wk.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +67,7 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetMetrics(tc.reg)
 	maddr, err := m.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -252,5 +262,43 @@ func TestQueryCaseChangingRunesNeverPanic(t *testing.T) {
 	}
 	if _, err := tc.client.Query("SELECT * FROM t WHERE NOT l_quantity == 5"); err == nil {
 		t.Error("== under NOT must be an error")
+	}
+}
+
+// TestQueryRewriterCapsKeepMasterServing: neither the nesting depth nor the
+// normal form's size of a statement is bounded by its length, and uncapped the
+// second of these (a 4 MB frame, under serve.MaxPayload) overflowed the stack —
+// fatal, the whole master — while the first (472 bytes) held a core for 21 s.
+// Both are refused with the rewriter's typed error, over the wire too, and
+// the master answers the next query.
+func TestQueryRewriterCapsKeepMasterServing(t *testing.T) {
+	tc := startCluster(t, 2)
+	var ne strings.Builder
+	ne.WriteString("SELECT * FROM t WHERE l_quantity >= 0")
+	for _, col := range tc.data.Names()[:4] {
+		for v := 1; v <= 10; v++ {
+			fmt.Fprintf(&ne, " AND %s <> %d", col, v)
+		}
+	}
+	const depth = 2_000_000
+	parens := "SELECT * FROM t WHERE " + strings.Repeat("(", depth) + "l_quantity >= 0" + strings.Repeat(")", depth)
+	const next = "SELECT * FROM t WHERE l_quantity >= 45"
+	want := oracleRows(t, tc.master, tc.data, next)
+	for name, sql := range map[string]string{"normal form": ne.String(), "depth": parens} {
+		start := time.Now()
+		_, err := tc.master.Query(sql)
+		var lim *sqlrew.LimitError
+		if !errors.As(err, &lim) {
+			t.Errorf("%s: got %v, want a *sqlrew.LimitError", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refused after %v", name, d)
+		}
+		if _, err := tc.client.Query(sql); err == nil || !strings.Contains(err.Error(), "too complex") {
+			t.Errorf("%s over the wire: got %v, want the rewriter's refusal", name, err)
+		}
+		if resp, err := tc.client.Query(next); err != nil || resp.Rows != want {
+			t.Errorf("after %s: %d rows, %v; want %d", name, resp.Rows, err, want)
+		}
 	}
 }

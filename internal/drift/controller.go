@@ -223,9 +223,9 @@ func (c *Controller) migrate(ctx context.Context, rep *Report) error {
 	return err
 }
 
-// runMigration runs region rebuild → patch → benefit gate → (optional)
-// oracle validation → migration. It mutates rep as it goes; rep.Migrated is
-// set only after ApplyMigration returns.
+// runMigration runs region rebuild → patch → payload build → benefit gate →
+// (optional) oracle validation → migration. It mutates rep as it goes;
+// rep.Migrated is set only after ApplyMigration returns.
 func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T, root trace.SpanRef) error {
 	live := c.mon.Window()
 	liveBoxes := live.Boxes()
@@ -252,18 +252,6 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	rsp.End()
 	rep.Renamed, rep.Added, rep.Removed = len(diff.Renamed), len(diff.Added), len(diff.Removed)
 
-	// Benefit gate: the patch must actually cut the live window's modeled
-	// scan cost. Rebuilding for out-of-scope queries that the new layout
-	// would serve no better only churns the cluster.
-	rep.CostBefore = cur.WorkloadCost(liveBoxes, nil)
-	rep.CostAfter = newL.WorkloadCost(liveBoxes, nil)
-	if rep.CostBefore <= 0 ||
-		float64(rep.CostBefore-rep.CostAfter) < c.cfg.MinGain*float64(rep.CostBefore) {
-		rep.SkipReason = fmt.Sprintf("benefit gate: window cost %d → %d, below min gain %.0f%%",
-			rep.CostBefore, rep.CostAfter, c.cfg.MinGain*100)
-		return nil
-	}
-
 	bsp := tm.Start("build_payload", root)
 	mig, moved, err := c.buildMigration(newL, diff, payloadRows)
 	if err != nil {
@@ -273,6 +261,23 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	}
 	bsp.Int(trace.KeyBytesRead, moved)
 	bsp.End()
+
+	// Benefit gate: the patch must actually cut the live window's modeled
+	// scan cost. Rebuilding for out-of-scope queries that the new layout
+	// would serve no better only churns the cluster. It runs after the
+	// payloads are built because the modeled cost honours the partitions'
+	// data envelopes: the current layout's are installed, and the added
+	// partitions get theirs from their payload tables — compared before
+	// that, a rebuild over attributes with few distinct values would look
+	// costlier than the layout it improves on.
+	rep.CostBefore = cur.WorkloadCost(liveBoxes, nil)
+	rep.CostAfter = newL.WorkloadCost(liveBoxes, nil)
+	if rep.CostBefore <= 0 ||
+		float64(rep.CostBefore-rep.CostAfter) < c.cfg.MinGain*float64(rep.CostBefore) {
+		rep.SkipReason = fmt.Sprintf("benefit gate: window cost %d → %d, below min gain %.0f%%",
+			rep.CostBefore, rep.CostAfter, c.cfg.MinGain*100)
+		return nil
+	}
 
 	if c.cfg.Validate {
 		vsp := tm.Start("validate", root)
@@ -439,8 +444,14 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 			ws = append(ws, (int(id)+r)%nWorkers)
 		}
 		place[id] = ws
+		tab := c.builder.Build(payloadRows[id])
+		// The added partition's data envelope, as blockstore.Materialize
+		// sets it: surviving partitions carried theirs through the patch.
+		if env, ok := tab.Envelope(); ok {
+			newL.Parts[id].Precise = []geom.Box{env}
+		}
 		var buf bytes.Buffer
-		if err := c.builder.Build(payloadRows[id]).Encode(&buf); err != nil {
+		if err := tab.Encode(&buf); err != nil {
 			return nil, 0, fmt.Errorf("drift: encoding partition %d payload: %w", id, err)
 		}
 		moved += int64(buf.Len())

@@ -3,12 +3,16 @@ package drift
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
 	"paw/internal/blockstore"
 	"paw/internal/core"
+	"paw/internal/descriptor"
+	"paw/internal/geom"
 	"paw/internal/ingest"
+	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/workload"
 )
@@ -255,5 +259,73 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	}
 	if shipped == 0 || multiGroup == 0 {
 		t.Fatalf("plan shipped %d payloads, %d of more than one row group: the comparison is vacuous", shipped, multiGroup)
+	}
+}
+
+// TestDriftAddedPartitionsCarryEnvelopes: a drift cutover leaves the served
+// layout as blockstore.Materialize would have — every partition that holds
+// rows carries one precise box, the envelope of its table, the added ones
+// from the payloads the migration built — and the envelopes change no answer:
+// the drifted and the reference statements return the dataset's rows and read
+// the same bytes with them and after descriptor.Uninstall.
+func TestDriftAddedPartitionsCarryEnvelopes(t *testing.T) {
+	cfg := testConfig()
+	tc := startDriftCluster(t, 16000, 3, cfg)
+	names := tc.data.Names()
+	for i := 0; i < cfg.Window; i++ {
+		tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+	}
+	drifted := rightBoxes(cfg.Window, 99)
+	for _, b := range drifted {
+		tc.serve(t, boxSQL(names, b))
+	}
+	rep, err := tc.ctl.TriggerNow(context.Background())
+	if err != nil || !rep.Migrated || rep.Added == 0 {
+		t.Fatalf("drifted traffic must migrate: %+v, %v", rep, err)
+	}
+
+	served := tc.master.Router().Layout()
+	if served != tc.ctl.layout() {
+		t.Fatal("the master does not serve the controller's patched layout")
+	}
+	after := make([][]geom.Box, len(served.Parts))
+	for i, p := range served.Parts {
+		after[i] = p.Precise
+	}
+	// Materialising the served layout (nothing is in flight) installs the
+	// envelopes of fresh tables: what the cutover left must equal them.
+	blockstore.Materialize(served, tc.data, storeConfig)
+	added := 0
+	for i, p := range served.Parts {
+		if len(after[i]) != len(p.Precise) || len(p.Precise) == 1 && !after[i][0].Equal(p.Precise[0]) {
+			t.Fatalf("partition %d: descriptor %v after the cutover, a fresh table's envelope is %v", p.ID, after[i], p.Precise)
+		}
+		added += len(p.Precise)
+	}
+	if added == 0 {
+		t.Fatal("no partition carries an envelope")
+	}
+	if err := invariant.CheckRouting(served, invariant.Inputs{Data: tc.data, Domain: tc.data.Domain(), Seed: cfg.Seed}); err != nil {
+		t.Fatal(err)
+	}
+
+	statements := append(append([]geom.Box{}, drifted...), tc.hist.Boxes()...)
+	type answer struct {
+		rows  int
+		bytes int64
+	}
+	serveAll := func() []answer {
+		tc.master.InvalidateCaches()
+		out := make([]answer, len(statements))
+		for i, b := range statements {
+			resp := tc.serve(t, boxSQL(names, b))
+			out[i] = answer{resp.Rows, resp.BytesScanned}
+		}
+		return out
+	}
+	with := serveAll()
+	descriptor.Uninstall(served)
+	if without := serveAll(); !reflect.DeepEqual(with, without) {
+		t.Fatal("answers or bytes read differ with the envelopes and after descriptor.Uninstall")
 	}
 }

@@ -3,9 +3,10 @@ package invariant
 import (
 	"math/rand"
 
-	"paw/internal/descriptor"
+	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/layout"
+	"paw/internal/parbuild"
 )
 
 // CheckRouting verifies descriptor and index soundness (§V-A, Fig. 4): the
@@ -62,48 +63,69 @@ func CheckRouting(l *layout.Layout, in Inputs) error {
 		}
 	}
 	if in.Data != nil {
-		byPart := l.RouteIndices(in.Data, descriptor.AllRows(in.Data.NumRows()))
-		pt := make(geom.Point, in.Data.Dims())
-		routed := 0
-		for id, rows := range byPart {
-			routed += len(rows)
-			p := l.Parts[id]
+		return CheckData(l, in.Data)
+	}
+	return nil
+}
+
+// CheckData is the data clause of CheckRouting on its own: every record of
+// data is routed through the sealed layout (fanned over GOMAXPROCS), a record
+// that lands in a partition with a precise descriptor must lie inside one of
+// its MBRs, and a record inside the root region must land somewhere. It is
+// what decides whether a layout and a dataset belong together: pawmaster runs
+// it at boot on the files it was given, because a precise descriptor computed
+// for other data makes the master drop partitions that hold matching records.
+func CheckData(l *layout.Layout, data *dataset.Dataset) error {
+	root := l.Root.Desc.MBR()
+	if root.Dims() != data.Dims() {
+		return violationf(OracleRouting, "layout has %d dimensions, dataset has %d", root.Dims(), data.Dims())
+	}
+	pool := parbuild.New(0)
+	type tally struct {
+		routed, inside int
+		err            error
+	}
+	tallies := make([]tally, pool.Workers())
+	chunks := pool.FanChunks(pool.RootSlot(), data.NumRows(), 4096, func(c, lo, hi, _ int) {
+		t := &tallies[c]
+		pt := make(geom.Point, data.Dims())
+	rows:
+		for r := lo; r < hi; r++ {
+			for d := range pt {
+				pt[d] = data.At(r, d)
+			}
+			if root.Contains(pt) {
+				t.inside++
+			}
+			p := l.Locate(pt)
+			if p == nil {
+				continue
+			}
+			t.routed++
 			if len(p.Precise) == 0 {
 				continue
 			}
-			for _, r := range rows {
-				for d := 0; d < in.Data.Dims(); d++ {
-					pt[d] = in.Data.At(r, d)
-				}
-				covered := false
-				for _, m := range p.Precise {
-					if m.Contains(pt) {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					return violationf(OracleRouting,
-						"precise descriptor of partition %d disowns record %d at %v: queries matching it would be pruned",
-						id, r, pt)
+			for _, m := range p.Precise {
+				if m.Contains(pt) {
+					continue rows
 				}
 			}
+			t.err = violationf(OracleRouting,
+				"precise descriptor of partition %d disowns record %d at %v: queries matching it would be pruned",
+				p.ID, r, pt)
+			return
 		}
-		// Records inside the root region must all route somewhere.
-		root := l.Root.Desc.MBR()
-		inside := 0
-		for r := 0; r < in.Data.NumRows(); r++ {
-			for d := 0; d < in.Data.Dims(); d++ {
-				pt[d] = in.Data.At(r, d)
-			}
-			if root.Contains(pt) {
-				inside++
-			}
+	})
+	routed, inside := 0, 0
+	for _, t := range tallies[:chunks] {
+		if t.err != nil {
+			return t.err
 		}
-		if routed < inside {
-			return violationf(OracleRouting,
-				"%d records lie inside the root region but only %d were routed to a partition", inside, routed)
-		}
+		routed, inside = routed+t.routed, inside+t.inside
+	}
+	if routed < inside {
+		return violationf(OracleRouting,
+			"%d records lie inside the root region but only %d were routed to a partition", inside, routed)
 	}
 	return nil
 }

@@ -65,6 +65,10 @@ func FuzzRewriteSQL(f *testing.F) {
 		"WHERE NOT a == 5",
 		"\xc9 WHERE \xff >= 1",
 		"WHEREWHERE WHERE WHERE",
+		// The two statements of TestRewriteCaps (the second at 1/100 of its
+		// length, so that mutating it does not eat the fuzzing budget).
+		neBomb([]string{"a", "b", "x", "nowhere"}, 10),
+		parenBomb(20_000),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -18,8 +18,37 @@ import (
 // ANDed comparisons tightens one box instead of multiplying eight lists.
 type parser struct {
 	lexer
-	tok token // one token of lookahead
-	r   *Rewriter
+	tok   token // one token of lookahead
+	r     *Rewriter
+	depth int // open parentheses and NOTs around the current token
+}
+
+// A statement is client input, and both the descent's stack and the normal
+// form's size grow faster than its length: a frame of parentheses recurses
+// once per byte, and every <> or OR factor ANDed on multiplies the boxes.
+// Both are capped while parsing, so neither is ever built.
+const (
+	maxDepth = 64  // nested parentheses and NOTs
+	maxBoxes = 256 // disjuncts of the normal form, at any point of the parse
+)
+
+// LimitError reports a WHERE clause that exceeds a cap of the rewriter.
+type LimitError struct {
+	What string // what there is too much of
+	Max  int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("sqlrew: clause too complex: more than %d %s", e.Max, e.What)
+}
+
+// checkBoxes is the size cap: n is the length a list of boxes is about to
+// reach.
+func checkBoxes(n int) error {
+	if n > maxBoxes {
+		return &LimitError{What: "disjuncts in its normal form", Max: maxBoxes}
+	}
+	return nil
 }
 
 func (p *parser) advance() { p.tok = p.next() }
@@ -43,23 +72,27 @@ func (p *parser) identity(conj bool) []geom.Box {
 }
 
 // join combines two lists: OR concatenates, AND is the cross product, left
-// box major, without the pairs that do not meet.
-func join(left, right []geom.Box, conj bool) []geom.Box {
+// box major, without the pairs that do not meet. It fails, before building
+// it, on a list longer than maxBoxes.
+func join(left, right []geom.Box, conj bool) ([]geom.Box, error) {
 	if !conj {
 		if len(left) == 0 {
-			return right
+			return right, nil
 		}
-		return append(left, right...)
+		return append(left, right...), checkBoxes(len(left) + len(right))
 	}
 	var out []geom.Box
 	for _, a := range left {
 		for _, b := range right {
 			if c, ok := a.Intersection(b); ok {
+				if err := checkBoxes(len(out) + 1); err != nil {
+					return nil, err
+				}
 				out = append(out, c)
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // parseChain parses `operand {sep operand}` at one precedence level: sep is
@@ -87,26 +120,29 @@ func (p *parser) parseChain(sep tokenKind, neg bool, left []geom.Box, conj bool)
 		p.advance()
 	}
 	if inner != conj {
-		acc = join(left, acc, conj)
+		return join(left, acc, conj)
 	}
 	return acc, nil
 }
 
 func (p *parser) parseUnary(neg bool, left []geom.Box, conj bool) ([]geom.Box, error) {
-	switch p.tok.kind {
-	case tokNot:
-		p.advance()
-		return p.parseUnary(!neg, left, conj)
-	case tokLParen:
-		p.advance()
-		out, err := p.parseChain(tokOr, neg, left, conj)
-		if err == nil {
-			_, err = p.expect(tokRParen, "')'")
-		}
-		return out, err
-	default:
+	if p.tok.kind != tokNot && p.tok.kind != tokLParen {
 		return p.parsePredicate(neg, left, conj)
 	}
+	if p.depth++; p.depth > maxDepth {
+		return nil, &LimitError{What: "nested parentheses and NOTs", Max: maxDepth}
+	}
+	defer func() { p.depth-- }()
+	if p.tok.kind == tokNot {
+		p.advance()
+		return p.parseUnary(!neg, left, conj)
+	}
+	p.advance()
+	out, err := p.parseChain(tokOr, neg, left, conj)
+	if err == nil {
+		_, err = p.expect(tokRParen, "')'")
+	}
+	return out, err
 }
 
 // parsePredicate accepts `col OP number`, `number OP col`, and
@@ -198,6 +234,9 @@ func (p *parser) bounds(left []geom.Box, conj bool, col token, inner bool, bs ..
 	}
 	for _, b := range bs {
 		if !inner {
+			if err := checkBoxes(len(acc) + 1); err != nil {
+				return nil, err
+			}
 			acc = append(acc, geom.UniverseBox(p.r.dims))
 			b.tighten(acc[len(acc)-1], dim)
 			continue
@@ -207,7 +246,7 @@ func (p *parser) bounds(left []geom.Box, conj bool, col token, inner bool, bs ..
 		}
 	}
 	if inner != conj {
-		acc = join(left, acc, conj)
+		return join(left, acc, conj)
 	}
 	return acc, nil
 }

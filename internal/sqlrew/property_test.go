@@ -1,6 +1,7 @@
 package sqlrew
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -113,14 +114,14 @@ func TestRandomClausesSemantics(t *testing.T) {
 }
 
 // TestDeepNesting exercises the parser's recursion on a mechanically built,
-// deeply parenthesised clause.
+// deeply parenthesised clause: maxDepth levels parse, one more is refused.
 func TestDeepNesting(t *testing.T) {
 	r, err := New([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clause := "x >= 5"
-	for i := 0; i < 200; i++ {
+	for i := 0; i < maxDepth; i++ {
 		clause = "(" + clause + ")"
 	}
 	boxes, err := r.Rewrite(clause)
@@ -129,6 +130,10 @@ func TestDeepNesting(t *testing.T) {
 	}
 	if len(boxes) != 1 || boxes[0].Lo[0] != 5 {
 		t.Errorf("deeply nested clause rewrote to %v", boxes)
+	}
+	var lim *LimitError
+	if _, err := r.Rewrite("(" + clause + ")"); !errors.As(err, &lim) {
+		t.Errorf("%d levels: got %v, want a *LimitError", maxDepth+1, err)
 	}
 }
 

@@ -65,10 +65,23 @@ func (r *Rewriter) Rewrite(where string) ([]geom.Box, error) {
 	if len(raw) <= 1 {
 		return raw, nil
 	}
-	// Disjointify: each disjunct minus the union of its predecessors.
+	// Disjointify: each disjunct minus the union of its predecessors. A
+	// disjunct can shatter on them (64 slabs on each of four columns are
+	// 256 disjuncts and 17 million pieces), so the pieces are capped as they
+	// are cut, like the disjuncts.
 	var out []geom.Box
 	for i, b := range raw {
-		pieces := geom.SubtractAll(b, raw[:i])
+		pieces := []geom.Box{b}
+		for _, hole := range raw[:i] {
+			var next []geom.Box
+			for _, c := range pieces {
+				next = append(next, geom.Subtract(c, hole)...)
+			}
+			pieces = next
+			if err := checkBoxes(len(out) + len(pieces)); err != nil {
+				return nil, err
+			}
+		}
 		out = append(out, pieces...)
 	}
 	return out, nil

@@ -1,10 +1,13 @@
 package sqlrew
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"paw/internal/geom"
 )
@@ -442,5 +445,75 @@ func TestKeywordTableOrder(t *testing.T) {
 		if tok := l.next(); tok.kind != kind || tok.text != word {
 			t.Errorf("%q lexed as kind %d (%s), want %d", word, tok.kind, tok, kind)
 		}
+	}
+}
+
+// neBomb is a short statement whose normal form is huge: perCol `<>`
+// factors on each of cols, all ANDed, are (perCol+1)^len(cols) boxes.
+func neBomb(cols []string, perCol int) string {
+	var sb strings.Builder
+	sb.WriteString("SELECT * FROM t WHERE " + cols[0] + " >= 0")
+	for _, c := range cols {
+		for v := 1; v <= perCol; v++ {
+			fmt.Fprintf(&sb, " AND %s <> %d", c, v)
+		}
+	}
+	return sb.String()
+}
+
+// slabs ORs perCol equality slabs on each of cols: few disjuncts, but slabs of
+// different columns all cross.
+func slabs(cols []string, perCol int) string {
+	var parts []string
+	for _, c := range cols {
+		for v := 0; v < perCol; v++ {
+			parts = append(parts, fmt.Sprintf("%s = %d", c, v))
+		}
+	}
+	return "SELECT * FROM t WHERE " + strings.Join(parts, " OR ")
+}
+
+// parenBomb nests one comparison in n parentheses.
+func parenBomb(n int) string {
+	return "SELECT * FROM t WHERE " + strings.Repeat("(", n) + "a >= 0" + strings.Repeat(")", n)
+}
+
+// TestRewriteCaps: a statement is client input to the master, and both of
+// these are small frames. Uncapped, the first holds a core for 21 s to return
+// 14 641 boxes and the second overflows the stack, which no recover catches.
+// Both must fail fast with the typed error, and leave the rewriter usable.
+func TestRewriteCaps(t *testing.T) {
+	r := mustNew(t, "a", "b", "c", "d")
+	for name, stmt := range map[string]string{
+		"dnf":   neBomb([]string{"a", "b", "c", "d"}, 10),
+		"depth": parenBomb(2_000_000),
+		"nots":  "SELECT * FROM t WHERE " + strings.Repeat("NOT ", maxDepth+1) + "a >= 0",
+		"ors":   "SELECT * FROM t WHERE a = 0" + strings.Repeat(" OR a = 1", maxBoxes),
+		// 256 disjuncts, within the cap, that cut each other into 17 million
+		// disjoint pieces (half as many took 10.9 s before the pieces were
+		// capped as well).
+		"shatter": slabs([]string{"a", "b", "c", "d"}, maxBoxes/4),
+	} {
+		start := time.Now()
+		_, err := r.RewriteSQL(stmt)
+		var lim *LimitError
+		if !errors.As(err, &lim) {
+			t.Errorf("%s: got %v, want a *LimitError", name, err)
+		}
+		// Milliseconds in practice; the bar only has to tell a refusal from
+		// the seconds the uncapped parse took, on a loaded machine too.
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refused after %v", name, d)
+		}
+	}
+	// At the caps, not over them.
+	boxes, err := r.RewriteSQL("SELECT * FROM t WHERE a = 0" + strings.Repeat(" OR a = 1", maxBoxes-1))
+	if err != nil || len(boxes) != 2 {
+		t.Errorf("%d disjuncts: %d boxes, %v", maxBoxes, len(boxes), err)
+	}
+	// (perCol+1)^2 = 256 boxes over two columns is the largest product let through.
+	boxes, err = r.RewriteSQL(neBomb([]string{"a", "b"}, 15))
+	if err != nil || len(boxes) != maxBoxes {
+		t.Errorf("15 <> per column on two columns: %d boxes, %v", len(boxes), err)
 	}
 }
