@@ -90,12 +90,15 @@ bench-smoke:
 	$(MAKE) bench-request-path BENCHTIME=1x
 	$(GO) test ./internal/layout -run '^$$' -bench 'AppendPartitionsForEnvelopes$$' -benchmem -benchtime=1x
 
-# bench-kernels times filterAll and refine on every encoding, each on one
-# replayed row group and on 256 fresh ones at p ≈ ½ (BenchmarkKernel,
-# DESIGN.md §11 "Branch-free selection"). A kernel with a data-dependent
-# branch reads ~4× apart on the two; these read within ~1.3× (RLE, which works
-# a run at a time, pays per run). Read both columns; nothing is asserted on
-# time.
+# bench-kernels times the selection kernels on every encoding — narrow on runs;
+# selectSpans, countSpans and refine on the rest — and the whole pipeline on
+# the shape the builder's tables have, run columns ahead of a raw one
+# (runs-then-raw, count and scan), each on one replayed row group and on 256
+# fresh ones at p ≈ ½ (BenchmarkKernel, DESIGN.md §11 "Branch-free
+# selection"). A kernel with a data-dependent branch reads ~4× apart on the
+# two; these read within ~1.3× (narrow, which works a run at a time, pays per
+# run; past that the fresh regime is memory-bound). Read both columns; nothing
+# is asserted on time.
 BENCHTIME ?= 20000x
 bench-kernels:
 	$(GO) test ./internal/colstore -run '^$$' -bench Kernel -benchtime=$(BENCHTIME)

@@ -115,15 +115,25 @@ func runBuild(args []string) {
 	// Materialising binds the dataset to the layout as pawworker's store
 	// will: beside the partition sizes of a routing pass it leaves every
 	// partition's data envelope (§V-A), which the layout file carries to
-	// pawmaster. The store itself is dropped.
+	// pawmaster. The store itself is dropped, after the report has taken its
+	// census: the encoded bytes under each physical encoding.
+	stored := make(map[string]int64)
 	phase("route", func() {
-		blockstore.Materialize(l, data, blockstore.Config{})
+		store := blockstore.Materialize(l, data, blockstore.Config{})
+		for _, p := range l.Parts {
+			if sp, err := store.Partition(p.ID); err == nil {
+				for enc, b := range sp.Table.EncodedBytesByEncoding() {
+					stored[enc] += b
+				}
+			}
+		}
 	})
 
 	var r *layout.BuildReport
 	phase("report", func() {
 		r = layout.NewBuildReport(l, reg.Snapshot())
 		r.SampleRows = len(sample)
+		r.StoredBytes = stored
 		wc := l.WorkloadCost(hist.Boxes(), nil)
 		r.Cost = &layout.CostStats{
 			WorkloadQueries: len(hist),

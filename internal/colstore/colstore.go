@@ -182,6 +182,19 @@ func (t *Table) EncodingCounts() map[string]int {
 	return out
 }
 
+// EncodedBytesByEncoding is EncodedBytes split by physical encoding, under the
+// keys of EncodingCounts: where the stored bytes — and a scan's reads — are.
+func (t *Table) EncodedBytesByEncoding() map[string]int64 {
+	out := make(map[string]int64)
+	for gi := range t.groups {
+		for d := range t.groups[gi].cols {
+			c := &t.groups[gi].cols[d]
+			out[c.kind.String()] += c.payloadBytes()
+		}
+	}
+	return out
+}
+
 // ScanStats reports what a scan did. Byte accounting follows the encoded
 // representation and late materialization: BytesRead counts only the
 // encoded payload actually decoded (predicate columns touched plus

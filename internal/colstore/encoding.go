@@ -100,8 +100,8 @@ func (c *column) valueBytes(k int) int64 {
 	case colFOR:
 		return (int64(k)*int64(c.forBits) + 7) / 8
 	default:
-		// Raw values are 8 bytes; RLE refinement accounts per run touched
-		// (12 bytes each) at the call site, not here.
+		// Raw values are 8 bytes; so, when gathered, is a run chunk's value
+		// (narrow accounts a predicate on runs itself, 12 bytes per run).
 		return int64(k) * 8
 	}
 }
@@ -405,165 +405,223 @@ func b2i(b bool) int {
 	return 0
 }
 
-// The selection kernels below carry no data-dependent branch in their
-// per-value loops. The groups a scan decodes under a PAW layout are the ones a
-// query edge cuts — interior groups are pruned or covered — so a row passes
-// with p ≈ ½ in no learnable order, and `if pass { append }` pays a mispredict
-// on every other row. Instead each loop writes the position to sel[n]
-// unconditionally and advances n by b2i(pass): a rejected position is simply
-// overwritten by the next one. That needs room for a write at every step,
-// which the caller guarantees (len(sel) == c.n for filterAll; refine writes
-// at or behind its read cursor). Dictionary codes and FOR deltas test the
-// interval with the single unsigned compare x-lo <= hi-lo; raw values keep
-// the two float comparisons, so -0 == +0 and NaN never matches. DESIGN.md §11.
+// A group's selection starts as spans — half-open position ranges, at first
+// the one span [0, rows) — and stays spans while RLE chunks narrow it: a run
+// passes or fails whole, at a comparison per run and no position written. The
+// first chunk of another encoding turns spans into a position vector
+// (selectSpans) that later chunks refine in place; a count whose last chunk
+// still sees spans never builds the vector (countSpans).
+//
+// The per-value loops carry no data-dependent branch: the groups a scan
+// decodes are the ones a query edge cuts, so a row passes with p ≈ ½ in no
+// learnable order and `if pass { append }` mispredicts on every other row.
+// Each loop instead writes the position to sel[n] unconditionally and advances
+// n by b2i(pass) — a rejected position is overwritten by the next — which
+// needs room for a write at every step (sel holds a whole group; refine writes
+// at or behind its read cursor). Codes and deltas test the interval with the
+// one unsigned compare x-a <= w; raw values keep the two float comparisons, so
+// -0 == +0 and NaN never matches. DESIGN.md §11.
 
-// fillIdentity sets sel[i] = i.
-func fillIdentity(sel []int32) {
-	for i := range sel {
-		sel[i] = int32(i)
+// span is the half-open range [lo, hi) of row positions inside one group.
+type span struct{ lo, hi int32 }
+
+// spanRows is the number of positions the spans hold.
+func spanRows(spans []span) int {
+	n := 0
+	for _, sp := range spans {
+		n += int(sp.hi - sp.lo)
 	}
+	return n
 }
 
-// filterAll writes to sel, which must hold c.n entries, the indices in
-// [0, c.n) whose value lies in [lo, hi], in ascending order, and returns that
-// prefix plus the encoded bytes it decoded (the dictionary probe alone when
-// the code range is empty or total; the whole payload when every position is
-// tested).
-func (c *column) filterAll(lo, hi float64, sel []int32) ([]int32, int64) {
-	sel = sel[:c.n]
-	n := 0
+// expand appends the positions of spans to sel[:0], ascending: for rows to
+// materialise, or past a chunk whose header alone passes every value.
+func expand(spans []span, sel []int32) []int32 {
+	sel = sel[:0]
+	for _, sp := range spans {
+		for i := sp.lo; i < sp.hi; i++ {
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
+// narrow appends to out the parts of spans inside runs of this RLE chunk whose
+// value lies in [lo, hi], adjacent survivors merged, in O(runs + spans), and
+// returns them with the encoded bytes touched: the whole payload when the
+// spans are the whole chunk, 12 bytes per run a span reaches otherwise.
+func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
+	touched, start, end := 0, int32(0), int32(0)
+	rest := spans // the spans not wholly behind the current run
+	for r, v := range c.runVals {
+		start, end = end, end+int32(c.runLens[r])
+		for len(rest) > 0 && rest[0].hi <= start {
+			rest = rest[1:]
+		}
+		if len(rest) == 0 || rest[0].lo >= end {
+			continue
+		}
+		touched++
+		for _, sp := range rest {
+			if sp.lo >= end || !(v >= lo && v <= hi) { // past the run, or the run fails
+				break
+			}
+			l, h := max(sp.lo, start), min(sp.hi, end)
+			if last := len(out) - 1; last >= 0 && out[last].hi == l {
+				out[last].hi = h
+			} else {
+				out = append(out, span{l, h})
+			}
+		}
+	}
+	if spanRows(spans) == c.n {
+		return out, c.payloadBytes()
+	}
+	return out, int64(touched) * 12
+}
+
+// resolve maps [lo, hi] onto a dictionary, FOR or raw chunk and prices testing
+// k of its values. settled is how many of the k pass when the dictionary or
+// the frame of reference answers for all at once (0 or k), else -1: a code or
+// delta x passes when x-a <= w, raw values are compared as floats. The charge
+// is the dictionary probe plus the values tested; a FOR chunk tested at every
+// position is charged its payload (its 9-byte header if that settles it).
+func (c *column) resolve(lo, hi float64, k int) (a, w uint64, settled int, bytes int64) {
 	switch c.kind {
 	case colDict:
 		cLo, cHi := c.dictCodeRange(lo, hi)
-		probe := int64(4) + int64(len(c.dict))*8
+		bytes = 4 + int64(len(c.dict))*8
 		if cLo >= cHi {
-			return sel[:0], probe
+			return 0, 0, 0, bytes
+		} else if cHi-cLo == len(c.dict) {
+			return 0, 0, k, bytes
 		}
-		if cLo == 0 && cHi == len(c.dict) {
-			fillIdentity(sel)
-			return sel, probe
-		}
-		if c.codes8 != nil {
-			lo8, span := uint8(cLo), uint8(cHi-1-cLo)
-			for i, code := range c.codes8 {
-				sel[n] = int32(i)
-				n += b2i(code-lo8 <= span)
-			}
-		} else {
-			lo16, span := uint16(cLo), uint16(cHi-1-cLo)
-			for i, code := range c.codes16 {
-				sel[n] = int32(i)
-				n += b2i(code-lo16 <= span)
-			}
-		}
-	case colRLE:
-		// A run at a time: a passing run is a range of positions.
-		start := 0
-		for r, v := range c.runVals {
-			length := int(c.runLens[r])
-			if v >= lo && v <= hi {
-				run := sel[n : n+length]
-				for k := range run {
-					run[k] = int32(start + k)
-				}
-				n += length
-			}
-			start += length
-		}
+		return uint64(cLo), uint64(cHi - 1 - cLo), -1, bytes + c.valueBytes(k)
 	case colFOR:
 		dLo, dHi, ok := c.forDeltaRange(lo, hi)
+		if k == c.n {
+			bytes = 9 // base + bit width
+		}
 		if !ok {
-			return sel[:0], 9 // header only: base + bit width
+			return 0, 0, 0, bytes
+		} else if c.forBits == 0 {
+			return 0, 0, k, bytes
+		} else if k == c.n {
+			return dLo, dHi - dLo, -1, c.payloadBytes()
 		}
-		if c.forBits == 0 {
-			fillIdentity(sel)
-			return sel, 9
-		}
-		packed, w, span := c.packed, c.forBits, dHi-dLo
-		for i := range sel {
-			sel[n] = int32(i)
-			n += b2i(forAt(packed, i, w)-dLo <= span)
-		}
+		return dLo, dHi - dLo, -1, c.valueBytes(k)
 	default:
-		for i, v := range c.raw {
-			sel[n] = int32(i)
-			n += b2i(v >= lo) & b2i(v <= hi)
-		}
+		return 0, 0, -1, c.valueBytes(k)
 	}
-	return sel[:n], c.payloadBytes()
 }
 
-// refine filters sel in place, keeping indices whose value lies in [lo, hi],
-// and returns the surviving prefix plus the encoded bytes it touched.
-func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
+// selectSpans writes to sel, which must hold c.n entries, the positions inside
+// spans whose value lies in [lo, hi], ascending, and returns that prefix plus
+// the encoded bytes touched. Like refine it never sees an RLE chunk.
+func (c *column) selectSpans(lo, hi float64, spans []span, sel []int32) ([]int32, int64) {
+	a, w, settled, bytes := c.resolve(lo, hi, spanRows(spans))
+	if settled == 0 {
+		return sel[:0], bytes
+	} else if settled > 0 {
+		return expand(spans, sel), bytes
+	}
 	n := 0
-	switch c.kind {
-	case colDict:
-		cLo, cHi := c.dictCodeRange(lo, hi)
-		touched := int64(4) + int64(len(c.dict))*8 // dictionary probe
-		if cLo >= cHi {
-			return sel[:0], touched
-		}
-		if cLo == 0 && cHi == len(c.dict) {
-			return sel, touched
-		}
-		if c.codes8 != nil {
-			codes, lo8, span := c.codes8, uint8(cLo), uint8(cHi-1-cLo)
-			for _, i := range sel {
+	for _, sp := range spans {
+		switch {
+		case c.codes8 != nil:
+			for i, code := range c.codes8[sp.lo:sp.hi] {
+				sel[n] = sp.lo + int32(i)
+				n += b2i(code-uint8(a) <= uint8(w))
+			}
+		case c.codes16 != nil:
+			for i, code := range c.codes16[sp.lo:sp.hi] {
+				sel[n] = sp.lo + int32(i)
+				n += b2i(code-uint16(a) <= uint16(w))
+			}
+		case c.kind == colFOR:
+			packed, bits := c.packed, c.forBits
+			for i := sp.lo; i < sp.hi; i++ {
 				sel[n] = i
-				n += b2i(codes[i]-lo8 <= span)
+				n += b2i(forAt(packed, int(i), bits)-a <= w)
 			}
-		} else {
-			codes, lo16, span := c.codes16, uint16(cLo), uint16(cHi-1-cLo)
-			for _, i := range sel {
-				sel[n] = i
-				n += b2i(codes[i]-lo16 <= span)
+		default:
+			for i, x := range c.raw[sp.lo:sp.hi] {
+				sel[n] = sp.lo + int32(i)
+				n += b2i(x >= lo) & b2i(x <= hi)
 			}
 		}
-		return sel[:n], touched + c.valueBytes(len(sel))
-	case colRLE:
-		// A run at a time: the positions of one run are one contiguous stretch
-		// of the ascending selection vector, and they pass or fail together.
-		ri, runEnd := 0, int32(c.runLens[0])
-		runsTouched := 0
-		for k := 0; k < len(sel); {
-			for sel[k] >= runEnd {
-				ri++
-				runEnd += int32(c.runLens[ri])
+	}
+	return sel[:n], bytes
+}
+
+// countSpans is selectSpans for a caller that only counts: the same tests and
+// the same charge, and no position written.
+func (c *column) countSpans(lo, hi float64, spans []span) (int, int64) {
+	a, w, n, bytes := c.resolve(lo, hi, spanRows(spans))
+	if n >= 0 {
+		return n, bytes
+	}
+	n = 0
+	for _, sp := range spans {
+		switch {
+		case c.codes8 != nil:
+			for _, code := range c.codes8[sp.lo:sp.hi] {
+				n += b2i(code-uint8(a) <= uint8(w))
 			}
-			end := k + 1
-			for end < len(sel) && sel[end] < runEnd {
-				end++
+		case c.codes16 != nil:
+			for _, code := range c.codes16[sp.lo:sp.hi] {
+				n += b2i(code-uint16(a) <= uint16(w))
 			}
-			runsTouched++
-			if v := c.runVals[ri]; v >= lo && v <= hi {
-				n += copy(sel[n:], sel[k:end])
+		case c.kind == colFOR:
+			packed, bits := c.packed, c.forBits
+			for i := sp.lo; i < sp.hi; i++ {
+				n += b2i(forAt(packed, int(i), bits)-a <= w)
 			}
-			k = end
+		default:
+			for _, x := range c.raw[sp.lo:sp.hi] {
+				n += b2i(x >= lo) & b2i(x <= hi)
+			}
 		}
-		return sel[:n], int64(runsTouched) * 12
-	case colFOR:
-		dLo, dHi, ok := c.forDeltaRange(lo, hi)
-		if !ok {
-			return sel[:0], 0
-		}
-		if c.forBits == 0 {
-			return sel, 0
-		}
-		packed, w, span := c.packed, c.forBits, dHi-dLo
+	}
+	return n, bytes
+}
+
+// refine filters sel in place, keeping positions whose value lies in [lo, hi],
+// and returns the surviving prefix plus the encoded bytes touched.
+func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
+	a, w, n, bytes := c.resolve(lo, hi, len(sel))
+	if n >= 0 {
+		return sel[:n], bytes
+	}
+	n = 0
+	switch {
+	case c.codes8 != nil:
+		codes := c.codes8
 		for _, i := range sel {
 			sel[n] = i
-			n += b2i(forAt(packed, int(i), w)-dLo <= span)
+			n += b2i(codes[i]-uint8(a) <= uint8(w))
+		}
+	case c.codes16 != nil:
+		codes := c.codes16
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(codes[i]-uint16(a) <= uint16(w))
+		}
+	case c.kind == colFOR:
+		packed, bits := c.packed, c.forBits
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(forAt(packed, int(i), bits)-a <= w)
 		}
 	default:
 		raw := c.raw
 		for _, i := range sel {
 			sel[n] = i
-			v := raw[i]
-			n += b2i(v >= lo) & b2i(v <= hi)
+			x := raw[i]
+			n += b2i(x >= lo) & b2i(x <= hi)
 		}
 	}
-	return sel[:n], c.valueBytes(len(sel))
+	return sel[:n], bytes
 }
 
 // gather materializes value(sel[k]) into dst[k*stride+off] for every k.

@@ -13,7 +13,8 @@ import (
 // fuzzDataset builds a dataset whose columns deliberately span every
 // physical encoding: per column, style bits of the seed select constant
 // (RLE/FOR degenerate), low-cardinality discrete (dict), sorted discrete
-// (RLE), integral ramp (FOR) or continuous uniform (raw) data.
+// (RLE), integral ramp (FOR), continuous uniform (raw) or short runs of
+// fresh fractions in no order (RLE at a run every two or three rows) data.
 func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, dims)
@@ -21,7 +22,11 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	for d := 0; d < dims; d++ {
 		names[d] = string(rune('a' + d))
 		col := make([]float64, rows)
-		switch style := (seed >> uint(3*d)) & 7 % 5; style {
+		style := (seed >> uint(3*d)) & 7
+		if style > 5 {
+			style -= 5
+		}
+		switch style {
 		case 0: // constant
 			v := rng.Float64() * 100
 			for i := range col {
@@ -48,6 +53,13 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 			base := math.Floor(rng.Float64() * 1000)
 			for i := range col {
 				col[i] = base + float64(rng.Intn(1<<16))
+			}
+		case 5: // unsorted runs of 1-3 rows (3 the likeliest, or a dictionary is smaller)
+			for i := 0; i < rows; {
+				v, k := rng.Float64(), rng.Intn(6)
+				for end := min(i+1+b2i(k < 5)+b2i(k < 3), rows); i < end; i++ {
+					col[i] = v
+				}
 			}
 		default: // continuous
 			for i := range col {
@@ -105,6 +117,9 @@ func FuzzScanDifferential(f *testing.F) {
 	// (rows % groupRows == 1) after full ones.
 	f.Add(int64(0x923), uint16(299), uint8(4), uint16(0), int64(29))
 	f.Add(int64(0x11c), uint16(1024), uint8(5), uint16(255), int64(31))
+	// Unsorted runs of one to three rows ahead of a raw column: the runs
+	// narrow the group to hundreds of tiny spans before a value is read.
+	f.Add(int64(0x25), uint16(2999), uint8(1), uint16(1023), int64(37))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, dimsRaw uint8, groupRaw uint16, qseed int64) {
 		rows := 1 + int(rowsRaw)%3000
 		dims := 1 + int(dimsRaw)%5

@@ -2,11 +2,17 @@ package colstore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"paw/internal/geom"
 )
 
-// BenchmarkKernel times the two selection kernels on every encoding in two
-// regimes (`make bench-kernels`):
+// BenchmarkKernel times the selection kernels on every encoding — narrow on
+// runs; selectSpans and countSpans over the whole-group span and refine over
+// half the positions on the rest — and the whole pipeline on the shape the
+// builder's tables have, run columns ahead of a raw one (runs-then-raw), in
+// two regimes (`make bench-kernels`):
 //
 //   - replayed: one row group, one predicate, over and over — the branch
 //     predictor memorises the group, which is what a microbenchmark that
@@ -74,6 +80,8 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	}
 	sel := make([]int32, groupRows)
+	whole := []span{{0, groupRows}}
+	out := make([]span, 0, groupRows)
 
 	for _, enc := range encodings {
 		groups := make([]column, freshGroups)
@@ -88,24 +96,85 @@ func BenchmarkKernel(b *testing.B) {
 			name   string
 			groups []column
 		}{{"replayed", groups[:1]}, {"fresh", groups}} {
-			b.Run(enc.name+"/filterAll/"+regime.name, func(b *testing.B) {
-				b.SetBytes(groupRows * 8)
-				matched := 0
-				for i := 0; i < b.N; i++ {
-					out, _ := regime.groups[i%len(regime.groups)].filterAll(enc.lo, enc.hi, sel)
-					matched += len(out)
-				}
-				reportPass(b, matched, groupRows)
+			// kernel runs one case: op tests perOp positions of a group and
+			// returns how many passed.
+			kernel := func(name string, perOp int, op func(c *column) int) {
+				b.Run(enc.name+"/"+name+"/"+regime.name, func(b *testing.B) {
+					b.SetBytes(int64(perOp) * 8)
+					matched := 0
+					for i := 0; i < b.N; i++ {
+						matched += op(&regime.groups[i%len(regime.groups)])
+					}
+					reportPass(b, matched, perOp)
+				})
+			}
+			if enc.kind == colRLE {
+				kernel("narrow", groupRows, func(c *column) int {
+					kept, _ := c.narrow(enc.lo, enc.hi, whole, out[:0])
+					return spanRows(kept)
+				})
+				continue
+			}
+			kernel("selectSpans", groupRows, func(c *column) int {
+				kept, _ := c.selectSpans(enc.lo, enc.hi, whole, sel)
+				return len(kept)
 			})
-			b.Run(enc.name+"/refine/"+regime.name, func(b *testing.B) {
-				b.SetBytes(int64(len(half)) * 8)
-				matched := 0
-				for i := 0; i < b.N; i++ {
-					in := sel[:copy(sel, half)]
-					out, _ := regime.groups[i%len(regime.groups)].refine(enc.lo, enc.hi, in)
-					matched += len(out)
+			kernel("countSpans", groupRows, func(c *column) int {
+				n, _ := c.countSpans(enc.lo, enc.hi, whole)
+				return n
+			})
+			kernel("refine", len(half), func(c *column) int {
+				kept, _ := c.refine(enc.lo, enc.hi, sel[:copy(sel, half)])
+				return len(kept)
+			})
+		}
+	}
+
+	// runs-then-raw: three sorted low-cardinality columns (3, 12 and 96 runs a
+	// group) ahead of an all-distinct one, every column an active predicate —
+	// what both TPC-H workloads of the end-to-end benchmark decode. MB/s is over
+	// the raw column's bytes; pass is the fraction of the group that matched.
+	tab := &Table{names: []string{"a", "b", "c", "price"}, rows: freshGroups * groupRows}
+	var enc groupEncoder
+	keys, price := make([][3]int, groupRows), make([]float64, groupRows)
+	for g := 0; g < freshGroups; g++ {
+		for i := range keys {
+			keys[i], price[i] = [3]int{rng.Intn(3), rng.Intn(4), rng.Intn(8)}, rng.Float64()
+		}
+		slices.SortFunc(keys, func(x, y [3]int) int { return slices.Compare(x[:], y[:]) })
+		grp := enc.encode(4, groupRows, func(d int, dst []float64) {
+			for i := range dst {
+				if dst[i] = price[i]; d < 3 {
+					dst[i] = float64(keys[i][d])
 				}
-				reportPass(b, matched, len(half))
+			}
+		})
+		for d, want := range []colKind{colRLE, colRLE, colRLE, colRaw} {
+			if grp.cols[d].kind != want {
+				b.Fatalf("runs-then-raw column %d encoded as %v", d, grp.cols[d].kind)
+			}
+		}
+		tab.groups = append(tab.groups, grp)
+	}
+	q := geom.Box{Lo: geom.Point{0, 1, 2, 0.25}, Hi: geom.Point{1, 2, 5, 0.75}}
+	sc := NewScanner()
+	for _, mode := range []struct {
+		name        string
+		materialize bool
+	}{{"count", false}, {"scan", true}} {
+		for _, regime := range []struct {
+			name   string
+			groups int
+		}{{"replayed", 1}, {"fresh", freshGroups}} {
+			b.Run("runs-then-raw/"+mode.name+"/"+regime.name, func(b *testing.B) {
+				b.SetBytes(groupRows * 8)
+				var st ScanStats
+				for i := 0; i < b.N; i++ {
+					gi := i % regime.groups
+					sc.flat = sc.flat[:0]
+					sc.scanGroups(tab, q, gi, gi+1, -1, mode.materialize, &st)
+				}
+				reportPass(b, st.Matched, groupRows)
 			})
 		}
 	}

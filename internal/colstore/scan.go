@@ -5,17 +5,19 @@ import (
 )
 
 // Scanner holds the reusable scratch of the vectorized scan kernels: the
-// selection vector, the flat materialization buffer, and the per-group
-// dimension-ordering scratch. A Scanner amortizes to zero allocations per
-// row group once its buffers have grown to the table's group size. Scanners
-// are not safe for concurrent use; use a ScannerPool to share them.
+// selection (spans, double-buffered, and a position vector), the flat
+// materialization buffer and the dimension ordering. It amortizes to zero
+// allocations per row group once its buffers have grown to the table's group
+// size. Scanners are not safe for concurrent use; use a ScannerPool.
 type Scanner struct {
-	sel     []int32
-	flat    []float64
-	order   []int
-	estSel  []float64
-	touched []bool
-	chunks  []ScanStats
+	sel      []int32
+	spans    []span
+	narrowed []span
+	flat     []float64
+	order    []int
+	rank     []float64
+	touched  []bool
+	chunks   []ScanStats
 }
 
 // NewScanner returns an empty scanner; buffers grow on first use.
@@ -72,15 +74,15 @@ func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi, zi int, materialize b
 // The kernel shape: dimensions whose SMA envelope lies entirely inside the
 // query are covered — every row passes, so their predicate is skipped and
 // no bytes are decoded for them until materialization. The remaining
-// (active) dimensions are evaluated most-selective-first, estimated from
-// the envelope overlap: the first fills the selection vector straight from
-// the encoded column, later ones refine it in place, touching only the
-// surviving positions. Materialization then decodes only surviving rows.
+// (active) dimensions are evaluated run chunks first, then cheapest per
+// rejected row first, estimated from the chunk's size and the envelope
+// overlap; the selection they pass along is spans, then positions
+// (encoding.go). Materialization then decodes only surviving rows.
 func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanStats) int64 {
 	dims := len(g.cols)
 	if cap(s.touched) < dims {
 		s.touched = make([]bool, dims)
-		s.estSel = make([]float64, dims)
+		s.rank = make([]float64, dims)
 	}
 	s.touched = s.touched[:dims]
 	s.order = s.order[:0]
@@ -89,62 +91,69 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		if g.stats.DimCovered(d, q) {
 			continue // covered: every row in the group passes on d
 		}
-		min, max := g.stats.Min[d], g.stats.Max[d]
-		// Estimated fraction of the envelope the query overlaps on d.
+		// Estimated fraction of the envelope the query overlaps on d; a point
+		// envelope or a NaN bound estimates 1, so est is always in [0, 1].
 		est := 1.0
-		if max > min {
-			l, h := q.Lo[d], q.Hi[d]
-			if l < min {
-				l = min
+		if lo, hi := g.stats.Min[d], g.stats.Max[d]; hi > lo {
+			if e := (min(q.Hi[d], hi) - max(q.Lo[d], lo)) / (hi - lo); e >= 0 {
+				est = e
 			}
-			if h > max {
-				h = max
-			}
-			est = (h - l) / (max - min)
 		}
-		// Insertion sort: ascending estimated selectivity.
+		// Insertion sort on the bytes a chunk costs per row it should reject,
+		// payload/(1-est), the textbook predicate order; run chunks ahead of
+		// the rest, in that same order (-1/x is below zero and keeps it): they
+		// narrow spans, and the chooser picks RLE only where it is smallest,
+		// so a run chunk is never dearer per row than what follows it.
 		s.order = append(s.order, d)
-		s.estSel[d] = est
-		for i := len(s.order) - 1; i > 0 && s.estSel[s.order[i]] < s.estSel[s.order[i-1]]; i-- {
+		c := &g.cols[d]
+		s.rank[d] = float64(c.payloadBytes()) / (1 - est)
+		if c.kind == colRLE {
+			s.rank[d] = -1 / s.rank[d]
+		}
+		for i := len(s.order) - 1; i > 0 && s.rank[s.order[i]] < s.rank[s.order[i-1]]; i-- {
 			s.order[i], s.order[i-1] = s.order[i-1], s.order[i]
 		}
 	}
 
-	if len(s.order) == 0 && !materialize {
-		// Every dimension covered and nothing to decode: the whole group
-		// matches, and a count needs no selection vector to say so.
-		st.Matched += g.rows
-		return 0
-	}
 	// The kernels write a position before they know whether it survives, so
 	// the selection vector holds the whole group up front.
 	if cap(s.sel) < g.rows {
 		s.sel = make([]int32, g.rows)
 	}
 	var read int64
-	sel := s.sel[:g.rows]
-	if len(s.order) == 0 {
-		// Every dimension covered: the whole group matches.
-		fillIdentity(sel)
-	} else {
-		for oi, d := range s.order {
-			c := &g.cols[d]
-			var b int64
-			if oi == 0 {
-				sel, b = c.filterAll(q.Lo[d], q.Hi[d], sel)
-			} else {
-				sel, b = c.refine(q.Lo[d], q.Hi[d], sel)
-			}
-			s.touched[d] = true
-			read += b
-			st.tallyEncoding(c.kind)
-			if len(sel) == 0 {
-				break
-			}
+	var sel []int32 // nil while the selection is still spans
+	spans := append(s.spans[:0], span{0, int32(g.rows)})
+	matched := g.rows
+	for oi, d := range s.order {
+		c := &g.cols[d]
+		var b int64
+		switch {
+		case c.kind == colRLE:
+			s.narrowed, b = c.narrow(q.Lo[d], q.Hi[d], spans, s.narrowed[:0])
+			spans, s.narrowed = s.narrowed, spans // the input is the next output buffer
+			matched = spanRows(spans)
+		case sel != nil:
+			sel, b = c.refine(q.Lo[d], q.Hi[d], sel)
+			matched = len(sel)
+		case !materialize && oi == len(s.order)-1:
+			matched, b = c.countSpans(q.Lo[d], q.Hi[d], spans)
+		default:
+			sel, b = c.selectSpans(q.Lo[d], q.Hi[d], spans, s.sel[:g.rows])
+			matched = len(sel)
+		}
+		s.touched[d] = true
+		read += b
+		st.tallyEncoding(c.kind)
+		if matched == 0 {
+			break
 		}
 	}
-	st.Matched += len(sel)
-	if materialize && len(sel) > 0 {
+	s.spans = spans
+	st.Matched += matched
+	if materialize && matched > 0 {
+		if sel == nil {
+			sel = expand(spans, s.sel[:g.rows])
+		}
 		base := len(s.flat)
 		need := base + len(sel)*dims
 		if cap(s.flat) < need {

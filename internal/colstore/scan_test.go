@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"paw/internal/dataset"
@@ -17,19 +19,130 @@ func benchTable(rows int) (*dataset.Dataset, *Table) {
 	return data, FromDataset(data, nil, 1024)
 }
 
+// builtTable is benchTable in the builder's physical order at the end-to-end
+// benchmark's group size: the shape production tables have, sorted run columns
+// ahead of a raw one.
+func builtTable(rows int) (*dataset.Dataset, *Table) {
+	data := dataset.TPCHLike(rows, 7).Project(4).Normalize()
+	all := make([]int, rows)
+	for i := range all {
+		all[i] = i
+	}
+	return data, NewBuilder(data, 2048).Build(all)
+}
+
 func TestScannerSteadyStateAllocs(t *testing.T) {
-	data, tab := benchTable(20000)
+	data, arrival := benchTable(20000)
+	_, built := builtTable(20000) // spans narrow here: their scratch lives on the Scanner too
 	q := data.Domain()
 	q.Lo[0], q.Hi[0] = 0.2, 0.6
 	q.Lo[1], q.Hi[1] = 0.1, 0.8
-	sc := NewScanner()
-	sc.Count(tab, q)
-	sc.Scan(tab, q)
-	if n := testing.AllocsPerRun(50, func() { sc.Count(tab, q) }); n != 0 {
-		t.Errorf("Count allocates %v/op in steady state, want 0", n)
+	q.Lo[2], q.Hi[2] = 0.1, 0.8
+	for name, tab := range map[string]*Table{"arrival": arrival, "built": built} {
+		sc := NewScanner()
+		sc.Count(tab, q)
+		sc.Scan(tab, q)
+		if n := testing.AllocsPerRun(50, func() { sc.Count(tab, q) }); n != 0 {
+			t.Errorf("%s: Count allocates %v/op in steady state, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { sc.Scan(tab, q) }); n != 0 {
+			t.Errorf("%s: Scan allocates %v/op in steady state, want 0", name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(50, func() { sc.Scan(tab, q) }); n != 0 {
-		t.Errorf("Scan allocates %v/op in steady state, want 0", n)
+}
+
+// TestRunsLeadRaw: on the benchmark's table shape the run columns narrow the
+// selection before a raw value is read. 500 seeded boxes against the naive
+// oracle and the dataset; Count and Scan charge the same predicate bytes group
+// by group; and in every group where an active RLE chunk rejects a run, an
+// active raw chunk is charged for no more than the rows the runs left.
+func TestRunsLeadRaw(t *testing.T) {
+	data, tab := builtTable(24000)
+	if c := tab.EncodingCounts(); c["rle"] == 0 || c["raw"] == 0 {
+		t.Fatalf("the built table must hold run and raw chunks: %v", c)
+	}
+	dims := tab.Dims()
+	rng := rand.New(rand.NewSource(22))
+	pool := parbuild.New(0) // serial at -cpu 1, fanned out at -cpu 2
+	sc := NewScanner()
+	col := make([]float64, 2048)
+	narrowed := 0
+	for qi := 0; qi < 500; qi++ {
+		q := data.Domain()
+		for d := 0; d < dims; d++ {
+			if rng.Intn(4) > 0 {
+				a, b := rng.Float64(), rng.Float64()
+				q.Lo[d], q.Hi[d] = min(a, b), max(a, b)
+			}
+		}
+		want := data.CountInBox(q, nil)
+		count := sc.Count(tab, q)
+		_, scan := sc.Scan(tab, q)
+		if naive := tab.CountNaive(q).Matched; count.Matched != want || scan.Matched != want || naive != want {
+			t.Fatalf("q%d: count %d, scan %d, naive %d, dataset %d", qi, count.Matched, scan.Matched, naive, want)
+		}
+		if par := tab.CountParallel(q, pool, nil, sc); par != count {
+			t.Fatalf("q%d: parallel %+v != serial %+v", qi, par, count)
+		}
+		for gi := range tab.groups {
+			g := &tab.groups[gi]
+			if g.stats.CanPrune(q) {
+				continue
+			}
+			var cst, sst ScanStats
+			counted := sc.scanGroup(g, q, false, &cst)
+			sc.flat = sc.flat[:0]
+			// What Scan reads beyond Count is the covered columns of the
+			// rows it returns; the rest is predicate bytes.
+			predicate := sc.scanGroup(g, q, true, &sst)
+			// keep[i]: row i passes every active RLE predicate. bound: the
+			// whole payload of every active chunk that is not raw.
+			keep, bound, rawActive, rejected := make([]bool, g.rows), int64(0), int64(0), false
+			for i := range keep {
+				keep[i] = true
+			}
+			for d := 0; d < dims; d++ {
+				c := &g.cols[d]
+				switch {
+				case g.stats.DimCovered(d, q):
+					if sst.Matched > 0 {
+						predicate -= c.valueBytes(sst.Matched)
+					}
+				case c.kind == colRaw:
+					rawActive++
+				default:
+					bound += c.payloadBytes()
+					if c.kind != colRLE {
+						continue
+					}
+					c.decodeInto(col[:g.rows])
+					for i, v := range col[:g.rows] {
+						if v < q.Lo[d] || v > q.Hi[d] {
+							keep[i], rejected = false, true
+						}
+					}
+				}
+			}
+			if predicate != counted || sst.Matched != cst.Matched {
+				t.Fatalf("q%d group %d: Scan charges %d predicate bytes for %d rows, Count %d for %d",
+					qi, gi, predicate, sst.Matched, counted, cst.Matched)
+			}
+			if !rejected || rawActive == 0 {
+				continue
+			}
+			narrowed++
+			left := int64(0)
+			for _, k := range keep {
+				left += int64(b2i(k))
+			}
+			if counted > bound+rawActive*8*left {
+				t.Fatalf("q%d group %d: read %d bytes; runs left %d of %d rows, so %d raw chunk(s) and %d bytes of other payload allow %d",
+					qi, gi, counted, left, g.rows, rawActive, bound, bound+rawActive*8*left)
+			}
+		}
+	}
+	if narrowed < 100 {
+		t.Fatalf("only %d groups had a run rejected ahead of a raw predicate: the boxes miss the case", narrowed)
 	}
 }
 
@@ -122,6 +235,19 @@ func TestEncodingCountsAndCompression(t *testing.T) {
 	if tab.EncodedBytes() >= raw {
 		t.Errorf("encoded %d bytes >= raw %d", tab.EncodedBytes(), raw)
 	}
+	// The same census in bytes: one entry per encoding present, summing to
+	// the table's encoded size.
+	var sum int64
+	byEnc := tab.EncodedBytesByEncoding()
+	for enc, b := range byEnc {
+		if counts[enc] == 0 || b <= 0 {
+			t.Errorf("%d bytes under %q, which holds %d chunks", b, enc, counts[enc])
+		}
+		sum += b
+	}
+	if len(byEnc) != len(counts) || sum != tab.EncodedBytes() {
+		t.Errorf("bytes by encoding %v sum to %d over %d encodings; table has %d bytes, %v", byEnc, sum, len(byEnc), tab.EncodedBytes(), counts)
+	}
 }
 
 // TestScannerSelCapacityAcrossGroups: the kernels write a position before
@@ -142,7 +268,7 @@ func TestScannerSelCapacityAcrossGroups(t *testing.T) {
 	}
 	// One RLE run over the whole group under an envelope wider than its
 	// value (a decoded table's statistics may be loose), so the predicate is
-	// neither pruned nor covered and filterAll fills every position at once.
+	// neither pruned nor covered and the one run keeps the whole-group span.
 	const wide = 5000
 	raw := make([]float64, wide)
 	for i := range raw {
@@ -180,5 +306,35 @@ func TestScannerSelCapacityAcrossGroups(t *testing.T) {
 	}
 	if got.ColsRLE != 1 || got.ColsRaw != 1 {
 		t.Fatalf("one-run group must filter on the RLE column and refine on the raw one: %+v", got)
+	}
+}
+
+// TestScanNaNBoundKeepsRunsFirst: refine has no RLE arm, so the order must put
+// run chunks first whatever the estimate — a NaN bound makes every comparison
+// on it false. Dimension 0 is dictionary-encoded and NaN-bounded, dimension 1
+// is runs: sorted on the raw estimate alone the runs would come second.
+func TestScanNaNBoundKeepsRunsFirst(t *testing.T) {
+	const n = 2000
+	cols := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+	for i := range cols[0] {
+		cols[0][i] = float64(i*7%13) / 13
+		cols[1][i] = float64(i / 100)
+		cols[2][i] = float64(i*2654435761%100003) / 100003
+	}
+	tab := FromDataset(dataset.MustNew([]string{"dict", "runs", "raw"}, cols), nil, 500)
+	if g := &tab.groups[0]; g.cols[0].kind != colDict || g.cols[1].kind != colRLE || g.cols[2].kind != colRaw {
+		t.Fatalf("columns encoded as %v/%v/%v", g.cols[0].kind, g.cols[1].kind, g.cols[2].kind)
+	}
+	q := geom.Box{Lo: geom.Point{math.NaN(), 2, 0.1}, Hi: geom.Point{0.9, 17, 0.8}}
+	// A dictionary probe reads a NaN lower bound as no lower bound.
+	ref := q.Clone()
+	ref.Lo[0] = math.Inf(-1)
+	sc := NewScanner()
+	count, want := sc.Count(tab, q), tab.CountNaive(ref).Matched
+	if _, scan := sc.Scan(tab, q); scan.Matched != want || count.Matched != want || want == 0 {
+		t.Fatalf("count %d, scan %d, want %d", count.Matched, scan.Matched, want)
+	}
+	if count.ColsRLE == 0 {
+		t.Fatalf("the run chunks were not evaluated: %+v", count)
 	}
 }

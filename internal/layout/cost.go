@@ -102,8 +102,7 @@ func (l *Layout) baseCost(q geom.Box) int64 {
 	cand := l.index.AppendIntersecting((*bp)[:0], q)
 	var total int64
 	for _, i := range cand {
-		p := l.Parts[i]
-		if p.Desc.Intersects(q) && !p.PruneWithPrecise(q) {
+		if p := l.Parts[i]; p.scansCandidate(q) {
 			total += p.Bytes()
 		}
 	}

@@ -90,3 +90,45 @@ func BenchmarkAppendPartitionsForEnvelopes(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/query")
 }
+
+// TestCandidateTestOnDegenerateBoxes: the indexed route path no longer asks
+// per candidate whether the query or the stored box is empty, and must still
+// answer as the linear reference does when one of them is — an inverted
+// precise box meets nothing (its partition is pruned), an empty query routes
+// nowhere.
+func TestCandidateTestOnDegenerateBoxes(t *testing.T) {
+	l := envelopeGrid(6)
+	inverted := geom.Box{Lo: geom.Point{0.9, 0.1}, Hi: geom.Point{0.1, 0.9}}
+	for i, p := range l.Parts {
+		switch i % 3 {
+		case 1:
+			p.Precise = []geom.Box{inverted}
+		case 2:
+			p.Precise = append([]geom.Box{inverted}, p.Precise...)
+		}
+	}
+	queries := append(envelopeQueries(200),
+		geom.UnitBox(2),
+		inverted, // empty, and wide enough to "overlap" everything if tested naively
+		geom.Box{Lo: geom.Point{0.2, 0.5}, Hi: geom.Point{0.8, 0.4}})
+	routed := 0
+	for _, q := range queries {
+		got, want := l.AppendPartitionsFor(nil, q), l.AppendPartitionsForLinear(nil, q)
+		if !equalIDs(got, want) {
+			t.Fatalf("AppendPartitionsFor(%v): indexed %v, linear %v", q, got, want)
+		}
+		if ci, cl := l.QueryCost(q, nil), l.QueryCostLinear(q, nil); ci != cl {
+			t.Fatalf("QueryCost(%v): indexed %d, linear %d", q, ci, cl)
+		}
+		if q.IsEmpty() && len(got) != 0 {
+			t.Fatalf("empty query %v routed to %v", q, got)
+		}
+		routed += len(got)
+	}
+	if all := l.AppendPartitionsFor(nil, geom.UnitBox(2)); len(all) != 24 {
+		t.Fatalf("the unit box must reach the 24 partitions with a real precise box, got %d", len(all))
+	}
+	if routed == 0 {
+		t.Fatal("no query routed anywhere")
+	}
+}

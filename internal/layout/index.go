@@ -15,10 +15,11 @@ import (
 // scanning every descriptor linearly.
 //
 // Exactness guarantee: the index is a pure pre-filter. Every candidate it
-// yields is confirmed with the same exact predicates the linear reference
-// uses (Descriptor.Intersects / Descriptor.Contains / PruneWithPrecise), and
-// the MBR test can never exclude a true match because a descriptor's region
-// is contained in its MBR. Candidates arrive in ascending ID order (the
+// yields is confirmed with the exact predicates the linear reference uses
+// (Descriptor.Intersects / Descriptor.Contains / PruneWithPrecise) — less
+// what the index has itself just decided, see scansCandidate — and the MBR
+// test can never exclude a true match because a descriptor's region is
+// contained in its MBR. Candidates arrive in ascending ID order (the
 // index is packed in partition-ID order, which Seal assigns in tree
 // pre-order), so indexed results are byte-identical to the linear scans —
 // property- and fuzz-tested in index_test.go / fuzz_test.go.
@@ -81,14 +82,41 @@ func (l *Layout) AppendPartitionsFor(dst []ID, q geom.Box) []ID {
 	bp := candPool.Get().(*[]int)
 	cand := l.index.AppendIntersecting((*bp)[:0], q)
 	for _, i := range cand {
-		p := l.Parts[i]
-		if p.Desc.Intersects(q) && !p.PruneWithPrecise(q) {
+		if p := l.Parts[i]; p.scansCandidate(q) {
 			dst = append(dst, p.ID)
 		}
 	}
 	*bp = cand[:0]
 	candPool.Put(bp)
 	return dst
+}
+
+// scansCandidate is Desc.Intersects(q) && !PruneWithPrecise(q) for a partition
+// the routing index offered: the index has found q non-empty and p's MBR to
+// meet it, once per query, and neither is tested again per candidate. A Rect
+// is its MBR; an irregular region and a precise descriptor are what is left.
+func (p *Partition) scansCandidate(q geom.Box) bool {
+	if _, rect := p.Desc.(Rect); !rect && !p.Desc.Intersects(q) {
+		return false
+	}
+	for _, m := range p.Precise {
+		if meetsNonEmpty(m, q) {
+			return true
+		}
+	}
+	return len(p.Precise) == 0
+}
+
+// meetsNonEmpty is m.Intersects(q) for a q known to be non-empty, in one pass:
+// m's own emptiness is the third comparison of each dimension, so a stored
+// box that is inverted still meets nothing.
+func meetsNonEmpty(m, q geom.Box) bool {
+	for d, lo := range m.Lo {
+		if hi := m.Hi[d]; lo > q.Hi[d] || q.Lo[d] > hi || lo > hi {
+			return false
+		}
+	}
+	return len(m.Lo) > 0
 }
 
 // AppendPartitionsForLinear is the retained linear reference for

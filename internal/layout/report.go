@@ -105,6 +105,10 @@ type BuildReport struct {
 	RowBytes            int64 `json:"row_bytes"`
 	TotalBytes          int64 `json:"total_bytes"`
 	Unrouted            int64 `json:"unrouted,omitempty"`
+	// StoredBytes is the materialised store's encoded payload by physical
+	// encoding ("raw", "dict", "rle", "for"): where the bytes a scan may have
+	// to read are. Set by builds that materialise (`pawcli build`).
+	StoredBytes map[string]int64 `json:"stored_bytes_by_encoding,omitempty"`
 
 	Levels []LevelStat `json:"levels,omitempty"`
 	Splits SplitStats  `json:"splits"`
@@ -229,6 +233,20 @@ func (r *BuildReport) Render(w io.Writer) {
 		r.Method, r.Partitions, r.IrregularPartitions, r.SampleRows)
 	if r.TotalBytes > 0 {
 		fmt.Fprintf(w, "  data: %d bytes (%d/row), %d unrouted\n", r.TotalBytes, r.RowBytes, r.Unrouted)
+	}
+	if len(r.StoredBytes) > 0 {
+		var total int64
+		encs := make([]string, 0, len(r.StoredBytes))
+		for enc, b := range r.StoredBytes {
+			encs = append(encs, enc)
+			total += b
+		}
+		sort.Strings(encs)
+		fmt.Fprintf(w, "  stored: %d bytes encoded —", total)
+		for _, enc := range encs {
+			fmt.Fprintf(w, " %s %d (%.1f%%)", enc, r.StoredBytes[enc], 100*float64(r.StoredBytes[enc])/float64(total))
+		}
+		fmt.Fprintln(w)
 	}
 
 	if len(r.Phases) == 0 || r.WallNs <= 0 {

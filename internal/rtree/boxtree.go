@@ -204,13 +204,15 @@ func (t *BoxIndex) AppendIntersecting(dst []int, q geom.Box) []int {
 	return t.appendIntersecting(t.root, dst, q)
 }
 
+// appendIntersecting is the walk under AppendIntersecting, which has already
+// found q non-empty: no box on the way down tests that again.
 func (t *BoxIndex) appendIntersecting(n *bnode, dst []int, q geom.Box) []int {
-	if !n.mbr.Intersects(q) {
+	if !meets(n.mbr, q) {
 		return dst
 	}
 	if n.children == nil {
 		for _, i := range n.items {
-			if t.boxes[i].Intersects(q) {
+			if meets(t.boxes[i], q) {
 				dst = append(dst, i)
 			}
 		}
@@ -220,6 +222,18 @@ func (t *BoxIndex) appendIntersecting(n *bnode, dst []int, q geom.Box) []int {
 		dst = t.appendIntersecting(c, dst, q)
 	}
 	return dst
+}
+
+// meets is b.Intersects(q) for a q known to be non-empty, in one pass: b's own
+// emptiness (an inverted member box is legal, see mbrOfBoxes) is the third
+// comparison of each dimension instead of a loop of its own.
+func meets(b, q geom.Box) bool {
+	for d, lo := range b.Lo {
+		if hi := b.Hi[d]; lo > q.Hi[d] || q.Lo[d] > hi || lo > hi {
+			return false
+		}
+	}
+	return len(b.Lo) > 0
 }
 
 // PointAccepter is the exact-membership check FirstContaining applies to a
