@@ -96,12 +96,8 @@ func main() {
 		rebalBudget  = flag.Int64("rebalance-budget", 0, "max payload bytes one rebalance round ships; excess moves defer to later rounds (0: unbounded; graceful-leave drains always ignore it)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "post-cutover wait for in-flight old-epoch queries before the epoch retires anyway (expiries are counted)")
 
-		connsPerWorker = flag.Int("conns-per-worker", 2, "multiplexed connections per worker")
-		clientPipeline = flag.Int("client-pipeline", 32, "max in-flight queries per client session")
-		planCache      = flag.Int("plan-cache", 1024, "routed-plan (descriptor) cache entries (0: off)")
-		resultCache    = flag.Int("result-cache", 256, "clean-result cache entries, invalidated on layout/placement change (0: off)")
-		maxInflight    = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue (0: unbounded, no admission)")
-		maxQueued      = flag.Int("max-queued", 32, "admission control: queued queries per client before shedding with an overload error")
+		resultCache = flag.Int("result-cache", 256, "clean-result cache entries, translated or dropped per partition on layout/placement change (0: off)")
+		maxInflight = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue, 32 per client, and the excess is shed with an overload error (0: unbounded, no admission)")
 
 		driftOn       = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (needs -drift-hist and -drift-delta)")
 		driftHist     = flag.String("drift-hist", "", "historical query log (.pawq) the layout was built from — the drift monitor's reference workload")
@@ -164,12 +160,8 @@ func main() {
 		SlowQuery:    *slowQuery,
 		DrainTimeout: *drainTimeout,
 
-		ConnsPerWorker:     *connsPerWorker,
-		ClientPipeline:     *clientPipeline,
-		PlanCacheSize:      *planCache,
 		ResultCacheSize:    *resultCache,
 		MaxInflightQueries: *maxInflight,
-		MaxQueuedPerClient: *maxQueued,
 	})
 	// The tracer exists whenever traces can be produced: by sampling
 	// (-trace-sample) or on demand (pawsql -explain always works, but only a

@@ -10,7 +10,7 @@
 // -explain runs the statement as EXPLAIN ANALYZE: the master forces a trace
 // (even with tracing disabled) and the client renders the returned span tree
 // — routing, per-range scatter, per-attempt RPCs, and each touched worker's
-// per-partition scan spans with rows/bytes/zone-skipping/encoding-mix detail.
+// per-partition scan spans with rows/bytes/encoding-mix detail.
 //
 // Every mode speaks the one multiplexed frame protocol over one connection: a
 // -timeout expiry abandons that query only (the REPL keeps its session), and

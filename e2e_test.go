@@ -9,13 +9,11 @@ package paw
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"paw/internal/blockstore"
 	"paw/internal/cluster"
-	"paw/internal/colstore"
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/workload"
@@ -66,127 +64,6 @@ func TestEndToEndSQLAllMethods(t *testing.T) {
 				t.Errorf("%s: %q returned %d rows, want %d", m, stmt, rows, want)
 			}
 		}
-	}
-}
-
-// TestEndToEndZoneMapScans materialises a store with feature-vector zone
-// maps trained on the workload and verifies, for every training query, that
-// the stored scan counts still equal the brute-force dataset counts, that the
-// per-partition byte accounting invariant holds, and that the zone maps
-// actually skip row groups somewhere (they are exact on training queries).
-func TestEndToEndZoneMapScans(t *testing.T) {
-	data := GenerateTPCH(25_000, 113)
-	hist := UniformWorkload(data.Domain(), 25, 114)
-	l, err := Build(data, hist, Options{
-		Method: MethodPAW, MinRows: 10, SampleRows: 2_500,
-		Delta: FractionOfDomain(data.Domain(), 0.0005),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zone maps are trained on the layout's own workload — whose queries PAW
-	// has already aligned the partitions to — and on queries the layout never
-	// saw: slabs around data rows, which cut through partitions and their
-	// row groups and match a few percent of the table each.
-	train := hist.Boxes()
-	dom := data.Domain()
-	for j := 0; j < 25; j++ {
-		q := dom.Clone()
-		for _, d := range []int{j % len(q.Lo), (j + 3) % len(q.Lo)} {
-			v, w := data.At(j*997, d), (dom.Hi[d]-dom.Lo[d])/10
-			q.Lo[d], q.Hi[d] = v-w, v+w
-		}
-		train = append(train, q)
-	}
-	// Row groups far smaller than a partition, so that zone bits are per tile
-	// of a multi-group table and the order they are taken in matters.
-	plain := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 32})
-	zoned := blockstore.Materialize(l, data, blockstore.Config{
-		GroupRows: 32, ZoneQueries: train,
-	})
-	zoneSkips := 0
-	for _, q := range train {
-		ids := l.PartitionsFor(q)
-		want := data.CountInBox(q, nil)
-		pst, err := plain.ScanAll(ids, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zst, err := zoned.ScanAll(ids, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pst.Matched != want || zst.Matched != want {
-			t.Fatalf("query %v: plain %d / zoned %d rows, want %d", q, pst.Matched, zst.Matched, want)
-		}
-		if zst.BytesRead > pst.BytesRead {
-			t.Fatalf("query %v: zone maps increased bytes read (%d > %d)", q, zst.BytesRead, pst.BytesRead)
-		}
-		zoneSkips += zst.GroupsZoneSkipped
-		// Per-partition accounting: every encoded byte is either read or skipped.
-		for _, id := range ids {
-			st, err := zoned.ScanPartition(id, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := zoned.Partition(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.BytesRead+st.BytesSkipped != p.Table.EncodedBytes() {
-				t.Fatalf("partition %d: read %d + skipped %d != encoded %d",
-					id, st.BytesRead, st.BytesSkipped, p.Table.EncodedBytes())
-			}
-		}
-	}
-	if zoneSkips == 0 {
-		t.Error("zone maps never skipped a row group across the training workload")
-	}
-
-	// The store builds zone bits from source rows, walked in the table's
-	// clustered order — which is not the order the rows arrive in. Bits taken
-	// in any other order still answer training queries wrongly only by luck,
-	// so pin them to the oracle: the bits the table's own row groups yield
-	// when probed through the scan kernel must give identical scans.
-	byPart := l.RouteIndices(data, allRows(data.NumRows()))
-	reordered := 0
-	for _, p := range l.Parts {
-		sp, err := zoned.Partition(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrival := byPart[p.ID]
-		for i, pt := range sp.Table.GroupPoints(0) {
-			if !slices.Equal(pt, data.Point(arrival[i])) {
-				reordered++
-				break
-			}
-		}
-		pp, err := plain.Partition(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := pp.Table.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		probed, err := colstore.Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probed.BuildZoneMaps(train)
-		for _, q := range train {
-			got, err := zoned.ScanPartition(p.ID, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := probed.Count(q); got != want {
-				t.Fatalf("partition %d query %v: zone maps from source rows scan %+v, probed from the table %+v", p.ID, q, got, want)
-			}
-		}
-	}
-	if reordered == 0 {
-		t.Error("no partition's table order differs from arrival order: the case is vacuous")
 	}
 }
 

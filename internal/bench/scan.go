@@ -32,8 +32,7 @@ type ScanResult struct {
 	// Mode is the execution path: "naive" (row-at-a-time over fully decoded
 	// groups), "vectorized" (selection-vector count), "materialize"
 	// (vectorized scan with late materialization), "parallel" (vectorized
-	// count fanned over row groups), "vectorized-zones" (vectorized count
-	// with feature-vector zone maps).
+	// count fanned over row groups).
 	Mode string `json:"mode"`
 	// Workers is the pool width for the parallel mode (0 otherwise).
 	Workers int `json:"workers,omitempty"`
@@ -47,13 +46,12 @@ type ScanResult struct {
 	// DecodedMBPerSec is BytesRead over the op's time: the rate the end-to-end
 	// benchmark reports as colstore.scan_mb_per_s. MBPerSec credits skipped
 	// bytes; this does not.
-	DecodedMBPerSec   float64 `json:"decoded_mb_per_sec"`
-	AllocsPerOp       float64 `json:"allocs_per_op"`
-	BytesRead         int64   `json:"bytes_read"`
-	BytesSkipped      int64   `json:"bytes_skipped"`
-	GroupsRead        int     `json:"groups_read"`
-	GroupsSkipped     int     `json:"groups_skipped"`
-	GroupsZoneSkipped int     `json:"groups_zone_skipped,omitempty"`
+	DecodedMBPerSec float64 `json:"decoded_mb_per_sec"`
+	AllocsPerOp     float64 `json:"allocs_per_op"`
+	BytesRead       int64   `json:"bytes_read"`
+	BytesSkipped    int64   `json:"bytes_skipped"`
+	GroupsRead      int     `json:"groups_read"`
+	GroupsSkipped   int     `json:"groups_skipped"`
 	// SpeedupVsNaive is this cell's throughput over the naive mode at the
 	// same family and selectivity (the encoded-vs-raw kernel payoff).
 	SpeedupVsNaive float64 `json:"speedup_vs_naive,omitempty"`
@@ -190,7 +188,6 @@ func ScanBench(cfg Config) ScanReport {
 			BytesSkipped:      st.BytesSkipped,
 			GroupsRead:        st.GroupsRead,
 			GroupsSkipped:     st.GroupsSkipped,
-			GroupsZoneSkipped: st.GroupsZoneSkipped,
 		}
 		if res.NsPerOp() > 0 {
 			perSec := 1e9 / float64(res.NsPerOp())
@@ -261,29 +258,6 @@ func ScanBench(cfg Config) ScanReport {
 		vec.SpeedupVsNaive = speedup(naive.NsPerOp, vec.NsPerOp)
 		rep.Results = append(rep.Results, vec)
 	}
-
-	// Feature-vector zone maps over the multidim queries: the scan skips row
-	// groups holding no matching row, beyond what min/max envelopes prove.
-	zq := make([]geom.Box, 0, len(scanSelectivities["multidim"]))
-	for _, sel := range scanSelectivities["multidim"] {
-		zq = append(zq, query("multidim", sel))
-	}
-	tab.BuildZoneMaps(zq)
-	for i, sel := range scanSelectivities["multidim"] {
-		q := zq[i]
-		var naiveNs int64
-		for _, r := range rep.Results {
-			if r.Family == "multidim" && r.Mode == "naive" && r.TargetSelectivity == sel {
-				naiveNs = r.NsPerOp
-			}
-		}
-		zr := measure("multidim", "vectorized-zones", 0, sel, sc.Count(tab, q), func() {
-			sc.Count(tab, q)
-		})
-		zr.SpeedupVsNaive = speedup(naiveNs, zr.NsPerOp)
-		rep.Results = append(rep.Results, zr)
-	}
-	tab.BuildZoneMaps(nil)
 
 	// Full-domain materializing scan: every group and column decodes, giving
 	// the pure kernel decode rate for the simulator's CPU bound.

@@ -15,7 +15,6 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/layout"
-	"paw/internal/maxskip"
 )
 
 // Config configures the store.
@@ -29,11 +28,6 @@ type Config struct {
 	// WriteMBps is the simulated sequential write throughput used to model
 	// the "routing and I/O time" of Table II.
 	WriteMBps float64
-	// ZoneQueries, when non-empty, is the training workload used to build
-	// per-row-group feature-vector zone maps (Sun et al., SIGMOD 2014) for
-	// every partition table: scans whose query is in this workload skip row
-	// groups with exact per-group incidence bits, beyond min/max pruning.
-	ZoneQueries []geom.Box
 }
 
 func (c Config) withDefaults() Config {
@@ -104,11 +98,6 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 
 	stored := make([]StoredPartition, len(l.Parts))
 	cfg.Builder(data).BuildAll(byPart, func(i int, tab *colstore.Table) {
-		if len(cfg.ZoneQueries) > 0 {
-			if err := tab.SetZoneMaps(cfg.ZoneQueries, zoneMapBits(data, byPart[i], tab, cfg.ZoneQueries)); err != nil {
-				panic(err) // impossible: bits are built from this table's groups
-			}
-		}
 		blocks := int((tab.Bytes() + cfg.BlockBytes - 1) / cfg.BlockBytes)
 		if blocks == 0 {
 			blocks = 1
@@ -144,31 +133,6 @@ func partitionRows(l *layout.Layout, assign []int32) [][]int {
 	return byPart
 }
 
-// zoneMapBits computes per-row-group feature-vector incidence bits for a
-// partition table directly from the source rows: one maxskip.RowVector per
-// row, unioned across the rows of each group. rows lists the partition's
-// source row indices in table order — the order colstore.Builder left them
-// in, not the order they were routed in.
-func zoneMapBits(data *dataset.Dataset, rows []int, tab *colstore.Table, queries []geom.Box) [][]uint64 {
-	words := (len(queries) + 63) / 64
-	bits := make([][]uint64, tab.NumGroups())
-	vec := make([]uint64, words)
-	next := 0
-	for gi := range bits {
-		g := make([]uint64, words)
-		n := tab.GroupRows(gi)
-		for _, r := range rows[next : next+n] {
-			maxskip.RowVector(data, r, queries, vec)
-			for w := 0; w < words; w++ {
-				g[w] |= vec[w]
-			}
-		}
-		next += n
-		bits[gi] = g
-	}
-	return bits
-}
-
 // Partition returns the stored partition with the given ID.
 func (s *Store) Partition(id layout.ID) (*StoredPartition, error) {
 	p, ok := s.parts[id]
@@ -194,9 +158,9 @@ func (s *Store) TotalBlocks() int {
 func (s *Store) BlockBytes() int64 { return s.cfg.BlockBytes }
 
 // ScanPartition scans one partition with the query through the vectorized
-// kernels, using row-group pruning and (when configured) feature-vector zone
-// maps. Scanner scratch comes from the store's pool, so concurrent scans of
-// different partitions are safe and allocation-free in steady state.
+// kernels, using row-group pruning. Scanner scratch comes from the store's
+// pool, so concurrent scans of different partitions are safe and
+// allocation-free in steady state.
 func (s *Store) ScanPartition(id layout.ID, q geom.Box) (colstore.ScanStats, error) {
 	p, err := s.Partition(id)
 	if err != nil {

@@ -143,14 +143,13 @@ func encodeStore(t *testing.T, s *Store) []byte {
 }
 
 // TestMaterializeDeterministic: the parallel fan-out leaks no scheduling into
-// the store. Encoded tables, zone maps included, and the byte and block totals
-// are identical serial and parallel and from run to run. (`make race` also
-// runs this package at -cpu 1,2.)
+// the store. Encoded tables and the byte and block totals are identical serial
+// and parallel and from run to run. (`make race` also runs this package at
+// -cpu 1,2.)
 func TestMaterializeDeterministic(t *testing.T) {
 	data := dataset.TPCHLike(60_000, 11).Project(4)
 	l := kdtree.Build(data, data.Sample(6000, 12), data.Domain(), kdtree.Params{MinRows: 100})
-	zone := workload.Uniform(data.Domain(), workload.Defaults(8, 13)).Boxes()
-	cfg := Config{GroupRows: 256, ZoneQueries: zone}
+	cfg := Config{GroupRows: 256}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := Materialize(l, data, cfg)

@@ -6,19 +6,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
-	"paw/internal/geom"
 	"paw/internal/sma"
 )
 
 // Binary format (little-endian):
 //
 //	magic    uint32 'PAWC'
-//	version  uint16 (2; version 1 files remain decodable)
+//	version  uint16 (2)
 //	dims     uint16
 //	groups   uint32
 //	names    (uint16 len + bytes) per column
-//	zones    uint32 query count, then per query dims × (lo, hi) float64
+//	zones    uint32, always 0 (the query count of the zone maps v2 once carried)
 //	per group:
 //	  rows   uint32
 //	  per column: kind uint8, then the encoded payload:
@@ -27,15 +27,13 @@ import (
 //	    rle:  runs uint32, runs × float64 values, runs × uint32 lengths
 //	    for:  base float64, bits uint8, ceil(rows·bits/64) × uint64
 //	  SMA:   count int64, then per dim min/max/sum float64
-//	  zone bits (only when zones > 0): ceil(queries/64) × uint64
 //
-// Version 1 stored every column as rows × float64 with no zone section;
-// Decode re-encodes v1 columns through the same chooser the build path
-// uses, so a decoded v1 table is indistinguishable from a v2 one.
+// A payload only ever crosses the wire between processes of one build, so
+// nothing older is decodable: version 1 (raw float64 columns) and a non-zero
+// zone count are errors.
 const (
-	colMagic     = 0x50415743 // "PAWC"
-	colVersion   = 2
-	colVersionV1 = 1
+	colMagic   = 0x50415743 // "PAWC"
+	colVersion = 2
 
 	// maxDecodeRows bounds per-group row counts on decode so corrupt or
 	// hostile headers cannot drive huge allocations.
@@ -117,20 +115,24 @@ func (w *leWriter) u16s(vals []uint16) error {
 }
 
 // leReader mirrors leWriter: bulk slices are read with a single io.ReadFull
-// into the scratch buffer and converted in place — the fix for the v1-era
-// decoder that issued one binary.Read per float64.
+// into the scratch buffer and converted in place.
 type leReader struct {
 	br      *bufio.Reader
 	scratch []byte
 }
 
+// fill reads the next n bytes. The buffer grows with the bytes that arrive,
+// not with the length a header claims: a hostile count costs an error, not an
+// allocation.
 func (r *leReader) fill(n int) ([]byte, error) {
-	if cap(r.scratch) < n {
-		r.scratch = make([]byte, n)
-	}
-	r.scratch = r.scratch[:n]
-	if _, err := io.ReadFull(r.br, r.scratch); err != nil {
-		return nil, err
+	r.scratch = r.scratch[:0]
+	for len(r.scratch) < n {
+		end := min(n, max(2*len(r.scratch), cap(r.scratch), 4096))
+		r.scratch = slices.Grow(r.scratch, end-len(r.scratch))
+		if _, err := io.ReadFull(r.br, r.scratch[len(r.scratch):end]); err != nil {
+			return nil, err
+		}
+		r.scratch = r.scratch[:end]
 	}
 	return r.scratch, nil
 }
@@ -214,8 +216,7 @@ func (r *leReader) u16s(n int) ([]uint16, error) {
 	return out, nil
 }
 
-// Encode writes the table in the PAWC v2 binary format, including its
-// feature-vector zone maps when present.
+// Encode writes the table in the PAWC v2 binary format.
 func (t *Table) Encode(w io.Writer) error {
 	lw := &leWriter{bw: bufio.NewWriter(w)}
 	if err := lw.u32(colMagic); err != nil {
@@ -238,26 +239,8 @@ func (t *Table) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	var zoneWords int
-	if t.zones == nil {
-		if err := lw.u32(0); err != nil {
-			return err
-		}
-	} else {
-		if err := lw.u32(uint32(len(t.zones.queries))); err != nil {
-			return err
-		}
-		zoneWords = t.zones.words
-		for _, q := range t.zones.queries {
-			for d := 0; d < t.Dims(); d++ {
-				if err := lw.f64(q.Lo[d]); err != nil {
-					return err
-				}
-				if err := lw.f64(q.Hi[d]); err != nil {
-					return err
-				}
-			}
-		}
+	if err := lw.u32(0); err != nil { // the zone-count word
+		return err
 	}
 	for gi := range t.groups {
 		g := &t.groups[gi]
@@ -280,11 +263,6 @@ func (t *Table) Encode(w io.Writer) error {
 				return err
 			}
 			if err := lw.f64(g.stats.Sum[d]); err != nil {
-				return err
-			}
-		}
-		if zoneWords > 0 {
-			if err := lw.u64s(t.zones.bits[gi]); err != nil {
 				return err
 			}
 		}
@@ -429,8 +407,7 @@ func decodeColumnPayload(lr *leReader, rows int) (column, error) {
 	return c, nil
 }
 
-// Decode reads a table in the PAWC binary format, accepting both the
-// current v2 layout and the legacy v1 (raw float64 columns) layout.
+// Decode reads a table in the PAWC v2 binary format.
 func Decode(r io.Reader) (*Table, error) {
 	lr := &leReader{br: bufio.NewReader(r)}
 	magic, err := lr.u32()
@@ -444,40 +421,61 @@ func Decode(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case colVersionV1:
-		return decodeV1(lr)
-	case colVersion:
-		return decodeV2(lr)
-	default:
+	if version != colVersion {
 		return nil, fmt.Errorf("colstore: unsupported version %d", version)
 	}
-}
-
-func decodeHeader(lr *leReader) (names []string, groups uint32, err error) {
 	dims, err := lr.u16()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if dims == 0 {
-		return nil, 0, fmt.Errorf("colstore: zero columns")
+		return nil, fmt.Errorf("colstore: zero columns")
 	}
-	if groups, err = lr.u32(); err != nil {
-		return nil, 0, err
+	groups, err := lr.u32()
+	if err != nil {
+		return nil, err
 	}
-	names = make([]string, dims)
-	for i := range names {
+	t := &Table{names: make([]string, dims)}
+	for i := range t.names {
 		n, err := lr.u16()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		b, err := lr.fill(int(n))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		names[i] = string(b)
+		t.names[i] = string(b)
 	}
-	return names, groups, nil
+	nq, err := lr.u32()
+	if err != nil {
+		return nil, err
+	}
+	if nq != 0 {
+		return nil, fmt.Errorf("colstore: %d zone queries: zone maps are not supported", nq)
+	}
+	for gi := uint32(0); gi < groups; gi++ {
+		rows, err := lr.u32()
+		if err != nil {
+			return nil, err
+		}
+		if rows == 0 || rows > maxDecodeRows {
+			return nil, fmt.Errorf("colstore: group %d row count %d out of range", gi, rows)
+		}
+		cols := make([]column, dims)
+		for d := range cols {
+			if cols[d], err = decodeColumnPayload(lr, int(rows)); err != nil {
+				return nil, fmt.Errorf("colstore: group %d col %d: %w", gi, d, err)
+			}
+		}
+		stats, err := decodeStats(lr, int(dims))
+		if err != nil {
+			return nil, err
+		}
+		t.rows += int(rows)
+		t.groups = append(t.groups, newRowGroup(cols, int(rows), stats))
+	}
+	return t, nil
 }
 
 func decodeStats(lr *leReader, dims int) (sma.Aggregates, error) {
@@ -502,159 +500,4 @@ func decodeStats(lr *leReader, dims int) (sma.Aggregates, error) {
 		}
 	}
 	return st, nil
-}
-
-func decodeV2(lr *leReader) (*Table, error) {
-	names, groups, err := decodeHeader(lr)
-	if err != nil {
-		return nil, err
-	}
-	dims := len(names)
-	nq, err := lr.u32()
-	if err != nil {
-		return nil, err
-	}
-	var zones *zoneMaps
-	if nq > 0 {
-		if nq > 1<<20 {
-			return nil, fmt.Errorf("colstore: %d zone queries out of range", nq)
-		}
-		zones = &zoneMaps{
-			words:   (int(nq) + 63) / 64,
-			queries: make([]geom.Box, 0, nq),
-		}
-		for j := uint32(0); j < nq; j++ {
-			q := geom.Box{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
-			for d := 0; d < dims; d++ {
-				if q.Lo[d], err = lr.f64(); err != nil {
-					return nil, err
-				}
-				if q.Hi[d], err = lr.f64(); err != nil {
-					return nil, err
-				}
-			}
-			zones.queries = append(zones.queries, q)
-		}
-		zones.bits = make([][]uint64, 0, groups)
-	}
-	t := &Table{names: names}
-	for gi := uint32(0); gi < groups; gi++ {
-		rows, err := lr.u32()
-		if err != nil {
-			return nil, err
-		}
-		if rows == 0 || rows > maxDecodeRows {
-			return nil, fmt.Errorf("colstore: group %d row count %d out of range", gi, rows)
-		}
-		cols := make([]column, dims)
-		for d := range cols {
-			if cols[d], err = decodeColumnPayload(lr, int(rows)); err != nil {
-				return nil, fmt.Errorf("colstore: group %d col %d: %w", gi, d, err)
-			}
-		}
-		stats, err := decodeStats(lr, dims)
-		if err != nil {
-			return nil, err
-		}
-		if zones != nil {
-			vec, err := lr.u64s(zones.words)
-			if err != nil {
-				return nil, err
-			}
-			zones.bits = append(zones.bits, vec)
-		}
-		t.rows += int(rows)
-		t.groups = append(t.groups, newRowGroup(cols, int(rows), stats))
-	}
-	t.zones = zones
-	return t, nil
-}
-
-// decodeV1 reads the legacy layout (raw float64 columns, no zone section)
-// with bulk column reads, then re-encodes through the standard chooser.
-func decodeV1(lr *leReader) (*Table, error) {
-	names, groups, err := decodeHeader(lr)
-	if err != nil {
-		return nil, err
-	}
-	dims := len(names)
-	allCols := make([][][]float64, 0, groups)
-	allStats := make([]sma.Aggregates, 0, groups)
-	for gi := uint32(0); gi < groups; gi++ {
-		rows, err := lr.u32()
-		if err != nil {
-			return nil, err
-		}
-		if rows == 0 || rows > maxDecodeRows {
-			return nil, fmt.Errorf("colstore: group %d row count %d out of range", gi, rows)
-		}
-		cols := make([][]float64, dims)
-		for d := 0; d < dims; d++ {
-			if cols[d], err = lr.f64s(int(rows)); err != nil {
-				return nil, fmt.Errorf("colstore: group %d col %d: %w", gi, d, err)
-			}
-		}
-		st, err := decodeStats(lr, dims)
-		if err != nil {
-			return nil, err
-		}
-		allCols = append(allCols, cols)
-		allStats = append(allStats, st)
-	}
-	return fromColumns(names, allCols, allStats), nil
-}
-
-// encodeV1 writes the legacy v1 layout (raw float64 columns). Retained so
-// the compatibility and fuzz suites can exercise the v1→v2 upgrade path.
-func encodeV1(t *Table, w io.Writer) error {
-	lw := &leWriter{bw: bufio.NewWriter(w)}
-	if err := lw.u32(colMagic); err != nil {
-		return err
-	}
-	if err := lw.u16(colVersionV1); err != nil {
-		return err
-	}
-	if err := lw.u16(uint16(t.Dims())); err != nil {
-		return err
-	}
-	if err := lw.u32(uint32(len(t.groups))); err != nil {
-		return err
-	}
-	for _, n := range t.names {
-		if err := lw.u16(uint16(len(n))); err != nil {
-			return err
-		}
-		if _, err := lw.bw.WriteString(n); err != nil {
-			return err
-		}
-	}
-	col := make([]float64, 0, DefaultGroupRows)
-	for gi := range t.groups {
-		g := &t.groups[gi]
-		if err := lw.u32(uint32(g.rows)); err != nil {
-			return err
-		}
-		for d := range g.cols {
-			col = col[:g.rows]
-			g.cols[d].decodeInto(col)
-			if err := lw.f64s(col); err != nil {
-				return err
-			}
-		}
-		if err := lw.i64(g.stats.Count); err != nil {
-			return err
-		}
-		for d := 0; d < t.Dims(); d++ {
-			if err := lw.f64(g.stats.Min[d]); err != nil {
-				return err
-			}
-			if err := lw.f64(g.stats.Max[d]); err != nil {
-				return err
-			}
-			if err := lw.f64(g.stats.Sum[d]); err != nil {
-				return err
-			}
-		}
-	}
-	return lw.bw.Flush()
 }

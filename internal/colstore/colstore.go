@@ -32,7 +32,6 @@ type Table struct {
 	names  []string
 	groups []rowGroup
 	rows   int
-	zones  *zoneMaps
 }
 
 type rowGroup struct {
@@ -121,24 +120,6 @@ func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowG
 	return newRowGroup(cols, n, stats)
 }
 
-// fromColumns rebuilds a table from fully decoded row groups (the PAWC v1
-// decode path), re-encoding every column chunk with the same chooser the
-// build path uses so v1 and v2 tables are indistinguishable in memory.
-func fromColumns(names []string, groups [][][]float64, stats []sma.Aggregates) *Table {
-	t := &Table{names: names}
-	var scratch encodeScratch
-	for gi, cols := range groups {
-		n := len(cols[0])
-		enc := make([]column, len(cols))
-		for d, vals := range cols {
-			enc[d] = encodeColumn(vals, &scratch)
-		}
-		t.rows += n
-		t.groups = append(t.groups, newRowGroup(enc, n, stats[gi]))
-	}
-	return t
-}
-
 // NumRows returns the total row count.
 func (t *Table) NumRows() int { return t.rows }
 
@@ -208,15 +189,16 @@ type ScanStats struct {
 	// BytesRead is the encoded payload actually decoded.
 	BytesRead int64
 	// BytesSkipped is the encoded payload proven skippable (pruned groups,
-	// zone-map hits, covered columns, rows rejected before materialization).
+	// covered columns, rows rejected before materialization).
 	BytesSkipped int64
 	// RowsDecoded is the number of rows materialized (0 for Count scans).
 	RowsDecoded int64
 	// GroupsRead / GroupsSkipped count row groups evaluated vs pruned.
 	GroupsRead    int
 	GroupsSkipped int
-	// GroupsZoneSkipped is the subset of GroupsSkipped rejected by the
-	// feature-vector zone maps rather than the min/max envelope.
+	// GroupsZoneSkipped is never incremented: the zone maps it counted are
+	// gone, and the field stays only because benchmark/ — which a PR may not
+	// edit — reads it (see dist/metrics.go; ROADMAP.md item 1a removes it).
 	GroupsZoneSkipped int
 	// ColsRaw..ColsFOR count the column chunks actually decoded, by
 	// physical encoding — the encoding mix of the scan's real work
@@ -238,7 +220,6 @@ func (st *ScanStats) Add(other ScanStats) {
 	st.RowsDecoded += other.RowsDecoded
 	st.GroupsRead += other.GroupsRead
 	st.GroupsSkipped += other.GroupsSkipped
-	st.GroupsZoneSkipped += other.GroupsZoneSkipped
 	st.ColsRaw += other.ColsRaw
 	st.ColsDict += other.ColsDict
 	st.ColsRLE += other.ColsRLE

@@ -2,8 +2,11 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"paw/internal/dataset"
@@ -100,8 +103,8 @@ func fuzzQuery(rng *rand.Rand, dom geom.Box) geom.Box {
 
 // FuzzScanDifferential proves the vectorized kernels are byte-identical to
 // the retained naive scan across every encoding, on arrival-order tables and
-// on the builder's clustered ones, and that both PAWC v2 and the legacy v1
-// layout round-trip to tables with identical scan results and statistics.
+// on the builder's clustered ones, and that a table round-trips through PAWC
+// v2 to one with identical scan results and statistics.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(2), uint16(32), int64(2))
 	f.Add(int64(42), uint16(1000), uint8(4), uint16(128), int64(7))
@@ -184,9 +187,7 @@ func FuzzScanDifferential(f *testing.F) {
 		check("clustered", clustered)
 		enc = tab.EncodedBytes()
 
-		// PAWC v2 round trip, including feature-vector zone maps built from
-		// the fuzz queries (zone skipping must never change results).
-		tab.BuildZoneMaps(queries)
+		// PAWC v2 round trip.
 		var v2 bytes.Buffer
 		if err := tab.Encode(&v2); err != nil {
 			t.Fatal(err)
@@ -198,24 +199,113 @@ func FuzzScanDifferential(f *testing.F) {
 		if got2.EncodedBytes() != enc {
 			t.Fatalf("v2 round trip changed encoded size: %d vs %d", got2.EncodedBytes(), enc)
 		}
-		if len(got2.ZoneMapQueries()) != len(queries) {
-			t.Fatalf("v2 round trip lost zone maps: %d queries", len(got2.ZoneMapQueries()))
-		}
 		check("v2", got2)
+	})
+}
 
-		// Legacy v1 layout: raw columns re-encode through the same chooser,
-		// so the upgraded table is indistinguishable from the original.
-		var v1 bytes.Buffer
-		if err := encodeV1(tab, &v1); err != nil {
-			t.Fatal(err)
-		}
-		got1, err := Decode(&v1)
+// Payloads recorded on a2509e4, the last commit that could write them: the
+// 5-row, 2-column table {1..5} × {10,10,20,20,30} in 3-row groups as PAWC v1,
+// as PAWC v2, and as PAWC v2 carrying the zone maps of one query.
+const (
+	recordedV1 = "43574150010002000200000001006101006203000000000000000000f03f000000000000004000000000000008400000" +
+		"000000002440000000000000244000000000000034400300000000000000000000000000f03f00000000000008400000" +
+		"000000001840000000000000244000000000000034400000000000004440020000000000000000001040000000000000" +
+		"144000000000000034400000000000003e40020000000000000000000000000010400000000000001440000000000000" +
+		"224000000000000034400000000000003e400000000000004940"
+	recordedV2 = "435741500200020002000000010061010062000000000300000003000000000000f03f02240000000000000003000000" +
+		"000000244004000a0000000000000300000000000000000000000000f03f000000000000084000000000000018400000" +
+		"000000002440000000000000344000000000000044400200000000000000000000104000000000000014400000000000" +
+		"000034400000000000003e40020000000000000000000000000010400000000000001440000000000000224000000000" +
+		"000034400000000000003e400000000000004940"
+	recordedV2Zones = "43574150020002000200000001006101006201000000000000000000f03f000000000000004000000000000024400000" +
+		"0000000024400300000003000000000000f03f02240000000000000003000000000000244004000a0000000000000300" +
+		"000000000000000000000000f03f00000000000008400000000000001840000000000000244000000000000034400000" +
+		"000000004440010000000000000002000000000000000000001040000000000000144000000000000000344000000000" +
+		"00003e400200000000000000000000000000104000000000000014400000000000002240000000000000344000000000" +
+		"00003e4000000000000049400000000000000000"
+)
+
+func unhex(t testing.TB, s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeRefusesRecordedV1: nothing writes PAWC v1, so a recorded v1
+// payload takes the unsupported-version error.
+func TestDecodeRefusesRecordedV1(t *testing.T) {
+	_, err := Decode(bytes.NewReader(unhex(t, recordedV1)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 payload: err = %v, want unsupported version 1", err)
+	}
+}
+
+// TestDecodeRefusesZoneCount: the zone-count word is still in the v2 header
+// and still 0 in everything Encode writes — the payload recorded on the parent
+// decodes and re-encodes to itself — but a payload that carries zone maps is
+// an error, not a table with its zone section misread as row groups.
+func TestDecodeRefusesZoneCount(t *testing.T) {
+	plain := unhex(t, recordedV2)
+	tab, err := Decode(bytes.NewReader(plain))
+	if err != nil {
+		t.Fatalf("recorded v2 payload: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tab.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plain) {
+		t.Fatalf("recorded v2 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
+	}
+	_, err = Decode(bytes.NewReader(unhex(t, recordedV2Zones)))
+	if err == nil || !strings.Contains(err.Error(), "zone") {
+		t.Fatalf("zone-bearing payload: err = %v, want a zone-count error", err)
+	}
+}
+
+// TestDecodeHostileRowCount: a 30-byte payload whose first group claims 2²⁸ raw
+// rows is an error that costs no more memory than the bytes that arrived.
+func TestDecodeHostileRowCount(t *testing.T) {
+	payload := unhex(t, recordedV2)[:22]                 // header of a 2-column table, zone count 0
+	payload = append(payload, 0, 0, 0, 0x10, 0, 1, 2, 3) // rows = 1<<28, kind raw, three bytes of values
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(payload))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated 2²⁸-row group decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding %d hostile bytes allocated %d", len(payload), got)
+	}
+}
+
+// FuzzDecode: arbitrary bytes decode to an error or to a table that re-encodes
+// to a payload decoding to the same shape — never a panic, never memory the
+// input did not pay for. A payload is what a worker takes off the wire at a
+// partition install.
+func FuzzDecode(f *testing.F) {
+	f.Add(unhex(f, recordedV1))
+	f.Add(unhex(f, recordedV2))
+	f.Add(unhex(f, recordedV2Zones))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := Decode(bytes.NewReader(data))
 		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tab.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if got1.EncodedBytes() != enc {
-			t.Fatalf("v1 upgrade changed encoded size: %d vs %d", got1.EncodedBytes(), enc)
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded table does not decode: %v", err)
 		}
-		check("v1", got1)
+		if again.NumRows() != tab.NumRows() || again.NumGroups() != tab.NumGroups() || again.EncodedBytes() != tab.EncodedBytes() {
+			t.Fatalf("re-decoded table has %d rows in %d groups, %d bytes; want %d in %d, %d",
+				again.NumRows(), again.NumGroups(), again.EncodedBytes(), tab.NumRows(), tab.NumGroups(), tab.EncodedBytes())
+		}
 	})
 }

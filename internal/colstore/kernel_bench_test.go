@@ -172,7 +172,7 @@ func BenchmarkKernel(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					gi := i % regime.groups
 					sc.flat = sc.flat[:0]
-					sc.scanGroups(tab, q, gi, gi+1, -1, mode.materialize, &st)
+					sc.scanGroups(tab, q, gi, gi+1, mode.materialize, &st)
 				}
 				reportPass(b, st.Matched, groupRows)
 			})

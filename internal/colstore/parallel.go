@@ -48,7 +48,6 @@ func (t *Table) CountParallel(q geom.Box, pool *parbuild.Pool, sp *ScannerPool, 
 	if sp == nil {
 		sp = &defaultScanners
 	}
-	zi := t.zoneIndex(q)
 	if cap(lead.chunks) < pool.Workers() {
 		lead.chunks = make([]ScanStats, pool.Workers())
 	}
@@ -57,7 +56,7 @@ func (t *Table) CountParallel(q geom.Box, pool *parbuild.Pool, sp *ScannerPool, 
 		s := sp.Get()
 		defer sp.Put(s)
 		var st ScanStats
-		s.scanGroups(t, q, lo, hi, zi, false, &st)
+		s.scanGroups(t, q, lo, hi, false, &st)
 		chunkStats[c] = st
 	})
 	var total ScanStats

@@ -26,7 +26,7 @@ func NewScanner() *Scanner { return &Scanner{} }
 // Count evaluates q over the whole table without materialising rows.
 func (s *Scanner) Count(t *Table, q geom.Box) ScanStats {
 	var st ScanStats
-	s.scanGroups(t, q, 0, len(t.groups), t.zoneIndex(q), false, &st)
+	s.scanGroups(t, q, 0, len(t.groups), false, &st)
 	return st
 }
 
@@ -37,21 +37,14 @@ func (s *Scanner) Count(t *Table, q geom.Box) ScanStats {
 func (s *Scanner) Scan(t *Table, q geom.Box) ([]float64, ScanStats) {
 	var st ScanStats
 	s.flat = s.flat[:0]
-	s.scanGroups(t, q, 0, len(t.groups), t.zoneIndex(q), true, &st)
+	s.scanGroups(t, q, 0, len(t.groups), true, &st)
 	return s.flat, st
 }
 
 // scanGroups runs the kernel over row groups [lo, hi), accumulating into st.
-// zi is the feature-zone index of q (-1 when q is not a training query).
-func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi, zi int, materialize bool, st *ScanStats) {
+func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, materialize bool, st *ScanStats) {
 	for gi := lo; gi < hi; gi++ {
 		g := &t.groups[gi]
-		if zi >= 0 && !t.zones.bit(gi, zi) {
-			st.GroupsSkipped++
-			st.GroupsZoneSkipped++
-			st.BytesSkipped += g.encodedBytes()
-			continue
-		}
 		if g.stats.CanPrune(q) {
 			st.GroupsSkipped++
 			st.BytesSkipped += g.encodedBytes()
@@ -192,25 +185,11 @@ func (st *ScanStats) tallyEncoding(k colKind) {
 	}
 }
 
-// anyMatch reports whether any row of group gi satisfies q; used to build
-// feature-vector zone maps.
-func (s *Scanner) anyMatch(t *Table, gi int, q geom.Box) bool {
-	g := &t.groups[gi]
-	if g.stats.CanPrune(q) {
-		return false
-	}
-	var st ScanStats
-	s.scanGroup(g, q, false, &st)
-	return st.Matched > 0
-}
-
 // ScanNaive is the retained reference scan: it decodes every non-pruned row
 // group in full and evaluates the predicate row-at-a-time, exactly as the
 // pre-vectorization store did. It exists as the differential-testing oracle
 // and the benchmark baseline; BytesRead accounts whole-group encoded bytes
-// because that is what it decodes. Feature-vector zone maps are ignored
-// (min/max pruning only) — results are identical either way, the zone maps
-// being exact.
+// because that is what it decodes.
 func (t *Table) ScanNaive(q geom.Box) ([]geom.Point, ScanStats) {
 	var out []geom.Point
 	st := t.naiveScan(q, func(cols [][]float64, i, dims int) {

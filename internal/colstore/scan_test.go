@@ -168,54 +168,6 @@ func TestCountParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestZoneMapsSkipBeyondMinMax(t *testing.T) {
-	// Two interleaved clusters per group: the min/max envelope spans both, so
-	// a query for absent values inside the envelope cannot be pruned by SMA —
-	// but the feature-vector zone map proves it empty.
-	n := 4000
-	col := make([]float64, n)
-	for i := range col {
-		if i%2 == 0 {
-			col[i] = 0.1
-		} else {
-			col[i] = 0.9
-		}
-	}
-	data := dataset.MustNew([]string{"x"}, [][]float64{col})
-	tab := FromDataset(data, nil, 500)
-	gap := geom.Box{Lo: geom.Point{0.4}, Hi: geom.Point{0.6}}
-	st := tab.Count(gap)
-	if st.Matched != 0 || st.GroupsRead == 0 {
-		t.Fatalf("pre-zones: %+v (SMA should NOT prune the gap query)", st)
-	}
-	tab.BuildZoneMaps([]geom.Box{gap})
-	st = tab.Count(gap)
-	if st.Matched != 0 {
-		t.Fatalf("zones changed the result: %+v", st)
-	}
-	if st.GroupsZoneSkipped != tab.NumGroups() || st.GroupsRead != 0 {
-		t.Fatalf("zone maps must skip every group on the training query: %+v", st)
-	}
-	if st.BytesRead != 0 || st.BytesSkipped != tab.EncodedBytes() {
-		t.Fatalf("zone skip byte accounting: %+v vs encoded %d", st, tab.EncodedBytes())
-	}
-	// A non-training query is unaffected by the zone maps.
-	probe := geom.Box{Lo: geom.Point{0.0}, Hi: geom.Point{0.5}}
-	if got := tab.Count(probe).Matched; got != n/2 {
-		t.Fatalf("non-training query matched %d, want %d", got, n/2)
-	}
-	// SetZoneMaps validates shapes.
-	if err := tab.SetZoneMaps([]geom.Box{gap}, make([][]uint64, 1)); err == nil {
-		t.Fatal("SetZoneMaps must reject a vector-count mismatch")
-	}
-	if err := tab.SetZoneMaps([]geom.Box{gap}, [][]uint64{{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}); err != nil {
-		t.Fatalf("SetZoneMaps rejected valid bits: %v", err)
-	}
-	if err := tab.SetZoneMaps(nil, nil); err != nil || tab.ZoneMapQueries() != nil {
-		t.Fatal("empty workload must clear zone maps")
-	}
-}
-
 func TestEncodingCountsAndCompression(t *testing.T) {
 	// Sorted discrete data: the sort dim RLE-encodes; encoded size must beat
 	// the raw representation.

@@ -349,7 +349,6 @@ func (s *ScanResponse) AppendWire(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.BytesSkipped))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.GroupsRead)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.GroupsSkipped)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.GroupsZoneSkipped)))
 	buf = appendString(buf, s.Err)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.FailedPartition))
 	buf = appendSpans(buf, s.Spans)
@@ -364,7 +363,6 @@ func (s *ScanResponse) UnmarshalWire(data []byte) error {
 	s.BytesSkipped = r.i64()
 	s.GroupsRead = int(r.i64())
 	s.GroupsSkipped = int(r.i64())
-	s.GroupsZoneSkipped = int(r.i64())
 	s.Err = r.str()
 	s.FailedPartition = r.i64()
 	s.Spans = r.spans()

@@ -43,32 +43,18 @@ type Config struct {
 	// breakdown, partitions touched). 0 disables the slow-query log.
 	SlowQuery time.Duration
 
-	// ConnsPerWorker is the fixed pool size of multiplexed connections per
-	// worker (default 2). All in-flight scans pipeline over this pool; it
-	// spreads write contention, not concurrency.
-	ConnsPerWorker int
-	// ClientPipeline bounds the requests one client session may have
-	// executing concurrently on the master (default 32).
-	ClientPipeline int
-
-	// PlanCacheSize bounds the descriptor cache (SQL → routing plan); 0
-	// disables it. Plans are immutable once routed, so hits skip the SQL
-	// rewrite and partition routing entirely.
-	PlanCacheSize int
 	// ResultCacheSize bounds the result cache (SQL → clean, complete
-	// QueryResponse); 0 disables it. Partial and failed responses are never
-	// cached. Both caches are emptied by InvalidateCaches on layout or
-	// placement change.
+	// QueryResponse with the plan and epoch it was answered under); 0
+	// disables it. Partial and failed responses are never cached. A migration
+	// cutover translates or drops each entry (sweepCaches); InvalidateCaches
+	// empties it.
 	ResultCacheSize int
 
 	// MaxInflightQueries bounds the queries executing concurrently; the
-	// excess fair-queues per client and overflow is shed with a typed
-	// overload error (serve.ErrOverloaded on clients). 0 disables admission
-	// control.
+	// excess fair-queues per client (maxQueuedPerClient each) and overflow is
+	// shed with a typed overload error (serve.ErrOverloaded on clients). 0
+	// disables admission control.
 	MaxInflightQueries int
-	// MaxQueuedPerClient bounds each client's admission queue (default 32;
-	// only meaningful with MaxInflightQueries > 0).
-	MaxQueuedPerClient int
 
 	// DrainTimeout bounds the post-cutover wait for in-flight old-epoch
 	// queries before the old epoch is retired on the workers (default 30s).
@@ -79,21 +65,29 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
+// Serving constants: no binary, benchmark or test ever needed another value.
+const (
+	// connsPerWorker is the fixed pool size of multiplexed connections per
+	// worker. All in-flight scans pipeline over this pool; it spreads write
+	// contention, not concurrency.
+	connsPerWorker = 2
+	// clientPipeline bounds the requests one client session may have
+	// executing concurrently on the master.
+	clientPipeline = 32
+	// maxQueuedPerClient bounds each client's admission queue.
+	maxQueuedPerClient = 32
+)
+
 // DefaultConfig returns the production defaults: the default retry policy,
-// a 5s per-call timeout, a 30s query timeout, 2 multiplexed connections per
-// worker, a 1024-plan descriptor cache, a 256-entry result cache, and
+// a 5s per-call timeout, a 30s query timeout, a 256-entry result cache, and
 // admission control at 256 in-flight queries.
 func DefaultConfig() Config {
 	return Config{
 		Retry:              DefaultRetryPolicy(),
 		CallTimeout:        5 * time.Second,
 		QueryTimeout:       30 * time.Second,
-		ConnsPerWorker:     2,
-		ClientPipeline:     32,
-		PlanCacheSize:      1024,
 		ResultCacheSize:    256,
 		MaxInflightQueries: 256,
-		MaxQueuedPerClient: 32,
 		DrainTimeout:       30 * time.Second,
 	}
 }
@@ -101,15 +95,6 @@ func DefaultConfig() Config {
 // normalized fills the zero serving fields with their defaults.
 func (c Config) normalized() Config {
 	c.Retry = c.Retry.normalized()
-	if c.ConnsPerWorker < 1 {
-		c.ConnsPerWorker = 2
-	}
-	if c.ClientPipeline < 1 {
-		c.ClientPipeline = 32
-	}
-	if c.MaxInflightQueries > 0 && c.MaxQueuedPerClient < 1 {
-		c.MaxQueuedPerClient = 32
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -121,7 +106,7 @@ func (c Config) normalized() Config {
 // failover replicas), and scatters scan work over persistent multiplexed
 // worker connections with deadlines, bounded retries and breaker-guarded
 // failover. Above the scatter path sits the serving front-end (DESIGN.md
-// §12): a descriptor cache, a result cache and fair admission control.
+// §12): a result cache and fair admission control.
 type Master struct {
 	// view is the current routing state (router + placement + layout
 	// epoch), swapped atomically at migration cutover so the query path
@@ -156,9 +141,8 @@ type Master struct {
 	// failure detector plus the rebalancer (EnableMembership).
 	member atomic.Pointer[membershipState]
 
-	// planCache/resultCache are nil when disabled; admission likewise.
-	planCache   *serve.LRU[string, cachedPlan]
-	resultCache *serve.LRU[string, QueryResponse]
+	// resultCache is nil when disabled; admission likewise.
+	resultCache *serve.LRU[string, cachedResult]
 	admission   *serve.Admission
 
 	mu         sync.Mutex
@@ -380,33 +364,28 @@ func (m *Master) traceFor(force bool) *trace.T {
 
 // Configure replaces the failure-handling and serving configuration. Zero
 // fields of the retry policy and the serving knobs fall back to their
-// defaults; caches and admission control stay off when their sizes are 0.
+// defaults; the result cache and admission control stay off when their sizes
+// are 0.
 // Call before Start; the master does not support reconfiguration while
 // queries are in flight.
 func (m *Master) Configure(cfg Config) {
 	cfg = cfg.normalized()
 	m.cfg = cfg
 	m.jit = newJitter(cfg.Retry.Seed)
-	m.planCache, m.resultCache, m.admission = nil, nil, nil
-	if cfg.PlanCacheSize > 0 {
-		m.planCache = serve.NewLRU[string, cachedPlan](cfg.PlanCacheSize)
-	}
+	m.resultCache, m.admission = nil, nil
 	if cfg.ResultCacheSize > 0 {
-		m.resultCache = serve.NewLRU[string, QueryResponse](cfg.ResultCacheSize)
+		m.resultCache = serve.NewLRU[string, cachedResult](cfg.ResultCacheSize)
 	}
 	if cfg.MaxInflightQueries > 0 {
-		m.admission = serve.NewAdmission(cfg.MaxInflightQueries, cfg.MaxQueuedPerClient)
+		m.admission = serve.NewAdmission(cfg.MaxInflightQueries, maxQueuedPerClient)
 	}
 }
 
-// InvalidateCaches empties the descriptor and result caches. It must be
-// called whenever the layout or the partition placement changes (partition
-// migration, rebalance, layout rebuild): every cached plan and result is
-// derived from both.
+// InvalidateCaches empties the result cache. It must be called whenever the
+// layout or the partition placement changes other than through
+// ApplyMigration, whose cutover sweeps the cache itself: every cached result
+// is derived from both.
 func (m *Master) InvalidateCaches() {
-	if m.planCache != nil {
-		m.planCache.Invalidate()
-	}
 	if m.resultCache != nil {
 		m.resultCache.Invalidate()
 	}
@@ -427,7 +406,7 @@ func (m *Master) workerLink(ctx context.Context, i int) (*muxLink, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("dist: worker %d has no address (not joined yet)", i)
 	}
-	l, err := dialMuxLink(ctx, addr, m.cfg.ConnsPerWorker)
+	l, err := dialMuxLink(ctx, addr, connsPerWorker)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, err)
 	}
@@ -652,38 +631,16 @@ func (m *Master) Ready() (bool, string) {
 // on the master rather than through a network session.
 const localClient = "local"
 
-// cachedPlan is one descriptor-cache entry: the routed plan plus the layout
-// epoch it was routed against. The epoch guards the cache across migration
-// cutovers: a query racing the cutover can neither serve a not-yet-swept
-// old-epoch plan against the new placement nor re-install a stale plan after
-// the sweep ran — an epoch mismatch is simply a miss, and the re-route
-// overwrites the entry under the view's own epoch.
-type cachedPlan struct {
+// cachedResult is one result-cache entry: the answer, the plan it was
+// answered from and the layout epoch it was answered under. The plan is what
+// the cutover sweep translates (sweepCaches) and what the drift observer sees
+// on a hit. The epoch guards the cache across migration cutovers: an entry a
+// query racing the cutover Puts after the sweep ran carries the outgoing
+// epoch, and an entry of any epoch but the served one reads as a miss.
+type cachedResult struct {
+	resp  QueryResponse
 	plan  router.Plan
 	epoch uint64
-}
-
-// route resolves sql to a routing plan for view v through the descriptor
-// cache, reporting whether the cache answered. Plans are immutable after
-// routing, so cached plans are shared across queries. Entries are keyed to
-// v's epoch — the cutover sweep translates or drops them when the layout
-// changes, and entries from any other epoch read as misses.
-func (m *Master) route(v *routeView, sql string) (router.Plan, bool, error) {
-	if m.planCache == nil {
-		plan, err := v.router.RouteSQL(sql)
-		return plan, false, err
-	}
-	if e, ok := m.planCache.Get(sql); ok && e.epoch == v.epoch {
-		m.m.planHits.Inc()
-		return e.plan, true, nil
-	}
-	m.m.planMisses.Inc()
-	plan, err := v.router.RouteSQL(sql)
-	if err != nil {
-		return plan, false, err
-	}
-	m.planCache.Put(sql, cachedPlan{plan: plan, epoch: v.epoch})
-	return plan, false, nil
 }
 
 // planFor resolves sql under double-routing (DESIGN.md §13). With a
@@ -691,8 +648,8 @@ func (m *Master) route(v *routeView, sql string) (router.Plan, bool, error) {
 // served from it iff every partition the plan touches has already been
 // installed on its workers; otherwise — and always outside migrations — the
 // current view serves it. next reports which side was chosen (next-view
-// results must not populate the caches: their keys belong to the epoch that
-// has not cut over yet); hit reports a descriptor-cache hit.
+// results must not populate the result cache: they belong to the epoch that
+// has not cut over yet).
 //
 // The returned view is pinned (inflight already counts this query) and the
 // caller must unpin it when the query is done; on error nothing is pinned.
@@ -701,14 +658,14 @@ func (m *Master) route(v *routeView, sql string) (router.Plan, bool, error) {
 // either the cutover's drain loop sees the pin, or the query sees the cutover
 // and pins the view that replaced it. A view retired between "load" and "pin"
 // would otherwise fail the scatter with "worker has no layout epoch N".
-func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next, hit bool, err error) {
+func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next bool, err error) {
 	if mg := m.mig.Load(); mg != nil {
 		mg.view.inflight.Add(1)
 		// Still the migration in progress, or the view it cut over to.
 		if m.mig.Load() == mg || m.view.Load() == mg.view {
 			plan, err := mg.view.router.RouteSQL(sql)
 			if err == nil && mg.planReady(plan) {
-				return mg.view, plan, true, false, nil
+				return mg.view, plan, true, nil
 			}
 		}
 		mg.view.inflight.Add(-1)
@@ -721,11 +678,11 @@ func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next, hit 
 		}
 		v.inflight.Add(-1) // lost a race with a cutover: pin its successor
 	}
-	plan, hit, err = m.route(v, sql)
+	plan, err = v.router.RouteSQL(sql)
 	if err != nil {
 		v.inflight.Add(-1)
 	}
-	return v, plan, false, hit, err
+	return v, plan, false, err
 }
 
 // queryStats carries routing facts and coarse stage timings out of the
@@ -864,24 +821,19 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 // instrumentation points degrade to nil checks.
 func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
 	// A cached clean result answers without a slot: serving memory beats
-	// re-scattering, and the cache can only hold results that are still
-	// valid (InvalidateCaches empties it on layout/placement change).
+	// re-scattering, and an entry of the served epoch is still valid (the
+	// cutover sweep translated it or it was answered since; InvalidateCaches
+	// empties the cache on any other layout/placement change).
 	if m.resultCache != nil {
-		if resp, ok := m.resultCache.Get(sql); ok {
+		if e, ok := m.resultCache.Get(sql); ok && e.epoch == m.view.Load().epoch {
 			m.m.resultHits.Inc()
 			if st != nil {
 				st.cached = true
-				st.epoch = m.view.Load().epoch
+				st.epoch = e.epoch
 			}
-			if m.observer.Load() != nil {
-				// The monitor needs the query's routed shape even for a
-				// cache hit (it is real demand); the plan comes from the
-				// descriptor cache, so this stays cheap.
-				if plan, _, err := m.route(m.view.Load(), sql); err == nil {
-					m.observe(plan, &resp, m.view.Load().epoch, true)
-				}
-			}
-			return resp, nil
+			// A hit is real demand: the monitor sees its routed shape too.
+			m.observe(e.plan, &e.resp, e.epoch, true)
+			return e.resp, nil
 		}
 		m.m.resultMisses.Inc()
 	}
@@ -905,7 +857,7 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 		routeStart = time.Now()
 	}
 	rsp := tq.Start("route", root)
-	view, plan, next, hit, err := m.planFor(sql)
+	view, plan, next, err := m.planFor(sql)
 	if st != nil {
 		st.routeNs = int64(time.Since(routeStart))
 	}
@@ -928,9 +880,6 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 	}
 	rsp.Int(trace.KeyRanges, int64(len(plan.Ranges)))
 	rsp.Int(trace.KeyPartitions, int64(plan.NumScans()))
-	if hit {
-		rsp.Int(trace.KeyPlanCacheHit, 1)
-	}
 	if next {
 		rsp.Int(trace.KeyNextView, 1)
 	}
@@ -995,8 +944,10 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 	if m.resultCache != nil && !total.Partial && !next && m.view.Load() == view {
 		// Next-view results and results that raced a cutover are not
 		// cached: their telemetry belongs to an epoch that is not (or no
-		// longer) the served one, and the cutover sweep has already run.
-		m.resultCache.Put(sql, total)
+		// longer) the served one, and the cutover sweep has already run. (A
+		// cutover between this check and the Put leaves an entry of the
+		// outgoing epoch, which reads as a miss.)
+		m.resultCache.Put(sql, cachedResult{resp: total, plan: plan, epoch: view.epoch})
 	}
 	m.observe(plan, &total, view.epoch, false)
 	return total, nil
@@ -1213,7 +1164,7 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 }
 
 // serveClient runs one client session: query and membership frames pipeline
-// over it, up to ClientPipeline requests executing at once on the session's
+// over it, up to clientPipeline requests executing at once on the session's
 // handler goroutines, with responses returning in completion order, so one
 // expensive query never blocks the cheap ones behind it on the same
 // connection. A peer that does not open with the protocol preamble, or whose
@@ -1221,7 +1172,7 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 func (m *Master) serveClient(c net.Conn) {
 	defer c.Close()
 	client := c.RemoteAddr().String()
-	err := serve.ServeConn(c, m.cfg.ClientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
+	err := serve.ServeConn(c, clientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
 		switch typ {
 		case msgQueryReq:
 			var req QueryRequest

@@ -30,11 +30,9 @@ const (
 	MetricPartialResults  = "dist_partial_results_total"
 	MetricClientsDropped  = "dist_client_sessions_dropped_total"
 
-	// Serving front-end counters (DESIGN.md §12): descriptor/result cache
-	// effectiveness, admission-control sheds, cache invalidations, and clean
-	// deadline expiries that kept their connection (the churn fix).
-	MetricPlanCacheHits      = "dist_plan_cache_hits_total"
-	MetricPlanCacheMisses    = "dist_plan_cache_misses_total"
+	// Serving front-end counters (DESIGN.md §12): result-cache effectiveness,
+	// admission-control sheds, cache invalidations, and clean deadline
+	// expiries that kept their connection (the churn fix).
 	MetricResultCacheHits    = "dist_result_cache_hits_total"
 	MetricResultCacheMisses  = "dist_result_cache_misses_total"
 	MetricCacheInvalidations = "dist_cache_invalidations_total"
@@ -53,14 +51,13 @@ const (
 	MetricWorkerBytesSkipped  = "worker_bytes_skipped_total"
 	MetricWorkerGroupsRead    = "worker_groups_read_total"
 	MetricWorkerGroupsSkip    = "worker_groups_skipped_total"
-	MetricWorkerZoneSkip      = "worker_groups_zone_skipped_total"
 	MetricWorkerConns         = "worker_active_connections"
 	MetricWorkerErrors        = "worker_scan_errors_total"
 	MetricWorkerConnDropped   = "worker_dropped_connections_total"
 	MetricWorkerDeadlineDrops = "worker_deadline_dropped_scans_total"
 
 	// Per-request byte-volume histograms: how much encoded payload each scan
-	// batch actually decoded vs proved skippable (pruning + zone maps + late
+	// batch actually decoded vs proved skippable (pruning + late
 	// materialization). Their ratio is the live skipping effectiveness.
 	MetricWorkerScanBytesDecoded = "worker_scan_bytes_decoded"
 	MetricWorkerScanBytesSkipped = "worker_scan_bytes_skipped"
@@ -74,8 +71,8 @@ const (
 	// footprint on the distributed path. Masters count whole migrations and
 	// the per-partition install/reuse/byte volume; workers count the epoch
 	// installs/retires they executed. The cache sweep counters split the
-	// cutover's per-partition invalidation into entries rewritten in place
-	// (renamed partitions) vs dropped (rebuilt region).
+	// cutover's per-partition invalidation into result-cache entries rewritten
+	// in place (renamed partitions) vs dropped (rebuilt region).
 	MetricMigrations         = "dist_migrations_total"
 	MetricMigrationsAborted  = "dist_migrations_aborted_total"
 	MetricMigratedPartitions = "dist_migrated_partitions_total"
@@ -108,6 +105,16 @@ const (
 	MetricDrainTimeouts     = "dist_drain_timeouts_total"
 )
 
+// Names of what is gone, kept only because benchmark/ — which a PR may not
+// edit — compiles against them; ROADMAP.md item 1a removes them. The two
+// plan-cache series are registered nowhere and read 0; MetricCacheSwept and
+// MetricCacheRemapped (above) stay live and count result-cache entries; the
+// fifth name is the field colstore.ScanStats.GroupsZoneSkipped.
+const (
+	MetricPlanCacheHits   = "dist_plan_cache_hits_total"
+	MetricPlanCacheMisses = "dist_plan_cache_misses_total"
+)
+
 // FanoutBuckets are the histogram bounds for scatter width (workers hit per
 // range).
 func FanoutBuckets() []float64 {
@@ -132,8 +139,6 @@ type masterMetrics struct {
 	partials       *obs.Counter
 	clientsDropped *obs.Counter
 
-	planHits           *obs.Counter
-	planMisses         *obs.Counter
 	resultHits         *obs.Counter
 	resultMisses       *obs.Counter
 	cacheInvalidations *obs.Counter
@@ -206,8 +211,6 @@ func (m *Master) SetMetrics(reg *obs.Registry) {
 		partials:       reg.Counter(MetricPartialResults),
 		clientsDropped: reg.Counter(MetricClientsDropped),
 
-		planHits:           reg.Counter(MetricPlanCacheHits),
-		planMisses:         reg.Counter(MetricPlanCacheMisses),
 		resultHits:         reg.Counter(MetricResultCacheHits),
 		resultMisses:       reg.Counter(MetricResultCacheMisses),
 		cacheInvalidations: reg.Counter(MetricCacheInvalidations),
@@ -248,7 +251,6 @@ type workerMetrics struct {
 	bytesSkipped  *obs.Counter
 	groupsRead    *obs.Counter
 	groupsSkip    *obs.Counter
-	zoneSkip      *obs.Counter
 	errors        *obs.Counter
 	activeConns   *obs.Gauge
 	dropped       *obs.Counter
@@ -276,7 +278,6 @@ func (w *Worker) SetMetrics(reg *obs.Registry) {
 		bytesSkipped:  reg.Counter(MetricWorkerBytesSkipped),
 		groupsRead:    reg.Counter(MetricWorkerGroupsRead),
 		groupsSkip:    reg.Counter(MetricWorkerGroupsSkip),
-		zoneSkip:      reg.Counter(MetricWorkerZoneSkip),
 		errors:        reg.Counter(MetricWorkerErrors),
 		activeConns:   reg.Gauge(MetricWorkerConns),
 		dropped:       reg.Counter(MetricWorkerConnDropped),

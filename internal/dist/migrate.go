@@ -21,8 +21,8 @@ import (
 // stopping service. Install steps land one by one; the query path
 // double-routes the whole time (planFor) and serves a query from the next
 // epoch only once every partition its plan touches is installed. When all
-// steps have landed the master cuts over atomically, sweeps the plan/result
-// caches per partition (renamed entries are translated, entries touching the
+// steps have landed the master cuts over atomically, sweeps the result cache
+// per partition (renamed entries are translated, entries touching the
 // rebuilt region are dropped), waits for in-flight old-epoch queries to
 // drain, and retires the old epoch on the workers. Any install failure
 // aborts: the next epoch is torn down best-effort and the old placement
@@ -206,10 +206,11 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 		am.ready[e.ID].Store(true)
 	}
 
-	// Cutover: swap the served view, then translate the caches. The order
-	// matters — a query that routed against the old view concurrently with
-	// the swap may still Put into the caches, which is why the serving path
-	// re-checks the current view before caching.
+	// Cutover: swap the served view, then translate the result cache. The
+	// order matters — a query that routed against the old view concurrently
+	// with the swap may still Put into the cache, which is why the serving
+	// path re-checks the current view before caching and entries carry their
+	// epoch.
 	m.view.Store(am.view)
 	m.mig.Store(nil)
 	m.sweepCaches(mig)
@@ -333,47 +334,28 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 	return AdminResponse{}, lastErr
 }
 
-// sweepCaches runs the per-partition cache invalidation at cutover. Plan
-// entries whose partitions all survived the patch are translated through the
-// rename map in place (the mapping is strictly increasing, so sorted
-// partition lists stay sorted); entries touching the rebuilt region — or
-// carrying tuner extras, which are layout-scoped — are dropped. A result
-// entry survives iff its plan entry did: renamed partitions hold identical
-// rows and bytes, so the cached response is still exact.
+// sweepCaches runs the per-partition cache invalidation at cutover, one pass
+// over the result cache. An entry answered under the outgoing epoch whose
+// partitions all survived the patch is kept, its plan translated through the
+// rename map (the mapping is strictly increasing, so sorted partition lists
+// stay sorted): renamed partitions hold identical rows and bytes, so the
+// cached response is still exact. Entries touching the rebuilt region, served
+// by tuner extras (layout-scoped) or answered under any other epoch are
+// dropped.
 func (m *Master) sweepCaches(mig *Migration) {
-	if m.planCache == nil {
-		if m.resultCache != nil {
-			m.resultCache.Invalidate()
-			m.m.cacheInvalidations.Inc()
-		}
+	if m.resultCache == nil {
 		return
 	}
-	kept := make(map[string]bool)
-	m.planCache.Sweep(func(sql string, e cachedPlan) (cachedPlan, bool) {
-		if e.epoch+1 != mig.Epoch {
-			// Routed under some other epoch (a racing query already dropped
-			// or refreshed it); the rename map does not apply.
-			m.m.cacheSwept.Inc()
-			return e, false
-		}
-		translated, ok := translatePlan(e.plan, mig.Renamed)
-		if !ok {
-			m.m.cacheSwept.Inc()
-			return e, false
-		}
-		m.m.cacheRemapped.Inc()
-		kept[sql] = true
-		return cachedPlan{plan: translated, epoch: mig.Epoch}, true
-	})
-	if m.resultCache != nil {
-		m.resultCache.Sweep(func(sql string, resp QueryResponse) (QueryResponse, bool) {
-			if kept[sql] {
-				return resp, true
+	m.resultCache.Sweep(func(_ string, e cachedResult) (cachedResult, bool) {
+		if e.epoch+1 == mig.Epoch {
+			if plan, ok := translatePlan(e.plan, mig.Renamed); ok {
+				m.m.cacheRemapped.Inc()
+				return cachedResult{resp: e.resp, plan: plan, epoch: mig.Epoch}, true
 			}
-			m.m.cacheSwept.Inc()
-			return resp, false
-		})
-	}
+		}
+		m.m.cacheSwept.Inc()
+		return e, false
+	})
 }
 
 // translatePlan rewrites a routed plan's partition IDs into the next

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -223,7 +224,6 @@ func (tc *migClusterFixture) checkQueries(t *testing.T) {
 
 func fastMigConfig() Config {
 	cfg := fastChaosConfig(7)
-	cfg.PlanCacheSize = 64
 	cfg.ResultCacheSize = 64
 	return cfg
 }
@@ -364,6 +364,152 @@ func TestMigrationSweepsCachesPerPartition(t *testing.T) {
 	}
 	if got := tc.reg.Snapshot().Counter(MetricResultCacheHits); got != before+1 {
 		t.Errorf("result cache hits after cutover = %d, want %d (translated entry only)", got, before+1)
+	}
+}
+
+// TestHotResultSurvivesCutoverAfterManyStatements: an entry of the result
+// cache lives or dies at a cutover by its own plan, whatever else was routed
+// since it was answered. (It used to survive only while its plan was still
+// among the 1 024 plan-cache entries, which a result hit never refreshed.)
+func TestHotResultSurvivesCutoverAfterManyStatements(t *testing.T) {
+	tc := buildMigFixture(t, 2, nil, DefaultConfig())
+	dom := tc.data.Domain()
+	names := tc.data.Names()
+	w0, h0 := dom.Hi[0]-dom.Lo[0], dom.Hi[1]-dom.Lo[1]
+	// The hot statement touches only surviving partitions.
+	hotB := geom.Box{Lo: geom.Point{dom.Lo[0], dom.Lo[1]}, Hi: geom.Point{dom.Lo[0] + 0.2*w0, dom.Lo[1] + 0.8*h0}}
+	hotSQL := migSQL(names, hotB)
+	want := tc.data.CountInBox(hotB, nil)
+	hot := func() QueryResponse {
+		t.Helper()
+		resp, err := tc.master.Query(hotSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Rows != want {
+			t.Fatalf("hot statement: %d rows, want %d", resp.Rows, want)
+		}
+		return resp
+	}
+	first := hot()
+	for i := 0; i < 1100; i++ {
+		x := dom.Lo[0] + (0.55+0.0004*float64(i))*w0
+		b := geom.Box{Lo: geom.Point{x, dom.Lo[1]}, Hi: geom.Point{x + 0.0002*w0, dom.Lo[1] + 0.1*h0}}
+		if _, err := tc.master.Query(migSQL(names, b)); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 0 {
+			hot() // a hit: keeps the entry recent among the 256 results
+		}
+	}
+	if err := tc.master.ApplyMigration(context.Background(), tc.mig); err != nil {
+		t.Fatal(err)
+	}
+
+	var seen []QueryObservation
+	tc.master.SetQueryObserver(func(ob QueryObservation) { seen = append(seen, ob) })
+	before := tc.reg.Snapshot().Counter(MetricResultCacheHits)
+	if after := hot(); !reflect.DeepEqual(after, first) {
+		t.Fatalf("hot statement after cutover: %+v, want the cached %+v", after, first)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricResultCacheHits); got != before+1 {
+		t.Fatalf("result cache hits = %d, want %d: the hot entry did not survive the cutover", got, before+1)
+	}
+	// The observer of a hit sees the entry's own plan, translated.
+	ids := tc.next.PartitionsFor(hotB)
+	if len(seen) != 1 || !seen[0].Cached || seen[0].Epoch != 1 || !reflect.DeepEqual(seen[0].IDs, ids) {
+		t.Fatalf("observation of the hit: %+v, want cached, epoch 1, partitions %v", seen, ids)
+	}
+}
+
+// identityMigration is the rebalance shape: the same layout under the next
+// epoch, every partition renamed to itself and aliased where it already is.
+func (tc *migClusterFixture) identityMigration() *Migration {
+	mig := &Migration{
+		Epoch:    tc.master.Epoch() + 1,
+		Router:   tc.master.Router(),
+		Replicas: tc.master.Placement(),
+		Renamed:  make(map[layout.ID]layout.ID),
+	}
+	for _, p := range mig.Router.Layout().Parts {
+		mig.Renamed[p.ID] = p.ID
+		mig.Entries = append(mig.Entries, MigrationEntry{ID: p.ID, Workers: mig.Replicas[p.ID], ReuseID: p.ID, Rows: p.FullRows})
+	}
+	return mig
+}
+
+// TestIdentityMigrationKeepsEveryResult: a migration that renames every
+// partition to itself drops nothing — with the result cache as the only cache
+// configured (it used to be emptied wholesale then) — and the hits after it
+// are the answers from before it.
+func TestIdentityMigrationKeepsEveryResult(t *testing.T) {
+	cfg := fastChaosConfig(7)
+	cfg.ResultCacheSize = 64
+	tc := buildMigFixture(t, 2, nil, cfg)
+	dom := tc.data.Domain()
+	names := tc.data.Names()
+	w0, h0 := dom.Hi[0]-dom.Lo[0], dom.Hi[1]-dom.Lo[1]
+	answers := make(map[string]QueryResponse)
+	for i := 0; i < 12; i++ {
+		x := dom.Lo[0] + 0.08*float64(i)*w0
+		sql := migSQL(names, geom.Box{Lo: geom.Point{x, dom.Lo[1] + 0.3*h0}, Hi: geom.Point{x + 0.1*w0, dom.Lo[1] + 0.7*h0}})
+		resp, err := tc.master.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[sql] = resp
+	}
+	if err := tc.master.ApplyMigration(context.Background(), tc.identityMigration()); err != nil {
+		t.Fatal(err)
+	}
+	snap := tc.reg.Snapshot()
+	if remapped, swept := snap.Counter(MetricCacheRemapped), snap.Counter(MetricCacheSwept); remapped != int64(len(answers)) || swept != 0 {
+		t.Fatalf("sweep remapped %d and dropped %d entries, want %d and 0", remapped, swept, len(answers))
+	}
+	if got := tc.master.resultCache.Len(); got != len(answers) {
+		t.Fatalf("%d result entries after the cutover, want %d", got, len(answers))
+	}
+	hits := snap.Counter(MetricResultCacheHits)
+	for sql, want := range answers {
+		got, err := tc.master.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q after the cutover: %+v, want %+v", sql, got, want)
+		}
+	}
+	if got := tc.reg.Snapshot().Counter(MetricResultCacheHits); got != hits+int64(len(answers)) {
+		t.Fatalf("result cache hits = %d, want %d (every entry kept)", got, hits+int64(len(answers)))
+	}
+}
+
+// TestStaleEpochResultIsAMiss: a query that raced the cutover may Put its
+// answer after the sweep ran. The entry carries the outgoing epoch, so it is
+// never served; the next answer overwrites it.
+func TestStaleEpochResultIsAMiss(t *testing.T) {
+	tc := buildMigFixture(t, 2, nil, fastMigConfig())
+	b := tc.data.Domain()
+	sql := migSQL(tc.data.Names(), b)
+	plan, err := tc.master.Router().RouteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.master.ApplyMigration(context.Background(), tc.mig); err != nil {
+		t.Fatal(err)
+	}
+	tc.master.resultCache.Put(sql, cachedResult{resp: QueryResponse{Rows: -1}, plan: plan, epoch: 0})
+	for i, wantHits := range []int64{0, 1} {
+		resp, err := tc.master.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.data.CountInBox(b, nil); resp.Rows != want {
+			t.Fatalf("query %d: %d rows, want %d (the outgoing epoch's entry was served)", i, resp.Rows, want)
+		}
+		if got := tc.reg.Snapshot().Counter(MetricResultCacheHits); got != wantHits {
+			t.Fatalf("query %d: result cache hits = %d, want %d", i, got, wantHits)
+		}
 	}
 }
 

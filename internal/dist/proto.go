@@ -101,10 +101,7 @@ type ScanResponse struct {
 	BytesSkipped  int64
 	GroupsRead    int
 	GroupsSkipped int
-	// GroupsZoneSkipped counts the subset of GroupsSkipped proven empty by
-	// feature-vector zone maps rather than the min/max envelope.
-	GroupsZoneSkipped int
-	Err               string
+	Err           string
 	// FailedPartition is the partition that produced Err, or -1 when the
 	// response is clean (or the failure was not partition-specific).
 	FailedPartition int64

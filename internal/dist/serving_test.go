@@ -242,7 +242,6 @@ func TestMuxClientConcurrentCorrectness(t *testing.T) {
 func TestResultCacheHitMissInvalidate(t *testing.T) {
 	f := startServingWorkers(t, 2)
 	cfg := fastChaosConfig(1)
-	cfg.PlanCacheSize = 64
 	cfg.ResultCacheSize = 64
 	m, _ := f.startServingMaster(t, cfg)
 	reg := obs.New()
@@ -282,32 +281,6 @@ func TestResultCacheHitMissInvalidate(t *testing.T) {
 	}
 	if got := snap.Counter(MetricCacheInvalidations); got != 1 {
 		t.Errorf("invalidations = %d, want 1", got)
-	}
-}
-
-// TestPlanCacheServesRepeatedSQL: with the result cache off, repeated SQL
-// still routes once — the descriptor cache serves the plan.
-func TestPlanCacheServesRepeatedSQL(t *testing.T) {
-	f := startServingWorkers(t, 2)
-	cfg := fastChaosConfig(1)
-	cfg.PlanCacheSize = 64
-	cfg.ResultCacheSize = 0
-	m, _ := f.startServingMaster(t, cfg)
-	reg := obs.New()
-	m.SetMetrics(reg)
-
-	sql := servingStatements[1]
-	for i := 0; i < 3; i++ {
-		if _, err := m.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counter(MetricPlanCacheMisses); got != 1 {
-		t.Errorf("plan misses = %d, want 1", got)
-	}
-	if got := snap.Counter(MetricPlanCacheHits); got != 2 {
-		t.Errorf("plan hits = %d, want 2", got)
 	}
 }
 

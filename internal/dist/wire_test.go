@@ -62,7 +62,7 @@ func wireCases() []wireCase {
 			IDs:   []layout.ID{0, 7, 1 << 40}, Seq: 42, Deadline: 1700000000987654321, Epoch: 9, TraceID: 0xfeedfacecafebeef,
 		}),
 		wireCaseOf("scan_response", &ScanResponse{
-			Rows: 1234, BytesRead: 1 << 33, BytesSkipped: 77, GroupsRead: 5, GroupsSkipped: 6, GroupsZoneSkipped: 2,
+			Rows: 1234, BytesRead: 1 << 33, BytesSkipped: 77, GroupsRead: 5, GroupsSkipped: 6,
 			Err: "worker does not host partition 9", FailedPartition: 9, Spans: spans,
 		}),
 		wireCaseOf("query_request", &QueryRequest{

@@ -428,7 +428,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 			sp.Int(trace.KeyBytesSkipped, st.BytesSkipped)
 			sp.Int(trace.KeyGroupsRead, int64(st.GroupsRead))
 			sp.Int(trace.KeyGroupsSkipped, int64(st.GroupsSkipped))
-			sp.Int(trace.KeyGroupsZoneSkipped, int64(st.GroupsZoneSkipped))
 			sp.Int(trace.KeyEncRaw, int64(st.ColsRaw))
 			sp.Int(trace.KeyEncDict, int64(st.ColsDict))
 			sp.Int(trace.KeyEncRLE, int64(st.ColsRLE))
@@ -440,7 +439,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 		resp.BytesSkipped += st.BytesSkipped
 		resp.GroupsRead += st.GroupsRead
 		resp.GroupsSkipped += st.GroupsSkipped
-		resp.GroupsZoneSkipped += st.GroupsZoneSkipped
 	}
 	if tq != nil {
 		root.End()
@@ -451,7 +449,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 	w.m.bytesSkipped.Add(resp.BytesSkipped)
 	w.m.groupsRead.Add(int64(resp.GroupsRead))
 	w.m.groupsSkip.Add(int64(resp.GroupsSkipped))
-	w.m.zoneSkip.Add(int64(resp.GroupsZoneSkipped))
 	w.m.decodedHist.Observe(float64(resp.BytesRead))
 	w.m.skippedHist.Observe(float64(resp.BytesSkipped))
 	return resp

@@ -88,8 +88,7 @@ func TestWorkerOneTablePath(t *testing.T) {
 		}
 		want[id] = ScanResponse{
 			Rows: st.Matched, BytesRead: st.BytesRead, BytesSkipped: st.BytesSkipped,
-			GroupsRead: st.GroupsRead, GroupsSkipped: st.GroupsSkipped,
-			GroupsZoneSkipped: st.GroupsZoneSkipped, FailedPartition: -1,
+			GroupsRead: st.GroupsRead, GroupsSkipped: st.GroupsSkipped, FailedPartition: -1,
 		}
 		total += st.Matched
 		for epoch := uint64(0); epoch <= 2; epoch++ {
@@ -186,7 +185,6 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 		sum.BytesSkipped += one.BytesSkipped
 		sum.GroupsRead += one.GroupsRead
 		sum.GroupsSkipped += one.GroupsSkipped
-		sum.GroupsZoneSkipped += one.GroupsZoneSkipped
 	}
 	if !reflect.DeepEqual(batch, sum) {
 		t.Fatalf("batch %+v != sum of its single-partition batches %+v", batch, sum)

@@ -250,15 +250,8 @@ func nearestCell(cells []cell, vec []uint64) int {
 	return bestAny
 }
 
-// RowVector fills vec with the query-incidence bits of row r — bit j is set
+// rowVector fills vec with the query-incidence bits of row r — bit j is set
 // iff the row matches queries[j]. vec must hold (len(queries)+63)/64 words.
-// Exported so other layers (colstore's row-group zone maps) can build the
-// same feature-vector skipping index from source rows.
-func RowVector(data *dataset.Dataset, r int, queries []geom.Box, vec []uint64) {
-	rowVector(data, r, queries, vec)
-}
-
-// rowVector fills vec with the query-incidence bits of row r.
 func rowVector(data *dataset.Dataset, r int, queries []geom.Box, vec []uint64) {
 	for w := range vec {
 		vec[w] = 0

@@ -11,9 +11,9 @@ type lruEntry[K comparable, V any] struct {
 
 // LRU is a bounded, mutex-guarded least-recently-used cache with hit/miss
 // accounting. The zero value is unusable; construct with NewLRU. It backs
-// the master's result and descriptor caches (DESIGN.md §12): both need hard
-// bounds (a serving tier must not grow with the query universe) and explicit
-// generation-style invalidation on layout or placement change.
+// the master's result cache (DESIGN.md §12), which needs a hard bound (a
+// serving tier must not grow with the query universe) and explicit
+// invalidation on layout or placement change.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -105,7 +105,7 @@ func (c *LRU[K, V]) Put(key K, val V) {
 }
 
 // Invalidate empties the cache (layout or placement changed: every cached
-// result and descriptor is stale). Hit/miss counters survive.
+// result is stale). Hit/miss counters survive.
 func (c *LRU[K, V]) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

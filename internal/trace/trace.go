@@ -1,9 +1,9 @@
 // Package trace is the per-query distributed tracing substrate of the PAW
 // stack (DESIGN.md §14): a zero-dependency, sampling span recorder that is
 // allocation-free when disabled, with spans that cross the master↔worker
-// wire so one trace covers a query end to end — admission, plan cache,
-// routing, scatter, per-worker RPCs (retries and failovers included) and the
-// per-partition scan kernels on every touched worker.
+// wire so one trace covers a query end to end — admission, routing, scatter,
+// per-worker RPCs (retries and failovers included) and the per-partition scan
+// kernels on every touched worker.
 //
 // Design constraints, mirroring internal/obs:
 //
@@ -53,11 +53,9 @@ const (
 	// accounting: encoded payload decoded vs proven skippable.
 	KeyBytesRead
 	KeyBytesSkipped
-	// KeyGroupsRead / KeyGroupsSkipped / KeyGroupsZoneSkipped count row
-	// groups evaluated, pruned, and the zone-map subset of the pruned.
+	// KeyGroupsRead / KeyGroupsSkipped count row groups evaluated and pruned.
 	KeyGroupsRead
 	KeyGroupsSkipped
-	KeyGroupsZoneSkipped
 	// KeyEncRaw..KeyEncFOR count column chunks decoded per physical
 	// encoding — the scan's encoding mix.
 	KeyEncRaw
@@ -69,8 +67,6 @@ const (
 	KeyShared
 	// KeyCacheHit marks a result served from the master's result cache.
 	KeyCacheHit
-	// KeyPlanCacheHit marks a routing plan served from the descriptor cache.
-	KeyPlanCacheHit
 	// KeyAttempt is the zero-based retry attempt of one RPC.
 	KeyAttempt
 	// KeyFailoverRound is the scatter failover round (> 0: replica retry).
@@ -110,8 +106,6 @@ func (k Key) String() string {
 		return "groups_read"
 	case KeyGroupsSkipped:
 		return "groups_skipped"
-	case KeyGroupsZoneSkipped:
-		return "groups_zone_skipped"
 	case KeyEncRaw:
 		return "enc_raw"
 	case KeyEncDict:
@@ -124,8 +118,6 @@ func (k Key) String() string {
 		return "shared"
 	case KeyCacheHit:
 		return "cache_hit"
-	case KeyPlanCacheHit:
-		return "plan_cache_hit"
 	case KeyAttempt:
 		return "attempt"
 	case KeyFailoverRound:
