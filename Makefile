@@ -32,7 +32,9 @@ test:
 # (blockstore.Materialize over colstore.Builder) must produce byte-identical
 # tables — and so identical data envelopes — at any width, so those two
 # packages run serial and parallel (-cpu 1,2): their determinism tests compare
-# the encodings.
+# the encodings, and the order tests (TestClusterTilesAndRuns,
+# TestClusterIsPureFunctionOfRowSet, TestBuildAllMatchesBuild: tiles, run keys,
+# the tail key of every tile) run at both widths with them.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
 	$(GO) test -race -short -cpu 1,2 ./internal/colstore/... ./internal/blockstore/...
@@ -52,9 +54,11 @@ chaos:
 # (builders must satisfy the oracles on fuzzed scenarios), the δ-estimation
 # differential (bottleneck matching vs. brute force), the routing/codec
 # differentials in internal/layout, the scan-kernel differential (vectorized
-# kernels vs naive scan across every encoding, through the PAWC codec), the
-# table decoder (arbitrary payload bytes: an error or a table, never a panic —
-# a payload is what a worker takes off the wire at an install), and the drift
+# kernels vs naive scan across every encoding, through the PAWC codec; three
+# seeds hold a raw column in ascending pieces, which is searched, not swept),
+# the table decoder (arbitrary payload bytes: an error or a table, never a
+# panic — a payload is what a worker takes off the wire at an install; one seed
+# is a sorted raw chunk, whose pieces Decode derives again), and the drift
 # differential (fuzzed query streams against a live cluster with the drift
 # controller attached — every answer must match the static-layout oracle,
 # before, during and after any migration), and the membership differential
@@ -94,14 +98,18 @@ bench-smoke:
 	$(GO) test ./internal/layout -run '^$$' -bench 'AppendPartitionsForEnvelopes$$' -benchmem -benchtime=1x
 
 # bench-kernels times the selection kernels on every encoding — narrow on runs;
-# selectSpans, countSpans and refine on the rest — and the whole pipeline on
-# the shape the builder's tables have, run columns ahead of a raw one
-# (runs-then-raw, count and scan), each on one replayed row group and on 256
-# fresh ones at p ≈ ½ (BenchmarkKernel, DESIGN.md §11 "Branch-free
-# selection"). A kernel with a data-dependent branch reads ~4× apart on the
-# two; these read within ~1.3× (narrow, which works a run at a time, pays per
-# run; past that the fresh regime is memory-bound). Read both columns; nothing
-# is asserted on time.
+# selectSpans, countSpans and refine on the rest; narrow on a raw chunk in
+# ascending pieces of 8, 32, 89 and 2 048 values (raw/narrow-N) beside the
+# sweep it replaces (raw/countSpans) — and the whole pipeline on run columns
+# ahead of a raw one, in no order (runs-then-raw) and in the builder's
+# (runs-then-sorted-raw), count and scan, each on one replayed row group and on
+# 256 fresh ones at p ≈ ½ (BenchmarkKernel, DESIGN.md §11 "Branch-free
+# selection"). A per-value kernel with a data-dependent branch reads ~4× apart
+# on the two; these read within ~1.3× (narrow, which works a run or a piece at
+# a time, pays per run or per search — its binary search does branch on the
+# data, which is why colstore.minSearchRows is set where raw/narrow-N/fresh
+# meets raw/countSpans/fresh; past that the fresh regime is memory-bound).
+# Read both columns; nothing is asserted on time.
 BENCHTIME ?= 20000x
 bench-kernels:
 	$(GO) test ./internal/colstore -run '^$$' -bench Kernel -benchtime=$(BENCHTIME)
@@ -125,9 +133,14 @@ loc:
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  module paw (non-test, excluding benchmark/)\n", t }'
 
 # loc-check fails when that count exceeds LOC_CEILING, the count of the PR that
-# last set it (ISSUE 23: 27 325 → the figure below). Growing the module from
-# here on is an edit of this line, in the diff that does the growing.
-LOC_CEILING := 26861
+# last set it. ISSUE 23 set it to 26 861 (from 27 325). ISSUE 24 bought +278:
+# the tile order's tail key, a raw chunk's ascending pieces and the searching
+# form of narrow (internal/colstore +226, half of it comment), the searchable:
+# line of `pawcli build`/`stats` (layout +30, pawcli +7), the drift gate on
+# opened bytes (dist +5, drift +7, bench +3) — for −87 % of
+# scan_bytes_per_query on tpch-wide-scan. Growing the module from here on is an
+# edit of this line, in the diff that does the growing.
+LOC_CEILING := 27139
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

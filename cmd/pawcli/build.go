@@ -116,8 +116,10 @@ func runBuild(args []string) {
 	// will: beside the partition sizes of a routing pass it leaves every
 	// partition's data envelope (§V-A), which the layout file carries to
 	// pawmaster. The store itself is dropped, after the report has taken its
-	// census: the encoded bytes under each physical encoding.
+	// census: the encoded bytes under each physical encoding, and how many of
+	// the raw chunks a scan can search.
 	stored := make(map[string]int64)
+	search := &layout.SearchCensus{ByColumn: make(map[string]int)}
 	phase("route", func() {
 		store := blockstore.Materialize(l, data, blockstore.Config{})
 		for _, p := range l.Parts {
@@ -125,6 +127,11 @@ func runBuild(args []string) {
 				for enc, b := range sp.Table.EncodedBytesByEncoding() {
 					stored[enc] += b
 				}
+				raw, searchable, pieces, rows := sp.Table.SearchCensus(search.ByColumn)
+				search.RawChunks += raw
+				search.Searchable += searchable
+				search.Pieces += pieces
+				search.Rows += rows
 			}
 		}
 	})
@@ -133,7 +140,7 @@ func runBuild(args []string) {
 	phase("report", func() {
 		r = layout.NewBuildReport(l, reg.Snapshot())
 		r.SampleRows = len(sample)
-		r.StoredBytes = stored
+		r.StoredBytes, r.Search = stored, search
 		wc := l.WorkloadCost(hist.Boxes(), nil)
 		r.Cost = &layout.CostStats{
 			WorkloadQueries: len(hist),

@@ -105,7 +105,7 @@ func main() {
 		driftWindow   = flag.Int("drift-window", 256, "drift monitor sliding window, in observed queries")
 		driftCheck    = flag.Int("drift-check-every", 32, "run the drift decision every N observations")
 		driftSlack    = flag.Float64("drift-delta-slack", 1, "scale δ before the scope check (>1: lazier trigger than the build-time scope)")
-		driftCost     = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average scan bytes exceed this factor times the baseline")
+		driftCost     = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average opened bytes (the encoded size of the partitions its plans opened) exceed this factor times the baseline")
 		driftGain     = flag.Float64("drift-min-gain", 0.05, "minimum fraction of modeled window cost a rebuild must cut, or the migration is skipped")
 		driftCooldown = flag.Int("drift-cooldown", 0, "observations to mute the monitor after a migration or skipped trigger (0: one window)")
 		driftReplicas = flag.Int("drift-replicas", 1, "replica count for partitions added by a drift rebuild (surviving partitions keep their replica sets)")

@@ -91,9 +91,12 @@ type DriftScenarioResult struct {
 
 	Phases []DriftPhaseStat `json:"phases"`
 
-	// CostBaseline/CostRegressed/CostRecovered are observed per-query scan
-	// bytes: the first phase, the final phase before cutover, and the final
-	// phase after cutover.
+	// CostBaseline/CostRegressed/CostRecovered are observed per-query opened
+	// bytes — the encoded size of the partitions the plans opened, scanned or
+	// skipped, which is what the drift monitor gates on and a rebuild changes:
+	// the first phase, the final phase before cutover, and the final phase
+	// after cutover. (Until ISSUE 24 they were scan bytes, like the phases'
+	// AvgScanBytes; searched chunks made those a measure of the kernels.)
 	CostBaseline  float64 `json:"cost_baseline_bytes"`
 	CostRegressed float64 `json:"cost_regressed_bytes"`
 	CostRecovered float64 `json:"cost_recovered_bytes"`
@@ -248,6 +251,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	offs := sc.PhaseOffsets()
 	res.Queries = len(stream)
 	scanBytes := make([]int64, len(stream))
+	openedBytes := make([]int64, len(stream))
 	rows := make([]int, len(stream))
 
 	var (
@@ -282,7 +286,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		if err != nil {
 			return res, fmt.Errorf("query %d: %w", i, err)
 		}
-		scanBytes[i], rows[i] = resp.BytesScanned, resp.Rows
+		scanBytes[i], openedBytes[i], rows[i] = resp.BytesScanned, resp.BytesScanned+resp.BytesSkipped, resp.Rows
 		if migCh != nil {
 			inFlight++
 			select {
@@ -332,8 +336,6 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		}
 		res.Phases = append(res.Phases, st)
 	}
-	res.CostBaseline = res.Phases[0].AvgScanBytes
-
 	// Regression and recovery on the final phase, split at the cutover.
 	lastLo := offs[len(offs)-2]
 	avgOver := func(lo, hi int) float64 {
@@ -342,10 +344,11 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		}
 		var sum int64
 		for i := lo; i < hi; i++ {
-			sum += scanBytes[i]
+			sum += openedBytes[i]
 		}
 		return float64(sum) / float64(hi-lo)
 	}
+	res.CostBaseline = avgOver(offs[0], offs[1])
 	cut := len(stream)
 	if res.MigratedAtQuery >= 0 {
 		cut = res.MigratedAtQuery
@@ -366,7 +369,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 			if err != nil {
 				return res, fmt.Errorf("recovery replay %d: %w", i, err)
 			}
-			sum += resp.BytesScanned
+			sum += resp.BytesScanned + resp.BytesSkipped
 		}
 		res.CostRecovered = float64(sum) / float64(len(stream)-lastLo)
 	}

@@ -28,8 +28,14 @@ import (
 //     low-cardinality columns (at most runKeyCap distinct values in the
 //     partition), fewest distinct values first, so those columns collapse
 //     into RLE runs.
+//  3. Tail. Rows that tie on every run key are sorted by the tile's tail
+//     column: of the columns that are not run keys, the one of widest extent
+//     in that tile (measured like step 1; none when they are all constant
+//     there). The widest column is the one a group's envelope prunes least,
+//     and ascending inside every run tuple it is searched, not swept
+//     (column.pieces). A permutation changes no raw chunk's size.
 //
-// Both steps compare (value, source row index) pairs, which is a total order:
+// Every step compares (value, source row index) pairs, which is a total order:
 // the result is a pure function of the row set, independent of the order the
 // rows arrive in and of which goroutine runs the build. A Builder is safe for
 // concurrent use.
@@ -103,9 +109,14 @@ type clusterScratch struct {
 	// order is the table order: one word per row, sorted within each tile,
 	// holding (most significant first) the ranks of the row's values on the
 	// run-key columns, its position, and — in the low bits — which record of
-	// the tile is the row's.
+	// the tile is the row's. A tile with a tail column overwrites everything
+	// below the ranks but the record number (sortTile).
 	order  []uint64
 	census []columnCensus
+	// tails lists the columns that are not run keys, ascending; rankBits is
+	// how many high bits of an order word the run-key ranks take.
+	tails    []int
+	rankBits int
 	// enc encodes the tiles this slot is handed — its own partition's, or
 	// those of a large partition another slot is building.
 	enc groupEncoder
@@ -114,6 +125,7 @@ type clusterScratch struct {
 // columnCensus is the distinct-value census of one column of a partition,
 // abandoned once it passes runKeyCap.
 type columnCensus struct {
+	dim   int      // the column
 	vals  []uint64 // distinct keys, ascending
 	first []uint8  // first[i]: how many distinct keys had been seen before vals[i]
 	codes []uint8  // per record: the first-seen number of its key
@@ -150,7 +162,7 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 
 	b.tile(sc.recs, stride, slot)
 	slotBits := sc.packOrder(n, stride, b.groupRows)
-	slotMask, posMask := uint64(1)<<slotBits-1, uint64(1)<<bits.Len(uint(n))-1
+	slotMask := uint64(1)<<slotBits - 1
 
 	// Tiles are independent from here: sort the tile's order words, write its
 	// rows out, encode its row group.
@@ -160,18 +172,73 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 		for g := glo; g < ghi; g++ {
 			lo := g * b.groupRows
 			tile := sc.order[lo:min(lo+b.groupRows, n)]
-			slices.Sort(tile)
+			recs := sc.recs[lo*stride : (lo+len(tile))*stride]
+			b.sortTile(sc, tile, recs, stride, slotBits)
 			for i, k := range tile {
-				rows[lo+i] = sc.src[k>>slotBits&posMask]
+				rows[lo+i] = sc.src[recs[int(k&slotMask)*stride]]
 			}
 			t.groups[g] = enc.encode(dims, len(tile), func(d int, dst []float64) {
 				for i, k := range tile {
-					dst[i] = keyValue(sc.recs[(lo+int(k&slotMask))*stride+1+d])
+					dst[i] = keyValue(recs[int(k&slotMask)*stride+1+d])
 				}
 			})
 		}
 	})
 	return t
+}
+
+// sortTile puts the order words of one tile — tile[i] still names record i of
+// recs, the tile's records — in table order: run-key ranks, then the tail
+// column's key, then position. The tail is the column of sc.tails that is
+// widest in this tile; its key goes into the word below the ranks, as many high bits
+// as fit above the record number, so one sort of plain words does nearly all
+// of it: rows whose words agree above the record number (equal values, or keys
+// that differ only in the bits cut off) are then put right by comparing their
+// records. Without a tail the words already hold (ranks, position).
+func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slotBits int) {
+	tail, widest := -1, 0.0
+	for _, d := range sc.tails {
+		// Extent as the group statistics will see it: NaNs aside.
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for w := 1 + d; w < len(recs); w += stride {
+			v := keyValue(recs[w])
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		if w := (mx - mn) * b.invExtent[d]; w > widest {
+			tail, widest = d, w
+		}
+	}
+	if tail < 0 {
+		slices.Sort(tile)
+		return
+	}
+	rankShift := uint(64 - sc.rankBits)
+	for i, k := range tile {
+		tile[i] = k>>rankShift<<rankShift | recs[i*stride+1+tail]>>uint(sc.rankBits+slotBits)<<uint(slotBits) | uint64(i)
+	}
+	slices.Sort(tile)
+	slotMask := uint64(1)<<slotBits - 1
+	byRecord := func(x, y uint64) int {
+		rx, ry := recs[int(x&slotMask)*stride:], recs[int(y&slotMask)*stride:]
+		if c := cmp.Compare(rx[1+tail], ry[1+tail]); c != 0 {
+			return c
+		}
+		return cmp.Compare(rx[0], ry[0])
+	}
+	for i, j := 0, 1; j <= len(tile); j++ {
+		if j < len(tile) && tile[j]>>uint(slotBits) == tile[i]>>uint(slotBits) {
+			continue
+		}
+		if j-i > 1 {
+			slices.SortFunc(tile[i:j], byRecord)
+		}
+		i = j
+	}
 }
 
 // orderKey maps a float64 to a uint64 whose unsigned order is the float
@@ -340,8 +407,10 @@ func sortRecords(recs []uint64, stride, keyWord int) {
 // columns — those with at most runKeyCap distinct values in the partition,
 // most significant first in ascending order of distinct count (ties in column
 // order) — then by position. A column whose rank bits no longer fit in the
-// word is left out, with every column after it. Below the position, the low
-// slotBits bits (returned) say which record of the tile is the row's.
+// word is left out, with every column after it: those are sc.tails, the
+// candidates for a tile's tail key, and sc.rankBits is how many high bits the
+// ranks took. Below the position, the low slotBits bits (returned) say which
+// record of the tile is the row's.
 func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 	dims := stride - 1
 	for len(sc.census) < dims {
@@ -349,6 +418,7 @@ func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 	}
 	census := sc.census[:dims]
 	for d := range census {
+		census[d].dim = d
 		census[d].take(sc.recs, stride, 1+d)
 	}
 	slices.SortStableFunc(census, func(a, b columnCensus) int { return len(a.vals) - len(b.vals) })
@@ -362,10 +432,15 @@ func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 		sc.order[i] = sc.recs[i*stride]<<slotBits | uint64(i%groupRows)
 	}
 	free := 64 - posBits - slotBits
+	sc.tails = sc.tails[:0]
 	for i := range census {
 		c := &census[i]
 		width := bits.Len(uint(len(c.vals) - 1))
 		if len(c.vals) > runKeyCap || width > free {
+			for _, c := range census[i:] {
+				sc.tails = append(sc.tails, c.dim)
+			}
+			slices.Sort(sc.tails)
 			break
 		}
 		if width == 0 {
@@ -381,6 +456,7 @@ func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 			sc.order[i] |= rank[f]
 		}
 	}
+	sc.rankBits = 64 - posBits - slotBits - free
 	return slotBits
 }
 

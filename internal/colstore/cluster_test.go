@@ -46,6 +46,40 @@ func clusterDatasets() map[string]*dataset.Dataset {
 	}
 }
 
+// specialsDataset is the tail column at its worst: "tail" holds 400 values
+// many times over, both zeros, NaNs of either sign; "inf" would be as wide but
+// reaches ±Inf, so its domain has no extent to measure against and it is never
+// split on and never a tail; "k" is a run key and "narrow" a plain column.
+func specialsDataset(n int) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(24))
+	k, tail, inf, narrow := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range k {
+		k[i] = float64(rng.Intn(5))
+		tail[i] = float64(rng.Intn(400)-200) / 8
+		inf[i] = rng.NormFloat64()
+		narrow[i] = rng.Float64()
+		switch rng.Intn(60) {
+		case 0:
+			tail[i] = math.NaN()
+		case 1:
+			tail[i] = math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+		case 2:
+			tail[i] = math.Copysign(0, -1)
+		case 3:
+			inf[i] = math.Inf(rng.Intn(2)*2 - 1)
+		}
+	}
+	return dataset.MustNew([]string{"k", "tail", "inf", "narrow"}, [][]float64{k, tail, inf, narrow})
+}
+
+// orderDatasets adds to clusterDatasets what only the order tests can take: the
+// dataset oracle counts a NaN as inside every box, the kernels as inside none.
+func orderDatasets() map[string]*dataset.Dataset {
+	all := clusterDatasets()
+	all["specials"] = specialsDataset(5000)
+	return all
+}
+
 func shuffledRows(n int, seed int64) []int {
 	return rand.New(rand.NewSource(seed)).Perm(n)
 }
@@ -113,7 +147,7 @@ func TestClusteredScanDifferential(t *testing.T) {
 // not on the order the rows arrive in, not on scratch reuse — and the table
 // order Build leaves in rows is the order of the table's rows.
 func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
-	for name, data := range clusterDatasets() {
+	for name, data := range orderDatasets() {
 		n := data.NumRows()
 		b := NewBuilder(data, 128)
 		// A proper subset, so source row indices and positions differ.
@@ -220,10 +254,11 @@ func envelopeVolume(tab *Table, dom geom.Box) float64 {
 // TestClusterTilesAndRuns is the property the order exists for: every row
 // group is one k-d tile (group boundaries are tile boundaries), tiles are no
 // looser than arrival-order groups, and inside a tile the low-cardinality
-// columns ascend lexicographically, fewest distinct values first, ties by
-// source row.
+// columns ascend lexicographically, fewest distinct values first; rows that tie
+// on all of them ascend on the tile's tail column — the widest in that tile of
+// the columns that are not run keys — under orderKey, ties by source row.
 func TestClusterTilesAndRuns(t *testing.T) {
-	for name, data := range clusterDatasets() {
+	for name, data := range orderDatasets() {
 		n, dims := data.NumRows(), data.Dims()
 		for _, groupRows := range []int{7, 256, 2048} {
 			rows := shuffledRows(n, 1)
@@ -263,11 +298,43 @@ func TestClusterTilesAndRuns(t *testing.T) {
 			if name == "many-keys" && (len(keyCols) == 0 || len(keyCols) == dims) {
 				t.Fatalf("many-keys: %d of %d columns fit the run key; the case must overflow it", len(keyCols), dims)
 			}
+			isKey := make([]bool, dims)
+			for _, kc := range keyCols {
+				isKey[kc.d] = true
+			}
+			tails := map[int]int{} // tail column (-1: none) -> tiles
 			for lo := 0; lo < n; lo += groupRows {
 				tile := rows[lo:min(lo+groupRows, n)]
+				// The tail, computed independently: the extent the tile's
+				// statistics will show (NaNs aside) against the domain's.
+				tail, widest := -1, 0.0
+				for d := 0; d < dims; d++ {
+					ext := dom.Hi[d] - dom.Lo[d]
+					if isKey[d] || !(ext > 0) || math.IsInf(ext, 0) {
+						continue
+					}
+					mn, mx := math.Inf(1), math.Inf(-1)
+					for _, r := range tile {
+						if v := data.At(r, d); v < mn {
+							mn = v
+						}
+						if v := data.At(r, d); v > mx {
+							mx = v
+						}
+					}
+					if w := (mx - mn) * (1 / ext); w > widest {
+						tail, widest = d, w
+					}
+				}
+				tails[tail]++
 				for i := 1; i < len(tile); i++ {
 					a, b := tile[i-1], tile[i]
 					ordered := a < b
+					if tail >= 0 {
+						if ka, kb := orderKey(data.At(a, tail)), orderKey(data.At(b, tail)); ka != kb {
+							ordered = ka < kb
+						}
+					}
 					for _, kc := range keyCols {
 						if va, vb := data.At(a, kc.d), data.At(b, kc.d); va != vb {
 							ordered = va < vb
@@ -275,9 +342,17 @@ func TestClusterTilesAndRuns(t *testing.T) {
 						}
 					}
 					if !ordered {
-						t.Fatalf("%s/%d: rows %d, %d out of run order in the tile at %d", name, groupRows, a, b, lo)
+						t.Fatalf("%s/%d: rows %d, %d out of order in the tile at %d (tail column %d)", name, groupRows, a, b, lo, tail)
 					}
 				}
+			}
+			switch {
+			case name == "osm" && groupRows < 2048 && (tails[0] == 0 || tails[1] == 0):
+				t.Errorf("osm/%d: tail columns by tile %v; lon and lat must each be the widest somewhere", groupRows, tails)
+			case name == "specials" && (tails[1] == 0 || tails[2] != 0):
+				t.Errorf("specials/%d: tail columns by tile %v; want the duplicate-heavy column, never the one reaching ±Inf", groupRows, tails)
+			case name == "many-keys" && len(tails) == 1 && tails[-1] > 0:
+				t.Errorf("many-keys/%d: no tile has a tail, with %d columns past the run key", groupRows, dims-len(keyCols))
 			}
 		}
 	}
@@ -302,41 +377,45 @@ func TestClusterCollapsesLowCardinalityColumns(t *testing.T) {
 // from two goroutines at once on one builder, into the tables and row orders
 // Build gives each partition alone.
 func TestBuildAllMatchesBuild(t *testing.T) {
-	data := dataset.OSMLike(12_000, 6, 5)
-	perm := shuffledRows(data.NumRows(), 3)
-	parts := [][]int{perm[:300], perm[300:9300], nil, perm[9300:9310], perm[9310:]}
-	want := make([][]byte, len(parts))
-	wantRows := make([][]int, len(parts))
-	for i, rows := range parts {
-		wantRows[i] = slices.Clone(rows)
-		var buf bytes.Buffer
-		if err := NewBuilder(data, 64).Build(wantRows[i]).Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = buf.Bytes()
-	}
-	b := NewBuilder(data, 64)
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mine := make([][]int, len(parts))
-			for i, rows := range parts {
-				mine[i] = slices.Clone(rows)
+	for name, data := range map[string]*dataset.Dataset{
+		"osm":      dataset.OSMLike(12_000, 6, 5),
+		"specials": specialsDataset(12_000),
+	} {
+		perm := shuffledRows(data.NumRows(), 3)
+		parts := [][]int{perm[:300], perm[300:9300], nil, perm[9300:9310], perm[9310:]}
+		want := make([][]byte, len(parts))
+		wantRows := make([][]int, len(parts))
+		for i, rows := range parts {
+			wantRows[i] = slices.Clone(rows)
+			var buf bytes.Buffer
+			if err := NewBuilder(data, 64).Build(wantRows[i]).Encode(&buf); err != nil {
+				t.Fatal(err)
 			}
-			b.BuildAll(mine, func(i int, tab *Table) {
-				var buf bytes.Buffer
-				if err := tab.Encode(&buf); err != nil {
-					t.Error(err)
+			want[i] = buf.Bytes()
+		}
+		b := NewBuilder(data, 64)
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mine := make([][]int, len(parts))
+				for i, rows := range parts {
+					mine[i] = slices.Clone(rows)
 				}
-				if !bytes.Equal(buf.Bytes(), want[i]) || !slices.Equal(mine[i], wantRows[i]) {
-					t.Errorf("partition %d: BuildAll and Build disagree", i)
-				}
-			})
-		}()
+				b.BuildAll(mine, func(i int, tab *Table) {
+					var buf bytes.Buffer
+					if err := tab.Encode(&buf); err != nil {
+						t.Error(err)
+					}
+					if !bytes.Equal(buf.Bytes(), want[i]) || !slices.Equal(mine[i], wantRows[i]) {
+						t.Errorf("%s partition %d: BuildAll and Build disagree", name, i)
+					}
+				})
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestBuildDegeneratePartitions: empty and one-row partitions build.
@@ -423,7 +502,8 @@ func TestOrderKeyRoundTripsAndOrders(t *testing.T) {
 // TestEncodeColumnChoosesSmallest pins the encoding chooser, shortcuts and
 // all, to its specification: the smallest of raw / RLE / dictionary / FOR,
 // computed here the slow way (sort, count), ties going to RLE, then
-// dictionary, then FOR.
+// dictionary, then FOR — no dictionary for a chunk holding a NaN, which a
+// sorted dictionary cannot be searched past — and the chunk decodes to vals.
 func TestEncodeColumnChoosesSmallest(t *testing.T) {
 	var sc encodeScratch
 	for seed := int64(0); seed < 400; seed++ {
@@ -455,6 +535,7 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
 		card, runs, forOK := 1, 1, true
+		hasNaN := slices.ContainsFunc(vals, math.IsNaN)
 		for i := 1; i < n; i++ {
 			if sorted[i] != sorted[i-1] {
 				card++
@@ -479,7 +560,7 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		if card <= 256 {
 			w = 1
 		}
-		if b := 4 + int64(card)*8 + w*int64(n); card <= dictMaxCard && b < wantB {
+		if b := 4 + int64(card)*8 + w*int64(n); card <= dictMaxCard && !hasNaN && b < wantB {
 			want, wantB = colDict, b
 		}
 		if forOK {
@@ -491,6 +572,13 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		if c.kind != want || c.payloadBytes() != wantB {
 			t.Fatalf("seed %d (n=%d card=%d runs=%d): chose %v at %d bytes, smallest is %v at %d",
 				seed, n, card, runs, c.kind, c.payloadBytes(), want, wantB)
+		}
+		got := make([]float64, n)
+		c.decodeInto(got)
+		for i, v := range vals {
+			if got[i] != v && !(math.IsNaN(got[i]) && math.IsNaN(v)) {
+				t.Fatalf("seed %d: %v chunk decodes value %d as %v, want %v", seed, c.kind, i, got[i], v)
+			}
 		}
 	}
 }

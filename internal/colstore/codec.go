@@ -401,6 +401,7 @@ func decodeColumnPayload(lr *leReader, rows int) (column, error) {
 		if c.raw, err = lr.f64s(rows); err != nil {
 			return c, err
 		}
+		c.pieces = ascendingPieces(c.raw)
 	default:
 		return c, fmt.Errorf("colstore: unknown column encoding %d", kind)
 	}

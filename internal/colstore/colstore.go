@@ -176,6 +176,26 @@ func (t *Table) EncodedBytesByEncoding() map[string]int64 {
 	return out
 }
 
+// SearchCensus counts the table's raw chunks and, of them, the searchable ones
+// — those in ascending pieces, which a scan narrows by binary search where it
+// sweeps the rest — with their pieces and rows, and adds each searchable chunk
+// to byColumn under its column's name: in a builder's table, the tail columns.
+func (t *Table) SearchCensus(byColumn map[string]int) (raw, searchable, pieces, rows int) {
+	for gi := range t.groups {
+		for d := range t.groups[gi].cols {
+			c := &t.groups[gi].cols[d]
+			raw += b2i(c.kind == colRaw)
+			if c.pieces != nil {
+				searchable++
+				pieces += len(c.pieces)
+				rows += c.n
+				byColumn[t.names[d]]++
+			}
+		}
+	}
+	return raw, searchable, pieces, rows
+}
+
 // ScanStats reports what a scan did. Byte accounting follows the encoded
 // representation and late materialization: BytesRead counts only the
 // encoded payload actually decoded (predicate columns touched plus

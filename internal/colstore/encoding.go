@@ -49,8 +49,11 @@ type column struct {
 	kind colKind
 	n    int
 
-	// colRaw
-	raw []float64
+	// colRaw. pieces holds the starts of raw's maximal ascending pieces when
+	// they are long enough to search (ascendingPieces), else nil. It is derived
+	// from the values wherever a chunk comes to be and is never stored.
+	raw    []float64
+	pieces []int32
 
 	// colDict: dict is sorted ascending; codes index into it. codes16 is
 	// used when len(dict) > 256, codes8 otherwise.
@@ -270,14 +273,48 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 		}
 	default:
 		c.raw = append([]float64(nil), vals...)
+		c.pieces = ascendingPieces(c.raw)
 	}
 	return c
 }
 
+// minSearchRows is the fewest ascending values worth a binary search: a
+// search branches on the data where the sweep does not, and on row groups the
+// predictor has not seen the two cost the same at about 32 values a piece
+// (`make bench-kernels`, raw/narrow-N/fresh against raw/countSpans/fresh; with
+// the searches starting at 8, pieces of 8 / 16 / 24 / 32 / 48 read 15.4 /
+// 11.2 / 8.0 / 6.6 / 5.1 µs a group against the sweep's 7.4). A shorter
+// stretch is tested value by value, and a raw chunk whose ascending pieces
+// average fewer has none: values in no order — two to a piece — stay on the
+// linear kernels.
+const minSearchRows = 32
+
+// ascendingPieces returns the starts of the maximal ascending pieces of vals
+// — a piece ends wherever !(vals[i-1] <= vals[i]), so a NaN is a piece of its
+// own and -0, +0 in either order are not a descent — or nil when the pieces
+// average under minSearchRows values.
+func ascendingPieces(vals []float64) []int32 {
+	n := 1
+	for i := 1; i < len(vals); i++ {
+		n += b2i(!(vals[i-1] <= vals[i]))
+	}
+	if len(vals) < n*minSearchRows {
+		return nil
+	}
+	pieces := make([]int32, 1, n)
+	for i := 1; i < len(vals); i++ {
+		if !(vals[i-1] <= vals[i]) {
+			pieces = append(pieces, int32(i))
+		}
+	}
+	return pieces
+}
+
 // distinct counts the distinct values of vals as float comparison sees them
-// (-0 equals +0, every NaN is a value of its own) — what sorting and counting
-// value changes would give, without the sort. It returns limit as soon as the
-// count reaches it.
+// (-0 equals +0) — what sorting and counting value changes would give, without
+// the sort. It returns limit as soon as the count reaches it, and at a NaN: a
+// sorted dictionary cannot be searched past one, so no chunk holding a NaN is
+// dictionary-encoded.
 func (sc *encodeScratch) distinct(vals []float64, limit int) int {
 	// A power-of-two table at most half full. No float in it is a NaN, so a
 	// NaN's bit pattern marks an empty slot.
@@ -294,10 +331,7 @@ func (sc *encodeScratch) distinct(vals []float64, limit int) int {
 		case v == 0:
 			k = 0
 		case v != v:
-			if card++; card >= limit {
-				return limit
-			}
-			continue
+			return limit
 		}
 		h := k * 0x9E3779B97F4A7C15 >> (64 - logSize)
 		for sc.set[h] != empty && sc.set[h] != k {
@@ -406,11 +440,13 @@ func b2i(b bool) int {
 }
 
 // A group's selection starts as spans — half-open position ranges, at first
-// the one span [0, rows) — and stays spans while RLE chunks narrow it: a run
-// passes or fails whole, at a comparison per run and no position written. The
-// first chunk of another encoding turns spans into a position vector
-// (selectSpans) that later chunks refine in place; a count whose last chunk
-// still sees spans never builds the vector (countSpans).
+// the one span [0, rows) — and stays spans while chunks narrow it: an RLE
+// chunk, whose runs pass or fail whole at a comparison per run, and a raw chunk
+// in ascending pieces, where the survivors of a piece are one range found by
+// binary search; neither writes a position. The first chunk of another kind
+// turns spans into a position vector (selectSpans) that later chunks refine in
+// place; a count whose last chunk still sees spans never builds the vector
+// (countSpans).
 //
 // The per-value loops carry no data-dependent branch: the groups a scan
 // decodes are the ones a query edge cuts, so a row passes with p ≈ ½ in no
@@ -446,11 +482,103 @@ func expand(spans []span, sel []int32) []int32 {
 	return sel
 }
 
-// narrow appends to out the parts of spans inside runs of this RLE chunk whose
-// value lies in [lo, hi], adjacent survivors merged, in O(runs + spans), and
-// returns them with the encoded bytes touched: the whole payload when the
-// spans are the whole chunk, 12 bytes per run a span reaches otherwise.
+// narrow appends to out the parts of spans whose value lies in [lo, hi],
+// adjacent survivors merged, and returns them with the encoded bytes touched.
+// The chunk is RLE or a raw chunk with pieces.
 func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
+	if c.kind == colRLE {
+		return c.narrowRuns(lo, hi, spans, out)
+	}
+	// Each span, cut at the piece boundaries inside it, is ascending stretches;
+	// what survives of one is one range. Charged 8 bytes per value compared.
+	var compared int
+	pieces, p := c.pieces, 0
+	for _, sp := range spans {
+		for p+1 < len(pieces) && pieces[p+1] <= sp.lo {
+			p++
+		}
+		for l := sp.lo; l < sp.hi; {
+			h := sp.hi
+			if p+1 < len(pieces) && pieces[p+1] < h {
+				p++
+				h = pieces[p]
+			}
+			a, b, tested := searchAscending(c.raw[l:h], lo, hi)
+			compared += tested
+			if a < b {
+				out = appendSpan(out, l+int32(a), l+int32(b))
+			}
+			l = h
+		}
+	}
+	return out, int64(compared) * 8
+}
+
+// appendSpan appends [lo, hi) to out, merged into the last span if adjacent.
+func appendSpan(out []span, lo, hi int32) []span {
+	if last := len(out) - 1; last >= 0 && out[last].hi == lo {
+		out[last].hi = hi
+		return out
+	}
+	return append(out, span{lo, hi})
+}
+
+// searchAscending returns the range [a, b) of v, which ascends and holds no
+// NaN unless it is one value, that lies in [lo, hi] (a >= b: none), and how
+// many values it compared: every one below minSearchRows, else each end
+// against its bound and a binary search for a bound that end does not meet —
+// never more than len(v). The comparisons are the linear kernels': a NaN
+// bound matches nothing.
+func searchAscending(v []float64, lo, hi float64) (a, b, compared int) {
+	n := len(v)
+	if n < minSearchRows {
+		for _, x := range v {
+			a += b2i(!(x >= lo))
+			b += b2i(x <= hi)
+		}
+		return a, b, n
+	}
+	b = n
+	if compared++; !(v[0] >= lo) {
+		l, h := 1, n
+		for l < h {
+			m := int(uint(l+h) >> 1)
+			if compared++; v[m] >= lo {
+				h = m
+			} else {
+				l = m + 1
+			}
+		}
+		a = l
+	}
+	if a == n {
+		return a, b, compared
+	}
+	if compared++; !(v[n-1] <= hi) {
+		l, h := a, n-1
+		for l < h {
+			m := int(uint(l+h) >> 1)
+			if compared++; v[m] <= hi {
+				l = m + 1
+			} else {
+				h = m
+			}
+		}
+		b = l
+	}
+	return a, b, min(compared, n)
+}
+
+// searchBytes estimates what narrow reads of a raw chunk with pieces: two
+// ends and two binary searches a piece.
+func (c *column) searchBytes() int64 {
+	return int64(len(c.pieces)) * 16 * int64(1+bits.Len(uint(c.n/len(c.pieces))))
+}
+
+// narrowRuns is narrow on an RLE chunk, in O(runs + spans). It charges the
+// whole payload when the spans are the whole chunk, 12 bytes per run a span
+// reaches otherwise.
+func (c *column) narrowRuns(lo, hi float64, spans, out []span) ([]span, int64) {
 	touched, start, end := 0, int32(0), int32(0)
 	rest := spans // the spans not wholly behind the current run
 	for r, v := range c.runVals {
@@ -466,12 +594,7 @@ func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 			if sp.lo >= end || !(v >= lo && v <= hi) { // past the run, or the run fails
 				break
 			}
-			l, h := max(sp.lo, start), min(sp.hi, end)
-			if last := len(out) - 1; last >= 0 && out[last].hi == l {
-				out[last].hi = h
-			} else {
-				out = append(out, span{l, h})
-			}
+			out = appendSpan(out, max(sp.lo, start), min(sp.hi, end))
 		}
 	}
 	if spanRows(spans) == c.n {

@@ -16,8 +16,9 @@ import (
 // fuzzDataset builds a dataset whose columns deliberately span every
 // physical encoding: per column, style bits of the seed select constant
 // (RLE/FOR degenerate), low-cardinality discrete (dict), sorted discrete
-// (RLE), integral ramp (FOR), continuous uniform (raw) or short runs of
-// fresh fractions in no order (RLE at a run every two or three rows) data.
+// (RLE), integral ramp (FOR), continuous uniform (raw), short runs of fresh
+// fractions in no order (RLE at a run every two or three rows) or ascending
+// fractions with a fall every few hundred rows (raw in searchable pieces) data.
 func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, dims)
@@ -26,7 +27,7 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 		names[d] = string(rune('a' + d))
 		col := make([]float64, rows)
 		style := (seed >> uint(3*d)) & 7
-		if style > 5 {
+		if style > 6 {
 			style -= 5
 		}
 		switch style {
@@ -63,6 +64,19 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 				for end := min(i+1+b2i(k < 5)+b2i(k < 3), rows); i < end; i++ {
 					col[i] = v
 				}
+			}
+		case 6: // ascending, duplicates and both zeros included, falling back now and then
+			v := rng.Float64()
+			for i := range col {
+				switch rng.Intn(400) {
+				case 0:
+					v = rng.Float64() - 0.5
+				case 1, 2, 3:
+					v = math.Copysign(0, v-0.25)
+				default:
+					v += float64(rng.Intn(16)) * rng.Float64() / 400
+				}
+				col[i] = v
 			}
 		default: // continuous
 			for i := range col {
@@ -123,6 +137,11 @@ func FuzzScanDifferential(f *testing.F) {
 	// Unsorted runs of one to three rows ahead of a raw column: the runs
 	// narrow the group to hundreds of tiny spans before a value is read.
 	f.Add(int64(0x25), uint16(2999), uint8(1), uint16(1023), int64(37))
+	// A raw column that arrives in ascending pieces — searched, not swept — on
+	// its own, behind runs, and ahead of a dictionary chunk that then refines.
+	f.Add(int64(6), uint16(2999), uint8(0), uint16(699), int64(41))
+	f.Add(int64(6<<3|2), uint16(2500), uint8(1), uint16(1023), int64(43))
+	f.Add(int64(1<<6|6<<3|5), uint16(2999), uint8(2), uint16(511), int64(47))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, dimsRaw uint8, groupRaw uint16, qseed int64) {
 		rows := 1 + int(rowsRaw)%3000
 		dims := 1 + int(dimsRaw)%5
@@ -160,6 +179,9 @@ func FuzzScanDifferential(f *testing.F) {
 				if sst.Matched != nst.Matched || sst.RowsDecoded != int64(nst.Matched) {
 					t.Fatalf("%s q%d: scan stats %+v vs naive matched %d", label, qi, sst, nst.Matched)
 				}
+				if sst.BytesRead < cst.BytesRead {
+					t.Fatalf("%s q%d: scan read %d bytes, count %d", label, qi, sst.BytesRead, cst.BytesRead)
+				}
 				if len(flat) != nst.Matched*dims {
 					t.Fatalf("%s q%d: flat length %d for %d rows", label, qi, len(flat), nst.Matched)
 				}
@@ -169,6 +191,18 @@ func FuzzScanDifferential(f *testing.F) {
 							t.Fatalf("%s q%d row %d dim %d: vectorized %v, naive %v",
 								label, qi, r, d, flat[r*dims+d], p[d])
 						}
+					}
+				}
+				// No predicate is charged past its chunk: a count never needs
+				// scanGroups' clamp.
+				for gi := range tb.groups {
+					g := &tb.groups[gi]
+					if g.stats.CanPrune(q) {
+						continue
+					}
+					var gst ScanStats
+					if read := sc.scanGroup(g, q, false, &gst); read > g.encodedBytes() {
+						t.Fatalf("%s q%d group %d: charged %d of %d encoded bytes", label, qi, gi, read, g.encodedBytes())
 					}
 				}
 			}
@@ -290,6 +324,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(unhex(f, recordedV1))
 	f.Add(unhex(f, recordedV2))
 	f.Add(unhex(f, recordedV2Zones))
+	// A raw chunk in two ascending pieces, which Decode must find again.
+	var sorted bytes.Buffer
+	if err := FromDataset(fuzzDataset(6, 40, 1), nil, 0).Encode(&sorted); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sorted.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := Decode(bytes.NewReader(data))
 		if err != nil {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"testing"
 
 	"paw/internal/dataset"
@@ -76,6 +79,57 @@ func goldenTable(t *testing.T) (*dataset.Dataset, *Table) {
 	return data, tab
 }
 
+// Columns of the built golden table: the shape the builder's tables have on
+// the TPC-H stand-in, two run keys ahead of columns that cannot be.
+const (
+	bPrice = iota // ~all-distinct fractions: raw, the tail wherever it is widest
+	bK7           // 7 values: a run key
+	bK5           // 5 values: a run key
+	bWide         // 300 values in a tenth of a domain two outliers stretch: dictionary, the tail of the outliers' tiles
+	bDims
+)
+
+// builtGoldenTable is the golden table of the searching narrow: goldenRows rows
+// in the builder's order. In the three tiles where price is the tail its raw
+// chunk is ascending inside every (k7, k5) tuple, and in the two full ones
+// carries pieces (the last, 37 rows in four tuples, is too short to search);
+// in the two that hold an outlier of wide, wide is the tail — a dictionary
+// chunk, which stays on the linear kernels — and price is in no order.
+func builtGoldenTable(t *testing.T) (*dataset.Dataset, *Table) {
+	t.Helper()
+	cols := make([][]float64, bDims)
+	for d := range cols {
+		cols[d] = make([]float64, goldenRows)
+	}
+	for i := 0; i < goldenRows; i++ {
+		cols[bPrice][i] = float64(goldenMix(i, gRaw)>>11) / (1 << 53)
+		cols[bK7][i] = float64(goldenMix(i, gDict8)%7) / 7
+		cols[bK5][i] = float64(goldenMix(i, gRLE)%5) / 5
+		cols[bWide][i] = 0.45 + float64(goldenMix(i, gDict16)%300)/3000
+	}
+	cols[bWide][0], cols[bWide][1] = 0, 1
+	data := dataset.MustNew([]string{"price", "k7", "k5", "wide"}, cols)
+	all := make([]int, goldenRows)
+	for i := range all {
+		all[i] = i
+	}
+	tab := NewBuilder(data, goldenGroupRows).Build(all)
+	var searchable []int
+	for gi := range tab.groups {
+		g := &tab.groups[gi]
+		if g.cols[bPrice].kind != colRaw || g.cols[bK7].kind != colRLE || g.cols[bWide].kind != colDict {
+			t.Fatalf("built golden group %d encoded as %v/%v/%v/%v", gi, g.cols[0].kind, g.cols[1].kind, g.cols[2].kind, g.cols[3].kind)
+		}
+		if g.cols[bPrice].pieces != nil {
+			searchable = append(searchable, gi)
+		}
+	}
+	if !slices.Equal(searchable, []int{1, 3}) {
+		t.Fatalf("built golden groups %v have a searchable price chunk, want 1 and 3", searchable)
+	}
+	return data, tab
+}
+
 // goldenStats is ScanStats in the order the literals below are written:
 // matched, read, skipped, decoded, groups read/skipped, cols raw/dict/rle/for.
 func goldenStats(matched int, read, skipped, decoded int64, gRead, gSkipped, raw, dict, rle, fr int) ScanStats {
@@ -142,12 +196,7 @@ func TestScanBytesGolden(t *testing.T) {
 		return q
 	}
 
-	cases := []struct {
-		name        string
-		q           geom.Box
-		count, scan ScanStats
-		now         []ScanStats // count, scan; nil where 5edd304's stand
-	}{
+	cases := []goldenCase{
 		{"empty", empty,
 			goldenStats(0, 0, 79920, 0, 0, 5, 0, 0, 0, 0),
 			goldenStats(0, 0, 79920, 0, 0, 5, 0, 0, 0, 0), nil},
@@ -227,6 +276,24 @@ func TestScanBytesGolden(t *testing.T) {
 			[]ScanStats{goldenStats(831, 32893, 47027, 0, 5, 0, 5, 0, 0, 5),
 				goldenStats(831, 43422, 36498, 831, 5, 0, 6, 9, 5, 15)}},
 	}
+	checkGoldenCases(t, data, tab, cases, true)
+}
+
+// goldenCase is one box with the accounting recorded for it: count and scan on
+// the reference commit and, where a later change moved them, now.
+type goldenCase struct {
+	name        string
+	q           geom.Box
+	count, scan ScanStats
+	now         []ScanStats // count, scan; nil where the reference literals stand
+}
+
+// checkGoldenCases runs every case on tab and holds a re-recorded pair to the
+// re-record rule. orderOnly is the rule of the changes that only reordered
+// predicates: a case with at most one active predicate may not have moved.
+func checkGoldenCases(t *testing.T, data *dataset.Dataset, tab *Table, cases []goldenCase, orderOnly bool) {
+	t.Helper()
+	dom := data.Domain()
 	sc := NewScanner()
 	for _, c := range cases {
 		wantCount, wantScan := c.count, c.scan
@@ -237,7 +304,7 @@ func TestScanBytesGolden(t *testing.T) {
 					active++
 				}
 			}
-			if active <= 1 {
+			if orderOnly && active <= 1 {
 				t.Errorf("%s: %d active predicate(s) leave no order to change; the 5edd304 literal must stand", c.name, active)
 			}
 			wantCount, wantScan = c.now[0], c.now[1]
@@ -249,7 +316,7 @@ func TestScanBytesGolden(t *testing.T) {
 					t.Errorf("%s: re-recorded literal %+v changes more than which values are touched (was %+v)", c.name, now, was)
 				}
 				if now.BytesRead > was.BytesRead {
-					t.Errorf("%s: re-recorded literal reads %d bytes, 5edd304 read %d: the order may only read less", c.name, now.BytesRead, was.BytesRead)
+					t.Errorf("%s: re-recorded literal reads %d bytes, the reference read %d: a change may only read less", c.name, now.BytesRead, was.BytesRead)
 				}
 			}
 		}
@@ -258,38 +325,104 @@ func TestScanBytesGolden(t *testing.T) {
 		if count != wantCount || scan != wantScan {
 			t.Errorf("%s: accounting moved; got\n\t\t\t%s,\n\t\t\t%s},", c.name, goldenLiteral(count), goldenLiteral(scan))
 		}
-		if want := data.CountInBox(c.q, nil); count.Matched != want || scan.Matched != want {
+		// The oracles read a NaN bound as no bound, the raw kernels as one
+		// nothing meets: for such a box the literal alone pins the match count.
+		want := data.CountInBox(c.q, nil)
+		if slices.ContainsFunc(c.q.Lo, math.IsNaN) {
+			want = wantCount.Matched
+		}
+		if count.Matched != want || scan.Matched != want {
 			t.Errorf("%s: matched %d (count) / %d (scan), dataset says %d", c.name, count.Matched, scan.Matched, want)
 		}
 	}
 }
 
+// TestSearchBytesGolden is TestScanBytesGolden for the searching narrow, on the
+// built golden table. count and scan are what 5fcf978 read for the box on its
+// own build of the same rows — the same tiles, rows inside a (k7, k5) tuple in
+// source order, every raw value of a surviving span compared — and now what
+// this order and narrow read, under the same re-record rule: a search finds the
+// rows the sweep found and is charged for the values it compared, never more.
+func TestSearchBytesGolden(t *testing.T) {
+	data, tab := builtGoldenTable(t)
+	dom := data.Domain()
+	mid := func(q geom.Box, d int, a, b float64) geom.Box {
+		q = q.Clone()
+		span := dom.Hi[d] - dom.Lo[d]
+		q.Lo[d], q.Hi[d] = dom.Lo[d]+a*span, dom.Lo[d]+b*span
+		return q
+	}
+	price := mid(dom, bPrice, 0.25, 0.75)
+	// A price no row holds, one ulp above one a row of a searchable group does.
+	stored := tab.groups[1].cols[bPrice].raw[500]
+	gap := dom.Clone()
+	gap.Lo[bPrice], gap.Hi[bPrice] = math.Nextafter(stored, 2), math.Nextafter(stored, 2)
+	nan := price.Clone()
+	nan.Lo[bPrice] = math.NaN()
+	checkGoldenCases(t, data, tab, []goldenCase{
+		{"tail-only", price,
+			goldenStats(2064, 33064, 19094, 0, 5, 0, 5, 0, 0, 0),
+			goldenStats(2064, 51979, 179, 2064, 5, 0, 5, 5, 9, 1),
+			[]ScanStats{goldenStats(2064, 20024, 32134, 0, 5, 0, 5, 0, 0, 0),
+				goldenStats(2064, 47483, 4675, 2064, 5, 0, 5, 5, 9, 1)}},
+		{"runs-then-tail", mid(price, bK7, 0.3, 0.7),
+			goldenStats(885, 14988, 37170, 0, 5, 0, 5, 0, 5, 0),
+			goldenStats(885, 23766, 28392, 885, 5, 0, 5, 5, 9, 1),
+			[]ScanStats{goldenStats(885, 10244, 41914, 0, 5, 0, 5, 0, 5, 0),
+				goldenStats(885, 19022, 33136, 885, 5, 0, 5, 5, 9, 1)}},
+		{"tail-then-dictionary", mid(price, bWide, 0.47, 0.52),
+			goldenStats(1066, 34711, 17447, 0, 5, 0, 5, 5, 0, 0),
+			goldenStats(1066, 51263, 895, 1066, 5, 0, 5, 5, 9, 1),
+			[]ScanStats{goldenStats(1066, 27807, 24351, 0, 5, 0, 5, 5, 0, 0),
+				goldenStats(1066, 44359, 7799, 1066, 5, 0, 5, 5, 9, 1)}},
+		{"between-tail-values", gap,
+			goldenStats(0, 16384, 35774, 0, 2, 3, 2, 0, 0, 0),
+			goldenStats(0, 16384, 35774, 0, 2, 3, 2, 0, 0, 0),
+			[]ScanStats{goldenStats(0, 10688, 41470, 0, 2, 3, 2, 0, 0, 0),
+				goldenStats(0, 10688, 41470, 0, 2, 3, 2, 0, 0, 0)}},
+		{"nan-bound", nan,
+			goldenStats(0, 33064, 19094, 0, 5, 0, 5, 0, 0, 0),
+			goldenStats(0, 33064, 19094, 0, 5, 0, 5, 0, 0, 0),
+			[]ScanStats{goldenStats(0, 19600, 32558, 0, 5, 0, 5, 0, 0, 0),
+				goldenStats(0, 19600, 32558, 0, 5, 0, 5, 0, 0, 0)}},
+	}, false)
+}
+
 // TestStoredBytesGolden pins what is stored: the PAWC encoding of the golden
-// table in arrival order and in the builder's order, digests recorded on
-// 691f41a. A change to how a scan evaluates a group — the order of its
-// predicates, the form of its selection — must leave both alone; a change that
-// moves them has changed the chooser, the builder or the format, and heap_mb
-// and setup_s with it.
+// table in arrival order, digest recorded on 691f41a, and in the builder's
+// order, recorded with the tail key (ISSUE 24). A change to how a scan
+// evaluates a group — the order of its predicates, the form of its selection,
+// what a chunk derives from its values — must leave both alone; a change that
+// moves them has changed the chooser, the builder or the format. The tail key
+// moved the built digest and nothing else: it permutes rows inside a run tuple,
+// so the built table keeps the size and the bytes under every encoding it had
+// on 5fcf978 — and heap_mb and the scans' BytesRead + BytesSkipped with them.
 func TestStoredBytesGolden(t *testing.T) {
 	data, arrival := goldenTable(t)
 	all := make([]int, data.NumRows())
 	for i := range all {
 		all[i] = i
 	}
+	built := NewBuilder(data, goldenGroupRows).Build(all)
 	for _, c := range []struct {
 		name   string
 		tab    *Table
+		size   int
 		digest string
 	}{
-		{"arrival", arrival, "76eac190f2234ed6cedfd85eb0326a1e72ce2cf21be4c5e2e8504bfdf2d61f3d"},
-		{"built", NewBuilder(data, goldenGroupRows).Build(all), "520e2c62006a3e3b1c6ccefddcc699189a218ce892aca9c8ce3ac69442d00df2"},
+		{"arrival", arrival, 80925, "76eac190f2234ed6cedfd85eb0326a1e72ce2cf21be4c5e2e8504bfdf2d61f3d"},
+		{"built", built, 79747, "c44311b999bb4e8ac6f5f0500155d379a3361a8dd00500744edcd302954bdce6"},
 	} {
 		var buf bytes.Buffer
 		if err := c.tab.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.digest {
-			t.Errorf("%s: %d encoded bytes hash to %s, want %s", c.name, buf.Len(), got, c.digest)
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.digest || buf.Len() != c.size {
+			t.Errorf("%s: %d encoded bytes hash to %s, want %d hashing to %s", c.name, buf.Len(), got, c.size, c.digest)
 		}
+	}
+	want5fcf978 := map[string]int64{"dict": 17730, "for": 23391, "raw": 33064, "rle": 4560}
+	if got := built.EncodedBytesByEncoding(); !maps.Equal(got, want5fcf978) {
+		t.Errorf("built: stored bytes by encoding %v, 5fcf978 stored %v", got, want5fcf978)
 	}
 }

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,10 +11,11 @@ import (
 )
 
 // BenchmarkKernel times the selection kernels on every encoding — narrow on
-// runs; selectSpans and countSpans over the whole-group span and refine over
-// half the positions on the rest — and the whole pipeline on the shape the
-// builder's tables have, run columns ahead of a raw one (runs-then-raw), in
-// two regimes (`make bench-kernels`):
+// runs and on raw chunks in ascending pieces; selectSpans and countSpans over
+// the whole-group span and refine over half the positions on the rest — and
+// the whole pipeline on run columns ahead of a raw one, in no order
+// (runs-then-raw) and in the builder's (runs-then-sorted-raw), in two regimes
+// (`make bench-kernels`):
 //
 //   - replayed: one row group, one predicate, over and over — the branch
 //     predictor memorises the group, which is what a microbenchmark that
@@ -130,52 +133,106 @@ func BenchmarkKernel(b *testing.B) {
 		}
 	}
 
-	// runs-then-raw: three sorted low-cardinality columns (3, 12 and 96 runs a
-	// group) ahead of an all-distinct one, every column an active predicate —
-	// what both TPC-H workloads of the end-to-end benchmark decode. MB/s is over
-	// the raw column's bytes; pass is the fraction of the group that matched.
-	tab := &Table{names: []string{"a", "b", "c", "price"}, rows: freshGroups * groupRows}
-	var enc groupEncoder
-	keys, price := make([][3]int, groupRows), make([]float64, groupRows)
-	for g := 0; g < freshGroups; g++ {
-		for i := range keys {
-			keys[i], price[i] = [3]int{rng.Intn(3), rng.Intn(4), rng.Intn(8)}, rng.Float64()
-		}
-		slices.SortFunc(keys, func(x, y [3]int) int { return slices.Compare(x[:], y[:]) })
-		grp := enc.encode(4, groupRows, func(d int, dst []float64) {
-			for i := range dst {
-				if dst[i] = price[i]; d < 3 {
-					dst[i] = float64(keys[i][d])
-				}
+	// raw/narrow-N: narrow over the whole-group span of a raw chunk in ascending
+	// pieces of N values, both bounds inside every piece: 8, which narrow sweeps
+	// a piece at a time (a chunk of such pieces is not searchable; this one is
+	// made so by hand); minSearchRows, where the searches start and must be no
+	// slower than raw/countSpans — what the constant rests on; the 89 of a run
+	// tuple on tpch-wide-scan; half a group.
+	for _, pieceRows := range []int{8, minSearchRows, 89, groupRows / 2} {
+		groups := make([]column, freshGroups)
+		for g := range groups {
+			for i := range vals {
+				vals[i] = rng.Float64()
 			}
-		})
-		for d, want := range []colKind{colRLE, colRLE, colRLE, colRaw} {
-			if grp.cols[d].kind != want {
-				b.Fatalf("runs-then-raw column %d encoded as %v", d, grp.cols[d].kind)
+			for i := 0; i < groupRows; i += pieceRows {
+				slices.Sort(vals[i:min(i+pieceRows, groupRows)])
 			}
+			groups[g] = encodeColumn(vals, &scratch)
+			if (groups[g].pieces != nil) != (pieceRows >= minSearchRows) {
+				b.Fatalf("raw group in pieces of %d: searchable %v", pieceRows, groups[g].pieces != nil)
+			}
+			groups[g].pieces = descents(vals)
 		}
-		tab.groups = append(tab.groups, grp)
-	}
-	q := geom.Box{Lo: geom.Point{0, 1, 2, 0.25}, Hi: geom.Point{1, 2, 5, 0.75}}
-	sc := NewScanner()
-	for _, mode := range []struct {
-		name        string
-		materialize bool
-	}{{"count", false}, {"scan", true}} {
 		for _, regime := range []struct {
 			name   string
-			groups int
-		}{{"replayed", 1}, {"fresh", freshGroups}} {
-			b.Run("runs-then-raw/"+mode.name+"/"+regime.name, func(b *testing.B) {
+			groups []column
+		}{{"replayed", groups[:1]}, {"fresh", groups}} {
+			b.Run(fmt.Sprintf("raw/narrow-%d/%s", pieceRows, regime.name), func(b *testing.B) {
 				b.SetBytes(groupRows * 8)
-				var st ScanStats
+				matched := 0
 				for i := 0; i < b.N; i++ {
-					gi := i % regime.groups
-					sc.flat = sc.flat[:0]
-					sc.scanGroups(tab, q, gi, gi+1, mode.materialize, &st)
+					kept, _ := regime.groups[i%len(regime.groups)].narrow(0.25, 0.75, whole, out[:0])
+					matched += spanRows(kept)
 				}
-				reportPass(b, st.Matched, groupRows)
+				reportPass(b, matched, groupRows)
 			})
+		}
+	}
+
+	// runs-then-raw: three sorted low-cardinality columns (3, 12 and 96 runs a
+	// group) ahead of an all-distinct one, every column an active predicate —
+	// the shape of both TPC-H workloads of the end-to-end benchmark with the
+	// raw column in no order, as rows that arrive sorted on the keys alone
+	// have it. runs-then-sorted-raw is the builder's table: the raw column
+	// ascending inside every run tuple, and searched. MB/s is over the raw
+	// column's bytes; pass is the fraction of the group that matched.
+	type row struct {
+		keys  [3]int
+		price float64
+	}
+	rows := make([]row, groupRows)
+	q := geom.Box{Lo: geom.Point{0, 1, 2, 0.25}, Hi: geom.Point{1, 2, 5, 0.75}}
+	sc := NewScanner()
+	for _, shape := range []struct {
+		name   string
+		sorted bool
+	}{{"runs-then-raw", false}, {"runs-then-sorted-raw", true}} {
+		tab := &Table{names: []string{"a", "b", "c", "price"}, rows: freshGroups * groupRows}
+		var enc groupEncoder
+		for g := 0; g < freshGroups; g++ {
+			for i := range rows {
+				rows[i] = row{[3]int{rng.Intn(3), rng.Intn(4), rng.Intn(8)}, rng.Float64()}
+			}
+			slices.SortStableFunc(rows, func(x, y row) int {
+				if c := slices.Compare(x.keys[:], y.keys[:]); c != 0 || !shape.sorted {
+					return c
+				}
+				return cmp.Compare(x.price, y.price)
+			})
+			grp := enc.encode(4, groupRows, func(d int, dst []float64) {
+				for i := range dst {
+					if dst[i] = rows[i].price; d < 3 {
+						dst[i] = float64(rows[i].keys[d])
+					}
+				}
+			})
+			for d, want := range []colKind{colRLE, colRLE, colRLE, colRaw} {
+				if grp.cols[d].kind != want || (d == 3) && (grp.cols[d].pieces != nil) != shape.sorted {
+					b.Fatalf("%s column %d encoded as %v, searchable %v", shape.name, d, grp.cols[d].kind, grp.cols[d].pieces != nil)
+				}
+			}
+			tab.groups = append(tab.groups, grp)
+		}
+		for _, mode := range []struct {
+			name        string
+			materialize bool
+		}{{"count", false}, {"scan", true}} {
+			for _, regime := range []struct {
+				name   string
+				groups int
+			}{{"replayed", 1}, {"fresh", freshGroups}} {
+				b.Run(shape.name+"/"+mode.name+"/"+regime.name, func(b *testing.B) {
+					b.SetBytes(groupRows * 8)
+					var st ScanStats
+					for i := 0; i < b.N; i++ {
+						gi := i % regime.groups
+						sc.flat = sc.flat[:0]
+						sc.scanGroups(tab, q, gi, gi+1, mode.materialize, &st)
+					}
+					reportPass(b, st.Matched, groupRows)
+				})
+			}
 		}
 	}
 }

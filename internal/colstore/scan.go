@@ -69,8 +69,9 @@ func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, materialize bool,
 // no bytes are decoded for them until materialization. The remaining
 // (active) dimensions are evaluated run chunks first, then cheapest per
 // rejected row first, estimated from the chunk's size and the envelope
-// overlap; the selection they pass along is spans, then positions
-// (encoding.go). Materialization then decodes only surviving rows.
+// overlap; the selection they pass along is spans — while run chunks and raw
+// chunks in ascending pieces narrow it — then positions (encoding.go).
+// Materialization then decodes only surviving rows.
 func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanStats) int64 {
 	dims := len(g.cols)
 	if cap(s.touched) < dims {
@@ -93,13 +94,18 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 			}
 		}
 		// Insertion sort on the bytes a chunk costs per row it should reject,
-		// payload/(1-est), the textbook predicate order; run chunks ahead of
+		// payload/(1-est) — for a raw chunk in ascending pieces, what a search
+		// of them reads — the textbook predicate order; run chunks ahead of
 		// the rest, in that same order (-1/x is below zero and keeps it): they
 		// narrow spans, and the chooser picks RLE only where it is smallest,
 		// so a run chunk is never dearer per row than what follows it.
 		s.order = append(s.order, d)
 		c := &g.cols[d]
-		s.rank[d] = float64(c.payloadBytes()) / (1 - est)
+		cost := c.payloadBytes()
+		if c.pieces != nil {
+			cost = c.searchBytes() // searched, not swept
+		}
+		s.rank[d] = float64(cost) / (1 - est)
 		if c.kind == colRLE {
 			s.rank[d] = -1 / s.rank[d]
 		}
@@ -121,7 +127,7 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		c := &g.cols[d]
 		var b int64
 		switch {
-		case c.kind == colRLE:
+		case c.kind == colRLE || sel == nil && c.pieces != nil:
 			s.narrowed, b = c.narrow(q.Lo[d], q.Hi[d], spans, s.narrowed[:0])
 			spans, s.narrowed = s.narrowed, spans // the input is the next output buffer
 			matched = spanRows(spans)

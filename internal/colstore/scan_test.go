@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paw/internal/dataset"
@@ -288,5 +290,164 @@ func TestScanNaNBoundKeepsRunsFirst(t *testing.T) {
 	}
 	if count.ColsRLE == 0 {
 		t.Fatalf("the run chunks were not evaluated: %+v", count)
+	}
+}
+
+// descents is the specification of column.pieces: 0, then every position whose
+// value is not at or above the one before.
+func descents(vals []float64) []int32 {
+	out := []int32{0}
+	for i := 1; i < len(vals); i++ {
+		if !(vals[i-1] <= vals[i]) {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// TestNarrowSearchesWhatTheSweepFinds is the property the searching narrow
+// stands on: for raw chunks in ascending pieces of every length — from values
+// in no order, where a piece is a value or two, to one piece a chunk — holding
+// duplicates, both zeros, infinities and NaNs, for any span list and any
+// bounds (stored values, values between, infinities, NaN, lo > hi), it keeps
+// exactly the positions the linear test keeps, as ascending merged spans, and
+// charges 8 bytes per value compared: never more than the sweep of the same
+// spans. The pieces are the chunk's every descent, derived the same at build
+// and at decode, and withheld only below minSearchRows values a piece.
+func TestNarrowSearchesWhatTheSweepFinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	specials := []float64{math.NaN(), math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	searched := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(600)
+		few := rng.Intn(3) == 0
+		draw := func() float64 {
+			switch {
+			case rng.Intn(30) == 0:
+				return specials[rng.Intn(len(specials))]
+			case few:
+				return float64(rng.Intn(6)) - 2
+			default:
+				return rng.NormFloat64()
+			}
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = draw()
+		}
+		// Ascending stretches of about pieceRows values; 1 leaves vals as drawn.
+		if pieceRows := []int{1, 3, minSearchRows / 2, 2 * minSearchRows, 600}[trial%5]; pieceRows > 1 {
+			for i := 0; i < n; {
+				end := min(n, i+1+rng.Intn(2*pieceRows))
+				slices.SortFunc(vals[i:end], func(x, y float64) int {
+					if kx, ky := orderKey(x), orderKey(y); kx != ky {
+						return 1 - 2*b2i(kx < ky)
+					}
+					return 0
+				})
+				i = end
+			}
+		}
+		descents := descents(vals)
+		var sc encodeScratch
+		built := encodeColumn(vals, &sc)
+		if built.kind == colRaw {
+			if want := n >= len(descents)*minSearchRows; (built.pieces != nil) != want {
+				t.Fatalf("trial %d: %d values in %d pieces: searchable %v, want %v", trial, n, len(descents), built.pieces != nil, want)
+			}
+			if built.pieces != nil && !slices.Equal(built.pieces, descents) {
+				t.Fatalf("trial %d: pieces %v, descents at %v", trial, built.pieces, descents)
+			}
+		}
+		// narrow takes any piece list that is the chunk's descents, however
+		// short the pieces: below minSearchRows it tests them value by value.
+		c := column{kind: colRaw, n: n, raw: vals, pieces: descents}
+
+		var spans []span
+		for pos := rng.Intn(20) * rng.Intn(2); pos < n; {
+			hi := min(n, pos+1+rng.Intn(1+rng.Intn(200)))
+			spans = append(spans, span{int32(pos), int32(hi)})
+			pos = hi + rng.Intn(30)*rng.Intn(2) // sometimes adjacent
+		}
+		bound := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return vals[rng.Intn(n)]
+			case 1:
+				return math.Nextafter(vals[rng.Intn(n)], float64(rng.Intn(3)-1)*math.Inf(1))
+			default:
+				return draw()
+			}
+		}
+		lo, hi := bound(), bound()
+		if lo > hi && rng.Intn(4) > 0 {
+			lo, hi = hi, lo
+		}
+
+		var want []int32
+		for _, sp := range spans {
+			for i := sp.lo; i < sp.hi; i++ {
+				if vals[i] >= lo && vals[i] <= hi {
+					want = append(want, i)
+				}
+			}
+		}
+		out, bytes := c.narrow(lo, hi, spans, nil)
+		for i, sp := range out {
+			if sp.lo >= sp.hi || i > 0 && out[i-1].hi >= sp.lo {
+				t.Fatalf("trial %d: spans %v not ascending, non-empty and merged", trial, out)
+			}
+		}
+		if got := expand(out, nil); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: [%v, %v] over %v of %v (pieces at %v):\nsearch keeps %v\nsweep keeps  %v", trial, lo, hi, spans, vals, descents, got, want)
+		}
+		swept, sweepBytes := (&column{kind: colRaw, n: n, raw: vals}).countSpans(lo, hi, spans)
+		if swept != len(want) || bytes > sweepBytes || bytes%8 != 0 || bytes < 0 {
+			t.Fatalf("trial %d: search charged %d bytes for %d rows, the sweep %d for %d", trial, bytes, len(want), sweepBytes, swept)
+		}
+		if bytes < sweepBytes {
+			searched++
+		}
+	}
+	if searched < 1000 {
+		t.Fatalf("only %d of 3000 trials compared fewer values than a sweep: the chunks miss the case", searched)
+	}
+}
+
+// TestPiecesSurviveTheCodec: pieces are not in a payload, so a decoded table
+// derives them again — the same ones, chunk for chunk, and the same answers at
+// the same charge; a table whose rows merely arrive sorted has them too.
+func TestPiecesSurviveTheCodec(t *testing.T) {
+	data := fuzzDataset(6|4<<3, 3000, 2) // ascending raw, values in no order
+	tab := FromDataset(data, nil, 700)
+	var buf bytes.Buffer
+	if err := tab.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range tab.groups {
+		for d := range tab.groups[gi].cols {
+			built, got := &tab.groups[gi].cols[d], &decoded.groups[gi].cols[d]
+			if built.kind != colRaw || (built.pieces != nil) != (d == 0) {
+				t.Fatalf("group %d column %d: %v chunk, searchable %v", gi, d, built.kind, built.pieces != nil)
+			}
+			if !slices.Equal(got.pieces, built.pieces) {
+				t.Fatalf("group %d column %d: decoded pieces %v, built %v", gi, d, got.pieces, built.pieces)
+			}
+		}
+	}
+	q := data.Domain()
+	q.Lo[0], q.Hi[0] = data.At(400, 0), data.At(2500, 0)
+	sc := NewScanner()
+	st := sc.Count(tab, q)
+	if again := sc.Count(decoded, q); again != st || st.Matched != data.CountInBox(q, nil) {
+		t.Fatalf("built table counts %+v, decoded %+v, dataset %d", st, again, data.CountInBox(q, nil))
+	}
+	if sweep := int64(8 * 700 * st.GroupsRead); st.GroupsRead == 0 || st.BytesRead*4 > sweep {
+		t.Fatalf("%d groups of sorted values read %d bytes; a sweep reads about %d", st.GroupsRead, st.BytesRead, sweep)
 	}
 }

@@ -297,13 +297,17 @@ func (m *Master) Placement() placement.Replicated { return m.view.Load().replica
 
 // QueryObservation is what a drift monitor sees per served query
 // (SetQueryObserver): the routed ranges with their partition lists, the scan
-// cost the response reported, and the epoch it was served under. Cached
-// marks result-cache hits — they represent real demand (the monitor should
-// weigh them) but did no new I/O.
+// cost the response reported, and the epoch it was served under. BytesOpened
+// is the encoded size of the partitions the plan opened — every one's bytes
+// are either scanned or skipped — which is the cost the layout decides;
+// BytesScanned is what the kernels then could not spare. Cached marks
+// result-cache hits — they represent real demand (the monitor should weigh
+// them) but did no new I/O.
 type QueryObservation struct {
 	Ranges       []geom.Box
 	IDs          []layout.ID
 	BytesScanned int64
+	BytesOpened  int64
 	Epoch        uint64
 	Cached       bool
 }
@@ -327,6 +331,7 @@ func (m *Master) observe(plan router.Plan, resp *QueryResponse, epoch uint64, ca
 	ob := QueryObservation{
 		IDs:          plan.PartitionIDs(),
 		BytesScanned: resp.BytesScanned,
+		BytesOpened:  resp.BytesScanned + resp.BytesSkipped,
 		Epoch:        epoch,
 		Cached:       cached,
 	}

@@ -129,7 +129,7 @@ func (c *Controller) SetTracer(tr *trace.Tracer) { c.tracer.Store(tr) }
 func (c *Controller) Attach(auto bool) {
 	c.auto.Store(auto)
 	c.master.SetQueryObserver(func(ob dist.QueryObservation) {
-		c.mon.Observe(ob.Ranges, ob.BytesScanned, ob.Cached, c.layout(), ob.IDs)
+		c.mon.Observe(ob, c.layout())
 		if c.auto.Load() && c.mon.Seen()%int64(c.cfg.CheckEvery) == 0 {
 			if c.running.CompareAndSwap(false, true) {
 				go func() {

@@ -3,10 +3,11 @@
 // sliding window of live routed queries, estimates the minimal δ′ that would
 // make the window similar to the historical workload the layout was built
 // for (the §IV-E estimator, directed at live traffic), and — when the live
-// workload has left the layout's variance scope AND observed scan cost has
-// regressed past a configurable factor — rebuilds only the violated region
-// of the partition tree and migrates the cluster onto the patched layout
-// (layout.PatchSubtree → dist.ApplyMigration) without stopping service.
+// workload has left the layout's variance scope AND the partition bytes its
+// queries open have regressed past a configurable factor — rebuilds only the
+// violated region of the partition tree and migrates the cluster onto the
+// patched layout (layout.PatchSubtree → dist.ApplyMigration) without stopping
+// service.
 //
 // The package splits into a Monitor (pure observation and decision state,
 // deterministic given an observation sequence) and a Controller (the rebuild
@@ -19,6 +20,7 @@ package drift
 import (
 	"sync"
 
+	"paw/internal/dist"
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/workload"
@@ -40,10 +42,13 @@ type Config struct {
 	// the build-time scope.
 	DeltaSlack float64
 	// CostFactor is the regression gate: reorganization is considered only
-	// when the window's average observed scan bytes exceed CostFactor × the
-	// baseline average (the first full window after the layout was
-	// installed). Out-of-scope traffic that the layout still serves cheaply
-	// does not trigger.
+	// when the window's average opened bytes — the encoded size of the
+	// partitions a query's plan opens, the cost the layout models and a
+	// rebuild can change — exceed CostFactor × the baseline average (the
+	// first full window after the layout was installed). Out-of-scope traffic
+	// that the layout still serves cheaply does not trigger. The bytes a scan
+	// then reads are no gate: the kernels spare most of a stale layout's
+	// extra partitions, at a hop and a few probes each.
 	CostFactor float64
 	// MinGain is the benefit gate: the patched layout must cut the window's
 	// modeled scan cost by at least this fraction, or the migration is
@@ -132,8 +137,8 @@ type Monitor struct {
 	full bool  // ring has wrapped at least once
 	seen int64 // total observations
 
-	// baseline is the mean observed scan bytes of the first full window
-	// after the reference was (re)anchored; 0 until known.
+	// baseline is the mean opened bytes of the first full window after the
+	// reference was (re)anchored; 0 until known.
 	baseline    float64
 	cooldownEnd int64 // observation count before which triggers are muted
 
@@ -156,14 +161,15 @@ func NewMonitor(hist workload.Workload, cfg Config) *Monitor {
 	}
 }
 
-// Observe records one served query: its routed range boxes, the scan bytes
-// the response reported, and whether it was answered from the result cache.
-// l, when non-nil, feeds the per-partition waste ledger; ids are the
+// Observe records one served query: its routed range boxes, the bytes of the
+// partitions its plan opened, and whether it was answered from the result
+// cache. l, when non-nil, feeds the per-partition waste ledger with the
 // partitions the plan touched.
-func (mo *Monitor) Observe(boxes []geom.Box, bytes int64, cached bool, l *layout.Layout, ids []layout.ID) {
+func (mo *Monitor) Observe(ob dist.QueryObservation, l *layout.Layout) {
+	boxes, ids := ob.Ranges, ob.IDs
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	mo.ring[mo.next] = obsEntry{boxes: boxes, bytes: bytes, cached: cached}
+	mo.ring[mo.next] = obsEntry{boxes: boxes, bytes: ob.BytesOpened, cached: ob.Cached}
 	mo.next = (mo.next + 1) % len(mo.ring)
 	if mo.next == 0 {
 		mo.full = true
@@ -207,9 +213,9 @@ func (mo *Monitor) accountWasteLocked(l *layout.Layout, boxes []geom.Box, ids []
 	}
 }
 
-// windowAvgLocked is the mean observed scan bytes over the current window
-// (cached hits count — they are demand the layout would otherwise serve with
-// real I/O at their recorded cost).
+// windowAvgLocked is the mean opened bytes over the current window (cached
+// hits count — they are demand the layout would otherwise serve with real I/O
+// at their recorded cost).
 func (mo *Monitor) windowAvgLocked() float64 {
 	n := mo.next
 	if mo.full {
@@ -280,7 +286,8 @@ type Decision struct {
 	// DeltaEstimate is δ′: the directed minimal δ that would bring the
 	// window into the reference's scope.
 	DeltaEstimate float64
-	// WindowAvgBytes and BaselineAvgBytes are the observed-cost evidence.
+	// WindowAvgBytes and BaselineAvgBytes are the observed-cost evidence:
+	// opened bytes per query.
 	WindowAvgBytes   float64
 	BaselineAvgBytes float64
 	// Region is the MBR of the out-of-scope queries (zero Box when none).

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"paw/internal/dist"
 	"paw/internal/geom"
 	"paw/internal/workload"
 )
@@ -32,10 +33,16 @@ func rightBoxes(n int, seed int64) []geom.Box {
 	return out
 }
 
+// opening is the observation of a query over boxes whose plan opened — and,
+// unless a test says otherwise, whose scan read — bytes of partitions.
+func opening(bytes int64, boxes ...geom.Box) dist.QueryObservation {
+	return dist.QueryObservation{Ranges: boxes, BytesOpened: bytes, BytesScanned: bytes}
+}
+
 func TestMonitorNoTriggerBeforeWindowFull(t *testing.T) {
 	mo := NewMonitor(leftHist(10, 1), Config{Window: 16, Delta: 0.02})
 	for i := 0; i < 15; i++ {
-		mo.Observe(rightBoxes(1, int64(i)), 1000, false, nil, nil)
+		mo.Observe(opening(1000, rightBoxes(1, int64(i))...), nil)
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -52,7 +59,7 @@ func TestMonitorInScopeWorkloadDoesNotTrigger(t *testing.T) {
 	// Live queries identical to reference queries: δ′ is 0.
 	for i := 0; i < 64; i++ {
 		q := hist[i%len(hist)]
-		mo.Observe([]geom.Box{q.Box}, 1000, false, nil, nil)
+		mo.Observe(opening(1000, q.Box), nil)
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -69,10 +76,10 @@ func TestMonitorDriftWithoutRegressionDoesNotTrigger(t *testing.T) {
 	// observed cost: out of scope, but the layout still serves it fine.
 	steady := leftHist(32, 4)
 	for _, q := range steady {
-		mo.Observe([]geom.Box{q.Box}, 1000, false, nil, nil)
+		mo.Observe(opening(1000, q.Box), nil)
 	}
 	for _, b := range rightBoxes(32, 5) {
-		mo.Observe([]geom.Box{b}, 1000, false, nil, nil)
+		mo.Observe(opening(1000, b), nil)
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -90,11 +97,11 @@ func TestMonitorDriftWithRegressionTriggers(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.5})
 	steady := leftHist(32, 7)
 	for _, q := range steady {
-		mo.Observe([]geom.Box{q.Box}, 1000, false, nil, nil)
+		mo.Observe(opening(1000, q.Box), nil)
 	}
 	drift := rightBoxes(32, 8)
 	for _, b := range drift {
-		mo.Observe([]geom.Box{b}, 10000, false, nil, nil)
+		mo.Observe(opening(10000, b), nil)
 	}
 	d := mo.Evaluate()
 	if !d.Trigger {
@@ -114,13 +121,47 @@ func TestMonitorDriftWithRegressionTriggers(t *testing.T) {
 	}
 }
 
+// TestMonitorGateReadsOpenedBytes: the regression gate is on what the layout
+// controls. Once a scan searches its chunks, the extra partitions a stale
+// layout opens cost a few probes each — a drifted window opens three times the
+// baseline's partition bytes while reading under 1.3× its bytes, and must
+// trigger; a drifted window that reads ten times more out of as many
+// partition bytes as the baseline opened has not regressed — no rebuild would
+// open fewer.
+func TestMonitorGateReadsOpenedBytes(t *testing.T) {
+	observe := func(mo *Monitor, b geom.Box, opened, scanned int64) {
+		mo.Observe(dist.QueryObservation{Ranges: []geom.Box{b}, BytesOpened: opened, BytesScanned: scanned}, nil)
+	}
+	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.3})
+	for _, q := range leftHist(32, 7) {
+		observe(mo, q.Box, 100_000, 1000)
+	}
+	for _, b := range rightBoxes(32, 8) {
+		observe(mo, b, 300_000, 1250)
+	}
+	if d := mo.Evaluate(); !d.Trigger || d.WindowAvgBytes != 300_000 || d.BaselineAvgBytes != 100_000 {
+		t.Fatalf("a window opening 3x the baseline's partition bytes must trigger on them: %+v", d)
+	}
+
+	mo = NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.3})
+	for _, q := range leftHist(32, 7) {
+		observe(mo, q.Box, 100_000, 1000)
+	}
+	for _, b := range rightBoxes(32, 8) {
+		observe(mo, b, 100_000, 10_000)
+	}
+	if d := mo.Evaluate(); d.Trigger || d.Reason != "out of scope but cost has not regressed" {
+		t.Fatalf("a window that opens what the baseline opened has not regressed, whatever it reads: %+v", d)
+	}
+}
+
 func TestMonitorCooldownMutes(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 9), Config{Window: 16, Delta: 0.01, CostFactor: 1.1})
 	for _, q := range leftHist(16, 10) {
-		mo.Observe([]geom.Box{q.Box}, 100, false, nil, nil)
+		mo.Observe(opening(100, q.Box), nil)
 	}
 	for _, b := range rightBoxes(16, 11) {
-		mo.Observe([]geom.Box{b}, 10000, false, nil, nil)
+		mo.Observe(opening(10000, b), nil)
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("precondition: should trigger, got %+v", d)
@@ -130,7 +171,7 @@ func TestMonitorCooldownMutes(t *testing.T) {
 		t.Fatalf("muted monitor evaluated %+v", d)
 	}
 	for _, b := range rightBoxes(10, 12) {
-		mo.Observe([]geom.Box{b}, 10000, false, nil, nil)
+		mo.Observe(opening(10000, b), nil)
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("cooldown must expire after n observations, got %+v", d)
@@ -140,11 +181,11 @@ func TestMonitorCooldownMutes(t *testing.T) {
 func TestMonitorReanchorResetsScope(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 13), Config{Window: 16, Delta: 0.02, CostFactor: 1.1})
 	for _, q := range leftHist(16, 14) {
-		mo.Observe([]geom.Box{q.Box}, 100, false, nil, nil)
+		mo.Observe(opening(100, q.Box), nil)
 	}
 	drift := rightBoxes(16, 15)
 	for _, b := range drift {
-		mo.Observe([]geom.Box{b}, 10000, false, nil, nil)
+		mo.Observe(opening(10000, b), nil)
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("precondition: should trigger, got %+v", d)
@@ -156,7 +197,7 @@ func TestMonitorReanchorResetsScope(t *testing.T) {
 	}
 	mo.Reanchor(ref)
 	for _, b := range drift {
-		mo.Observe([]geom.Box{b}, 10000, false, nil, nil)
+		mo.Observe(opening(10000, b), nil)
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -180,7 +221,9 @@ func TestMonitorWasteLedgerRanksOverscannedPartition(t *testing.T) {
 		t.Fatal("query must touch at least one partition")
 	}
 	for i := 0; i < 8; i++ {
-		mo.Observe([]geom.Box{q}, 5000, false, l, ids)
+		ob := opening(5000, q)
+		ob.IDs = ids
+		mo.Observe(ob, l)
 	}
 	top := mo.TopWaste(4)
 	if len(top) == 0 {

@@ -109,12 +109,27 @@ type BuildReport struct {
 	// encoding ("raw", "dict", "rle", "for"): where the bytes a scan may have
 	// to read are. Set by builds that materialise (`pawcli build`).
 	StoredBytes map[string]int64 `json:"stored_bytes_by_encoding,omitempty"`
+	// Search says how much of those raw bytes a scan searches rather than
+	// sweeps. Set with StoredBytes.
+	Search *SearchCensus `json:"searchable_raw_chunks,omitempty"`
 
 	Levels []LevelStat `json:"levels,omitempty"`
 	Splits SplitStats  `json:"splits"`
 	Cost   *CostStats  `json:"cost,omitempty"`
 
 	Telemetry obs.Snapshot `json:"telemetry"`
+}
+
+// SearchCensus is the materialised store's raw column chunks and, of them,
+// the ones in ascending pieces — long enough to binary-search — with the
+// pieces and rows those hold and their count by column name: the tail columns
+// of the store's row order (DESIGN.md §11).
+type SearchCensus struct {
+	RawChunks  int            `json:"raw_chunks"`
+	Searchable int            `json:"searchable"`
+	Pieces     int            `json:"pieces"`
+	Rows       int            `json:"rows"`
+	ByColumn   map[string]int `json:"by_column,omitempty"`
 }
 
 // NewBuildReport assembles a report from a sealed layout and a telemetry
@@ -245,6 +260,21 @@ func (r *BuildReport) Render(w io.Writer) {
 		fmt.Fprintf(w, "  stored: %d bytes encoded —", total)
 		for _, enc := range encs {
 			fmt.Fprintf(w, " %s %d (%.1f%%)", enc, r.StoredBytes[enc], 100*float64(r.StoredBytes[enc])/float64(total))
+		}
+		fmt.Fprintln(w)
+	}
+	if c := r.Search; c != nil {
+		fmt.Fprintf(w, "  searchable: %d of %d raw chunks", c.Searchable, c.RawChunks)
+		if c.Pieces > 0 {
+			fmt.Fprintf(w, ", ascending pieces of %.1f rows (mean) —", float64(c.Rows)/float64(c.Pieces))
+			cols := make([]string, 0, len(c.ByColumn))
+			for col := range c.ByColumn {
+				cols = append(cols, col)
+			}
+			sort.Strings(cols)
+			for _, col := range cols {
+				fmt.Fprintf(w, " %s %.1f%%", col, 100*float64(c.ByColumn[col])/float64(c.Searchable))
+			}
 		}
 		fmt.Fprintln(w)
 	}
