@@ -118,7 +118,9 @@ bench-kernels:
 # SQL rewrite of the end-to-end benchmark's statement shape (ns, bytes and
 # allocations per statement; TestRewriteAllocs pins the last) and one
 # Mux.Call/ServeConn round trip over loopback TCP with 1 and with 8 calls in
-# flight (DESIGN.md §12). Nothing is asserted on time.
+# flight, with no deadline, under a context deadline (a benchmark client's
+# call) and under that plus a per-call bound (a master's call to a worker;
+# DESIGN.md §12). Nothing is asserted on time.
 bench-request-path:
 	$(GO) test ./internal/sqlrew -run '^$$' -bench 'RewriteSQL$$' -benchmem -benchtime=$(BENCHTIME)
 	$(GO) test ./internal/serve -run '^$$' -bench 'ServeConnEcho' -benchmem -benchtime=$(BENCHTIME)
@@ -138,9 +140,13 @@ loc:
 # form of narrow (internal/colstore +226, half of it comment), the searchable:
 # line of `pawcli build`/`stats` (layout +30, pawcli +7), the drift gate on
 # opened bytes (dist +5, drift +7, bench +3) — for −87 % of
-# scan_bytes_per_query on tpch-wide-scan. Growing the module from here on is an
-# edit of this line, in the diff that does the growing.
-LOC_CEILING := 27139
+# scan_bytes_per_query on tpch-wide-scan. Then +40 bought one timer per
+# serve.Mux connection that keeps every call's deadline (serve +30: the reaper,
+# the waiter's deadline, the write it bounds; the socket write deadline and the
+# worker's yield went), and one deadline value per RPC attempt in place of a
+# derived context (dist +10). Growing the module from here on is an edit of
+# this line, in the diff that does the growing.
+LOC_CEILING := 27179
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

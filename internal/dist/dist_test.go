@@ -91,6 +91,9 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 
 // scanWorker sends one ScanRequest straight to a worker, bypassing the
 // master, over a one-connection link that stays open until the test ends.
+// The request's Deadline goes to the worker only: the call itself waits
+// unbounded, so a deadline already past reaches the worker instead of being
+// refused by the link.
 func scanWorker(t *testing.T, addr string, req ScanRequest) ScanResponse {
 	t.Helper()
 	l, err := dialMuxLink(context.Background(), addr, 1)
@@ -99,7 +102,7 @@ func scanWorker(t *testing.T, addr string, req ScanRequest) ScanResponse {
 	}
 	t.Cleanup(l.close)
 	var resp ScanResponse
-	if err := l.scan(context.Background(), &req, &resp); err != nil {
+	if err := roundTrip(context.Background(), time.Time{}, l.pick(), msgScanReq, &req, msgScanResp, resp.UnmarshalWire); err != nil {
 		t.Fatal(err)
 	}
 	return resp

@@ -73,7 +73,7 @@ func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberRespon
 	}
 	h.mu.Unlock()
 	var resp MemberResponse
-	if err := roundTrip(ctx, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire); err != nil {
+	if err := roundTrip(ctx, time.Time{}, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire); err != nil {
 		if !serve.IsNotSent(err) {
 			h.dropConn()
 		}

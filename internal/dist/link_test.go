@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -215,5 +217,73 @@ func TestPeerWithoutPreambleDropped(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Query(chaosSQL); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryDeadlineMidCallKeepsLink: a query whose own deadline expires while
+// its RPC is in flight fails with context.DeadlineExceeded and costs nothing
+// else. Its call bound (now + CallTimeout) lies past the query's deadline, so
+// the expiry belongs to the query's context, not to the connection's timer:
+// no redial, no retry, no breaker failure, and the link stays installed.
+func TestQueryDeadlineMidCallKeepsLink(t *testing.T) {
+	var hold atomic.Bool
+	release := make(chan struct{})
+	tc := buildMigFixture(t, 1, nil, fastChaosConfig(1), func(int, layout.ID) {
+		if hold.Load() {
+			<-release
+		}
+	})
+	defer close(release)
+	sql := migSQL(tc.data.Names(), tc.data.Domain())
+	if _, err := tc.master.Query(sql); err != nil { // dial the link
+		t.Fatal(err)
+	}
+	tc.master.mu.Lock()
+	l := tc.master.links[0]
+	tc.master.mu.Unlock()
+	hold.Store(true)
+	for i := 0; i < 16; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := tc.master.QueryContext(ctx, sql)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("query %d: err=%v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	snap := tc.reg.Snapshot()
+	for _, c := range []string{MetricRedials, MetricRetries, MetricBreakerTrips} {
+		if got := snap.Counter(c); got != 0 {
+			t.Errorf("%s = %d, want 0", c, got)
+		}
+	}
+	tc.master.mu.Lock()
+	now := tc.master.links[0]
+	tc.master.mu.Unlock()
+	if now != l {
+		t.Error("the link was replaced: a query's own expiry was read as a link fault")
+	}
+}
+
+// TestQueryAllocsSingleWorker bounds what one query answered by one worker
+// allocates, master and worker together (they share the process). A query
+// carries one deadline: the call bound rides the request and the connection's
+// timer, and a lone call gets no sibling-cancel context, so no attempt builds
+// a context or a timer of its own. The bound is 33; a per-attempt
+// context.WithTimeout and a per-range context.WithCancel cost 44.
+func TestQueryAllocsSingleWorker(t *testing.T) {
+	const bound = 33
+	if raceEnabled {
+		t.Skip("sync.Pool sheds scanners under the race detector")
+	}
+	tc := buildMigFixture(t, 1, nil, fastChaosConfig(1))
+	sql := migSQL(tc.data.Names(), tc.data.Domain())
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := tc.master.QueryContext(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Fatalf("a single-worker query allocates %.0f times, want at most %d", allocs, bound)
 	}
 }

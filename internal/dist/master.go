@@ -397,9 +397,9 @@ func (m *Master) InvalidateCaches() {
 	m.m.cacheInvalidations.Inc()
 }
 
-// workerLink returns (dialing lazily) the persistent link to worker i. The
-// dial respects ctx's deadline.
-func (m *Master) workerLink(ctx context.Context, i int) (*muxLink, error) {
+// workerLink returns (dialing lazily) the persistent link to worker i. Only a
+// dial builds a context of the call deadline by (zero: ctx's alone).
+func (m *Master) workerLink(ctx context.Context, by time.Time, i int) (*muxLink, error) {
 	m.mu.Lock()
 	if i < len(m.links) && m.links[i] != nil {
 		l := m.links[i]
@@ -410,6 +410,11 @@ func (m *Master) workerLink(ctx context.Context, i int) (*muxLink, error) {
 	addr := m.fleet.Load().addrs[i]
 	if addr == "" {
 		return nil, fmt.Errorf("dist: worker %d has no address (not joined yet)", i)
+	}
+	if !by.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, by)
+		defer cancel()
 	}
 	l, err := dialMuxLink(ctx, addr, connsPerWorker)
 	if err != nil {
@@ -456,7 +461,8 @@ func (m *Master) dropWorkerLink(i int, dead *muxLink) {
 // link would fail every other query pipelined on it. Anything else drops the
 // link and counts a redial: a serve.ClosedError, an I/O or decode failure, a
 // failed dial (l is nil), or the per-call timeout firing while the caller is
-// still live — the worker has stopped answering on that link.
+// still live — the worker has stopped answering on that link. An expiry at
+// the query's own deadline is the context's, never the call's (serve.Mux.Call).
 func (m *Master) linkFailed(done context.Context, w int, l *muxLink, err error) {
 	switch {
 	case serve.IsNotSent(err):
@@ -494,11 +500,13 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 	req.Seq = m.seq.Add(1)
 	req.TraceID = tq.ID()
 	f := m.fleet.Load()
+	qd, _ := ctx.Deadline()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ok, probe := f.breakers[w].allow(m.cfg.Retry, time.Now())
+		now := time.Now()
+		ok, probe := f.breakers[w].allow(m.cfg.Retry, now)
 		if !ok {
 			m.m.breakerShorts.Inc()
 			return errWorkerUnhealthy{w}
@@ -515,22 +523,17 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if round > 0 {
 			rpc.Int(trace.KeyFailoverRound, int64(round))
 		}
-		cctx := ctx
-		cancel := func() {}
-		if m.cfg.CallTimeout > 0 {
-			cctx, cancel = context.WithTimeout(ctx, m.cfg.CallTimeout)
+		by := m.callDeadline(qd, now)
+		if !by.IsZero() {
+			req.Deadline = by.UnixNano()
 		}
-		if d, ok := cctx.Deadline(); ok {
-			req.Deadline = d.UnixNano()
-		}
-		l, err := m.workerLink(cctx, w)
+		l, err := m.workerLink(ctx, by, w)
 		if err == nil {
 			*resp = ScanResponse{} // a failed prior attempt may have partially decoded
 			sp := f.timer(w).Start()
-			err = l.scan(cctx, &req, resp)
+			err = l.scan(ctx, &req, resp)
 			sp.End()
 		}
-		cancel()
 		if err == nil {
 			if tq != nil && len(resp.Spans) > 0 {
 				tq.Attach(rpc, resp.Spans)
@@ -565,6 +568,16 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 			return serr
 		}
 	}
+}
+
+// callDeadline is one call attempt's bound: now + CallTimeout, or the query's
+// own deadline qd when that comes first (zero: none). A value, not a context:
+// it rides the request to the worker and into the serve.Mux waiter.
+func (m *Master) callDeadline(qd, now time.Time) time.Time {
+	if by := now.Add(m.cfg.CallTimeout); m.cfg.CallTimeout > 0 && (qd.IsZero() || by.Before(qd)) {
+		return by
+	}
+	return qd
 }
 
 // sleepCtx sleeps for d or until ctx is done, returning ctx's error in the
@@ -964,10 +977,9 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 // breaker probe or fail fast), then the first untried replica at all — a
 // dead mark is a strong hint, not a verdict, so a replica set whose every
 // member is marked dead is still tried rather than silently failed. -1 when
-// the replica set is exhausted.
-func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int {
+// the replica set is exhausted. now is the scatter round's clock reading.
+func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool, now time.Time) int {
 	f := m.fleet.Load()
-	now := time.Now()
 	first, firstUp := -1, -1
 	for _, w := range v.replicas[id] {
 		if tried[w] {
@@ -1000,14 +1012,15 @@ func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int 
 // range is known to fail, and the scatter always drains its goroutines
 // before returning.
 func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids []layout.ID, budget *atomic.Int64, allowPartial bool, total *QueryResponse, tq *trace.T, span trace.SpanRef) (failed []layout.ID, cause, err error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// sctx cancels a failed call's siblings: only a round that fans out has any.
+	sctx, cancel := ctx, context.CancelFunc(nil)
 	pending := ids
 	var tried map[layout.ID]map[int]bool // lazily allocated: only on failure
 	for round := 0; len(pending) > 0; round++ {
+		now := time.Now() // one clock read judges every replica of the round
 		byWorker := make(map[int][]layout.ID)
 		for _, id := range pending {
-			w := m.pickWorker(v, id, tried[id])
+			w := m.pickWorker(v, id, tried[id], now)
 			if w < 0 {
 				failed = append(failed, id)
 				continue
@@ -1031,6 +1044,10 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 		}
 		if round == 0 {
 			m.m.fanout.Observe(float64(len(byWorker)))
+		}
+		if len(byWorker) > 1 && cancel == nil {
+			sctx, cancel = context.WithCancel(ctx)
+			defer cancel()
 		}
 		type result struct {
 			w    int
@@ -1083,7 +1100,7 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 				}
 				tried[id][r.w] = true
 				next = append(next, id)
-				if m.pickWorker(v, id, tried[id]) >= 0 {
+				if m.pickWorker(v, id, tried[id], now) >= 0 {
 					retryable = true
 				}
 			}
@@ -1092,7 +1109,9 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 				// cannot go partial: cancel the in-flight siblings; keep
 				// draining.
 				fatal = true
-				cancel()
+				if cancel != nil {
+					cancel()
+				}
 			}
 		}
 		if err := ctx.Err(); err != nil {

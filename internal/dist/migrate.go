@@ -298,22 +298,18 @@ func (m *Master) adminCall(ctx context.Context, w int, req AdminRequest) error {
 // handling is "abort the migration", not "fail over".
 func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (AdminResponse, error) {
 	req.Seq = m.seq.Add(1)
+	qd, _ := ctx.Deadline()
 	var lastErr error
 	for attempt := 0; attempt < m.cfg.Retry.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return AdminResponse{}, err
 		}
-		cctx := ctx
-		cancel := func() {}
-		if m.cfg.CallTimeout > 0 {
-			cctx, cancel = context.WithTimeout(ctx, m.cfg.CallTimeout)
-		}
+		by := m.callDeadline(qd, time.Now())
 		var resp AdminResponse
-		l, err := m.workerLink(cctx, w)
+		l, err := m.workerLink(ctx, by, w)
 		if err == nil {
-			err = l.admin(cctx, &req, &resp)
+			err = l.admin(ctx, by, &req, &resp)
 		}
-		cancel()
 		if err == nil && resp.Err != "" {
 			// The worker executed and refused (bad payload, unknown alias):
 			// retrying cannot help.

@@ -52,12 +52,12 @@ func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
 	return l, nil
 }
 
-// roundTrip performs one pipelined exchange on mx: req goes out as a frame
-// of type typ and the reply, which must be a frame of type want, is handed to
-// dec (a message's UnmarshalWire). Distinct request and response types catch
-// a mismatched reply at the protocol layer instead of misdecoding it.
-func roundTrip(ctx context.Context, mx *serve.Mux, typ byte, req serve.Marshaler, want byte, dec func([]byte) error) error {
-	return mx.Call(ctx, typ, req, func(got byte, payload []byte) error {
+// roundTrip performs one pipelined exchange on mx with call deadline by: req
+// goes out as a frame of type typ and the reply, which must be of type want, is
+// handed to dec (a message's UnmarshalWire). Distinct request and response
+// types catch a mismatched reply at the protocol layer instead of misdecoding.
+func roundTrip(ctx context.Context, by time.Time, mx *serve.Mux, typ byte, req serve.Marshaler, want byte, dec func([]byte) error) error {
+	return mx.Call(ctx, by, typ, req, func(got byte, payload []byte) error {
 		if got != want {
 			return fmt.Errorf("dist: frame type %d in reply to a type-%d request, want %d", got, typ, want)
 		}
@@ -70,14 +70,18 @@ func (l *muxLink) pick() *serve.Mux {
 	return l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
 }
 
-// scan performs one ScanRequest round trip.
+// scan performs one ScanRequest round trip by the request's own Deadline.
 func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
-	return roundTrip(ctx, l.pick(), msgScanReq, req, msgScanResp, resp.UnmarshalWire)
+	var by time.Time
+	if req.Deadline > 0 {
+		by = time.Unix(0, req.Deadline)
+	}
+	return roundTrip(ctx, by, l.pick(), msgScanReq, req, msgScanResp, resp.UnmarshalWire)
 }
 
-// admin performs one migration-control round trip.
-func (l *muxLink) admin(ctx context.Context, req *AdminRequest, resp *AdminResponse) error {
-	return roundTrip(ctx, l.pick(), msgAdminReq, req, msgAdminResp, resp.UnmarshalWire)
+// admin performs one migration-control round trip under the call deadline by.
+func (l *muxLink) admin(ctx context.Context, by time.Time, req *AdminRequest, resp *AdminResponse) error {
+	return roundTrip(ctx, by, l.pick(), msgAdminReq, req, msgAdminResp, resp.UnmarshalWire)
 }
 
 func (l *muxLink) close() {
@@ -141,7 +145,7 @@ func (c *MuxClient) call(ctx context.Context, sql string, explain bool) (QueryRe
 		req.TimeoutMillis = ms
 	}
 	var resp QueryResponse
-	if err := roundTrip(ctx, c.mux, msgQueryReq, &req, msgQueryResp, resp.UnmarshalWire); err != nil {
+	if err := roundTrip(ctx, time.Time{}, c.mux, msgQueryReq, &req, msgQueryResp, resp.UnmarshalWire); err != nil {
 		return QueryResponse{}, err
 	}
 	if resp.Err != "" {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -324,20 +323,14 @@ func batchKey(req ScanRequest) string {
 	return string(b)
 }
 
-// handle executes one scan batch, coalescing onto an identical in-flight
-// batch when one exists. A shared result is only reused when it is clean: an
-// errored leader batch (deadline drop, partition failure) reflects the
-// leader's deadline and abort point, so a waiter that inherits one re-runs
-// the batch under its own request instead.
+// handle executes one scan batch, coalescing onto an identical batch while it
+// runs (its leader never waits for one). A shared result is only reused when
+// it is clean: an errored leader batch (deadline drop, partition failure)
+// reflects the leader's deadline and abort point, so a waiter that inherits
+// one re-runs the batch under its own request instead.
 func (w *Worker) handle(req ScanRequest) ScanResponse {
 	w.m.scans.Inc()
 	resp, shared, _ := w.batchFlight.Do(batchKey(req), func() (ScanResponse, error) {
-		// Coalescing point (group-commit style): the leader gives every
-		// already-decoded sibling request one scheduling turn to attach
-		// before the kernel passes start. Without it a non-blocking batch
-		// runs to completion before equal requests ever enter the flight —
-		// on a single-P runtime they would serialise and never share.
-		runtime.Gosched()
 		return w.execBatch(req), nil
 	})
 	if shared {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,33 +41,44 @@ type ClosedError struct{ Cause error }
 func (e *ClosedError) Error() string { return fmt.Sprintf("serve: connection down: %v", e.Cause) }
 func (e *ClosedError) Unwrap() error { return e.Cause }
 
-// muxReply hands one response frame from the reader goroutine to a waiter.
-// The payload buffer belongs to the mux pool; the waiter returns it after
-// decoding.
+// muxReply ends one call's wait: a response frame, whose payload buffer the
+// waiter returns to the mux pool after decoding, or the reaper's err.
 type muxReply struct {
 	typ     byte
 	payload []byte
+	err     error
+}
+
+// waiter is one call waiting until by (zero: no deadline), its own deadline
+// (own) or its context's, whichever is first. The reaper ends only an own wait:
+// a context's expiry is the context's, and for it the reaper bounds the write.
+type waiter struct {
+	reply chan muxReply // buffered: whoever takes the waiter out sends once
+	by    time.Time
+	own   bool
 }
 
 // Mux is the client side of one multiplexed binary-protocol connection:
 // many goroutines issue Call concurrently and their requests pipeline over
 // the single connection, with responses matched back by sequence number. A
-// call abandoned by its context simply stops waiting — the late response is
-// discarded by sequence on arrival — so deadlines and cancellations never
-// poison the stream, unlike a shared codec pair.
+// call abandoned by its context or its deadline simply stops waiting — the
+// late response is discarded by sequence on arrival — so it never poisons the
+// stream. All deadlines share one timer, the reaper, armed at the earliest.
 type Mux struct {
 	c    net.Conn
 	seq  atomic.Uint64
 	pool sync.Pool // payload buffers handed reader -> waiter
 
-	wmu  sync.Mutex
-	wbuf []byte // frame scratch, reused across calls
-	pbuf []byte // payload scratch, reused across calls
+	wmu     sync.Mutex
+	wbuf    []byte        // frame scratch, reused across calls
+	pbuf    []byte        // payload scratch, reused across calls
+	writing atomic.Uint64 // seq of the frame being written, if it has a deadline
 
 	mu      sync.Mutex
-	waiters map[uint64]chan muxReply
+	waiters map[uint64]waiter
 	err     error // set once the connection is down
-	done    chan struct{}
+	reaper  *time.Timer
+	armed   time.Time // when the reaper fires next (zero: idle)
 }
 
 // NewMux sends the protocol preamble over c and starts the response reader.
@@ -78,12 +88,10 @@ func NewMux(c net.Conn) (*Mux, error) {
 		c.Close()
 		return nil, fmt.Errorf("serve: sending preamble: %w", err)
 	}
-	m := &Mux{
-		c:       c,
-		waiters: make(map[uint64]chan muxReply),
-		done:    make(chan struct{}),
-	}
+	m := &Mux{c: c, waiters: make(map[uint64]waiter)}
 	m.pool.New = func() any { return []byte(nil) }
+	m.reaper = time.AfterFunc(time.Hour, m.reap)
+	m.reaper.Stop() // armed by the first call with a deadline
 	go m.readLoop()
 	return m, nil
 }
@@ -113,16 +121,14 @@ func (m *Mux) readLoop() {
 		}
 		m.mu.Lock()
 		w, ok := m.waiters[seq]
-		if ok {
-			delete(m.waiters, seq)
-		}
+		delete(m.waiters, seq)
 		m.mu.Unlock()
 		if !ok {
 			// A late response to an abandoned call: discard by sequence.
 			m.pool.Put(payload[:0])
 			continue
 		}
-		w <- muxReply{typ: typ, payload: payload} // buffered; never blocks
+		w.reply <- muxReply{typ: typ, payload: payload} // buffered; never blocks
 	}
 }
 
@@ -136,11 +142,11 @@ func (m *Mux) closeWith(cause error) {
 	m.err = cause
 	waiters := m.waiters
 	m.waiters = nil
-	close(m.done)
+	m.reaper.Stop()
 	m.mu.Unlock()
 	m.c.Close()
 	for _, w := range waiters {
-		close(w) // a closed reply channel means "connection down"
+		close(w.reply) // a closed reply channel means "connection down"
 	}
 }
 
@@ -150,39 +156,70 @@ func (m *Mux) Close() error {
 	return nil
 }
 
-// send frames and writes one request. It returns a NotSentError when ctx
-// expired before any byte was written.
-func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) error {
+// closedErr is the error of a call the connection's end failed.
+func (m *Mux) closedErr() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return &ClosedError{Cause: m.err}
+}
+
+// reap ends each overdue own wait with context.DeadlineExceeded, closes the
+// connection under an overdue write (a wedged peer), and re-arms at the
+// earliest deadline still ahead.
+func (m *Mux) reap() {
+	m.mu.Lock()
+	now := time.Now()
+	m.armed = time.Time{}
+	stalled := false
+	for seq, w := range m.waiters {
+		switch {
+		case w.by.IsZero():
+		case now.Before(w.by):
+			if m.armed.IsZero() || w.by.Before(m.armed) {
+				m.armed = w.by
+			}
+		case seq == m.writing.Load():
+			stalled = true
+		case w.own:
+			delete(m.waiters, seq)
+			w.reply <- muxReply{err: context.DeadlineExceeded} // buffered; never blocks
+		}
+	}
+	if !m.armed.IsZero() {
+		m.reaper.Reset(m.armed.Sub(now))
+	}
+	m.mu.Unlock()
+	if stalled {
+		m.closeWith(errors.New("serve: peer stopped reading: a request write outlived its deadline"))
+	}
+}
+
+// send frames and writes one request. It returns a NotSentError when ctx is
+// done or by has passed before any byte is written; the reaper bounds the
+// write itself.
+func (m *Mux) send(ctx context.Context, by time.Time, typ byte, seq uint64, req Marshaler) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return &NotSentError{Err: err}
 	}
-	m.mu.Lock()
-	down := m.err
-	m.mu.Unlock()
-	if down != nil {
-		return &ClosedError{Cause: down}
-	}
 	m.pbuf = req.AppendWire(m.pbuf[:0])
 	m.wbuf = AppendFrame(m.wbuf[:0], typ, seq, m.pbuf)
-	// A blocked write (peer wedged, TCP buffer full) is bounded by the call
-	// deadline; the write deadline is cleared before the next writer runs.
-	if d, ok := ctx.Deadline(); ok {
-		m.c.SetWriteDeadline(d)
-	}
-	n, err := m.c.Write(m.wbuf)
-	m.c.SetWriteDeadline(time.Time{})
-	if err != nil {
-		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
-			// The deadline beat the first byte: nothing reached the wire and
-			// the stream is intact — this call expired, the connection did not.
+	if !by.IsZero() {
+		m.mu.Lock() // so the reaper sees by passed here or sees this write
+		if !time.Now().Before(by) {
+			m.mu.Unlock()
 			return &NotSentError{Err: context.DeadlineExceeded}
 		}
-		// The frame may be partially written: the stream is unusable.
-		err = fmt.Errorf("serve: writing request: %w", err)
-		m.closeWith(err)
-		return err
+		m.writing.Store(seq)
+		m.mu.Unlock()
+	}
+	_, err := m.c.Write(m.wbuf)
+	m.writing.Store(0)
+	if err != nil {
+		// The frame may be partly written: the stream is unusable.
+		m.closeWith(fmt.Errorf("serve: writing request: %w", err))
+		return m.closedErr()
 	}
 	return nil
 }
@@ -190,78 +227,69 @@ func (m *Mux) send(ctx context.Context, typ byte, seq uint64, req Marshaler) err
 // Call performs one pipelined request/response exchange: encode req, send it
 // tagged with a fresh sequence number, and wait for the matching response,
 // which is handed to dec (typ is the response frame's type byte; the payload
-// is only valid during the callback). Concurrent calls interleave freely.
+// is only valid during the callback). Concurrent calls interleave freely. by
+// is the call's own deadline (zero: none beyond ctx's), kept by the reaper.
 //
 // Error contract: a NotSentError means the connection was never touched; a
-// ctx error after the send means the call was abandoned but the connection
-// remains healthy (the response will be discarded on arrival); any other
-// error means the connection is down and must be redialed.
-func (m *Mux) Call(ctx context.Context, typ byte, req Marshaler, dec func(typ byte, payload []byte) error) error {
+// ctx error or, at by, context.DeadlineExceeded after the send means the call
+// was abandoned but the connection is healthy (the response is discarded on
+// arrival); any other error means the connection is down and must be redialed.
+func (m *Mux) Call(ctx context.Context, by time.Time, typ byte, req Marshaler, dec func(typ byte, payload []byte) error) error {
+	w := waiter{reply: make(chan muxReply, 1), by: by, own: !by.IsZero()}
+	if d, ok := ctx.Deadline(); ok && (!w.own || !by.Before(d)) {
+		w.by, w.own = d, false
+	}
 	seq := m.seq.Add(1)
-	w := make(chan muxReply, 1)
 	m.mu.Lock()
 	if m.err != nil {
-		err := m.err
 		m.mu.Unlock()
-		return &ClosedError{Cause: err}
+		return m.closedErr()
 	}
 	m.waiters[seq] = w
+	if !w.by.IsZero() && (m.armed.IsZero() || w.by.Before(m.armed)) {
+		m.armed = w.by
+		m.reaper.Reset(time.Until(w.by))
+	}
 	m.mu.Unlock()
 
-	if err := m.send(ctx, typ, seq, req); err != nil {
+	if err := m.send(ctx, w.by, typ, seq, req); err != nil {
 		m.mu.Lock()
-		if m.waiters != nil {
-			delete(m.waiters, seq)
-		}
+		delete(m.waiters, seq)
 		m.mu.Unlock()
 		return err
 	}
 
 	select {
-	case reply, ok := <-w:
-		if !ok {
-			m.mu.Lock()
-			cause := m.err
-			m.mu.Unlock()
-			return &ClosedError{Cause: cause}
-		}
-		err := dec(reply.typ, reply.payload)
-		m.pool.Put(reply.payload[:0])
-		if err != nil {
-			// The peer sent a frame this caller cannot decode: framing is
-			// intact but the session is broken. Kill it.
-			m.closeWith(err)
-			return err
-		}
-		return nil
+	case r, ok := <-w.reply:
+		return m.deliver(r, ok, dec)
 	case <-ctx.Done():
 		m.mu.Lock()
-		if m.waiters != nil {
-			if _, still := m.waiters[seq]; still {
-				delete(m.waiters, seq)
-				m.mu.Unlock()
-				return ctx.Err()
-			}
+		_, still := m.waiters[seq]
+		delete(m.waiters, seq)
+		m.mu.Unlock()
+		if still {
+			return ctx.Err()
 		}
-		m.mu.Unlock()
-		// The response raced the cancellation in; prefer delivering it.
-		if reply, ok := <-w; ok {
-			err := dec(reply.typ, reply.payload)
-			m.pool.Put(reply.payload[:0])
-			if err != nil {
-				m.closeWith(err)
-				return err
-			}
-			return nil
-		}
-		m.mu.Lock()
-		cause := m.err
-		m.mu.Unlock()
-		return &ClosedError{Cause: cause}
-	case <-m.done:
-		m.mu.Lock()
-		cause := m.err
-		m.mu.Unlock()
-		return &ClosedError{Cause: cause}
+		// A reply, an expiry or the close raced the context in: deliver it.
+		r, ok := <-w.reply
+		return m.deliver(r, ok, dec)
 	}
+}
+
+// deliver ends a call with what its reply channel gave it.
+func (m *Mux) deliver(r muxReply, ok bool, dec func(typ byte, payload []byte) error) error {
+	if !ok {
+		return m.closedErr()
+	}
+	if r.err != nil {
+		return r.err
+	}
+	err := dec(r.typ, r.payload)
+	m.pool.Put(r.payload[:0])
+	if err != nil {
+		// The peer sent a frame this caller cannot decode: framing is intact
+		// but the session is broken. Kill it.
+		m.closeWith(err)
+	}
+	return err
 }

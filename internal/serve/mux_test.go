@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,7 +72,7 @@ func TestMuxConcurrentCallsPipeline(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				want := []byte(fmt.Sprintf("g%d-call%d", g, i))
 				var got []byte
-				err := m.Call(context.Background(), 5, blob(want), func(typ byte, payload []byte) error {
+				err := m.Call(context.Background(), time.Time{}, 5, blob(want), func(typ byte, payload []byte) error {
 					if typ != 6 {
 						return fmt.Errorf("resp typ=%d", typ)
 					}
@@ -117,7 +117,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err = m.Call(ctx, 1, blob("slow"), func(byte, []byte) error { return nil })
+	err = m.Call(ctx, time.Time{}, 1, blob("slow"), func(byte, []byte) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("slow call: err=%v, want deadline exceeded", err)
 	}
@@ -127,7 +127,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 	close(block) // unwedge the server; its late response must be discarded
 
 	var got []byte
-	err = m.Call(context.Background(), 2, blob("after"), func(_ byte, payload []byte) error {
+	err = m.Call(context.Background(), time.Time{}, 2, blob("after"), func(_ byte, payload []byte) error {
 		got = append(got[:0], payload...)
 		return nil
 	})
@@ -150,12 +150,12 @@ func TestMuxNotSentOnExpiredContext(t *testing.T) {
 	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = m.Call(ctx, 1, blob("never"), func(byte, []byte) error { return nil })
+	err = m.Call(ctx, time.Time{}, 1, blob("never"), func(byte, []byte) error { return nil })
 	if !IsNotSent(err) {
 		t.Fatalf("err=%v, want NotSentError", err)
 	}
 	// The connection must still work.
-	if err := m.Call(context.Background(), 1, blob("ok"), func(byte, []byte) error { return nil }); err != nil {
+	if err := m.Call(context.Background(), time.Time{}, 1, blob("ok"), func(byte, []byte) error { return nil }); err != nil {
 		t.Fatalf("call after not-sent: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestMuxConnectionDownFailsInflight(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		c.Close()
 	}()
-	err = m.Call(context.Background(), 1, blob("doomed"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("doomed"), func(byte, []byte) error { return nil })
 	var ce *ClosedError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err=%v, want ClosedError", err)
@@ -198,7 +198,7 @@ func TestMuxConnectionDownFailsInflight(t *testing.T) {
 		t.Fatal("a sent request must not report not-sent")
 	}
 	// Future calls fail fast the same way.
-	err = m.Call(context.Background(), 1, blob("late"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("late"), func(byte, []byte) error { return nil })
 	if !errors.As(err, &ce) {
 		t.Fatalf("post-close err=%v, want ClosedError", err)
 	}
@@ -234,7 +234,7 @@ func TestMuxCorruptStreamKillsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	err = m.Call(context.Background(), 1, blob("req"), func(byte, []byte) error { return nil })
+	err = m.Call(context.Background(), time.Time{}, 1, blob("req"), func(byte, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt response must fail the call")
 	}
@@ -278,7 +278,7 @@ func TestServeConnBoundsInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.Call(context.Background(), 1, blob("x"), func(byte, []byte) error { return nil })
+			m.Call(context.Background(), time.Time{}, 1, blob("x"), func(byte, []byte) error { return nil })
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the pipeline fill
@@ -323,48 +323,139 @@ func TestServeConnVerifiesPreamble(t *testing.T) {
 	}
 }
 
-// expiringConn fails the next Write the way a socket does when its write
-// deadline has already passed: no byte leaves, os.ErrDeadlineExceeded.
-type expiringConn struct {
-	net.Conn
-	expireNext bool
-}
-
-func (c *expiringConn) Write(p []byte) (int, error) {
-	if c.expireNext {
-		c.expireNext = false
-		return 0, os.ErrDeadlineExceeded
-	}
-	return c.Conn.Write(p)
-}
-
-// TestMuxWriteDeadlineBeforeFirstByteKeepsConnection: a call whose deadline
-// passes between the context check and the write never put a byte on the
-// wire. It is a clean expiry (NotSentError), not a dead connection — every
-// other call pipelined on the mux, and the next one, must be unaffected.
-func TestMuxWriteDeadlineBeforeFirstByteKeepsConnection(t *testing.T) {
-	addr := startServer(t, 4, echoHandler)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec := &expiringConn{Conn: nc}
-	m, err := NewMux(ec)
+// TestMuxCallDeadlineEndsTheWait: per-call deadlines on a handler that never
+// answers end each call with context.DeadlineExceeded, not before its own
+// deadline and in deadline order however the calls were issued (the one
+// connection timer re-arms from deadline to deadline). The requests were
+// sent, so none is a NotSentError; a call whose deadline has already passed
+// is one. The connection is untouched: the next call is echoed.
+func TestMuxCallDeadlineEndsTheWait(t *testing.T) {
+	block := make(chan struct{})
+	addr := startServer(t, 8, func(typ byte, payload []byte) (byte, Marshaler, error) {
+		if bytes.HasPrefix(payload, []byte("silent")) {
+			<-block
+		}
+		return typ + 1, blob(append([]byte(nil), payload...)), nil
+	})
+	defer close(block) // before startServer's cleanup waits for its handlers
+	m, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	ec.expireNext = true
-	err = m.Call(context.Background(), 5, blob("late"), func(byte, []byte) error { return nil })
-	if !IsNotSent(err) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err=%v, want a NotSentError wrapping context.DeadlineExceeded", err)
+
+	start := time.Now()
+	after := []time.Duration{60 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	type ended struct {
+		i   int
+		at  time.Time
+		err error
 	}
+	done := make(chan ended, len(after))
+	for i, d := range after {
+		go func() {
+			err := m.Call(context.Background(), start.Add(d), 1, blob(fmt.Sprintf("silent%d", i)), func(byte, []byte) error { return nil })
+			done <- ended{i, time.Now(), err}
+		}()
+	}
+	var order []int
+	for range after {
+		e := <-done
+		if !errors.Is(e.err, context.DeadlineExceeded) || IsNotSent(e.err) {
+			t.Fatalf("call %d: err=%v, want a sent call's context.DeadlineExceeded", e.i, e.err)
+		}
+		if by := start.Add(after[e.i]); e.at.Before(by) {
+			t.Fatalf("call %d ended %v before its deadline", e.i, by.Sub(e.at))
+		}
+		order = append(order, e.i)
+	}
+	if fmt.Sprint(order) != "[1 2 0]" {
+		t.Errorf("calls ended in order %v, want their deadlines' order [1 2 0]", order)
+	}
+	err = m.Call(context.Background(), start, 1, blob("silent-late"), func(byte, []byte) error { return nil })
+	if !IsNotSent(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call past its deadline: err=%v, want a NotSentError wrapping context.DeadlineExceeded", err)
+	}
+
 	var got []byte
-	err = m.Call(context.Background(), 5, blob("next"), func(_ byte, payload []byte) error {
-		got = append(got, payload...)
+	err = m.Call(context.Background(), time.Now().Add(5*time.Second), 2, blob("after"), func(_ byte, payload []byte) error {
+		got = append(got[:0], payload...)
 		return nil
 	})
-	if err != nil || string(got) != "next" {
-		t.Fatalf("call after the expiry: err=%v payload=%q, want the echo", err, got)
+	if err != nil || string(got) != "after" {
+		t.Fatalf("call after the expiries: err=%v payload=%q, want the echo", err, got)
+	}
+}
+
+// TestMuxWedgedPeerClosedAtDeadline: a peer that never reads, sent a request
+// larger than the socket buffers, leaves the write blocked. The connection is
+// closed when that call's deadline passes — not before — and every waiter
+// sees a ClosedError: the call answered with nothing, the blocked writer and
+// the call queued behind it. No goroutine outlives the teardown.
+func TestMuxWedgedPeerClosedAtDeadline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	peer := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		c.(*net.TCPConn).SetReadBuffer(4 << 10)
+		var magic [4]byte
+		io.ReadFull(c, magic[:])
+		peer <- c // never read again
+	}()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	m, err := NewMux(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c := <-peer
+	defer c.Close()
+
+	nop := func(byte, []byte) error { return nil }
+	errs := make(chan error, 3)
+	go func() { errs <- m.Call(context.Background(), time.Time{}, 1, blob("unanswered"), nop) }()
+	waitUntil(t, "the first request to be sent", func() bool { return m.seq.Load() == 1 && m.writing.Load() == 0 })
+	by := time.Now().Add(100 * time.Millisecond)
+	go func() { errs <- m.Call(context.Background(), by, 1, blob(make([]byte, 4<<20)), nop) }()
+	waitUntil(t, "the large write to block", func() bool { return m.writing.Load() == 2 })
+	go func() { errs <- m.Call(context.Background(), time.Time{}, 1, blob("queued"), nop) }()
+	for i := 0; i < 3; i++ {
+		err := <-errs
+		var ce *ClosedError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err=%v, want ClosedError", err)
+		}
+		if now := time.Now(); now.Before(by) {
+			t.Fatalf("connection closed %v before the deadline", by.Sub(now))
+		}
+	}
+
+	m.Close()
+	c.Close()
+	l.Close()
+	waitUntil(t, "the goroutine baseline", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

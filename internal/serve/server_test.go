@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countHandlerStarts installs the handler-start hook until the test ends.
@@ -34,7 +35,7 @@ func TestServeConnHandlersResident(t *testing.T) {
 		defer m.Close()
 		const calls = 1000
 		for i := 0; i < calls; i++ {
-			if err := m.Call(context.Background(), 1, blob("ping"), func(byte, []byte) error { return nil }); err != nil {
+			if err := m.Call(context.Background(), time.Time{}, 1, blob("ping"), func(byte, []byte) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +169,7 @@ func TestMuxOneReadPerReply(t *testing.T) {
 	defer m.Close()
 	call := func() {
 		t.Helper()
-		if err := m.Call(context.Background(), 1, blob("a small payload"), func(byte, []byte) error { return nil }); err != nil {
+		if err := m.Call(context.Background(), time.Time{}, 1, blob("a small payload"), func(byte, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,52 +188,71 @@ func TestMuxOneReadPerReply(t *testing.T) {
 
 // BenchmarkServeConnEcho is one request/response round trip over loopback
 // TCP through Mux.Call and ServeConn, with 1 and with 8 calls in flight
-// (`make bench-request-path`).
+// (`make bench-request-path`), under three deadline regimes: none; the
+// context's (every benchmark client's queries run under one); and the
+// context's plus the call's own bound, 5s from each call (every master call
+// to a worker carries both).
 func BenchmarkServeConnEcho(b *testing.B) {
-	for _, inflight := range []int{1, 8} {
-		b.Run("inflight="+strconv.Itoa(inflight), func(b *testing.B) {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var srv sync.WaitGroup
-			srv.Add(1)
-			go func() {
-				defer srv.Done()
-				c, err := l.Accept()
-				if err != nil {
+	for _, deadline := range []string{"none", "ctx", "call"} {
+		for _, inflight := range []int{1, 8} {
+			b.Run("deadline="+deadline+"/inflight="+strconv.Itoa(inflight), func(b *testing.B) {
+				benchEcho(b, deadline, inflight)
+			})
+		}
+	}
+}
+
+func benchEcho(b *testing.B, deadline string, inflight int) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var srv sync.WaitGroup
+	srv.Add(1)
+	go func() {
+		defer srv.Done()
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		ServeConn(c, 8, echoHandler)
+	}()
+	m, err := DialMux(l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if deadline != "none" {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Hour)
+		defer cancel()
+	}
+	req := blob("SELECT * FROM t WHERE a >= 0.25 AND a <= 0.5")
+	dec := func(byte, []byte) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < inflight; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				var by time.Time
+				if deadline == "call" {
+					by = time.Now().Add(5 * time.Second)
+				}
+				if err := m.Call(ctx, by, 1, req, dec); err != nil {
+					b.Error(err)
 					return
 				}
-				defer c.Close()
-				ServeConn(c, 8, echoHandler)
-			}()
-			m, err := DialMux(l.Addr().String())
-			if err != nil {
-				b.Fatal(err)
 			}
-			req := blob("SELECT * FROM t WHERE a >= 0.25 AND a <= 0.5")
-			dec := func(byte, []byte) error { return nil }
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < inflight; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if err := m.Call(context.Background(), 1, req, dec); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			m.Close()
-			l.Close()
-			srv.Wait()
-		})
+		}()
 	}
+	wg.Wait()
+	b.StopTimer()
+	m.Close()
+	l.Close()
+	srv.Wait()
 }
