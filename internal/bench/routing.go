@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/workload"
@@ -73,9 +74,10 @@ func routingLayout(side int, rowBytes int64) *layout.Layout {
 
 // RoutingBench measures master-side query routing on a sealed ≥5k-partition
 // layout: range routing through the linear reference, the sealed descriptor
-// index, and the batched sweep at each worker count, plus point routing down
-// the tree with and without per-node child indexes. Results are identical
-// across modes (see the differential tests); only time and allocations vary.
+// index, and the batched sweep at each worker count, point routing down the
+// tree with and without per-node child indexes, and bulk routing of every
+// point at once. Results are identical across modes (see the differential
+// tests); only time and allocations vary.
 func RoutingBench(cfg Config, workers []int) RoutingReport {
 	l := routingLayout(routingGridSide, 64)
 	dom := geom.UnitBox(2)
@@ -160,6 +162,17 @@ func RoutingBench(cfg Config, workers []int) RoutingReport {
 	})
 	pointIndexed.SpeedupVsLinear = speedup(pointLinear.NsPerQuery, pointIndexed.NsPerQuery)
 	rep.Results = append(rep.Results, pointIndexed)
+
+	// Bulk routing (RouteAssign) of every point at once, ns per point. Both
+	// grid levels are indexed; axis-split trees are BenchmarkMaterialize's.
+	xs, ys := make([]float64, len(points)), make([]float64, len(points))
+	for i, p := range points {
+		xs[i], ys[i] = p[0], p[1]
+	}
+	pts := dataset.MustNew([]string{"x", "y"}, [][]float64{xs, ys})
+	bulk := measure("bulk-assign", runtime.GOMAXPROCS(0), len(points), func() { l.RouteAssign(pts, runtime.GOMAXPROCS(0)) })
+	bulk.SpeedupVsLinear = speedup(pointLinear.NsPerQuery, bulk.NsPerQuery)
+	rep.Results = append(rep.Results, bulk)
 
 	_ = sinkIDs
 	_ = sinkPart

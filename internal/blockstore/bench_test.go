@@ -7,27 +7,38 @@ import (
 	"time"
 
 	"paw/internal/colstore"
+	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/kdtree"
+	"paw/internal/layout"
 	"paw/internal/parbuild"
+	"paw/internal/workload"
 )
 
 // BenchmarkMaterialize puts a number on the set-up cost of the store: a 2 M-row
-// TPC-H-like table routed through k-d layouts of ~60 and ~320 partitions (the
-// two regimes of the end-to-end benchmark: a few large partitions, many
-// three-group ones). Beside ns/op and B/op it reports the wall cost per row
-// and where it goes: route-ns/row is the routing pass plus the counting sort,
-// and the rest — colstore.Builder.BuildAll — splits into encode-ns/row, what
-// encoding the same partitions costs once their rows are in table order
+// TPC-H-like table, normalised as the end-to-end benchmark's is, routed
+// through k-d layouts of ~60 and ~320 partitions (the two regimes of the
+// end-to-end benchmark: a few large partitions, many three-group ones) and
+// through a PAW layout built for a wide skewed workload like tpch-wide-scan's,
+// whose tree has Multi-Group nodes and irregular partitions. Beside ns/op and
+// B/op it reports the wall cost per row and where it goes: route-ns/row is the
+// routing pass plus the counting sort, and the rest —
+// colstore.Builder.BuildAll — splits into encode-ns/row, what encoding the
+// same partitions costs once their rows are in table order
 // (colstore.FromDataset, fanned out the same way), and cluster-ns/row, what
 // putting them in that order adds.
 func BenchmarkMaterialize(b *testing.B) {
 	const rows = 2_000_000
-	data := dataset.TPCHLike(rows, 1).Project(4)
+	data := dataset.TPCHLike(rows, 1).Project(4).Normalize()
 	sample := data.Sample(rows/10, 2)
-	for _, minRows := range []int{2000, 400} {
-		l := kdtree.Build(data, sample, data.Domain(), kdtree.Params{MinRows: minRows})
-		b.Run(fmt.Sprintf("parts=%d", l.NumPartitions()), func(b *testing.B) {
+	dom := data.Domain()
+	hist := workload.Skewed(dom, workload.GenParams{NumQueries: 100, MaxRangeFrac: 0.9, Centers: 10, SigmaFrac: 0.1, Seed: 3})
+	for _, l := range []*layout.Layout{
+		kdtree.Build(data, sample, dom, kdtree.Params{MinRows: 2000}),
+		kdtree.Build(data, sample, dom, kdtree.Params{MinRows: 400}),
+		core.Build(data, sample, dom, hist, core.Params{MinRows: len(sample) / 600, Delta: 0.01 * (dom.Hi[0] - dom.Lo[0])}),
+	} {
+		b.Run(fmt.Sprintf("%s/parts=%d", l.Method, l.NumPartitions()), func(b *testing.B) {
 			cfg := Config{GroupRows: 2048}
 			b.ReportAllocs()
 			var route time.Duration

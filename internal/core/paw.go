@@ -162,7 +162,7 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 type buildScratch struct {
 	// qd backs qdtree cut evaluation (sorted values, bounds, dedup set).
 	qd *qdtree.Scratch
-	// fs is the float buffer for median scans and expansion-rank sorts.
+	// fs is the float buffer of median and expansion-rank selection.
 	fs []float64
 	// assign is the per-row group-index buffer of multiGroupSplit.
 	assign []int32
@@ -488,8 +488,7 @@ func (b *builder) expandToMin(box geom.Box, rows []int, gp geom.Box, sc *buildSc
 		}
 		fs[i] = f
 	}
-	sort.Float64s(fs)
-	factor := fs[b.p.MinRows-1]
+	factor := kdtree.Select(fs, b.p.MinRows-1)
 	if factor < 1 {
 		factor = 1
 	}
@@ -524,9 +523,9 @@ func (b *builder) axisSplit(box geom.Box, rows []int, queries []geom.Box, slot i
 	}
 }
 
-// medianCuts returns one cut per dimension at the median of the rows,
-// filling the scratch buffer instead of allocating and skipping degenerate
-// dimensions (all values equal) before paying for a sort.
+// medianCuts returns one cut per dimension at the median of the rows
+// (kdtree.MedianCut's median, not its cut), filling the scratch buffer instead
+// of allocating and skipping degenerate dimensions (all values equal).
 func (b *builder) medianCuts(box geom.Box, rows []int, sc *buildScratch) []qdtree.Cut {
 	if len(rows) == 0 {
 		return nil
@@ -534,25 +533,8 @@ func (b *builder) medianCuts(box geom.Box, rows []int, sc *buildScratch) []qdtre
 	var out []qdtree.Cut
 	vals := sc.floats(len(rows))
 	for dim := 0; dim < b.data.Dims(); dim++ {
-		col := b.cols[dim]
-		mn, mx := col[rows[0]], col[rows[0]]
-		for i, r := range rows {
-			v := col[r]
-			vals[i] = v
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mn == mx {
-			continue
-		}
-		sort.Float64s(vals)
-		m := vals[len(vals)/2]
-		c := qdtree.CutAtUpper(dim, m)
-		if c.Inside(box) {
+		m, _, _, ok := kdtree.MedianCut(b.cols[dim], rows, vals)
+		if c := qdtree.CutAtUpper(dim, m); ok && c.Inside(box) {
 			out = append(out, c)
 		}
 	}
@@ -599,35 +581,14 @@ func (b *builder) refineIrregular(outer geom.Box, holes []geom.Box, rows []int, 
 	vals := sc.floats(len(rows))
 	for off := 0; off < dims; off++ {
 		dim := (depth + off) % dims
-		col := b.cols[dim]
-		mn, mx := col[rows[0]], col[rows[0]]
-		for i, r := range rows {
-			v := col[r]
-			vals[i] = v
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if mn == mx {
+		_, m, nLeft, ok := kdtree.MedianCut(b.cols[dim], rows, vals)
+		if !ok {
 			continue
-		}
-		sort.Float64s(vals)
-		m := vals[len(vals)/2]
-		if m == mx {
-			i := sort.SearchFloat64s(vals, m) - 1
-			if i < 0 {
-				continue
-			}
-			m = vals[i]
 		}
 		cut := qdtree.CutAtUpper(dim, m)
 		if !cut.Inside(outer) {
 			continue
 		}
-		nLeft := sort.Search(len(vals), func(i int) bool { return vals[i] > m })
 		if nLeft < b.p.MinRows || len(rows)-nLeft < b.p.MinRows {
 			continue
 		}

@@ -609,7 +609,7 @@ func (m *Master) Query(sql string) (QueryResponse, error) {
 // every scatter RPC down to the workers' scan loops, and a cancellation
 // interrupts in-flight calls.
 func (m *Master) QueryContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, localClient, sql, m.cfg.AllowPartial, false)
+	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, false)
 }
 
 // Explain runs one SQL statement with a forced trace (EXPLAIN ANALYZE): the
@@ -622,7 +622,7 @@ func (m *Master) Explain(sql string) (QueryResponse, error) {
 
 // ExplainContext is Explain under a caller-supplied context.
 func (m *Master) ExplainContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, localClient, sql, m.cfg.AllowPartial, true)
+	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, true)
 }
 
 // Ready reports whether the master can serve queries at full fidelity:
@@ -723,7 +723,7 @@ type queryStats struct {
 // Finish, the slow-query log, the cost record, and — for explain — the
 // assembled span tree on the response. explain forces a trace even when
 // sampling is off.
-func (m *Master) query(ctx context.Context, client, sql string, allowPartial, explain bool) (QueryResponse, error) {
+func (m *Master) query(ctx context.Context, deadline time.Time, client, sql string, allowPartial, explain bool) (QueryResponse, error) {
 	var start time.Time
 	if m.m.queries != nil {
 		start = time.Now()
@@ -732,23 +732,18 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 		defer func() { m.m.latency.Observe(float64(time.Since(start))) }()
 		m.m.queries.Inc()
 	}
-	if _, ok := ctx.Deadline(); !ok && m.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.cfg.QueryTimeout)
-		defer cancel()
-	}
 	tq := m.traceFor(explain)
 	costLog := m.costLog.Load()
 	slow := m.cfg.SlowQuery
 	if tq == nil && costLog == nil && slow <= 0 {
 		// The fully untraced fast path: beyond two atomic loads it pays only
 		// the nil checks compiled into the instrumentation points.
-		return m.serveQuery(ctx, client, sql, allowPartial, nil, trace.SpanRef{}, nil)
+		return m.serveQuery(ctx, deadline, client, sql, allowPartial, nil, trace.SpanRef{}, nil)
 	}
 	qstart := time.Now()
 	root := tq.Start("query", trace.SpanRef{})
 	var st queryStats
-	resp, err := m.serveQuery(ctx, client, sql, allowPartial, tq, root, &st)
+	resp, err := m.serveQuery(ctx, deadline, client, sql, allowPartial, tq, root, &st)
 	elapsed := time.Since(qstart)
 	if tq != nil {
 		root.Int(trace.KeyRows, int64(resp.Rows))
@@ -836,8 +831,11 @@ func (m *Master) query(ctx context.Context, client, sql string, allowPartial, ex
 // serveQuery is the serving body: result-cache lookup, admission (keyed by
 // client for fair queueing), then route and scatter, caching clean complete
 // results on the way out. tq and st may be nil (untraced fast path) — all
-// instrumentation points degrade to nil checks.
-func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
+// instrumentation points degrade to nil checks. The query's bound is set only
+// once the cache has missed, so a hit starts no timer: deadline when it is
+// set (a client request's own), else the configured QueryTimeout when ctx
+// carries no deadline.
+func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
 	// A cached clean result answers without a slot: serving memory beats
 	// re-scattering, and an entry of the served epoch is still valid (the
 	// cutover sweep translated it or it was answered since; InvalidateCaches
@@ -854,6 +852,14 @@ func (m *Master) serveQuery(ctx context.Context, client, sql string, allowPartia
 			return e.resp, nil
 		}
 		m.m.resultMisses.Inc()
+	}
+	if _, ok := ctx.Deadline(); !deadline.IsZero() || !ok && m.cfg.QueryTimeout > 0 {
+		if deadline.IsZero() {
+			deadline = time.Now().Add(m.cfg.QueryTimeout)
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
 	}
 	if m.admission != nil {
 		asp := tq.Start("admission", root)
@@ -1174,13 +1180,11 @@ func (m *Master) Start(addr string) (string, error) {
 // handleQueryRequest runs one client query on the serving path; failures
 // become response-carried errors with their typed code.
 func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryResponse {
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
+	var deadline time.Time
 	if req.TimeoutMillis > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		deadline = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
 	}
-	resp, err := m.query(ctx, client, req.SQL, req.AllowPartial || m.cfg.AllowPartial, req.Trace)
-	cancel()
+	resp, err := m.query(context.Background(), deadline, client, req.SQL, req.AllowPartial || m.cfg.AllowPartial, req.Trace)
 	if err != nil {
 		resp = QueryResponse{Err: err.Error(), ErrCode: errCodeFor(err)}
 	}

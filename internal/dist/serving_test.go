@@ -143,7 +143,7 @@ func TestDifferentialWireVsInProcess(t *testing.T) {
 	cl.SetAllowPartial(true)
 	const sql = "SELECT * FROM t"
 	wire, werr := cl.Query(sql)
-	local, lerr := m.query(ctx, localClient, sql, true, false)
+	local, lerr := m.query(ctx, time.Time{}, localClient, sql, true, false)
 	if werr != nil || lerr != nil {
 		t.Fatalf("partial: wire err=%v, in-process err=%v", werr, lerr)
 	}
@@ -281,6 +281,31 @@ func TestResultCacheHitMissInvalidate(t *testing.T) {
 	}
 	if got := snap.Counter(MetricCacheInvalidations); got != 1 {
 		t.Errorf("invalidations = %d, want 1", got)
+	}
+}
+
+// TestResultCacheHitAllocs bounds what a result-cache hit allocates on the
+// client serving path with a request deadline, as every benchmark client
+// request carries: the bound is set only once the cache has missed, so a hit
+// builds no context and starts no timer. A context.WithTimeout per request,
+// built before the cache lookup, cost four allocations per hit.
+func TestResultCacheHitAllocs(t *testing.T) {
+	f := startServingWorkers(t, 2)
+	cfg := fastChaosConfig(1)
+	cfg.ResultCacheSize = 64
+	m, _ := f.startServingMaster(t, cfg)
+	req := QueryRequest{SQL: servingStatements[0], TimeoutMillis: 60_000}
+	want := m.handleQueryRequest("client", req)
+	if want.Err != "" {
+		t.Fatal(want.Err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if got := m.handleQueryRequest("client", req); got.Rows != want.Rows || got.Err != "" {
+			t.Fatalf("hit answered %+v, first answer %+v", got, want)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("a result-cache hit allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -11,7 +11,7 @@
 package kdtree
 
 import (
-	"math"
+	"slices"
 	"sort"
 
 	"paw/internal/dataset"
@@ -19,6 +19,7 @@ import (
 	"paw/internal/layout"
 	"paw/internal/obs"
 	"paw/internal/parbuild"
+	"paw/internal/qdtree"
 )
 
 // Params configures the build.
@@ -59,8 +60,8 @@ type builder struct {
 	data    *dataset.Dataset
 	minRows int
 	pool    *parbuild.Pool
-	// scratch holds one reusable median-sort buffer per worker slot; a slot
-	// is held by at most one goroutine at a time.
+	// scratch holds one reusable median buffer per worker slot; a slot is
+	// held by at most one goroutine at a time.
 	scratch [][]float64
 	m       buildMetrics
 }
@@ -95,14 +96,6 @@ func newBuilder(data *dataset.Dataset, minRows int, pool *parbuild.Pool) *builde
 	}
 }
 
-func (b *builder) valsFor(slot, n int) []float64 {
-	if cap(b.scratch[slot]) < n {
-		b.scratch[slot] = make([]float64, n)
-	}
-	b.scratch[slot] = b.scratch[slot][:n]
-	return b.scratch[slot]
-}
-
 // split recursively divides box/rows, cycling the split dimension by depth.
 func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node {
 	b.m.nodes.Inc()
@@ -112,24 +105,24 @@ func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node 
 		return leaf(box, rows)
 	}
 	dims := b.data.Dims()
+	vals := slices.Grow(b.scratch[slot][:0], len(rows))[:len(rows)]
+	b.scratch[slot] = vals
 	// Round-robin: try the scheduled dimension first, then the rest, in
 	// case the scheduled one is degenerate (all values equal).
 	for off := 0; off < dims; off++ {
 		dim := (depth + off) % dims
-		cut, nLeft, ok := b.medianCut(rows, dim, slot)
+		_, cut, nLeft, ok := MedianCut(b.data.Column(dim), rows, vals)
 		if !ok {
 			continue
 		}
 		if nLeft < b.minRows || len(rows)-nLeft < b.minRows {
 			continue
 		}
-		left, right := partitionRows(b.data, rows, dim, cut, nLeft)
-		lbox := box.Clone()
-		lbox.Hi[dim] = cut
-		rbox := box.Clone()
 		// Children must not overlap even on the boundary plane: the cut
 		// value itself belongs to the left child ("v <= cut goes left").
-		rbox.Lo[dim] = math.Nextafter(cut, math.Inf(1))
+		c := qdtree.CutAtUpper(dim, cut)
+		left, right := qdtree.SplitRowsN(b.data, rows, c, nLeft)
+		lbox, rbox := c.Apply(box)
 		node := &layout.Node{
 			Desc:     layout.NewRect(box),
 			Children: make([]*layout.Node, 2),
@@ -146,16 +139,19 @@ func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node 
 	return leaf(box, rows)
 }
 
-// medianCut returns the median value of rows on dim and the number of rows
-// with value <= the cut. It fails when all values are equal (degenerate
-// dimensions are detected during the fill, before any sorting happens).
-func (b *builder) medianCut(rows []int, dim, slot int) (float64, int, bool) {
-	vals := b.valsFor(slot, len(rows))
-	col := b.data.Column(dim)
+// MedianCut gathers col over rows into buf (len(buf) == len(rows)) and
+// returns their median — the value sort.Float64s would leave at index
+// len(rows)/2 — and the cut a median split places: the median, unless that is
+// the maximum, which would send every row left under "v <= cut goes left";
+// then the largest value below the maximum. nLeft counts the rows <= cut, NaN
+// rows included (sort.Float64s puts them first). ok is false when every value
+// equals the first (a degenerate dimension). A zero median or cut is +0,
+// whichever zero the selection lands on. O(len(rows)) expected (Select).
+func MedianCut(col []float64, rows []int, buf []float64) (median, cut float64, nLeft int, ok bool) {
 	mn, mx := col[rows[0]], col[rows[0]]
 	for i, r := range rows {
 		v := col[r]
-		vals[i] = v
+		buf[i] = v
 		if v < mn {
 			mn = v
 		}
@@ -164,42 +160,75 @@ func (b *builder) medianCut(rows []int, dim, slot int) (float64, int, bool) {
 		}
 	}
 	if mn == mx {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	sort.Float64s(vals)
-	m := vals[len(vals)/2]
-	// A median equal to the maximum would put everything on one side under
-	// the "v <= cut goes left" rule; shift to the largest value strictly
-	// below the top to guarantee a non-trivial split.
-	if m == mx {
-		i := sort.SearchFloat64s(vals, m) - 1
-		if i < 0 {
-			return 0, 0, false
+	k := len(buf) / 2
+	median = Select(buf, k) + 0 // + 0 turns -0 into +0
+	cut = median
+	if median == mx {
+		// Select left every value below the maximum in buf[:k]; mn is one.
+		cut = mn
+		for _, v := range buf[:k] {
+			if v < mx && v > cut {
+				cut = v
+			}
 		}
-		m = vals[i]
+		cut += 0
 	}
-	nLeft := sort.Search(len(vals), func(i int) bool { return vals[i] > m })
-	return m, nLeft, true
+	for _, v := range buf {
+		if !(v > cut) {
+			nLeft++
+		}
+	}
+	return median, cut, nLeft, true
 }
 
-// partitionRows splits row indices by the closed rule "value <= cut goes
-// left", mirroring the router's first-match-wins tie-breaking. nLeft is the
-// known left-side count, pre-sizing both outputs exactly.
-func partitionRows(data *dataset.Dataset, rows []int, dim int, cut float64, nLeft int) (left, right []int) {
-	if nLeft < 0 || nLeft > len(rows) {
-		nLeft = 0
-	}
-	col := data.Column(dim)
-	left = make([]int, 0, nLeft)
-	right = make([]int, 0, len(rows)-nLeft)
-	for _, r := range rows {
-		if col[r] <= cut {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+// Select returns the k-th smallest of vals (0-based) in sort.Float64s order,
+// NaNs first, reordering vals so that vals[:k] are no larger and vals[k+1:]
+// no smaller than it. It is Hoare's selection with a median-of-three pivot,
+// O(len(vals)) expected; a range that keeps failing to shrink is sorted.
+func Select(vals []float64, k int) float64 {
+	nan := 0
+	for i, v := range vals {
+		if v != v {
+			vals[i], vals[nan] = vals[nan], v
+			nan++
 		}
 	}
-	return left, right
+	if k < nan {
+		return vals[k]
+	}
+	a, k := vals[nan:], k-nan
+	lo, hi := 0, len(a)-1
+	for round := 0; lo < hi; round++ {
+		if round == 64 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		p := max(min(x, y), min(max(x, y), z))
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return a[k]
 }
 
 func leaf(box geom.Box, rows []int) *layout.Node {

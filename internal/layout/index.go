@@ -191,7 +191,7 @@ func (l *Layout) WorkloadCostParallel(queries []geom.Box, extras Extras, workers
 
 // Locate routes a point to its leaf partition through the index-accelerated
 // tree descent (nil when no leaf accepts it). Safe for concurrent use.
-func (l *Layout) Locate(p geom.Point) *Partition { return l.Root.routeDown(p) }
+func (l *Layout) Locate(p geom.Point) *Partition { return l.Root.routeDown(p, nil) }
 
 // LocateLinear is the retained linear reference for Locate: the plain
 // first-matching-child descent. Kept for differential tests and the routing

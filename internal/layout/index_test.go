@@ -1,9 +1,11 @@
 package layout
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"paw/internal/dataset"
 	"paw/internal/geom"
 )
 
@@ -182,7 +184,7 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 		}
 	}
 	for i := 0; i < 120; i++ {
-		pt := geom.Point{r.Float64() * 104 - 2, r.Float64() * 104 - 2}
+		pt := geom.Point{r.Float64()*104 - 2, r.Float64()*104 - 2}
 		if i%3 == 0 && len(l.Parts) > 0 {
 			// Points on descriptor boundaries: routing ties must resolve
 			// identically (first matching child wins).
@@ -192,6 +194,56 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 		a, b := l.Locate(pt), l.LocateLinear(pt)
 		if a != b {
 			t.Fatalf("Locate(%v): indexed %v, linear %v", pt, a, b)
+		}
+	}
+	diffBulkRouting(t, r, l)
+}
+
+// diffBulkRouting asserts that the bulk routes, which test derived per-split
+// checks, place every point where LocateLinear does: points on every node's
+// bounds and the floats either side of them, points outside the domain, and
+// NaN coordinates, over enough rows that RouteAssign runs in parallel chunks.
+func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
+	t.Helper()
+	var xs, ys []float64
+	edges := func(lo, hi float64) []float64 {
+		return []float64{lo, hi, math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)), (lo + hi) / 2}
+	}
+	l.Root.Walk(func(n *Node) {
+		m := n.Desc.MBR()
+		for _, x := range edges(m.Lo[0], m.Hi[0]) {
+			for _, y := range edges(m.Lo[1], m.Hi[1]) {
+				xs, ys = append(xs, x), append(ys, y)
+			}
+		}
+	})
+	nan := math.NaN()
+	xs, ys = append(xs, nan, nan, 50, -1e9, 1e9), append(ys, nan, 50, nan, 50, 50)
+	for len(xs) < 5000 {
+		xs, ys = append(xs, r.Float64()*110-5), append(ys, r.Float64()*110-5)
+	}
+	data := dataset.MustNew([]string{"x", "y"}, [][]float64{xs, ys})
+	assign := l.RouteAssign(data, 3)
+	rows := make([]int, len(xs))
+	for i := range rows {
+		rows[i] = i
+	}
+	indexed := make([]int32, len(xs))
+	for i := range indexed {
+		indexed[i] = -1
+	}
+	for id, idx := range l.RouteIndices(data, rows) {
+		for _, i := range idx {
+			indexed[i] = int32(id)
+		}
+	}
+	for i := range xs {
+		want := int32(-1)
+		if p := l.LocateLinear(geom.Point{xs[i], ys[i]}); p != nil {
+			want = int32(p.ID)
+		}
+		if assign[i] != want || indexed[i] != want {
+			t.Fatalf("point (%v, %v): RouteAssign %d, RouteIndices %d, LocateLinear %d", xs[i], ys[i], assign[i], indexed[i], want)
 		}
 	}
 }
@@ -288,4 +340,26 @@ func TestUnsealedLayoutFallsBack(t *testing.T) {
 	if got := l.QueryCost(q, nil); got != part.Bytes() {
 		t.Fatalf("QueryCost = %d", got)
 	}
+}
+
+// TestBulkRoutingStripChildren: Rect children that each differ from their
+// Rect parent on one dimension, with gaps between them and an irregular
+// remainder after them, so that both of a strip's bounds decide where a point
+// goes. Bulk routing must agree with LocateLinear on them, and must route a
+// descriptor edited after Seal as it now is.
+func TestBulkRoutingStripChildren(t *testing.T) {
+	leaf := func(d Descriptor) *Node { return &Node{Desc: d, Part: &Partition{Desc: d}} }
+	inner := box2(10, 10, 90, 90)
+	strips := []geom.Box{box2(20, 10, 30, 90), box2(50, 10, 60, 90), box2(10, 40, 90, 45)}
+	mid := &Node{Desc: NewRect(inner)}
+	for _, s := range strips {
+		mid.Children = append(mid.Children, leaf(NewRect(s)))
+	}
+	mid.Children = append(mid.Children, leaf(NewIrregular(inner, strips)))
+	root := &Node{Desc: NewRect(box2(0, 0, 100, 100)), Children: []*Node{mid, leaf(NewRect(box2(0, 0, 100, 100)))}}
+	l := Seal("strips", root, 8)
+	r := rand.New(rand.NewSource(3))
+	diffBulkRouting(t, r, l)
+	mid.Children[1].Desc = NewRect(box2(55, 10, 60, 90))
+	diffBulkRouting(t, r, l)
 }

@@ -95,29 +95,104 @@ func (n *Node) Leaves() []*Node {
 // grouped partitions carved out of them (boundary points then resolve to the
 // group). Returns nil when no child accepts the point. Wide nodes descend
 // through their child index, which preserves the first-matching-child
-// contract (packed indexes return the smallest accepted index).
-func (n *Node) routeDown(p geom.Point) *Partition {
-	cur := n
+// contract (packed indexes return the smallest accepted index). A bulk call
+// passes the checks it derived from this tree (deriveChecks); with rc == nil
+// every child is tested by Desc.Contains.
+func (n *Node) routeDown(p geom.Point, rc []splitCheck) *Partition {
+	cur, k := n, int32(0)
 	for !cur.IsLeaf() {
-		var next *Node
+		i := -1
 		if cur.childIndex != nil {
-			if i := cur.childIndex.FirstContaining(p, cur); i >= 0 {
-				next = cur.Children[i]
-			}
+			i = cur.childIndex.FirstContaining(p, cur)
 		} else {
-			for _, c := range cur.Children {
-				if c.Desc.Contains(p) {
-					next = c
-					break
+			var kids []splitCheck
+			if rc != nil {
+				kids = rc[rc[k].first:]
+			}
+			for j, c := range cur.Children {
+				if j < len(kids) && kids[j].dim >= 0 {
+					if v := p[kids[j].dim]; v < kids[j].lo || v > kids[j].hi {
+						continue
+					}
+				} else if !c.Desc.Contains(p) {
+					continue
 				}
+				i = j
+				break
 			}
 		}
-		if next == nil {
+		if i < 0 {
 			return nil
 		}
-		cur = next
+		cur = cur.Children[i]
+		if rc != nil {
+			k = rc[k].first + int32(i)
+		}
 	}
 	return cur.Part
+}
+
+// splitCheck is one node's entry in the checks a bulk routing call derives
+// from the live tree (deriveChecks); nodes are numbered from the root (0) so
+// that a node's children are consecutive from first. A Rect node whose box
+// differs from its Rect parent's on one dimension only — either child of an
+// axis split — is tested by lo <= p[dim] <= hi, its own bounds there: a point
+// the walk brought to the parent lies in the parent's box, so that is exactly
+// its Contains, NaN coordinates included. Every other node has dim < 0 and is
+// tested by Desc.Contains: the root's children (the root is never tested),
+// non-Rect nodes, children of non-Rect or indexed parents, and boxes that
+// differ on several dimensions. The checks live for one call, never on the
+// tree, so a descriptor edited after Seal is routed as it now is.
+type splitCheck struct {
+	first, dim int32
+	lo, hi     float64
+}
+
+// deriveChecks numbers l's tree and derives every node's splitCheck. It holds
+// no node pointers, so a large tree costs the collector nothing to scan.
+func (l *Layout) deriveChecks() []splitCheck {
+	if l.Root == nil {
+		return nil
+	}
+	rc := make([]splitCheck, 1, 2*len(l.Parts)+1)
+	rc[0].dim = -1
+	var number func(n *Node, k int)
+	number = func(n *Node, k int) {
+		first := len(rc)
+		rc[k].first = int32(first)
+		parent, rect := n.Desc.(Rect)
+		derive := rect && k > 0 && n.childIndex == nil
+		for _, c := range n.Children {
+			sc := splitCheck{dim: -1}
+			if child, ok := c.Desc.(Rect); derive && ok {
+				sc = oneDimSplit(parent.Box, child.Box)
+			}
+			rc = append(rc, sc)
+		}
+		for j, c := range n.Children {
+			number(c, first+j)
+		}
+	}
+	number(l.Root, 0)
+	return rc
+}
+
+// oneDimSplit is the check of child under parent when their boxes differ on
+// exactly one dimension, and dim -1 otherwise.
+func oneDimSplit(parent, child geom.Box) splitCheck {
+	sc := splitCheck{dim: -1}
+	if len(child.Lo) != len(parent.Lo) || len(child.Hi) != len(parent.Hi) || len(child.Lo) != len(child.Hi) {
+		return sc
+	}
+	for d, lo := range child.Lo {
+		if hi := child.Hi[d]; lo != parent.Lo[d] || hi != parent.Hi[d] {
+			if sc.dim >= 0 {
+				return splitCheck{dim: -1}
+			}
+			sc = splitCheck{dim: int32(d), lo: lo, hi: hi}
+		}
+	}
+	return sc
 }
 
 // routeDownLinear is the retained linear reference for routeDown: every
@@ -221,6 +296,7 @@ func (l *Layout) route(data *dataset.Dataset, workers int, assign []int32) {
 		workers = 1
 	}
 	cols := hoistColumns(data)
+	rc := l.deriveChecks()
 	counts := make([][]int64, workers)
 	unrouted := make([]int64, workers)
 	chunk := (n + workers - 1) / workers
@@ -241,7 +317,7 @@ func (l *Layout) route(data *dataset.Dataset, workers int, assign []int32) {
 					pt[d] = col[i]
 				}
 				id := int32(-1)
-				if part := l.Root.routeDown(pt); part != nil {
+				if part := l.Root.routeDown(pt, rc); part != nil {
 					counts[w][part.ID]++
 					id = int32(part.ID)
 				} else {
@@ -272,12 +348,13 @@ func (l *Layout) route(data *dataset.Dataset, workers int, assign []int32) {
 func (l *Layout) RouteIndices(data *dataset.Dataset, idx []int) map[ID][]int {
 	out := make(map[ID][]int)
 	cols := hoistColumns(data)
+	rc := l.deriveChecks()
 	pt := make(geom.Point, len(cols))
 	for _, i := range idx {
 		for d, col := range cols {
 			pt[d] = col[i]
 		}
-		if part := l.Root.routeDown(pt); part != nil {
+		if part := l.Root.routeDown(pt, rc); part != nil {
 			out[part.ID] = append(out[part.ID], i)
 		}
 	}

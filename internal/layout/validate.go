@@ -42,12 +42,13 @@ func (l *Layout) Validate(data *dataset.Dataset, minRows int64) error {
 	// Re-route every record and confirm the target leaf's descriptor
 	// contains it.
 	cols := hoistColumns(data)
+	rc := l.deriveChecks()
 	pt := make(geom.Point, len(cols))
 	for i := 0; i < data.NumRows(); i++ {
 		for d, col := range cols {
 			pt[d] = col[i]
 		}
-		part := l.Root.routeDown(pt)
+		part := l.Root.routeDown(pt, rc)
 		if part == nil {
 			return fmt.Errorf("layout: record %d routes nowhere on revalidation", i)
 		}

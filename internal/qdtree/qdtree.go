@@ -17,6 +17,7 @@ package qdtree
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"paw/internal/dataset"
@@ -205,13 +206,16 @@ func (b *builder) split(box geom.Box, rows []int, queries []geom.Box, depth, slo
 	return node
 }
 
-// Scratch holds the reusable buffers of cut evaluation: the per-dimension
-// sorted row values and query bounds, and the candidate dedup set. One
-// Scratch may be used by one goroutine at a time; builders keep one per
-// parbuild worker slot so the hot path allocates nothing per node.
+// Scratch holds the reusable buffers of cut evaluation: one dimension's
+// candidate cuts, their thresholds and left-row counts, the sorted query
+// bounds, and the candidate dedup set. One Scratch may be used by one
+// goroutine at a time; builders keep one per parbuild worker slot so the hot
+// path allocates nothing per node.
 type Scratch struct {
-	rowVals, qLo, qHi []float64
-	seen              map[Cut]bool
+	cands            []Cut
+	thresh, qLo, qHi []float64
+	le               []int
+	seen             map[Cut]bool
 	// evals counts the unique candidate cuts evaluated by TopCuts on this
 	// scratch since the last TakeEvals. Plain int64 — a scratch is
 	// single-goroutine by contract — so the hot path pays one increment.
@@ -231,21 +235,6 @@ func (sc *Scratch) TakeEvals() int64 {
 // retained across calls.
 func NewScratch() *Scratch {
 	return &Scratch{seen: make(map[Cut]bool)}
-}
-
-// Floats borrows a length-n float64 buffer from the scratch. The borrow is
-// only valid until the next TopCuts/BestCut call on the same scratch;
-// callers use it for short-lived per-node work (median scans, rank sorts).
-func (sc *Scratch) Floats(n int) []float64 {
-	sc.rowVals = growFloats(sc.rowVals, n)
-	return sc.rowVals
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // CutCost is a candidate cut with its immediate workload cost and the number
@@ -275,9 +264,9 @@ func BestCut(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box
 //
 // All queries must intersect box. The evaluation exploits that a cut only
 // changes dimension dim: the left child intersects query q iff
-// q.Lo[dim] <= LeftHi, the right child iff q.Hi[dim] >= RightLo. Sorting row
-// values and query bounds once per dimension makes each candidate O(log n)
-// instead of O(rows + queries).
+// q.Lo[dim] <= LeftHi, the right child iff q.Hi[dim] >= RightLo. Query bounds
+// are sorted once per dimension; rows are not sorted at all (bucketRows), so a
+// dimension costs O(rows·log candidates + queries·log queries).
 func TopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box, extra []Cut, minRows, k int, sc *Scratch) []CutCost {
 	if k < 1 {
 		k = 1
@@ -289,41 +278,53 @@ func TopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box
 	total := len(rows)
 	nq := len(queries)
 	top := make([]CutCost, 0, k) // ascending by cost, at most k entries
-	sc.rowVals = growFloats(sc.rowVals, total)
-	sc.qLo = growFloats(sc.qLo, nq)
-	sc.qHi = growFloats(sc.qHi, nq)
-	rowVals, qLo, qHi := sc.rowVals, sc.qLo, sc.qHi
+	sc.qLo, sc.qHi = slices.Grow(sc.qLo[:0], nq)[:nq], slices.Grow(sc.qHi[:0], nq)[:nq]
+	qLo, qHi := sc.qLo, sc.qHi
 	clear(sc.seen)
 	seen := sc.seen
 	for dim := 0; dim < dims; dim++ {
-		col := data.Column(dim)
-		for i, r := range rows {
-			rowVals[i] = col[r]
+		cands, thresh := sc.cands[:0], sc.thresh[:0]
+		for _, q := range queries {
+			cands = append(cands, CutAtLower(dim, q.Lo[dim]), CutAtUpper(dim, q.Hi[dim]))
 		}
-		sort.Float64s(rowVals)
+		for _, c := range extra {
+			if c.Dim == dim {
+				cands = append(cands, c)
+			}
+		}
+		for _, c := range cands {
+			if c.Inside(box) {
+				thresh = append(thresh, c.LeftHi)
+			}
+		}
+		sc.cands, sc.thresh = cands, thresh
+		if len(thresh) == 0 {
+			continue // no candidate on dim separates box
+		}
+		thresh, le := sc.bucketRows(data.Column(dim), rows)
 		for i, q := range queries {
 			qLo[i] = q.Lo[dim]
 			qHi[i] = q.Hi[dim]
 		}
 		sort.Float64s(qLo)
 		sort.Float64s(qHi)
-		try := func(c Cut) {
+		for _, c := range cands {
 			if !c.Inside(box) || seen[c] {
-				return
+				continue
 			}
 			seen[c] = true
 			sc.evals++
-			leftRows := countLE(rowVals, c.LeftHi)
+			leftRows := le[search(thresh, c.LeftHi)]
 			rightRows := total - leftRows
 			if leftRows < minRows || rightRows < minRows {
-				return
+				continue
 			}
 			nQL := countLE(qLo, c.LeftHi)       // queries reaching the left child
 			nQR := nq - countLT(qHi, c.RightLo) // queries reaching the right child
 			cost := int64(leftRows)*int64(nQL) + int64(rightRows)*int64(nQR)
 			// Insert into the bounded, sorted top list.
 			if len(top) == k && cost >= top[k-1].Cost {
-				return
+				continue
 			}
 			pos := sort.Search(len(top), func(i int) bool { return top[i].Cost > cost })
 			top = append(top, CutCost{})
@@ -333,17 +334,44 @@ func TopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box
 				top = top[:k]
 			}
 		}
-		for i := 0; i < nq; i++ {
-			try(CutAtLower(dim, queries[i].Lo[dim]))
-			try(CutAtUpper(dim, queries[i].Hi[dim]))
-		}
-		for _, c := range extra {
-			if c.Dim == dim {
-				try(c)
-			}
-		}
 	}
 	return top
+}
+
+// bucketRows sorts and dedups the thresholds in sc.thresh — the LeftHi of
+// every candidate that separates the box, so none is NaN — and returns them
+// with le, where le[i] counts the rows whose value on col is <= thresh[i] or
+// NaN. One pass drops each row into the bucket of the first threshold it does
+// not exceed — a NaN row into the first, left of every cut, as when rows were
+// sorted NaN-first — and le is the prefix sums of the buckets.
+func (sc *Scratch) bucketRows(col []float64, rows []int) (thresh []float64, le []int) {
+	slices.Sort(sc.thresh)
+	thresh = slices.Compact(sc.thresh)
+	sc.le = slices.Grow(sc.le[:0], len(thresh)+1)[:len(thresh)+1]
+	le = sc.le
+	clear(le)
+	for _, r := range rows {
+		le[search(thresh, col[r])]++
+	}
+	for i := 1; i < len(thresh); i++ {
+		le[i] += le[i-1]
+	}
+	return thresh, le
+}
+
+// search is sort.SearchFloat64s without its closure call per probe: the index
+// of the first of the ascending, NaN-free values that is >= x, and 0 for a
+// NaN x (no value is < NaN).
+func search(sorted []float64, x float64) int {
+	lo, n := 0, len(sorted)
+	for n > 0 {
+		if half := n / 2; sorted[lo+half] < x {
+			lo, n = lo+half+1, n-half-1
+		} else {
+			n = half
+		}
+	}
+	return lo
 }
 
 // countLE returns the number of sorted values <= x.
