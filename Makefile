@@ -23,7 +23,7 @@ test:
 # race runs the concurrent builders (PAW, Qd-tree, k-d tree, beam, parbuild),
 # the concurrent routing/costing paths (layout batch sweeps, router, tuner),
 # the benchmark harness, the invariant/simulation suites, the online
-# reorganization path (ingest, adaptive baseline, drift monitor + migration),
+# reorganization path (ingest, drift monitor + migration),
 # the elastic membership substrate (failure detector, ring placement,
 # rebalance planner), the tracing substrate (spans assemble across scatter
 # goroutines), the SQL rewriter and pawmaster's boot check (invariant.CheckData
@@ -36,7 +36,7 @@ test:
 # TestClusterIsPureFunctionOfRowSet, TestBuildAllMatchesBuild: tiles, run keys,
 # the tail key of every tile) run at both widths with them.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/adaptive/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
+	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
 	$(GO) test -race -short -cpu 1,2 ./internal/colstore/... ./internal/blockstore/...
 
 # chaos runs the deterministic fault-injection suite (DESIGN.md §10) under
@@ -164,9 +164,13 @@ loc:
 # qdtree's cut, core −39), TopCuts's bucketed cut counts (qdtree +28), the
 # per-call routing checks of the bulk walk (layout +78), the bulk row of
 # `pawbench -routing` (bench +13) and the result-cache hit's deferred deadline
-# (dist +4) — for a quarter off setup_s on tpch-wide-scan. Growing the module
-# from here on is an edit of this line, in the diff that does the growing.
-LOC_CEILING := 27292
+# (dist +4) — for a quarter off setup_s on tpch-wide-scan. Then −1 059
+# returned what only its own tests read: the MaxSkip and adaptive baselines,
+# kNN and the histogram (817 lines of whole packages), the drift monitor's
+# waste ledger (drift −72) and the router's storage-tuner extras (router −54,
+# dist −8). Growing the module from here on is an edit of this line, in the
+# diff that does the growing.
+LOC_CEILING := 26233
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
@@ -195,8 +199,8 @@ bench-scan:
 # bench-drift regenerates BENCH_drift.json: the drifting-workload scenario
 # family played against live clusters with the drift controller attached —
 # trigger fidelity per scenario, cost-regression recovery time, queries
-# served during migration, and the offline-rebuild / adaptive (AQWA-style)
-# baselines, tracked across PRs.
+# served during migration, and the offline-rebuild baseline, tracked across
+# PRs.
 bench-drift:
 	$(GO) run ./cmd/pawbench -drift BENCH_drift.json
 

@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"paw/internal/bench"
-	"paw/internal/blockstore"
 	"paw/internal/colstore"
 	"paw/internal/dataset"
-	"paw/internal/knn"
 	"paw/internal/workload"
 )
 
@@ -63,8 +61,6 @@ func BenchmarkFig25Delta0Plugins(b *testing.B)  { runExperiment(b, "fig25") }
 func BenchmarkAblationAlpha(b *testing.B)       { runExperiment(b, "ablation_alpha") }
 func BenchmarkAblationMultiGroup(b *testing.B)  { runExperiment(b, "ablation_multigroup") }
 func BenchmarkAblationBeam(b *testing.B)        { runExperiment(b, "ablation_beam") }
-func BenchmarkBaselineMaxSkip(b *testing.B)     { runExperiment(b, "baseline_maxskip") }
-func BenchmarkBaselineAdaptive(b *testing.B)    { runExperiment(b, "baseline_adaptive") }
 func BenchmarkScenariosTableI(b *testing.B)     { runExperiment(b, "scenarios") }
 
 // BenchmarkFig13Fig14Layouts builds the three case-study layouts of
@@ -197,27 +193,6 @@ func BenchmarkPreciseDescriptorInstall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := InstallPreciseDescriptors(l, data, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNSearch(b *testing.B) {
-	data := GenerateOSM(50_000, 10, 19).Normalize()
-	hist := SkewedWorkload(data.Domain(), 30, 20)
-	l, err := Build(data, hist, Options{
-		MinRows: 16, SampleRows: 5_000,
-		Delta: FractionOfDomain(data.Domain(), 0.01), DataAwareRefine: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 256})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := Point{float64(i%100) / 100, float64((i*37)%100) / 100}
-		if _, _, err := knn.Search(l, store, q, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // in-process clusters with an attached drift controller and writes the
 // machine-readable report (BENCH_drift.json): trigger fidelity per scenario,
 // cost-regression recovery time, queries served during migration, and the
-// offline-rebuild and adaptive (AQWA-style) baselines.
+// offline-rebuild baseline.
 func runDrift(cfg bench.Config, path string) error {
 	rep, err := bench.DriftBench(cfg, bench.DriftOptions{})
 	if err != nil {
@@ -42,8 +42,8 @@ func runDrift(cfg bench.Config, path string) error {
 			verdict = "triggered, not migrated"
 		}
 		fmt.Fprintf(os.Stderr, "  %-22s %4d queries  %s\n", sc.Scenario, sc.Queries, verdict)
-		fmt.Fprintf(os.Stderr, "    cost B/query: baseline %.0f, regressed %.0f, recovered %.0f; patched/offline %.2f; adaptive scanned %d B\n",
-			sc.CostBaseline, sc.CostRegressed, sc.CostRecovered, sc.RecoveryVsOffline, sc.AdaptiveScanBytes)
+		fmt.Fprintf(os.Stderr, "    cost B/query: baseline %.0f, regressed %.0f, recovered %.0f; patched/offline %.2f\n",
+			sc.CostBaseline, sc.CostRegressed, sc.CostRecovered, sc.RecoveryVsOffline)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func main() {
 		construction = flag.String("construction", "", "write the construction benchmark (ns/op, allocs/op, speedup at 1/2/4/8 workers) as JSON to this path and exit")
 		routing      = flag.String("routing", "", "write the routing benchmark (ns/query, q/s, allocs/query for linear vs indexed range+point routing) as JSON to this path and exit")
 		scan         = flag.String("scan", "", "write the columnar-scan benchmark (MB/s, rows/s, bytes skipped, allocs/op, encoded-vs-naive speedup) as JSON to this path and exit")
-		drift        = flag.String("drift", "", "write the drift benchmark (trigger fidelity, recovery time, queries served during migration, offline-rebuild and adaptive baselines over live clusters) as JSON to this path and exit")
+		drift        = flag.String("drift", "", "write the drift benchmark (trigger fidelity, recovery time, queries served during migration, offline-rebuild baseline over live clusters) as JSON to this path and exit")
 		rebalance    = flag.String("rebalance", "", "write the elastic-rebalance benchmark (data moved vs the consistent-hash ideal and query availability through a live join and graceful leave) as JSON to this path and exit")
 	)
 	flag.Parse()

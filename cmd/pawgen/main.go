@@ -17,7 +17,6 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
-	"paw/internal/histogram"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/qdtree"
@@ -116,7 +115,6 @@ func loadDataset(path string) *dataset.Dataset {
 func cmdInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "", "dataset file")
-	buckets := fs.Int("buckets", 16, "histogram buckets for the per-column profile")
 	mustParse(fs, args)
 	if *in == "" {
 		fatalf("info: -in is required")
@@ -124,11 +122,6 @@ func cmdInfo(args []string) {
 	data := loadDataset(*in)
 	dom := data.Domain()
 	fmt.Printf("%s: %d rows, %d attributes, %d bytes simulated\n", *in, data.NumRows(), data.Dims(), data.TotalBytes())
-	h, err := histogram.Build(data, nil, *buckets)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("histogram: %d buckets/dim, %d bytes\n", h.Buckets(), h.MemoryBytes())
 	for d, name := range data.Names() {
 		fmt.Printf("  %-18s [%g, %g]\n", name, dom.Lo[d], dom.Hi[d])
 	}

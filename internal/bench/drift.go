@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"paw/internal/adaptive"
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
@@ -59,8 +58,7 @@ type DriftPhaseStat struct {
 // DriftScenarioResult is one scenario's end-to-end outcome: whether the
 // monitor fired (and whether it should have), how long the cluster took to
 // recover from the cost regression, what the migration shipped, and how the
-// patched layout compares to a full offline rebuild and to an AQWA-style
-// per-query repartitioner over the same stream.
+// patched layout compares to a full offline rebuild over the same stream.
 type DriftScenarioResult struct {
 	Scenario    string `json:"scenario"`
 	ExpectDrift bool   `json:"expect_drift"`
@@ -110,13 +108,8 @@ type DriftScenarioResult struct {
 	RecoveryVsOffline float64 `json:"recovery_vs_offline"`
 
 	// ClusterScanBytes is the observed total the cluster scanned for the
-	// stream; AdaptiveScanBytes/AdaptiveWriteBytes are the modeled totals of
-	// the AQWA-style comparator (per-query incremental repartitioner) on the
-	// identical stream, with AdaptiveParts its final partition count.
-	ClusterScanBytes   int64 `json:"cluster_scan_bytes"`
-	AdaptiveScanBytes  int64 `json:"adaptive_scan_bytes"`
-	AdaptiveWriteBytes int64 `json:"adaptive_write_bytes"`
-	AdaptiveParts      int   `json:"adaptive_parts"`
+	// stream.
+	ClusterScanBytes int64 `json:"cluster_scan_bytes"`
 }
 
 // DriftReport is the machine-readable drift snapshot written to
@@ -146,9 +139,7 @@ func driftSQL(names []string, b geom.Box) string {
 // DriftBench plays every sim.DriftScenarios stream against a live in-process
 // cluster with an attached drift controller: the out-of-scope scenarios must
 // trigger, rebuild only the violated region and recover observed cost while
-// serving queries throughout; the in-scope scenarios must not trigger. Each
-// run also replays the identical stream through an AQWA-style per-query
-// repartitioner as the adaptive baseline.
+// serving queries throughout; the in-scope scenarios must not trigger.
 func DriftBench(cfg Config, opt DriftOptions) (DriftReport, error) {
 	opt = opt.normalized()
 	rep := DriftReport{
@@ -401,20 +392,6 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	if res.OfflineCost > 0 {
 		res.RecoveryVsOffline = res.PatchedCost / res.OfflineCost
 	}
-
-	// AQWA-style adaptive baseline: warm on the historical workload, then
-	// replay the identical stream, counting its modeled scan and write bytes.
-	ap := adaptive.New(data, adaptive.Params{MinRows: dcfg.MinPartRows})
-	for _, q := range sc.Hist {
-		ap.Query(q.Box)
-	}
-	scan0, write0 := ap.CumulativeScanBytes, ap.CumulativeWriteBytes
-	for _, b := range stream {
-		ap.Query(b)
-	}
-	res.AdaptiveScanBytes = ap.CumulativeScanBytes - scan0
-	res.AdaptiveWriteBytes = ap.CumulativeWriteBytes - write0
-	res.AdaptiveParts = ap.NumPartitions()
 	return res, nil
 }
 

@@ -43,8 +43,6 @@ func Registry() []Experiment {
 		{"ablation_alpha", "Ablation: the Ψ-policy constant α", AblationAlpha},
 		{"ablation_multigroup", "Ablation: Multi-Group Split on/off across δ", AblationMultiGroup},
 		{"ablation_beam", "Ablation: greedy vs beam-search construction", AblationBeam},
-		{"baseline_maxskip", "Extra baseline: MaxSkip feature clustering", BaselineMaxSkip},
-		{"baseline_adaptive", "Extra baseline: adaptive repartitioning stream", BaselineAdaptive},
 		{"ablation_placement", "Ablation: workload-aware partition placement", AblationPlacement},
 		{"ablation_envelope", "Ablation: Table IV's I/O cost with the store's data envelopes", AblationEnvelope},
 		{"scenarios", "The three workload scenarios of Fig. 1 / Table I", Scenarios},

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"paw/internal/adaptive"
 	"paw/internal/blockstore"
 	"paw/internal/cluster"
 	"paw/internal/core"
 	"paw/internal/descriptor"
 	"paw/internal/geom"
 	"paw/internal/layout"
-	"paw/internal/maxskip"
 	"paw/internal/placement"
 	"paw/internal/tuner"
 	"paw/internal/workload"
@@ -181,75 +179,6 @@ func AblationMultiGroup(cfg Config) []*Table {
 	return []*Table{t}
 }
 
-// BaselineMaxSkip positions the MaxSkip-style feature clustering (Sun et
-// al., the paper's [28]) on the overfitting spectrum: near-optimal on its
-// training workload, collapsed on δ-similar future workloads.
-func BaselineMaxSkip(cfg Config) []*Table {
-	t := &Table{
-		ID: "baseline_maxskip", Title: "MaxSkip feature clustering vs Qd-tree vs PAW (TPC-H)",
-		XLabel: "workload", Unit: "scan ratio (% of dataset)",
-		Methods: []string{"MaxSkip", MQdTree, MPAW, MLB},
-		Notes:   []string{"MaxSkip skips via per-partition query-incidence vectors; future queries fall back to MBR pruning"},
-	}
-	s := tpchScenario(cfg)
-	ms := maxskip.Build(s.Data, s.Sample, s.Hist.Boxes(), maxskip.Params{MinRows: s.MinRows})
-	for _, kind := range []string{"historical", "future"} {
-		boxes := s.Hist.Boxes()
-		if kind == "future" {
-			boxes = s.Fut.Boxes()
-		}
-		lbBoxes := boxes
-		if cfg.MaxLBQueries > 0 && len(lbBoxes) > cfg.MaxLBQueries {
-			lbBoxes = lbBoxes[:cfg.MaxLBQueries]
-		}
-		t.AddRow(kind, map[string]float64{
-			"MaxSkip": 100 * ms.ScanRatio(boxes, nil),
-			MQdTree:   100 * s.Layout(MQdTree).ScanRatio(boxes, nil),
-			MPAW:      100 * s.Layout(MPAW).ScanRatio(boxes, nil),
-			MLB:       100 * layout.LowerBoundRatio(s.Data, lbBoxes),
-		})
-	}
-	return []*Table{t}
-}
-
-// BaselineAdaptive reproduces the §II-A argument against adaptive
-// repartitioning (AQWA/Amoeba style) in the bounded-variance scenario:
-// cumulative cost (scan + repartitioning I/O) over a stream of δ-similar
-// future batches, for the adaptive scheme vs the static PAW and Qd-tree
-// layouts built once from the history.
-func BaselineAdaptive(cfg Config) []*Table {
-	t := &Table{
-		ID: "baseline_adaptive", Title: "Adaptive repartitioning vs static layouts (TPC-H)",
-		XLabel: "future batch", Unit: "cumulative MB (scan + repartition I/O)",
-		Methods: []string{"Adaptive", MQdTree, MPAW},
-		Notes:   []string{"adaptive pays repartition writes; static methods were built once from the history"},
-	}
-	s := tpchScenario(cfg)
-	ad := adaptive.New(s.Data, adaptive.Params{MinRows: s.MinRows * 10}) // bmin in full-data rows
-	var adCum, qdCum, pawCum int64
-	// The history arrives first (warm-up for the adaptive scheme; the
-	// static layouts were built from it, so they are not charged).
-	for _, q := range s.Hist {
-		sc, wr := ad.Query(q.Box)
-		adCum += sc + wr
-	}
-	for batch := int64(0); batch < 10; batch++ {
-		fut := workload.Future(s.Hist, s.Delta, 1, cfg.Seed+200+batch)
-		for _, q := range fut {
-			sc, wr := ad.Query(q.Box)
-			adCum += sc + wr
-		}
-		qdCum += s.Layout(MQdTree).WorkloadCost(fut.Boxes(), nil)
-		pawCum += s.Layout(MPAW).WorkloadCost(fut.Boxes(), nil)
-		t.AddRow(fmt.Sprintf("%d", batch+1), map[string]float64{
-			"Adaptive": float64(adCum) / 1e6,
-			MQdTree:    float64(qdCum) / 1e6,
-			MPAW:       float64(pawCum) / 1e6,
-		})
-	}
-	return []*Table{t}
-}
-
 // Scenarios operationalises Table I / Figure 1: the three future-workload
 // scenarios — exactly the history (Fig. 1a), δ-similar (Fig. 1b), and fully
 // unpredictable (Fig. 1c) — against every partitioning method. The paper's
@@ -258,14 +187,10 @@ func Scenarios(cfg Config) []*Table {
 	t := &Table{
 		ID: "scenarios", Title: "The three workload scenarios of Fig. 1 / Table I (TPC-H)",
 		XLabel: "future workload", Unit: "scan ratio (% of dataset)",
-		Methods: []string{"MaxSkip", MQdTree, MKdTree, MPAW, MLB},
-		Notes: []string{
-			"PAW runs with the data-aware refinement on, as §IV-E prescribes for the unpredictable case",
-			"MaxSkip extends the paper's Table I one column left: even more specialised than the Qd-tree",
-		},
+		Methods: []string{MQdTree, MKdTree, MPAW, MLB},
+		Notes:   []string{"PAW runs with the data-aware refinement on, as §IV-E prescribes for the unpredictable case"},
 	}
 	s := tpchScenario(cfg)
-	ms := maxskip.Build(s.Data, s.Sample, s.Hist.Boxes(), maxskip.Params{MinRows: s.MinRows})
 	dom := s.Data.Domain()
 	futures := []struct {
 		label string
@@ -282,11 +207,10 @@ func Scenarios(cfg Config) []*Table {
 			lbBoxes = lbBoxes[:cfg.MaxLBQueries]
 		}
 		t.AddRow(f.label, map[string]float64{
-			"MaxSkip": 100 * ms.ScanRatio(boxes, nil),
-			MQdTree:   100 * s.Layout(MQdTree).ScanRatio(boxes, nil),
-			MKdTree:   100 * s.Layout(MKdTree).ScanRatio(boxes, nil),
-			MPAW:      100 * s.Layout(MPAWRefine).ScanRatio(boxes, nil),
-			MLB:       100 * layout.LowerBoundRatio(s.Data, lbBoxes),
+			MQdTree: 100 * s.Layout(MQdTree).ScanRatio(boxes, nil),
+			MKdTree: 100 * s.Layout(MKdTree).ScanRatio(boxes, nil),
+			MPAW:    100 * s.Layout(MPAWRefine).ScanRatio(boxes, nil),
+			MLB:     100 * layout.LowerBoundRatio(s.Data, lbBoxes),
 		})
 	}
 	return []*Table{t}

@@ -79,9 +79,6 @@ type activeMigration struct {
 // installed on its replica set.
 func (am *activeMigration) planReady(plan router.Plan) bool {
 	for _, rp := range plan.Ranges {
-		if rp.Extra >= 0 {
-			return false
-		}
 		for _, id := range rp.Parts {
 			f := am.ready[id]
 			if f == nil || !f.Load() {
@@ -335,9 +332,8 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 // partitions all survived the patch is kept, its plan translated through the
 // rename map (the mapping is strictly increasing, so sorted partition lists
 // stay sorted): renamed partitions hold identical rows and bytes, so the
-// cached response is still exact. Entries touching the rebuilt region, served
-// by tuner extras (layout-scoped) or answered under any other epoch are
-// dropped.
+// cached response is still exact. Entries touching the rebuilt region or
+// answered under any other epoch are dropped.
 func (m *Master) sweepCaches(mig *Migration) {
 	if m.resultCache == nil {
 		return
@@ -356,15 +352,11 @@ func (m *Master) sweepCaches(mig *Migration) {
 
 // translatePlan rewrites a routed plan's partition IDs into the next
 // layout's numbering. It fails (ok=false) when any range touches a partition
-// that did not survive the patch, or is served by a tuner extra (extras are
-// rebuilt per layout).
+// that did not survive the patch.
 func translatePlan(plan router.Plan, renamed map[layout.ID]layout.ID) (router.Plan, bool) {
 	out := router.Plan{Ranges: make([]router.RangePlan, len(plan.Ranges))}
 	for i, rp := range plan.Ranges {
-		if rp.Extra >= 0 {
-			return router.Plan{}, false
-		}
-		nr := router.RangePlan{Range: rp.Range, Extra: rp.Extra, Parts: make([]layout.ID, len(rp.Parts))}
+		nr := router.RangePlan{Range: rp.Range, Parts: make([]layout.ID, len(rp.Parts))}
 		for j, id := range rp.Parts {
 			nid, ok := renamed[id]
 			if !ok {

@@ -113,7 +113,7 @@ func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, hist 
 	return c
 }
 
-// Monitor exposes the observation half (Status, TopWaste, Evaluate).
+// Monitor exposes the observation half (Evaluate, Window, Seen).
 func (c *Controller) Monitor() *Monitor { return c.mon }
 
 // SetTracer installs (or, with nil, removes) the tracer migration traces
@@ -129,7 +129,7 @@ func (c *Controller) SetTracer(tr *trace.Tracer) { c.tracer.Store(tr) }
 func (c *Controller) Attach(auto bool) {
 	c.auto.Store(auto)
 	c.master.SetQueryObserver(func(ob dist.QueryObservation) {
-		c.mon.Observe(ob, c.layout())
+		c.mon.Observe(ob)
 		if c.auto.Load() && c.mon.Seen()%int64(c.cfg.CheckEvery) == 0 {
 			if c.running.CompareAndSwap(false, true) {
 				go func() {

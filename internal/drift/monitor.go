@@ -11,10 +11,10 @@
 //
 // The package splits into a Monitor (pure observation and decision state,
 // deterministic given an observation sequence) and a Controller (the rebuild
-// + migration pipeline around it). Everything the monitor decides is
-// inspectable through Status, and the controller can be driven synchronously
-// (TriggerNow) for deterministic tests or auto-triggered from the master's
-// query observer.
+// + migration pipeline around it). Evaluate returns every decision the
+// monitor makes with its evidence, and the controller can be driven
+// synchronously (TriggerNow) for deterministic tests or auto-triggered from
+// the master's query observer.
 package drift
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"paw/internal/dist"
 	"paw/internal/geom"
-	"paw/internal/layout"
 	"paw/internal/workload"
 )
 
@@ -118,15 +117,14 @@ func (c Config) withDefaults() Config {
 
 // obsEntry is one windowed query observation.
 type obsEntry struct {
-	boxes  []geom.Box
-	bytes  int64
-	cached bool
+	boxes []geom.Box
+	bytes int64
 }
 
 // Monitor is the observation half: a ring of recent routed queries plus the
 // reference workload the serving layout was built for. It is pure decision
 // state — it never touches the cluster — and is safe for concurrent
-// Observe/Status calls.
+// Observe/Evaluate calls.
 type Monitor struct {
 	cfg Config
 
@@ -141,12 +139,6 @@ type Monitor struct {
 	// reference was (re)anchored; 0 until known.
 	baseline    float64
 	cooldownEnd int64 // observation count before which triggers are muted
-
-	// waste is the AQWA-style ledger: per partition, the estimated bytes
-	// scanned beyond the query/partition overlap, accumulated over the
-	// window's lifetime. Purely advisory (Status/bench); reset when the
-	// reference re-anchors.
-	waste map[layout.ID]float64
 }
 
 // NewMonitor builds a monitor anchored to the reference workload hist (the
@@ -154,22 +146,19 @@ type Monitor struct {
 func NewMonitor(hist workload.Workload, cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	return &Monitor{
-		cfg:   cfg,
-		ref:   hist.Clone(),
-		ring:  make([]obsEntry, cfg.Window),
-		waste: make(map[layout.ID]float64),
+		cfg:  cfg,
+		ref:  hist.Clone(),
+		ring: make([]obsEntry, cfg.Window),
 	}
 }
 
-// Observe records one served query: its routed range boxes, the bytes of the
-// partitions its plan opened, and whether it was answered from the result
-// cache. l, when non-nil, feeds the per-partition waste ledger with the
-// partitions the plan touched.
-func (mo *Monitor) Observe(ob dist.QueryObservation, l *layout.Layout) {
-	boxes, ids := ob.Ranges, ob.IDs
+// Observe records one served query: its routed range boxes and the bytes of
+// the partitions its plan opened. A result-cache hit is recorded like any
+// other query (see windowAvgLocked).
+func (mo *Monitor) Observe(ob dist.QueryObservation) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	mo.ring[mo.next] = obsEntry{boxes: boxes, bytes: ob.BytesOpened, cached: ob.Cached}
+	mo.ring[mo.next] = obsEntry{boxes: ob.Ranges, bytes: ob.BytesOpened}
 	mo.next = (mo.next + 1) % len(mo.ring)
 	if mo.next == 0 {
 		mo.full = true
@@ -177,39 +166,6 @@ func (mo *Monitor) Observe(ob dist.QueryObservation, l *layout.Layout) {
 	mo.seen++
 	if mo.full && mo.baseline == 0 {
 		mo.baseline = mo.windowAvgLocked()
-	}
-	if l != nil && len(boxes) > 0 {
-		mo.accountWasteLocked(l, boxes, ids)
-	}
-}
-
-// accountWasteLocked adds each touched partition's estimated overscan for
-// this query: the fraction of the partition's volume the query ranges do not
-// cover, times the partition's bytes. A crude geometric estimate (AQWA uses
-// the same shape of ledger to rank split candidates), but it needs no data
-// access and converges on the partitions the drift actually punishes.
-func (mo *Monitor) accountWasteLocked(l *layout.Layout, boxes []geom.Box, ids []layout.ID) {
-	for _, id := range ids {
-		if int(id) < 0 || int(id) >= len(l.Parts) {
-			continue
-		}
-		p := l.Parts[id]
-		pb := p.Desc.MBR()
-		pv := pb.Volume()
-		if pv <= 0 {
-			continue
-		}
-		covered := 0.0
-		for _, q := range boxes {
-			if inter, ok := q.Intersection(pb); ok {
-				covered += inter.Volume()
-			}
-		}
-		frac := covered / pv
-		if frac > 1 {
-			frac = 1
-		}
-		mo.waste[id] += (1 - frac) * float64(p.Bytes())
 	}
 }
 
@@ -345,8 +301,8 @@ func (mo *Monitor) MuteFor(n int) {
 }
 
 // Reanchor replaces the reference workload (after a migration: the layout's
-// scope is now centered on what was just observed) and resets the baseline
-// and waste ledger.
+// scope is now centered on what was just observed) and resets the window
+// and its baseline.
 func (mo *Monitor) Reanchor(ref workload.Workload) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
@@ -354,7 +310,6 @@ func (mo *Monitor) Reanchor(ref workload.Workload) {
 	mo.baseline = 0
 	mo.full = false
 	mo.next = 0
-	mo.waste = make(map[layout.ID]float64)
 }
 
 // Window returns a snapshot of the current window as a workload (for the
@@ -370,31 +325,4 @@ func (mo *Monitor) Seen() int64 {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
 	return mo.seen
-}
-
-// PartitionWaste is one waste-ledger entry.
-type PartitionWaste struct {
-	ID    layout.ID
-	Bytes float64
-}
-
-// TopWaste returns the k partitions with the highest accumulated estimated
-// overscan, descending.
-func (mo *Monitor) TopWaste(k int) []PartitionWaste {
-	mo.mu.Lock()
-	out := make([]PartitionWaste, 0, len(mo.waste))
-	for id, w := range mo.waste {
-		out = append(out, PartitionWaste{ID: id, Bytes: w})
-	}
-	mo.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].Bytes > out[j-1].Bytes ||
-			(out[j].Bytes == out[j-1].Bytes && out[j].ID < out[j-1].ID)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

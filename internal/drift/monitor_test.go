@@ -42,7 +42,7 @@ func opening(bytes int64, boxes ...geom.Box) dist.QueryObservation {
 func TestMonitorNoTriggerBeforeWindowFull(t *testing.T) {
 	mo := NewMonitor(leftHist(10, 1), Config{Window: 16, Delta: 0.02})
 	for i := 0; i < 15; i++ {
-		mo.Observe(opening(1000, rightBoxes(1, int64(i))...), nil)
+		mo.Observe(opening(1000, rightBoxes(1, int64(i))...))
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -59,7 +59,7 @@ func TestMonitorInScopeWorkloadDoesNotTrigger(t *testing.T) {
 	// Live queries identical to reference queries: δ′ is 0.
 	for i := 0; i < 64; i++ {
 		q := hist[i%len(hist)]
-		mo.Observe(opening(1000, q.Box), nil)
+		mo.Observe(opening(1000, q.Box))
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -76,10 +76,10 @@ func TestMonitorDriftWithoutRegressionDoesNotTrigger(t *testing.T) {
 	// observed cost: out of scope, but the layout still serves it fine.
 	steady := leftHist(32, 4)
 	for _, q := range steady {
-		mo.Observe(opening(1000, q.Box), nil)
+		mo.Observe(opening(1000, q.Box))
 	}
 	for _, b := range rightBoxes(32, 5) {
-		mo.Observe(opening(1000, b), nil)
+		mo.Observe(opening(1000, b))
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -97,11 +97,11 @@ func TestMonitorDriftWithRegressionTriggers(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.5})
 	steady := leftHist(32, 7)
 	for _, q := range steady {
-		mo.Observe(opening(1000, q.Box), nil)
+		mo.Observe(opening(1000, q.Box))
 	}
 	drift := rightBoxes(32, 8)
 	for _, b := range drift {
-		mo.Observe(opening(10000, b), nil)
+		mo.Observe(opening(10000, b))
 	}
 	d := mo.Evaluate()
 	if !d.Trigger {
@@ -130,7 +130,7 @@ func TestMonitorDriftWithRegressionTriggers(t *testing.T) {
 // open fewer.
 func TestMonitorGateReadsOpenedBytes(t *testing.T) {
 	observe := func(mo *Monitor, b geom.Box, opened, scanned int64) {
-		mo.Observe(dist.QueryObservation{Ranges: []geom.Box{b}, BytesOpened: opened, BytesScanned: scanned}, nil)
+		mo.Observe(dist.QueryObservation{Ranges: []geom.Box{b}, BytesOpened: opened, BytesScanned: scanned})
 	}
 	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.3})
 	for _, q := range leftHist(32, 7) {
@@ -158,10 +158,10 @@ func TestMonitorGateReadsOpenedBytes(t *testing.T) {
 func TestMonitorCooldownMutes(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 9), Config{Window: 16, Delta: 0.01, CostFactor: 1.1})
 	for _, q := range leftHist(16, 10) {
-		mo.Observe(opening(100, q.Box), nil)
+		mo.Observe(opening(100, q.Box))
 	}
 	for _, b := range rightBoxes(16, 11) {
-		mo.Observe(opening(10000, b), nil)
+		mo.Observe(opening(10000, b))
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("precondition: should trigger, got %+v", d)
@@ -171,7 +171,7 @@ func TestMonitorCooldownMutes(t *testing.T) {
 		t.Fatalf("muted monitor evaluated %+v", d)
 	}
 	for _, b := range rightBoxes(10, 12) {
-		mo.Observe(opening(10000, b), nil)
+		mo.Observe(opening(10000, b))
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("cooldown must expire after n observations, got %+v", d)
@@ -181,11 +181,11 @@ func TestMonitorCooldownMutes(t *testing.T) {
 func TestMonitorReanchorResetsScope(t *testing.T) {
 	mo := NewMonitor(leftHist(20, 13), Config{Window: 16, Delta: 0.02, CostFactor: 1.1})
 	for _, q := range leftHist(16, 14) {
-		mo.Observe(opening(100, q.Box), nil)
+		mo.Observe(opening(100, q.Box))
 	}
 	drift := rightBoxes(16, 15)
 	for _, b := range drift {
-		mo.Observe(opening(10000, b), nil)
+		mo.Observe(opening(10000, b))
 	}
 	if d := mo.Evaluate(); !d.Trigger {
 		t.Fatalf("precondition: should trigger, got %+v", d)
@@ -197,7 +197,7 @@ func TestMonitorReanchorResetsScope(t *testing.T) {
 	}
 	mo.Reanchor(ref)
 	for _, b := range drift {
-		mo.Observe(opening(10000, b), nil)
+		mo.Observe(opening(10000, b))
 	}
 	d := mo.Evaluate()
 	if d.Trigger {
@@ -205,38 +205,5 @@ func TestMonitorReanchorResetsScope(t *testing.T) {
 	}
 	if d.DeltaEstimate != 0 {
 		t.Fatalf("δ′ = %g after re-anchor, want 0", d.DeltaEstimate)
-	}
-}
-
-func TestMonitorWasteLedgerRanksOverscannedPartition(t *testing.T) {
-	// Two partitions: a tiny query repeatedly hitting the big one
-	// accumulates waste there and none on the other.
-	data := unitData(t, 2000, 21)
-	l := buildLeftLayout(t, data, leftHist(20, 22), 0.02)
-	mo := NewMonitor(leftHist(20, 22), Config{Window: 32})
-
-	q := box2(0.7, 0.4, 0.74, 0.44)
-	ids := l.PartitionsFor(q)
-	if len(ids) == 0 {
-		t.Fatal("query must touch at least one partition")
-	}
-	for i := 0; i < 8; i++ {
-		ob := opening(5000, q)
-		ob.IDs = ids
-		mo.Observe(ob, l)
-	}
-	top := mo.TopWaste(4)
-	if len(top) == 0 {
-		t.Fatal("waste ledger is empty")
-	}
-	if top[0].Bytes <= 0 {
-		t.Fatalf("top waste = %+v, want positive", top[0])
-	}
-	seen := map[bool]bool{}
-	for _, id := range ids {
-		seen[top[0].ID == id] = true
-	}
-	if !seen[true] {
-		t.Fatalf("top-waste partition %d is not among the touched ones %v", top[0].ID, ids)
 	}
 }

@@ -18,7 +18,6 @@ const (
 	MetricPartsTotal    = "router_partitions_considered_total"
 	MetricBytesSelected = "router_bytes_selected_total"
 	MetricBytesSkipped  = "router_bytes_skipped_total"
-	MetricExtraHits     = "router_extra_hits_total"
 )
 
 // metrics is the optional routing telemetry. enabled gates the clock reads
@@ -32,7 +31,6 @@ type metrics struct {
 	partsTotal    *obs.Counter
 	bytesSelected *obs.Counter
 	bytesSkipped  *obs.Counter
-	extraHits     *obs.Counter
 }
 
 // SetMetrics attaches (or, with nil, detaches) routing telemetry. Metrics
@@ -51,27 +49,21 @@ func (m *Master) SetMetrics(reg *obs.Registry) {
 		partsTotal:    reg.Counter(MetricPartsTotal),
 		bytesSelected: reg.Counter(MetricBytesSelected),
 		bytesSkipped:  reg.Counter(MetricBytesSkipped),
-		extraHits:     reg.Counter(MetricExtraHits),
 	}
 }
 
 // observeRoute records one routed range: latency, partitions touched vs the
-// layout total, and bytes selected vs skipped. touched is the slice of base
-// partition IDs this range appended (empty when an extra answered it).
-func (m *Master) observeRoute(start time.Time, touched []layout.ID, extra int) {
+// layout total, and bytes selected vs skipped. touched is the slice of
+// partition IDs this range appended.
+func (m *Master) observeRoute(start time.Time, touched []layout.ID) {
 	mm := &m.m
 	mm.queries.Inc()
 	mm.latency.Observe(float64(time.Since(start)))
 	mm.partsTotal.Add(int64(m.layout.NumPartitions()))
+	mm.partsTouched.Add(int64(len(touched)))
 	var sel int64
-	if extra >= 0 {
-		mm.extraHits.Inc()
-		sel = m.extras[extra].Bytes()
-	} else {
-		mm.partsTouched.Add(int64(len(touched)))
-		for _, id := range touched {
-			sel += m.layout.Parts[id].Bytes()
-		}
+	for _, id := range touched {
+		sel += m.layout.Parts[id].Bytes()
 	}
 	mm.bytesSelected.Add(sel)
 	if skip := m.layout.TotalBytes - sel; skip > 0 {

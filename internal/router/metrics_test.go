@@ -48,27 +48,13 @@ func TestMetricsObserveRouting(t *testing.T) {
 		t.Errorf("latency observations = %d, want 1", h.Count)
 	}
 
-	// An extra-served range counts the extra's bytes, not base partitions.
-	extra := layout.Extra{Box: geom.UnitBox(2), FullRows: 100, RowBytes: l.RowBytes}
-	m.SetExtras(layout.Extras{extra})
-	if _, err := m.RouteRange(q); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counter(MetricExtraHits); got != 1 {
-		t.Errorf("extra hits = %d, want 1", got)
-	}
-	if got := snap.Counter(MetricBytesSelected); got != wantSel+extra.Bytes() {
-		t.Errorf("bytes selected after extra = %d, want %d", got, wantSel+extra.Bytes())
-	}
-
 	// SetMetrics(nil) detaches: no further observations.
 	m.SetMetrics(nil)
 	if _, err := m.RouteRange(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot().Counter(MetricQueries); got != 2 {
-		t.Errorf("queries after detach = %d, want 2", got)
+	if got := reg.Snapshot().Counter(MetricQueries); got != 1 {
+		t.Errorf("queries after detach = %d, want 1", got)
 	}
 }
 
@@ -80,7 +66,7 @@ func TestRoutePartitionsDisabledZeroAlloc(t *testing.T) {
 	q := geom.Box{Lo: geom.Point{0.2, 0.2}, Hi: geom.Point{0.4, 0.4}}
 	dst := make([]layout.ID, 0, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		dst, _ = m.RoutePartitions(dst[:0], q)
+		dst = m.RoutePartitions(dst[:0], q)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled routing hot path allocated %.1f/run, want 0", allocs)
@@ -95,7 +81,7 @@ func TestRoutePartitionsEnabledZeroAlloc(t *testing.T) {
 	q := geom.Box{Lo: geom.Point{0.2, 0.2}, Hi: geom.Point{0.4, 0.4}}
 	dst := make([]layout.ID, 0, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		dst, _ = m.RoutePartitions(dst[:0], q)
+		dst = m.RoutePartitions(dst[:0], q)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled routing hot path allocated %.1f/run, want 0", allocs)

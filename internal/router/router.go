@@ -1,8 +1,8 @@
 // Package router implements the master node of the PAW query framework
 // (Fig. 4): it keeps the partition layout's descriptors (plus optional
-// precise descriptors and storage-tuner extras) in memory, rewrites incoming
-// SQL queries into range queries, and computes the union list of partition
-// IDs the storage layer must scan.
+// precise descriptors) in memory, rewrites incoming SQL queries into range
+// queries, and computes the union list of partition IDs the storage layer
+// must scan.
 package router
 
 import (
@@ -18,7 +18,6 @@ import (
 // Master is the in-memory query-routing state of the cluster's master node.
 type Master struct {
 	layout   *layout.Layout
-	extras   layout.Extras
 	rewriter *sqlrew.Rewriter
 	recorder func(geom.Box)
 	// m is the optional routing telemetry (SetMetrics); the zero value is
@@ -42,9 +41,6 @@ func NewMaster(l *layout.Layout, columns []string) (*Master, error) {
 	return &Master{layout: l, rewriter: rw}, nil
 }
 
-// SetExtras installs (or clears) the storage tuner's redundant partitions.
-func (m *Master) SetExtras(extras layout.Extras) { m.extras = extras }
-
 // Layout exposes the routed layout.
 func (m *Master) Layout() *layout.Layout { return m.layout }
 
@@ -52,10 +48,7 @@ func (m *Master) Layout() *layout.Layout { return m.layout }
 type RangePlan struct {
 	// Range is the rewritten range query.
 	Range geom.Box
-	// Extra is the index of the extra partition answering this range, or
-	// -1 when the base layout serves it.
-	Extra int
-	// Parts lists the base partitions to scan (empty when Extra >= 0).
+	// Parts lists the partitions to scan.
 	Parts []layout.ID
 }
 
@@ -107,21 +100,6 @@ func (p Plan) NumScans() int {
 	return n
 }
 
-// CostBytes returns the plan's total I/O cost: extra partitions for ranges
-// they serve, base partitions (deduplicated) for the rest.
-func (p Plan) CostBytes(l *layout.Layout, extras layout.Extras) int64 {
-	var total int64
-	for _, r := range p.Ranges {
-		if r.Extra >= 0 {
-			total += extras[r.Extra].Bytes()
-		}
-	}
-	for _, id := range p.PartitionIDs() {
-		total += l.Parts[id].Bytes()
-	}
-	return total
-}
-
 // RouteSQL rewrites a SQL statement and routes every resulting range.
 func (m *Master) RouteSQL(stmt string) (Plan, error) {
 	ranges, err := m.rewriter.RewriteSQL(stmt)
@@ -151,21 +129,16 @@ func (m *Master) routeRanges(ranges []geom.Box) (Plan, error) {
 		if q.Dims() != m.rewriter.Dims() {
 			return Plan{}, fmt.Errorf("router: query has %d dims, schema has %d", q.Dims(), m.rewriter.Dims())
 		}
-		rp := RangePlan{Range: q}
-		rp.Parts, rp.Extra = m.RoutePartitions(nil, q)
-		plan.Ranges = append(plan.Ranges, rp)
+		plan.Ranges = append(plan.Ranges, RangePlan{Range: q, Parts: m.RoutePartitions(nil, q)})
 	}
 	return plan, nil
 }
 
 // RoutePartitions routes one range query without materialising a Plan: the
-// base partitions to scan are appended to dst (allocation-free when dst has
-// capacity — the hot path for callers streaming many ranges), and extra is
-// the index of the extra partition answering the range, or -1 when the base
-// layout serves it (in which case the appended list is what the storage
-// layer must scan). The recorder and extras are applied exactly as in
-// RouteRange.
-func (m *Master) RoutePartitions(dst []layout.ID, q geom.Box) (parts []layout.ID, extra int) {
+// partitions to scan are appended to dst (allocation-free when dst has
+// capacity — the hot path for callers streaming many ranges). The recorder
+// is applied exactly as in RouteRange.
+func (m *Master) RoutePartitions(dst []layout.ID, q geom.Box) []layout.ID {
 	var start time.Time
 	if m.m.enabled {
 		start = time.Now()
@@ -173,35 +146,17 @@ func (m *Master) RoutePartitions(dst []layout.ID, q geom.Box) (parts []layout.ID
 	if m.recorder != nil {
 		m.recorder(q)
 	}
-	// Extra partitions first (§V-B): a range fully inside an extra is
-	// answered from the cheapest covering copy.
-	extra = -1
-	best := int64(-1)
-	for i, e := range m.extras {
-		if e.Box.ContainsBox(q) {
-			if b := e.Bytes(); best < 0 || b < best {
-				best = b
-				extra = i
-			}
-		}
-	}
-	if extra >= 0 {
-		if m.m.enabled {
-			m.observeRoute(start, nil, extra)
-		}
-		return dst, extra
-	}
 	pre := len(dst)
-	parts = m.layout.AppendPartitionsFor(dst, q)
+	parts := m.layout.AppendPartitionsFor(dst, q)
 	if m.m.enabled {
-		m.observeRoute(start, parts[pre:], -1)
+		m.observeRoute(start, parts[pre:])
 	}
-	return parts, -1
+	return parts
 }
 
 // MemoryFootprint returns the master's in-memory metadata size in bytes:
 // 16·dmax per rectangular descriptor bound pair, the same per irregular
-// region box, per precise-descriptor MBR and per extra partition. This is
+// region box and per precise-descriptor MBR. This is
 // the quantity §V-A argues is negligible next to partition sizes.
 func (m *Master) MemoryFootprint() int64 {
 	perBox := int64(m.rewriter.Dims()) * 16
@@ -217,6 +172,5 @@ func (m *Master) MemoryFootprint() int64 {
 		}
 		total += perBox * int64(len(p.Precise))
 	}
-	total += perBox * int64(len(m.extras))
 	return total
 }

@@ -83,38 +83,6 @@ func TestRouteSQLUnionOfSubqueries(t *testing.T) {
 	_ = l
 }
 
-func TestRouteWithExtras(t *testing.T) {
-	m, data, l := setup(t)
-	q := geom.Box{Lo: geom.Point{0.3, 0.3}, Hi: geom.Point{0.35, 0.35}}
-	extra := layout.Extra{
-		Box:      geom.Box{Lo: geom.Point{0.25, 0.25}, Hi: geom.Point{0.4, 0.4}},
-		FullRows: int64(data.CountInBox(geom.Box{Lo: geom.Point{0.25, 0.25}, Hi: geom.Point{0.4, 0.4}}, nil)),
-		RowBytes: data.RowBytes(),
-	}
-	m.SetExtras(layout.Extras{extra})
-	plan, err := m.RouteRange(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Ranges[0].Extra != 0 {
-		t.Fatal("query inside the extra partition must be served by it")
-	}
-	if len(plan.PartitionIDs()) != 0 {
-		t.Fatal("extra-served range must not scan base partitions")
-	}
-	if got := plan.CostBytes(l, m.extras); got != extra.Bytes() {
-		t.Errorf("plan cost %d, want %d", got, extra.Bytes())
-	}
-	// A range escaping the extra goes to the base layout.
-	plan, err = m.RouteRange(geom.Box{Lo: geom.Point{0.3, 0.3}, Hi: geom.Point{0.5, 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Ranges[0].Extra != -1 || len(plan.PartitionIDs()) == 0 {
-		t.Error("escaping range must use the base layout")
-	}
-}
-
 func TestRouteSQLNoWhere(t *testing.T) {
 	m, _, l := setup(t)
 	plan, err := m.RouteSQL("SELECT * FROM t")

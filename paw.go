@@ -259,7 +259,7 @@ func InstallPreciseDescriptors(l *Layout, data *Dataset, nmbr int) (int64, error
 
 // SelectExtraPartitions runs the §V-B storage tuner: redundant partitions
 // are selected greedily by gain (Eq. 5) within the byte budget. The returned
-// extras plug into Layout.QueryCost and Master.SetExtras.
+// extras plug into Layout.QueryCost (Fig. 23b/25b); nothing serves them.
 func SelectExtraPartitions(l *Layout, data *Dataset, queries []Box, budgetBytes int64) Extras {
 	return tuner.Select(l, data, queries, budgetBytes)
 }
