@@ -168,9 +168,15 @@ loc:
 # returned what only its own tests read: the MaxSkip and adaptive baselines,
 # kNN and the histogram (817 lines of whole packages), the drift monitor's
 # waste ledger (drift −72) and the router's storage-tuner extras (router −54,
-# dist −8). Growing the module from here on is an edit of this line, in the
-# diff that does the growing.
-LOC_CEILING := 26233
+# dist −8). Then +46 bought PAWC v3: raw values stored as order-key offsets
+# bit-packed at each chunk's width, sharing FOR's layout and kernel arm
+# (internal/colstore +32: packing, the one-load extraction, the bound mapping
+# onto key offsets, the codec), the mean raw width on the "stored:" line
+# (layout +6, pawcli +1) and in BENCH_scan.json (bench +5), and the pointer
+# receivers of sma.Aggregates (sma +2) — for a fifth off the stored bytes and
+# heap_mb of osm-hot-repeat. Growing the module from here on is an edit of
+# this line, in the diff that does the growing.
+LOC_CEILING := 26279
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -127,8 +127,9 @@ func runBuild(args []string) {
 				for enc, b := range sp.Table.EncodedBytesByEncoding() {
 					stored[enc] += b
 				}
-				raw, searchable, pieces, rows := sp.Table.SearchCensus(search.ByColumn)
+				raw, rawBits, searchable, pieces, rows := sp.Table.SearchCensus(search.ByColumn)
 				search.RawChunks += raw
+				search.RawBits += rawBits
 				search.Searchable += searchable
 				search.Pieces += pieces
 				search.Rows += rows

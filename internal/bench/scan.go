@@ -73,6 +73,8 @@ type ScanReport struct {
 	EncodedBytes     int64          `json:"encoded_bytes"`
 	CompressionRatio float64        `json:"compression_ratio"`
 	Encodings        map[string]int `json:"encodings"`
+	// RawWidthBits is the mean width, in bits, raw chunks pack a value at.
+	RawWidthBits float64 `json:"raw_width_bits"`
 	// DecodeMBPerSec is the full-decode kernel rate (raw logical MB/s of a
 	// full-domain materializing scan) — the CPU bound a cluster simulation
 	// should cap throughput at (cluster.Config.KernelMBps, scaled 1/1000).
@@ -137,6 +139,9 @@ func ScanBench(cfg Config) ScanReport {
 	}
 	if rep.EncodedBytes > 0 {
 		rep.CompressionRatio = float64(rep.RawBytes) / float64(rep.EncodedBytes)
+	}
+	if raw, bits, _, _, _ := tab.SearchCensus(nil); raw > 0 {
+		rep.RawWidthBits = float64(bits) / float64(raw)
 	}
 
 	// query builds a box matching ~sel of the rows on the sort dimension,

@@ -502,8 +502,9 @@ func TestOrderKeyRoundTripsAndOrders(t *testing.T) {
 // TestEncodeColumnChoosesSmallest pins the encoding chooser, shortcuts and
 // all, to its specification: the smallest of raw / RLE / dictionary / FOR,
 // computed here the slow way (sort, count), ties going to RLE, then
-// dictionary, then FOR — no dictionary for a chunk holding a NaN, which a
-// sorted dictionary cannot be searched past — and the chunk decodes to vals.
+// dictionary, then FOR, then raw — no dictionary for a chunk holding a NaN,
+// which a sorted dictionary cannot be searched past — and the chunk decodes to
+// vals bit for bit.
 func TestEncodeColumnChoosesSmallest(t *testing.T) {
 	var sc encodeScratch
 	for seed := int64(0); seed < 400; seed++ {
@@ -552,10 +553,17 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 			}
 			maxDelta = max(maxDelta, d)
 		}
-		want, wantB := colRaw, int64(n)*8
-		if b := int64(4 + runs*12); b < wantB {
-			want, wantB = colRLE, b
+		// Raw packs each value's order-key offset from the least key at the
+		// bits the key range needs, 58–63 stored as 64.
+		keys := make([]uint64, n)
+		for i, v := range vals {
+			keys[i] = orderKey(v)
 		}
+		rawBits := int64(bits.Len64(slices.Max(keys) - slices.Min(keys)))
+		if rawBits > 57 {
+			rawBits = 64
+		}
+		want, wantB := colRLE, int64(4+runs*12)
 		w := int64(2)
 		if card <= 256 {
 			w = 1
@@ -564,9 +572,12 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 			want, wantB = colDict, b
 		}
 		if forOK {
-			if b := 9 + int64(forWords(n, uint8(bits.Len64(uint64(maxDelta)))))*8; b < wantB {
+			if b := 9 + (int64(n)*int64(bits.Len64(uint64(maxDelta)))+7)/8; b < wantB {
 				want, wantB = colFOR, b
 			}
+		}
+		if b := 9 + (int64(n)*rawBits+7)/8; b < wantB {
+			want, wantB = colRaw, b
 		}
 		c := encodeColumn(vals, &sc)
 		if c.kind != want || c.payloadBytes() != wantB {
@@ -576,7 +587,7 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		got := make([]float64, n)
 		c.decodeInto(got)
 		for i, v := range vals {
-			if got[i] != v && !(math.IsNaN(got[i]) && math.IsNaN(v)) {
+			if got[i] != v && !(math.IsNaN(got[i]) && math.IsNaN(v)) || c.kind == colRaw && math.Float64bits(got[i]) != math.Float64bits(v) {
 				t.Fatalf("seed %d: %v chunk decodes value %d as %v, want %v", seed, c.kind, i, got[i], v)
 			}
 		}

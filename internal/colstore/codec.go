@@ -14,7 +14,7 @@ import (
 // Binary format (little-endian):
 //
 //	magic    uint32 'PAWC'
-//	version  uint16 (2)
+//	version  uint16 (3)
 //	dims     uint16
 //	groups   uint32
 //	names    (uint16 len + bytes) per column
@@ -22,18 +22,21 @@ import (
 //	per group:
 //	  rows   uint32
 //	  per column: kind uint8, then the encoded payload:
-//	    raw:  rows × float64
+//	    raw:  least order key uint64, bits uint8 (0–57 or 64), ceil(rows·bits/8) bytes of packed key offsets
 //	    dict: card uint32, card × float64, width uint8 (1|2), rows × width codes
 //	    rle:  runs uint32, runs × float64 values, runs × uint32 lengths
-//	    for:  base float64, bits uint8, ceil(rows·bits/64) × uint64
+//	    for:  base float64, bits uint8 (0–32), ceil(rows·bits/8) bytes of packed deltas
 //	  SMA:   count int64, then per dim min/max/sum float64
 //
+// Packed values are little-endian bit fields: value i occupies bits
+// [i·bits, (i+1)·bits) of the byte string, least significant bit first.
+//
 // A payload only ever crosses the wire between processes of one build, so
-// nothing older is decodable: version 1 (raw float64 columns) and a non-zero
-// zone count are errors.
+// nothing older is decodable: versions 1 (raw float64 columns) and 2 (raw
+// float64 values, FOR in 64-bit words) and a non-zero zone count are errors.
 const (
 	colMagic   = 0x50415743 // "PAWC"
-	colVersion = 2
+	colVersion = 3
 
 	// maxDecodeRows bounds per-group row counts on decode so corrupt or
 	// hostile headers cannot drive huge allocations.
@@ -91,15 +94,6 @@ func (w *leWriter) u32s(vals []uint32) error {
 	b := w.grow(len(vals) * 4)
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(b[i*4:], v)
-	}
-	_, err := w.bw.Write(b)
-	return err
-}
-
-func (w *leWriter) u64s(vals []uint64) error {
-	b := w.grow(len(vals) * 8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[i*8:], v)
 	}
 	_, err := w.bw.Write(b)
 	return err
@@ -192,18 +186,6 @@ func (r *leReader) u32s(n int) ([]uint32, error) {
 	return out, nil
 }
 
-func (r *leReader) u64s(n int) ([]uint64, error) {
-	b, err := r.fill(n * 8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out, nil
-}
-
 func (r *leReader) u16s(n int) ([]uint16, error) {
 	b, err := r.fill(n * 2)
 	if err != nil {
@@ -216,7 +198,7 @@ func (r *leReader) u16s(n int) ([]uint16, error) {
 	return out, nil
 }
 
-// Encode writes the table in the PAWC v2 binary format.
+// Encode writes the table in the PAWC v3 binary format.
 func (t *Table) Encode(w io.Writer) error {
 	lw := &leWriter{bw: bufio.NewWriter(w)}
 	if err := lw.u32(colMagic); err != nil {
@@ -301,16 +283,19 @@ func encodeColumnPayload(lw *leWriter, c *column) error {
 			return err
 		}
 		return lw.u32s(c.runLens)
-	case colFOR:
-		if err := lw.f64(c.base); err != nil {
-			return err
-		}
-		if err := lw.u8(c.forBits); err != nil {
-			return err
-		}
-		return lw.u64s(c.packed)
 	default:
-		return lw.f64s(c.raw)
+		head := c.minKey
+		if c.kind == colFOR {
+			head = math.Float64bits(c.base)
+		}
+		if err := lw.u64(head); err != nil {
+			return err
+		}
+		if err := lw.u8(c.width); err != nil {
+			return err
+		}
+		_, err := lw.bw.Write(c.packed[:packedPayload(c.n, c.width)-9])
+		return err
 	}
 }
 
@@ -384,31 +369,36 @@ func decodeColumnPayload(lr *leReader, rows int) (column, error) {
 		if total != int64(rows) {
 			return c, fmt.Errorf("colstore: run lengths sum to %d, want %d rows", total, rows)
 		}
-	case colFOR:
-		if c.base, err = lr.f64(); err != nil {
+	case colRaw, colFOR:
+		head, err := lr.u64()
+		if err != nil {
 			return c, err
 		}
-		if c.forBits, err = lr.u8(); err != nil {
+		if c.width, err = lr.u8(); err != nil {
 			return c, err
 		}
-		if c.forBits > 32 {
-			return c, fmt.Errorf("colstore: FOR bit width %d out of range", c.forBits)
+		if c.kind == colFOR && c.width > 32 || c.width > 57 && c.width != 64 {
+			return c, fmt.Errorf("colstore: %v bit width %d out of range", c.kind, c.width)
 		}
-		if c.packed, err = lr.u64s(forWords(rows, c.forBits)); err != nil {
+		b, err := lr.fill(int(packedPayload(rows, c.width) - 9))
+		if err != nil {
 			return c, err
 		}
-	case colRaw:
-		if c.raw, err = lr.f64s(rows); err != nil {
-			return c, err
+		c.packed = make([]byte, len(b)+8) // unpack's padding
+		copy(c.packed, b)
+		if c.kind == colFOR {
+			c.base = math.Float64frombits(head)
+		} else {
+			c.minKey = head
+			c.pieces = c.ascendingPieces()
 		}
-		c.pieces = ascendingPieces(c.raw)
 	default:
 		return c, fmt.Errorf("colstore: unknown column encoding %d", kind)
 	}
 	return c, nil
 }
 
-// Decode reads a table in the PAWC v2 binary format.
+// Decode reads a table in the PAWC v3 binary format.
 func Decode(r io.Reader) (*Table, error) {
 	lr := &leReader{br: bufio.NewReader(r)}
 	magic, err := lr.u32()

@@ -5,9 +5,9 @@
 // pruning" the paper credits for the sub-linear end-to-end times of
 // Fig. 15b — and evaluate the surviving groups with vectorized kernels:
 // predicates run directly on the encoded columns (dictionary codes, RLE
-// runs, bit-packed deltas), a reusable selection vector carries survivors
-// between columns, and only the rows that pass every predicate are decoded
-// (late materialization). See DESIGN.md §11.
+// runs, bit-packed deltas and order-key offsets), a reusable selection
+// vector carries survivors between columns, and only the rows that pass every
+// predicate are decoded (late materialization). See DESIGN.md §11.
 package colstore
 
 import (
@@ -176,24 +176,32 @@ func (t *Table) EncodedBytesByEncoding() map[string]int64 {
 	return out
 }
 
-// SearchCensus counts the table's raw chunks and, of them, the searchable ones
-// — those in ascending pieces, which a scan narrows by binary search where it
-// sweeps the rest — with their pieces and rows, and adds each searchable chunk
-// to byColumn under its column's name: in a builder's table, the tail columns.
-func (t *Table) SearchCensus(byColumn map[string]int) (raw, searchable, pieces, rows int) {
+// SearchCensus counts the table's raw chunks, with the bits their values are
+// packed at summed over them, and of them the searchable ones — those in
+// ascending pieces, which a scan narrows by binary search where it sweeps the
+// rest — with their pieces and rows, and adds each searchable chunk to
+// byColumn (if not nil) under its column's name: in a builder's table, the
+// tail columns.
+func (t *Table) SearchCensus(byColumn map[string]int) (raw, rawBits, searchable, pieces, rows int) {
 	for gi := range t.groups {
 		for d := range t.groups[gi].cols {
 			c := &t.groups[gi].cols[d]
-			raw += b2i(c.kind == colRaw)
+			if c.kind != colRaw {
+				continue
+			}
+			raw++
+			rawBits += int(c.width)
 			if c.pieces != nil {
 				searchable++
 				pieces += len(c.pieces)
 				rows += c.n
-				byColumn[t.names[d]]++
+				if byColumn != nil {
+					byColumn[t.names[d]]++
+				}
 			}
 		}
 	}
-	return raw, searchable, pieces, rows
+	return raw, rawBits, searchable, pieces, rows
 }
 
 // ScanStats reports what a scan did. Byte accounting follows the encoded

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
@@ -8,11 +9,13 @@ import (
 )
 
 // colKind identifies the physical encoding of one column chunk. The values
-// are part of the PAWC v2 on-disk format and must not be renumbered.
+// are part of the PAWC v3 on-disk format and must not be renumbered.
 type colKind uint8
 
 const (
-	// colRaw stores every value as a float64 (8 bytes/value).
+	// colRaw stores every value exactly as its order key's offset from the
+	// chunk's least order key, bit-packed at the width the chunk's key range
+	// needs: any float64, NaN payloads and signed zeros included.
 	colRaw colKind = iota
 	// colDict stores a sorted dictionary of the distinct values plus one
 	// small fixed-width code per row. Range predicates are evaluated once
@@ -49,10 +52,17 @@ type column struct {
 	kind colKind
 	n    int
 
-	// colRaw. pieces holds the starts of raw's maximal ascending pieces when
-	// they are long enough to search (ascendingPieces), else nil. It is derived
-	// from the values wherever a chunk comes to be and is never stored.
-	raw    []float64
+	// colRaw and colFOR: value i is an offset x_i, packed at width bits per
+	// value from bit i·width of packed, least significant bit first (unpack).
+	// A raw value is the float whose order key is minKey + x_i; a FOR value is
+	// base + float64(x_i). pieces holds the starts of a raw chunk's maximal
+	// pieces ascending in key order when they are long enough to search
+	// (ascendingPieces), else nil; it is derived from the offsets wherever a
+	// chunk comes to be and is never stored.
+	packed []byte
+	width  uint8
+	minKey uint64
+	base   float64
 	pieces []int32
 
 	// colDict: dict is sorted ascending; codes index into it. codes16 is
@@ -64,16 +74,10 @@ type column struct {
 	// colRLE
 	runVals []float64
 	runLens []uint32
-
-	// colFOR: value(i) = base + float64(delta_i), delta packed at forBits
-	// bits per value (0 bits: every value equals base).
-	base    float64
-	forBits uint8
-	packed  []uint64
 }
 
 // payloadBytes returns the encoded physical size of the column chunk — the
-// byte count its PAWC v2 payload occupies (excluding the 1-byte kind tag).
+// byte count its PAWC v3 payload occupies (excluding the 1-byte kind tag).
 func (c *column) payloadBytes() int64 {
 	switch c.kind {
 	case colDict:
@@ -84,10 +88,8 @@ func (c *column) payloadBytes() int64 {
 		return b + int64(len(c.codes16))*2
 	case colRLE:
 		return 4 + int64(len(c.runVals))*12
-	case colFOR:
-		return 9 + int64(len(c.packed))*8
 	default:
-		return int64(c.n) * 8
+		return packedPayload(c.n, c.width)
 	}
 }
 
@@ -100,35 +102,67 @@ func (c *column) valueBytes(k int) int64 {
 			return int64(k)
 		}
 		return int64(k) * 2
-	case colFOR:
-		return (int64(k)*int64(c.forBits) + 7) / 8
-	default:
-		// Raw values are 8 bytes; so, when gathered, is a run chunk's value
-		// (narrow accounts a predicate on runs itself, 12 bytes per run).
+	case colRLE:
+		// A gathered run value is 8 bytes (narrow accounts a predicate on
+		// runs itself, 12 bytes per run).
 		return int64(k) * 8
+	default:
+		return (int64(k)*int64(c.width) + 7) / 8
 	}
 }
 
-// forWords returns the packed-word count for n values at w bits each.
-func forWords(n int, w uint8) int {
-	return (n*int(w) + 63) / 64
+// packedPayload is the PAWC payload of n offsets packed at width bits: the
+// 8-byte base or least key, the width byte, then ⌈n·width/8⌉ bytes.
+func packedPayload(n int, width uint8) int64 {
+	return 9 + (int64(n)*int64(width)+7)/8
 }
 
-// forAt extracts delta i from the packed words at w bits per value. w must
-// be in (0, 32]. The shift counts are masked to what they can be anyway, which
-// spares the compiler's guard for counts of 64 and over.
-func forAt(packed []uint64, i int, w uint8) uint64 {
-	bitPos := uint(i) * uint(w)
-	word, off := bitPos>>6, bitPos&63
-	v := packed[word] >> off
-	if off+uint(w) > 64 {
-		v |= packed[word+1] << ((64 - off) & 63)
+// packWidth is the width offsets up to span are packed at: the bits span
+// needs, where a width from 58 to 63 is stored as 64 so that every value lies
+// inside the one 8-byte word that starts at its first byte (unpack).
+func packWidth(span uint64) uint8 {
+	if w := bits.Len64(span); w <= 57 {
+		return uint8(w)
 	}
-	return v & (1<<(w&63) - 1)
+	return 64
 }
 
-// encodeScratch is the reusable staging of encodeColumn's dictionary probe.
+// pack bit-packs vals[i] - base at width bits each, into a buffer with 8 bytes
+// of padding past the last value's byte, so unpack's 8-byte load never runs
+// off its end. Whole words are written as they fill.
+func pack(vals []uint64, base uint64, width uint8) []byte {
+	packed := make([]byte, packedPayload(len(vals), width)-9+8)
+	w, q := uint(width), 0
+	var acc uint64 // the bits from byte q on not yet written
+	var fill uint  // how many bits acc holds, < 64
+	for _, v := range vals {
+		x := v - base
+		acc |= x << fill
+		if fill += w; fill >= 64 {
+			binary.LittleEndian.PutUint64(packed[q:], acc)
+			q, fill = q+8, fill-64
+			acc = x >> (w - fill) // the bits of x past the word: none when w - fill is w
+		}
+	}
+	binary.LittleEndian.PutUint64(packed[q:], acc)
+	return packed
+}
+
+// unpack returns the offset packed from bit p on — value i of a chunk starts
+// at bit i·width — by one unaligned little-endian load from the byte holding
+// bit p, shifted to it and masked to the width (mask: 1<<width - 1). The
+// sweeps step p by the width rather than multiply it out per value.
+func unpack(packed []byte, p uint, mask uint64) uint64 {
+	return binary.LittleEndian.Uint64(packed[p>>3:]) >> (p & 7) & mask
+}
+
+// mask is 1<<width - 1, the offsets' mask (all ones at width 64).
+func (c *column) mask() uint64 { return 1<<c.width - 1 }
+
+// encodeScratch is the reusable staging of encodeColumn: the chunk's offsets
+// before they are packed and the dictionary probe's buffers.
 type encodeScratch struct {
+	offs   []uint64
 	sorted []float64
 	set    []uint64 // open-addressing set of value bit patterns
 }
@@ -139,21 +173,27 @@ type encodeScratch struct {
 func encodeColumn(vals []float64, sc *encodeScratch) column {
 	n := len(vals)
 	c := column{kind: colRaw, n: n}
+	// Pass 1: min, run structure, and the order keys — kept in sc.offs for a
+	// raw chunk — with their range.
+	sc.offs = slices.Grow(sc.offs[:0], n)[:n]
 	if n == 0 {
-		return c
+		return sc.rawChunk(0, 0)
 	}
-
-	// Pass 1: min and run structure.
-	min := vals[0]
-	runs := 1
+	lowest, runs := vals[0], 1
+	minKey := orderKey(vals[0])
+	maxKey := minKey
+	sc.offs[0] = minKey
 	for i := 1; i < n; i++ {
 		v := vals[i]
-		if v < min {
-			min = v
+		if v < lowest {
+			lowest = v
 		}
 		if v != vals[i-1] {
 			runs++
 		}
+		k := orderKey(v)
+		sc.offs[i] = k
+		minKey, maxKey = min(minKey, k), max(maxKey, k)
 	}
 
 	// Pass 2: frame-of-reference applicability. Deltas must be exactly
@@ -161,13 +201,13 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 	forOK := true
 	var maxDelta uint64
 	for _, v := range vals {
-		d := v - min
+		d := v - lowest
 		if !(d >= 0) || d != math.Trunc(d) || d >= 1<<32 {
 			forOK = false
 			break
 		}
 		u := uint64(d)
-		if min+float64(u) != v {
+		if lowest+float64(u) != v {
 			forOK = false
 			break
 		}
@@ -175,33 +215,23 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 			maxDelta = u
 		}
 	}
-	var forBitsN uint8
-	if forOK {
-		forBitsN = uint8(bits.Len64(maxDelta))
-	}
 
 	// Candidate payload sizes; pick the smallest, preferring RLE, then
-	// dictionary, then FOR on ties (whole-run rejection beats per-code
-	// comparison beats bit extraction).
-	rawB := int64(n) * 8
-	best, bestB := colRaw, rawB
-	if rleB := int64(4 + runs*12); rleB < bestB {
-		best, bestB = colRLE, rleB
-	}
+	// dictionary, then FOR, then raw on ties (whole-run rejection beats
+	// per-code comparison beats integral offsets beats key offsets).
+	rleB := int64(4 + runs*12)
+	rawB := packedPayload(n, packWidth(maxKey-minKey))
 	forB := int64(math.MaxInt64)
 	if forOK {
-		forB = 9 + int64(forWords(n, forBitsN))*8
+		forB = packedPayload(n, packWidth(maxDelta))
 	}
-	// Dictionary probe. No dictionary is smaller than one entry plus a byte
-	// per row, so there is nothing to probe when RLE already matches that
-	// floor or FOR beats it; otherwise count the distinct values, giving up
-	// at the count past which a dictionary cannot be the smallest.
-	card := 0
-	if dictFloor := 4 + 8 + int64(n); bestB > dictFloor && forB >= dictFloor {
-		tooMany := int((bestB-4-int64(n))/8) + 1
-		if tooMany > dictMaxCard+1 {
-			tooMany = dictMaxCard + 1
-		}
+	// Dictionary probe. A dictionary wins at limit bytes or fewer, and none is
+	// smaller than one entry plus a byte per row, so there is nothing to probe
+	// below that floor; otherwise count the distinct values, giving up at the
+	// count past which a dictionary cannot win.
+	best, bestB, card := colRLE, rleB, 0
+	if limit := min(rleB-1, forB, rawB); limit >= 4+8+int64(n) {
+		tooMany := min(int((limit-4-int64(n))/8)+1, dictMaxCard+1)
 		if card = sc.distinct(vals, tooMany); card < tooMany {
 			w := int64(2)
 			if card <= 256 {
@@ -214,6 +244,9 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 	}
 	if forB < bestB {
 		best, bestB = colFOR, forB
+	}
+	if rawB < bestB {
+		best = colRaw
 	}
 
 	switch best {
@@ -256,25 +289,24 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 		}
 	case colFOR:
 		c.kind = colFOR
-		c.base = min
-		c.forBits = forBitsN
-		c.packed = make([]uint64, forWords(n, forBitsN))
-		if forBitsN > 0 {
-			w := uint(forBitsN)
-			for i, v := range vals {
-				d := uint64(v - min)
-				bitPos := i * int(w)
-				word, off := bitPos>>6, uint(bitPos&63)
-				c.packed[word] |= d << off
-				if off+w > 64 {
-					c.packed[word+1] |= d >> (64 - off)
-				}
-			}
+		c.base = lowest
+		for i, v := range vals {
+			sc.offs[i] = uint64(v - lowest)
 		}
+		c.width = packWidth(maxDelta)
+		c.packed = pack(sc.offs, 0, c.width)
 	default:
-		c.raw = append([]float64(nil), vals...)
-		c.pieces = ascendingPieces(c.raw)
+		return sc.rawChunk(minKey, maxKey)
 	}
+	return c
+}
+
+// rawChunk is the raw chunk of the order keys in sc.offs, lo and hi their
+// range: each key's offset from lo, packed, and the chunk's ascending pieces.
+func (sc *encodeScratch) rawChunk(lo, hi uint64) column {
+	c := column{kind: colRaw, n: len(sc.offs), minKey: lo, width: packWidth(hi - lo)}
+	c.packed = pack(sc.offs, lo, c.width)
+	c.pieces = c.ascendingPieces()
 	return c
 }
 
@@ -289,23 +321,30 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 // linear kernels.
 const minSearchRows = 32
 
-// ascendingPieces returns the starts of the maximal ascending pieces of vals
-// — a piece ends wherever !(vals[i-1] <= vals[i]), so a NaN is a piece of its
-// own and -0, +0 in either order are not a descent — or nil when the pieces
-// average under minSearchRows values.
-func ascendingPieces(vals []float64) []int32 {
-	n := 1
-	for i := 1; i < len(vals); i++ {
-		n += b2i(!(vals[i-1] <= vals[i]))
+// ascendingPieces returns the starts of the maximal pieces of a raw chunk that
+// ascend in key order — a piece ends wherever an offset is below the one
+// before, so +0 after -0 continues a piece and -0 after +0 ends one; a NaN,
+// whose key is above +Inf's, extends the piece it ends, and a negative NaN,
+// below -Inf's, starts one — or nil when the pieces average under
+// minSearchRows values.
+func (c *column) ascendingPieces() []int32 {
+	packed, width, mask := c.packed, uint(c.width), c.mask()
+	n, prev := 1, unpack(packed, 0, mask)
+	for p, end := width, uint(c.n)*width; p < end; p += width {
+		x := unpack(packed, p, mask)
+		n += b2i(x < prev)
+		prev = x
 	}
-	if len(vals) < n*minSearchRows {
+	if c.n < n*minSearchRows {
 		return nil
 	}
-	pieces := make([]int32, 1, n)
-	for i := 1; i < len(vals); i++ {
-		if !(vals[i-1] <= vals[i]) {
+	pieces, prev := make([]int32, 1, n), unpack(packed, 0, mask)
+	for i, p := 1, width; i < c.n; i, p = i+1, p+width {
+		x := unpack(packed, p, mask)
+		if x < prev {
 			pieces = append(pieces, int32(i))
 		}
+		prev = x
 	}
 	return pieces
 }
@@ -390,43 +429,58 @@ func (c *column) decodeInto(dst []float64) {
 				p++
 			}
 		}
-	case colFOR:
-		if c.forBits == 0 {
-			for i := 0; i < c.n; i++ {
-				dst[i] = c.base
-			}
-			return
-		}
-		for i := 0; i < c.n; i++ {
-			dst[i] = c.base + float64(forAt(c.packed, i, c.forBits))
-		}
 	default:
-		copy(dst, c.raw)
+		packed, width, mask := c.packed, uint(c.width), c.mask()
+		for i := range dst[:c.n] {
+			dst[i] = c.valueOf(unpack(packed, uint(i)*width, mask))
+		}
 	}
 }
 
-// forDeltaRange maps the value interval [lo, hi] onto the packed delta
-// domain. ok is false when no delta can satisfy the predicate.
-func (c *column) forDeltaRange(lo, hi float64) (dLo, dHi uint64, ok bool) {
-	maxDelta := uint64(1)<<uint(c.forBits) - 1
-	if c.forBits == 0 {
-		maxDelta = 0
+// valueOf is the value offset x of a raw or FOR chunk stands for.
+func (c *column) valueOf(x uint64) float64 {
+	if c.kind == colFOR {
+		return c.base + float64(x)
 	}
-	fLo := math.Ceil(lo - c.base)
-	fHi := math.Floor(hi - c.base)
-	if fHi < 0 || fLo > float64(maxDelta) {
+	return keyValue(c.minKey + x)
+}
+
+// offsetRange maps [lo, hi] onto the offsets of a raw or FOR chunk: the
+// offsets x with a <= x <= a+w are those whose values lie in [lo, hi] as
+// floats compare, so a raw chunk maps a zero bound to -0 below and +0 above,
+// and a NaN value never matches. ok is false when no offset can: an empty
+// interval, a NaN bound, or one the chunk's offsets miss.
+func (c *column) offsetRange(lo, hi float64) (a, w uint64, ok bool) {
+	if !(lo <= hi) {
 		return 0, 0, false
 	}
-	if fLo < 0 {
-		fLo = 0
+	b := c.mask() // the highest offset the width holds
+	if c.kind == colFOR {
+		fLo, fHi := math.Ceil(lo-c.base), math.Floor(hi-c.base)
+		if fHi < 0 || fLo > float64(b) {
+			return 0, 0, false
+		}
+		a = uint64(max(fLo, 0))
+		if fHi < float64(b) {
+			b = uint64(fHi)
+		}
+		return a, b - a, a <= b
 	}
-	dLo = uint64(fLo)
-	if fHi >= float64(maxDelta) {
-		dHi = maxDelta
-	} else {
-		dHi = uint64(fHi)
+	kLo, kHi := orderKey(lo), orderKey(hi)
+	if lo == 0 {
+		kLo = orderKey(math.Copysign(0, -1))
 	}
-	return dLo, dHi, dLo <= dHi
+	if hi == 0 {
+		kHi = orderKey(0)
+	}
+	if kHi < c.minKey {
+		return 0, 0, false
+	}
+	b = min(b, kHi-c.minKey)
+	if kLo > c.minKey {
+		a = kLo - c.minKey
+	}
+	return a, b - a, a <= b
 }
 
 // b2i is 1 for true and 0 for false. The compiler lowers it to a flag move
@@ -454,9 +508,9 @@ func b2i(b bool) int {
 // Each loop instead writes the position to sel[n] unconditionally and advances
 // n by b2i(pass) — a rejected position is overwritten by the next — which
 // needs room for a write at every step (sel holds a whole group; refine writes
-// at or behind its read cursor). Codes and deltas test the interval with the
-// one unsigned compare x-a <= w; raw values keep the two float comparisons, so
-// -0 == +0 and NaN never matches. DESIGN.md §11.
+// at or behind its read cursor). Codes and offsets test the interval with the
+// one unsigned compare x-a <= w; raw offsets are order keys, and offsetRange
+// maps [lo, hi] onto them so that -0 == +0 and NaN never matches. DESIGN.md §11.
 
 // span is the half-open range [lo, hi) of row positions inside one group.
 type span struct{ lo, hi int32 }
@@ -489,8 +543,16 @@ func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 	if c.kind == colRLE {
 		return c.narrowRuns(lo, hi, spans, out)
 	}
+	a, w, settled, bytes := c.resolve(lo, hi, spanRows(spans))
+	if settled >= 0 {
+		if settled > 0 {
+			out = append(out, spans...)
+		}
+		return out, bytes
+	}
 	// Each span, cut at the piece boundaries inside it, is ascending stretches;
-	// what survives of one is one range. Charged 8 bytes per value compared.
+	// what survives of one is one range. Charged width/8 bytes per value
+	// compared.
 	var compared int
 	pieces, p := c.pieces, 0
 	for _, sp := range spans {
@@ -503,15 +565,15 @@ func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 				p++
 				h = pieces[p]
 			}
-			a, b, tested := searchAscending(c.raw[l:h], lo, hi)
+			first, end, tested := c.searchAscending(int(l), int(h), a, a+w)
 			compared += tested
-			if a < b {
-				out = appendSpan(out, l+int32(a), l+int32(b))
+			if first < end {
+				out = appendSpan(out, l+int32(first), l+int32(end))
 			}
 			l = h
 		}
 	}
-	return out, int64(compared) * 8
+	return out, c.valueBytes(compared)
 }
 
 // appendSpan appends [lo, hi) to out, merged into the last span if adjacent.
@@ -523,56 +585,57 @@ func appendSpan(out []span, lo, hi int32) []span {
 	return append(out, span{lo, hi})
 }
 
-// searchAscending returns the range [a, b) of v, which ascends and holds no
-// NaN unless it is one value, that lies in [lo, hi] (a >= b: none), and how
-// many values it compared: every one below minSearchRows, else each end
-// against its bound and a binary search for a bound that end does not meet —
-// never more than len(v). The comparisons are the linear kernels': a NaN
-// bound matches nothing.
-func searchAscending(v []float64, lo, hi float64) (a, b, compared int) {
-	n := len(v)
+// searchAscending returns the range [a, b) of positions l..h-1 of a raw chunk,
+// relative to l, whose offsets ascend there and lie in [lo, hi] (a >= b: none),
+// and how many offsets it compared: every one below minSearchRows, else each
+// end against its bound and a binary search for a bound that end does not
+// meet — never more than h-l.
+func (c *column) searchAscending(l, h int, lo, hi uint64) (a, b, compared int) {
+	packed, width, mask := c.packed, uint(c.width), c.mask()
+	n := h - l
 	if n < minSearchRows {
-		for _, x := range v {
-			a += b2i(!(x >= lo))
+		for p, end := uint(l)*width, uint(h)*width; p < end; p += width {
+			x := unpack(packed, p, mask)
+			a += b2i(x < lo)
 			b += b2i(x <= hi)
 		}
 		return a, b, n
 	}
 	b = n
-	if compared++; !(v[0] >= lo) {
-		l, h := 1, n
-		for l < h {
-			m := int(uint(l+h) >> 1)
-			if compared++; v[m] >= lo {
-				h = m
+	if compared++; unpack(packed, uint(l)*width, mask) < lo {
+		s, e := 1, n
+		for s < e {
+			m := int(uint(s+e) >> 1)
+			if compared++; unpack(packed, uint(l+m)*width, mask) >= lo {
+				e = m
 			} else {
-				l = m + 1
+				s = m + 1
 			}
 		}
-		a = l
+		a = s
 	}
 	if a == n {
 		return a, b, compared
 	}
-	if compared++; !(v[n-1] <= hi) {
-		l, h := a, n-1
-		for l < h {
-			m := int(uint(l+h) >> 1)
-			if compared++; v[m] <= hi {
-				l = m + 1
+	if compared++; unpack(packed, uint(h-1)*width, mask) > hi {
+		s, e := a, n-1
+		for s < e {
+			m := int(uint(s+e) >> 1)
+			if compared++; unpack(packed, uint(l+m)*width, mask) <= hi {
+				s = m + 1
 			} else {
-				h = m
+				e = m
 			}
 		}
-		b = l
+		b = s
 	}
 	return a, b, min(compared, n)
 }
 
 // searchBytes estimates what narrow reads of a raw chunk with pieces: two
-// ends and two binary searches a piece.
+// ends and two binary searches a piece, width/8 bytes a value.
 func (c *column) searchBytes() int64 {
-	return int64(len(c.pieces)) * 16 * int64(1+bits.Len(uint(c.n/len(c.pieces))))
+	return c.valueBytes(len(c.pieces) * 2 * (1 + bits.Len(uint(c.n/len(c.pieces)))))
 }
 
 // narrowRuns is narrow on an RLE chunk, in O(runs + spans). It charges the
@@ -605,13 +668,12 @@ func (c *column) narrowRuns(lo, hi float64, spans, out []span) ([]span, int64) {
 
 // resolve maps [lo, hi] onto a dictionary, FOR or raw chunk and prices testing
 // k of its values. settled is how many of the k pass when the dictionary or
-// the frame of reference answers for all at once (0 or k), else -1: a code or
-// delta x passes when x-a <= w, raw values are compared as floats. The charge
-// is the dictionary probe plus the values tested; a FOR chunk tested at every
-// position is charged its payload (its 9-byte header if that settles it).
+// the chunk's header answers for all at once (0 or k), else -1: a code or
+// offset x passes when x-a <= w. The charge is the dictionary probe plus the
+// values tested; a packed chunk tested at every position is charged its
+// payload (its 9-byte header if that settles it).
 func (c *column) resolve(lo, hi float64, k int) (a, w uint64, settled int, bytes int64) {
-	switch c.kind {
-	case colDict:
+	if c.kind == colDict {
 		cLo, cHi := c.dictCodeRange(lo, hi)
 		bytes = 4 + int64(len(c.dict))*8
 		if cLo >= cHi {
@@ -620,22 +682,19 @@ func (c *column) resolve(lo, hi float64, k int) (a, w uint64, settled int, bytes
 			return 0, 0, k, bytes
 		}
 		return uint64(cLo), uint64(cHi - 1 - cLo), -1, bytes + c.valueBytes(k)
-	case colFOR:
-		dLo, dHi, ok := c.forDeltaRange(lo, hi)
-		if k == c.n {
-			bytes = 9 // base + bit width
-		}
-		if !ok {
-			return 0, 0, 0, bytes
-		} else if c.forBits == 0 {
-			return 0, 0, k, bytes
-		} else if k == c.n {
-			return dLo, dHi - dLo, -1, c.payloadBytes()
-		}
-		return dLo, dHi - dLo, -1, c.valueBytes(k)
-	default:
-		return 0, 0, -1, c.valueBytes(k)
 	}
+	a, w, ok := c.offsetRange(lo, hi)
+	if k == c.n {
+		bytes = 9 // base or least key, and the width
+	}
+	if !ok {
+		return 0, 0, 0, bytes
+	} else if c.width == 0 {
+		return 0, 0, k, bytes
+	} else if k == c.n {
+		return a, w, -1, c.payloadBytes()
+	}
+	return a, w, -1, c.valueBytes(k)
 }
 
 // selectSpans writes to sel, which must hold c.n entries, the positions inside
@@ -661,16 +720,11 @@ func (c *column) selectSpans(lo, hi float64, spans []span, sel []int32) ([]int32
 				sel[n] = sp.lo + int32(i)
 				n += b2i(code-uint16(a) <= uint16(w))
 			}
-		case c.kind == colFOR:
-			packed, bits := c.packed, c.forBits
-			for i := sp.lo; i < sp.hi; i++ {
-				sel[n] = i
-				n += b2i(forAt(packed, int(i), bits)-a <= w)
-			}
 		default:
-			for i, x := range c.raw[sp.lo:sp.hi] {
-				sel[n] = sp.lo + int32(i)
-				n += b2i(x >= lo) & b2i(x <= hi)
+			packed, width, mask := c.packed, uint(c.width), c.mask()
+			for i, p := sp.lo, uint(sp.lo)*width; i < sp.hi; i, p = i+1, p+width {
+				sel[n] = i
+				n += b2i(unpack(packed, p, mask)-a <= w)
 			}
 		}
 	}
@@ -695,14 +749,10 @@ func (c *column) countSpans(lo, hi float64, spans []span) (int, int64) {
 			for _, code := range c.codes16[sp.lo:sp.hi] {
 				n += b2i(code-uint16(a) <= uint16(w))
 			}
-		case c.kind == colFOR:
-			packed, bits := c.packed, c.forBits
-			for i := sp.lo; i < sp.hi; i++ {
-				n += b2i(forAt(packed, int(i), bits)-a <= w)
-			}
 		default:
-			for _, x := range c.raw[sp.lo:sp.hi] {
-				n += b2i(x >= lo) & b2i(x <= hi)
+			packed, width, mask := c.packed, uint(c.width), c.mask()
+			for p, end := uint(sp.lo)*width, uint(sp.hi)*width; p < end; p += width {
+				n += b2i(unpack(packed, p, mask)-a <= w)
 			}
 		}
 	}
@@ -730,18 +780,11 @@ func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
 			sel[n] = i
 			n += b2i(codes[i]-uint16(a) <= uint16(w))
 		}
-	case c.kind == colFOR:
-		packed, bits := c.packed, c.forBits
-		for _, i := range sel {
-			sel[n] = i
-			n += b2i(forAt(packed, int(i), bits)-a <= w)
-		}
 	default:
-		raw := c.raw
+		packed, width, mask := c.packed, uint(c.width), c.mask()
 		for _, i := range sel {
 			sel[n] = i
-			x := raw[i]
-			n += b2i(x >= lo) & b2i(x <= hi)
+			n += b2i(unpack(packed, uint(i)*width, mask)-a <= w)
 		}
 	}
 	return sel[:n], bytes
@@ -773,19 +816,10 @@ func (c *column) gather(sel []int32, dst []float64, stride, off int) {
 			}
 			dst[k*stride+off] = c.runVals[ri]
 		}
-	case colFOR:
-		if c.forBits == 0 {
-			for k := range sel {
-				dst[k*stride+off] = c.base
-			}
-			return
-		}
-		for k, i := range sel {
-			dst[k*stride+off] = c.base + float64(forAt(c.packed, int(i), c.forBits))
-		}
 	default:
+		packed, width, mask := c.packed, uint(c.width), c.mask()
 		for k, i := range sel {
-			dst[k*stride+off] = c.raw[i]
+			dst[k*stride+off] = c.valueOf(unpack(packed, uint(i)*width, mask))
 		}
 	}
 }

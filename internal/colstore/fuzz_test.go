@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,7 +240,9 @@ func FuzzScanDifferential(f *testing.F) {
 
 // Payloads recorded on a2509e4, the last commit that could write them: the
 // 5-row, 2-column table {1..5} × {10,10,20,20,30} in 3-row groups as PAWC v1,
-// as PAWC v2, and as PAWC v2 carrying the zone maps of one query.
+// as PAWC v2, and as PAWC v2 carrying the zone maps of one query. recordedV3
+// is PAWC v3's encoding of {1..5} × {0.5, 0.75, 0.625, NaN, -Inf} in 3-row
+// groups: two FOR chunks and two raw ones, at 52 and at 64 bits.
 const (
 	recordedV1 = "43574150010002000200000001006101006203000000000000000000f03f000000000000004000000000000008400000" +
 		"000000002440000000000000244000000000000034400300000000000000000000000000f03f00000000000008400000" +
@@ -257,6 +260,11 @@ const (
 		"000000004440010000000000000002000000000000000000001040000000000000144000000000000000344000000000" +
 		"00003e400200000000000000000000000000104000000000000014400000000000002240000000000000344000000000" +
 		"00003e4000000000000049400000000000000000"
+	recordedV3 = "435741500300020002000000010061010062000000000300000003000000000000f03f022400000000000000e0bf3400" +
+		"000000000000000000000080000000000000040300000000000000000000000000f03f00000000000008400000000000" +
+		"001840000000000000e03f000000000000e83f000000000000fe3f02000000030000000000001040010200ffffffffff" +
+		"ff0f0040020000000000e8ff000000000000000002000000000000000000000000001040000000000000144000000000" +
+		"00002240000000000000f0ff000000000000f0ff010000000000f87f"
 )
 
 func unhex(t testing.TB, s string) []byte {
@@ -276,34 +284,60 @@ func TestDecodeRefusesRecordedV1(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesZoneCount: the zone-count word is still in the v2 header
-// and still 0 in everything Encode writes — the payload recorded on the parent
-// decodes and re-encodes to itself — but a payload that carries zone maps is
-// an error, not a table with its zone section misread as row groups.
+// TestDecodeRefusesRecordedV2: nothing writes PAWC v2 — it stored raw values
+// as float64s and FOR deltas in 64-bit words — so both recorded v2 payloads take
+// the unsupported-version error.
+func TestDecodeRefusesRecordedV2(t *testing.T) {
+	for _, payload := range []string{recordedV2, recordedV2Zones} {
+		_, err := Decode(bytes.NewReader(unhex(t, payload)))
+		if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+			t.Fatalf("v2 payload: err = %v, want unsupported version 2", err)
+		}
+	}
+}
+
+// TestDecodeRefusesZoneCount: the zone-count word is still in the v3 header
+// and still 0 in everything Encode writes — the recorded v3 payload decodes to
+// its table and re-encodes to itself — but a payload whose word is not 0 is an
+// error, not a table with a zone section misread as row groups.
 func TestDecodeRefusesZoneCount(t *testing.T) {
-	plain := unhex(t, recordedV2)
+	plain := unhex(t, recordedV3)
 	tab, err := Decode(bytes.NewReader(plain))
 	if err != nil {
-		t.Fatalf("recorded v2 payload: %v", err)
+		t.Fatalf("recorded v3 payload: %v", err)
+	}
+	b := make([]float64, 5)
+	for g, at := range []int{0, 3} {
+		tab.groups[g].cols[1].decodeInto(b[at:])
+	}
+	for i, want := range []float64{0.5, 0.75, 0.625, math.NaN(), math.Inf(-1)} {
+		if math.Float64bits(b[i]) != math.Float64bits(want) {
+			t.Fatalf("recorded v3 payload decodes b[%d] as %v, want %v", i, b[i], want)
+		}
 	}
 	var buf bytes.Buffer
 	if err := tab.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), plain) {
-		t.Fatalf("recorded v2 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
+		t.Fatalf("recorded v3 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
 	}
-	_, err = Decode(bytes.NewReader(unhex(t, recordedV2Zones)))
+	zoned := slices.Clone(plain)
+	zoned[18] = 1 // the zone-count word
+	_, err = Decode(bytes.NewReader(zoned))
 	if err == nil || !strings.Contains(err.Error(), "zone") {
 		t.Fatalf("zone-bearing payload: err = %v, want a zone-count error", err)
 	}
 }
 
-// TestDecodeHostileRowCount: a 30-byte payload whose first group claims 2²⁸ raw
-// rows is an error that costs no more memory than the bytes that arrived.
+// TestDecodeHostileRowCount: a 39-byte payload whose first group claims 2²⁸ raw
+// rows at 64 bits is an error that costs no more memory than the bytes that
+// arrived.
 func TestDecodeHostileRowCount(t *testing.T) {
-	payload := unhex(t, recordedV2)[:22]                 // header of a 2-column table, zone count 0
-	payload = append(payload, 0, 0, 0, 0x10, 0, 1, 2, 3) // rows = 1<<28, kind raw, three bytes of values
+	payload := unhex(t, recordedV3)[:22]          // header of a 2-column table, zone count 0
+	payload = append(payload, 0, 0, 0, 0x10, 0)   // rows = 1<<28, kind raw
+	payload = append(payload, make([]byte, 8)...) // least key
+	payload = append(payload, 64, 1, 2, 3)        // width, three bytes of offsets
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := Decode(bytes.NewReader(payload))
@@ -323,7 +357,7 @@ func TestDecodeHostileRowCount(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	f.Add(unhex(f, recordedV1))
 	f.Add(unhex(f, recordedV2))
-	f.Add(unhex(f, recordedV2Zones))
+	f.Add(unhex(f, recordedV3))
 	// A raw chunk in two ascending pieces, which Decode must find again.
 	var sorted bytes.Buffer
 	if err := FromDataset(fuzzDataset(6, 40, 1), nil, 0).Encode(&sorted); err != nil {

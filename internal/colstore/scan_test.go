@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -231,7 +232,7 @@ func TestScannerSelCapacityAcrossGroups(t *testing.T) {
 	oneRun := &Table{names: []string{"a", "b"}, rows: wide, groups: []rowGroup{newRowGroup(
 		[]column{
 			{kind: colRLE, n: wide, runVals: []float64{5}, runLens: []uint32{wide}},
-			{kind: colRaw, n: wide, raw: raw},
+			rawColumn(raw, &encodeScratch{}),
 		}, wide, sma.Aggregates{Count: wide, Min: []float64{0, 0}, Max: []float64{10, 9}, Sum: []float64{5 * wide, 4.5 * wide}},
 	)}}
 	oneRunQ := geom.Box{Lo: geom.Point{4, 0}, Hi: geom.Point{6, 4.5}}
@@ -293,12 +294,26 @@ func TestScanNaNBoundKeepsRunsFirst(t *testing.T) {
 	}
 }
 
+// rawColumn encodes vals as a raw chunk, whatever encoding would be smaller.
+func rawColumn(vals []float64, sc *encodeScratch) column {
+	sc.offs = sc.offs[:0]
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, v := range vals {
+		k := orderKey(v)
+		sc.offs = append(sc.offs, k)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return sc.rawChunk(min(lo, hi), hi)
+}
+
 // descents is the specification of column.pieces: 0, then every position whose
-// value is not at or above the one before.
+// order key is below the one before — so +0 after -0 is no descent but -0 after
+// +0 is one, and a NaN extends the piece it ends (a negative NaN, whose key is
+// the least, starts one).
 func descents(vals []float64) []int32 {
 	out := []int32{0}
 	for i := 1; i < len(vals); i++ {
-		if !(vals[i-1] <= vals[i]) {
+		if orderKey(vals[i]) < orderKey(vals[i-1]) {
 			out = append(out, int32(i))
 		}
 	}
@@ -310,10 +325,11 @@ func descents(vals []float64) []int32 {
 // in no order, where a piece is a value or two, to one piece a chunk — holding
 // duplicates, both zeros, infinities and NaNs, for any span list and any
 // bounds (stored values, values between, infinities, NaN, lo > hi), it keeps
-// exactly the positions the linear test keeps, as ascending merged spans, and
-// charges 8 bytes per value compared: never more than the sweep of the same
-// spans. The pieces are the chunk's every descent, derived the same at build
-// and at decode, and withheld only below minSearchRows values a piece.
+// exactly the positions the float comparisons lo <= v <= hi keep, as ascending
+// merged spans, and charges width/8 bytes per offset compared: never more than
+// the sweep of the same spans. The pieces are the chunk's every descent in key
+// order, derived the same at build and at decode, and withheld only below
+// minSearchRows values a piece.
 func TestNarrowSearchesWhatTheSweepFinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	specials := []float64{math.NaN(), math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63),
@@ -362,7 +378,8 @@ func TestNarrowSearchesWhatTheSweepFinds(t *testing.T) {
 		}
 		// narrow takes any piece list that is the chunk's descents, however
 		// short the pieces: below minSearchRows it tests them value by value.
-		c := column{kind: colRaw, n: n, raw: vals, pieces: descents}
+		c := rawColumn(vals, &sc)
+		c.pieces = descents
 
 		var spans []span
 		for pos := rng.Intn(20) * rng.Intn(2); pos < n; {
@@ -402,8 +419,9 @@ func TestNarrowSearchesWhatTheSweepFinds(t *testing.T) {
 		if got := expand(out, nil); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: [%v, %v] over %v of %v (pieces at %v):\nsearch keeps %v\nsweep keeps  %v", trial, lo, hi, spans, vals, descents, got, want)
 		}
-		swept, sweepBytes := (&column{kind: colRaw, n: n, raw: vals}).countSpans(lo, hi, spans)
-		if swept != len(want) || bytes > sweepBytes || bytes%8 != 0 || bytes < 0 {
+		c.pieces = nil
+		swept, sweepBytes := c.countSpans(lo, hi, spans)
+		if swept != len(want) || bytes > sweepBytes || bytes < 0 {
 			t.Fatalf("trial %d: search charged %d bytes for %d rows, the sweep %d for %d", trial, bytes, len(want), sweepBytes, swept)
 		}
 		if bytes < sweepBytes {
@@ -449,5 +467,160 @@ func TestPiecesSurviveTheCodec(t *testing.T) {
 	}
 	if sweep := int64(8 * 700 * st.GroupsRead); st.GroupsRead == 0 || st.BytesRead*4 > sweep {
 		t.Fatalf("%d groups of sorted values read %d bytes; a sweep reads about %d", st.GroupsRead, st.BytesRead, sweep)
+	}
+}
+
+// TestRawWidthsSurviveTheCodec: raw chunks at widths 0, 1, 57 and 64 — one
+// key, the two zeros (adjacent keys), the widest width one 8-byte load reaches,
+// and a range of 58 bits, stored at 64 beside NaNs of both signs, ±0 and ±Inf
+// — decode bit for bit before and after a PAWC round trip, with the same
+// pieces; every kernel keeps, on both tables, exactly the positions the float
+// comparisons lo <= v <= hi keep (so -0 == +0 and a NaN never matches), for
+// bounds at stored values, one ulp off them, ±0, ±Inf, NaN and lo > hi; and
+// whole-table counts and scans agree between the two tables to the byte.
+func TestRawWidthsSurviveTheCodec(t *testing.T) {
+	const rows, groupRows = 600, 150
+	rng := rand.New(rand.NewSource(29))
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	specials := []float64{math.NaN(), negNaN, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	widths := []uint8{0, 1, 57, 64, 64}
+	draw := []func(i int) float64{
+		func(int) float64 { return -1.5 },
+		func(int) float64 { return math.Copysign(0, float64(rng.Intn(2)*2-1)) },
+		func(i int) float64 { return []float64{1, 0x1p16}[i%2] },   // the ends: keys 2⁵⁶ apart
+		func(int) float64 { return math.Exp2(rng.Float64() * 40) }, // ≥ 32 binades: 58 bits
+		func(int) float64 { return rng.NormFloat64() },
+	}
+	cols := make([][]float64, len(draw))
+	for d := range cols {
+		cols[d] = make([]float64, rows)
+		for i := range cols[d] {
+			cols[d][i] = draw[d](i)
+		}
+	}
+	for g := 0; g < rows; g += groupRows {
+		for i := g + 2; i < g+groupRows; i++ {
+			cols[2][i] = 1 + rng.Float64()*(0x1p16-1) // between the ends
+		}
+		copy(cols[4][g:], specials) // every special in every group
+		if g/groupRows%2 == 0 {
+			for _, col := range cols[2:] { // ascending in key order: searched
+				slices.SortFunc(col[g:g+groupRows], func(x, y float64) int { return cmp.Compare(orderKey(x), orderKey(y)) })
+			}
+		}
+	}
+	names := []string{"w0", "w1", "w57", "w58", "w64"}
+	data := dataset.MustNew(names, cols)
+	tab := &Table{names: names, rows: rows}
+	var sc encodeScratch
+	for g := 0; g < rows; g += groupRows {
+		idx := make([]int, groupRows)
+		chunks := make([]column, len(cols))
+		for d := range chunks {
+			chunks[d] = rawColumn(cols[d][g:g+groupRows], &sc)
+		}
+		for i := range idx {
+			idx[i] = g + i
+		}
+		tab.groups = append(tab.groups, newRowGroup(chunks, groupRows, sma.Compute(data, idx)))
+	}
+	var buf bytes.Buffer
+	if err := tab.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, groupRows)
+	for gi := range tab.groups {
+		for d := range cols {
+			for _, c := range []*column{&tab.groups[gi].cols[d], &decoded.groups[gi].cols[d]} {
+				if c.kind != colRaw || c.width != widths[d] {
+					t.Fatalf("group %d column %s: %v chunk at %d bits, want raw at %d", gi, names[d], c.kind, c.width, widths[d])
+				}
+				if d >= 2 && (c.pieces != nil) != (gi%2 == 0) {
+					t.Fatalf("group %d column %s: searchable %v", gi, names[d], c.pieces != nil)
+				}
+				c.decodeInto(got)
+				for i, v := range cols[d][gi*groupRows : (gi+1)*groupRows] {
+					if math.Float64bits(got[i]) != math.Float64bits(v) {
+						t.Fatalf("group %d column %s value %d: %v (%#x), want %v (%#x)", gi, names[d], i, got[i], math.Float64bits(got[i]), v, math.Float64bits(v))
+					}
+				}
+			}
+			if !slices.Equal(tab.groups[gi].cols[d].pieces, decoded.groups[gi].cols[d].pieces) {
+				t.Fatalf("group %d column %s: pieces differ after the round trip", gi, names[d])
+			}
+		}
+	}
+
+	bound := func(vals []float64) float64 {
+		switch v := vals[rng.Intn(len(vals))]; rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return math.Nextafter(v, float64(rng.Intn(3)-1)*math.Inf(1))
+		default:
+			return v
+		}
+	}
+	sel := make([]int32, groupRows)
+	for trial := 0; trial < 4000; trial++ {
+		gi, d := rng.Intn(len(tab.groups)), rng.Intn(len(cols))
+		vals := cols[d][gi*groupRows : (gi+1)*groupRows]
+		lo, hi := bound(vals), bound(vals)
+		if lo > hi && rng.Intn(4) > 0 {
+			lo, hi = hi, lo
+		}
+		spans := []span{{0, groupRows}}
+		if rng.Intn(2) == 0 {
+			a := int32(rng.Intn(groupRows))
+			spans = []span{{a / 2, a}, {a + 1, min(a+1+int32(rng.Intn(groupRows)), groupRows)}}
+		}
+		var want []int32
+		for _, sp := range spans {
+			for i := sp.lo; i < sp.hi; i++ {
+				if vals[i] >= lo && vals[i] <= hi {
+					want = append(want, i)
+				}
+			}
+		}
+		for _, c := range []*column{&tab.groups[gi].cols[d], &decoded.groups[gi].cols[d]} {
+			n, swept := c.countSpans(lo, hi, spans)
+			picked, selBytes := c.selectSpans(lo, hi, spans, sel)
+			if n != len(want) || !slices.Equal(picked, want) || selBytes != swept {
+				t.Fatalf("%s [%v, %v] over %v: count %d, select %v (%d/%d bytes), want %v", names[d], lo, hi, spans, n, picked, selBytes, swept, want)
+			}
+			if refined, _ := c.refine(lo, hi, expand(spans, sel)); !slices.Equal(refined, want) {
+				t.Fatalf("%s [%v, %v] over %v: refine keeps %v, want %v", names[d], lo, hi, spans, refined, want)
+			}
+			if c.pieces != nil {
+				out, searched := c.narrow(lo, hi, spans, nil)
+				if kept := expand(out, nil); !slices.Equal(kept, want) || searched > swept {
+					t.Fatalf("%s [%v, %v] over %v: narrow keeps %v for %d bytes, want %v for at most %d", names[d], lo, hi, spans, kept, searched, want, swept)
+				}
+			}
+		}
+	}
+
+	scanner := NewScanner()
+	for trial := 0; trial < 300; trial++ {
+		q := data.Domain()
+		for d := range cols {
+			if rng.Intn(2) == 0 {
+				q.Lo[d], q.Hi[d] = bound(cols[d]), bound(cols[d])
+			}
+		}
+		count := scanner.Count(tab, q)
+		if again := scanner.Count(decoded, q); again != count || count.BytesRead+count.BytesSkipped != tab.EncodedBytes() {
+			t.Fatalf("box %v: built table counts %+v, decoded %+v, of %d bytes", q, count, again, tab.EncodedBytes())
+		}
+		flat, scan := scanner.Scan(tab, q)
+		flat = slices.Clone(flat)
+		if again, st := scanner.Scan(decoded, q); st != scan || scan.Matched != count.Matched ||
+			!slices.EqualFunc(flat, again, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("box %v: built table scans %+v, decoded %+v", q, scan, st)
+		}
 	}
 }

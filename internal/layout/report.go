@@ -120,12 +120,14 @@ type BuildReport struct {
 	Telemetry obs.Snapshot `json:"telemetry"`
 }
 
-// SearchCensus is the materialised store's raw column chunks and, of them,
-// the ones in ascending pieces — long enough to binary-search — with the
-// pieces and rows those hold and their count by column name: the tail columns
-// of the store's row order (DESIGN.md §11).
+// SearchCensus is the materialised store's raw column chunks, with the bits
+// their values are packed at summed over them, and of them the ones in
+// ascending pieces — long enough to binary-search — with the pieces and rows
+// those hold and their count by column name: the tail columns of the store's
+// row order (DESIGN.md §11).
 type SearchCensus struct {
 	RawChunks  int            `json:"raw_chunks"`
+	RawBits    int            `json:"raw_bits"`
 	Searchable int            `json:"searchable"`
 	Pieces     int            `json:"pieces"`
 	Rows       int            `json:"rows"`
@@ -259,7 +261,11 @@ func (r *BuildReport) Render(w io.Writer) {
 		sort.Strings(encs)
 		fmt.Fprintf(w, "  stored: %d bytes encoded —", total)
 		for _, enc := range encs {
-			fmt.Fprintf(w, " %s %d (%.1f%%)", enc, r.StoredBytes[enc], 100*float64(r.StoredBytes[enc])/float64(total))
+			fmt.Fprintf(w, " %s %d (%.1f%%", enc, r.StoredBytes[enc], 100*float64(r.StoredBytes[enc])/float64(total))
+			if c := r.Search; enc == "raw" && c != nil && c.RawChunks > 0 {
+				fmt.Fprintf(w, ", %.1f bits a value", float64(c.RawBits)/float64(c.RawChunks))
+			}
+			fmt.Fprint(w, ")")
 		}
 		fmt.Fprintln(w)
 	}

@@ -59,8 +59,10 @@ func Compute(data *dataset.Dataset, rows []int) Aggregates {
 func (a Aggregates) Empty() bool { return a.Count == 0 }
 
 // CanPrune reports whether the min-max envelope proves the block holds no
-// record inside q, so the block can be skipped.
-func (a Aggregates) CanPrune(q geom.Box) bool {
+// record inside q, so the block can be skipped. It and DimCovered take a
+// pointer: a scan asks them once per row group and per column, and the
+// 80-byte struct is not worth a copy each time.
+func (a *Aggregates) CanPrune(q geom.Box) bool {
 	if a.Empty() {
 		return true
 	}
@@ -76,7 +78,7 @@ func (a Aggregates) CanPrune(q geom.Box) bool {
 // entirely inside the query's range on d: every record in the block then
 // satisfies the predicate on d, so a columnar scan can skip evaluating that
 // column (the covered-column shortcut of the vectorized kernels).
-func (a Aggregates) DimCovered(d int, q geom.Box) bool {
+func (a *Aggregates) DimCovered(d int, q geom.Box) bool {
 	return a.Min[d] >= q.Lo[d] && a.Max[d] <= q.Hi[d]
 }
 
