@@ -20,7 +20,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs the concurrent builders (PAW, Qd-tree, k-d tree, beam, parbuild),
+# race runs the concurrent builders (PAW, Qd-tree, k-d tree, parbuild),
 # the concurrent routing/costing paths (layout batch sweeps, router, tuner),
 # the benchmark harness, the invariant/simulation suites, the online
 # reorganization path (ingest, drift monitor + migration),
@@ -174,9 +174,15 @@ loc:
 # onto key offsets, the codec), the mean raw width on the "stored:" line
 # (layout +6, pawcli +1) and in BENCH_scan.json (bench +5), and the pointer
 # receivers of sma.Aggregates (sma +2) — for a fifth off the stored bytes and
-# heap_mb of osm-hot-repeat. Growing the module from here on is an edit of
-# this line, in the diff that does the growing.
-LOC_CEILING := 26279
+# heap_mb of osm-hot-repeat. Then −917 returned the paper's future-work
+# sketches: beam search with its α tuner (core −334, the facade −67,
+# qdtree's TopCuts folded into BestCut −22), the Hungarian min-average δ
+# (workload −110), the makespan placer and budgeted replication with their
+# oracle (placement −222, invariant −56, cluster −14), and their ablations
+# (bench −81, sim −9); the distributed example places on the ring (−2).
+# Growing the module from here on is an edit of this
+# line, in the diff that does the growing.
+LOC_CEILING := 25362
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -60,7 +60,6 @@ func BenchmarkFig24Delta0Sweeps(b *testing.B)   { runExperiment(b, "fig24") }
 func BenchmarkFig25Delta0Plugins(b *testing.B)  { runExperiment(b, "fig25") }
 func BenchmarkAblationAlpha(b *testing.B)       { runExperiment(b, "ablation_alpha") }
 func BenchmarkAblationMultiGroup(b *testing.B)  { runExperiment(b, "ablation_multigroup") }
-func BenchmarkAblationBeam(b *testing.B)        { runExperiment(b, "ablation_beam") }
 func BenchmarkScenariosTableI(b *testing.B)     { runExperiment(b, "scenarios") }
 
 // BenchmarkFig13Fig14Layouts builds the three case-study layouts of
@@ -193,19 +192,6 @@ func BenchmarkPreciseDescriptorInstall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := InstallPreciseDescriptors(l, data, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHungarianMinAvg(b *testing.B) {
-	data := GenerateTPCH(1_000, 21).Project(4).Normalize()
-	hist := UniformWorkload(data.Domain(), 100, 22)
-	fut := FutureWorkload(hist, 0.01, 1, 23)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := MinAvgDelta(hist, fut); err != nil {
 			b.Fatal(err)
 		}
 	}

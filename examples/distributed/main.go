@@ -4,10 +4,11 @@
 // The master also records every routed range into a query log, the
 // production source of the "historical workload" for the next layout build.
 //
-// The placement is replicated under a storage budget (the §V-B tuner
-// direction): hot partitions get a second copy on another worker, and the
-// demo kills a worker mid-run to show the master failing scans over to the
-// surviving replicas.
+// Partitions are placed on the consistent-hash ring with two copies each, as
+// pawmaster and pawworker place them. The demo kills a worker mid-run and
+// sends a new statement that reads some of its partitions: the master must
+// fail those scans over to the surviving copies and answer exactly, or the
+// demo exits non-zero.
 package main
 
 import (
@@ -23,8 +24,8 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/dist"
 	"paw/internal/layout"
+	"paw/internal/membership"
 	"paw/internal/obs"
-	"paw/internal/placement"
 	"paw/internal/router"
 	"paw/internal/trace"
 	"paw/internal/workload"
@@ -37,7 +38,7 @@ func main() {
 	tracesDump := flag.String("traces-dump", "", "after the demo, write the /traces JSON document (recent traces + exemplars) to this file")
 	flag.Parse()
 
-	const workers = 4
+	const workers, replicas = 4, 2
 	data := paw.GenerateTPCH(120_000, 61)
 	hist := paw.UniformWorkload(data.Domain(), 50, 62)
 	l, err := paw.Build(data, hist, paw.Options{
@@ -49,29 +50,22 @@ func main() {
 	}
 	store := blockstore.Materialize(l, data, blockstore.Config{})
 
-	// Workload-aware placement (future work §VII-2), then replicas for the
-	// hottest partitions under a storage budget of half the dataset: the
-	// spare copies are what the master fails over to when a worker dies.
-	assign := placement.Optimize(l, hist.Boxes(), workers)
-	var totalBytes int64
-	for _, p := range l.Parts {
-		totalBytes += p.Bytes()
+	// Ring placement with two copies: the second copy is what the master
+	// fails over to when a worker dies.
+	ids := make([]layout.ID, len(l.Parts))
+	for i, p := range l.Parts {
+		ids[i] = p.ID
 	}
-	rep := placement.Replicate(l, hist.Boxes(), workers, assign, totalBytes/2)
-	var copies int
-	for _, ws := range rep {
-		copies += len(ws) - 1
+	all := make([]int, workers)
+	for i := range all {
+		all[i] = i
 	}
-	perWorker := make([][]layout.ID, workers)
-	for id, ws := range rep {
-		for _, w := range ws {
-			perWorker[w] = append(perWorker[w], id)
-		}
-	}
+	rep := membership.RingPlacement(ids, all, replicas, membership.DefaultVNodes)
 	fleet := make([]*dist.Worker, workers)
 	addrs := make([]string, workers)
 	for w := 0; w < workers; w++ {
-		wk := dist.NewWorker(store, perWorker[w])
+		hosted := membership.HostedIDs(rep, w)
+		wk := dist.NewWorker(store, hosted)
 		addr, err := wk.Start("127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -79,10 +73,9 @@ func main() {
 		defer wk.Close()
 		fleet[w] = wk
 		addrs[w] = addr
-		fmt.Printf("worker %d: %d partitions on %s\n", w, len(perWorker[w]), addr)
+		fmt.Printf("worker %d: %d partitions on %s\n", w, len(hosted), addr)
 	}
-	fmt.Printf("replication: %d spare copies within a %.2f MB budget\n",
-		copies, float64(totalBytes/2)/1e6)
+	fmt.Printf("placement: consistent-hash ring, %d copies of each of %d partitions\n", replicas, len(ids))
 
 	rm, err := router.NewMaster(l, data.Names())
 	if err != nil {
@@ -163,27 +156,32 @@ func main() {
 	}
 	trace.WriteTree(os.Stdout, eresp.TraceID, eresp.Spans)
 
-	// Failover demo: kill one worker and re-run a query after opting the
-	// client into partial results. Partitions whose primary died are scanned
-	// on their replicas; partitions the budget left single-copy are reported
-	// as failed instead of sinking the whole query.
-	fmt.Printf("\nkilling worker 0 (%s) ...\n", addrs[0])
+	// Failover demo: kill worker 0, then send a statement not asked before
+	// (an earlier one would be answered from the master's result cache
+	// without a scan) that reads partitions worker 0 is first in line for.
+	// The client accepts partial results, so a partition left without a
+	// copy would come back in FailedPartitions rather than as an error.
+	const failoverSQL = "SELECT * FROM lineitem WHERE l_quantity >= 2 AND l_quantity <= 48"
+	fmt.Printf("\nkilling worker 0 (%s), then %s\n", addrs[0], failoverSQL)
 	fleet[0].Close()
 	client.SetAllowPartial(true)
-	resp, err := client.Query("SELECT * FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20")
+	resp, err := client.Query(failoverSQL)
 	if err != nil {
 		log.Fatal(err)
 	}
 	snap := reg.Snapshot()
+	failovers := snap.Counter(dist.MetricFailovers)
 	fmt.Printf("  -> %d rows from %d partitions; %d scans failed over, %d redials, %d breaker trips\n",
-		resp.Rows, resp.PartitionsScanned, snap.Counter(dist.MetricFailovers),
+		resp.Rows, resp.PartitionsScanned, failovers,
 		snap.Counter(dist.MetricRedials), snap.Counter(dist.MetricBreakerTrips))
-	if resp.Partial {
-		fmt.Printf("  -> partial: %d partition(s) had no surviving replica: %v\n",
+	switch {
+	case resp.Partial:
+		log.Fatalf("partial answer: %d partition(s) had no surviving copy: %v",
 			len(resp.FailedPartitions), resp.FailedPartitions)
-	} else {
-		fmt.Println("  -> exact: every lost partition had a replica")
+	case failovers == 0:
+		log.Fatal("no scan failed over: the statement read no partition worker 0 was first in line for")
 	}
+	fmt.Println("  -> exact: every partition of worker 0 was read from its second copy")
 	fmt.Printf("\nquery log captured %d range queries for the next rebuild\n", qlog.Len())
 
 	if *tracesDump != "" {

@@ -86,7 +86,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table2", "table4", "fig15", "fig16", "fig17", "fig18", "fig19",
 		"fig20", "fig21", "fig22a", "fig22b", "fig23", "fig24", "fig25",
-		"ablation_alpha", "ablation_multigroup", "ablation_beam", "ablation_placement", "ablation_envelope", "scenarios",
+		"ablation_alpha", "ablation_multigroup", "ablation_envelope", "scenarios",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {

@@ -69,12 +69,6 @@ func ConstructionBench(cfg Config, workers []int) ConstructionReport {
 		{MKdTree, func(par int) {
 			kdtree.Build(data, sample, dom, kdtree.Params{MinRows: minRows, Parallelism: par})
 		}},
-		{"PAW-beam", func(par int) {
-			core.BuildBeam(data, sample, dom, hist, core.BeamParams{
-				Params: core.Params{MinRows: minRows, Delta: delta, Parallelism: par},
-				Width:  2, Branch: 2,
-			})
-		}},
 	}
 
 	rep := ConstructionReport{

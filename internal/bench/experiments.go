@@ -42,8 +42,6 @@ func Registry() []Experiment {
 		{"fig25", "δ=0 plugin modules on OSM, all methods", Fig25},
 		{"ablation_alpha", "Ablation: the Ψ-policy constant α", AblationAlpha},
 		{"ablation_multigroup", "Ablation: Multi-Group Split on/off across δ", AblationMultiGroup},
-		{"ablation_beam", "Ablation: greedy vs beam-search construction", AblationBeam},
-		{"ablation_placement", "Ablation: workload-aware partition placement", AblationPlacement},
 		{"ablation_envelope", "Ablation: Table IV's I/O cost with the store's data envelopes", AblationEnvelope},
 		{"scenarios", "The three workload scenarios of Fig. 1 / Table I", Scenarios},
 	}

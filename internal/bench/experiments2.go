@@ -2,15 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/cluster"
 	"paw/internal/core"
 	"paw/internal/descriptor"
-	"paw/internal/geom"
 	"paw/internal/layout"
-	"paw/internal/placement"
 	"paw/internal/tuner"
 	"paw/internal/workload"
 )
@@ -216,42 +212,6 @@ func Scenarios(cfg Config) []*Table {
 	return []*Table{t}
 }
 
-// AblationPlacement measures the workload-aware partition placement
-// (future-work direction 2, implemented in internal/placement) against
-// round-robin, on simulated end-to-end time.
-func AblationPlacement(cfg Config) []*Table {
-	t := &Table{
-		ID: "ablation_placement", Title: "Partition placement: round-robin vs workload-aware (TPC-H)",
-		XLabel: "layout", Unit: "avg end-to-end ms (simulated, no cache)",
-		Methods: []string{"round-robin", "optimized", "improvement %"},
-	}
-	s := tpchScenario(cfg)
-	ccfg := cluster.Defaults()
-	ccfg.CacheBytes = 0 // isolate placement effects
-	for _, m := range []string{MQdTree, MPAW} {
-		l := s.Layout(m)
-		store := materialize(l, s.Data, blockstore.Config{GroupRows: 512})
-		route := func(q geom.Box) []layout.ID { return l.PartitionsFor(q) }
-		rr, err := cluster.New(ccfg, store, l).RunWorkload(s.Fut.Boxes(), route)
-		if err != nil {
-			panic(err)
-		}
-		assign := placement.Optimize(l, s.Hist.Extend(s.Delta).Boxes(), ccfg.Workers)
-		opt, err := cluster.NewWithPlacement(ccfg, store, assign).RunWorkload(s.Fut.Boxes(), route)
-		if err != nil {
-			panic(err)
-		}
-		rrMs := float64(rr.Elapsed) / 1e6
-		optMs := float64(opt.Elapsed) / 1e6
-		t.AddRow(m, map[string]float64{
-			"round-robin":   rrMs,
-			"optimized":     optMs,
-			"improvement %": 100 * (1 - optMs/rrMs),
-		})
-	}
-	return []*Table{t}
-}
-
 // AblationEnvelope is Table IV's I/O-cost row again with the one data envelope
 // per partition that blockstore.Materialize installs (§V-A with Nmbr = 1, the
 // plug-in as the real cluster runs it) beside the region descriptors alone.
@@ -278,39 +238,6 @@ func AblationEnvelope(cfg Config) []*Table {
 	t.AddRow("regions only (table4)", region)
 	t.AddRow("regions + data envelope", envelope)
 	t.AddRow("saving %", saving)
-	return []*Table{t}
-}
-
-// AblationBeam compares greedy PAW-Construction against the beam-search
-// variant the paper sketches as future work (§IV-D), across beam widths.
-func AblationBeam(cfg Config) []*Table {
-	t := &Table{
-		ID: "ablation_beam", Title: "Greedy vs beam-search construction (TPC-H)",
-		XLabel: "beam width", Unit: "scan ratio (% of dataset) / build seconds",
-		Methods: []string{"scan ratio", "build (s)", "partitions"},
-		Notes:   []string{"width 0 is the greedy Algorithm 3; beam keeps the better of {beam, greedy}"},
-	}
-	s := tpchScenario(cfg)
-	dom := s.Data.Domain()
-	measure := func(l *layout.Layout, secs float64) map[string]float64 {
-		l.Route(s.Data)
-		return map[string]float64{
-			"scan ratio": 100 * l.ScanRatio(s.Fut.Boxes(), nil),
-			"build (s)":  secs,
-			"partitions": float64(l.NumPartitions()),
-		}
-	}
-	start := time.Now()
-	greedy := core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{MinRows: s.MinRows, Delta: s.Delta, Parallelism: s.Cfg.Parallelism})
-	t.AddRow("0 (greedy)", measure(greedy, time.Since(start).Seconds()))
-	for _, width := range []int{2, 4, 8} {
-		start = time.Now()
-		l := core.BuildBeam(s.Data, s.Sample, dom, s.Hist, core.BeamParams{
-			Params: core.Params{MinRows: s.MinRows, Delta: s.Delta, Parallelism: s.Cfg.Parallelism},
-			Width:  width, Branch: 3,
-		})
-		t.AddRow(fmt.Sprintf("%d", width), measure(l, time.Since(start).Seconds()))
-	}
 	return []*Table{t}
 }
 

@@ -72,23 +72,9 @@ func New(cfg Config, store *blockstore.Store, l *layout.Layout) *Cluster {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	placement := make(map[layout.ID]int, len(l.Parts))
+	c := &Cluster{cfg: cfg, store: store, placement: make(map[layout.ID]int, len(l.Parts))}
 	for i, p := range l.Parts {
-		placement[p.ID] = i % cfg.Workers
-	}
-	return NewWithPlacement(cfg, store, placement)
-}
-
-// NewWithPlacement builds a cluster with an explicit partition-to-worker
-// assignment (see the placement package for a workload-aware optimiser).
-// Worker indices outside [0, Workers) are clamped into range by modulo.
-func NewWithPlacement(cfg Config, store *blockstore.Store, placement map[layout.ID]int) *Cluster {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	c := &Cluster{cfg: cfg, store: store, placement: make(map[layout.ID]int, len(placement))}
-	for id, w := range placement {
-		c.placement[id] = ((w % cfg.Workers) + cfg.Workers) % cfg.Workers
+		c.placement[p.ID] = i % cfg.Workers
 	}
 	c.caches = make([]*lruCache, cfg.Workers)
 	for i := range c.caches {

@@ -15,7 +15,7 @@ import (
 
 // TestParallelBuildDeterminism is the regression gate for the concurrent
 // build substrate: for every builder (PAW in all variants, Qd-tree, k-d
-// tree, beam), the layout produced with Parallelism: 8 must be deep-equal —
+// tree), the layout produced with Parallelism: 8 must be deep-equal —
 // and byte-identical once encoded — to the serial layout, and must pass
 // layout.Validate after routing the full dataset.
 func TestParallelBuildDeterminism(t *testing.T) {
@@ -58,12 +58,6 @@ func TestParallelBuildDeterminism(t *testing.T) {
 			}},
 			buildCase{ds.label + "/kd-tree", func(par int) *layout.Layout {
 				return kdtree.Build(data, rows, dom, kdtree.Params{MinRows: minRows, Parallelism: par})
-			}},
-			buildCase{ds.label + "/beam", func(par int) *layout.Layout {
-				return BuildBeam(data, rows, dom, hist, BeamParams{
-					Params: Params{MinRows: minRows, Delta: delta, Parallelism: par},
-					Width:  2, Branch: 2,
-				})
 			}},
 		)
 	}

@@ -186,7 +186,7 @@ func newBuilder(data *dataset.Dataset, p Params) *builder {
 }
 
 // flushScratchStats folds the per-worker scratch counters (Alg. 2 candidate
-// evaluations accumulated inside qdtree.TopCuts) into the registry. Called
+// evaluations accumulated inside qdtree.BestCut) into the registry. Called
 // once after construction; a disabled build has nothing to flush.
 func (b *builder) flushScratchStats() {
 	if b.m.axisEval == nil {

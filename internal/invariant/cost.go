@@ -14,7 +14,7 @@ import (
 //
 // Universal bound: replacing a node by its children never increases the
 // node's Q*F cost — true for any split into covering interior-disjoint
-// pieces, so it must hold for every builder (k-d and beam included).
+// pieces, so it must hold for every builder (the k-d tree included).
 //
 // Greedy bound (Inputs.Greedy): PAW and the greedy Qd-tree accept a split
 // only when it strictly decreases the cost, so every internal rectangular

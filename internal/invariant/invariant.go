@@ -116,9 +116,9 @@ type Inputs struct {
 	// MinRows is bmin in sample rows (0: skip the bmin check).
 	MinRows int
 	// Greedy marks builders that accept only strictly cost-decreasing
-	// splits (PAW's Algorithm 3, the greedy Qd-tree). Beam search and the
-	// k-d tree keep it false: their splits still must never increase cost,
-	// but need not strictly decrease it.
+	// splits (PAW's Algorithm 3, the greedy Qd-tree). The k-d tree keeps it
+	// false: its splits still must never increase cost, but need not
+	// strictly decrease it.
 	Greedy bool
 	// Seed drives all sampled probes (points, queries, future workloads).
 	Seed int64

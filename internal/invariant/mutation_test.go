@@ -6,7 +6,6 @@ import (
 	"paw/internal/geom"
 	"paw/internal/invariant"
 	"paw/internal/layout"
-	"paw/internal/placement"
 	"paw/internal/sim"
 )
 
@@ -285,61 +284,5 @@ func TestMutationTuner(t *testing.T) {
 		expectOracle(t,
 			invariant.CheckTuner(l, sc.Data, queries, layout.Extras{full}, full.Bytes()*2),
 			invariant.OracleTuner)
-	})
-}
-
-func TestMutationReplication(t *testing.T) {
-	sc, l := findLayout(t, anyLayout)
-	const workers = 3
-	queries := sc.Hist.Extend(sc.Delta).Boxes()
-	primary := placement.Optimize(l, queries, workers)
-	var total int64
-	for _, p := range l.Parts {
-		total += p.Bytes()
-	}
-	budget := total / 2
-	rep := placement.Replicate(l, queries, workers, primary, budget)
-	expectClean(t, invariant.CheckReplication(l, rep, workers, primary, budget))
-
-	t.Run("missing-partition", func(t *testing.T) {
-		bad := make(placement.Replicated, len(rep))
-		for id, ws := range rep {
-			bad[id] = ws
-		}
-		delete(bad, l.Parts[0].ID)
-		expectOracle(t, invariant.CheckReplication(l, bad, workers, primary, budget),
-			invariant.OracleReplication)
-	})
-	t.Run("duplicate-worker", func(t *testing.T) {
-		bad := make(placement.Replicated, len(rep))
-		for id, ws := range rep {
-			bad[id] = ws
-		}
-		id := l.Parts[0].ID
-		bad[id] = []int{bad[id][0], bad[id][0]}
-		expectOracle(t, invariant.CheckReplication(l, bad, workers, primary, budget),
-			invariant.OracleReplication)
-	})
-	t.Run("moved-primary", func(t *testing.T) {
-		bad := make(placement.Replicated, len(rep))
-		for id, ws := range rep {
-			bad[id] = ws
-		}
-		id := l.Parts[0].ID
-		bad[id] = []int{(bad[id][0] + 1) % workers}
-		expectOracle(t, invariant.CheckReplication(l, bad, workers, primary, budget),
-			invariant.OracleReplication)
-	})
-	t.Run("over-budget", func(t *testing.T) {
-		// Shrinking the declared budget below what the copies occupy must
-		// fire — unless the greedy loop spent nothing, in which case force a
-		// copy in by replicating with an unlimited budget.
-		full := placement.Replicate(l, queries, workers, primary, total*int64(workers))
-		if full.ReplicaBytes(l) == 0 {
-			t.Skip("no partition worth replicating in this scenario")
-		}
-		expectOracle(t,
-			invariant.CheckReplication(l, full, workers, primary, full.ReplicaBytes(l)-1),
-			invariant.OracleReplication)
 	})
 }

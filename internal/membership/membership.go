@@ -3,8 +3,8 @@
 // configurable suspect→dead state machine, a consistent-hashing partition
 // placement whose movement between any two member sets is bounded by the
 // virtual-node construction, and a minimal-movement rebalance planner that
-// generalises placement.Replicate's budget-greedy hottest-first cost
-// function to membership changes.
+// orders moves hottest-first under an optional byte budget, the storage
+// tuner's greedy shape (§V-B) applied to membership changes.
 //
 // The package is deliberately pure: every transition takes the caller's
 // clock as an argument and no goroutines or sockets live here, so the exact

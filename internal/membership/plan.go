@@ -9,8 +9,8 @@ import (
 
 // The rebalance planner: given the placement the cluster serves today and
 // the ring placement the surviving member set wants, emit the minimal
-// movement that reconciles them. The cost function generalises
-// placement.Replicate's budget-greedy hottest-first shape (§V-B): moves are
+// movement that reconciles them. The cost function is the storage tuner's
+// budget-greedy hottest-first shape (§V-B): moves are
 // ordered by workload-weighted bytes, an optional byte budget defers the
 // coldest moves to later rounds (incremental, serve-while-reorganizing),
 // and moves forced by data safety — a partition whose only copies sit on

@@ -1,5 +1,5 @@
 // Package parbuild is the shared concurrent-build substrate for the
-// recursive layout builders (PAW, Qd-tree, k-d tree, beam search).
+// recursive layout builders (PAW, Qd-tree, k-d tree).
 //
 // The recursive split structure of every builder is embarrassingly parallel
 // across sibling subtrees: once a node's split is chosen, each child's

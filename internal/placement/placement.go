@@ -1,26 +1,20 @@
-// Package placement assigns partitions to cluster workers, addressing the
-// paper's second future-work direction ("how to take the storage layer's
-// data placement and network latency issues into one cost model", §VII).
-//
-// A query's end-to-end time on the simulated cluster is the slowest worker's
-// share of its partitions (cluster package). Two partitions a query co-reads
-// should therefore live on different workers. Optimize orders partitions by
-// workload-weighted bytes and greedily places each on the worker that
-// minimises the summed per-query makespan Σ_q max_w bytes_w(q).
+// Package placement holds the partition-to-worker placement types the
+// distributed path shares: a single-copy Assignment and its replicated form.
+// Two rules produce them: RoundRobin here, and the consistent-hash ring of
+// internal/membership (membership.RingPlacement) that pawmaster and
+// pawworker derive independently.
 package placement
 
 import (
-	"sort"
+	"fmt"
 
-	"paw/internal/geom"
 	"paw/internal/layout"
 )
 
 // Assignment maps every partition to a worker index in [0, workers).
 type Assignment map[layout.ID]int
 
-// RoundRobin is the cluster package's default strategy, reproduced here so
-// callers can compare.
+// RoundRobin places the layout's i-th partition on worker i mod workers.
 func RoundRobin(l *layout.Layout, workers int) Assignment {
 	if workers < 1 {
 		workers = 1
@@ -32,94 +26,41 @@ func RoundRobin(l *layout.Layout, workers int) Assignment {
 	return out
 }
 
-// Optimize computes a workload-aware assignment minimising (greedily) the
-// summed per-query makespan. queries is the expected workload — typically
-// the worst-case workload Q*F the layout was built for.
-func Optimize(l *layout.Layout, queries []geom.Box, workers int) Assignment {
-	if workers < 1 {
-		workers = 1
-	}
-	// accessed[p] lists the query indices reading partition p. The whole
-	// workload is routed in one indexed batch (all cores): per-query results
-	// are deterministic, so the assignment is too.
-	accessed := make(map[layout.ID][]int, len(l.Parts))
-	for qi, ids := range l.PartitionsForBatch(queries, 0) {
-		for _, id := range ids {
-			accessed[id] = append(accessed[id], qi)
-		}
-	}
-	// Hot partitions first: total bytes served to the workload.
-	order := make([]*layout.Partition, len(l.Parts))
-	copy(order, l.Parts)
-	weight := func(p *layout.Partition) int64 {
-		return p.Bytes() * int64(len(accessed[p.ID]))
-	}
-	sort.SliceStable(order, func(i, j int) bool { return weight(order[i]) > weight(order[j]) })
+// Replicated maps every partition to its replica set: the primary worker
+// first, then failover replicas on distinct workers. It is the
+// failure-aware extension of Assignment — the master scans a partition on
+// its primary and fails over down the list when the primary is unreachable
+// or its breaker is open.
+type Replicated map[layout.ID][]int
 
-	// perQuery[qi][w] accumulates the bytes of query qi's partitions placed
-	// on worker w so far.
-	perQuery := make([][]int64, len(queries))
-	for i := range perQuery {
-		perQuery[i] = make([]int64, workers)
+// Validate checks the structural contract: every layout partition has at
+// least one copy, worker indices are in [0, workers), and no partition lists
+// the same worker twice.
+func (r Replicated) Validate(l *layout.Layout, workers int) error {
+	for _, p := range l.Parts {
+		ws := r[p.ID]
+		if len(ws) == 0 {
+			return fmt.Errorf("placement: partition %d has no replica set", p.ID)
+		}
+		seen := make(map[int]bool, len(ws))
+		for _, w := range ws {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("placement: partition %d placed on invalid worker %d", p.ID, w)
+			}
+			if seen[w] {
+				return fmt.Errorf("placement: partition %d lists worker %d twice", p.ID, w)
+			}
+			seen[w] = true
+		}
 	}
-	// load[w] is the total bytes on worker w, used to break ties toward
-	// balanced storage.
-	load := make([]int64, workers)
+	return nil
+}
 
-	out := make(Assignment, len(l.Parts))
-	for _, p := range order {
-		qs := accessed[p.ID]
-		bestW := 0
-		var bestDelta int64 = -1
-		for w := 0; w < workers; w++ {
-			var delta int64
-			for _, qi := range qs {
-				row := perQuery[qi]
-				cur := maxInt64(row)
-				if after := row[w] + p.Bytes(); after > cur {
-					delta += after - cur
-				}
-			}
-			if bestDelta < 0 || delta < bestDelta || (delta == bestDelta && load[w] < load[bestW]) {
-				bestDelta = delta
-				bestW = w
-			}
-		}
-		out[p.ID] = bestW
-		load[bestW] += p.Bytes()
-		for _, qi := range qs {
-			perQuery[qi][bestW] += p.Bytes()
-		}
+// Replicated lifts a single-copy assignment to replica sets of size one.
+func (a Assignment) Replicated() Replicated {
+	out := make(Replicated, len(a))
+	for id, w := range a {
+		out[id] = []int{w}
 	}
 	return out
-}
-
-// Makespan evaluates an assignment: the summed per-query makespan in bytes
-// (lower is better; it is the byte-weighted part of the cluster's
-// slowest-worker time).
-func Makespan(l *layout.Layout, queries []geom.Box, workers int, a Assignment) int64 {
-	var total int64
-	row := make([]int64, workers)
-	var ids []layout.ID
-	for _, q := range queries {
-		for i := range row {
-			row[i] = 0
-		}
-		ids = l.AppendPartitionsFor(ids[:0], q)
-		for _, id := range ids {
-			row[a[id]] += l.Parts[id].Bytes()
-		}
-		total += maxInt64(row)
-	}
-	return total
-}
-
-func maxInt64(a []int64) int64 {
-	m := int64(0)
-	for _, v := range a {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

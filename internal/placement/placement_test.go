@@ -3,34 +3,25 @@ package placement
 import (
 	"testing"
 
-	"paw/internal/blockstore"
-	"paw/internal/cluster"
 	"paw/internal/dataset"
-	"paw/internal/geom"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
-	"paw/internal/workload"
 )
 
-func allRows(n int) []int {
-	rows := make([]int, n)
+func setup(t *testing.T) *layout.Layout {
+	t.Helper()
+	data := dataset.Uniform(8000, 2, 1)
+	rows := make([]int, data.NumRows())
 	for i := range rows {
 		rows[i] = i
 	}
-	return rows
-}
-
-func setup(t *testing.T) (*layout.Layout, *dataset.Dataset, []geom.Box) {
-	t.Helper()
-	data := dataset.Uniform(8000, 2, 1)
-	l := kdtree.Build(data, allRows(8000), data.Domain(), kdtree.Params{MinRows: 120})
+	l := kdtree.Build(data, rows, data.Domain(), kdtree.Params{MinRows: 120})
 	l.Route(data)
-	w := workload.Uniform(data.Domain(), workload.Defaults(40, 2))
-	return l, data, w.Boxes()
+	return l
 }
 
 func TestRoundRobinCoversAllPartitions(t *testing.T) {
-	l, _, _ := setup(t)
+	l := setup(t)
 	a := RoundRobin(l, 4)
 	if len(a) != l.NumPartitions() {
 		t.Fatalf("assignment covers %d of %d partitions", len(a), l.NumPartitions())
@@ -49,78 +40,38 @@ func TestRoundRobinCoversAllPartitions(t *testing.T) {
 	}
 }
 
-func TestOptimizeValidAssignment(t *testing.T) {
-	l, _, qs := setup(t)
-	a := Optimize(l, qs, 4)
-	if len(a) != l.NumPartitions() {
-		t.Fatalf("assignment covers %d of %d partitions", len(a), l.NumPartitions())
+func TestAssignmentReplicated(t *testing.T) {
+	l := setup(t)
+	a := RoundRobin(l, 3)
+	rep := a.Replicated()
+	if err := rep.Validate(l, 3); err != nil {
+		t.Fatal(err)
 	}
 	for id, w := range a {
-		if w < 0 || w >= 4 {
-			t.Fatalf("partition %d on invalid worker %d", id, w)
+		if len(rep[id]) != 1 || rep[id][0] != w {
+			t.Fatalf("partition %d: lifted set %v, want [%d]", id, rep[id], w)
 		}
 	}
 }
 
-// TestOptimizeBeatsRoundRobin is the point of the package: the greedy
-// co-access-aware placement must not be worse than round-robin on the
-// makespan objective, and usually strictly better.
-func TestOptimizeBeatsRoundRobin(t *testing.T) {
-	l, _, qs := setup(t)
-	for _, workers := range []int{2, 4, 8} {
-		rr := Makespan(l, qs, workers, RoundRobin(l, workers))
-		opt := Makespan(l, qs, workers, Optimize(l, qs, workers))
-		if opt > rr {
-			t.Errorf("workers=%d: optimized makespan %d worse than round-robin %d", workers, opt, rr)
+func TestValidateRejectsBadSets(t *testing.T) {
+	l := setup(t)
+	rep := RoundRobin(l, 2).Replicated()
+	cases := map[string]func(Replicated){
+		"missing":   func(r Replicated) { delete(r, l.Parts[0].ID) },
+		"empty":     func(r Replicated) { r[l.Parts[0].ID] = nil },
+		"negative":  func(r Replicated) { r[l.Parts[0].ID] = []int{-1} },
+		"overflow":  func(r Replicated) { r[l.Parts[0].ID] = []int{2} },
+		"duplicate": func(r Replicated) { r[l.Parts[0].ID] = []int{0, 0} },
+	}
+	for name, corrupt := range cases {
+		bad := make(Replicated, len(rep))
+		for id, ws := range rep {
+			bad[id] = append([]int(nil), ws...)
 		}
-		t.Logf("workers=%d: round-robin %d, optimized %d (%.1f%% better)",
-			workers, rr, opt, 100*(1-float64(opt)/float64(rr)))
-	}
-}
-
-func TestOptimizeSingleWorker(t *testing.T) {
-	l, _, qs := setup(t)
-	a := Optimize(l, qs, 1)
-	for _, w := range a {
-		if w != 0 {
-			t.Fatal("single worker must receive everything")
+		corrupt(bad)
+		if err := bad.Validate(l, 2); err == nil {
+			t.Errorf("%s: corruption passed Validate", name)
 		}
-	}
-	// workers < 1 is normalised.
-	a = Optimize(l, qs, 0)
-	if len(a) != l.NumPartitions() {
-		t.Fatal("assignment incomplete")
-	}
-}
-
-// TestClusterIntegration: feeding the optimized placement into the cluster
-// simulator must not slow queries down versus round-robin.
-func TestClusterIntegration(t *testing.T) {
-	l, data, qs := setup(t)
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 128})
-	cfg := cluster.Defaults()
-	cfg.CacheBytes = 0 // isolate placement effects from caching
-
-	rr := cluster.New(cfg, store, l)
-	opt := cluster.NewWithPlacement(cfg, store, Optimize(l, qs, cfg.Workers))
-	route := func(q geom.Box) []layout.ID { return l.PartitionsFor(q) }
-	avgRR, err := rr.RunWorkload(qs, route)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avgOpt, err := opt.RunWorkload(qs, route)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avgOpt.Elapsed > avgRR.Elapsed*11/10 {
-		t.Errorf("optimized placement slower: %v vs %v", avgOpt.Elapsed, avgRR.Elapsed)
-	}
-	t.Logf("avg end-to-end: round-robin %v, optimized %v", avgRR.Elapsed, avgOpt.Elapsed)
-}
-
-func TestMakespanZeroQueries(t *testing.T) {
-	l, _, _ := setup(t)
-	if m := Makespan(l, nil, 4, RoundRobin(l, 4)); m != 0 {
-		t.Errorf("makespan of no queries = %d", m)
 	}
 }

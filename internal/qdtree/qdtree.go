@@ -216,7 +216,7 @@ type Scratch struct {
 	thresh, qLo, qHi []float64
 	le               []int
 	seen             map[Cut]bool
-	// evals counts the unique candidate cuts evaluated by TopCuts on this
+	// evals counts the unique candidate cuts evaluated by BestCut on this
 	// scratch since the last TakeEvals. Plain int64 — a scratch is
 	// single-goroutine by contract — so the hot path pays one increment.
 	evals int64
@@ -248,36 +248,22 @@ type CutCost struct {
 
 // BestCut finds the cost-minimising axis-parallel cut over the Qd-tree
 // candidate set (query lower/upper bounds on every dimension) plus any extra
-// candidate cuts, subject to both children holding at least minRows rows.
-// sc may be nil (a temporary scratch is allocated).
-func BestCut(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box, extra []Cut, minRows int, sc *Scratch) (CutCost, bool) {
-	top := TopCuts(data, box, rows, queries, extra, minRows, 1, sc)
-	if len(top) == 0 {
-		return CutCost{}, false
-	}
-	return top[0], true
-}
-
-// TopCuts returns the k cheapest admissible cuts (ascending by cost) over
-// the Qd-tree candidate set plus the extra cuts. Beam-search construction
-// uses k > 1 to branch on near-optimal alternatives. sc may be nil.
+// candidate cuts, subject to both children holding at least minRows rows; of
+// equally cheap cuts the first evaluated wins. sc may be nil (a temporary
+// scratch is allocated).
 //
 // All queries must intersect box. The evaluation exploits that a cut only
 // changes dimension dim: the left child intersects query q iff
 // q.Lo[dim] <= LeftHi, the right child iff q.Hi[dim] >= RightLo. Query bounds
 // are sorted once per dimension; rows are not sorted at all (bucketRows), so a
 // dimension costs O(rows·log candidates + queries·log queries).
-func TopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box, extra []Cut, minRows, k int, sc *Scratch) []CutCost {
-	if k < 1 {
-		k = 1
-	}
+func BestCut(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box, extra []Cut, minRows int, sc *Scratch) (best CutCost, ok bool) {
 	if sc == nil {
 		sc = NewScratch()
 	}
 	dims := box.Dims()
 	total := len(rows)
 	nq := len(queries)
-	top := make([]CutCost, 0, k) // ascending by cost, at most k entries
 	sc.qLo, sc.qHi = slices.Grow(sc.qLo[:0], nq)[:nq], slices.Grow(sc.qHi[:0], nq)[:nq]
 	qLo, qHi := sc.qLo, sc.qHi
 	clear(sc.seen)
@@ -322,20 +308,12 @@ func TopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box
 			nQL := countLE(qLo, c.LeftHi)       // queries reaching the left child
 			nQR := nq - countLT(qHi, c.RightLo) // queries reaching the right child
 			cost := int64(leftRows)*int64(nQL) + int64(rightRows)*int64(nQR)
-			// Insert into the bounded, sorted top list.
-			if len(top) == k && cost >= top[k-1].Cost {
-				continue
-			}
-			pos := sort.Search(len(top), func(i int) bool { return top[i].Cost > cost })
-			top = append(top, CutCost{})
-			copy(top[pos+1:], top[pos:])
-			top[pos] = CutCost{Cut: c, Cost: cost, LeftRows: leftRows}
-			if len(top) > k {
-				top = top[:k]
+			if !ok || cost < best.Cost {
+				best, ok = CutCost{Cut: c, Cost: cost, LeftRows: leftRows}, true
 			}
 		}
 	}
-	return top
+	return best, ok
 }
 
 // bucketRows sorts and dedups the thresholds in sc.thresh — the LeftHi of

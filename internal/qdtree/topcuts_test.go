@@ -3,7 +3,6 @@ package qdtree
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -11,9 +10,11 @@ import (
 	"paw/internal/geom"
 )
 
-// sortTopCuts is the TopCuts that sorted every dimension's row values and
-// counted each candidate's left rows by binary search, kept as the oracle for
-// the bucketed count.
+// sortTopCuts returns the k cheapest admissible cuts the way the cut search
+// once did: it sorts every dimension's row values and counts each candidate's
+// left rows by binary search. At k = 1 it is the oracle for BestCut's
+// bucketed count and its tie rule (the first candidate of strictly least cost
+// wins).
 func sortTopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box, extra []Cut, minRows, k int) []CutCost {
 	var top []CutCost
 	seen := make(map[Cut]bool)
@@ -66,12 +67,13 @@ func sortTopCuts(data *dataset.Dataset, box geom.Box, rows []int, queries []geom
 	return top
 }
 
-// TestTopCutsMatchSortOracle compares the bucketed TopCuts with the
-// sort-based oracle on random nodes whose rows repeat values, hold both
-// zeros and NaNs, and have all-equal columns, with query bounds and extra
-// cuts placed on row values — for the single best cut and for every
-// admissible one.
-func TestTopCutsMatchSortOracle(t *testing.T) {
+// TestBestCutMatchesSortOracle compares the bucketed BestCut with the
+// sort-based oracle on random nodes whose rows repeat values, hold both zeros
+// and NaNs, and have all-equal columns, with query bounds and extra cuts
+// placed on row values. On the same nodes it checks every threshold's left
+// count from bucketRows against the sorted count, so an admissible candidate
+// that is not the best still has its row split checked.
+func TestBestCutMatchesSortOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	negZero := math.Copysign(0, -1)
 	palette := []float64{math.NaN(), negZero, 0, 1, 2, 3, -1, 0.5}
@@ -121,11 +123,30 @@ func TestTopCutsMatchSortOracle(t *testing.T) {
 			}
 		}
 		minRows := 1 + r.Intn(max(1, len(rows)/2))
-		for _, k := range []int{1, 3, 1000} {
-			got := TopCuts(data, box, rows, queries, extra, minRows, k, sc)
-			want := sortTopCuts(data, box, rows, queries, extra, minRows, k)
-			if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d k=%d: TopCuts %+v, sort oracle %+v", trial, k, got, want)
+		got, ok := BestCut(data, box, rows, queries, extra, minRows, sc)
+		want := sortTopCuts(data, box, rows, queries, extra, minRows, 1)
+		if ok != (len(want) == 1) || ok && got != want[0] {
+			t.Fatalf("trial %d: BestCut %+v (ok %v), sort oracle %+v", trial, got, ok, want)
+		}
+
+		vals := make([]float64, len(rows))
+		for dim := 0; dim < dims; dim++ {
+			col := data.Column(dim)
+			for i, row := range rows {
+				vals[i] = col[row]
+			}
+			sort.Float64s(vals)
+			sc.thresh = sc.thresh[:0]
+			for _, c := range append(Candidates(box, queries), extra...) {
+				if c.Dim == dim && c.Inside(box) {
+					sc.thresh = append(sc.thresh, c.LeftHi)
+				}
+			}
+			thresh, le := sc.bucketRows(col, rows)
+			for i, x := range thresh {
+				if want := countLE(vals, x); le[i] != want {
+					t.Fatalf("trial %d dim %d: %d rows <= %v by bucketRows, %d by the sorted count", trial, dim, le[i], x, want)
+				}
 			}
 		}
 	}

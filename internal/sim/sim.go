@@ -1,7 +1,7 @@
 // Package sim is the deterministic simulation harness for the invariant
 // oracles (internal/invariant): a seeded scenario generator that enumerates
 // datasets × workloads × δ × policies Ψ(α), builds layouts with every
-// builder (PAW, Qd-tree, k-d tree, beam) at chosen parallelism, and hands
+// builder (PAW, Qd-tree, k-d tree) at chosen parallelism, and hands
 // each sealed layout plus its construction inputs to the oracle suite.
 //
 // Everything is a pure function of the scenario seed: the same seed yields
@@ -30,12 +30,11 @@ const (
 	MethodPAW    = "paw"
 	MethodQdTree = "qd-tree"
 	MethodKdTree = "kd-tree"
-	MethodBeam   = "paw-beam"
 )
 
 // Methods returns every builder the harness drives.
 func Methods() []string {
-	return []string{MethodPAW, MethodQdTree, MethodKdTree, MethodBeam}
+	return []string{MethodPAW, MethodQdTree, MethodKdTree}
 }
 
 // Greedy reports whether a method accepts only strictly cost-decreasing
@@ -150,14 +149,6 @@ func BuildObserved(sc Scenario, method string, parallelism int, reg *obs.Registr
 	case MethodKdTree:
 		l = kdtree.Build(sc.Data, sc.Sample, sc.Domain,
 			kdtree.Params{MinRows: sc.MinRows, Parallelism: parallelism, Obs: reg})
-	case MethodBeam:
-		l = core.BuildBeam(sc.Data, sc.Sample, sc.Domain, sc.Hist, core.BeamParams{
-			Params: core.Params{
-				MinRows: sc.MinRows, Alpha: sc.Alpha, Delta: sc.Delta,
-				Parallelism: parallelism, Obs: reg,
-			},
-			Width: 2, Branch: 2,
-		})
 	default:
 		panic(fmt.Sprintf("sim: unknown method %q", method))
 	}

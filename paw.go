@@ -157,78 +157,11 @@ func Build(data *Dataset, hist Workload, opts Options) (*Layout, error) {
 	return l, nil
 }
 
-// BeamOptions configures BuildBeam.
-type BeamOptions struct {
-	Options
-	// Width is the beam width (candidate partial layouts kept); Branch is
-	// the number of split alternatives expanded per node. Both default
-	// to 1, which degenerates to greedy construction.
-	Width, Branch int
-}
-
-// BuildBeam constructs a PAW layout with the beam-search strategy the paper
-// sketches as future work (§IV-D): it explores Width candidate layouts in
-// parallel and keeps the cheaper of {best beam result, greedy result}, so
-// quality is never worse than Build at MethodPAW — only build time grows.
-func BuildBeam(data *Dataset, hist Workload, opts BeamOptions) (*Layout, error) {
-	if data == nil || data.NumRows() == 0 {
-		return nil, fmt.Errorf("paw: empty dataset")
-	}
-	if opts.MinRows < 1 {
-		return nil, fmt.Errorf("paw: MinRows must be >= 1, got %d", opts.MinRows)
-	}
-	rows := allRows(data.NumRows())
-	if opts.SampleRows > 0 && opts.SampleRows < data.NumRows() {
-		rows = data.Sample(opts.SampleRows, opts.SampleSeed)
-	}
-	l := core.BuildBeam(data, rows, data.Domain(), hist, core.BeamParams{
-		Params: core.Params{
-			MinRows:           opts.MinRows,
-			Alpha:             opts.Alpha,
-			Delta:             opts.Delta,
-			DataAwareRefine:   opts.DataAwareRefine,
-			DisableMultiGroup: opts.DisableMultiGroup,
-			Parallelism:       opts.Parallelism,
-		},
-		Width:  opts.Width,
-		Branch: opts.Branch,
-	})
-	if !opts.SkipRouting {
-		l.Route(data)
-	}
-	return l, nil
-}
-
 // EstimateDelta estimates the workload-variance threshold δ from the
 // historical workload alone (§IV-E): the workload is split into two halves
 // by timestamp and the minimal δ′ making them δ′-similar is returned.
 func EstimateDelta(hist Workload) (float64, error) {
 	return workload.EstimateDelta(hist)
-}
-
-// MinAvgDelta returns the minimal average matched distance between the
-// workloads (an alternative similarity measure to Definition 2's bottleneck;
-// the paper leaves such alternatives as future work), plus the matching.
-func MinAvgDelta(hist, future Workload) (float64, []int, error) {
-	return workload.MinAvgDelta(hist, future)
-}
-
-// TuneAlpha selects the Ψ-policy constant α automatically by holdout
-// validation on the historical workload (the paper's third future-work
-// question). Pass the result as Options.Alpha.
-func TuneAlpha(data *Dataset, hist Workload, opts Options) (float64, error) {
-	if data == nil || data.NumRows() == 0 {
-		return 0, fmt.Errorf("paw: empty dataset")
-	}
-	rows := allRows(data.NumRows())
-	if opts.SampleRows > 0 && opts.SampleRows < data.NumRows() {
-		rows = data.Sample(opts.SampleRows, opts.SampleSeed)
-	}
-	return core.TunePolicy(data, rows, data.Domain(), hist, core.Params{
-		MinRows:     opts.MinRows,
-		Delta:       opts.Delta,
-		Parallelism: opts.Parallelism,
-	}, nil)
 }
 
 // SaveLayout serialises a layout's routing metadata (descriptors, partition
