@@ -23,7 +23,7 @@ test:
 # race runs the concurrent builders (PAW, Qd-tree, k-d tree, parbuild),
 # the concurrent routing/costing paths (layout batch sweeps, router, tuner),
 # the benchmark harness, the invariant/simulation suites, the online
-# reorganization path (ingest, drift monitor + migration),
+# reorganization path (drift monitor + migration),
 # the elastic membership substrate (failure detector, ring placement,
 # rebalance planner), the tracing substrate (spans assemble across scatter
 # goroutines), the SQL rewriter and pawmaster's boot check (invariant.CheckData
@@ -36,7 +36,7 @@ test:
 # TestClusterIsPureFunctionOfRowSet, TestBuildAllMatchesBuild: tiles, run keys,
 # the tail key of every tile) run at both widths with them.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/ingest/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
+	$(GO) test -race -short ./internal/core/... ./internal/qdtree/... ./internal/kdtree/... ./internal/parbuild/... ./internal/layout/... ./internal/router/... ./internal/tuner/... ./internal/bench/... ./internal/invariant/... ./internal/sim/... ./internal/obs/... ./internal/dist/... ./internal/faultnet/... ./internal/serve/... ./internal/drift/... ./internal/trace/... ./internal/membership/... ./internal/sqlrew/... ./cmd/pawmaster/...
 	$(GO) test -race -short -cpu 1,2 ./internal/colstore/... ./internal/blockstore/...
 
 # chaos runs the deterministic fault-injection suite (DESIGN.md §10) under
@@ -180,9 +180,12 @@ loc:
 # (workload −110), the makespan placer and budgeted replication with their
 # oracle (placement −222, invariant −56, cluster −14), and their ablations
 # (bench −81, sim −9); the distributed example places on the ring (−2).
+# Then −316 returned internal/ingest: the drift region rebuild and both
+# offline references run the paper's §IV-E refinement in place of its
+# workload-blind row-cap splitter (ingest −287, drift −15, bench −14).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 25362
+LOC_CEILING := 25046
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -13,7 +13,6 @@ import (
 	"paw/internal/dist"
 	"paw/internal/drift"
 	"paw/internal/geom"
-	"paw/internal/ingest"
 	"paw/internal/layout"
 	"paw/internal/placement"
 	"paw/internal/router"
@@ -228,8 +227,6 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		MinGain:      0.05,
 		Cooldown:     opt.Window,
 		BuildMinRows: 10,
-		MinPartRows:  64,
-		MaxPartRows:  256,
 		BuildSample:  800,
 		Replicas:     1,
 		Validate:     true,
@@ -384,10 +381,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	served := m.Router().Layout()
 	descriptor.Uninstall(served)
 	res.PatchedCost = served.AvgCost(liveBoxes, nil)
-	offline, err := offlineDriftLayout(data, live, dcfg)
-	if err != nil {
-		return res, err
-	}
+	offline := offlineDriftLayout(data, live, dcfg)
 	res.OfflineCost = offline.AvgCost(liveBoxes, nil)
 	if res.OfflineCost > 0 {
 		res.RecoveryVsOffline = res.PatchedCost / res.OfflineCost
@@ -395,23 +389,15 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	return res, nil
 }
 
-// offlineDriftLayout runs the full offline construction pipeline (sample
-// build + full-scale ingest maintenance) for the live workload — the quality
-// bar the incremental patch is measured against.
-func offlineDriftLayout(data *dataset.Dataset, live workload.Workload, dcfg drift.Config) (*layout.Layout, error) {
-	all := make([]int, data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
+// offlineDriftLayout builds the live workload's layout over the whole domain
+// the way `pawcli build` does (sample build with the §IV-E refinement, then
+// every row routed) — the quality bar the incremental patch is measured
+// against.
+func offlineDriftLayout(data *dataset.Dataset, live workload.Workload, dcfg drift.Config) *layout.Layout {
 	sample := data.Sample(dcfg.BuildSample, dcfg.Seed+3)
-	built := core.Build(data, sample, data.Domain(), live, core.Params{MinRows: dcfg.BuildMinRows, Delta: dcfg.Delta})
-	ing, err := ingest.New(built, nil, ingest.Params{MinRows: dcfg.MinPartRows, MaxRows: dcfg.MaxPartRows})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range all {
-		ing.Add(data.Point(r))
-	}
-	ing.Maintain()
-	return ing.Snapshot(), nil
+	l := core.Build(data, sample, data.Domain(), live, core.Params{
+		MinRows: dcfg.BuildMinRows, Delta: dcfg.Delta, DataAwareRefine: true,
+	})
+	l.Route(data)
+	return l
 }

@@ -50,5 +50,11 @@ func TestDriftBench(t *testing.T) {
 		if sc.OfflineCost <= 0 || sc.RecoveryVsOffline <= 0 {
 			t.Errorf("%s: offline comparison missing: %+v", sc.Scenario, sc)
 		}
+		// The region rebuild and the offline reference share one pipeline;
+		// what is left between them is the workload: the patch is built on
+		// the window the trigger saw, the reference on the whole final phase.
+		if sc.RecoveryVsOffline > 1.5 {
+			t.Errorf("%s: patched layout costs %.2f× the offline rebuild, over 1.5", sc.Scenario, sc.RecoveryVsOffline)
+		}
 	}
 }

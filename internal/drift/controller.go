@@ -13,7 +13,6 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/geom"
-	"paw/internal/ingest"
 	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/placement"
@@ -325,11 +324,11 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 // the current layout. It returns the patched layout, the diff, and the
 // full-data row indices of every added partition (the migration payloads).
 //
-// The pipeline mirrors offline construction at region scale: a seeded
-// sample of the region's rows drives core.Build over the live window (plus
-// the still-relevant slice of the reference workload), then the full region
-// population streams through ingest maintenance so rebuilt partitions
-// respect the full-scale row bounds regardless of how the sample skewed.
+// The pipeline is offline construction at region scale, the two calls
+// `pawcli build` makes for the domain: core.Build with the §IV-E refinement
+// on a seeded sample of the region's rows, over the live window plus the
+// still-relevant slice of the reference workload, then every region row
+// routed through the result for exact partition sizes.
 func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workload.Workload) (*layout.Layout, layout.Diff, map[layout.ID][]int, error) {
 	// Every row the cluster routes into the target subtree must come out of
 	// the rebuild in exactly one new partition — the migration's row
@@ -353,37 +352,33 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 
 	sample := strideSample(regionRows, c.cfg.BuildSample)
 	built := core.Build(c.data, sample, targetBox, wl, core.Params{
-		MinRows:     c.cfg.BuildMinRows,
-		Delta:       c.cfg.Delta,
-		Parallelism: c.cfg.Parallelism,
+		MinRows:         c.cfg.BuildMinRows,
+		Delta:           c.cfg.Delta,
+		DataAwareRefine: true,
+		Parallelism:     c.cfg.Parallelism,
 	})
 
-	// Full-scale pass: stream every region row through the sample-built
-	// tree and let ingest maintenance split any partition that exceeds the
-	// full-data bounds. Snapshot's FullRows are then exact.
-	ing, err := ingest.New(built, nil, ingest.Params{MinRows: c.cfg.MinPartRows, MaxRows: c.cfg.MaxPartRows})
-	if err != nil {
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: seeding region ingest: %w", err)
+	// Full-scale pass: Route restricted to the region sets every built
+	// partition's exact FullRows.
+	routed := 0
+	for id, rows := range built.RouteIndices(c.data, regionRows) {
+		built.Parts[id].FullRows = int64(len(rows))
+		routed += len(rows)
 	}
-	for _, r := range regionRows {
-		ing.Add(c.data.Point(r))
-	}
-	ing.Maintain()
-	if rej := ing.Rejected(); rej > 0 {
+	if routed < len(regionRows) {
 		// A region row the replacement cannot route would silently vanish
 		// at cutover; refuse to build such a patch.
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: replacement subtree rejected %d region rows", rej)
+		return nil, layout.Diff{}, nil, fmt.Errorf("drift: replacement subtree routes %d of %d region rows", routed, len(regionRows))
 	}
-	repl := ing.Snapshot()
 
-	newL, diff, err := layout.PatchSubtree(cur, target, repl.Root)
+	newL, diff, err := layout.PatchSubtree(cur, target, built.Root)
 	if err != nil {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: patching layout: %w", err)
 	}
 
 	// Row-conservation cross-check: routing the region's rows through the
 	// patched layout must land them all in added partitions, with counts
-	// matching what the ingest pass recorded. Any mismatch means cutover
+	// matching what the full-scale pass recorded. Any mismatch means cutover
 	// would lose or invent rows — abort before anything ships.
 	newByPart := newL.RouteIndices(c.data, regionRows)
 	addedSet := make(map[layout.ID]bool, len(diff.Added))

@@ -11,7 +11,6 @@ import (
 	"paw/internal/core"
 	"paw/internal/descriptor"
 	"paw/internal/geom"
-	"paw/internal/ingest"
 	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/workload"
@@ -26,8 +25,6 @@ func testConfig() Config {
 		CostFactor:   1.2,
 		MinGain:      0.05,
 		BuildMinRows: 10,
-		MinPartRows:  128,
-		MaxPartRows:  512,
 		BuildSample:  1000,
 		Replicas:     1,
 		Validate:     true,
@@ -145,8 +142,8 @@ func TestDriftEndToEnd(t *testing.T) {
 	}
 
 	// Recovery quality: within 10% of a full offline rebuild for the live
-	// workload, run through the same construction pipeline (sample build +
-	// full-scale ingest maintenance) over the whole domain.
+	// workload, run through the same construction pipeline (refined sample
+	// build, then every row routed) over the whole domain.
 	var live workload.Workload
 	for i, b := range drifted {
 		live = append(live, workload.Query{Box: b, Seq: int64(i)})
@@ -181,28 +178,22 @@ func TestDriftEndToEnd(t *testing.T) {
 	}
 }
 
-// offlineRebuild runs the controller's construction pipeline over the whole
-// domain — the quality bar the incremental patch is measured against.
+// offlineRebuild builds the live workload's layout over the whole domain
+// with the controller's pipeline (the two calls `pawcli build` makes) — the
+// quality bar the incremental patch is measured against.
 func offlineRebuild(t *testing.T, tc *driftCluster, live workload.Workload, cfg Config) *layout.Layout {
 	t.Helper()
 	all := make([]int, tc.data.NumRows())
 	for i := range all {
 		all[i] = i
 	}
-	sample := strideSample(all, cfg.BuildSample)
-	built := core.Build(tc.data, sample, tc.data.Domain(), live, core.Params{
-		MinRows: cfg.BuildMinRows,
-		Delta:   cfg.Delta,
+	l := core.Build(tc.data, strideSample(all, cfg.BuildSample), tc.data.Domain(), live, core.Params{
+		MinRows:         cfg.BuildMinRows,
+		Delta:           cfg.Delta,
+		DataAwareRefine: true,
 	})
-	ing, err := ingest.New(built, nil, ingest.Params{MinRows: cfg.MinPartRows, MaxRows: cfg.MaxPartRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range all {
-		ing.Add(tc.data.Point(r))
-	}
-	ing.Maintain()
-	return ing.Snapshot()
+	l.Route(tc.data)
+	return l
 }
 
 // TestMigrationPayloadsMatchMaterialize: a drift-rebuilt partition ships in

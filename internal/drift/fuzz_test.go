@@ -32,8 +32,6 @@ func FuzzDriftDifferential(f *testing.F) {
 			CostFactor:   1.2,
 			MinGain:      0.05,
 			BuildMinRows: 8,
-			MinPartRows:  64,
-			MaxPartRows:  256,
 			BuildSample:  400,
 			Replicas:     1,
 			Validate:     true,

@@ -59,10 +59,6 @@ type Config struct {
 
 	// BuildMinRows is bmin (in sample rows) for the region rebuild.
 	BuildMinRows int
-	// MinPartRows / MaxPartRows bound rebuilt partitions at full-data scale
-	// (ingest maintenance enforces them on the replacement subtree).
-	MinPartRows int
-	MaxPartRows int
 	// BuildSample caps the construction sample for the region rebuild.
 	BuildSample int
 	// Parallelism is the rebuild's parbuild width (0 = GOMAXPROCS).
@@ -99,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BuildMinRows <= 0 {
 		c.BuildMinRows = 8
-	}
-	if c.MinPartRows <= 0 {
-		c.MinPartRows = 64
-	}
-	if c.MaxPartRows < 2*c.MinPartRows {
-		c.MaxPartRows = 4 * c.MinPartRows
 	}
 	if c.BuildSample <= 0 {
 		c.BuildSample = 2000
