@@ -183,9 +183,16 @@ loc:
 # Then −316 returned internal/ingest: the drift region rebuild and both
 # offline references run the paper's §IV-E refinement in place of its
 # workload-blind row-cap splitter (ingest −287, drift −15, bench −14).
+# Then −274 returned the cluster simulator: Table IV and Fig. 15b time the
+# real in-process cluster (cluster −207, bench +74 for the measured
+# endToEnd and the fleet start-up it shares with the drift and rebalance
+# benches), the point R-tree only its tests read (rtree −126), the REPL's
+# and the SQL example's simulated time (pawcli −6, sqlrouting −6) and
+# blockstore's one-value WriteMBps field (blockstore −2); dist's package
+# comment stops describing the simulator (dist −1).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 25046
+LOC_CEILING := 24772
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -1,7 +1,10 @@
 // Command pawcli is an end-to-end driver for the full PAW stack: it
 // generates a dataset, builds a partition layout, materialises it into the
-// simulated block store, and then answers SQL queries through the Fig. 4
-// pipeline — rewriter → router → partition scans on the simulated cluster.
+// block store, and then answers SQL queries through the Fig. 4 pipeline —
+// rewriter → router → a scan of each routed partition — printing the rows,
+// the partitions, their stored bytes and the bytes left after row-group
+// pruning. Timing the same answers on a live cluster is what `pawbench -exp
+// table4,fig15` does.
 //
 // One-shot:
 //
@@ -35,7 +38,6 @@ import (
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/cluster"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/kdtree"
@@ -116,7 +118,6 @@ func main() {
 		fatalf("unknown method %q", *method)
 	}
 	store := blockstore.Materialize(l, data, blockstore.Config{})
-	clus := cluster.New(cluster.Defaults(), store, l)
 	master, err := router.NewMaster(l, data.Names())
 	if err != nil {
 		fatalf("%v", err)
@@ -131,24 +132,27 @@ func main() {
 			fmt.Printf("error: %v\n", err)
 			return
 		}
-		ids := plan.PartitionIDs()
-		var agg cluster.Result
+		var rows int
+		var nominal, read int64
 		for _, rp := range plan.Ranges {
-			res, err := clus.Query(rp.Range, idsForRange(rp, ids))
-			if err != nil {
-				fmt.Printf("error: %v\n", err)
-				return
-			}
-			agg.Rows += res.Rows
-			agg.BytesScanned += res.BytesScanned
-			agg.BytesNominal += res.BytesNominal
-			if res.Elapsed > agg.Elapsed {
-				agg.Elapsed = res.Elapsed
+			for _, id := range rp.Parts {
+				p, err := store.Partition(id)
+				if err != nil {
+					fmt.Printf("error: %v\n", err)
+					return
+				}
+				st, err := store.ScanPartition(id, rp.Range)
+				if err != nil {
+					fmt.Printf("error: %v\n", err)
+					return
+				}
+				rows += st.Matched
+				nominal += p.Bytes()
+				read += st.BytesRead
 			}
 		}
-		fmt.Printf("%d sub-queries, %d partitions: %d rows, %.2f MB nominal I/O, %.2f MB after pruning, %v simulated\n",
-			len(plan.Ranges), len(ids), agg.Rows,
-			float64(agg.BytesNominal)/1e6, float64(agg.BytesScanned)/1e6, agg.Elapsed.Round(time.Microsecond))
+		fmt.Printf("%d sub-queries, %d partitions: %d rows, %.2f MB nominal I/O, %.2f MB after pruning\n",
+			len(plan.Ranges), len(plan.PartitionIDs()), rows, float64(nominal)/1e6, float64(read)/1e6)
 	}
 
 	if *sql != "" {
@@ -172,16 +176,6 @@ func main() {
 		}
 		run(stmt)
 	}
-}
-
-// idsForRange returns the partitions to scan for one rewritten range: the
-// range's own list (extras are not materialised in this CLI).
-func idsForRange(rp router.RangePlan, union []layout.ID) []layout.ID {
-	if len(rp.Parts) > 0 {
-		return rp.Parts
-	}
-	_ = union
-	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -2,7 +2,7 @@ package paw
 
 // End-to-end integration tests across the whole stack: data generation →
 // layout construction (every method) → materialisation → SQL routing →
-// simulated cluster execution → result verification against brute force,
+// partition scans → result verification against brute force,
 // plus cross-module invariants checked with testing/quick-style random
 // exploration.
 
@@ -13,7 +13,6 @@ import (
 	"testing/quick"
 
 	"paw/internal/blockstore"
-	"paw/internal/cluster"
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/workload"
@@ -40,7 +39,6 @@ func TestEndToEndSQLAllMethods(t *testing.T) {
 			t.Fatalf("%s: %v", m, err)
 		}
 		store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 256})
-		clus := cluster.New(cluster.Defaults(), store, l)
 		master, err := NewMaster(l, data.Names())
 		if err != nil {
 			t.Fatal(err)
@@ -53,11 +51,11 @@ func TestEndToEndSQLAllMethods(t *testing.T) {
 			rows := 0
 			want := 0
 			for _, rp := range plan.Ranges {
-				res, err := clus.Query(rp.Range, rp.Parts)
+				st, err := store.ScanAll(rp.Parts, rp.Range)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows += res.Rows
+				rows += st.Matched
 				want += data.CountInBox(rp.Range, nil)
 			}
 			if rows != want {

@@ -1,17 +1,17 @@
 // SQL routing: drives the full Fig. 4 query framework — SQL statements are
 // rewritten into disjoint range queries, routed by the master node to
-// partition-ID lists, and executed on the simulated 4-worker cluster with
-// row-group pruning and caching.
+// partition-ID lists, and answered by scanning each routed partition with
+// row-group pruning. Every answer is checked against a direct scan of the
+// dataset over the same disjoint ranges; the example exits 1 on any mismatch.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
+	"os"
 
 	"paw"
 	"paw/internal/blockstore"
-	"paw/internal/cluster"
 )
 
 func main() {
@@ -29,7 +29,6 @@ func main() {
 		log.Fatal(err)
 	}
 	store := blockstore.Materialize(l, data, blockstore.Config{})
-	clus := cluster.New(cluster.Defaults(), store, l)
 	fmt.Printf("%s; master metadata: %d bytes\n\n", l, master.MemoryFootprint())
 
 	statements := []string{
@@ -39,45 +38,40 @@ func main() {
 		"SELECT * FROM lineitem WHERE NOT (l_tax > 0.04)",
 		"SELECT * FROM lineitem WHERE l_extendedprice >= 90000 AND l_suppkey <= 1000",
 	}
+	mismatches := 0
 	for _, stmt := range statements {
 		plan, err := master.RouteSQL(stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids := plan.PartitionIDs()
-		var rows int
-		var scanned int64
-		var elapsed time.Duration
+		var rows, direct int
+		var nominal, read int64
 		for _, rp := range plan.Ranges {
-			res, err := clus.Query(rp.Range, rp.Parts)
-			if err != nil {
-				log.Fatal(err)
+			for _, id := range rp.Parts {
+				p, err := store.Partition(id)
+				if err != nil {
+					log.Fatal(err)
+				}
+				st, err := store.ScanPartition(id, rp.Range)
+				if err != nil {
+					log.Fatal(err)
+				}
+				rows += st.Matched
+				nominal += p.Bytes()
+				read += st.BytesRead
 			}
-			rows += res.Rows
-			scanned += res.BytesScanned
-			if res.Elapsed > elapsed {
-				elapsed = res.Elapsed
-			}
+			direct += data.CountInBox(rp.Range, nil)
 		}
-		fmt.Printf("%s\n  -> %d range(s), %d/%d partitions, %d rows, %.2f MB read, %v simulated\n\n",
-			stmt, len(plan.Ranges), len(ids), l.NumPartitions(), rows,
-			float64(scanned)/1e6, elapsed.Round(time.Microsecond))
-	}
-
-	// Verify one result against a direct scan of the dataset.
-	plan, err := master.RouteWhere("l_quantity >= 10 AND l_quantity <= 20")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var viaCluster int
-	for _, rp := range plan.Ranges {
-		res, err := clus.Query(rp.Range, rp.Parts)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Printf("%s\n  -> %d range(s), %d/%d partitions, %d rows (direct scan %d), %.2f MB nominal, %.2f MB after pruning\n\n",
+			stmt, len(plan.Ranges), len(plan.PartitionIDs()), l.NumPartitions(), rows, direct,
+			float64(nominal)/1e6, float64(read)/1e6)
+		if rows != direct {
+			mismatches++
 		}
-		viaCluster += res.Rows
 	}
-	direct := data.CountInBox(plan.Ranges[0].Range, nil)
-	fmt.Printf("cross-check: cluster returned %d rows, direct scan %d rows, match=%v\n",
-		viaCluster, direct, viaCluster == direct)
+	if mismatches > 0 {
+		fmt.Printf("%d of %d statements disagree with the direct scan\n", mismatches, len(statements))
+		os.Exit(1)
+	}
+	fmt.Printf("all %d statements match the direct scan\n", len(statements))
 }

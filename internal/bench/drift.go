@@ -135,6 +135,57 @@ func driftSQL(names []string, b geom.Box) string {
 	return sb.String()
 }
 
+// startWorkers starts one dist.Worker on loopback per entry of hosted, each
+// serving those partitions of store, and returns their addresses. stop closes
+// every worker started.
+func startWorkers(store *blockstore.Store, hosted [][]layout.ID) (addrs []string, stop func(), err error) {
+	var workers []*dist.Worker
+	stop = func() {
+		for _, wk := range workers {
+			wk.Close()
+		}
+	}
+	for _, ids := range hosted {
+		wk := dist.NewWorker(store, ids)
+		addr, err := wk.Start("127.0.0.1:0")
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		workers = append(workers, wk)
+		addrs = append(addrs, addr)
+	}
+	return addrs, stop, nil
+}
+
+// roundRobinCluster serves store on n in-process workers, l's partitions
+// placed round-robin, behind one dist.Master with the result cache off. stop
+// closes the master, then the workers.
+func roundRobinCluster(l *layout.Layout, names []string, store *blockstore.Store, n int) (*dist.Master, func(), error) {
+	rm, err := router.NewMaster(l, names)
+	if err != nil {
+		return nil, nil, err
+	}
+	place := placement.RoundRobin(l, n)
+	hosted := make([][]layout.ID, n)
+	for id, w := range place {
+		hosted[w] = append(hosted[w], id)
+	}
+	addrs, stopWorkers, err := startWorkers(store, hosted)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := dist.NewMaster(rm, addrs, place)
+	if err != nil {
+		stopWorkers()
+		return nil, nil, err
+	}
+	cfg := dist.DefaultConfig()
+	cfg.ResultCacheSize = 0
+	m.Configure(cfg)
+	return m, func() { m.Close(); stopWorkers() }, nil
+}
+
 // DriftBench plays every sim.DriftScenarios stream against a live in-process
 // cluster with an attached drift controller: the out-of-scope scenarios must
 // trigger, rebuild only the violated region and recover observed cost while
@@ -182,41 +233,13 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	storeCfg := blockstore.Config{GroupRows: 256}
 	store := materialize(l, data, storeCfg)
 
-	place := placement.RoundRobin(l, opt.Workers)
-	perWorker := make([][]layout.ID, opt.Workers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
-	}
-	addrs := make([]string, opt.Workers)
-	var workers []*dist.Worker
-	defer func() {
-		for _, wk := range workers {
-			wk.Close()
-		}
-	}()
-	for w := 0; w < opt.Workers; w++ {
-		wk := dist.NewWorker(store, perWorker[w])
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			return res, err
-		}
-		workers = append(workers, wk)
-		addrs[w] = addr
-	}
-	rm, err := router.NewMaster(l, names)
+	// The result cache is off: it would absorb replayed queries at zero
+	// observed cost and blur the regression signal.
+	m, stop, err := roundRobinCluster(l, names, store, opt.Workers)
 	if err != nil {
 		return res, err
 	}
-	m, err := dist.NewMaster(rm, addrs, place)
-	if err != nil {
-		return res, err
-	}
-	defer m.Close()
-	mcfg := dist.DefaultConfig()
-	// The result cache would absorb replayed queries at zero observed cost
-	// and blur the regression signal; the monitor is what is under test here.
-	mcfg.ResultCacheSize = 0
-	m.Configure(mcfg)
+	defer stop()
 
 	dcfg := drift.Config{
 		Window:       opt.Window,

@@ -1,15 +1,16 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/cluster"
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/descriptor"
-	"paw/internal/geom"
+	"paw/internal/dist"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/qdtree"
@@ -138,18 +139,12 @@ func Table4(cfg Config) []*Table {
 	tIO := &Table{
 		ID: "table4", Title: "Query cost at δ=0, default settings",
 		XLabel: "measure", Methods: []string{MKdTree, MQdTree, MPAW},
+		Unit:  "I/O in MB per query (scaled 1/1000); time in " + e2eUnit(len(s.Fut)),
 		Notes: []string{"paper: 0.81 / 0.18 / 0.15 GB and 3.11 / 0.63 / 0.50 s on 75 GB"},
 	}
-	io := map[string]float64{}
-	e2e := map[string]float64{}
-	for _, m := range []string{MKdTree, MQdTree, MPAW} {
-		l := s.Layout(m)
-		ioMB, ms := endToEnd(l, s.Data, s.Fut.Boxes())
-		io[m] = ioMB
-		e2e[m] = ms
-	}
+	io, e2e := endToEnd(s, tIO.Methods)
 	tIO.AddRow("I/O cost (MB, scaled)", io)
-	tIO.AddRow("end-to-end time (ms, simulated)", e2e)
+	tIO.AddRow("end-to-end time (ms, measured)", e2e)
 	return []*Table{tIO}
 }
 
@@ -172,16 +167,84 @@ func materialize(l *layout.Layout, data *dataset.Dataset, cfg blockstore.Config)
 	return store
 }
 
-// endToEnd materialises the layout and runs the workload on the simulated
-// cluster, returning (avg nominal I/O per query in MB, avg elapsed in ms).
-func endToEnd(l *layout.Layout, data *dataset.Dataset, queries []geom.Box) (float64, float64) {
-	store := materialize(l, data, blockstore.Config{GroupRows: 512})
-	c := cluster.New(cluster.Defaults(), store, l)
-	avg, err := c.RunWorkload(queries, func(q geom.Box) []layout.ID { return l.PartitionsFor(q) })
-	if err != nil {
-		panic(err) // unreachable: partitions come from the same layout
+// e2eWorkers and e2ePasses shape endToEnd's measurement: the paper's 4-node
+// cluster, and the timed passes over the workload after one warm-up pass.
+const (
+	e2eWorkers = 4
+	e2ePasses  = 20
+)
+
+// endToEnd serves each method's layout of s on its own in-process cluster
+// (e2eWorkers dist.Workers on loopback, partitions placed round-robin, one
+// dist.Master with the result cache off) and sends it every future query as
+// SQL: one warm-up pass, then e2ePasses timed ones. Each query goes to every
+// method's cluster in turn, so host drift reaches all methods alike. It
+// returns, per method, the average nominal I/O per query in MB (Eq. 1 over
+// the stored partitions) and the median answer latency in ms. It panics on
+// any answer that is not exactly the dataset's count.
+func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
+	queries := s.Fut.Boxes()
+	names := s.Data.Names()
+	sqls := make([]string, len(queries))
+	want := make([]int, len(queries))
+	for i, q := range queries {
+		sqls[i] = driftSQL(names, q)
+		want[i] = s.Data.CountInBox(q, nil)
 	}
-	return float64(avg.BytesNominal) / 1e6, float64(avg.Elapsed) / float64(time.Millisecond)
+	ioMB = make(map[string]float64, len(methods))
+	masters := make([]*dist.Master, len(methods))
+	for i, m := range methods {
+		l := s.Layout(m)
+		store := materialize(l, s.Data, blockstore.Config{GroupRows: 512})
+		var nominal int64
+		for _, q := range queries {
+			for _, id := range l.PartitionsFor(q) {
+				p, err := store.Partition(id)
+				if err != nil {
+					panic(err) // unreachable: partitions come from the same layout
+				}
+				nominal += p.Bytes()
+			}
+		}
+		ioMB[m] = float64(nominal/int64(len(queries))) / 1e6
+		master, stop, err := roundRobinCluster(l, names, store, e2eWorkers)
+		if err != nil {
+			panic(err)
+		}
+		defer stop()
+		masters[i] = master
+	}
+	lat := make([][]time.Duration, len(methods))
+	for pass := 0; pass <= e2ePasses; pass++ {
+		for j, sql := range sqls {
+			for i, master := range masters {
+				t0 := time.Now()
+				resp, err := master.QueryContext(context.Background(), sql)
+				d := time.Since(t0)
+				if err == nil && (resp.Partial || resp.Rows != want[j]) {
+					err = fmt.Errorf("%d rows, want %d (partial %v)", resp.Rows, want[j], resp.Partial)
+				}
+				if err != nil {
+					panic(fmt.Sprintf("end-to-end %s: query %d: %v", methods[i], j, err))
+				}
+				if pass > 0 {
+					lat[i] = append(lat[i], d)
+				}
+			}
+		}
+	}
+	ms = make(map[string]float64, len(methods))
+	for i, m := range methods {
+		slices.Sort(lat[i])
+		ms[m] = float64(lat[i][len(lat[i])/2]) / float64(time.Millisecond)
+	}
+	return ioMB, ms
+}
+
+// e2eUnit is the unit line of a measured end-to-end time row.
+func e2eUnit(queries int) string {
+	return fmt.Sprintf("ms per query: median of %d × %d answers on a %d-worker in-process cluster, each checked against the dataset",
+		e2ePasses, queries, e2eWorkers)
 }
 
 // Fig15 reproduces Figure 15: average I/O cost and end-to-end time while
@@ -194,7 +257,7 @@ func Fig15(cfg Config) []*Table {
 	}
 	b := &Table{
 		ID: "fig15b", Title: "Average end-to-end time, varying TPC-H size",
-		XLabel: "TPC-H size", Unit: "ms per query (simulated cluster)",
+		XLabel:  "TPC-H size",
 		Methods: []string{MQdTree, MKdTree, MPAW},
 	}
 	for _, sz := range []struct {
@@ -204,13 +267,8 @@ func Fig15(cfg Config) []*Table {
 		c := cfg
 		c.TPCHRows = int(float64(cfg.TPCHRows) * sz.frac)
 		s := tpchScenario(c)
-		rowIO := map[string]float64{}
-		rowT := map[string]float64{}
-		for _, m := range []string{MQdTree, MKdTree, MPAW} {
-			ioMB, ms := endToEnd(s.Layout(m), s.Data, s.Fut.Boxes())
-			rowIO[m] = ioMB
-			rowT[m] = ms
-		}
+		rowIO, rowT := endToEnd(s, b.Methods)
+		b.Unit = e2eUnit(len(s.Fut))
 		a.AddRow(sz.label, rowIO)
 		b.AddRow(sz.label, rowT)
 	}

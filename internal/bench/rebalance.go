@@ -121,22 +121,15 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	// minimum and not an artifact of converting from another placement rule.
 	place := membership.RingPlacement(ids, seedIdx, opt.Replicas, membership.DefaultVNodes)
 
-	var workers []*dist.Worker
-	defer func() {
-		for _, wk := range workers {
-			wk.Close()
-		}
-	}()
-	addrs := make([]string, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		wk := dist.NewWorker(store, membership.HostedIDs(place, w))
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			return rep, err
-		}
-		workers = append(workers, wk)
-		addrs[w] = addr
+	perWorker := make([][]layout.ID, opt.Workers)
+	for w := range perWorker {
+		perWorker[w] = membership.HostedIDs(place, w)
 	}
+	addrs, stopWorkers, err := startWorkers(store, perWorker)
+	if err != nil {
+		return rep, err
+	}
+	defer stopWorkers()
 	rm, err := router.NewMaster(l, data.Names())
 	if err != nil {
 		return rep, err
@@ -215,10 +208,10 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	}
 	joiner := dist.NewWorker(nil, nil)
 	jaddr, err := joiner.Start("127.0.0.1:0")
+	defer joiner.Close()
 	if err != nil {
 		return rep, err
 	}
-	workers = append(workers, joiner)
 	hb := dist.NewHeartbeater(maddr)
 	defer hb.Close()
 

@@ -76,8 +76,8 @@ type ScanReport struct {
 	// RawWidthBits is the mean width, in bits, raw chunks pack a value at.
 	RawWidthBits float64 `json:"raw_width_bits"`
 	// DecodeMBPerSec is the full-decode kernel rate (raw logical MB/s of a
-	// full-domain materializing scan) — the CPU bound a cluster simulation
-	// should cap throughput at (cluster.Config.KernelMBps, scaled 1/1000).
+	// full-domain materializing scan): the CPU bound on how fast a worker can
+	// stream a partition it has to read whole.
 	DecodeMBPerSec float64      `json:"decode_mb_per_sec"`
 	Results        []ScanResult `json:"results"`
 }
@@ -265,7 +265,7 @@ func ScanBench(cfg Config) ScanReport {
 	}
 
 	// Full-domain materializing scan: every group and column decodes, giving
-	// the pure kernel decode rate for the simulator's CPU bound.
+	// the pure kernel decode rate (DecodeMBPerSec).
 	full := dom.Clone()
 	fr := measure("clustered", "decode-all", 0, 1.0, func() colstore.ScanStats {
 		_, st := sc.Scan(tab, full)

@@ -25,10 +25,11 @@ type Config struct {
 	BlockBytes int64
 	// GroupRows is the row-group size of the per-partition columnar tables.
 	GroupRows int
-	// WriteMBps is the simulated sequential write throughput used to model
-	// the "routing and I/O time" of Table II.
-	WriteMBps float64
 }
+
+// writeMBps is the simulated sequential write throughput (one HDD's) that
+// models the "routing and I/O time" of Table II.
+const writeMBps = 120
 
 func (c Config) withDefaults() Config {
 	if c.BlockBytes <= 0 {
@@ -36,9 +37,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GroupRows <= 0 {
 		c.GroupRows = colstore.DefaultGroupRows
-	}
-	if c.WriteMBps <= 0 {
-		c.WriteMBps = 120 // one HDD's sequential write speed
 	}
 	return c
 }
@@ -112,7 +110,7 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 			l.Parts[i].Precise = []geom.Box{env}
 		}
 	}
-	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (cfg.WriteMBps * 1e6) * float64(time.Second))
+	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (writeMBps * 1e6) * float64(time.Second))
 	return s
 }
 

@@ -5,10 +5,9 @@
 // Every hop speaks one wire protocol: the positional binary codecs of
 // binproto.go inside the multiplexed, CRC-checked frames of internal/serve.
 //
-// The package complements internal/cluster: the simulator predicts
-// end-to-end times under a disk model, while dist actually moves the scan
-// work across processes/sockets — the same separation the paper has between
-// its cost model (Eq. 1–2) and its Spark deployment.
+// It stands in for the paper's Spark deployment, beside its cost model
+// (Eq. 1–2): Table IV and Fig. 15b time each layout's answers through it
+// (internal/bench), with the workers in process on loopback.
 //
 // The path is failure-hardened end to end (DESIGN.md §10): every call
 // carries a deadline over the wire, the master retries with seeded

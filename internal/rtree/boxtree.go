@@ -8,10 +8,9 @@ import (
 )
 
 // BoxIndex is an immutable, bulk-loaded R-tree over a set of boxes (MBRs).
-// It is the routing-side counterpart of the point Tree: the master's layout
-// keeps one over its partition descriptors so query routing visits only the
-// partitions whose MBR can intersect the query, instead of scanning every
-// descriptor linearly.
+// The master's layout keeps one over its partition descriptors so query
+// routing visits only the partitions whose MBR can intersect the query,
+// instead of scanning every descriptor linearly.
 //
 // The index retains the box slice passed at load time; callers must not
 // mutate those boxes afterwards. Searches are read-only and safe for

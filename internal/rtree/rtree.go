@@ -1,7 +1,8 @@
-// Package rtree provides a Sort-Tile-Recursive (STR) bulk-loaded R-tree over
-// points, plus the k-MBR extraction the precise-descriptor plugin (§V-A)
-// uses: "we adopt the R-tree construction algorithm to extract a given
-// number of MBRs from a partition".
+// Package rtree provides the k-MBR extraction the precise-descriptor plugin
+// (§V-A) uses — "we adopt the R-tree construction algorithm to extract a given
+// number of MBRs from a partition": the Sort-Tile-Recursive (STR) leaf tiling
+// of a bulk-loaded R-tree, each tile's MBR one descriptor box — plus
+// BoxIndex, the STR-packed R-tree over partition boxes that routes queries.
 package rtree
 
 import (
@@ -12,21 +13,7 @@ import (
 	"paw/internal/geom"
 )
 
-// Tree is an immutable, bulk-loaded R-tree over a point set. Leaves store
-// indices into the point set supplied at load time.
-type Tree struct {
-	root *node
-	dims int
-	size int
-}
-
-type node struct {
-	mbr      geom.Box
-	children []*node
-	points   []int // leaf payload: indices into the source point accessor
-}
-
-// PointSource abstracts the point storage so trees can be built over
+// PointSource abstracts the point storage so MBRs can be extracted over
 // dataset rows without materialising geom.Points.
 type PointSource interface {
 	Dims() int
@@ -45,34 +32,6 @@ func (s DatasetSource) Dims() int { return s.Data.Dims() }
 
 // Coord implements PointSource.
 func (s DatasetSource) Coord(i, dim int) float64 { return s.Data.At(s.Rows[i], dim) }
-
-// Len returns the number of points.
-func (s DatasetSource) Len() int { return len(s.Rows) }
-
-// BulkLoad packs n points from src into an R-tree with the given leaf
-// capacity using STR: sort by the first dimension, cut into vertical slabs,
-// recursively tile the remaining dimensions inside each slab, and build the
-// upper levels by re-packing node MBRs the same way.
-func BulkLoad(src PointSource, n, leafCap int) *Tree {
-	if leafCap < 1 {
-		leafCap = 64
-	}
-	t := &Tree{dims: src.Dims(), size: n}
-	if n == 0 {
-		return t
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	tiles := strTile(src, idx, leafCap, 0)
-	leaves := make([]*node, len(tiles))
-	for i, tile := range tiles {
-		leaves[i] = &node{mbr: mbrOf(src, tile), points: tile}
-	}
-	t.root = packUpward(leaves, leafCap)
-	return t
-}
 
 // strTile recursively partitions idx into tiles of at most cap points, using
 // dimension dim at this level.
@@ -132,90 +91,6 @@ func mbrOf(src PointSource, idx []int) geom.Box {
 		}
 	}
 	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// packUpward groups nodes into parents of at most cap children until one
-// root remains. Nodes are packed in their existing (tiled) order, which STR
-// already made spatially coherent.
-func packUpward(nodes []*node, cap int) *node {
-	for len(nodes) > 1 {
-		var parents []*node
-		for s := 0; s < len(nodes); s += cap {
-			e := s + cap
-			if e > len(nodes) {
-				e = len(nodes)
-			}
-			group := nodes[s:e]
-			boxes := make([]geom.Box, len(group))
-			for i, g := range group {
-				boxes[i] = g.mbr
-			}
-			parents = append(parents, &node{mbr: geom.MBR(boxes...), children: append([]*node(nil), group...)})
-		}
-		nodes = parents
-	}
-	return nodes[0]
-}
-
-// Size returns the number of indexed points.
-func (t *Tree) Size() int { return t.size }
-
-// Height returns the tree height (1 for a single leaf, 0 for empty).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if len(n.children) == 0 {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
-}
-
-// Search returns the indices of all points inside the closed query box. The
-// caller supplies the same PointSource used at load time.
-func (t *Tree) Search(src PointSource, q geom.Box) []int {
-	var out []int
-	if t.root == nil {
-		return out
-	}
-	dims := t.dims
-	var rec func(n *node)
-	rec = func(n *node) {
-		if !n.mbr.Intersects(q) {
-			return
-		}
-		if len(n.children) == 0 {
-			for _, i := range n.points {
-				inside := true
-				for d := 0; d < dims; d++ {
-					v := src.Coord(i, d)
-					if v < q.Lo[d] || v > q.Hi[d] {
-						inside = false
-						break
-					}
-				}
-				if inside {
-					out = append(out, i)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(t.root)
-	return out
-}
-
-// MBR returns the root MBR; the zero Box for an empty tree.
-func (t *Tree) MBR() geom.Box {
-	if t.root == nil {
-		return geom.Box{}
-	}
-	return t.root.mbr
 }
 
 // ExtractMBRs tiles the points into at most k spatially coherent groups and

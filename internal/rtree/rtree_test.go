@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"paw/internal/dataset"
@@ -18,84 +17,15 @@ func src(n, dims int, seed int64) DatasetSource {
 	return DatasetSource{Data: data, Rows: rows}
 }
 
-func TestBulkLoadEmpty(t *testing.T) {
-	s := src(0, 2, 1)
-	tr := BulkLoad(s, 0, 16)
-	if tr.Size() != 0 || tr.Height() != 0 {
-		t.Errorf("empty tree: size=%d height=%d", tr.Size(), tr.Height())
-	}
-	if got := tr.Search(s, geom.UnitBox(2)); len(got) != 0 {
-		t.Error("empty tree search must return nothing")
-	}
-}
-
-func TestBulkLoadSmall(t *testing.T) {
-	s := src(10, 2, 2)
-	tr := BulkLoad(s, 10, 16)
-	if tr.Height() != 1 {
-		t.Errorf("10 points with cap 16 must be a single leaf, height=%d", tr.Height())
-	}
-	got := tr.Search(s, geom.UnitBox(2))
-	if len(got) != 10 {
-		t.Errorf("search all = %d points", len(got))
-	}
-}
-
-func TestSearchMatchesBruteForce(t *testing.T) {
-	s := src(5000, 3, 3)
-	tr := BulkLoad(s, s.Len(), 32)
-	rng := rand.New(rand.NewSource(4))
-	for iter := 0; iter < 50; iter++ {
-		lo := geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
-		hi := geom.Point{lo[0] + rng.Float64()*0.3, lo[1] + rng.Float64()*0.3, lo[2] + rng.Float64()*0.3}
-		q := geom.Box{Lo: lo, Hi: hi}
-		got := tr.Search(s, q)
-		var want []int
-		for i := 0; i < s.Len(); i++ {
-			in := true
-			for d := 0; d < 3; d++ {
-				v := s.Coord(i, d)
-				if v < q.Lo[d] || v > q.Hi[d] {
-					in = false
-					break
-				}
-			}
-			if in {
-				want = append(want, i)
-			}
-		}
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("search returned %d, brute force %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("result mismatch at %d: %d vs %d", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestTreeHeightGrows(t *testing.T) {
-	s := src(10000, 2, 5)
-	tr := BulkLoad(s, s.Len(), 16)
-	if tr.Height() < 3 {
-		t.Errorf("10000 points with cap 16: height=%d, want >= 3", tr.Height())
-	}
-	if !tr.MBR().ContainsBox(geom.Box{Lo: geom.Point{0.3, 0.3}, Hi: geom.Point{0.4, 0.4}}) {
-		t.Error("root MBR looks wrong")
-	}
-}
-
 func TestExtractMBRsCoverage(t *testing.T) {
 	s := src(2000, 2, 6)
 	for _, k := range []int{1, 3, 6, 10, 20, 50, 100} {
-		mbrs := ExtractMBRs(s, s.Len(), k)
+		mbrs := ExtractMBRs(s, len(s.Rows), k)
 		if len(mbrs) == 0 || len(mbrs) > k {
 			t.Fatalf("k=%d produced %d MBRs", k, len(mbrs))
 		}
 		// Every point must be covered by at least one MBR.
-		for i := 0; i < s.Len(); i++ {
+		for i := 0; i < len(s.Rows); i++ {
 			p := geom.Point{s.Coord(i, 0), s.Coord(i, 1)}
 			covered := false
 			for _, m := range mbrs {
@@ -120,9 +50,9 @@ func TestExtractMBRsTighterWithMoreK(t *testing.T) {
 		}
 		return a
 	}
-	a1 := area(ExtractMBRs(s, s.Len(), 1))
-	a10 := area(ExtractMBRs(s, s.Len(), 10))
-	a50 := area(ExtractMBRs(s, s.Len(), 50))
+	a1 := area(ExtractMBRs(s, len(s.Rows), 1))
+	a10 := area(ExtractMBRs(s, len(s.Rows), 10))
+	a50 := area(ExtractMBRs(s, len(s.Rows), 50))
 	// With uniform data the gain is modest but total covered area must not
 	// grow as k increases.
 	if a10 > a1*1.001 || a50 > a10*1.001 {
@@ -148,8 +78,8 @@ func TestExtractMBRsTighterWithMoreK(t *testing.T) {
 		rows[i] = i
 	}
 	cs := DatasetSource{Data: cl, Rows: rows}
-	c1 := area(ExtractMBRs(cs, cs.Len(), 1))
-	c2 := area(ExtractMBRs(cs, cs.Len(), 2))
+	c1 := area(ExtractMBRs(cs, len(cs.Rows), 1))
+	c2 := area(ExtractMBRs(cs, len(cs.Rows), 2))
 	if c2 > c1*0.01 {
 		t.Errorf("bimodal data: 2 MBRs cover %v of single-MBR area %v", c2, c1)
 	}
@@ -170,13 +100,5 @@ func TestExtractMBRsEdgeCases(t *testing.T) {
 	mbrs = ExtractMBRs(s, 5, 100)
 	if len(mbrs) > 5 {
 		t.Errorf("more MBRs (%d) than points", len(mbrs))
-	}
-}
-
-func TestBulkLoadDefaultCap(t *testing.T) {
-	s := src(100, 2, 12)
-	tr := BulkLoad(s, s.Len(), 0) // normalised to a sane default
-	if got := len(tr.Search(s, geom.UnitBox(2))); got != 100 {
-		t.Errorf("search all = %d", got)
 	}
 }
