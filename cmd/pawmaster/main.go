@@ -8,24 +8,21 @@
 //
 // With -replicas R > 1 the master keeps R copies of every partition and
 // fails scans over to the next live replica when a worker is down.
-// Placement is consistent hashing over -vnodes virtual nodes per worker — the
-// rule elastic clusters rebalance to, so a static fleet's first rebalance is
-// a no-op. pawworker must be started with the same -replicas and -vnodes
-// values so every process derives the same placement without coordination.
-// The retry, backoff and breaker flags tune the failure handling of
-// DESIGN.md §10.
+// Placement is consistent hashing over the workers — the rule elastic
+// clusters rebalance to, so a static fleet's first rebalance is a no-op.
+// pawworker must be started with the same -replicas value so every process
+// derives the same placement without coordination. Retries, backoff and the
+// breaker (DESIGN.md §10) run on fixed values.
 //
 // With -membership the fleet is elastic (DESIGN.md §15): workers join and
 // leave through a checksum-validated handshake on the client port, silent
 // workers go suspect and then dead under the heartbeat failure detector
-// (-suspect-after / -dead-after, advanced every -member-tick), and the
-// master re-places partitions with minimal movement — on demand after a
-// graceful leave, or automatically (-rebalance-auto) when the placement
-// references a dead worker or a new member hosts nothing. -rebalance-budget
-// bounds the bytes one automatic round ships; deferred moves complete in
-// later rounds. Queries keep answering exactly throughout: rebalances ride
-// the epoch-versioned migration machinery, so a failed round aborts with
-// the old placement untouched.
+// (-suspect-after / -dead-after), and the master re-places partitions with
+// minimal movement — on demand after a graceful leave, or automatically when
+// the placement references a dead worker or a new member hosts nothing.
+// Queries keep answering exactly throughout: rebalances ride the
+// epoch-versioned migration machinery, so a failed round aborts with the old
+// placement untouched.
 //
 // With -drift the master watches live queries for workload drift (DESIGN.md
 // §13): when the stream leaves the layout's variance scope (-drift-delta,
@@ -70,47 +67,28 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
 
 		traceSample = flag.Int("trace-sample", 0, "sample one query trace in every N (0: only forced EXPLAIN traces; needs -metrics for /traces)")
-		traceBuf    = flag.Int("trace-buf", 64, "finished traces retained for /traces")
 		traceOut    = flag.String("trace-out", "", "append one JSONL cost record per query to this file (schema "+trace.CostRecordSchema+")")
 		slowQuery   = flag.Duration("slow-query", 0, "log a structured slow-query record for queries at or above this latency (0: off)")
 
 		replicas     = flag.Int("replicas", 1, "copies per partition (pawworker needs the same value)")
-		vnodes       = flag.Int("vnodes", membership.DefaultVNodes, "virtual nodes per worker for ring placement and rebalance targets")
 		partial      = flag.Bool("partial", false, "answer from surviving replicas when a partition is lost instead of failing the query")
 		callTimeout  = flag.Duration("call-timeout", 5*time.Second, "per-scan-RPC timeout, dial included (0: only the query deadline bounds calls)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "whole-query timeout when the client sends no deadline (0: unbounded)")
-		retries      = flag.Int("retries", 2, "attempts per worker call before giving up on that replica")
-		retryBudget  = flag.Int("retry-budget", 16, "total retries one query may spend across all its calls (0: unlimited)")
-		backoff      = flag.Duration("backoff", 5*time.Millisecond, "base backoff between attempts (doubled per retry, jittered)")
-		maxBackoff   = flag.Duration("max-backoff", 500*time.Millisecond, "backoff ceiling")
-		retrySeed    = flag.Int64("retry-seed", 1, "seed for the backoff jitter (fixed seeds reproduce schedules)")
-		breakerN     = flag.Int("breaker-threshold", 3, "consecutive failures that open a worker's circuit breaker")
-		breakerCool  = flag.Duration("breaker-cooldown", 500*time.Millisecond, "time an open breaker waits before admitting a probe")
 
 		memberOn     = flag.Bool("membership", false, "enable elastic membership: workers may join/leave at runtime and silent ones are declared dead (DESIGN.md §15)")
 		suspectAfter = flag.Duration("suspect-after", 2*time.Second, "heartbeat silence before a worker goes suspect (still placed, still queried)")
 		deadAfter    = flag.Duration("dead-after", 10*time.Second, "heartbeat silence before a worker is declared dead (deprioritised, rebalanced away)")
-		memberTick   = flag.Duration("member-tick", 500*time.Millisecond, "failure-detector tick period")
-		rebalAuto    = flag.Bool("rebalance-auto", true, "rebalance automatically when the placement references a dead worker or a live member hosts nothing")
-		rebalCool    = flag.Duration("rebalance-cooldown", 5*time.Second, "minimum spacing between automatic rebalances")
-		rebalBudget  = flag.Int64("rebalance-budget", 0, "max payload bytes one rebalance round ships; excess moves defer to later rounds (0: unbounded; graceful-leave drains always ignore it)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "post-cutover wait for in-flight old-epoch queries before the epoch retires anyway (expiries are counted)")
 
 		resultCache = flag.Int("result-cache", 256, "clean-result cache entries, translated or dropped per partition on layout/placement change (0: off)")
 		maxInflight = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue, 32 per client, and the excess is shed with an overload error (0: unbounded, no admission)")
 
-		driftOn       = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (needs -drift-hist and -drift-delta)")
-		driftHist     = flag.String("drift-hist", "", "historical query log (.pawq) the layout was built from — the drift monitor's reference workload")
-		driftDelta    = flag.Float64("drift-delta", 0, "variance scope δ the layout was built with (absolute domain units)")
-		driftWindow   = flag.Int("drift-window", 256, "drift monitor sliding window, in observed queries")
-		driftCheck    = flag.Int("drift-check-every", 32, "run the drift decision every N observations")
-		driftSlack    = flag.Float64("drift-delta-slack", 1, "scale δ before the scope check (>1: lazier trigger than the build-time scope)")
-		driftCost     = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average opened bytes (the encoded size of the partitions its plans opened) exceed this factor times the baseline")
-		driftGain     = flag.Float64("drift-min-gain", 0.05, "minimum fraction of modeled window cost a rebuild must cut, or the migration is skipped")
-		driftCooldown = flag.Int("drift-cooldown", 0, "observations to mute the monitor after a migration or skipped trigger (0: one window)")
-		driftReplicas = flag.Int("drift-replicas", 1, "replica count for partitions added by a drift rebuild (surviving partitions keep their replica sets)")
-		driftValidate = flag.Bool("drift-validate", true, "run the invariant drift/cutover oracles on every patch before it is applied")
-		driftSeed     = flag.Int64("drift-seed", 1, "seed for the rebuild's sampling and the oracle probes")
+		driftOn     = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (needs -drift-hist and -drift-delta)")
+		driftHist   = flag.String("drift-hist", "", "historical query log (.pawq) the layout was built from — the drift monitor's reference workload")
+		driftDelta  = flag.Float64("drift-delta", 0, "variance scope δ the layout was built with (absolute domain units)")
+		driftWindow = flag.Int("drift-window", 256, "drift monitor sliding window, in observed queries")
+		driftCheck  = flag.Int("drift-check-every", 32, "run the drift decision every N observations")
+		driftCost   = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average opened bytes (the encoded size of the partitions its plans opened) exceed this factor times the baseline")
+		driftGain   = flag.Float64("drift-min-gain", 0.05, "minimum fraction of modeled window cost a rebuild must cut, or the migration is skipped")
 	)
 	flag.Parse()
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
@@ -139,36 +117,25 @@ func main() {
 	for i := range all {
 		all[i] = i
 	}
-	rep := membership.RingPlacement(ids, all, *replicas, *vnodes)
+	rep := membership.RingPlacement(ids, all, *replicas)
 	m, err := dist.NewMasterReplicated(rm, addrs, rep)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	m.Configure(dist.Config{
-		Retry: dist.RetryPolicy{
-			MaxAttempts:      *retries,
-			QueryRetryBudget: *retryBudget,
-			BaseBackoff:      *backoff,
-			MaxBackoff:       *maxBackoff,
-			Seed:             *retrySeed,
-			BreakerThreshold: *breakerN,
-			BreakerCooldown:  *breakerCool,
-		},
-		CallTimeout:  *callTimeout,
-		QueryTimeout: *queryTimeout,
-		AllowPartial: *partial,
-		SlowQuery:    *slowQuery,
-		DrainTimeout: *drainTimeout,
-
-		ResultCacheSize:    *resultCache,
-		MaxInflightQueries: *maxInflight,
-	})
+	cfg := dist.DefaultConfig()
+	cfg.CallTimeout = *callTimeout
+	cfg.QueryTimeout = *queryTimeout
+	cfg.AllowPartial = *partial
+	cfg.SlowQuery = *slowQuery
+	cfg.ResultCacheSize = *resultCache
+	cfg.MaxInflightQueries = *maxInflight
+	m.Configure(cfg)
 	// The tracer exists whenever traces can be produced: by sampling
 	// (-trace-sample) or on demand (pawsql -explain always works, but only a
 	// tracer retains those traces for /traces).
 	var tracer *trace.Tracer
 	if *traceSample > 0 || *metrics != "" {
-		tracer = trace.New(trace.Config{SampleEvery: *traceSample, Capacity: *traceBuf})
+		tracer = trace.New(trace.Config{SampleEvery: *traceSample})
 		m.SetTracer(tracer)
 	}
 	if *traceOut != "" {
@@ -221,13 +188,9 @@ func main() {
 			Window:     *driftWindow,
 			CheckEvery: *driftCheck,
 			Delta:      *driftDelta,
-			DeltaSlack: *driftSlack,
 			CostFactor: *driftCost,
 			MinGain:    *driftGain,
-			Cooldown:   *driftCooldown,
-			Replicas:   *driftReplicas,
-			Validate:   *driftValidate,
-			Seed:       *driftSeed,
+			Seed:       1,
 		})
 		ctl.SetMetrics(reg)
 		ctl.SetTracer(tracer)
@@ -239,21 +202,17 @@ func main() {
 	if *memberOn {
 		src := payloadSource(l, data, builder)
 		err := m.EnableMembership(dist.MembershipConfig{
-			Detector:          membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
-			TickEvery:         *memberTick,
-			Replicas:          *replicas,
-			VNodes:            *vnodes,
-			AutoRebalance:     *rebalAuto,
-			RebalanceCooldown: *rebalCool,
-			MaxMoveBytes:      *rebalBudget,
-			PayloadSource:     src,
+			Detector:      membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
+			TickEvery:     500 * time.Millisecond,
+			Replicas:      *replicas,
+			AutoRebalance: true,
+			PayloadSource: src,
 		})
 		if err != nil {
 			fatalf("%v", err)
 		}
 		slog.Info("elastic membership enabled", "suspect_after", *suspectAfter,
-			"dead_after", *deadAfter, "tick", *memberTick, "auto_rebalance", *rebalAuto,
-			"rebalance_budget", *rebalBudget, "drain_timeout", *drainTimeout)
+			"dead_after", *deadAfter)
 	}
 	addr, err := m.Start(*listen)
 	if err != nil {

@@ -3,7 +3,7 @@
 // produced by pawgen; partition ownership follows the consistent-hash ring
 // (the rule elastic clusters rebalance to), so all processes agree without
 // coordination. Start every worker and the master with the same -replicas
-// and -vnodes values.
+// value.
 //
 //	pawgen gen -dataset tpch -rows 120000 -out data.pawd
 //	pawgen partition -in data.pawd -method paw -layout-out layout.pawl
@@ -14,11 +14,12 @@
 // (pawmaster -membership) instead of assuming a static fleet: the join
 // handshake carries a checksum of the partitions this worker derived, the
 // master rejects the join if its own placement disagrees, and a background
-// heartbeat (-heartbeat-every) keeps the worker alive in the master's
-// failure detector. A worker started with -join and NO -data/-layout is a
+// heartbeat every 500 ms keeps the worker alive in the master's failure
+// detector. A worker started with -join and NO -data/-layout is a
 // fresh scale-out node: it joins empty and receives partitions through the
 // master's live rebalancing. On SIGINT a joined worker asks for a graceful
-// leave — the master drains its partitions before the process exits.
+// leave — the master drains its partitions before the process exits (or
+// after two minutes, drained or not).
 //
 //	pawworker -join 127.0.0.1:7100 -listen 127.0.0.1:7103 &
 package main
@@ -49,15 +50,12 @@ func main() {
 		index      = flag.Int("index", -1, "this worker's slot (-1 with -join: the master assigns one)")
 		workers    = flag.Int("workers", 1, "total worker count the static placement is derived over")
 		replicas   = flag.Int("replicas", 1, "copies per partition (match pawmaster)")
-		vnodes     = flag.Int("vnodes", membership.DefaultVNodes, "virtual nodes per worker on the placement ring (match pawmaster)")
 		listen     = flag.String("listen", "127.0.0.1:0", "listen address")
 		metrics    = flag.String("metrics", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address; empty disables")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
 
 		joinAddr  = flag.String("join", "", "master client address to join (elastic membership; empty: static fleet, no handshake)")
 		advertise = flag.String("advertise", "", "scan-serving address to advertise in the join handshake (default: the bound -listen address)")
-		beatEvery = flag.Duration("heartbeat-every", 500*time.Millisecond, "heartbeat period once joined")
-		leaveWait = flag.Duration("leave-timeout", 2*time.Minute, "how long SIGINT waits for the master to drain this worker before exiting anyway")
 	)
 	flag.Parse()
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
@@ -97,7 +95,7 @@ func main() {
 		for i := range all {
 			all[i] = i
 		}
-		mine = membership.HostedIDs(membership.RingPlacement(ids, all, *replicas, *vnodes), *index)
+		mine = membership.HostedIDs(membership.RingPlacement(ids, all, *replicas), *index)
 		w = dist.NewWorker(store, mine)
 	}
 
@@ -146,7 +144,7 @@ func main() {
 		if err != nil {
 			fatalf("joining %s: %v", *joinAddr, err)
 		}
-		hb.Start(*beatEvery)
+		hb.Start(500 * time.Millisecond)
 		if fresh {
 			// A fresh joiner has no slot until the master assigns one.
 			fmt.Printf("pawworker joined as slot %d, serving 0 partitions on %s\n", resp.Index, addr)
@@ -163,7 +161,7 @@ func main() {
 		// rest of the fleet before we stop serving. A refused or timed-out
 		// drain is logged and the worker exits anyway — the failure detector
 		// and a forced rebalance recover the data from the replicas.
-		ctx, cancel := context.WithTimeout(context.Background(), *leaveWait)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		if _, err := hb.Leave(ctx); err != nil {
 			slog.Warn("graceful leave failed, exiting undrained", "err", err)
 		} else {

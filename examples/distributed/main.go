@@ -60,7 +60,7 @@ func main() {
 	for i := range all {
 		all[i] = i
 	}
-	rep := membership.RingPlacement(ids, all, replicas, membership.DefaultVNodes)
+	rep := membership.RingPlacement(ids, all, replicas)
 	fleet := make([]*dist.Worker, workers)
 	addrs := make([]string, workers)
 	for w := 0; w < workers; w++ {
@@ -89,7 +89,6 @@ func main() {
 	}
 	cfg := dist.DefaultConfig()
 	cfg.CallTimeout = 2 * time.Second
-	cfg.Retry.BaseBackoff = 5 * time.Millisecond
 	cfg.SlowQuery = 250 * time.Millisecond
 	m.Configure(cfg)
 	reg := obs.New()

@@ -245,14 +245,10 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		Window:       opt.Window,
 		CheckEvery:   opt.CheckEvery,
 		Delta:        sc.Delta,
-		DeltaSlack:   1,
 		CostFactor:   1.2,
 		MinGain:      0.05,
-		Cooldown:     opt.Window,
 		BuildMinRows: 10,
 		BuildSample:  800,
-		Replicas:     1,
-		Validate:     true,
 		Seed:         sc.Seed,
 	}
 	ctl := drift.New(m, data, storeCfg.Builder(data), sc.Hist, dcfg)

@@ -119,7 +119,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	}
 	// Ring-placed from the start, so the join delta below is the ring's true
 	// minimum and not an artifact of converting from another placement rule.
-	place := membership.RingPlacement(ids, seedIdx, opt.Replicas, membership.DefaultVNodes)
+	place := membership.RingPlacement(ids, seedIdx, opt.Replicas)
 
 	perWorker := make([][]layout.ID, opt.Workers)
 	for w := range perWorker {
@@ -228,7 +228,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	cancel()
 	hb.Start(100 * time.Millisecond)
 	t0 := time.Now()
-	rr, err := m.Rebalance(context.Background(), false)
+	rr, err := m.Rebalance(context.Background())
 	joinEv.RebalanceMillis = time.Since(t0).Milliseconds()
 	stop.Store(true)
 	wg.Wait()
@@ -271,7 +271,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	if lerr != nil {
 		return rep, fmt.Errorf("leave: %w", lerr)
 	}
-	lr, err := m.Rebalance(context.Background(), false) // converged: must be a no-op
+	lr, err := m.Rebalance(context.Background()) // converged: must be a no-op
 	if err != nil {
 		return rep, fmt.Errorf("post-leave rebalance: %w", err)
 	}

@@ -127,20 +127,11 @@ func startChaosCluster(t *testing.T, nWorkers, replicas int, scripts map[int]fau
 	return tc
 }
 
-// fastChaosConfig is the test policy: quick backoff, tight budgets, seeded
-// jitter.
-func fastChaosConfig(seed int64) Config {
+// fastChaosConfig is the test policy: a 3-failure breaker and short
+// timeouts.
+func fastChaosConfig() Config {
 	return Config{
-		Retry: RetryPolicy{
-			MaxAttempts:      2,
-			QueryRetryBudget: 16,
-			BaseBackoff:      2 * time.Millisecond,
-			MaxBackoff:       20 * time.Millisecond,
-			Multiplier:       2,
-			Seed:             seed,
-			BreakerThreshold: 3,
-			BreakerCooldown:  150 * time.Millisecond,
-		},
+		Retry:        RetryPolicy{BreakerThreshold: 3},
 		CallTimeout:  2 * time.Second,
 		QueryTimeout: 10 * time.Second,
 	}
@@ -158,7 +149,7 @@ func TestChaosRetryRecoversFromReset(t *testing.T) {
 				0: {Seed: seed, Rules: []faultnet.Rule{
 					{Conn: 0, Op: faultnet.OnRead, Call: 0, Action: faultnet.Reset},
 				}},
-			}, fastChaosConfig(seed))
+			}, fastChaosConfig())
 			resp, err := tc.master.Query(chaosSQL)
 			if err != nil {
 				t.Fatalf("seed %d: query must survive a connection reset: %v", seed, err)
@@ -190,7 +181,7 @@ func TestChaosCorruptResponseTriggersRetry(t *testing.T) {
 				0: {Seed: seed, Rules: []faultnet.Rule{
 					{Conn: 0, Op: faultnet.OnWrite, Call: 0, Action: faultnet.Corrupt, Bytes: 16},
 				}},
-			}, fastChaosConfig(seed))
+			}, fastChaosConfig())
 			resp, err := tc.master.Query(chaosSQL)
 			if err != nil {
 				t.Fatalf("seed %d: query must survive a corrupted response: %v", seed, err)
@@ -210,7 +201,7 @@ func TestChaosCorruptResponseTriggersRetry(t *testing.T) {
 // answering be dropped, the retry succeed on a fresh one — while the
 // second, clean query proves the path is healthy again.
 func TestChaosSlowCallRetried(t *testing.T) {
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.CallTimeout = 150 * time.Millisecond
 	tc := startChaosCluster(t, 1, 1, map[int]faultnet.Script{
 		0: {Seed: 1, Rules: []faultnet.Rule{
@@ -240,7 +231,7 @@ func TestChaosSlowCallRetried(t *testing.T) {
 // killing the primary of half the partitions must redirect their scans to
 // the surviving replica with the full row count intact.
 func TestChaosFailoverToReplica(t *testing.T) {
-	tc := startChaosCluster(t, 2, 2, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 2, 2, nil, fastChaosConfig())
 	healthy, err := tc.master.Query(chaosSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +259,8 @@ func TestChaosFailoverToReplica(t *testing.T) {
 // its breaker (short-circuiting further dials); after the cooldown, a probe
 // against the restarted worker closes it again.
 func TestChaosBreakerTripAndProbe(t *testing.T) {
-	cfg := fastChaosConfig(1)
-	cfg.Retry.MaxAttempts = 1 // one failure per query makes the trip point exact
+	cfg := fastChaosConfig()
 	cfg.Retry.BreakerThreshold = 2
-	cfg.Retry.BreakerCooldown = 100 * time.Millisecond
 	tc := startChaosCluster(t, 1, 1, nil, cfg)
 	if _, err := tc.master.Query(chaosSQL); err != nil {
 		t.Fatal(err)
@@ -313,7 +302,7 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 	}
 	defer replacement.Close()
 	tc.workers[0] = replacement
-	time.Sleep(cfg.Retry.BreakerCooldown + 20*time.Millisecond)
+	time.Sleep(breakerCooldown + 20*time.Millisecond)
 	resp, err := tc.master.Query(chaosSQL)
 	if err != nil {
 		t.Fatalf("probe after cooldown must recover the worker: %v", err)
@@ -338,7 +327,7 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 // query nor strand its scatter goroutines.
 func TestChaosDeadlineExpiryNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.QueryTimeout = 0 // the caller's context is the only bound
 	tc := startChaosCluster(t, 1, 1, map[int]faultnet.Script{
 		0: {Seed: 1, Rules: []faultnet.Rule{
@@ -382,7 +371,7 @@ func TestChaosDeadlineExpiryNoLeak(t *testing.T) {
 // gets an error; once it opts into partial results it gets the surviving
 // partitions plus the failed-ID list.
 func TestChaosPartialResults(t *testing.T) {
-	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig())
 	maddr, err := tc.master.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +423,7 @@ func TestChaosPartialResults(t *testing.T) {
 // wire deadline must be dropped by the worker (counted, partition named)
 // rather than scanned.
 func TestChaosWorkerDeadlineDrop(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	reg := tc.workerRegs[0]
 	ids := perWorkerIDs(tc.rep, 1)[0]
 	resp := scanWorker(t, tc.addrs[0], ScanRequest{
@@ -460,7 +449,7 @@ func TestChaosWorkerDeadlineDrop(t *testing.T) {
 // partition after scanning real ones must still flush the earlier
 // partitions' telemetry and name the failing partition.
 func TestChaosPartialBatchStatsFlushed(t *testing.T) {
-	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig())
 	reg := tc.workerRegs[0]
 	mine := perWorkerIDs(tc.rep, 2)[0]
 	var foreign layout.ID = -1

@@ -12,7 +12,7 @@ import (
 // concurrent queries.
 
 func TestWorkerCloseIdempotent(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	w := tc.workers[0]
 	if err := w.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
@@ -23,7 +23,7 @@ func TestWorkerCloseIdempotent(t *testing.T) {
 }
 
 func TestWorkerStartAfterClose(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	w := tc.workers[0]
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -42,14 +42,14 @@ func TestWorkerStartAfterClose(t *testing.T) {
 }
 
 func TestWorkerDoubleStart(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	if _, err := tc.workers[0].Start("127.0.0.1:0"); err == nil {
 		t.Fatal("second Start must error while the first listener serves")
 	}
 }
 
 func TestMasterCloseIdempotent(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	if _, err := tc.master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMasterCloseIdempotent(t *testing.T) {
 }
 
 func TestMasterStartAfterClose(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	if err := tc.master.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMasterStartAfterClose(t *testing.T) {
 }
 
 func TestMasterDoubleStart(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	if _, err := tc.master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMasterDoubleStart(t *testing.T) {
 // goroutines: the mux must match every pipelined response to its request by
 // sequence so no goroutine sees another's answer (run under -race).
 func TestClientConcurrentQueries(t *testing.T) {
-	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig())
 	maddr, err := tc.master.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must stay closed under the default threshold.
 func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 	const bystanders = 6
-	cfg := fastChaosConfig(1)
-	cfg.Retry.BreakerThreshold = DefaultRetryPolicy().BreakerThreshold
+	cfg := fastChaosConfig()
+	cfg.Retry.BreakerThreshold = DefaultConfig().Retry.BreakerThreshold
 	var (
 		armed    atomic.Bool // off while the links are being established
 		held0    atomic.Bool
@@ -154,17 +154,17 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 // per-call timeout fires while the query itself is still live, the worker has
 // stopped answering on that link, and the link is dropped for a redial.
 func TestCallTimeoutDropsLink(t *testing.T) {
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.CallTimeout = 50 * time.Millisecond
-	cfg.Retry.MaxAttempts = 1
 	release := make(chan struct{})
 	tc := buildMigFixture(t, 1, nil, cfg, func(int, layout.ID) { <-release })
 	defer close(release)
 	if _, err := tc.master.Query(migSQL(tc.data.Names(), tc.data.Domain())); err == nil {
 		t.Fatal("a scan that outlasts the call timeout must fail the query")
 	}
-	if got := tc.reg.Snapshot().Counter(MetricRedials); got != 1 {
-		t.Errorf("redials = %d, want 1", got)
+	// One dropped link per attempt: maxAttempts of them.
+	if got := tc.reg.Snapshot().Counter(MetricRedials); got != maxAttempts {
+		t.Errorf("redials = %d, want %d", got, maxAttempts)
 	}
 	tc.master.mu.Lock()
 	l := tc.master.links[0]
@@ -178,7 +178,7 @@ func TestCallTimeoutDropsLink(t *testing.T) {
 // serve.Magic preamble is closed without an answer and counted, on the
 // master's client port and on a worker's scan port alike.
 func TestPeerWithoutPreambleDropped(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	maddr, err := tc.master.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestPeerWithoutPreambleDropped(t *testing.T) {
 func TestQueryDeadlineMidCallKeepsLink(t *testing.T) {
 	var hold atomic.Bool
 	release := make(chan struct{})
-	tc := buildMigFixture(t, 1, nil, fastChaosConfig(1), func(int, layout.ID) {
+	tc := buildMigFixture(t, 1, nil, fastChaosConfig(), func(int, layout.ID) {
 		if hold.Load() {
 			<-release
 		}
@@ -275,7 +275,7 @@ func TestQueryAllocsSingleWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds scanners under the race detector")
 	}
-	tc := buildMigFixture(t, 1, nil, fastChaosConfig(1))
+	tc := buildMigFixture(t, 1, nil, fastChaosConfig())
 	sql := migSQL(tc.data.Names(), tc.data.Domain())
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {

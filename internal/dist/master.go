@@ -26,7 +26,8 @@ import (
 // zero value means "use the defaults" (DefaultConfig); Configure must be
 // called before Start.
 type Config struct {
-	// Retry is the worker-call retry/backoff/breaker policy.
+	// Retry is the worker-call breaker policy; the retry and backoff
+	// values are constants (policy.go).
 	Retry RetryPolicy
 	// CallTimeout bounds one scan RPC, including the dial (0: no per-call
 	// bound beyond the query deadline).
@@ -78,12 +79,12 @@ const (
 	maxQueuedPerClient = 32
 )
 
-// DefaultConfig returns the production defaults: the default retry policy,
-// a 5s per-call timeout, a 30s query timeout, a 256-entry result cache, and
+// DefaultConfig returns the production defaults: a 3-failure breaker, a 5s
+// per-call timeout, a 30s query timeout, a 256-entry result cache, and
 // admission control at 256 in-flight queries.
 func DefaultConfig() Config {
 	return Config{
-		Retry:              DefaultRetryPolicy(),
+		Retry:              RetryPolicy{BreakerThreshold: 3},
 		CallTimeout:        5 * time.Second,
 		QueryTimeout:       30 * time.Second,
 		ResultCacheSize:    256,
@@ -94,7 +95,6 @@ func DefaultConfig() Config {
 
 // normalized fills the zero serving fields with their defaults.
 func (c Config) normalized() Config {
-	c.Retry = c.Retry.normalized()
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -367,16 +367,15 @@ func (m *Master) traceFor(force bool) *trace.T {
 	return nil
 }
 
-// Configure replaces the failure-handling and serving configuration. Zero
-// fields of the retry policy and the serving knobs fall back to their
-// defaults; the result cache and admission control stay off when their sizes
-// are 0.
+// Configure replaces the failure-handling and serving configuration. A zero
+// DrainTimeout falls back to its default; the breaker, the result cache and
+// admission control stay off when their sizes are 0.
 // Call before Start; the master does not support reconfiguration while
 // queries are in flight.
 func (m *Master) Configure(cfg Config) {
 	cfg = cfg.normalized()
 	m.cfg = cfg
-	m.jit = newJitter(cfg.Retry.Seed)
+	m.jit = newJitter()
 	m.resultCache, m.admission = nil, nil
 	if cfg.ResultCacheSize > 0 {
 		m.resultCache = serve.NewLRU[string, cachedResult](cfg.ResultCacheSize)
@@ -486,7 +485,7 @@ func (e errWorkerUnhealthy) Error() string {
 // callWorker performs one scan RPC against worker w under the retry policy:
 // per-call deadlines, breaker admission, exponential backoff with seeded
 // jitter between attempts, and a per-query retry budget. Scans are read-only
-// and idempotent, so resends are safe. budget may be nil (no query budget).
+// and idempotent, so resends are safe.
 //
 // A failure that leaves the multiplexed link healthy — the request never
 // reached the wire, or the query's own context abandoned the call — keeps the
@@ -554,16 +553,16 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if f.breakers[w].failure(m.cfg.Retry, time.Now()) {
 			m.m.breakerTrips.Inc()
 		}
-		if attempt+1 >= m.cfg.Retry.MaxAttempts {
+		if attempt+1 >= maxAttempts {
 			m.m.failures.Inc()
 			return err
 		}
-		if budget != nil && budget.Add(-1) < 0 {
+		if budget.Add(-1) < 0 {
 			m.m.failures.Inc()
 			return fmt.Errorf("dist: query retry budget exhausted: %w", err)
 		}
 		m.m.retries.Inc()
-		if serr := sleepCtx(ctx, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
+		if serr := sleepCtx(ctx, m.jit.backoff(attempt)); serr != nil {
 			m.m.failures.Inc()
 			return serr
 		}
@@ -910,11 +909,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 	rsp.End()
 	var total QueryResponse
 	total.SubQueries = len(plan.Ranges)
-	var budget *atomic.Int64
-	if n := m.cfg.Retry.QueryRetryBudget; n > 0 {
-		budget = new(atomic.Int64)
-		budget.Store(int64(n))
-	}
+	budget := new(atomic.Int64)
+	budget.Store(queryRetryBudget)
 	var scatterStart time.Time
 	if st != nil {
 		scatterStart = time.Now()

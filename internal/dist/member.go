@@ -31,8 +31,8 @@ const (
 	// MemberBeat is a heartbeat; it revives Suspect/Dead members.
 	MemberBeat = 2
 	// MemberLeave starts a graceful leave: the master drains the worker's
-	// partitions onto the remaining members (ignoring the move budget) and
-	// answers only when the worker holds nothing the placement needs.
+	// partitions onto the remaining members and answers only when the
+	// worker holds nothing the placement needs.
 	MemberLeave = 3
 )
 
@@ -70,9 +70,6 @@ type MembershipConfig struct {
 	// Replicas is the copy count the ring placement maintains (default:
 	// the replication degree of the placement the master booted with).
 	Replicas int
-	// VNodes is the virtual-node count per member on the consistent-hash
-	// ring (0: membership.DefaultVNodes).
-	VNodes int
 	// AutoRebalance lets ticks trigger rebalances when the placement
 	// references a dead worker or a live member hosts nothing. Flapping
 	// Alive↔Suspect members never trigger one: Suspect members keep their
@@ -81,11 +78,6 @@ type MembershipConfig struct {
 	// RebalanceCooldown is the minimum spacing between automatic
 	// rebalances (default 5s).
 	RebalanceCooldown time.Duration
-	// MaxMoveBytes bounds the payload bytes one rebalance round ships
-	// (0: unbounded). Moves beyond the budget defer to later rounds,
-	// hottest partitions first; moves that restore a partition's last
-	// live copy are exempt. Graceful-leave drains ignore the budget.
-	MaxMoveBytes int64
 	// PayloadSource, when set, rebuilds a partition's encoded payload from
 	// the master's own copy of the dataset — the fallback when no reachable
 	// worker holds the partition (e.g. every replica crashed).
@@ -99,9 +91,6 @@ func (c MembershipConfig) normalized(curReplicas int) MembershipConfig {
 	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = membership.DefaultVNodes
 	}
 	if c.RebalanceCooldown <= 0 {
 		c.RebalanceCooldown = 5 * time.Second
@@ -122,10 +111,6 @@ type membershipState struct {
 
 	mu            sync.Mutex
 	lastRebalance time.Time
-	// deferredWork marks that the last rebalance left budget-deferred
-	// moves, so the auto path keeps going even though the trigger
-	// conditions look satisfied.
-	deferredWork bool
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -275,12 +260,8 @@ func (m *Master) needsRebalance(ms *membershipState) bool {
 func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 	ms.mu.Lock()
 	cooling := now.Sub(ms.lastRebalance) < ms.cfg.RebalanceCooldown
-	pending := ms.deferredWork
 	ms.mu.Unlock()
-	if cooling {
-		return
-	}
-	if !pending && !m.needsRebalance(ms) {
+	if cooling || !m.needsRebalance(ms) {
 		return
 	}
 	if !ms.rebalanceMu.TryLock() {
@@ -290,7 +271,7 @@ func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		if _, err := m.Rebalance(ms.ctx, false); err != nil {
+		if _, err := m.Rebalance(ms.ctx); err != nil {
 			slog.Warn("auto-rebalance failed", "err", err)
 		}
 	}()
@@ -358,7 +339,7 @@ func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Ti
 			slot = fmt.Sprintf("slot %d", idx)
 		}
 		return MemberResponse{Index: -1, Err: fmt.Sprintf(
-			"dist: join rejected for %s: worker's hosted-partition digest %016x does not match the %016x the master's placement expects — master and worker derived different placements (check that -workers, -replicas, -vnodes and the layout flags agree on both sides)",
+			"dist: join rejected for %s: worker's hosted-partition digest %016x does not match the %016x the master's placement expects — master and worker derived different placements (check that -workers, -replicas and the layout flags agree on both sides)",
 			slot, req.Sum, expected)}
 	}
 	mem, tr, err := ms.tracker.Join(idx, req.Addr, now)
@@ -387,11 +368,10 @@ func (m *Master) handleLeave(ms *membershipState, req *MemberRequest, now time.T
 	}
 	m.m.memberLeaves.Inc()
 	m.updateMemberGauges(ms)
-	// Drain synchronously, ignoring the move budget: a deferred move would
-	// strand data on the departing worker. The leave RPC answers only when
-	// the worker holds nothing the placement needs — the worker can then
-	// shut down without any query ever missing rows.
-	if _, err := m.Rebalance(ms.ctx, true); err != nil {
+	// Drain synchronously. The leave RPC answers only when the worker holds
+	// nothing the placement needs — the worker can then shut down without
+	// any query ever missing rows.
+	if _, err := m.Rebalance(ms.ctx); err != nil {
 		// The worker must NOT exit; revive it so it keeps serving.
 		ms.tracker.Revive(req.Index, time.Now())
 		m.updateMemberGauges(ms)

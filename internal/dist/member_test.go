@@ -62,7 +62,7 @@ func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg Member
 	for w := range workerIdx {
 		workerIdx[w] = w
 	}
-	rep := membership.RingPlacement(ids, workerIdx, replicas, membership.DefaultVNodes)
+	rep := membership.RingPlacement(ids, workerIdx, replicas)
 
 	tc := &elasticCluster{data: data, layout: l, store: store, rep: rep,
 		workers: make(map[int]*Worker), replicas: replicas}
@@ -200,7 +200,7 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 
 	// Move data onto the joiner, then leave gracefully: the drain must
 	// pull everything back off before the call returns.
-	if _, err := tc.master.Rebalance(ctx, false); err != nil {
+	if _, err := tc.master.Rebalance(ctx); err != nil {
 		t.Fatalf("rebalance after join: %v", err)
 	}
 	if got := len(membership.HostedIDs(tc.master.Placement(), jresp.Index)); got == 0 {
@@ -356,7 +356,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 // TestMembershipNotEnabled: member ops against a plain master fail with a
 // clear error instead of panicking or hanging.
 func TestMembershipNotEnabled(t *testing.T) {
-	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig(1))
+	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	resp := tc.master.handleMember(&MemberRequest{Op: MemberBeat, Index: 0})
 	if !strings.Contains(resp.Err, "not enabled") {
 		t.Fatalf("want a membership-not-enabled error, got %q", resp.Err)
@@ -364,7 +364,7 @@ func TestMembershipNotEnabled(t *testing.T) {
 	if _, ok := tc.master.MembershipView(); ok {
 		t.Fatal("MembershipView must report disabled")
 	}
-	if _, err := tc.master.Rebalance(context.Background(), false); err == nil {
+	if _, err := tc.master.Rebalance(context.Background()); err == nil {
 		t.Fatal("Rebalance without membership must error")
 	}
 }
@@ -388,7 +388,7 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	for i, p := range l.Parts {
 		ids[i] = p.ID
 	}
-	rep := membership.RingPlacement(ids, []int{0}, 1, membership.DefaultVNodes)
+	rep := membership.RingPlacement(ids, []int{0}, 1)
 	wk := NewWorker(store, membership.HostedIDs(rep, 0))
 	waddr, err := wk.Start("127.0.0.1:0")
 	if err != nil {

@@ -23,12 +23,12 @@ import (
 func TestChaosRebalanceWorkerCrash(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tc := startElasticCluster(t, 3, 1, 3000, elasticMemberConfig(), fastChaosConfig(seed))
+			tc := startElasticCluster(t, 3, 1, 3000, elasticMemberConfig(), fastChaosConfig())
 			tc.checkExact(t)
 			idx, wk := tc.joinFreshWorker(t)
 			wk.Close() // crash between the handshake and the first install
 
-			if _, err := tc.master.Rebalance(context.Background(), false); err == nil {
+			if _, err := tc.master.Rebalance(context.Background()); err == nil {
 				t.Fatal("rebalance must abort when an install target is down")
 			}
 			if got := tc.master.Epoch(); got != 0 {
@@ -64,7 +64,7 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 			if mem, _ := view.Member(idx); mem.State != membership.Dead {
 				t.Fatalf("crashed joiner state = %v, want Dead", mem.State)
 			}
-			report, err := tc.master.Rebalance(context.Background(), false)
+			report, err := tc.master.Rebalance(context.Background())
 			if err != nil {
 				t.Fatalf("rebalance after the joiner died: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 func TestChaosJoinWorkerCrash(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tc := startElasticCluster(t, 2, 2, 3000, elasticMemberConfig(), fastChaosConfig(seed))
+			tc := startElasticCluster(t, 2, 2, 3000, elasticMemberConfig(), fastChaosConfig())
 			idx, wk := tc.joinFreshWorker(t)
 			wk.Close()
 			tc.checkExact(t) // the dead joiner hosts nothing; nothing routes to it
@@ -168,7 +168,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 			t.Skip("op budget")
 		}
 		mcfg := elasticMemberConfig()
-		tc := startElasticCluster(t, 2, 2, 1500, mcfg, fastChaosConfig(seed))
+		tc := startElasticCluster(t, 2, 2, 1500, mcfg, fastChaosConfig())
 		ms := tc.master.member.Load()
 		rng := rand.New(rand.NewSource(seed))
 		vt := time.Now()
@@ -232,8 +232,8 @@ func FuzzMembershipDifferential(f *testing.F) {
 					ms.tracker.Beat(w, vt)
 				}
 				tc.master.MembershipTick(vt)
-			case 4: // rebalance (full or budgeted); failures must not corrupt
-				tc.master.Rebalance(context.Background(), op&0x80 != 0)
+			case 4: // rebalance; failures must not corrupt
+				tc.master.Rebalance(context.Background())
 			case 5: // extra probe pressure
 				probe()
 			}
@@ -246,7 +246,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 			ms.tracker.Beat(w, vt)
 		}
 		tc.master.MembershipTick(vt)
-		if _, err := tc.master.Rebalance(context.Background(), true); err == nil {
+		if _, err := tc.master.Rebalance(context.Background()); err == nil {
 			tc.checkExact(t)
 		}
 	})

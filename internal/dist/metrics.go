@@ -101,7 +101,6 @@ const (
 	MetricRebalances        = "dist_rebalances_total"
 	MetricRebalanceParts    = "dist_rebalance_moved_partitions_total"
 	MetricRebalanceBytes    = "dist_rebalance_moved_bytes_total"
-	MetricRebalanceDeferred = "dist_rebalance_deferred_total"
 	MetricDrainTimeouts     = "dist_drain_timeouts_total"
 )
 
@@ -165,7 +164,6 @@ type masterMetrics struct {
 	rebalances          *obs.Counter
 	rebalanceMovedParts *obs.Counter
 	rebalanceMovedBytes *obs.Counter
-	rebalanceDeferred   *obs.Counter
 	drainTimeouts       *obs.Counter
 }
 
@@ -237,7 +235,6 @@ func (m *Master) SetMetrics(reg *obs.Registry) {
 		rebalances:          reg.Counter(MetricRebalances),
 		rebalanceMovedParts: reg.Counter(MetricRebalanceParts),
 		rebalanceMovedBytes: reg.Counter(MetricRebalanceBytes),
-		rebalanceDeferred:   reg.Counter(MetricRebalanceDeferred),
 		drainTimeouts:       reg.Counter(MetricDrainTimeouts),
 	}
 	m.m = mm

@@ -289,7 +289,7 @@ func (m *Master) adminCall(ctx context.Context, w int, req AdminRequest) error {
 }
 
 // adminCallResp performs one admin RPC against worker w with bounded retries
-// under the configured backoff, returning the worker's response (AdminFetch
+// under the query path's backoff, returning the worker's response (AdminFetch
 // answers carry the encoded partition). It deliberately bypasses the
 // breakers — a migration install is not query serving, and its failure
 // handling is "abort the migration", not "fail over".
@@ -297,7 +297,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 	req.Seq = m.seq.Add(1)
 	qd, _ := ctx.Deadline()
 	var lastErr error
-	for attempt := 0; attempt < m.cfg.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return AdminResponse{}, err
 		}
@@ -320,7 +320,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if ctx.Err() != nil {
 			return AdminResponse{}, lastErr
 		}
-		if serr := sleepCtx(ctx, m.jit.backoff(m.cfg.Retry, attempt)); serr != nil {
+		if serr := sleepCtx(ctx, m.jit.backoff(attempt)); serr != nil {
 			return AdminResponse{}, lastErr
 		}
 	}

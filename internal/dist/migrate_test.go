@@ -223,7 +223,7 @@ func (tc *migClusterFixture) checkQueries(t *testing.T) {
 }
 
 func fastMigConfig() Config {
-	cfg := fastChaosConfig(7)
+	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	return cfg
 }
@@ -443,7 +443,7 @@ func (tc *migClusterFixture) identityMigration() *Migration {
 // configured (it used to be emptied wholesale then) — and the hits after it
 // are the answers from before it.
 func TestIdentityMigrationKeepsEveryResult(t *testing.T) {
-	cfg := fastChaosConfig(7)
+	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	tc := buildMigFixture(t, 2, nil, cfg)
 	dom := tc.data.Domain()
@@ -569,7 +569,7 @@ func TestMigrationRejectsConcurrentMigration(t *testing.T) {
 func TestChaosMigrationWorkerDown(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tc := buildMigFixture(t, 2, nil, fastChaosConfig(seed))
+			tc := buildMigFixture(t, 2, nil, fastChaosConfig())
 			// Kill the worker hosting the first payload partition.
 			var victim int
 			for _, e := range tc.mig.Entries {
@@ -641,7 +641,7 @@ func TestChaosMigrationCorruptedStream(t *testing.T) {
 				0: {Seed: seed, Rules: []faultnet.Rule{
 					{Conn: 0, Op: faultnet.OnWrite, Call: 0, Action: faultnet.Corrupt, Bytes: 4},
 				}},
-			}, fastChaosConfig(seed))
+			}, fastChaosConfig())
 			err := tc.master.ApplyMigration(context.Background(), tc.mig)
 			snap := tc.reg.Snapshot()
 			if err != nil {

@@ -7,77 +7,37 @@ import (
 )
 
 // RetryPolicy governs how the master treats worker-call failures: bounded
-// per-call attempts with exponential backoff and deterministic (seeded)
-// jitter, a per-query retry budget shared by all of a query's scatter RPCs,
-// and a per-worker consecutive-failure breaker that short-circuits dials to
-// a worker that keeps failing until a cooldown probe succeeds.
+// per-call attempts (maxAttempts) with exponential backoff and deterministic
+// (seeded) jitter, a per-query retry budget shared by all of a query's
+// scatter RPCs (queryRetryBudget), and a per-worker consecutive-failure
+// breaker that short-circuits dials to a worker that keeps failing until a
+// cooldown probe succeeds.
 type RetryPolicy struct {
-	// MaxAttempts bounds the attempts of one scan RPC, including the first
-	// (minimum 1; the default 2 preserves the historical dial-once/redial-once
-	// behavior).
-	MaxAttempts int
-	// QueryRetryBudget caps the total retries (attempts beyond the first) a
-	// single query may spend across all its scatter RPCs. <= 0 means
-	// unlimited within MaxAttempts.
-	QueryRetryBudget int
-	// BaseBackoff is the delay before the first retry; each further retry
-	// doubles it (Multiplier) up to MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff time.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
-	// Seed feeds the jitter source, making backoff sequences reproducible;
-	// the same seed and failure order yield the same delays.
-	Seed int64
 	// BreakerThreshold is the number of consecutive failures that trips a
 	// worker's breaker (0 disables the breaker).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker short-circuits calls
-	// before allowing a single probe through.
-	BreakerCooldown time.Duration
 }
 
-// DefaultRetryPolicy returns the production defaults: 2 attempts per call,
-// a 16-retry query budget, 5ms..500ms exponential backoff, and a 3-failure
-// breaker with a 500ms probe cooldown.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:      2,
-		QueryRetryBudget: 16,
-		BaseBackoff:      5 * time.Millisecond,
-		MaxBackoff:       500 * time.Millisecond,
-		Multiplier:       2,
-		Seed:             1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  500 * time.Millisecond,
-	}
-}
-
-// normalized fills zero fields with their defaults so a partially-specified
-// policy behaves sanely.
-func (p RetryPolicy) normalized() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = def.MaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = def.BaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = def.Multiplier
-	}
-	if p.Seed == 0 {
-		p.Seed = def.Seed
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = def.BreakerCooldown
-	}
-	return p
-}
+// Retry constants: every binary, benchmark and example ran with these values.
+const (
+	// maxAttempts bounds the attempts of one scan RPC, including the first:
+	// dial once, redial once.
+	maxAttempts = 2
+	// queryRetryBudget caps the retries (attempts beyond the first) one
+	// query may spend across all its scatter RPCs.
+	queryRetryBudget = 16
+	// baseBackoff is the delay before the first retry; each further retry
+	// multiplies it by backoffMultiplier, up to maxBackoff.
+	baseBackoff       = 5 * time.Millisecond
+	maxBackoff        = 500 * time.Millisecond
+	backoffMultiplier = 2
+	// jitterSeed feeds the jitter source, so the same failure order yields
+	// the same delays.
+	jitterSeed = 1
+	// breakerCooldown is how long a tripped breaker short-circuits calls
+	// before it admits a single probe.
+	breakerCooldown = 500 * time.Millisecond
+)
 
 // jitter is the master's seeded backoff-jitter source; a mutex serialises
 // the rand.Rand (scatter goroutines back off concurrently).
@@ -86,18 +46,18 @@ type jitter struct {
 	rng *rand.Rand
 }
 
-func newJitter(seed int64) *jitter {
-	return &jitter{rng: rand.New(rand.NewSource(seed))}
+func newJitter() *jitter {
+	return &jitter{rng: rand.New(rand.NewSource(jitterSeed))}
 }
 
-// backoff returns the delay before retry number retry (0-based): the policy's
+// backoff returns the delay before retry number retry (0-based): the
 // exponential curve scaled into [50%, 100%] by the seeded jitter source.
-func (j *jitter) backoff(p RetryPolicy, retry int) time.Duration {
-	d := float64(p.BaseBackoff)
+func (j *jitter) backoff(retry int) time.Duration {
+	d := float64(baseBackoff)
 	for i := 0; i < retry; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxBackoff) {
-			d = float64(p.MaxBackoff)
+		d *= backoffMultiplier
+		if d >= float64(maxBackoff) {
+			d = float64(maxBackoff)
 			break
 		}
 	}
@@ -136,7 +96,7 @@ func (b *breaker) allow(p RetryPolicy, now time.Time) (ok, probe bool) {
 	case breakerClosed:
 		return true, false
 	case breakerOpen:
-		if now.Sub(b.openedAt) >= p.BreakerCooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			return true, true
 		}
@@ -155,7 +115,7 @@ func (b *breaker) healthy(p RetryPolicy, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state == breakerClosed ||
-		(b.state == breakerOpen && now.Sub(b.openedAt) >= p.BreakerCooldown)
+		(b.state == breakerOpen && now.Sub(b.openedAt) >= breakerCooldown)
 }
 
 // success records a successful call: the breaker closes and the failure run

@@ -33,20 +33,13 @@ type RebalanceReport struct {
 	MovedBytes      int64
 	// ReusedPartitions stayed put (alias-only installs).
 	ReusedPartitions int
-	// Deferred counts moves pushed past the byte budget into later rounds.
-	Deferred int
-	// Forced counts moves exempted from the budget because they restored a
-	// partition's last live copy.
-	Forced int
 }
 
 // Rebalance computes the minimal-movement delta between the current
 // placement and the consistent-hash target over the placeable members, and
-// applies it as one migration. With full=true the per-round byte budget is
-// ignored — the graceful-leave drain uses this, since a deferred move would
-// strand data on the departing worker. A no-op delta returns immediately
-// without burning an epoch. Requires EnableMembership.
-func (m *Master) Rebalance(ctx context.Context, full bool) (RebalanceReport, error) {
+// applies it as one migration. A no-op delta returns immediately without
+// burning an epoch. Requires EnableMembership.
+func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	ms := m.member.Load()
 	if ms == nil {
 		return RebalanceReport{}, fmt.Errorf("dist: membership is not enabled on this master")
@@ -77,37 +70,19 @@ func (m *Master) Rebalance(ctx context.Context, full bool) (RebalanceReport, err
 	if replicas > len(placeable) {
 		replicas = len(placeable)
 	}
-	want := membership.RingPlacement(ids, placeable, replicas, ms.cfg.VNodes)
-	weight := func(id layout.ID) int64 {
-		if b := l.Parts[id].Bytes(); b > 0 {
-			return b
-		}
-		return 1
-	}
-	budget := ms.cfg.MaxMoveBytes
-	if full {
-		budget = 0
-	}
+	want := membership.RingPlacement(ids, placeable, replicas)
 	plan := membership.PlanRebalance(ids, curView.replicas, want,
-		func(w int) bool { return reachable[w] }, weight, budget)
-
-	ms.mu.Lock()
-	ms.deferredWork = len(plan.Deferred) > 0
-	ms.mu.Unlock()
+		func(w int) bool { return reachable[w] })
 
 	report := RebalanceReport{
 		Epoch:            curView.epoch,
 		Workers:          len(placeable),
 		Partitions:       len(ids),
 		MovedPartitions:  plan.MovedPartitions,
-		MovedBytes:       plan.MovedBytes,
 		ReusedPartitions: plan.ReusedPartitions,
-		Deferred:         len(plan.Deferred),
 	}
 	for _, mv := range plan.Moves {
-		if mv.Forced {
-			report.Forced++
-		}
+		report.MovedBytes += l.Parts[mv.ID].Bytes() * int64(len(mv.Gain))
 	}
 	if len(plan.Moves) == 0 && placementsEqual(curView.replicas, plan.Target) {
 		return report, nil // already balanced: no epoch bump, no thrash
@@ -152,12 +127,11 @@ func (m *Master) Rebalance(ctx context.Context, full bool) (RebalanceReport, err
 	report.Epoch = mig.Epoch
 	m.m.rebalances.Inc()
 	m.m.rebalanceMovedParts.Add(int64(plan.MovedPartitions))
-	m.m.rebalanceMovedBytes.Add(plan.MovedBytes)
-	m.m.rebalanceDeferred.Add(int64(len(plan.Deferred)))
+	m.m.rebalanceMovedBytes.Add(report.MovedBytes)
 	slog.Info("rebalance complete",
 		"epoch", mig.Epoch, "workers", len(placeable),
-		"moved_partitions", plan.MovedPartitions, "moved_bytes", plan.MovedBytes,
-		"reused", plan.ReusedPartitions, "deferred", len(plan.Deferred), "forced", report.Forced)
+		"moved_partitions", plan.MovedPartitions, "moved_bytes", report.MovedBytes,
+		"reused", plan.ReusedPartitions)
 	return report, nil
 }
 

@@ -13,9 +13,8 @@ import (
 
 // Rebalance tests: the minimal-movement property (a join moves roughly
 // 1/(N+1) of the copies, never a reshuffle), exactness of every query served
-// during and after the move, budget-deferred rounds, and the drain-timeout
-// accounting. The cluster is ring-placed from the start so the ring delta is
-// the true minimum.
+// during and after the move, and the drain-timeout accounting. The cluster
+// is ring-placed from the start so the ring delta is the true minimum.
 
 // TestRebalanceJoinMovementBound: joining one fresh worker must ship close
 // to the consistent-hash ideal — P·R/(N+1) copies — and stay exact
@@ -56,7 +55,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 	}()
 
 	idx, _ := tc.joinFreshWorker(t)
-	report, err := tc.master.Rebalance(context.Background(), false)
+	report, err := tc.master.Rebalance(context.Background())
 	stop.Store(true)
 	wg.Wait()
 	select {
@@ -104,7 +103,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 
 	// A second round is a no-op: the placement already matches the ring, so
 	// nothing moves and no epoch burns (no-thrash).
-	again, err := tc.master.Rebalance(context.Background(), false)
+	again, err := tc.master.Rebalance(context.Background())
 	if err != nil {
 		t.Fatalf("idempotent rebalance: %v", err)
 	}
@@ -115,12 +114,10 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 }
 
 // TestRebalanceLeaveDrainsEverything: a graceful leave must pull every copy
-// off the departing worker in one round regardless of the byte budget, so
-// the worker can exit without stranding data.
+// off the departing worker in one round, so the worker can exit without
+// stranding data.
 func TestRebalanceLeaveDrainsEverything(t *testing.T) {
-	mcfg := elasticMemberConfig()
-	mcfg.MaxMoveBytes = 1 // absurdly small: a leave must ignore it
-	tc := startElasticCluster(t, 3, 2, 4000, mcfg, fastMigConfig())
+	tc := startElasticCluster(t, 3, 2, 4000, elasticMemberConfig(), fastMigConfig())
 	tc.checkExact(t)
 	hostedBefore := len(membership.HostedIDs(tc.master.Placement(), 0))
 	if hostedBefore == 0 {
@@ -132,7 +129,7 @@ func TestRebalanceLeaveDrainsEverything(t *testing.T) {
 		t.Fatalf("leave: %s", resp.Err)
 	}
 	if got := len(membership.HostedIDs(tc.master.Placement(), 0)); got != 0 {
-		t.Fatalf("left worker still hosts %d partitions (budget must not defer a drain)", got)
+		t.Fatalf("left worker still hosts %d partitions (a drain must not leave any behind)", got)
 	}
 	view, _ := tc.master.MembershipView()
 	if mem, _ := view.Member(0); mem.State != membership.Left {
@@ -142,48 +139,6 @@ func TestRebalanceLeaveDrainsEverything(t *testing.T) {
 	tc.checkExact(t)
 	if got := tc.reg.Snapshot().Counter(MetricMemberLeaves); got != 1 {
 		t.Errorf("member leaves = %d, want 1", got)
-	}
-}
-
-// TestRebalanceBudgetDefersColdMoves: a small byte budget ships the hottest
-// moves now and defers the rest; queries stay exact on the partial target,
-// and a follow-up unbudgeted round finishes the job.
-func TestRebalanceBudgetDefersColdMoves(t *testing.T) {
-	mcfg := elasticMemberConfig()
-	mcfg.MaxMoveBytes = 1 // first move always ships; everything else defers
-	tc := startElasticCluster(t, 3, 2, 6000, mcfg, fastMigConfig())
-	tc.joinFreshWorker(t)
-
-	first, err := tc.master.Rebalance(context.Background(), false)
-	if err != nil {
-		t.Fatalf("budgeted rebalance: %v", err)
-	}
-	if first.Deferred == 0 {
-		t.Fatal("a 1-byte budget must defer moves")
-	}
-	if first.MovedPartitions == 0 {
-		t.Fatal("a budgeted round must still make progress")
-	}
-	tc.checkExact(t)
-	if got := tc.reg.Snapshot().Counter(MetricRebalanceDeferred); got != int64(first.Deferred) {
-		t.Errorf("deferred counter = %d, want %d", got, first.Deferred)
-	}
-
-	second, err := tc.master.Rebalance(context.Background(), true)
-	if err != nil {
-		t.Fatalf("full rebalance: %v", err)
-	}
-	if second.Deferred != 0 {
-		t.Errorf("unbudgeted round deferred %d moves, want 0", second.Deferred)
-	}
-	tc.checkExact(t)
-	// Converged: one more round moves nothing.
-	final, err := tc.master.Rebalance(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.MovedPartitions != 0 {
-		t.Errorf("converged cluster moved %d copies", final.MovedPartitions)
 	}
 }
 
@@ -197,7 +152,7 @@ func TestRebalanceDrainTimeoutCounted(t *testing.T) {
 	// Pin a phantom in-flight query on the serving view so the drain cannot
 	// complete.
 	tc.master.view.Load().inflight.Add(1)
-	if _, err := tc.master.Rebalance(context.Background(), false); err != nil {
+	if _, err := tc.master.Rebalance(context.Background()); err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
 	if got := tc.reg.Snapshot().Counter(MetricDrainTimeouts); got != 1 {

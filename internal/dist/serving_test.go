@@ -100,7 +100,7 @@ var servingStatements = []string{
 // client hop may add framing, never meaning.
 func TestDifferentialWireVsInProcess(t *testing.T) {
 	f := startServingWorkers(t, 3)
-	m, addr := f.startServingMaster(t, fastChaosConfig(1))
+	m, addr := f.startServingMaster(t, fastChaosConfig())
 	cl, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestDifferentialWireVsInProcess(t *testing.T) {
 func TestMuxClientConcurrentCorrectness(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f := startServingWorkers(t, 3)
-	m, addr := f.startServingMaster(t, fastChaosConfig(1))
+	m, addr := f.startServingMaster(t, fastChaosConfig())
 
 	// Serial ground truth, computed on the master directly.
 	want := make(map[string]QueryResponse, len(servingStatements))
@@ -241,7 +241,7 @@ func TestMuxClientConcurrentCorrectness(t *testing.T) {
 // recomputed one.
 func TestResultCacheHitMissInvalidate(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	m, _ := f.startServingMaster(t, cfg)
 	reg := obs.New()
@@ -291,7 +291,7 @@ func TestResultCacheHitMissInvalidate(t *testing.T) {
 // built before the cache lookup, cost four allocations per hit.
 func TestResultCacheHitAllocs(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	m, _ := f.startServingMaster(t, cfg)
 	req := QueryRequest{SQL: servingStatements[0], TimeoutMillis: 60_000}
@@ -314,7 +314,7 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // recovered worker is observed immediately.
 func TestPartialResultsNotCached(t *testing.T) {
 	f := startServingWorkers(t, 2)
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	cfg.AllowPartial = true
 	m, _ := f.startServingMaster(t, cfg)
@@ -461,7 +461,7 @@ func TestAdmissionShedsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastChaosConfig(1)
+	cfg := fastChaosConfig()
 	cfg.MaxInflightQueries = 1
 	m.Configure(cfg)
 	m.admission = serve.NewAdmission(1, 0) // no queue: saturate -> shed

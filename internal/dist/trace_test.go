@@ -272,7 +272,7 @@ func TestSlowQueryLog(t *testing.T) {
 // without leaking goroutines.
 func TestChaosTracingFailover(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tc := startChaosCluster(t, 2, 2, nil, fastChaosConfig(5))
+	tc := startChaosCluster(t, 2, 2, nil, fastChaosConfig())
 	tracer := trace.New(trace.Config{SampleEvery: 1})
 	tc.master.SetTracer(tracer)
 
@@ -311,7 +311,7 @@ func TestChaosTracingFailover(t *testing.T) {
 		0: {Seed: 5, Rules: []faultnet.Rule{
 			{Conn: 0, Op: faultnet.OnRead, Call: 0, Action: faultnet.Reset},
 		}},
-	}, fastChaosConfig(5))
+	}, fastChaosConfig())
 	tc2.master.SetTracer(tracer)
 	r2, err := tc2.master.ExplainContext(context.Background(), chaosSQL)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -192,11 +193,11 @@ func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 
 	err := c.migrate(ctx, &rep)
 	if err == nil && !rep.Migrated {
-		// Triggered but skipped (benefit gate): cool down so the same
-		// window cannot re-trigger every CheckEvery observations.
+		// Triggered but skipped (benefit gate): cool down for one window so
+		// the same window cannot re-trigger every CheckEvery observations.
 		c.skips.Add(1)
 		c.inst.Load().skips.Inc()
-		c.mon.MuteFor(c.cfg.Cooldown)
+		c.mon.MuteFor(c.cfg.Window)
 	}
 	c.setLast(rep)
 	return rep, err
@@ -223,7 +224,7 @@ func (c *Controller) migrate(ctx context.Context, rep *Report) error {
 }
 
 // runMigration runs region rebuild → patch → payload build → benefit gate →
-// (optional) oracle validation → migration. It mutates rep as it goes;
+// oracle validation → migration. It mutates rep as it goes;
 // rep.Migrated is set only after ApplyMigration returns.
 func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T, root trace.SpanRef) error {
 	live := c.mon.Window()
@@ -278,22 +279,21 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 		return nil
 	}
 
-	if c.cfg.Validate {
-		vsp := tm.Start("validate", root)
-		if verr := invariant.CheckDrift(cur, newL, diff, c.cfg.Seed); verr != nil {
-			vsp.Int(trace.KeyError, 1)
-			vsp.End()
-			rep.SkipReason = "drift oracle rejected the patch"
-			return fmt.Errorf("drift: patch validation: %w", verr)
-		}
-		if verr := invariant.CheckCutover(newL, diff, migrationSteps(mig)); verr != nil {
-			vsp.Int(trace.KeyError, 1)
-			vsp.End()
-			rep.SkipReason = "cutover oracle rejected the plan"
-			return fmt.Errorf("drift: plan validation: %w", verr)
-		}
+	// The drift and cutover oracles check every patch before it ships.
+	vsp := tm.Start("validate", root)
+	if verr := invariant.CheckDrift(cur, newL, diff, c.cfg.Seed); verr != nil {
+		vsp.Int(trace.KeyError, 1)
 		vsp.End()
+		rep.SkipReason = "drift oracle rejected the patch"
+		return fmt.Errorf("drift: patch validation: %w", verr)
 	}
+	if verr := invariant.CheckCutover(newL, diff, migrationSteps(mig)); verr != nil {
+		vsp.Int(trace.KeyError, 1)
+		vsp.End()
+		rep.SkipReason = "cutover oracle rejected the plan"
+		return fmt.Errorf("drift: plan validation: %w", verr)
+	}
+	vsp.End()
 
 	csp := tm.Start("cutover", root)
 	if err := c.master.ApplyMigration(ctx, mig); err != nil {
@@ -316,7 +316,7 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	c.cur.Store(newL)
 	c.hist = append(c.hist.Clone(), live...)
 	c.mon.Reanchor(c.hist)
-	c.mon.MuteFor(c.cfg.Cooldown)
+	c.mon.MuteFor(c.cfg.Window)
 	return nil
 }
 
@@ -407,15 +407,16 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 
 // buildMigration turns a patched layout + diff into the master's migration
 // plan: surviving partitions keep their current replica sets and move zero
-// bytes; added partitions are placed round-robin from their ID and ship
-// colstore payloads.
+// bytes; added partitions ship colstore payloads and are placed by ID over
+// the workers the current placement uses, with as many copies as it keeps
+// (ROADMAP item 1a would make this one placer with boot and rebalance).
 func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, payloadRows map[layout.ID][]int) (*dist.Migration, int64, error) {
 	rm, err := router.NewMaster(newL, c.data.Names())
 	if err != nil {
 		return nil, 0, fmt.Errorf("drift: routing patched layout: %w", err)
 	}
 	curPlace := c.master.Placement()
-	nWorkers := c.master.NumWorkers()
+	hosts, copies := placedWorkers(curPlace)
 	place := make(placement.Replicated, len(newL.Parts))
 	entries := make([]dist.MigrationEntry, 0, len(newL.Parts))
 	for oldID, newID := range diff.Renamed {
@@ -430,13 +431,9 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 	}
 	var moved int64
 	for _, id := range diff.Added {
-		nrep := c.cfg.Replicas
-		if nrep > nWorkers {
-			nrep = nWorkers
-		}
-		ws := make([]int, 0, nrep)
-		for r := 0; r < nrep; r++ {
-			ws = append(ws, (int(id)+r)%nWorkers)
+		ws := make([]int, 0, copies)
+		for r := 0; r < copies; r++ {
+			ws = append(ws, hosts[(int(id)+r)%len(hosts)])
 		}
 		place[id] = ws
 		tab := c.builder.Build(payloadRows[id])
@@ -465,6 +462,24 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		Entries:  entries,
 		Renamed:  diff.Renamed,
 	}, moved, nil
+}
+
+// placedWorkers returns the workers a placement uses, ascending, and the
+// largest replica set it keeps. A membership slot that hosts nothing — a
+// worker that left, or one never rejoined — is not among them.
+func placedWorkers(place placement.Replicated) (hosts []int, copies int) {
+	seen := make(map[int]bool)
+	for _, ws := range place {
+		copies = max(copies, len(ws))
+		for _, w := range ws {
+			if !seen[w] {
+				seen[w] = true
+				hosts = append(hosts, w)
+			}
+		}
+	}
+	slices.Sort(hosts)
+	return hosts, copies
 }
 
 // migrationSteps projects a migration plan into the cutover oracle's view.

@@ -13,6 +13,7 @@ import (
 	"paw/internal/geom"
 	"paw/internal/invariant"
 	"paw/internal/layout"
+	"paw/internal/placement"
 	"paw/internal/workload"
 )
 
@@ -21,13 +22,10 @@ func testConfig() Config {
 		Window:       64,
 		CheckEvery:   16,
 		Delta:        0.02,
-		DeltaSlack:   1,
 		CostFactor:   1.2,
 		MinGain:      0.05,
 		BuildMinRows: 10,
 		BuildSample:  1000,
-		Replicas:     1,
-		Validate:     true,
 		Seed:         42,
 	}
 }
@@ -250,6 +248,65 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	}
 	if shipped == 0 || multiGroup == 0 {
 		t.Fatalf("plan shipped %d payloads, %d of more than one row group: the comparison is vacuous", shipped, multiGroup)
+	}
+}
+
+// TestDriftPlacesOnTheServingFleet: a drift migration places the partitions
+// it adds on the workers the current placement uses, with the copy count it
+// keeps — on a fleet with a slot that hosts nothing and whose listener is
+// closed (a worker that left), and on a fleet of 2-copy replica sets.
+func TestDriftPlacesOnTheServingFleet(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		copies int
+		closed int // the slot that hosts nothing and is shut down; -1: none
+		place  func(*layout.Layout) placement.Replicated
+	}{
+		{"empty-slot", 1, 2, func(l *layout.Layout) placement.Replicated {
+			return placement.RoundRobin(l, 2).Replicated()
+		}},
+		{"two-copies", 2, -1, func(l *layout.Layout) placement.Replicated {
+			rep := placement.RoundRobin(l, 3).Replicated()
+			for id, ws := range rep {
+				rep[id] = append(ws, (ws[0]+1)%3)
+			}
+			return rep
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc := startPlacedDriftCluster(t, 16000, 3, cfg, tt.place)
+			if tt.closed >= 0 {
+				tc.workers[tt.closed].Close()
+			}
+			names := tc.data.Names()
+			for i := 0; i < cfg.Window; i++ {
+				tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+			}
+			drifted := rightBoxes(cfg.Window, 99)
+			for _, b := range drifted {
+				tc.serve(t, boxSQL(names, b))
+			}
+			rep, err := tc.ctl.TriggerNow(context.Background())
+			if err != nil || !rep.Migrated || rep.Added == 0 {
+				t.Fatalf("drifted traffic must migrate: %+v, %v", rep, err)
+			}
+			for id, ws := range tc.master.Placement() {
+				distinct := make(map[int]bool)
+				for _, w := range ws {
+					if w == tt.closed {
+						t.Fatalf("partition %d placed on the empty slot %d: %v", id, w, ws)
+					}
+					distinct[w] = true
+				}
+				if len(distinct) != tt.copies {
+					t.Fatalf("partition %d has %d distinct copies %v, the fleet keeps %d", id, len(distinct), ws, tt.copies)
+				}
+			}
+			for _, b := range drifted {
+				tc.serve(t, boxSQL(names, b))
+			}
+		})
 	}
 }
 

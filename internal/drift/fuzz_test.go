@@ -28,13 +28,10 @@ func FuzzDriftDifferential(f *testing.F) {
 			Window:       16,
 			CheckEvery:   8,
 			Delta:        0.02,
-			DeltaSlack:   1,
 			CostFactor:   1.2,
 			MinGain:      0.05,
 			BuildMinRows: 8,
 			BuildSample:  400,
-			Replicas:     1,
-			Validate:     true,
 			Seed:         seed,
 		}
 		tc := startDriftCluster(t, 3000, 2, cfg)

@@ -62,19 +62,31 @@ var storeConfig = blockstore.Config{GroupRows: 256}
 // left-weighted scenario and attaches a drift controller (manual trigger).
 func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftCluster {
 	t.Helper()
+	return startPlacedDriftCluster(t, rows, nWorkers, cfg, func(l *layout.Layout) placement.Replicated {
+		return placement.RoundRobin(l, nWorkers).Replicated()
+	})
+}
+
+// startPlacedDriftCluster is startDriftCluster over nSlots worker slots with
+// the placement place returns for the built layout; a slot it leaves empty
+// still runs a worker that hosts nothing.
+func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place func(*layout.Layout) placement.Replicated) *driftCluster {
+	t.Helper()
 	data := unitData(t, rows, 7)
 	hist := workload.Uniform(box2(0, 0, 0.45, 1), workload.Defaults(30, 11))
 	l := buildLeftLayout(t, data, hist, cfg.Delta)
 	store := blockstore.Materialize(l, data, storeConfig)
 
-	place := placement.RoundRobin(l, nWorkers)
-	perWorker := make([][]layout.ID, nWorkers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
+	rep := place(l)
+	perWorker := make([][]layout.ID, nSlots)
+	for id, ws := range rep {
+		for _, w := range ws {
+			perWorker[w] = append(perWorker[w], id)
+		}
 	}
 	tc := &driftCluster{data: data, hist: hist, layout: l, oracleRowsBySQL: make(map[string]int)}
-	addrs := make([]string, nWorkers)
-	for w := 0; w < nWorkers; w++ {
+	addrs := make([]string, nSlots)
+	for w := 0; w < nSlots; w++ {
 		wk := dist.NewWorker(store, perWorker[w])
 		addr, err := wk.Start("127.0.0.1:0")
 		if err != nil {
@@ -92,7 +104,7 @@ func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftClust
 		t.Fatal(err)
 	}
 	tc.oracle = oracle
-	m, err := dist.NewMaster(rm, addrs, place)
+	m, err := dist.NewMasterReplicated(rm, addrs, rep)
 	if err != nil {
 		t.Fatal(err)
 	}

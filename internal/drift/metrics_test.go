@@ -38,7 +38,7 @@ func TestControllerMetrics(t *testing.T) {
 	if got := snap.Gauge(MetricDriftWindowAvgBytes); got <= 0 {
 		t.Fatalf("%s = %d, want > 0 after a full window", MetricDriftWindowAvgBytes, got)
 	}
-	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got > int64(cfg.Delta*cfg.DeltaSlack*1e6) {
+	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got > int64(cfg.Delta*1e6) {
 		t.Fatalf("%s = %d exceeds the scope on replayed traffic", MetricDriftDeltaEstimateMicro, got)
 	}
 	if got := snap.Gauge(MetricDriftEpoch); got != 0 {

@@ -34,12 +34,9 @@ type Config struct {
 	// CheckEvery runs the drift decision every N observations.
 	CheckEvery int
 	// Delta is the layout's variance scope δ (the value the layout was
-	// built with, in absolute domain units).
+	// built with, in absolute domain units): the window is out of scope
+	// when δ′ > Delta.
 	Delta float64
-	// DeltaSlack scales δ before comparison: the window is out of scope
-	// when δ′ > Delta·DeltaSlack. Values > 1 make the trigger lazier than
-	// the build-time scope.
-	DeltaSlack float64
 	// CostFactor is the regression gate: reorganization is considered only
 	// when the window's average opened bytes — the encoded size of the
 	// partitions a query's plan opens, the cost the layout models and a
@@ -53,9 +50,6 @@ type Config struct {
 	// modeled scan cost by at least this fraction, or the migration is
 	// skipped.
 	MinGain float64
-	// Cooldown is the number of observations after a migration (or a
-	// skipped trigger) before the monitor may fire again.
-	Cooldown int
 
 	// BuildMinRows is bmin (in sample rows) for the region rebuild.
 	BuildMinRows int
@@ -63,12 +57,6 @@ type Config struct {
 	BuildSample int
 	// Parallelism is the rebuild's parbuild width (0 = GOMAXPROCS).
 	Parallelism int
-	// Replicas is the replica count for partitions added by a rebuild
-	// (surviving partitions keep their old replica sets).
-	Replicas int
-	// Validate runs the invariant drift/cutover oracles on every patch
-	// before it is applied, aborting the migration on any violation.
-	Validate bool
 	// Seed drives the controller's deterministic sampling and the oracle
 	// probes.
 	Seed int64
@@ -81,26 +69,17 @@ func (c Config) withDefaults() Config {
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 32
 	}
-	if c.DeltaSlack <= 0 {
-		c.DeltaSlack = 1
-	}
 	if c.CostFactor <= 0 {
 		c.CostFactor = 1.3
 	}
 	if c.MinGain <= 0 {
 		c.MinGain = 0.05
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.Window
-	}
 	if c.BuildMinRows <= 0 {
 		c.BuildMinRows = 8
 	}
 	if c.BuildSample <= 0 {
 		c.BuildSample = 2000
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 1
 	}
 	return c
 }
@@ -193,11 +172,10 @@ func (mo *Monitor) windowWorkloadLocked() workload.Workload {
 }
 
 // outOfScopeLocked returns the window query boxes whose distance to the
-// nearest reference query exceeds the (slack-scaled) scope δ — the live
+// nearest reference query exceeds the scope δ — the live
 // queries the layout was provably not built for. Their MBR is the violated
 // region the controller rebuilds.
 func (mo *Monitor) outOfScopeLocked() []geom.Box {
-	limit := mo.cfg.Delta * mo.cfg.DeltaSlack
 	n := mo.next
 	if mo.full {
 		n = len(mo.ring)
@@ -213,7 +191,7 @@ func (mo *Monitor) outOfScopeLocked() []geom.Box {
 					best = d
 				}
 			}
-			if best > limit {
+			if best > mo.cfg.Delta {
 				out = append(out, b)
 			}
 		}
@@ -262,7 +240,7 @@ func (mo *Monitor) Evaluate() Decision {
 	}
 	live := mo.windowWorkloadLocked()
 	d.DeltaEstimate = workload.DirectedDelta(mo.ref, live)
-	if d.DeltaEstimate <= mo.cfg.Delta*mo.cfg.DeltaSlack {
+	if d.DeltaEstimate <= mo.cfg.Delta {
 		d.Reason = "window within variance scope"
 		return d
 	}

@@ -1,16 +1,12 @@
 package membership
 
-import (
-	"testing"
-
-	"paw/internal/layout"
-)
+import "testing"
 
 func TestPlanRebalanceNoChangeIsEmpty(t *testing.T) {
 	ids := seqIDs(100)
-	cur := RingPlacement(ids, seqWorkers(4), 2, 0)
-	plan := PlanRebalance(ids, cur, cur, nil, nil, 0)
-	if len(plan.Moves) != 0 || plan.MovedBytes != 0 || plan.MovedPartitions != 0 {
+	cur := RingPlacement(ids, seqWorkers(4), 2)
+	plan := PlanRebalance(ids, cur, cur, nil)
+	if len(plan.Moves) != 0 || plan.MovedPartitions != 0 {
 		t.Fatalf("identical placements must plan zero moves: %+v", plan)
 	}
 	if plan.ReusedPartitions != len(ids) {
@@ -20,9 +16,9 @@ func TestPlanRebalanceNoChangeIsEmpty(t *testing.T) {
 
 func TestPlanRebalanceJoinMovesOnlyTheDelta(t *testing.T) {
 	ids := seqIDs(600)
-	cur := RingPlacement(ids, seqWorkers(3), 2, 0)
-	want := RingPlacement(ids, seqWorkers(4), 2, 0)
-	plan := PlanRebalance(ids, cur, want, nil, nil, 0)
+	cur := RingPlacement(ids, seqWorkers(3), 2)
+	want := RingPlacement(ids, seqWorkers(4), 2)
+	plan := PlanRebalance(ids, cur, want, nil)
 	// Every move must gain only worker 3 or fill arcs it displaced; the
 	// planner must never ship copies the target set already holds.
 	wantMoves := movedCopies(ids, cur, want)
@@ -33,10 +29,7 @@ func TestPlanRebalanceJoinMovesOnlyTheDelta(t *testing.T) {
 	if plan.MovedPartitions > bound {
 		t.Fatalf("join moved %d copies, over the movement bound %d", plan.MovedPartitions, bound)
 	}
-	for _, id := range plan.Deferred {
-		t.Fatalf("no budget, nothing may defer: %d", id)
-	}
-	// Target must equal want exactly when nothing defers.
+	// Target must equal want.
 	for _, id := range ids {
 		if len(plan.Target[id]) != len(want[id]) {
 			t.Fatalf("target diverges from want at %d", id)
@@ -46,92 +39,39 @@ func TestPlanRebalanceJoinMovesOnlyTheDelta(t *testing.T) {
 
 func TestPlanRebalanceDeadWorkerForcesMoves(t *testing.T) {
 	ids := seqIDs(200)
-	cur := RingPlacement(ids, seqWorkers(3), 1, 0)
-	// Worker 2 dies and worker 3 joins in the same round: moves off the
-	// dead worker are forced (data safety beats the budget), moves onto
-	// the fresh worker are deferrable.
-	want := RingPlacement(ids, []int{0, 1, 3}, 1, 0)
+	cur := RingPlacement(ids, seqWorkers(3), 1)
+	// Worker 2 dies and worker 3 joins in the same round: every partition
+	// whose only copy sat on the dead worker must ship a new one.
+	want := RingPlacement(ids, []int{0, 1, 3}, 1)
 	hosts := func(w int) bool { return w != 2 }
-	plan := PlanRebalance(ids, cur, want, hosts, nil, 1) // budget of 1 byte
-	// Every partition whose only copy was on worker 2 must ship despite
-	// the budget.
-	forced := 0
+	plan := PlanRebalance(ids, cur, want, hosts)
+	lost := 0
 	for _, id := range ids {
 		if cur[id][0] == 2 {
-			forced++
+			lost++
 		}
 	}
-	got := 0
+	restored := 0
 	for _, mv := range plan.Moves {
-		if mv.Forced {
-			got++
+		if cur[mv.ID][0] == 2 && len(mv.Gain) > 0 {
+			restored++
 		}
 	}
-	if got != forced {
-		t.Fatalf("want %d forced moves, planned %d", forced, got)
+	if restored != lost {
+		t.Fatalf("want %d copy-restoring moves, planned %d", lost, restored)
 	}
-	if forced == 0 {
+	if lost == 0 {
 		t.Fatal("fixture broken: worker 2 held nothing")
 	}
-	// Unforced moves (onto the fresh worker 3 from live holders) defer
-	// under the starved budget — except the round's first move, which
-	// always ships so rounds make progress.
-	if len(plan.Deferred) == 0 {
-		t.Fatal("budget of 1 byte must defer some unforced moves")
-	}
-	for _, id := range plan.Deferred {
-		for _, w := range plan.Target[id] {
-			if w == 2 {
-				t.Fatalf("deferred partition %d still targets the dead worker", id)
-			}
-		}
-		if len(plan.Target[id]) == 0 {
-			t.Fatalf("deferred partition %d lost all copies", id)
-		}
-	}
-	// No planned entry may target the dead worker either.
+	// No planned entry may target the dead worker or lose all copies.
 	for _, id := range ids {
+		if len(plan.Target[id]) == 0 {
+			t.Fatalf("partition %d lost all copies", id)
+		}
 		for _, w := range plan.Target[id] {
 			if w == 2 {
 				t.Fatalf("partition %d targets the dead worker", id)
 			}
 		}
-	}
-}
-
-func TestPlanRebalanceHottestFirstUnderBudget(t *testing.T) {
-	ids := []layout.ID{0, 1, 2, 3}
-	cur := map[layout.ID][]int{0: {0}, 1: {0}, 2: {0}, 3: {0}}
-	want := map[layout.ID][]int{0: {1}, 1: {1}, 2: {1}, 3: {1}}
-	weights := map[layout.ID]int64{0: 10, 1: 40, 2: 20, 3: 30}
-	weight := func(id layout.ID) int64 { return weights[id] }
-	plan := PlanRebalance(ids, cur, want, nil, weight, 70)
-	// Hottest-first under a 70-byte budget: 40 (id 1) then 30 (id 3) ship,
-	// 20 and 10 defer.
-	if len(plan.Moves) != 2 || plan.Moves[0].ID != 1 || plan.Moves[1].ID != 3 {
-		t.Fatalf("want moves [1 3], got %+v", plan.Moves)
-	}
-	if plan.MovedBytes != 70 {
-		t.Fatalf("want 70 bytes moved, got %d", plan.MovedBytes)
-	}
-	if len(plan.Deferred) != 2 || plan.Deferred[0] != 0 || plan.Deferred[1] != 2 {
-		t.Fatalf("want deferred [0 2], got %v", plan.Deferred)
-	}
-	// Deferred partitions keep their current copies.
-	if len(plan.Target[0]) != 1 || plan.Target[0][0] != 0 {
-		t.Fatalf("deferred partition 0 must keep worker 0: %v", plan.Target[0])
-	}
-}
-
-func TestPlanRebalanceAlwaysMakesProgress(t *testing.T) {
-	// A budget smaller than the smallest move still ships one move per
-	// round, so rounds terminate.
-	ids := []layout.ID{0, 1}
-	cur := map[layout.ID][]int{0: {0}, 1: {0}}
-	want := map[layout.ID][]int{0: {1}, 1: {1}}
-	weight := func(layout.ID) int64 { return 100 }
-	plan := PlanRebalance(ids, cur, want, nil, weight, 1)
-	if len(plan.Moves) != 1 {
-		t.Fatalf("a starved budget must still ship one move, got %d", len(plan.Moves))
 	}
 }

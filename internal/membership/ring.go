@@ -10,7 +10,7 @@ import (
 
 // Consistent-hashing placement with virtual nodes: the movement-bounding
 // baseline of the rebalancer. Placement is a pure function of (partition
-// set, member set, replica count): every member owns VNodes points on a
+// set, member set, replica count): every member owns vnodes points on a
 // 64-bit hash ring and a partition's replica set is the first R distinct
 // members walking clockwise from the partition's own hash. Because a
 // joining member only claims the ring arcs its points land on — and a
@@ -18,10 +18,11 @@ import (
 // owners between any two member sets differing by one worker is ≈ P·R/(N+1)
 // in expectation, not the full P·R a modular rule reshuffles.
 
-// DefaultVNodes is the default virtual-node count per member. 64 points
-// keep the per-member load imbalance within a few percent for the fleet
-// sizes this system targets while the ring stays tiny (N·64 points).
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per member. 64 points keep the
+// per-member load imbalance within a few percent for the fleet sizes this
+// system targets while the ring stays tiny (N·64 points). It is a constant,
+// not a setting, so master and workers cannot disagree about it.
+const vnodes = 64
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection on 64 bits.
 // The repo avoids external deps and the ring needs a fast, well-mixed,
@@ -60,12 +61,9 @@ type Ring struct {
 }
 
 // NewRing builds the ring for the given member indices with vnodes points
-// each (<= 0 uses DefaultVNodes). Ties on ring position are broken by
-// worker index so the ring is a pure function of its inputs.
-func NewRing(workers []int, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// each. Ties on ring position are broken by worker index so the ring is a
+// pure function of its inputs.
+func NewRing(workers []int) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, len(workers)*vnodes), workers: len(workers)}
 	for _, w := range workers {
 		for v := 0; v < vnodes; v++ {
@@ -108,14 +106,14 @@ func (r *Ring) Owners(id layout.ID, n int) []int {
 // RingPlacement places every partition on its ring owners: the canonical
 // elastic placement, shared by pawmaster and pawworker so both sides derive
 // the same assignment from the same member set without coordination. It is
-// a pure function — the same (ids, workers, replicas, vnodes) always yields
+// a pure function — the same (ids, workers, replicas) always yields
 // the same placement, and placements for member sets differing by one
 // worker differ in ≈ len(ids)·replicas/(len(workers)+1) partitions.
-func RingPlacement(ids []layout.ID, workers []int, replicas, vnodes int) placement.Replicated {
+func RingPlacement(ids []layout.ID, workers []int, replicas int) placement.Replicated {
 	if replicas < 1 {
 		replicas = 1
 	}
-	r := NewRing(workers, vnodes)
+	r := NewRing(workers)
 	out := make(placement.Replicated, len(ids))
 	for _, id := range ids {
 		out[id] = r.Owners(id, replicas)

@@ -44,8 +44,8 @@ func movedCopies(ids []layout.ID, a, b map[layout.ID][]int) int {
 func TestRingPlacementIsPureAndValid(t *testing.T) {
 	ids := seqIDs(500)
 	for _, replicas := range []int{1, 2, 3} {
-		p1 := RingPlacement(ids, seqWorkers(5), replicas, 0)
-		p2 := RingPlacement(ids, seqWorkers(5), replicas, 0)
+		p1 := RingPlacement(ids, seqWorkers(5), replicas)
+		p2 := RingPlacement(ids, seqWorkers(5), replicas)
 		for _, id := range ids {
 			if len(p1[id]) != replicas {
 				t.Fatalf("replicas=%d: partition %d has %d copies", replicas, id, len(p1[id]))
@@ -76,8 +76,8 @@ func TestRingMovementBound(t *testing.T) {
 		{2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 3}, {8, 2}, {8, 3},
 	} {
 		t.Run(fmt.Sprintf("n=%d_r=%d", tc.n, tc.replicas), func(t *testing.T) {
-			before := RingPlacement(ids, seqWorkers(tc.n), tc.replicas, 0)
-			after := RingPlacement(ids, seqWorkers(tc.n+1), tc.replicas, 0)
+			before := RingPlacement(ids, seqWorkers(tc.n), tc.replicas)
+			after := RingPlacement(ids, seqWorkers(tc.n+1), tc.replicas)
 			moved := movedCopies(ids, before, after)
 			expect := float64(P*tc.replicas) / float64(tc.n+1)
 			bound := int(2.5 * expect)
@@ -103,7 +103,7 @@ func TestRingMovementBound(t *testing.T) {
 			// Leave = inverse join: removing the worker restores the
 			// original placement bit for bit (placement is a pure function
 			// of the member set).
-			restored := RingPlacement(ids, seqWorkers(tc.n), tc.replicas, 0)
+			restored := RingPlacement(ids, seqWorkers(tc.n), tc.replicas)
 			for _, id := range ids {
 				if len(restored[id]) != len(before[id]) {
 					t.Fatalf("leave did not restore partition %d", id)
@@ -123,7 +123,7 @@ func TestRingMovementBound(t *testing.T) {
 // count.
 func TestRingLoadBalance(t *testing.T) {
 	const P, N = 4000, 6
-	place := RingPlacement(seqIDs(P), seqWorkers(N), 1, 0)
+	place := RingPlacement(seqIDs(P), seqWorkers(N), 1)
 	counts := make([]int, N)
 	for _, ws := range place {
 		counts[ws[0]]++
@@ -155,7 +155,7 @@ func TestChecksumOrderIndependentAndDiscriminating(t *testing.T) {
 
 func TestHostedIDsInvertsPlacement(t *testing.T) {
 	ids := seqIDs(50)
-	place := RingPlacement(ids, seqWorkers(3), 2, 0)
+	place := RingPlacement(ids, seqWorkers(3), 2)
 	for w := 0; w < 3; w++ {
 		for _, id := range HostedIDs(place, w) {
 			found := false

@@ -309,8 +309,6 @@ type Config struct {
 	// SampleEvery samples one query trace in every N (1: every query;
 	// 0: only forced traces, e.g. EXPLAIN).
 	SampleEvery int
-	// Capacity bounds the ring buffer of retained traces (default 64).
-	Capacity int
 	// Buckets are the exemplar histogram bounds in nanoseconds (default
 	// obs.LatencyBuckets-compatible bounds; pass explicitly to match a
 	// registry's latency histogram).
@@ -345,11 +343,11 @@ func defaultLatencyBounds() []float64 {
 	}
 }
 
+// ringCapacity is the number of finished traces a tracer retains.
+const ringCapacity = 64
+
 // New builds a tracer. Zero config fields fall back to their defaults.
 func New(cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 64
-	}
 	bounds := cfg.Buckets
 	if len(bounds) == 0 {
 		bounds = defaultLatencyBounds()
@@ -357,7 +355,7 @@ func New(cfg Config) *Tracer {
 	tr := &Tracer{
 		every:     uint64(cfg.SampleEvery),
 		base:      localBase + uint64(localSeq.Add(1))<<32,
-		ring:      make([]Finished, cfg.Capacity),
+		ring:      make([]Finished, ringCapacity),
 		bounds:    bounds,
 		exemplars: make([]Exemplar, len(bounds)+1),
 	}

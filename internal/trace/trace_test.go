@@ -194,17 +194,17 @@ func finishOne(tr *Tracer, name string) uint64 {
 	return tq.ID()
 }
 
-// TestRingEviction: the ring retains the newest Capacity traces, newest
+// TestRingEviction: the ring retains the newest ringCapacity traces, newest
 // first, and Get finds only the retained ones.
 func TestRingEviction(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 4})
+	tr := New(Config{SampleEvery: 1})
 	var ids []uint64
-	for i := 0; i < 7; i++ {
+	for i := 0; i < ringCapacity+3; i++ {
 		ids = append(ids, finishOne(tr, "q"))
 	}
 	got := tr.Traces()
-	if len(got) != 4 {
-		t.Fatalf("retained %d, want 4", len(got))
+	if len(got) != ringCapacity {
+		t.Fatalf("retained %d, want %d", len(got), ringCapacity)
 	}
 	for i, f := range got {
 		want := ids[len(ids)-1-i]
@@ -215,7 +215,7 @@ func TestRingEviction(t *testing.T) {
 	if _, ok := tr.Get(ids[0]); ok {
 		t.Fatal("evicted trace still found")
 	}
-	if f, ok := tr.Get(ids[6]); !ok || f.ID != ids[6] {
+	if f, ok := tr.Get(ids[len(ids)-1]); !ok || f.ID != ids[len(ids)-1] {
 		t.Fatal("retained trace not found")
 	}
 }
