@@ -196,9 +196,15 @@ loc:
 # oracle switch and copy count, now derived from the placement (drift −7,
 # bench −4), and the flags that set them (pawmaster −41, pawworker −2,
 # the distributed example −1).
+# Then −538 gave every exported function a caller (api_test.go): 472 lines of
+# functions only their own tests called, or none, deleted with the report
+# boilerplate of pawbench (−60) and membership's Plan.Target, Move.Drop and
+# MembershipConfig.Replicas; 66 lines of test oracles moved into _test.go
+# files (qdtree's candidate set, invariant's violatedOracles, workload's
+# strict δ estimate).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 24554
+LOC_CEILING := 24016
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"paw/internal/bench"
-	"paw/internal/obs"
 )
 
 // constructionWorkers is the worker sweep recorded in the construction
@@ -20,15 +17,7 @@ var constructionWorkers = []int{1, 2, 4, 8}
 // performance trajectory is tracked across PRs.
 func runConstruction(cfg bench.Config, path string) error {
 	rep := bench.ConstructionBench(cfg, constructionWorkers)
-	rep.Meta.BuildInfo = obs.BuildVersion()
-	rep.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Meta.Host = bench.CurrentHost()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, &rep, &rep.Meta); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "construction benchmark (GOMAXPROCS=%d, %d sample rows, bmin=%d) -> %s\n",

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"paw/internal/bench"
-	"paw/internal/obs"
 )
 
 // runDrift plays the drifting-workload scenario family against live
@@ -20,15 +17,7 @@ func runDrift(cfg bench.Config, path string) error {
 	if err != nil {
 		return err
 	}
-	rep.Meta.BuildInfo = obs.BuildVersion()
-	rep.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Meta.Host = bench.CurrentHost()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, &rep, &rep.Meta); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "drift benchmark (%d workers, window %d, check every %d) -> %s\n",

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"paw/internal/bench"
+	"paw/internal/obs"
 )
 
 func main() {
@@ -61,36 +63,15 @@ func main() {
 	}
 	cfg.Parallelism = *parallelism
 
-	if *construction != "" {
-		if err := runConstruction(cfg, *construction); err != nil {
-			fmt.Fprintf(os.Stderr, "pawbench: %v\n", err)
-			os.Exit(1)
+	// A report flag writes its BENCH_*.json and exits; the first one set wins.
+	for _, r := range []struct {
+		path *string
+		run  func(bench.Config, string) error
+	}{{construction, runConstruction}, {routing, runRouting}, {scan, runScan}, {drift, runDrift}, {rebalance, runRebalance}} {
+		if *r.path == "" {
+			continue
 		}
-		return
-	}
-	if *routing != "" {
-		if err := runRouting(cfg, *routing); err != nil {
-			fmt.Fprintf(os.Stderr, "pawbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scan != "" {
-		if err := runScan(cfg, *scan); err != nil {
-			fmt.Fprintf(os.Stderr, "pawbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *drift != "" {
-		if err := runDrift(cfg, *drift); err != nil {
-			fmt.Fprintf(os.Stderr, "pawbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *rebalance != "" {
-		if err := runRebalance(cfg, *rebalance); err != nil {
+		if err := r.run(cfg, *r.path); err != nil {
 			fmt.Fprintf(os.Stderr, "pawbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -128,4 +109,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s ran in %v]\n", e.ID, elapsed.Round(time.Millisecond))
 	}
+}
+
+// writeReport stamps meta (the report's own Meta) with the build, the time
+// and the host, and writes rep to path as two-space-indented JSON with a
+// trailing newline: the format of every BENCH_*.json.
+func writeReport(path string, rep any, meta *bench.Meta) error {
+	meta.BuildInfo = obs.BuildVersion()
+	meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	meta.Host = bench.CurrentHost()
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

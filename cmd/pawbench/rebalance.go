@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"paw/internal/bench"
-	"paw/internal/obs"
 )
 
 // runRebalance measures the elastic-membership lifecycle on a live
@@ -20,15 +17,7 @@ func runRebalance(cfg bench.Config, path string) error {
 	if err != nil {
 		return err
 	}
-	rep.Meta.BuildInfo = obs.BuildVersion()
-	rep.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Meta.Host = bench.CurrentHost()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, &rep, &rep.Meta); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "rebalance benchmark (%d workers, %d replicas, %d partitions over %d rows) -> %s\n",

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"paw/internal/bench"
-	"paw/internal/obs"
 )
 
 // routingWorkers is the worker sweep of the batched routing mode. The
@@ -20,15 +17,7 @@ var routingWorkers = []int{1, 2, 4, 8}
 // (BENCH_routing.json) so the performance trajectory is tracked across PRs.
 func runRouting(cfg bench.Config, path string) error {
 	rep := bench.RoutingBench(cfg, routingWorkers)
-	rep.Meta.BuildInfo = obs.BuildVersion()
-	rep.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Meta.Host = bench.CurrentHost()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, &rep, &rep.Meta); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "routing benchmark (GOMAXPROCS=%d, %d partitions, index height %d) -> %s\n",

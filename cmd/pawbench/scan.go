@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"paw/internal/bench"
-	"paw/internal/obs"
 )
 
 // runScan measures the vectorized columnar scan kernels against the naive
@@ -16,15 +13,7 @@ import (
 // (BENCH_scan.json) so kernel throughput is tracked across PRs.
 func runScan(cfg bench.Config, path string) error {
 	rep := bench.ScanBench(cfg)
-	rep.Meta.BuildInfo = obs.BuildVersion()
-	rep.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Meta.Host = bench.CurrentHost()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeReport(path, &rep, &rep.Meta); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "scan benchmark (%d rows, %d groups, %.2fx compression, %v, decode %.0f MB/s) -> %s\n",

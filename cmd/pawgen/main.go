@@ -155,6 +155,8 @@ func cmdPartition(args []string) {
 	switch *method {
 	case "paw":
 		l = core.Build(data, sample, dom, hist, core.Params{MinRows: minRows, Delta: delta})
+		// pawmaster's -drift-delta takes this absolute value, not the percentage.
+		fmt.Printf("delta %g (%g%% of %s's extent)\n", delta, *deltaPct, data.Names()[0])
 	case "qd-tree":
 		l = qdtree.Build(data, sample, dom, hist.Boxes(), qdtree.Params{MinRows: minRows})
 	case "kd-tree":

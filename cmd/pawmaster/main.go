@@ -204,7 +204,6 @@ func main() {
 		err := m.EnableMembership(dist.MembershipConfig{
 			Detector:      membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 			TickEvery:     500 * time.Millisecond,
-			Replicas:      *replicas,
 			AutoRebalance: true,
 			PayloadSource: src,
 		})

@@ -146,7 +146,6 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	m.SetMetrics(reg)
 	if err := m.EnableMembership(dist.MembershipConfig{
 		Detector: membership.Config{SuspectAfter: 5 * time.Second, DeadAfter: 20 * time.Second},
-		Replicas: opt.Replicas,
 	}); err != nil {
 		return rep, err
 	}

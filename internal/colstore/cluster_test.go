@@ -115,7 +115,7 @@ func TestClusteredScanDifferential(t *testing.T) {
 			for qi := 0; qi < 12; qi++ {
 				q := fuzzQuery(rng, dom)
 				want := data.CountInBox(q, nil)
-				naivePts, naive := arrival.ScanNaive(q)
+				naivePts, naive := arrival.scanNaive(q)
 				if naive.Matched != want || arrival.CountNaive(q).Matched != want {
 					t.Fatalf("%s/%d q%d: naive scan %d, dataset %d", name, groupRows, qi, naive.Matched, want)
 				}
@@ -181,7 +181,7 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 		// rows in table order reproduce the table, value for value.
 		i := 0
 		for g := 0; g < refTab.NumGroups(); g++ {
-			for _, p := range refTab.GroupPoints(g) {
+			for _, p := range refTab.groupPoints(g) {
 				for d := range p {
 					if v := data.At(ref[i], d); v != p[d] && !(math.IsNaN(v) && math.IsNaN(p[d])) {
 						t.Fatalf("%s: table row %d dim %d holds %v, source row %d holds %v", name, i, d, p[d], ref[i], v)
@@ -239,7 +239,7 @@ func checkTiling(t *testing.T, data *dataset.Dataset, rows []int, groupRows int)
 func envelopeVolume(tab *Table, dom geom.Box) float64 {
 	var sum float64
 	for g := 0; g < tab.NumGroups(); g++ {
-		st := tab.GroupStats(g)
+		st := tab.groupStats(g)
 		vol := 1.0
 		for d := range st.Min {
 			if ext := dom.Hi[d] - dom.Lo[d]; ext > 0 {
@@ -427,7 +427,7 @@ func TestBuildDegeneratePartitions(t *testing.T) {
 	}
 	rows := []int{7}
 	tab := b.Build(rows)
-	if pts := tab.GroupPoints(0); tab.NumRows() != 1 || rows[0] != 7 || !slices.Equal(pts[0], data.Point(7)) {
+	if pts := tab.groupPoints(0); tab.NumRows() != 1 || rows[0] != 7 || !slices.Equal(pts[0], data.Point(7)) {
 		t.Errorf("one-row partition built %d rows, order %v", tab.NumRows(), rows)
 	}
 }

@@ -282,8 +282,8 @@ func (t *Table) Count(q geom.Box) ScanStats {
 	return s.Count(t, q)
 }
 
-// GroupStats returns the SMA aggregates of row group i.
-func (t *Table) GroupStats(i int) sma.Aggregates { return t.groups[i].stats }
+// groupStats returns the SMA aggregates of row group i.
+func (t *Table) groupStats(i int) sma.Aggregates { return t.groups[i].stats }
 
 // Envelope returns the table's data envelope: the union of its row groups'
 // min/max statistics, folded from the SMAs without reading a value; false for
@@ -309,18 +309,10 @@ func (t *Table) Envelope() (geom.Box, bool) {
 // GroupRows returns the row count of row group i.
 func (t *Table) GroupRows(i int) int { return t.groups[i].rows }
 
-// GroupBytes returns the simulated physical size of row group i.
-func (t *Table) GroupBytes(i int) int64 {
-	return int64(t.GroupRows(i)) * int64(t.Dims()) * dataset.BytesPerAttribute
-}
-
-// GroupEncodedBytes returns the encoded payload size of row group i.
-func (t *Table) GroupEncodedBytes(i int) int64 { return t.groups[i].encodedBytes() }
-
-// GroupPoints materialises row group i as points (reading the whole group,
+// groupPoints materialises row group i as points (reading the whole group,
 // as a scan would). All returned points share one flat backing array — the
 // call allocates twice regardless of the row count.
-func (t *Table) GroupPoints(i int) []geom.Point {
+func (t *Table) groupPoints(i int) []geom.Point {
 	g := &t.groups[i]
 	n := g.rows
 	dims := t.Dims()

@@ -161,7 +161,7 @@ func FuzzScanDifferential(f *testing.F) {
 		enc := tab.EncodedBytes()
 		check := func(label string, tb *Table) {
 			for qi, q := range queries {
-				nPts, nst := tb.ScanNaive(q)
+				nPts, nst := tb.scanNaive(q)
 				if want := data.CountInBox(q, nil); nst.Matched != want {
 					t.Fatalf("%s q%d: naive matched %d, dataset %d", label, qi, nst.Matched, want)
 				}

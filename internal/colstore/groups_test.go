@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"paw/internal/dataset"
+	"paw/internal/geom"
 	"paw/internal/sma"
 )
 
@@ -15,24 +16,19 @@ func TestGroupAccessors(t *testing.T) {
 		t.Fatalf("groups = %d", tab.NumGroups())
 	}
 	var totalRows int
-	var totalBytes int64
 	for g := 0; g < tab.NumGroups(); g++ {
 		rows := tab.GroupRows(g)
 		totalRows += rows
-		totalBytes += tab.GroupBytes(g)
-		if tab.GroupBytes(g) != int64(rows)*3*dataset.BytesPerAttribute {
-			t.Errorf("group %d bytes = %d for %d rows", g, tab.GroupBytes(g), rows)
-		}
-		st := tab.GroupStats(g)
+		st := tab.groupStats(g)
 		if st.Count != int64(rows) {
 			t.Errorf("group %d stats count %d vs rows %d", g, st.Count, rows)
 		}
-		pts := tab.GroupPoints(g)
+		pts := tab.groupPoints(g)
 		if len(pts) != rows {
 			t.Fatalf("group %d materialised %d of %d points", g, len(pts), rows)
 		}
 		// Every materialised point lies inside the group's SMA envelope.
-		env := st.MBR()
+		env := geom.NewBox(st.Min, st.Max)
 		for _, p := range pts {
 			if !env.Contains(p) {
 				t.Fatalf("group %d point %v escapes envelope %v", g, p, env)
@@ -42,9 +38,6 @@ func TestGroupAccessors(t *testing.T) {
 	if totalRows != 1000 {
 		t.Errorf("groups cover %d rows", totalRows)
 	}
-	if totalBytes != tab.Bytes() {
-		t.Errorf("group bytes sum %d vs table %d", totalBytes, tab.Bytes())
-	}
 }
 
 func TestGroupPointsMatchSource(t *testing.T) {
@@ -53,7 +46,7 @@ func TestGroupPointsMatchSource(t *testing.T) {
 	// Concatenated group points reproduce the source rows in order.
 	i := 0
 	for g := 0; g < tab.NumGroups(); g++ {
-		for _, p := range tab.GroupPoints(g) {
+		for _, p := range tab.groupPoints(g) {
 			if p[0] != data.At(i, 0) || p[1] != data.At(i, 1) {
 				t.Fatalf("row %d mismatch: %v vs (%v,%v)", i, p, data.At(i, 0), data.At(i, 1))
 			}
@@ -121,15 +114,15 @@ func TestEnvelopeIsUnionOfGroupStats(t *testing.T) {
 			if !ok {
 				continue
 			}
-			want := tab.GroupStats(0)
+			want := tab.groupStats(0)
 			for g := 1; g < tab.NumGroups(); g++ {
-				want = sma.Merge(want, tab.GroupStats(g))
+				want = sma.Merge(want, tab.groupStats(g))
 			}
-			if !env.Equal(want.MBR()) {
-				t.Errorf("%s, %d rows: envelope %v, groups fold to %v", name, n, env, want.MBR())
+			if !env.Equal(geom.NewBox(want.Min, want.Max)) {
+				t.Errorf("%s, %d rows: envelope %v, groups fold to %v", name, n, env, geom.NewBox(want.Min, want.Max))
 			}
 			for g := 0; g < tab.NumGroups(); g++ {
-				for _, p := range tab.GroupPoints(g) {
+				for _, p := range tab.groupPoints(g) {
 					if !env.Contains(p) {
 						t.Fatalf("%s, %d rows: envelope %v disowns %v", name, n, env, p)
 					}
@@ -137,7 +130,7 @@ func TestEnvelopeIsUnionOfGroupStats(t *testing.T) {
 			}
 			// The caller owns the box: changing it does not reach the statistics.
 			env.Lo[0], env.Hi[0] = 1, 0
-			if again, _ := tab.Envelope(); !again.Equal(want.MBR()) {
+			if again, _ := tab.Envelope(); !again.Equal(geom.NewBox(want.Min, want.Max)) {
 				t.Errorf("%s, %d rows: envelope aliases the group statistics", name, n)
 			}
 		}

@@ -191,12 +191,12 @@ func (st *ScanStats) tallyEncoding(k colKind) {
 	}
 }
 
-// ScanNaive is the retained reference scan: it decodes every non-pruned row
+// scanNaive is the retained reference scan: it decodes every non-pruned row
 // group in full and evaluates the predicate row-at-a-time, exactly as the
 // pre-vectorization store did. It exists as the differential-testing oracle
-// and the benchmark baseline; BytesRead accounts whole-group encoded bytes
-// because that is what it decodes.
-func (t *Table) ScanNaive(q geom.Box) ([]geom.Point, ScanStats) {
+// (CountNaive is also the scan benchmark's baseline); BytesRead accounts
+// whole-group encoded bytes because that is what it decodes.
+func (t *Table) scanNaive(q geom.Box) ([]geom.Point, ScanStats) {
 	var out []geom.Point
 	st := t.naiveScan(q, func(cols [][]float64, i, dims int) {
 		p := make(geom.Point, dims)
@@ -208,7 +208,7 @@ func (t *Table) ScanNaive(q geom.Box) ([]geom.Point, ScanStats) {
 	return out, st
 }
 
-// CountNaive is ScanNaive without materialization.
+// CountNaive is scanNaive without materialization.
 func (t *Table) CountNaive(q geom.Box) ScanStats {
 	return t.naiveScan(q, nil)
 }

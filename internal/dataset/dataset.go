@@ -65,16 +65,6 @@ func (d *Dataset) Dims() int { return len(d.cols) }
 // Names returns the attribute names. Callers must not mutate the slice.
 func (d *Dataset) Names() []string { return d.names }
 
-// ColumnIndex returns the index of the named attribute, or -1.
-func (d *Dataset) ColumnIndex(name string) int {
-	for i, n := range d.names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // At returns attribute dim of row i.
 func (d *Dataset) At(i, dim int) float64 { return d.cols[dim][i] }
 
@@ -150,26 +140,6 @@ func (d *Dataset) CountInBox(q geom.Box, idx []int) int {
 	return n
 }
 
-// SelectInBox returns the indices (from idx, or all rows when idx is nil)
-// of records inside q.
-func (d *Dataset) SelectInBox(q geom.Box, idx []int) []int {
-	var out []int
-	if idx == nil {
-		for i := 0; i < d.rows; i++ {
-			if d.RowInBox(i, q) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for _, i := range idx {
-		if d.RowInBox(i, q) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Project returns a new dataset keeping only the first k attributes. Used by
 // the dimensionality sweep (Fig. 16): queries are posed on the first #dims
 // attributes while partitions store all dimensions; projecting the *query*
@@ -205,20 +175,4 @@ func (d *Dataset) Normalize() *Dataset {
 	names := make([]string, len(d.names))
 	copy(names, d.names)
 	return &Dataset{names: names, cols: cols, rows: d.rows}
-}
-
-// Subset materialises the given rows as a new dataset (copies data).
-func (d *Dataset) Subset(idx []int) *Dataset {
-	cols := make([][]float64, d.Dims())
-	for dim := range cols {
-		c := make([]float64, len(idx))
-		src := d.cols[dim]
-		for j, i := range idx {
-			c[j] = src[i]
-		}
-		cols[dim] = c
-	}
-	names := make([]string, len(d.names))
-	copy(names, d.names)
-	return &Dataset{names: names, cols: cols, rows: len(idx)}
 }

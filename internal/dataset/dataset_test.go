@@ -36,9 +36,6 @@ func TestAccessors(t *testing.T) {
 	if p[0] != 1 || p[1] != 4 {
 		t.Errorf("Point(0) = %v", p)
 	}
-	if d.ColumnIndex("y") != 1 || d.ColumnIndex("zz") != -1 {
-		t.Error("ColumnIndex wrong")
-	}
 	if d.RowBytes() != 32 {
 		t.Errorf("RowBytes = %d, want 32", d.RowBytes())
 	}
@@ -64,10 +61,6 @@ func TestRowInBoxAndCount(t *testing.T) {
 	}
 	if got := d.CountInBox(q, []int{0, 1}); got != 1 {
 		t.Errorf("CountInBox(subset) = %d, want 1", got)
-	}
-	sel := d.SelectInBox(q, nil)
-	if len(sel) != 2 || sel[0] != 1 || sel[1] != 2 {
-		t.Errorf("SelectInBox = %v", sel)
 	}
 }
 
@@ -110,14 +103,6 @@ func TestNormalize(t *testing.T) {
 		if nf.At(i, 0) != 0 {
 			t.Errorf("degenerate column value = %v", nf.At(i, 0))
 		}
-	}
-}
-
-func TestSubset(t *testing.T) {
-	d := MustNew([]string{"x"}, [][]float64{{10, 20, 30, 40}})
-	s := d.Subset([]int{3, 1})
-	if s.NumRows() != 2 || s.At(0, 0) != 40 || s.At(1, 0) != 20 {
-		t.Errorf("Subset wrong: %v %v", s.At(0, 0), s.At(1, 0))
 	}
 }
 

@@ -67,9 +67,6 @@ type MembershipConfig struct {
 	// TickEvery is the failure-detector tick period once the master starts
 	// (0: no background ticking — tests drive MembershipTick explicitly).
 	TickEvery time.Duration
-	// Replicas is the copy count the ring placement maintains (default:
-	// the replication degree of the placement the master booted with).
-	Replicas int
 	// AutoRebalance lets ticks trigger rebalances when the placement
 	// references a dead worker or a live member hosts nothing. Flapping
 	// Alive↔Suspect members never trigger one: Suspect members keep their
@@ -84,14 +81,8 @@ type MembershipConfig struct {
 	PayloadSource func(layout.ID) ([]byte, int64, error)
 }
 
-func (c MembershipConfig) normalized(curReplicas int) MembershipConfig {
+func (c MembershipConfig) normalized() MembershipConfig {
 	c.Detector = c.Detector.Normalized()
-	if c.Replicas <= 0 {
-		c.Replicas = curReplicas
-	}
-	if c.Replicas < 1 {
-		c.Replicas = 1
-	}
 	if c.RebalanceCooldown <= 0 {
 		c.RebalanceCooldown = 5 * time.Second
 	}
@@ -102,6 +93,9 @@ func (c MembershipConfig) normalized(curReplicas int) MembershipConfig {
 type membershipState struct {
 	cfg     MembershipConfig
 	tracker *membership.Tracker
+	// replicas is the copy count the ring placement maintains: the
+	// replication degree of the placement the master booted with.
+	replicas int
 
 	// joinMu serialises join handshakes so the tracker's slot indices and
 	// the fleet's slots grow in lockstep.
@@ -131,20 +125,19 @@ func (ms *membershipState) shutdown() {
 // background tick loop (cfg.TickEvery > 0) launches with Start and stops
 // with Close.
 func (m *Master) EnableMembership(cfg MembershipConfig) error {
-	curReplicas := 1
+	replicas := 1
 	for _, ws := range m.Placement() {
-		if len(ws) > curReplicas {
-			curReplicas = len(ws)
-		}
+		replicas = max(replicas, len(ws))
 	}
-	cfg = cfg.normalized(curReplicas)
+	cfg = cfg.normalized()
 	ctx, cancel := context.WithCancel(context.Background())
 	ms := &membershipState{
-		cfg:     cfg,
-		tracker: membership.NewTracker(cfg.Detector, m.fleet.Load().addrs, time.Now()),
-		ctx:     ctx,
-		cancel:  cancel,
-		stop:    make(chan struct{}),
+		cfg:      cfg,
+		tracker:  membership.NewTracker(cfg.Detector, m.fleet.Load().addrs, time.Now()),
+		replicas: replicas,
+		ctx:      ctx,
+		cancel:   cancel,
+		stop:     make(chan struct{}),
 	}
 	if !m.member.CompareAndSwap(nil, ms) {
 		cancel()
@@ -153,9 +146,9 @@ func (m *Master) EnableMembership(cfg MembershipConfig) error {
 	return nil
 }
 
-// MembershipView snapshots the current membership (ok=false when membership
+// membershipView snapshots the current membership (ok=false when membership
 // is not enabled). Diagnostic/test surface.
-func (m *Master) MembershipView() (membership.View, bool) {
+func (m *Master) membershipView() (membership.View, bool) {
 	ms := m.member.Load()
 	if ms == nil {
 		return membership.View{}, false

@@ -190,7 +190,7 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 	if _, err := hb.Beat(ctx); err != nil {
 		t.Fatalf("beat: %v", err)
 	}
-	view, ok := tc.master.MembershipView()
+	view, ok := tc.master.membershipView()
 	if !ok {
 		t.Fatal("membership must be enabled")
 	}
@@ -308,7 +308,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	}
 	beatAll(now.Add(4*time.Second), 2)
 	m.MembershipTick(now.Add(6 * time.Second))
-	view, _ := m.MembershipView()
+	view, _ := m.membershipView()
 	if mem, _ := view.Member(2); mem.State != membership.Suspect {
 		t.Fatalf("silent worker state = %v at 6s, want Suspect", mem.State)
 	}
@@ -319,7 +319,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 
 	beatAll(now.Add(9*time.Second), 2)
 	m.MembershipTick(now.Add(11 * time.Second))
-	view, _ = m.MembershipView()
+	view, _ = m.membershipView()
 	if mem, _ := view.Member(2); mem.State != membership.Dead {
 		t.Fatalf("silent worker state = %v at 11s, want Dead", mem.State)
 	}
@@ -343,7 +343,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	if resp := m.handleMember(&MemberRequest{Op: MemberBeat, Index: 2}); resp.Err != "" {
 		t.Fatalf("revival beat: %s", resp.Err)
 	}
-	view, _ = m.MembershipView()
+	view, _ = m.membershipView()
 	if mem, _ := view.Member(2); mem.State != membership.Alive {
 		t.Fatalf("revived worker state = %v, want Alive", mem.State)
 	}
@@ -361,8 +361,8 @@ func TestMembershipNotEnabled(t *testing.T) {
 	if !strings.Contains(resp.Err, "not enabled") {
 		t.Fatalf("want a membership-not-enabled error, got %q", resp.Err)
 	}
-	if _, ok := tc.master.MembershipView(); ok {
-		t.Fatal("MembershipView must report disabled")
+	if _, ok := tc.master.membershipView(); ok {
+		t.Fatal("membershipView must report disabled")
 	}
 	if _, err := tc.master.Rebalance(context.Background()); err == nil {
 		t.Fatal("Rebalance without membership must error")

@@ -41,7 +41,7 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 				if w == idx {
 					continue
 				}
-				for _, e := range worker.Epochs() {
+				for _, e := range worker.epochs() {
 					if e != 0 {
 						t.Errorf("worker %d holds epoch %d after the abort", w, e)
 					}
@@ -60,7 +60,7 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 				}
 			}
 			tc.master.MembershipTick(now.Add(12 * time.Second))
-			view, _ := tc.master.MembershipView()
+			view, _ := tc.master.membershipView()
 			if mem, _ := view.Member(idx); mem.State != membership.Dead {
 				t.Fatalf("crashed joiner state = %v, want Dead", mem.State)
 			}
@@ -96,7 +96,7 @@ func TestChaosJoinWorkerCrash(t *testing.T) {
 				}
 			}
 			tc.master.MembershipTick(now.Add(12 * time.Second))
-			view, _ := tc.master.MembershipView()
+			view, _ := tc.master.membershipView()
 			if mem, _ := view.Member(idx); mem.State != membership.Dead {
 				t.Fatalf("crashed joiner state = %v, want Dead", mem.State)
 			}
@@ -131,7 +131,7 @@ func TestChaosMembershipFlappingNoThrash(t *testing.T) {
 			}
 		}
 		tc.master.MembershipTick(vt)
-		view, _ := tc.master.MembershipView()
+		view, _ := tc.master.membershipView()
 		if mem, _ := view.Member(2); mem.State != membership.Suspect {
 			t.Fatalf("round %d: flapper state = %v, want Suspect", round, mem.State)
 		}
@@ -175,7 +175,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 		crashed := map[int]bool{}
 
 		liveMembers := func() []int {
-			view, _ := tc.master.MembershipView()
+			view, _ := tc.master.membershipView()
 			var out []int
 			for _, w := range view.Placeable() {
 				if !crashed[w] {

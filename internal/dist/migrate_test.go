@@ -254,7 +254,7 @@ func TestMigrationAppliesAliasesAndPayloads(t *testing.T) {
 	}
 	// The old epoch is retired: every worker serves only epoch 1.
 	for w, wk := range tc.workers {
-		for _, e := range wk.Epochs() {
+		for _, e := range wk.epochs() {
 			if e != 1 {
 				t.Errorf("worker %d still holds epoch %d", w, e)
 			}
@@ -536,7 +536,7 @@ func TestMigrationAbortsOnWorkerRefusal(t *testing.T) {
 	}
 	// No partial cutover: no worker retains any trace of epoch 1.
 	for w, wk := range tc.workers {
-		for _, e := range wk.Epochs() {
+		for _, e := range wk.epochs() {
 			if e == 1 {
 				t.Errorf("worker %d leaked the aborted epoch", w)
 			}
@@ -592,7 +592,7 @@ func TestChaosMigrationWorkerDown(t *testing.T) {
 				if w == victim {
 					continue
 				}
-				for _, e := range wk.Epochs() {
+				for _, e := range wk.epochs() {
 					if e == 1 {
 						t.Errorf("worker %d holds the aborted epoch", w)
 					}
@@ -653,7 +653,7 @@ func TestChaosMigrationCorruptedStream(t *testing.T) {
 					t.Errorf("aborted migrations = %d, want 1", got)
 				}
 				for w, wk := range tc.workers {
-					for _, e := range wk.Epochs() {
+					for _, e := range wk.epochs() {
 						if e == 1 {
 							t.Errorf("worker %d holds the aborted epoch", w)
 						}
@@ -714,7 +714,7 @@ func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 	// microseconds; give it every chance to.
 	holdsEpoch0 := func() bool {
 		for _, wk := range tc.workers {
-			if es := wk.Epochs(); len(es) == 0 || es[0] != 0 {
+			if es := wk.epochs(); len(es) == 0 || es[0] != 0 {
 				return false
 			}
 		}
@@ -747,7 +747,7 @@ func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 	}
 	// With the query answered the drain completes and epoch 0 is gone.
 	for w, wk := range tc.workers {
-		if es := wk.Epochs(); len(es) != 1 || es[0] != 1 {
+		if es := wk.epochs(); len(es) != 1 || es[0] != 1 {
 			t.Errorf("worker %d serves epochs %v after the migration, want [1]", w, es)
 		}
 	}

@@ -66,11 +66,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	for i, p := range l.Parts {
 		ids[i] = p.ID
 	}
-	replicas := ms.cfg.Replicas
-	if replicas > len(placeable) {
-		replicas = len(placeable)
-	}
-	want := membership.RingPlacement(ids, placeable, replicas)
+	want := membership.RingPlacement(ids, placeable, min(ms.replicas, len(placeable)))
 	plan := membership.PlanRebalance(ids, curView.replicas, want,
 		func(w int) bool { return reachable[w] })
 
@@ -84,7 +80,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	for _, mv := range plan.Moves {
 		report.MovedBytes += l.Parts[mv.ID].Bytes() * int64(len(mv.Gain))
 	}
-	if len(plan.Moves) == 0 && placementsEqual(curView.replicas, plan.Target) {
+	if len(plan.Moves) == 0 && placementsEqual(curView.replicas, want) {
 		return report, nil // already balanced: no epoch bump, no thrash
 	}
 
@@ -96,8 +92,8 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		if err != nil {
 			return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w", err)
 		}
-		if want := l.Parts[mv.ID].FullRows; rows != want {
-			return report, fmt.Errorf("dist: rebalance aborted before any cutover: partition %d fetched %d rows, layout says %d", mv.ID, rows, want)
+		if full := l.Parts[mv.ID].FullRows; rows != full {
+			return report, fmt.Errorf("dist: rebalance aborted before any cutover: partition %d fetched %d rows, layout says %d", mv.ID, rows, full)
 		}
 		moved[mv.ID] = payload
 	}
@@ -108,7 +104,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		renamed[id] = id
 		entries = append(entries, MigrationEntry{
 			ID:      id,
-			Workers: plan.Target[id],
+			Workers: want[id],
 			ReuseID: id,
 			Payload: moved[id], // nil for unmoved partitions
 			Rows:    l.Parts[id].FullRows,
@@ -117,7 +113,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	mig := &Migration{
 		Epoch:    curView.epoch + 1,
 		Router:   curView.router,
-		Replicas: plan.Target,
+		Replicas: want,
 		Entries:  entries,
 		Renamed:  renamed,
 	}

@@ -131,7 +131,7 @@ func TestRebalanceLeaveDrainsEverything(t *testing.T) {
 	if got := len(membership.HostedIDs(tc.master.Placement(), 0)); got != 0 {
 		t.Fatalf("left worker still hosts %d partitions (a drain must not leave any behind)", got)
 	}
-	view, _ := tc.master.MembershipView()
+	view, _ := tc.master.membershipView()
 	if mem, _ := view.Member(0); mem.State != membership.Left {
 		t.Fatalf("worker 0 state = %v, want Left", mem.State)
 	}
@@ -241,7 +241,7 @@ func TestRebalanceLeaveDoesNotDialDeparted(t *testing.T) {
 	}
 	// The workers that are still members did retire the drained epochs.
 	for _, w := range []int{2, 3} {
-		if es := tc.workers[w].Epochs(); len(es) != 1 || es[0] != tc.master.Epoch() {
+		if es := tc.workers[w].epochs(); len(es) != 1 || es[0] != tc.master.Epoch() {
 			t.Errorf("worker %d serves epochs %v, want only the current epoch %d", w, es, tc.master.Epoch())
 		}
 	}

@@ -163,9 +163,9 @@ func (w *Worker) handleAdmin(req AdminRequest) AdminResponse {
 	}
 }
 
-// Epochs lists the layout epochs the worker currently serves, ascending.
+// epochs lists the layout epochs the worker currently serves, ascending.
 // Test/diagnostic surface.
-func (w *Worker) Epochs() []uint64 {
+func (w *Worker) epochs() []uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([]uint64, 0, len(w.views))

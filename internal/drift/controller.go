@@ -64,9 +64,6 @@ type Controller struct {
 	// ring the query traces land in. Migrations are rare, so they are always
 	// sampled.
 	tracer atomic.Pointer[trace.Tracer]
-
-	lastMu sync.Mutex
-	last   Report
 }
 
 // Report is the outcome of one trigger evaluation (and, when it fired, the
@@ -156,20 +153,6 @@ func (c *Controller) Counters() (int64, int64, int64, int64) {
 	return c.checks.Load(), c.triggers.Load(), c.migrations.Load(), c.skips.Load()
 }
 
-// LastReport returns the most recent trigger evaluation's report.
-func (c *Controller) LastReport() Report {
-	c.lastMu.Lock()
-	defer c.lastMu.Unlock()
-	return c.last
-}
-
-func (c *Controller) setLast(r Report) {
-	c.lastMu.Lock()
-	c.last = r
-	c.lastMu.Unlock()
-	c.inst.Load().publish(r)
-}
-
 // TriggerNow evaluates the monitor and, if it fires, runs the full rebuild +
 // migration pipeline synchronously. The no-trigger case returns a Report
 // with Triggered false and a nil error. An error means a migration was
@@ -184,7 +167,7 @@ func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 	rep := Report{Epoch: c.master.Epoch()}
 	rep.Decision = c.mon.Evaluate()
 	if !rep.Decision.Trigger {
-		c.setLast(rep)
+		c.inst.Load().publish(rep)
 		return rep, nil
 	}
 	rep.Triggered = true
@@ -199,7 +182,7 @@ func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 		c.inst.Load().skips.Inc()
 		c.mon.MuteFor(c.cfg.Window)
 	}
-	c.setLast(rep)
+	c.inst.Load().publish(rep)
 	return rep, err
 }
 
@@ -510,19 +493,4 @@ func strideSample(rows []int, k int) []int {
 		out = append(out, rows[int(float64(i)*stride)])
 	}
 	return out
-}
-
-// ObservationBoxes is a small helper for tests and benches: the routed
-// ranges of a query against a layout router (what the master's observer
-// would report).
-func ObservationBoxes(rm *router.Master, sql string) ([]geom.Box, error) {
-	plan, err := rm.RouteSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]geom.Box, len(plan.Ranges))
-	for i, rp := range plan.Ranges {
-		out[i] = rp.Range
-	}
-	return out, nil
 }

@@ -124,9 +124,9 @@ func (l *Listener) Close() error { return l.inner.Close() }
 // Addr returns the inner listener's address.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
 
-// Accepted returns how many connections the listener has accepted so far
+// numAccepted returns how many connections the listener has accepted so far
 // (including rejected ones).
-func (l *Listener) Accepted() int {
+func (l *Listener) numAccepted() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.accepted

@@ -103,8 +103,8 @@ func TestRejectConnection(t *testing.T) {
 	if _, err := io.ReadFull(c2, got); err != nil {
 		t.Fatalf("second connection must echo: %v", err)
 	}
-	if l.Accepted() != 2 {
-		t.Fatalf("accepted = %d, want 2", l.Accepted())
+	if l.numAccepted() != 2 {
+		t.Fatalf("accepted = %d, want 2", l.numAccepted())
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package geom provides d-dimensional axis-aligned geometry primitives used
 // throughout the partitioner: points, closed boxes, box algebra (clipping,
-// subtraction) and regions (unions of disjoint boxes).
+// subtraction); halfopen.go adds the half-open boxes and regions that
+// describe irregular partitions.
 //
 // All boxes are closed on both ends: a point x lies in box b when
 // b.Lo[d] <= x[d] <= b.Hi[d] for every dimension d. Closed semantics match
@@ -205,28 +206,6 @@ func (b Box) Scale(f float64) Box {
 	return Box{Lo: lo, Hi: hi}
 }
 
-// RelPosition returns F_GP(x) = max_d |x_d − c_d| / r_d, the relative
-// position of record x in the box (paper §IV-B). Points inside the box have
-// F <= 1. A dimension with zero radius contributes 0 when x matches the
-// center exactly and +inf otherwise.
-func (b Box) RelPosition(x Point) float64 {
-	c := b.Center()
-	r := b.Radius()
-	f := 0.0
-	for d := range c {
-		num := math.Abs(x[d] - c[d])
-		switch {
-		case r[d] > 0:
-			if q := num / r[d]; q > f {
-				f = q
-			}
-		case num > 0:
-			return math.Inf(1)
-		}
-	}
-	return f
-}
-
 // Equal reports exact equality of corners.
 func (b Box) Equal(o Box) bool {
 	if b.Dims() != o.Dims() {
@@ -268,22 +247,6 @@ func MBR(boxes ...Box) Box {
 	return out
 }
 
-// MBRPoints returns the minimum bounding rectangle of the given points.
-func MBRPoints(pts []Point) Box {
-	if len(pts) == 0 {
-		panic("geom: MBR of zero points")
-	}
-	lo := pts[0].Clone()
-	hi := pts[0].Clone()
-	for _, p := range pts[1:] {
-		for d := range lo {
-			lo[d] = math.Min(lo[d], p[d])
-			hi[d] = math.Max(hi[d], p[d])
-		}
-	}
-	return Box{Lo: lo, Hi: hi}
-}
-
 // Subtract computes a \ b as a set of disjoint boxes covering exactly the
 // points of a that are not interior to b. The result has at most 2·dims
 // boxes. Boundary points shared with b may appear in the result (closed-box
@@ -317,21 +280,4 @@ func Subtract(a, b Box) []Box {
 		}
 	}
 	return out
-}
-
-// SubtractAll computes a \ (b1 ∪ b2 ∪ ...) as a set of disjoint
-// (measure-theoretically) boxes.
-func SubtractAll(a Box, holes []Box) []Box {
-	cur := []Box{a.Clone()}
-	for _, h := range holes {
-		var next []Box
-		for _, c := range cur {
-			next = append(next, Subtract(c, h)...)
-		}
-		cur = next
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur
 }

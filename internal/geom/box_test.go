@@ -125,44 +125,11 @@ func TestBoxScale(t *testing.T) {
 	}
 }
 
-func TestRelPosition(t *testing.T) {
-	b := box2(0, 0, 4, 2) // center (2,1), radius (2,1)
-	cases := []struct {
-		p    Point
-		want float64
-	}{
-		{Point{2, 1}, 0},
-		{Point{4, 1}, 1},
-		{Point{0, 0}, 1},
-		{Point{6, 1}, 2},
-		{Point{2, 3}, 2},
-	}
-	for _, c := range cases {
-		if got := b.RelPosition(c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("RelPosition(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Degenerate dimension.
-	deg := box2(0, 5, 4, 5) // zero radius in dim 1
-	if got := deg.RelPosition(Point{2, 5}); got != 0 {
-		t.Errorf("RelPosition on degenerate center line = %v, want 0", got)
-	}
-	if got := deg.RelPosition(Point{2, 6}); !math.IsInf(got, 1) {
-		t.Errorf("RelPosition off degenerate line = %v, want +Inf", got)
-	}
-}
-
 func TestMBR(t *testing.T) {
 	got := MBR(box2(0, 0, 1, 1), box2(5, -2, 6, 0.5))
 	want := box2(0, -2, 6, 1)
 	if !got.Equal(want) {
 		t.Errorf("MBR = %v, want %v", got, want)
-	}
-	pts := []Point{{1, 2}, {-1, 5}, {3, 0}}
-	gotP := MBRPoints(pts)
-	wantP := box2(-1, 0, 3, 5)
-	if !gotP.Equal(wantP) {
-		t.Errorf("MBRPoints = %v, want %v", gotP, wantP)
 	}
 }
 
@@ -268,7 +235,14 @@ func TestSubtractAllVolume(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := box2(0, 0, 10, 10)
 	holes := []Box{box2(1, 1, 4, 4), box2(3, 3, 7, 6), box2(8, 0, 10, 2)}
-	pieces := SubtractAll(a, holes)
+	pieces := []Box{a}
+	for _, h := range holes {
+		var next []Box
+		for _, c := range pieces {
+			next = append(next, Subtract(c, h)...)
+		}
+		pieces = next
+	}
 	vol := 0.0
 	for _, p := range pieces {
 		vol += p.Volume()
@@ -287,7 +261,7 @@ func TestSubtractAllVolume(t *testing.T) {
 	}
 	est := a.Volume() * float64(hit) / n
 	if math.Abs((a.Volume()-est)-vol) > 1.0 { // MC tolerance
-		t.Errorf("SubtractAll volume = %v, MC estimate of complement = %v", vol, a.Volume()-est)
+		t.Errorf("subtracted volume = %v, MC estimate of complement = %v", vol, a.Volume()-est)
 	}
 }
 

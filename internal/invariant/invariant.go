@@ -71,29 +71,6 @@ func violationf(oracle, format string, args ...any) error {
 	return &Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)}
 }
 
-// ViolatedOracles returns the set of oracle names tagged in err (which may
-// wrap multiple violations via errors.Join).
-func ViolatedOracles(err error) map[string]bool {
-	out := make(map[string]bool)
-	collect(err, out)
-	return out
-}
-
-func collect(err error, out map[string]bool) {
-	if err == nil {
-		return
-	}
-	var v *Violation
-	if errors.As(err, &v) {
-		out[v.Oracle] = true
-	}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		for _, e := range joined.Unwrap() {
-			collect(e, out)
-		}
-	}
-}
-
 // Inputs are the construction-time facts the oracles verify a layout
 // against. Data-dependent checks are skipped when Data is nil.
 type Inputs struct {

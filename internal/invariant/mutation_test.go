@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"errors"
 	"testing"
 
 	"paw/internal/geom"
@@ -16,12 +17,35 @@ import (
 // asserts the oracle fires with its own tag. A mutation that goes
 // undetected means the oracle silently lost its teeth.
 
+// violatedOracles returns the set of oracle names tagged in err (which may
+// wrap multiple violations via errors.Join).
+func violatedOracles(err error) map[string]bool {
+	out := make(map[string]bool)
+	collect(err, out)
+	return out
+}
+
+func collect(err error, out map[string]bool) {
+	if err == nil {
+		return
+	}
+	var v *invariant.Violation
+	if errors.As(err, &v) {
+		out[v.Oracle] = true
+	}
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range joined.Unwrap() {
+			collect(e, out)
+		}
+	}
+}
+
 func expectOracle(t *testing.T, err error, oracle string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("corruption went undetected: want a %q violation", oracle)
 	}
-	if !invariant.ViolatedOracles(err)[oracle] {
+	if !violatedOracles(err)[oracle] {
 		t.Fatalf("want a %q violation, got: %v", oracle, err)
 	}
 }

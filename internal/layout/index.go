@@ -168,27 +168,6 @@ func (l *Layout) QueryCosts(queries []geom.Box, extras Extras, workers int) []in
 	return out
 }
 
-// WorkloadCostParallel is WorkloadCost with the per-query costing fanned over
-// up to workers goroutines (0 selects GOMAXPROCS, 1 is serial). Summation
-// order differs from WorkloadCost but integer addition makes the total
-// identical.
-func (l *Layout) WorkloadCostParallel(queries []geom.Box, extras Extras, workers int) int64 {
-	pool := parbuild.New(workers)
-	partial := make([]int64, pool.Workers())
-	pool.FanChunks(pool.RootSlot(), len(queries), batchMinChunk, func(c, lo, hi, _ int) {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += l.QueryCost(queries[i], extras)
-		}
-		partial[c] = s
-	})
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return total
-}
-
 // Locate routes a point to its leaf partition through the index-accelerated
 // tree descent (nil when no leaf accepts it). Safe for concurrent use.
 func (l *Layout) Locate(p geom.Point) *Partition { return l.Root.routeDown(p, nil) }

@@ -185,16 +185,6 @@ func NewBuildReport(l *Layout, snap obs.Snapshot) *BuildReport {
 	return r
 }
 
-// PhaseNs returns the recorded duration of a named phase (0 when absent).
-func (r *BuildReport) PhaseNs(name string) int64 {
-	for _, p := range r.Phases {
-		if p.Name == name {
-			return p.Ns
-		}
-	}
-	return 0
-}
-
 // PhaseCoverage returns Σ phase ns / wall ns — the fraction of the wall time
 // the phases explain. The acceptance bar for `pawcli build` is ≥ 0.9.
 func (r *BuildReport) PhaseCoverage() float64 {

@@ -12,20 +12,16 @@ import (
 // the master's fallback source like any other move.
 
 // Move is one partition whose replica set changes: the workers that must
-// newly receive a copy and the workers that stop hosting one.
+// newly receive a copy.
 type Move struct {
 	ID layout.ID
 	// Gain are the members that must receive a copy (payload or alias).
 	Gain []int
-	// Drop are the members that stop hosting the partition at cutover.
-	Drop []int
 }
 
-// Plan is one rebalance round: the placement to migrate to, the moves it
-// implies, and the movement accounting the acceptance tests assert on.
+// Plan is one rebalance round toward want: the moves it implies and the
+// movement accounting the acceptance tests assert on.
 type Plan struct {
-	// Target is the placement this round migrates to: want.
-	Target placement.Replicated
 	// Moves lists the partitions whose replica sets change, in ids order.
 	Moves []Move
 	// MovedPartitions totals the copies that must ship.
@@ -44,9 +40,8 @@ func PlanRebalance(ids []layout.ID, cur, want placement.Replicated, hosts func(w
 	if hosts == nil {
 		hosts = func(int) bool { return true }
 	}
-	plan := Plan{Target: make(placement.Replicated, len(ids))}
+	var plan Plan
 	for _, id := range ids {
-		plan.Target[id] = want[id]
 		holding := make(map[int]bool)
 		for _, w := range cur[id] {
 			if hosts(w) {
@@ -65,17 +60,7 @@ func PlanRebalance(ids []layout.ID, cur, want placement.Replicated, hosts func(w
 			plan.ReusedPartitions++
 			continue
 		}
-		wantSet := make(map[int]bool, len(want[id]))
-		for _, w := range want[id] {
-			wantSet[w] = true
-		}
-		var drop []int
-		for _, w := range cur[id] {
-			if !wantSet[w] {
-				drop = append(drop, w)
-			}
-		}
-		plan.Moves = append(plan.Moves, Move{ID: id, Gain: gain, Drop: drop})
+		plan.Moves = append(plan.Moves, Move{ID: id, Gain: gain})
 		plan.MovedPartitions += len(gain)
 	}
 	return plan

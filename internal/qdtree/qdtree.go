@@ -152,30 +152,6 @@ func (c Cut) Inside(box geom.Box) bool {
 	return c.LeftHi >= box.Lo[c.Dim] && c.RightLo <= box.Hi[c.Dim]
 }
 
-// Candidates enumerates the Qd-tree cut set for a box: cuts at the lower and
-// upper values of every query on every dimension, restricted to cuts that
-// actually separate the box. PAW's Axis-Parallel Split (Alg. 2) reuses this.
-func Candidates(box geom.Box, queries []geom.Box) []Cut {
-	var out []Cut
-	seen := make(map[Cut]bool)
-	add := func(c Cut) {
-		if !c.Inside(box) {
-			return
-		}
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for _, q := range queries {
-		for dim := range q.Lo {
-			add(CutAtLower(dim, q.Lo[dim]))
-			add(CutAtUpper(dim, q.Hi[dim]))
-		}
-	}
-	return out
-}
-
 func (b *builder) split(box geom.Box, rows []int, queries []geom.Box, depth, slot int) *layout.Node {
 	b.m.nodes.Inc()
 	b.m.maxDepth.SetMax(int64(depth))
@@ -362,22 +338,9 @@ func countLT(sorted []float64, x float64) int {
 	return sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
 }
 
-// SplitRows divides row indices according to the cut's boundary ownership.
-// When the left-child count is already known (CutCost.LeftRows), use
-// SplitRowsN to skip the counting pass.
-func SplitRows(data *dataset.Dataset, rows []int, c Cut) (left, right []int) {
-	col := data.Column(c.Dim)
-	n := 0
-	for _, r := range rows {
-		if col[r] <= c.LeftHi {
-			n++
-		}
-	}
-	return SplitRowsN(data, rows, c, n)
-}
-
-// SplitRowsN is SplitRows with the left-child row count known in advance,
-// pre-sizing both output slices exactly so no append ever reallocates.
+// SplitRowsN divides row indices according to the cut's boundary ownership.
+// nLeft is the left child's row count, known in advance (CutCost.LeftRows),
+// so both output slices are pre-sized exactly and no append reallocates.
 func SplitRowsN(data *dataset.Dataset, rows []int, c Cut, nLeft int) (left, right []int) {
 	if nLeft < 0 || nLeft > len(rows) {
 		nLeft = 0

@@ -65,7 +65,7 @@ func TestCutInside(t *testing.T) {
 func TestCandidatesDedup(t *testing.T) {
 	box := box2(0, 0, 10, 10)
 	qs := []geom.Box{box2(2, 2, 5, 5), box2(2, 3, 5, 6)}
-	cands := Candidates(box, qs)
+	cands := candidates(box, qs)
 	// Dims 0: {2 lower, 5 upper} (deduped). Dim 1: {2,3 lower, 5,6 upper}.
 	if len(cands) != 6 {
 		t.Errorf("candidates = %d, want 6", len(cands))
@@ -75,12 +75,12 @@ func TestCandidatesDedup(t *testing.T) {
 func TestSplitRows(t *testing.T) {
 	data := dataset.MustNew([]string{"x"}, [][]float64{{1, 2, 3, 4, 5}})
 	c := CutAtLower(0, 3) // 3 itself goes right
-	l, r := SplitRows(data, allRows(5), c)
+	l, r := SplitRowsN(data, allRows(5), c, 2)
 	if len(l) != 2 || len(r) != 3 {
 		t.Errorf("lower cut: left=%d right=%d, want 2/3", len(l), len(r))
 	}
 	c = CutAtUpper(0, 3) // 3 itself goes left
-	l, r = SplitRows(data, allRows(5), c)
+	l, r = SplitRowsN(data, allRows(5), c, 3)
 	if len(l) != 3 || len(r) != 2 {
 		t.Errorf("upper cut: left=%d right=%d, want 3/2", len(l), len(r))
 	}

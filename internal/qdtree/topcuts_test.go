@@ -10,6 +10,31 @@ import (
 	"paw/internal/geom"
 )
 
+// candidates enumerates the Qd-tree cut set for a box the plain way: cuts at
+// the lower and upper values of every query on every dimension, restricted to
+// cuts that actually separate the box, each once. BestCut enumerates the same
+// set per dimension in its scratch.
+func candidates(box geom.Box, queries []geom.Box) []Cut {
+	var out []Cut
+	seen := make(map[Cut]bool)
+	add := func(c Cut) {
+		if !c.Inside(box) {
+			return
+		}
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
+	}
+	for _, q := range queries {
+		for dim := range q.Lo {
+			add(CutAtLower(dim, q.Lo[dim]))
+			add(CutAtUpper(dim, q.Hi[dim]))
+		}
+	}
+	return out
+}
+
 // sortTopCuts returns the k cheapest admissible cuts the way the cut search
 // once did: it sorts every dimension's row values and counts each candidate's
 // left rows by binary search. At k = 1 it is the oracle for BestCut's
@@ -137,7 +162,7 @@ func TestBestCutMatchesSortOracle(t *testing.T) {
 			}
 			sort.Float64s(vals)
 			sc.thresh = sc.thresh[:0]
-			for _, c := range append(Candidates(box, queries), extra...) {
+			for _, c := range append(candidates(box, queries), extra...) {
 				if c.Dim == dim && c.Inside(box) {
 					sc.thresh = append(sc.thresh, c.LeftHi)
 				}

@@ -109,15 +109,6 @@ func (m *Master) RouteSQL(stmt string) (Plan, error) {
 	return m.routeRanges(ranges)
 }
 
-// RouteWhere rewrites a bare WHERE clause and routes every resulting range.
-func (m *Master) RouteWhere(where string) (Plan, error) {
-	ranges, err := m.rewriter.Rewrite(where)
-	if err != nil {
-		return Plan{}, err
-	}
-	return m.routeRanges(ranges)
-}
-
 // RouteRange routes a single pre-built range query.
 func (m *Master) RouteRange(q geom.Box) (Plan, error) {
 	return m.routeRanges([]geom.Box{q})

@@ -27,7 +27,7 @@ func setup(t *testing.T) (*Master, *dataset.Dataset, *layout.Layout) {
 
 func TestRouteWhere(t *testing.T) {
 	m, data, l := setup(t)
-	plan, err := m.RouteWhere("x >= 0.2 AND x <= 0.4 AND y >= 0.2 AND y <= 0.4")
+	plan, err := m.RouteSQL("SELECT * FROM t WHERE x >= 0.2 AND x <= 0.4 AND y >= 0.2 AND y <= 0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRouteSQLNoWhere(t *testing.T) {
 
 func TestRouteErrors(t *testing.T) {
 	m, _, _ := setup(t)
-	if _, err := m.RouteWhere("zz >= 1"); err == nil {
+	if _, err := m.RouteSQL("SELECT * FROM t WHERE zz >= 1"); err == nil {
 		t.Error("unknown column must error")
 	}
 	if _, err := m.RouteRange(geom.UnitBox(3)); err == nil {
@@ -111,17 +111,17 @@ func TestRecorder(t *testing.T) {
 	m, _, _ := setup(t)
 	var recorded []geom.Box
 	m.SetRecorder(func(q geom.Box) { recorded = append(recorded, q.Clone()) })
-	if _, err := m.RouteWhere("x >= 0.2 AND x <= 0.4"); err != nil {
+	if _, err := m.RouteSQL("SELECT * FROM t WHERE x >= 0.2 AND x <= 0.4"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RouteWhere("x <= 0.1 OR x >= 0.9"); err != nil {
+	if _, err := m.RouteSQL("SELECT * FROM t WHERE x <= 0.1 OR x >= 0.9"); err != nil {
 		t.Fatal(err)
 	}
 	if len(recorded) != 3 { // 1 range + 2 disjoint ranges
 		t.Fatalf("recorded %d ranges, want 3", len(recorded))
 	}
 	m.SetRecorder(nil)
-	if _, err := m.RouteWhere("x >= 0.5"); err != nil {
+	if _, err := m.RouteSQL("SELECT * FROM t WHERE x >= 0.5"); err != nil {
 		t.Fatal(err)
 	}
 	if len(recorded) != 3 {

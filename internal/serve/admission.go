@@ -134,16 +134,16 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 	}
 }
 
-// Stats returns cumulative admission counts: requests admitted, requests
+// stats returns cumulative admission counts: requests admitted, requests
 // rejected with ErrOverloaded, and requests that waited in a queue.
-func (a *Admission) Stats() (admitted, rejected, waited int64) {
+func (a *Admission) stats() (admitted, rejected, waited int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.admitted, a.rejected, a.waited
 }
 
-// Inflight returns the number of currently admitted holders.
-func (a *Admission) Inflight() int {
+// holders returns the number of currently admitted holders.
+func (a *Admission) holders() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight

@@ -143,8 +143,8 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// Stats returns the cumulative hit/miss counts.
-func (c *LRU[K, V]) Stats() (hits, misses int64) {
+// stats returns the cumulative hit/miss counts.
+func (c *LRU[K, V]) stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses

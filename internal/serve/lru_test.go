@@ -40,11 +40,11 @@ func TestLRUSweepPreservesRecencyAndStats(t *testing.T) {
 	c.Put(2, 2)
 	c.Put(3, 3)
 	c.Get(1) // recency now 1,3,2 (most→least)
-	h0, m0 := c.Stats()
+	h0, m0 := c.stats()
 
 	c.Sweep(func(k, v int) (int, bool) { return v, true })
 
-	if h, m := c.Stats(); h != h0 || m != m0 {
+	if h, m := c.stats(); h != h0 || m != m0 {
 		t.Fatalf("sweep changed stats: %d/%d -> %d/%d", h0, m0, h, m)
 	}
 	// A new insert must evict the least recently used survivor (2).

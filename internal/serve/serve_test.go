@@ -55,7 +55,7 @@ func TestLRUInvalidateKeepsStats(t *testing.T) {
 	if _, ok := l.Get("a"); ok {
 		t.Fatal("a must be gone")
 	}
-	hits, misses := l.Stats()
+	hits, misses := l.stats()
 	if hits != 1 || misses != 2 {
 		t.Fatalf("stats = %d/%d, want 1/2", hits, misses)
 	}
@@ -160,12 +160,12 @@ func TestAdmissionFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Inflight(); got != 2 {
+	if got := a.holders(); got != 2 {
 		t.Fatalf("inflight=%d", got)
 	}
 	r1()
 	r2()
-	if got := a.Inflight(); got != 0 {
+	if got := a.holders(); got != 0 {
 		t.Fatalf("inflight after release=%d", got)
 	}
 }
@@ -186,7 +186,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 		waiterDone <- err
 	}()
 	for {
-		if _, _, waited := a.Stats(); waited == 1 {
+		if _, _, waited := a.stats(); waited == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -199,7 +199,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if err := <-waiterDone; err != nil {
 		t.Fatalf("queued waiter: %v", err)
 	}
-	_, rejected, _ := a.Stats()
+	_, rejected, _ := a.stats()
 	if rejected != 1 {
 		t.Fatalf("rejected=%d", rejected)
 	}
@@ -233,7 +233,7 @@ func TestAdmissionFairRoundRobin(t *testing.T) {
 			// Order the flood's arrival before moving on so the queue
 			// state is deterministic.
 			for {
-				if _, _, waited := a.Stats(); int(waited) >= i+1 {
+				if _, _, waited := a.stats(); int(waited) >= i+1 {
 					break
 				}
 				time.Sleep(time.Millisecond)
@@ -252,7 +252,7 @@ func TestAdmissionFairRoundRobin(t *testing.T) {
 		light <- r
 	}()
 	for {
-		if _, _, waited := a.Stats(); waited >= 9 {
+		if _, _, waited := a.stats(); waited >= 9 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -301,7 +301,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 		errc <- err
 	}()
 	for {
-		if _, _, waited := a.Stats(); waited == 1 {
+		if _, _, waited := a.stats(); waited == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -318,7 +318,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 		t.Fatalf("after cancelled waiter: %v", err)
 	}
 	r()
-	if got := a.Inflight(); got != 0 {
+	if got := a.holders(); got != 0 {
 		t.Fatalf("inflight=%d", got)
 	}
 }

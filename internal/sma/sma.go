@@ -82,30 +82,6 @@ func (a *Aggregates) DimCovered(d int, q geom.Box) bool {
 	return a.Min[d] >= q.Lo[d] && a.Max[d] <= q.Hi[d]
 }
 
-// MBR returns the min-max envelope as a box. It panics on an empty block.
-func (a Aggregates) MBR() geom.Box {
-	if a.Empty() {
-		panic("sma: MBR of empty aggregates")
-	}
-	lo := make(geom.Point, len(a.Min))
-	hi := make(geom.Point, len(a.Max))
-	copy(lo, a.Min)
-	copy(hi, a.Max)
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// Mean returns the per-dimension mean values. It panics on an empty block.
-func (a Aggregates) Mean() []float64 {
-	if a.Empty() {
-		panic("sma: mean of empty aggregates")
-	}
-	out := make([]float64, len(a.Sum))
-	for d, s := range a.Sum {
-		out[d] = s / float64(a.Count)
-	}
-	return out
-}
-
 // Merge combines two aggregates into the aggregates of the union block.
 func Merge(x, y Aggregates) Aggregates {
 	if x.Empty() {

@@ -23,10 +23,6 @@ func TestCompute(t *testing.T) {
 	if a.Min[1] != 10 || a.Max[1] != 30 || a.Sum[1] != 60 {
 		t.Errorf("dim1 stats: %v %v %v", a.Min[1], a.Max[1], a.Sum[1])
 	}
-	m := a.Mean()
-	if m[0] != 3 || m[1] != 20 {
-		t.Errorf("mean = %v", m)
-	}
 }
 
 func TestComputeSubset(t *testing.T) {
@@ -62,20 +58,6 @@ func TestEmpty(t *testing.T) {
 	}
 	if !a.CanPrune(geom.UnitBox(2)) {
 		t.Error("empty block prunes everything")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MBR of empty aggregates must panic")
-		}
-	}()
-	a.MBR()
-}
-
-func TestMBR(t *testing.T) {
-	a := Compute(data3(), nil)
-	want := geom.Box{Lo: geom.Point{1, 10}, Hi: geom.Point{5, 30}}
-	if !a.MBR().Equal(want) {
-		t.Errorf("MBR = %v, want %v", a.MBR(), want)
 	}
 }
 

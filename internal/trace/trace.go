@@ -330,8 +330,6 @@ type Tracer struct {
 	count     int
 	bounds    []float64
 	exemplars []Exemplar
-	// sink, when set, sees every finished trace (the cost-record feed).
-	sink func(*Finished)
 }
 
 // defaultLatencyBounds mirror obs.LatencyBuckets (1µs .. 10s) so exemplars
@@ -364,18 +362,6 @@ func New(cfg Config) *Tracer {
 	}
 	tr.exemplars[len(bounds)].Overflow = true
 	return tr
-}
-
-// SetSink installs (or, with nil, removes) the finished-trace hook — the
-// cost-record feed. The hook runs synchronously under the tracer mutex; it
-// must be cheap and must not call back into the tracer.
-func (tr *Tracer) SetSink(f func(*Finished)) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.sink = f
-	tr.mu.Unlock()
 }
 
 // Sample decides whether this query is traced: every SampleEvery-th query
@@ -436,9 +422,6 @@ func (tr *Tracer) Finish(t *T) {
 	ex.Count++
 	ex.TraceID = f.ID
 	ex.DurNs = f.DurNs
-	if tr.sink != nil {
-		tr.sink(&f)
-	}
 	tr.mu.Unlock()
 }
 

@@ -20,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil tracer forced a sample: %v", got)
 	}
 	tr.Finish(nil)
-	tr.SetSink(nil)
 	if tr.Traces() != nil || tr.Exemplars() != nil {
 		t.Fatal("nil tracer retained traces")
 	}
@@ -265,17 +264,6 @@ func TestExemplars(t *testing.T) {
 	}
 	if !ex[1].Overflow || ex[1].Count != 0 {
 		t.Fatalf("overflow bucket wrong: %+v", ex[1])
-	}
-}
-
-// TestSink: the finished-trace hook sees every trace (the cost-record feed).
-func TestSink(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
-	var got []uint64
-	tr.SetSink(func(f *Finished) { got = append(got, f.ID) })
-	want := finishOne(tr, "q")
-	if len(got) != 1 || got[0] != want {
-		t.Fatalf("sink saw %v, want [%d]", got, want)
 	}
 }
 

@@ -42,18 +42,6 @@ func (l *Log) Workload() Workload {
 	return l.entries.Clone()
 }
 
-// Tail snapshots the most recent n queries (all when n exceeds the length).
-// Rebuilding a layout from the recent tail keeps stale query patterns from
-// dominating the next layout.
-func (l *Log) Tail(n int) Workload {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n >= len(l.entries) {
-		return l.entries.Clone()
-	}
-	return l.entries[len(l.entries)-n:].Clone()
-}
-
 // Binary query-log format:
 //
 //	magic   uint32 'PAWQ'

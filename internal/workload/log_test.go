@@ -30,13 +30,6 @@ func TestLogRecordAndSnapshot(t *testing.T) {
 	if l.Workload()[0].Box.Lo[0] == 99 {
 		t.Error("snapshot aliases the log")
 	}
-	tail := l.Tail(2)
-	if len(tail) != 2 || tail[0].Seq != 1 {
-		t.Errorf("Tail(2) = %v", tail)
-	}
-	if got := l.Tail(100); len(got) != 3 {
-		t.Errorf("oversized tail = %d entries", len(got))
-	}
 }
 
 func TestLogConcurrentRecord(t *testing.T) {

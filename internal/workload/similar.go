@@ -59,8 +59,8 @@ func MinimalDelta(hist, future Workload) (float64, error) {
 // The estimate is the directed Hausdorff distance from the newer half to the
 // older half: max over new queries of the distance to their nearest old
 // query. This is Definition 2 without the capacity condition (iii). The
-// strict capacity-constrained bottleneck (EstimateDeltaStrict) degenerates
-// on clustered workloads: whenever the halves' per-cluster counts differ —
+// strict capacity-constrained bottleneck (MinimalDelta between the halves;
+// TestEstimateDeltaClustered) degenerates on clustered workloads: whenever the halves' per-cluster counts differ —
 // which independent samples almost always do — some query is forced to match
 // across clusters and δ′ jumps to the inter-cluster distance, grossly
 // over-extending every query. The capacity-free variant reproduces the
@@ -100,72 +100,6 @@ func DirectedDelta(ref, live Workload) float64 {
 		}
 	}
 	return est
-}
-
-// EstimateDeltaStrict is the literal §IV-E procedure: the minimal δ′ making
-// the two history halves δ′-similar under the full Definition 2, capacity
-// condition included. See EstimateDelta for why this degenerates on
-// clustered workloads. When the halves' sizes differ, the larger half is
-// trimmed to the divisible prefix.
-func EstimateDeltaStrict(hist Workload) (float64, error) {
-	if len(hist) < 2 {
-		return 0, fmt.Errorf("workload: need at least 2 queries to estimate delta, have %d", len(hist))
-	}
-	h1, h2 := hist.SplitHalves()
-	// Definition 2 matches QF against QH with |QF| divisible by |QH|; here
-	// QH=h1, QF=h2. SplitHalves gives |h1| >= |h2|; trim h1 to |h2| so the
-	// ratio is exactly 1.
-	if len(h1) > len(h2) {
-		h1 = h1[:len(h2)]
-	}
-	return MinimalDelta(h1, h2)
-}
-
-// GreedyMinimalDelta is a fast approximation of MinimalDelta for very large
-// workloads: it sorts all pairs by distance and greedily matches respecting
-// capacities, returning the largest distance used. The result is an upper
-// bound on the true bottleneck value.
-func GreedyMinimalDelta(hist, future Workload) (float64, error) {
-	if err := checkDivisible(hist, future); err != nil {
-		return 0, err
-	}
-	k := len(future) / len(hist)
-	type pair struct {
-		d    float64
-		f, h int
-	}
-	pairs := make([]pair, 0, len(hist)*len(future))
-	for i, qf := range future {
-		for j, qh := range hist {
-			pairs = append(pairs, pair{Dist(qf, qh), i, j})
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].d < pairs[b].d })
-	matchedF := make([]bool, len(future))
-	capH := make([]int, len(hist))
-	for i := range capH {
-		capH[i] = k
-	}
-	remaining := len(future)
-	maxD := 0.0
-	for _, p := range pairs {
-		if remaining == 0 {
-			break
-		}
-		if matchedF[p.f] || capH[p.h] == 0 {
-			continue
-		}
-		matchedF[p.f] = true
-		capH[p.h]--
-		remaining--
-		if p.d > maxD {
-			maxD = p.d
-		}
-	}
-	if remaining != 0 {
-		return 0, fmt.Errorf("workload: greedy matching left %d queries unmatched", remaining)
-	}
-	return maxD, nil
 }
 
 func checkDivisible(hist, future Workload) error {

@@ -79,18 +79,6 @@ func (w Workload) Clip(p geom.Box) Workload {
 	return out
 }
 
-// Intersecting returns the sub-workload of queries intersecting box p
-// without clipping them.
-func (w Workload) Intersecting(p geom.Box) Workload {
-	var out Workload
-	for _, q := range w {
-		if q.Box.Intersects(p) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // SplitHalves divides the workload into two equal halves by Seq order,
 // simulating "past" and "future" for δ′ estimation (§IV-E). The workload
 // length must be even; odd lengths put the extra query in the first half.
