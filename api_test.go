@@ -29,21 +29,21 @@ var stdlibMethods = map[string]bool{
 }
 
 // exportedDecl is an exported function or method declared in a non-test file
-// under internal/ or cmd/.
+// of the root package or under internal/ or cmd/.
 type exportedDecl struct {
 	dir, name, shown string
 	pos              token.Position
 }
 
-// TestExportedFunctionsHaveCallers holds the exported surface of internal/
-// and cmd/ to what callers use. An exported function or method passes when
-// its name appears as an identifier in a non-test file anywhere in the
-// repository (benchmark/ and examples/ included; its own declaration does not
-// count), or in a test file of another directory. A name used only by the
-// tests of its own package is a probe: unexport it or move it into a _test.go
-// file. A name used nowhere is dead: delete it. Matching is by name alone, so
-// the check can miss dead code (a method that shares its name with a used
-// one) but never flags code that is used.
+// TestExportedFunctionsHaveCallers holds the exported surface of the root
+// package, internal/ and cmd/ to what callers use. An exported function or
+// method passes when its name appears as an identifier in a non-test file
+// anywhere in the repository (benchmark/ and examples/ included; its own
+// declaration does not count), or in a test file of another directory. A name
+// used only by the tests of its own package is a probe: unexport it or move it
+// into a _test.go file. A name used nowhere is dead: delete it. Matching is by
+// name alone, so the check can miss dead code (a method that shares its name
+// with a used one) but never flags code that is used.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []exportedDecl
@@ -76,7 +76,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 				continue
 			}
 			declIdents[fn.Name] = true
-			if isTest || !fn.Name.IsExported() || !(strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) {
+			if isTest || !fn.Name.IsExported() || !(dir == "." || strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) {
 				continue
 			}
 			shown := fn.Name.Name
@@ -109,7 +109,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(decls) == 0 {
-		t.Fatal("found no exported functions under internal/ or cmd/")
+		t.Fatal("found no exported functions in the root package, internal/ or cmd/")
 	}
 	var bad []string
 	for _, d := range decls {
@@ -129,7 +129,11 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		if testUsers[d.name][d.dir] {
 			how = "only its own package's tests name it: delete it with them, or unexport it or move it into a _test.go file if it is their oracle"
 		}
-		bad = append(bad, d.pos.String()+": "+d.dir+"."+d.shown+": "+how)
+		pkg := d.dir
+		if pkg == "." {
+			pkg = "paw"
+		}
+		bad = append(bad, d.pos.String()+": "+pkg+"."+d.shown+": "+how)
 	}
 	sort.Strings(bad)
 	for _, b := range bad {

@@ -26,7 +26,6 @@ import (
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
-	"paw/internal/router"
 	"paw/internal/trace"
 	"paw/internal/workload"
 )
@@ -61,32 +60,19 @@ func main() {
 		all[i] = i
 	}
 	rep := membership.RingPlacement(ids, all, replicas)
-	fleet := make([]*dist.Worker, workers)
-	addrs := make([]string, workers)
-	for w := 0; w < workers; w++ {
-		hosted := membership.HostedIDs(rep, w)
-		wk := dist.NewWorker(store, hosted)
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer wk.Close()
-		fleet[w] = wk
-		addrs[w] = addr
-		fmt.Printf("worker %d: %d partitions on %s\n", w, len(hosted), addr)
+	fleet, err := dist.StartFleet(l, data.Names(), store, rep, workers, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer fleet.Close()
+	m, rm := fleet.Master, fleet.Master.Router()
+	var qlog workload.Log
+	rm.SetRecorder(qlog.Record)
+	for w, addr := range fleet.Addrs {
+		fmt.Printf("worker %d: %d partitions on %s\n", w, len(membership.HostedIDs(rep, w)), addr)
 	}
 	fmt.Printf("placement: consistent-hash ring, %d copies of each of %d partitions\n", replicas, len(ids))
 
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		log.Fatal(err)
-	}
-	var qlog workload.Log
-	rm.SetRecorder(qlog.Record)
-	m, err := dist.NewMasterReplicated(rm, addrs, rep)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := dist.DefaultConfig()
 	cfg.CallTimeout = 2 * time.Second
 	cfg.SlowQuery = 250 * time.Millisecond
@@ -123,7 +109,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer m.Close()
 	fmt.Printf("master: %s (metadata %d bytes)\n\n", maddr, rm.MemoryFootprint())
 
 	client, err := dist.DialMux(maddr)
@@ -161,8 +146,8 @@ func main() {
 	// The client accepts partial results, so a partition left without a
 	// copy would come back in FailedPartitions rather than as an error.
 	const failoverSQL = "SELECT * FROM lineitem WHERE l_quantity >= 2 AND l_quantity <= 48"
-	fmt.Printf("\nkilling worker 0 (%s), then %s\n", addrs[0], failoverSQL)
-	fleet[0].Close()
+	fmt.Printf("\nkilling worker 0 (%s), then %s\n", fleet.Addrs[0], failoverSQL)
+	fleet.Workers[0].Close()
 	client.SetAllowPartial(true)
 	resp, err := client.Query(failoverSQL)
 	if err != nil {

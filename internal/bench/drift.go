@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"paw/internal/blockstore"
@@ -12,11 +11,10 @@ import (
 	"paw/internal/descriptor"
 	"paw/internal/dist"
 	"paw/internal/drift"
-	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/placement"
-	"paw/internal/router"
 	"paw/internal/sim"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -121,69 +119,16 @@ type DriftReport struct {
 	Scenarios  []DriftScenarioResult `json:"scenarios"`
 }
 
-// driftSQL renders a range box as SQL over the dataset's columns (%v prints
-// the shortest round-tripping float, so the parsed box is exact).
-func driftSQL(names []string, b geom.Box) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT * FROM t WHERE ")
-	for d, n := range names {
-		if d > 0 {
-			sb.WriteString(" AND ")
-		}
-		fmt.Fprintf(&sb, "%s >= %v AND %s <= %v", n, b.Lo[d], n, b.Hi[d])
+// uncachedFleet is dist.StartFleet with the master's result cache off: a
+// cached answer would hide the scan, or the outage, a bench measures.
+func uncachedFleet(l *layout.Layout, names []string, store *blockstore.Store, rep placement.Replicated, slots int) (*dist.Fleet, error) {
+	f, err := dist.StartFleet(l, names, store, rep, slots, nil)
+	if err == nil {
+		cfg := dist.DefaultConfig()
+		cfg.ResultCacheSize = 0
+		f.Master.Configure(cfg)
 	}
-	return sb.String()
-}
-
-// startWorkers starts one dist.Worker on loopback per entry of hosted, each
-// serving those partitions of store, and returns their addresses. stop closes
-// every worker started.
-func startWorkers(store *blockstore.Store, hosted [][]layout.ID) (addrs []string, stop func(), err error) {
-	var workers []*dist.Worker
-	stop = func() {
-		for _, wk := range workers {
-			wk.Close()
-		}
-	}
-	for _, ids := range hosted {
-		wk := dist.NewWorker(store, ids)
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			stop()
-			return nil, nil, err
-		}
-		workers = append(workers, wk)
-		addrs = append(addrs, addr)
-	}
-	return addrs, stop, nil
-}
-
-// roundRobinCluster serves store on n in-process workers, l's partitions
-// placed round-robin, behind one dist.Master with the result cache off. stop
-// closes the master, then the workers.
-func roundRobinCluster(l *layout.Layout, names []string, store *blockstore.Store, n int) (*dist.Master, func(), error) {
-	rm, err := router.NewMaster(l, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	place := placement.RoundRobin(l, n)
-	hosted := make([][]layout.ID, n)
-	for id, w := range place {
-		hosted[w] = append(hosted[w], id)
-	}
-	addrs, stopWorkers, err := startWorkers(store, hosted)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := dist.NewMaster(rm, addrs, place)
-	if err != nil {
-		stopWorkers()
-		return nil, nil, err
-	}
-	cfg := dist.DefaultConfig()
-	cfg.ResultCacheSize = 0
-	m.Configure(cfg)
-	return m, func() { m.Close(); stopWorkers() }, nil
+	return f, err
 }
 
 // DriftBench plays every sim.DriftScenarios stream against a live in-process
@@ -235,11 +180,12 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 
 	// The result cache is off: it would absorb replayed queries at zero
 	// observed cost and blur the regression signal.
-	m, stop, err := roundRobinCluster(l, names, store, opt.Workers)
+	f, err := uncachedFleet(l, names, store, placement.RoundRobin(l, opt.Workers).Replicated(), opt.Workers)
 	if err != nil {
 		return res, err
 	}
-	defer stop()
+	defer f.Close()
+	m := f.Master
 
 	dcfg := drift.Config{
 		Window:       opt.Window,
@@ -289,7 +235,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		return nil
 	}
 	for i, b := range stream {
-		resp, err := m.Query(driftSQL(names, b))
+		resp, err := m.Query(sqlrew.BoxSQL(names, b))
 		if err != nil {
 			return res, fmt.Errorf("query %d: %w", i, err)
 		}
@@ -372,7 +318,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		// replay scans for real.
 		var sum int64
 		for i := lastLo; i < len(stream); i++ {
-			resp, err := m.Query(driftSQL(names, stream[i]))
+			resp, err := m.Query(sqlrew.BoxSQL(names, stream[i]))
 			if err != nil {
 				return res, fmt.Errorf("recovery replay %d: %w", i, err)
 			}

@@ -13,7 +13,9 @@ import (
 	"paw/internal/dist"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
+	"paw/internal/placement"
 	"paw/internal/qdtree"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -174,21 +176,20 @@ const (
 	e2ePasses  = 20
 )
 
-// endToEnd serves each method's layout of s on its own in-process cluster
-// (e2eWorkers dist.Workers on loopback, partitions placed round-robin, one
-// dist.Master with the result cache off) and sends it every future query as
-// SQL: one warm-up pass, then e2ePasses timed ones. Each query goes to every
-// method's cluster in turn, so host drift reaches all methods alike. It
-// returns, per method, the average nominal I/O per query in MB (Eq. 1 over
-// the stored partitions) and the median answer latency in ms. It panics on
-// any answer that is not exactly the dataset's count.
+// endToEnd serves each method's layout of s on its own uncachedFleet of
+// e2eWorkers, placed round-robin, and sends it every future query as SQL: one
+// warm-up pass, then e2ePasses timed ones. Each query goes to every method's
+// cluster in turn, so host drift reaches all methods alike. It returns, per
+// method, the average nominal I/O per query in MB (Eq. 1 over the stored
+// partitions) and the median answer latency in ms. It panics on any answer
+// that is not exactly the dataset's count.
 func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
 	queries := s.Fut.Boxes()
 	names := s.Data.Names()
 	sqls := make([]string, len(queries))
 	want := make([]int, len(queries))
 	for i, q := range queries {
-		sqls[i] = driftSQL(names, q)
+		sqls[i] = sqlrew.BoxSQL(names, q)
 		want[i] = s.Data.CountInBox(q, nil)
 	}
 	ioMB = make(map[string]float64, len(methods))
@@ -207,12 +208,12 @@ func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
 			}
 		}
 		ioMB[m] = float64(nominal/int64(len(queries))) / 1e6
-		master, stop, err := roundRobinCluster(l, names, store, e2eWorkers)
+		f, err := uncachedFleet(l, names, store, placement.RoundRobin(l, e2eWorkers).Replicated(), e2eWorkers)
 		if err != nil {
 			panic(err)
 		}
-		defer stop()
-		masters[i] = master
+		defer f.Close()
+		masters[i] = f.Master
 	}
 	lat := make([][]time.Duration, len(methods))
 	for pass := 0; pass <= e2ePasses; pass++ {

@@ -15,7 +15,7 @@ import (
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
-	"paw/internal/router"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -121,27 +121,12 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	// minimum and not an artifact of converting from another placement rule.
 	place := membership.RingPlacement(ids, seedIdx, opt.Replicas)
 
-	perWorker := make([][]layout.ID, opt.Workers)
-	for w := range perWorker {
-		perWorker[w] = membership.HostedIDs(place, w)
-	}
-	addrs, stopWorkers, err := startWorkers(store, perWorker)
+	f, err := uncachedFleet(l, data.Names(), store, place, opt.Workers)
 	if err != nil {
 		return rep, err
 	}
-	defer stopWorkers()
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		return rep, err
-	}
-	m, err := dist.NewMasterReplicated(rm, addrs, place)
-	if err != nil {
-		return rep, err
-	}
-	defer m.Close()
-	mcfg := dist.DefaultConfig()
-	mcfg.ResultCacheSize = 0 // cached answers would fake availability
-	m.Configure(mcfg)
+	defer f.Close()
+	m := f.Master
 	reg := obs.New()
 	m.SetMetrics(reg)
 	if err := m.EnableMembership(dist.MembershipConfig{
@@ -163,15 +148,18 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	}
 
 	// hammer runs the probe set against the master until stopped, counting
-	// answered, failed and wrong queries.
+	// answered, failed and wrong queries, and then sets the availability. It
+	// returns once its goroutine runs, so the event started next overlaps it.
 	hammer := func(stop *atomic.Bool, ev *RebalanceEvent) *sync.WaitGroup {
 		var wg sync.WaitGroup
 		wg.Add(1)
+		running := make(chan struct{})
 		go func() {
 			defer wg.Done()
+			close(running)
 			for !stop.Load() {
 				for i, b := range probes {
-					resp, err := m.Query(driftSQL(names, b))
+					resp, err := m.Query(sqlrew.BoxSQL(names, b))
 					ev.QueriesDuring++
 					if err != nil {
 						ev.QueryErrors++
@@ -182,14 +170,13 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 					}
 				}
 			}
+			if ev.QueriesDuring > 0 {
+				ev.Availability = float64(ev.QueriesDuring-ev.QueryErrors-ev.WrongAnswers) /
+					float64(ev.QueriesDuring)
+			}
 		}()
+		<-running
 		return &wg
-	}
-	finish := func(ev *RebalanceEvent) {
-		if ev.QueriesDuring > 0 {
-			ev.Availability = float64(ev.QueriesDuring-ev.QueryErrors-ev.WrongAnswers) /
-				float64(ev.QueriesDuring)
-		}
 	}
 	totalCopies := 0
 	for _, ws := range place {
@@ -205,7 +192,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 		TotalCopies:   totalCopies,
 		IdealMoves:    float64(totalCopies) / float64(opt.Workers+1),
 	}
-	joiner := dist.NewWorker(nil, nil)
+	joiner := dist.NewWorker(nil, nil) // a joiner starts empty, outside the fleet
 	jaddr, err := joiner.Start("127.0.0.1:0")
 	defer joiner.Close()
 	if err != nil {
@@ -241,7 +228,6 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	if joinEv.IdealMoves > 0 {
 		joinEv.MoveRatio = float64(rr.MovedPartitions) / float64(totalCopies)
 	}
-	finish(&joinEv)
 	rep.Events = append(rep.Events, joinEv)
 
 	// Event 2: the joiner leaves gracefully; the master drains its copies
@@ -284,7 +270,6 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	if leaveEv.TotalCopies > 0 {
 		leaveEv.MoveRatio = float64(leaveEv.MovedPartitions) / float64(leaveEv.TotalCopies)
 	}
-	finish(&leaveEv)
 	rep.Events = append(rep.Events, leaveEv)
 	return rep, nil
 }

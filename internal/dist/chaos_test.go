@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -14,9 +13,9 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/faultnet"
 	"paw/internal/layout"
+	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/placement"
-	"paw/internal/router"
 	"paw/internal/workload"
 )
 
@@ -52,24 +51,30 @@ type chaosCluster struct {
 	reg        *obs.Registry
 }
 
-// perWorkerIDs inverts a replicated placement: the partitions each worker
-// must host (any position in the replica set).
-func perWorkerIDs(rep placement.Replicated, workers int) [][]layout.ID {
-	out := make([][]layout.ID, workers)
-	for id, ws := range rep {
-		for _, w := range ws {
-			out[w] = append(out[w], id)
-		}
-	}
-	return out
-}
-
 // startChaosCluster builds a small layout, replicates every partition across
 // `replicas` workers (replica r of partition p on worker (p+r) mod W), and
 // serves each worker behind the faultnet script given for its index (absent:
 // clean listener). The master is configured with cfg and an obs registry.
 func startChaosCluster(t *testing.T, nWorkers, replicas int, scripts map[int]faultnet.Script, cfg Config) *chaosCluster {
 	t.Helper()
+	data, l, store := chaosFixture()
+	rep := make(placement.Replicated, len(l.Parts))
+	for _, p := range l.Parts {
+		for r := 0; r < replicas && r < nWorkers; r++ {
+			rep[p.ID] = append(rep[p.ID], (int(p.ID)+r)%nWorkers)
+		}
+	}
+	f := startFleet(t, l, data.Names(), store, rep, nWorkers, scripts, nil)
+	tc := &chaosCluster{data: data, layout: l, store: store, rep: rep,
+		workers: f.Workers, workerRegs: f.Regs, addrs: f.Addrs, master: f.Master, reg: obs.New()}
+	f.Master.Configure(cfg)
+	f.Master.SetMetrics(tc.reg)
+	return tc
+}
+
+// chaosFixture is the chaos suite's data: 6 000 uniform 2-d rows, a layout
+// built for a uniform workload over them, and its store.
+func chaosFixture() (*dataset.Dataset, *layout.Layout, *blockstore.Store) {
 	data := dataset.Uniform(6000, 2, 3)
 	rows := make([]int, data.NumRows())
 	for i := range rows {
@@ -77,54 +82,7 @@ func startChaosCluster(t *testing.T, nWorkers, replicas int, scripts map[int]fau
 	}
 	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 5))
 	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 300})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-
-	rep := make(placement.Replicated, len(l.Parts))
-	for _, p := range l.Parts {
-		for r := 0; r < replicas && r < nWorkers; r++ {
-			rep[p.ID] = append(rep[p.ID], (int(p.ID)+r)%nWorkers)
-		}
-	}
-	tc := &chaosCluster{data: data, layout: l, store: store, rep: rep}
-	hosted := perWorkerIDs(rep, nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, hosted[w])
-		wreg := obs.New()
-		wk.SetMetrics(wreg)
-		tc.workerRegs = append(tc.workerRegs, wreg)
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ln net.Listener = inner
-		if s, ok := scripts[w]; ok {
-			ln = faultnet.Wrap(inner, s)
-		}
-		if err := wk.Serve(ln); err != nil {
-			t.Fatal(err)
-		}
-		tc.workers = append(tc.workers, wk)
-		tc.addrs = append(tc.addrs, inner.Addr().String())
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMasterReplicated(rm, tc.addrs, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Configure(cfg)
-	tc.reg = obs.New()
-	m.SetMetrics(tc.reg)
-	tc.master = m
-	t.Cleanup(func() {
-		m.Close()
-		for _, wk := range tc.workers {
-			wk.Close()
-		}
-	})
-	return tc
+	return data, l, blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
 }
 
 // fastChaosConfig is the test policy: a 3-failure breaker and short
@@ -265,7 +223,7 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 	if _, err := tc.master.Query(chaosSQL); err != nil {
 		t.Fatal(err)
 	}
-	hosted := perWorkerIDs(tc.rep, 1)[0]
+	hosted := membership.HostedIDs(tc.rep, 0)
 	tc.workers[0].Close()
 
 	// Two consecutive failures trip the breaker...
@@ -288,7 +246,7 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 
 	// Restart the worker on the same address, wait out the cooldown: the
 	// probe must succeed and close the breaker.
-	replacement := NewWorker(tc.store, hosted)
+	replacement := NewWorker(tc.store, hosted) // a fleet cannot restart a slot on its address
 	var started bool
 	for i := 0; i < 50; i++ { // the freed port can take a moment to rebind
 		if _, err := replacement.Start(tc.addrs[0]); err == nil {
@@ -356,6 +314,13 @@ func TestChaosDeadlineExpiryNoLeak(t *testing.T) {
 	for _, wk := range tc.workers {
 		wk.Close()
 	}
+	checkNoLeak(t, base)
+}
+
+// checkNoLeak fails t unless the goroutine count falls back to base, give
+// or take two, within five seconds.
+func checkNoLeak(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base+2 {
 		if time.Now().After(deadline) {
@@ -425,7 +390,7 @@ func TestChaosPartialResults(t *testing.T) {
 func TestChaosWorkerDeadlineDrop(t *testing.T) {
 	tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
 	reg := tc.workerRegs[0]
-	ids := perWorkerIDs(tc.rep, 1)[0]
+	ids := membership.HostedIDs(tc.rep, 0)
 	resp := scanWorker(t, tc.addrs[0], ScanRequest{
 		Query:    tc.data.Domain(),
 		IDs:      ids,
@@ -451,7 +416,7 @@ func TestChaosWorkerDeadlineDrop(t *testing.T) {
 func TestChaosPartialBatchStatsFlushed(t *testing.T) {
 	tc := startChaosCluster(t, 2, 1, nil, fastChaosConfig())
 	reg := tc.workerRegs[0]
-	mine := perWorkerIDs(tc.rep, 2)[0]
+	mine := membership.HostedIDs(tc.rep, 0)
 	var foreign layout.ID = -1
 	for _, p := range tc.layout.Parts {
 		if tc.rep[p.ID][0] != 0 {

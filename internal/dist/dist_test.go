@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,11 +13,13 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
+	"paw/internal/faultnet"
 	"paw/internal/layout"
 	"paw/internal/obs"
 	"paw/internal/placement"
 	"paw/internal/router"
 	"paw/internal/sqlrew"
+	"paw/internal/trace"
 	"paw/internal/workload"
 )
 
@@ -24,16 +27,21 @@ import (
 type testCluster struct {
 	data    *dataset.Dataset
 	layout  *layout.Layout
+	store   *blockstore.Store
 	workers []*Worker
+	addrs   []string
 	master  *Master
 	maddr   string
 	client  *MuxClient
-	// reg is the master's registry; workerReg is shared by all the workers,
-	// so its counters are fleet totals.
-	reg, workerReg *obs.Registry
+	// reg is the master's registry, workerRegs[w] worker w's.
+	reg        *obs.Registry
+	workerRegs []*obs.Registry
 }
 
-func startCluster(t *testing.T, nWorkers int) *testCluster {
+// startCluster serves a small TPC-H layout on nWorkers workers, placed
+// round-robin, behind a master configured with cfg and tracer, and dials a
+// client to it.
+func startCluster(t *testing.T, nWorkers int, cfg Config, tracer *trace.Tracer) *testCluster {
 	t.Helper()
 	data := dataset.TPCHLike(20000, 1)
 	dom := data.Domain()
@@ -41,52 +49,43 @@ func startCluster(t *testing.T, nWorkers int) *testCluster {
 	sample := data.Sample(2000, 3)
 	l := core.Build(data, sample, dom, hist, core.Params{MinRows: 5, Delta: 0})
 	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-
-	place := placement.RoundRobin(l, nWorkers)
-	perWorker := make([][]layout.ID, nWorkers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
-	}
-	tc := &testCluster{data: data, layout: l, reg: obs.New(), workerReg: obs.New()}
-	addrs := make([]string, nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, perWorker[w])
-		wk.SetMetrics(tc.workerReg)
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = addr
-		tc.workers = append(tc.workers, wk)
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
+	f := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, nWorkers).Replicated(), nWorkers, nil, nil)
+	tc := &testCluster{data: data, layout: l, store: store, workers: f.Workers, addrs: f.Addrs,
+		master: f.Master, reg: obs.New(), workerRegs: f.Regs}
+	f.Master.Configure(cfg)
+	f.Master.SetMetrics(tc.reg)
+	f.Master.SetTracer(tracer)
+	var err error
+	if tc.maddr, err = f.Master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster(rm, addrs, place)
-	if err != nil {
+	if tc.client, err = DialMux(tc.maddr); err != nil {
 		t.Fatal(err)
 	}
-	m.SetMetrics(tc.reg)
-	maddr, err := m.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.master = m
-	tc.maddr = maddr
-	cl, err := DialMux(maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.client = cl
-	t.Cleanup(func() {
-		cl.Close()
-		m.Close()
-		for _, wk := range tc.workers {
-			wk.Close()
-		}
-	})
+	t.Cleanup(func() { tc.client.Close() })
 	return tc
+}
+
+// startFleet is StartFleet for a test: worker w serves behind scripts[w]
+// when there is one, and scanHook, if set, sees worker w's kernel scans.
+// The fleet closes when the test ends.
+func startFleet(t *testing.T, l *layout.Layout, names []string, store *blockstore.Store, rep placement.Replicated, slots int,
+	scripts map[int]faultnet.Script, scanHook func(w int, id layout.ID)) *Fleet {
+	t.Helper()
+	f, err := StartFleet(l, names, store, rep, slots, func(w int, wk *Worker, ln net.Listener) net.Listener {
+		if scanHook != nil {
+			wk.scanHook = func(id layout.ID) { scanHook(w, id) }
+		}
+		if s, ok := scripts[w]; ok {
+			return faultnet.Wrap(ln, s)
+		}
+		return ln
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
 }
 
 // scanWorker sends one ScanRequest straight to a worker, bypassing the
@@ -124,7 +123,7 @@ func oracleRows(t *testing.T, m *Master, data *dataset.Dataset, sql string) int 
 }
 
 func TestDistributedQueryCorrectness(t *testing.T) {
-	tc := startCluster(t, 4)
+	tc := startCluster(t, 4, DefaultConfig(), nil)
 	statements := []struct {
 		sql   string
 		where string
@@ -148,7 +147,7 @@ func TestDistributedQueryCorrectness(t *testing.T) {
 }
 
 func TestDistributedConcurrentClients(t *testing.T) {
-	tc := startCluster(t, 3)
+	tc := startCluster(t, 3, DefaultConfig(), nil)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -172,7 +171,7 @@ func TestDistributedConcurrentClients(t *testing.T) {
 }
 
 func TestDistributedSQLErrorPropagates(t *testing.T) {
-	tc := startCluster(t, 2)
+	tc := startCluster(t, 2, DefaultConfig(), nil)
 	if _, err := tc.client.Query("SELECT * FROM t WHERE nosuchcol >= 1"); err == nil {
 		t.Fatal("unknown column must error over the wire")
 	} else if !strings.Contains(err.Error(), "unknown column") {
@@ -196,7 +195,7 @@ func TestWorkerRejectsForeignPartition(t *testing.T) {
 	if l.NumPartitions() < 2 {
 		t.Skip("need at least 2 partitions")
 	}
-	wk := NewWorker(store, []layout.ID{l.Parts[0].ID})
+	wk := NewWorker(store, []layout.ID{l.Parts[0].ID}) // a partial placement, which a fleet's master refuses
 	addr, err := wk.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +234,7 @@ func TestMasterValidatesPlacement(t *testing.T) {
 }
 
 func TestMasterWorkerDown(t *testing.T) {
-	tc := startCluster(t, 2)
+	tc := startCluster(t, 2, DefaultConfig(), nil)
 	// Kill one worker; queries touching its partitions must fail cleanly.
 	tc.workers[0].Close()
 	_, err := tc.client.Query("SELECT * FROM t") // full scan touches everything
@@ -249,7 +248,7 @@ func TestMasterWorkerDown(t *testing.T) {
 // off the statement — a slice panic on a handler goroutine, the whole master
 // gone from one frame. Such statements get their rows or an error.
 func TestQueryCaseChangingRunesNeverPanic(t *testing.T) {
-	tc := startCluster(t, 2)
+	tc := startCluster(t, 2, DefaultConfig(), nil)
 	for sql, like := range map[string]string{
 		"ɐɐɐɐɐɐɐɐ WHERE":                              "SELECT * FROM t",
 		"SELECT ıſıſıſ FROM t WHERE l_quantity >= 45": "SELECT * FROM t WHERE l_quantity >= 45",
@@ -275,7 +274,7 @@ func TestQueryCaseChangingRunesNeverPanic(t *testing.T) {
 // Both are refused with the rewriter's typed error, over the wire too, and
 // the master answers the next query.
 func TestQueryRewriterCapsKeepMasterServing(t *testing.T) {
-	tc := startCluster(t, 2)
+	tc := startCluster(t, 2, DefaultConfig(), nil)
 	var ne strings.Builder
 	ne.WriteString("SELECT * FROM t WHERE l_quantity >= 0")
 	for _, col := range tc.data.Names()[:4] {

@@ -2,33 +2,18 @@ package dist
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 
 	"paw/internal/descriptor"
 	"paw/internal/geom"
 	"paw/internal/layout"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
 // The data envelopes blockstore.Materialize installs (§V-A on the real path)
 // let the master drop a partition before the hop. These tests hold them to
 // the one thing they may never do: change an answer.
-
-// rangeSQL renders a range query over all of the dataset's columns; %v prints
-// a float64 so that it parses back to itself.
-func rangeSQL(names []string, b geom.Box) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT * FROM t WHERE ")
-	for d, n := range names {
-		if d > 0 {
-			sb.WriteString(" AND ")
-		}
-		fmt.Fprintf(&sb, "%s >= %v AND %s <= %v", n, b.Lo[d], n, b.Hi[d])
-	}
-	return sb.String()
-}
 
 // envelopeWorkload is 250 δ-perturbed copies of the workload startCluster's
 // layout was built for plus 250 uniform random ranges.
@@ -50,7 +35,7 @@ func (tc *testCluster) answers(t *testing.T, boxes []geom.Box) []envelopeAnswer 
 	t.Helper()
 	out := make([]envelopeAnswer, len(boxes))
 	for i, b := range boxes {
-		resp, err := tc.master.Query(rangeSQL(tc.data.Names(), b))
+		resp, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), b))
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -125,7 +110,7 @@ func identityMigration(m *Master) *Migration {
 }
 
 func TestEnvelopesNeverChangeAnAnswer(t *testing.T) {
-	tc := startCluster(t, 3)
+	tc := startCluster(t, 3, DefaultConfig(), nil)
 	boxes := envelopeWorkload(tc)
 	tc.checkEnvelopesChangeNoAnswer(t, "at boot", boxes)
 	if err := tc.master.ApplyMigration(context.Background(), identityMigration(tc.master)); err != nil {
@@ -144,7 +129,7 @@ func TestEnvelopesNeverChangeAnAnswer(t *testing.T) {
 // complete one — zero rows, not Partial — no worker hears of it, and it is
 // cached like any other clean result.
 func TestStatementRoutedNowhereIsAnsweredByTheMaster(t *testing.T) {
-	tc := startCluster(t, 3)
+	tc := startCluster(t, 3, DefaultConfig(), nil)
 	l := tc.master.Router().Layout()
 	var nowhere geom.Box
 	found := false
@@ -162,8 +147,14 @@ func TestStatementRoutedNowhereIsAnsweredByTheMaster(t *testing.T) {
 	if !found {
 		t.Fatal("no statement of the workload is routed to zero partitions by the envelopes alone")
 	}
-	sql := rangeSQL(tc.data.Names(), nowhere)
-	scansBefore := tc.workerReg.Snapshot().Counter(MetricWorkerScans)
+	sql := sqlrew.BoxSQL(tc.data.Names(), nowhere)
+	scans := func() (n int64) {
+		for _, reg := range tc.workerRegs {
+			n += reg.Snapshot().Counter(MetricWorkerScans)
+		}
+		return n
+	}
+	scansBefore := scans()
 	for round := 0; round < 2; round++ {
 		resp, err := tc.client.Query(sql)
 		if err != nil {
@@ -173,7 +164,7 @@ func TestStatementRoutedNowhereIsAnsweredByTheMaster(t *testing.T) {
 			t.Fatalf("round %d: %+v, want an empty complete answer", round, resp)
 		}
 	}
-	if got := tc.workerReg.Snapshot().Counter(MetricWorkerScans); got != scansBefore {
+	if got := scans(); got != scansBefore {
 		t.Errorf("workers served %d scan requests for a statement routed nowhere", got-scansBefore)
 	}
 	if hits := tc.reg.Snapshot().Counter(MetricResultCacheHits); hits != 1 {

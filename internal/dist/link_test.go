@@ -12,6 +12,7 @@ import (
 
 	"paw/internal/geom"
 	"paw/internal/layout"
+	"paw/internal/sqlrew"
 )
 
 // Link-lifetime tests: the master shares one multiplexed link per worker
@@ -85,7 +86,7 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 		}
 	}
 	// Establish both links first, so every call below shares them.
-	if _, err := m.Query(migSQL(names, tc.data.Domain())); err != nil {
+	if _, err := m.Query(sqlrew.BoxSQL(names, tc.data.Domain())); err != nil {
 		t.Fatal(err)
 	}
 	armed.Store(true)
@@ -100,7 +101,7 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := m.Query(migSQL(names, b))
+			resp, err := m.Query(sqlrew.BoxSQL(names, b))
 			answers[i] = answer{resp.Rows, err}
 		}()
 	}
@@ -111,7 +112,7 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 	// RPC, then take epoch 0 away from worker 0 so its batch fails at p2.
 	victim := make(chan error, 1)
 	go func() {
-		_, err := m.Query(migSQL(names, tc.data.Domain()))
+		_, err := m.Query(sqlrew.BoxSQL(names, tc.data.Domain()))
 		victim <- err
 	}()
 	<-blocked0
@@ -159,7 +160,7 @@ func TestCallTimeoutDropsLink(t *testing.T) {
 	release := make(chan struct{})
 	tc := buildMigFixture(t, 1, nil, cfg, func(int, layout.ID) { <-release })
 	defer close(release)
-	if _, err := tc.master.Query(migSQL(tc.data.Names(), tc.data.Domain())); err == nil {
+	if _, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain())); err == nil {
 		t.Fatal("a scan that outlasts the call timeout must fail the query")
 	}
 	// One dropped link per attempt: maxAttempts of them.
@@ -234,7 +235,7 @@ func TestQueryDeadlineMidCallKeepsLink(t *testing.T) {
 		}
 	})
 	defer close(release)
-	sql := migSQL(tc.data.Names(), tc.data.Domain())
+	sql := sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain())
 	if _, err := tc.master.Query(sql); err != nil { // dial the link
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestQueryAllocsSingleWorker(t *testing.T) {
 		t.Skip("sync.Pool sheds scanners under the race detector")
 	}
 	tc := buildMigFixture(t, 1, nil, fastChaosConfig())
-	sql := migSQL(tc.data.Names(), tc.data.Domain())
+	sql := sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain())
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := tc.master.QueryContext(ctx, sql); err != nil {

@@ -18,7 +18,7 @@ import (
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/placement"
-	"paw/internal/router"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -63,46 +63,27 @@ func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg Member
 		workerIdx[w] = w
 	}
 	rep := membership.RingPlacement(ids, workerIdx, replicas)
-
+	f := startFleet(t, l, data.Names(), store, rep, nWorkers, nil, nil)
 	tc := &elasticCluster{data: data, layout: l, store: store, rep: rep,
-		workers: make(map[int]*Worker), replicas: replicas}
-	hosted := perWorkerIDs(rep, nWorkers)
-	addrs := make([]string, nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, hosted[w])
-		a, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = a
+		workers: make(map[int]*Worker), replicas: replicas, master: f.Master, reg: obs.New()}
+	for w, wk := range f.Workers {
 		tc.workers[w] = wk
 	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMasterReplicated(rm, addrs, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Configure(cfg)
-	tc.reg = obs.New()
-	m.SetMetrics(tc.reg)
-	if err := m.EnableMembership(mcfg); err != nil {
-		t.Fatal(err)
-	}
-	maddr, err := m.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.addr = maddr
-	tc.master = m
-	t.Cleanup(func() {
-		m.Close()
+	t.Cleanup(func() { // the master first, then the fleet and its joiners
+		f.Master.Close()
 		for _, wk := range tc.workers {
 			wk.Close()
 		}
 	})
+	f.Master.Configure(cfg)
+	f.Master.SetMetrics(tc.reg)
+	if err := f.Master.EnableMembership(mcfg); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if tc.addr, err = f.Master.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	return tc
 }
 
@@ -111,7 +92,7 @@ func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg Member
 // it through the in-process membership handler. Returns the assigned slot.
 func (tc *elasticCluster) joinFreshWorker(t *testing.T) (int, *Worker) {
 	t.Helper()
-	wk := NewWorker(nil, nil)
+	wk := NewWorker(nil, nil) // a joiner starts empty, outside the fleet
 	a, err := wk.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +113,7 @@ func (tc *elasticCluster) joinFreshWorker(t *testing.T) (int, *Worker) {
 func (tc *elasticCluster) checkExact(t *testing.T) {
 	t.Helper()
 	for _, b := range tc.probes() {
-		sql := migSQL(tc.data.Names(), b)
+		sql := sqlrew.BoxSQL(tc.data.Names(), b)
 		resp, err := tc.master.Query(sql)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
@@ -167,7 +148,7 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 	tc.checkExact(t)
 	before := tc.master.NumWorkers()
 
-	wk := NewWorker(nil, nil)
+	wk := NewWorker(nil, nil) // a joiner starts empty, outside the fleet
 	waddr, err := wk.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +239,7 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	static := startCluster(t, 2) // no EnableMembership
+	static := startCluster(t, 2, DefaultConfig(), nil) // no EnableMembership
 	hb := NewHeartbeater(static.maddr)
 	defer hb.Close()
 	if _, err := hb.Join(ctx, -1, "127.0.0.1:1", membership.Checksum(nil)); !errors.Is(err, ErrRefused) {
@@ -389,19 +370,8 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 		ids[i] = p.ID
 	}
 	rep := membership.RingPlacement(ids, []int{0}, 1)
-	wk := NewWorker(store, membership.HostedIDs(rep, 0))
-	waddr, err := wk.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMasterReplicated(rm, []string{waddr}, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := startFleet(t, l, data.Names(), store, rep, 1, nil, nil)
+	m, waddr := f.Master, f.Addrs[0]
 	m.Configure(fastMigConfig())
 	if err := m.EnableMembership(mcfg); err != nil {
 		t.Fatal(err)
@@ -419,15 +389,6 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // let both loops run a few periods
 
 	hb.Close()
-	m.Close()
-	wk.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	f.Close()
+	checkNoLeak(t, base)
 }

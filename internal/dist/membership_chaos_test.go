@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"paw/internal/membership"
+	"paw/internal/sqlrew"
 )
 
 // Membership chaos scenarios (`make chaos`): worker crashes at the worst
@@ -186,7 +187,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 		}
 		probe := func() {
 			b := tc.probes()[rng.Intn(3)]
-			resp, err := tc.master.Query(migSQL(tc.data.Names(), b))
+			resp, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), b))
 			if err != nil || resp.Partial {
 				return // a failure is allowed mid-churn; a wrong answer is not
 			}
@@ -201,7 +202,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 				if tc.master.NumWorkers() >= 6 {
 					break
 				}
-				wk := NewWorker(nil, nil)
+				wk := NewWorker(nil, nil) // a joiner starts empty, outside the fleet
 				a, err := wk.Start("127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -19,6 +18,7 @@ import (
 	"paw/internal/obs"
 	"paw/internal/placement"
 	"paw/internal/router"
+	"paw/internal/sqlrew"
 )
 
 // Migration unit tests: a hand-assembled quadrant layout whose right half is
@@ -109,46 +109,15 @@ func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script
 	for _, p := range old.Parts {
 		rep[p.ID] = []int{int(p.ID) % nWorkers}
 	}
-	tc := &migClusterFixture{data: data, old: old, next: next, diff: diff, rep: rep}
-	hosted := perWorkerIDs(rep, nWorkers)
-	addrs := make([]string, nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, hosted[w])
-		if len(scanHook) > 0 {
-			wk.scanHook = func(id layout.ID) { scanHook[0](w, id) }
-		}
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ln net.Listener = inner
-		if s, ok := scripts[w]; ok {
-			ln = faultnet.Wrap(inner, s)
-		}
-		if err := wk.Serve(ln); err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = inner.Addr().String()
-		tc.workers = append(tc.workers, wk)
+	var hook func(w int, id layout.ID)
+	if len(scanHook) > 0 {
+		hook = scanHook[0]
 	}
-	rm, err := router.NewMaster(old, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMasterReplicated(rm, addrs, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Configure(cfg)
-	tc.reg = obs.New()
-	m.SetMetrics(tc.reg)
-	tc.master = m
-	t.Cleanup(func() {
-		m.Close()
-		for _, wk := range tc.workers {
-			wk.Close()
-		}
-	})
+	f := startFleet(t, old, data.Names(), store, rep, nWorkers, scripts, hook)
+	tc := &migClusterFixture{data: data, old: old, next: next, diff: diff, rep: rep,
+		workers: f.Workers, master: f.Master, reg: obs.New()}
+	f.Master.Configure(cfg)
+	f.Master.SetMetrics(tc.reg)
 
 	// The migration: aliases for the surviving left half, payloads for the
 	// rebuilt right half.
@@ -192,12 +161,6 @@ func buildMigFixture(t *testing.T, nWorkers int, scripts map[int]faultnet.Script
 	return tc
 }
 
-// migSQL renders a range query over the fixture's two columns.
-func migSQL(names []string, b geom.Box) string {
-	return fmt.Sprintf("SELECT * FROM t WHERE %s >= %v AND %s <= %v AND %s >= %v AND %s <= %v",
-		names[0], b.Lo[0], names[0], b.Hi[0], names[1], b.Lo[1], names[1], b.Hi[1])
-}
-
 // checkQueries runs one query per quadrant-ish region and asserts exact row
 // counts against the dataset.
 func (tc *migClusterFixture) checkQueries(t *testing.T) {
@@ -211,7 +174,7 @@ func (tc *migClusterFixture) checkQueries(t *testing.T) {
 		{Lo: geom.Point{dom.Lo[0] + 0.4*w0, dom.Lo[1] + 0.4*h0}, Hi: geom.Point{dom.Lo[0] + 0.8*w0, dom.Lo[1] + 0.9*h0}},
 	}
 	for _, b := range probes {
-		sql := migSQL(names, b)
+		sql := sqlrew.BoxSQL(names, b)
 		resp, err := tc.master.Query(sql)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
@@ -328,7 +291,7 @@ func TestMigrationSweepsCachesPerPartition(t *testing.T) {
 	// leftSQL touches only surviving partitions; rightSQL the rebuilt region.
 	leftB := geom.Box{Lo: geom.Point{dom.Lo[0], dom.Lo[1]}, Hi: geom.Point{dom.Lo[0] + 0.2*w0, dom.Lo[1] + 0.8*h0}}
 	rightB := geom.Box{Lo: geom.Point{dom.Lo[0] + 0.7*w0, dom.Lo[1] + 0.1*h0}, Hi: geom.Point{dom.Lo[0] + 0.95*w0, dom.Lo[1] + 0.9*h0}}
-	leftSQL, rightSQL := migSQL(names, leftB), migSQL(names, rightB)
+	leftSQL, rightSQL := sqlrew.BoxSQL(names, leftB), sqlrew.BoxSQL(names, rightB)
 
 	for _, sql := range []string{leftSQL, rightSQL} {
 		if _, err := tc.master.Query(sql); err != nil {
@@ -378,7 +341,7 @@ func TestHotResultSurvivesCutoverAfterManyStatements(t *testing.T) {
 	w0, h0 := dom.Hi[0]-dom.Lo[0], dom.Hi[1]-dom.Lo[1]
 	// The hot statement touches only surviving partitions.
 	hotB := geom.Box{Lo: geom.Point{dom.Lo[0], dom.Lo[1]}, Hi: geom.Point{dom.Lo[0] + 0.2*w0, dom.Lo[1] + 0.8*h0}}
-	hotSQL := migSQL(names, hotB)
+	hotSQL := sqlrew.BoxSQL(names, hotB)
 	want := tc.data.CountInBox(hotB, nil)
 	hot := func() QueryResponse {
 		t.Helper()
@@ -395,7 +358,7 @@ func TestHotResultSurvivesCutoverAfterManyStatements(t *testing.T) {
 	for i := 0; i < 1100; i++ {
 		x := dom.Lo[0] + (0.55+0.0004*float64(i))*w0
 		b := geom.Box{Lo: geom.Point{x, dom.Lo[1]}, Hi: geom.Point{x + 0.0002*w0, dom.Lo[1] + 0.1*h0}}
-		if _, err := tc.master.Query(migSQL(names, b)); err != nil {
+		if _, err := tc.master.Query(sqlrew.BoxSQL(names, b)); err != nil {
 			t.Fatal(err)
 		}
 		if i%100 == 0 {
@@ -452,7 +415,7 @@ func TestIdentityMigrationKeepsEveryResult(t *testing.T) {
 	answers := make(map[string]QueryResponse)
 	for i := 0; i < 12; i++ {
 		x := dom.Lo[0] + 0.08*float64(i)*w0
-		sql := migSQL(names, geom.Box{Lo: geom.Point{x, dom.Lo[1] + 0.3*h0}, Hi: geom.Point{x + 0.1*w0, dom.Lo[1] + 0.7*h0}})
+		sql := sqlrew.BoxSQL(names, geom.Box{Lo: geom.Point{x, dom.Lo[1] + 0.3*h0}, Hi: geom.Point{x + 0.1*w0, dom.Lo[1] + 0.7*h0}})
 		resp, err := tc.master.Query(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -490,7 +453,7 @@ func TestIdentityMigrationKeepsEveryResult(t *testing.T) {
 func TestStaleEpochResultIsAMiss(t *testing.T) {
 	tc := buildMigFixture(t, 2, nil, fastMigConfig())
 	b := tc.data.Domain()
-	sql := migSQL(tc.data.Names(), b)
+	sql := sqlrew.BoxSQL(tc.data.Names(), b)
 	plan, err := tc.master.Router().RouteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -613,7 +576,7 @@ func TestChaosMigrationWorkerDown(t *testing.T) {
 					b.Lo = append(b.Lo, m.Lo[d]+eps)
 					b.Hi = append(b.Hi, m.Hi[d]-eps)
 				}
-				sql := migSQL(names, b)
+				sql := sqlrew.BoxSQL(names, b)
 				resp, err := tc.master.Query(sql)
 				if err != nil {
 					t.Fatalf("query on surviving worker: %v", err)
@@ -702,7 +665,7 @@ func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		resp, err := tc.master.Query(migSQL(tc.data.Names(), probe))
+		resp, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), probe))
 		answered <- answer{resp, err}
 	}()
 	<-held

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"paw/internal/membership"
+	"paw/internal/sqlrew"
 )
 
 // Rebalance tests: the minimal-movement property (a join moves roughly
@@ -34,7 +35,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			for _, b := range tc.probes() {
-				resp, err := tc.master.Query(migSQL(tc.data.Names(), b))
+				resp, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), b))
 				if err != nil {
 					select {
 					case errc <- err:

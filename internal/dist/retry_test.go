@@ -6,10 +6,8 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
-	"paw/internal/layout"
-	"paw/internal/obs"
+	"paw/internal/membership"
 	"paw/internal/placement"
-	"paw/internal/router"
 	"paw/internal/workload"
 )
 
@@ -20,50 +18,13 @@ import (
 // redial must recover the query transparently, and the telemetry must show
 // the redial happened.
 func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
-	data := dataset.TPCHLike(20000, 1)
-	dom := data.Domain()
-	hist := workload.Uniform(dom, workload.Defaults(25, 2))
-	l := core.Build(data, data.Sample(2000, 3), dom, hist, core.Params{MinRows: 5})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-
-	const nWorkers = 2
-	place := placement.RoundRobin(l, nWorkers)
-	perWorker := make([][]layout.ID, nWorkers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
-	}
-	workers := make([]*Worker, nWorkers)
-	addrs := make([]string, nWorkers)
-	for w := range workers {
-		workers[w] = NewWorker(store, perWorker[w])
-		addr, err := workers[w].Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = addr
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaster(rm, addrs, place)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The test re-issues one SQL statement to drive the stale-connection call
 	// path; a result-cache hit would answer without touching the wire and
 	// skip the redial under test.
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 0
-	m.Configure(cfg)
-	reg := obs.New()
-	m.SetMetrics(reg)
-	defer m.Close()
-	defer func() {
-		for _, wk := range workers {
-			wk.Close()
-		}
-	}()
+	tc := startCluster(t, 2, cfg, nil)
+	m, reg := tc.master, tc.reg
 
 	const sql = "SELECT * FROM t WHERE l_quantity >= 10 AND l_quantity <= 40"
 	first, err := m.Query(sql) // establishes connections to both workers
@@ -74,14 +35,14 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	// Kill worker 0 mid-session. Close must terminate the parked session —
 	// this would deadlock before workers tracked their connections — and the
 	// master must NOT notice until its next call on the stale connection.
-	if err := workers[0].Close(); err != nil {
+	if err := tc.workers[0].Close(); err != nil {
 		t.Fatalf("closing worker with a parked master connection: %v", err)
 	}
-	replacement := NewWorker(store, perWorker[0])
-	if _, err := replacement.Start(addrs[0]); err != nil {
-		t.Fatalf("restarting worker on %s: %v", addrs[0], err)
+	replacement := NewWorker(tc.store, membership.HostedIDs(m.Placement(), 0)) // a fleet cannot restart a slot on its address
+	if _, err := replacement.Start(tc.addrs[0]); err != nil {
+		t.Fatalf("restarting worker on %s: %v", tc.addrs[0], err)
 	}
-	workers[0] = replacement
+	tc.workers[0] = replacement
 
 	second, err := m.Query(sql)
 	if err != nil {
@@ -103,7 +64,7 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 
 	// A permanently dead worker still fails: the redial cannot connect.
-	workers[0].Close()
+	tc.workers[0].Close()
 	if _, err := m.Query(sql); err == nil {
 		t.Fatal("query over a dead worker must still error after one retry")
 	}
@@ -123,26 +84,15 @@ func TestWorkerMetricsCountScans(t *testing.T) {
 	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 11))
 	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 100})
 	store := blockstore.Materialize(l, data, blockstore.Config{})
+	rep := placement.RoundRobin(l, 1).Replicated()
+	f := startFleet(t, l, data.Names(), store, rep, 1, nil, nil)
 
-	ids := make([]layout.ID, 0, l.NumPartitions())
-	for _, p := range l.Parts {
-		ids = append(ids, p.ID)
-	}
-	wk := NewWorker(store, ids)
-	reg := obs.New()
-	wk.SetMetrics(reg)
-	addr, err := wk.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wk.Close()
-
-	resp := scanWorker(t, addr, ScanRequest{Query: data.Domain(), IDs: ids})
+	resp := scanWorker(t, f.Addrs[0], ScanRequest{Query: data.Domain(), IDs: membership.HostedIDs(rep, 0)})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 
-	snap := reg.Snapshot()
+	snap := f.Regs[0].Snapshot()
 	if got := snap.Counter(MetricWorkerScans); got != 1 {
 		t.Errorf("scans = %d, want 1", got)
 	}

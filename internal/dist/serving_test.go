@@ -11,79 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"paw/internal/blockstore"
-	"paw/internal/core"
-	"paw/internal/dataset"
 	"paw/internal/layout"
 	"paw/internal/obs"
 	"paw/internal/placement"
-	"paw/internal/router"
 	"paw/internal/serve"
-	"paw/internal/workload"
 )
-
-// servingFixture is a worker fleet one or more masters can be wired over.
-type servingFixture struct {
-	data    *dataset.Dataset
-	layout  *layout.Layout
-	store   *blockstore.Store
-	place   map[layout.ID]int
-	addrs   []string
-	workers []*Worker
-}
-
-func startServingWorkers(t *testing.T, nWorkers int) *servingFixture {
-	t.Helper()
-	data := dataset.TPCHLike(12000, 1)
-	dom := data.Domain()
-	hist := workload.Uniform(dom, workload.Defaults(25, 2))
-	l := core.Build(data, data.Sample(1500, 3), dom, hist, core.Params{MinRows: 5})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-	place := placement.RoundRobin(l, nWorkers)
-	perWorker := make([][]layout.ID, nWorkers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
-	}
-	f := &servingFixture{data: data, layout: l, store: store, place: place}
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, perWorker[w])
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.workers = append(f.workers, wk)
-		f.addrs = append(f.addrs, addr)
-	}
-	t.Cleanup(func() {
-		for _, wk := range f.workers {
-			wk.Close()
-		}
-	})
-	return f
-}
-
-// startServingMaster wires a master over the fixture's workers with the given
-// serving config (the tests start from fastChaosConfig, whose caches are off,
-// so every query exercises the full scatter path), starts its client
-// listener, and registers cleanup.
-func (f *servingFixture) startServingMaster(t *testing.T, cfg Config) (*Master, string) {
-	t.Helper()
-	rm, err := router.NewMaster(f.layout, f.data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaster(rm, f.addrs, f.place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Configure(cfg)
-	addr, err := m.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m, addr
-}
 
 var servingStatements = []string{
 	"SELECT * FROM t WHERE l_quantity >= 10 AND l_quantity <= 20",
@@ -99,13 +31,8 @@ var servingStatements = []string{
 // results with a dead worker — and both must match the dataset oracle. The
 // client hop may add framing, never meaning.
 func TestDifferentialWireVsInProcess(t *testing.T) {
-	f := startServingWorkers(t, 3)
-	m, addr := f.startServingMaster(t, fastChaosConfig())
-	cl, err := DialMux(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	f := startCluster(t, 3, fastChaosConfig(), nil)
+	m, cl := f.master, f.client
 	ctx := context.Background()
 
 	for _, sql := range servingStatements {
@@ -168,8 +95,8 @@ func TestDifferentialWireVsInProcess(t *testing.T) {
 // its goroutine baseline.
 func TestMuxClientConcurrentCorrectness(t *testing.T) {
 	base := runtime.NumGoroutine()
-	f := startServingWorkers(t, 3)
-	m, addr := f.startServingMaster(t, fastChaosConfig())
+	f := startCluster(t, 3, fastChaosConfig(), nil)
+	m, addr := f.master, f.maddr
 
 	// Serial ground truth, computed on the master directly.
 	want := make(map[string]QueryResponse, len(servingStatements))
@@ -218,34 +145,24 @@ func TestMuxClientConcurrentCorrectness(t *testing.T) {
 	}
 
 	// Leak check: clients, master and workers down -> goroutine baseline.
-	for _, cl := range closers {
+	for _, cl := range append(closers, f.client) {
 		cl.Close()
 	}
 	m.Close()
 	for _, wk := range f.workers {
 		wk.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	checkNoLeak(t, base)
 }
 
 // TestResultCacheHitMissInvalidate: repeated SQL hits the result cache, an
 // invalidation empties it, and the cached response is identical to the
 // recomputed one.
 func TestResultCacheHitMissInvalidate(t *testing.T) {
-	f := startServingWorkers(t, 2)
 	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
-	m, _ := f.startServingMaster(t, cfg)
-	reg := obs.New()
-	m.SetMetrics(reg)
+	f := startCluster(t, 2, cfg, nil)
+	m, reg := f.master, f.reg
 
 	sql := servingStatements[0]
 	first, err := m.Query(sql)
@@ -290,10 +207,9 @@ func TestResultCacheHitMissInvalidate(t *testing.T) {
 // builds no context and starts no timer. A context.WithTimeout per request,
 // built before the cache lookup, cost four allocations per hit.
 func TestResultCacheHitAllocs(t *testing.T) {
-	f := startServingWorkers(t, 2)
 	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
-	m, _ := f.startServingMaster(t, cfg)
+	m := startCluster(t, 2, cfg, nil).master
 	req := QueryRequest{SQL: servingStatements[0], TimeoutMillis: 60_000}
 	want := m.handleQueryRequest("client", req)
 	if want.Err != "" {
@@ -313,13 +229,11 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // must never be served from the result cache — each query re-scatters so a
 // recovered worker is observed immediately.
 func TestPartialResultsNotCached(t *testing.T) {
-	f := startServingWorkers(t, 2)
 	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
 	cfg.AllowPartial = true
-	m, _ := f.startServingMaster(t, cfg)
-	reg := obs.New()
-	m.SetMetrics(reg)
+	f := startCluster(t, 2, cfg, nil)
+	m, reg := f.master, f.reg
 
 	f.workers[0].Close()
 	sql := "SELECT * FROM t"
@@ -344,38 +258,24 @@ func TestPartialResultsNotCached(t *testing.T) {
 // TestWorkerScanSharing: concurrent identical scans on one worker coalesce
 // into a single kernel pass whose stats fan out to every waiter.
 func TestWorkerScanSharing(t *testing.T) {
-	data := dataset.Uniform(6000, 2, 3)
-	rows := make([]int, data.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 5))
-	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 300})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
+	data, l, store := chaosFixture()
 	ids := make([]layout.ID, 0, len(l.Parts))
 	for _, p := range l.Parts {
 		ids = append(ids, p.ID)
 	}
 
-	wk := NewWorker(store, ids)
 	var kernelScans atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	wk.scanHook = func(layout.ID) {
+	f := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, 1).Replicated(), 1, nil, func(int, layout.ID) {
 		if kernelScans.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-	}
-	reg := obs.New()
-	wk.SetMetrics(reg)
-	addr, err := wk.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wk.Close()
+	})
+	reg := f.Regs[0]
 
-	link, err := dialMuxLink(context.Background(), addr, 2)
+	link, err := dialMuxLink(context.Background(), f.Addrs[0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,44 +323,14 @@ func TestWorkerScanSharing(t *testing.T) {
 // a networked client's query is shed with the typed overload error, which
 // survives the wire round trip as serve.ErrOverloaded.
 func TestAdmissionShedsOverWire(t *testing.T) {
-	data := dataset.Uniform(6000, 2, 3)
-	rows := make([]int, data.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 5))
-	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 300})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-	ids := make([]layout.ID, 0, len(l.Parts))
-	for _, p := range l.Parts {
-		ids = append(ids, p.ID)
-	}
-	wk := NewWorker(store, ids)
+	data, l, store := chaosFixture()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	wk.scanHook = func(layout.ID) {
+	m := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, 1).Replicated(), 1, nil, func(int, layout.ID) {
 		once.Do(func() { close(started) })
 		<-release
-	}
-	waddr, err := wk.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wk.Close()
-
-	place := make(map[layout.ID]int, len(ids))
-	for _, id := range ids {
-		place[id] = 0
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaster(rm, []string{waddr}, place)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Master
 	cfg := fastChaosConfig()
 	cfg.MaxInflightQueries = 1
 	m.Configure(cfg)
@@ -471,7 +341,6 @@ func TestAdmissionShedsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 
 	hogDone := make(chan error, 1)
 	go func() {

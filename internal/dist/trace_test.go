@@ -11,15 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"paw/internal/blockstore"
-	"paw/internal/core"
-	"paw/internal/dataset"
 	"paw/internal/faultnet"
-	"paw/internal/layout"
-	"paw/internal/placement"
-	"paw/internal/router"
 	"paw/internal/trace"
-	"paw/internal/workload"
 )
 
 // tracedConfig is the default test policy for the tracing suite: the result
@@ -29,64 +22,6 @@ func tracedConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 0
 	return cfg
-}
-
-// startTracedCluster is startCluster with a master configuration and an
-// optional tracer installed before the master starts serving.
-func startTracedCluster(t *testing.T, nWorkers int, cfg Config, tracer *trace.Tracer) *testCluster {
-	t.Helper()
-	data := dataset.TPCHLike(20000, 1)
-	dom := data.Domain()
-	hist := workload.Uniform(dom, workload.Defaults(25, 2))
-	sample := data.Sample(2000, 3)
-	l := core.Build(data, sample, dom, hist, core.Params{MinRows: 5, Delta: 0})
-	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-
-	place := placement.RoundRobin(l, nWorkers)
-	perWorker := make([][]layout.ID, nWorkers)
-	for id, w := range place {
-		perWorker[w] = append(perWorker[w], id)
-	}
-	tc := &testCluster{data: data, layout: l}
-	addrs := make([]string, nWorkers)
-	for w := 0; w < nWorkers; w++ {
-		wk := NewWorker(store, perWorker[w])
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = addr
-		tc.workers = append(tc.workers, wk)
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaster(rm, addrs, place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Configure(cfg)
-	m.SetTracer(tracer)
-	maddr, err := m.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.master = m
-	tc.maddr = maddr
-	cl, err := DialMux(maddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.client = cl
-	t.Cleanup(func() {
-		cl.Close()
-		m.Close()
-		for _, wk := range tc.workers {
-			wk.Close()
-		}
-	})
-	return tc
 }
 
 var tracedStatements = []string{
@@ -101,9 +36,9 @@ var tracedStatements = []string{
 // produce deeply equal responses over the wire — spans never leak into
 // untraced responses, and instrumentation never perturbs results.
 func TestTracedVsUntracedIdentical(t *testing.T) {
-	plain := startTracedCluster(t, 3, tracedConfig(), nil)
+	plain := startCluster(t, 3, tracedConfig(), nil)
 	tracer := trace.New(trace.Config{SampleEvery: 1})
-	traced := startTracedCluster(t, 3, tracedConfig(), tracer)
+	traced := startCluster(t, 3, tracedConfig(), tracer)
 
 	for _, sql := range tracedStatements {
 		want, err := plain.client.Query(sql)
@@ -154,7 +89,7 @@ func sumScanSpans(spans []trace.Span) (scans int, rows, bytesRead, bytesSkipped 
 // scan spans sum back to the response's rows and byte counters.
 func TestExplainEndToEnd(t *testing.T) {
 	tracer := trace.New(trace.Config{SampleEvery: 0}) // forced traces only
-	tc := startTracedCluster(t, 3, tracedConfig(), tracer)
+	tc := startCluster(t, 3, tracedConfig(), tracer)
 	sql := "SELECT * FROM t WHERE l_quantity >= 15 AND l_quantity <= 35"
 
 	start := time.Now()
@@ -216,7 +151,7 @@ func TestExplainEndToEnd(t *testing.T) {
 // disabled entirely — the forced trace is assembled locally and returned,
 // just never retained.
 func TestExplainWithoutTracer(t *testing.T) {
-	tc := startCluster(t, 2)
+	tc := startCluster(t, 2, DefaultConfig(), nil)
 	resp, err := tc.client.Explain(context.Background(), "SELECT * FROM t WHERE l_quantity >= 40")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +172,7 @@ func TestSlowQueryLog(t *testing.T) {
 	tracer := trace.New(trace.Config{SampleEvery: 1})
 	cfg := tracedConfig()
 	cfg.SlowQuery = time.Nanosecond // everything is slow
-	tc := startTracedCluster(t, 2, cfg, tracer)
+	tc := startCluster(t, 2, cfg, tracer)
 
 	if _, err := tc.client.Query("SELECT * FROM t WHERE l_quantity >= 30"); err != nil {
 		t.Fatal(err)
@@ -337,15 +272,7 @@ func TestChaosTracingFailover(t *testing.T) {
 	for _, wk := range append(tc.workers, tc2.workers...) {
 		wk.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked with tracing on: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	checkNoLeak(t, base)
 }
 
 // TestMasterReadiness: /readyz truth table — not started, serving, mid-
@@ -403,7 +330,7 @@ func TestMasterReadiness(t *testing.T) {
 
 // TestWorkerReadiness: a serving worker is ready, a closed one is not.
 func TestWorkerReadiness(t *testing.T) {
-	tc := startCluster(t, 1)
+	tc := startCluster(t, 1, DefaultConfig(), nil)
 	if ok, reason := tc.workers[0].Ready(); !ok {
 		t.Fatalf("serving worker not ready: %q", reason)
 	}
@@ -412,7 +339,7 @@ func TestWorkerReadiness(t *testing.T) {
 		t.Fatal("closed worker reports ready")
 	}
 
-	wk := NewWorker(nil, nil)
+	wk := NewWorker(nil, nil) // never started, which a fleet worker always is
 	if ok, _ := wk.Ready(); ok {
 		t.Fatal("never-started worker reports ready")
 	}

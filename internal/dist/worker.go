@@ -190,10 +190,9 @@ func (w *Worker) Start(addr string) (string, error) {
 	return l.Addr().String(), nil
 }
 
-// Serve begins serving scan sessions on an existing listener — the
-// fault-injection suites wrap a loopback listener in faultnet before handing
-// it over. The worker owns l from here on and closes it on Close. Serving on
-// a closed or already-started worker is an error.
+// Serve begins serving scan sessions on l, which StartFleet's hook may have
+// wrapped in faultnet. The worker owns l from here on and closes it on Close.
+// Serving on a closed or already-started worker is an error.
 func (w *Worker) Serve(l net.Listener) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

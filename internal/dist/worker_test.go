@@ -52,7 +52,7 @@ func workerFixtureLayout(t *testing.T, minParts int) (*dataset.Dataset, *layout.
 // and the dataset oracle. Retiring epoch 0 leaves epoch 1's aliases serving.
 func TestWorkerOneTablePath(t *testing.T) {
 	data, store, ids := workerFixture(t, 4)
-	wk := NewWorker(store, ids)
+	wk := NewWorker(store, ids) // called in process, never served: no fleet
 	for _, id := range ids {
 		sp, err := store.Partition(id)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestWorkerBatchAllocsFlat(t *testing.T) {
 	if len(small) < 24 {
 		t.Fatalf("only %d partitions under 8 row groups, need 24", len(small))
 	}
-	wk := NewWorker(store, ids)
+	wk := NewWorker(store, ids) // called in process, never served: no fleet
 	allocs := func(n int) float64 {
 		req := ScanRequest{Query: data.Domain(), IDs: small[:n]}
 		return testing.AllocsPerRun(50, func() {
@@ -169,7 +169,7 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 		q.Hi[d] = q.Lo[d] + 0.5*(q.Hi[d]-q.Lo[d])
 	}
 
-	wk := NewWorker(store, ids)
+	wk := NewWorker(store, ids) // called in process, never served: no fleet
 	batch := wk.handle(ScanRequest{Query: q, IDs: small})
 	if batch.Err != "" {
 		t.Fatal(batch.Err)
@@ -224,7 +224,7 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.Mallocs != before
 	}
-	wk = NewWorker(store, ids)
+	wk = NewWorker(store, ids) // called in process, never served: no fleet
 	served := 0
 	wk.scanHook = func(layout.ID) {
 		if !getAllocates(&wk.scanners) {

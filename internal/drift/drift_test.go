@@ -14,6 +14,7 @@ import (
 	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/placement"
+	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	// Phase 1 — steady traffic from the reference workload: fills the
 	// window, sets the cost baseline, must not trigger.
 	for i := 0; i < cfg.Window; i++ {
-		tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 	}
 	if rep, err := tc.ctl.TriggerNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	// every routed partition's encoded size lands in one or the other).
 	var preBytes, preOpened int64
 	for _, b := range drifted {
-		resp := tc.serve(t, boxSQL(names, b))
+		resp := tc.serve(t, sqlrew.BoxSQL(names, b))
 		preBytes += resp.BytesScanned
 		preOpened += resp.BytesScanned + resp.BytesSkipped
 	}
@@ -79,7 +80,7 @@ func TestDriftEndToEnd(t *testing.T) {
 					return
 				default:
 				}
-				sql := boxSQL(names, concurrent[(g+i)%len(concurrent)])
+				sql := sqlrew.BoxSQL(names, concurrent[(g+i)%len(concurrent)])
 				resp, err := tc.master.Query(sql)
 				if err != nil {
 					t.Errorf("query during migration: %v", err)
@@ -123,7 +124,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	// a fresh store's, below.
 	var postBytes, postOpened int64
 	for _, b := range drifted {
-		resp := tc.serve(t, boxSQL(names, b))
+		resp := tc.serve(t, sqlrew.BoxSQL(names, b))
 		postBytes += resp.BytesScanned
 		postOpened += resp.BytesScanned + resp.BytesSkipped
 	}
@@ -136,7 +137,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	// Steady traffic still works on the patched layout (renamed partitions
 	// serve via zero-copy aliases).
 	for i := 0; i < 8; i++ {
-		tc.serve(t, boxSQL(names, tc.hist[i].Box))
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i].Box))
 	}
 
 	// Recovery quality: within 10% of a full offline rebuild for the live
@@ -281,11 +282,11 @@ func TestDriftPlacesOnTheServingFleet(t *testing.T) {
 			}
 			names := tc.data.Names()
 			for i := 0; i < cfg.Window; i++ {
-				tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+				tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 			}
 			drifted := rightBoxes(cfg.Window, 99)
 			for _, b := range drifted {
-				tc.serve(t, boxSQL(names, b))
+				tc.serve(t, sqlrew.BoxSQL(names, b))
 			}
 			rep, err := tc.ctl.TriggerNow(context.Background())
 			if err != nil || !rep.Migrated || rep.Added == 0 {
@@ -304,7 +305,7 @@ func TestDriftPlacesOnTheServingFleet(t *testing.T) {
 				}
 			}
 			for _, b := range drifted {
-				tc.serve(t, boxSQL(names, b))
+				tc.serve(t, sqlrew.BoxSQL(names, b))
 			}
 		})
 	}
@@ -321,11 +322,11 @@ func TestDriftAddedPartitionsCarryEnvelopes(t *testing.T) {
 	tc := startDriftCluster(t, 16000, 3, cfg)
 	names := tc.data.Names()
 	for i := 0; i < cfg.Window; i++ {
-		tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 	}
 	drifted := rightBoxes(cfg.Window, 99)
 	for _, b := range drifted {
-		tc.serve(t, boxSQL(names, b))
+		tc.serve(t, sqlrew.BoxSQL(names, b))
 	}
 	rep, err := tc.ctl.TriggerNow(context.Background())
 	if err != nil || !rep.Migrated || rep.Added == 0 {
@@ -366,7 +367,7 @@ func TestDriftAddedPartitionsCarryEnvelopes(t *testing.T) {
 		tc.master.InvalidateCaches()
 		out := make([]answer, len(statements))
 		for i, b := range statements {
-			resp := tc.serve(t, boxSQL(names, b))
+			resp := tc.serve(t, sqlrew.BoxSQL(names, b))
 			out[i] = answer{resp.Rows, resp.BytesScanned}
 		}
 		return out

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"paw/internal/sqlrew"
 )
 
 // FuzzDriftDifferential fuzzes the live query stream the drift controller
@@ -43,10 +45,10 @@ func FuzzDriftDifferential(f *testing.F) {
 		for i := 0; i < int(n); i++ {
 			var sql string
 			if rng.Float64()*255 < float64(mix) {
-				sql = boxSQL(names, drifted[rng.Intn(len(drifted))])
+				sql = sqlrew.BoxSQL(names, drifted[rng.Intn(len(drifted))])
 			} else {
 				q := tc.hist[rng.Intn(len(tc.hist))]
-				sql = boxSQL(names, q.Box)
+				sql = sqlrew.BoxSQL(names, q.Box)
 			}
 			tc.serve(t, sql)
 			if (i+1)%cfg.CheckEvery == 0 {
@@ -62,8 +64,8 @@ func FuzzDriftDifferential(f *testing.F) {
 		// After any number of migrations the whole stream must still answer
 		// exactly — replay both workload flavors.
 		for i := 0; i < 8; i++ {
-			tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
-			tc.serve(t, boxSQL(names, drifted[i%len(drifted)]))
+			tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
+			tc.serve(t, sqlrew.BoxSQL(names, drifted[i%len(drifted)]))
 		}
 		if migrated && tc.master.Epoch() == 0 {
 			t.Fatal("controller reports a migration but the master still serves epoch 0")

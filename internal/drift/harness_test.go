@@ -1,8 +1,6 @@
 package drift
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -10,7 +8,6 @@ import (
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/dist"
-	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/placement"
 	"paw/internal/router"
@@ -75,64 +72,20 @@ func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place f
 	data := unitData(t, rows, 7)
 	hist := workload.Uniform(box2(0, 0, 0.45, 1), workload.Defaults(30, 11))
 	l := buildLeftLayout(t, data, hist, cfg.Delta)
-	store := blockstore.Materialize(l, data, storeConfig)
-
-	rep := place(l)
-	perWorker := make([][]layout.ID, nSlots)
-	for id, ws := range rep {
-		for _, w := range ws {
-			perWorker[w] = append(perWorker[w], id)
-		}
-	}
-	tc := &driftCluster{data: data, hist: hist, layout: l, oracleRowsBySQL: make(map[string]int)}
-	addrs := make([]string, nSlots)
-	for w := 0; w < nSlots; w++ {
-		wk := dist.NewWorker(store, perWorker[w])
-		addr, err := wk.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[w] = addr
-		tc.workers = append(tc.workers, wk)
-	}
-	rm, err := router.NewMaster(l, data.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
 	oracle, err := router.NewMaster(l, data.Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.oracle = oracle
-	m, err := dist.NewMasterReplicated(rm, addrs, rep)
+	f, err := dist.StartFleet(l, data.Names(), blockstore.Materialize(l, data, storeConfig), place(l), nSlots, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.master = m
-	tc.ctl = New(m, data, storeConfig.Builder(data), hist, cfg)
+	t.Cleanup(f.Close)
+	tc := &driftCluster{data: data, hist: hist, layout: l, oracle: oracle,
+		workers: f.Workers, master: f.Master, oracleRowsBySQL: make(map[string]int)}
+	tc.ctl = New(f.Master, data, storeConfig.Builder(data), hist, cfg)
 	tc.ctl.Attach(false)
-	t.Cleanup(func() {
-		m.Close()
-		for _, wk := range tc.workers {
-			wk.Close()
-		}
-	})
 	return tc
-}
-
-// boxSQL renders a range query box as SQL over the dataset's columns. %v on
-// float64 prints the shortest round-tripping representation, so the parsed
-// box equals b exactly.
-func boxSQL(names []string, b geom.Box) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT * FROM t WHERE ")
-	for d, n := range names {
-		if d > 0 {
-			sb.WriteString(" AND ")
-		}
-		fmt.Fprintf(&sb, "%s >= %v AND %s <= %v", n, b.Lo[d], n, b.Hi[d])
-	}
-	return sb.String()
 }
 
 // oracleRows counts the rows a query must return, independently of any

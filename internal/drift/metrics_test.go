@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paw/internal/obs"
+	"paw/internal/sqlrew"
 )
 
 // The drift telemetry must mirror the controller's counters and expose the
@@ -23,7 +24,7 @@ func TestControllerMetrics(t *testing.T) {
 	// Steady traffic: the check runs, nothing triggers, the gauges carry the
 	// in-scope evidence.
 	for i := 0; i < cfg.Window; i++ {
-		tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 	}
 	if _, err := tc.ctl.TriggerNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestControllerMetrics(t *testing.T) {
 	// Drifted traffic: the trigger fires, the migration ships payloads, the
 	// epoch gauge follows the cutover.
 	for _, b := range rightBoxes(cfg.Window, 99) {
-		tc.serve(t, boxSQL(names, b))
+		tc.serve(t, sqlrew.BoxSQL(names, b))
 	}
 	rep, err := tc.ctl.TriggerNow(context.Background())
 	if err != nil {
@@ -98,7 +99,7 @@ func TestControllerMetricsDisabled(t *testing.T) {
 	tc := startDriftCluster(t, 3000, 1, cfg)
 	names := tc.data.Names()
 	for i := 0; i < cfg.Window; i++ {
-		tc.serve(t, boxSQL(names, tc.hist[i%len(tc.hist)].Box))
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 	}
 	if _, err := tc.ctl.TriggerNow(context.Background()); err != nil {
 		t.Fatal(err)

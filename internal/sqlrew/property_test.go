@@ -3,6 +3,7 @@ package sqlrew
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -111,6 +112,44 @@ func TestRandomClausesSemantics(t *testing.T) {
 			}
 		}
 	}
+	// BoxSQL is RewriteSQL's inverse on finite boxes, to the bit: random
+	// bit patterns reach every exponent, and one bound in eight is a point.
+	for iter := 0; iter < 1000; iter++ {
+		b := geom.Box{Lo: make(geom.Point, len(cols)), Hi: make(geom.Point, len(cols))}
+		for d := range cols {
+			lo, hi := randFinite(rng), randFinite(rng)
+			if rng.Intn(8) == 0 {
+				hi = lo
+			}
+			b.Lo[d], b.Hi[d] = min(lo, hi), max(lo, hi)
+		}
+		sql := BoxSQL(cols, b)
+		boxes, err := r.RewriteSQL(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if len(boxes) != 1 || !sameBits(boxes[0].Lo, b.Lo) || !sameBits(boxes[0].Hi, b.Hi) {
+			t.Fatalf("%q rewrote to %v, want [%v]", sql, boxes, b)
+		}
+	}
+}
+
+// randFinite is a finite float64 of random bits.
+func randFinite(rng *rand.Rand) float64 {
+	for {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return v
+		}
+	}
+}
+
+func sameBits(a, b geom.Point) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // TestDeepNesting exercises the parser's recursion on a mechanically built,

@@ -98,6 +98,17 @@ func (r *Rewriter) RewriteSQL(stmt string) ([]geom.Box, error) {
 	return r.Rewrite(stmt[idx+len("where"):])
 }
 
+// BoxSQL renders a finite box as a statement over columns, the i-th name
+// bounding dimension i: the inverse of RewriteSQL, which parses it back to
+// exactly [b] (%v prints the shortest float64 that parses to itself).
+func BoxSQL(columns []string, b geom.Box) string {
+	conds := make([]string, len(columns))
+	for d, n := range columns {
+		conds[d] = fmt.Sprintf("%s >= %v AND %s <= %v", n, b.Lo[d], n, b.Hi[d])
+	}
+	return "SELECT * FROM t WHERE " + strings.Join(conds, " AND ")
+}
+
 // lastWhere returns the byte offset of the last WHERE keyword in stmt, or -1.
 // It folds case on the statement's own bytes, so the offset is one into stmt,
 // and takes the word only where no identifier byte touches it: a column named

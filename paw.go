@@ -30,7 +30,6 @@ package paw
 
 import (
 	"fmt"
-	"io"
 
 	"paw/internal/core"
 	"paw/internal/dataset"
@@ -163,13 +162,6 @@ func Build(data *Dataset, hist Workload, opts Options) (*Layout, error) {
 func EstimateDelta(hist Workload) (float64, error) {
 	return workload.EstimateDelta(hist)
 }
-
-// SaveLayout serialises a layout's routing metadata (descriptors, partition
-// sizes, precise descriptors) so a master can reload it without rebuilding.
-func SaveLayout(l *Layout, w io.Writer) error { return l.Encode(w) }
-
-// LoadLayout reloads a layout saved with SaveLayout.
-func LoadLayout(r io.Reader) (*Layout, error) { return layout.Decode(r) }
 
 // AreSimilar tests Definition 2: whether hist and future are delta-similar.
 func AreSimilar(hist, future Workload, delta float64) (bool, error) {

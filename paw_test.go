@@ -1,7 +1,6 @@
 package paw
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -140,29 +139,5 @@ func TestEstimateDeltaFacade(t *testing.T) {
 	ok, err := AreSimilar(hist, hist, 0)
 	if err != nil || !ok {
 		t.Error("a workload is 0-similar to itself")
-	}
-}
-
-func TestFacadeSaveLoadLayout(t *testing.T) {
-	data := GenerateTPCH(5_000, 48).Project(2).Normalize()
-	hist := UniformWorkload(data.Domain(), 10, 49)
-	l, err := Build(data, hist, Options{MinRows: 20, SampleRows: 1_000, Delta: FractionOfDomain(data.Domain(), 0.01)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveLayout(l, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadLayout(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPartitions() != l.NumPartitions() || got.Method != l.Method {
-		t.Errorf("reload mismatch: %s vs %s", got, l)
-	}
-	q := hist[0].Box
-	if got.QueryCost(q, nil) != l.QueryCost(q, nil) {
-		t.Error("reloaded layout costs differently")
 	}
 }
