@@ -180,7 +180,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 
 	// The result cache is off: it would absorb replayed queries at zero
 	// observed cost and blur the regression signal.
-	f, err := uncachedFleet(l, names, store, placement.RoundRobin(l, opt.Workers).Replicated(), opt.Workers)
+	f, err := uncachedFleet(l, names, store, placement.LeafRuns(l, opt.Workers, 1), opt.Workers)
 	if err != nil {
 		return res, err
 	}

@@ -141,12 +141,13 @@ func Table4(cfg Config) []*Table {
 	tIO := &Table{
 		ID: "table4", Title: "Query cost at δ=0, default settings",
 		XLabel: "measure", Methods: []string{MKdTree, MQdTree, MPAW},
-		Unit:  "I/O in MB per query (scaled 1/1000); time in " + e2eUnit(len(s.Fut)),
+		Unit:  "I/O in MB per query (scaled 1/1000); time in " + e2eUnit(len(s.Fut)) + "; workers per query",
 		Notes: []string{"paper: 0.81 / 0.18 / 0.15 GB and 3.11 / 0.63 / 0.50 s on 75 GB"},
 	}
-	io, e2e := endToEnd(s, tIO.Methods)
+	io, e2e, fan := endToEnd(s, tIO.Methods)
 	tIO.AddRow("I/O cost (MB, scaled)", io)
 	tIO.AddRow("end-to-end time (ms, measured)", e2e)
+	tIO.AddRow("workers per query", fan)
 	return []*Table{tIO}
 }
 
@@ -177,13 +178,14 @@ const (
 )
 
 // endToEnd serves each method's layout of s on its own uncachedFleet of
-// e2eWorkers, placed round-robin, and sends it every future query as SQL: one
+// e2eWorkers, placed in leaf runs, and sends it every future query as SQL: one
 // warm-up pass, then e2ePasses timed ones. Each query goes to every method's
 // cluster in turn, so host drift reaches all methods alike. It returns, per
 // method, the average nominal I/O per query in MB (Eq. 1 over the stored
-// partitions) and the median answer latency in ms. It panics on any answer
-// that is not exactly the dataset's count.
-func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
+// partitions), the median answer latency in ms, and the mean number of
+// workers a query reaches (layout × placement, no timing). It panics on any
+// answer that is not exactly the dataset's count.
+func endToEnd(s *Scenario, methods []string) (ioMB, ms, workers map[string]float64) {
 	queries := s.Fut.Boxes()
 	names := s.Data.Names()
 	sqls := make([]string, len(queries))
@@ -193,6 +195,7 @@ func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
 		want[i] = s.Data.CountInBox(q, nil)
 	}
 	ioMB = make(map[string]float64, len(methods))
+	workers = make(map[string]float64, len(methods))
 	masters := make([]*dist.Master, len(methods))
 	for i, m := range methods {
 		l := s.Layout(m)
@@ -208,7 +211,9 @@ func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
 			}
 		}
 		ioMB[m] = float64(nominal/int64(len(queries))) / 1e6
-		f, err := uncachedFleet(l, names, store, placement.RoundRobin(l, e2eWorkers).Replicated(), e2eWorkers)
+		rep := placement.LeafRuns(l, e2eWorkers, 1)
+		workers[m] = rep.WorkersPerQuery(l, queries)
+		f, err := uncachedFleet(l, names, store, rep, e2eWorkers)
 		if err != nil {
 			panic(err)
 		}
@@ -239,7 +244,7 @@ func endToEnd(s *Scenario, methods []string) (ioMB, ms map[string]float64) {
 		slices.Sort(lat[i])
 		ms[m] = float64(lat[i][len(lat[i])/2]) / float64(time.Millisecond)
 	}
-	return ioMB, ms
+	return ioMB, ms, workers
 }
 
 // e2eUnit is the unit line of a measured end-to-end time row.
@@ -261,6 +266,7 @@ func Fig15(cfg Config) []*Table {
 		XLabel:  "TPC-H size",
 		Methods: []string{MQdTree, MKdTree, MPAW},
 	}
+	var fan []TableRow // the workers-per-query rows, after the time rows
 	for _, sz := range []struct {
 		label string
 		frac  float64
@@ -268,11 +274,13 @@ func Fig15(cfg Config) []*Table {
 		c := cfg
 		c.TPCHRows = int(float64(cfg.TPCHRows) * sz.frac)
 		s := tpchScenario(c)
-		rowIO, rowT := endToEnd(s, b.Methods)
-		b.Unit = e2eUnit(len(s.Fut))
+		rowIO, rowT, rowW := endToEnd(s, b.Methods)
+		b.Unit = e2eUnit(len(s.Fut)) + "; then workers per query"
 		a.AddRow(sz.label, rowIO)
 		b.AddRow(sz.label, rowT)
+		fan = append(fan, TableRow{X: sz.label + " workers", Values: rowW})
 	}
+	b.Rows = append(b.Rows, fan...)
 	return []*Table{a, b}
 }
 

@@ -39,7 +39,7 @@ type testCluster struct {
 }
 
 // startCluster serves a small TPC-H layout on nWorkers workers, placed
-// round-robin, behind a master configured with cfg and tracer, and dials a
+// in leaf runs, behind a master configured with cfg and tracer, and dials a
 // client to it.
 func startCluster(t *testing.T, nWorkers int, cfg Config, tracer *trace.Tracer) *testCluster {
 	t.Helper()
@@ -49,7 +49,7 @@ func startCluster(t *testing.T, nWorkers int, cfg Config, tracer *trace.Tracer) 
 	sample := data.Sample(2000, 3)
 	l := core.Build(data, sample, dom, hist, core.Params{MinRows: 5, Delta: 0})
 	store := blockstore.Materialize(l, data, blockstore.Config{GroupRows: 512})
-	f := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, nWorkers).Replicated(), nWorkers, nil, nil)
+	f := startFleet(t, l, data.Names(), store, placement.LeafRuns(l, nWorkers, 1), nWorkers, nil, nil)
 	tc := &testCluster{data: data, layout: l, store: store, workers: f.Workers, addrs: f.Addrs,
 		master: f.Master, reg: obs.New(), workerRegs: f.Regs}
 	f.Master.Configure(cfg)

@@ -33,7 +33,7 @@ func TestStartFleetFailsClean(t *testing.T) {
 		{"slot past the fleet", 2, -1},
 		{"closed listener", 3, 1},
 	} {
-		f, err := StartFleet(l, data.Names(), store, placement.RoundRobin(l, 3).Replicated(), tt.slots, func(w int, wk *Worker, ln net.Listener) net.Listener {
+		f, err := StartFleet(l, data.Names(), store, placement.LeafRuns(l, 3, 1), tt.slots, func(w int, wk *Worker, ln net.Listener) net.Listener {
 			started = append(started, wk)
 			if w == tt.close {
 				ln.Close()

@@ -84,7 +84,7 @@ func TestWorkerMetricsCountScans(t *testing.T) {
 	hist := workload.Uniform(data.Domain(), workload.Defaults(10, 11))
 	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 100})
 	store := blockstore.Materialize(l, data, blockstore.Config{})
-	rep := placement.RoundRobin(l, 1).Replicated()
+	rep := placement.LeafRuns(l, 1, 1)
 	f := startFleet(t, l, data.Names(), store, rep, 1, nil, nil)
 
 	resp := scanWorker(t, f.Addrs[0], ScanRequest{Query: data.Domain(), IDs: membership.HostedIDs(rep, 0)})

@@ -267,7 +267,7 @@ func TestWorkerScanSharing(t *testing.T) {
 	var kernelScans atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	f := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, 1).Replicated(), 1, nil, func(int, layout.ID) {
+	f := startFleet(t, l, data.Names(), store, placement.LeafRuns(l, 1, 1), 1, nil, func(int, layout.ID) {
 		if kernelScans.Add(1) == 1 {
 			close(started)
 			<-release
@@ -327,7 +327,7 @@ func TestAdmissionShedsOverWire(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	m := startFleet(t, l, data.Names(), store, placement.RoundRobin(l, 1).Replicated(), 1, nil, func(int, layout.ID) {
+	m := startFleet(t, l, data.Names(), store, placement.LeafRuns(l, 1, 1), 1, nil, func(int, layout.ID) {
 		once.Do(func() { close(started) })
 		<-release
 	}).Master

@@ -390,16 +390,17 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 
 // buildMigration turns a patched layout + diff into the master's migration
 // plan: surviving partitions keep their current replica sets and move zero
-// bytes; added partitions ship colstore payloads and are placed by ID over
-// the workers the current placement uses, with as many copies as it keeps
-// (ROADMAP item 1a would make this one placer with boot and rebalance).
+// bytes; added partitions ship colstore payloads, and the i-th of them takes
+// the current replica set of removed partition i·len(Removed)/len(Added).
+// Both lists ascend in leaf order, so the rebuilt region stays on the workers
+// that served it, neighbours with neighbours, with the copy count the
+// placement keeps there — never on a slot the placement does not use.
 func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, payloadRows map[layout.ID][]int) (*dist.Migration, int64, error) {
 	rm, err := router.NewMaster(newL, c.data.Names())
 	if err != nil {
 		return nil, 0, fmt.Errorf("drift: routing patched layout: %w", err)
 	}
 	curPlace := c.master.Placement()
-	hosts, copies := placedWorkers(curPlace)
 	place := make(placement.Replicated, len(newL.Parts))
 	entries := make([]dist.MigrationEntry, 0, len(newL.Parts))
 	for oldID, newID := range diff.Renamed {
@@ -413,11 +414,8 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		})
 	}
 	var moved int64
-	for _, id := range diff.Added {
-		ws := make([]int, 0, copies)
-		for r := 0; r < copies; r++ {
-			ws = append(ws, hosts[(int(id)+r)%len(hosts)])
-		}
+	for i, id := range diff.Added {
+		ws := slices.Clone(curPlace[diff.Removed[i*len(diff.Removed)/len(diff.Added)]])
 		place[id] = ws
 		tab := c.builder.Build(payloadRows[id])
 		// The added partition's data envelope, as blockstore.Materialize
@@ -445,24 +443,6 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		Entries:  entries,
 		Renamed:  diff.Renamed,
 	}, moved, nil
-}
-
-// placedWorkers returns the workers a placement uses, ascending, and the
-// largest replica set it keeps. A membership slot that hosts nothing — a
-// worker that left, or one never rejoined — is not among them.
-func placedWorkers(place placement.Replicated) (hosts []int, copies int) {
-	seen := make(map[int]bool)
-	for _, ws := range place {
-		copies = max(copies, len(ws))
-		for _, w := range ws {
-			if !seen[w] {
-				seen[w] = true
-				hosts = append(hosts, w)
-			}
-		}
-	}
-	slices.Sort(hosts)
-	return hosts, copies
 }
 
 // migrationSteps projects a migration plan into the cutover oracle's view.

@@ -3,6 +3,7 @@ package drift
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -264,14 +265,10 @@ func TestDriftPlacesOnTheServingFleet(t *testing.T) {
 		place  func(*layout.Layout) placement.Replicated
 	}{
 		{"empty-slot", 1, 2, func(l *layout.Layout) placement.Replicated {
-			return placement.RoundRobin(l, 2).Replicated()
+			return placement.LeafRuns(l, 2, 1)
 		}},
 		{"two-copies", 2, -1, func(l *layout.Layout) placement.Replicated {
-			rep := placement.RoundRobin(l, 3).Replicated()
-			for id, ws := range rep {
-				rep[id] = append(ws, (ws[0]+1)%3)
-			}
-			return rep
+			return placement.LeafRuns(l, 3, 2)
 		}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -288,11 +285,45 @@ func TestDriftPlacesOnTheServingFleet(t *testing.T) {
 			for _, b := range drifted {
 				tc.serve(t, sqlrew.BoxSQL(names, b))
 			}
+			oldL, oldPlace := tc.master.Router().Layout(), tc.master.Placement()
 			rep, err := tc.ctl.TriggerNow(context.Background())
 			if err != nil || !rep.Migrated || rep.Added == 0 {
 				t.Fatalf("drifted traffic must migrate: %+v, %v", rep, err)
 			}
-			for id, ws := range tc.master.Placement() {
+			// The rebuilt region's partitions are the ones with no twin
+			// (same MBR, same rows) on the other side of the patch. Every
+			// added one must take the replica set of a removed one.
+			key := func(p *layout.Partition) string { return fmt.Sprint(p.Desc.MBR(), p.FullRows) }
+			oldKeys, newKeys := make(map[string]bool), make(map[string]bool)
+			for _, p := range oldL.Parts {
+				oldKeys[key(p)] = true
+			}
+			newL, newPlace := tc.master.Router().Layout(), tc.master.Placement()
+			for _, p := range newL.Parts {
+				newKeys[key(p)] = true
+			}
+			removedSets := make(map[string]bool)
+			removed := 0
+			for _, p := range oldL.Parts {
+				if !newKeys[key(p)] {
+					removed++
+					removedSets[fmt.Sprint(oldPlace[p.ID])] = true
+				}
+			}
+			added := 0
+			for _, p := range newL.Parts {
+				if oldKeys[key(p)] {
+					continue
+				}
+				added++
+				if ws := newPlace[p.ID]; !removedSets[fmt.Sprint(ws)] {
+					t.Errorf("added partition %d placed on %v; the region's removed partitions were on %v", p.ID, ws, removedSets)
+				}
+			}
+			if added != rep.Added || removed != rep.Removed {
+				t.Fatalf("found %d added and %d removed partitions, the report says %d and %d", added, removed, rep.Added, rep.Removed)
+			}
+			for id, ws := range newPlace {
 				distinct := make(map[int]bool)
 				for _, w := range ws {
 					if w == tt.closed {

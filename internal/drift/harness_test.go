@@ -60,7 +60,7 @@ var storeConfig = blockstore.Config{GroupRows: 256}
 func startDriftCluster(t testing.TB, rows, nWorkers int, cfg Config) *driftCluster {
 	t.Helper()
 	return startPlacedDriftCluster(t, rows, nWorkers, cfg, func(l *layout.Layout) placement.Replicated {
-		return placement.RoundRobin(l, nWorkers).Replicated()
+		return placement.LeafRuns(l, nWorkers, 1)
 	})
 }
 

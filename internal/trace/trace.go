@@ -33,7 +33,7 @@ import (
 type Key uint8
 
 const (
-	KeyNone Key = iota
+	_ Key = iota // 0 is no key
 	// KeyWorker is the worker index an RPC targeted.
 	KeyWorker
 	// KeyPartition is the partition ID of one scan span.
