@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"time"
@@ -10,107 +12,82 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
-	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/obs"
-	"paw/internal/qdtree"
 	"paw/internal/workload"
 )
 
-// runBuild implements `pawcli build`: construct a layout with telemetry
-// enabled and emit a layout.BuildReport (JSON) plus, optionally, the sealed
-// layout itself. The pipeline phases — generate, sample, construct, route,
-// report — are timed as sequential spans, so their sum explains the wall
-// time (`pawcli stats` prints the coverage; the acceptance bar is >= 90%).
-func runBuild(args []string) {
+// runBuild implements `pawcli build`: build the layout over the dataset file
+// -in with telemetry enabled, write it (-layout, materialised first so it
+// carries every partition's data envelope) and the historical workload
+// (-queries-out), and emit a layout.BuildReport (JSON). The pipeline phases —
+// load, sample, construct, route, report — are timed as sequential spans, so
+// their sum explains the wall time (`pawcli stats` prints the coverage; the
+// acceptance bar is >= 90%).
+func runBuild(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
+	var s settings
+	s.register(fs)
 	var (
-		ds       = fs.String("dataset", "tpch", "dataset: tpch or osm")
-		method   = fs.String("method", "paw", "method: paw, qd-tree or kd-tree")
-		rows     = fs.Int("rows", 120000, "dataset rows")
-		queries  = fs.Int("queries", 50, "historical query count used to build the layout")
-		deltaPct = fs.Float64("delta", 1.0, "δ as %% of the domain")
-		seed     = fs.Int64("seed", 7, "generator seed")
-		parallel = fs.Int("parallelism", 0, "construction workers (0 = GOMAXPROCS)")
-		report   = fs.String("report", "build_report.json", "build report output path (- for stdout)")
-		layoutF  = fs.String("layout", "", "also persist the sealed layout to this path")
-		logLevel = fs.String("log-level", "info", "log level: debug, info, warn, error")
+		in         = fs.String("in", "", "dataset file (.pawd, as pawgen gen writes it)")
+		parallel   = fs.Int("parallelism", 0, "construction workers (0 = GOMAXPROCS)")
+		report     = fs.String("report", "build_report.json", "build report output path (- for stdout)")
+		layoutF    = fs.String("layout", "", "also persist the sealed layout to this path")
+		queriesOut = fs.String("queries-out", "", "also save the historical workload as a query log (.pawq), pawmaster's -drift-hist")
+		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: pawcli build [flags]")
+		fmt.Fprintln(fs.Output(), "usage: pawcli build -in data.pawd [flags]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
+		return err
+	}
+	if *in == "" {
+		return errors.New("-in is required (a dataset file from pawgen gen)")
 	}
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	reg := obs.New()
 	wallStart := time.Now()
 	var phases []layout.Phase
-	phase := func(name string, f func()) {
+	phase := func(name string, f func() error) error {
 		t0 := time.Now()
-		f()
+		err := f()
 		d := time.Since(t0)
 		phases = append(phases, layout.Phase{Name: name, Ns: d.Nanoseconds()})
 		slog.Debug("phase done", "phase", name, "elapsed", d)
+		return err
 	}
 
 	var data *dataset.Dataset
-	var hist workload.Workload
-	var delta float64
-	phase("generate", func() {
-		switch *ds {
-		case "tpch":
-			data = dataset.TPCHLike(*rows, *seed)
-		case "osm":
-			data = dataset.OSMLike(*rows, 10, *seed)
-		default:
-			fatalf("unknown dataset %q", *ds)
-		}
-		dom := data.Domain()
-		hist = workload.Uniform(dom, workload.Defaults(*queries, *seed+1))
-		maxExtent := 0.0
-		for d := 0; d < dom.Dims(); d++ {
-			if e := dom.Hi[d] - dom.Lo[d]; e > maxExtent {
-				maxExtent = e
-			}
-		}
-		delta = *deltaPct / 100 * maxExtent
-	})
+	if err := phase("load", func() (err error) {
+		data, err = dataset.ReadFile(*in)
+		return err
+	}); err != nil {
+		return err
+	}
 
+	var hist workload.Workload
 	var sample []int
-	var minRows int
-	phase("sample", func() {
-		sample = data.Sample(*rows/10, *seed+2)
-		minRows = len(sample) / 600
-		if minRows < 2 {
-			minRows = 2
-		}
+	var p core.Params
+	phase("sample", func() error {
+		hist, sample, p = s.inputs(data)
+		p.Parallelism, p.Obs = *parallel, reg
+		return nil
 	})
-	slog.Info("building layout", "method", *method, "rows", data.NumRows(),
-		"sample", len(sample), "bmin", minRows, "delta", delta)
+	slog.Info("building layout", "method", s.method, "rows", data.NumRows(),
+		"sample", len(sample), "bmin", p.MinRows, "delta", p.Delta)
 
 	var l *layout.Layout
-	phase("construct", func() {
-		switch *method {
-		case "paw":
-			l = core.Build(data, sample, data.Domain(), hist, core.Params{
-				MinRows: minRows, Delta: delta, DataAwareRefine: true,
-				Parallelism: *parallel, Obs: reg,
-			})
-		case "qd-tree":
-			l = qdtree.Build(data, sample, data.Domain(), hist.Boxes(),
-				qdtree.Params{MinRows: minRows, Parallelism: *parallel, Obs: reg})
-		case "kd-tree":
-			l = kdtree.Build(data, sample, data.Domain(),
-				kdtree.Params{MinRows: minRows, Parallelism: *parallel, Obs: reg})
-		default:
-			fatalf("unknown method %q", *method)
-		}
-	})
+	if err := phase("construct", func() (err error) {
+		l, err = core.BuildMethod(core.Method(s.method), data, sample, data.Domain(), hist, p)
+		return err
+	}); err != nil {
+		return err
+	}
 
 	// Materialising binds the dataset to the layout as pawworker's store
 	// will: beside the partition sizes of a routing pass it leaves every
@@ -120,10 +97,10 @@ func runBuild(args []string) {
 	// the raw chunks a scan can search.
 	stored := make(map[string]int64)
 	search := &layout.SearchCensus{ByColumn: make(map[string]int)}
-	phase("route", func() {
+	phase("route", func() error {
 		store := blockstore.Materialize(l, data, blockstore.Config{})
-		for _, p := range l.Parts {
-			if sp, err := store.Partition(p.ID); err == nil {
+		for _, part := range l.Parts {
+			if sp, err := store.Partition(part.ID); err == nil {
 				for enc, b := range sp.Table.EncodedBytesByEncoding() {
 					stored[enc] += b
 				}
@@ -135,10 +112,11 @@ func runBuild(args []string) {
 				search.Rows += rows
 			}
 		}
+		return nil
 	})
 
 	var r *layout.BuildReport
-	phase("report", func() {
+	if err := phase("report", func() error {
 		r = layout.NewBuildReport(l, reg.Snapshot())
 		r.SampleRows = len(sample)
 		r.StoredBytes, r.Search = stored, search
@@ -150,18 +128,27 @@ func runBuild(args []string) {
 			ScanRatio:       l.ScanRatio(hist.Boxes(), nil),
 		}
 		if *layoutF != "" {
-			f, err := os.Create(*layoutF)
-			if err != nil {
-				fatalf("%v", err)
+			if err := writeFile(*layoutF, l.Encode); err != nil {
+				return err
 			}
-			if err := l.Encode(f); err != nil {
-				fatalf("writing layout: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("%v", err)
-			}
+			fmt.Fprintf(out, "wrote %s: %s\n", *layoutF, l)
 		}
-	})
+		if *queriesOut != "" {
+			var qlog workload.Log
+			for _, q := range hist {
+				qlog.Record(q.Box)
+			}
+			if err := writeFile(*queriesOut, qlog.Encode); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "wrote %s: %d historical queries\n", *queriesOut, qlog.Len())
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// pawmaster's -drift-delta takes this absolute value, not the percentage.
+	fmt.Fprintf(out, "delta %g (%g%% of %s's extent)\n", p.Delta, s.deltaPct, data.Names()[0])
 
 	r.BuildInfo = obs.BuildVersion()
 	r.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
@@ -169,19 +156,30 @@ func runBuild(args []string) {
 	r.Phases = phases
 
 	if *report == "-" {
-		if err := r.WriteJSON(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-	} else {
-		if err := r.WriteJSONFile(*report); err != nil {
-			fatalf("writing report: %v", err)
-		}
-		fmt.Printf("%s: %d partitions in %v (phase coverage %.1f%%) -> %s\n",
-			l, l.NumPartitions(), time.Duration(r.WallNs).Round(time.Millisecond),
-			100*r.PhaseCoverage(), *report)
+		return r.WriteJSON(out)
 	}
+	if err := r.WriteJSONFile(*report); err != nil {
+		return fmt.Errorf("writing report: %w", err)
+	}
+	fmt.Fprintf(out, "%s: %d partitions in %v (phase coverage %.1f%%) -> %s\n",
+		l, l.NumPartitions(), time.Duration(r.WallNs).Round(time.Millisecond),
+		100*r.PhaseCoverage(), *report)
 	slog.Info("build complete", "partitions", l.NumPartitions(),
 		"wall", time.Duration(r.WallNs), "coverage", r.PhaseCoverage())
+	return nil
+}
+
+// writeFile creates path and fills it with enc.
+func writeFile(path string, enc func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := enc(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // runStats implements `pawcli stats <report.json>...`: render build reports

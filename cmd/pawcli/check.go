@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"paw/internal/invariant"
@@ -10,9 +11,10 @@ import (
 )
 
 // runCheck implements `pawcli check [-seed N] <layout-file>...`: it decodes
-// each persisted layout and runs the sealed-layout oracle subset of
+// each persisted layout, runs the sealed-layout oracle subset of
 // internal/invariant (partition geometry, grouped-split semantics, routing
-// and descriptor soundness). Construction inputs are gone for a persisted
+// and descriptor soundness) and prints a summary beside the verdict:
+// partitions, irregular partitions, and the fewest and most rows in one. Construction inputs are gone for a persisted
 // layout, so the workload-dependent oracles (Lemma 1, monotonicity, bmin)
 // are not applicable here — they run in the simulation harness.
 //
@@ -34,39 +36,46 @@ func runCheck(args []string) {
 	}
 	failed := false
 	for _, path := range fs.Args() {
-		if err := checkFile(path, *seed); err != nil {
+		summary, err := checkFile(path, *seed)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "pawcli check: %s: %v\n", path, err)
 			failed = true
 			continue
 		}
-		fmt.Printf("%s: ok\n", path)
+		fmt.Printf("%s: ok; %s\n", path, summary)
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-func checkFile(path string, seed int64) error {
+func checkFile(path string, seed int64) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer f.Close()
 	l, err := layout.Decode(f)
 	if err != nil {
-		return fmt.Errorf("decode: %w", err)
+		return "", fmt.Errorf("decode: %w", err)
 	}
 	if err := invariant.CheckSealed(l, seed); err != nil {
-		return err
+		return "", err
 	}
-	described, boxes := 0, 0
+	described, boxes, irregular := 0, 0, 0
+	minRows, maxRows := int64(math.MaxInt64), int64(0)
 	for _, p := range l.Parts {
 		if len(p.Precise) > 0 {
 			described++
 			boxes += len(p.Precise)
 		}
+		if p.Desc.Kind() == layout.KindIrregular {
+			irregular++
+		}
+		minRows, maxRows = min(minRows, p.FullRows), max(maxRows, p.FullRows)
 	}
 	fmt.Printf("%s: %s, index height %d, precise descriptors on %d partitions (%d boxes)\n",
 		path, l, l.IndexHeight(), described, boxes)
-	return nil
+	return fmt.Sprintf("partitions: %d (%d irregular); rows per partition: min %d, max %d",
+		l.NumPartitions(), irregular, minRows, maxRows), nil
 }

@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"paw/internal/blockstore"
 	"paw/internal/dataset"
+	"paw/internal/invariant"
 	"paw/internal/kdtree"
 )
 
@@ -57,7 +61,9 @@ func TestPayloadSourceMatchesWorkerStore(t *testing.T) {
 // TestLoadRefusesForeignDataset: the layout file carries each partition's data
 // envelope, so the boot check accepts the dataset the layout was materialised
 // over and refuses another one — naming a partition whose box disowns a row —
-// instead of serving answers with rows missing.
+// instead of serving answers with rows missing. pawworker boots through the
+// same check: started beside the foreign file it exits with the same refusal
+// before it materialises a row.
 func TestLoadRefusesForeignDataset(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, enc func(w io.Writer) error) string {
@@ -82,7 +88,7 @@ func TestLoadRefusesForeignDataset(t *testing.T) {
 	blockstore.Materialize(l, data, workerStore)
 	layoutPath := write("l.pawl", l.Encode)
 
-	got, gotL, err := load(dataFile("same.pawd", data), layoutPath)
+	got, gotL, err := invariant.LoadPair(dataFile("same.pawd", data), layoutPath)
 	if err != nil {
 		t.Fatalf("the dataset the layout was built over: %v", err)
 	}
@@ -94,11 +100,24 @@ func TestLoadRefusesForeignDataset(t *testing.T) {
 			t.Fatalf("partition %d decoded with %d rows and %d boxes", p.ID, p.FullRows, len(p.Precise))
 		}
 	}
-	_, _, err = load(dataFile("other.pawd", dataset.TPCHLike(20_000, 6)), layoutPath)
+	other := dataFile("other.pawd", dataset.TPCHLike(20_000, 6))
+	_, _, err = invariant.LoadPair(other, layoutPath)
 	if err == nil || !strings.Contains(err.Error(), "precise descriptor of partition") {
 		t.Fatalf("another dataset of the same schema: got %v, want a refusal naming the partition", err)
 	}
-	if _, _, err = load(dataFile("narrow.pawd", data.Project(3)), layoutPath); err == nil {
+	worker := filepath.Join(dir, "pawworker")
+	if out, err := exec.Command("go", "build", "-o", worker, "paw/cmd/pawworker").CombinedOutput(); err != nil {
+		t.Fatalf("building pawworker: %v\n%s", err, out)
+	}
+	// A worker that took the pair would serve until killed: bound the wait.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, worker, "-data", other, "-layout", layoutPath,
+		"-workers", "1", "-index", "0", "-listen", "127.0.0.1:0").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "precise descriptor of partition") {
+		t.Fatalf("pawworker beside another dataset: exit %v, output %q; want a refusal naming the partition", err, out)
+	}
+	if _, _, err = invariant.LoadPair(dataFile("narrow.pawd", data.Project(3)), layoutPath); err == nil {
 		t.Fatal("a dataset of another width must be refused")
 	}
 }

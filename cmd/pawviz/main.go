@@ -18,9 +18,6 @@ import (
 
 	"paw/internal/core"
 	"paw/internal/dataset"
-	"paw/internal/kdtree"
-	"paw/internal/layout"
-	"paw/internal/qdtree"
 	"paw/internal/viz"
 	"paw/internal/workload"
 )
@@ -60,16 +57,9 @@ func main() {
 	if minRows < 2 {
 		minRows = 2
 	}
-	var l *layout.Layout
-	switch *method {
-	case "paw":
-		l = core.Build(data, sample, dom, hist, core.Params{MinRows: minRows, Delta: delta})
-	case "qd-tree":
-		l = qdtree.Build(data, sample, dom, hist.Boxes(), qdtree.Params{MinRows: minRows})
-	case "kd-tree":
-		l = kdtree.Build(data, sample, dom, kdtree.Params{MinRows: minRows})
-	default:
-		fatalf("unknown method %q", *method)
+	l, err := core.BuildMethod(core.Method(*method), data, sample, dom, hist, core.Params{MinRows: minRows, Delta: delta})
+	if err != nil {
+		fatalf("%v", err)
 	}
 	l.Route(data)
 

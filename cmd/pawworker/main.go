@@ -1,12 +1,13 @@
 // Command pawworker hosts a share of a partitioned dataset and serves scan
-// requests from a pawmaster. Workers take the dataset and layout files
-// produced by pawgen; partition ownership follows the consistent-hash ring
-// (the rule elastic clusters rebalance to), so all processes agree without
-// coordination. Start every worker and the master with the same -replicas
-// value.
+// requests from a pawmaster. Workers take the dataset file pawgen wrote and
+// the layout file pawcli built over it, and refuse a pair that does not
+// belong together, as pawmaster does. Partition ownership follows the
+// consistent-hash ring (the rule elastic clusters rebalance to), so all
+// processes agree without coordination. Start every worker and the master
+// with the same -replicas value.
 //
 //	pawgen gen -dataset tpch -rows 120000 -out data.pawd
-//	pawgen partition -in data.pawd -method paw -layout-out layout.pawl
+//	pawcli build -in data.pawd -method paw -layout layout.pawl
 //	pawworker -data data.pawd -layout layout.pawl -index 0 -workers 2 -listen 127.0.0.1:7101 &
 //	pawworker -data data.pawd -layout layout.pawl -index 1 -workers 2 -listen 127.0.0.1:7102 &
 //
@@ -36,8 +37,8 @@ import (
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/dataset"
 	"paw/internal/dist"
+	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
@@ -82,8 +83,10 @@ func main() {
 		if *replicas < 1 || *replicas > *workers {
 			fatalf("-replicas %d out of range for %d workers", *replicas, *workers)
 		}
-		data := loadData(*dataPath)
-		l := loadLayout(*layoutPath)
+		data, l, err := invariant.LoadPair(*dataPath, *layoutPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		store := blockstore.Materialize(l, data, blockstore.Config{})
 		// The same derivation pawmaster runs, so the join checksum only
 		// matches when every flag agrees.
@@ -171,32 +174,6 @@ func main() {
 		hb.Close()
 	}
 	w.Close()
-}
-
-func loadData(path string) *dataset.Dataset {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	d, err := dataset.Read(f)
-	if err != nil {
-		fatalf("reading %s: %v", path, err)
-	}
-	return d
-}
-
-func loadLayout(path string) *layout.Layout {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	l, err := layout.Decode(f)
-	if err != nil {
-		fatalf("reading %s: %v", path, err)
-	}
-	return l
 }
 
 func fatalf(format string, args ...any) {

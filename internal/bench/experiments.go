@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/descriptor"
 	"paw/internal/dist"
-	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/placement"
-	"paw/internal/qdtree"
 	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
@@ -105,7 +102,7 @@ func Table2(cfg Config) []*Table {
 			// its time barely depends on the dataset size (the paper's
 			// observation); report it for the full-size run.
 			start := time.Now()
-			l := buildUnrouted(s, m)
+			l := s.buildUnrouted(m)
 			genTime := time.Since(start)
 			store := blockstore.Materialize(l, s.Data, blockstore.Config{})
 			if sz.label == "75GB" {
@@ -116,22 +113,6 @@ func Table2(cfg Config) []*Table {
 		t.AddRow(m, row)
 	}
 	return []*Table{t}
-}
-
-// buildUnrouted builds a method's layout without routing, for pure
-// layout-generation timing.
-func buildUnrouted(s *Scenario, method string) *layout.Layout {
-	dom := s.Data.Domain()
-	switch method {
-	case MQdTree:
-		return qdtree.Build(s.Data, s.Sample, dom, s.Hist.Boxes(), qdtree.Params{MinRows: s.MinRows, Parallelism: s.Cfg.Parallelism})
-	case MKdTree:
-		return kdtree.Build(s.Data, s.Sample, dom, kdtree.Params{MinRows: s.MinRows, Parallelism: s.Cfg.Parallelism})
-	case MPAW:
-		return core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{MinRows: s.MinRows, Delta: s.Delta, Parallelism: s.Cfg.Parallelism})
-	default:
-		panic(fmt.Sprintf("bench: unknown method %q", method))
-	}
 }
 
 // Table4 reproduces Table IV: I/O cost and end-to-end time at δ=0 under the

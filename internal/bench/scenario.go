@@ -6,9 +6,7 @@ import (
 	"paw/internal/core"
 	"paw/internal/dataset"
 	"paw/internal/geom"
-	"paw/internal/kdtree"
 	"paw/internal/layout"
-	"paw/internal/qdtree"
 	"paw/internal/workload"
 )
 
@@ -58,23 +56,31 @@ func (s *Scenario) Layout(method string) *layout.Layout {
 	if l, ok := s.layouts[method]; ok {
 		return l
 	}
-	dom := s.Data.Domain()
-	var l *layout.Layout
+	l := s.buildUnrouted(method)
+	l.Route(s.Data)
+	if s.layouts == nil {
+		s.layouts = make(map[string]*layout.Layout)
+	}
+	s.layouts[method] = l
+	return l
+}
+
+// buildUnrouted builds a method's layout without routing; Table II times it
+// as pure layout generation. Every PAW variant is core.Build with its own
+// parameters.
+func (s *Scenario) buildUnrouted(method string) *layout.Layout {
+	m := core.MethodPAW
+	p := core.Params{MinRows: s.MinRows, Delta: s.Delta, Parallelism: s.Cfg.Parallelism}
 	switch method {
 	case MQdTree:
-		l = qdtree.Build(s.Data, s.Sample, dom, s.Hist.Boxes(), qdtree.Params{MinRows: s.MinRows, Parallelism: s.Cfg.Parallelism})
+		m = core.MethodQdTree
 	case MKdTree:
-		l = kdtree.Build(s.Data, s.Sample, dom, kdtree.Params{MinRows: s.MinRows, Parallelism: s.Cfg.Parallelism})
+		m = core.MethodKdTree
 	case MPAW:
-		l = core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{MinRows: s.MinRows, Delta: s.Delta, Parallelism: s.Cfg.Parallelism})
 	case MPAWRefine:
-		l = core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{
-			MinRows: s.MinRows, Delta: s.Delta, DataAwareRefine: true, Parallelism: s.Cfg.Parallelism,
-		})
+		p.DataAwareRefine = true
 	case MPAWRect:
-		l = core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{
-			MinRows: s.MinRows, Delta: s.Delta, DisableMultiGroup: true, Parallelism: s.Cfg.Parallelism,
-		})
+		p.DisableMultiGroup = true
 	case MPAWUnknown:
 		// §IV-E: estimate δ′ from the history alone and guard against
 		// underestimation with the data-aware refinement.
@@ -82,17 +88,14 @@ func (s *Scenario) Layout(method string) *layout.Layout {
 		if err != nil {
 			est = 0
 		}
-		l = core.Build(s.Data, s.Sample, dom, s.Hist, core.Params{
-			MinRows: s.MinRows, Delta: est, DataAwareRefine: true, Parallelism: s.Cfg.Parallelism,
-		})
+		p.Delta, p.DataAwareRefine = est, true
 	default:
 		panic(fmt.Sprintf("bench: unknown method %q", method))
 	}
-	l.Route(s.Data)
-	if s.layouts == nil {
-		s.layouts = make(map[string]*layout.Layout)
+	l, err := core.BuildMethod(m, s.Data, s.Sample, s.Data.Domain(), s.Hist, p)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	s.layouts[method] = l
 	return l
 }
 

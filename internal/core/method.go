@@ -1,0 +1,43 @@
+package core
+
+import (
+	"fmt"
+
+	"paw/internal/dataset"
+	"paw/internal/geom"
+	"paw/internal/kdtree"
+	"paw/internal/layout"
+	"paw/internal/qdtree"
+	"paw/internal/workload"
+)
+
+// Method names a partitioning algorithm.
+type Method string
+
+// The partitioning methods BuildMethod knows.
+const (
+	// MethodPAW is the paper's contribution (§IV).
+	MethodPAW Method = "paw"
+	// MethodQdTree is the greedy Qd-tree baseline (Yang et al., 2020).
+	MethodQdTree Method = "qd-tree"
+	// MethodKdTree is the data-aware k-d tree baseline.
+	MethodKdTree Method = "kd-tree"
+)
+
+// BuildMethod is the one switch from a method name to its builder. PAW gets
+// p whole; the Qd-tree cuts on hist's boxes as given (no δ extension) and the
+// k-d tree ignores hist, both taking only MinRows, Parallelism and Obs from
+// p. The layout is sealed but not routed; an unknown method is an error.
+func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Workload, p Params) (*layout.Layout, error) {
+	switch m {
+	case MethodPAW:
+		return Build(data, rows, domain, hist, p), nil
+	case MethodQdTree:
+		return qdtree.Build(data, rows, domain, hist.Boxes(),
+			qdtree.Params{MinRows: p.MinRows, Parallelism: p.Parallelism, Obs: p.Obs}), nil
+	case MethodKdTree:
+		return kdtree.Build(data, rows, domain,
+			kdtree.Params{MinRows: p.MinRows, Parallelism: p.Parallelism, Obs: p.Obs}), nil
+	}
+	return nil, fmt.Errorf("unknown method %q (want %s, %s or %s)", m, MethodPAW, MethodQdTree, MethodKdTree)
+}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"strings"
 )
 
 // Binary format:
@@ -69,6 +71,26 @@ func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
+}
+
+// ReadFile reads a dataset file: CSV (ReadCSV) when the name ends in .csv,
+// PAWD (Read) otherwise.
+func ReadFile(path string) (*Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var d *Dataset
+	if strings.HasSuffix(path, ".csv") {
+		d, err = ReadCSV(f)
+	} else {
+		d, err = Read(f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return d, nil
 }
 
 // Read deserialises a dataset from the PAWD binary format.

@@ -121,6 +121,9 @@ func (m *Master) validateMigration(mig *Migration) error {
 				return fmt.Errorf("dist: migration entry %d names worker %d of %d", e.ID, w, workers)
 			}
 		}
+		if !sameWorkers(e.Workers, mig.Replicas[e.ID]) {
+			return fmt.Errorf("dist: migration entry %d installs on workers %v, the placement routes it to %v", e.ID, e.Workers, mig.Replicas[e.ID])
+		}
 		if e.ReuseID >= 0 && mig.Renamed[e.ReuseID] != e.ID {
 			return fmt.Errorf("dist: migration entry %d reuses %d but Renamed maps it to %d", e.ID, e.ReuseID, mig.Renamed[e.ReuseID])
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,6 +262,26 @@ func TestMigrationValidationRejects(t *testing.T) {
 			t.Fatal("no alias entry in fixture")
 		}},
 		{"bad-placement", func(m *Migration) { m.Replicas = placement.Replicated{} }},
+		{"workers-disagree-with-replicas", func(m *Migration) {
+			// Install a rebuilt partition (an alias would be refused by a
+			// worker without its source) on the workers the placement does
+			// not route it to: validation must refuse before any install.
+			m.Entries = append([]MigrationEntry(nil), m.Entries...)
+			i := slices.IndexFunc(m.Entries, func(e MigrationEntry) bool { return e.ReuseID < 0 })
+			if i < 0 {
+				t.Fatal("no rebuilt entry in fixture")
+			}
+			e := &m.Entries[i]
+			e.Workers = nil
+			for w := 0; w < tc.master.NumWorkers(); w++ {
+				if !slices.Contains(m.Replicas[e.ID], w) {
+					e.Workers = append(e.Workers, w)
+				}
+			}
+			if len(e.Workers) == 0 {
+				t.Fatal("partition is on every worker: no foreign replica set to install on")
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

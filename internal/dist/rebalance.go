@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"time"
 
 	"paw/internal/layout"
@@ -167,19 +167,21 @@ func placementsEqual(a, b map[layout.ID][]int) bool {
 		return false
 	}
 	for id, ws := range a {
-		vs, ok := b[id]
-		if !ok || len(ws) != len(vs) {
+		if vs, ok := b[id]; !ok || !sameWorkers(ws, vs) {
 			return false
-		}
-		x := append([]int(nil), ws...)
-		y := append([]int(nil), vs...)
-		sort.Ints(x)
-		sort.Ints(y)
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// sameWorkers reports whether two replica sets hold the same workers, in any
+// order.
+func sameWorkers(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	x, y := slices.Clone(a), slices.Clone(b)
+	slices.Sort(x)
+	slices.Sort(y)
+	return slices.Equal(x, y)
 }

@@ -1,7 +1,9 @@
 package invariant
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -72,9 +74,8 @@ func CheckRouting(l *layout.Layout, in Inputs) error {
 // data is routed through the sealed layout (fanned over GOMAXPROCS), a record
 // that lands in a partition with a precise descriptor must lie inside one of
 // its MBRs, and a record inside the root region must land somewhere. It is
-// what decides whether a layout and a dataset belong together: pawmaster runs
-// it at boot on the files it was given, because a precise descriptor computed
-// for other data makes the master drop partitions that hold matching records.
+// what decides whether a layout and a dataset belong together: pawmaster and
+// pawworker run it at boot on the files they were given (LoadPair).
 func CheckData(l *layout.Layout, data *dataset.Dataset) error {
 	root := l.Root.Desc.MBR()
 	if root.Dims() != data.Dims() {
@@ -128,6 +129,31 @@ func CheckData(l *layout.Layout, data *dataset.Dataset) error {
 			"%d records lie inside the root region but only %d were routed to a partition", inside, routed)
 	}
 	return nil
+}
+
+// LoadPair reads a dataset file and a layout file and refuses the pair unless
+// CheckData holds. pawmaster and pawworker both boot through it: a worker
+// that materialised another dataset would serve rows the master's layout
+// never held (the store resets each partition's size from whatever rows it
+// is given), and a master would drop partitions that hold matching rows.
+func LoadPair(dataPath, layoutPath string) (*dataset.Dataset, *layout.Layout, error) {
+	data, err := dataset.ReadFile(dataPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.Open(layoutPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := layout.Decode(f)
+	f.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", layoutPath, err)
+	}
+	if err := CheckData(l, data); err != nil {
+		return nil, nil, fmt.Errorf("%s was not built over %s: %w", layoutPath, dataPath, err)
+	}
+	return data, l, nil
 }
 
 func checkWiring(l *layout.Layout) error {

@@ -17,19 +17,17 @@ import (
 	"paw/internal/descriptor"
 	"paw/internal/geom"
 	"paw/internal/invariant"
-	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/obs"
-	"paw/internal/qdtree"
 	"paw/internal/tuner"
 	"paw/internal/workload"
 )
 
 // Builder method names.
 const (
-	MethodPAW    = "paw"
-	MethodQdTree = "qd-tree"
-	MethodKdTree = "kd-tree"
+	MethodPAW    = string(core.MethodPAW)
+	MethodQdTree = string(core.MethodQdTree)
+	MethodKdTree = string(core.MethodKdTree)
 )
 
 // Methods returns every builder the harness drives.
@@ -136,21 +134,16 @@ func Build(sc Scenario, method string, parallelism int) *layout.Layout {
 // observational: the digest oracle asserts layouts are byte-identical with
 // it on or off.
 func BuildObserved(sc Scenario, method string, parallelism int, reg *obs.Registry) *layout.Layout {
-	var l *layout.Layout
-	switch method {
-	case MethodPAW:
-		l = core.Build(sc.Data, sc.Sample, sc.Domain, sc.Hist, core.Params{
-			MinRows: sc.MinRows, Alpha: sc.Alpha, Delta: sc.Delta,
-			DataAwareRefine: sc.Refine, Parallelism: parallelism, Obs: reg,
-		})
-	case MethodQdTree:
-		l = qdtree.Build(sc.Data, sc.Sample, sc.Domain, sc.Hist.Extend(sc.Delta).Boxes(),
-			qdtree.Params{MinRows: sc.MinRows, Parallelism: parallelism, Obs: reg})
-	case MethodKdTree:
-		l = kdtree.Build(sc.Data, sc.Sample, sc.Domain,
-			kdtree.Params{MinRows: sc.MinRows, Parallelism: parallelism, Obs: reg})
-	default:
-		panic(fmt.Sprintf("sim: unknown method %q", method))
+	hist := sc.Hist
+	if method == MethodQdTree {
+		hist = sc.Hist.Extend(sc.Delta)
+	}
+	l, err := core.BuildMethod(core.Method(method), sc.Data, sc.Sample, sc.Domain, hist, core.Params{
+		MinRows: sc.MinRows, Alpha: sc.Alpha, Delta: sc.Delta,
+		DataAwareRefine: sc.Refine, Parallelism: parallelism, Obs: reg,
+	})
+	if err != nil {
+		panic("sim: " + err.Error())
 	}
 	l.RouteParallel(sc.Data, parallelism)
 	return l

@@ -35,9 +35,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/descriptor"
 	"paw/internal/geom"
-	"paw/internal/kdtree"
 	"paw/internal/layout"
-	"paw/internal/qdtree"
 	"paw/internal/router"
 	"paw/internal/tuner"
 	"paw/internal/workload"
@@ -70,16 +68,16 @@ type (
 )
 
 // Method selects the partitioning algorithm.
-type Method string
+type Method = core.Method
 
 // Supported partitioning methods.
 const (
 	// MethodPAW is the paper's contribution (§IV).
-	MethodPAW Method = "paw"
+	MethodPAW = core.MethodPAW
 	// MethodQdTree is the greedy Qd-tree baseline (Yang et al., 2020).
-	MethodQdTree Method = "qd-tree"
+	MethodQdTree = core.MethodQdTree
 	// MethodKdTree is the data-aware k-d tree baseline.
-	MethodKdTree Method = "kd-tree"
+	MethodKdTree = core.MethodKdTree
 )
 
 // Options configures Build.
@@ -131,24 +129,20 @@ func Build(data *Dataset, hist Workload, opts Options) (*Layout, error) {
 	if opts.SampleRows > 0 && opts.SampleRows < data.NumRows() {
 		rows = data.Sample(opts.SampleRows, opts.SampleSeed)
 	}
-	domain := data.Domain()
-	var l *Layout
-	switch opts.Method {
-	case MethodPAW, "":
-		l = core.Build(data, rows, domain, hist, core.Params{
-			MinRows:           opts.MinRows,
-			Alpha:             opts.Alpha,
-			Delta:             opts.Delta,
-			DataAwareRefine:   opts.DataAwareRefine,
-			DisableMultiGroup: opts.DisableMultiGroup,
-			Parallelism:       opts.Parallelism,
-		})
-	case MethodQdTree:
-		l = qdtree.Build(data, rows, domain, hist.Boxes(), qdtree.Params{MinRows: opts.MinRows, Parallelism: opts.Parallelism})
-	case MethodKdTree:
-		l = kdtree.Build(data, rows, domain, kdtree.Params{MinRows: opts.MinRows, Parallelism: opts.Parallelism})
-	default:
-		return nil, fmt.Errorf("paw: unknown method %q", opts.Method)
+	method := opts.Method
+	if method == "" {
+		method = MethodPAW
+	}
+	l, err := core.BuildMethod(method, data, rows, data.Domain(), hist, core.Params{
+		MinRows:           opts.MinRows,
+		Alpha:             opts.Alpha,
+		Delta:             opts.Delta,
+		DataAwareRefine:   opts.DataAwareRefine,
+		DisableMultiGroup: opts.DisableMultiGroup,
+		Parallelism:       opts.Parallelism,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("paw: %w", err)
 	}
 	if !opts.SkipRouting {
 		l.Route(data)
