@@ -1,13 +1,11 @@
 package colstore
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-	"slices"
 
+	"paw/internal/binfmt"
 	"paw/internal/sma"
 )
 
@@ -43,346 +41,127 @@ const (
 	maxDecodeRows = 1 << 28
 )
 
-// leWriter batches little-endian writes through one reusable scratch
-// buffer, so bulk slices go to the underlying writer in single Write calls
-// instead of one binary.Write per element.
-type leWriter struct {
-	bw      *bufio.Writer
-	scratch []byte
-}
-
-func (w *leWriter) grow(n int) []byte {
-	if cap(w.scratch) < n {
-		w.scratch = make([]byte, n)
-	}
-	w.scratch = w.scratch[:n]
-	return w.scratch
-}
-
-func (w *leWriter) u8(v uint8) error { return w.bw.WriteByte(v) }
-func (w *leWriter) u16(v uint16) error {
-	b := w.grow(2)
-	binary.LittleEndian.PutUint16(b, v)
-	_, err := w.bw.Write(b)
-	return err
-}
-func (w *leWriter) u32(v uint32) error {
-	b := w.grow(4)
-	binary.LittleEndian.PutUint32(b, v)
-	_, err := w.bw.Write(b)
-	return err
-}
-func (w *leWriter) u64(v uint64) error {
-	b := w.grow(8)
-	binary.LittleEndian.PutUint64(b, v)
-	_, err := w.bw.Write(b)
-	return err
-}
-func (w *leWriter) i64(v int64) error   { return w.u64(uint64(v)) }
-func (w *leWriter) f64(v float64) error { return w.u64(math.Float64bits(v)) }
-
-func (w *leWriter) f64s(vals []float64) error {
-	b := w.grow(len(vals) * 8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-	_, err := w.bw.Write(b)
-	return err
-}
-
-func (w *leWriter) u32s(vals []uint32) error {
-	b := w.grow(len(vals) * 4)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[i*4:], v)
-	}
-	_, err := w.bw.Write(b)
-	return err
-}
-
-func (w *leWriter) u16s(vals []uint16) error {
-	b := w.grow(len(vals) * 2)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint16(b[i*2:], v)
-	}
-	_, err := w.bw.Write(b)
-	return err
-}
-
-// leReader mirrors leWriter: bulk slices are read with a single io.ReadFull
-// into the scratch buffer and converted in place.
-type leReader struct {
-	br      *bufio.Reader
-	scratch []byte
-}
-
-// fill reads the next n bytes. The buffer grows with the bytes that arrive,
-// not with the length a header claims: a hostile count costs an error, not an
-// allocation.
-func (r *leReader) fill(n int) ([]byte, error) {
-	r.scratch = r.scratch[:0]
-	for len(r.scratch) < n {
-		end := min(n, max(2*len(r.scratch), cap(r.scratch), 4096))
-		r.scratch = slices.Grow(r.scratch, end-len(r.scratch))
-		if _, err := io.ReadFull(r.br, r.scratch[len(r.scratch):end]); err != nil {
-			return nil, err
-		}
-		r.scratch = r.scratch[:end]
-	}
-	return r.scratch, nil
-}
-
-func (r *leReader) u8() (uint8, error) { return r.br.ReadByte() }
-func (r *leReader) u16() (uint16, error) {
-	b, err := r.fill(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-func (r *leReader) u32() (uint32, error) {
-	b, err := r.fill(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-func (r *leReader) u64() (uint64, error) {
-	b, err := r.fill(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-func (r *leReader) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
-func (r *leReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *leReader) f64s(n int) ([]float64, error) {
-	b, err := r.fill(n * 8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
-func (r *leReader) u32s(n int) ([]uint32, error) {
-	b, err := r.fill(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out, nil
-}
-
-func (r *leReader) u16s(n int) ([]uint16, error) {
-	b, err := r.fill(n * 2)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[i*2:])
-	}
-	return out, nil
-}
-
 // Encode writes the table in the PAWC v3 binary format.
 func (t *Table) Encode(w io.Writer) error {
-	lw := &leWriter{bw: bufio.NewWriter(w)}
-	if err := lw.u32(colMagic); err != nil {
-		return err
-	}
-	if err := lw.u16(colVersion); err != nil {
-		return err
-	}
-	if err := lw.u16(uint16(t.Dims())); err != nil {
-		return err
-	}
-	if err := lw.u32(uint32(len(t.groups))); err != nil {
-		return err
-	}
+	// Room for the column chunks, each group's row count, kind tags and SMA,
+	// and 1 KiB of header and names.
+	size := 1024 + t.EncodedBytes() + int64(len(t.groups)*(12+25*t.Dims()))
+	buf := binfmt.AppendHeader(make([]byte, 0, size), colMagic, colVersion)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Dims()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.groups)))
 	for _, n := range t.names {
-		if err := lw.u16(uint16(len(n))); err != nil {
-			return err
-		}
-		if _, err := lw.bw.WriteString(n); err != nil {
-			return err
-		}
+		buf = binfmt.AppendString16(buf, n)
 	}
-	if err := lw.u32(0); err != nil { // the zone-count word
-		return err
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the zone-count word
 	for gi := range t.groups {
 		g := &t.groups[gi]
-		if err := lw.u32(uint32(g.rows)); err != nil {
-			return err
-		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(g.rows))
 		for d := range g.cols {
-			if err := encodeColumnPayload(lw, &g.cols[d]); err != nil {
-				return err
-			}
+			buf = appendColumn(buf, &g.cols[d])
 		}
-		if err := lw.i64(g.stats.Count); err != nil {
-			return err
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.stats.Count))
 		for d := 0; d < t.Dims(); d++ {
-			if err := lw.f64(g.stats.Min[d]); err != nil {
-				return err
-			}
-			if err := lw.f64(g.stats.Max[d]); err != nil {
-				return err
-			}
-			if err := lw.f64(g.stats.Sum[d]); err != nil {
-				return err
-			}
+			buf = appendF64(buf, g.stats.Min[d])
+			buf = appendF64(buf, g.stats.Max[d])
+			buf = appendF64(buf, g.stats.Sum[d])
 		}
 	}
-	return lw.bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-func encodeColumnPayload(lw *leWriter, c *column) error {
-	if err := lw.u8(uint8(c.kind)); err != nil {
-		return err
-	}
+func appendF64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+func appendColumn(buf []byte, c *column) []byte {
+	buf = append(buf, uint8(c.kind))
 	switch c.kind {
 	case colDict:
-		if err := lw.u32(uint32(len(c.dict))); err != nil {
-			return err
-		}
-		if err := lw.f64s(c.dict); err != nil {
-			return err
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.dict)))
+		for _, v := range c.dict {
+			buf = appendF64(buf, v)
 		}
 		if c.codes8 != nil {
-			if err := lw.u8(1); err != nil {
-				return err
-			}
-			_, err := lw.bw.Write(c.codes8)
-			return err
+			return append(append(buf, 1), c.codes8...)
 		}
-		if err := lw.u8(2); err != nil {
-			return err
+		buf = append(buf, 2)
+		for _, code := range c.codes16 {
+			buf = binary.LittleEndian.AppendUint16(buf, code)
 		}
-		return lw.u16s(c.codes16)
+		return buf
 	case colRLE:
-		if err := lw.u32(uint32(len(c.runVals))); err != nil {
-			return err
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.runVals)))
+		for _, v := range c.runVals {
+			buf = appendF64(buf, v)
 		}
-		if err := lw.f64s(c.runVals); err != nil {
-			return err
+		for _, l := range c.runLens {
+			buf = binary.LittleEndian.AppendUint32(buf, l)
 		}
-		return lw.u32s(c.runLens)
+		return buf
 	default:
 		head := c.minKey
 		if c.kind == colFOR {
 			head = math.Float64bits(c.base)
 		}
-		if err := lw.u64(head); err != nil {
-			return err
-		}
-		if err := lw.u8(c.width); err != nil {
-			return err
-		}
-		_, err := lw.bw.Write(c.packed[:packedPayload(c.n, c.width)-9])
-		return err
+		buf = binary.LittleEndian.AppendUint64(buf, head)
+		return append(append(buf, c.width), c.packed[:packedPayload(c.n, c.width)-9]...)
 	}
 }
 
-func decodeColumnPayload(lr *leReader, rows int) (column, error) {
-	kind, err := lr.u8()
-	if err != nil {
-		return column{}, err
-	}
-	c := column{kind: colKind(kind), n: rows}
+// readColumn reads one column payload of a rows-row group. Nothing it returns
+// aliases the input.
+func readColumn(r *binfmt.Reader, rows int) column {
+	c := column{kind: colKind(r.U8()), n: rows}
 	switch c.kind {
 	case colDict:
-		card, err := lr.u32()
-		if err != nil {
-			return c, err
+		card := r.Count(uint64(r.U32()), 8)
+		if r.Err() == nil && (card == 0 || card > dictMaxCard || card > rows) {
+			r.Failf("dictionary cardinality %d out of range for %d rows", card, rows)
 		}
-		if card == 0 || int(card) > dictMaxCard || int(card) > rows {
-			return c, fmt.Errorf("colstore: dictionary cardinality %d out of range for %d rows", card, rows)
-		}
-		if c.dict, err = lr.f64s(int(card)); err != nil {
-			return c, err
-		}
-		width, err := lr.u8()
-		if err != nil {
-			return c, err
-		}
-		switch width {
-		case 1:
-			if card > 256 {
-				return c, fmt.Errorf("colstore: 1-byte codes for cardinality %d", card)
-			}
-			b, err := lr.fill(rows)
-			if err != nil {
-				return c, err
-			}
-			c.codes8 = append([]uint8(nil), b...)
+		c.dict = readF64s(r, card)
+		switch width := r.U8(); {
+		case r.Err() != nil:
+		case width == 1 && card <= 256:
+			c.codes8 = append([]uint8(nil), r.Next(rows)...)
 			for _, code := range c.codes8 {
-				if int(code) >= int(card) {
-					return c, fmt.Errorf("colstore: dictionary code %d out of range", code)
+				if int(code) >= card {
+					r.Failf("dictionary code %d out of range", code)
 				}
 			}
-		case 2:
-			if c.codes16, err = lr.u16s(rows); err != nil {
-				return c, err
-			}
-			for _, code := range c.codes16 {
-				if int(code) >= int(card) {
-					return c, fmt.Errorf("colstore: dictionary code %d out of range", code)
+		case width == 2:
+			c.codes16 = make([]uint16, r.Count(uint64(rows), 2))
+			for i := range c.codes16 {
+				if c.codes16[i] = r.U16(); int(c.codes16[i]) >= card {
+					r.Failf("dictionary code %d out of range", c.codes16[i])
 				}
 			}
 		default:
-			return c, fmt.Errorf("colstore: unsupported dictionary code width %d", width)
+			r.Failf("dictionary code width %d for cardinality %d", width, card)
 		}
 	case colRLE:
-		runs, err := lr.u32()
-		if err != nil {
-			return c, err
+		runs := r.Count(uint64(r.U32()), 12)
+		if r.Err() == nil && (runs == 0 || runs > rows) {
+			r.Failf("%d runs for %d rows", runs, rows)
 		}
-		if runs == 0 || int(runs) > rows {
-			return c, fmt.Errorf("colstore: %d runs for %d rows", runs, rows)
-		}
-		if c.runVals, err = lr.f64s(int(runs)); err != nil {
-			return c, err
-		}
-		if c.runLens, err = lr.u32s(int(runs)); err != nil {
-			return c, err
-		}
+		c.runVals = readF64s(r, runs)
+		c.runLens = make([]uint32, runs)
 		var total int64
-		for _, l := range c.runLens {
-			total += int64(l)
+		for i := range c.runLens {
+			c.runLens[i] = r.U32()
+			total += int64(c.runLens[i])
 		}
-		if total != int64(rows) {
-			return c, fmt.Errorf("colstore: run lengths sum to %d, want %d rows", total, rows)
+		if r.Err() == nil && total != int64(rows) {
+			r.Failf("run lengths sum to %d, want %d rows", total, rows)
 		}
 	case colRaw, colFOR:
-		head, err := lr.u64()
-		if err != nil {
-			return c, err
+		head := r.U64()
+		if c.width = r.U8(); c.kind == colFOR && c.width > 32 || c.width > 57 && c.width != 64 {
+			r.Failf("%v bit width %d out of range", c.kind, c.width)
 		}
-		if c.width, err = lr.u8(); err != nil {
-			return c, err
-		}
-		if c.kind == colFOR && c.width > 32 || c.width > 57 && c.width != 64 {
-			return c, fmt.Errorf("colstore: %v bit width %d out of range", c.kind, c.width)
-		}
-		b, err := lr.fill(int(packedPayload(rows, c.width) - 9))
-		if err != nil {
-			return c, err
+		b := r.Next(int(packedPayload(rows, c.width) - 9))
+		if r.Err() != nil {
+			break
 		}
 		c.packed = make([]byte, len(b)+8) // unpack's padding
 		copy(c.packed, b)
@@ -393,102 +172,59 @@ func decodeColumnPayload(lr *leReader, rows int) (column, error) {
 			c.pieces = c.ascendingPieces()
 		}
 	default:
-		return c, fmt.Errorf("colstore: unknown column encoding %d", kind)
+		r.Failf("unknown column encoding %d", c.kind)
 	}
-	return c, nil
+	return c
+}
+
+func readF64s(r *binfmt.Reader, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.F64()
+	}
+	return out
 }
 
 // Decode reads a table in the PAWC v3 binary format.
-func Decode(r io.Reader) (*Table, error) {
-	lr := &leReader{br: bufio.NewReader(r)}
-	magic, err := lr.u32()
-	if err != nil {
-		return nil, fmt.Errorf("colstore: reading magic: %w", err)
-	}
-	if magic != colMagic {
-		return nil, fmt.Errorf("colstore: bad magic %#x", magic)
-	}
-	version, err := lr.u16()
+func Decode(in io.Reader) (*Table, error) {
+	data, err := binfmt.ReadAll(in)
 	if err != nil {
 		return nil, err
 	}
-	if version != colVersion {
-		return nil, fmt.Errorf("colstore: unsupported version %d", version)
+	r := binfmt.NewReader("colstore", data)
+	r.Header(colMagic, colVersion)
+	dims := r.Count(uint64(r.U16()), 2)
+	if r.Err() == nil && dims == 0 {
+		r.Failf("zero columns")
 	}
-	dims, err := lr.u16()
-	if err != nil {
-		return nil, err
-	}
-	if dims == 0 {
-		return nil, fmt.Errorf("colstore: zero columns")
-	}
-	groups, err := lr.u32()
-	if err != nil {
-		return nil, err
-	}
+	groups := r.U32()
 	t := &Table{names: make([]string, dims)}
 	for i := range t.names {
-		n, err := lr.u16()
-		if err != nil {
-			return nil, err
-		}
-		b, err := lr.fill(int(n))
-		if err != nil {
-			return nil, err
-		}
-		t.names[i] = string(b)
+		t.names[i] = r.String16()
 	}
-	nq, err := lr.u32()
-	if err != nil {
-		return nil, err
+	if nq := r.U32(); nq != 0 {
+		r.Failf("%d zone queries: zone maps are not supported", nq)
 	}
-	if nq != 0 {
-		return nil, fmt.Errorf("colstore: %d zone queries: zone maps are not supported", nq)
-	}
-	for gi := uint32(0); gi < groups; gi++ {
-		rows, err := lr.u32()
-		if err != nil {
-			return nil, err
-		}
-		if rows == 0 || rows > maxDecodeRows {
-			return nil, fmt.Errorf("colstore: group %d row count %d out of range", gi, rows)
+	for gi := uint32(0); gi < groups && r.Err() == nil; gi++ {
+		rows := int(r.U32())
+		if r.Err() == nil && (rows == 0 || rows > maxDecodeRows) {
+			r.Failf("group %d row count %d out of range", gi, rows)
 		}
 		cols := make([]column, dims)
 		for d := range cols {
-			if cols[d], err = decodeColumnPayload(lr, int(rows)); err != nil {
-				return nil, fmt.Errorf("colstore: group %d col %d: %w", gi, d, err)
-			}
+			cols[d] = readColumn(r, rows)
 		}
-		stats, err := decodeStats(lr, int(dims))
-		if err != nil {
-			return nil, err
+		stats := sma.Aggregates{Count: r.I64(), Min: make([]float64, dims), Max: make([]float64, dims), Sum: make([]float64, dims)}
+		for d := 0; d < dims; d++ {
+			stats.Min[d], stats.Max[d], stats.Sum[d] = r.F64(), r.F64(), r.F64()
 		}
-		t.rows += int(rows)
-		t.groups = append(t.groups, newRowGroup(cols, int(rows), stats))
+		if r.Err() == nil {
+			t.rows += rows
+			t.groups = append(t.groups, newRowGroup(cols, rows, stats))
+		}
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return t, nil
-}
-
-func decodeStats(lr *leReader, dims int) (sma.Aggregates, error) {
-	st := sma.Aggregates{
-		Min: make([]float64, dims),
-		Max: make([]float64, dims),
-		Sum: make([]float64, dims),
-	}
-	var err error
-	if st.Count, err = lr.i64(); err != nil {
-		return st, err
-	}
-	for d := 0; d < dims; d++ {
-		if st.Min[d], err = lr.f64(); err != nil {
-			return st, err
-		}
-		if st.Max[d], err = lr.f64(); err != nil {
-			return st, err
-		}
-		if st.Sum[d], err = lr.f64(); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
 }

@@ -1,13 +1,15 @@
 package dataset
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strings"
+
+	"paw/internal/binfmt"
 )
 
 // Binary format:
@@ -23,69 +25,50 @@ const (
 	fileVersion = 1
 )
 
-// WriteTo serialises the dataset to w in the PAWD binary format.
+// WriteTo serialises the dataset to w in the PAWD binary format, 64 KiB at a
+// time.
 func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(fileMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint16(fileVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint16(d.Dims())); err != nil {
-		return n, err
-	}
-	if err := write(uint64(d.rows)); err != nil {
-		return n, err
-	}
+	buf := binfmt.AppendHeader(nil, fileMagic, fileVersion)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(d.Dims()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.rows))
 	for _, name := range d.names {
 		if len(name) > math.MaxUint16 {
-			return n, fmt.Errorf("dataset: column name too long: %d bytes", len(name))
+			return 0, fmt.Errorf("dataset: column name too long: %d bytes", len(name))
 		}
-		if err := write(uint16(len(name))); err != nil {
-			return n, err
-		}
-		m, err := bw.WriteString(name)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
+		buf = binfmt.AppendString16(buf, name)
 	}
-	buf := make([]byte, 8)
+	var n int64
+	flush := func() error {
+		m, err := w.Write(buf)
+		n += int64(m)
+		buf = buf[:0]
+		return err
+	}
 	for _, col := range d.cols {
 		for _, v := range col {
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			m, err := bw.Write(buf)
-			n += int64(m)
-			if err != nil {
-				return n, err
+			if len(buf) >= 1<<16 {
+				if err := flush(); err != nil {
+					return n, err
+				}
 			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	return n, bw.Flush()
+	return n, flush()
 }
 
 // ReadFile reads a dataset file: CSV (ReadCSV) when the name ends in .csv,
 // PAWD (Read) otherwise.
 func ReadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	var d *Dataset
 	if strings.HasSuffix(path, ".csv") {
-		d, err = ReadCSV(f)
+		d, err = ReadCSV(bytes.NewReader(data))
 	} else {
-		d, err = Read(f)
+		d, err = decode(data)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
@@ -94,55 +77,38 @@ func ReadFile(path string) (*Dataset, error) {
 }
 
 // Read deserialises a dataset from the PAWD binary format.
-func Read(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("dataset: reading magic: %w", err)
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("dataset: bad magic %#x", magic)
-	}
-	var version, dims uint16
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+func Read(in io.Reader) (*Dataset, error) {
+	data, err := binfmt.ReadAll(in)
+	if err != nil {
 		return nil, err
 	}
-	if version != fileVersion {
-		return nil, fmt.Errorf("dataset: unsupported version %d", version)
+	return decode(data)
+}
+
+// decode parses a whole PAWD file. The row count is refused unless the file
+// holds every value it claims, so a hostile header cannot drive the column
+// allocations.
+func decode(data []byte) (*Dataset, error) {
+	r := binfmt.NewReader("dataset", data)
+	r.Header(fileMagic, fileVersion)
+	dims := r.Count(uint64(r.U16()), 2)
+	if r.Err() == nil && dims == 0 {
+		r.Failf("zero dimensions")
 	}
-	if err := binary.Read(br, binary.LittleEndian, &dims); err != nil {
-		return nil, err
-	}
-	if dims == 0 {
-		return nil, fmt.Errorf("dataset: zero dimensions")
-	}
-	var rows uint64
-	if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-		return nil, err
-	}
+	rows := r.U64()
 	names := make([]string, dims)
 	for i := range names {
-		var nameLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return nil, err
-		}
-		b := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		names[i] = string(b)
+		names[i] = r.String16()
+	}
+	if r.Count(rows, 8*max(dims, 1)); r.Err() != nil {
+		return nil, r.Err()
 	}
 	cols := make([][]float64, dims)
-	buf := make([]byte, 8)
 	for i := range cols {
-		col := make([]float64, rows)
-		for j := range col {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, fmt.Errorf("dataset: reading column %d row %d: %w", i, j, err)
-			}
-			col[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		cols[i] = make([]float64, rows)
+		for j := range cols[i] {
+			cols[i][j] = r.F64()
 		}
-		cols[i] = col
 	}
 	return New(names, cols)
 }

@@ -2,10 +2,8 @@ package dist
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 
-	"paw/internal/geom"
+	"paw/internal/binfmt"
 	"paw/internal/layout"
 	"paw/internal/trace"
 )
@@ -40,119 +38,24 @@ const (
 	ErrCodeOverloaded = 1
 )
 
-// appendString appends a uint32-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// appendBox appends a query box: uint16 dims then lo and hi coordinates.
-func appendBox(buf []byte, b geom.Box) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Lo)))
-	for _, v := range b.Lo {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range b.Hi {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// appendIDs appends a partition-ID list: uint32 count, then one int64 each.
+func appendIDs(buf []byte, ids []layout.ID) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(id)))
 	}
 	return buf
 }
 
-// reader is a bounds-checked little-endian cursor over one frame payload.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated message (offset %d of %d)", r.off, len(r.buf))
-	}
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) box() geom.Box {
-	d := int(r.u16())
-	if r.err != nil || r.off+16*d > len(r.buf) {
-		r.fail()
-		return geom.Box{}
-	}
-	b := geom.Box{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
-	for i := 0; i < d; i++ {
-		b.Lo[i] = r.f64()
-	}
-	for i := 0; i < d; i++ {
-		b.Hi[i] = r.f64()
-	}
-	return b
-}
-
-func (r *reader) ids() []layout.ID {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+8*n > len(r.buf) {
-		r.fail()
-		return nil
-	}
+// readIDs reads a list appended by appendIDs.
+func readIDs(r *binfmt.Reader) []layout.ID {
+	n := r.Count(uint64(r.U32()), 8)
 	if n == 0 {
 		return nil
 	}
 	out := make([]layout.ID, n)
 	for i := range out {
-		out[i] = layout.ID(r.i64())
+		out[i] = layout.ID(r.I64())
 	}
 	return out
 }
@@ -166,7 +69,7 @@ func appendSpans(buf []byte, spans []trace.Span) []byte {
 		sp := &spans[i]
 		buf = binary.LittleEndian.AppendUint32(buf, sp.ID)
 		buf = binary.LittleEndian.AppendUint32(buf, sp.Parent)
-		buf = appendString(buf, sp.Name)
+		buf = binfmt.AppendString32(buf, sp.Name)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sp.Start))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sp.Dur))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sp.Attrs)))
@@ -178,41 +81,31 @@ func appendSpans(buf []byte, spans []trace.Span) []byte {
 	return buf
 }
 
-// spans decodes a trace-span list appended by appendSpans.
-func (r *reader) spans() []trace.Span {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
-		// Each span costs ≥ 26 bytes; the count bound rejects hostile
-		// lengths before allocating.
-		r.fail()
-		return nil
-	}
+// readSpans decodes a trace-span list appended by appendSpans. Each span
+// costs at least 26 bytes and each attr 9, which bounds both counts before
+// anything is allocated for them.
+func readSpans(r *binfmt.Reader) []trace.Span {
+	n := r.Count(uint64(r.U32()), 26)
 	if n == 0 {
 		return nil
 	}
-	out := make([]trace.Span, 0, n)
-	for i := 0; i < n; i++ {
-		var sp trace.Span
-		sp.ID = r.u32()
-		sp.Parent = r.u32()
-		sp.Name = r.str()
-		sp.Start = r.i64()
-		sp.Dur = r.i64()
-		na := int(r.u16())
-		if r.err != nil || na*9 > len(r.buf)-r.off {
-			r.fail()
-			return nil
-		}
-		if na > 0 {
+	out := make([]trace.Span, n)
+	for i := range out {
+		sp := &out[i]
+		sp.ID = r.U32()
+		sp.Parent = r.U32()
+		sp.Name = r.String32()
+		sp.Start = r.I64()
+		sp.Dur = r.I64()
+		if na := r.Count(uint64(r.U16()), 9); na > 0 {
 			sp.Attrs = make([]trace.Attr, na)
 			for j := range sp.Attrs {
-				sp.Attrs[j].K = trace.Key(r.u8())
-				sp.Attrs[j].V = r.i64()
+				sp.Attrs[j].K = trace.Key(r.U8())
+				sp.Attrs[j].V = r.I64()
 			}
 		}
-		out = append(out, sp)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return out
@@ -220,11 +113,8 @@ func (r *reader) spans() []trace.Span {
 
 // AppendWire encodes the request for the frame protocol.
 func (q *ScanRequest) AppendWire(buf []byte) []byte {
-	buf = appendBox(buf, q.Query)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.IDs)))
-	for _, id := range q.IDs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(id)))
-	}
+	buf = binfmt.AppendBox(buf, q.Query)
+	buf = appendIDs(buf, q.IDs)
 	buf = binary.LittleEndian.AppendUint64(buf, q.Seq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(q.Deadline))
 	buf = binary.LittleEndian.AppendUint64(buf, q.Epoch)
@@ -234,14 +124,14 @@ func (q *ScanRequest) AppendWire(buf []byte) []byte {
 
 // UnmarshalWire decodes an encoded ScanRequest.
 func (q *ScanRequest) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	q.Query = r.box()
-	q.IDs = r.ids()
-	q.Seq = r.u64()
-	q.Deadline = r.i64()
-	q.Epoch = r.u64()
-	q.TraceID = r.u64()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	q.Query = r.Box()
+	q.IDs = readIDs(r)
+	q.Seq = r.U64()
+	q.Deadline = r.I64()
+	q.Epoch = r.U64()
+	q.TraceID = r.U64()
+	return r.Err()
 }
 
 // AppendWire encodes the admin request for the frame protocol.
@@ -251,8 +141,7 @@ func (q *AdminRequest) AppendWire(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(q.ID)))
 	buf = binary.LittleEndian.AppendUint64(buf, q.ReuseEpoch)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(q.ReuseID)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.Payload)))
-	buf = append(buf, q.Payload...)
+	buf = binfmt.AppendBytes32(buf, q.Payload)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(q.Rows))
 	buf = binary.LittleEndian.AppendUint64(buf, q.Seq)
 	return buf
@@ -260,68 +149,52 @@ func (q *AdminRequest) AppendWire(buf []byte) []byte {
 
 // UnmarshalWire decodes an encoded AdminRequest.
 func (q *AdminRequest) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	q.Op = int(r.u8())
-	q.Epoch = r.u64()
-	q.ID = layout.ID(r.i64())
-	q.ReuseEpoch = r.u64()
-	q.ReuseID = layout.ID(r.i64())
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return r.err
-	}
-	q.Payload = append([]byte(nil), r.buf[r.off:r.off+n]...)
-	r.off += n
-	q.Rows = r.i64()
-	q.Seq = r.u64()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	q.Op = int(r.U8())
+	q.Epoch = r.U64()
+	q.ID = layout.ID(r.I64())
+	q.ReuseEpoch = r.U64()
+	q.ReuseID = layout.ID(r.I64())
+	q.Payload = r.Bytes32()
+	q.Rows = r.I64()
+	q.Seq = r.U64()
+	return r.Err()
 }
 
 // AppendWire encodes the admin response for the frame protocol.
 func (s *AdminResponse) AppendWire(buf []byte) []byte {
-	buf = appendString(buf, s.Err)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Payload)))
-	buf = append(buf, s.Payload...)
+	buf = binfmt.AppendString32(buf, s.Err)
+	buf = binfmt.AppendBytes32(buf, s.Payload)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Rows))
 	return buf
 }
 
 // UnmarshalWire decodes an encoded AdminResponse.
 func (s *AdminResponse) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	s.Err = r.str()
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return r.err
-	}
-	s.Payload = nil
-	if n > 0 {
-		s.Payload = append([]byte(nil), r.buf[r.off:r.off+n]...)
-	}
-	r.off += n
-	s.Rows = r.i64()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	s.Err = r.String32()
+	s.Payload = r.Bytes32()
+	s.Rows = r.I64()
+	return r.Err()
 }
 
 // AppendWire encodes the membership request for the frame protocol.
 func (q *MemberRequest) AppendWire(buf []byte) []byte {
 	buf = append(buf, byte(q.Op))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(q.Index)))
-	buf = appendString(buf, q.Addr)
+	buf = binfmt.AppendString32(buf, q.Addr)
 	buf = binary.LittleEndian.AppendUint64(buf, q.Sum)
 	return buf
 }
 
 // UnmarshalWire decodes an encoded MemberRequest.
 func (q *MemberRequest) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	q.Op = int(r.u8())
-	q.Index = int(r.i64())
-	q.Addr = r.str()
-	q.Sum = r.u64()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	q.Op = int(r.U8())
+	q.Index = int(r.I64())
+	q.Addr = r.String32()
+	q.Sum = r.U64()
+	return r.Err()
 }
 
 // AppendWire encodes the membership response for the frame protocol.
@@ -329,17 +202,17 @@ func (s *MemberResponse) AppendWire(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.Index)))
 	buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Version)
-	return appendString(buf, s.Err)
+	return binfmt.AppendString32(buf, s.Err)
 }
 
 // UnmarshalWire decodes an encoded MemberResponse.
 func (s *MemberResponse) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	s.Index = int(r.i64())
-	s.Epoch = r.u64()
-	s.Version = r.u64()
-	s.Err = r.str()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	s.Index = int(r.I64())
+	s.Epoch = r.U64()
+	s.Version = r.U64()
+	s.Err = r.String32()
+	return r.Err()
 }
 
 // AppendWire encodes the response for the frame protocol.
@@ -349,7 +222,7 @@ func (s *ScanResponse) AppendWire(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.BytesSkipped))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.GroupsRead)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.GroupsSkipped)))
-	buf = appendString(buf, s.Err)
+	buf = binfmt.AppendString32(buf, s.Err)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.FailedPartition))
 	buf = appendSpans(buf, s.Spans)
 	return buf
@@ -357,21 +230,21 @@ func (s *ScanResponse) AppendWire(buf []byte) []byte {
 
 // UnmarshalWire decodes an encoded ScanResponse.
 func (s *ScanResponse) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	s.Rows = int(r.i64())
-	s.BytesRead = r.i64()
-	s.BytesSkipped = r.i64()
-	s.GroupsRead = int(r.i64())
-	s.GroupsSkipped = int(r.i64())
-	s.Err = r.str()
-	s.FailedPartition = r.i64()
-	s.Spans = r.spans()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	s.Rows = int(r.I64())
+	s.BytesRead = r.I64()
+	s.BytesSkipped = r.I64()
+	s.GroupsRead = int(r.I64())
+	s.GroupsSkipped = int(r.I64())
+	s.Err = r.String32()
+	s.FailedPartition = r.I64()
+	s.Spans = readSpans(r)
+	return r.Err()
 }
 
 // AppendWire encodes the request for the frame protocol.
 func (q *QueryRequest) AppendWire(buf []byte) []byte {
-	buf = appendString(buf, q.SQL)
+	buf = binfmt.AppendString32(buf, q.SQL)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(q.TimeoutMillis))
 	var flags byte
 	if q.AllowPartial {
@@ -385,13 +258,13 @@ func (q *QueryRequest) AppendWire(buf []byte) []byte {
 
 // UnmarshalWire decodes an encoded QueryRequest.
 func (q *QueryRequest) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	q.SQL = r.str()
-	q.TimeoutMillis = r.i64()
-	flags := r.u8()
+	r := binfmt.NewReader("dist", data)
+	q.SQL = r.String32()
+	q.TimeoutMillis = r.I64()
+	flags := r.U8()
 	q.AllowPartial = flags&1 != 0
 	q.Trace = flags&2 != 0
-	return r.err
+	return r.Err()
 }
 
 // AppendWire encodes the response for the frame protocol.
@@ -401,17 +274,14 @@ func (q *QueryResponse) AppendWire(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(q.BytesSkipped))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(q.PartitionsScanned)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(q.SubQueries)))
-	buf = appendString(buf, q.Err)
+	buf = binfmt.AppendString32(buf, q.Err)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.ErrCode))
 	var flags byte
 	if q.Partial {
 		flags |= 1
 	}
 	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.FailedPartitions)))
-	for _, id := range q.FailedPartitions {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(id)))
-	}
+	buf = appendIDs(buf, q.FailedPartitions)
 	buf = binary.LittleEndian.AppendUint64(buf, q.TraceID)
 	buf = appendSpans(buf, q.Spans)
 	return buf
@@ -419,17 +289,17 @@ func (q *QueryResponse) AppendWire(buf []byte) []byte {
 
 // UnmarshalWire decodes an encoded QueryResponse.
 func (q *QueryResponse) UnmarshalWire(data []byte) error {
-	r := reader{buf: data}
-	q.Rows = int(r.i64())
-	q.BytesScanned = r.i64()
-	q.BytesSkipped = r.i64()
-	q.PartitionsScanned = int(r.i64())
-	q.SubQueries = int(r.i64())
-	q.Err = r.str()
-	q.ErrCode = int(r.u32())
-	q.Partial = r.u8()&1 != 0
-	q.FailedPartitions = r.ids()
-	q.TraceID = r.u64()
-	q.Spans = r.spans()
-	return r.err
+	r := binfmt.NewReader("dist", data)
+	q.Rows = int(r.I64())
+	q.BytesScanned = r.I64()
+	q.BytesSkipped = r.I64()
+	q.PartitionsScanned = int(r.I64())
+	q.SubQueries = int(r.I64())
+	q.Err = r.String32()
+	q.ErrCode = int(r.U32())
+	q.Partial = r.U8()&1 != 0
+	q.FailedPartitions = readIDs(r)
+	q.TraceID = r.U64()
+	q.Spans = readSpans(r)
+	return r.Err()
 }

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"paw/internal/binfmt"
 	"paw/internal/blockstore"
 	"paw/internal/colstore"
 	"paw/internal/geom"
@@ -303,7 +303,7 @@ func (w *Worker) scanPartition(sc *colstore.Scanner, epoch uint64, id layout.ID,
 // trace exists for. Sampling keeps traced requests rare, so the split costs
 // the sharing window nearly nothing.
 func batchKey(req ScanRequest) string {
-	b := make([]byte, 0, 9+8*len(req.IDs)+16*len(req.Query.Lo))
+	b := make([]byte, 0, 11+8*len(req.IDs)+16*len(req.Query.Lo))
 	if req.TraceID != 0 {
 		b = append(b, 1)
 	} else {
@@ -313,13 +313,7 @@ func batchKey(req ScanRequest) string {
 	for _, id := range req.IDs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(id)))
 	}
-	for _, v := range req.Query.Lo {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	for _, v := range req.Query.Hi {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return string(b)
+	return string(binfmt.AppendBox(b, req.Query))
 }
 
 // handle executes one scan batch, coalescing onto an identical batch while it

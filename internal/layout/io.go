@@ -1,12 +1,12 @@
 package layout
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"paw/internal/binfmt"
 	"paw/internal/geom"
 )
 
@@ -35,153 +35,72 @@ const (
 
 // Encode serialises the layout.
 func (l *Layout) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	write := func(v any) error { return binary.Write(bw, le, v) }
-	if err := write(uint32(layoutMagic)); err != nil {
-		return err
-	}
-	if err := write(uint16(layoutVersion)); err != nil {
-		return err
-	}
 	if len(l.Method) > math.MaxUint16 {
 		return fmt.Errorf("layout: method name too long")
 	}
-	if err := write(uint16(len(l.Method))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(l.Method); err != nil {
-		return err
-	}
+	buf := binfmt.AppendHeader(nil, layoutMagic, layoutVersion)
+	buf = binfmt.AppendString16(buf, l.Method)
 	for _, v := range []int64{l.RowBytes, l.TotalBytes, l.Unrouted} {
-		if err := write(v); err != nil {
-			return err
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	if err := writeNode(bw, l.Root); err != nil {
+	buf, err := appendNode(buf, l.Root)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
 }
 
-func writeBox(w io.Writer, b geom.Box) error {
-	le := binary.LittleEndian
-	if err := binary.Write(w, le, uint16(b.Dims())); err != nil {
-		return err
-	}
-	for _, v := range b.Lo {
-		if err := binary.Write(w, le, v); err != nil {
-			return err
-		}
-	}
-	for _, v := range b.Hi {
-		if err := binary.Write(w, le, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeNode(w io.Writer, n *Node) error {
-	le := binary.LittleEndian
+func appendNode(buf []byte, n *Node) ([]byte, error) {
 	switch d := n.Desc.(type) {
 	case Rect:
-		if err := binary.Write(w, le, uint8(0)); err != nil {
-			return err
-		}
-		if err := writeBox(w, d.Box); err != nil {
-			return err
-		}
+		buf = binfmt.AppendBox(append(buf, 0), d.Box)
 	case Irregular:
-		if err := binary.Write(w, le, uint8(1)); err != nil {
-			return err
-		}
-		if err := writeBox(w, d.Outer); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, uint32(len(d.Holes))); err != nil {
-			return err
-		}
-		for _, h := range d.Holes {
-			if err := writeBox(w, h); err != nil {
-				return err
-			}
-		}
+		buf = binfmt.AppendBox(append(buf, 1), d.Outer)
+		buf = appendBoxes(buf, d.Holes)
 	default:
-		return fmt.Errorf("layout: cannot serialise descriptor %T", n.Desc)
-	}
-	isLeaf := uint8(0)
-	if n.IsLeaf() {
-		isLeaf = 1
-	}
-	if err := binary.Write(w, le, isLeaf); err != nil {
-		return err
+		return nil, fmt.Errorf("layout: cannot serialise descriptor %T", n.Desc)
 	}
 	if n.IsLeaf() {
-		if err := binary.Write(w, le, int64(n.Part.ID)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, n.Part.FullRows); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, uint32(len(n.Part.Precise))); err != nil {
-			return err
-		}
-		for _, b := range n.Part.Precise {
-			if err := writeBox(w, b); err != nil {
-				return err
-			}
-		}
+		buf = append(buf, 1)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n.Part.ID))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n.Part.FullRows))
+		buf = appendBoxes(buf, n.Part.Precise)
+	} else {
+		buf = append(buf, 0)
 	}
-	if err := binary.Write(w, le, uint32(len(n.Children))); err != nil {
-		return err
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.Children)))
 	for _, c := range n.Children {
-		if err := writeNode(w, c); err != nil {
-			return err
+		var err error
+		if buf, err = appendNode(buf, c); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return buf, nil
+}
+
+func appendBoxes(buf []byte, boxes []geom.Box) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(boxes)))
+	for _, b := range boxes {
+		buf = binfmt.AppendBox(buf, b)
+	}
+	return buf
 }
 
 // Decode deserialises a layout written by Encode. The result is fully
 // routable and costable; sample rows are absent.
-func Decode(r io.Reader) (*Layout, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
-	var magic uint32
-	if err := binary.Read(br, le, &magic); err != nil {
-		return nil, fmt.Errorf("layout: reading magic: %w", err)
-	}
-	if magic != layoutMagic {
-		return nil, fmt.Errorf("layout: bad magic %#x", magic)
-	}
-	var version uint16
-	if err := binary.Read(br, le, &version); err != nil {
-		return nil, err
-	}
-	if version != layoutVersion {
-		return nil, fmt.Errorf("layout: unsupported version %d", version)
-	}
-	var mlen uint16
-	if err := binary.Read(br, le, &mlen); err != nil {
-		return nil, err
-	}
-	mb := make([]byte, mlen)
-	if _, err := io.ReadFull(br, mb); err != nil {
-		return nil, err
-	}
-	l := &Layout{Method: string(mb)}
-	for _, p := range []*int64{&l.RowBytes, &l.TotalBytes, &l.Unrouted} {
-		if err := binary.Read(br, le, p); err != nil {
-			return nil, err
-		}
-	}
-	root, err := readNode(br, l)
+func Decode(in io.Reader) (*Layout, error) {
+	data, err := binfmt.ReadAll(in)
 	if err != nil {
 		return nil, err
 	}
-	l.Root = root
+	r := binfmt.NewReader("layout", data)
+	r.Header(layoutMagic, layoutVersion)
+	l := &Layout{Method: r.String16(), RowBytes: r.I64(), TotalBytes: r.I64(), Unrouted: r.I64()}
+	l.Root = readNode(r, l)
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
 	// Parts were appended in pre-order; verify the stored IDs agree so
 	// PartitionsFor indexing stays valid.
 	for i, p := range l.Parts {
@@ -196,115 +115,59 @@ func Decode(r io.Reader) (*Layout, error) {
 	return l, nil
 }
 
-func readBox(r io.Reader) (geom.Box, error) {
-	le := binary.LittleEndian
-	var dims uint16
-	if err := binary.Read(r, le, &dims); err != nil {
-		return geom.Box{}, err
+// readBox reads one box, refusing a dimensionality no layout has.
+func readBox(r *binfmt.Reader) geom.Box {
+	b := r.Box()
+	if r.Err() == nil && (b.Dims() == 0 || b.Dims() > 1024) {
+		r.Failf("implausible box dimensionality %d", b.Dims())
 	}
-	if dims == 0 || dims > 1024 {
-		return geom.Box{}, fmt.Errorf("layout: implausible box dimensionality %d", dims)
-	}
-	lo := make(geom.Point, dims)
-	hi := make(geom.Point, dims)
-	for i := range lo {
-		if err := binary.Read(r, le, &lo[i]); err != nil {
-			return geom.Box{}, err
-		}
-	}
-	for i := range hi {
-		if err := binary.Read(r, le, &hi[i]); err != nil {
-			return geom.Box{}, err
-		}
-	}
-	return geom.Box{Lo: lo, Hi: hi}, nil
+	return b
 }
 
-func readNode(r io.Reader, l *Layout) (*Node, error) {
-	le := binary.LittleEndian
-	var tag uint8
-	if err := binary.Read(r, le, &tag); err != nil {
-		return nil, err
+// readBoxes reads a uint32-counted box list; each box costs at least 18
+// bytes.
+func readBoxes(r *binfmt.Reader) []geom.Box {
+	n := r.Count(uint64(r.U32()), 18)
+	if n == 0 {
+		return nil
 	}
-	var desc Descriptor
-	switch tag {
-	case 0:
-		b, err := readBox(r)
-		if err != nil {
-			return nil, err
+	boxes := make([]geom.Box, n)
+	for i := range boxes {
+		boxes[i] = readBox(r)
+	}
+	return boxes
+}
+
+// readNode reads a node and its subtree, appending its leaves to l.Parts.
+// Each node costs at least 24 bytes, which bounds the child count.
+func readNode(r *binfmt.Reader, l *Layout) *Node {
+	node := &Node{}
+	switch tag := r.U8(); {
+	case r.Err() != nil:
+		return nil
+	case tag == 0:
+		node.Desc = Rect{Box: readBox(r)}
+	case tag == 1:
+		outer, holes := readBox(r), readBoxes(r)
+		if r.Err() != nil {
+			return nil
 		}
-		desc = Rect{Box: b}
-	case 1:
-		outer, err := readBox(r)
-		if err != nil {
-			return nil, err
-		}
-		var nh uint32
-		if err := binary.Read(r, le, &nh); err != nil {
-			return nil, err
-		}
-		if nh > 1<<20 {
-			return nil, fmt.Errorf("layout: implausible hole count %d", nh)
-		}
-		holes := make([]geom.Box, nh)
-		for i := range holes {
-			if holes[i], err = readBox(r); err != nil {
-				return nil, err
-			}
-		}
-		desc = NewIrregular(outer, holes)
+		node.Desc = NewIrregular(outer, holes)
 	default:
-		return nil, fmt.Errorf("layout: unknown descriptor tag %d", tag)
+		r.Failf("unknown descriptor tag %d", tag)
+		return nil
 	}
-	var isLeaf uint8
-	if err := binary.Read(r, le, &isLeaf); err != nil {
-		return nil, err
-	}
-	node := &Node{Desc: desc}
-	if isLeaf == 1 {
-		var id, fullRows int64
-		if err := binary.Read(r, le, &id); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, le, &fullRows); err != nil {
-			return nil, err
-		}
-		var np uint32
-		if err := binary.Read(r, le, &np); err != nil {
-			return nil, err
-		}
-		if np > 1<<20 {
-			return nil, fmt.Errorf("layout: implausible precise-MBR count %d", np)
-		}
-		precise := make([]geom.Box, np)
-		for i := range precise {
-			var err error
-			if precise[i], err = readBox(r); err != nil {
-				return nil, err
-			}
-		}
-		node.Part = &Partition{ID: ID(id), Desc: desc, FullRows: fullRows, Precise: precise}
-		if np == 0 {
-			node.Part.Precise = nil
-		}
+	isLeaf := r.U8() == 1
+	if isLeaf {
+		node.Part = &Partition{ID: ID(r.I64()), Desc: node.Desc, FullRows: r.I64(), Precise: readBoxes(r)}
 		l.Parts = append(l.Parts, node.Part)
 	}
-	var nc uint32
-	if err := binary.Read(r, le, &nc); err != nil {
-		return nil, err
+	nc := r.Count(uint64(r.U32()), 24)
+	if isLeaf && nc > 0 {
+		r.Failf("leaf with %d children", nc)
 	}
-	if nc > 1<<20 {
-		return nil, fmt.Errorf("layout: implausible child count %d", nc)
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		node.Children = append(node.Children, readNode(r, l))
 	}
-	if isLeaf == 1 && nc > 0 {
-		return nil, fmt.Errorf("layout: leaf with %d children", nc)
-	}
-	for i := uint32(0); i < nc; i++ {
-		c, err := readNode(r, l)
-		if err != nil {
-			return nil, err
-		}
-		node.Children = append(node.Children, c)
-	}
-	return node, nil
+	return node
 }

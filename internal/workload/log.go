@@ -1,12 +1,12 @@
 package workload
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 
+	"paw/internal/binfmt"
 	"paw/internal/geom"
 )
 
@@ -58,93 +58,41 @@ const (
 func (l *Log) Encode(w io.Writer) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	write := func(v any) error { return binary.Write(bw, le, v) }
-	if err := write(uint32(logMagic)); err != nil {
-		return err
-	}
-	if err := write(uint16(logVersion)); err != nil {
-		return err
-	}
 	dims := 0
 	if len(l.entries) > 0 {
 		dims = l.entries[0].Box.Dims()
 	}
-	if err := write(uint16(dims)); err != nil {
-		return err
-	}
-	if err := write(uint64(len(l.entries))); err != nil {
-		return err
-	}
+	buf := binfmt.AppendHeader(nil, logMagic, logVersion)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(dims))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(l.entries)))
 	for _, q := range l.entries {
 		if q.Box.Dims() != dims {
 			return fmt.Errorf("workload: mixed dimensionality in log (%d vs %d)", q.Box.Dims(), dims)
 		}
-		if err := write(q.Seq); err != nil {
-			return err
-		}
-		for _, v := range q.Box.Lo {
-			if err := write(v); err != nil {
-				return err
-			}
-		}
-		for _, v := range q.Box.Hi {
-			if err := write(v); err != nil {
-				return err
-			}
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(q.Seq))
+		buf = binfmt.AppendCorners(buf, q.Box)
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // DecodeLog reads a log serialised by Encode.
-func DecodeLog(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
-	var magic uint32
-	if err := binary.Read(br, le, &magic); err != nil {
-		return nil, fmt.Errorf("workload: reading log magic: %w", err)
-	}
-	if magic != logMagic {
-		return nil, fmt.Errorf("workload: bad log magic %#x", magic)
-	}
-	var version, dims uint16
-	if err := binary.Read(br, le, &version); err != nil {
+func DecodeLog(in io.Reader) (*Log, error) {
+	data, err := binfmt.ReadAll(in)
+	if err != nil {
 		return nil, err
 	}
-	if version != logVersion {
-		return nil, fmt.Errorf("workload: unsupported log version %d", version)
-	}
-	if err := binary.Read(br, le, &dims); err != nil {
-		return nil, err
-	}
-	var count uint64
-	if err := binary.Read(br, le, &count); err != nil {
-		return nil, err
-	}
+	r := binfmt.NewReader("workload", data)
+	r.Header(logMagic, logVersion)
+	dims := int(r.U16())
 	out := &Log{}
-	for i := uint64(0); i < count; i++ {
-		var seq int64
-		if err := binary.Read(br, le, &seq); err != nil {
-			return nil, fmt.Errorf("workload: log entry %d: %w", i, err)
-		}
-		lo := make(geom.Point, dims)
-		hi := make(geom.Point, dims)
-		for d := range lo {
-			if err := binary.Read(br, le, &lo[d]); err != nil {
-				return nil, err
-			}
-		}
-		for d := range hi {
-			if err := binary.Read(br, le, &hi[d]); err != nil {
-				return nil, err
-			}
-		}
-		out.entries = append(out.entries, Query{Box: geom.Box{Lo: lo, Hi: hi}, Seq: seq})
-		if seq >= out.nextSeq {
-			out.nextSeq = seq + 1
-		}
+	for i := r.Count(r.U64(), 8+16*dims); i > 0; i-- {
+		q := Query{Seq: r.I64(), Box: r.Corners(dims)}
+		out.entries = append(out.entries, q)
+		out.nextSeq = max(out.nextSeq, q.Seq+1)
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return out, nil
 }
