@@ -230,13 +230,13 @@ loc:
 # invariant.LoadPair over dataset.ReadFile (invariant +26, dataset +22,
 # pawworker −23, pawmaster −30), and ApplyMigration compares each entry's
 # workers with the placement (dist +5).
-# Then −428 gave the five binary formats one codec, internal/binfmt (+195):
+# Then −422 gave the five binary formats one codec, internal/binfmt (+205):
 # PAWC's leWriter/leReader (colstore −264), the wire's reader (dist −136),
 # and the field-by-field binary.Read/binary.Write of PAWL (layout −137), PAWD
-# (dataset −34) and PAWQ (workload −52); every format is byte-identical.
+# (dataset −38) and PAWQ (workload −52); every format is byte-identical.
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 23544
+LOC_CEILING := 23550
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -11,21 +11,31 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"paw/internal/geom"
 )
 
-// ReadAll reads in to its end for a decoder. A reader that knows how many
-// bytes it holds (bytes.Reader, bytes.Buffer) fills one allocation of that
-// size, where io.ReadAll would grow its buffer by doubling.
+// ReadAll reads in to its end for a decoder, into one allocation when in
+// knows its size — a bytes.Reader or bytes.Buffer by Len, a file by Stat —
+// where io.ReadAll would grow its buffer by doubling.
 func ReadAll(in io.Reader) ([]byte, error) {
-	if l, ok := in.(interface{ Len() int }); ok {
-		buf := make([]byte, l.Len())
-		_, err := io.ReadFull(in, buf)
-		return buf, err
+	size := -1
+	switch v := in.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
 	}
-	return io.ReadAll(in)
+	if size < 0 {
+		return io.ReadAll(in)
+	}
+	buf := make([]byte, size)
+	_, err := io.ReadFull(in, buf)
+	return buf, err
 }
 
 // Reader is a bounds-checked little-endian cursor over one encoded input.

@@ -2,7 +2,10 @@ package binfmt
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"paw/internal/geom"
@@ -63,6 +66,31 @@ func TestReaderFailures(t *testing.T) {
 		}
 		if v := r.U8(); v != 0 || r.Count(0, 1) != 0 || r.Err() == nil {
 			t.Errorf("%s: the failure did not stick", name)
+		}
+	}
+}
+
+// TestReadAll: a reader that knows its size (bytes.Reader by Len, a file by
+// Stat) and one that does not (io.MultiReader) read to the same bytes.
+func TestReadAll(t *testing.T) {
+	want := bytes.Repeat([]byte("PAWD"), 3000)
+	path := filepath.Join(t.TempDir(), "x.pawd")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, in := range map[string]io.Reader{
+		"bytes.Reader": bytes.NewReader(want),
+		"file":         f,
+		"stream":       io.MultiReader(bytes.NewReader(want[:5]), bytes.NewReader(want[5:])),
+	} {
+		got, err := ReadAll(in)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: read %d bytes (err %v), want %d", name, len(got), err, len(want))
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -60,15 +59,16 @@ func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
 // ReadFile reads a dataset file: CSV (ReadCSV) when the name ends in .csv,
 // PAWD (Read) otherwise.
 func ReadFile(path string) (*Dataset, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var d *Dataset
 	if strings.HasSuffix(path, ".csv") {
-		d, err = ReadCSV(bytes.NewReader(data))
+		d, err = ReadCSV(f)
 	} else {
-		d, err = decode(data)
+		d, err = Read(f)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
@@ -76,19 +76,14 @@ func ReadFile(path string) (*Dataset, error) {
 	return d, nil
 }
 
-// Read deserialises a dataset from the PAWD binary format.
+// Read deserialises a dataset from the PAWD binary format. The row count is
+// refused unless the input holds every value it claims, so a hostile header
+// cannot drive the column allocations.
 func Read(in io.Reader) (*Dataset, error) {
 	data, err := binfmt.ReadAll(in)
 	if err != nil {
 		return nil, err
 	}
-	return decode(data)
-}
-
-// decode parses a whole PAWD file. The row count is refused unless the file
-// holds every value it claims, so a hostile header cannot drive the column
-// allocations.
-func decode(data []byte) (*Dataset, error) {
 	r := binfmt.NewReader("dataset", data)
 	r.Header(fileMagic, fileVersion)
 	dims := r.Count(uint64(r.U16()), 2)
@@ -100,12 +95,13 @@ func decode(data []byte) (*Dataset, error) {
 	for i := range names {
 		names[i] = r.String16()
 	}
-	if r.Count(rows, 8*max(dims, 1)); r.Err() != nil {
+	n := r.Count(rows, 8*max(dims, 1))
+	if r.Err() != nil {
 		return nil, r.Err()
 	}
 	cols := make([][]float64, dims)
 	for i := range cols {
-		cols[i] = make([]float64, rows)
+		cols[i] = make([]float64, n)
 		for j := range cols[i] {
 			cols[i][j] = r.F64()
 		}
