@@ -41,6 +41,7 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"paw/internal/blockstore"
@@ -200,12 +201,11 @@ func main() {
 			"delta", *driftDelta, "cost_factor", *driftCost, "reference_queries", histLog.Len())
 	}
 	if *memberOn {
-		src := payloadSource(l, data, builder)
 		err := m.EnableMembership(dist.MembershipConfig{
 			Detector:      membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 			TickEvery:     500 * time.Millisecond,
 			AutoRebalance: true,
-			PayloadSource: src,
+			PayloadSource: payloadSource(data, builder),
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -231,16 +231,26 @@ var workerStore = blockstore.Config{}
 
 // payloadSource is the rebalance fallback for a partition no live worker still
 // holds: the master has the full dataset, so it re-encodes the partition
-// itself. With the workers' store's builder the payload is byte-for-byte what
-// a worker would have shipped.
-func payloadSource(l *layout.Layout, data *dataset.Dataset, builder *colstore.Builder) func(layout.ID) ([]byte, int64, error) {
+// itself. It routes the rows by the layout it is asked about — the one the
+// master serves at the call, which a drift cutover renumbers — and keeps the
+// last layout's routing, since one rebalance asks about one layout. With the
+// workers' store's builder the payload is byte-for-byte what a worker would
+// have shipped.
+func payloadSource(data *dataset.Dataset, builder *colstore.Builder) func(*layout.Layout, layout.ID) ([]byte, int64, error) {
 	all := make([]int, data.NumRows())
 	for i := range all {
 		all[i] = i
 	}
-	byPart := l.RouteIndices(data, all)
-	return func(id layout.ID) ([]byte, int64, error) {
+	var mu sync.Mutex
+	var routed *layout.Layout
+	var byPart map[layout.ID][]int
+	return func(l *layout.Layout, id layout.ID) ([]byte, int64, error) {
+		mu.Lock()
+		if l != routed {
+			routed, byPart = l, l.RouteIndices(data, all)
+		}
 		rows, ok := byPart[id]
+		mu.Unlock()
 		if !ok {
 			return nil, 0, fmt.Errorf("partition %d routes no rows", id)
 		}

@@ -170,7 +170,6 @@ type buildScratch struct {
 
 func newBuilder(data *dataset.Dataset, p Params) *builder {
 	pool := parbuild.New(p.Parallelism)
-	pool.Instrument(p.Obs)
 	cols := make([][]float64, data.Dims())
 	for d := range cols {
 		cols[d] = data.Column(d)

@@ -764,7 +764,6 @@ func (m *Master) query(ctx context.Context, deadline time.Time, client, sql stri
 		}
 		root.End()
 		m.tracer.Load().Finish(tq)
-		m.m.tracesSampled.Inc()
 	}
 	if slow > 0 && elapsed >= slow {
 		m.m.slowQueries.Inc()

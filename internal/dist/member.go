@@ -75,10 +75,11 @@ type MembershipConfig struct {
 	// RebalanceCooldown is the minimum spacing between automatic
 	// rebalances (default 5s).
 	RebalanceCooldown time.Duration
-	// PayloadSource, when set, rebuilds a partition's encoded payload from
-	// the master's own copy of the dataset — the fallback when no reachable
-	// worker holds the partition (e.g. every replica crashed).
-	PayloadSource func(layout.ID) ([]byte, int64, error)
+	// PayloadSource, when set, rebuilds the encoded payload of partition id
+	// of layout l — the layout the master serves when it asks — from the
+	// master's own copy of the dataset: the fallback when no reachable worker
+	// holds the partition (e.g. every replica crashed).
+	PayloadSource func(l *layout.Layout, id layout.ID) ([]byte, int64, error)
 }
 
 func (c MembershipConfig) normalized() MembershipConfig {

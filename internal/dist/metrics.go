@@ -8,7 +8,8 @@ import (
 
 // Distributed-path metric names. Per-worker call timers carry a
 // worker="<index>" label (one series per worker; the fleet is small and
-// fixed at master construction).
+// fixed at master construction). Every registered series has a row in
+// README.md's metric table, which TestMetricInventory holds to the registry.
 const (
 	MetricQueries      = "dist_queries_total"
 	MetricQueryLatency = "dist_query_latency_ns"
@@ -39,11 +40,9 @@ const (
 	MetricQueriesShed        = "dist_queries_shed_total"
 	MetricCleanExpiries      = "dist_call_clean_expiries_total"
 
-	// Observability counters (DESIGN.md §14): traces actually sampled (forced
-	// EXPLAIN traces included) and queries that crossed the slow-query
-	// threshold.
-	MetricTracesSampled = "dist_traces_sampled_total"
-	MetricSlowQueries   = "dist_slow_queries_total"
+	// MetricSlowQueries counts queries that crossed the slow-query threshold
+	// (DESIGN.md §14).
+	MetricSlowQueries = "dist_slow_queries_total"
 
 	MetricWorkerScans         = "worker_scan_requests_total"
 	MetricWorkerRows          = "worker_rows_matched_total"
@@ -55,17 +54,6 @@ const (
 	MetricWorkerErrors        = "worker_scan_errors_total"
 	MetricWorkerConnDropped   = "worker_dropped_connections_total"
 	MetricWorkerDeadlineDrops = "worker_deadline_dropped_scans_total"
-
-	// Per-request byte-volume histograms: how much encoded payload each scan
-	// batch actually decoded vs proved skippable (pruning + late
-	// materialization). Their ratio is the live skipping effectiveness.
-	MetricWorkerScanBytesDecoded = "worker_scan_bytes_decoded"
-	MetricWorkerScanBytesSkipped = "worker_scan_bytes_skipped"
-
-	// MetricWorkerSharedScans counts kernel passes avoided by attaching to an
-	// identical in-flight batch (same epoch, same partitions, same predicate
-	// class) instead of running them: one per partition of an attached batch.
-	MetricWorkerSharedScans = "worker_shared_scans_total"
 
 	// Migration counters (DESIGN.md §13): the drift re-partitioner's
 	// footprint on the distributed path. Masters count whole migrations and
@@ -82,9 +70,8 @@ const (
 	MetricCacheSwept         = "dist_cache_entries_swept_total"
 	MetricLayoutEpoch        = "dist_layout_epoch"
 
-	MetricWorkerInstalls       = "worker_partition_installs_total"
-	MetricWorkerInstalledBytes = "worker_installed_bytes_total"
-	MetricWorkerEpochRetires   = "worker_epoch_retires_total"
+	MetricWorkerInstalls     = "worker_partition_installs_total"
+	MetricWorkerEpochRetires = "worker_epoch_retires_total"
 
 	// Membership and rebalance counters (DESIGN.md §15): the elastic
 	// fleet's footprint. Joins/leaves/rejections count handshakes; the
@@ -105,13 +92,13 @@ const (
 )
 
 // Names of what is gone, kept only because benchmark/ — which a PR may not
-// edit — compiles against them; ROADMAP.md item 1a removes them. The two
-// plan-cache series are registered nowhere and read 0; MetricCacheSwept and
-// MetricCacheRemapped (above) stay live and count result-cache entries; the
-// fifth name is the field colstore.ScanStats.GroupsZoneSkipped.
+// edit — compiles against them; ROADMAP.md item 5(b) removes them. None is
+// registered, so each reads 0: the plan cache went, and so did whole-batch
+// scan sharing (DESIGN.md §12).
 const (
-	MetricPlanCacheHits   = "dist_plan_cache_hits_total"
-	MetricPlanCacheMisses = "dist_plan_cache_misses_total"
+	MetricPlanCacheHits     = "dist_plan_cache_hits_total"
+	MetricPlanCacheMisses   = "dist_plan_cache_misses_total"
+	MetricWorkerSharedScans = "worker_shared_scans_total"
 )
 
 // FanoutBuckets are the histogram bounds for scatter width (workers hit per
@@ -143,7 +130,6 @@ type masterMetrics struct {
 	cacheInvalidations *obs.Counter
 	overloads          *obs.Counter
 	cleanExpiries      *obs.Counter
-	tracesSampled      *obs.Counter
 	slowQueries        *obs.Counter
 
 	migrations         *obs.Counter
@@ -214,7 +200,6 @@ func (m *Master) SetMetrics(reg *obs.Registry) {
 		cacheInvalidations: reg.Counter(MetricCacheInvalidations),
 		overloads:          reg.Counter(MetricQueriesShed),
 		cleanExpiries:      reg.Counter(MetricCleanExpiries),
-		tracesSampled:      reg.Counter(MetricTracesSampled),
 		slowQueries:        reg.Counter(MetricSlowQueries),
 
 		migrations:         reg.Counter(MetricMigrations),
@@ -252,13 +237,9 @@ type workerMetrics struct {
 	activeConns   *obs.Gauge
 	dropped       *obs.Counter
 	deadlineDrops *obs.Counter
-	decodedHist   *obs.Histogram
-	skippedHist   *obs.Histogram
-	sharedScans   *obs.Counter
 
-	installs       *obs.Counter
-	installedBytes *obs.Counter
-	epochRetires   *obs.Counter
+	installs     *obs.Counter
+	epochRetires *obs.Counter
 }
 
 // SetMetrics attaches (or, with nil, detaches) worker telemetry: scan and
@@ -279,12 +260,8 @@ func (w *Worker) SetMetrics(reg *obs.Registry) {
 		activeConns:   reg.Gauge(MetricWorkerConns),
 		dropped:       reg.Counter(MetricWorkerConnDropped),
 		deadlineDrops: reg.Counter(MetricWorkerDeadlineDrops),
-		decodedHist:   reg.Histogram(MetricWorkerScanBytesDecoded, obs.ByteBuckets()),
-		skippedHist:   reg.Histogram(MetricWorkerScanBytesSkipped, obs.ByteBuckets()),
-		sharedScans:   reg.Counter(MetricWorkerSharedScans),
 
-		installs:       reg.Counter(MetricWorkerInstalls),
-		installedBytes: reg.Counter(MetricWorkerInstalledBytes),
-		epochRetires:   reg.Counter(MetricWorkerEpochRetires),
+		installs:     reg.Counter(MetricWorkerInstalls),
+		epochRetires: reg.Counter(MetricWorkerEpochRetires),
 	}
 }

@@ -133,8 +133,9 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 
 // fetchPartition retrieves a partition's colstore-encoded payload from a
 // reachable current holder, falling back to the configured PayloadSource
-// (the master's own dataset copy) when every replica is gone.
-func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID, reachable map[int]bool, fallback func(layout.ID) ([]byte, int64, error)) ([]byte, int64, error) {
+// (the master's own dataset copy, routed by v's layout) when every replica is
+// gone.
+func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID, reachable map[int]bool, fallback func(*layout.Layout, layout.ID) ([]byte, int64, error)) ([]byte, int64, error) {
 	var lastErr error
 	for _, w := range v.replicas[id] {
 		if !reachable[w] {
@@ -148,7 +149,7 @@ func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID,
 		return resp.Payload, resp.Rows, nil
 	}
 	if fallback != nil {
-		payload, rows, err := fallback(id)
+		payload, rows, err := fallback(v.router.Layout(), id)
 		if err == nil {
 			return payload, rows, nil
 		}

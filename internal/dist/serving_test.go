@@ -255,34 +255,44 @@ func TestPartialResultsNotCached(t *testing.T) {
 	}
 }
 
-// TestWorkerScanSharing: concurrent identical scans on one worker coalesce
-// into a single kernel pass whose stats fan out to every waiter.
-func TestWorkerScanSharing(t *testing.T) {
+// TestWorkerConcurrentIdenticalBatches: a worker runs every batch it is sent.
+// Eight identical batches arrive while the first is held inside its kernel
+// pass; the other seven run their own passes meanwhile, and all eight return
+// the same answer, the dataset's count over the partition.
+func TestWorkerConcurrentIdenticalBatches(t *testing.T) {
 	data, l, store := chaosFixture()
-	ids := make([]layout.ID, 0, len(l.Parts))
+	all := make([]int, data.NumRows())
+	for i := range all {
+		all[i] = i
+	}
+	byPart := l.RouteIndices(data, all)
+	q := data.Domain()
+	q.Hi[0] = (q.Lo[0] + q.Hi[0]) / 2
+	id, want := layout.ID(-1), 0
 	for _, p := range l.Parts {
-		ids = append(ids, p.ID)
+		if n := data.CountInBox(q, byPart[p.ID]); n > 0 && n < len(byPart[p.ID]) {
+			id, want = p.ID, n
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("no partition is cut by the query: the fixture is vacuous")
 	}
 
+	const concurrent = 8
 	var kernelScans atomic.Int64
-	started := make(chan struct{})
 	release := make(chan struct{})
 	f := startFleet(t, l, data.Names(), store, placement.LeafRuns(l, 1, 1), 1, nil, func(int, layout.ID) {
 		if kernelScans.Add(1) == 1 {
-			close(started)
 			<-release
 		}
 	})
-	reg := f.Regs[0]
-
 	link, err := dialMuxLink(context.Background(), f.Addrs[0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer link.close()
 
-	req := ScanRequest{Query: data.Domain(), IDs: ids[:1]}
-	const concurrent = 8
 	var wg sync.WaitGroup
 	resps := make([]ScanResponse, concurrent)
 	errs := make([]error, concurrent)
@@ -290,13 +300,18 @@ func TestWorkerScanSharing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r := req
-			errs[i] = link.scan(context.Background(), &r, &resps[i])
+			req := ScanRequest{Query: q, IDs: []layout.ID{id}}
+			errs[i] = link.scan(context.Background(), &req, &resps[i])
 		}(i)
 	}
-	<-started
-	// Give the remaining requests time to attach to the in-flight scan.
-	time.Sleep(100 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); kernelScans.Load() < concurrent; {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("kernel scans = %d while the first is held, want %d: batches wait on each other", kernelScans.Load(), concurrent)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 
@@ -308,14 +323,11 @@ func TestWorkerScanSharing(t *testing.T) {
 			t.Fatalf("scan %d diverged: %+v vs %+v", i, resps[i], resps[0])
 		}
 	}
-	if resps[0].Rows == 0 {
-		t.Fatal("shared scan returned no rows")
+	if resps[0].Rows != want {
+		t.Fatalf("rows = %d, want %d (the dataset's count over partition %d)", resps[0].Rows, want, id)
 	}
-	if got := kernelScans.Load(); got != 1 {
-		t.Fatalf("kernel scans = %d, want 1 (the rest must share)", got)
-	}
-	if got := reg.Snapshot().Counter(MetricWorkerSharedScans); got != concurrent-1 {
-		t.Errorf("shared-scan counter = %d, want %d", got, concurrent-1)
+	if got := kernelScans.Load(); got != concurrent {
+		t.Fatalf("kernel scans = %d, want %d (one per batch)", got, concurrent)
 	}
 }
 

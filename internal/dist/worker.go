@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"paw/internal/binfmt"
 	"paw/internal/blockstore"
 	"paw/internal/colstore"
 	"paw/internal/geom"
@@ -40,14 +38,7 @@ type Worker struct {
 	scanPool *parbuild.Pool
 	// scanners recycles scanner scratch across every table of every epoch.
 	scanners colstore.ScannerPool
-	// batchFlight coalesces whole identical scan batches (same epoch, same
-	// partition list, same predicate class): one execution runs and every
-	// waiter shares its response. The batch is the only sharing window
-	// (DESIGN.md §12): identical concurrent batches walk the same ID list in
-	// the same order, so nothing finer than the batch ever overlaps.
-	batchFlight serve.Flight[ScanResponse]
-	// scanHook, when set, observes every kernel scan actually executed (not
-	// the shared attachments). Test-only.
+	// scanHook, when set, observes every kernel scan. Test-only.
 	scanHook func(layout.ID)
 
 	mu sync.Mutex
@@ -141,7 +132,6 @@ func (w *Worker) handleAdmin(req AdminRequest) AdminResponse {
 			if int64(tab.NumRows()) != req.Rows {
 				return AdminResponse{Err: fmt.Sprintf("partition %d payload has %d rows, expected %d", req.ID, tab.NumRows(), req.Rows)}
 			}
-			w.m.installedBytes.Add(int64(len(req.Payload)))
 		} else {
 			if tab, err = w.lookup(req.ReuseEpoch, req.ReuseID); err != nil {
 				return AdminResponse{Err: fmt.Sprintf("aliasing partition %d: %v", req.ID, err)}
@@ -263,7 +253,7 @@ func (w *Worker) serveConn(c net.Conn) {
 			if err := req.UnmarshalWire(payload); err != nil {
 				return 0, nil, err
 			}
-			resp := w.handle(req)
+			resp := w.execBatch(req)
 			return msgScanResp, &resp, nil
 		case msgAdminReq:
 			var req AdminRequest
@@ -294,74 +284,14 @@ func (w *Worker) scanPartition(sc *colstore.Scanner, epoch uint64, id layout.ID,
 	return tab.CountParallel(q, w.scanPool, &w.scanners, sc), nil
 }
 
-// batchKey is the whole-batch sharing key: the layout epoch, the ordered
-// partition list, the predicate box and whether the request is traced. Seq
-// and Deadline are deliberately excluded — they vary per request but do not
-// change what a clean scan returns. Traced requests only coalesce with
-// traced requests: an untraced leader records no spans, and a traced waiter
-// inheriting its spanless response would lose the per-partition story the
-// trace exists for. Sampling keeps traced requests rare, so the split costs
-// the sharing window nearly nothing.
-func batchKey(req ScanRequest) string {
-	b := make([]byte, 0, 11+8*len(req.IDs)+16*len(req.Query.Lo))
-	if req.TraceID != 0 {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.LittleEndian.AppendUint64(b, req.Epoch)
-	for _, id := range req.IDs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(id)))
-	}
-	return string(binfmt.AppendBox(b, req.Query))
-}
-
-// handle executes one scan batch, coalescing onto an identical batch while it
-// runs (its leader never waits for one). A shared result is only reused when
-// it is clean: an errored leader batch (deadline drop, partition failure)
-// reflects the leader's deadline and abort point, so a waiter that inherits
-// one re-runs the batch under its own request instead.
-func (w *Worker) handle(req ScanRequest) ScanResponse {
-	w.m.scans.Inc()
-	resp, shared, _ := w.batchFlight.Do(batchKey(req), func() (ScanResponse, error) {
-		return w.execBatch(req), nil
-	})
-	if shared {
-		if resp.Err != "" {
-			return w.execBatch(req)
-		}
-		w.m.sharedScans.Add(int64(len(req.IDs)))
-		if req.TraceID != 0 {
-			// The spans describe the leader's kernel passes; this request
-			// merely attached. Copy the fragment (the shared slice is
-			// read-only) and flag its batch root so the master's trace shows
-			// the coalescing.
-			resp.Spans = markSharedSpans(resp.Spans)
-		}
-	}
-	return resp
-}
-
-// markSharedSpans copies a shared batch's span fragment, annotating its root
-// (Parent 0) with KeyShared. Only the mutated root's attrs are deep-copied.
-func markSharedSpans(spans []trace.Span) []trace.Span {
-	out := append([]trace.Span(nil), spans...)
-	for i := range out {
-		if out[i].Parent == 0 {
-			attrs := make([]trace.Attr, 0, len(out[i].Attrs)+1)
-			attrs = append(attrs, out[i].Attrs...)
-			out[i].Attrs = append(attrs, trace.Attr{K: trace.KeyShared, V: 1})
-		}
-	}
-	return out
-}
-
-// execBatch runs one scan batch for real. A per-partition failure stops the
-// batch and names the failing partition, but the telemetry for the
-// partitions already scanned is flushed regardless — a partial batch still
-// did real I/O. The wire deadline is honored between partitions: work the
-// master has already abandoned is dropped instead of scanned.
+// execBatch runs one scan batch; every batch a worker is sent runs its own
+// kernel passes (nothing coalesces batches, DESIGN.md §12). A per-partition
+// failure stops the batch and names the failing partition, but the telemetry
+// for the partitions already scanned is flushed regardless — a partial batch
+// still did real I/O. The wire deadline is honored between partitions: work
+// the master has already abandoned is dropped instead of scanned.
 func (w *Worker) execBatch(req ScanRequest) ScanResponse {
+	w.m.scans.Inc()
 	resp := ScanResponse{FailedPartition: -1}
 	var deadline time.Time
 	if req.Deadline > 0 {
@@ -435,8 +365,6 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 	w.m.bytesSkipped.Add(resp.BytesSkipped)
 	w.m.groupsRead.Add(int64(resp.GroupsRead))
 	w.m.groupsSkip.Add(int64(resp.GroupsSkipped))
-	w.m.decodedHist.Observe(float64(resp.BytesRead))
-	w.m.skippedHist.Observe(float64(resp.BytesSkipped))
 	return resp
 }
 

@@ -92,7 +92,7 @@ func TestWorkerOneTablePath(t *testing.T) {
 		}
 		total += st.Matched
 		for epoch := uint64(0); epoch <= 2; epoch++ {
-			got := wk.handle(ScanRequest{Query: q, IDs: []layout.ID{id}, Epoch: epoch})
+			got := wk.execBatch(ScanRequest{Query: q, IDs: []layout.ID{id}, Epoch: epoch})
 			if !reflect.DeepEqual(got, want[id]) {
 				t.Fatalf("partition %d epoch %d: %+v, want %+v", id, epoch, got, want[id])
 			}
@@ -106,12 +106,12 @@ func TestWorkerOneTablePath(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 	for _, id := range ids {
-		got := wk.handle(ScanRequest{Query: q, IDs: []layout.ID{id}, Epoch: 1})
+		got := wk.execBatch(ScanRequest{Query: q, IDs: []layout.ID{id}, Epoch: 1})
 		if !reflect.DeepEqual(got, want[id]) {
 			t.Fatalf("partition %d after retiring epoch 0: %+v, want %+v", id, got, want[id])
 		}
 	}
-	gone := wk.handle(ScanRequest{Query: q, IDs: ids[:1], Epoch: 0})
+	gone := wk.execBatch(ScanRequest{Query: q, IDs: ids[:1], Epoch: 0})
 	if !strings.Contains(gone.Err, "no layout epoch 0") || gone.FailedPartition != int64(ids[0]) {
 		t.Fatalf("retired epoch 0 answered %+v", gone)
 	}
@@ -138,7 +138,7 @@ func TestWorkerBatchAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		req := ScanRequest{Query: data.Domain(), IDs: small[:n]}
 		return testing.AllocsPerRun(50, func() {
-			if resp := wk.handle(req); resp.Err != "" {
+			if resp := wk.execBatch(req); resp.Err != "" {
 				t.Fatal(resp.Err)
 			}
 		})
@@ -170,13 +170,13 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 	}
 
 	wk := NewWorker(store, ids) // called in process, never served: no fleet
-	batch := wk.handle(ScanRequest{Query: q, IDs: small})
+	batch := wk.execBatch(ScanRequest{Query: q, IDs: small})
 	if batch.Err != "" {
 		t.Fatal(batch.Err)
 	}
 	sum := ScanResponse{FailedPartition: -1}
 	for _, id := range small {
-		one := wk.handle(ScanRequest{Query: q, IDs: []layout.ID{id}})
+		one := wk.execBatch(ScanRequest{Query: q, IDs: []layout.ID{id}})
 		if one.Err != "" {
 			t.Fatal(one.Err)
 		}
@@ -231,7 +231,7 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 			served++
 		}
 	}
-	if resp := wk.handle(ScanRequest{Query: q, IDs: small}); resp.Err != "" {
+	if resp := wk.execBatch(ScanRequest{Query: q, IDs: small}); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	if served != 0 {

@@ -44,7 +44,6 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, p Params) *layout
 		p.MinRows = 1
 	}
 	pool := parbuild.New(p.Parallelism)
-	pool.Instrument(p.Obs)
 	b := newBuilder(data, p.MinRows, pool)
 	b.m = newBuildMetrics(p.Obs)
 	sp := b.m.tConstruct.Start()

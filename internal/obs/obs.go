@@ -14,7 +14,7 @@
 //     digests are byte-identical with telemetry on or off (asserted in
 //     internal/sim).
 //   - Zero dependencies. Standard library only; safe to import from every
-//     layer, including parbuild and layout.
+//     layer, including layout.
 //
 // Exposure is layered on top: WritePrometheus/Snapshot for the /metrics
 // handler (http.go), and snapshot-driven build reports (layout.BuildReport).
@@ -256,15 +256,6 @@ func LatencyBuckets() []float64 {
 		1e7, 2.5e7, 5e7, // 10–50 ms
 		1e8, 2.5e8, 5e8, // 100–500 ms
 		1e9, 2.5e9, 5e9, 1e10, // 1–10 s
-	}
-}
-
-// ByteBuckets are the default bounds for byte-volume histograms (per-request
-// decoded or skipped payload): powers of four from 256 B to 1 GB.
-func ByteBuckets() []float64 {
-	return []float64{
-		1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18,
-		1 << 20, 1 << 22, 1 << 24, 1 << 26, 1 << 28, 1 << 30,
 	}
 }
 

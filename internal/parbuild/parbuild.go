@@ -38,38 +38,8 @@ package parbuild
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
-
-	"paw/internal/obs"
 )
-
-// Pool metric names (see Instrument). Per-slot task counters carry a
-// worker="<slot>" label; slot Workers() is the goroutine driving the build.
-const (
-	MetricFanouts      = "parbuild_fanouts_total"
-	MetricSpawnedTasks = "parbuild_tasks_spawned_total"
-	MetricInlineTasks  = "parbuild_tasks_inline_total"
-	MetricActive       = "parbuild_active_workers"
-	MetricSlotTasks    = "parbuild_worker_tasks_total"
-)
-
-// poolMetrics is the optional instrumentation of a Pool. The zero value
-// (all-nil instruments) is fully disabled: every call no-ops on nil
-// receivers, so un-instrumented builds stay allocation-free.
-type poolMetrics struct {
-	fanouts   *obs.Counter // Fan invocations
-	spawned   *obs.Counter // tasks handed to a free worker goroutine
-	inline    *obs.Counter // tasks run inline on the caller
-	active    *obs.Gauge   // worker goroutines currently running a task
-	slotTasks []*obs.Counter
-}
-
-func (m *poolMetrics) slotTask(slot int) {
-	if m.slotTasks != nil && slot < len(m.slotTasks) {
-		m.slotTasks[slot].Inc()
-	}
-}
 
 // Pool is a bounded worker pool for recursive builds. The zero value and nil
 // are valid serial pools (every task runs inline on the caller).
@@ -77,28 +47,6 @@ type Pool struct {
 	// slots holds the free worker slot IDs; nil for a serial pool.
 	slots   chan int
 	workers int
-	m       poolMetrics
-}
-
-// Instrument attaches pool telemetry to reg: fan-out and task counters, the
-// active-worker gauge (the pool's live queue-depth signal — tasks that find
-// no free worker run inline rather than queueing), and one task counter per
-// worker slot. A nil registry (or nil pool) is a no-op; instrumentation
-// never changes scheduling, so builds stay deterministic.
-func (p *Pool) Instrument(reg *obs.Registry) {
-	if p == nil || reg == nil {
-		return
-	}
-	p.m = poolMetrics{
-		fanouts: reg.Counter(MetricFanouts),
-		spawned: reg.Counter(MetricSpawnedTasks),
-		inline:  reg.Counter(MetricInlineTasks),
-		active:  reg.Gauge(MetricActive),
-	}
-	p.m.slotTasks = make([]*obs.Counter, p.Slots())
-	for i := range p.m.slotTasks {
-		p.m.slotTasks[i] = reg.Counter(obs.Label(MetricSlotTasks, "worker", strconv.Itoa(i)))
-	}
 }
 
 // New returns a pool with the given number of workers. workers <= 0 selects
@@ -154,31 +102,20 @@ func (p *Pool) Fan(callerSlot, n int, task func(i, slot int)) {
 		}
 		return
 	}
-	p.m.fanouts.Inc()
 	var wg sync.WaitGroup
 	for i := 0; i < n-1; i++ {
 		select {
 		case slot := <-p.slots:
-			p.m.spawned.Inc()
-			p.m.slotTask(slot)
-			p.m.active.Add(1)
 			wg.Add(1)
 			go func(i, slot int) {
 				defer wg.Done()
-				defer func() {
-					p.m.active.Add(-1)
-					p.slots <- slot
-				}()
+				defer func() { p.slots <- slot }()
 				task(i, slot)
 			}(i, slot)
 		default:
-			p.m.inline.Inc()
-			p.m.slotTask(callerSlot)
 			task(i, callerSlot)
 		}
 	}
-	p.m.inline.Inc()
-	p.m.slotTask(callerSlot)
 	task(n-1, callerSlot)
 	wg.Wait()
 }

@@ -49,7 +49,6 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, queries []geom.Bo
 		p.MinRows = 1
 	}
 	pool := parbuild.New(p.Parallelism)
-	pool.Instrument(p.Obs)
 	b := &builder{
 		data:    data,
 		minRows: p.MinRows,

@@ -3,9 +3,8 @@
 // with preallocated frame buffers, a connection multiplexer that pipelines
 // many in-flight requests over one TCP connection with sequence-tagged
 // responses, a frame server that executes requests concurrently per
-// connection, and the serving-side building blocks the master and workers
-// compose — singleflight scan sharing, a bounded LRU cache, and fair
-// admission control.
+// connection, and the serving-side building blocks the master composes — a
+// bounded LRU cache and fair admission control.
 //
 // The package is payload-agnostic: messages are opaque byte slices plus a
 // one-byte type tag. internal/dist supplies the binary codecs for its

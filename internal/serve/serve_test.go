@@ -3,9 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -58,95 +55,6 @@ func TestLRUInvalidateKeepsStats(t *testing.T) {
 	hits, misses := l.stats()
 	if hits != 1 || misses != 2 {
 		t.Fatalf("stats = %d/%d, want 1/2", hits, misses)
-	}
-}
-
-func TestFlightCoalescesConcurrentCalls(t *testing.T) {
-	var f Flight[int]
-	var execs atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([]int, waiters)
-	sharedCount := atomic.Int64{}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, shared, err := f.Do("k", func() (int, error) {
-			execs.Add(1)
-			close(started)
-			<-release
-			return 42, nil
-		})
-		if err != nil || shared {
-			t.Errorf("leader: v=%d shared=%v err=%v", v, shared, err)
-		}
-		results[0] = v
-	}()
-	<-started
-	for i := 1; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, shared, err := f.Do("k", func() (int, error) {
-				execs.Add(1)
-				return -1, nil
-			})
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			if shared {
-				sharedCount.Add(1)
-			}
-			results[i] = v
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the waiters attach
-	close(release)
-	wg.Wait()
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("executions = %d, want 1", n)
-	}
-	if n := sharedCount.Load(); n != waiters-1 {
-		t.Fatalf("shared = %d, want %d", n, waiters-1)
-	}
-	for i, v := range results {
-		if v != 42 {
-			t.Fatalf("results[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestFlightDistinctKeysRunIndependently(t *testing.T) {
-	var f Flight[string]
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i)
-			v, shared, err := f.Do(key, func() (string, error) { return key, nil })
-			if err != nil || shared || v != key {
-				t.Errorf("key %s: v=%q shared=%v err=%v", key, v, shared, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-func TestFlightErrorSharedWithWaiters(t *testing.T) {
-	var f Flight[int]
-	boom := errors.New("boom")
-	_, _, err := f.Do("k", func() (int, error) { return 0, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err=%v", err)
-	}
-	// Completed calls are dropped: a new Do re-executes.
-	v, shared, err := f.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || shared || v != 7 {
-		t.Fatalf("second call: v=%d shared=%v err=%v", v, shared, err)
 	}
 }
 

@@ -62,9 +62,7 @@ const (
 	KeyEncDict
 	KeyEncRLE
 	KeyEncFOR
-	// KeyShared marks a worker batch answered by attaching to an identical
-	// in-flight batch instead of running its kernel passes.
-	KeyShared
+	_ // was the scan-sharing mark; kept so later keys keep their wire values
 	// KeyCacheHit marks a result served from the master's result cache.
 	KeyCacheHit
 	// KeyAttempt is the zero-based retry attempt of one RPC.
@@ -114,8 +112,6 @@ func (k Key) String() string {
 		return "enc_rle"
 	case KeyEncFOR:
 		return "enc_for"
-	case KeyShared:
-		return "shared"
 	case KeyCacheHit:
 		return "cache_hit"
 	case KeyAttempt:
