@@ -19,8 +19,8 @@ import (
 
 // runBuild implements `pawcli build`: build the layout over the dataset file
 // -in with telemetry enabled, write it (-layout, materialised first so it
-// carries every partition's data envelope) and the historical workload
-// (-queries-out), and emit a layout.BuildReport (JSON). The pipeline phases —
+// carries every partition's data envelope, with the QH and δ it was built
+// for) and emit a layout.BuildReport (JSON). The pipeline phases —
 // load, sample, construct, route, report — are timed as sequential spans, so
 // their sum explains the wall time (`pawcli stats` prints the coverage; the
 // acceptance bar is >= 90%).
@@ -29,12 +29,11 @@ func runBuild(args []string, out io.Writer) error {
 	var s settings
 	s.register(fs)
 	var (
-		in         = fs.String("in", "", "dataset file (.pawd, as pawgen gen writes it)")
-		parallel   = fs.Int("parallelism", 0, "construction workers (0 = GOMAXPROCS)")
-		report     = fs.String("report", "build_report.json", "build report output path (- for stdout)")
-		layoutF    = fs.String("layout", "", "also persist the sealed layout to this path")
-		queriesOut = fs.String("queries-out", "", "also save the historical workload as a query log (.pawq), pawmaster's -drift-hist")
-		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, error")
+		in       = fs.String("in", "", "dataset file (.pawd, as pawgen gen writes it)")
+		parallel = fs.Int("parallelism", 0, "construction workers (0 = GOMAXPROCS)")
+		report   = fs.String("report", "build_report.json", "build report output path (- for stdout)")
+		layoutF  = fs.String("layout", "", "also persist the sealed layout to this path")
+		logLevel = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pawcli build -in data.pawd [flags]")
@@ -133,22 +132,10 @@ func runBuild(args []string, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "wrote %s: %s\n", *layoutF, l)
 		}
-		if *queriesOut != "" {
-			var qlog workload.Log
-			for _, q := range hist {
-				qlog.Record(q.Box)
-			}
-			if err := writeFile(*queriesOut, qlog.Encode); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s: %d historical queries\n", *queriesOut, qlog.Len())
-		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	// pawmaster's -drift-delta takes this absolute value, not the percentage.
-	fmt.Fprintf(out, "delta %g (%g%% of %s's extent)\n", p.Delta, s.deltaPct, data.Names()[0])
 
 	r.BuildInfo = obs.BuildVersion()
 	r.GeneratedAt = time.Now().UTC().Format(time.RFC3339)

@@ -6,17 +6,20 @@ import (
 	"math"
 	"os"
 
+	"paw/internal/core"
 	"paw/internal/invariant"
 	"paw/internal/layout"
+	"paw/internal/workload"
 )
 
 // runCheck implements `pawcli check [-seed N] <layout-file>...`: it decodes
-// each persisted layout, runs the sealed-layout oracle subset of
-// internal/invariant (partition geometry, grouped-split semantics, routing
-// and descriptor soundness) and prints a summary beside the verdict:
-// partitions, irregular partitions, and the fewest and most rows in one. Construction inputs are gone for a persisted
-// layout, so the workload-dependent oracles (Lemma 1, monotonicity, bmin)
-// are not applicable here — they run in the simulation harness.
+// each persisted layout and runs internal/invariant's oracles against the
+// scope the file carries — partition geometry, grouped-split semantics and
+// Lemma 1 against its QH and δ, routing and descriptor soundness — over the
+// root's MBR as the domain, then prints a summary beside the verdict:
+// partitions, irregular partitions, and the fewest and most rows in one. A
+// file keeps no sample rows, so monotonicity and bmin skip themselves; they
+// run in the simulation harness.
 //
 // Exit status: 0 when every layout passes, 1 when any invariant is violated
 // or a file cannot be read.
@@ -59,7 +62,13 @@ func checkFile(path string, seed int64) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("decode: %w", err)
 	}
-	if err := invariant.CheckSealed(l, seed); err != nil {
+	if err := invariant.Check(l, invariant.Inputs{
+		Domain: l.Root.Desc.MBR(),
+		Hist:   workload.FromBoxes(l.Hist),
+		Delta:  l.Delta,
+		Greedy: core.Method(l.Method).Greedy(),
+		Seed:   seed,
+	}); err != nil {
 		return "", err
 	}
 	described, boxes, irregular := 0, 0, 0

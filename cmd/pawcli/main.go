@@ -16,22 +16,22 @@
 //	pawcli -dataset osm -method paw
 //
 // Build the layout a fleet boots from, over the dataset file pawgen wrote and
-// pawworker and pawmaster load. It writes the layout, the historical workload
-// as a query log (pawmaster's -drift-hist) and a structured build report
-// (phase timings, Alg. 1–3 split statistics, tree shape, cost
-// decomposition), and prints the absolute δ that pawmaster's -drift-delta
-// takes. Render the report with stats:
+// pawworker and pawmaster load. It writes the layout, which carries the
+// historical workload QH and the absolute δ it was built for (pawmaster's
+// drift monitor reads both from it), and a structured build report (phase
+// timings, Alg. 1–3 split statistics, tree shape, cost decomposition).
+// Render the report with stats:
 //
 //	pawcli build -in lineitem.pawd -method paw -layout layout.pawl \
-//	       -queries-out hist.pawq -report build_report.json
+//	       -report build_report.json
 //	pawcli stats build_report.json
 //
 // The REPL and build share one set of build settings, so the same -method,
 // -queries, -delta and -seed over the same rows give the same layout.
 //
-// Validate a persisted layout against the paper's sealed-layout invariants —
-// partition geometry, grouped-split semantics and routing-index soundness
-// (internal/invariant) — and summarise it:
+// Validate a persisted layout against the paper's invariants under the scope
+// it carries — partition geometry, grouped-split semantics, Lemma 1 and
+// routing-index soundness (internal/invariant) — and summarise it:
 //
 //	pawcli check layout.pawl
 package main

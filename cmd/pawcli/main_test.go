@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/invariant"
 	"paw/internal/layout"
-	"paw/internal/workload"
 )
 
 const testRows, testSeed = 6000, 7
@@ -31,19 +29,23 @@ func writeDataset(t *testing.T) string {
 	return path
 }
 
-// build runs `pawcli build -in in` with extra flags and returns its stdout
-// and the layout it wrote.
+// build runs `pawcli build -in in` with extra flags and returns the path of
+// the layout file it wrote and the layout decoded from it.
 func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 	t.Helper()
 	dir := t.TempDir()
 	layoutPath := filepath.Join(dir, "l.pawl")
 	args := append([]string{"-in", in, "-seed", fmt.Sprint(testSeed), "-layout", layoutPath,
 		"-report", filepath.Join(dir, "r.json"), "-log-level", "warn"}, extra...)
-	var out bytes.Buffer
-	if err := runBuild(args, &out); err != nil {
+	if err := runBuild(args, io.Discard); err != nil {
 		t.Fatalf("pawcli build %v: %v", args, err)
 	}
-	f, err := os.Open(layoutPath)
+	return layoutPath, readLayout(t, layoutPath)
+}
+
+func readLayout(t *testing.T, path string) *layout.Layout {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,28 +54,19 @@ func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.String(), l
+	return l
 }
 
-// TestBuildWritesABootableLayout: the layout `build -in` writes passes the
-// sealed-layout oracles `pawcli check` runs and pawmaster's and pawworker's
-// boot check against the file it was built over, and the query log it writes
-// beside it is the history the layout was built for.
+// TestBuildWritesABootableLayout: the layout `build -in` writes passes
+// pawmaster's and pawworker's boot check against the file it was built over
+// and every oracle `pawcli check` runs, and it carries the history it was
+// built for.
 func TestBuildWritesABootableLayout(t *testing.T) {
 	in := writeDataset(t)
-	dir := t.TempDir()
-	layoutPath, queriesPath := filepath.Join(dir, "l.pawl"), filepath.Join(dir, "q.pawq")
-	var out bytes.Buffer
-	if err := runBuild([]string{"-in", in, "-layout", layoutPath, "-queries-out", queriesPath,
-		"-report", filepath.Join(dir, "r.json"), "-log-level", "warn"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, l, err := invariant.LoadPair(in, layoutPath)
+	path, l := build(t, in)
+	data, _, err := invariant.LoadPair(in, path)
 	if err != nil {
 		t.Fatalf("boot check: %v", err)
-	}
-	if err := invariant.CheckSealed(l, 1); err != nil {
-		t.Fatalf("sealed-layout oracles: %v", err)
 	}
 	var rows int64
 	for _, p := range l.Parts {
@@ -82,42 +75,47 @@ func TestBuildWritesABootableLayout(t *testing.T) {
 	if rows != int64(data.NumRows()) {
 		t.Fatalf("partitions hold %d rows, the file %d", rows, data.NumRows())
 	}
-	summary, err := checkFile(layoutPath, 1)
+	summary, err := checkFile(path, 1)
 	if err != nil {
 		t.Fatalf("pawcli check: %v", err)
 	}
 	if want := fmt.Sprintf("partitions: %d (", l.NumPartitions()); !strings.HasPrefix(summary, want) {
 		t.Fatalf("check summary %q, want it to start %q", summary, want)
 	}
-	qf, err := os.Open(queriesPath)
-	if err != nil {
+	if len(l.Hist) != 50 {
+		t.Fatalf("the layout carries %d QH queries, want the 50 of the default -queries", len(l.Hist))
+	}
+}
+
+// TestCheckHoldsTheLayoutToItsScope: `pawcli check` runs the oracles against
+// the QH and δ the file carries, so a PAW layout whose stored δ is doubled —
+// a scope it was not built for — fails the grouped-split oracle: its grouped
+// partitions no longer contain their groups' extended queries. (Qd-tree and
+// k-d layouts have no grouped splits, so only PAW shows it.)
+func TestCheckHoldsTheLayoutToItsScope(t *testing.T) {
+	path, l := build(t, writeDataset(t), "-method", "paw")
+	if _, err := checkFile(path, 1); err != nil {
+		t.Fatalf("the layout as built: %v", err)
+	}
+	l.Delta *= 2
+	if err := writeFile(path, l.Encode); err != nil {
 		t.Fatal(err)
 	}
-	defer qf.Close()
-	qlog, err := workload.DecodeLog(qf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qlog.Len() != 50 {
-		t.Fatalf("query log holds %d queries, want the 50 of the default -queries", qlog.Len())
+	if _, err := checkFile(path, 1); err == nil || !strings.Contains(err.Error(), invariant.OracleGroupedSplit) {
+		t.Fatalf("with δ doubled: got %v, want a %s violation", err, invariant.OracleGroupedSplit)
 	}
 }
 
 // TestBuildDeltaIsPercentOfFirstColumn: -delta is a percentage of the first
-// column's extent (paw.FractionOfDomain's rule), and the printed δ is that
-// absolute value, the one pawmaster's -drift-delta takes.
+// column's extent (paw.FractionOfDomain's rule), and the layout file stores
+// that absolute δ.
 func TestBuildDeltaIsPercentOfFirstColumn(t *testing.T) {
 	in := writeDataset(t)
 	dom := dataset.TPCHLike(testRows, testSeed).Domain()
 	for _, pct := range []float64{1, 2.5} {
-		out, _ := build(t, in, "-delta", fmt.Sprint(pct))
-		var got float64
-		line := out[strings.Index(out, "delta "):]
-		if _, err := fmt.Sscanf(line, "delta %g", &got); err != nil {
-			t.Fatalf("no δ in the output %q: %v", out, err)
-		}
-		if want := pct / 100 * (dom.Hi[0] - dom.Lo[0]); got != want {
-			t.Fatalf("-delta %g printed δ = %g, want %g%% of the first column's extent = %g", pct, got, pct, want)
+		_, l := build(t, in, "-delta", fmt.Sprint(pct))
+		if want := pct / 100 * (dom.Hi[0] - dom.Lo[0]); l.Delta != want {
+			t.Fatalf("-delta %g stored δ = %g, want %g%% of the first column's extent = %g", pct, l.Delta, pct, want)
 		}
 	}
 }

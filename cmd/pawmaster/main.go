@@ -25,10 +25,10 @@
 // placement untouched.
 //
 // With -drift the master watches live queries for workload drift (DESIGN.md
-// §13): when the stream leaves the layout's variance scope (-drift-delta,
-// the δ the layout was built with, referenced against the -drift-hist query
-// log) and observed scan cost regresses, it rebuilds the violated region and
-// migrates the workers onto the patched layout without stopping service.
+// §13): when the stream leaves the layout's variance scope (the δ and the
+// historical workload QH the layout file carries) and observed scan cost
+// regresses, it rebuilds the violated region and migrates the workers onto
+// the patched layout without stopping service.
 package main
 
 import (
@@ -55,7 +55,6 @@ import (
 	"paw/internal/obs"
 	"paw/internal/router"
 	"paw/internal/trace"
-	"paw/internal/workload"
 )
 
 func main() {
@@ -83,9 +82,7 @@ func main() {
 		resultCache = flag.Int("result-cache", 256, "clean-result cache entries, translated or dropped per partition on layout/placement change (0: off)")
 		maxInflight = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue, 32 per client, and the excess is shed with an overload error (0: unbounded, no admission)")
 
-		driftOn     = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (needs -drift-hist and -drift-delta)")
-		driftHist   = flag.String("drift-hist", "", "historical query log (.pawq) the layout was built from — the drift monitor's reference workload")
-		driftDelta  = flag.Float64("drift-delta", 0, "variance scope δ the layout was built with (absolute domain units)")
+		driftOn     = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (the scope is the QH and δ the layout carries)")
 		driftWindow = flag.Int("drift-window", 256, "drift monitor sliding window, in observed queries")
 		driftCheck  = flag.Int("drift-check-every", 32, "run the drift decision every N observations")
 		driftCost   = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average opened bytes (the encoded size of the partitions its plans opened) exceed this factor times the baseline")
@@ -101,6 +98,9 @@ func main() {
 	data, l, err := invariant.LoadPair(*dataPath, *layoutPath)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if *driftOn && len(l.Hist) == 0 {
+		fatalf("-drift: %s carries no historical workload to watch the scope of; build it with pawcli build -in", *layoutPath)
 	}
 	rm, err := router.NewMaster(l, data.Names())
 	if err != nil {
@@ -173,22 +173,9 @@ func main() {
 	// rebalance fallback — it lays out like the workers' stores.
 	builder := workerStore.Builder(data)
 	if *driftOn {
-		if *driftHist == "" || *driftDelta <= 0 {
-			fatalf("-drift needs -drift-hist (the reference query log) and -drift-delta > 0")
-		}
-		hf, err := os.Open(*driftHist)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		histLog, err := workload.DecodeLog(hf)
-		hf.Close()
-		if err != nil {
-			fatalf("reading %s: %v", *driftHist, err)
-		}
-		ctl := drift.New(m, data, builder, histLog.Workload(), drift.Config{
+		ctl := drift.New(m, data, builder, drift.Config{
 			Window:     *driftWindow,
 			CheckEvery: *driftCheck,
-			Delta:      *driftDelta,
 			CostFactor: *driftCost,
 			MinGain:    *driftGain,
 			Seed:       1,
@@ -198,7 +185,7 @@ func main() {
 		ctl.Attach(true)
 		defer ctl.Detach()
 		slog.Info("drift monitor attached", "window", *driftWindow, "check_every", *driftCheck,
-			"delta", *driftDelta, "cost_factor", *driftCost, "reference_queries", histLog.Len())
+			"delta", l.Delta, "cost_factor", *driftCost, "reference_queries", len(l.Hist))
 	}
 	if *memberOn {
 		err := m.EnableMembership(dist.MembershipConfig{

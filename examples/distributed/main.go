@@ -1,8 +1,6 @@
 // Distributed mode: spins up the Fig. 4 architecture as real TCP servers —
 // four workers hosting partitions of a PAW layout, a master owning the
 // routing metadata, and a SQL client — all in one process over loopback.
-// The master also records every routed range into a query log, the
-// production source of the "historical workload" for the next layout build.
 //
 // Partitions are placed on the consistent-hash ring with two copies each, as
 // pawmaster and pawworker place them. The demo kills a worker mid-run and
@@ -27,7 +25,6 @@ import (
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/trace"
-	"paw/internal/workload"
 )
 
 func main() {
@@ -66,8 +63,6 @@ func main() {
 	}
 	defer fleet.Close()
 	m, rm := fleet.Master, fleet.Master.Router()
-	var qlog workload.Log
-	rm.SetRecorder(qlog.Record)
 	for w, addr := range fleet.Addrs {
 		fmt.Printf("worker %d: %d partitions on %s\n", w, len(membership.HostedIDs(rep, w)), addr)
 	}
@@ -166,7 +161,6 @@ func main() {
 		log.Fatal("no scan failed over: the statement read no partition worker 0 was first in line for")
 	}
 	fmt.Println("  -> exact: every partition of worker 0 was read from its second copy")
-	fmt.Printf("\nquery log captured %d range queries for the next rebuild\n", qlog.Len())
 
 	if *tracesDump != "" {
 		df, err := os.Create(*tracesDump)

@@ -173,7 +173,10 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	// Offline construction from the historical workload, exactly like the
 	// cluster would have been provisioned.
 	sample := data.Sample(1200, sc.Seed+1)
-	l := core.Build(data, sample, data.Domain(), sc.Hist, core.Params{MinRows: 20, Delta: sc.Delta})
+	l, err := core.BuildMethod(core.MethodPAW, data, sample, data.Domain(), sc.Hist, core.Params{MinRows: 20, Delta: sc.Delta})
+	if err != nil {
+		return res, err
+	}
 	l.Route(data)
 	storeCfg := blockstore.Config{GroupRows: 256}
 	store := materialize(l, data, storeCfg)
@@ -190,14 +193,13 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	dcfg := drift.Config{
 		Window:       opt.Window,
 		CheckEvery:   opt.CheckEvery,
-		Delta:        sc.Delta,
 		CostFactor:   1.2,
 		MinGain:      0.05,
 		BuildMinRows: 10,
 		BuildSample:  800,
 		Seed:         sc.Seed,
 	}
-	ctl := drift.New(m, data, storeCfg.Builder(data), sc.Hist, dcfg)
+	ctl := drift.New(m, data, storeCfg.Builder(data), dcfg)
 	ctl.Attach(false)
 
 	stream := sc.Stream()
@@ -346,7 +348,7 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	served := m.Router().Layout()
 	descriptor.Uninstall(served)
 	res.PatchedCost = served.AvgCost(liveBoxes, nil)
-	offline := offlineDriftLayout(data, live, dcfg)
+	offline := offlineDriftLayout(data, live, sc.Delta, dcfg)
 	res.OfflineCost = offline.AvgCost(liveBoxes, nil)
 	if res.OfflineCost > 0 {
 		res.RecoveryVsOffline = res.PatchedCost / res.OfflineCost
@@ -358,10 +360,10 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 // the way `pawcli build` does (sample build with the §IV-E refinement, then
 // every row routed) — the quality bar the incremental patch is measured
 // against.
-func offlineDriftLayout(data *dataset.Dataset, live workload.Workload, dcfg drift.Config) *layout.Layout {
+func offlineDriftLayout(data *dataset.Dataset, live workload.Workload, delta float64, dcfg drift.Config) *layout.Layout {
 	sample := data.Sample(dcfg.BuildSample, dcfg.Seed+3)
 	l := core.Build(data, sample, data.Domain(), live, core.Params{
-		MinRows: dcfg.BuildMinRows, Delta: dcfg.Delta, DataAwareRefine: true,
+		MinRows: dcfg.BuildMinRows, Delta: delta, DataAwareRefine: true,
 	})
 	l.Route(data)
 	return l

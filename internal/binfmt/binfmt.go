@@ -1,6 +1,6 @@
 // Package binfmt is the one positional little-endian codec behind every
-// binary format of this repository: PAWL layouts, PAWD datasets, PAWQ query
-// logs, PAWC partition payloads and the wire messages. Encoders append to a
+// binary format of this repository: PAWL layouts, PAWD datasets, PAWC
+// partition payloads and the wire messages. Encoders append to a
 // byte slice — scalars through binary.LittleEndian's Append functions, and
 // through this package what the standard library lacks: length-prefixed
 // strings and byte runs, boxes and the magic+version header. Decoders walk
@@ -132,11 +132,7 @@ func (r *Reader) Bytes32() []byte {
 
 // Box reads a box written by AppendBox.
 func (r *Reader) Box() geom.Box {
-	return r.Corners(int(r.U16()))
-}
-
-// Corners reads a dims-dimensional box written by AppendCorners.
-func (r *Reader) Corners(dims int) geom.Box {
+	dims := int(r.U16())
 	if r.Count(uint64(dims), 16); r.err != nil {
 		return geom.Box{}
 	}
@@ -186,15 +182,10 @@ func AppendBytes32(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// AppendBox appends b as its uint16 dimensionality and then its corners.
+// AppendBox appends b as its uint16 dimensionality and then its corners,
+// every lo and then every hi coordinate as a float64.
 func AppendBox(buf []byte, b geom.Box) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Lo)))
-	return AppendCorners(buf, b)
-}
-
-// AppendCorners appends b's corners, every lo and then every hi coordinate as
-// a float64, for a format that states the dimensionality once.
-func AppendCorners(buf []byte, b geom.Box) []byte {
 	for _, v := range b.Lo {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}

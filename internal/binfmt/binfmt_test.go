@@ -22,11 +22,10 @@ func TestRoundTrip(t *testing.T) {
 	buf = AppendBytes32(buf, []byte{1, 2, 3})
 	buf = AppendBytes32(buf, nil)
 	buf = AppendBox(buf, box)
-	buf = AppendCorners(buf, box)
 
 	r := NewReader("test", buf)
 	r.Header(0x50415758, 3)
-	s16, s32, b, empty, got, corners := r.String16(), r.String32(), r.Bytes32(), r.Bytes32(), r.Box(), r.Corners(2)
+	s16, s32, b, empty, got := r.String16(), r.String32(), r.Bytes32(), r.Bytes32(), r.Box()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +33,8 @@ func TestRoundTrip(t *testing.T) {
 	if s16 != "name" || s32 != "" || !bytes.Equal(b, []byte{1, 2, 3}) || empty != nil {
 		t.Fatalf("read %q %q %v %v after clearing the input", s16, s32, b, empty)
 	}
-	if !got.Equal(box) || !corners.Equal(box) {
-		t.Fatalf("boxes read back as %v and %v, want %v", got, corners, box)
+	if !got.Equal(box) {
+		t.Fatalf("box read back as %v, want %v", got, box)
 	}
 }
 

@@ -1,20 +1,24 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"paw/internal/dataset"
+	"paw/internal/geom"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
 	"paw/internal/qdtree"
 	"paw/internal/workload"
 )
 
-// TestBuildMethodMatchesBuilders: BuildMethod is a switch and nothing else —
-// each method's layout digests equal to its builder's direct call on the same
-// inputs (the Qd-tree on the history's own boxes, the baselines at the same
-// bmin and parallelism), and an unknown name is an error that names it.
+// TestBuildMethodMatchesBuilders: BuildMethod is a switch that records the
+// scope and nothing else — each method's layout carries hist and δ, and with
+// that scope given to its builder's direct call on the same inputs (the
+// Qd-tree on the history's own boxes, the baselines at the same bmin and
+// parallelism) the two digest equally; an unknown name is an error that names
+// it.
 func TestBuildMethodMatchesBuilders(t *testing.T) {
 	data := dataset.TPCHLike(6000, 3)
 	dom := data.Domain()
@@ -34,10 +38,14 @@ func TestBuildMethodMatchesBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.m, err)
 		}
+		if l.Delta != p.Delta || !slices.EqualFunc(l.Hist, hist.Boxes(), geom.Box.Equal) {
+			t.Errorf("%s: the layout records δ %g and %d QH queries, want %g and %d", c.m, l.Delta, len(l.Hist), p.Delta, len(hist))
+		}
 		got, err := l.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.direct.Delta, c.direct.Hist = p.Delta, hist.Boxes()
 		want, err := c.direct.Digest()
 		if err != nil {
 			t.Fatal(err)

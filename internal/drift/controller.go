@@ -38,11 +38,10 @@ type Controller struct {
 	// builder encodes migration payloads in the store's physical row order.
 	builder *colstore.Builder
 	mon     *Monitor
-	hist    workload.Workload
 
 	// mu serializes the trigger pipeline; the master's ApplyMigration
-	// rejects overlap anyway, but one pipeline at a time keeps cur/hist
-	// coherent. cur is atomic because the observer hook reads it on the
+	// rejects overlap anyway, but one pipeline at a time keeps cur and the
+	// monitor's reference coherent. cur is atomic because the observer hook reads it on the
 	// serving path while TriggerNow holds mu — taking mu there would
 	// deadlock the migration drain against the queries it waits for.
 	mu  sync.Mutex
@@ -93,19 +92,19 @@ type Report struct {
 // New builds a controller for a serving master. data must be the dataset the
 // cluster's layout was materialised from, builder the workers' store's
 // (blockstore.Config.Builder), so that a rebuilt partition ships laid out like
-// a materialised one; hist is the workload the layout was built for (the
-// monitor's initial reference), cfg.Delta the δ it was built with.
-func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, hist workload.Workload, cfg Config) *Controller {
+// a materialised one. The monitor's scope is the one the served layout
+// carries: its QH is the initial reference, its δ the threshold.
+func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
+	l := m.Router().Layout()
 	c := &Controller{
 		cfg:     cfg,
 		master:  m,
 		data:    data,
 		builder: builder,
-		mon:     NewMonitor(hist, cfg),
-		hist:    hist.Clone(),
+		mon:     NewMonitor(workload.FromBoxes(l.Hist), l.Delta, cfg),
 	}
-	c.cur.Store(m.Router().Layout())
+	c.cur.Store(l)
 	c.inst.Store(&driftInstruments{})
 	return c
 }
@@ -278,6 +277,10 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	}
 	vsp.End()
 
+	// The patched layout states the scope it will be monitored against: the
+	// old reference plus what was just observed, at the same δ. The old
+	// reference keeps the queries the rebuild did not invalidate.
+	newL.Delta, newL.Hist = cur.Delta, append(slices.Clone(cur.Hist), liveBoxes...)
 	csp := tm.Start("cutover", root)
 	if err := c.master.ApplyMigration(ctx, mig); err != nil {
 		csp.Int(trace.KeyError, 1)
@@ -293,18 +296,16 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	ins.migrations.Inc()
 	ins.movedBytes.Add(moved)
 
-	// The cluster now serves the patched layout; the monitor's scope
-	// re-anchors on what was actually observed, and the old reference keeps
-	// the queries the rebuild did not invalidate.
+	// The cluster now serves the patched layout; the monitor re-anchors on
+	// the scope it carries.
 	c.cur.Store(newL)
-	c.hist = append(c.hist.Clone(), live...)
-	c.mon.Reanchor(c.hist)
+	c.mon.Reanchor(workload.FromBoxes(newL.Hist))
 	c.mon.MuteFor(c.cfg.Window)
 	return nil
 }
 
 // rebuild constructs the replacement subtree for target and patches it into
-// the current layout. It returns the patched layout, the diff, and the
+// the current layout, within the scope cur carries. It returns the patched layout, the diff, and the
 // full-data row indices of every added partition (the migration payloads).
 //
 // The pipeline is offline construction at region scale, the two calls
@@ -331,12 +332,12 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	}
 
 	targetBox := target.Desc.MBR()
-	wl := append(live.Clip(targetBox), c.hist.Clip(targetBox)...)
+	wl := append(live.Clip(targetBox), workload.FromBoxes(cur.Hist).Clip(targetBox)...)
 
 	sample := strideSample(regionRows, c.cfg.BuildSample)
 	built := core.Build(c.data, sample, targetBox, wl, core.Params{
 		MinRows:         c.cfg.BuildMinRows,
-		Delta:           c.cfg.Delta,
+		Delta:           cur.Delta,
 		DataAwareRefine: true,
 		Parallelism:     c.cfg.Parallelism,
 	})

@@ -23,7 +23,6 @@ func testConfig() Config {
 	return Config{
 		Window:       64,
 		CheckEvery:   16,
-		Delta:        0.02,
 		CostFactor:   1.2,
 		MinGain:      0.05,
 		BuildMinRows: 10,
@@ -109,6 +108,12 @@ func TestDriftEndToEnd(t *testing.T) {
 	if rep.Added == 0 || rep.Removed == 0 || rep.Renamed == 0 {
 		t.Fatalf("patch must rebuild a strict subtree: %+v", rep)
 	}
+	// The served layout states the scope it is now monitored against: the
+	// reference plus the window that triggered, at the same δ.
+	if served := tc.master.Router().Layout(); served.Delta != testDelta || len(served.Hist) != len(tc.hist)+cfg.Window {
+		t.Fatalf("the patched layout carries δ %g and %d QH queries, want %g and %d",
+			served.Delta, len(served.Hist), testDelta, len(tc.hist)+cfg.Window)
+	}
 	if rep.MovedBytes <= 0 {
 		t.Fatal("migration must ship rebuilt payloads")
 	}
@@ -189,7 +194,7 @@ func offlineRebuild(t *testing.T, tc *driftCluster, live workload.Workload, cfg 
 	}
 	l := core.Build(tc.data, strideSample(all, cfg.BuildSample), tc.data.Domain(), live, core.Params{
 		MinRows:         cfg.BuildMinRows,
-		Delta:           cfg.Delta,
+		Delta:           testDelta,
 		DataAwareRefine: true,
 	})
 	l.Route(tc.data)
@@ -207,7 +212,7 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	// A planning-only controller over a store configuration of 64-row groups,
 	// so that the rebuilt partitions span several.
 	storeCfg := blockstore.Config{GroupRows: 64}
-	ctl := New(tc.master, tc.data, storeCfg.Builder(tc.data), tc.hist, cfg)
+	ctl := New(tc.master, tc.data, storeCfg.Builder(tc.data), cfg)
 	cur := ctl.layout()
 	target := cur.SubtreeFor(box2(0.55, 0.05, 0.95, 0.95))
 	if target == nil {

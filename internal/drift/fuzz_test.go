@@ -29,7 +29,6 @@ func FuzzDriftDifferential(f *testing.F) {
 		cfg := Config{
 			Window:       16,
 			CheckEvery:   8,
-			Delta:        0.02,
 			CostFactor:   1.2,
 			MinGain:      0.05,
 			BuildMinRows: 8,

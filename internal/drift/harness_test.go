@@ -25,12 +25,19 @@ func unitData(t testing.TB, rows int, seed int64) *dataset.Dataset {
 	return dataset.Uniform(rows, 2, seed)
 }
 
+// testDelta is the δ every test layout is built with, and so the scope its
+// drift monitor holds the live window to.
+const testDelta = 0.02
+
 // buildLeftLayout builds (and routes) a layout for the left-weighted
-// reference workload.
-func buildLeftLayout(t testing.TB, data *dataset.Dataset, hist workload.Workload, delta float64) *layout.Layout {
+// reference workload; the layout carries hist and testDelta as its scope.
+func buildLeftLayout(t testing.TB, data *dataset.Dataset, hist workload.Workload) *layout.Layout {
 	t.Helper()
 	sample := data.Sample(1500, 13)
-	l := core.Build(data, sample, data.Domain(), hist, core.Params{MinRows: 20, Delta: delta})
+	l, err := core.BuildMethod(core.MethodPAW, data, sample, data.Domain(), hist, core.Params{MinRows: 20, Delta: testDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l.Route(data)
 	return l
 }
@@ -71,7 +78,7 @@ func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place f
 	t.Helper()
 	data := unitData(t, rows, 7)
 	hist := workload.Uniform(box2(0, 0, 0.45, 1), workload.Defaults(30, 11))
-	l := buildLeftLayout(t, data, hist, cfg.Delta)
+	l := buildLeftLayout(t, data, hist)
 	oracle, err := router.NewMaster(l, data.Names())
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +90,7 @@ func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place f
 	t.Cleanup(f.Close)
 	tc := &driftCluster{data: data, hist: hist, layout: l, oracle: oracle,
 		workers: f.Workers, master: f.Master, oracleRowsBySQL: make(map[string]int)}
-	tc.ctl = New(f.Master, data, storeConfig.Builder(data), hist, cfg)
+	tc.ctl = New(f.Master, data, storeConfig.Builder(data), cfg)
 	tc.ctl.Attach(false)
 	return tc
 }

@@ -39,7 +39,7 @@ func TestControllerMetrics(t *testing.T) {
 	if got := snap.Gauge(MetricDriftWindowAvgBytes); got <= 0 {
 		t.Fatalf("%s = %d, want > 0 after a full window", MetricDriftWindowAvgBytes, got)
 	}
-	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got > int64(cfg.Delta*1e6) {
+	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got > int64(testDelta*1e6) {
 		t.Fatalf("%s = %d exceeds the scope on replayed traffic", MetricDriftDeltaEstimateMicro, got)
 	}
 	if got := snap.Gauge(MetricDriftEpoch); got != 0 {
@@ -80,7 +80,7 @@ func TestControllerMetrics(t *testing.T) {
 	if got := snap.Gauge(MetricDriftOutOfScope); got <= 0 {
 		t.Fatalf("%s = %d, want > 0 on the triggering window", MetricDriftOutOfScope, got)
 	}
-	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got <= int64(cfg.Delta*1e6) {
+	if got := snap.Gauge(MetricDriftDeltaEstimateMicro); got <= int64(testDelta*1e6) {
 		t.Fatalf("%s = %d, want > δ on drifted traffic", MetricDriftDeltaEstimateMicro, got)
 	}
 

@@ -26,17 +26,13 @@ import (
 )
 
 // Config bundles the monitor and controller knobs. The zero value is
-// completed by withDefaults; only Delta has no sensible default (a layout
-// built with δ=0 has an empty variance scope, so any drift triggers).
+// completed by withDefaults. The scope the monitor holds the window to, δ and
+// QH, is no knob: it is the one the serving layout was built for.
 type Config struct {
 	// Window is the sliding-window size in observed queries.
 	Window int
 	// CheckEvery runs the drift decision every N observations.
 	CheckEvery int
-	// Delta is the layout's variance scope δ (the value the layout was
-	// built with, in absolute domain units): the window is out of scope
-	// when δ′ > Delta.
-	Delta float64
 	// CostFactor is the regression gate: reorganization is considered only
 	// when the window's average opened bytes — the encoded size of the
 	// partitions a query's plan opens, the cost the layout models and a
@@ -96,6 +92,10 @@ type obsEntry struct {
 // Observe/Evaluate calls.
 type Monitor struct {
 	cfg Config
+	// delta is the layout's variance threshold δ, in absolute domain units:
+	// the window is out of scope when δ′ > delta. A layout built with δ = 0
+	// has an empty variance scope, so any drift is out of it.
+	delta float64
 
 	mu   sync.Mutex
 	ref  workload.Workload // reference QH the layout's scope is anchored to
@@ -110,14 +110,15 @@ type Monitor struct {
 	cooldownEnd int64 // observation count before which triggers are muted
 }
 
-// NewMonitor builds a monitor anchored to the reference workload hist (the
-// workload the serving layout was built for).
-func NewMonitor(hist workload.Workload, cfg Config) *Monitor {
+// NewMonitor builds a monitor anchored to the scope the serving layout was
+// built for: the reference workload hist and the threshold delta.
+func NewMonitor(hist workload.Workload, delta float64, cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	return &Monitor{
-		cfg:  cfg,
-		ref:  hist.Clone(),
-		ring: make([]obsEntry, cfg.Window),
+		cfg:   cfg,
+		delta: delta,
+		ref:   hist.Clone(),
+		ring:  make([]obsEntry, cfg.Window),
 	}
 }
 
@@ -191,7 +192,7 @@ func (mo *Monitor) outOfScopeLocked() []geom.Box {
 					best = d
 				}
 			}
-			if best > mo.cfg.Delta {
+			if best > mo.delta {
 				out = append(out, b)
 			}
 		}
@@ -240,7 +241,7 @@ func (mo *Monitor) Evaluate() Decision {
 	}
 	live := mo.windowWorkloadLocked()
 	d.DeltaEstimate = workload.DirectedDelta(mo.ref, live)
-	if d.DeltaEstimate <= mo.cfg.Delta {
+	if d.DeltaEstimate <= mo.delta {
 		d.Reason = "window within variance scope"
 		return d
 	}

@@ -40,7 +40,7 @@ func opening(bytes int64, boxes ...geom.Box) dist.QueryObservation {
 }
 
 func TestMonitorNoTriggerBeforeWindowFull(t *testing.T) {
-	mo := NewMonitor(leftHist(10, 1), Config{Window: 16, Delta: 0.02})
+	mo := NewMonitor(leftHist(10, 1), 0.02, Config{Window: 16})
 	for i := 0; i < 15; i++ {
 		mo.Observe(opening(1000, rightBoxes(1, int64(i))...))
 	}
@@ -55,7 +55,7 @@ func TestMonitorNoTriggerBeforeWindowFull(t *testing.T) {
 
 func TestMonitorInScopeWorkloadDoesNotTrigger(t *testing.T) {
 	hist := leftHist(20, 2)
-	mo := NewMonitor(hist, Config{Window: 32, Delta: 0.05})
+	mo := NewMonitor(hist, 0.05, Config{Window: 32})
 	// Live queries identical to reference queries: δ′ is 0.
 	for i := 0; i < 64; i++ {
 		q := hist[i%len(hist)]
@@ -71,7 +71,7 @@ func TestMonitorInScopeWorkloadDoesNotTrigger(t *testing.T) {
 }
 
 func TestMonitorDriftWithoutRegressionDoesNotTrigger(t *testing.T) {
-	mo := NewMonitor(leftHist(20, 3), Config{Window: 32, Delta: 0.02, CostFactor: 1.5})
+	mo := NewMonitor(leftHist(20, 3), 0.02, Config{Window: 32, CostFactor: 1.5})
 	// Fill with steady traffic to set the baseline, then drift at the SAME
 	// observed cost: out of scope, but the layout still serves it fine.
 	steady := leftHist(32, 4)
@@ -94,7 +94,7 @@ func TestMonitorDriftWithoutRegressionDoesNotTrigger(t *testing.T) {
 }
 
 func TestMonitorDriftWithRegressionTriggers(t *testing.T) {
-	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.5})
+	mo := NewMonitor(leftHist(20, 6), 0.02, Config{Window: 32, CostFactor: 1.5})
 	steady := leftHist(32, 7)
 	for _, q := range steady {
 		mo.Observe(opening(1000, q.Box))
@@ -132,7 +132,7 @@ func TestMonitorGateReadsOpenedBytes(t *testing.T) {
 	observe := func(mo *Monitor, b geom.Box, opened, scanned int64) {
 		mo.Observe(dist.QueryObservation{Ranges: []geom.Box{b}, BytesOpened: opened, BytesScanned: scanned})
 	}
-	mo := NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.3})
+	mo := NewMonitor(leftHist(20, 6), 0.02, Config{Window: 32, CostFactor: 1.3})
 	for _, q := range leftHist(32, 7) {
 		observe(mo, q.Box, 100_000, 1000)
 	}
@@ -143,7 +143,7 @@ func TestMonitorGateReadsOpenedBytes(t *testing.T) {
 		t.Fatalf("a window opening 3x the baseline's partition bytes must trigger on them: %+v", d)
 	}
 
-	mo = NewMonitor(leftHist(20, 6), Config{Window: 32, Delta: 0.02, CostFactor: 1.3})
+	mo = NewMonitor(leftHist(20, 6), 0.02, Config{Window: 32, CostFactor: 1.3})
 	for _, q := range leftHist(32, 7) {
 		observe(mo, q.Box, 100_000, 1000)
 	}
@@ -156,7 +156,7 @@ func TestMonitorGateReadsOpenedBytes(t *testing.T) {
 }
 
 func TestMonitorCooldownMutes(t *testing.T) {
-	mo := NewMonitor(leftHist(20, 9), Config{Window: 16, Delta: 0.01, CostFactor: 1.1})
+	mo := NewMonitor(leftHist(20, 9), 0.01, Config{Window: 16, CostFactor: 1.1})
 	for _, q := range leftHist(16, 10) {
 		mo.Observe(opening(100, q.Box))
 	}
@@ -179,7 +179,7 @@ func TestMonitorCooldownMutes(t *testing.T) {
 }
 
 func TestMonitorReanchorResetsScope(t *testing.T) {
-	mo := NewMonitor(leftHist(20, 13), Config{Window: 16, Delta: 0.02, CostFactor: 1.1})
+	mo := NewMonitor(leftHist(20, 13), 0.02, Config{Window: 16, CostFactor: 1.1})
 	for _, q := range leftHist(16, 14) {
 		mo.Observe(opening(100, q.Box))
 	}

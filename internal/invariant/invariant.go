@@ -28,13 +28,10 @@
 // clipping, their own union-find grouping, their own row aggregation), so a
 // builder bug cannot hide by breaking the checker the same way.
 //
-// Two entry points cover the two operational situations:
-//
-//   - Check(l, in) runs every applicable oracle against a layout plus its
-//     construction inputs (internal/sim drives it across all builders).
-//   - CheckSealed(l, seed) runs the input-free subset (tree wiring, geometry
-//     sampling, routing differential) against a bare sealed layout, e.g. one
-//     reloaded from disk by `pawcli check`.
+// Check(l, in) runs every applicable oracle against a layout plus its
+// construction inputs: internal/sim drives it across all builders with the
+// sample rows, and `pawcli check` drives it on a layout file with the scope
+// the file carries (QH and δ) and no rows, so monotonicity skips itself.
 package invariant
 
 import (
@@ -135,22 +132,6 @@ func Check(l *layout.Layout, in Inputs) error {
 		CheckGroupedSplit(l, in),
 		CheckMonotonicity(l, in),
 		CheckLemma1(l, in),
-		CheckRouting(l, in),
-	)
-}
-
-// CheckSealed runs the input-free subset against a bare sealed layout (tree
-// wiring, sampled geometry, routing differential): everything that can be
-// verified for a layout reloaded from disk, where construction inputs are
-// gone. The domain is taken to be the root descriptor's MBR.
-func CheckSealed(l *layout.Layout, seed int64) error {
-	if l.Root == nil {
-		return violationf(OracleGeometry, "layout has no root")
-	}
-	in := Inputs{Domain: l.Root.Desc.MBR(), Seed: seed}.withDefaults()
-	return errors.Join(
-		CheckGeometry(l, in),
-		CheckGroupedSplit(l, in),
 		CheckRouting(l, in),
 	)
 }

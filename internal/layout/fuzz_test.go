@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"paw/internal/geom"
 )
 
 // FuzzDecode asserts the layout reader never panics on arbitrary bytes and
@@ -11,6 +13,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	// Seed with a real encoded layout plus mutations.
 	l, _ := fuzzGrid()
+	l.Delta, l.Hist = 0.5, []geom.Box{box2(1, 1, 4, 9), box2(6, 2, 7, 3)}
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
 		f.Fatal(err)

@@ -43,7 +43,7 @@ func goldenHex(t *testing.T, path string, got []byte) []byte {
 // TestPAWLGolden pins the PAWL format byte for byte on a hand-built layout
 // with what the built layouts of internal/sim's golden digests never carry:
 // an irregular node (a rectangle with a hole) and a partition with precise
-// boxes. It encodes to testdata/golden.pawl.hex, and the fixture decodes to a
+// boxes; it also carries a scope, δ and two QH queries. It encodes to testdata/golden.pawl.hex, and the fixture decodes to a
 // layout that routes like the original and encodes to the fixture again.
 func TestPAWLGolden(t *testing.T) {
 	outer := box2(0, 0, 10, 10)
@@ -57,6 +57,7 @@ func TestPAWLGolden(t *testing.T) {
 	l.Parts[0].Precise = []geom.Box{box2(4, 4.5, 5, 6), box2(5.5, 4, 6, 5)}
 	l.Parts[1].FullRows = 13
 	l.TotalBytes, l.Unrouted = 640, 3
+	l.Delta, l.Hist = 0.5, []geom.Box{box2(1, 1, 4.5, 2), box2(4.25, 4.25, 5.75, 5.75)}
 
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
@@ -70,6 +71,9 @@ func TestPAWLGolden(t *testing.T) {
 	var again bytes.Buffer
 	if err := got.Encode(&again); err != nil {
 		t.Fatal(err)
+	}
+	if got.Delta != l.Delta || !slices.EqualFunc(got.Hist, l.Hist, geom.Box.Equal) {
+		t.Fatalf("the fixture decodes to δ %g and QH %v, want %g and %v", got.Delta, got.Hist, l.Delta, l.Hist)
 	}
 	if !bytes.Equal(again.Bytes(), want) {
 		t.Fatalf("the decoded fixture re-encodes to\n%x, want\n%x", again.Bytes(), want)

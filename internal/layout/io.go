@@ -10,16 +10,20 @@ import (
 	"paw/internal/geom"
 )
 
-// Binary layout format ("PAWL"): the master's durable metadata — the full
-// partition tree with descriptors, partition sizes and precise descriptors —
-// so a master restart (or a cold pawcli run) can reload routing state
-// without rebuilding the layout. Sample row indices are construction-time
-// state and are not persisted.
+// Binary layout format ("PAWL"): the master's durable metadata — the scope
+// the layout was built for (δ and QH) and the full partition tree with
+// descriptors, partition sizes and precise descriptors — so a master restart
+// (or a cold pawcli run) can reload routing state and the drift monitor's
+// reference without rebuilding the layout. Sample row indices are
+// construction-time state and are not persisted. Every box of a file has the
+// root's dimensionality.
 //
 //	magic    uint32 'PAWL'
-//	version  uint16 1
+//	version  uint16 2
 //	method   uint16 len + bytes
 //	rowBytes, totalBytes, unrouted int64
+//	delta    float64
+//	hist     nHist uint32, boxes
 //	tree     pre-order; per node:
 //	           descTag uint8 (0 rect, 1 irregular)
 //	           desc    rect: box | irregular: outer box, nHoles uint32, holes
@@ -30,7 +34,7 @@ import (
 //	box      dims uint16, then 2·dims float64 (lo..., hi...)
 const (
 	layoutMagic   = 0x5041574C // "PAWL"
-	layoutVersion = 1
+	layoutVersion = 2
 )
 
 // Encode serialises the layout.
@@ -43,6 +47,8 @@ func (l *Layout) Encode(w io.Writer) error {
 	for _, v := range []int64{l.RowBytes, l.TotalBytes, l.Unrouted} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.Delta))
+	buf = appendBoxes(buf, l.Hist)
 	buf, err := appendNode(buf, l.Root)
 	if err != nil {
 		return err
@@ -96,8 +102,13 @@ func Decode(in io.Reader) (*Layout, error) {
 	}
 	r := binfmt.NewReader("layout", data)
 	r.Header(layoutMagic, layoutVersion)
-	l := &Layout{Method: r.String16(), RowBytes: r.I64(), TotalBytes: r.I64(), Unrouted: r.I64()}
-	l.Root = readNode(r, l)
+	l := &Layout{Method: r.String16(), RowBytes: r.I64(), TotalBytes: r.I64(), Unrouted: r.I64(), Delta: r.F64()}
+	if r.Err() == nil && !(l.Delta >= 0) {
+		r.Failf("δ %g is not a threshold", l.Delta)
+	}
+	dims := 0
+	l.Hist = readBoxes(r, &dims)
+	l.Root = readNode(r, l, &dims)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
@@ -115,40 +126,48 @@ func Decode(in io.Reader) (*Layout, error) {
 	return l, nil
 }
 
-// readBox reads one box, refusing a dimensionality no layout has.
-func readBox(r *binfmt.Reader) geom.Box {
+// readBox reads one box, refusing a dimensionality no layout has and one
+// that differs from the file's: *dims is set by the first box read and holds
+// every later one to it.
+func readBox(r *binfmt.Reader, dims *int) geom.Box {
 	b := r.Box()
-	if r.Err() == nil && (b.Dims() == 0 || b.Dims() > 1024) {
+	switch {
+	case r.Err() != nil:
+	case b.Dims() == 0 || b.Dims() > 1024:
 		r.Failf("implausible box dimensionality %d", b.Dims())
+	case *dims == 0:
+		*dims = b.Dims()
+	case b.Dims() != *dims:
+		r.Failf("a %d-d box in a %d-d layout", b.Dims(), *dims)
 	}
 	return b
 }
 
 // readBoxes reads a uint32-counted box list; each box costs at least 18
 // bytes.
-func readBoxes(r *binfmt.Reader) []geom.Box {
+func readBoxes(r *binfmt.Reader, dims *int) []geom.Box {
 	n := r.Count(uint64(r.U32()), 18)
 	if n == 0 {
 		return nil
 	}
 	boxes := make([]geom.Box, n)
 	for i := range boxes {
-		boxes[i] = readBox(r)
+		boxes[i] = readBox(r, dims)
 	}
 	return boxes
 }
 
 // readNode reads a node and its subtree, appending its leaves to l.Parts.
 // Each node costs at least 24 bytes, which bounds the child count.
-func readNode(r *binfmt.Reader, l *Layout) *Node {
+func readNode(r *binfmt.Reader, l *Layout, dims *int) *Node {
 	node := &Node{}
 	switch tag := r.U8(); {
 	case r.Err() != nil:
 		return nil
 	case tag == 0:
-		node.Desc = Rect{Box: readBox(r)}
+		node.Desc = Rect{Box: readBox(r, dims)}
 	case tag == 1:
-		outer, holes := readBox(r), readBoxes(r)
+		outer, holes := readBox(r, dims), readBoxes(r, dims)
 		if r.Err() != nil {
 			return nil
 		}
@@ -159,7 +178,7 @@ func readNode(r *binfmt.Reader, l *Layout) *Node {
 	}
 	isLeaf := r.U8() == 1
 	if isLeaf {
-		node.Part = &Partition{ID: ID(r.I64()), Desc: node.Desc, FullRows: r.I64(), Precise: readBoxes(r)}
+		node.Part = &Partition{ID: ID(r.I64()), Desc: node.Desc, FullRows: r.I64(), Precise: readBoxes(r, dims)}
 		l.Parts = append(l.Parts, node.Part)
 	}
 	nc := r.Count(uint64(r.U32()), 24)
@@ -167,7 +186,7 @@ func readNode(r *binfmt.Reader, l *Layout) *Node {
 		r.Failf("leaf with %d children", nc)
 	}
 	for i := 0; i < nc && r.Err() == nil; i++ {
-		node.Children = append(node.Children, readNode(r, l))
+		node.Children = append(node.Children, readNode(r, l, dims))
 	}
 	return node
 }

@@ -2,6 +2,10 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"paw/internal/geom"
@@ -10,6 +14,7 @@ import (
 func TestLayoutRoundTrip(t *testing.T) {
 	l, _ := grid4(t)
 	l.Parts[0].Precise = []geom.Box{box2(1, 1, 2, 2)}
+	l.Delta, l.Hist = 0.25, []geom.Box{box2(1, 1, 3, 3), box2(6, 0, 9, 2)}
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -19,7 +24,8 @@ func TestLayoutRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Method != l.Method || got.RowBytes != l.RowBytes ||
-		got.TotalBytes != l.TotalBytes || got.Unrouted != l.Unrouted {
+		got.TotalBytes != l.TotalBytes || got.Unrouted != l.Unrouted ||
+		got.Delta != l.Delta || !slices.EqualFunc(got.Hist, l.Hist, geom.Box.Equal) {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if got.NumPartitions() != l.NumPartitions() {
@@ -107,8 +113,59 @@ func TestLayoutReadRejectsGarbage(t *testing.T) {
 	}
 	// Corrupt the descriptor tag of the root.
 	b := append([]byte(nil), buf.Bytes()...)
-	b[4+2+2+len(l.Method)+24] = 77 // first node's descTag
+	b[4+2+2+len(l.Method)+24+8+4] = 77 // first node's descTag, behind δ and an empty QH
 	if _, err := Decode(bytes.NewReader(b)); err == nil {
 		t.Error("unknown descriptor tag must error")
+	}
+}
+
+// TestDecodeRefusesMixedDimensionality: every box of a file — a descriptor, a
+// hole, a precise box, a QH query — has the root's dimensionality, or Decode
+// refuses the file. A 1-d child under a 2-d root would otherwise decode, and
+// an oracle indexing its second coordinate would panic.
+func TestDecodeRefusesMixedDimensionality(t *testing.T) {
+	oneD := geom.Box{Lo: geom.Point{0}, Hi: geom.Point{5}}
+	for name, corrupt := range map[string]func(*Layout){
+		"descriptor": func(l *Layout) { l.Root.Children[0].Desc = NewRect(oneD) },
+		"hole": func(l *Layout) { // NewIrregular would panic on it; a file need not
+			ir := Irregular{Outer: box2(0, 0, 5, 10), Holes: []geom.Box{oneD}}
+			l.Root.Children[0] = &Node{Desc: ir, Part: &Partition{Desc: ir}}
+		},
+		"precise": func(l *Layout) { l.Parts[1].Precise = []geom.Box{oneD} },
+		"hist":    func(l *Layout) { l.Hist = []geom.Box{box2(0, 0, 1, 1), oneD} },
+	} {
+		l, _ := grid4(t)
+		corrupt(l)
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), "1-d box in a 2-d layout") {
+			t.Errorf("%s: got %v, want the 1-d box refused", name, err)
+		}
+	}
+}
+
+// TestDecodeRefusesOldVersionsAndBadDelta: a version-1 file, which carries
+// no scope, and a negative or NaN δ are refused.
+func TestDecodeRefusesOldVersionsAndBadDelta(t *testing.T) {
+	l, _ := grid4(t)
+	for name, c := range map[string]struct {
+		at   int
+		word []byte
+	}{
+		"version 1":  {4, binary.LittleEndian.AppendUint16(nil, 1)},
+		"negative δ": {4 + 2 + 2 + len(l.Method) + 24, binary.LittleEndian.AppendUint64(nil, math.Float64bits(-1))},
+		"NaN δ":      {4 + 2 + 2 + len(l.Method) + 24, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))},
+	} {
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		copy(b[c.at:], c.word)
+		if _, err := Decode(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }

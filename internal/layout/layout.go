@@ -232,6 +232,11 @@ type Layout struct {
 	// Unrouted counts records no leaf accepted (should be 0; kept as a
 	// safety signal for floating-point edge cases).
 	Unrouted int64
+	// Delta and Hist are the scope the layout was built for (Problem 1): the
+	// variance threshold δ in absolute domain units and the historical
+	// workload QH. Layouts built outside core.BuildMethod leave them zero.
+	Delta float64
+	Hist  []geom.Box
 
 	// index is the partition-level routing index over the descriptor MBRs,
 	// built at Seal/Decode (see index.go). Derived, immutable state: nil on

@@ -19,17 +19,10 @@ import (
 type Master struct {
 	layout   *layout.Layout
 	rewriter *sqlrew.Rewriter
-	recorder func(geom.Box)
 	// m is the optional routing telemetry (SetMetrics); the zero value is
 	// fully disabled and keeps the hot path allocation-free.
 	m metrics
 }
-
-// SetRecorder installs a callback invoked with every routed range query —
-// typically (*workload.Log).Record, so the history that future layout
-// rebuilds and δ′ estimation need accumulates as a side effect of serving
-// queries. Pass nil to stop recording.
-func (m *Master) SetRecorder(rec func(geom.Box)) { m.recorder = rec }
 
 // NewMaster wires a routed layout with a SQL schema. columns maps query
 // dimensions to SQL column names, in dimension order.
@@ -127,15 +120,11 @@ func (m *Master) routeRanges(ranges []geom.Box) (Plan, error) {
 
 // RoutePartitions routes one range query without materialising a Plan: the
 // partitions to scan are appended to dst (allocation-free when dst has
-// capacity — the hot path for callers streaming many ranges). The recorder
-// is applied exactly as in RouteRange.
+// capacity — the hot path for callers streaming many ranges).
 func (m *Master) RoutePartitions(dst []layout.ID, q geom.Box) []layout.ID {
 	var start time.Time
 	if m.m.enabled {
 		start = time.Now()
-	}
-	if m.recorder != nil {
-		m.recorder(q)
 	}
 	pre := len(dst)
 	parts := m.layout.AppendPartitionsFor(dst, q)

@@ -107,28 +107,6 @@ func TestRouteErrors(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	m, _, _ := setup(t)
-	var recorded []geom.Box
-	m.SetRecorder(func(q geom.Box) { recorded = append(recorded, q.Clone()) })
-	if _, err := m.RouteSQL("SELECT * FROM t WHERE x >= 0.2 AND x <= 0.4"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RouteSQL("SELECT * FROM t WHERE x <= 0.1 OR x >= 0.9"); err != nil {
-		t.Fatal(err)
-	}
-	if len(recorded) != 3 { // 1 range + 2 disjoint ranges
-		t.Fatalf("recorded %d ranges, want 3", len(recorded))
-	}
-	m.SetRecorder(nil)
-	if _, err := m.RouteSQL("SELECT * FROM t WHERE x >= 0.5"); err != nil {
-		t.Fatal(err)
-	}
-	if len(recorded) != 3 {
-		t.Error("recording continued after SetRecorder(nil)")
-	}
-}
-
 func TestMemoryFootprint(t *testing.T) {
 	m, data, l := setup(t)
 	base := m.MemoryFootprint()

@@ -35,12 +35,6 @@ func Methods() []string {
 	return []string{MethodPAW, MethodQdTree, MethodKdTree}
 }
 
-// Greedy reports whether a method accepts only strictly cost-decreasing
-// splits (the strict form of the monotonicity oracle).
-func Greedy(method string) bool {
-	return method == MethodPAW || method == MethodQdTree
-}
-
 // Scenario is one deterministic simulation setting.
 type Scenario struct {
 	// Name identifies the scenario; it encodes the generator choices.
@@ -158,7 +152,7 @@ func Inputs(sc Scenario, method string) invariant.Inputs {
 		Hist:    sc.Hist,
 		Delta:   sc.Delta,
 		MinRows: sc.MinRows,
-		Greedy:  Greedy(method),
+		Greedy:  core.Method(method).Greedy(),
 		Seed:    sc.Seed,
 	}
 }

@@ -30,6 +30,16 @@ func (w Workload) Boxes() []geom.Box {
 	return out
 }
 
+// FromBoxes is the workload of boxes in order, sequenced by position: the
+// inverse of Boxes for a workload a layout file stores as its boxes.
+func FromBoxes(boxes []geom.Box) Workload {
+	out := make(Workload, len(boxes))
+	for i, b := range boxes {
+		out[i] = Query{Box: b, Seq: int64(i)}
+	}
+	return out
+}
+
 // Clone deep-copies the workload.
 func (w Workload) Clone() Workload {
 	out := make(Workload, len(w))

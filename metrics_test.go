@@ -11,10 +11,9 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
-	"paw/internal/kdtree"
+	"paw/internal/layout"
 	"paw/internal/obs"
 	"paw/internal/placement"
-	"paw/internal/qdtree"
 	"paw/internal/router"
 	"paw/internal/tuner"
 	"paw/internal/workload"
@@ -42,9 +41,15 @@ func TestMetricInventory(t *testing.T) {
 	// One registry per process that serves one, as the binaries attach them.
 	build, tune, master := obs.New(), obs.New(), obs.New()
 
-	l := core.Build(data, rows, data.Domain(), hist, core.Params{MinRows: 300, Obs: build})
-	qdtree.Build(data, rows, data.Domain(), hist.Boxes(), qdtree.Params{MinRows: 300, Obs: build})
-	kdtree.Build(data, rows, data.Domain(), kdtree.Params{MinRows: 300, Obs: build})
+	// Every builder registers on the build registry. The PAW layout, built
+	// last, is the one the fleet serves and the drift controller reads.
+	var l *layout.Layout
+	for _, m := range []core.Method{core.MethodQdTree, core.MethodKdTree, core.MethodPAW} {
+		var err error
+		if l, err = core.BuildMethod(m, data, rows, data.Domain(), hist, core.Params{MinRows: 300, Obs: build}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tuner.SelectObserved(l, data, hist.Boxes(), l.TotalBytes/10, tune)
 
 	cfg := blockstore.Config{}
@@ -60,7 +65,7 @@ func TestMetricInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm.SetMetrics(master)
-	drift.New(f.Master, data, cfg.Builder(data), hist, drift.Config{Delta: 1}).SetMetrics(master)
+	drift.New(f.Master, data, cfg.Builder(data), drift.Config{}).SetMetrics(master)
 
 	regs := map[*obs.Registry]string{build: "pawcli build", tune: "tuner.SelectObserved", master: "pawmaster"}
 	for _, r := range f.Regs {
