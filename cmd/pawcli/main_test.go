@@ -40,12 +40,7 @@ func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 	if err := runBuild(args, io.Discard); err != nil {
 		t.Fatalf("pawcli build %v: %v", args, err)
 	}
-	return layoutPath, readLayout(t, layoutPath)
-}
-
-func readLayout(t *testing.T, path string) *layout.Layout {
-	t.Helper()
-	f, err := os.Open(path)
+	f, err := os.Open(layoutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +49,7 @@ func readLayout(t *testing.T, path string) *layout.Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return layoutPath, l
 }
 
 // TestBuildWritesABootableLayout: the layout `build -in` writes passes

@@ -72,7 +72,8 @@ type benchLayoutGolden struct {
 // construction and the full-Contains routing walk. Ranking by selection and
 // bucketing, and routing by derived per-split checks, must reproduce them bit
 // for bit. The digests were re-recorded when PAWL went to version 2; each
-// tree's bytes are the version-1 bytes unchanged. It also checks RouteAssign against LocateLinear on every row.
+// tree's bytes are the version-1 bytes unchanged. It also checks RouteAssign
+// against LocateLinear on every row.
 func TestBenchmarkLayoutsGolden(t *testing.T) {
 	want := map[string][3]benchLayoutGolden{ // paw, qd-tree, kd-tree
 		"tpch-selective": {

@@ -40,10 +40,10 @@ type Controller struct {
 	mon     *Monitor
 
 	// mu serializes the trigger pipeline; the master's ApplyMigration
-	// rejects overlap anyway, but one pipeline at a time keeps cur and the
-	// monitor's reference coherent. cur is atomic because the observer hook reads it on the
-	// serving path while TriggerNow holds mu — taking mu there would
-	// deadlock the migration drain against the queries it waits for.
+	// rejects overlap anyway, but one pipeline at a time keeps cur coherent.
+	// cur is atomic because the observer hook reads it on the serving path
+	// while TriggerNow holds mu — taking mu there would deadlock the
+	// migration drain against the queries it waits for.
 	mu  sync.Mutex
 	cur atomic.Pointer[layout.Layout]
 
@@ -304,8 +304,8 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	return nil
 }
 
-// rebuild constructs the replacement subtree for target and patches it into
-// the current layout, within the scope cur carries. It returns the patched layout, the diff, and the
+// rebuild constructs the replacement subtree for target within cur's scope
+// and patches it into cur. It returns the patched layout, the diff, and the
 // full-data row indices of every added partition (the migration payloads).
 //
 // The pipeline is offline construction at region scale, the two calls
