@@ -239,13 +239,13 @@ loc:
 # −3), obs.ByteBuckets (obs −9) and trace.KeyShared (trace −4); pawmaster's
 # re-encode fallback follows the served layout (pawmaster +10).
 # Then −117 let a layout file carry the scope it was built for: the PAWQ
-# query log and its box layout (workload −88, binfmt −9), SetRecorder (router
-# −11), CheckSealed (invariant −19), pawmaster's -drift-hist and -drift-delta
-# (pawmaster −13), pawcli build's -queries-out (pawcli −4), the example's log
-# (−6) and sim.Greedy, now core.Method.Greedy (sim −6, core +11 with
-# BuildMethod recording the scope); PAWL v2 stores δ and QH and refuses
-# mixed dimensionality (layout +24), drift reads the scope from the layout
-# (drift +2, bench +2).
+# query log and its box layout (workload −88, binfmt −9), the router's query
+# recorder (router −11), the input-free oracle subset (invariant −19),
+# pawmaster's two scope flags (pawmaster −13), pawcli build's query-log
+# output (pawcli −4), the example's log (−6) and sim.Greedy, now
+# core.Method.Greedy (sim −6, core +11 with BuildMethod recording the
+# scope); PAWL v2 stores δ and QH and refuses mixed dimensionality (layout
+# +24), and drift reads the scope from the layout (drift +2, bench +2).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
 LOC_CEILING := 23221
