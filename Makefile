@@ -5,11 +5,18 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz fuzz-smoke loc loc-check bench-smoke bench-kernels bench-request-path bench-setup bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check fmt-check build vet test race chaos fuzz fuzz-smoke loc loc-check bench-smoke bench-kernels bench-request-path bench-setup bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
 
-# check is the full tier-1 gate: build, vet, tests, and the race detector
-# over every package that runs concurrent construction or routing code.
-check: build vet test race
+# check is the full tier-1 gate: formatting, build, vet, tests, and the race
+# detector over every package that runs concurrent construction or routing
+# code.
+check: fmt-check build vet test race
+
+# fmt-check fails, listing them, when gofmt would rewrite any Go file of the
+# module or of benchmark/ (the benchmark's build directory is left out).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -119,7 +126,7 @@ bench-smoke:
 # ascending pieces of 8, 32, 89 and 2 048 values (raw/narrow-N) beside the
 # sweep it replaces (raw/countSpans) — and the whole pipeline on run columns
 # ahead of a raw one, in no order (runs-then-raw) and in the builder's
-# (runs-then-sorted-raw), count and scan, each on one replayed row group and on
+# (runs-then-sorted-raw), counted, each on one replayed row group and on
 # 256 fresh ones at p ≈ ½ (BenchmarkKernel, DESIGN.md §11 "Branch-free
 # selection"). A per-value kernel with a data-dependent branch reads ~4× apart
 # on the two; these read within ~1.3× (narrow, which works a run or a piece at
@@ -246,9 +253,16 @@ loc:
 # core.Method.Greedy (sim −6, core +11 with BuildMethod recording the
 # scope); PAWL v2 stores δ and QH and refuses mixed dimensionality (layout
 # +24), and drift reads the scope from the layout (drift +2, bench +2).
+# Then −302 left the column store one scan mode, count: the materialising
+# scan, its gather kernel and RowsDecoded, and PAWC v4's unread SMA count,
+# sums and zone word (colstore −175, sma −3, trace −3, bench −23), and the
+# names a type-resolving caller guard found that only their own tests
+# called, deleted or moved into _test.go files (sim −30, dist −15,
+# rtree −9, tuner −9, drift −8, obs −7, blockstore −6, membership −6, the
+# facade −5, layout −3); dist's rebalance counts the payloads it ships.
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 23221
+LOC_CEILING := 22919
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

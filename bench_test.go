@@ -169,11 +169,12 @@ func BenchmarkColstoreScan(b *testing.B) {
 	data := dataset.TPCHLike(100_000, 13)
 	tab := colstore.FromDataset(data, nil, 4096)
 	w := UniformWorkload(data.Domain(), 50, 14)
+	sc := colstore.NewScanner()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range w.Boxes() {
-			tab.Count(q)
+			sc.Count(tab, q)
 		}
 	}
 }

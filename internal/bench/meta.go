@@ -8,7 +8,7 @@ import "runtime"
 const (
 	ConstructionSchema = "paw/bench-construction/v1"
 	RoutingSchema      = "paw/bench-routing/v1"
-	ScanSchema         = "paw/bench-scan/v1"
+	ScanSchema         = "paw/bench-scan/v2"
 	DriftSchema        = "paw/bench-drift/v1"
 	RebalanceSchema    = "paw/bench-rebalance/v1"
 )

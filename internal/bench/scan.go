@@ -30,8 +30,7 @@ type ScanResult struct {
 	// the predictor's memory. Its figures are means over the boxes.
 	Family string `json:"family"`
 	// Mode is the execution path: "naive" (row-at-a-time over fully decoded
-	// groups), "vectorized" (selection-vector count), "materialize"
-	// (vectorized scan with late materialization), "parallel" (vectorized
+	// groups), "vectorized" (selection-vector count), "parallel" (vectorized
 	// count fanned over row groups).
 	Mode string `json:"mode"`
 	// Workers is the pool width for the parallel mode (0 otherwise).
@@ -74,12 +73,8 @@ type ScanReport struct {
 	CompressionRatio float64        `json:"compression_ratio"`
 	Encodings        map[string]int `json:"encodings"`
 	// RawWidthBits is the mean width, in bits, raw chunks pack a value at.
-	RawWidthBits float64 `json:"raw_width_bits"`
-	// DecodeMBPerSec is the full-decode kernel rate (raw logical MB/s of a
-	// full-domain materializing scan): the CPU bound on how fast a worker can
-	// stream a partition it has to read whole.
-	DecodeMBPerSec float64      `json:"decode_mb_per_sec"`
-	Results        []ScanResult `json:"results"`
+	RawWidthBits float64      `json:"raw_width_bits"`
+	Results      []ScanResult `json:"results"`
 }
 
 // scanSelectivities are the per-family target fractions on the sorted
@@ -104,9 +99,9 @@ const scanSortDim = 1
 
 // ScanBench measures the vectorized columnar scan kernels against the
 // retained naive reference on a dim-sorted TPC-H stand-in: per-selectivity
-// count/scan/parallel throughput, byte skipping, allocation pressure, and
-// the full-decode rate. All modes return identical match counts (the
-// differential suites prove it); only time, bytes and allocations differ.
+// serial and parallel count throughput, byte skipping and allocation
+// pressure. All modes return identical match counts (the differential suites
+// prove it); only time, bytes and allocations differ.
 func ScanBench(cfg Config) ScanReport {
 	data := cfg.tpch()
 	n := data.NumRows()
@@ -217,13 +212,6 @@ func ScanBench(cfg Config) ScanReport {
 			vec.SpeedupVsNaive = speedup(naive.NsPerOp, vec.NsPerOp)
 			rep.Results = append(rep.Results, vec)
 
-			_, mst := sc.Scan(tab, q)
-			mat := measure(family, "materialize", 0, sel, mst, func() {
-				sc.Scan(tab, q)
-			})
-			mat.SpeedupVsNaive = speedup(naive.NsPerOp, mat.NsPerOp)
-			rep.Results = append(rep.Results, mat)
-
 			par := measure(family, "parallel", pool.Workers(), sel, tab.CountParallel(q, pool, &sp, sc), func() {
 				tab.CountParallel(q, pool, &sp, sc)
 			})
@@ -264,16 +252,5 @@ func ScanBench(cfg Config) ScanReport {
 		rep.Results = append(rep.Results, vec)
 	}
 
-	// Full-domain materializing scan: every group and column decodes, giving
-	// the pure kernel decode rate (DecodeMBPerSec).
-	full := dom.Clone()
-	fr := measure("clustered", "decode-all", 0, 1.0, func() colstore.ScanStats {
-		_, st := sc.Scan(tab, full)
-		return st
-	}(), func() {
-		sc.Scan(tab, full)
-	})
-	rep.DecodeMBPerSec = fr.MBPerSec
-	rep.Results = append(rep.Results, fr)
 	return rep
 }

@@ -140,9 +140,6 @@ func (s *Store) Partition(id layout.ID) (*StoredPartition, error) {
 	return p, nil
 }
 
-// NumPartitions returns the number of stored partitions.
-func (s *Store) NumPartitions() int { return len(s.parts) }
-
 // TotalBlocks returns the number of storage blocks in use.
 func (s *Store) TotalBlocks() int {
 	t := 0
@@ -151,9 +148,6 @@ func (s *Store) TotalBlocks() int {
 	}
 	return t
 }
-
-// BlockBytes returns the configured block size.
-func (s *Store) BlockBytes() int64 { return s.cfg.BlockBytes }
 
 // ScanPartition scans one partition with the query through the vectorized
 // kernels, using row-group pruning. Scanner scratch comes from the store's

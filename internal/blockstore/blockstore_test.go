@@ -29,8 +29,8 @@ func TestMaterialize(t *testing.T) {
 	data := dataset.Uniform(4000, 2, 1)
 	l := kdtree.Build(data, allRows(4000), data.Domain(), kdtree.Params{MinRows: 200})
 	s := Materialize(l, data, Config{BlockBytes: 1 << 12, GroupRows: 64})
-	if s.NumPartitions() != l.NumPartitions() {
-		t.Fatalf("stored %d partitions, layout has %d", s.NumPartitions(), l.NumPartitions())
+	if len(s.parts) != l.NumPartitions() {
+		t.Fatalf("stored %d partitions, layout has %d", len(s.parts), l.NumPartitions())
 	}
 	if s.BytesWritten != data.TotalBytes() {
 		t.Errorf("bytes written = %d, want %d", s.BytesWritten, data.TotalBytes())
@@ -130,7 +130,7 @@ func TestRowGroupPruningReducesBytes(t *testing.T) {
 func encodeStore(t *testing.T, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for id := 0; id < s.NumPartitions(); id++ {
+	for id := 0; id < len(s.parts); id++ {
 		p, err := s.Partition(layout.ID(id))
 		if err != nil {
 			t.Fatal(err)

@@ -12,11 +12,10 @@ import (
 // Binary format (little-endian):
 //
 //	magic    uint32 'PAWC'
-//	version  uint16 (3)
+//	version  uint16 (4)
 //	dims     uint16
 //	groups   uint32
 //	names    (uint16 len + bytes) per column
-//	zones    uint32, always 0 (the query count of the zone maps v2 once carried)
 //	per group:
 //	  rows   uint32
 //	  per column: kind uint8, then the encoded payload:
@@ -24,46 +23,44 @@ import (
 //	    dict: card uint32, card × float64, width uint8 (1|2), rows × width codes
 //	    rle:  runs uint32, runs × float64 values, runs × uint32 lengths
 //	    for:  base float64, bits uint8 (0–32), ceil(rows·bits/8) bytes of packed deltas
-//	  SMA:   count int64, then per dim min/max/sum float64
+//	  SMA:   per dim min/max float64 (its count is the group's rows)
 //
 // Packed values are little-endian bit fields: value i occupies bits
 // [i·bits, (i+1)·bits) of the byte string, least significant bit first.
 //
 // A payload only ever crosses the wire between processes of one build, so
-// nothing older is decodable: versions 1 (raw float64 columns) and 2 (raw
-// float64 values, FOR in 64-bit words) and a non-zero zone count are errors.
+// nothing older is decodable: versions 1 (raw float64 columns), 2 (raw
+// float64 values, FOR in 64-bit words) and 3 (v4 plus an always-zero zone
+// count, and an SMA count and sum per group that no scan read) are errors.
 const (
 	colMagic   = 0x50415743 // "PAWC"
-	colVersion = 3
+	colVersion = 4
 
 	// maxDecodeRows bounds per-group row counts on decode so corrupt or
 	// hostile headers cannot drive huge allocations.
 	maxDecodeRows = 1 << 28
 )
 
-// Encode writes the table in the PAWC v3 binary format.
+// Encode writes the table in the PAWC v4 binary format.
 func (t *Table) Encode(w io.Writer) error {
 	// Room for the column chunks, each group's row count, kind tags and SMA,
 	// and 1 KiB of header and names.
-	size := 1024 + t.EncodedBytes() + int64(len(t.groups)*(12+25*t.Dims()))
+	size := 1024 + t.EncodedBytes() + int64(len(t.groups)*(4+17*t.Dims()))
 	buf := binfmt.AppendHeader(make([]byte, 0, size), colMagic, colVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Dims()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.groups)))
 	for _, n := range t.names {
 		buf = binfmt.AppendString16(buf, n)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // the zone-count word
 	for gi := range t.groups {
 		g := &t.groups[gi]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(g.rows))
 		for d := range g.cols {
 			buf = appendColumn(buf, &g.cols[d])
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.stats.Count))
 		for d := 0; d < t.Dims(); d++ {
 			buf = appendF64(buf, g.stats.Min[d])
 			buf = appendF64(buf, g.stats.Max[d])
-			buf = appendF64(buf, g.stats.Sum[d])
 		}
 	}
 	_, err := w.Write(buf)
@@ -185,7 +182,7 @@ func readF64s(r *binfmt.Reader, n int) []float64 {
 	return out
 }
 
-// Decode reads a table in the PAWC v3 binary format.
+// Decode reads a table in the PAWC v4 binary format.
 func Decode(in io.Reader) (*Table, error) {
 	data, err := binfmt.ReadAll(in)
 	if err != nil {
@@ -202,9 +199,6 @@ func Decode(in io.Reader) (*Table, error) {
 	for i := range t.names {
 		t.names[i] = r.String16()
 	}
-	if nq := r.U32(); nq != 0 {
-		r.Failf("%d zone queries: zone maps are not supported", nq)
-	}
 	for gi := uint32(0); gi < groups && r.Err() == nil; gi++ {
 		rows := int(r.U32())
 		if r.Err() == nil && (rows == 0 || rows > maxDecodeRows) {
@@ -214,9 +208,9 @@ func Decode(in io.Reader) (*Table, error) {
 		for d := range cols {
 			cols[d] = readColumn(r, rows)
 		}
-		stats := sma.Aggregates{Count: r.I64(), Min: make([]float64, dims), Max: make([]float64, dims), Sum: make([]float64, dims)}
+		stats := sma.Aggregates{Count: int64(rows), Min: make([]float64, dims), Max: make([]float64, dims)}
 		for d := 0; d < dims; d++ {
-			stats.Min[d], stats.Max[d], stats.Sum[d] = r.F64(), r.F64(), r.F64()
+			stats.Min[d], stats.Max[d] = r.F64(), r.F64()
 		}
 		if r.Err() == nil {
 			t.rows += rows

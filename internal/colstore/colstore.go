@@ -6,8 +6,10 @@
 // Fig. 15b — and evaluate the surviving groups with vectorized kernels:
 // predicates run directly on the encoded columns (dictionary codes, RLE
 // runs, bit-packed deltas and order-key offsets), a reusable selection
-// vector carries survivors between columns, and only the rows that pass every
-// predicate are decoded (late materialization). See DESIGN.md §11.
+// vector carries survivors between columns, and the last active column counts
+// the rows that pass every predicate without decoding them. Every statement
+// the cluster answers is a count, so no scan materialises rows. See DESIGN.md
+// §11.
 package colstore
 
 import (
@@ -99,13 +101,12 @@ func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowG
 		Count: int64(n),
 		Min:   make([]float64, dims),
 		Max:   make([]float64, dims),
-		Sum:   make([]float64, dims),
 	}
 	e.vals = slices.Grow(e.vals[:0], n)[:n]
 	for d := 0; d < dims; d++ {
 		fill(d, e.vals)
 		cols[d] = encodeColumn(e.vals, &e.scratch)
-		mn, mx, sum := math.Inf(1), math.Inf(-1), 0.0
+		mn, mx := math.Inf(1), math.Inf(-1)
 		for _, v := range e.vals {
 			if v < mn {
 				mn = v
@@ -113,9 +114,8 @@ func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowG
 			if v > mx {
 				mx = v
 			}
-			sum += v
 		}
-		stats.Min[d], stats.Max[d], stats.Sum[d] = mn, mx, sum
+		stats.Min[d], stats.Max[d] = mn, mx
 	}
 	return newRowGroup(cols, n, stats)
 }
@@ -128,9 +128,6 @@ func (t *Table) NumGroups() int { return len(t.groups) }
 
 // Dims returns the column count.
 func (t *Table) Dims() int { return len(t.names) }
-
-// Names returns the column names.
-func (t *Table) Names() []string { return t.names }
 
 // Bytes returns the simulated physical size of the table (the layout cost
 // model's 16 bytes/attribute; see dataset.BytesPerAttribute). Compression
@@ -205,9 +202,8 @@ func (t *Table) SearchCensus(byColumn map[string]int) (raw, rawBits, searchable,
 }
 
 // ScanStats reports what a scan did. Byte accounting follows the encoded
-// representation and late materialization: BytesRead counts only the
-// encoded payload actually decoded (predicate columns touched plus
-// materialized survivor values), never whole-group sizes; BytesSkipped is
+// representation: BytesRead counts only the encoded payload actually decoded
+// (the predicate columns touched), never whole-group sizes; BytesSkipped is
 // the encoded payload a naive decode-everything scan would have read but
 // this scan proved it could skip. For any scan, BytesRead + BytesSkipped
 // equals the table's EncodedBytes.
@@ -217,10 +213,8 @@ type ScanStats struct {
 	// BytesRead is the encoded payload actually decoded.
 	BytesRead int64
 	// BytesSkipped is the encoded payload proven skippable (pruned groups,
-	// covered columns, rows rejected before materialization).
+	// covered columns, rows rejected by an earlier column).
 	BytesSkipped int64
-	// RowsDecoded is the number of rows materialized (0 for Count scans).
-	RowsDecoded int64
 	// GroupsRead / GroupsSkipped count row groups evaluated vs pruned.
 	GroupsRead    int
 	GroupsSkipped int
@@ -229,10 +223,10 @@ type ScanStats struct {
 	// edit — reads it (see dist/metrics.go; ROADMAP.md item 1a removes it).
 	GroupsZoneSkipped int
 	// ColsRaw..ColsFOR count the column chunks actually decoded, by
-	// physical encoding — the encoding mix of the scan's real work
-	// (predicate columns touched plus covered columns materialized). The
-	// naive oracle decodes every column of every surviving group, so its
-	// mix is the table's encoding census, not the kernel's.
+	// physical encoding — the encoding mix of the scan's real work (the
+	// predicate columns touched). The naive oracle decodes every column of
+	// every surviving group, so its mix is the table's encoding census, not
+	// the kernel's.
 	ColsRaw  int
 	ColsDict int
 	ColsRLE  int
@@ -245,7 +239,6 @@ func (st *ScanStats) Add(other ScanStats) {
 	st.Matched += other.Matched
 	st.BytesRead += other.BytesRead
 	st.BytesSkipped += other.BytesSkipped
-	st.RowsDecoded += other.RowsDecoded
 	st.GroupsRead += other.GroupsRead
 	st.GroupsSkipped += other.GroupsSkipped
 	st.ColsRaw += other.ColsRaw
@@ -253,37 +246,6 @@ func (st *ScanStats) Add(other ScanStats) {
 	st.ColsRLE += other.ColsRLE
 	st.ColsFOR += other.ColsFOR
 }
-
-// Scan evaluates the range query q with the vectorized kernels and returns
-// the matched row values materialised as points (all sharing one flat
-// backing array) plus scan statistics. Callers on a hot path should hold a
-// Scanner and use Scanner.Scan, which reuses its buffers across calls.
-func (t *Table) Scan(q geom.Box) ([]geom.Point, ScanStats) {
-	s := defaultScanners.Get()
-	defer defaultScanners.Put(s)
-	flat, st := s.Scan(t, q)
-	if len(flat) == 0 {
-		return nil, st
-	}
-	dims := t.Dims()
-	backing := append([]float64(nil), flat...)
-	out := make([]geom.Point, st.Matched)
-	for r := range out {
-		out[r] = backing[r*dims : (r+1)*dims : (r+1)*dims]
-	}
-	return out, st
-}
-
-// Count is Scan without materialising rows: the selection vector is
-// evaluated but no values are decoded.
-func (t *Table) Count(q geom.Box) ScanStats {
-	s := defaultScanners.Get()
-	defer defaultScanners.Put(s)
-	return s.Count(t, q)
-}
-
-// groupStats returns the SMA aggregates of row group i.
-func (t *Table) groupStats(i int) sma.Aggregates { return t.groups[i].stats }
 
 // Envelope returns the table's data envelope: the union of its row groups'
 // min/max statistics, folded from the SMAs without reading a value; false for
@@ -304,29 +266,4 @@ func (t *Table) Envelope() (geom.Box, bool) {
 		}
 	}
 	return env, true
-}
-
-// GroupRows returns the row count of row group i.
-func (t *Table) GroupRows(i int) int { return t.groups[i].rows }
-
-// groupPoints materialises row group i as points (reading the whole group,
-// as a scan would). All returned points share one flat backing array — the
-// call allocates twice regardless of the row count.
-func (t *Table) groupPoints(i int) []geom.Point {
-	g := &t.groups[i]
-	n := g.rows
-	dims := t.Dims()
-	backing := make([]float64, n*dims)
-	col := make([]float64, n)
-	for d := 0; d < dims; d++ {
-		g.cols[d].decodeInto(col)
-		for r := 0; r < n; r++ {
-			backing[r*dims+d] = col[r]
-		}
-	}
-	out := make([]geom.Point, n)
-	for r := range out {
-		out[r] = backing[r*dims : (r+1)*dims : (r+1)*dims]
-	}
-	return out
 }

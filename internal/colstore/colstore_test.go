@@ -32,25 +32,17 @@ func TestScanMatchesBruteForce(t *testing.T) {
 	data := dataset.Uniform(5000, 2, 2)
 	tab := FromDataset(data, nil, 256)
 	w := workload.Uniform(data.Domain(), workload.Defaults(40, 3))
+	sc := NewScanner()
 	for _, q := range w.Boxes() {
-		pts, st := tab.Scan(q)
 		want := data.CountInBox(q, nil)
-		if st.Matched != want || len(pts) != want {
-			t.Fatalf("Scan(%v) matched %d, want %d", q, st.Matched, want)
+		cst, nst := sc.Count(tab, q), tab.CountNaive(q)
+		if cst.Matched != want || nst.Matched != want {
+			t.Fatalf("Count(%v) matched %d, naive %d, want %d", q, cst.Matched, nst.Matched, want)
 		}
-		for _, p := range pts {
-			if !q.Contains(p) {
-				t.Fatalf("returned point %v outside query %v", p, q)
-			}
-		}
-		cst := tab.Count(q)
-		if cst.Matched != want {
-			t.Fatalf("Count disagrees with Scan: %+v vs %+v", cst, st)
-		}
-		// Scan materialises covered columns that Count never decodes, so its
-		// BytesRead may only exceed Count's.
-		if cst.BytesRead > st.BytesRead {
-			t.Fatalf("Count read %d bytes > Scan's %d", cst.BytesRead, st.BytesRead)
+		// The naive scan decodes every surviving group whole, so Count's
+		// BytesRead may only fall short of it.
+		if cst.BytesRead > nst.BytesRead {
+			t.Fatalf("Count read %d bytes > naive %d", cst.BytesRead, nst.BytesRead)
 		}
 	}
 }
@@ -66,7 +58,7 @@ func TestRowGroupPruning(t *testing.T) {
 	data := dataset.MustNew([]string{"x"}, [][]float64{col})
 	tab := FromDataset(data, nil, 500) // 20 groups
 	q := geom.Box{Lo: geom.Point{1000}, Hi: geom.Point{1499}}
-	_, st := tab.Scan(q)
+	st := NewScanner().Count(tab, q)
 	if st.Matched != 500 {
 		t.Errorf("matched %d, want 500", st.Matched)
 	}
@@ -105,16 +97,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.NumRows() != tab.NumRows() || got.NumGroups() != tab.NumGroups() || got.Dims() != tab.Dims() {
 		t.Fatalf("shape mismatch after round trip: %d/%d/%d", got.NumRows(), got.NumGroups(), got.Dims())
 	}
-	for i, n := range tab.Names() {
-		if got.Names()[i] != n {
-			t.Errorf("name %d = %q", i, got.Names()[i])
+	for i, n := range tab.names {
+		if got.names[i] != n {
+			t.Errorf("name %d = %q", i, got.names[i])
 		}
 	}
 	// Scans must agree exactly.
 	w := workload.Uniform(data.Domain(), workload.Defaults(20, 5))
+	sc := NewScanner()
 	for _, q := range w.Boxes() {
-		_, s1 := tab.Scan(q)
-		_, s2 := got.Scan(q)
+		s1, s2 := sc.Count(tab, q), sc.Count(got, q)
 		if s1 != s2 {
 			t.Fatalf("scan stats diverge after round trip: %+v vs %+v", s1, s2)
 		}
@@ -145,8 +137,7 @@ func TestFromDatasetSubset(t *testing.T) {
 	if tab.NumRows() != 4 || tab.NumGroups() != 2 {
 		t.Errorf("rows=%d groups=%d", tab.NumRows(), tab.NumGroups())
 	}
-	_, st := tab.Scan(data.Domain())
-	if st.Matched != 4 {
+	if st := NewScanner().Count(tab, data.Domain()); st.Matched != 4 {
 		t.Errorf("matched %d", st.Matched)
 	}
 }

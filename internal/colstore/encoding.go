@@ -9,7 +9,7 @@ import (
 )
 
 // colKind identifies the physical encoding of one column chunk. The values
-// are part of the PAWC v3 on-disk format and must not be renumbered.
+// are part of the PAWC on-disk format and must not be renumbered.
 type colKind uint8
 
 const (
@@ -77,7 +77,7 @@ type column struct {
 }
 
 // payloadBytes returns the encoded physical size of the column chunk — the
-// byte count its PAWC v3 payload occupies (excluding the 1-byte kind tag).
+// byte count its PAWC payload occupies (excluding the 1-byte kind tag).
 func (c *column) payloadBytes() int64 {
 	switch c.kind {
 	case colDict:
@@ -93,22 +93,17 @@ func (c *column) payloadBytes() int64 {
 	}
 }
 
-// valueBytes returns the bytes decoded when k individual values of the
-// column are touched (selection-vector refinement or late materialization).
+// valueBytes returns the bytes decoded when k individual values of a
+// dictionary or packed column are touched (selection-vector refinement; narrow
+// charges a run chunk per run).
 func (c *column) valueBytes(k int) int64 {
-	switch c.kind {
-	case colDict:
+	if c.kind == colDict {
 		if c.codes8 != nil {
 			return int64(k)
 		}
 		return int64(k) * 2
-	case colRLE:
-		// A gathered run value is 8 bytes (narrow accounts a predicate on
-		// runs itself, 12 bytes per run).
-		return int64(k) * 8
-	default:
-		return (int64(k)*int64(c.width) + 7) / 8
 	}
+	return (int64(k)*int64(c.width) + 7) / 8
 }
 
 // packedPayload is the PAWC payload of n offsets packed at width bits: the
@@ -524,8 +519,8 @@ func spanRows(spans []span) int {
 	return n
 }
 
-// expand appends the positions of spans to sel[:0], ascending: for rows to
-// materialise, or past a chunk whose header alone passes every value.
+// expand appends the positions of spans to sel[:0], ascending: past a chunk
+// whose header alone passes every value.
 func expand(spans []span, sel []int32) []int32 {
 	sel = sel[:0]
 	for _, sp := range spans {
@@ -788,38 +783,4 @@ func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
 		}
 	}
 	return sel[:n], bytes
-}
-
-// gather materializes value(sel[k]) into dst[k*stride+off] for every k.
-// sel must be ascending (selection vectors always are).
-func (c *column) gather(sel []int32, dst []float64, stride, off int) {
-	switch c.kind {
-	case colDict:
-		if c.codes8 != nil {
-			for k, i := range sel {
-				dst[k*stride+off] = c.dict[c.codes8[i]]
-			}
-		} else {
-			for k, i := range sel {
-				dst[k*stride+off] = c.dict[c.codes16[i]]
-			}
-		}
-	case colRLE:
-		if len(sel) == 0 {
-			return
-		}
-		ri, runEnd := 0, int32(c.runLens[0])
-		for k, i := range sel {
-			for i >= runEnd {
-				ri++
-				runEnd += int32(c.runLens[ri])
-			}
-			dst[k*stride+off] = c.runVals[ri]
-		}
-	default:
-		packed, width, mask := c.packed, uint(c.width), c.mask()
-		for k, i := range sel {
-			dst[k*stride+off] = c.valueOf(unpack(packed, uint(i)*width, mask))
-		}
-	}
 }

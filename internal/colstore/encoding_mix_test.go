@@ -8,23 +8,24 @@ import (
 
 // TestScanStatsEncodingMix: a table with one column per physical encoding —
 // long runs (RLE), few distinct fractions (dictionary), high-cardinality
-// integers (FOR), incompressible fractions (raw) — scanned with a predicate
-// that keeps every group and every column active must tally exactly one
-// decoded chunk per encoding per group. These tallies feed the enc_* span
+// integers (FOR), incompressible fractions (raw), each holding its column's
+// least value in every group — counted with a predicate that keeps every
+// group and every column active must tally exactly one decoded chunk per
+// encoding per group. These tallies feed the enc_* span
 // attributes of the distributed scan traces.
 func TestScanStatsEncodingMix(t *testing.T) {
 	const n, groupRows = 8000, 1000
 	cols := [][]float64{
-		make([]float64, n), // runs of 400: RLE in every group
+		make([]float64, n), // runs of 100 over 10 values: RLE in every group
 		make([]float64, n), // 7 distinct fractions: dictionary
-		make([]float64, n), // 5000 distinct integers: frame-of-reference
-		make([]float64, n), // ~1000 distinct fractions per group: raw
+		make([]float64, n), // 1000 distinct integers: frame-of-reference
+		make([]float64, n), // 1000 distinct fractions per group: raw
 	}
 	for i := 0; i < n; i++ {
-		cols[0][i] = float64(i / 400)
+		cols[0][i] = float64(i / 100 % 10)
 		cols[1][i] = float64(i%7) / 7
-		cols[2][i] = float64(i % 5000)
-		cols[3][i] = float64((i*2654435761)%100003)/100003 + float64(i)*1e-9
+		cols[2][i] = float64(i % 1000 * 5)
+		cols[3][i] = float64((i%1000*2654435761)%100003) / 100003
 	}
 	data := dataset.MustNew([]string{"a", "b", "c", "d"}, cols)
 	tab := FromDataset(data, nil, groupRows)
@@ -37,15 +38,15 @@ func TestScanStatsEncodingMix(t *testing.T) {
 		}
 	}
 
-	// Trim every dimension slightly below its domain: no group is pruned, no
-	// group empties, and every column is either an active predicate or
-	// decoded at materialization — each tallied exactly once per group.
+	// Trim every dimension slightly above its least value, which every group
+	// holds: no group is pruned or covered on any column, and none empties, so
+	// every column is an active predicate — each tallied exactly once per group.
 	q := data.Domain()
 	for d := range q.Lo {
 		q.Lo[d] += 1e-4
 	}
 	sc := NewScanner()
-	_, st := sc.Scan(tab, q)
+	st := sc.Count(tab, q)
 	if st.GroupsRead != groups || st.GroupsSkipped != 0 {
 		t.Fatalf("scan pruned groups the query covers: %+v", st)
 	}

@@ -116,10 +116,11 @@ func fuzzQuery(rng *rand.Rand, dom geom.Box) geom.Box {
 	return q
 }
 
-// FuzzScanDifferential proves the vectorized kernels are byte-identical to
-// the retained naive scan across every encoding, on arrival-order tables and
-// on the builder's clustered ones, and that a table round-trips through PAWC
-// v2 to one with identical scan results and statistics.
+// FuzzScanDifferential proves the vectorized count agrees with the retained
+// naive scan across every encoding, on arrival-order tables and on the
+// builder's clustered ones, that the values the naive path decodes are the
+// source rows, and that a table round-trips through PAWC to one with
+// identical counts and statistics.
 func FuzzScanDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(2), uint16(32), int64(2))
 	f.Add(int64(42), uint16(1000), uint8(4), uint16(128), int64(7))
@@ -157,6 +158,14 @@ func FuzzScanDifferential(f *testing.F) {
 			queries[i] = fuzzQuery(rng, dom)
 		}
 
+		srcPts := make([][]geom.Point, len(queries))
+		for qi, q := range queries {
+			for i := 0; i < rows; i++ {
+				if p := data.Point(i); q.Contains(p) {
+					srcPts[qi] = append(srcPts[qi], p)
+				}
+			}
+		}
 		sc := NewScanner()
 		enc := tab.EncodedBytes()
 		check := func(label string, tb *Table) {
@@ -176,33 +185,21 @@ func FuzzScanDifferential(f *testing.F) {
 				if cst.BytesRead > nst.BytesRead {
 					t.Fatalf("%s q%d: vectorized read %d > naive %d", label, qi, cst.BytesRead, nst.BytesRead)
 				}
-				flat, sst := sc.Scan(tb, q)
-				if sst.Matched != nst.Matched || sst.RowsDecoded != int64(nst.Matched) {
-					t.Fatalf("%s q%d: scan stats %+v vs naive matched %d", label, qi, sst, nst.Matched)
+				// The decoded rows are the source rows inside q, bit for bit (in
+				// a canonical order: the builder's differs from arrival's).
+				got, want := bitsSorted(nPts), bitsSorted(srcPts[qi])
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("%s q%d: naive path decodes %d rows that are not the %d source rows in the box", label, qi, len(got), len(want))
 				}
-				if sst.BytesRead < cst.BytesRead {
-					t.Fatalf("%s q%d: scan read %d bytes, count %d", label, qi, sst.BytesRead, cst.BytesRead)
-				}
-				if len(flat) != nst.Matched*dims {
-					t.Fatalf("%s q%d: flat length %d for %d rows", label, qi, len(flat), nst.Matched)
-				}
-				for r, p := range nPts {
-					for d := 0; d < dims; d++ {
-						if flat[r*dims+d] != p[d] {
-							t.Fatalf("%s q%d row %d dim %d: vectorized %v, naive %v",
-								label, qi, r, d, flat[r*dims+d], p[d])
-						}
-					}
-				}
-				// No predicate is charged past its chunk: a count never needs
-				// scanGroups' clamp.
+				// No predicate is charged past its chunk, so scanGroups charges
+				// no group more than its payload.
 				for gi := range tb.groups {
 					g := &tb.groups[gi]
 					if g.stats.CanPrune(q) {
 						continue
 					}
 					var gst ScanStats
-					if read := sc.scanGroup(g, q, false, &gst); read > g.encodedBytes() {
+					if read := sc.scanGroup(g, q, &gst); read > g.encodedBytes() {
 						t.Fatalf("%s q%d group %d: charged %d of %d encoded bytes", label, qi, gi, read, g.encodedBytes())
 					}
 				}
@@ -222,19 +219,19 @@ func FuzzScanDifferential(f *testing.F) {
 		check("clustered", clustered)
 		enc = tab.EncodedBytes()
 
-		// PAWC v2 round trip.
-		var v2 bytes.Buffer
-		if err := tab.Encode(&v2); err != nil {
+		// PAWC round trip.
+		var payload bytes.Buffer
+		if err := tab.Encode(&payload); err != nil {
 			t.Fatal(err)
 		}
-		got2, err := Decode(&v2)
+		decoded, err := Decode(&payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got2.EncodedBytes() != enc {
-			t.Fatalf("v2 round trip changed encoded size: %d vs %d", got2.EncodedBytes(), enc)
+		if decoded.EncodedBytes() != enc {
+			t.Fatalf("round trip changed encoded size: %d vs %d", decoded.EncodedBytes(), enc)
 		}
-		check("v2", got2)
+		check("decoded", decoded)
 	})
 }
 
@@ -242,7 +239,9 @@ func FuzzScanDifferential(f *testing.F) {
 // 5-row, 2-column table {1..5} × {10,10,20,20,30} in 3-row groups as PAWC v1,
 // as PAWC v2, and as PAWC v2 carrying the zone maps of one query. recordedV3
 // is PAWC v3's encoding of {1..5} × {0.5, 0.75, 0.625, NaN, -Inf} in 3-row
-// groups: two FOR chunks and two raw ones, at 52 and at 64 bits.
+// groups: two FOR chunks and two raw ones, at 52 and at 64 bits. recordedV4 is
+// the same table in PAWC v4: v3's column chunks, without the zone-count word
+// and with each group's SMA cut to min and max.
 const (
 	recordedV1 = "43574150010002000200000001006101006203000000000000000000f03f000000000000004000000000000008400000" +
 		"000000002440000000000000244000000000000034400300000000000000000000000000f03f00000000000008400000" +
@@ -265,7 +264,25 @@ const (
 		"001840000000000000e03f000000000000e83f000000000000fe3f02000000030000000000001040010200ffffffffff" +
 		"ff0f0040020000000000e8ff000000000000000002000000000000000000000000001040000000000000144000000000" +
 		"00002240000000000000f0ff000000000000f0ff010000000000f87f"
+	recordedV4 = "4357415004000200020000000100610100620300000003000000000000f03f022400000000000000e0bf340000000000" +
+		"000000000000008000000000000004000000000000f03f0000000000000840000000000000e03f000000000000e83f02" +
+		"000000030000000000001040010200ffffffffffff0f0040020000000000e8ff00000000000000000000000000001040" +
+		"0000000000001440000000000000f0ff000000000000f0ff"
 )
+
+// bitsSorted returns pts ordered by the bits of their coordinates, for a
+// bit-for-bit multiset comparison (signed zeros and NaNs included).
+func bitsSorted(pts []geom.Point) [][]uint64 {
+	out := make([][]uint64, len(pts))
+	for i, p := range pts {
+		out[i] = make([]uint64, len(p))
+		for d, v := range p {
+			out[i][d] = math.Float64bits(v)
+		}
+	}
+	slices.SortFunc(out, slices.Compare)
+	return out
+}
 
 func unhex(t testing.TB, s string) []byte {
 	b, err := hex.DecodeString(s)
@@ -296,23 +313,35 @@ func TestDecodeRefusesRecordedV2(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesZoneCount: the zone-count word is still in the v3 header
-// and still 0 in everything Encode writes — the recorded v3 payload decodes to
-// its table and re-encodes to itself — but a payload whose word is not 0 is an
-// error, not a table with a zone section misread as row groups.
-func TestDecodeRefusesZoneCount(t *testing.T) {
-	plain := unhex(t, recordedV3)
+// TestDecodeRefusesRecordedV3: nothing writes PAWC v3 — it carried an
+// always-zero zone-count word and an SMA count and sum per group that no scan
+// read — so the recorded v3 payload takes the unsupported-version error.
+func TestDecodeRefusesRecordedV3(t *testing.T) {
+	_, err := Decode(bytes.NewReader(unhex(t, recordedV3)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("v3 payload: err = %v, want unsupported version 3", err)
+	}
+}
+
+// TestDecodeRecordedV4: the recorded v4 payload decodes to its table, bit for
+// bit, with each group's SMA count taken from its row count, and re-encodes to
+// itself.
+func TestDecodeRecordedV4(t *testing.T) {
+	plain := unhex(t, recordedV4)
 	tab, err := Decode(bytes.NewReader(plain))
 	if err != nil {
-		t.Fatalf("recorded v3 payload: %v", err)
+		t.Fatalf("recorded v4 payload: %v", err)
 	}
 	b := make([]float64, 5)
 	for g, at := range []int{0, 3} {
 		tab.groups[g].cols[1].decodeInto(b[at:])
+		if st := &tab.groups[g].stats; st.Count != int64(tab.groups[g].rows) {
+			t.Fatalf("group %d: SMA count %d for %d rows", g, st.Count, tab.groups[g].rows)
+		}
 	}
 	for i, want := range []float64{0.5, 0.75, 0.625, math.NaN(), math.Inf(-1)} {
 		if math.Float64bits(b[i]) != math.Float64bits(want) {
-			t.Fatalf("recorded v3 payload decodes b[%d] as %v, want %v", i, b[i], want)
+			t.Fatalf("recorded v4 payload decodes b[%d] as %v, want %v", i, b[i], want)
 		}
 	}
 	var buf bytes.Buffer
@@ -320,21 +349,15 @@ func TestDecodeRefusesZoneCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), plain) {
-		t.Fatalf("recorded v3 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
-	}
-	zoned := slices.Clone(plain)
-	zoned[18] = 1 // the zone-count word
-	_, err = Decode(bytes.NewReader(zoned))
-	if err == nil || !strings.Contains(err.Error(), "zone") {
-		t.Fatalf("zone-bearing payload: err = %v, want a zone-count error", err)
+		t.Fatalf("recorded v4 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
 	}
 }
 
-// TestDecodeHostileRowCount: a 39-byte payload whose first group claims 2²⁸ raw
+// TestDecodeHostileRowCount: a 35-byte payload whose first group claims 2²⁸ raw
 // rows at 64 bits is an error that costs no more memory than the bytes that
 // arrived.
 func TestDecodeHostileRowCount(t *testing.T) {
-	payload := unhex(t, recordedV3)[:22]          // header of a 2-column table, zone count 0
+	payload := unhex(t, recordedV4)[:18]          // header of a 2-column table
 	payload = append(payload, 0, 0, 0, 0x10, 0)   // rows = 1<<28, kind raw
 	payload = append(payload, make([]byte, 8)...) // least key
 	payload = append(payload, 64, 1, 2, 3)        // width, three bytes of offsets
@@ -357,13 +380,14 @@ func TestDecodeHostileRowCount(t *testing.T) {
 func FuzzDecode(f *testing.F) {
 	f.Add(unhex(f, recordedV1))
 	f.Add(unhex(f, recordedV2))
-	f.Add(unhex(f, recordedV3))
+	f.Add(unhex(f, recordedV4))
 	// A raw chunk in two ascending pieces, which Decode must find again.
 	var sorted bytes.Buffer
 	if err := FromDataset(fuzzDataset(6, 40, 1), nil, 0).Encode(&sorted); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sorted.Bytes())
+	f.Add(unhex(f, recordedV3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := Decode(bytes.NewReader(data))
 		if err != nil {

@@ -135,18 +135,18 @@ func builtGoldenTable(t *testing.T) (*dataset.Dataset, *Table) {
 }
 
 // goldenStats is ScanStats in the order the literals below are written:
-// matched, read, skipped, decoded, groups read/skipped, cols raw/dict/rle/for.
-func goldenStats(matched int, read, skipped, decoded int64, gRead, gSkipped, raw, dict, rle, fr int) ScanStats {
+// matched, read, skipped, groups read/skipped, cols raw/dict/rle/for.
+func goldenStats(matched int, read, skipped int64, gRead, gSkipped, raw, dict, rle, fr int) ScanStats {
 	return ScanStats{
-		Matched: matched, BytesRead: read, BytesSkipped: skipped, RowsDecoded: decoded,
+		Matched: matched, BytesRead: read, BytesSkipped: skipped,
 		GroupsRead: gRead, GroupsSkipped: gSkipped,
 		ColsRaw: raw, ColsDict: dict, ColsRLE: rle, ColsFOR: fr,
 	}
 }
 
 func goldenLiteral(st ScanStats) string {
-	return fmt.Sprintf("goldenStats(%d, %d, %d, %d, %d, %d, %d, %d, %d, %d)",
-		st.Matched, st.BytesRead, st.BytesSkipped, st.RowsDecoded,
+	return fmt.Sprintf("goldenStats(%d, %d, %d, %d, %d, %d, %d, %d, %d)",
+		st.Matched, st.BytesRead, st.BytesSkipped,
 		st.GroupsRead, st.GroupsSkipped, st.ColsRaw, st.ColsDict, st.ColsRLE, st.ColsFOR)
 }
 
@@ -158,9 +158,10 @@ func goldenLiteral(st ScanStats) string {
 // stored format is itself what a PR changes — never to make a kernel pass
 // (TESTING.md) — and then beside the literals they replace.
 //
-// Every case carries the literals PAWC v2 read (count, scan: the 5edd304
-// literals, and for the nine cases PR 22's order moved, that order's) and the
-// PAWC v3 literals beside them (now), held to the rule checkGoldenCases states.
+// Every case carries the count PAWC v2 read (the 5edd304 literals, and for
+// the nine cases the runs-first order moved, that order's) and the count PAWC v3
+// read beside it (now), held to the rule checkGoldenCases states. PAWC v4
+// stores the same column chunks, so a scan reads what it read under v3.
 func TestScanBytesGolden(t *testing.T) {
 	data, tab := goldenTable(t)
 	dom := data.Domain()
@@ -197,162 +198,116 @@ func TestScanBytesGolden(t *testing.T) {
 
 	cases := []goldenCase{
 		{"empty", empty,
-			goldenStats(0, 0, 79920, 0, 0, 5, 0, 0, 0, 0),
-			goldenStats(0, 0, 79920, 0, 0, 5, 0, 0, 0, 0),
-			[]ScanStats{goldenStats(0, 0, 75830, 0, 0, 5, 0, 0, 0, 0),
-				goldenStats(0, 0, 75830, 0, 0, 5, 0, 0, 0, 0)}},
+			goldenStats(0, 0, 79920, 0, 5, 0, 0, 0, 0),
+			goldenStats(0, 0, 75830, 0, 5, 0, 0, 0, 0)},
 		{"full-domain", dom,
-			goldenStats(4133, 0, 79920, 0, 5, 0, 0, 0, 0, 0),
-			goldenStats(4133, 79920, 0, 4133, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(4133, 0, 75830, 0, 5, 0, 0, 0, 0, 0),
-				goldenStats(4133, 75830, 0, 4133, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(4133, 0, 79920, 5, 0, 0, 0, 0, 0),
+			goldenStats(4133, 0, 75830, 5, 0, 0, 0, 0, 0)},
 		{"point-on-a-row", geom.Box{Lo: row, Hi: row},
-			goldenStats(1, 4050, 75870, 0, 4, 1, 1, 5, 4, 5),
-			goldenStats(1, 4050, 75870, 1, 4, 1, 1, 5, 4, 6),
-			[]ScanStats{goldenStats(1, 4049, 71781, 0, 4, 1, 1, 5, 4, 5),
-				goldenStats(1, 4049, 71781, 1, 4, 1, 1, 5, 4, 6)}},
+			goldenStats(1, 4050, 75870, 4, 1, 1, 5, 4, 5),
+			goldenStats(1, 4049, 71781, 4, 1, 1, 5, 4, 5)},
 		{"between-dict8-values", between(gDict8, 0.30, 0.40),
-			goldenStats(0, 300, 79620, 0, 5, 0, 0, 5, 0, 0),
-			goldenStats(0, 300, 79620, 0, 5, 0, 0, 5, 0, 0),
-			[]ScanStats{goldenStats(0, 300, 75530, 0, 5, 0, 0, 5, 0, 0),
-				goldenStats(0, 300, 75530, 0, 5, 0, 0, 5, 0, 0)}},
+			goldenStats(0, 300, 79620, 5, 0, 0, 5, 0, 0),
+			goldenStats(0, 300, 75530, 5, 0, 0, 5, 0, 0)},
 		{"between-for13-values", between(gFOR13, 2000.25, 2000.75),
-			goldenStats(0, 45, 79875, 0, 5, 0, 0, 0, 0, 5),
-			goldenStats(0, 45, 79875, 0, 5, 0, 0, 0, 0, 5),
-			[]ScanStats{goldenStats(0, 45, 75785, 0, 5, 0, 0, 0, 0, 5),
-				goldenStats(0, 45, 75785, 0, 5, 0, 0, 0, 0, 5)}},
+			goldenStats(0, 45, 79875, 5, 0, 0, 0, 0, 5),
+			goldenStats(0, 45, 75785, 5, 0, 0, 0, 0, 5)},
 		{"between-dict8-refining", onRow(between(gDict8, 0.30, 0.40)),
-			goldenStats(0, 300, 79620, 0, 5, 0, 0, 5, 0, 0),
-			goldenStats(0, 300, 79620, 0, 5, 0, 0, 5, 0, 0),
-			[]ScanStats{goldenStats(0, 300, 75530, 0, 5, 0, 0, 5, 0, 0),
-				goldenStats(0, 300, 75530, 0, 5, 0, 0, 5, 0, 0)}},
+			goldenStats(0, 300, 79620, 5, 0, 0, 5, 0, 0),
+			goldenStats(0, 300, 75530, 5, 0, 0, 5, 0, 0)},
 		{"between-for13-refining", onRow(between(gFOR13, 2000.25, 2000.75)),
-			goldenStats(0, 45, 79875, 0, 5, 0, 0, 0, 0, 5),
-			goldenStats(0, 45, 79875, 0, 5, 0, 0, 0, 0, 5),
-			[]ScanStats{goldenStats(0, 45, 75785, 0, 5, 0, 0, 0, 0, 5),
-				goldenStats(0, 45, 75785, 0, 5, 0, 0, 0, 0, 5)}},
+			goldenStats(0, 45, 79875, 5, 0, 0, 0, 0, 5),
+			goldenStats(0, 45, 75785, 5, 0, 0, 0, 0, 5)},
 		{"raw-first", first(gRaw),
-			goldenStats(2064, 33064, 46856, 0, 5, 0, 5, 0, 0, 0),
-			goldenStats(2064, 67458, 12462, 2064, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(2064, 28972, 46858, 0, 5, 0, 5, 0, 0, 0),
-				goldenStats(2064, 63366, 12464, 2064, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(2064, 33064, 46856, 5, 0, 5, 0, 0, 0),
+			goldenStats(2064, 28972, 46858, 5, 0, 5, 0, 0, 0)},
 		{"raw-refining", refining(gRaw, gDict8),
-			goldenStats(885, 18393, 61527, 0, 5, 0, 5, 5, 0, 0),
-			goldenStats(885, 32265, 47655, 885, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(885, 16646, 59184, 0, 5, 0, 5, 5, 0, 0),
-				goldenStats(885, 30518, 45312, 885, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(885, 18393, 61527, 5, 0, 5, 5, 0, 0),
+			goldenStats(885, 16646, 59184, 5, 0, 5, 5, 0, 0)},
 		{"dict8-first", first(gDict8),
-			goldenStats(1745, 4433, 75487, 0, 5, 0, 0, 5, 0, 0),
-			goldenStats(1745, 45756, 34164, 1745, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(1745, 4433, 71397, 0, 5, 0, 0, 5, 0, 0),
-				goldenStats(1745, 44009, 31821, 1745, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(1745, 4433, 75487, 5, 0, 0, 5, 0, 0),
+			goldenStats(1745, 4433, 71397, 5, 0, 0, 5, 0, 0)},
 		{"dict8-refining", refining(gDict8, gRaw),
-			goldenStats(706, 18393, 61527, 0, 5, 0, 5, 5, 0, 0),
-			goldenStats(706, 29462, 50458, 706, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(706, 16646, 59184, 0, 5, 0, 5, 5, 0, 0),
-				goldenStats(706, 27715, 48115, 706, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(706, 18393, 61527, 5, 0, 5, 5, 0, 0),
+			goldenStats(706, 16646, 59184, 5, 0, 5, 5, 0, 0)},
 		{"dict16-first", first(gDict16),
-			goldenStats(2063, 17752, 62168, 0, 5, 0, 1, 4, 0, 0),
-			goldenStats(2063, 64430, 15490, 2063, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(2063, 17761, 58069, 0, 5, 0, 1, 4, 0, 0),
-				goldenStats(2063, 62374, 13456, 2063, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(2063, 17752, 62168, 5, 0, 1, 4, 0, 0),
+			goldenStats(2063, 17761, 58069, 5, 0, 1, 4, 0, 0)},
 		{"dict16-refining", refining(gDict16, gRaw),
-			goldenStats(846, 34184, 45736, 0, 5, 0, 6, 4, 0, 0),
-			goldenStats(846, 46559, 33361, 846, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(846, 32107, 43723, 0, 5, 0, 6, 4, 0, 0),
-				goldenStats(846, 44482, 31348, 846, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(846, 34184, 45736, 5, 0, 6, 4, 0, 0),
+			goldenStats(846, 32107, 43723, 5, 0, 6, 4, 0, 0)},
 		{"rle-first", first(gRLE),
-			goldenStats(2160, 1252, 78668, 0, 4, 1, 0, 0, 4, 0),
-			goldenStats(2160, 37162, 42758, 2160, 4, 1, 4, 8, 4, 12),
-			[]ScanStats{goldenStats(2160, 1252, 74578, 0, 4, 1, 0, 0, 4, 0),
-				goldenStats(2160, 35002, 40828, 2160, 4, 1, 4, 8, 4, 12)}},
+			goldenStats(2160, 1252, 78668, 4, 1, 0, 0, 4, 0),
+			goldenStats(2160, 1252, 74578, 4, 1, 0, 0, 4, 0)},
 		{"rle-refining", refining(gRLE, gRaw),
-			goldenStats(866, 18532, 61388, 0, 4, 1, 4, 0, 4, 0),
-			goldenStats(866, 26004, 53916, 866, 4, 1, 4, 8, 4, 12),
-			[]ScanStats{goldenStats(866, 16372, 59458, 0, 4, 1, 4, 0, 4, 0),
-				goldenStats(866, 23844, 51986, 866, 4, 1, 4, 8, 4, 12)}},
+			goldenStats(866, 18532, 61388, 4, 1, 4, 0, 4, 0),
+			goldenStats(866, 16372, 59458, 4, 1, 4, 0, 4, 0)},
 		{"rle-refining-sparse", mid(first(gRLE), gRaw, 0.3, 0.31),
-			goldenStats(22, 18532, 61388, 0, 4, 1, 4, 0, 4, 0),
-			goldenStats(22, 18724, 61196, 22, 4, 1, 4, 8, 4, 12),
-			[]ScanStats{goldenStats(22, 16372, 59458, 0, 4, 1, 4, 0, 4, 0),
-				goldenStats(22, 16564, 59266, 22, 4, 1, 4, 8, 4, 12)}},
+			goldenStats(22, 18532, 61388, 4, 1, 4, 0, 4, 0),
+			goldenStats(22, 16372, 59458, 4, 1, 4, 0, 4, 0)},
 		{"for13-first", first(gFOR13),
-			goldenStats(2062, 6765, 73155, 0, 5, 0, 0, 0, 0, 5),
-			goldenStats(2062, 54287, 25633, 2062, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(2062, 6762, 69068, 0, 5, 0, 0, 0, 0, 5),
-				goldenStats(2062, 52220, 23610, 2062, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(2062, 6765, 73155, 5, 0, 0, 0, 0, 5),
+			goldenStats(2062, 6762, 69068, 5, 0, 0, 0, 0, 5)},
 		{"for13-refining", refining(gFOR13, gRaw),
-			goldenStats(828, 23261, 56659, 0, 5, 0, 5, 0, 0, 5),
-			goldenStats(828, 35711, 44209, 828, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(828, 21194, 54636, 0, 5, 0, 5, 0, 0, 5),
-				goldenStats(828, 33644, 42186, 828, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(828, 23261, 56659, 5, 0, 5, 0, 0, 5),
+			goldenStats(828, 21194, 54636, 5, 0, 5, 0, 0, 5)},
 		{"for32-first", first(gFOR32),
-			goldenStats(2039, 16581, 63339, 0, 5, 0, 0, 0, 0, 5),
-			goldenStats(2039, 58733, 21187, 2039, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(2039, 16577, 59253, 0, 5, 0, 0, 0, 0, 5),
-				goldenStats(2039, 56688, 19142, 2039, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(2039, 16581, 63339, 5, 0, 0, 0, 0, 5),
+			goldenStats(2039, 16577, 59253, 5, 0, 0, 0, 0, 5)},
 		{"for32-refining", refining(gFOR32, gRaw),
-			goldenStats(831, 32893, 47027, 0, 5, 0, 5, 0, 0, 5),
-			goldenStats(831, 43422, 36498, 831, 5, 0, 6, 9, 5, 15),
-			[]ScanStats{goldenStats(831, 30848, 44982, 0, 5, 0, 5, 0, 0, 5),
-				goldenStats(831, 41377, 34453, 831, 5, 0, 6, 9, 5, 15)}},
+			goldenStats(831, 32893, 47027, 5, 0, 5, 0, 0, 5),
+			goldenStats(831, 30848, 44982, 5, 0, 5, 0, 0, 5)},
 	}
 	checkGoldenCases(t, data, tab, cases)
 }
 
-// goldenCase is one box with the accounting recorded for it: count and scan
-// under PAWC v2, and now, the same under PAWC v3.
+// goldenCase is one box with the count recorded for it under PAWC v2 (was)
+// and under PAWC v3 (now).
 type goldenCase struct {
-	name        string
-	q           geom.Box
-	count, scan ScanStats
-	now         []ScanStats // count, scan
+	name     string
+	q        geom.Box
+	was, now ScanStats
 }
 
-// checkGoldenCases runs every case on tab and holds its PAWC v3 literals to the
-// rule they were recorded under. Packing raw values changes what a touch is
-// charged, never what a scan finds: Matched, RowsDecoded and the groups read
-// and skipped are v2's, BytesRead + BytesSkipped is the table's EncodedBytes,
-// and BytesRead is no higher than v2's but for the one thing v3 stores that v2
-// did not — a raw chunk's 9-byte header, once for each raw chunk read.
+// checkGoldenCases runs every case on tab and holds its PAWC v3 literal to the
+// rule it was recorded under. Packing raw values changes what a touch is
+// charged, never what a scan finds: Matched and the groups read and skipped
+// are v2's, BytesRead + BytesSkipped is the table's EncodedBytes, and
+// BytesRead is no higher than v2's but for the one thing v3 stores that v2 did
+// not — a raw chunk's 9-byte header, once for each raw chunk read.
 func checkGoldenCases(t *testing.T, data *dataset.Dataset, tab *Table, cases []goldenCase) {
 	t.Helper()
 	sc := NewScanner()
 	for _, c := range cases {
-		for i, was := range []ScanStats{c.count, c.scan} {
-			now := c.now[i]
-			if now.Matched != was.Matched || now.RowsDecoded != was.RowsDecoded ||
-				now.GroupsRead != was.GroupsRead || now.GroupsSkipped != was.GroupsSkipped ||
-				now.BytesRead+now.BytesSkipped != tab.EncodedBytes() {
-				t.Errorf("%s: v3 literal %+v changes more than what a touch is charged (v2 %+v, %d bytes stored)", c.name, now, was, tab.EncodedBytes())
-			}
-			if now.BytesRead > was.BytesRead+9*int64(now.ColsRaw) {
-				t.Errorf("%s: v3 literal reads %d bytes, v2 read %d in %d raw chunks", c.name, now.BytesRead, was.BytesRead, now.ColsRaw)
-			}
+		was, now := c.was, c.now
+		if now.Matched != was.Matched || now.GroupsRead != was.GroupsRead || now.GroupsSkipped != was.GroupsSkipped ||
+			now.BytesRead+now.BytesSkipped != tab.EncodedBytes() {
+			t.Errorf("%s: v3 literal %+v changes more than what a touch is charged (v2 %+v, %d bytes stored)", c.name, now, was, tab.EncodedBytes())
+		}
+		if now.BytesRead > was.BytesRead+9*int64(now.ColsRaw) {
+			t.Errorf("%s: v3 literal reads %d bytes, v2 read %d in %d raw chunks", c.name, now.BytesRead, was.BytesRead, now.ColsRaw)
 		}
 		count := sc.Count(tab, c.q)
-		_, scan := sc.Scan(tab, c.q)
-		wantCount, wantScan := c.now[0], c.now[1]
-		if count != wantCount || scan != wantScan {
-			t.Errorf("%s: accounting moved; got\n\t\t\t%s,\n\t\t\t%s},", c.name, goldenLiteral(count), goldenLiteral(scan))
+		if count != now {
+			t.Errorf("%s: accounting moved; got\n\t\t\t%s},", c.name, goldenLiteral(count))
 		}
 		// The oracles read a NaN bound as no bound, the raw kernels as one
 		// nothing meets: for such a box the literal alone pins the match count.
 		want := data.CountInBox(c.q, nil)
 		if slices.ContainsFunc(c.q.Lo, math.IsNaN) {
-			want = wantCount.Matched
+			want = now.Matched
 		}
-		if count.Matched != want || scan.Matched != want {
-			t.Errorf("%s: matched %d (count) / %d (scan), dataset says %d", c.name, count.Matched, scan.Matched, want)
+		if count.Matched != want {
+			t.Errorf("%s: matched %d, dataset says %d", c.name, count.Matched, want)
 		}
 	}
 }
 
 // TestSearchBytesGolden is TestScanBytesGolden for the searching narrow, on the
-// built golden table: count and scan are what it read under PAWC v2, 8 bytes a
-// raw value compared, and now what it reads under v3, width/8 bytes an offset
-// compared, under the same rule. (What PR 24's search read against the sweep
-// it replaced — 33 064 → 20 024 bytes for tail-only — is in TESTING.md.)
+// built golden table: was is what a count read under PAWC v2, 8 bytes a raw
+// value compared, and now what it reads under v3 and v4, width/8 bytes an
+// offset compared, under the same rule. (What the search read against the
+// sweep it replaced — 33 064 → 20 024 bytes for tail-only — is in TESTING.md.)
 func TestSearchBytesGolden(t *testing.T) {
 	data, tab := builtGoldenTable(t)
 	dom := data.Domain()
@@ -372,42 +327,35 @@ func TestSearchBytesGolden(t *testing.T) {
 	nan.Lo[bPrice] = math.NaN()
 	checkGoldenCases(t, data, tab, []goldenCase{
 		{"tail-only", price,
-			goldenStats(2064, 20024, 32134, 0, 5, 0, 5, 0, 0, 0),
-			goldenStats(2064, 47483, 4675, 2064, 5, 0, 5, 5, 9, 1),
-			[]ScanStats{goldenStats(2064, 17069, 30171, 0, 5, 0, 5, 0, 0, 0),
-				goldenStats(2064, 44631, 2609, 2064, 5, 0, 6, 4, 9, 1)}},
+			goldenStats(2064, 20024, 32134, 5, 0, 5, 0, 0, 0),
+			goldenStats(2064, 17069, 30171, 5, 0, 5, 0, 0, 0)},
 		{"runs-then-tail", mid(price, bK7, 0.3, 0.7),
-			goldenStats(885, 10244, 41914, 0, 5, 0, 5, 0, 5, 0),
-			goldenStats(885, 19022, 33136, 885, 5, 0, 5, 5, 9, 1),
-			[]ScanStats{goldenStats(885, 8871, 38369, 0, 5, 0, 5, 0, 5, 0),
-				goldenStats(885, 17692, 29548, 885, 5, 0, 6, 4, 9, 1)}},
+			goldenStats(885, 10244, 41914, 5, 0, 5, 0, 5, 0),
+			goldenStats(885, 8871, 38369, 5, 0, 5, 0, 5, 0)},
 		{"tail-then-dictionary", mid(price, bWide, 0.47, 0.52),
-			goldenStats(1066, 27807, 24351, 0, 5, 0, 5, 5, 0, 0),
-			goldenStats(1066, 44359, 7799, 1066, 5, 0, 5, 5, 9, 1),
-			[]ScanStats{goldenStats(1066, 25854, 21386, 0, 5, 0, 6, 4, 0, 0),
-				goldenStats(1066, 41255, 5985, 1066, 5, 0, 6, 4, 9, 1)}},
+			goldenStats(1066, 27807, 24351, 5, 0, 5, 5, 0, 0),
+			goldenStats(1066, 25854, 21386, 5, 0, 6, 4, 0, 0)},
 		{"between-tail-values", gap,
-			goldenStats(0, 10688, 41470, 0, 2, 3, 2, 0, 0, 0),
-			goldenStats(0, 10688, 41470, 0, 2, 3, 2, 0, 0, 0),
-			[]ScanStats{goldenStats(0, 9361, 37879, 0, 2, 3, 2, 0, 0, 0),
-				goldenStats(0, 9361, 37879, 0, 2, 3, 2, 0, 0, 0)}},
+			goldenStats(0, 10688, 41470, 2, 3, 2, 0, 0, 0),
+			goldenStats(0, 9361, 37879, 2, 3, 2, 0, 0, 0)},
 		{"nan-bound", nan,
-			goldenStats(0, 19600, 32558, 0, 5, 0, 5, 0, 0, 0),
-			goldenStats(0, 19600, 32558, 0, 5, 0, 5, 0, 0, 0),
-			[]ScanStats{goldenStats(0, 45, 47195, 0, 5, 0, 5, 0, 0, 0),
-				goldenStats(0, 45, 47195, 0, 5, 0, 5, 0, 0, 0)}},
+			goldenStats(0, 19600, 32558, 5, 0, 5, 0, 0, 0),
+			goldenStats(0, 45, 47195, 5, 0, 5, 0, 0, 0)},
 	})
 }
 
 // TestStoredBytesGolden pins what is stored: the PAWC encoding of the golden
 // table in arrival order and in the builder's order, both recorded with PAWC
-// v3. A change to how a scan evaluates a group — the order of its predicates,
+// v4. A change to how a scan evaluates a group — the order of its predicates,
 // the form of its selection, what a chunk derives from its values — must leave
 // both alone; a change that moves them has changed the chooser, the builder or
 // the format. v3 moved them by packing raw values and FOR deltas to the byte:
 // 80 925 → 76 835 bytes in arrival order and 79 747 → 74 866 built, where every
 // dictionary and run chunk kept its encoding and bytes (v2 stored dict 17 730,
-// FOR 23 391, raw 33 064, RLE 4 560).
+// FOR 23 391, raw 33 064, RLE 4 560). v4 moved them by dropping the zone-count
+// word and each group's SMA count and sums, and no column byte: 76 835 →
+// 76 511 and 74 866 → 74 542, 4 + 5 × 64 bytes each (five groups of seven
+// columns).
 func TestStoredBytesGolden(t *testing.T) {
 	data, arrival := goldenTable(t)
 	all := make([]int, data.NumRows())
@@ -421,8 +369,8 @@ func TestStoredBytesGolden(t *testing.T) {
 		size   int
 		digest string
 	}{
-		{"arrival", arrival, 76835, "6a9d2b07ae2805f3500aeb6400faae178e279b18639f727db09e8e6b21399885"},
-		{"built", built, 74866, "edcdf8c796abcd9c260e67455727e35b85e70928737f8053cc2a848dd6139511"},
+		{"arrival", arrival, 76511, "eff8b07a04c932ca9ff64c14d7a53e0ac0306cf01d011abead7c0f9dadb661d6"},
+		{"built", built, 74542, "7c6f69322a93bae468347e8bb7ca785b0ba911d3649e1f983d9a40154e58ab63"},
 	} {
 		var buf bytes.Buffer
 		if err := c.tab.Encode(&buf); err != nil {
@@ -438,7 +386,7 @@ func TestStoredBytesGolden(t *testing.T) {
 	}
 }
 
-// TestDecodeReencodesByteForByte: a recorded v3 payload and both encodings of
+// TestDecodeReencodesByteForByte: a recorded v4 payload and both encodings of
 // the golden table (every encoding shape, a short last group) decode to
 // tables that encode to the same bytes again, so the decoder is pinned as
 // tightly as TestStoredBytesGolden pins the encoder.
@@ -448,7 +396,7 @@ func TestDecodeReencodesByteForByte(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	payloads := [][]byte{unhex(t, recordedV3)}
+	payloads := [][]byte{unhex(t, recordedV4)}
 	for _, tab := range []*Table{arrival, NewBuilder(data, goldenGroupRows).Build(all)} {
 		var buf bytes.Buffer
 		if err := tab.Encode(&buf); err != nil {

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,43 @@ import (
 	"paw/internal/geom"
 	"paw/internal/sma"
 )
+
+// groupPoints materialises row group i as points (reading the whole group).
+// All returned points share one flat backing array.
+func (t *Table) groupPoints(i int) []geom.Point {
+	g := &t.groups[i]
+	n, dims := g.rows, t.Dims()
+	backing := make([]float64, n*dims)
+	col := make([]float64, n)
+	for d := 0; d < dims; d++ {
+		g.cols[d].decodeInto(col)
+		for r := 0; r < n; r++ {
+			backing[r*dims+d] = col[r]
+		}
+	}
+	out := make([]geom.Point, n)
+	for r := range out {
+		out[r] = backing[r*dims : (r+1)*dims : (r+1)*dims]
+	}
+	return out
+}
+
+// scanNaive is CountNaive that also returns the rows it matched, decoded by
+// groupPoints, in table order: the oracle for the values a table holds.
+func (t *Table) scanNaive(q geom.Box) ([]geom.Point, ScanStats) {
+	var out []geom.Point
+	for gi := range t.groups {
+		if t.groups[gi].stats.CanPrune(q) {
+			continue
+		}
+		for _, p := range t.groupPoints(gi) {
+			if q.Contains(p) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out, t.CountNaive(q)
+}
 
 func TestGroupAccessors(t *testing.T) {
 	data := dataset.Uniform(1000, 3, 20)
@@ -17,9 +55,9 @@ func TestGroupAccessors(t *testing.T) {
 	}
 	var totalRows int
 	for g := 0; g < tab.NumGroups(); g++ {
-		rows := tab.GroupRows(g)
+		rows := tab.groups[g].rows
 		totalRows += rows
-		st := tab.groupStats(g)
+		st := tab.groups[g].stats
 		if st.Count != int64(rows) {
 			t.Errorf("group %d stats count %d vs rows %d", g, st.Count, rows)
 		}
@@ -85,9 +123,14 @@ var errFail = failErr{}
 func TestEncodeWriteFailures(t *testing.T) {
 	data := dataset.Uniform(200, 2, 22)
 	tab := FromDataset(data, nil, 50)
-	// Failing at a spread of offsets exercises every Encode stage. bufio
-	// may defer the error to Flush, but Encode must always surface it.
-	for _, cut := range []int{0, 3, 6, 10, 20, 100, 1000, 3000} {
+	// Failing at a spread of offsets exercises every Encode stage, up to the
+	// payload's last byte. bufio may defer the error to Flush, but Encode must
+	// always surface it.
+	var whole bytes.Buffer
+	if err := tab.Encode(&whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 3, 6, 10, 20, 100, 1000, whole.Len() - 1} {
 		if err := tab.Encode(&failWriter{left: cut}); err == nil {
 			t.Errorf("Encode with %d-byte budget must fail", cut)
 		}
@@ -114,9 +157,9 @@ func TestEnvelopeIsUnionOfGroupStats(t *testing.T) {
 			if !ok {
 				continue
 			}
-			want := tab.groupStats(0)
+			want := tab.groups[0].stats
 			for g := 1; g < tab.NumGroups(); g++ {
-				want = sma.Merge(want, tab.groupStats(g))
+				want = sma.Merge(want, tab.groups[g].stats)
 			}
 			if !env.Equal(geom.NewBox(want.Min, want.Max)) {
 				t.Errorf("%s, %d rows: envelope %v, groups fold to %v", name, n, env, geom.NewBox(want.Min, want.Max))

@@ -214,25 +214,19 @@ func BenchmarkKernel(b *testing.B) {
 			}
 			tab.groups = append(tab.groups, grp)
 		}
-		for _, mode := range []struct {
-			name        string
-			materialize bool
-		}{{"count", false}, {"scan", true}} {
-			for _, regime := range []struct {
-				name   string
-				groups int
-			}{{"replayed", 1}, {"fresh", freshGroups}} {
-				b.Run(shape.name+"/"+mode.name+"/"+regime.name, func(b *testing.B) {
-					b.SetBytes(groupRows * 8)
-					var st ScanStats
-					for i := 0; i < b.N; i++ {
-						gi := i % regime.groups
-						sc.flat = sc.flat[:0]
-						sc.scanGroups(tab, q, gi, gi+1, mode.materialize, &st)
-					}
-					reportPass(b, st.Matched, groupRows)
-				})
-			}
+		for _, regime := range []struct {
+			name   string
+			groups int
+		}{{"replayed", 1}, {"fresh", freshGroups}} {
+			b.Run(shape.name+"/"+regime.name, func(b *testing.B) {
+				b.SetBytes(groupRows * 8)
+				var st ScanStats
+				for i := 0; i < b.N; i++ {
+					gi := i % regime.groups
+					sc.scanGroups(tab, q, gi, gi+1, &st)
+				}
+				reportPass(b, st.Matched, groupRows)
+			})
 		}
 	}
 }

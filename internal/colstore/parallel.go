@@ -25,7 +25,7 @@ func (sp *ScannerPool) Get() *Scanner {
 // Put returns a scanner for reuse.
 func (sp *ScannerPool) Put(s *Scanner) { sp.p.Put(s) }
 
-// defaultScanners backs the convenience Table.Scan/Count entry points.
+// defaultScanners is CountParallel's pool when its caller passes none.
 var defaultScanners ScannerPool
 
 // parallelMinGroups is the minimum row-group count per fan-out chunk: below
@@ -56,7 +56,7 @@ func (t *Table) CountParallel(q geom.Box, pool *parbuild.Pool, sp *ScannerPool, 
 		s := sp.Get()
 		defer sp.Put(s)
 		var st ScanStats
-		s.scanGroups(t, q, lo, hi, false, &st)
+		s.scanGroups(t, q, lo, hi, &st)
 		chunkStats[c] = st
 	})
 	var total ScanStats

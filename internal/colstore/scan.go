@@ -4,19 +4,17 @@ import (
 	"paw/internal/geom"
 )
 
-// Scanner holds the reusable scratch of the vectorized scan kernels: the
-// selection (spans, double-buffered, and a position vector), the flat
-// materialization buffer and the dimension ordering. It amortizes to zero
-// allocations per row group once its buffers have grown to the table's group
-// size. Scanners are not safe for concurrent use; use a ScannerPool.
+// Scanner holds the reusable scratch of the vectorized count kernels: the
+// selection (spans, double-buffered, and a position vector) and the dimension
+// ordering. It amortizes to zero allocations per row group once its buffers
+// have grown to the table's group size. Scanners are not safe for concurrent
+// use; use a ScannerPool.
 type Scanner struct {
 	sel      []int32
 	spans    []span
 	narrowed []span
-	flat     []float64
 	order    []int
 	rank     []float64
-	touched  []bool
 	chunks   []ScanStats
 }
 
@@ -26,23 +24,12 @@ func NewScanner() *Scanner { return &Scanner{} }
 // Count evaluates q over the whole table without materialising rows.
 func (s *Scanner) Count(t *Table, q geom.Box) ScanStats {
 	var st ScanStats
-	s.scanGroups(t, q, 0, len(t.groups), false, &st)
+	s.scanGroups(t, q, 0, len(t.groups), &st)
 	return st
 }
 
-// Scan evaluates q and materialises the surviving rows, row-major, into the
-// scanner's flat buffer: row r occupies flat[r*dims : (r+1)*dims]. The
-// returned slice is owned by the scanner and valid until its next call —
-// the caller-reusable buffer of the late-materialization contract.
-func (s *Scanner) Scan(t *Table, q geom.Box) ([]float64, ScanStats) {
-	var st ScanStats
-	s.flat = s.flat[:0]
-	s.scanGroups(t, q, 0, len(t.groups), true, &st)
-	return s.flat, st
-}
-
 // scanGroups runs the kernel over row groups [lo, hi), accumulating into st.
-func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, materialize bool, st *ScanStats) {
+func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, st *ScanStats) {
 	for gi := lo; gi < hi; gi++ {
 		g := &t.groups[gi]
 		if g.stats.CanPrune(q) {
@@ -51,37 +38,30 @@ func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, materialize bool,
 			continue
 		}
 		st.GroupsRead++
-		enc := g.encodedBytes()
-		read := s.scanGroup(g, q, materialize, st)
-		if read > enc {
-			read = enc // refinement estimates never exceed, but stay safe
-		}
+		read := s.scanGroup(g, q, st) // never past the group's payload (FuzzScanDifferential)
 		st.BytesRead += read
-		st.BytesSkipped += enc - read
+		st.BytesSkipped += g.encodedBytes() - read
 	}
 }
 
-// scanGroup evaluates one row group column-at-a-time and returns the
-// encoded bytes it decoded.
+// scanGroup counts the rows of one row group inside q, column-at-a-time, and
+// returns the encoded bytes it decoded.
 //
 // The kernel shape: dimensions whose SMA envelope lies entirely inside the
 // query are covered — every row passes, so their predicate is skipped and
-// no bytes are decoded for them until materialization. The remaining
-// (active) dimensions are evaluated run chunks first, then cheapest per
-// rejected row first, estimated from the chunk's size and the envelope
-// overlap; the selection they pass along is spans — while run chunks and raw
-// chunks in ascending pieces narrow it — then positions (encoding.go).
-// Materialization then decodes only surviving rows.
-func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanStats) int64 {
+// no bytes are decoded for them. The remaining (active) dimensions are
+// evaluated run chunks first, then cheapest per rejected row first,
+// estimated from the chunk's size and the envelope overlap; the selection
+// they pass along is spans — while run chunks and raw chunks in ascending
+// pieces narrow it — then positions, and the last column counts what it
+// passes without writing them (encoding.go).
+func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, st *ScanStats) int64 {
 	dims := len(g.cols)
-	if cap(s.touched) < dims {
-		s.touched = make([]bool, dims)
+	if cap(s.rank) < dims {
 		s.rank = make([]float64, dims)
 	}
-	s.touched = s.touched[:dims]
 	s.order = s.order[:0]
 	for d := 0; d < dims; d++ {
-		s.touched[d] = false
 		if g.stats.DimCovered(d, q) {
 			continue // covered: every row in the group passes on d
 		}
@@ -134,13 +114,12 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 		case sel != nil:
 			sel, b = c.refine(q.Lo[d], q.Hi[d], sel)
 			matched = len(sel)
-		case !materialize && oi == len(s.order)-1:
+		case oi == len(s.order)-1:
 			matched, b = c.countSpans(q.Lo[d], q.Hi[d], spans)
 		default:
 			sel, b = c.selectSpans(q.Lo[d], q.Hi[d], spans, s.sel[:g.rows])
 			matched = len(sel)
 		}
-		s.touched[d] = true
 		read += b
 		st.tallyEncoding(c.kind)
 		if matched == 0 {
@@ -149,31 +128,6 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, materialize bool, st *ScanS
 	}
 	s.spans = spans
 	st.Matched += matched
-	if materialize && matched > 0 {
-		if sel == nil {
-			sel = expand(spans, s.sel[:g.rows])
-		}
-		base := len(s.flat)
-		need := base + len(sel)*dims
-		if cap(s.flat) < need {
-			grown := make([]float64, need, need+need/2)
-			copy(grown, s.flat)
-			s.flat = grown
-		} else {
-			s.flat = s.flat[:need]
-		}
-		for d := 0; d < dims; d++ {
-			c := &g.cols[d]
-			c.gather(sel, s.flat[base:], dims, d)
-			if !s.touched[d] {
-				// Covered columns are decoded here for the first time;
-				// predicate columns were already accounted above.
-				read += c.valueBytes(len(sel))
-				st.tallyEncoding(c.kind)
-			}
-		}
-		st.RowsDecoded += int64(len(sel))
-	}
 	return read
 }
 
@@ -191,29 +145,12 @@ func (st *ScanStats) tallyEncoding(k colKind) {
 	}
 }
 
-// scanNaive is the retained reference scan: it decodes every non-pruned row
+// CountNaive is the retained reference scan: it decodes every non-pruned row
 // group in full and evaluates the predicate row-at-a-time, exactly as the
-// pre-vectorization store did. It exists as the differential-testing oracle
-// (CountNaive is also the scan benchmark's baseline); BytesRead accounts
-// whole-group encoded bytes because that is what it decodes.
-func (t *Table) scanNaive(q geom.Box) ([]geom.Point, ScanStats) {
-	var out []geom.Point
-	st := t.naiveScan(q, func(cols [][]float64, i, dims int) {
-		p := make(geom.Point, dims)
-		for d := 0; d < dims; d++ {
-			p[d] = cols[d][i]
-		}
-		out = append(out, p)
-	})
-	return out, st
-}
-
-// CountNaive is scanNaive without materialization.
+// pre-vectorization store did. It is the differential-testing oracle and the
+// scan benchmark's baseline; BytesRead accounts whole-group encoded bytes
+// because that is what it decodes.
 func (t *Table) CountNaive(q geom.Box) ScanStats {
-	return t.naiveScan(q, nil)
-}
-
-func (t *Table) naiveScan(q geom.Box, emit func(cols [][]float64, i, dims int)) ScanStats {
 	var st ScanStats
 	dims := t.Dims()
 	cols := make([][]float64, dims)
@@ -241,10 +178,6 @@ func (t *Table) naiveScan(q geom.Box, emit func(cols [][]float64, i, dims int)) 
 				if v < q.Lo[d] || v > q.Hi[d] {
 					continue rowLoop
 				}
-			}
-			if emit != nil {
-				emit(cols, i, dims)
-				st.RowsDecoded++
 			}
 			st.Matched++
 		}

@@ -44,12 +44,8 @@ func TestScannerSteadyStateAllocs(t *testing.T) {
 	for name, tab := range map[string]*Table{"arrival": arrival, "built": built} {
 		sc := NewScanner()
 		sc.Count(tab, q)
-		sc.Scan(tab, q)
 		if n := testing.AllocsPerRun(50, func() { sc.Count(tab, q) }); n != 0 {
 			t.Errorf("%s: Count allocates %v/op in steady state, want 0", name, n)
-		}
-		if n := testing.AllocsPerRun(50, func() { sc.Scan(tab, q) }); n != 0 {
-			t.Errorf("%s: Scan allocates %v/op in steady state, want 0", name, n)
 		}
 	}
 }
@@ -80,9 +76,8 @@ func TestRunsLeadRaw(t *testing.T) {
 		}
 		want := data.CountInBox(q, nil)
 		count := sc.Count(tab, q)
-		_, scan := sc.Scan(tab, q)
-		if naive := tab.CountNaive(q).Matched; count.Matched != want || scan.Matched != want || naive != want {
-			t.Fatalf("q%d: count %d, scan %d, naive %d, dataset %d", qi, count.Matched, scan.Matched, naive, want)
+		if naive := tab.CountNaive(q).Matched; count.Matched != want || naive != want {
+			t.Fatalf("q%d: count %d, naive %d, dataset %d", qi, count.Matched, naive, want)
 		}
 		if par := tab.CountParallel(q, pool, nil, sc); par != count {
 			t.Fatalf("q%d: parallel %+v != serial %+v", qi, par, count)
@@ -92,12 +87,8 @@ func TestRunsLeadRaw(t *testing.T) {
 			if g.stats.CanPrune(q) {
 				continue
 			}
-			var cst, sst ScanStats
-			counted := sc.scanGroup(g, q, false, &cst)
-			sc.flat = sc.flat[:0]
-			// What Scan reads beyond Count is the covered columns of the
-			// rows it returns; the rest is predicate bytes.
-			predicate := sc.scanGroup(g, q, true, &sst)
+			var cst ScanStats
+			counted := sc.scanGroup(g, q, &cst)
 			// keep[i]: row i passes every active RLE predicate. bound: the
 			// whole payload of every active chunk that is not raw.
 			keep, bound, rawActive, rejected := make([]bool, g.rows), int64(0), int64(0), false
@@ -108,9 +99,6 @@ func TestRunsLeadRaw(t *testing.T) {
 				c := &g.cols[d]
 				switch {
 				case g.stats.DimCovered(d, q):
-					if sst.Matched > 0 {
-						predicate -= c.valueBytes(sst.Matched)
-					}
 				case c.kind == colRaw:
 					rawActive++
 				default:
@@ -125,10 +113,6 @@ func TestRunsLeadRaw(t *testing.T) {
 						}
 					}
 				}
-			}
-			if predicate != counted || sst.Matched != cst.Matched {
-				t.Fatalf("q%d group %d: Scan charges %d predicate bytes for %d rows, Count %d for %d",
-					qi, gi, predicate, sst.Matched, counted, cst.Matched)
 			}
 			if !rejected || rawActive == 0 {
 				continue
@@ -233,7 +217,7 @@ func TestScannerSelCapacityAcrossGroups(t *testing.T) {
 		[]column{
 			{kind: colRLE, n: wide, runVals: []float64{5}, runLens: []uint32{wide}},
 			rawColumn(raw, &encodeScratch{}),
-		}, wide, sma.Aggregates{Count: wide, Min: []float64{0, 0}, Max: []float64{10, 9}, Sum: []float64{5 * wide, 4.5 * wide}},
+		}, wide, sma.Aggregates{Count: wide, Min: []float64{0, 0}, Max: []float64{10, 9}},
 	)}}
 	oneRunQ := geom.Box{Lo: geom.Point{4, 0}, Hi: geom.Point{6, 4.5}}
 
@@ -250,9 +234,6 @@ func TestScannerSelCapacityAcrossGroups(t *testing.T) {
 		tab, q := table(step.rows, step.groupRows, int64(step.rows))
 		if got, want := sc.Count(tab, q), tab.CountNaive(q); got.Matched != want.Matched {
 			t.Fatalf("%s: matched %d, naive %d", step.name, got.Matched, want.Matched)
-		}
-		if _, got := sc.Scan(tab, q); got.Matched != tab.CountNaive(q).Matched {
-			t.Fatalf("%s: scan matched %d, naive %d", step.name, got.Matched, tab.CountNaive(q).Matched)
 		}
 	}
 	got, want := sc.Count(oneRun, oneRunQ), oneRun.CountNaive(oneRunQ)
@@ -286,8 +267,8 @@ func TestScanNaNBoundKeepsRunsFirst(t *testing.T) {
 	ref.Lo[0] = math.Inf(-1)
 	sc := NewScanner()
 	count, want := sc.Count(tab, q), tab.CountNaive(ref).Matched
-	if _, scan := sc.Scan(tab, q); scan.Matched != want || count.Matched != want || want == 0 {
-		t.Fatalf("count %d, scan %d, want %d", count.Matched, scan.Matched, want)
+	if count.Matched != want || want == 0 {
+		t.Fatalf("count %d, want %d", count.Matched, want)
 	}
 	if count.ColsRLE == 0 {
 		t.Fatalf("the run chunks were not evaluated: %+v", count)
@@ -615,12 +596,6 @@ func TestRawWidthsSurviveTheCodec(t *testing.T) {
 		count := scanner.Count(tab, q)
 		if again := scanner.Count(decoded, q); again != count || count.BytesRead+count.BytesSkipped != tab.EncodedBytes() {
 			t.Fatalf("box %v: built table counts %+v, decoded %+v, of %d bytes", q, count, again, tab.EncodedBytes())
-		}
-		flat, scan := scanner.Scan(tab, q)
-		flat = slices.Clone(flat)
-		if again, st := scanner.Scan(decoded, q); st != scan || scan.Matched != count.Matched ||
-			!slices.EqualFunc(flat, again, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-			t.Fatalf("box %v: built table scans %+v, decoded %+v", q, scan, st)
 		}
 	}
 }

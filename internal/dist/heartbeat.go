@@ -52,9 +52,6 @@ func NewHeartbeater(masterAddr string) *Heartbeater {
 	return h
 }
 
-// Index returns the slot the master assigned at join time (-1 before Join).
-func (h *Heartbeater) Index() int { return int(h.index.Load()) }
-
 // call performs one membership exchange, dialing lazily. Any failure past
 // the send drops the cached connection — a beat that timed out against a
 // wedged master included, since a fresh dial is the cheapest probe of whether

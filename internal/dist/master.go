@@ -611,19 +611,6 @@ func (m *Master) QueryContext(ctx context.Context, sql string) (QueryResponse, e
 	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, false)
 }
 
-// Explain runs one SQL statement with a forced trace (EXPLAIN ANALYZE): the
-// response carries the full span tree — admission, routing, per-range
-// scatter, per-attempt RPCs, and per-partition scan spans from every touched
-// worker. Works whether or not a tracer is installed.
-func (m *Master) Explain(sql string) (QueryResponse, error) {
-	return m.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain under a caller-supplied context.
-func (m *Master) ExplainContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, true)
-}
-
 // Ready reports whether the master can serve queries at full fidelity:
 // started, not closed, and not mid-migration (a cutover in progress means
 // routing is double-resolving while placements change underneath — load

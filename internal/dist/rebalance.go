@@ -28,7 +28,9 @@ type RebalanceReport struct {
 	Workers int
 	// Partitions is the total partition count of the layout.
 	Partitions int
-	// MovedPartitions / MovedBytes is the data this round actually shipped.
+	// MovedPartitions / MovedBytes is the data this round actually shipped:
+	// MovedBytes sums the encoded payload of each moved partition once per
+	// worker it was installed on, and is 0 unless the round cut over.
 	MovedPartitions int
 	MovedBytes      int64
 	// ReusedPartitions stayed put (alias-only installs).
@@ -77,9 +79,6 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		MovedPartitions:  plan.MovedPartitions,
 		ReusedPartitions: plan.ReusedPartitions,
 	}
-	for _, mv := range plan.Moves {
-		report.MovedBytes += l.Parts[mv.ID].Bytes() * int64(len(mv.Gain))
-	}
 	if len(plan.Moves) == 0 && placementsEqual(curView.replicas, want) {
 		return report, nil // already balanced: no epoch bump, no thrash
 	}
@@ -87,6 +86,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	// Fetch every moved partition's payload before any install goes out, so
 	// a missing source aborts the round with zero cutover risk.
 	moved := make(map[layout.ID][]byte, len(plan.Moves))
+	var shipped int64
 	for _, mv := range plan.Moves {
 		payload, rows, err := m.fetchPartition(ctx, curView, mv.ID, reachable, ms.cfg.PayloadSource)
 		if err != nil {
@@ -96,6 +96,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			return report, fmt.Errorf("dist: rebalance aborted before any cutover: partition %d fetched %d rows, layout says %d", mv.ID, rows, full)
 		}
 		moved[mv.ID] = payload
+		shipped += int64(len(payload)) * int64(len(mv.Gain))
 	}
 
 	renamed := make(map[layout.ID]layout.ID, len(ids))
@@ -120,7 +121,7 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	if err := m.ApplyMigration(ctx, mig); err != nil {
 		return report, err
 	}
-	report.Epoch = mig.Epoch
+	report.Epoch, report.MovedBytes = mig.Epoch, shipped
 	m.m.rebalances.Inc()
 	m.m.rebalanceMovedParts.Add(int64(plan.MovedPartitions))
 	m.m.rebalanceMovedBytes.Add(report.MovedBytes)

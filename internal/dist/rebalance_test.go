@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +58,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 	}()
 
 	idx, _ := tc.joinFreshWorker(t)
+	before := tc.master.Placement()
 	report, err := tc.master.Rebalance(context.Background())
 	stop.Store(true)
 	wg.Wait()
@@ -88,8 +91,32 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 	if report.MovedPartitions == 0 {
 		t.Error("a join must move something")
 	}
-	if report.MovedBytes <= 0 {
-		t.Error("moved bytes must be accounted")
+	// Moved bytes are the payloads shipped — each partition's PAWC encoding
+	// once per worker that gained a copy — not its nominal FullRows × row
+	// bytes.
+	var shipped int64
+	for id, now := range tc.master.Placement() {
+		gained := 0
+		for _, w := range now {
+			if !slices.Contains(before[id], w) {
+				gained++
+			}
+		}
+		if gained == 0 {
+			continue
+		}
+		sp, err := tc.store.Partition(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sp.Table.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		shipped += int64(buf.Len() * gained)
+	}
+	if report.MovedBytes != shipped || shipped == 0 {
+		t.Errorf("moved bytes = %d, want the %d payload bytes shipped", report.MovedBytes, shipped)
 	}
 	snap := tc.reg.Snapshot()
 	if got := snap.Counter(MetricRebalances); got != 1 {

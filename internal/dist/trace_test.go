@@ -18,6 +18,12 @@ import (
 // tracedConfig is the default test policy for the tracing suite: the result
 // cache is disabled so repeated statements re-execute — the differential
 // test compares computed responses, not cached copies.
+// explain runs one statement with a forced trace (EXPLAIN ANALYZE) under ctx,
+// as a client's Explain does over the wire.
+func (m *Master) explain(ctx context.Context, sql string) (QueryResponse, error) {
+	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, true)
+}
+
 func tracedConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 0
@@ -212,7 +218,7 @@ func TestChaosTracingFailover(t *testing.T) {
 	tc.master.SetTracer(tracer)
 
 	tc.workers[0].Close()
-	resp, err := tc.master.ExplainContext(context.Background(), chaosSQL)
+	resp, err := tc.master.explain(context.Background(), chaosSQL)
 	if err != nil {
 		t.Fatalf("replicated query must survive a dead primary: %v", err)
 	}
@@ -248,7 +254,7 @@ func TestChaosTracingFailover(t *testing.T) {
 		}},
 	}, fastChaosConfig())
 	tc2.master.SetTracer(tracer)
-	r2, err := tc2.master.ExplainContext(context.Background(), chaosSQL)
+	r2, err := tc2.master.explain(context.Background(), chaosSQL)
 	if err != nil {
 		t.Fatalf("query must survive a connection reset: %v", err)
 	}

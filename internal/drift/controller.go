@@ -109,9 +109,6 @@ func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg C
 	return c
 }
 
-// Monitor exposes the observation half (Evaluate, Window, Seen).
-func (c *Controller) Monitor() *Monitor { return c.mon }
-
 // SetTracer installs (or, with nil, removes) the tracer migration traces
 // are recorded into — typically the same tracer the master samples queries
 // into, so /traces interleaves both.
@@ -146,11 +143,6 @@ func (c *Controller) Detach() {
 }
 
 func (c *Controller) layout() *layout.Layout { return c.cur.Load() }
-
-// Counters returns (checks, triggers, migrations, skips).
-func (c *Controller) Counters() (int64, int64, int64, int64) {
-	return c.checks.Load(), c.triggers.Load(), c.migrations.Load(), c.skips.Load()
-}
 
 // TriggerNow evaluates the monitor and, if it fires, runs the full rebuild +
 // migration pipeline synchronously. The no-trigger case returns a Report

@@ -12,6 +12,11 @@ import (
 // The drift telemetry must mirror the controller's counters and expose the
 // last evaluation's evidence through gauges — and stay a no-op when no
 // registry is attached.
+// counters returns the controller's (checks, triggers, migrations, skips).
+func (c *Controller) counters() (int64, int64, int64, int64) {
+	return c.checks.Load(), c.triggers.Load(), c.migrations.Load(), c.skips.Load()
+}
+
 func TestControllerMetrics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Window = 32
@@ -85,7 +90,7 @@ func TestControllerMetrics(t *testing.T) {
 	}
 
 	// Counters() and the registry agree.
-	checks, triggers, migrations, skips := tc.ctl.Counters()
+	checks, triggers, migrations, skips := tc.ctl.counters()
 	if checks != 2 || triggers != 1 || migrations != 1 || skips != 0 {
 		t.Fatalf("Counters() = %d/%d/%d/%d, want 2/1/1/0", checks, triggers, migrations, skips)
 	}
@@ -104,7 +109,7 @@ func TestControllerMetricsDisabled(t *testing.T) {
 	if _, err := tc.ctl.TriggerNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if checks, _, _, _ := tc.ctl.Counters(); checks != 1 {
+	if checks, _, _, _ := tc.ctl.counters(); checks != 1 {
 		t.Fatalf("checks = %d, want 1", checks)
 	}
 }

@@ -109,6 +109,3 @@ func (ir Irregular) Kind() Kind { return KindIrregular }
 
 // Region exposes the decomposed region (for visualisation and tests).
 func (ir Irregular) Region() geom.OpenRegion { return ir.region }
-
-// IsEmpty reports whether the region holds no points at all.
-func (ir Irregular) IsEmpty() bool { return ir.region.IsEmpty() }

@@ -122,9 +122,6 @@ type View struct {
 	Members []Member
 }
 
-// Alive lists the indices currently in Alive state, ascending.
-func (v View) Alive() []int { return v.inStates(Alive) }
-
 // Placeable lists the indices that should hold data: Alive and Suspect
 // members (a flapping member keeps its placement — hysteresis against
 // rebalance thrash), ascending.
@@ -177,9 +174,6 @@ func NewTracker(cfg Config, seedAddrs []string, now time.Time) *Tracker {
 	}
 	return t
 }
-
-// Config returns the normalised failure-detector configuration.
-func (t *Tracker) Config() Config { return t.cfg }
 
 // View snapshots the current membership.
 func (t *Tracker) View() View {

@@ -132,7 +132,7 @@ func TestTrackerViewVersionAndSets(t *testing.T) {
 	if got := v2.Placeable(); len(got) != 3 {
 		t.Fatalf("suspect members stay placeable, got %v", got)
 	}
-	if got := v2.Alive(); len(got) != 0 {
+	if got := v2.inStates(Alive); len(got) != 0 {
 		t.Fatalf("no member is alive, got %v", got)
 	}
 	tr.Tick(at(10 * time.Second)) // everyone dead

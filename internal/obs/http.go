@@ -140,18 +140,14 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve starts the opt-in introspection endpoint on addr: /metrics (and /)
-// exposes the registry in Prometheus text or JSON, and /debug/pprof/* serves
-// the standard Go profiles. It returns immediately; the server runs until
-// Close. Used by pawmaster/pawworker's -metrics flag.
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeWith(addr, r, nil)
-}
-
-// ServeWith is Serve with additional handlers mounted on the same listener —
-// the nodes' /traces, /healthz and /readyz surfaces ride the metrics server
-// rather than their own port. Extra patterns must not collide with /metrics,
-// / or /debug/pprof/ (http.ServeMux panics on duplicates, by design).
+// ServeWith starts the opt-in introspection endpoint on addr: /metrics (and
+// /) exposes the registry in Prometheus text or JSON, /debug/pprof/* serves
+// the standard Go profiles, and extra mounts more handlers on the same
+// listener — the nodes' /traces, /healthz and /readyz surfaces ride the
+// metrics server rather than their own port; their patterns must not collide
+// with /metrics, / or /debug/pprof/ (http.ServeMux panics on duplicates, by
+// design). It returns immediately; the server runs until Close. Used by
+// pawmaster/pawworker's -metrics flag.
 func ServeWith(addr string, r *Registry, extra map[string]http.Handler) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

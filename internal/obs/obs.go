@@ -387,9 +387,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns the snapshot value of a gauge (0 when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Timer returns the snapshot value of a timer (zero when absent).
-func (s Snapshot) Timer(name string) TimerStat { return s.Timers[name] }
-
 // Snapshot captures every instrument. On a nil registry it returns an empty
 // snapshot.
 func (r *Registry) Snapshot() Snapshot {

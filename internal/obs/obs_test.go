@@ -273,7 +273,7 @@ func TestHandlerJSONAndText(t *testing.T) {
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := New()
 	r.Counter("served_total").Add(1)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeWith("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

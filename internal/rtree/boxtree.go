@@ -18,7 +18,6 @@ import (
 type BoxIndex struct {
 	root  *bnode
 	boxes []geom.Box
-	n     int
 }
 
 type bnode struct {
@@ -38,7 +37,7 @@ func PackBoxes(boxes []geom.Box, leafCap int) *BoxIndex {
 	if leafCap < 2 {
 		leafCap = 16
 	}
-	t := &BoxIndex{boxes: boxes, n: len(boxes)}
+	t := &BoxIndex{boxes: boxes}
 	if len(boxes) == 0 {
 		return t
 	}
@@ -59,7 +58,7 @@ func STRBoxes(boxes []geom.Box, leafCap int) *BoxIndex {
 	if leafCap < 2 {
 		leafCap = 16
 	}
-	t := &BoxIndex{boxes: boxes, n: len(boxes)}
+	t := &BoxIndex{boxes: boxes}
 	if len(boxes) == 0 {
 		return t
 	}
@@ -180,14 +179,6 @@ func packBoxNodes(nodes []*bnode, cap int) *bnode {
 		nodes = parents
 	}
 	return nodes[0]
-}
-
-// Len returns the number of indexed boxes.
-func (t *BoxIndex) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
 }
 
 // AppendIntersecting appends to dst the indices of every indexed box that

@@ -50,8 +50,8 @@ func TestBoxIndexMatchesBrute(t *testing.T) {
 			}
 			packed := PackBoxes(boxes, 8)
 			str := STRBoxes(boxes, 8)
-			if packed.Len() != n || str.Len() != n {
-				t.Fatalf("Len: packed %d str %d want %d", packed.Len(), str.Len(), n)
+			if len(packed.boxes) != n || len(str.boxes) != n {
+				t.Fatalf("indexed boxes: packed %d str %d want %d", len(packed.boxes), len(str.boxes), n)
 			}
 			for trial := 0; trial < 50; trial++ {
 				q := randBox(r, dims, 40)

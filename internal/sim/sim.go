@@ -14,12 +14,10 @@ import (
 
 	"paw/internal/core"
 	"paw/internal/dataset"
-	"paw/internal/descriptor"
 	"paw/internal/geom"
 	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/obs"
-	"paw/internal/tuner"
 	"paw/internal/workload"
 )
 
@@ -29,11 +27,6 @@ const (
 	MethodQdTree = string(core.MethodQdTree)
 	MethodKdTree = string(core.MethodKdTree)
 )
-
-// Methods returns every builder the harness drives.
-func Methods() []string {
-	return []string{MethodPAW, MethodQdTree, MethodKdTree}
-}
 
 // Scenario is one deterministic simulation setting.
 type Scenario struct {
@@ -155,29 +148,6 @@ func Inputs(sc Scenario, method string) invariant.Inputs {
 		Greedy:  core.Method(method).Greedy(),
 		Seed:    sc.Seed,
 	}
-}
-
-// Check builds the scenario with the method at the given parallelism and
-// runs the full oracle suite, optionally with precise descriptors installed
-// (withPrecise) and the storage tuner exercised (tunerBudget > 0).
-func Check(sc Scenario, method string, parallelism int, withPrecise bool, tunerBudget int64) error {
-	l := Build(sc, method, parallelism)
-	if withPrecise {
-		if _, err := descriptor.Install(l, sc.Data, descriptor.AllRows(sc.Data.NumRows()), 4); err != nil {
-			return fmt.Errorf("sim: precise install: %w", err)
-		}
-	}
-	if err := invariant.Check(l, Inputs(sc, method)); err != nil {
-		return err
-	}
-	if tunerBudget > 0 {
-		queries := sc.Hist.Extend(sc.Delta).Boxes()
-		extras := tuner.Select(l, sc.Data, queries, tunerBudget)
-		if err := invariant.CheckTuner(l, sc.Data, queries, extras, tunerBudget); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func minExtent(b geom.Box) float64 {

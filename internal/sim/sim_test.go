@@ -1,8 +1,41 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
+
+	"paw/internal/descriptor"
+	"paw/internal/invariant"
+	"paw/internal/tuner"
 )
+
+// Methods returns every builder the harness drives.
+func Methods() []string {
+	return []string{MethodPAW, MethodQdTree, MethodKdTree}
+}
+
+// Check builds the scenario with the method at the given parallelism and
+// runs the full oracle suite, optionally with precise descriptors installed
+// (withPrecise) and the storage tuner exercised (tunerBudget > 0).
+func Check(sc Scenario, method string, parallelism int, withPrecise bool, tunerBudget int64) error {
+	l := Build(sc, method, parallelism)
+	if withPrecise {
+		if _, err := descriptor.Install(l, sc.Data, descriptor.AllRows(sc.Data.NumRows()), 4); err != nil {
+			return fmt.Errorf("sim: precise install: %w", err)
+		}
+	}
+	if err := invariant.Check(l, Inputs(sc, method)); err != nil {
+		return err
+	}
+	if tunerBudget > 0 {
+		queries := sc.Hist.Extend(sc.Delta).Boxes()
+		extras := tuner.Select(l, sc.Data, queries, tunerBudget)
+		if err := invariant.CheckTuner(l, sc.Data, queries, extras, tunerBudget); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // scenarioCount returns the simulation breadth: -short still covers ≥ 20
 // seeded scenarios (the acceptance floor), full mode widens the sweep.

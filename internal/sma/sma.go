@@ -1,7 +1,8 @@
 // Package sma implements small materialized aggregates (Moerkotte, VLDB'98):
-// per-block min/max/count/sum statistics kept for every dimension, used to
-// prune blocks that cannot contain query results (§II-B). The min-max
-// aggregate is the pruning predicate used by the columnar row-group store.
+// per-block min/max statistics kept for every dimension, and the block's
+// record count, used to prune blocks that cannot contain query results
+// (§II-B). The min-max aggregate is the pruning predicate used by the
+// columnar row-group store.
 package sma
 
 import (
@@ -13,8 +14,8 @@ import (
 
 // Aggregates holds the per-dimension statistics of one block of records.
 type Aggregates struct {
-	Count         int64
-	Min, Max, Sum []float64
+	Count    int64
+	Min, Max []float64
 }
 
 // Compute builds aggregates over the given rows of data (all rows when rows
@@ -24,7 +25,6 @@ func Compute(data *dataset.Dataset, rows []int) Aggregates {
 	a := Aggregates{
 		Min: make([]float64, dims),
 		Max: make([]float64, dims),
-		Sum: make([]float64, dims),
 	}
 	for d := 0; d < dims; d++ {
 		a.Min[d] = math.Inf(1)
@@ -40,7 +40,6 @@ func Compute(data *dataset.Dataset, rows []int) Aggregates {
 			if v > a.Max[d] {
 				a.Max[d] = v
 			}
-			a.Sum[d] += v
 		}
 	}
 	if rows == nil {
@@ -94,12 +93,10 @@ func Merge(x, y Aggregates) Aggregates {
 		Count: x.Count + y.Count,
 		Min:   make([]float64, len(x.Min)),
 		Max:   make([]float64, len(x.Max)),
-		Sum:   make([]float64, len(x.Sum)),
 	}
 	for d := range x.Min {
 		out.Min[d] = math.Min(x.Min[d], y.Min[d])
 		out.Max[d] = math.Max(x.Max[d], y.Max[d])
-		out.Sum[d] = x.Sum[d] + y.Sum[d]
 	}
 	return out
 }

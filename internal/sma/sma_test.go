@@ -1,7 +1,6 @@
 package sma
 
 import (
-	"math"
 	"testing"
 
 	"paw/internal/dataset"
@@ -17,11 +16,11 @@ func TestCompute(t *testing.T) {
 	if a.Count != 3 {
 		t.Errorf("count = %d", a.Count)
 	}
-	if a.Min[0] != 1 || a.Max[0] != 5 || a.Sum[0] != 9 {
-		t.Errorf("dim0 stats: %v %v %v", a.Min[0], a.Max[0], a.Sum[0])
+	if a.Min[0] != 1 || a.Max[0] != 5 {
+		t.Errorf("dim0 stats: %v %v", a.Min[0], a.Max[0])
 	}
-	if a.Min[1] != 10 || a.Max[1] != 30 || a.Sum[1] != 60 {
-		t.Errorf("dim1 stats: %v %v %v", a.Min[1], a.Max[1], a.Sum[1])
+	if a.Min[1] != 10 || a.Max[1] != 30 {
+		t.Errorf("dim1 stats: %v %v", a.Min[1], a.Max[1])
 	}
 }
 
@@ -73,9 +72,6 @@ func TestMerge(t *testing.T) {
 	for dim := 0; dim < 2; dim++ {
 		if m.Min[dim] != full.Min[dim] || m.Max[dim] != full.Max[dim] {
 			t.Errorf("merged min/max mismatch on dim %d", dim)
-		}
-		if math.Abs(m.Sum[dim]-full.Sum[dim]) > 1e-12 {
-			t.Errorf("merged sum mismatch on dim %d", dim)
 		}
 	}
 	// Merging with empty is the identity.

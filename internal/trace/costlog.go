@@ -20,7 +20,7 @@ type CostRecord struct {
 	Schema  string `json:"schema"`
 	TraceID uint64 `json:"trace_id"`
 	// UnixNs is the query's start on the master clock.
-	UnixNs int64 `json:"unix_ns"`
+	UnixNs int64  `json:"unix_ns"`
 	SQL    string `json:"sql,omitempty"`
 
 	// Layout features.

@@ -47,8 +47,7 @@ const (
 	KeyNextView
 	// KeyRows counts matched rows.
 	KeyRows
-	// KeyRowsDecoded counts materialized rows.
-	KeyRowsDecoded
+	_ // was the materialized-row count; kept so later keys keep their wire values
 	// KeyBytesRead / KeyBytesSkipped follow colstore.ScanStats byte
 	// accounting: encoded payload decoded vs proven skippable.
 	KeyBytesRead
@@ -94,8 +93,6 @@ func (k Key) String() string {
 		return "next_view"
 	case KeyRows:
 		return "rows"
-	case KeyRowsDecoded:
-		return "rows_decoded"
 	case KeyBytesRead:
 		return "bytes_read"
 	case KeyBytesSkipped:
@@ -150,7 +147,7 @@ type Span struct {
 	// durations are comparable across hosts).
 	Start int64
 	// Dur is the span's duration in nanoseconds (0 until ended).
-	Dur int64
+	Dur   int64
 	Attrs []Attr
 }
 
@@ -283,8 +280,8 @@ type Finished struct {
 	// Root is the root span's name.
 	Root string `json:"root"`
 	// Start/DurNs mirror the root span.
-	Start int64 `json:"start_unix_ns"`
-	DurNs int64 `json:"dur_ns"`
+	Start int64  `json:"start_unix_ns"`
+	DurNs int64  `json:"dur_ns"`
 	Spans []Span `json:"spans"`
 }
 

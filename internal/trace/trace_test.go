@@ -334,11 +334,11 @@ func TestWriteTree(t *testing.T) {
 }
 
 // TestKeyStrings: every defined key renders a stable name (the wire enum and
-// the rendering must agree); the retired value before KeyCacheHit renders
-// unknown.
+// the rendering must agree); the retired values — after KeyRows and before
+// KeyCacheHit — render unknown.
 func TestKeyStrings(t *testing.T) {
 	for k := KeyWorker; k <= KeyPartial; k++ {
-		if k == KeyCacheHit-1 {
+		if k == KeyRows+1 || k == KeyCacheHit-1 {
 			if k.String() != "unknown" {
 				t.Fatalf("retired key %d renders %q", k, k.String())
 			}

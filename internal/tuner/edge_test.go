@@ -71,7 +71,7 @@ func TestSelectEdgeCases(t *testing.T) {
 			if n := len(extras); n < tc.wantMin || n > tc.wantMax {
 				t.Fatalf("selected %d extras, want between %d and %d", n, tc.wantMin, tc.wantMax)
 			}
-			if got := TotalBytes(extras); tc.budget > 0 && got > tc.budget {
+			if got := totalBytes(extras); tc.budget > 0 && got > tc.budget {
 				t.Fatalf("extras occupy %d bytes, budget is %d", got, tc.budget)
 			}
 			// Whatever was selected must satisfy the tuner oracle.

@@ -25,14 +25,14 @@ func TestSelectObservedTelemetry(t *testing.T) {
 	if got := snap.Counter(MetricReplicas); got != int64(len(extras)) {
 		t.Errorf("replicas = %d, want %d", got, len(extras))
 	}
-	if got := snap.Counter(MetricReplicaBytes); got != TotalBytes(extras) {
-		t.Errorf("replica bytes = %d, want %d", got, TotalBytes(extras))
+	if got := snap.Counter(MetricReplicaBytes); got != totalBytes(extras) {
+		t.Errorf("replica bytes = %d, want %d", got, totalBytes(extras))
 	}
 	if got := snap.Gauge(MetricBudgetBytes); got != budget {
 		t.Errorf("budget gauge = %d, want %d", got, budget)
 	}
-	if got := snap.Gauge(MetricBudgetRemaining); got != budget-TotalBytes(extras) {
-		t.Errorf("budget remaining = %d, want %d", got, budget-TotalBytes(extras))
+	if got := snap.Gauge(MetricBudgetRemaining); got != budget-totalBytes(extras) {
+		t.Errorf("budget remaining = %d, want %d", got, budget-totalBytes(extras))
 	}
 	h := snap.Histograms[MetricGain]
 	if h.Count != int64(len(extras)) {

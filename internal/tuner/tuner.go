@@ -139,12 +139,3 @@ func SelectObserved(l *layout.Layout, data *dataset.Dataset, queries []geom.Box,
 		}
 	}
 }
-
-// TotalBytes returns the storage the extras occupy.
-func TotalBytes(extras layout.Extras) int64 {
-	var t int64
-	for _, e := range extras {
-		t += e.Bytes()
-	}
-	return t
-}

@@ -9,6 +9,15 @@ import (
 	"paw/internal/workload"
 )
 
+// totalBytes returns the storage the extras occupy.
+func totalBytes(extras layout.Extras) int64 {
+	var t int64
+	for _, e := range extras {
+		t += e.Bytes()
+	}
+	return t
+}
+
 func allRows(n int) []int {
 	rows := make([]int, n)
 	for i := range rows {
@@ -31,7 +40,7 @@ func TestSelectRespectsBudget(t *testing.T) {
 	for _, frac := range []float64{0.01, 0.05, 0.1, 0.2} {
 		budget := int64(float64(data.TotalBytes()) * frac)
 		extras := Select(l, data, w.Boxes(), budget)
-		if got := TotalBytes(extras); got > budget {
+		if got := totalBytes(extras); got > budget {
 			t.Errorf("budget %d exceeded: %d", budget, got)
 		}
 	}
@@ -46,7 +55,7 @@ func TestSelectReducesCost(t *testing.T) {
 		t.Errorf("storage tuner did not reduce cost: %d -> %d (%d extras)", before, after, len(extras))
 	}
 	t.Logf("cost %d -> %d with %d extras (%.1f%% space)",
-		before, after, len(extras), 100*float64(TotalBytes(extras))/float64(data.TotalBytes()))
+		before, after, len(extras), 100*float64(totalBytes(extras))/float64(data.TotalBytes()))
 }
 
 func TestSelectZeroBudget(t *testing.T) {

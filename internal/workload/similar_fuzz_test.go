@@ -69,9 +69,9 @@ func FuzzMinimalDelta(f *testing.F) {
 	f.Add(int64(-7), uint8(4), uint8(1), uint8(3))
 	f.Add(int64(99), uint8(1), uint8(2), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nHist, ratio, dims uint8) {
-		n := 1 + int(nHist)%4   // 1..4 historical queries
-		r := 1 + int(ratio)%2   // ratio 1..2
-		dd := 1 + int(dims)%3   // 1..3 dimensions
+		n := 1 + int(nHist)%4 // 1..4 historical queries
+		r := 1 + int(ratio)%2 // ratio 1..2
+		dd := 1 + int(dims)%3 // 1..3 dimensions
 		rng := rand.New(rand.NewSource(seed))
 		hist := randomWorkload(rng, n, dd)
 		future := randomWorkload(rng, n*r, dd)

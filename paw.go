@@ -157,11 +157,6 @@ func EstimateDelta(hist Workload) (float64, error) {
 	return workload.EstimateDelta(hist)
 }
 
-// AreSimilar tests Definition 2: whether hist and future are delta-similar.
-func AreSimilar(hist, future Workload, delta float64) (bool, error) {
-	return workload.AreSimilar(hist, future, delta)
-}
-
 // FractionOfDomain converts a relative threshold (e.g. the paper's default
 // δ = 1% of the domain length) into the absolute units Build expects, using
 // the first dimension's extent.
