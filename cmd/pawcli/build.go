@@ -93,7 +93,7 @@ func runBuild(args []string, out io.Writer) error {
 	// partition's data envelope (§V-A), which the layout file carries to
 	// pawmaster. The store itself is dropped, after the report has taken its
 	// census: the encoded bytes under each physical encoding, and how many of
-	// the raw chunks a scan can search.
+	// the packed chunks a scan can search.
 	stored := make(map[string]int64)
 	search := &layout.SearchCensus{ByColumn: make(map[string]int)}
 	phase("route", func() error {
@@ -103,9 +103,10 @@ func runBuild(args []string, out io.Writer) error {
 				for enc, b := range sp.Table.EncodedBytesByEncoding() {
 					stored[enc] += b
 				}
-				raw, rawBits, searchable, pieces, rows := sp.Table.SearchCensus(search.ByColumn)
+				raw, rawBits, packed, searchable, pieces, rows := sp.Table.SearchCensus(search.ByColumn)
 				search.RawChunks += raw
 				search.RawBits += rawBits
+				search.Packed += packed
 				search.Searchable += searchable
 				search.Pieces += pieces
 				search.Rows += rows

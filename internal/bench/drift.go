@@ -86,10 +86,12 @@ type DriftScenarioResult struct {
 
 	Phases []DriftPhaseStat `json:"phases"`
 
-	// CostBaseline/CostRegressed/CostRecovered are observed per-query opened
-	// bytes — the encoded size of the partitions the plans opened, scanned or
-	// skipped, which is what the drift monitor gates on and a rebuild changes:
-	// the first phase, the final phase before cutover, and the final phase
+	// CostBaseline/CostRegressed/CostRecovered are per-query opened bytes —
+	// the encoded size of the partitions the plans opened, scanned or skipped,
+	// which is what the drift monitor gates on and a rebuild changes: observed
+	// over the first phase; the final phase's under the boot layout, computed
+	// from the layout and the store before the stream starts (so it does not
+	// depend on when the cutover lands); and observed over the final phase
 	// after cutover. (Until ISSUE 24 they were scan bytes, like the phases'
 	// AvgScanBytes; searched chunks made those a measure of the kernels.)
 	CostBaseline  float64 `json:"cost_baseline_bytes"`
@@ -208,6 +210,18 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	scanBytes := make([]int64, len(stream))
 	openedBytes := make([]int64, len(stream))
 	rows := make([]int, len(stream))
+	// What each statement opens under the boot layout: the encoded bytes of
+	// the partitions it routes to.
+	bootOpened := make([]int64, len(stream))
+	for i, b := range stream {
+		for _, id := range l.PartitionsFor(b) {
+			sp, err := store.Partition(id)
+			if err != nil {
+				return res, err
+			}
+			bootOpened[i] += sp.Table.EncodedBytes()
+		}
+	}
 
 	var (
 		migCh       chan triggerOutcome
@@ -291,28 +305,37 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		}
 		res.Phases = append(res.Phases, st)
 	}
-	// Regression and recovery on the final phase, split at the cutover.
+	// Until the first trigger every statement is served by the boot layout,
+	// and opens what bootOpened says.
+	untriggered := len(stream)
+	if res.TriggerAtQuery >= 0 {
+		untriggered = res.TriggerAtQuery + 1
+	}
+	for i := range untriggered {
+		if openedBytes[i] != bootOpened[i] {
+			return res, fmt.Errorf("query %d opened %d bytes; the boot layout's partitions for it hold %d", i, openedBytes[i], bootOpened[i])
+		}
+	}
+	// Regression under the boot layout, and recovery after the cutover, on
+	// the final phase.
 	lastLo := offs[len(offs)-2]
-	avgOver := func(lo, hi int) float64 {
+	avgOver := func(opened []int64, lo, hi int) float64 {
 		if hi <= lo {
 			return 0
 		}
 		var sum int64
 		for i := lo; i < hi; i++ {
-			sum += openedBytes[i]
+			sum += opened[i]
 		}
 		return float64(sum) / float64(hi-lo)
 	}
-	res.CostBaseline = avgOver(offs[0], offs[1])
+	res.CostBaseline = avgOver(openedBytes, offs[0], offs[1])
+	res.CostRegressed = avgOver(bootOpened, lastLo, len(stream))
 	cut := len(stream)
 	if res.MigratedAtQuery >= 0 {
-		cut = res.MigratedAtQuery
+		cut = max(res.MigratedAtQuery, lastLo)
 	}
-	if cut < lastLo {
-		cut = lastLo
-	}
-	res.CostRegressed = avgOver(lastLo, cut)
-	res.CostRecovered = avgOver(cut, len(stream))
+	res.CostRecovered = avgOver(openedBytes, cut, len(stream))
 	if res.Migrated && cut >= len(stream) {
 		// The cutover landed only after the stream drained (slow machines,
 		// GOMAXPROCS=1): replay the final phase once on the new epoch so the

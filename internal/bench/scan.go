@@ -135,7 +135,7 @@ func ScanBench(cfg Config) ScanReport {
 	if rep.EncodedBytes > 0 {
 		rep.CompressionRatio = float64(rep.RawBytes) / float64(rep.EncodedBytes)
 	}
-	if raw, bits, _, _, _ := tab.SearchCensus(nil); raw > 0 {
+	if raw, bits, _, _, _, _ := tab.SearchCensus(nil); raw > 0 {
 		rep.RawWidthBits = float64(bits) / float64(raw)
 	}
 

@@ -90,9 +90,8 @@ func (b *Builder) BuildAll(parts [][]int, done func(i int, t *Table)) {
 }
 
 // runKeyCap is the most distinct values a column may hold within a partition
-// and still be a key of the intra-tile order: the widest dictionary a one-byte
-// code addresses. Ordering on a column past it would lengthen no run and
-// change no chunk's encoded size.
+// and still be a key of the intra-tile order. It fixes that order, so every
+// store's row order and bytes rest on it.
 const runKeyCap = 256
 
 // clusterScratch is the working set of one pool slot, reused by every build

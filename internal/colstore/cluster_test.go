@@ -504,9 +504,10 @@ func TestOrderKeyRoundTripsAndOrders(t *testing.T) {
 // TestEncodeColumnChoosesSmallest pins the encoding chooser, shortcuts and
 // all, to its specification: the smallest of raw / RLE / dictionary / FOR,
 // computed here the slow way (sort, count), ties going to RLE, then
-// dictionary, then FOR, then raw — no dictionary for a chunk holding a NaN,
-// which a sorted dictionary cannot be searched past — and the chunk decodes to
-// vals bit for bit.
+// dictionary, then FOR, then raw, where a run ends at a change of bits and
+// FOR must reconstruct every value's bits — no dictionary for a chunk holding a
+// NaN, which a sorted dictionary cannot be searched past, or a -0, which it
+// cannot tell from +0 — and the chunk decodes to vals bit for bit.
 func TestEncodeColumnChoosesSmallest(t *testing.T) {
 	var sc encodeScratch
 	for seed := int64(0); seed < 400; seed++ {
@@ -514,10 +515,12 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		n := 1 + rng.Intn(700)
 		vals := fuzzDataset(seed, n, 1).Column(0)
 		switch seed % 8 {
-		case 4: // as many distinct values as a dictionary can hold and still win, or one more
+		case 4: // as many distinct values as the dictionary probe counts before it gives up, or one more
 			n = 50 + rng.Intn(240)
 			vals = make([]float64, n)
-			card := (7*n-4)/8 + int(seed/8%2)
+			// Raw packs these (0.1 to some hundreds) at 56 bits, below RLE,
+			// so the probe gives up at (9 + 7n - 5 - ⌈n/8⌉)/8 + 1 values.
+			card := (4+7*n-(n+7)/8)/8 + int(seed/8%2)
 			for i := range vals {
 				vals[i] = float64(i%card)*1.37 + 0.1 // not integral steps: FOR does not apply
 			}
@@ -538,19 +541,20 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
 		card, runs, forOK := 1, 1, true
-		hasNaN := slices.ContainsFunc(vals, math.IsNaN)
+		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		noDict := slices.ContainsFunc(vals, func(v float64) bool { return math.IsNaN(v) || same(v, math.Copysign(0, -1)) })
 		for i := 1; i < n; i++ {
 			if sorted[i] != sorted[i-1] {
 				card++
 			}
-			if vals[i] != vals[i-1] {
+			if !same(vals[i], vals[i-1]) {
 				runs++
 			}
 		}
 		maxDelta := 0.0
 		for _, v := range vals {
 			d := v - sorted[0]
-			if !(d >= 0) || d != math.Trunc(d) || d >= 1<<32 || sorted[0]+d != v {
+			if !(d >= 0) || d != math.Trunc(d) || d >= 1<<32 || !same(sorted[0]+d, v) {
 				forOK = false
 			}
 			maxDelta = max(maxDelta, d)
@@ -566,11 +570,8 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 			rawBits = 64
 		}
 		want, wantB := colRLE, int64(4+runs*12)
-		w := int64(2)
-		if card <= 256 {
-			w = 1
-		}
-		if b := 4 + int64(card)*8 + w*int64(n); card <= dictMaxCard && !hasNaN && b < wantB {
+		codeBits := int64(bits.Len64(uint64(card - 1)))
+		if b := 5 + int64(card)*8 + (int64(n)*codeBits+7)/8; !noDict && b < wantB {
 			want, wantB = colDict, b
 		}
 		if forOK {
@@ -589,9 +590,49 @@ func TestEncodeColumnChoosesSmallest(t *testing.T) {
 		got := make([]float64, n)
 		c.decodeInto(got)
 		for i, v := range vals {
-			if got[i] != v && !(math.IsNaN(got[i]) && math.IsNaN(v)) || c.kind == colRaw && math.Float64bits(got[i]) != math.Float64bits(v) {
+			if !same(got[i], v) {
 				t.Fatalf("seed %d: %v chunk decodes value %d as %v, want %v", seed, c.kind, i, got[i], v)
 			}
+		}
+	}
+}
+
+// TestSignedZerosSurviveEncoding: every encoding is exact, so a chunk of -0s
+// and +0s decodes to the same zeros, sign for sign — the three shapes below
+// were a dictionary, a FOR chunk and a 0-bit FOR chunk that decoded every -0
+// as +0 or every +0 as -0 when runs, FOR and the dictionary probe compared
+// values as floats, where -0 == +0.
+func TestSignedZerosSurviveEncoding(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cycle := func(vs ...float64) []float64 {
+		out := make([]float64, 1024)
+		for i := range out {
+			out[i] = vs[i%len(vs)]
+		}
+		return out
+	}
+	halves := make([]float64, 1024)
+	for i := range halves[:512] {
+		halves[i] = negZero
+	}
+	var sc encodeScratch
+	for _, c := range []struct {
+		name string
+		vals []float64
+	}{
+		{"four values", cycle(negZero, 0, 1.5, 2.25)},
+		{"integers", cycle(negZero, 0, 1, 2, 3, 4, 5, 6, 7)},
+		{"two runs", halves},
+	} {
+		col := encodeColumn(c.vals, &sc)
+		got := make([]float64, len(c.vals))
+		col.decodeInto(got)
+		wrong := 0
+		for i, v := range c.vals {
+			wrong += b2i(math.Float64bits(got[i]) != math.Float64bits(v))
+		}
+		if wrong > 0 {
+			t.Errorf("%s: %v chunk decodes %d of %d values with the wrong bits", c.name, col.kind, wrong, len(c.vals))
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Binary format (little-endian):
 //
 //	magic    uint32 'PAWC'
-//	version  uint16 (4)
+//	version  uint16 (5)
 //	dims     uint16
 //	groups   uint32
 //	names    (uint16 len + bytes) per column
@@ -20,7 +20,7 @@ import (
 //	  rows   uint32
 //	  per column: kind uint8, then the encoded payload:
 //	    raw:  least order key uint64, bits uint8 (0–57 or 64), ceil(rows·bits/8) bytes of packed key offsets
-//	    dict: card uint32, card × float64, width uint8 (1|2), rows × width codes
+//	    dict: card uint32, card × float64 ascending, bits uint8 (the bits card-1 needs), ceil(rows·bits/8) bytes of packed ranks
 //	    rle:  runs uint32, runs × float64 values, runs × uint32 lengths
 //	    for:  base float64, bits uint8 (0–32), ceil(rows·bits/8) bytes of packed deltas
 //	  SMA:   per dim min/max float64 (its count is the group's rows)
@@ -30,18 +30,19 @@ import (
 //
 // A payload only ever crosses the wire between processes of one build, so
 // nothing older is decodable: versions 1 (raw float64 columns), 2 (raw
-// float64 values, FOR in 64-bit words) and 3 (v4 plus an always-zero zone
-// count, and an SMA count and sum per group that no scan read) are errors.
+// float64 values, FOR in 64-bit words), 3 (v4 plus an always-zero zone
+// count, and an SMA count and sum per group that no scan read) and 4
+// (dictionary codes of one or two bytes each) are errors.
 const (
 	colMagic   = 0x50415743 // "PAWC"
-	colVersion = 4
+	colVersion = 5
 
 	// maxDecodeRows bounds per-group row counts on decode so corrupt or
 	// hostile headers cannot drive huge allocations.
 	maxDecodeRows = 1 << 28
 )
 
-// Encode writes the table in the PAWC v4 binary format.
+// Encode writes the table in the PAWC v5 binary format.
 func (t *Table) Encode(w io.Writer) error {
 	// Room for the column chunks, each group's row count, kind tags and SMA,
 	// and 1 KiB of header and names.
@@ -74,19 +75,6 @@ func appendF64(buf []byte, v float64) []byte {
 func appendColumn(buf []byte, c *column) []byte {
 	buf = append(buf, uint8(c.kind))
 	switch c.kind {
-	case colDict:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.dict)))
-		for _, v := range c.dict {
-			buf = appendF64(buf, v)
-		}
-		if c.codes8 != nil {
-			return append(append(buf, 1), c.codes8...)
-		}
-		buf = append(buf, 2)
-		for _, code := range c.codes16 {
-			buf = binary.LittleEndian.AppendUint16(buf, code)
-		}
-		return buf
 	case colRLE:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.runVals)))
 		for _, v := range c.runVals {
@@ -96,14 +84,17 @@ func appendColumn(buf []byte, c *column) []byte {
 			buf = binary.LittleEndian.AppendUint32(buf, l)
 		}
 		return buf
-	default:
-		head := c.minKey
-		if c.kind == colFOR {
-			head = math.Float64bits(c.base)
+	case colDict:
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.dict)))
+		for _, v := range c.dict {
+			buf = appendF64(buf, v)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, head)
-		return append(append(buf, c.width), c.packed[:packedPayload(c.n, c.width)-9]...)
+	case colFOR:
+		buf = appendF64(buf, c.base)
+	default:
+		buf = binary.LittleEndian.AppendUint64(buf, c.minKey)
 	}
+	return append(append(buf, c.width), c.packed[:c.valueBytes(c.n)]...)
 }
 
 // readColumn reads one column payload of a rows-row group. Nothing it returns
@@ -111,31 +102,6 @@ func appendColumn(buf []byte, c *column) []byte {
 func readColumn(r *binfmt.Reader, rows int) column {
 	c := column{kind: colKind(r.U8()), n: rows}
 	switch c.kind {
-	case colDict:
-		card := r.Count(uint64(r.U32()), 8)
-		if r.Err() == nil && (card == 0 || card > dictMaxCard || card > rows) {
-			r.Failf("dictionary cardinality %d out of range for %d rows", card, rows)
-		}
-		c.dict = readF64s(r, card)
-		switch width := r.U8(); {
-		case r.Err() != nil:
-		case width == 1 && card <= 256:
-			c.codes8 = append([]uint8(nil), r.Next(rows)...)
-			for _, code := range c.codes8 {
-				if int(code) >= card {
-					r.Failf("dictionary code %d out of range", code)
-				}
-			}
-		case width == 2:
-			c.codes16 = make([]uint16, r.Count(uint64(rows), 2))
-			for i := range c.codes16 {
-				if c.codes16[i] = r.U16(); int(c.codes16[i]) >= card {
-					r.Failf("dictionary code %d out of range", c.codes16[i])
-				}
-			}
-		default:
-			r.Failf("dictionary code width %d for cardinality %d", width, card)
-		}
 	case colRLE:
 		runs := r.Count(uint64(r.U32()), 12)
 		if r.Err() == nil && (runs == 0 || runs > rows) {
@@ -151,26 +117,46 @@ func readColumn(r *binfmt.Reader, rows int) column {
 		if r.Err() == nil && total != int64(rows) {
 			r.Failf("run lengths sum to %d, want %d rows", total, rows)
 		}
-	case colRaw, colFOR:
-		head := r.U64()
-		if c.width = r.U8(); c.kind == colFOR && c.width > 32 || c.width > 57 && c.width != 64 {
-			r.Failf("%v bit width %d out of range", c.kind, c.width)
+		return c
+	case colDict:
+		card := r.Count(uint64(r.U32()), 8)
+		if r.Err() == nil && (card == 0 || card > rows) {
+			r.Failf("dictionary cardinality %d out of range for %d rows", card, rows)
 		}
-		b := r.Next(int(packedPayload(rows, c.width) - 9))
-		if r.Err() != nil {
-			break
-		}
-		c.packed = make([]byte, len(b)+8) // unpack's padding
-		copy(c.packed, b)
-		if c.kind == colFOR {
-			c.base = math.Float64frombits(head)
-		} else {
-			c.minKey = head
-			c.pieces = c.ascendingPieces()
-		}
+		c.dict = readF64s(r, card)
+	case colFOR:
+		c.base = r.F64()
+	case colRaw:
+		c.minKey = r.U64()
 	default:
 		r.Failf("unknown column encoding %d", c.kind)
+		return c
 	}
+	c.width = r.U8()
+	switch {
+	case r.Err() != nil:
+		return c
+	case c.kind == colDict && c.width != packWidth(uint64(len(c.dict)-1)):
+		r.Failf("dictionary of %d values packed at %d bits", len(c.dict), c.width)
+	case c.kind == colFOR && c.width > 32 || c.width > 57 && c.width != 64:
+		r.Failf("%v bit width %d out of range", c.kind, c.width)
+	}
+	b := r.Next(int(packedBytes(rows, c.width)))
+	if r.Err() != nil {
+		return c
+	}
+	c.packed = make([]byte, len(b)+8) // unpack's padding
+	copy(c.packed, b)
+	if c.kind == colDict {
+		packed, width, mask := c.packed, uint(c.width), c.mask()
+		for p, end := uint(0), uint(rows)*width; p < end; p += width {
+			if x := unpack(packed, p, mask); x >= uint64(len(c.dict)) {
+				r.Failf("dictionary rank %d out of range", x)
+				return c
+			}
+		}
+	}
+	c.pieces = c.ascendingPieces()
 	return c
 }
 
@@ -182,7 +168,7 @@ func readF64s(r *binfmt.Reader, n int) []float64 {
 	return out
 }
 
-// Decode reads a table in the PAWC v4 binary format.
+// Decode reads a table in the PAWC v5 binary format.
 func Decode(in io.Reader) (*Table, error) {
 	data, err := binfmt.ReadAll(in)
 	if err != nil {

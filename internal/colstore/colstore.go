@@ -4,12 +4,11 @@
 // whole row groups whose statistics miss the query — the "row group based
 // pruning" the paper credits for the sub-linear end-to-end times of
 // Fig. 15b — and evaluate the surviving groups with vectorized kernels:
-// predicates run directly on the encoded columns (dictionary codes, RLE
-// runs, bit-packed deltas and order-key offsets), a reusable selection
-// vector carries survivors between columns, and the last active column counts
-// the rows that pass every predicate without decoding them. Every statement
-// the cluster answers is a count, so no scan materialises rows. See DESIGN.md
-// §11.
+// predicates run directly on the encoded columns (RLE runs, and bit-packed
+// dictionary ranks, deltas and order-key offsets), a reusable selection vector
+// carries survivors between columns, and the last active column counts the
+// rows that pass every predicate without decoding them. Every statement the
+// cluster answers is a count, so no scan materialises rows. See DESIGN.md §11.
 package colstore
 
 import (
@@ -28,8 +27,9 @@ const DefaultGroupRows = 4096
 
 // Table is an immutable columnar table split into row groups. Every column
 // chunk is stored under the cheapest exact encoding for its values
-// (dictionary, run-length, frame-of-reference bit-packing, or raw), chosen
-// independently per row group at build time.
+// (run-length, or bit-packed offsets standing for dictionary ranks,
+// frame-of-reference deltas or raw order keys), chosen independently per row
+// group at build time.
 type Table struct {
 	names  []string
 	groups []rowGroup
@@ -174,20 +174,22 @@ func (t *Table) EncodedBytesByEncoding() map[string]int64 {
 }
 
 // SearchCensus counts the table's raw chunks, with the bits their values are
-// packed at summed over them, and of them the searchable ones — those in
-// ascending pieces, which a scan narrows by binary search where it sweeps the
-// rest — with their pieces and rows, and adds each searchable chunk to
-// byColumn (if not nil) under its column's name: in a builder's table, the
-// tail columns.
-func (t *Table) SearchCensus(byColumn map[string]int) (raw, rawBits, searchable, pieces, rows int) {
+// packed at summed over them, and its packed chunks — raw, FOR and dictionary
+// — and of those the searchable ones — in ascending pieces, which a scan
+// narrows by binary search where it sweeps the rest — with their pieces and
+// rows, and adds each searchable chunk to byColumn (if not nil) under its
+// column's name: in a builder's table, the tail columns.
+func (t *Table) SearchCensus(byColumn map[string]int) (raw, rawBits, packed, searchable, pieces, rows int) {
 	for gi := range t.groups {
 		for d := range t.groups[gi].cols {
 			c := &t.groups[gi].cols[d]
-			if c.kind != colRaw {
+			if c.kind == colRLE {
 				continue
 			}
-			raw++
-			rawBits += int(c.width)
+			if packed++; c.kind == colRaw {
+				raw++
+				rawBits += int(c.width)
+			}
 			if c.pieces != nil {
 				searchable++
 				pieces += len(c.pieces)
@@ -198,7 +200,7 @@ func (t *Table) SearchCensus(byColumn map[string]int) (raw, rawBits, searchable,
 			}
 		}
 	}
-	return raw, rawBits, searchable, pieces, rows
+	return raw, rawBits, packed, searchable, pieces, rows
 }
 
 // ScanStats reports what a scan did. Byte accounting follows the encoded

@@ -17,9 +17,9 @@ const (
 	// chunk's least order key, bit-packed at the width the chunk's key range
 	// needs: any float64, NaN payloads and signed zeros included.
 	colRaw colKind = iota
-	// colDict stores a sorted dictionary of the distinct values plus one
-	// small fixed-width code per row. Range predicates are evaluated once
-	// against the dictionary and then compared against codes.
+	// colDict stores a sorted dictionary of the distinct values and, per row,
+	// its value's rank in the dictionary, bit-packed at the width the highest
+	// rank needs. Range predicates are mapped once onto a rank interval.
 	colDict
 	// colRLE stores (value, run length) pairs. Predicates accept or reject
 	// whole runs with a single comparison.
@@ -28,9 +28,6 @@ const (
 	// non-negative integral delta packed at the minimal bit width.
 	colFOR
 )
-
-// dictMaxCard caps dictionary cardinality at what a 2-byte code addresses.
-const dictMaxCard = 1 << 16
 
 // String names the encoding for introspection and benchmark reports.
 func (k colKind) String() string {
@@ -52,24 +49,20 @@ type column struct {
 	kind colKind
 	n    int
 
-	// colRaw and colFOR: value i is an offset x_i, packed at width bits per
-	// value from bit i·width of packed, least significant bit first (unpack).
-	// A raw value is the float whose order key is minKey + x_i; a FOR value is
-	// base + float64(x_i). pieces holds the starts of a raw chunk's maximal
-	// pieces ascending in key order when they are long enough to search
-	// (ascendingPieces), else nil; it is derived from the offsets wherever a
-	// chunk comes to be and is never stored.
+	// Every kind but colRLE: value i is an offset x_i, packed at width bits
+	// per value from bit i·width of packed, least significant bit first
+	// (unpack). What an offset stands for is the kind's (valueOf): a raw value
+	// is the float whose order key is minKey + x_i, a FOR value base +
+	// float64(x_i), a dictionary value dict[x_i], dict sorted ascending. pieces
+	// holds the starts of the chunk's maximal pieces of ascending offsets when
+	// they are long enough to search (ascendingPieces), else nil; it is derived
+	// from the offsets wherever a chunk comes to be and is never stored.
 	packed []byte
 	width  uint8
 	minKey uint64
 	base   float64
+	dict   []float64
 	pieces []int32
-
-	// colDict: dict is sorted ascending; codes index into it. codes16 is
-	// used when len(dict) > 256, codes8 otherwise.
-	dict    []float64
-	codes8  []uint8
-	codes16 []uint16
 
 	// colRLE
 	runVals []float64
@@ -77,39 +70,36 @@ type column struct {
 }
 
 // payloadBytes returns the encoded physical size of the column chunk — the
-// byte count its PAWC payload occupies (excluding the 1-byte kind tag).
+// byte count its PAWC payload occupies (excluding the 1-byte kind tag): a
+// dictionary's card word and values, or the 8-byte base or least key, then the
+// width byte and the packed offsets.
 func (c *column) payloadBytes() int64 {
 	switch c.kind {
-	case colDict:
-		b := int64(4) + int64(len(c.dict))*8
-		if c.codes8 != nil {
-			return b + int64(len(c.codes8))
-		}
-		return b + int64(len(c.codes16))*2
 	case colRLE:
 		return 4 + int64(len(c.runVals))*12
-	default:
-		return packedPayload(c.n, c.width)
+	case colDict:
+		return c.dictBytes() + 1 + c.valueBytes(c.n)
 	}
+	return 9 + c.valueBytes(c.n)
 }
 
-// valueBytes returns the bytes decoded when k individual values of a
-// dictionary or packed column are touched (selection-vector refinement; narrow
-// charges a run chunk per run).
-func (c *column) valueBytes(k int) int64 {
-	if c.kind == colDict {
-		if c.codes8 != nil {
-			return int64(k)
-		}
-		return int64(k) * 2
-	}
-	return (int64(k)*int64(c.width) + 7) / 8
+// valueBytes returns the bytes decoded when k individual offsets of a packed
+// chunk are touched (selection-vector refinement; narrow charges a run chunk
+// per run).
+func (c *column) valueBytes(k int) int64 { return packedBytes(k, c.width) }
+
+// packedBytes is the size of n offsets packed at width bits: ⌈n·width/8⌉.
+func packedBytes(n int, width uint8) int64 {
+	return (int64(n)*int64(width) + 7) / 8
 }
 
-// packedPayload is the PAWC payload of n offsets packed at width bits: the
-// 8-byte base or least key, the width byte, then ⌈n·width/8⌉ bytes.
-func packedPayload(n int, width uint8) int64 {
-	return 9 + (int64(n)*int64(width)+7)/8
+// dictBytes is what mapping a range onto a dictionary's ranks reads: its card
+// word and values (the width follows from the card); 0 for any other chunk.
+func (c *column) dictBytes() int64 {
+	if c.kind != colDict {
+		return 0
+	}
+	return 4 + int64(len(c.dict))*8
 }
 
 // packWidth is the width offsets up to span are packed at: the bits span
@@ -126,7 +116,7 @@ func packWidth(span uint64) uint8 {
 // of padding past the last value's byte, so unpack's 8-byte load never runs
 // off its end. Whole words are written as they fill.
 func pack(vals []uint64, base uint64, width uint8) []byte {
-	packed := make([]byte, packedPayload(len(vals), width)-9+8)
+	packed := make([]byte, packedBytes(len(vals), width)+8)
 	w, q := uint(width), 0
 	var acc uint64 // the bits from byte q on not yet written
 	var fill uint  // how many bits acc holds, < 64
@@ -163,16 +153,17 @@ type encodeScratch struct {
 }
 
 // encodeColumn picks the cheapest exact encoding for vals and returns the
-// encoded column. The choice is a pure function of the values, so encoding
+// encoded column: it decodes to vals bit for bit, signed zeros and NaN
+// payloads included. The choice is a pure function of the values, so encoding
 // is deterministic. sc is reused across calls.
 func encodeColumn(vals []float64, sc *encodeScratch) column {
 	n := len(vals)
-	c := column{kind: colRaw, n: n}
 	// Pass 1: min, run structure, and the order keys — kept in sc.offs for a
-	// raw chunk — with their range.
+	// raw chunk — with their range. Runs end where the bits change: -0 and
+	// +0 are two runs.
 	sc.offs = slices.Grow(sc.offs[:0], n)[:n]
 	if n == 0 {
-		return sc.rawChunk(0, 0)
+		return sc.packChunk(column{kind: colRaw}, 0, 0)
 	}
 	lowest, runs := vals[0], 1
 	minKey := orderKey(vals[0])
@@ -183,16 +174,15 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 		if v < lowest {
 			lowest = v
 		}
-		if v != vals[i-1] {
-			runs++
-		}
+		runs += b2i(math.Float64bits(v) != math.Float64bits(vals[i-1]))
 		k := orderKey(v)
 		sc.offs[i] = k
 		minKey, maxKey = min(minKey, k), max(maxKey, k)
 	}
 
 	// Pass 2: frame-of-reference applicability. Deltas must be exactly
-	// reconstructible (base + float64(delta) == value) and fit 32 bits.
+	// reconstructible (base + float64(delta) has value's bits, which no -0
+	// does) and fit 32 bits.
 	forOK := true
 	var maxDelta uint64
 	for _, v := range vals {
@@ -202,7 +192,7 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 			break
 		}
 		u := uint64(d)
-		if lowest+float64(u) != v {
+		if math.Float64bits(lowest+float64(u)) != math.Float64bits(v) {
 			forOK = false
 			break
 		}
@@ -213,26 +203,25 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 
 	// Candidate payload sizes; pick the smallest, preferring RLE, then
 	// dictionary, then FOR, then raw on ties (whole-run rejection beats
-	// per-code comparison beats integral offsets beats key offsets).
+	// rank offsets beats integral offsets beats key offsets).
 	rleB := int64(4 + runs*12)
-	rawB := packedPayload(n, packWidth(maxKey-minKey))
+	rawB := 9 + packedBytes(n, packWidth(maxKey-minKey))
 	forB := int64(math.MaxInt64)
 	if forOK {
-		forB = packedPayload(n, packWidth(maxDelta))
+		forB = 9 + packedBytes(n, packWidth(maxDelta))
 	}
-	// Dictionary probe. A dictionary wins at limit bytes or fewer, and none is
-	// smaller than one entry plus a byte per row, so there is nothing to probe
-	// below that floor; otherwise count the distinct values, giving up at the
-	// count past which a dictionary cannot win.
+	// Dictionary probe. A dictionary of card values takes 5 + 8·card +
+	// ⌈n·bits(card-1)/8⌉ bytes and wins at limit bytes or fewer. One of a
+	// single value never does (raw packs that value at 0 bits, in 9 bytes),
+	// and one of two or more takes at least 5 + 8·card + ⌈n/8⌉, so there is
+	// nothing to probe below that size at card 2; otherwise count the
+	// distinct values, giving up at the count past which that size passes
+	// limit.
 	best, bestB, card := colRLE, rleB, 0
-	if limit := min(rleB-1, forB, rawB); limit >= 4+8+int64(n) {
-		tooMany := min(int((limit-4-int64(n))/8)+1, dictMaxCard+1)
+	if limit, codes := min(rleB-1, forB, rawB), packedBytes(n, 1); limit >= 5+16+codes {
+		tooMany := int((limit-5-codes)/8) + 1
 		if card = sc.distinct(vals, tooMany); card < tooMany {
-			w := int64(2)
-			if card <= 256 {
-				w = 1
-			}
-			if dictB := 4 + int64(card)*8 + w*int64(n); dictB < bestB {
+			if dictB := 5 + int64(card)*8 + packedBytes(n, packWidth(uint64(card-1))); dictB < bestB {
 				best, bestB = colDict, dictB
 			}
 		}
@@ -246,60 +235,40 @@ func encodeColumn(vals []float64, sc *encodeScratch) column {
 
 	switch best {
 	case colRLE:
-		c.kind = colRLE
+		c := column{kind: colRLE, n: n}
 		c.runVals = make([]float64, 0, runs)
 		c.runLens = make([]uint32, 0, runs)
-		cur, length := vals[0], uint32(1)
-		for i := 1; i < n; i++ {
-			if vals[i] == cur {
-				length++
-				continue
+		start := 0
+		for i := 1; i <= n; i++ {
+			if i == n || math.Float64bits(vals[i]) != math.Float64bits(vals[start]) {
+				c.runVals = append(c.runVals, vals[start])
+				c.runLens = append(c.runLens, uint32(i-start))
+				start = i
 			}
-			c.runVals = append(c.runVals, cur)
-			c.runLens = append(c.runLens, length)
-			cur, length = vals[i], 1
 		}
-		c.runVals = append(c.runVals, cur)
-		c.runLens = append(c.runLens, length)
+		return c
 	case colDict:
-		c.kind = colDict
 		sc.sorted = append(sc.sorted[:0], vals...)
 		slices.Sort(sc.sorted)
-		c.dict = make([]float64, 0, card)
-		for i, v := range sc.sorted {
-			if i == 0 || v != sc.sorted[i-1] {
-				c.dict = append(c.dict, v)
-			}
+		c := column{kind: colDict, dict: slices.Clone(slices.Compact(sc.sorted))}
+		for i, v := range vals {
+			sc.offs[i] = uint64(dictCode(c.dict, v))
 		}
-		if card <= 256 {
-			c.codes8 = make([]uint8, n)
-			for i, v := range vals {
-				c.codes8[i] = uint8(dictCode(c.dict, v))
-			}
-		} else {
-			c.codes16 = make([]uint16, n)
-			for i, v := range vals {
-				c.codes16[i] = uint16(dictCode(c.dict, v))
-			}
-		}
+		return sc.packChunk(c, 0, uint64(card-1))
 	case colFOR:
-		c.kind = colFOR
-		c.base = lowest
 		for i, v := range vals {
 			sc.offs[i] = uint64(v - lowest)
 		}
-		c.width = packWidth(maxDelta)
-		c.packed = pack(sc.offs, 0, c.width)
-	default:
-		return sc.rawChunk(minKey, maxKey)
+		return sc.packChunk(column{kind: colFOR, base: lowest}, 0, maxDelta)
 	}
-	return c
+	return sc.packChunk(column{kind: colRaw, minKey: minKey}, minKey, maxKey)
 }
 
-// rawChunk is the raw chunk of the order keys in sc.offs, lo and hi their
-// range: each key's offset from lo, packed, and the chunk's ascending pieces.
-func (sc *encodeScratch) rawChunk(lo, hi uint64) column {
-	c := column{kind: colRaw, n: len(sc.offs), minKey: lo, width: packWidth(hi - lo)}
+// packChunk completes c as the packed chunk of the values in sc.offs, lo and
+// hi their range: each value's offset from lo, packed at the width hi-lo
+// needs, and the chunk's ascending pieces.
+func (sc *encodeScratch) packChunk(c column, lo, hi uint64) column {
+	c.n, c.width = len(sc.offs), packWidth(hi-lo)
 	c.packed = pack(sc.offs, lo, c.width)
 	c.pieces = c.ascendingPieces()
 	return c
@@ -311,17 +280,17 @@ func (sc *encodeScratch) rawChunk(lo, hi uint64) column {
 // (`make bench-kernels`, raw/narrow-N/fresh against raw/countSpans/fresh; with
 // the searches starting at 8, pieces of 8 / 16 / 24 / 32 / 48 read 15.4 /
 // 11.2 / 8.0 / 6.6 / 5.1 µs a group against the sweep's 7.4). A shorter
-// stretch is tested value by value, and a raw chunk whose ascending pieces
+// stretch is tested value by value, and a chunk whose ascending pieces
 // average fewer has none: values in no order — two to a piece — stay on the
 // linear kernels.
 const minSearchRows = 32
 
-// ascendingPieces returns the starts of the maximal pieces of a raw chunk that
-// ascend in key order — a piece ends wherever an offset is below the one
-// before, so +0 after -0 continues a piece and -0 after +0 ends one; a NaN,
-// whose key is above +Inf's, extends the piece it ends, and a negative NaN,
-// below -Inf's, starts one — or nil when the pieces average under
-// minSearchRows values.
+// ascendingPieces returns the starts of the maximal pieces of a packed chunk
+// whose offsets ascend — a piece ends wherever an offset is below the one
+// before; offsets ascend with values, so in a raw chunk +0 after -0 continues
+// a piece and -0 after +0 ends one, a NaN, whose key is above +Inf's, extends
+// the piece it ends, and a negative NaN, below -Inf's, starts one — or nil
+// when the pieces average under minSearchRows values.
 func (c *column) ascendingPieces() []int32 {
 	packed, width, mask := c.packed, uint(c.width), c.mask()
 	n, prev := 1, unpack(packed, 0, mask)
@@ -344,10 +313,10 @@ func (c *column) ascendingPieces() []int32 {
 	return pieces
 }
 
-// distinct counts the distinct values of vals as float comparison sees them
-// (-0 equals +0) — what sorting and counting value changes would give, without
-// the sort. It returns limit as soon as the count reaches it, and at a NaN: a
-// sorted dictionary cannot be searched past one, so no chunk holding a NaN is
+// distinct counts the distinct values of vals — what sorting and counting
+// value changes would give, without the sort. It returns limit as soon as the
+// count reaches it, and at a NaN or a -0: a sorted dictionary cannot be
+// searched past a NaN, nor tell -0 from +0, so no chunk holding either is
 // dictionary-encoded.
 func (sc *encodeScratch) distinct(vals []float64, limit int) int {
 	// A power-of-two table at most half full. No float in it is a NaN, so a
@@ -361,10 +330,7 @@ func (sc *encodeScratch) distinct(vals []float64, limit int) int {
 	card := 0
 	for _, v := range vals {
 		k := math.Float64bits(v)
-		switch {
-		case v == 0:
-			k = 0
-		case v != v:
+		if v != v || k == 1<<63 {
 			return limit
 		}
 		h := k * 0x9E3779B97F4A7C15 >> (64 - logSize)
@@ -381,7 +347,8 @@ func (sc *encodeScratch) distinct(vals []float64, limit int) int {
 	return card
 }
 
-// dictCode returns the code of v in the sorted dictionary.
+// dictCode returns the rank of v in the sorted dictionary: the index of the
+// first value >= v (0 for a NaN v).
 func dictCode(dict []float64, v float64) int {
 	lo, hi := 0, len(dict)
 	for lo < hi {
@@ -395,28 +362,9 @@ func dictCode(dict []float64, v float64) int {
 	return lo
 }
 
-// dictCodeRange returns the half-open code interval [cLo, cHi) whose
-// dictionary values fall inside [lo, hi].
-func (c *column) dictCodeRange(lo, hi float64) (int, int) {
-	cLo := dictCode(c.dict, lo) // first value >= lo
-	cHi := sort.Search(len(c.dict), func(i int) bool { return c.dict[i] > hi })
-	return cLo, cHi
-}
-
 // decodeInto decodes the whole column into dst[:n].
 func (c *column) decodeInto(dst []float64) {
-	switch c.kind {
-	case colDict:
-		if c.codes8 != nil {
-			for i, code := range c.codes8 {
-				dst[i] = c.dict[code]
-			}
-		} else {
-			for i, code := range c.codes16 {
-				dst[i] = c.dict[code]
-			}
-		}
-	case colRLE:
+	if c.kind == colRLE {
 		p := 0
 		for r, v := range c.runVals {
 			for k := uint32(0); k < c.runLens[r]; k++ {
@@ -424,32 +372,46 @@ func (c *column) decodeInto(dst []float64) {
 				p++
 			}
 		}
-	default:
-		packed, width, mask := c.packed, uint(c.width), c.mask()
-		for i := range dst[:c.n] {
-			dst[i] = c.valueOf(unpack(packed, uint(i)*width, mask))
-		}
+		return
+	}
+	packed, width, mask := c.packed, uint(c.width), c.mask()
+	for i := range dst[:c.n] {
+		dst[i] = c.valueOf(unpack(packed, uint(i)*width, mask))
 	}
 }
 
-// valueOf is the value offset x of a raw or FOR chunk stands for.
+// valueOf is the value offset x of a packed chunk stands for.
 func (c *column) valueOf(x uint64) float64 {
-	if c.kind == colFOR {
+	switch c.kind {
+	case colFOR:
 		return c.base + float64(x)
+	case colDict:
+		return c.dict[x]
 	}
 	return keyValue(c.minKey + x)
 }
 
-// offsetRange maps [lo, hi] onto the offsets of a raw or FOR chunk: the
-// offsets x with a <= x <= a+w are those whose values lie in [lo, hi] as
-// floats compare, so a raw chunk maps a zero bound to -0 below and +0 above,
-// and a NaN value never matches. ok is false when no offset can: an empty
-// interval, a NaN bound, or one the chunk's offsets miss.
+// offsetRange maps [lo, hi] onto the offsets of a packed chunk: the offsets x
+// with a <= x <= a+w are those whose values lie in [lo, hi] as floats compare,
+// so a raw chunk maps a zero bound to -0 below and +0 above, and a NaN value
+// never matches. ok is false when no offset can: an empty interval, a NaN
+// bound on a raw or FOR chunk, or one the chunk's offsets miss. A dictionary
+// reads a NaN bound as no bound, and its interval runs on to the mask when it
+// takes the highest rank, as no offset past that rank is stored.
 func (c *column) offsetRange(lo, hi float64) (a, w uint64, ok bool) {
+	b := c.mask() // the highest offset the width holds
+	if c.kind == colDict {
+		// The ranks [cLo, cHi) hold the values inside [lo, hi].
+		cLo := dictCode(c.dict, lo)
+		cHi := sort.Search(len(c.dict), func(i int) bool { return c.dict[i] > hi })
+		if cHi < len(c.dict) {
+			b = uint64(cHi) - 1
+		}
+		return uint64(cLo), b - uint64(cLo), cLo < cHi
+	}
 	if !(lo <= hi) {
 		return 0, 0, false
 	}
-	b := c.mask() // the highest offset the width holds
 	if c.kind == colFOR {
 		fLo, fHi := math.Ceil(lo-c.base), math.Floor(hi-c.base)
 		if fHi < 0 || fLo > float64(b) {
@@ -490,8 +452,8 @@ func b2i(b bool) int {
 
 // A group's selection starts as spans — half-open position ranges, at first
 // the one span [0, rows) — and stays spans while chunks narrow it: an RLE
-// chunk, whose runs pass or fail whole at a comparison per run, and a raw chunk
-// in ascending pieces, where the survivors of a piece are one range found by
+// chunk, whose runs pass or fail whole at a comparison per run, and a packed
+// chunk in ascending pieces, where the survivors of a piece are one range found by
 // binary search; neither writes a position. The first chunk of another kind
 // turns spans into a position vector (selectSpans) that later chunks refine in
 // place; a count whose last chunk still sees spans never builds the vector
@@ -503,9 +465,9 @@ func b2i(b bool) int {
 // Each loop instead writes the position to sel[n] unconditionally and advances
 // n by b2i(pass) — a rejected position is overwritten by the next — which
 // needs room for a write at every step (sel holds a whole group; refine writes
-// at or behind its read cursor). Codes and offsets test the interval with the
-// one unsigned compare x-a <= w; raw offsets are order keys, and offsetRange
-// maps [lo, hi] onto them so that -0 == +0 and NaN never matches. DESIGN.md §11.
+// at or behind its read cursor). Offsets test the interval with the one
+// unsigned compare x-a <= w; raw offsets are order keys, and offsetRange maps
+// [lo, hi] onto them so that -0 == +0 and NaN never matches. DESIGN.md §11.
 
 // span is the half-open range [lo, hi) of row positions inside one group.
 type span struct{ lo, hi int32 }
@@ -533,7 +495,7 @@ func expand(spans []span, sel []int32) []int32 {
 
 // narrow appends to out the parts of spans whose value lies in [lo, hi],
 // adjacent survivors merged, and returns them with the encoded bytes touched.
-// The chunk is RLE or a raw chunk with pieces.
+// The chunk is RLE or a packed chunk with pieces.
 func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 	if c.kind == colRLE {
 		return c.narrowRuns(lo, hi, spans, out)
@@ -546,8 +508,8 @@ func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 		return out, bytes
 	}
 	// Each span, cut at the piece boundaries inside it, is ascending stretches;
-	// what survives of one is one range. Charged width/8 bytes per value
-	// compared.
+	// what survives of one is one range. Charged width/8 bytes per offset
+	// compared, after a dictionary's values.
 	var compared int
 	pieces, p := c.pieces, 0
 	for _, sp := range spans {
@@ -568,7 +530,7 @@ func (c *column) narrow(lo, hi float64, spans, out []span) ([]span, int64) {
 			l = h
 		}
 	}
-	return out, c.valueBytes(compared)
+	return out, c.dictBytes() + c.valueBytes(compared)
 }
 
 // appendSpan appends [lo, hi) to out, merged into the last span if adjacent.
@@ -580,7 +542,7 @@ func appendSpan(out []span, lo, hi int32) []span {
 	return append(out, span{lo, hi})
 }
 
-// searchAscending returns the range [a, b) of positions l..h-1 of a raw chunk,
+// searchAscending returns the range [a, b) of positions l..h-1 of a chunk,
 // relative to l, whose offsets ascend there and lie in [lo, hi] (a >= b: none),
 // and how many offsets it compared: every one below minSearchRows, else each
 // end against its bound and a binary search for a bound that end does not
@@ -627,10 +589,11 @@ func (c *column) searchAscending(l, h int, lo, hi uint64) (a, b, compared int) {
 	return a, b, min(compared, n)
 }
 
-// searchBytes estimates what narrow reads of a raw chunk with pieces: two
-// ends and two binary searches a piece, width/8 bytes a value.
+// searchBytes estimates what narrow reads of a packed chunk with pieces: a
+// dictionary's values, then two ends and two binary searches a piece, width/8
+// bytes an offset.
 func (c *column) searchBytes() int64 {
-	return c.valueBytes(len(c.pieces) * 2 * (1 + bits.Len(uint(c.n/len(c.pieces)))))
+	return c.dictBytes() + c.valueBytes(len(c.pieces)*2*(1+bits.Len(uint(c.n/len(c.pieces)))))
 }
 
 // narrowRuns is narrow on an RLE chunk, in O(runs + spans). It charges the
@@ -661,35 +624,24 @@ func (c *column) narrowRuns(lo, hi float64, spans, out []span) ([]span, int64) {
 	return out, int64(touched) * 12
 }
 
-// resolve maps [lo, hi] onto a dictionary, FOR or raw chunk and prices testing
-// k of its values. settled is how many of the k pass when the dictionary or
-// the chunk's header answers for all at once (0 or k), else -1: a code or
-// offset x passes when x-a <= w. The charge is the dictionary probe plus the
-// values tested; a packed chunk tested at every position is charged its
-// payload (its 9-byte header if that settles it).
+// resolve maps [lo, hi] onto a packed chunk and prices testing k of its
+// values. settled is how many of the k pass when the chunk's header answers
+// for all at once (0 or k), else -1: an offset x passes when x-a <= w. The
+// charge is a dictionary's values plus the offsets tested; a raw or FOR chunk
+// tested at every position is charged its payload (its 9-byte header if that
+// settles it).
 func (c *column) resolve(lo, hi float64, k int) (a, w uint64, settled int, bytes int64) {
-	if c.kind == colDict {
-		cLo, cHi := c.dictCodeRange(lo, hi)
-		bytes = 4 + int64(len(c.dict))*8
-		if cLo >= cHi {
-			return 0, 0, 0, bytes
-		} else if cHi-cLo == len(c.dict) {
-			return 0, 0, k, bytes
-		}
-		return uint64(cLo), uint64(cHi - 1 - cLo), -1, bytes + c.valueBytes(k)
-	}
-	a, w, ok := c.offsetRange(lo, hi)
-	if k == c.n {
+	bytes = c.dictBytes()
+	if k == c.n && c.kind != colDict {
 		bytes = 9 // base or least key, and the width
 	}
+	a, w, ok := c.offsetRange(lo, hi)
 	if !ok {
 		return 0, 0, 0, bytes
-	} else if c.width == 0 {
+	} else if a == 0 && w >= c.mask() {
 		return 0, 0, k, bytes
-	} else if k == c.n {
-		return a, w, -1, c.payloadBytes()
 	}
-	return a, w, -1, c.valueBytes(k)
+	return a, w, -1, bytes + c.valueBytes(k)
 }
 
 // selectSpans writes to sel, which must hold c.n entries, the positions inside
@@ -703,24 +655,11 @@ func (c *column) selectSpans(lo, hi float64, spans []span, sel []int32) ([]int32
 		return expand(spans, sel), bytes
 	}
 	n := 0
+	packed, width, mask := c.packed, uint(c.width), c.mask()
 	for _, sp := range spans {
-		switch {
-		case c.codes8 != nil:
-			for i, code := range c.codes8[sp.lo:sp.hi] {
-				sel[n] = sp.lo + int32(i)
-				n += b2i(code-uint8(a) <= uint8(w))
-			}
-		case c.codes16 != nil:
-			for i, code := range c.codes16[sp.lo:sp.hi] {
-				sel[n] = sp.lo + int32(i)
-				n += b2i(code-uint16(a) <= uint16(w))
-			}
-		default:
-			packed, width, mask := c.packed, uint(c.width), c.mask()
-			for i, p := sp.lo, uint(sp.lo)*width; i < sp.hi; i, p = i+1, p+width {
-				sel[n] = i
-				n += b2i(unpack(packed, p, mask)-a <= w)
-			}
+		for i, p := sp.lo, uint(sp.lo)*width; i < sp.hi; i, p = i+1, p+width {
+			sel[n] = i
+			n += b2i(unpack(packed, p, mask)-a <= w)
 		}
 	}
 	return sel[:n], bytes
@@ -734,21 +673,10 @@ func (c *column) countSpans(lo, hi float64, spans []span) (int, int64) {
 		return n, bytes
 	}
 	n = 0
+	packed, width, mask := c.packed, uint(c.width), c.mask()
 	for _, sp := range spans {
-		switch {
-		case c.codes8 != nil:
-			for _, code := range c.codes8[sp.lo:sp.hi] {
-				n += b2i(code-uint8(a) <= uint8(w))
-			}
-		case c.codes16 != nil:
-			for _, code := range c.codes16[sp.lo:sp.hi] {
-				n += b2i(code-uint16(a) <= uint16(w))
-			}
-		default:
-			packed, width, mask := c.packed, uint(c.width), c.mask()
-			for p, end := uint(sp.lo)*width, uint(sp.hi)*width; p < end; p += width {
-				n += b2i(unpack(packed, p, mask)-a <= w)
-			}
+		for p, end := uint(sp.lo)*width, uint(sp.hi)*width; p < end; p += width {
+			n += b2i(unpack(packed, p, mask)-a <= w)
 		}
 	}
 	return n, bytes
@@ -762,25 +690,10 @@ func (c *column) refine(lo, hi float64, sel []int32) ([]int32, int64) {
 		return sel[:n], bytes
 	}
 	n = 0
-	switch {
-	case c.codes8 != nil:
-		codes := c.codes8
-		for _, i := range sel {
-			sel[n] = i
-			n += b2i(codes[i]-uint8(a) <= uint8(w))
-		}
-	case c.codes16 != nil:
-		codes := c.codes16
-		for _, i := range sel {
-			sel[n] = i
-			n += b2i(codes[i]-uint16(a) <= uint16(w))
-		}
-	default:
-		packed, width, mask := c.packed, uint(c.width), c.mask()
-		for _, i := range sel {
-			sel[n] = i
-			n += b2i(unpack(packed, uint(i)*width, mask)-a <= w)
-		}
+	packed, width, mask := c.packed, uint(c.width), c.mask()
+	for _, i := range sel {
+		sel[n] = i
+		n += b2i(unpack(packed, uint(i)*width, mask)-a <= w)
 	}
 	return sel[:n], bytes
 }

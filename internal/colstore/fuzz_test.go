@@ -18,8 +18,10 @@ import (
 // physical encoding: per column, style bits of the seed select constant
 // (RLE/FOR degenerate), low-cardinality discrete (dict), sorted discrete
 // (RLE), integral ramp (FOR), continuous uniform (raw), short runs of fresh
-// fractions in no order (RLE at a run every two or three rows) or ascending
-// fractions with a fall every few hundred rows (raw in searchable pieces) data.
+// fractions in no order (RLE at a run every two or three rows), ascending
+// fractions with a fall every few hundred rows (raw in searchable pieces) or
+// ascending integers or 64ths, falling back as often (FOR or dictionary in
+// searchable pieces) data.
 func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, dims)
@@ -27,11 +29,7 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 	for d := 0; d < dims; d++ {
 		names[d] = string(rune('a' + d))
 		col := make([]float64, rows)
-		style := (seed >> uint(3*d)) & 7
-		if style > 6 {
-			style -= 5
-		}
-		switch style {
+		switch style := (seed >> uint(3*d)) & 7; style {
 		case 0: // constant
 			v := rng.Float64() * 100
 			for i := range col {
@@ -78,6 +76,22 @@ func fuzzDataset(seed int64, rows, dims int) *dataset.Dataset {
 					v += float64(rng.Intn(16)) * rng.Float64() / 400
 				}
 				col[i] = v
+			}
+		case 7: // ascending integers, or 64ths (a dictionary), falling back now and then
+			ranks, k := rng.Intn(2) == 0, rng.Intn(64)
+			for i := range col {
+				switch {
+				case rng.Intn(400) == 0:
+					k = rng.Intn(64)
+				case ranks:
+					k = min(k+rng.Intn(2), 63)
+				default:
+					k += rng.Intn(16)
+				}
+				col[i] = float64(k)
+				if ranks {
+					col[i] = float64(k)/64 + 0.001
+				}
 			}
 		default: // continuous
 			for i := range col {
@@ -144,6 +158,11 @@ func FuzzScanDifferential(f *testing.F) {
 	f.Add(int64(6), uint16(2999), uint8(0), uint16(699), int64(41))
 	f.Add(int64(6<<3|2), uint16(2500), uint8(1), uint16(1023), int64(43))
 	f.Add(int64(1<<6|6<<3|5), uint16(2999), uint8(2), uint16(511), int64(47))
+	// A FOR chunk and a dictionary chunk in ascending pieces, searched like
+	// raw ones: the first ahead of a dictionary in no order, the second alone.
+	// (Signed zeros in FOR, RLE and dictionary chunks are testdata's seed.)
+	f.Add(int64(1<<3|7), uint16(2999), uint8(1), uint16(1023), int64(53))
+	f.Add(int64(7), uint16(2999), uint8(0), uint16(1023), int64(59))
 	f.Fuzz(func(t *testing.T, seed int64, rowsRaw uint16, dimsRaw uint8, groupRaw uint16, qseed int64) {
 		rows := 1 + int(rowsRaw)%3000
 		dims := 1 + int(dimsRaw)%5
@@ -241,7 +260,9 @@ func FuzzScanDifferential(f *testing.F) {
 // is PAWC v3's encoding of {1..5} × {0.5, 0.75, 0.625, NaN, -Inf} in 3-row
 // groups: two FOR chunks and two raw ones, at 52 and at 64 bits. recordedV4 is
 // the same table in PAWC v4: v3's column chunks, without the zone-count word
-// and with each group's SMA cut to min and max.
+// and with each group's SMA cut to min and max. recordedV5 is the same table in
+// PAWC v5, converted field by field: it holds no dictionary chunk, the one
+// kind v5 stores differently, so only the version word moves.
 const (
 	recordedV1 = "43574150010002000200000001006101006203000000000000000000f03f000000000000004000000000000008400000" +
 		"000000002440000000000000244000000000000034400300000000000000000000000000f03f00000000000008400000" +
@@ -265,6 +286,10 @@ const (
 		"ff0f0040020000000000e8ff000000000000000002000000000000000000000000001040000000000000144000000000" +
 		"00002240000000000000f0ff000000000000f0ff010000000000f87f"
 	recordedV4 = "4357415004000200020000000100610100620300000003000000000000f03f022400000000000000e0bf340000000000" +
+		"000000000000008000000000000004000000000000f03f0000000000000840000000000000e03f000000000000e83f02" +
+		"000000030000000000001040010200ffffffffffff0f0040020000000000e8ff00000000000000000000000000001040" +
+		"0000000000001440000000000000f0ff000000000000f0ff"
+	recordedV5 = "4357415005000200020000000100610100620300000003000000000000f03f022400000000000000e0bf340000000000" +
 		"000000000000008000000000000004000000000000f03f0000000000000840000000000000e03f000000000000e83f02" +
 		"000000030000000000001040010200ffffffffffff0f0040020000000000e8ff00000000000000000000000000001040" +
 		"0000000000001440000000000000f0ff000000000000f0ff"
@@ -323,14 +348,24 @@ func TestDecodeRefusesRecordedV3(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordedV4: the recorded v4 payload decodes to its table, bit for
+// TestDecodeRefusesRecordedV4: nothing writes PAWC v4 — it stored a byte or
+// two a dictionary code — so the recorded v4 payload takes the
+// unsupported-version error.
+func TestDecodeRefusesRecordedV4(t *testing.T) {
+	_, err := Decode(bytes.NewReader(unhex(t, recordedV4)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("v4 payload: err = %v, want unsupported version 4", err)
+	}
+}
+
+// TestDecodeRecordedV5: the recorded v5 payload decodes to its table, bit for
 // bit, with each group's SMA count taken from its row count, and re-encodes to
 // itself.
-func TestDecodeRecordedV4(t *testing.T) {
-	plain := unhex(t, recordedV4)
+func TestDecodeRecordedV5(t *testing.T) {
+	plain := unhex(t, recordedV5)
 	tab, err := Decode(bytes.NewReader(plain))
 	if err != nil {
-		t.Fatalf("recorded v4 payload: %v", err)
+		t.Fatalf("recorded v5 payload: %v", err)
 	}
 	b := make([]float64, 5)
 	for g, at := range []int{0, 3} {
@@ -341,7 +376,7 @@ func TestDecodeRecordedV4(t *testing.T) {
 	}
 	for i, want := range []float64{0.5, 0.75, 0.625, math.NaN(), math.Inf(-1)} {
 		if math.Float64bits(b[i]) != math.Float64bits(want) {
-			t.Fatalf("recorded v4 payload decodes b[%d] as %v, want %v", i, b[i], want)
+			t.Fatalf("recorded v5 payload decodes b[%d] as %v, want %v", i, b[i], want)
 		}
 	}
 	var buf bytes.Buffer
@@ -349,7 +384,55 @@ func TestDecodeRecordedV4(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), plain) {
-		t.Fatalf("recorded v4 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
+		t.Fatalf("recorded v5 payload re-encodes to\n%x, want\n%x", buf.Bytes(), plain)
+	}
+}
+
+// dictPayload is the PAWC payload of one 64-row dictionary chunk of the
+// values 0.5, 1.25 and 3 in two ascending pieces: three values at 2 bits a
+// rank, the width byte at dictWidthAt and the ranks after it.
+func dictPayload(t testing.TB) []byte {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = []float64{0.5, 1.25, 3}[i%32/11]
+	}
+	tab := FromDataset(dataset.MustNew([]string{"d"}, [][]float64{vals}), nil, 0)
+	if c := &tab.groups[0].cols[0]; c.kind != colDict || c.width != 2 || c.pieces == nil {
+		t.Fatalf("dictionary payload holds a %v chunk at %d bits, searchable %v", c.kind, c.width, c.pieces != nil)
+	}
+	var buf bytes.Buffer
+	if err := tab.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dictWidthAt is where dictPayload's width byte is: past the 15-byte header,
+// the row count, the kind tag, the card word and three values.
+const dictWidthAt = 15 + 4 + 1 + 4 + 3*8
+
+// TestDecodeRefusesBadDictionary: a dictionary's ranks are packed at exactly
+// the bits its highest rank needs, and each names one of its values; a payload
+// with a wider or narrower width, or a rank past the last value, is an error.
+func TestDecodeRefusesBadDictionary(t *testing.T) {
+	good := dictPayload(t)
+	if _, err := Decode(bytes.NewReader(good)); err != nil {
+		t.Fatalf("dictionary payload: %v", err)
+	}
+	for _, bad := range []struct {
+		name, err string
+		at        int
+		b         byte
+	}{
+		{"wider", "packed at 3 bits", dictWidthAt, 3},
+		{"narrower", "packed at 1 bits", dictWidthAt, 1},
+		{"rank past the dictionary", "rank 3 out of range", dictWidthAt + 1, 0xff},
+	} {
+		payload := slices.Clone(good)
+		payload[bad.at] = bad.b
+		if _, err := Decode(bytes.NewReader(payload)); err == nil || !strings.Contains(err.Error(), bad.err) {
+			t.Errorf("%s: err = %v, want %q", bad.name, err, bad.err)
+		}
 	}
 }
 
@@ -357,7 +440,7 @@ func TestDecodeRecordedV4(t *testing.T) {
 // rows at 64 bits is an error that costs no more memory than the bytes that
 // arrived.
 func TestDecodeHostileRowCount(t *testing.T) {
-	payload := unhex(t, recordedV4)[:18]          // header of a 2-column table
+	payload := unhex(t, recordedV5)[:18]          // header of a 2-column table
 	payload = append(payload, 0, 0, 0, 0x10, 0)   // rows = 1<<28, kind raw
 	payload = append(payload, make([]byte, 8)...) // least key
 	payload = append(payload, 64, 1, 2, 3)        // width, three bytes of offsets
@@ -388,6 +471,16 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(sorted.Bytes())
 	f.Add(unhex(f, recordedV3))
+	f.Add(unhex(f, recordedV5))
+	// A dictionary chunk in ascending pieces, and the two ways to corrupt it
+	// that only the dictionary checks catch: a width other than its ranks',
+	// and a rank past its last value.
+	dict := dictPayload(f)
+	f.Add(dict)
+	wide, past := slices.Clone(dict), slices.Clone(dict)
+	wide[dictWidthAt], past[dictWidthAt+1] = 3, 0xff
+	f.Add(wide)
+	f.Add(past)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := Decode(bytes.NewReader(data))
 		if err != nil {

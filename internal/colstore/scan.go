@@ -52,7 +52,7 @@ func (s *Scanner) scanGroups(t *Table, q geom.Box, lo, hi int, st *ScanStats) {
 // no bytes are decoded for them. The remaining (active) dimensions are
 // evaluated run chunks first, then cheapest per rejected row first,
 // estimated from the chunk's size and the envelope overlap; the selection
-// they pass along is spans — while run chunks and raw chunks in ascending
+// they pass along is spans — while run chunks and packed chunks in ascending
 // pieces narrow it — then positions, and the last column counts what it
 // passes without writing them (encoding.go).
 func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, st *ScanStats) int64 {
@@ -74,8 +74,8 @@ func (s *Scanner) scanGroup(g *rowGroup, q geom.Box, st *ScanStats) int64 {
 			}
 		}
 		// Insertion sort on the bytes a chunk costs per row it should reject,
-		// payload/(1-est) — for a raw chunk in ascending pieces, what a search
-		// of them reads — the textbook predicate order; run chunks ahead of
+		// payload/(1-est) — for a chunk in ascending pieces, what a search of
+		// them reads — the textbook predicate order; run chunks ahead of
 		// the rest, in that same order (-1/x is below zero and keeps it): they
 		// narrow spans, and the chooser picks RLE only where it is smallest,
 		// so a run chunk is never dearer per row than what follows it.

@@ -284,7 +284,8 @@ func rawColumn(vals []float64, sc *encodeScratch) column {
 		sc.offs = append(sc.offs, k)
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	return sc.rawChunk(min(lo, hi), hi)
+	lo = min(lo, hi)
+	return sc.packChunk(column{kind: colRaw, minKey: lo}, lo, hi)
 }
 
 // descents is the specification of column.pieces: 0, then every position whose

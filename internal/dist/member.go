@@ -72,9 +72,6 @@ type MembershipConfig struct {
 	// Alive↔Suspect members never trigger one: Suspect members keep their
 	// placement, so the trigger condition is unchanged by a flap.
 	AutoRebalance bool
-	// RebalanceCooldown is the minimum spacing between automatic
-	// rebalances (default 5s).
-	RebalanceCooldown time.Duration
 	// PayloadSource, when set, rebuilds the encoded payload of partition id
 	// of layout l — the layout the master serves when it asks — from the
 	// master's own copy of the dataset: the fallback when no reachable worker
@@ -84,11 +81,11 @@ type MembershipConfig struct {
 
 func (c MembershipConfig) normalized() MembershipConfig {
 	c.Detector = c.Detector.Normalized()
-	if c.RebalanceCooldown <= 0 {
-		c.RebalanceCooldown = 5 * time.Second
-	}
 	return c
 }
+
+// rebalanceCooldown is the minimum spacing between automatic rebalances.
+const rebalanceCooldown = 5 * time.Second
 
 // membershipState is the master-side membership subsystem.
 type membershipState struct {
@@ -253,7 +250,7 @@ func (m *Master) needsRebalance(ms *membershipState) bool {
 
 func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 	ms.mu.Lock()
-	cooling := now.Sub(ms.lastRebalance) < ms.cfg.RebalanceCooldown
+	cooling := now.Sub(ms.lastRebalance) < rebalanceCooldown
 	ms.mu.Unlock()
 	if cooling || !m.needsRebalance(ms) {
 		return

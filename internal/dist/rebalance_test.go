@@ -191,11 +191,11 @@ func TestRebalanceDrainTimeoutCounted(t *testing.T) {
 
 // TestRebalanceAutoTriggersOnTick: with AutoRebalance on, a tick after a
 // join (placeable member hosting nothing) kicks off the rebalance without
-// anyone calling Rebalance, and a converged cluster stops triggering.
+// anyone calling Rebalance, and a converged cluster stops triggering — on
+// ticks past the rebalance cooldown, so the cooldown is not what stops it.
 func TestRebalanceAutoTriggersOnTick(t *testing.T) {
 	mcfg := elasticMemberConfig()
 	mcfg.AutoRebalance = true
-	mcfg.RebalanceCooldown = time.Nanosecond
 	tc := startElasticCluster(t, 2, 1, 2000, mcfg, fastMigConfig())
 	idx, _ := tc.joinFreshWorker(t)
 
@@ -209,10 +209,11 @@ func TestRebalanceAutoTriggersOnTick(t *testing.T) {
 	}
 	tc.checkExact(t)
 
-	// Converged: further ticks must not burn epochs.
+	// Converged: further ticks — past the cooldown, short of the detector's
+	// dead threshold — must not burn epochs.
 	epoch := tc.master.Epoch()
 	for i := 0; i < 5; i++ {
-		tc.master.MembershipTick(time.Now())
+		tc.master.MembershipTick(time.Now().Add(rebalanceCooldown + time.Second))
 	}
 	time.Sleep(50 * time.Millisecond)
 	if got := tc.master.Epoch(); got != epoch {

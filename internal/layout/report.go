@@ -44,7 +44,8 @@ const (
 )
 
 // BuildReportSchema versions the report document; bump on breaking changes.
-const BuildReportSchema = "paw/build-report/v1"
+// v2: the search census counts every packed chunk (raw, FOR, dictionary).
+const BuildReportSchema = "paw/build-report/v2"
 
 // Phase is one top-level wall-clock phase of a build pipeline (generate,
 // sample, construct, route, ...). Phases are sequential, so their sum
@@ -109,9 +110,9 @@ type BuildReport struct {
 	// encoding ("raw", "dict", "rle", "for"): where the bytes a scan may have
 	// to read are. Set by builds that materialise (`pawcli build`).
 	StoredBytes map[string]int64 `json:"stored_bytes_by_encoding,omitempty"`
-	// Search says how much of those raw bytes a scan searches rather than
+	// Search says how many of the packed chunks a scan searches rather than
 	// sweeps. Set with StoredBytes.
-	Search *SearchCensus `json:"searchable_raw_chunks,omitempty"`
+	Search *SearchCensus `json:"searchable_chunks,omitempty"`
 
 	Levels []LevelStat `json:"levels,omitempty"`
 	Splits SplitStats  `json:"splits"`
@@ -121,13 +122,14 @@ type BuildReport struct {
 }
 
 // SearchCensus is the materialised store's raw column chunks, with the bits
-// their values are packed at summed over them, and of them the ones in
-// ascending pieces — long enough to binary-search — with the pieces and rows
-// those hold and their count by column name: the tail columns of the store's
-// row order (DESIGN.md §11).
+// their values are packed at summed over them, and its packed chunks (raw,
+// FOR and dictionary), of which the ones in ascending pieces — long enough to
+// binary-search — are counted with the pieces and rows those hold and by
+// column name: the tail columns of the store's row order (DESIGN.md §11).
 type SearchCensus struct {
 	RawChunks  int            `json:"raw_chunks"`
 	RawBits    int            `json:"raw_bits"`
+	Packed     int            `json:"packed_chunks"`
 	Searchable int            `json:"searchable"`
 	Pieces     int            `json:"pieces"`
 	Rows       int            `json:"rows"`
@@ -260,7 +262,7 @@ func (r *BuildReport) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	if c := r.Search; c != nil {
-		fmt.Fprintf(w, "  searchable: %d of %d raw chunks", c.Searchable, c.RawChunks)
+		fmt.Fprintf(w, "  searchable: %d of %d packed chunks", c.Searchable, c.Packed)
 		if c.Pieces > 0 {
 			fmt.Fprintf(w, ", ascending pieces of %.1f rows (mean) —", float64(c.Rows)/float64(c.Pieces))
 			cols := make([]string, 0, len(c.ByColumn))

@@ -31,7 +31,7 @@ func TestBuildReportStoredBytes(t *testing.T) {
 	}
 
 	r.StoredBytes = map[string]int64{"raw": 980, "rle": 15, "for": 5}
-	r.Search = &SearchCensus{RawChunks: 12, RawBits: 615, Searchable: 8, Pieces: 160, Rows: 14240, ByColumn: map[string]int{"lon": 6, "lat": 2}}
+	r.Search = &SearchCensus{RawChunks: 12, RawBits: 615, Packed: 15, Searchable: 8, Pieces: 160, Rows: 14240, ByColumn: map[string]int{"lon": 6, "lat": 2}}
 	var doc bytes.Buffer
 	if err := r.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestBuildReportStoredBytes(t *testing.T) {
 	back.Render(&rendered)
 	for _, want := range []string{
 		"stored: 1000 bytes encoded — for 5 (0.5%) raw 980 (98.0%, 51.2 bits a value) rle 15 (1.5%)",
-		"searchable: 8 of 12 raw chunks, ascending pieces of 89.0 rows (mean) — lat 25.0% lon 75.0%",
+		"searchable: 8 of 15 packed chunks, ascending pieces of 89.0 rows (mean) — lat 25.0% lon 75.0%",
 	} {
 		if !strings.Contains(rendered.String(), want) {
 			t.Fatalf("rendered report lacks %q:\n%s", want, rendered.String())

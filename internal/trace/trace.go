@@ -1,9 +1,9 @@
 // Package trace is the per-query distributed tracing substrate of the PAW
-// stack (DESIGN.md §14): a zero-dependency, sampling span recorder that is
-// allocation-free when disabled, with spans that cross the master↔worker
-// wire so one trace covers a query end to end — admission, routing, scatter,
-// per-worker RPCs (retries and failovers included) and the per-partition scan
-// kernels on every touched worker.
+// stack (DESIGN.md §14): a sampling span recorder, importing only
+// internal/obs's latency buckets, that is allocation-free when disabled, with
+// spans that cross the master↔worker wire so one trace covers a query end to
+// end — admission, routing, scatter, per-worker RPCs (retries and failovers
+// included) and the per-partition scan kernels on every touched worker.
 //
 // Design constraints, mirroring internal/obs:
 //
@@ -26,6 +26,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"paw/internal/obs"
 )
 
 // Key identifies one typed span attribute. Values are wire format (encoded
@@ -302,10 +304,6 @@ type Config struct {
 	// SampleEvery samples one query trace in every N (1: every query;
 	// 0: only forced traces, e.g. EXPLAIN).
 	SampleEvery int
-	// Buckets are the exemplar histogram bounds in nanoseconds (default
-	// obs.LatencyBuckets-compatible bounds; pass explicitly to match a
-	// registry's latency histogram).
-	Buckets []float64
 }
 
 // Tracer owns the sampling decision, the ring of recent traces and the
@@ -321,28 +319,16 @@ type Tracer struct {
 	ring      []Finished
 	pos       int
 	count     int
-	bounds    []float64
+	bounds    []float64 // obs.LatencyBuckets: an exemplar's bucket is its query's latency bucket
 	exemplars []Exemplar
-}
-
-// defaultLatencyBounds mirror obs.LatencyBuckets (1µs .. 10s) so exemplars
-// line up with the query-latency histogram without an obs dependency cycle.
-func defaultLatencyBounds() []float64 {
-	return []float64{
-		1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5,
-		1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 1e10,
-	}
 }
 
 // ringCapacity is the number of finished traces a tracer retains.
 const ringCapacity = 64
 
-// New builds a tracer. Zero config fields fall back to their defaults.
+// New builds a tracer.
 func New(cfg Config) *Tracer {
-	bounds := cfg.Buckets
-	if len(bounds) == 0 {
-		bounds = defaultLatencyBounds()
-	}
+	bounds := obs.LatencyBuckets()
 	tr := &Tracer{
 		every:     uint64(cfg.SampleEvery),
 		base:      localBase + uint64(localSeq.Add(1))<<32,

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"paw/internal/obs"
 )
 
 // TestNilSafety: the disabled path — nil tracer, nil trace, zero SpanRef —
@@ -245,25 +248,58 @@ func TestFinishRootless(t *testing.T) {
 	}
 }
 
-// TestExemplars: finished traces land in the configured buckets and link the
-// bucket to the last trace ID that hit it.
+// finishTimed finishes a trace whose root span lasted d.
+func finishTimed(tr *Tracer, d time.Duration) uint64 {
+	tq := tr.Sample(true)
+	tq.Start("q", SpanRef{})
+	tq.spans[0].Dur = int64(d)
+	tr.Finish(tq)
+	return tq.ID()
+}
+
+// TestExemplars: finished traces land in their latency's bucket and link the
+// bucket to the last trace ID that hit it; past the last bound is overflow.
 func TestExemplars(t *testing.T) {
-	// One giant bucket: everything lands in bucket 0 deterministically.
-	tr := New(Config{SampleEvery: 1, Buckets: []float64{1e15}})
-	id1 := finishOne(tr, "a")
-	id2 := finishOne(tr, "b")
+	tr := New(Config{SampleEvery: 1})
+	id1 := finishTimed(tr, 3*time.Millisecond)
+	id2 := finishTimed(tr, 4*time.Millisecond)
 	ex := tr.Exemplars()
-	if len(ex) != 2 { // bucket + overflow
-		t.Fatalf("got %d exemplar buckets, want 2", len(ex))
+	i := slices.IndexFunc(ex, func(e Exemplar) bool { return e.LeNs == 5e6 })
+	if i < 0 || ex[i].Count != 2 {
+		t.Fatalf("exemplars %+v: want 2 in the 5 ms bucket", ex)
 	}
-	if ex[0].Count != 2 {
-		t.Fatalf("bucket count %d, want 2", ex[0].Count)
+	if ex[i].TraceID != id2 {
+		t.Fatalf("exemplar trace %d, want the latest %d (first was %d)", ex[i].TraceID, id2, id1)
 	}
-	if ex[0].TraceID != id2 {
-		t.Fatalf("exemplar trace %d, want the latest %d (first was %d)", ex[0].TraceID, id2, id1)
+	last := ex[len(ex)-1]
+	if !last.Overflow || last.Count != 0 {
+		t.Fatalf("overflow bucket wrong: %+v", last)
 	}
-	if !ex[1].Overflow || ex[1].Count != 0 {
-		t.Fatalf("overflow bucket wrong: %+v", ex[1])
+	finishTimed(tr, time.Minute)
+	if last = tr.Exemplars()[len(ex)-1]; last.Count != 1 {
+		t.Fatalf("a one-minute trace missed the overflow bucket: %+v", last)
+	}
+}
+
+// TestExemplarsMatchLatencyBuckets: the exemplar buckets are the query-latency
+// histogram's (obs.LatencyBuckets), so a trace lands in the bucket its
+// query's latency does — a 2 s query in the one bounded at 2.5 s — and a p99
+// bucket leads to a concrete trace (DESIGN.md §14).
+func TestExemplarsMatchLatencyBuckets(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	ex := tr.Exemplars()
+	bounds := make([]float64, 0, len(ex))
+	for _, e := range ex[:len(ex)-1] {
+		bounds = append(bounds, e.LeNs)
+	}
+	if want := obs.LatencyBuckets(); !slices.Equal(bounds, want) {
+		t.Fatalf("exemplar bounds %v, latency histogram bounds %v", bounds, want)
+	}
+	id := finishTimed(tr, 2*time.Second)
+	for _, e := range tr.Exemplars() {
+		if hit := e.Count > 0; hit != (e.LeNs == 2.5e9) || hit && e.TraceID != id {
+			t.Fatalf("a 2 s trace gave exemplar %+v, want it in the 2.5e9 bucket alone", e)
+		}
 	}
 }
 
