@@ -16,8 +16,8 @@ import (
 
 // stdlibMethods are method names the standard library calls through an
 // interface (fmt.Stringer, error, json.Marshaler, http.Handler, io.Reader,
-// sort.Interface, errors.Unwrap, …): a type may declare one that no line of
-// this repository calls.
+// sort.Interface, errors.Unwrap, slog.LogValuer, …): a type may declare one
+// that no line of this repository calls.
 var stdlibMethods = map[string]bool{
 	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
@@ -28,7 +28,8 @@ var stdlibMethods = map[string]bool{
 	"LocalAddr": true, "RemoteAddr": true, "SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
 	"Timeout": true, "Temporary": true,
 	"Deadline": true, "Done": true, "Err": true, "Value": true,
-	"Set": true,
+	"Set":      true,
+	"LogValue": true,
 }
 
 // goPackage is the Go source of one directory: its non-test files, the test
@@ -71,16 +72,17 @@ func (r *repoImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 	return pkg, nil
 }
 
-// TestExportedFunctionsHaveCallers holds the exported surface of the root
-// package, internal/ and cmd/ to what callers use. Every package of the
-// repository (benchmark/ and examples/ included) is type-checked with its
-// tests, and an exported function or method passes when a use in a non-test
-// file anywhere, or in a test file of another directory, resolves to it. A
-// method also passes when a use resolves to an interface method of its name
-// (the call may dispatch to it), or when the standard library calls it
-// through an interface (stdlibMethods). A name used only by the tests of its
-// own package is a probe: unexport it or move it into a _test.go file. A name
-// used nowhere is dead: delete it.
+// TestExportedFunctionsHaveCallers holds every function and method declared
+// in a non-test file of the root package, internal/ or cmd/ to what callers
+// use; main and init are exempt. Every package of the repository (benchmark/
+// and examples/ included) is type-checked with its tests, and a function or
+// method passes when a use in a non-test file anywhere, or (an exported one)
+// in a test file of another directory, resolves to it. A method also passes
+// when a use resolves to an interface method of its name (the call may
+// dispatch to it), or when the standard library calls it through an
+// interface (stdlibMethods). A name used only by the tests of its own package
+// is a probe: unexport it or move it into a _test.go file. A name used
+// nowhere is dead: delete it.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	// With cgo off, go/build picks the pure-Go files of every package, so no
 	// C toolchain runs.
@@ -175,7 +177,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 				continue
 			}
 			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				if fn, ok := decl.(*ast.FuncDecl); ok && !(fn.Recv == nil && (fn.Name.Name == "main" || fn.Name.Name == "init")) {
 					decls = append(decls, fn)
 					declDir[fn] = p.dir
 					declKey[fn] = funcKey(info.Defs[fn.Name].(*types.Func))
@@ -192,7 +194,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		}
 	}
 	if len(decls) == 0 {
-		t.Fatal("found no exported functions in the root package, internal/ or cmd/")
+		t.Fatal("found no functions in the root package, internal/ or cmd/")
 	}
 
 	var bad []string

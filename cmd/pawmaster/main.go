@@ -71,7 +71,6 @@ func main() {
 		slowQuery   = flag.Duration("slow-query", 0, "log a structured slow-query record for queries at or above this latency (0: off)")
 
 		replicas     = flag.Int("replicas", 1, "copies per partition (pawworker needs the same value)")
-		partial      = flag.Bool("partial", false, "answer from surviving replicas when a partition is lost instead of failing the query")
 		callTimeout  = flag.Duration("call-timeout", 5*time.Second, "per-scan-RPC timeout, dial included (0: only the query deadline bounds calls)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "whole-query timeout when the client sends no deadline (0: unbounded)")
 
@@ -110,23 +109,13 @@ func main() {
 	if *replicas < 1 || *replicas > len(addrs) {
 		fatalf("-replicas %d out of range for %d workers", *replicas, len(addrs))
 	}
-	ids := make([]layout.ID, len(l.Parts))
-	for i, p := range l.Parts {
-		ids[i] = p.ID
-	}
-	all := make([]int, len(addrs))
-	for i := range all {
-		all[i] = i
-	}
-	rep := membership.RingPlacement(ids, all, *replicas)
-	m, err := dist.NewMasterReplicated(rm, addrs, rep)
+	m, err := dist.NewMasterReplicated(rm, addrs, membership.StaticPlacement(l, len(addrs), *replicas))
 	if err != nil {
 		fatalf("%v", err)
 	}
 	cfg := dist.DefaultConfig()
 	cfg.CallTimeout = *callTimeout
 	cfg.QueryTimeout = *queryTimeout
-	cfg.AllowPartial = *partial
 	cfg.SlowQuery = *slowQuery
 	cfg.ResultCacheSize = *resultCache
 	cfg.MaxInflightQueries = *maxInflight
@@ -152,7 +141,7 @@ func main() {
 	if *metrics != "" {
 		// One registry for all layers: routing (latency histogram,
 		// partitions/bytes touched), the distributed path (fan-out,
-		// per-worker call timers, redials, in-flight) and the drift loop.
+		// per-worker call histograms, redials, in-flight) and the drift loop.
 		reg = obs.New()
 		rm.SetMetrics(reg)
 		m.SetMetrics(reg)

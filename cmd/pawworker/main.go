@@ -90,15 +90,7 @@ func main() {
 		store := blockstore.Materialize(l, data, blockstore.Config{})
 		// The same derivation pawmaster runs, so the join checksum only
 		// matches when every flag agrees.
-		ids := make([]layout.ID, len(l.Parts))
-		for i, p := range l.Parts {
-			ids[i] = p.ID
-		}
-		all := make([]int, *workers)
-		for i := range all {
-			all[i] = i
-		}
-		mine = membership.HostedIDs(membership.RingPlacement(ids, all, *replicas), *index)
+		mine = membership.HostedIDs(membership.StaticPlacement(l, *workers, *replicas), *index)
 		w = dist.NewWorker(store, mine)
 	}
 

@@ -21,7 +21,6 @@ import (
 	"paw"
 	"paw/internal/blockstore"
 	"paw/internal/dist"
-	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/trace"
@@ -48,15 +47,7 @@ func main() {
 
 	// Ring placement with two copies: the second copy is what the master
 	// fails over to when a worker dies.
-	ids := make([]layout.ID, len(l.Parts))
-	for i, p := range l.Parts {
-		ids[i] = p.ID
-	}
-	all := make([]int, workers)
-	for i := range all {
-		all[i] = i
-	}
-	rep := membership.RingPlacement(ids, all, replicas)
+	rep := membership.StaticPlacement(l, workers, replicas)
 	fleet, err := dist.StartFleet(l, data.Names(), store, rep, workers, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +57,7 @@ func main() {
 	for w, addr := range fleet.Addrs {
 		fmt.Printf("worker %d: %d partitions on %s\n", w, len(membership.HostedIDs(rep, w)), addr)
 	}
-	fmt.Printf("placement: consistent-hash ring, %d copies of each of %d partitions\n", replicas, len(ids))
+	fmt.Printf("placement: consistent-hash ring, %d copies of each of %d partitions\n", replicas, len(l.Parts))
 
 	cfg := dist.DefaultConfig()
 	cfg.CallTimeout = 2 * time.Second

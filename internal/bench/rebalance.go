@@ -12,7 +12,6 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/geom"
-	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/sqlrew"
@@ -109,17 +108,9 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	store := materialize(l, data, blockstore.Config{GroupRows: 512})
 	rep.Partitions = len(l.Parts)
 
-	ids := make([]layout.ID, len(l.Parts))
-	for i, p := range l.Parts {
-		ids[i] = p.ID
-	}
-	seedIdx := make([]int, opt.Workers)
-	for w := range seedIdx {
-		seedIdx[w] = w
-	}
 	// Ring-placed from the start, so the join delta below is the ring's true
 	// minimum and not an artifact of converting from another placement rule.
-	place := membership.RingPlacement(ids, seedIdx, opt.Replicas)
+	place := membership.StaticPlacement(l, opt.Workers, opt.Replicas)
 
 	f, err := uncachedFleet(l, data.Names(), store, place, opt.Workers)
 	if err != nil {

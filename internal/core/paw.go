@@ -62,9 +62,9 @@ type Params struct {
 	// runtime.GOMAXPROCS(0), 1 forces a serial build. Any value produces
 	// the same layout; Parallelism only trades build time for cores.
 	Parallelism int
-	// Obs receives construction telemetry: per-phase timers, Alg. 1/2 split
-	// statistics, Ψ(α) policy decisions, bmin expansions and parbuild pool
-	// activity (metric names in internal/layout's Metric* constants). nil
+	// Obs receives construction telemetry: per-phase duration histograms,
+	// Alg. 1/2 split statistics, Ψ(α) policy decisions and bmin expansions
+	// (metric names in internal/layout's Metric* constants). nil
 	// disables instrumentation; the built layout is byte-identical either
 	// way — instruments only observe, they never feed back into decisions.
 	Obs *obs.Registry
@@ -123,7 +123,7 @@ type builder struct {
 // buildMetrics bundles the construction instruments. All fields are nil when
 // telemetry is disabled; every method call then no-ops on the nil receiver.
 type buildMetrics struct {
-	tConstruct, tSeal, tMulti, tAxis, tRefine   *obs.Timer
+	tConstruct, tSeal, tMulti, tAxis, tRefine   *obs.Histogram
 	multiTried, multiAccepted                   *obs.Counter
 	axisEval, axisAccepted                      *obs.Counter
 	expansions, expandFail                      *obs.Counter
@@ -137,11 +137,11 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 		return buildMetrics{}
 	}
 	return buildMetrics{
-		tConstruct:     reg.Timer(layout.MetricConstructNs),
-		tSeal:          reg.Timer(layout.MetricSealNs),
-		tMulti:         reg.Timer(layout.MetricMultiNs),
-		tAxis:          reg.Timer(layout.MetricAxisNs),
-		tRefine:        reg.Timer(layout.MetricRefineNs),
+		tConstruct:     reg.Histogram(layout.MetricConstructNs, obs.LatencyBuckets()),
+		tSeal:          reg.Histogram(layout.MetricSealNs, obs.LatencyBuckets()),
+		tMulti:         reg.Histogram(layout.MetricMultiNs, obs.LatencyBuckets()),
+		tAxis:          reg.Histogram(layout.MetricAxisNs, obs.LatencyBuckets()),
+		tRefine:        reg.Histogram(layout.MetricRefineNs, obs.LatencyBuckets()),
 		multiTried:     reg.Counter(layout.MetricMultiTried),
 		multiAccepted:  reg.Counter(layout.MetricMultiAccepted),
 		axisEval:       reg.Counter(layout.MetricAxisEvaluated),

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +34,10 @@ type Config struct {
 	// QueryTimeout bounds a whole query when the caller's context carries no
 	// deadline of its own (0: unbounded).
 	QueryTimeout time.Duration
-	// AllowPartial makes partial results the default for queries issued
-	// directly on the master; networked clients opt in per request
-	// (QueryRequest.AllowPartial).
-	AllowPartial bool
-	// SlowQuery emits a structured slog record for any query whose
-	// end-to-end latency reaches the threshold (trace ID when sampled, stage
-	// breakdown, partitions touched). 0 disables the slow-query log.
+	// SlowQuery logs a structured slog line for any query whose end-to-end
+	// latency reaches the threshold: its trace.CostRecord (trace ID when
+	// sampled, stage breakdown, partitions touched), client and error. 0
+	// disables the slow-query log.
 	SlowQuery time.Duration
 
 	// ResultCacheSize bounds the result cache (SQL → clean, complete
@@ -133,7 +129,7 @@ type Master struct {
 	routedHook func()
 
 	// fleet is the elastic worker-set snapshot (addresses, breakers, down
-	// flags, call timers), swapped atomically when a worker joins or moves
+	// flags, call histograms), swapped atomically when a worker joins or moves
 	// so the scatter path reads it lock-free (DESIGN.md §15). The lazily
 	// dialed transports (links) stay under mu and grow with the fleet.
 	fleet atomic.Pointer[fleet]
@@ -157,7 +153,7 @@ type Master struct {
 }
 
 // fleet is one immutable snapshot of the worker set: addresses, breakers,
-// liveness flags and call timers, indexed by worker slot. Mutations (join,
+// liveness flags and call histograms, indexed by worker slot. Mutations (join,
 // address change, metrics attach) clone the slice headers under the master
 // mutex and swap the snapshot; the per-worker state itself — breakers, down
 // flags — is carried by pointer, so it survives snapshot swaps and a breaker
@@ -168,8 +164,8 @@ type fleet struct {
 	// down marks workers the failure detector declared Dead: the scatter
 	// path deprioritises them exactly like an open breaker, but the flag
 	// flips on membership transitions rather than call outcomes.
-	down   []*atomic.Bool
-	timers []*obs.Timer
+	down  []*atomic.Bool
+	calls []*obs.Histogram
 }
 
 func newFleet(addrs []string) *fleet {
@@ -191,17 +187,17 @@ func (f *fleet) clone() *fleet {
 		addrs:    append([]string(nil), f.addrs...),
 		breakers: append([]*breaker(nil), f.breakers...),
 		down:     append([]*atomic.Bool(nil), f.down...),
-		timers:   append([]*obs.Timer(nil), f.timers...),
+		calls:    append([]*obs.Histogram(nil), f.calls...),
 	}
 }
 
-// timer returns worker i's call timer (nil when metrics are disabled — nil
-// timers no-op).
-func (f *fleet) timer(i int) *obs.Timer {
-	if i >= len(f.timers) {
+// call returns worker i's call-latency histogram (nil when metrics are
+// disabled — nil histograms no-op).
+func (f *fleet) call(i int) *obs.Histogram {
+	if i >= len(f.calls) {
 		return nil
 	}
-	return f.timers[i]
+	return f.calls[i]
 }
 
 // isDown reports whether the failure detector has declared worker i dead.
@@ -266,9 +262,7 @@ func (m *Master) addWorker(addr string) int {
 	f.addrs = append(f.addrs, addr)
 	f.breakers = append(f.breakers, &breaker{})
 	f.down = append(f.down, new(atomic.Bool))
-	if m.metricsReg != nil {
-		f.timers = append(f.timers, m.metricsReg.Timer(obs.Label(MetricWorkerCallNs, "worker", strconv.Itoa(idx))))
-	}
+	f.calls = append(f.calls, callHistogram(m.metricsReg, idx))
 	m.links = append(m.links, nil)
 	m.fleet.Store(f)
 	return idx
@@ -529,7 +523,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		l, err := m.workerLink(ctx, by, w)
 		if err == nil {
 			*resp = ScanResponse{} // a failed prior attempt may have partially decoded
-			sp := f.timer(w).Start()
+			sp := f.call(w).Start()
 			err = l.scan(ctx, &req, resp)
 			sp.End()
 		}
@@ -597,8 +591,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Query executes one SQL statement with the background context (the
 // configured QueryTimeout still applies): admission → caches → rewrite →
-// route → scatter per worker → gather, with retry, failover and the
-// configured partial-results default.
+// route → scatter per worker → gather, with retry and failover. A query on
+// the master never answers partially; a networked client opts in per request
+// (QueryRequest.AllowPartial).
 func (m *Master) Query(sql string) (QueryResponse, error) {
 	return m.QueryContext(context.Background(), sql)
 }
@@ -608,7 +603,7 @@ func (m *Master) Query(sql string) (QueryResponse, error) {
 // every scatter RPC down to the workers' scan loops, and a cancellation
 // interrupts in-flight calls.
 func (m *Master) QueryContext(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, false)
+	return m.query(ctx, time.Time{}, localClient, sql, false, false)
 }
 
 // Ready reports whether the master can serve queries at full fidelity:
@@ -689,26 +684,12 @@ func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next bool,
 	return v, plan, false, err
 }
 
-// queryStats carries routing facts and coarse stage timings out of the
-// serving body for the observability epilogue (trace annotations, slow-query
-// log, cost record). A nil *queryStats — the fully untraced fast path —
-// disables the clock reads.
-type queryStats struct {
-	routeNs     int64
-	scatterNs   int64
-	epoch       uint64
-	cached      bool
-	next        bool
-	layoutParts int
-	dims        int
-}
-
 // query is the serving path shared by direct calls and network sessions. It
 // wraps serveQuery (cache → admission → route → scatter) with the
 // observability epilogue of DESIGN.md §14: the sampled trace's root span and
-// Finish, the slow-query log, the cost record, and — for explain — the
-// assembled span tree on the response. explain forces a trace even when
-// sampling is off.
+// Finish, the slow-query line and the cost record — one trace.CostRecord,
+// filled as the query runs, is both — and, for explain, the assembled span
+// tree on the response. explain forces a trace even when sampling is off.
 func (m *Master) query(ctx context.Context, deadline time.Time, client, sql string, allowPartial, explain bool) (QueryResponse, error) {
 	var start time.Time
 	if m.m.queries != nil {
@@ -728,22 +709,24 @@ func (m *Master) query(ctx context.Context, deadline time.Time, client, sql stri
 	}
 	qstart := time.Now()
 	root := tq.Start("query", trace.SpanRef{})
-	var st queryStats
-	resp, err := m.serveQuery(ctx, deadline, client, sql, allowPartial, tq, root, &st)
-	elapsed := time.Since(qstart)
+	rec := trace.CostRecord{TraceID: tq.ID(), UnixNs: qstart.UnixNano(), SQL: sql, Workers: m.NumWorkers()}
+	resp, err := m.serveQuery(ctx, deadline, client, sql, allowPartial, tq, root, &rec)
+	rec.TotalNs = int64(time.Since(qstart))
+	rec.Ranges, rec.PartitionsTouched, rec.Partial = resp.SubQueries, resp.PartitionsScanned, resp.Partial
+	rec.Rows, rec.BytesRead, rec.BytesSkipped = resp.Rows, resp.BytesScanned, resp.BytesSkipped
 	if tq != nil {
-		root.Int(trace.KeyRows, int64(resp.Rows))
-		root.Int(trace.KeyBytesRead, resp.BytesScanned)
-		root.Int(trace.KeyBytesSkipped, resp.BytesSkipped)
-		root.Int(trace.KeyPartitions, int64(resp.PartitionsScanned))
-		root.Int(trace.KeyEpoch, int64(st.epoch))
-		if st.cached {
+		root.Int(trace.KeyRows, int64(rec.Rows))
+		root.Int(trace.KeyBytesRead, rec.BytesRead)
+		root.Int(trace.KeyBytesSkipped, rec.BytesSkipped)
+		root.Int(trace.KeyPartitions, int64(rec.PartitionsTouched))
+		root.Int(trace.KeyEpoch, int64(rec.Epoch))
+		if rec.Cached {
 			root.Int(trace.KeyCacheHit, 1)
 		}
-		if st.next {
+		if rec.NextView {
 			root.Int(trace.KeyNextView, 1)
 		}
-		if resp.Partial {
+		if rec.Partial {
 			root.Int(trace.KeyPartial, 1)
 		}
 		if err != nil {
@@ -752,55 +735,17 @@ func (m *Master) query(ctx context.Context, deadline time.Time, client, sql stri
 		root.End()
 		m.tracer.Load().Finish(tq)
 	}
-	if slow > 0 && elapsed >= slow {
+	if slow > 0 && time.Duration(rec.TotalNs) >= slow {
 		m.m.slowQueries.Inc()
-		traceID := "untraced"
-		if tq != nil {
-			traceID = fmt.Sprintf("%016x", tq.ID())
-		}
 		errStr := ""
 		if err != nil {
 			errStr = err.Error()
 		}
-		slog.Warn("paw: slow query",
-			"client", client,
-			"sql", sql,
-			"elapsed", elapsed,
-			"trace_id", traceID,
-			"route_ns", st.routeNs,
-			"scatter_ns", st.scatterNs,
-			"ranges", resp.SubQueries,
-			"partitions", resp.PartitionsScanned,
-			"rows", resp.Rows,
-			"bytes_read", resp.BytesScanned,
-			"bytes_skipped", resp.BytesSkipped,
-			"epoch", st.epoch,
-			"cached", st.cached,
-			"partial", resp.Partial,
-			"err", errStr,
-		)
+		// The record's fields are inlined under their cost-log names.
+		slog.Warn("paw: slow query", "client", client, "err", errStr, slog.Any("", rec))
 	}
-	if costLog != nil && err == nil {
-		costLog.Record(trace.CostRecord{
-			TraceID:           tq.ID(),
-			UnixNs:            qstart.UnixNano(),
-			SQL:               sql,
-			Epoch:             st.epoch,
-			LayoutPartitions:  st.layoutParts,
-			Dims:              st.dims,
-			Ranges:            resp.SubQueries,
-			PartitionsTouched: resp.PartitionsScanned,
-			Workers:           m.NumWorkers(),
-			Rows:              resp.Rows,
-			BytesRead:         resp.BytesScanned,
-			BytesSkipped:      resp.BytesSkipped,
-			Cached:            st.cached,
-			Partial:           resp.Partial,
-			NextView:          st.next,
-			TotalNs:           int64(elapsed),
-			RouteNs:           st.routeNs,
-			ScatterNs:         st.scatterNs,
-		})
+	if err == nil {
+		costLog.Record(rec)
 	}
 	if explain && err == nil && tq != nil {
 		// Spans ride the response only when the request forced the trace —
@@ -815,12 +760,13 @@ func (m *Master) query(ctx context.Context, deadline time.Time, client, sql stri
 
 // serveQuery is the serving body: result-cache lookup, admission (keyed by
 // client for fair queueing), then route and scatter, caching clean complete
-// results on the way out. tq and st may be nil (untraced fast path) — all
-// instrumentation points degrade to nil checks. The query's bound is set only
+// results on the way out. It fills rec's routing facts and stage costs; tq
+// and rec may be nil (untraced fast path) — all instrumentation points
+// degrade to nil checks. The query's bound is set only
 // once the cache has missed, so a hit starts no timer: deadline when it is
 // set (a client request's own), else the configured QueryTimeout when ctx
 // carries no deadline.
-func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, st *queryStats) (QueryResponse, error) {
+func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql string, allowPartial bool, tq *trace.T, root trace.SpanRef, rec *trace.CostRecord) (QueryResponse, error) {
 	// A cached clean result answers without a slot: serving memory beats
 	// re-scattering, and an entry of the served epoch is still valid (the
 	// cutover sweep translated it or it was answered since; InvalidateCaches
@@ -828,9 +774,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 	if m.resultCache != nil {
 		if e, ok := m.resultCache.Get(sql); ok && e.epoch == m.view.Load().epoch {
 			m.m.resultHits.Inc()
-			if st != nil {
-				st.cached = true
-				st.epoch = e.epoch
+			if rec != nil {
+				rec.Cached, rec.Epoch = true, e.epoch
 			}
 			// A hit is real demand: the monitor sees its routed shape too.
 			m.observe(e.plan, &e.resp, e.epoch, true)
@@ -862,13 +807,13 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 		defer release()
 	}
 	var routeStart time.Time
-	if st != nil {
+	if rec != nil {
 		routeStart = time.Now()
 	}
 	rsp := tq.Start("route", root)
 	view, plan, next, err := m.planFor(sql)
-	if st != nil {
-		st.routeNs = int64(time.Since(routeStart))
+	if rec != nil {
+		rec.RouteNs = int64(time.Since(routeStart))
 	}
 	if err != nil {
 		rsp.Int(trace.KeyError, 1)
@@ -879,12 +824,11 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 	if m.routedHook != nil {
 		m.routedHook()
 	}
-	if st != nil {
-		st.epoch = view.epoch
-		st.next = next
-		st.layoutParts = len(view.router.Layout().Parts)
+	if rec != nil {
+		rec.Epoch, rec.NextView = view.epoch, next
+		rec.LayoutPartitions = len(view.router.Layout().Parts)
 		if len(plan.Ranges) > 0 {
-			st.dims = plan.Ranges[0].Range.Dims()
+			rec.Dims = plan.Ranges[0].Range.Dims()
 		}
 	}
 	rsp.Int(trace.KeyRanges, int64(len(plan.Ranges)))
@@ -898,7 +842,7 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 	budget := new(atomic.Int64)
 	budget.Store(queryRetryBudget)
 	var scatterStart time.Time
-	if st != nil {
+	if rec != nil {
 		scatterStart = time.Now()
 	}
 	for i, rp := range plan.Ranges {
@@ -912,8 +856,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 			if errors.Is(err, context.DeadlineExceeded) {
 				m.m.deadlines.Inc()
 			}
-			if st != nil {
-				st.scatterNs = int64(time.Since(scatterStart))
+			if rec != nil {
+				rec.ScatterNs = int64(time.Since(scatterStart))
 			}
 			return QueryResponse{}, err
 		}
@@ -927,8 +871,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 				}
 				ssp.Int(trace.KeyError, 1)
 				ssp.End()
-				if st != nil {
-					st.scatterNs = int64(time.Since(scatterStart))
+				if rec != nil {
+					rec.ScatterNs = int64(time.Since(scatterStart))
 				}
 				return QueryResponse{}, cause
 			}
@@ -937,8 +881,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 		total.PartitionsScanned += len(rp.Parts) - len(failed)
 		ssp.End()
 	}
-	if st != nil {
-		st.scatterNs = int64(time.Since(scatterStart))
+	if rec != nil {
+		rec.ScatterNs = int64(time.Since(scatterStart))
 	}
 	if len(total.FailedPartitions) > 0 {
 		sort.Slice(total.FailedPartitions, func(i, j int) bool {
@@ -1166,7 +1110,7 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 	if req.TimeoutMillis > 0 {
 		deadline = time.Now().Add(time.Duration(req.TimeoutMillis) * time.Millisecond)
 	}
-	resp, err := m.query(context.Background(), deadline, client, req.SQL, req.AllowPartial || m.cfg.AllowPartial, req.Trace)
+	resp, err := m.query(context.Background(), deadline, client, req.SQL, req.AllowPartial, req.Trace)
 	if err != nil {
 		resp = QueryResponse{Err: err.Error(), ErrCode: errCodeFor(err)}
 	}

@@ -144,16 +144,6 @@ func (m *Master) EnableMembership(cfg MembershipConfig) error {
 	return nil
 }
 
-// membershipView snapshots the current membership (ok=false when membership
-// is not enabled). Diagnostic/test surface.
-func (m *Master) membershipView() (membership.View, bool) {
-	ms := m.member.Load()
-	if ms == nil {
-		return membership.View{}, false
-	}
-	return ms.tracker.View(), true
-}
-
 // MembershipTick advances the failure detector to now: silent members go
 // Suspect then Dead, dead workers are deprioritised on the scatter path, and
 // — with AutoRebalance — a rebalance is kicked off when the placement needs

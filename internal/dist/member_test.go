@@ -22,6 +22,16 @@ import (
 	"paw/internal/workload"
 )
 
+// membershipView snapshots the current membership (ok=false when membership
+// is not enabled).
+func (m *Master) membershipView() (membership.View, bool) {
+	ms := m.member.Load()
+	if ms == nil {
+		return membership.View{}, false
+	}
+	return ms.tracker.View(), true
+}
+
 // Elastic membership tests: a cluster seeded with the consistent-hash ring
 // placement (so a later join's movement is the ring's minimal delta, not a
 // full reshuffle), a master with membership enabled, and helpers to join

@@ -6,7 +6,7 @@ import (
 	"paw/internal/obs"
 )
 
-// Distributed-path metric names. Per-worker call timers carry a
+// Distributed-path metric names. Per-worker call histograms carry a
 // worker="<index>" label (one series per worker; the fleet is small and
 // fixed at master construction). Every registered series has a row in
 // README.md's metric table, which TestMetricInventory holds to the registry.
@@ -153,25 +153,27 @@ type masterMetrics struct {
 	drainTimeouts       *obs.Counter
 }
 
+// callHistogram is worker i's scan-call latency series (nil on a nil
+// registry).
+func callHistogram(reg *obs.Registry, i int) *obs.Histogram {
+	return reg.Histogram(obs.Label(MetricWorkerCallNs, "worker", strconv.Itoa(i)), obs.LatencyBuckets())
+}
+
 // SetMetrics attaches (or, with nil, detaches) master telemetry: query
-// latency, per-range fan-out width, one call timer per worker, redial and
+// latency, per-range fan-out width, one call histogram per worker, redial and
 // failure counters, an in-flight query gauge, and the failure-model
 // counters (retries, failovers, breaker transitions, deadline expiries,
 // partial results, dropped client sessions).
 func (m *Master) SetMetrics(reg *obs.Registry) {
-	// Rebuild the fleet's per-worker call timers under mu so a concurrent
-	// join sees either the old or the new timer set, never a torn one. The
-	// registry is remembered so workers that join later get their own timer.
+	// Rebuild the fleet's per-worker call histograms under mu so a
+	// concurrent join sees either the old or the new set, never a torn one.
+	// The registry is remembered so workers that join later get their own.
 	m.mu.Lock()
 	m.metricsReg = reg
 	f := m.fleet.Load().clone()
-	if reg == nil {
-		f.timers = nil
-	} else {
-		f.timers = make([]*obs.Timer, len(f.addrs))
-		for i := range f.timers {
-			f.timers[i] = reg.Timer(obs.Label(MetricWorkerCallNs, "worker", strconv.Itoa(i)))
-		}
+	f.calls = nil
+	for i := range f.addrs {
+		f.calls = append(f.calls, callHistogram(reg, i))
 	}
 	m.fleet.Store(f)
 	m.mu.Unlock()

@@ -22,6 +22,18 @@ import (
 	"paw/internal/sqlrew"
 )
 
+// epochs lists the layout epochs the worker currently serves, ascending.
+func (w *Worker) epochs() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]uint64, 0, len(w.views))
+	for e := range w.views {
+		out = append(out, e)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Migration unit tests: a hand-assembled quadrant layout whose right half is
 // patched from a vertical to a horizontal split, so the diff (2 renamed, 2
 // removed, 2 added) and every payload are fully controlled. The chaos

@@ -65,7 +65,7 @@ func TestDifferentialWireVsInProcess(t *testing.T) {
 	// report the identical surviving aggregate and failed-partition list, and
 	// the survivors plus the failed partitions' rows must add up to the
 	// dataset. The in-process side takes the serving path's per-request
-	// opt-in directly (QueryContext only knows the master-wide default).
+	// opt-in directly (QueryContext never answers partially).
 	f.workers[1].Close()
 	cl.SetAllowPartial(true)
 	const sql = "SELECT * FROM t"
@@ -231,14 +231,14 @@ func TestResultCacheHitAllocs(t *testing.T) {
 func TestPartialResultsNotCached(t *testing.T) {
 	cfg := fastChaosConfig()
 	cfg.ResultCacheSize = 64
-	cfg.AllowPartial = true
 	f := startCluster(t, 2, cfg, nil)
-	m, reg := f.master, f.reg
+	reg := f.reg
+	f.client.SetAllowPartial(true)
 
 	f.workers[0].Close()
 	sql := "SELECT * FROM t"
 	for i := 0; i < 2; i++ {
-		resp, err := m.Query(sql)
+		resp, err := f.client.Query(sql)
 		if err != nil {
 			t.Fatalf("partial query %d: %v", i, err)
 		}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"reflect"
@@ -21,7 +22,7 @@ import (
 // explain runs one statement with a forced trace (EXPLAIN ANALYZE) under ctx,
 // as a client's Explain does over the wire.
 func (m *Master) explain(ctx context.Context, sql string) (QueryResponse, error) {
-	return m.query(ctx, time.Time{}, localClient, sql, m.cfg.AllowPartial, true)
+	return m.query(ctx, time.Time{}, localClient, sql, false, true)
 }
 
 func tracedConfig() Config {
@@ -168,7 +169,7 @@ func TestExplainWithoutTracer(t *testing.T) {
 }
 
 // TestSlowQueryLog: queries over the threshold emit one structured log line
-// carrying the trace ID and the stage breakdown.
+// carrying the query's cost record — trace ID and stage breakdown included.
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	prev := slog.Default()
@@ -187,23 +188,95 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(out, "slow query") {
 		t.Fatalf("no slow-query line logged:\n%s", out)
 	}
-	for _, field := range []string{"trace_id=", "elapsed=", "route_ns=", "scatter_ns=", "partitions=", "rows=", "sql="} {
+	for _, field := range []string{"client=", "trace_id=", "total_ns=", "route_ns=", "scatter_ns=", "partitions_touched=", "rows=", "sql="} {
 		if !strings.Contains(out, field) {
 			t.Errorf("slow-query line missing %s:\n%s", field, out)
 		}
 	}
-	if strings.Contains(out, "trace_id=untraced") {
+	if strings.Contains(out, "trace_id=0 ") {
 		t.Error("sampled slow query logged as untraced")
 	}
 
-	// With the tracer removed the line still logs, marked untraced.
+	// With the tracer removed the line still logs, with trace ID 0.
 	buf.Reset()
 	tc.master.SetTracer(nil)
 	if _, err := tc.client.Query("SELECT * FROM t WHERE l_quantity >= 35"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "trace_id=untraced") {
-		t.Fatalf("unsampled slow query must log trace_id=untraced:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "trace_id=0 ") {
+		t.Fatalf("unsampled slow query must log trace_id=0:\n%s", buf.String())
+	}
+}
+
+// TestCostLogRecordsAnsweredQueries: an untraced master with a cost log
+// writes one record per answered query — a miss with its stage costs, a
+// result-cache hit with none — and none for a failed query, and each slow-
+// query line logs the very record the cost log holds.
+func TestCostLogRecordsAnsweredQueries(t *testing.T) {
+	var logBuf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logBuf, nil)))
+	defer slog.SetDefault(prev)
+
+	cfg := DefaultConfig()
+	cfg.SlowQuery = time.Nanosecond
+	tc := startCluster(t, 2, cfg, nil)
+	var costBuf bytes.Buffer
+	costLog := trace.NewCostLog(&costBuf)
+	tc.master.SetCostLog(costLog)
+
+	const sql = "SELECT * FROM t WHERE l_quantity >= 20 AND l_quantity <= 30"
+	for i := 0; i < 2; i++ {
+		if _, err := tc.client.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tc.client.Query("SELECT * FROM t WHERE nosuchcol >= 1"); err == nil {
+		t.Fatal("a statement over an unknown column must fail")
+	}
+	if err := costLog.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var recs, lines []trace.CostRecord
+	for _, out := range []struct {
+		buf  *bytes.Buffer
+		into *[]trace.CostRecord
+	}{{&costBuf, &recs}, {&logBuf, &lines}} {
+		for _, line := range strings.Split(strings.TrimSpace(out.buf.String()), "\n") {
+			var rec trace.CostRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%v: %s", err, line)
+			}
+			*out.into = append(*out.into, rec)
+		}
+	}
+	if len(recs) != 2 {
+		t.Fatalf("cost log holds %d records, want 2 (a miss and a hit; the failure writes none):\n%s", len(recs), costBuf.String())
+	}
+	if len(lines) != 3 {
+		t.Fatalf("%d slow-query lines, want 3:\n%s", len(lines), logBuf.String())
+	}
+	miss, hit := recs[0], recs[1]
+	if miss.Cached || miss.RouteNs <= 0 || miss.ScatterNs <= 0 || miss.Rows == 0 {
+		t.Errorf("miss record %+v: want uncached, route_ns and scatter_ns > 0, rows", miss)
+	}
+	if !hit.Cached || hit.RouteNs != 0 || hit.ScatterNs != 0 || hit.Rows != miss.Rows {
+		t.Errorf("hit record %+v: want cached, zero stage costs, the miss's rows", hit)
+	}
+	for _, rec := range recs {
+		if rec.TraceID != 0 || rec.Schema != trace.CostRecordSchema || rec.Workers != 2 {
+			t.Errorf("record %+v: want trace_id 0 (untraced), schema %s, 2 workers", rec, trace.CostRecordSchema)
+		}
+	}
+	for i, rec := range recs {
+		if !reflect.DeepEqual(lines[i], rec) {
+			t.Errorf("slow-query line %d logs %+v, the cost log holds %+v", i, lines[i], rec)
+		}
+	}
+	var failed struct{ Err string }
+	if err := json.Unmarshal([]byte(strings.Split(logBuf.String(), "\n")[2]), &failed); err != nil || failed.Err == "" {
+		t.Errorf("the failed statement's slow-query line carries no error (%v):\n%s", err, logBuf.String())
 	}
 }
 

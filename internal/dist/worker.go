@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -151,19 +150,6 @@ func (w *Worker) handleAdmin(req AdminRequest) AdminResponse {
 	default:
 		return AdminResponse{Err: fmt.Sprintf("unknown admin op %d", req.Op)}
 	}
-}
-
-// epochs lists the layout epochs the worker currently serves, ascending.
-// Test/diagnostic surface.
-func (w *Worker) epochs() []uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]uint64, 0, len(w.views))
-	for e := range w.views {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Start begins serving on addr (use "127.0.0.1:0" for tests) and returns

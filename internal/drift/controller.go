@@ -50,11 +50,6 @@ type Controller struct {
 	auto    atomic.Bool
 	running atomic.Bool
 
-	checks     atomic.Int64
-	triggers   atomic.Int64
-	migrations atomic.Int64
-	skips      atomic.Int64
-
 	// inst is the obs instrument set (never nil; the zero set is a no-op).
 	inst atomic.Pointer[driftInstruments]
 
@@ -142,8 +137,6 @@ func (c *Controller) Detach() {
 	c.master.SetQueryObserver(nil)
 }
 
-func (c *Controller) layout() *layout.Layout { return c.cur.Load() }
-
 // TriggerNow evaluates the monitor and, if it fires, runs the full rebuild +
 // migration pipeline synchronously. The no-trigger case returns a Report
 // with Triggered false and a nil error. An error means a migration was
@@ -152,7 +145,6 @@ func (c *Controller) layout() *layout.Layout { return c.cur.Load() }
 func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.checks.Add(1)
 	c.inst.Load().checks.Inc()
 
 	rep := Report{Epoch: c.master.Epoch()}
@@ -162,14 +154,12 @@ func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 		return rep, nil
 	}
 	rep.Triggered = true
-	c.triggers.Add(1)
 	c.inst.Load().triggers.Inc()
 
 	err := c.migrate(ctx, &rep)
 	if err == nil && !rep.Migrated {
 		// Triggered but skipped (benefit gate): cool down for one window so
 		// the same window cannot re-trigger every CheckEvery observations.
-		c.skips.Add(1)
 		c.inst.Load().skips.Inc()
 		c.mon.MuteFor(c.cfg.Window)
 	}
@@ -283,7 +273,6 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	rep.Migrated = true
 	rep.Epoch = mig.Epoch
 	rep.MovedBytes = moved
-	c.migrations.Add(1)
 	ins := c.inst.Load()
 	ins.migrations.Inc()
 	ins.movedBytes.Add(moved)

@@ -19,6 +19,9 @@ import (
 	"paw/internal/workload"
 )
 
+// layout returns the layout the controller last installed.
+func (c *Controller) layout() *layout.Layout { return c.cur.Load() }
+
 func testConfig() Config {
 	return Config{
 		Window:       64,

@@ -6,11 +6,12 @@ import (
 	"paw/internal/obs"
 )
 
-// Metric names for the drift loop. Counters mirror Controller.Counters plus
-// the shipped payload volume; gauges expose the last evaluation's evidence
-// (δ′, observed vs baseline cost, out-of-scope count) and the layout epoch
-// the controller most recently installed, so a dashboard can watch the scope
-// check without calling into the controller.
+// Metric names for the drift loop. Counters count the controller's checks,
+// triggers, skips and migrations and the shipped payload volume; gauges
+// expose the last evaluation's evidence (δ′, observed vs baseline cost,
+// out-of-scope count) and the layout epoch the controller most recently
+// installed, so a dashboard can watch the scope check without calling into
+// the controller.
 const (
 	MetricDriftChecks     = "drift_checks_total"
 	MetricDriftTriggers   = "drift_triggers_total"

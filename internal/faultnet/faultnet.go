@@ -124,14 +124,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 // Addr returns the inner listener's address.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
 
-// numAccepted returns how many connections the listener has accepted so far
-// (including rejected ones).
-func (l *Listener) numAccepted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accepted
-}
-
 // match returns the first rule for connection idx satisfying pred.
 func (l *Listener) match(idx int, pred func(Rule) bool) *Rule {
 	for i := range l.script.Rules {

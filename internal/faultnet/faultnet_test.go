@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// numAccepted returns how many connections the listener has accepted so far
+// (including rejected ones).
+func (l *Listener) numAccepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.accepted
+}
+
 // pipeServer starts a loopback listener wrapped in the script and serves
 // each accepted connection with echo (read a frame, write it back).
 func pipeServer(t *testing.T, s Script) (addr string, l *Listener) {

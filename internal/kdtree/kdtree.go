@@ -31,7 +31,7 @@ type Params struct {
 	// produces a layout identical to the serial one.
 	Parallelism int
 	// Obs receives construction telemetry (layout.Metric* names): phase
-	// timers, node/depth counters and parbuild pool activity. nil disables
+	// duration histograms and node/depth counters. nil disables
 	// instrumentation; the layout is byte-identical either way.
 	Obs *obs.Registry
 }
@@ -68,7 +68,7 @@ type builder struct {
 // buildMetrics is the optional construction telemetry; zero value = disabled
 // (all methods no-op on nil instruments).
 type buildMetrics struct {
-	tConstruct, tSeal *obs.Timer
+	tConstruct, tSeal *obs.Histogram
 	nodes, terminal   *obs.Counter
 	maxDepth          *obs.Gauge
 }
@@ -78,8 +78,8 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 		return buildMetrics{}
 	}
 	return buildMetrics{
-		tConstruct: reg.Timer(layout.MetricConstructNs),
-		tSeal:      reg.Timer(layout.MetricSealNs),
+		tConstruct: reg.Histogram(layout.MetricConstructNs, obs.LatencyBuckets()),
+		tSeal:      reg.Histogram(layout.MetricSealNs, obs.LatencyBuckets()),
 		nodes:      reg.Counter(layout.MetricNodes),
 		terminal:   reg.Counter(layout.MetricPolicyTerminal),
 		maxDepth:   reg.Gauge(layout.MetricMaxDepth),

@@ -17,7 +17,8 @@ import (
 // — the package every builder already imports — so the producer and the
 // consumer cannot drift apart.
 const (
-	// Phase timers (cumulative ns across all workers).
+	// Phase durations: latency histograms whose sum is the cumulative ns
+	// across all workers.
 	MetricConstructNs = "build_construct_ns"
 	MetricSealNs      = "build_seal_ns"
 	MetricMultiNs     = "build_multi_split_ns"
@@ -45,7 +46,9 @@ const (
 
 // BuildReportSchema versions the report document; bump on breaking changes.
 // v2: the search census counts every packed chunk (raw, FOR, dictionary).
-const BuildReportSchema = "paw/build-report/v2"
+// v3: the phase durations are telemetry histograms (count, sum, buckets); the
+// snapshot has no timers.
+const BuildReportSchema = "paw/build-report/v3"
 
 // Phase is one top-level wall-clock phase of a build pipeline (generate,
 // sample, construct, route, ...). Phases are sequential, so their sum
@@ -317,16 +320,16 @@ func (r *BuildReport) Render(w io.Writer) {
 			c.WorkloadBytes, c.AvgQueryBytes, 100*c.ScanRatio)
 	}
 
-	if len(r.Telemetry.Timers) > 0 {
+	if len(r.Telemetry.Histograms) > 0 {
 		fmt.Fprintf(w, "\nbuilder timers (cumulative across workers):\n")
-		names := make([]string, 0, len(r.Telemetry.Timers))
-		for n := range r.Telemetry.Timers {
+		names := make([]string, 0, len(r.Telemetry.Histograms))
+		for n := range r.Telemetry.Histograms {
 			names = append(names, n)
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			t := r.Telemetry.Timers[n]
-			fmt.Fprintf(w, "  %-28s %6d calls  %12v\n", n, t.Count, time.Duration(t.TotalNs).Round(time.Microsecond))
+			h := r.Telemetry.Histograms[n]
+			fmt.Fprintf(w, "  %-28s %6d calls  %12v\n", n, h.Count, time.Duration(h.Sum).Round(time.Microsecond))
 		}
 	}
 }

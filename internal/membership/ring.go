@@ -121,6 +121,22 @@ func RingPlacement(ids []layout.ID, workers []int, replicas int) placement.Repli
 	return out
 }
 
+// StaticPlacement is the ring placement of a static fleet: every partition of
+// l on workers 0…workers-1 with replicas copies each. pawmaster, pawworker
+// and the distributed example all place through it, so a worker derives the
+// master's placement from the same flags without coordination.
+func StaticPlacement(l *layout.Layout, workers, replicas int) placement.Replicated {
+	ids := make([]layout.ID, len(l.Parts))
+	for i, p := range l.Parts {
+		ids[i] = p.ID
+	}
+	all := make([]int, workers)
+	for i := range all {
+		all[i] = i
+	}
+	return RingPlacement(ids, all, replicas)
+}
+
 // HostedIDs inverts a placement: the partitions worker w must host (any
 // position in the replica set), sorted ascending.
 func HostedIDs(rep placement.Replicated, w int) []layout.ID {

@@ -12,10 +12,10 @@ import (
 )
 
 // WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single samples, timers as
-// _count/_ns_total pairs, histograms as cumulative _bucket series plus _sum
-// and _count. Instruments appear in registration order; a literal label
-// block in an instrument name (see Label) is passed through verbatim.
+// format (version 0.0.4): counters and gauges as single samples, histograms
+// as cumulative _bucket series plus _sum and _count. Instruments appear in
+// registration order; a literal label block in an instrument name (see
+// Label) is passed through verbatim.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -46,13 +46,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindGauge:
 			emitType(base, "gauge")
 			_, werr := fmt.Fprintf(w, "%s%s %d\n", base, labels, e.g.Value())
-			track(werr)
-		case kindTimer:
-			emitType(base+"_count", "counter")
-			_, werr := fmt.Fprintf(w, "%s_count%s %d\n", base, labels, e.t.Count())
-			track(werr)
-			emitType(base+"_ns_total", "counter")
-			_, werr = fmt.Fprintf(w, "%s_ns_total%s %d\n", base, labels, e.t.TotalNs())
 			track(werr)
 		case kindHistogram:
 			emitType(base, "histogram")

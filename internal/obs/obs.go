@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency telemetry substrate of the PAW stack:
-// atomic counters, gauges, duration timers and fixed-bucket histograms behind
-// a Registry, plus lightweight phase spans with monotonic timings.
+// atomic counters, gauges and fixed-bucket histograms behind a Registry, plus
+// lightweight spans that observe monotonic durations into a histogram.
 //
 // Design constraints (see DESIGN.md §9):
 //
@@ -93,61 +93,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Timer accumulates a call count and total duration. The nil Timer is a
-// valid no-op instrument.
-type Timer struct {
-	count atomic.Int64
-	ns    atomic.Int64
-}
-
-// Observe records one call of duration d. No-op on nil.
-func (t *Timer) Observe(d time.Duration) {
-	if t != nil {
-		t.count.Add(1)
-		t.ns.Add(int64(d))
-	}
-}
-
-// Count returns the recorded call count (0 on nil).
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// TotalNs returns the accumulated duration in nanoseconds (0 on nil).
-func (t *Timer) TotalNs() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.ns.Load()
-}
-
-// Span is an in-flight phase measurement: Start captures a monotonic
-// timestamp, End records the elapsed duration into the owning Timer. The
-// zero Span (from a nil Timer) is a no-op and never reads the clock.
-type Span struct {
-	t     *Timer
-	start time.Time
-}
-
-// Start opens a span on the timer. On a nil Timer the returned span is a
-// no-op that never touches the clock.
-func (t *Timer) Start() Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, start: time.Now()}
-}
-
-// End closes the span, accumulating its monotonic elapsed time.
-func (s Span) End() {
-	if s.t != nil {
-		s.t.Observe(time.Since(s.start))
-	}
 }
 
 // Histogram is a fixed-bucket histogram with atomic bucket counts. Bounds
@@ -245,6 +190,30 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
+// Span is an in-flight duration measurement: Start captures a monotonic
+// timestamp, End observes the elapsed nanoseconds into the owning histogram.
+// The zero Span (from a nil Histogram) is a no-op and never reads the clock.
+type Span struct {
+	h     *Histogram
+	start time.Time
+}
+
+// Start opens a span on the histogram. On a nil Histogram the returned span
+// is a no-op that never touches the clock.
+func (h *Histogram) Start() Span {
+	if h == nil {
+		return Span{}
+	}
+	return Span{h: h, start: time.Now()}
+}
+
+// End closes the span, observing its monotonic elapsed time in nanoseconds.
+func (s Span) End() {
+	if s.h != nil {
+		s.h.Observe(float64(time.Since(s.start)))
+	}
+}
+
 // LatencyBuckets are the default nanosecond bounds for latency histograms:
 // roughly exponential from 1 µs to 10 s.
 func LatencyBuckets() []float64 {
@@ -263,7 +232,6 @@ func LatencyBuckets() []float64 {
 const (
 	kindCounter = iota
 	kindGauge
-	kindTimer
 	kindHistogram
 )
 
@@ -272,7 +240,6 @@ type entry struct {
 	kind int
 	c    *Counter
 	g    *Gauge
-	t    *Timer
 	h    *Histogram
 }
 
@@ -335,16 +302,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return r.entries[i].g
 }
 
-// Timer returns the named timer, creating it on first use. Returns nil on a
-// nil registry.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	i := r.lookup(name, kindTimer, func() entry { return entry{t: &Timer{}} })
-	return r.entries[i].t
-}
-
 // Histogram returns the named histogram, creating it with the given bucket
 // bounds on first use (later calls reuse the first bounds). Returns nil on a
 // nil registry.
@@ -354,12 +311,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	i := r.lookup(name, kindHistogram, func() entry { return entry{h: newHistogram(bounds)} })
 	return r.entries[i].h
-}
-
-// TimerStat is a timer's snapshot value.
-type TimerStat struct {
-	Count   int64 `json:"count"`
-	TotalNs int64 `json:"total_ns"`
 }
 
 // HistogramStat is a histogram's snapshot value. Counts has one entry per
@@ -376,7 +327,6 @@ type HistogramStat struct {
 type Snapshot struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
 	Gauges     map[string]int64         `json:"gauges,omitempty"`
-	Timers     map[string]TimerStat     `json:"timers,omitempty"`
 	Histograms map[string]HistogramStat `json:"histograms,omitempty"`
 }
 
@@ -393,7 +343,6 @@ func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
-		Timers:     map[string]TimerStat{},
 		Histograms: map[string]HistogramStat{},
 	}
 	if r == nil {
@@ -408,8 +357,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Counters[e.name] = e.c.Value()
 		case kindGauge:
 			snap.Gauges[e.name] = e.g.Value()
-		case kindTimer:
-			snap.Timers[e.name] = TimerStat{Count: e.t.Count(), TotalNs: e.t.TotalNs()}
 		case kindHistogram:
 			snap.Histograms[e.name] = HistogramStat{
 				Bounds: e.h.Bounds(),

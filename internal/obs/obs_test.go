@@ -19,7 +19,6 @@ func TestConcurrentHammer(t *testing.T) {
 	c := r.Counter("hammer_total")
 	g := r.Gauge("hammer_gauge")
 	hw := r.Gauge("hammer_highwater")
-	tm := r.Timer("hammer_ns")
 	h := r.Histogram("hammer_hist", []float64{10, 100, 1000})
 
 	const goroutines = 8
@@ -33,7 +32,6 @@ func TestConcurrentHammer(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				hw.SetMax(int64(i*perG + j))
-				tm.Observe(time.Nanosecond)
 				h.Observe(float64(j % 2000))
 			}
 		}(i)
@@ -49,12 +47,6 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if got := hw.Value(); got != n-1 {
 		t.Errorf("high-water gauge = %d, want %d", got, n-1)
-	}
-	if got := tm.Count(); got != n {
-		t.Errorf("timer count = %d, want %d", got, n)
-	}
-	if got, want := tm.TotalNs(), int64(n); got != want {
-		t.Errorf("timer ns = %d, want %d", got, want)
 	}
 	if got := h.Count(); got != n {
 		t.Errorf("histogram count = %d, want %d", got, n)
@@ -135,15 +127,13 @@ func TestDisabledRegistryZeroAlloc(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total")
 	g := r.Gauge("x")
-	tm := r.Timer("x_ns")
 	h := r.Histogram("x_hist", LatencyBuckets())
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(7)
 		g.SetMax(9)
-		tm.Observe(time.Microsecond)
-		sp := tm.Start()
+		sp := h.Start()
 		sp.End()
 		h.Observe(42)
 	})
@@ -193,15 +183,15 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 
 func TestSpanRecordsElapsed(t *testing.T) {
 	r := New()
-	tm := r.Timer("phase_ns")
-	sp := tm.Start()
+	h := r.Histogram("phase_ns", LatencyBuckets())
+	sp := h.Start()
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	if tm.Count() != 1 {
-		t.Fatalf("span count = %d, want 1", tm.Count())
+	if h.Count() != 1 {
+		t.Fatalf("span count = %d, want 1", h.Count())
 	}
-	if tm.TotalNs() < int64(time.Millisecond) {
-		t.Fatalf("span recorded %dns, want >= 1ms", tm.TotalNs())
+	if h.Sum() < float64(time.Millisecond) {
+		t.Fatalf("span recorded %vns, want >= 1ms", h.Sum())
 	}
 }
 
@@ -218,8 +208,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Counter("q_total").Add(3)
 	r.Gauge("inflight").Set(2)
-	tm := r.Timer("phase_ns")
-	tm.Observe(5 * time.Millisecond)
 	h := r.Histogram("lat_ns", []float64{100, 1000})
 	h.Observe(50)
 	h.Observe(500)
@@ -235,7 +223,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE q_total counter",
 		"q_total 3",
 		"inflight 2",
-		"phase_ns_count 1",
 		`lat_ns_bucket{le="100"} 1`,
 		`lat_ns_bucket{le="1000"} 2`,
 		`lat_ns_bucket{le="+Inf"} 3`,

@@ -36,9 +36,9 @@ type Params struct {
 	// produces a layout identical to the serial one.
 	Parallelism int
 	// Obs receives construction telemetry (layout.Metric* names): phase
-	// timers, candidate-evaluation and accepted-cut counters, recursion
-	// depth and parbuild pool activity. nil disables instrumentation; the
-	// layout is byte-identical either way.
+	// duration histograms, candidate-evaluation and accepted-cut counters
+	// and recursion depth. nil disables instrumentation; the layout is
+	// byte-identical either way.
 	Obs *obs.Registry
 }
 
@@ -85,7 +85,7 @@ type builder struct {
 // buildMetrics is the optional construction telemetry; zero value = disabled
 // (all methods no-op on nil instruments).
 type buildMetrics struct {
-	tConstruct, tSeal      *obs.Timer
+	tConstruct, tSeal      *obs.Histogram
 	nodes, axisEval        *obs.Counter
 	axisAccepted, terminal *obs.Counter
 	maxDepth               *obs.Gauge
@@ -96,8 +96,8 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 		return buildMetrics{}
 	}
 	return buildMetrics{
-		tConstruct:   reg.Timer(layout.MetricConstructNs),
-		tSeal:        reg.Timer(layout.MetricSealNs),
+		tConstruct:   reg.Histogram(layout.MetricConstructNs, obs.LatencyBuckets()),
+		tSeal:        reg.Histogram(layout.MetricSealNs, obs.LatencyBuckets()),
 		nodes:        reg.Counter(layout.MetricNodes),
 		axisEval:     reg.Counter(layout.MetricAxisEvaluated),
 		axisAccepted: reg.Counter(layout.MetricAxisAccepted),

@@ -24,10 +24,6 @@ type Admission struct {
 	inflight    int
 	queues      map[string][]chan struct{}
 	ring        []string // round-robin order of clients with waiters
-
-	admitted int64
-	rejected int64
-	waited   int64
 }
 
 // NewAdmission returns a controller admitting at most maxInflight concurrent
@@ -89,12 +85,10 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 	a.mu.Lock()
 	if a.inflight < a.maxInflight && len(a.queues) == 0 {
 		a.inflight++
-		a.admitted++
 		a.mu.Unlock()
 		return a.release, nil
 	}
 	if len(a.queues[client]) >= a.maxQueued {
-		a.rejected++
 		a.mu.Unlock()
 		return nil, ErrOverloaded
 	}
@@ -104,14 +98,10 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 	if len(q) == 0 {
 		a.ring = append(a.ring, client)
 	}
-	a.waited++
 	a.mu.Unlock()
 
 	select {
 	case <-ch:
-		a.mu.Lock()
-		a.admitted++
-		a.mu.Unlock()
 		return a.release, nil
 	case <-ctx.Done():
 		a.mu.Lock()
@@ -132,19 +122,4 @@ func (a *Admission) Acquire(ctx context.Context, client string) (release func(),
 		a.release()
 		return nil, ctx.Err()
 	}
-}
-
-// stats returns cumulative admission counts: requests admitted, requests
-// rejected with ErrOverloaded, and requests that waited in a queue.
-func (a *Admission) stats() (admitted, rejected, waited int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted, a.rejected, a.waited
-}
-
-// holders returns the number of currently admitted holders.
-func (a *Admission) holders() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inflight
 }

@@ -9,8 +9,7 @@ type lruEntry[K comparable, V any] struct {
 	prev, next *lruEntry[K, V]
 }
 
-// LRU is a bounded, mutex-guarded least-recently-used cache with hit/miss
-// accounting. The zero value is unusable; construct with NewLRU. It backs
+// LRU is a bounded, mutex-guarded least-recently-used cache. The zero value is unusable; construct with NewLRU. It backs
 // the master's result cache (DESIGN.md §12), which needs a hard bound (a
 // serving tier must not grow with the query universe) and explicit
 // invalidation on layout or placement change.
@@ -20,8 +19,6 @@ type LRU[K comparable, V any] struct {
 	entries  map[K]*lruEntry[K, V]
 	head     *lruEntry[K, V] // most recently used
 	tail     *lruEntry[K, V] // eviction candidate
-	hits     int64
-	misses   int64
 }
 
 // NewLRU returns a cache bounded to capacity entries (capacity < 1 pins the
@@ -69,11 +66,9 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.hits++
 	if c.head != e {
 		c.unlink(e)
 		c.pushFront(e)
@@ -105,7 +100,7 @@ func (c *LRU[K, V]) Put(key K, val V) {
 }
 
 // Invalidate empties the cache (layout or placement changed: every cached
-// result is stale). Hit/miss counters survive.
+// result is stale).
 func (c *LRU[K, V]) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,8 +110,8 @@ func (c *LRU[K, V]) Invalidate() {
 
 // Sweep visits every entry (in no particular order) and lets fn decide its
 // fate: return (v, true) to keep the entry with value v (possibly rewritten
-// in place), or (_, false) to drop it. Recency order and the hit/miss
-// counters are preserved for the survivors. It backs the master's
+// in place), or (_, false) to drop it. Recency order is preserved for the
+// survivors. It backs the master's
 // per-partition cache invalidation at migration cutover: entries touching
 // only renamed partitions are rewritten, entries touching the rebuilt region
 // are dropped, and everything else survives — wholesale Invalidate would
@@ -141,11 +136,4 @@ func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// stats returns the cumulative hit/miss counts.
-func (c *LRU[K, V]) stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

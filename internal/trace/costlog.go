@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"log/slog"
+	"reflect"
+	"strings"
 	"sync"
 )
 
@@ -14,8 +17,10 @@ const CostRecordSchema = "paw/cost-record/v1"
 
 // CostRecord is one measured query execution: the layout and query-shape
 // features on the left-hand side of a cost model and the measured stage
-// costs on the right. One record is emitted per sampled trace (the sampling
-// rate is the volume knob), serialized as one JSON line.
+// costs on the right. A master with a cost log writes one record, as one
+// JSON line, for every query it answers — sampled for tracing or not (an
+// untraced query has TraceID 0); a failed query writes none. Its slow-query
+// line logs the same record.
 type CostRecord struct {
 	Schema  string `json:"schema"`
 	TraceID uint64 `json:"trace_id"`
@@ -31,7 +36,9 @@ type CostRecord struct {
 	// Query shape.
 	Ranges            int `json:"ranges"`
 	PartitionsTouched int `json:"partitions_touched"`
-	Workers           int `json:"workers"`
+	// Workers is the fleet's worker-slot count when the query ran, not the
+	// number of workers the query reached.
+	Workers int `json:"workers"`
 
 	// Measured outcome.
 	Rows         int   `json:"rows"`
@@ -46,6 +53,19 @@ type CostRecord struct {
 	TotalNs   int64 `json:"total_ns"`
 	RouteNs   int64 `json:"route_ns"`
 	ScatterNs int64 `json:"scatter_ns"`
+}
+
+// LogValue renders the record as a group of its fields under their JSON
+// names, schema stamped, so a log line carrying it reads as the cost log's.
+func (r CostRecord) LogValue() slog.Value {
+	r.Schema = CostRecordSchema
+	v := reflect.ValueOf(r)
+	attrs := make([]slog.Attr, v.NumField())
+	for i := range attrs {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		attrs[i] = slog.Any(name, v.Field(i).Interface())
+	}
+	return slog.GroupValue(attrs...)
 }
 
 // CostLog appends schema-versioned JSONL cost records to a writer. The nil

@@ -147,9 +147,6 @@ func seriesKinds(s obs.Snapshot) map[string]string {
 	for k := range s.Gauges {
 		out[k] = "gauge"
 	}
-	for k := range s.Timers {
-		out[k] = "timer"
-	}
 	for k := range s.Histograms {
 		out[k] = "histogram"
 	}
