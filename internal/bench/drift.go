@@ -270,6 +270,15 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		if res.MigratedAtQuery < 0 && m.Epoch() > 0 {
 			res.MigratedAtQuery = i
 		}
+		// A check that falls due waits for the one still running, so the
+		// checks a scenario gets follow from the statement stream alone.
+		if migCh != nil && (i+1)%opt.CheckEvery == 0 {
+			out := <-migCh
+			migCh = nil
+			if err := collect(out); err != nil {
+				return res, err
+			}
+		}
 		if migCh == nil && !checksMuted && (i+1)%opt.CheckEvery == 0 {
 			migCh = make(chan triggerOutcome, 1)
 			launchedAt = i

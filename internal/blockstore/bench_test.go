@@ -3,6 +3,7 @@ package blockstore
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -26,7 +27,8 @@ import (
 // colstore.Builder.BuildAll — splits into encode-ns/row, what encoding the
 // same partitions costs once their rows are in table order
 // (colstore.FromDataset, fanned out the same way), and cluster-ns/row, what
-// putting them in that order adds.
+// putting them in that order adds. cores is the process CPU time over the
+// wall time of the timed Materialize calls.
 func BenchmarkMaterialize(b *testing.B) {
 	const rows = 2_000_000
 	data := dataset.TPCHLike(rows, 1).Project(4).Normalize()
@@ -42,10 +44,12 @@ func BenchmarkMaterialize(b *testing.B) {
 			cfg := Config{GroupRows: 2048}
 			b.ReportAllocs()
 			var route time.Duration
+			cpu := processCPU(b)
 			for i := 0; i < b.N; i++ {
 				route += Materialize(l, data, cfg).RoutingTime
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(processCPU(b)-cpu)/float64(b.Elapsed()), "cores")
 			perRow := func(d time.Duration, n int) float64 { return float64(d.Nanoseconds()) / float64(n) / rows }
 			b.ReportMetric(perRow(b.Elapsed(), b.N), "ns/row")
 			b.ReportMetric(perRow(route, b.N), "route-ns/row")
@@ -63,4 +67,13 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.ReportMetric(perRow(encode, 1), "encode-ns/row")
 		})
 	}
+}
+
+// processCPU is the user and system CPU time the process has used so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

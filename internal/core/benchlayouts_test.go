@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"syscall"
 	"testing"
+	"time"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -111,17 +113,28 @@ func TestBenchmarkLayoutsGolden(t *testing.T) {
 
 // BenchmarkBuild times core.Build on each benchShape at the benchmark's
 // 2 M rows (a 200 000-row sample): the layout-generation half of set-up
-// (make bench-setup).
+// (make bench-setup). cores is the process CPU time over the wall time.
 func BenchmarkBuild(b *testing.B) {
 	for _, sh := range benchShapes {
 		in := sh.inputs(2_000_000)
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
+			cpu := processCPU(b)
 			for i := 0; i < b.N; i++ {
 				buildSink = Build(in.data, in.sample, in.domain, in.hist, in.params)
 			}
+			b.ReportMetric(float64(processCPU(b)-cpu)/float64(b.Elapsed()), "cores")
 		})
 	}
+}
+
+// processCPU is the user and system CPU time the process has used so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 var buildSink *layout.Layout

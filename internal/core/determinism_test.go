@@ -9,6 +9,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/kdtree"
 	"paw/internal/layout"
+	"paw/internal/obs"
 	"paw/internal/qdtree"
 	"paw/internal/workload"
 )
@@ -105,6 +106,39 @@ func TestParallelBuildDeterminism(t *testing.T) {
 			}
 		})
 	}
+
+	// A top node that is a Multi-Group split over parMinRows rows: at
+	// Parallelism 2 its two split families and its group expansions run
+	// concurrently. The layout and every build counter must equal the
+	// serial build's.
+	t.Run("tpch/paw-multi-root", func(t *testing.T) {
+		dom := tpch.Domain()
+		hist := workload.Skewed(dom, workload.GenParams{NumQueries: 24, MaxRangeFrac: 0.25, Centers: 2, SigmaFrac: 0.3, Seed: 3})
+		var enc [2][]byte
+		var snap [2]obs.Snapshot
+		for i, par := range []int{1, 2} {
+			reg := obs.New()
+			l := Build(tpch, allRows(tpch.NumRows()), dom, hist, Params{MinRows: 40, Delta: 0.01 * (dom.Hi[0] - dom.Lo[0]), Parallelism: par, Obs: reg})
+			kids := l.Root.Children
+			if len(kids) < 3 || kids[len(kids)-1].Desc.Kind() != layout.KindIrregular || tpch.NumRows() < parMinRows {
+				t.Fatalf("Parallelism=%d: the top node is not a Multi-Group split over %d rows", par, parMinRows)
+			}
+			var b bytes.Buffer
+			if err := l.Encode(&b); err != nil {
+				t.Fatal(err)
+			}
+			enc[i], snap[i] = b.Bytes(), reg.Snapshot()
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Fatal("encoded layouts differ between Parallelism 1 and 2")
+		}
+		if snap[0].Counter(layout.MetricExpansions) == 0 || snap[0].Counter(layout.MetricMultiAccepted) == 0 {
+			t.Fatalf("no Multi-Group split accepted after a bmin expansion: %v", snap[0].Counters)
+		}
+		if !reflect.DeepEqual(snap[0].Counters, snap[1].Counters) || !reflect.DeepEqual(snap[0].Gauges, snap[1].Gauges) {
+			t.Fatalf("build counters differ: Parallelism 1 %v, 2 %v", snap[0].Counters, snap[1].Counters)
+		}
+	})
 }
 
 // TestParallelismLevelsAgree pins the full sweep 1..8 on one PAW setting so

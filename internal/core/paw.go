@@ -19,14 +19,15 @@
 //     gracefully to k-d tree behaviour on fully unpredictable workloads.
 //
 // Construction is parallel: sibling subtrees of every split fan out over a
-// bounded parbuild.Pool, and the Multi-Group row assignment sweeps row
-// chunks concurrently. The result is deterministic — byte-identical to the
-// serial build — because every per-node decision depends only on that
-// node's rows and queries, children are assembled in declaration order, and
-// chunked sweeps merge in chunk order (see internal/parbuild).
+// bounded parbuild.Pool, and a large node evaluates its two split families,
+// expands its groups and sweeps its rows concurrently. The result is
+// deterministic — byte-identical to the serial build — because every
+// per-node decision depends only on that node's rows and queries, results
+// are assembled by index, and chunked sweeps merge in chunk order.
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"paw/internal/dataset"
@@ -101,9 +102,10 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Wor
 	return l
 }
 
-// parAssignMinRows is the row count below which the Multi-Group row
-// assignment sweep is not worth chunking across workers.
-const parAssignMinRows = 2048
+// parMinRows is the node size in sample rows below which a node's own work —
+// evaluating its two split families, expanding its groups, sweeping its rows
+// into them — is not worth fanning out across workers.
+const parMinRows = 2048
 
 type builder struct {
 	data *dataset.Dataset
@@ -260,22 +262,32 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 		b.m.policyAxisOnly.Inc()
 	}
 
+	// The two split families read the same rows and queries and write
+	// nothing shared, so on a large node they are evaluated concurrently.
+	var rMulti, rAxis *splitResult
+	families := 1
+	if tryMulti {
+		families = 2
+	}
+	b.fan(slot, size, families, func(i, s int) {
+		if i == 1 {
+			sp := b.m.tMulti.Start()
+			rMulti = b.multiGroupSplit(box, rows, queries, s)
+			sp.End()
+			b.m.multiTried.Inc()
+			return
+		}
+		sp := b.m.tAxis.Start()
+		rAxis = b.axisSplit(box, rows, queries, s)
+		sp.End()
+	})
 	curCost := int64(len(queries)) * int64(size)
 	var best *splitResult
 	bestIsMulti := false
-	if tryMulti {
-		sp := b.m.tMulti.Start()
-		r := b.multiGroupSplit(box, rows, queries, slot)
-		sp.End()
-		b.m.multiTried.Inc()
-		if r != nil && r.cost < curCost {
-			best = r
-			bestIsMulti = true
-		}
+	if rMulti != nil && rMulti.cost < curCost {
+		best = rMulti
+		bestIsMulti = true
 	}
-	spAxis := b.m.tAxis.Start()
-	rAxis := b.axisSplit(box, rows, queries, slot)
-	spAxis.End()
 	if rAxis != nil && rAxis.cost < curCost {
 		if best == nil || rAxis.cost < best.cost {
 			best = rAxis
@@ -308,6 +320,18 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 		}
 	})
 	return node
+}
+
+// fan runs task(0..n-1) through the pool on a node of at least parMinRows
+// rows, and in order on the caller's slot below that.
+func (b *builder) fan(slot, rows, n int, task func(i, slot int)) {
+	if rows < parMinRows {
+		for i := 0; i < n; i++ {
+			task(i, slot)
+		}
+		return
+	}
+	b.pool.Fan(slot, n, task)
 }
 
 // piece is one candidate partition produced by a split function.
@@ -343,19 +367,19 @@ func (b *builder) multiGroupSplit(box geom.Box, rows []int, queries []geom.Box, 
 		return nil
 	}
 	// Build one grouped partition per group, expanding to bmin (Fig. 8).
-	sc := b.scratchFor(slot)
-	gpBoxes := make([]geom.Box, 0, len(groups))
-	for _, g := range groups {
-		member := make([]geom.Box, len(g))
-		for i, qi := range g {
+	// Groups expand independently, every one of them, so the expansion
+	// counters read the same at every Parallelism.
+	gpBoxes := make([]geom.Box, len(groups))
+	fits := make([]bool, len(groups))
+	b.fan(slot, len(rows), len(groups), func(gi, s int) {
+		member := make([]geom.Box, len(groups[gi]))
+		for i, qi := range groups[gi] {
 			member[i] = queries[qi]
 		}
-		gp := geom.MBR(member...)
-		gp, ok := b.expandToMin(box, rows, gp, sc)
-		if !ok {
-			return nil
-		}
-		gpBoxes = append(gpBoxes, gp)
+		gpBoxes[gi], fits[gi] = b.expandToMin(box, rows, geom.MBR(member...), b.scratchFor(s))
+	})
+	if slices.Contains(fits, false) {
+		return nil
 	}
 	// Grouped partitions must be mutually disjoint (Alg. 1 line 7). Shared
 	// boundary planes are tolerated — routing resolves record ownership —
@@ -374,7 +398,7 @@ func (b *builder) multiGroupSplit(box geom.Box, rows []int, queries []geom.Box, 
 	// results are independent and chunks merge in order, so the outcome is
 	// identical to the serial sweep.
 	ng := len(gpBoxes)
-	assign := sc.assignBuf(len(rows))
+	assign := b.scratchFor(slot).assignBuf(len(rows))
 	counts := make([]int, ng+1)
 	sweep := func(lo, hi int, counts []int) {
 		for i := lo; i < hi; i++ {
@@ -390,9 +414,9 @@ func (b *builder) multiGroupSplit(box geom.Box, rows []int, queries []geom.Box, 
 			counts[g]++
 		}
 	}
-	if b.pool.Workers() > 1 && len(rows) >= parAssignMinRows {
+	if b.pool.Workers() > 1 && len(rows) >= parMinRows {
 		chunkCounts := make([][]int, b.pool.Workers())
-		nChunks := b.pool.FanChunks(slot, len(rows), parAssignMinRows/2, func(c, lo, hi, s int) {
+		nChunks := b.pool.FanChunks(slot, len(rows), parMinRows/2, func(c, lo, hi, s int) {
 			cc := make([]int, ng+1)
 			sweep(lo, hi, cc)
 			chunkCounts[c] = cc
@@ -444,11 +468,10 @@ func (b *builder) expandToMin(box geom.Box, rows []int, gp geom.Box, sc *buildSc
 	inside := 0
 	for _, r := range rows {
 		if rowIn(b.cols, r, gp) {
-			inside++
+			if inside++; inside >= b.p.MinRows {
+				return gp, true
+			}
 		}
-	}
-	if inside >= b.p.MinRows {
-		return gp, true
 	}
 	if len(rows) < b.p.MinRows {
 		b.m.expandFail.Inc()

@@ -17,9 +17,10 @@ import (
 // points that probe every split of real PAW (with and without the data-aware
 // refinement, so irregular cells too), Qd-tree and k-d layouts — each node's
 // bounds and the floats either side of them on one dimension, the rest of the
-// point a sample row — plus points outside the domain and NaN coordinates,
-// and checks each against LocateLinear, which tests every child by
-// Desc.Contains.
+// point a sample row — plus points outside the domain, NaN and ±Inf
+// coordinates, and checks each against LocateLinear, which tests every child
+// by Desc.Contains. The PAW layouts have Multi-Group nodes, whose irregular
+// remainders bulk routing takes without testing their holes.
 func TestBulkRoutingMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, data := range []*dataset.Dataset{
@@ -37,6 +38,9 @@ func TestBulkRoutingMatchesLinear(t *testing.T) {
 			"kd-tree":    kdtree.Build(data, rows, dom, kdtree.Params{MinRows: 40}),
 		}
 		for name, l := range layouts {
+			if name == "paw" && !hasIrregular(l) {
+				t.Fatalf("%s: no Multi-Group split, so no remainder to route", name)
+			}
 			probes := splitProbes(r, l, data)
 			assign := l.RouteAssign(probes, 2)
 			indexed := make([]int32, probes.NumRows())
@@ -66,6 +70,16 @@ func TestBulkRoutingMatchesLinear(t *testing.T) {
 	}
 }
 
+// hasIrregular reports whether any partition of l is irregular.
+func hasIrregular(l *layout.Layout) bool {
+	for _, p := range l.Parts {
+		if p.Desc.Kind() == layout.KindIrregular {
+			return true
+		}
+	}
+	return false
+}
+
 // splitProbes returns the probe points of TestBulkRoutingMatchesLinear as a
 // dataset with data's columns.
 func splitProbes(r *rand.Rand, l *layout.Layout, data *dataset.Dataset) *dataset.Dataset {
@@ -93,13 +107,17 @@ func splitProbes(r *rand.Rand, l *layout.Layout, data *dataset.Dataset) *dataset
 	for i := 0; i < 200; i++ {
 		p := data.Point(r.Intn(data.NumRows()))
 		d := r.Intn(dims)
-		switch i % 4 {
+		switch i % 6 {
 		case 0:
 			p[d] = math.NaN()
 		case 1:
 			p[d] = dom.Hi[d] + 1
 		case 2:
 			p[d] = dom.Lo[d] - 1
+		case 3:
+			p[d] = math.Inf(1)
+		case 4:
+			p[d] = math.Inf(-1)
 		default:
 			for d := range p {
 				p[d] = math.NaN()

@@ -202,12 +202,13 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 // diffBulkRouting asserts that the bulk routes, which test derived per-split
 // checks, place every point where LocateLinear does: points on every node's
 // bounds and the floats either side of them, points outside the domain, and
-// NaN coordinates, over enough rows that RouteAssign runs in parallel chunks.
+// NaN and ±Inf coordinates, over enough rows that RouteAssign runs in
+// parallel chunks.
 func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 	t.Helper()
 	var xs, ys []float64
 	edges := func(lo, hi float64) []float64 {
-		return []float64{lo, hi, math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)), (lo + hi) / 2}
+		return []float64{lo, hi, math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)), (lo + hi) / 2, math.NaN()}
 	}
 	l.Root.Walk(func(n *Node) {
 		m := n.Desc.MBR()
@@ -217,8 +218,8 @@ func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 			}
 		}
 	})
-	nan := math.NaN()
-	xs, ys = append(xs, nan, nan, 50, -1e9, 1e9), append(ys, nan, 50, nan, 50, 50)
+	nan, inf := math.NaN(), math.Inf(1)
+	xs, ys = append(xs, nan, nan, 50, -1e9, 1e9, inf, -inf, 50, 50, inf), append(ys, nan, 50, nan, 50, 50, 50, 50, inf, -inf, nan)
 	for len(xs) < 5000 {
 		xs, ys = append(xs, r.Float64()*110-5), append(ys, r.Float64()*110-5)
 	}
@@ -359,4 +360,70 @@ func TestBulkRoutingStripChildren(t *testing.T) {
 	diffBulkRouting(t, r, l)
 	mid.Children[1].Desc = NewRect(box2(55, 10, 60, 90))
 	diffBulkRouting(t, r, l)
+}
+
+// TestBulkRoutingRemainder: an irregular remainder whose region is its Rect
+// parent's box minus exactly the boxes of the siblings before it is taken
+// without testing its holes, at the root and below it; bulk routing must
+// still agree with LocateLinear on hole faces, NaN and ±Inf. Once an edit
+// breaks that shape — a hole that is not a sibling's box, a sibling box that
+// is not a hole, an outer box that is not the parent's, an inverted parent —
+// the remainder must be tested by its region again.
+func TestBulkRoutingRemainder(t *testing.T) {
+	leaf := func(d Descriptor) *Node { return &Node{Desc: d, Part: &Partition{Desc: d}} }
+	dom, a, b, h := box2(0, 0, 100, 100), box2(10, 10, 30, 30), box2(50, 40, 90, 60), box2(15, 15, 20, 20)
+	inner := &Node{Desc: NewRect(a), Children: []*Node{leaf(NewRect(h)), leaf(NewIrregular(a, []geom.Box{h}))}}
+	rest := leaf(NewIrregular(dom, []geom.Box{a, b}))
+	root := &Node{Desc: NewRect(dom), Children: []*Node{inner, leaf(NewRect(b)), rest}}
+	l := Seal("remainder", root, 8)
+	r := rand.New(rand.NewSource(5))
+	rests := func() int {
+		n := 0
+		for _, sc := range l.deriveChecks() {
+			if sc.dim == checkRest {
+				n++
+			}
+		}
+		return n
+	}
+	if got := rests(); got != 2 {
+		t.Fatalf("%d remainders derived, want 2 (the root's and the inner node's)", got)
+	}
+	diffBulkRouting(t, r, l)
+
+	for _, e := range []struct {
+		name string
+		edit func() (undo func())
+	}{
+		{"hole not a sibling", func() func() {
+			rest.Desc = NewIrregular(dom, []geom.Box{a, box2(60, 70, 70, 80)})
+			return func() { rest.Desc = NewIrregular(dom, []geom.Box{a, b}) }
+		}},
+		{"sibling not a hole", func() func() {
+			root.Children[1].Desc = NewRect(box2(55, 40, 90, 60))
+			return func() { root.Children[1].Desc = NewRect(b) }
+		}},
+		{"outer not the parent", func() func() {
+			rest.Desc = NewIrregular(box2(0, 0, 100, 90), []geom.Box{a, b})
+			return func() { rest.Desc = NewIrregular(dom, []geom.Box{a, b}) }
+		}},
+		{"inverted parent", func() func() {
+			flip := box2(10, 30, 30, 10)
+			inner.Desc = NewRect(flip)
+			inner.Children[1].Desc = NewIrregular(flip, []geom.Box{h})
+			rest.Desc = NewIrregular(dom, []geom.Box{flip, b})
+			return func() {
+				inner.Desc = NewRect(a)
+				inner.Children[1].Desc = NewIrregular(a, []geom.Box{h})
+				rest.Desc = NewIrregular(dom, []geom.Box{a, b})
+			}
+		}},
+	} {
+		name, undo := e.name, e.edit()
+		if got := rests(); got != 1 {
+			t.Fatalf("%s: %d remainders derived, want 1", name, got)
+		}
+		diffBulkRouting(t, r, l)
+		undo()
+	}
 }

@@ -110,12 +110,20 @@ func (n *Node) routeDown(p geom.Point, rc []splitCheck) *Partition {
 				kids = rc[rc[k].first:]
 			}
 			for j, c := range cur.Children {
-				if j < len(kids) && kids[j].dim >= 0 {
+				switch {
+				case j >= len(kids) || kids[j].dim == checkDesc:
+					if !c.Desc.Contains(p) {
+						continue
+					}
+				case kids[j].dim == checkRest:
+					// Below the root p is known to lie in the parent's box.
+					if k == 0 && !c.Desc.MBR().Contains(p) {
+						continue
+					}
+				default:
 					if v := p[kids[j].dim]; v < kids[j].lo || v > kids[j].hi {
 						continue
 					}
-				} else if !c.Desc.Contains(p) {
-					continue
 				}
 				i = j
 				break
@@ -134,19 +142,24 @@ func (n *Node) routeDown(p geom.Point, rc []splitCheck) *Partition {
 
 // splitCheck is one node's entry in the checks a bulk routing call derives
 // from the live tree (deriveChecks); nodes are numbered from the root (0) so
-// that a node's children are consecutive from first. A Rect node whose box
-// differs from its Rect parent's on one dimension only — either child of an
-// axis split — is tested by lo <= p[dim] <= hi, its own bounds there: a point
-// the walk brought to the parent lies in the parent's box, so that is exactly
-// its Contains, NaN coordinates included. Every other node has dim < 0 and is
-// tested by Desc.Contains: the root's children (the root is never tested),
-// non-Rect nodes, children of non-Rect or indexed parents, and boxes that
-// differ on several dimensions. The checks live for one call, never on the
-// tree, so a descriptor edited after Seal is routed as it now is.
+// that a node's children are consecutive from first. Under a Rect parent
+// without a child index, a Rect child whose box differs from the parent's on
+// one dimension only — either child of an axis split — is tested by
+// lo <= p[dim] <= hi, its own bounds there: a point the walk brought to the
+// parent lies in the parent's box, so that is exactly its Contains, NaN
+// coordinates included (the root is never tested, so its children are not).
+// The remainder of a Multi-Group split (remainderOf) has dim checkRest: it
+// is taken once the siblings before it have rejected the point, without
+// evaluating its region. Every other node has dim checkDesc and is tested
+// by Desc.Contains. The checks live for one call, never on the tree, so a
+// descriptor edited after Seal is routed as it now is.
 type splitCheck struct {
 	first, dim int32
 	lo, hi     float64
 }
+
+// The dims of a splitCheck that tests no one dimension.
+const checkDesc, checkRest = -1, -2
 
 // deriveChecks numbers l's tree and derives every node's splitCheck. It holds
 // no node pointers, so a large tree costs the collector nothing to scan.
@@ -155,17 +168,24 @@ func (l *Layout) deriveChecks() []splitCheck {
 		return nil
 	}
 	rc := make([]splitCheck, 1, 2*len(l.Parts)+1)
-	rc[0].dim = -1
+	rc[0].dim = checkDesc
 	var number func(n *Node, k int)
 	number = func(n *Node, k int) {
 		first := len(rc)
 		rc[k].first = int32(first)
 		parent, rect := n.Desc.(Rect)
-		derive := rect && k > 0 && n.childIndex == nil
-		for _, c := range n.Children {
-			sc := splitCheck{dim: -1}
-			if child, ok := c.Desc.(Rect); derive && ok {
-				sc = oneDimSplit(parent.Box, child.Box)
+		rect = rect && n.childIndex == nil
+		for j, c := range n.Children {
+			sc := splitCheck{dim: checkDesc}
+			switch child := c.Desc.(type) {
+			case Rect:
+				if rect && k > 0 {
+					sc = oneDimSplit(parent.Box, child.Box)
+				}
+			case Irregular:
+				if rect && remainderOf(parent.Box, child, n.Children[:j]) {
+					sc.dim = checkRest
+				}
 			}
 			rc = append(rc, sc)
 		}
@@ -177,17 +197,39 @@ func (l *Layout) deriveChecks() []splitCheck {
 	return rc
 }
 
+// remainderOf reports whether ir's region is exactly parent minus the closed
+// boxes of the siblings before it: its outer box is parent, non-empty, and
+// its holes are those siblings' Rect boxes, in order. A point that reached
+// parent and that every one of them rejected then lies in the region, NaN
+// coordinates included.
+func remainderOf(parent geom.Box, ir Irregular, before []*Node) bool {
+	if len(ir.Holes) != len(before) || !sameBox(ir.Outer, parent) || parent.IsEmpty() {
+		return false
+	}
+	for i, s := range before {
+		if r, ok := s.Desc.(Rect); !ok || !sameBox(r.Box, ir.Holes[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBox is a.Equal(b) for well-formed boxes, and false otherwise.
+func sameBox(a, b geom.Box) bool {
+	return len(a.Lo) == len(a.Hi) && len(b.Lo) == len(b.Hi) && a.Equal(b)
+}
+
 // oneDimSplit is the check of child under parent when their boxes differ on
 // exactly one dimension, and dim -1 otherwise.
 func oneDimSplit(parent, child geom.Box) splitCheck {
-	sc := splitCheck{dim: -1}
+	sc := splitCheck{dim: checkDesc}
 	if len(child.Lo) != len(parent.Lo) || len(child.Hi) != len(parent.Hi) || len(child.Lo) != len(child.Hi) {
 		return sc
 	}
 	for d, lo := range child.Lo {
 		if hi := child.Hi[d]; lo != parent.Lo[d] || hi != parent.Hi[d] {
 			if sc.dim >= 0 {
-				return splitCheck{dim: -1}
+				return splitCheck{dim: checkDesc}
 			}
 			sc = splitCheck{dim: int32(d), lo: lo, hi: hi}
 		}

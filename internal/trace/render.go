@@ -18,7 +18,7 @@ func WriteTree(w io.Writer, traceID uint64, spans []Span) {
 		fmt.Fprintln(w, "(no spans)")
 		return
 	}
-	fmt.Fprintf(w, "trace %016x (%d spans)\n", traceID, len(spans))
+	fmt.Fprintf(w, "trace 0x%016x (%d spans)\n", traceID, len(spans))
 	byID := make(map[uint32]bool, len(spans))
 	for _, sp := range spans {
 		byID[sp.ID] = true

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -350,7 +351,7 @@ func TestWriteTree(t *testing.T) {
 	WriteTree(&buf, 0xabc, spans)
 	out := buf.String()
 	want := []string{
-		"trace 0000000000000abc (4 spans)",
+		"trace 0x0000000000000abc (4 spans)",
 		"query  2ms",
 		"  scatter  1ms",
 		"    rpc  0s  [worker=1]",
@@ -366,6 +367,42 @@ func TestWriteTree(t *testing.T) {
 	WriteTree(&buf, 1, nil)
 	if !strings.Contains(buf.String(), "no spans") {
 		t.Fatalf("empty render: %q", buf.String())
+	}
+}
+
+// TestWriteTreeIDFindsTheTrace: the ID on WriteTree's first line, passed to
+// /traces?id= as printed, serves that trace — for an ID whose hex digits are
+// all decimal digits too, which must not be read as a decimal number.
+func TestWriteTreeIDFindsTheTrace(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	h := Handler(tr)
+	for _, want := range []uint64{0x1234567890123456, 0xabc} {
+		tq := tr.Sample(true)
+		tq.id = want
+		tq.Start("query", SpanRef{}).End()
+		tr.Finish(tq)
+		f, ok := tr.Get(want)
+		if !ok {
+			t.Fatalf("trace %#x not retained", want)
+		}
+		var buf bytes.Buffer
+		WriteTree(&buf, f.ID, f.Spans)
+		var id string
+		if _, err := fmt.Sscanf(buf.String(), "trace %s", &id); err != nil {
+			t.Fatalf("first line %q: %v", buf.String(), err)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/traces?id="+id, nil))
+		if rr.Code != 200 {
+			t.Fatalf("/traces?id=%s: status %d: %s", id, rr.Code, rr.Body)
+		}
+		var got Finished
+		if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want || len(got.Spans) != len(f.Spans) {
+			t.Fatalf("/traces?id=%s served trace %#x with %d spans, want %#x with %d", id, got.ID, len(got.Spans), want, len(f.Spans))
+		}
 	}
 }
 
