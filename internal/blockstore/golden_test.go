@@ -1,0 +1,74 @@
+package blockstore
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"paw/internal/core"
+	"paw/internal/dataset"
+	"paw/internal/workload"
+)
+
+// TestBenchmarkStoresGolden materialises the PAW layout of each end-to-end
+// benchmark shape (core's benchShapes: the same generators, seeds, 10 %
+// sample, δ of 1 % and bmin = sample/600) at a tenth of the benchmark's rows,
+// in 32-row groups (the tiling recurses several levels and large partitions
+// fan out) and in 512-row ones (wider tiles, more of a tile's word bits for
+// slots), and pins the SHA-256 of every partition's PAWC payload — as one
+// digest of the per-partition digests, in partition order — to literals
+// recorded before the builder's selection, tile sort and run-key census were
+// rewritten. Layout digests (core.TestBenchmarkLayoutsGolden) do not see a
+// partition's row order; these do.
+func TestBenchmarkStoresGolden(t *testing.T) {
+	const rows = 200_000
+	for _, c := range []struct {
+		name        string
+		tpch        bool
+		histQueries int
+		gamma       float64
+		parts       int
+		digests     [2]string // at 32 and 512 rows a group
+	}{
+		{"tpch-selective", true, 200, 0.3, 59, [2]string{"e95761e6bc72880a", "2dd36006963116af"}},
+		{"tpch-wide-scan", true, 100, 0.9, 317, [2]string{"c191e01060891aef", "67111a5e2f80ddc1"}},
+		{"osm-hot-repeat", false, 64, 0.1, 22, [2]string{"a5195c9664276fcf", "001c79520eca6db2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const identitySeed = 20220501
+			subSeed := func(seed, k int64) int64 { return seed*7919 + k }
+			var data *dataset.Dataset
+			if c.tpch {
+				data = dataset.TPCHLike(rows, subSeed(identitySeed, 0)).Project(4).Normalize()
+			} else {
+				data = dataset.OSMLike(rows, 12, subSeed(identitySeed, 0)).Normalize()
+			}
+			dom, sample := data.Domain(), data.Sample(rows/10, subSeed(identitySeed, 1))
+			hist := workload.Skewed(dom, workload.GenParams{
+				NumQueries: c.histQueries, MaxRangeFrac: c.gamma, Centers: 10, SigmaFrac: 0.10,
+				Seed: subSeed(identitySeed, 2),
+			})
+			l := core.Build(data, sample, dom, hist, core.Params{MinRows: len(sample) / 600, Delta: 0.01 * (dom.Hi[0] - dom.Lo[0])})
+			if len(l.Parts) != c.parts {
+				t.Fatalf("%d partitions, want %d", len(l.Parts), c.parts)
+			}
+			for i, groupRows := range []int{32, 512} {
+				s := Materialize(l, data, Config{GroupRows: groupRows})
+				all := sha256.New()
+				var buf bytes.Buffer
+				for _, p := range l.Parts {
+					buf.Reset()
+					if err := s.parts[p.ID].Table.Encode(&buf); err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(buf.Bytes())
+					all.Write(sum[:])
+				}
+				if got := hex.EncodeToString(all.Sum(nil))[:16]; got != c.digests[i] {
+					t.Errorf("%d-row groups: payload digest %s, want %s", groupRows, got, c.digests[i])
+				}
+			}
+		})
+	}
+}

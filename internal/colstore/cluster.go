@@ -95,8 +95,8 @@ func (b *Builder) BuildAll(parts [][]int, done func(i int, t *Table)) {
 const runKeyCap = 256
 
 // clusterScratch is the working set of one pool slot, reused by every build
-// that slot runs within a BuildAll. All of it but enc belongs to the partition
-// the slot is building.
+// that slot runs within a BuildAll. All of it but enc and radix belongs to the
+// partition the slot is building.
 type clusterScratch struct {
 	src []int // the partition's source rows, ascending
 	// recs holds one record of stride words per row: its position in src,
@@ -116,17 +116,19 @@ type clusterScratch struct {
 	// how many high bits of an order word the run-key ranks take.
 	tails    []int
 	rankBits int
-	// enc encodes the tiles this slot is handed — its own partition's, or
-	// those of a large partition another slot is building.
-	enc groupEncoder
+	// enc encodes, and radix backs the word sort of, the tiles this slot is
+	// handed — its own partition's, or those of a large partition another
+	// slot is building.
+	enc   groupEncoder
+	radix []uint64
 }
 
 // columnCensus is the distinct-value census of one column of a partition,
 // abandoned once it passes runKeyCap.
 type columnCensus struct {
 	dim   int      // the column
-	vals  []uint64 // distinct keys, ascending
-	first []uint8  // first[i]: how many distinct keys had been seen before vals[i]
+	vals  []uint64 // distinct keys, in the order first seen
+	first []uint8  // first[r]: the first-seen number of the r-th smallest key
 	codes []uint8  // per record: the first-seen number of its key
 }
 
@@ -167,12 +169,12 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 	// rows out, encode its row group.
 	t.groups = make([]rowGroup, (n+b.groupRows-1)/b.groupRows)
 	b.pool.FanChunks(slot, len(t.groups), parallelMinGroups, func(_, glo, ghi, slot int) {
-		enc := &scratch[slot].enc
+		enc, radix := &scratch[slot].enc, &scratch[slot].radix
 		for g := glo; g < ghi; g++ {
 			lo := g * b.groupRows
 			tile := sc.order[lo:min(lo+b.groupRows, n)]
 			recs := sc.recs[lo*stride : (lo+len(tile))*stride]
-			b.sortTile(sc, tile, recs, stride, slotBits)
+			b.sortTile(sc, tile, recs, stride, slotBits, radix)
 			for i, k := range tile {
 				rows[lo+i] = sc.src[recs[int(k&slotMask)*stride]]
 			}
@@ -193,8 +195,10 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 // as fit above the record number, so one sort of plain words does nearly all
 // of it: rows whose words agree above the record number (equal values, or keys
 // that differ only in the bits cut off) are then put right by comparing their
-// records. Without a tail the words already hold (ranks, position).
-func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slotBits int) {
+// records. Without a tail the words already hold (ranks, position). Either
+// way the record numbers ascend, so a radix sort above them is a full sort;
+// buf is its scratch.
+func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slotBits int, buf *[]uint64) {
 	tail, widest := -1, 0.0
 	for _, d := range sc.tails {
 		// Extent as the group statistics will see it: NaNs aside.
@@ -213,14 +217,14 @@ func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slot
 		}
 	}
 	if tail < 0 {
-		slices.Sort(tile)
+		radixSortAbove(tile, slotBits, buf)
 		return
 	}
 	rankShift := uint(64 - sc.rankBits)
 	for i, k := range tile {
 		tile[i] = k>>rankShift<<rankShift | recs[i*stride+1+tail]>>uint(sc.rankBits+slotBits)<<uint(slotBits) | uint64(i)
 	}
-	slices.Sort(tile)
+	radixSortAbove(tile, slotBits, buf)
 	slotMask := uint64(1)<<slotBits - 1
 	byRecord := func(x, y uint64) int {
 		rx, ry := recs[int(x&slotMask)*stride:], recs[int(y&slotMask)*stride:]
@@ -237,6 +241,54 @@ func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slot
 			slices.SortFunc(tile[i:j], byRecord)
 		}
 		i = j
+	}
+}
+
+// radixSortAbove sorts words whose low skip bits already ascend (they are
+// distinct and in that order): a stable LSD radix sort, one byte a pass, over
+// only the bits above skip that differ between the words. Stability makes the
+// low bits the last tie-break, so the result is the plain ascending sort. buf
+// is scratch of any length.
+func radixSortAbove(words []uint64, skip int, buf *[]uint64) {
+	or, and := uint64(0), ^uint64(0)
+	for _, w := range words {
+		or |= w
+		and &= w
+	}
+	vary := (or ^ and) >> uint(skip) << uint(skip)
+	if vary == 0 {
+		return
+	}
+	lo, hi := bits.TrailingZeros64(vary), 64-bits.LeadingZeros64(vary)
+	passes := (hi - lo + 7) / 8
+	// Every pass's histogram from one read of the words.
+	var counts [8][256]uint32
+	for _, w := range words {
+		w >>= uint(lo)
+		for p := range passes {
+			counts[p][byte(w>>uint(8*p))]++
+		}
+	}
+	*buf = slices.Grow((*buf)[:0], len(words))[:len(words)]
+	src, dst := words, *buf
+	for p := range passes {
+		shift := uint(lo + 8*p)
+		if byte(vary>>shift) == 0 {
+			continue // no word differs in this byte
+		}
+		at, next := &counts[p], uint32(0)
+		for d, c := range at {
+			at[d], next = next, next+c
+		}
+		for _, w := range src {
+			d := byte(w >> shift)
+			dst[at[d]] = w
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &words[0] {
+		copy(words, src)
 	}
 }
 
@@ -313,13 +365,9 @@ func (b *Builder) tile(recs []uint64, stride, slot int) {
 // are the k smallest under (record[keyWord], record[0]) order, in O(len(recs))
 // expected time. record[0] is unique, so the order is total.
 func selectSmallest(recs []uint64, stride, keyWord, k int) {
-	before := func(i int, key, pos uint64) bool { // record i sorts before (key, pos)
-		rk := recs[i*stride+keyWord]
-		return rk < key || rk == key && recs[i*stride] < pos
-	}
-	after := func(i int, key, pos uint64) bool {
-		rk := recs[i*stride+keyWord]
-		return rk > key || rk == key && recs[i*stride] > pos
+	before := func(i, j int) bool { // record i sorts before record j
+		ki, kj := recs[i*stride+keyWord], recs[j*stride+keyWord]
+		return ki < kj || ki == kj && recs[i*stride] < recs[j*stride]
 	}
 	// Invariant: records [0,lo) sort before [lo,n), [0,hi) before [hi,n),
 	// and lo <= k <= hi.
@@ -338,41 +386,89 @@ func selectSmallest(recs []uint64, stride, keyWord, k int) {
 			pick[t] = lo + int(rnd%uint64(hi-lo))
 		}
 		a, m, z := pick[0], pick[1], pick[2]
-		if before(m, recs[a*stride+keyWord], recs[a*stride]) {
+		if before(m, a) {
 			a, m = m, a
 		}
-		if before(z, recs[m*stride+keyWord], recs[m*stride]) {
+		if before(z, m) {
 			m = z
-			if before(m, recs[a*stride+keyWord], recs[a*stride]) {
+			if before(m, a) {
 				m = a
 			}
 		}
-		pk, pp := recs[m*stride+keyWord], recs[m*stride]
-		// Hoare partition around the pivot: it is a record of the range, so
-		// it stops both inner scans before they leave it.
-		i, j := lo, hi-1
-		for i <= j {
-			for before(i, pk, pp) {
-				i++
-			}
-			for after(j, pk, pp) {
-				j--
-			}
-			if i <= j {
-				swapRecords(recs, stride, i, j)
-				i++
-				j--
-			}
-		}
-		if k <= j+1 {
-			hi = j + 1
+		swapRecords(recs, stride, lo, m)
+		m = lo + partitionAround(recs[lo*stride:hi*stride], stride, keyWord)
+		if k <= m {
+			hi = m
 		} else {
-			lo = i
+			lo = m + 1
 		}
 	}
 	if lo < k && k < hi {
 		sortRecords(recs[lo*stride:hi*stride], stride, keyWord)
 	}
+}
+
+// blockLen is how many records one step of partitionAround classifies before
+// it moves any; an offset within a block fits a uint8.
+const blockLen = 64
+
+// partitionAround partitions the stride-word records of seg around its first
+// record, the pivot, and returns where the pivot ends: the records before it
+// sort before it, those after it after. It is a block partition (BlockQuicksort,
+// Edelkamp & Weiß 2016): a block of blockLen records at each end is classified
+// without a branch into the offsets of its misplaced records, and those are
+// then swapped in pairs, so no branch of the block loop depends on how a
+// record compares.
+func partitionAround(seg []uint64, stride, keyWord int) int {
+	pk, pp := seg[keyWord], seg[0]
+	below := func(i int) int { // 1 when record i sorts before the pivot
+		_, borrow := bits.Sub64(seg[i*stride], pp, 0)
+		_, borrow = bits.Sub64(seg[i*stride+keyWord], pk, borrow)
+		return int(borrow)
+	}
+	// Records [1,l) sort before the pivot, [r,n) after; the unsettled
+	// offsets of the blocks at l and at r-blockLen are offL[startL:startL+numL]
+	// and offR[startR:startR+numR], counted from l up and from r-1 down.
+	l, r := 1, len(seg)/stride
+	var offL, offR [blockLen]uint8
+	startL, numL, startR, numR := 0, 0, 0, 0
+	for r-l > 2*blockLen {
+		if numL == 0 {
+			startL = 0
+			for i := range blockLen {
+				offL[numL] = uint8(i)
+				numL += 1 - below(l+i)
+			}
+		}
+		if numR == 0 {
+			startR = 0
+			for i := range blockLen {
+				offR[numR] = uint8(i)
+				numR += below(r - 1 - i)
+			}
+		}
+		num := min(numL, numR)
+		for j := range num {
+			swapRecords(seg, stride, l+int(offL[startL+j]), r-1-int(offR[startR+j]))
+		}
+		startL, numL, startR, numR = startL+num, numL-num, startR+num, numR-num
+		if numL == 0 {
+			l += blockLen
+		}
+		if numR == 0 {
+			r -= blockLen
+		}
+	}
+	// At most two blocks are left, one perhaps half settled: a Lomuto pass
+	// over them finishes.
+	for i := l; i < r; i++ {
+		if below(i) == 1 {
+			swapRecords(seg, stride, i, l)
+			l++
+		}
+	}
+	swapRecords(seg, stride, 0, l-1)
+	return l - 1
 }
 
 func swapRecords(recs []uint64, stride, i, j int) {
@@ -459,32 +555,44 @@ func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 	return slotBits
 }
 
+// censusBits sizes take's open-addressing table at 512 slots, twice the
+// runKeyCap+1 keys it ever holds, so that probes stay short.
+const censusBits = 9
+
+// censusSlot is the home slot of key k in take's table (Fibonacci hashing:
+// the top bits of the product depend on every bit of k).
+func censusSlot(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> (64 - censusBits) }
+
 // take counts the distinct values of one column (word keyWord of every
 // record) and records each record's value by first-seen number. It stops at
 // the first value past runKeyCap, leaving len(c.vals) == runKeyCap+1.
 func (c *columnCensus) take(recs []uint64, stride, keyWord int) {
-	c.vals, c.first = c.vals[:0], c.first[:0]
+	c.vals = c.vals[:0]
 	n := len(recs) / stride
 	c.codes = slices.Grow(c.codes[:0], n)[:n]
+	var keys [1 << censusBits]uint64
+	var codes [1 << censusBits]uint16 // first-seen number + 1; 0 is a free slot
+	last, code := ^recs[keyWord], uint8(0)
 	for i := range c.codes {
-		k := recs[i*stride+keyWord]
-		// Binary search for the first value >= k.
-		lo, hi := 0, len(c.vals)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); c.vals[mid] < k {
-				lo = mid + 1
-			} else {
-				hi = mid
+		// A record repeating the one before it skips the lookup.
+		if k := recs[i*stride+keyWord]; k != last {
+			h := censusSlot(k)
+			for codes[h] != 0 && keys[h] != k {
+				h = (h + 1) & (1<<censusBits - 1)
 			}
-		}
-		if lo == len(c.vals) || c.vals[lo] != k {
-			if len(c.vals) == runKeyCap {
-				c.vals = append(c.vals, k)
-				return
+			if codes[h] == 0 {
+				if c.vals = append(c.vals, k); len(c.vals) > runKeyCap {
+					return
+				}
+				keys[h], codes[h] = k, uint16(len(c.vals))
 			}
-			c.first = slices.Insert(c.first, lo, uint8(len(c.vals)))
-			c.vals = slices.Insert(c.vals, lo, k)
+			last, code = k, uint8(codes[h]-1)
 		}
-		c.codes[i] = c.first[lo]
+		c.codes[i] = code
 	}
+	c.first = slices.Grow(c.first[:0], len(c.vals))[:len(c.vals)]
+	for f := range c.first {
+		c.first[f] = uint8(f)
+	}
+	slices.SortFunc(c.first, func(a, b uint8) int { return cmp.Compare(c.vals[a], c.vals[b]) })
 }

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -434,54 +435,236 @@ func TestBuildDegeneratePartitions(t *testing.T) {
 	}
 }
 
-// TestSelectSmallest checks the record selection against a full sort:
-// duplicate-heavy keys, sorted, reversed and rising-then-falling arrivals,
-// every boundary position, records of several widths.
+// TestSelectSmallest checks the record selection against a full sort —
+// afterwards the first k records are exactly the k smallest, and every record
+// is intact — on duplicate-heavy keys, sorted, reversed and rising-then-falling
+// arrivals, every boundary position and records of several widths. Small
+// trials stay inside the last two blocks of the block partition; the large
+// ones (~70 000 records, as a benchmark partition reaches) run its block loop
+// at every level, on random keys, on the three arrival patterns, and on
+// constant and two-valued keys, where positions order the records — arriving
+// in order or shuffled.
 func TestSelectSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(600)
-		stride := 2 + rng.Intn(4)
-		keyWord := 1 + rng.Intn(stride-1)
-		card := 1 + rng.Intn(n)
+	trial := func(name string, n, stride, keyWord, k int, key func(i int) uint64, shuffle bool) {
+		t.Helper()
 		recs := make([]uint64, n*stride)
 		for i := 0; i < n; i++ {
 			recs[i*stride] = uint64(i)
 			for w := 1; w < stride; w++ {
-				recs[i*stride+w] = uint64(rng.Intn(card))
+				recs[i*stride+w] = rng.Uint64()
 			}
-			switch trial % 4 {
-			case 1: // ascending
-				recs[i*stride+keyWord] = uint64(i)
-			case 2: // descending
-				recs[i*stride+keyWord] = uint64(n - i)
-			case 3: // rising, then falling
-				recs[i*stride+keyWord] = uint64(min(i, n-i))
-			}
+			recs[i*stride+keyWord] = key(i)
+		}
+		for i := n - 1; shuffle && i > 0; i-- {
+			j := rng.Intn(i + 1)
+			recs[i*stride], recs[j*stride] = recs[j*stride], recs[i*stride]
 		}
 		want := slices.Clone(recs)
 		sortRecords(want, stride, keyWord)
 		for i := 1; i < n; i++ {
 			a, b := want[(i-1)*stride:i*stride], want[i*stride:(i+1)*stride]
 			if a[keyWord] > b[keyWord] || a[keyWord] == b[keyWord] && a[0] >= b[0] {
-				t.Fatalf("trial %d: sortRecords left records %d, %d out of order", trial, i-1, i)
+				t.Fatalf("%s: sortRecords left records %d, %d out of order", name, i-1, i)
 			}
 		}
-		k := rng.Intn(n + 1)
 		selectSmallest(recs, stride, keyWord, k)
-		// The two sides hold the right records, whole, in some order.
+		// The two sides hold the right records, whole, in some order: in
+		// position order they are the sorted sides.
 		for _, side := range [][2]int{{0, k}, {k, n}} {
-			got, ref := map[uint64][]uint64{}, map[uint64][]uint64{}
-			for i := side[0]; i < side[1]; i++ {
-				got[recs[i*stride]] = recs[i*stride : (i+1)*stride]
-				ref[want[i*stride]] = want[i*stride : (i+1)*stride]
+			got, ref := recs[side[0]*stride:side[1]*stride], want[side[0]*stride:side[1]*stride]
+			sortRecords(got, stride, 0)
+			sortRecords(ref, stride, 0)
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%s: n=%d k=%d: a record is on the wrong side, torn or duplicated", name, n, k)
 			}
-			if len(got) != side[1]-side[0] {
-				t.Fatalf("trial %d: duplicate records after selection", trial)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		n := 1 + rng.Intn(600)
+		stride := 2 + rng.Intn(4)
+		card := 1 + rng.Intn(n)
+		key := func(int) uint64 { return uint64(rng.Intn(card)) }
+		switch i % 4 {
+		case 1: // ascending
+			key = func(j int) uint64 { return uint64(j) }
+		case 2: // descending
+			key = func(j int) uint64 { return uint64(n - j) }
+		case 3: // rising, then falling
+			key = func(j int) uint64 { return uint64(min(j, n-j)) }
+		}
+		trial(fmt.Sprintf("small trial %d", i), n, stride, 1+rng.Intn(stride-1), rng.Intn(n+1), key, i%8 == 0)
+	}
+	const n = 70_001
+	for _, c := range []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"random", func(int) uint64 { return rng.Uint64() }},
+		{"ascending", func(i int) uint64 { return uint64(i) }},
+		{"descending", func(i int) uint64 { return uint64(n - i) }},
+		{"rising-falling", func(i int) uint64 { return uint64(min(i, n-i)) }},
+		{"constant", func(int) uint64 { return 7 }},
+		{"two-valued", func(int) uint64 { return uint64(rng.Intn(2)) }},
+	} {
+		for _, stride := range []int{3, 5} {
+			k := (n / 2048 / 2) * 2048
+			if c.name == "two-valued" {
+				k = n/2 + rng.Intn(n/4) // inside one key's records
 			}
-			for pos, r := range ref {
-				if !slices.Equal(got[pos], r) {
-					t.Fatalf("trial %d: n=%d k=%d: record %d on the wrong side or torn: %v vs %v", trial, n, k, pos, got[pos], r)
+			shuffle := stride == 5
+			trial(fmt.Sprintf("%s n=%d stride=%d shuffled %v", c.name, n, stride, shuffle), n, stride, 1+rng.Intn(stride-1), k, c.key, shuffle)
+		}
+	}
+}
+
+// TestRadixSortAboveMatchesSort: the tile sort's radix sort equals
+// slices.Sort on words whose low bits ascend with the index — all words equal
+// above them, a few distinct values, single varying bytes and bits, and
+// random words — at tile sizes up to past a row group's, on one reused buffer.
+func TestRadixSortAboveMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	var buf []uint64
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(2100)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(8)
+		}
+		skip := bits.Len(uint(n - 1))
+		base := rng.Uint64()
+		high := func() uint64 { return rng.Uint64() }
+		switch trial % 5 {
+		case 1: // equal above the index
+			high = func() uint64 { return base }
+		case 2: // a few distinct values
+			vals := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+			high = func() uint64 { return vals[rng.Intn(len(vals))] }
+		case 3: // one byte varies
+			sh := uint(8 * rng.Intn(8))
+			high = func() uint64 { return base&^(0xff<<sh) | uint64(rng.Intn(256))<<sh }
+		case 4: // one bit varies, perhaps the lowest above the index
+			bit := uint(skip + rng.Intn(64-skip))
+			if rng.Intn(2) == 0 {
+				bit = uint(skip)
+			}
+			high = func() uint64 { return base&^(1<<bit) | uint64(rng.Intn(2))<<bit }
+		}
+		words := make([]uint64, n)
+		for i := range words {
+			words[i] = high()>>uint(skip)<<uint(skip) | uint64(i)
+		}
+		want := slices.Clone(words)
+		slices.Sort(want)
+		radixSortAbove(words, skip, &buf)
+		if !slices.Equal(words, want) {
+			t.Fatalf("trial %d (n=%d, skip=%d): radix order differs from slices.Sort", trial, n, skip)
+		}
+	}
+}
+
+// takeBySearch is the census as it was before the hash table: a binary search
+// of the ascending distinct keys per record and an insertion per new key.
+// TestCensusMatchesSearch holds take to it.
+func takeBySearch(c *columnCensus, recs []uint64, stride, keyWord int) {
+	c.vals, c.first = c.vals[:0], c.first[:0]
+	n := len(recs) / stride
+	c.codes = make([]uint8, n)
+	for i := range c.codes {
+		k := recs[i*stride+keyWord]
+		lo, _ := slices.BinarySearch(c.vals, k)
+		if lo == len(c.vals) || c.vals[lo] != k {
+			if len(c.vals) == runKeyCap {
+				c.vals = append(c.vals, k)
+				return
+			}
+			c.first = slices.Insert(c.first, lo, uint8(len(c.vals)))
+			c.vals = slices.Insert(c.vals, lo, k)
+		}
+		c.codes[i] = c.first[lo]
+	}
+}
+
+// TestCensusMatchesSearch: the hashed census gives the binary-search census's
+// result — how many distinct keys, the first-seen number of every record's
+// key, and the first-seen number of each key in key order — at 255, 256 and
+// 257 distinct keys (257 abandons), on keys that all hash to one slot or to
+// the table's last slots (probes wrap), on ±0 and NaNs, and on long runs of
+// one key (the last-key shortcut).
+func TestCensusMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	// Keys whose home slot is the same, and keys whose home slots are the
+	// last two, found by search.
+	var oneSlot, lastSlots []uint64
+	for i := 0; len(oneSlot) < 300 || len(lastSlots) < 300; i++ {
+		k := orderKey(float64(i))
+		switch censusSlot(k) {
+		case censusSlot(orderKey(0)):
+			oneSlot = append(oneSlot, k)
+		case 1<<censusBits - 1, 1<<censusBits - 2:
+			lastSlots = append(lastSlots, k)
+		}
+	}
+	specials := []uint64{orderKey(0), orderKey(math.Copysign(0, -1)), orderKey(math.NaN()),
+		orderKey(-math.NaN()), orderKey(math.Inf(1)), orderKey(math.Inf(-1)), 0, ^uint64(0)}
+	pools := map[string]func(distinct int) []uint64{
+		"random": func(distinct int) []uint64 {
+			keys := make([]uint64, distinct)
+			for i := range keys {
+				keys[i] = orderKey(rng.NormFloat64())
+			}
+			return keys
+		},
+		"one-slot":   func(distinct int) []uint64 { return oneSlot[:distinct] },
+		"last-slots": func(distinct int) []uint64 { return lastSlots[:distinct] },
+		"specials": func(distinct int) []uint64 {
+			return append(slices.Clone(specials), oneSlot[:distinct-len(specials)]...)
+		},
+	}
+	for name, pool := range pools {
+		for _, distinct := range []int{1, 2, 9, 255, 256, 257, 300} {
+			if name == "specials" && distinct < len(specials) {
+				continue
+			}
+			keys := pool(distinct)
+			for _, stride := range []int{3, 5} {
+				for _, runs := range []bool{false, true} {
+					n := distinct + rng.Intn(4000)
+					recs := make([]uint64, n*stride)
+					for i := 0; i < n; i++ {
+						k := keys[rng.Intn(distinct)]
+						switch {
+						case i < distinct:
+							k = keys[i] // every key occurs
+						case runs:
+							k = keys[(i/500)%distinct] // runs of 500
+						}
+						recs[i*stride] = uint64(i)
+						recs[i*stride+1] = rng.Uint64()
+						recs[i*stride+2] = k
+					}
+					if !runs {
+						for i := n - 1; i > 0; i-- {
+							j := rng.Intn(i + 1)
+							recs[i*stride+2], recs[j*stride+2] = recs[j*stride+2], recs[i*stride+2]
+						}
+					}
+					var got, want columnCensus
+					got.take(recs, stride, 2)
+					takeBySearch(&want, recs, stride, 2)
+					what := fmt.Sprintf("%s, %d distinct, stride %d, runs %v", name, distinct, stride, runs)
+					if len(got.vals) != len(want.vals) {
+						t.Fatalf("%s: %d distinct keys counted, want %d", what, len(got.vals), len(want.vals))
+					}
+					if len(want.vals) > runKeyCap {
+						continue // abandoned: only the count is read
+					}
+					if !slices.Equal(got.codes, want.codes) || !slices.Equal(got.first, want.first) {
+						t.Fatalf("%s: codes or key order differ from the binary-search census", what)
+					}
+					vals := slices.Clone(got.vals)
+					if slices.Sort(vals); !slices.Equal(vals, want.vals) {
+						t.Fatalf("%s: distinct keys differ", what)
+					}
 				}
 			}
 		}

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -164,7 +165,8 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 type buildScratch struct {
 	// qd backs qdtree cut evaluation (sorted values, bounds, dedup set).
 	qd *qdtree.Scratch
-	// fs is the float buffer of median and expansion-rank selection.
+	// fs is the float buffer of median selection and of expandToMin's rank
+	// heap.
 	fs []float64
 	// assign is the per-row group-index buffer of multiGroupSplit.
 	assign []int32
@@ -492,14 +494,10 @@ func (b *builder) expandToMin(box geom.Box, rows []int, gp geom.Box, sc *buildSc
 			rad[d] = 1e-9 * ext
 		}
 	}
-	fs := sc.floats(len(rows))
-	for i, r := range rows {
+	rank := func(r int) float64 {
 		f := 0.0
 		for d := range c {
-			num := b.cols[d][r] - c[d]
-			if num < 0 {
-				num = -num
-			}
+			num := math.Abs(b.cols[d][r] - c[d])
 			if rad[d] > 0 {
 				if q := num / rad[d]; q > f {
 					f = q
@@ -508,9 +506,35 @@ func (b *builder) expandToMin(box geom.Box, rows []int, gp geom.Box, sc *buildSc
 				f = 1e308
 			}
 		}
-		fs[i] = f
+		return f
 	}
-	factor := kdtree.Select(fs, b.p.MinRows-1)
+	// A max-heap keeps the MinRows smallest ranks seen, the first MinRows
+	// rows' to begin with. With its top at T, a row with |x_d - c_d| > T·r_d
+	// on some dimension of positive radius ranks at least T and cannot change
+	// the top: it is skipped without dividing. lim is T with a margin that
+	// covers the rounding of both sides.
+	heap := sc.floats(b.p.MinRows)
+	for i, r := range rows[:len(heap)] {
+		heap[i] = rank(r)
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	lim := heap[0] * (1 + 1e-12)
+next:
+	for _, r := range rows[len(heap):] {
+		for d, rd := range rad {
+			if rd > 0 && math.Abs(b.cols[d][r]-c[d]) > lim*rd {
+				continue next
+			}
+		}
+		if f := rank(r); f < heap[0] {
+			heap[0] = f
+			siftDown(heap, 0)
+			lim = heap[0] * (1 + 1e-12)
+		}
+	}
+	factor := heap[0]
 	if factor < 1 {
 		factor = 1
 	}
@@ -524,6 +548,20 @@ func (b *builder) expandToMin(box geom.Box, rows []int, gp geom.Box, sc *buildSc
 		grown.Hi[d] = c[d] + factor*rad[d]
 	}
 	return grown.Clip(box), true
+}
+
+// siftDown moves h[i] down until the subtree at i is a max-heap, its two
+// child subtrees being heaps already.
+func siftDown(h []float64, i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // axisSplit is Algorithm 2: the best axis-parallel split among the median

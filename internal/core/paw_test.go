@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"paw/internal/dataset"
@@ -309,5 +312,138 @@ func TestSkewedWorkload(t *testing.T) {
 	fut := workload.Future(hist, (dom.Hi[0]-dom.Lo[0])*0.01, 1, 27)
 	if err := l.CheckCostDominatesLB(data, fut.Boxes()); err != nil {
 		t.Error(err)
+	}
+}
+
+// expandRankAll is expandToMin as it was before rows were filtered: it ranks
+// every row and takes the MinRows-th smallest rank by sorting. It is the
+// reference TestExpandToMinMatchesRankAll holds the filtered heap to.
+func expandRankAll(b *builder, box geom.Box, rows []int, gp geom.Box) (geom.Box, bool) {
+	gp = gp.Clip(box)
+	inside := 0
+	for _, r := range rows {
+		if rowIn(b.cols, r, gp) {
+			inside++
+		}
+	}
+	if inside >= b.p.MinRows {
+		return gp, true
+	}
+	if len(rows) < b.p.MinRows {
+		return gp, false
+	}
+	c, rad := gp.Center(), gp.Radius()
+	for d := range rad {
+		if ext := box.Hi[d] - box.Lo[d]; rad[d] == 0 && ext != 0 {
+			rad[d] = 1e-9 * ext
+		}
+	}
+	fs := make([]float64, len(rows))
+	for i, r := range rows {
+		for d := range c {
+			num := math.Abs(b.cols[d][r] - c[d])
+			if rad[d] > 0 {
+				if q := num / rad[d]; q > fs[i] { // a NaN distance ranks nothing
+					fs[i] = q
+				}
+			} else if num > 0 {
+				fs[i] = 1e308
+			}
+		}
+	}
+	sort.Float64s(fs)
+	factor := max(fs[b.p.MinRows-1], 1)
+	if factor >= 1e308 {
+		return gp, false
+	}
+	grown := geom.Box{Lo: make(geom.Point, len(c)), Hi: make(geom.Point, len(c))}
+	for d := range c {
+		grown.Lo[d], grown.Hi[d] = c[d]-factor*rad[d], c[d]+factor*rad[d]
+	}
+	return grown.Clip(box), true
+}
+
+// TestExpandToMinMatchesRankAll holds expandToMin, which keeps the MinRows
+// smallest ranks in a heap and skips a row without dividing once one of its
+// distances alone rules it out, to ranking every row, bit for bit: on
+// continuous data, on a coarse grid (ties at the MinRows-th rank), with
+// zero-radius dimensions, in a parent that is degenerate on a dimension (with
+// rows on and off it), with NaN coordinates, for a group outside the parent
+// (its clip is an empty box of negative radius), and at MinRows == len(rows).
+func TestExpandToMinMatchesRankAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	const n = 3000
+	for trial := 0; trial < 400; trial++ {
+		dims := 2 + trial%3
+		cols := make([][]float64, dims)
+		for d := range cols {
+			cols[d] = make([]float64, n)
+			for i := range cols[d] {
+				switch trial % 5 {
+				case 1: // a coarse grid: many rows share a rank
+					cols[d][i] = float64(rng.Intn(5)) / 4
+				default:
+					cols[d][i] = rng.Float64()
+				}
+			}
+		}
+		box := geom.Box{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+		for d := range box.Hi {
+			box.Hi[d] = 1
+		}
+		switch trial % 5 {
+		case 2: // NaN coordinates
+			for i := 0; i < n/10; i++ {
+				cols[rng.Intn(dims)][rng.Intn(n)] = math.NaN()
+			}
+		case 3: // a parent degenerate on dimension 0; some rows lie off it
+			box.Lo[0], box.Hi[0] = 0.5, 0.5
+			for i := range cols[0] {
+				if cols[0][i] = 0.5; trial%10 == 3 && rng.Intn(50) == 0 {
+					cols[0][i] = rng.Float64()
+				}
+			}
+		case 4: // rows at the center of the empty box a disjoint group clips to
+			for i := 0; i < 40; i++ {
+				r := rng.Intn(n)
+				for d := range cols {
+					cols[d][r] = 0.5
+				}
+			}
+		}
+		names := make([]string, dims)
+		for d := range names {
+			names[d] = string(rune('a' + d))
+		}
+		data := dataset.MustNew(names, cols)
+		rows := allRows(n)[:n/2+rng.Intn(n/2+1)]
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		minRows := 1 + rng.Intn(len(rows))
+		if trial%7 == 0 {
+			minRows = len(rows)
+		}
+		gp := geom.Box{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+		for d := range gp.Lo {
+			c, r := rng.Float64(), rng.Float64()*0.05
+			if trial%4 == 0 && d == dims-1 {
+				r = 0 // a zero-radius dimension
+			}
+			gp.Lo[d], gp.Hi[d] = c-r, c+r
+			if trial%5 == 4 && trial%10 == 9 { // a group outside the parent
+				gp.Lo[d], gp.Hi[d] = c+2-r, c+2+r
+			}
+		}
+		b := newBuilder(data, Params{MinRows: minRows}.withDefaults())
+		got, gotOK := b.expandToMin(box, rows, gp, b.scratchFor(b.pool.RootSlot()))
+		want, wantOK := expandRankAll(b, box, rows, gp)
+		same := gotOK == wantOK && len(got.Lo) == len(want.Lo)
+		for d := 0; same && d < len(got.Lo); d++ {
+			same = math.Float64bits(got.Lo[d]) == math.Float64bits(want.Lo[d]) &&
+				math.Float64bits(got.Hi[d]) == math.Float64bits(want.Hi[d])
+		}
+		if !same {
+			t.Fatalf("trial %d (dims %d, %d rows, MinRows %d, gp %v): got %v %v, want %v %v",
+				trial, dims, len(rows), minRows, gp, got, gotOK, want, wantOK)
+		}
 	}
 }
