@@ -53,7 +53,8 @@ race:
 # probe, deadline expiry without goroutine leaks, and partial results. The
 # elastic-membership scenarios (TestChaosRebalance*, TestChaosJoin*,
 # TestChaosMembership*) crash workers mid-rebalance and mid-join and assert
-# clean aborts with exact answers throughout (DESIGN.md §15).
+# clean aborts with exact answers throughout, and a partition whose every
+# holder died aborts the round with dist.ErrPartitionLost (DESIGN.md §15).
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/dist/... ./internal/faultnet/...
 
@@ -315,9 +316,15 @@ loc:
 # census hashes (colstore +108, a quarter of it comment), and expandToMin keeps
 # its MinRows smallest ranks in a heap, skipping rows that cannot enter it
 # (core +38) — for −19 % of setup_s on tpch-selective.
+# Then −49 left the master shipping only what a worker holds: pawmaster's
+# re-encode fallback and MembershipConfig.PayloadSource went, and a move with
+# no reachable holder aborts with dist.ErrPartitionLost (pawmaster −39,
+# dist −6); dist.Config.DrainTimeout, drift.Config.Parallelism and
+# blockstore.Config.BlockBytes became constants (drift −3, blockstore −1,
+# colstore −1 and membership +1 in comments).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 22857
+LOC_CEILING := 22808
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

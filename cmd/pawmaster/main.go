@@ -22,7 +22,11 @@
 // the placement references a dead worker or a new member hosts nothing.
 // Queries keep answering exactly throughout: rebalances ride the
 // epoch-versioned migration machinery, so a failed round aborts with the old
-// placement untouched.
+// placement untouched. The master holds no partition data: every moved
+// partition ships from a worker that holds it. Under -replicas 1 a crashed
+// worker's partitions stay unavailable — queries fail, or answer partially
+// for clients that allow it — until that worker rejoins its slot with its
+// files; replication is what keeps them served.
 //
 // With -drift the master watches live queries for workload drift (DESIGN.md
 // §13): when the stream leaves the layout's variance scope (the δ and the
@@ -32,25 +36,19 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/colstore"
-	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
 	"paw/internal/invariant"
-	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/router"
@@ -158,11 +156,9 @@ func main() {
 			"traces", "http://"+srv.Addr()+"/traces",
 			"pprof", "http://"+srv.Addr()+"/debug/pprof/")
 	}
-	// Whatever the master encodes itself — drift-rebuilt partitions, the
-	// rebalance fallback — it lays out like the workers' stores.
-	builder := workerStore.Builder(data)
 	if *driftOn {
-		ctl := drift.New(m, data, builder, drift.Config{
+		// Drift-rebuilt partitions are laid out like the workers' stores.
+		ctl := drift.New(m, data, workerStore.Builder(data), drift.Config{
 			Window:     *driftWindow,
 			CheckEvery: *driftCheck,
 			CostFactor: *driftCost,
@@ -181,7 +177,6 @@ func main() {
 			Detector:      membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 			TickEvery:     500 * time.Millisecond,
 			AutoRebalance: true,
-			PayloadSource: payloadSource(data, builder),
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -204,40 +199,6 @@ func main() {
 
 // workerStore is the block store configuration pawworker materialises with.
 var workerStore = blockstore.Config{}
-
-// payloadSource is the rebalance fallback for a partition no live worker still
-// holds: the master has the full dataset, so it re-encodes the partition
-// itself. It routes the rows by the layout it is asked about — the one the
-// master serves at the call, which a drift cutover renumbers — and keeps the
-// last layout's routing, since one rebalance asks about one layout. With the
-// workers' store's builder the payload is byte-for-byte what a worker would
-// have shipped.
-func payloadSource(data *dataset.Dataset, builder *colstore.Builder) func(*layout.Layout, layout.ID) ([]byte, int64, error) {
-	all := make([]int, data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	var mu sync.Mutex
-	var routed *layout.Layout
-	var byPart map[layout.ID][]int
-	return func(l *layout.Layout, id layout.ID) ([]byte, int64, error) {
-		mu.Lock()
-		if l != routed {
-			routed, byPart = l, l.RouteIndices(data, all)
-		}
-		rows, ok := byPart[id]
-		mu.Unlock()
-		if !ok {
-			return nil, 0, fmt.Errorf("partition %d routes no rows", id)
-		}
-		// Build reorders its argument; byPart is shared between calls.
-		var buf bytes.Buffer
-		if err := builder.Build(slices.Clone(rows)).Encode(&buf); err != nil {
-			return nil, 0, err
-		}
-		return buf.Bytes(), int64(len(rows)), nil
-	}
-}
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pawmaster: "+format+"\n", args...)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"os"
@@ -15,93 +14,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/invariant"
 	"paw/internal/kdtree"
-	"paw/internal/layout"
 )
-
-// TestPayloadSourceMatchesWorkerStore: the re-encode fallback hands a joining
-// worker exactly the bytes a live holder would have shipped — the partition as
-// pawworker's block store (default config) materialised it.
-func TestPayloadSourceMatchesWorkerStore(t *testing.T) {
-	data := dataset.TPCHLike(30_000, 5)
-	l := kdtree.Build(data, data.Sample(3000, 6), data.Domain(), kdtree.Params{MinRows: 500})
-	src := payloadSource(data, workerStore.Builder(data))
-	// Twice: the source must not depend on having been asked before.
-	for i := 0; i < 2; i++ {
-		checkPayloadSource(t, src, l, data)
-	}
-	if _, _, err := src(l, 9999); err == nil {
-		t.Error("unknown partition must error")
-	}
-}
-
-// TestPayloadSourceFollowsTheServedLayout: a drift cutover renumbers
-// partitions, and the fallback is asked about the layout the master serves
-// then. Asked about a patched layout after the boot one, it must re-encode the
-// patched layout's partitions, not the boot layout's under the same IDs.
-func TestPayloadSourceFollowsTheServedLayout(t *testing.T) {
-	data := dataset.TPCHLike(30_000, 5)
-	l := kdtree.Build(data, data.Sample(3000, 6), data.Domain(), kdtree.Params{MinRows: 500})
-	src := payloadSource(data, workerStore.Builder(data))
-	if _, _, err := src(l, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild the root's first subtree finer, as a drift migration would.
-	all := make([]int, data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	byPart := l.RouteIndices(data, all)
-	target := l.Root.Children[0]
-	var region []int
-	for _, leaf := range target.Leaves() {
-		region = append(region, byPart[leaf.Part.ID]...)
-	}
-	repl := kdtree.Build(data, region, target.Desc.MBR(), kdtree.Params{MinRows: 200})
-	for id, rows := range repl.RouteIndices(data, region) {
-		repl.Parts[id].FullRows = int64(len(rows))
-	}
-	next, diff, err := layout.PatchSubtree(l, target, repl.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diff.Added) == 0 || len(diff.Renamed) == 0 {
-		t.Fatalf("patch added %d and renamed %d partitions: the check is vacuous", len(diff.Added), len(diff.Renamed))
-	}
-	checkPayloadSource(t, src, next, data)
-}
-
-// checkPayloadSource holds src to the store pawworker would materialise for
-// l: for every partition, the same row count and the same encoded bytes.
-func checkPayloadSource(t *testing.T, src func(*layout.Layout, layout.ID) ([]byte, int64, error), l *layout.Layout, data *dataset.Dataset) {
-	t.Helper()
-	store := blockstore.Materialize(l, data, workerStore)
-	multiGroup := 0
-	for _, p := range l.Parts {
-		sp, err := store.Partition(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := sp.Table.Encode(&want); err != nil {
-			t.Fatal(err)
-		}
-		got, rows, err := src(l, p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows != p.FullRows || !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("partition %d: fallback payload of %d rows / %d bytes, store holds %d rows / %d bytes",
-				p.ID, rows, len(got), p.FullRows, want.Len())
-		}
-		if sp.Table.NumGroups() > 1 {
-			multiGroup++
-		}
-	}
-	if multiGroup == 0 {
-		t.Fatal("no partition spans more than one row group: the comparison is vacuous")
-	}
-}
 
 // TestLoadRefusesForeignDataset: the layout file carries each partition's data
 // envelope, so the boot check accepts the dataset the layout was materialised

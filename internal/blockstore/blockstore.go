@@ -19,22 +19,21 @@ import (
 
 // Config configures the store.
 type Config struct {
-	// BlockBytes is the block size (the paper's 128 MB HDFS block, scaled
-	// to this repository's world). Partitions occupy ceil(size/BlockBytes)
-	// blocks.
-	BlockBytes int64
 	// GroupRows is the row-group size of the per-partition columnar tables.
 	GroupRows int
 }
 
-// writeMBps is the simulated sequential write throughput (one HDD's) that
-// models the "routing and I/O time" of Table II.
-const writeMBps = 120
+const (
+	// blockBytes is the block size: the paper's 128 MB HDFS block scaled
+	// 1/1000 to this repository's world. Partitions occupy
+	// ceil(size/blockBytes) blocks.
+	blockBytes = 128 << 10
+	// writeMBps is the simulated sequential write throughput (one HDD's)
+	// that models the "routing and I/O time" of Table II.
+	writeMBps = 120
+)
 
 func (c Config) withDefaults() Config {
-	if c.BlockBytes <= 0 {
-		c.BlockBytes = 128 << 10 // 128 KB: the paper's 128 MB scaled 1/1000
-	}
 	if c.GroupRows <= 0 {
 		c.GroupRows = colstore.DefaultGroupRows
 	}
@@ -42,9 +41,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Builder returns the partition-table builder of a store with this
-// configuration. Whoever re-encodes a partition of such a store outside it — a
-// migration payload, a rebalance fallback — builds it with this, so that the
-// partition is laid out exactly as Materialize lays it out.
+// configuration. Whoever encodes a partition of such a store outside it — a
+// drift migration's payload — builds it with this, so that the partition is
+// laid out exactly as Materialize lays it out.
 func (c Config) Builder(data *dataset.Dataset) *colstore.Builder {
 	return colstore.NewBuilder(data, c.withDefaults().GroupRows)
 }
@@ -96,7 +95,7 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 
 	stored := make([]StoredPartition, len(l.Parts))
 	cfg.Builder(data).BuildAll(byPart, func(i int, tab *colstore.Table) {
-		blocks := int((tab.Bytes() + cfg.BlockBytes - 1) / cfg.BlockBytes)
+		blocks := int((tab.Bytes() + blockBytes - 1) / blockBytes)
 		if blocks == 0 {
 			blocks = 1
 		}

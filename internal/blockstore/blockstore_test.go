@@ -26,9 +26,10 @@ func allRows(n int) []int {
 }
 
 func TestMaterialize(t *testing.T) {
-	data := dataset.Uniform(4000, 2, 1)
-	l := kdtree.Build(data, allRows(4000), data.Domain(), kdtree.Params{MinRows: 200})
-	s := Materialize(l, data, Config{BlockBytes: 1 << 12, GroupRows: 64})
+	// 6 000-row partitions of 32-byte rows: each spans two 128 KB blocks.
+	data := dataset.Uniform(24_000, 2, 1)
+	l := kdtree.Build(data, allRows(24_000), data.Domain(), kdtree.Params{MinRows: 5000})
+	s := Materialize(l, data, Config{GroupRows: 64})
 	if len(s.parts) != l.NumPartitions() {
 		t.Fatalf("stored %d partitions, layout has %d", len(s.parts), l.NumPartitions())
 	}
@@ -38,12 +39,12 @@ func TestMaterialize(t *testing.T) {
 	if s.SimWriteTime <= 0 || s.RoutingTime <= 0 {
 		t.Errorf("timings not recorded: write=%v route=%v", s.SimWriteTime, s.RoutingTime)
 	}
-	// Block accounting: every partition occupies >= 1 block, and total
-	// blocks >= totalBytes/blockSize.
-	minBlocks := int(data.TotalBytes() / (1 << 12))
-	if got := s.TotalBlocks(); got < minBlocks {
-		t.Errorf("total blocks = %d, want >= %d", got, minBlocks)
+	// Block accounting: every partition occupies ceil(bytes/blockBytes)
+	// blocks, at least one, and total blocks >= totalBytes/blockBytes.
+	if got, least := s.TotalBlocks(), int(data.TotalBytes()/blockBytes); got < least {
+		t.Errorf("total blocks = %d, want >= %d", got, least)
 	}
+	multiBlock := 0
 	for _, p := range l.Parts {
 		sp, err := s.Partition(p.ID)
 		if err != nil {
@@ -52,6 +53,15 @@ func TestMaterialize(t *testing.T) {
 		if sp.Bytes() != p.Bytes() {
 			t.Errorf("partition %d stored %d bytes, layout says %d", p.ID, sp.Bytes(), p.Bytes())
 		}
+		if want := max(1, int((sp.Bytes()+blockBytes-1)/blockBytes)); sp.Blocks != want {
+			t.Errorf("partition %d of %d bytes occupies %d blocks, want %d", p.ID, sp.Bytes(), sp.Blocks, want)
+		}
+		if sp.Blocks > 1 {
+			multiBlock++
+		}
+	}
+	if multiBlock == 0 {
+		t.Fatal("no partition spans more than one block: the block count is vacuous")
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 	"paw/internal/parbuild"
 )
 
-// Builder encodes the partition tables of one dataset. Every production site
-// that turns a partition's row set into a table — the block store, the
-// master's re-encode fallback, the drift controller's migration payloads —
-// goes through a Builder, so a migrated or rebuilt partition is laid out
-// exactly like a freshly materialised one.
+// Builder encodes the partition tables of one dataset. Both production sites
+// that turn a partition's row set into a table — the block store and the
+// drift controller's migration payloads — go through a Builder, so a rebuilt
+// partition is laid out exactly like a freshly materialised one.
 //
 // A Builder fixes the physical row order inside a partition (DESIGN.md §11):
 //

@@ -52,14 +52,6 @@ type Config struct {
 	// shed with a typed overload error (serve.ErrOverloaded on clients). 0
 	// disables admission control.
 	MaxInflightQueries int
-
-	// DrainTimeout bounds the post-cutover wait for in-flight old-epoch
-	// queries before the old epoch is retired on the workers (default 30s).
-	// Queries still running after it fail with an unknown-epoch error and
-	// retry-route against the new layout; the bound only exists so a wedged
-	// query cannot pin an epoch forever. Expiries with queries still in
-	// flight are counted (MetricDrainTimeouts).
-	DrainTimeout time.Duration
 }
 
 // Serving constants: no binary, benchmark or test ever needed another value.
@@ -73,6 +65,13 @@ const (
 	clientPipeline = 32
 	// maxQueuedPerClient bounds each client's admission queue.
 	maxQueuedPerClient = 32
+	// drainTimeout bounds the post-cutover wait for in-flight old-epoch
+	// queries before the old epoch is retired on the workers. Queries still
+	// running after it fail with an unknown-epoch error and retry-route
+	// against the new layout; the bound only exists so a wedged query cannot
+	// pin an epoch forever. Expiries with queries still in flight are counted
+	// (MetricDrainTimeouts).
+	drainTimeout = 30 * time.Second
 )
 
 // DefaultConfig returns the production defaults: a 3-failure breaker, a 5s
@@ -85,16 +84,7 @@ func DefaultConfig() Config {
 		QueryTimeout:       30 * time.Second,
 		ResultCacheSize:    256,
 		MaxInflightQueries: 256,
-		DrainTimeout:       30 * time.Second,
 	}
-}
-
-// normalized fills the zero serving fields with their defaults.
-func (c Config) normalized() Config {
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
-	return c
 }
 
 // Master is the networked master node: it owns the routing metadata (via
@@ -127,6 +117,9 @@ type Master struct {
 	// routedHook, when set, runs on the serving path between routing and
 	// scatter, with the routed view pinned. Test-only.
 	routedHook func()
+	// drainTimeout is the epoch drain bound retireView waits (the
+	// drainTimeout constant; tests shorten it).
+	drainTimeout time.Duration
 
 	// fleet is the elastic worker-set snapshot (addresses, breakers, down
 	// flags, call histograms), swapped atomically when a worker joins or moves
@@ -220,7 +213,8 @@ func NewMasterReplicated(r *router.Master, workerAddrs []string, rep placement.R
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	m := &Master{
-		links: make([]*muxLink, len(workerAddrs)),
+		links:        make([]*muxLink, len(workerAddrs)),
+		drainTimeout: drainTimeout,
 	}
 	m.fleet.Store(newFleet(workerAddrs))
 	m.view.Store(&routeView{router: r, replicas: rep})
@@ -361,13 +355,11 @@ func (m *Master) traceFor(force bool) *trace.T {
 	return nil
 }
 
-// Configure replaces the failure-handling and serving configuration. A zero
-// DrainTimeout falls back to its default; the breaker, the result cache and
-// admission control stay off when their sizes are 0.
-// Call before Start; the master does not support reconfiguration while
+// Configure replaces the failure-handling and serving configuration. The
+// breaker, the result cache and admission control stay off when their sizes
+// are 0. Call before Start; the master does not support reconfiguration while
 // queries are in flight.
 func (m *Master) Configure(cfg Config) {
-	cfg = cfg.normalized()
 	m.cfg = cfg
 	m.jit = newJitter()
 	m.resultCache, m.admission = nil, nil

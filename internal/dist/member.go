@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"paw/internal/layout"
 	"paw/internal/membership"
 )
 
@@ -72,11 +71,6 @@ type MembershipConfig struct {
 	// Alive↔Suspect members never trigger one: Suspect members keep their
 	// placement, so the trigger condition is unchanged by a flap.
 	AutoRebalance bool
-	// PayloadSource, when set, rebuilds the encoded payload of partition id
-	// of layout l — the layout the master serves when it asks — from the
-	// master's own copy of the dataset: the fallback when no reachable worker
-	// holds the partition (e.g. every replica crashed).
-	PayloadSource func(l *layout.Layout, id layout.ID) ([]byte, int64, error)
 }
 
 func (c MembershipConfig) normalized() MembershipConfig {

@@ -2,11 +2,15 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/sqlrew"
 )
@@ -75,6 +79,126 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 			}
 			tc.checkExact(t)
 		})
+	}
+}
+
+// TestChaosRebalanceLostPartition: both holders of some partitions crash and
+// are declared dead. The master holds no partition data, so a rebalance has
+// nowhere to ship those partitions from: it aborts before any install with
+// ErrPartitionLost naming each of them, and the placement stays as it was —
+// partial queries report them failed. A holder that comes back without its
+// files is reachable but refuses the fetch, which is an ordinary error. Once
+// a holder rejoins its slot with its store, the next round converges.
+func TestChaosRebalanceLostPartition(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastChaosConfig())
+	tc.checkExact(t)
+	const a, b, c = 0, 1, 2
+	var lost []layout.ID
+	for _, p := range tc.layout.Parts {
+		if ws := tc.rep[p.ID]; !slices.Contains(ws, c) {
+			lost = append(lost, p.ID)
+		}
+	}
+	if len(lost) == 0 {
+		t.Fatal("fixture: no partition lives on workers 0 and 1 alone")
+	}
+	ms := tc.master.member.Load()
+	now := time.Now()
+	// declareDead beats worker c at `at` and ticks there, so every other
+	// silent slot goes Dead.
+	declareDead := func(at time.Time, dead ...int) {
+		t.Helper()
+		if _, err := ms.tracker.Beat(c, at); err != nil {
+			t.Fatal(err)
+		}
+		tc.master.MembershipTick(at)
+		view, _ := tc.master.membershipView()
+		for _, w := range dead {
+			if mem, _ := view.Member(w); mem.State != membership.Dead {
+				t.Fatalf("worker %d state = %v, want Dead", w, mem.State)
+			}
+		}
+	}
+	// rejoin registers wk in slot w under the checksum the placement expects
+	// there.
+	rejoin := func(w int, wk *Worker) {
+		t.Helper()
+		addr, err := wk.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.workers[w] = wk
+		resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: w, Addr: addr,
+			Sum: membership.Checksum(membership.HostedIDs(tc.master.Placement(), w))})
+		if resp.Err != "" {
+			t.Fatalf("rejoin of slot %d: %s", w, resp.Err)
+		}
+	}
+
+	tc.workers[a].Close()
+	tc.workers[b].Close()
+	declareDead(now.Add(11*time.Second), a, b)
+	_, err := tc.master.Rebalance(context.Background())
+	if !errors.Is(err, ErrPartitionLost) {
+		t.Fatalf("rebalance with every holder dead: %v, want ErrPartitionLost", err)
+	}
+	if want := fmt.Sprintf("partitions %v", lost); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
+	}
+	if got := tc.master.Epoch(); got != 0 {
+		t.Fatalf("epoch = %d after the abort, want 0", got)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricMigrationsAborted); got != 0 {
+		t.Errorf("aborted migrations = %d, want 0: nothing was installed", got)
+	}
+
+	cl, err := DialMux(tc.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetAllowPartial(true)
+	resp, err := cl.Query(sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain()))
+	if err != nil {
+		t.Fatalf("partial-mode query: %v", err)
+	}
+	failed := slices.Clone(resp.FailedPartitions)
+	slices.Sort(failed)
+	if !resp.Partial || !slices.Equal(failed, lost) {
+		t.Fatalf("partial = %v, failed partitions %v, want %v", resp.Partial, failed, lost)
+	}
+
+	// Holder a comes back without its files: it is reachable, so nothing is
+	// lost, but it refuses the fetch.
+	rejoin(a, NewWorker(nil, nil))
+	_, err = tc.master.Rebalance(context.Background())
+	if err == nil || errors.Is(err, ErrPartitionLost) {
+		t.Fatalf("rebalance from a holder that refuses the fetch: %v, want an error other than ErrPartitionLost", err)
+	}
+	if got := tc.master.Epoch(); got != 0 {
+		t.Fatalf("epoch = %d after the failed fetch, want 0", got)
+	}
+	tc.workers[a].Close()
+	declareDead(now.Add(30*time.Second), a)
+
+	// Holder a restarts with its store and rejoins its slot: the placement
+	// did not move, so its checksum matches and the round ships from it.
+	rejoin(a, NewWorker(tc.store, membership.HostedIDs(tc.rep, a)))
+	report, err := tc.master.Rebalance(context.Background())
+	if err != nil {
+		t.Fatalf("rebalance after the holder rejoined: %v", err)
+	}
+	if report.Epoch != 1 || report.MovedPartitions == 0 {
+		t.Fatalf("rebalance moved %d copies to epoch %d, want a move to epoch 1", report.MovedPartitions, report.Epoch)
+	}
+	for _, id := range lost {
+		if !slices.Contains(tc.master.Placement()[id], c) {
+			t.Errorf("partition %d not copied to worker %d: placement %v", id, c, tc.master.Placement()[id])
+		}
+	}
+	tc.checkExact(t)
+	if again, err := tc.master.Rebalance(context.Background()); err != nil || again.Epoch != 1 {
+		t.Fatalf("second round: epoch %d, %v; want a no-op at epoch 1", again.Epoch, err)
 	}
 }
 

@@ -223,17 +223,17 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 
 // retireView retires a view that has stopped being routable — the old epoch
 // after a cutover, the half-installed next epoch after an abort — once no
-// query pinned to it (planFor) is still in flight, bounded by DrainTimeout so
+// query pinned to it (planFor) is still in flight, bounded by drainTimeout so
 // a wedged query cannot pin an epoch forever.
 func (m *Master) retireView(v *routeView) {
-	deadline := time.Now().Add(m.cfg.DrainTimeout)
+	deadline := time.Now().Add(m.drainTimeout)
 	for v.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := v.inflight.Load(); n > 0 {
 		m.m.drainTimeouts.Inc()
 		slog.Warn("epoch drain timed out, retiring anyway",
-			"epoch", v.epoch, "inflight", n, "timeout", m.cfg.DrainTimeout)
+			"epoch", v.epoch, "inflight", n, "timeout", m.drainTimeout)
 	}
 	m.retireEpoch(v.epoch)
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -18,7 +19,14 @@ import (
 // rebalance is one epoch bump in which unmoved partitions alias for free and
 // moved partitions ship their encoded payload to the new holders. Queries
 // double-route throughout and any install failure aborts with the old
-// placement untouched, exactly like a drift migration.
+// placement untouched, exactly like a drift migration. Every payload comes
+// from a worker that holds the partition: the master keeps no data.
+
+// ErrPartitionLost is wrapped by a rebalance that aborts because some moved
+// partition has no current holder the membership view counts as reachable.
+// The placement stays, so a holder that rejoins its slot with its files
+// passes the join checksum and the next round ships from it.
+var ErrPartitionLost = errors.New("partition lost: no reachable worker holds a copy")
 
 // RebalanceReport summarises one rebalance round.
 type RebalanceReport struct {
@@ -83,12 +91,24 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		return report, nil // already balanced: no epoch bump, no thrash
 	}
 
+	// Every move needs a reachable holder to ship from; name all that have
+	// none before fetching anything.
+	var lost []layout.ID
+	for _, mv := range plan.Moves {
+		if !slices.ContainsFunc(curView.replicas[mv.ID], func(w int) bool { return reachable[w] }) {
+			lost = append(lost, mv.ID)
+		}
+	}
+	if len(lost) > 0 {
+		return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w: partitions %v", ErrPartitionLost, lost)
+	}
+
 	// Fetch every moved partition's payload before any install goes out, so
-	// a missing source aborts the round with zero cutover risk.
+	// a failed fetch aborts the round with zero cutover risk.
 	moved := make(map[layout.ID][]byte, len(plan.Moves))
 	var shipped int64
 	for _, mv := range plan.Moves {
-		payload, rows, err := m.fetchPartition(ctx, curView, mv.ID, reachable, ms.cfg.PayloadSource)
+		payload, rows, err := m.fetchPartition(ctx, curView, mv.ID, reachable)
 		if err != nil {
 			return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w", err)
 		}
@@ -132,11 +152,9 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	return report, nil
 }
 
-// fetchPartition retrieves a partition's colstore-encoded payload from a
-// reachable current holder, falling back to the configured PayloadSource
-// (the master's own dataset copy, routed by v's layout) when every replica is
-// gone.
-func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID, reachable map[int]bool, fallback func(*layout.Layout, layout.ID) ([]byte, int64, error)) ([]byte, int64, error) {
+// fetchPartition retrieves a partition's colstore-encoded payload from the
+// first reachable current holder that answers.
+func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID, reachable map[int]bool) ([]byte, int64, error) {
 	var lastErr error
 	for _, w := range v.replicas[id] {
 		if !reachable[w] {
@@ -149,17 +167,7 @@ func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID,
 		}
 		return resp.Payload, resp.Rows, nil
 	}
-	if fallback != nil {
-		payload, rows, err := fallback(v.router.Layout(), id)
-		if err == nil {
-			return payload, rows, nil
-		}
-		lastErr = err
-	}
-	if lastErr != nil {
-		return nil, 0, fmt.Errorf("partition %d has no reachable holder: %w", id, lastErr)
-	}
-	return nil, 0, fmt.Errorf("partition %d has no reachable holder", id)
+	return nil, 0, fmt.Errorf("partition %d: no reachable holder answered the fetch: %w", id, lastErr)
 }
 
 // placementsEqual reports whether two placements assign identical replica

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,12 +171,53 @@ func TestRebalanceLeaveDrainsEverything(t *testing.T) {
 	}
 }
 
+// TestRebalanceLeaveAbortedKeepsServing: a graceful leave whose drain cannot
+// install (worker 2 crashed, but the detector has not noticed yet) must
+// answer the leave with an error, revive the leaver to Alive and leave the
+// epoch where it was, so the leaver keeps serving what only it still holds.
+func TestRebalanceLeaveAbortedKeepsServing(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 4000, elasticMemberConfig(), fastChaosConfig())
+	tc.checkExact(t)
+	onlyLeaver := 0 // partitions whose copies sit on the leaver and the crashed worker
+	for _, ws := range tc.rep {
+		if slices.Contains(ws, 0) && slices.Contains(ws, 2) {
+			onlyLeaver++
+		}
+	}
+	if onlyLeaver == 0 {
+		t.Fatal("fixture: no partition lives on workers 0 and 2 alone")
+	}
+	tc.workers[2].Close()
+
+	resp := tc.master.handleMember(&MemberRequest{Op: MemberLeave, Index: 0})
+	if !strings.Contains(resp.Err, "leave aborted") {
+		t.Fatalf("leave with an install target down: err %q, want the leave aborted", resp.Err)
+	}
+	view, _ := tc.master.membershipView()
+	if mem, _ := view.Member(0); mem.State != membership.Alive {
+		t.Fatalf("worker 0 state = %v after the aborted leave, want Alive", mem.State)
+	}
+	if tc.master.fleet.Load().down[0].Load() {
+		t.Fatal("worker 0 marked down after the aborted leave")
+	}
+	if got := tc.master.Epoch(); got != 0 {
+		t.Fatalf("epoch = %d after the aborted leave, want 0", got)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricMigrationsAborted); got != 1 {
+		t.Errorf("aborted migrations = %d, want 1: the drain fails at its installs", got)
+	}
+	if got := len(membership.HostedIDs(tc.master.Placement(), 0)); got == 0 {
+		t.Fatal("worker 0 hosts nothing after the aborted leave")
+	}
+	// Worker 2 is gone, so these answers need worker 0.
+	tc.checkExact(t)
+}
+
 // TestRebalanceDrainTimeoutCounted: when in-flight old-epoch queries outlast
-// DrainTimeout, the cutover proceeds anyway and the expiry is counted.
+// the drain timeout, the cutover proceeds anyway and the expiry is counted.
 func TestRebalanceDrainTimeoutCounted(t *testing.T) {
-	cfg := fastMigConfig()
-	cfg.DrainTimeout = 5 * time.Millisecond
-	tc := startElasticCluster(t, 2, 1, 2000, elasticMemberConfig(), cfg)
+	tc := startElasticCluster(t, 2, 1, 2000, elasticMemberConfig(), fastMigConfig())
+	tc.master.drainTimeout = 5 * time.Millisecond
 	tc.joinFreshWorker(t)
 	// Pin a phantom in-flight query on the serving view so the drain cannot
 	// complete.

@@ -320,7 +320,6 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 		MinRows:         c.cfg.BuildMinRows,
 		Delta:           cur.Delta,
 		DataAwareRefine: true,
-		Parallelism:     c.cfg.Parallelism,
 	})
 
 	// Full-scale pass: Route restricted to the region sets every built

@@ -51,8 +51,6 @@ type Config struct {
 	BuildMinRows int
 	// BuildSample caps the construction sample for the region rebuild.
 	BuildSample int
-	// Parallelism is the rebuild's parbuild width (0 = GOMAXPROCS).
-	Parallelism int
 	// Seed drives the controller's deterministic sampling and the oracle
 	// probes.
 	Seed int64

@@ -8,8 +8,9 @@ import (
 // The rebalance planner: given the placement the cluster serves today and
 // the ring placement the surviving member set wants, emit the minimal
 // movement that reconciles them. Every round migrates to the full target;
-// a partition whose only copies sit on dead or draining members ships from
-// the master's fallback source like any other move.
+// a partition whose only copies sit on draining members ships from one of
+// them like any other move, and one whose every copy sits on a dead member
+// has no source, so the caller aborts the round (dist.ErrPartitionLost).
 
 // Move is one partition whose replica set changes: the workers that must
 // newly receive a copy.
