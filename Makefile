@@ -174,7 +174,7 @@ bench-request-path:
 # bench-setup times the two halves of the end-to-end benchmark's setup_s on
 # its 2 M rows: core.Build on each benchmark layout shape (BenchmarkBuild:
 # tpch-selective, tpch-wide-scan, osm-hot-repeat; layout generation, Table II's
-# first column) and blockstore.Materialize through two k-d layouts and a PAW
+# first column; plus qdtree.Build and kdtree.Build on tpch-selective) and blockstore.Materialize through two k-d layouts and a PAW
 # layout with irregular partitions (BenchmarkMaterialize; route-ns/row is the
 # bulk routing pass), and one partition's colstore.Builder build beside its
 # tiling, tile sort and run-key census, each alone (BenchmarkBuildPhases:
@@ -322,9 +322,17 @@ loc:
 # dist −6); dist.Config.DrainTimeout, drift.Config.Parallelism and
 # blockstore.Config.BlockBytes became constants (drift −3, blockstore −1,
 # colstore −1 and membership +1 in comments).
+# Then +152 had the builders read a gathered sample: dataset.Gather copies the
+# sample rows into dense columns, split among the pool's workers (dataset
+# +44), and Layout.MapSampleRows hands back the caller's row indices (layout
+# +17, half of it the Partition docs); qdtree.BestCut finds a row's bucket
+# through a grid of equal cells (qdtree +45 with the gather), kdtree.Select
+# partitions with a branch-free Lomuto pass (kdtree +24 with the gather),
+# core +9; and the auto-rebalance waits for a new membership view after a
+# lost-partition abort (dist +13) — for −21 % of setup_s on tpch-selective.
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 22808
+LOC_CEILING := 22960
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -112,18 +113,37 @@ func TestBenchmarkLayoutsGolden(t *testing.T) {
 }
 
 // BenchmarkBuild times core.Build on each benchShape at the benchmark's
-// 2 M rows (a 200 000-row sample): the layout-generation half of set-up
+// 2 M rows (a 200 000-row sample), and the Qd-tree and k-d builders on the
+// tpch-selective shape: the layout-generation half of set-up
 // (make bench-setup). cores is the process CPU time over the wall time.
 func BenchmarkBuild(b *testing.B) {
 	for _, sh := range benchShapes {
-		in := sh.inputs(2_000_000)
-		b.Run(sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cpu := processCPU(b)
-			for i := 0; i < b.N; i++ {
-				buildSink = Build(in.data, in.sample, in.domain, in.hist, in.params)
-			}
-			b.ReportMetric(float64(processCPU(b)-cpu)/float64(b.Elapsed()), "cores")
+		// Generated on first use, so a -bench filter that skips the shape
+		// skips its 2 M rows too.
+		inputs := sync.OnceValue(func() benchInputs { return sh.inputs(2_000_000) })
+		run := func(name string, build func(in benchInputs) *layout.Layout) {
+			b.Run(name, func(b *testing.B) {
+				in := inputs()
+				b.ReportAllocs()
+				b.ResetTimer()
+				cpu := processCPU(b)
+				for i := 0; i < b.N; i++ {
+					buildSink = build(in)
+				}
+				b.ReportMetric(float64(processCPU(b)-cpu)/float64(b.Elapsed()), "cores")
+			})
+		}
+		run(sh.name, func(in benchInputs) *layout.Layout {
+			return Build(in.data, in.sample, in.domain, in.hist, in.params)
+		})
+		if sh.name != "tpch-selective" {
+			continue
+		}
+		run(sh.name+"-qd-tree", func(in benchInputs) *layout.Layout {
+			return qdtree.Build(in.data, in.sample, in.domain, in.hist.Boxes(), qdtree.Params{MinRows: in.params.MinRows})
+		})
+		run(sh.name+"-kd-tree", func(in benchInputs) *layout.Layout {
+			return kdtree.Build(in.data, in.sample, in.domain, kdtree.Params{MinRows: in.params.MinRows})
 		})
 	}
 }

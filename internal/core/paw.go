@@ -85,6 +85,10 @@ func (p Params) withDefaults() Params {
 // Build constructs a PAW layout for the historical workload hist over the
 // given sample rows of data. domain must cover the sample rows (typically
 // the dataset MBR). The returned layout is sealed but not routed.
+//
+// The sample is gathered into dense columns once and built on as rows
+// 0…len(rows)−1 of that copy, so no pass reads rows scattered over data;
+// the partitions' SampleRows are mapped back to rows at the end.
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Workload, p Params) *layout.Layout {
 	p = p.withDefaults()
 	ext := hist.Extend(p.Delta)
@@ -92,13 +96,17 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Wor
 	// queries outside the data space contain no records and would only
 	// distort group MBRs.
 	queries := clipBoxes(ext.Boxes(), domain)
-	b := newBuilder(data, p)
-	sp := b.m.tConstruct.Start()
-	root := b.construct(domain, rows, queries, 0, b.pool.RootSlot())
+	m := newBuildMetrics(p.Obs)
+	sp := m.tConstruct.Start()
+	pool := parbuild.New(p.Parallelism)
+	sample, local := data.Gather(rows, pool.Workers())
+	b := newBuilder(sample, p, pool, m)
+	root := b.construct(domain, local, queries, 0, b.pool.RootSlot())
 	sp.End()
 	b.flushScratchStats()
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("paw", root, data.RowBytes())
+	l.MapSampleRows(rows)
 	sp.End()
 	return l
 }
@@ -109,10 +117,12 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Wor
 const parMinRows = 2048
 
 type builder struct {
+	// data is the gathered sample (dataset.Gather): the rows every node
+	// holds are its row indices.
 	data *dataset.Dataset
 	p    Params
 	pool *parbuild.Pool
-	// cols caches the dataset's contiguous column slices so hot loops probe
+	// cols caches the sample's contiguous column slices so hot loops probe
 	// cols[d][r] directly instead of calling data.At per (row, dim) pair.
 	cols [][]float64
 	// scratch is indexed by parbuild worker slot; a slot is held by at most
@@ -172,8 +182,7 @@ type buildScratch struct {
 	assign []int32
 }
 
-func newBuilder(data *dataset.Dataset, p Params) *builder {
-	pool := parbuild.New(p.Parallelism)
+func newBuilder(data *dataset.Dataset, p Params, pool *parbuild.Pool, m buildMetrics) *builder {
 	cols := make([][]float64, data.Dims())
 	for d := range cols {
 		cols[d] = data.Column(d)
@@ -184,7 +193,7 @@ func newBuilder(data *dataset.Dataset, p Params) *builder {
 		pool:    pool,
 		cols:    cols,
 		scratch: make([]*buildScratch, pool.Slots()),
-		m:       newBuildMetrics(p.Obs),
+		m:       m,
 	}
 }
 

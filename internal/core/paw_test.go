@@ -192,7 +192,7 @@ func TestDataAwareRefine(t *testing.T) {
 
 func TestExpandToMin(t *testing.T) {
 	data := dataset.Uniform(1000, 2, 15)
-	b := newBuilder(data, Params{MinRows: 100}.withDefaults())
+	b := newBuilder(data, Params{MinRows: 100}.withDefaults(), nil, buildMetrics{})
 	dom := data.Domain()
 	// A tiny query region holds almost no rows; expansion must reach 100.
 	tiny := box2(0.50, 0.50, 0.51, 0.51)
@@ -217,7 +217,7 @@ func TestExpandToMin(t *testing.T) {
 
 func TestExpandToMinDegenerate(t *testing.T) {
 	data := dataset.Uniform(1000, 2, 16)
-	b := newBuilder(data, Params{MinRows: 50}.withDefaults())
+	b := newBuilder(data, Params{MinRows: 50}.withDefaults(), nil, buildMetrics{})
 	dom := data.Domain()
 	// Zero-extent query (a point lookup): radius 0 in both dims.
 	pointQ := box2(0.5, 0.5, 0.5, 0.5)
@@ -232,7 +232,7 @@ func TestExpandToMinDegenerate(t *testing.T) {
 
 func TestExpandToMinInsufficientRows(t *testing.T) {
 	data := dataset.Uniform(30, 2, 17)
-	b := newBuilder(data, Params{MinRows: 50}.withDefaults())
+	b := newBuilder(data, Params{MinRows: 50}.withDefaults(), nil, buildMetrics{})
 	dom := data.Domain()
 	if _, ok := b.expandToMin(dom, allRows(30), box2(0.4, 0.4, 0.6, 0.6), b.scratchFor(b.pool.RootSlot())); ok {
 		t.Error("expansion must fail when the parent has fewer than MinRows rows")
@@ -433,7 +433,7 @@ func TestExpandToMinMatchesRankAll(t *testing.T) {
 				gp.Lo[d], gp.Hi[d] = c+2-r, c+2+r
 			}
 		}
-		b := newBuilder(data, Params{MinRows: minRows}.withDefaults())
+		b := newBuilder(data, Params{MinRows: minRows}.withDefaults(), nil, buildMetrics{})
 		got, gotOK := b.expandToMin(box, rows, gp, b.scratchFor(b.pool.RootSlot()))
 		want, wantOK := expandRankAll(b, box, rows, gp)
 		same := gotOK == wantOK && len(got.Lo) == len(want.Lo)

@@ -12,6 +12,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"paw/internal/geom"
 )
@@ -81,6 +82,48 @@ func (d *Dataset) Point(i int) geom.Point {
 // Column returns the raw column slice for dimension dim. Callers must not
 // mutate it.
 func (d *Dataset) Column(dim int) []float64 { return d.cols[dim] }
+
+// Gather copies rows of d into a dataset of their own, with d's names, and
+// returns it with its row indices 0…len(rows)−1: row i of the copy is row
+// rows[i] of d. The layout builders build on a gathered sample, so their
+// passes read dense columns instead of rows scattered over all of d;
+// layout.Layout.MapSampleRows(rows) turns the copy's indices back into d's.
+// Up to workers goroutines copy a contiguous share of rows each; the copy
+// does not depend on workers.
+func (d *Dataset) Gather(rows []int, workers int) (*Dataset, []int) {
+	cols := make([][]float64, len(d.cols))
+	for dim := range cols {
+		cols[dim] = make([]float64, len(rows))
+	}
+	local := make([]int, len(rows))
+	gather := func(lo, hi int) {
+		for dim, src := range d.cols {
+			dst := cols[dim][lo:hi]
+			for i, r := range rows[lo:hi] {
+				dst[i] = src[r]
+			}
+		}
+		for i := lo; i < hi; i++ {
+			local[i] = i
+		}
+	}
+	n := len(rows)
+	workers = max(1, min(workers, n/gatherMinRows))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			gather(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	gather(0, n/workers)
+	wg.Wait()
+	return &Dataset{names: d.names, cols: cols, rows: n}, local
+}
+
+// gatherMinRows is the share of rows below which Gather starts no goroutine.
+const gatherMinRows = 8192
 
 // RowBytes returns the simulated size in bytes of one record.
 func (d *Dataset) RowBytes() int64 { return int64(d.Dims()) * BytesPerAttribute }

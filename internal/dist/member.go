@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -97,6 +98,12 @@ type membershipState struct {
 
 	mu            sync.Mutex
 	lastRebalance time.Time
+	// lostAt is the view version an automatic round last aborted at with
+	// ErrPartitionLost, if lost. No holder of those partitions becomes
+	// reachable without a membership change, so the auto path makes no new
+	// attempt until the view's version moves.
+	lostAt uint64
+	lost   bool
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -233,10 +240,12 @@ func (m *Master) needsRebalance(ms *membershipState) bool {
 }
 
 func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
+	version := ms.tracker.View().Version
 	ms.mu.Lock()
 	cooling := now.Sub(ms.lastRebalance) < rebalanceCooldown
+	waiting := ms.lost && ms.lostAt == version
 	ms.mu.Unlock()
-	if cooling || !m.needsRebalance(ms) {
+	if cooling || waiting || !m.needsRebalance(ms) {
 		return
 	}
 	if !ms.rebalanceMu.TryLock() {
@@ -246,7 +255,11 @@ func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		if _, err := m.Rebalance(ms.ctx); err != nil {
+		_, err := m.Rebalance(ms.ctx)
+		ms.mu.Lock()
+		ms.lost, ms.lostAt = errors.Is(err, ErrPartitionLost), version
+		ms.mu.Unlock()
+		if err != nil {
 			slog.Warn("auto-rebalance failed", "err", err)
 		}
 	}()

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +202,105 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 	if again, err := tc.master.Rebalance(context.Background()); err != nil || again.Epoch != 1 {
 		t.Fatalf("second round: epoch %d, %v; want a no-op at epoch 1", again.Epoch, err)
 	}
+}
+
+// TestChaosAutoRebalanceWaitsForViewChange: after an automatic round aborts
+// with ErrPartitionLost, ticks past the rebalance cooldown on an unchanged
+// membership view make no new attempt and log no new warning; a holder
+// rejoining its slot changes the view, and the next tick's round converges.
+func TestChaosAutoRebalanceWaitsForViewChange(t *testing.T) {
+	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastChaosConfig())
+	const a, b, c = 0, 1, 2
+	var warnings atomic.Int64
+	prev := slog.Default()
+	slog.SetDefault(slog.New(countHandler{msg: "auto-rebalance failed", n: &warnings}))
+	defer slog.SetDefault(prev)
+
+	ms := tc.master.member.Load()
+	start := time.Now()
+	tc.workers[a].Close()
+	tc.workers[b].Close()
+	if _, err := ms.tracker.Beat(c, start.Add(11*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	tc.master.MembershipTick(start.Add(11 * time.Second)) // a and b go Dead
+	// tick runs the auto path past the cooldown since the last round, which
+	// Rebalance stamps with the wall clock, checks that it started a round
+	// exactly when want, and waits for that round to end.
+	tick := func(want bool) {
+		t.Helper()
+		ms.mu.Lock()
+		last := ms.lastRebalance
+		ms.mu.Unlock()
+		tc.master.maybeAutoRebalance(ms, time.Now().Add(rebalanceCooldown+time.Second))
+		started := func() bool {
+			ms.mu.Lock()
+			defer ms.mu.Unlock()
+			return !ms.lastRebalance.Equal(last)
+		}
+		deadline := time.Now().Add(50 * time.Millisecond)
+		if want {
+			deadline = time.Now().Add(5 * time.Second)
+		}
+		for !started() && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := started(); got != want {
+			t.Fatalf("tick started a round: %v, want %v", got, want)
+		}
+		ms.rebalanceMu.Lock()
+		ms.rebalanceMu.Unlock()
+	}
+	waitWarnings := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for warnings.Load() < want && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := warnings.Load(); got != want {
+			t.Fatalf("%d auto-rebalance warnings, want %d", got, want)
+		}
+	}
+
+	tick(true) // partitions sit on dead workers
+	waitWarnings(1)
+	for i := 0; i < 3; i++ {
+		tick(false) // the view is unchanged
+	}
+	waitWarnings(1)
+
+	wk := NewWorker(tc.store, membership.HostedIDs(tc.rep, a))
+	addr, err := wk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.workers[a] = wk
+	if resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: a, Addr: addr,
+		Sum: membership.Checksum(membership.HostedIDs(tc.master.Placement(), a))}); resp.Err != "" {
+		t.Fatalf("rejoin of slot %d: %s", a, resp.Err)
+	}
+	tick(true) // a holder rejoined
+	waitWarnings(1)
+	if got := tc.master.Epoch(); got != 1 {
+		t.Fatalf("epoch = %d after the round that followed the rejoin, want 1", got)
+	}
+	tc.checkExact(t)
+}
+
+// countHandler is a slog.Handler that counts the records carrying msg.
+type countHandler struct {
+	msg string
+	n   *atomic.Int64
+}
+
+func (h countHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h countHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h countHandler) WithGroup(string) slog.Handler            { return h }
+func (h countHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.n.Add(1)
+	}
+	return nil
 }
 
 // TestChaosJoinWorkerCrash: a worker crashes immediately after its join

@@ -11,6 +11,7 @@
 package kdtree
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -38,19 +39,24 @@ type Params struct {
 
 // Build constructs a k-d tree layout over the given sample rows of data.
 // domain must cover all sample rows (typically the dataset's MBR). The
-// returned layout is sealed but not routed.
+// returned layout is sealed but not routed. Like core.Build it builds on the
+// sample gathered into dense columns (dataset.Gather) and maps the
+// partitions' SampleRows back to rows.
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, p Params) *layout.Layout {
 	if p.MinRows < 1 {
 		p.MinRows = 1
 	}
+	m := newBuildMetrics(p.Obs)
+	sp := m.tConstruct.Start()
 	pool := parbuild.New(p.Parallelism)
-	b := newBuilder(data, p.MinRows, pool)
-	b.m = newBuildMetrics(p.Obs)
-	sp := b.m.tConstruct.Start()
-	root := b.split(domain, rows, 0, b.pool.RootSlot())
+	sample, local := data.Gather(rows, pool.Workers())
+	b := newBuilder(sample, p.MinRows, pool)
+	b.m = m
+	root := b.split(domain, local, 0, b.pool.RootSlot())
 	sp.End()
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("kd-tree", root, data.RowBytes())
+	l.MapSampleRows(rows)
 	sp.End()
 	return l
 }
@@ -184,8 +190,12 @@ func MedianCut(col []float64, rows []int, buf []float64) (median, cut float64, n
 
 // Select returns the k-th smallest of vals (0-based) in sort.Float64s order,
 // NaNs first, reordering vals so that vals[:k] are no larger and vals[k+1:]
-// no smaller than it. It is Hoare's selection with a median-of-three pivot,
-// O(len(vals)) expected; a range that keeps failing to shrink is sorted.
+// no smaller than it. Each round splits the range around a median-of-three
+// pivot p by a Lomuto pass that does not branch on the values (lomuto): the
+// values below p to the front. When none is below p, p is the range's least
+// value and a second pass splits off its copies, the values below the next
+// float up. O(len(vals)) expected; a range that keeps failing to shrink (an
+// all +Inf one among them) is sorted.
 func Select(vals []float64, k int) float64 {
 	nan := 0
 	for i, v := range vals {
@@ -198,36 +208,49 @@ func Select(vals []float64, k int) float64 {
 		return vals[k]
 	}
 	a, k := vals[nan:], k-nan
-	lo, hi := 0, len(a)-1
-	for round := 0; lo < hi; round++ {
+	lo, hi := 0, len(a)
+	for round := 0; hi-lo > 1; round++ {
 		if round == 64 {
-			sort.Float64s(a[lo : hi+1])
+			sort.Float64s(a[lo:hi])
 			break
 		}
-		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
 		p := max(min(x, y), min(max(x, y), z))
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for p < a[j] {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+		mid := lo + lomuto(a[lo:hi], p)
+		if mid == lo {
+			if mid += lomuto(a[lo:hi], math.Nextafter(p, math.Inf(1))); k < mid {
+				return a[k] // a[lo:mid] all equal p
 			}
 		}
-		if j < k {
-			lo = i
-		}
-		if k < i {
-			hi = j
+		if k < mid {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
 	return a[k]
+}
+
+// lomuto moves the values of a below p to its front and returns how many
+// there are. Each step swaps the next value into the boundary slot and
+// advances the boundary by the comparison's outcome, so the loop has no
+// branch that depends on the values.
+func lomuto(a []float64, p float64) int {
+	i := 0
+	for j, v := range a {
+		a[j], a[i] = a[i], v
+		i += b2i(v < p)
+	}
+	return i
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag move,
+// not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func leaf(box geom.Box, rows []int) *layout.Node {
@@ -237,9 +260,10 @@ func leaf(box geom.Box, rows []int) *layout.Node {
 
 // RefineLeaf splits one box/row-set k-d style until pieces fall below
 // 2·minRows, returning the subtree. PAW's data-aware optimisation (§IV-E)
-// uses it to keep splitting query-free leaves to the finest size. The
-// refinement runs serially: PAW's builder already parallelises across the
-// leaves that call it.
+// uses it to keep splitting query-free leaves to the finest size, on PAW's
+// gathered sample: it gathers nothing itself, and its leaves hold rows of
+// data. The refinement runs serially: PAW's builder already parallelises
+// across the leaves that call it.
 func RefineLeaf(data *dataset.Dataset, box geom.Box, rows []int, minRows int, depth int) *layout.Node {
 	b := newBuilder(data, minRows, nil)
 	return b.split(box, rows, depth, b.pool.RootSlot())

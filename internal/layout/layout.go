@@ -13,13 +13,17 @@ import (
 type ID int
 
 // Partition is a leaf of the partition tree: a physical block-set in the
-// storage layer. SampleRows holds the layout-construction sample rows that
-// fell into the partition; FullRows is set by routing the complete dataset.
+// storage layer. SampleRows holds the construction sample's rows that fell
+// into the partition, as row indices of the dataset the layout was built
+// over; FullRows is set by routing the complete dataset.
 type Partition struct {
 	ID   ID
 	Desc Descriptor
 
-	// SampleRows are indices into the construction sample.
+	// SampleRows are row indices of the dataset the builder was given
+	// (data.At(r, dim) reads one): a subsequence of the sample rows it was
+	// given, in their order. Together the partitions hold each sample row
+	// once.
 	SampleRows []int
 	// FullRows is the number of records of the full dataset routed here.
 	FullRows int64
@@ -298,6 +302,19 @@ func Seal(method string, root *Node, rowBytes int64) *Layout {
 	}
 	l.buildIndex()
 	return l
+}
+
+// MapSampleRows rewrites every partition's SampleRows through rows, each r
+// becoming rows[r]. A builder builds on its sample gathered into a dataset
+// of its own (dataset.Gather), whose rows are numbered 0…len(rows)−1; this
+// hands back the indices of the rows it gathered from. Each sample row is in
+// one partition, so every index is rewritten once.
+func (l *Layout) MapSampleRows(rows []int) {
+	for _, p := range l.Parts {
+		for i, r := range p.SampleRows {
+			p.SampleRows[i] = rows[r]
+		}
+	}
 }
 
 // Route assigns every record of data to a leaf partition, setting FullRows

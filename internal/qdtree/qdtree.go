@@ -43,21 +43,24 @@ type Params struct {
 }
 
 // Build constructs a greedy Qd-tree layout for the given workload over the
-// sample rows of data. The returned layout is sealed but not routed.
+// sample rows of data. The returned layout is sealed but not routed. Like
+// core.Build it builds on the sample gathered into dense columns
+// (dataset.Gather) and maps the partitions' SampleRows back to rows.
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, queries []geom.Box, p Params) *layout.Layout {
 	if p.MinRows < 1 {
 		p.MinRows = 1
 	}
 	pool := parbuild.New(p.Parallelism)
 	b := &builder{
-		data:    data,
 		minRows: p.MinRows,
 		pool:    pool,
 		scratch: make([]*Scratch, pool.Slots()),
 		m:       newBuildMetrics(p.Obs),
 	}
 	sp := b.m.tConstruct.Start()
-	root := b.split(domain, rows, queries, 0, pool.RootSlot())
+	sample, local := data.Gather(rows, pool.Workers())
+	b.data = sample
+	root := b.split(domain, local, queries, 0, pool.RootSlot())
 	sp.End()
 	if b.m.axisEval != nil {
 		for _, sc := range b.scratch {
@@ -68,12 +71,13 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, queries []geom.Bo
 	}
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("qd-tree", root, data.RowBytes())
+	l.MapSampleRows(rows)
 	sp.End()
 	return l
 }
 
 type builder struct {
-	data    *dataset.Dataset
+	data    *dataset.Dataset // the gathered sample
 	minRows int
 	pool    *parbuild.Pool
 	// scratch is indexed by worker slot; a slot is held by at most one
@@ -190,6 +194,7 @@ type Scratch struct {
 	cands            []Cut
 	thresh, qLo, qHi []float64
 	le               []int
+	start            []int32
 	seen             map[Cut]bool
 	// evals counts the unique candidate cuts evaluated by BestCut on this
 	// scratch since the last TakeEvals. Plain int64 — a scratch is
@@ -296,17 +301,58 @@ func BestCut(data *dataset.Dataset, box geom.Box, rows []int, queries []geom.Box
 // with le, where le[i] counts the rows whose value on col is <= thresh[i] or
 // NaN. One pass drops each row into the bucket of the first threshold it does
 // not exceed — a NaN row into the first, left of every cut, as when rows were
-// sorted NaN-first — and le is the prefix sums of the buckets.
+// sorted NaN-first — and le is the prefix sums of the buckets. The bucket is
+// found through a grid of equal cells over the thresholds' range: start[c]
+// counts the thresholds in cells before c; a value's cell never falls as the
+// value grows, so those are all below any value in cell c, and a row's bucket
+// is a short forward scan from start[cell]. Without a usable range (one
+// threshold, an infinite one) it is a binary search.
 func (sc *Scratch) bucketRows(col []float64, rows []int) (thresh []float64, le []int) {
 	slices.Sort(sc.thresh)
 	thresh = slices.Compact(sc.thresh)
-	sc.le = slices.Grow(sc.le[:0], len(thresh)+1)[:len(thresh)+1]
+	n := len(thresh)
+	sc.le = slices.Grow(sc.le[:0], n+1)[:n+1]
 	le = sc.le
 	clear(le)
-	for _, r := range rows {
-		le[search(thresh, col[r])]++
+	cells, lo, scale := 4*n, 0.0, 0.0
+	if n > 1 {
+		lo = thresh[0]
+		scale = float64(cells) / (thresh[n-1] - lo)
 	}
-	for i := 1; i < len(thresh); i++ {
+	if !(scale > 0 && scale < math.Inf(1)) {
+		for _, r := range rows {
+			le[search(thresh, col[r])]++
+		}
+	} else {
+		last := float64(cells - 1)
+		cell := func(v float64) int {
+			f := (v - lo) * scale
+			if !(f >= 0) { // below the range, or NaN
+				f = 0
+			}
+			return int(min(f, last))
+		}
+		sc.start = slices.Grow(sc.start[:0], cells)[:cells]
+		start := sc.start
+		clear(start)
+		for _, t := range thresh {
+			if c := cell(t) + 1; c < cells {
+				start[c]++
+			}
+		}
+		for c := 1; c < cells; c++ {
+			start[c] += start[c-1]
+		}
+		for _, r := range rows {
+			v := col[r]
+			i := int(start[cell(v)])
+			for i < n && thresh[i] < v {
+				i++
+			}
+			le[i]++
+		}
+	}
+	for i := 1; i < n; i++ {
 		le[i] += le[i-1]
 	}
 	return thresh, le

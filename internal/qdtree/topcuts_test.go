@@ -176,3 +176,49 @@ func TestBestCutMatchesSortOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketRowsGrid checks bucketRows' left counts against a plain count on
+// threshold sets that stress its grid: clustered thresholds beside far
+// outliers, spans too small or too large for a finite cell scale, infinite
+// and subnormal thresholds, duplicates; and on row values at every threshold,
+// one float either side of it, outside the range, ±Inf and NaN.
+func TestBucketRowsGrid(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	inf := math.Inf(1)
+	kinds := []func() float64{
+		func() float64 { return r.Float64() },
+		func() float64 { return 0.5 + r.Float64()*1e-9 },
+		func() float64 { return -1e308 },
+		func() float64 { return 1e308 },
+		func() float64 { return 5e-324 },
+		func() float64 { return -inf },
+		func() float64 { return inf },
+		func() float64 { return float64(r.Intn(4)) },
+	}
+	sc := NewScratch()
+	for trial := 0; trial < 2000; trial++ {
+		sc.thresh = sc.thresh[:0]
+		mix := r.Perm(len(kinds))[:1+r.Intn(3)]
+		for i := 1 + r.Intn(40); i > 0; i-- {
+			sc.thresh = append(sc.thresh, kinds[mix[r.Intn(len(mix))]]())
+		}
+		var col []float64
+		for _, x := range sc.thresh {
+			col = append(col, x, math.Nextafter(x, -inf), math.Nextafter(x, inf))
+		}
+		col = append(col, math.NaN(), -inf, inf, 0, -2, 2, r.NormFloat64())
+		rows := r.Perm(len(col))
+		thresh, le := sc.bucketRows(col, rows)
+		for i, x := range thresh {
+			want := 0
+			for _, v := range col {
+				if !(v > x) {
+					want++
+				}
+			}
+			if le[i] != want {
+				t.Fatalf("trial %d: %d rows <= %v or NaN by bucketRows, %d counted (thresholds %v)", trial, le[i], x, want, thresh)
+			}
+		}
+	}
+}
