@@ -176,10 +176,12 @@ bench-request-path:
 # tpch-selective, tpch-wide-scan, osm-hot-repeat; layout generation, Table II's
 # first column; plus qdtree.Build and kdtree.Build on tpch-selective) and blockstore.Materialize through two k-d layouts and a PAW
 # layout with irregular partitions (BenchmarkMaterialize; route-ns/row is the
-# bulk routing pass), and one partition's colstore.Builder build beside its
-# tiling, tile sort and run-key census, each alone (BenchmarkBuildPhases:
-# 4-column TPC-H and 2-column OSM records, ns/row). Nothing is asserted on
-# time.
+# bulk routing pass; largest-ms its largest partition built alone), and one
+# partition's colstore.Builder build beside its gather, tiling, run-key census
+# and tile sort, each alone (BenchmarkBuildPhases: 4-column TPC-H records at
+# 2^17 rows and at 2^20, the size of tpch-selective's Multi-Group remainder,
+# and 2-column OSM ones; ns/row on a GOMAXPROCS-wide pool). Nothing is
+# asserted on time.
 SETUPTIME ?= 5x
 bench-setup:
 	$(GO) test ./internal/core -run '^$$' -bench 'Build$$' -benchmem -benchtime=$(SETUPTIME)
@@ -330,9 +332,16 @@ loc:
 # partitions with a branch-free Lomuto pass (kdtree +24 with the gather),
 # core +9; and the auto-rebalance waits for a new membership view after a
 # lost-partition abort (dist +13) — for −21 % of setup_s on tpch-selective.
+# Then +162 put the Multi-Group remainder's build on both cores:
+# colstore.Builder's gather, run-key census (chunk censuses merged into one
+# distinct set) and tile extent pass run in record chunks, its selection takes
+# a sampled pivot and BuildAll starts the largest partition first (colstore
+# +132, a third of it comment); NewBuilder's domain pass runs a column a task
+# through dataset.ColumnRange (dataset +7); the k-d split partitions its rows
+# in place (kdtree +23) — for −13 % of setup_s on tpch-selective.
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 22960
+LOC_CEILING := 23122
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -27,8 +28,9 @@ import (
 // colstore.Builder.BuildAll — splits into encode-ns/row, what encoding the
 // same partitions costs once their rows are in table order
 // (colstore.FromDataset, fanned out the same way), and cluster-ns/row, what
-// putting them in that order adds. cores is the process CPU time over the
-// wall time of the timed Materialize calls.
+// putting them in that order adds. largest-ms is what building the largest
+// partition alone takes: the floor under BuildAll's wall time. cores is the
+// process CPU time over the wall time of the timed Materialize calls.
 func BenchmarkMaterialize(b *testing.B) {
 	const rows = 2_000_000
 	data := dataset.TPCHLike(rows, 1).Project(4).Normalize()
@@ -65,6 +67,12 @@ func BenchmarkMaterialize(b *testing.B) {
 			build, encode := t1.Sub(t0), time.Since(t1)
 			b.ReportMetric(perRow(build-encode, 1), "cluster-ns/row")
 			b.ReportMetric(perRow(encode, 1), "encode-ns/row")
+
+			largest := slices.Clone(slices.MaxFunc(byPart, func(x, y []int) int { return len(x) - len(y) }))
+			bld := cfg.Builder(data)
+			t2 := time.Now()
+			bld.Build(largest)
+			b.ReportMetric(float64(time.Since(t2).Nanoseconds())/1e6, "largest-ms")
 		})
 	}
 }

@@ -40,11 +40,14 @@ import (
 // concurrent use.
 //
 // One bounded pool serves both levels of a build. BuildAll fans the partitions
-// out on it; and because a layout built for skewed data can put most of the
-// rows in one partition (69 % of them in one of 23, on the OSM stand-in), a
-// large partition's build fans out again on whatever workers are free: the two
-// halves of a split tile independently, and tiles sort and encode
-// independently.
+// out on it, largest first; and because a layout built for skewed data can
+// put most of the rows in one partition (69 % of them in one of 23 on the OSM
+// stand-in, 51 % in PAW's Multi-Group remainder on tpch-selective), a large
+// partition's build fans out again on whatever workers are free: the gather,
+// the run-key census with the order words and a segment's extent pass run in
+// record chunks, the two halves of a split tile independently, and tiles sort
+// and encode independently. Chunk boundaries depend on the pool's width alone,
+// and no chunked pass's result depends on them.
 type Builder struct {
 	data      *dataset.Dataset
 	groupRows int
@@ -61,12 +64,13 @@ func NewBuilder(data *dataset.Dataset, groupRows int) *Builder {
 		groupRows = DefaultGroupRows
 	}
 	b := &Builder{data: data, groupRows: groupRows, pool: parbuild.New(0), invExtent: make([]float64, data.Dims())}
-	dom := data.Domain()
-	for d := range b.invExtent {
-		if ext := dom.Hi[d] - dom.Lo[d]; ext > 0 && !math.IsInf(ext, 0) {
+	// The domain, a column a task.
+	b.pool.Fan(b.pool.RootSlot(), data.Dims(), func(d, _ int) {
+		lo, hi := dataset.ColumnRange(data.Column(d))
+		if ext := hi - lo; ext > 0 && !math.IsInf(ext, 0) {
 			b.invExtent[d] = 1 / ext
 		}
-	}
+	})
 	return b
 }
 
@@ -83,7 +87,16 @@ func (b *Builder) Build(rows []int) *Table {
 // goroutine that built it: calls for different partitions overlap.
 func (b *Builder) BuildAll(parts [][]int, done func(i int, t *Table)) {
 	scratch := make([]clusterScratch, b.pool.Slots())
-	b.pool.Fan(b.pool.RootSlot(), len(parts), func(i, slot int) {
+	// Largest first: the largest partition is the critical path, so it starts
+	// at once, the rest build beside it, and workers they free join its
+	// fan-outs.
+	order := make([]int, len(parts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return len(parts[y]) - len(parts[x]) })
+	b.pool.Fan(b.pool.RootSlot(), len(parts), func(j, slot int) {
+		i := order[j]
 		done(i, b.build(parts[i], scratch, slot))
 	})
 }
@@ -109,8 +122,11 @@ type clusterScratch struct {
 	// run-key columns, its position, and — in the low bits — which record of
 	// the tile is the row's. A tile with a tail column overwrites everything
 	// below the ranks but the record number (sortTile).
-	order  []uint64
-	census []columnCensus
+	order []uint64
+	// census[c][d] is the census of column d over the records of chunk c;
+	// keys[d] the partition's distinct keys of one column, merged from them.
+	census [][]columnCensus
+	keys   []runKey
 	// tails lists the columns that are not run keys, ascending; rankBits is
 	// how many high bits of an order word the run-key ranks take.
 	tails    []int
@@ -122,10 +138,9 @@ type clusterScratch struct {
 	radix []uint64
 }
 
-// columnCensus is the distinct-value census of one column of a partition,
-// abandoned once it passes runKeyCap.
+// columnCensus is the distinct-value census of one column over a run of
+// records, abandoned once it passes runKeyCap.
 type columnCensus struct {
-	dim   int      // the column
 	vals  []uint64 // distinct keys, in the order first seen
 	first []uint8  // first[r]: the first-seen number of the r-th smallest key
 	codes []uint8  // per record: the first-seen number of its key
@@ -146,22 +161,10 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 	if !slices.IsSorted(sc.src) {
 		slices.Sort(sc.src)
 	}
-	// The one gather from the dataset; everything after it, encoding
-	// included, reads the records.
 	stride := dims + 1
-	sc.recs = slices.Grow(sc.recs[:0], n*stride)[:n*stride]
-	for i := range sc.src {
-		sc.recs[i*stride] = uint64(i)
-	}
-	for d := 0; d < dims; d++ {
-		col := b.data.Column(d)
-		for i, r := range sc.src {
-			sc.recs[i*stride+1+d] = orderKey(col[r])
-		}
-	}
-
+	b.gather(sc, stride, slot)
 	b.tile(sc.recs, stride, slot)
-	slotBits := sc.packOrder(n, stride, b.groupRows)
+	slotBits := b.packOrder(sc, n, stride, slot)
 	slotMask := uint64(1)<<slotBits - 1
 
 	// Tiles are independent from here: sort the tile's order words, write its
@@ -185,6 +188,33 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 		}
 	})
 	return t
+}
+
+// parallelMinRows is the fewest records in a chunk of a pass over a
+// partition's records that fans out — the gather, the census and the order
+// words, and a tile segment's extent: a chunk below it takes well under a
+// millisecond.
+const parallelMinRows = 1 << 14
+
+// gather is the one read of the dataset: it fills sc.recs with the record of
+// every row of sc.src, each in one pass over the row, in row chunks on the
+// pool. Everything after it, encoding included, reads the records.
+func (b *Builder) gather(sc *clusterScratch, stride, slot int) {
+	n := len(sc.src)
+	cols := make([][]float64, stride-1)
+	for d := range cols {
+		cols[d] = b.data.Column(d)
+	}
+	sc.recs = slices.Grow(sc.recs[:0], n*stride)[:n*stride]
+	b.pool.FanChunks(slot, n, parallelMinRows, func(_, lo, hi, _ int) {
+		for i, r := range sc.src[lo:hi] {
+			rec := sc.recs[(lo+i)*stride : (lo+i+1)*stride]
+			rec[0] = uint64(lo + i)
+			for d, col := range cols {
+				rec[1+d] = orderKey(col[r])
+			}
+		}
+	})
 }
 
 // sortTile puts the order words of one tile — tile[i] still names record i of
@@ -320,19 +350,18 @@ const parallelTileGroups = 16
 // pool slot slot.
 func (b *Builder) tile(recs []uint64, stride, slot int) {
 	dims := stride - 1
-	extent := make([]uint64, 2*dims)
-	mins, maxs := extent[:dims], extent[dims:]
+	// extents holds one chunk's mins, then maxes, per chunk of the extent
+	// pass; the first chunk's end up the segment's.
+	extents := make([]uint64, 2*dims*b.pool.Workers())
+	mins, maxs := extents[:dims], extents[dims:2*dims]
 	for len(recs) > b.groupRows*stride {
-		copy(mins, recs[1:stride])
-		copy(maxs, recs[1:stride])
-		for w := stride; w < len(recs); w += stride {
-			for d, k := range recs[w+1 : w+stride] {
-				if k < mins[d] {
-					mins[d] = k
-				}
-				if k > maxs[d] {
-					maxs[d] = k
-				}
+		chunks := b.pool.FanChunks(slot, len(recs)/stride, parallelMinRows, func(c, lo, hi, _ int) {
+			extentOf(recs[lo*stride:hi*stride], stride, extents[2*dims*c:2*dims*(c+1)])
+		})
+		for c := 1; c < chunks; c++ {
+			at := extents[2*dims*c:]
+			for d := range dims {
+				mins[d], maxs[d] = min(mins[d], at[d]), max(maxs[d], at[dims+d])
 			}
 		}
 		split, widest := 0, -1.0
@@ -360,42 +389,90 @@ func (b *Builder) tile(recs []uint64, stride, slot int) {
 	}
 }
 
+// extentOf sets minmax to the least, then the greatest, key of every column
+// over the stride-word records of recs (at least one). A pass reads a window
+// of four words of each record, their bounds held in registers: columns
+// d0…d0+3, and past the last column words of the next record, whose bounds
+// are dropped. The last records, whose window would pass the end, are read
+// column by column.
+func extentOf(recs []uint64, stride int, minmax []uint64) {
+	dims := stride - 1
+	for d0 := 0; d0 < dims; d0 += 4 {
+		l0, l1, l2, l3 := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
+		var h0, h1, h2, h3 uint64
+		w := 1 + d0
+		for ; w+4 <= len(recs); w += stride {
+			rec := recs[w : w+4 : w+4]
+			k0, k1, k2, k3 := rec[0], rec[1], rec[2], rec[3]
+			l0, h0 = min(l0, k0), max(h0, k0)
+			l1, h1 = min(l1, k1), max(h1, k1)
+			l2, h2 = min(l2, k2), max(h2, k2)
+			l3, h3 = min(l3, k3), max(h3, k3)
+		}
+		cols := min(4, dims-d0)
+		bounds := [8]uint64{l0, l1, l2, l3, h0, h1, h2, h3}
+		for ; w < len(recs); w += stride {
+			for j, k := range recs[w : w+cols] {
+				bounds[j], bounds[4+j] = min(bounds[j], k), max(bounds[4+j], k)
+			}
+		}
+		for j := range cols {
+			minmax[d0+j], minmax[dims+d0+j] = bounds[j], bounds[4+j]
+		}
+	}
+}
+
+// maxPivotSample caps the sample selectSmallest draws its pivot from.
+const maxPivotSample = 1024
+
 // selectSmallest permutes the stride-word records of recs so that the first k
 // are the k smallest under (record[keyWord], record[0]) order, in O(len(recs))
 // expected time. record[0] is unique, so the order is total.
 func selectSmallest(recs []uint64, stride, keyWord, k int) {
-	before := func(i, j int) bool { // record i sorts before record j
-		ki, kj := recs[i*stride+keyWord], recs[j*stride+keyWord]
-		return ki < kj || ki == kj && recs[i*stride] < recs[j*stride]
-	}
 	// Invariant: records [0,lo) sort before [lo,n), [0,hi) before [hi,n),
 	// and lo <= k <= hi.
 	lo, hi := 0, len(recs)/stride
-	// Quickselect around the median of three records at pseudo-random (but
-	// deterministic) places, so that no natural arrival pattern — sorted,
-	// reversed, rising then falling — degrades it. Should a crafted input
-	// exhaust the budget anyway, the remaining range is simply sorted.
+	// Quickselect around a pivot drawn from a sample of about √(hi-lo)
+	// records at pseudo-random (but deterministic) places, so that no natural
+	// arrival pattern — sorted, reversed, rising then falling — degrades it.
+	// The pivot is the sample's record of rank nearest k, moved about one
+	// standard deviation of a sample rank toward the far end of the range: k
+	// then mostly falls on the near side of it, and the next step partitions
+	// that side alone. A segment is read about 1.7 times: once whole, once
+	// more for the half holding k, and a few short ranges after. Should a
+	// crafted input exhaust the budget anyway, the remaining range is simply
+	// sorted.
+	type pick struct {
+		key, pos uint64 // the record's sort key
+		at       int    // where it is
+	}
+	var sample [maxPivotSample]pick
 	rnd := uint64(hi)*0x9E3779B97F4A7C15 | 1
 	for budget := 4 * bits.Len(uint(hi)); lo < k && k < hi && hi-lo > 12 && budget > 0; budget-- {
-		var pick [3]int
-		for t := range pick {
+		n := hi - lo
+		size := min(maxPivotSample, int(math.Sqrt(float64(n))))
+		picks := sample[:size]
+		for t := range picks {
 			rnd ^= rnd << 13
 			rnd ^= rnd >> 7
 			rnd ^= rnd << 17
-			pick[t] = lo + int(rnd%uint64(hi-lo))
+			at := lo + int(rnd%uint64(n))
+			picks[t].key, picks[t].pos, picks[t].at = recs[at*stride+keyWord], recs[at*stride], at
 		}
-		a, m, z := pick[0], pick[1], pick[2]
-		if before(m, a) {
-			a, m = m, a
-		}
-		if before(z, m) {
-			m = z
-			if before(m, a) {
-				m = a
+		slices.SortFunc(picks, func(x, y pick) int {
+			if c := cmp.Compare(x.key, y.key); c != 0 {
+				return c
 			}
+			return cmp.Compare(x.pos, y.pos)
+		})
+		rank, gap := float64(k-lo)*float64(size)/float64(n), math.Sqrt(float64(size))/2
+		if k-lo < hi-k {
+			rank += gap
+		} else {
+			rank -= gap
 		}
-		swapRecords(recs, stride, lo, m)
-		m = lo + partitionAround(recs[lo*stride:hi*stride], stride, keyWord)
+		swapRecords(recs, stride, lo, picks[min(max(int(rank), 0), size-1)].at)
+		m := lo + partitionAround(recs[lo*stride:hi*stride], stride, keyWord)
 		if k <= m {
 			hi = m
 		} else {
@@ -505,34 +582,43 @@ func sortRecords(recs []uint64, stride, keyWord int) {
 // candidates for a tile's tail key, and sc.rankBits is how many high bits the
 // ranks took. Below the position, the low slotBits bits (returned) say which
 // record of the tile is the row's.
-func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
-	dims := stride - 1
-	for len(sc.census) < dims {
-		sc.census = append(sc.census, columnCensus{})
+//
+// The census runs in record chunks on the pool, each chunk counting every
+// column's keys apart; the chunks' keys merge into the partition's distinct
+// set, and each record's code maps to its key's rank through its chunk's
+// table. Only the ranks reach the words, so they do not depend on the chunks.
+// The caller holds pool slot slot.
+func (b *Builder) packOrder(sc *clusterScratch, n, stride, slot int) (slotBits int) {
+	dims, groupRows := stride-1, b.groupRows
+	if sc.census == nil {
+		sc.census, sc.keys = make([][]columnCensus, b.pool.Workers()), make([]runKey, dims)
+		for c := range sc.census {
+			sc.census[c] = make([]columnCensus, dims)
+		}
 	}
-	census := sc.census[:dims]
-	for d := range census {
-		census[d].dim = d
-		census[d].take(sc.recs, stride, 1+d)
+	chunks := b.pool.FanChunks(slot, n, parallelMinRows, func(c, lo, hi, _ int) {
+		for d := range dims {
+			sc.census[c][d].take(sc.recs[lo*stride:hi*stride], stride, 1+d)
+		}
+	})
+	keys := sc.keys
+	for d := range keys {
+		keys[d].merge(d, sc.census[:chunks])
 	}
-	slices.SortStableFunc(census, func(a, b columnCensus) int { return len(a.vals) - len(b.vals) })
+	slices.SortStableFunc(keys, func(a, b runKey) int { return a.distinct - b.distinct })
 
 	// Positions take bits.Len(n) bits, tile slots as many as the largest
 	// tile needs; what is left of the word is for ranks.
 	posBits := bits.Len(uint(n))
 	slotBits = bits.Len(uint(min(groupRows, n) - 1))
-	sc.order = slices.Grow(sc.order[:0], n)[:n]
-	for i := range sc.order {
-		sc.order[i] = sc.recs[i*stride]<<slotBits | uint64(i%groupRows)
-	}
 	free := 64 - posBits - slotBits
 	sc.tails = sc.tails[:0]
-	for i := range census {
-		c := &census[i]
-		width := bits.Len(uint(len(c.vals) - 1))
-		if len(c.vals) > runKeyCap || width > free {
-			for _, c := range census[i:] {
-				sc.tails = append(sc.tails, c.dim)
+	var ranked []runKey // the run keys that take bits, most significant first
+	for i, k := range keys {
+		width := bits.Len(uint(k.distinct - 1))
+		if k.distinct > runKeyCap || width > free {
+			for _, k := range keys[i:] {
+				sc.tails = append(sc.tails, k.dim)
 			}
 			slices.Sort(sc.tails)
 			break
@@ -541,17 +627,63 @@ func (sc *clusterScratch) packOrder(n, stride, groupRows int) (slotBits int) {
 			continue // constant column
 		}
 		free -= width
-		// rank[f] is the rank of the f-th key first seen.
-		var rank [runKeyCap]uint64
-		for r, f := range c.first {
-			rank[f] = uint64(r) << (posBits + slotBits + free)
-		}
-		for i, f := range c.codes {
-			sc.order[i] |= rank[f]
-		}
+		k.shift = uint(posBits + slotBits + free)
+		ranked = append(ranked, k)
 	}
 	sc.rankBits = 64 - posBits - slotBits - free
+
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	b.pool.FanChunks(slot, n, parallelMinRows, func(c, lo, hi, _ int) {
+		order := sc.order[lo:hi]
+		for i := range order {
+			order[i] = sc.recs[(lo+i)*stride]<<slotBits | uint64((lo+i)%groupRows)
+		}
+		for _, k := range ranked {
+			// rank[f] is the shifted rank of the chunk's f-th key first seen.
+			cc := &sc.census[c][k.dim]
+			var rank [runKeyCap]uint64
+			for f, v := range cc.vals {
+				r, _ := slices.BinarySearch(k.vals, v)
+				rank[f] = uint64(r) << k.shift
+			}
+			for i, f := range cc.codes {
+				order[i] |= rank[f]
+			}
+		}
+	})
 	return slotBits
+}
+
+// runKey is one column's census over a whole partition.
+type runKey struct {
+	dim int
+	// distinct counts the column's distinct keys, but stops at runKeyCap+1;
+	// vals holds them, ascending, when it is at most runKeyCap.
+	distinct int
+	vals     []uint64
+	// shift places the column's ranks in an order word (packOrder).
+	shift uint
+}
+
+// merge sets k to column dim's census over the chunk censuses of the
+// partition's records.
+func (k *runKey) merge(dim int, census [][]columnCensus) {
+	k.dim, k.vals = dim, k.vals[:0]
+	for _, chunk := range census {
+		cc := &chunk[dim]
+		if len(cc.vals) > runKeyCap {
+			k.distinct = runKeyCap + 1
+			return
+		}
+		for _, f := range cc.first {
+			k.vals = append(k.vals, cc.vals[f])
+		}
+	}
+	if len(census) > 1 {
+		slices.Sort(k.vals)
+		k.vals = slices.Compact(k.vals)
+	}
+	k.distinct = min(len(k.vals), runKeyCap+1)
 }
 
 // censusBits sizes take's open-addressing table at 512 slots, twice the

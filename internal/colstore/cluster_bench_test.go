@@ -5,29 +5,32 @@ import (
 	"testing"
 
 	"paw/internal/dataset"
-	"paw/internal/parbuild"
 )
 
-// BenchmarkBuildPhases times one partition's Builder.build serially (build)
-// and, apart, the three loops of it that compare values: the tiling, whose
-// time is its selections and their extent passes (tile); the word sort of
-// every tile (sort); and the run-key census of every column (census). The
-// records are shaped like the end-to-end benchmark's: the 4-column TPC-H
-// stand-in (5-word records) and the 2-column OSM one (3-word records), both
-// normalised, in 2 048-row groups. ns/row is per row of the partition, so a
-// phase's share of build is the ratio of the two (`make bench-setup`).
-// Nothing is asserted on time.
+// BenchmarkBuildPhases times one partition's Builder.build and, apart, its
+// phases: the gather of the records from the dataset (gather); the tiling,
+// whose time is its selections and their extent passes (tile); the run-key
+// census of every column with the order words it fills (census); and the word
+// sort of every tile (sort). The records are shaped like the end-to-end
+// benchmark's: the 4-column TPC-H stand-in (5-word records) at 2¹⁷ rows and at
+// 2²⁰, the size of tpch-selective's Multi-Group remainder, and the 2-column
+// OSM one (3-word records), all normalised, in 2 048-row groups. The pool is
+// GOMAXPROCS wide, as in a store build (`-cpu 1` for a serial build); sort is
+// timed serially. ns/row is per row of the partition, so a phase's share of
+// build is the ratio of the two (`make bench-setup`). Nothing is asserted on
+// time.
 func BenchmarkBuildPhases(b *testing.B) {
-	const rows, groupRows = 1 << 17, 2048
+	const groupRows = 2048
 	for _, c := range []struct {
 		name string
 		data *dataset.Dataset
 	}{
-		{"tpch", dataset.TPCHLike(rows, 1).Project(4).Normalize()},
-		{"osm", dataset.OSMLike(rows, 12, 1).Normalize()},
+		{"tpch", dataset.TPCHLike(1<<17, 1).Project(4).Normalize()},
+		{"tpch-2^20", dataset.TPCHLike(1<<20, 1).Project(4).Normalize()},
+		{"osm", dataset.OSMLike(1<<17, 12, 1).Normalize()},
 	} {
+		rows := c.data.NumRows()
 		bld := NewBuilder(c.data, groupRows)
-		bld.pool = parbuild.New(1)
 		slot := bld.pool.RootSlot()
 		scratch := make([]clusterScratch, bld.pool.Slots())
 		sc := &scratch[slot]
@@ -36,21 +39,22 @@ func BenchmarkBuildPhases(b *testing.B) {
 			all[i] = i
 		}
 		stride := c.data.Dims() + 1
-		gathered := make([]uint64, rows*stride)
-		for i := range rows {
-			gathered[i*stride] = uint64(i)
-			for d := range c.data.Dims() {
-				gathered[i*stride+1+d] = orderKey(c.data.At(i, d))
-			}
-		}
-		sc.recs = slices.Clone(gathered)
+		sc.src = slices.Clone(all)
+		bld.gather(sc, stride, slot)
+		gathered := slices.Clone(sc.recs)
 		bld.tile(sc.recs, stride, slot)
-		slotBits := sc.packOrder(rows, stride, groupRows)
+		slotBits := bld.packOrder(sc, rows, stride, slot)
 		order := slices.Clone(sc.order)
 		perRow := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 		}
 
+		b.Run(c.name+"/gather", func(b *testing.B) {
+			for range b.N {
+				bld.gather(sc, stride, slot)
+			}
+			perRow(b)
+		})
 		b.Run(c.name+"/tile", func(b *testing.B) {
 			recs := make([]uint64, len(gathered))
 			for range b.N {
@@ -61,19 +65,18 @@ func BenchmarkBuildPhases(b *testing.B) {
 			}
 			perRow(b)
 		})
+		bld.tile(sc.recs, stride, slot)
+		b.Run(c.name+"/census", func(b *testing.B) {
+			for range b.N {
+				bld.packOrder(sc, rows, stride, slot)
+			}
+			perRow(b)
+		})
 		b.Run(c.name+"/sort", func(b *testing.B) {
 			for range b.N {
 				copy(sc.order, order)
 				for lo := 0; lo < rows; lo += groupRows {
 					bld.sortTile(sc, sc.order[lo:lo+groupRows], sc.recs[lo*stride:(lo+groupRows)*stride], stride, slotBits, &sc.radix)
-				}
-			}
-			perRow(b)
-		})
-		b.Run(c.name+"/census", func(b *testing.B) {
-			for range b.N {
-				for d := range c.data.Dims() {
-					sc.census[d].take(sc.recs, stride, 1+d)
 				}
 			}
 			perRow(b)

@@ -13,6 +13,7 @@ import (
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
+	"paw/internal/parbuild"
 )
 
 // clusterDatasets are the shapes the physical order must cope with: a mix of
@@ -421,6 +422,67 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestBuildIsWidthIndependent: a partition above every chunk threshold —
+// its gather, census, order words and top tile extents run in chunks at any
+// width above one, and its tile halves and tiles fan out — builds into the
+// same bytes and the same row order on pools of one to four workers, from
+// rows arriving shuffled. On "ramp" each chunk of the top extent pass sees
+// only its share of the first column's range: a chunk's extent alone would
+// make the second column the wider.
+func TestBuildIsWidthIndependent(t *testing.T) {
+	n := 4*parallelMinRows + 1234
+	ramp, noise := make([]float64, n), make([]float64, n)
+	rng := rand.New(rand.NewSource(52))
+	for i := range ramp {
+		ramp[i], noise[i] = float64(i), float64(rng.Intn(n*3/4))
+	}
+	for name, data := range map[string]*dataset.Dataset{
+		"tpch":     dataset.TPCHLike(n, 9).Project(4),
+		"specials": specialsDataset(n),
+		"ramp":     dataset.MustNew([]string{"ramp", "noise"}, [][]float64{ramp, noise}),
+	} {
+		var want []byte
+		var wantRows []int
+		for w := 1; w <= 4; w++ {
+			b := NewBuilder(data, 64)
+			b.pool = parbuild.New(w)
+			rows := shuffledRows(n, int64(w))
+			var buf bytes.Buffer
+			if err := b.Build(rows).Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if w == 1 {
+				want, wantRows = buf.Bytes(), rows
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), want) || !slices.Equal(rows, wantRows) {
+				t.Fatalf("%s: %d workers build another table than one", name, w)
+			}
+		}
+	}
+}
+
+// TestBuilderExtentsMatchDomain: the builder's per-column extents, taken a
+// column a task, are those of the dataset's serial Domain — on NaNs of either
+// sign, both zeros and a column reaching ±Inf, which has no extent.
+func TestBuilderExtentsMatchDomain(t *testing.T) {
+	data := specialsDataset(5000)
+	dom := data.Domain()
+	b := NewBuilder(data, 64)
+	for d := range data.Dims() {
+		want := 0.0
+		if ext := dom.Hi[d] - dom.Lo[d]; ext > 0 && !math.IsInf(ext, 0) {
+			want = 1 / ext
+		}
+		if math.Float64bits(b.invExtent[d]) != math.Float64bits(want) {
+			t.Errorf("column %d: invExtent %v, want %v", d, b.invExtent[d], want)
+		}
+	}
+	if b.invExtent[2] != 0 {
+		t.Errorf("the column reaching ±Inf has invExtent %v, want 0", b.invExtent[2])
+	}
+}
+
 // TestBuildDegeneratePartitions: empty and one-row partitions build.
 func TestBuildDegeneratePartitions(t *testing.T) {
 	data := dataset.Uniform(10, 2, 1)
@@ -443,7 +505,8 @@ func TestBuildDegeneratePartitions(t *testing.T) {
 // ones (~70 000 records, as a benchmark partition reaches) run its block loop
 // at every level, on random keys, on the three arrival patterns, and on
 // constant and two-valued keys, where positions order the records — arriving
-// in order or shuffled.
+// in order or shuffled. The last trials put k near either end and in the
+// middle, where the sampled pivot is moved to either side of it.
 func TestSelectSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	trial := func(name string, n, stride, keyWord, k int, key func(i int) uint64, shuffle bool) {
@@ -514,6 +577,27 @@ func TestSelectSmallest(t *testing.T) {
 			}
 			shuffle := stride == 5
 			trial(fmt.Sprintf("%s n=%d stride=%d shuffled %v", c.name, n, stride, shuffle), n, stride, 1+rng.Intn(stride-1), k, c.key, shuffle)
+		}
+	}
+	// The sampled pivot with k one record and one row group in from either
+	// end, where it is moved to the far side of k, and in the middle; on
+	// ascending, descending, all-equal and two-valued keys (one value
+	// alternating, or one in fifty), where positions rank most of the sample.
+	const m = 10_000
+	for _, c := range []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"ascending", func(i int) uint64 { return uint64(i) }},
+		{"descending", func(i int) uint64 { return uint64(m - i) }},
+		{"all-equal", func(int) uint64 { return 3 }},
+		{"alternating", func(i int) uint64 { return uint64(i % 2) }},
+		{"one-in-fifty", func(i int) uint64 { return uint64(min(1, i%50)) }},
+	} {
+		for _, k := range []int{1, 2048, m / 2, m - 2048, m - 1} {
+			for _, shuffle := range []bool{false, true} {
+				trial(fmt.Sprintf("%s n=%d k=%d shuffled %v", c.name, m, k, shuffle), m, 3, 1+rng.Intn(2), k, c.key, shuffle)
+			}
 		}
 	}
 }

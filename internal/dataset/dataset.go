@@ -136,18 +136,25 @@ func (d *Dataset) Domain() geom.Box {
 	lo := make(geom.Point, d.Dims())
 	hi := make(geom.Point, d.Dims())
 	for dim, col := range d.cols {
-		mn, mx := math.Inf(1), math.Inf(-1)
-		for _, v := range col {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		lo[dim], hi[dim] = mn, mx
+		lo[dim], hi[dim] = ColumnRange(col)
 	}
 	return geom.Box{Lo: lo, Hi: hi}
+}
+
+// ColumnRange returns the least and the greatest value of col under <, which
+// passes NaNs over: +Inf and -Inf for an empty or all-NaN column. Of two zeros
+// it keeps the first seen.
+func ColumnRange(col []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range col {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
 }
 
 // RowInBox reports whether row i lies inside the closed box q. q may have

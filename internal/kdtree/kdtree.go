@@ -65,9 +65,11 @@ type builder struct {
 	data    *dataset.Dataset
 	minRows int
 	pool    *parbuild.Pool
-	// scratch holds one reusable median buffer per worker slot; a slot is
-	// held by at most one goroutine at a time.
+	// scratch holds one reusable median buffer per worker slot, and moved
+	// one buffer of the rows a split sends right; a slot is held by at most
+	// one goroutine at a time.
 	scratch [][]float64
+	moved   [][]int
 	m       buildMetrics
 }
 
@@ -98,6 +100,7 @@ func newBuilder(data *dataset.Dataset, minRows int, pool *parbuild.Pool) *builde
 		minRows: minRows,
 		pool:    pool,
 		scratch: make([][]float64, pool.Slots()),
+		moved:   make([][]int, pool.Slots()),
 	}
 }
 
@@ -126,7 +129,7 @@ func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node 
 		// Children must not overlap even on the boundary plane: the cut
 		// value itself belongs to the left child ("v <= cut goes left").
 		c := qdtree.CutAtUpper(dim, cut)
-		left, right := qdtree.SplitRowsN(b.data, rows, c, nLeft)
+		left, right := b.splitRows(rows, c, slot)
 		lbox, rbox := c.Apply(box)
 		node := &layout.Node{
 			Desc:     layout.NewRect(box),
@@ -142,6 +145,26 @@ func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node 
 		return node
 	}
 	return leaf(box, rows)
+}
+
+// splitRows divides rows in place at the cut's boundary, each side keeping its
+// order, and returns the two sides: the rows at most c.LeftHi on c.Dim, then
+// the rest (NaNs among them). The rows that go right wait in the slot's moved
+// buffer while the others close up.
+func (b *builder) splitRows(rows []int, c qdtree.Cut, slot int) (left, right []int) {
+	col := b.data.Column(c.Dim)
+	moved, l := b.moved[slot][:0], 0
+	for _, r := range rows {
+		if col[r] <= c.LeftHi {
+			rows[l] = r
+			l++
+		} else {
+			moved = append(moved, r)
+		}
+	}
+	copy(rows[l:], moved)
+	b.moved[slot] = moved
+	return rows[:l:l], rows[l:]
 }
 
 // MedianCut gathers col over rows into buf (len(buf) == len(rows)) and

@@ -427,9 +427,27 @@ func TestMuxWedgedPeerClosedAtDeadline(t *testing.T) {
 	errs := make(chan error, 3)
 	go func() { errs <- m.Call(context.Background(), time.Time{}, 1, blob("unanswered"), nop) }()
 	waitUntil(t, "the first request to be sent", func() bool { return m.seq.Load() == 1 && m.writing.Load() == 0 })
-	by := time.Now().Add(100 * time.Millisecond)
-	go func() { errs <- m.Call(context.Background(), by, 1, blob(make([]byte, 4<<20)), nop) }()
-	waitUntil(t, "the large write to block", func() bool { return m.writing.Load() == 2 })
+	// The large call's write must start before its deadline. A goroutine the
+	// scheduler starves past it gets a NotSentError, the connection untouched;
+	// then the call is made again with a fresh deadline.
+	var by time.Time
+	for attempt := 1; ; attempt++ {
+		by = time.Now().Add(100 * time.Millisecond)
+		large := make(chan error, 1)
+		go func(by time.Time) { large <- m.Call(context.Background(), by, 1, blob(make([]byte, 4<<20)), nop) }(by)
+		waitUntil(t, "the large write to block", func() bool { return m.writing.Load() != 0 || len(large) != 0 })
+		select {
+		case err := <-large:
+			var ns *NotSentError
+			if errors.As(err, &ns) && attempt < 20 {
+				continue
+			}
+			errs <- err // the reaper has closed the connection already, or the call failed
+		default:
+			go func() { errs <- <-large }() // the write is blocked
+		}
+		break
+	}
 	go func() { errs <- m.Call(context.Background(), time.Time{}, 1, blob("queued"), nop) }()
 	for i := 0; i < 3; i++ {
 		err := <-errs
