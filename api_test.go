@@ -8,9 +8,12 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -72,23 +75,15 @@ func (r *repoImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 	return pkg, nil
 }
 
-// TestExportedFunctionsHaveCallers holds every function and method declared
-// in a non-test file of the root package, internal/ or cmd/ to what callers
-// use; main and init are exempt. Every package of the repository (benchmark/
-// and examples/ included) is type-checked with its tests, and a function or
-// method passes when a use in a non-test file anywhere, or (an exported one)
-// in a test file of another directory, resolves to it. A method also passes
-// when a use resolves to an interface method of its name (the call may
-// dispatch to it), or when the standard library calls it through an
-// interface (stdlibMethods). A name used only by the tests of its own package
-// is a probe: unexport it or move it into a _test.go file. A name used
-// nowhere is dead: delete it.
-func TestExportedFunctionsHaveCallers(t *testing.T) {
+// loadRepo parses every Go file of the module once, tests included, for the
+// tests that type-check it, and returns the importer over the parse.
+var loadRepo = sync.OnceValues(func() (*repoImporter, error) {
 	// With cgo off, go/build picks the pure-Go files of every package, so no
 	// C toolchain runs.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	pkgs := map[string]*goPackage{}
+	imp := &repoImporter{fset: fset, pkgs: map[string]*goPackage{}, known: map[string]*types.Package{},
+		std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -115,13 +110,14 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
-		p := pkgs[dir]
+		ipath := "paw"
+		if dir != "." {
+			ipath += "/" + dir
+		}
+		p := imp.pkgs[ipath]
 		if p == nil {
-			p = &goPackage{dir: dir, path: "paw"}
-			if dir != "." {
-				p.path += "/" + dir
-			}
-			pkgs[dir] = p
+			p = &goPackage{dir: dir, path: ipath}
+			imp.pkgs[ipath] = p
 		}
 		switch {
 		case strings.HasSuffix(f.Name.Name, "_test"):
@@ -133,15 +129,26 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		}
 		return nil
 	})
+	return imp, err
+})
+
+// TestExportedFunctionsHaveCallers holds every function and method declared
+// in a non-test file of the root package, internal/ or cmd/ to what callers
+// use; main and init are exempt. Every package of the repository (benchmark/
+// and examples/ included) is type-checked with its tests, and a function or
+// method passes when a use in a non-test file anywhere, or (an exported one)
+// in a test file of another directory, resolves to it. A method also passes
+// when a use resolves to an interface method of its name (the call may
+// dispatch to it), or when the standard library calls it through an
+// interface (stdlibMethods). A name used only by the tests of its own package
+// is a probe: unexport it or move it into a _test.go file. A name used
+// nowhere is dead: delete it.
+func TestExportedFunctionsHaveCallers(t *testing.T) {
+	imp, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	imp := &repoImporter{fset: fset, pkgs: map[string]*goPackage{}, known: map[string]*types.Package{},
-		std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
-	for _, p := range pkgs {
-		imp.pkgs[p.path] = p
-	}
+	fset := imp.fset
 	var decls []*ast.FuncDecl
 	declDir := map[*ast.FuncDecl]string{}
 	declKey := map[*ast.FuncDecl]string{}
@@ -185,7 +192,7 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range pkgs {
+	for _, p := range imp.pkgs {
 		if len(p.files)+len(p.testFiles) > 0 {
 			check(p, p.path, append(p.files[:len(p.files):len(p.files)], p.testFiles...))
 		}
@@ -229,6 +236,80 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
+	}
+}
+
+// docName is a backticked qualified Go name in prose: `pkg.Name` or
+// `pkg.Type.Member`, a call's empty parentheses allowed.
+var docName = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\(\\))?`")
+
+// TestDocNamesResolve holds README.md and TESTING.md to the code: every
+// backticked qualified name whose package is one of this module's (paw for
+// the root) must name a declaration of that package, or a field or method of
+// one of its types — `pkg.Type.Member`, or `pkg.Member` for short. A name of
+// another package (the standard library's, a metric's) is not checked.
+func TestDocNamesResolve(t *testing.T) {
+	imp, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string][]string{} // package name -> import paths
+	for path, p := range imp.pkgs {
+		if len(p.files) > 0 && p.files[0].Name.Name != "main" {
+			paths[p.files[0].Name.Name] = append(paths[p.files[0].Name.Name], path)
+		}
+	}
+	// hasMember reports whether type name tn has a field or method member.
+	hasMember := func(obj types.Object, member string) bool {
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			return false
+		}
+		m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member)
+		return m != nil
+	}
+	resolves := func(pkgName, name, member string) bool {
+		for _, path := range paths[pkgName] {
+			pkg, err := imp.Import(path)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", path, err)
+			}
+			scope := pkg.Scope()
+			if member != "" {
+				if hasMember(scope.Lookup(name), member) {
+					return true
+				}
+				continue
+			}
+			if scope.Lookup(name) != nil {
+				return true
+			}
+			for _, n := range scope.Names() {
+				if hasMember(scope.Lookup(n), name) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"README.md", "TESTING.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, m := range docName.FindAllStringSubmatch(string(src), -1) {
+			if paths[m[1]] == nil {
+				continue
+			}
+			checked++
+			if !resolves(m[1], m[2], m[3]) {
+				t.Errorf("%s cites %s, which package %s does not declare", doc, m[0], m[1])
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s cites no qualified name of this module: the pattern no longer matches its prose", doc)
+		}
 	}
 }
 

@@ -175,7 +175,6 @@ func main() {
 	if *memberOn {
 		err := m.EnableMembership(dist.MembershipConfig{
 			Detector:      membership.Config{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
-			TickEvery:     500 * time.Millisecond,
 			AutoRebalance: true,
 		})
 		if err != nil {

@@ -139,7 +139,7 @@ func main() {
 		if err != nil {
 			fatalf("joining %s: %v", *joinAddr, err)
 		}
-		hb.Start(500 * time.Millisecond)
+		hb.Start()
 		if fresh {
 			// A fresh joiner has no slot until the master assigns one.
 			fmt.Printf("pawworker joined as slot %d, serving 0 partitions on %s\n", resp.Index, addr)

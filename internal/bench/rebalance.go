@@ -203,7 +203,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 		return rep, fmt.Errorf("join: %w", err)
 	}
 	cancel()
-	hb.Start(100 * time.Millisecond)
+	hb.Start()
 	t0 := time.Now()
 	rr, err := m.Rebalance(context.Background())
 	joinEv.RebalanceMillis = time.Since(t0).Milliseconds()

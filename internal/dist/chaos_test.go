@@ -214,12 +214,14 @@ func TestChaosFailoverToReplica(t *testing.T) {
 }
 
 // TestChaosBreakerTripAndProbe: repeated failures against a dead worker trip
-// its breaker (short-circuiting further dials); after the cooldown, a probe
-// against the restarted worker closes it again.
+// its breaker (short-circuiting further dials); once the master's clock
+// passes the cooldown, a probe against the restarted worker closes it again.
 func TestChaosBreakerTripAndProbe(t *testing.T) {
 	cfg := fastChaosConfig()
 	cfg.Retry.BreakerThreshold = 2
 	tc := startChaosCluster(t, 1, 1, nil, cfg)
+	clk := newFakeClock()
+	tc.master.clock = clk
 	if _, err := tc.master.Query(chaosSQL); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 		t.Fatalf("breaker short-circuits = %d, want >= 1", got)
 	}
 
-	// Restart the worker on the same address, wait out the cooldown: the
+	// Restart the worker on the same address and pass the cooldown: the
 	// probe must succeed and close the breaker.
 	replacement := NewWorker(tc.store, hosted) // a fleet cannot restart a slot on its address
 	var started bool
@@ -260,7 +262,10 @@ func TestChaosBreakerTripAndProbe(t *testing.T) {
 	}
 	defer replacement.Close()
 	tc.workers[0] = replacement
-	time.Sleep(breakerCooldown + 20*time.Millisecond)
+	if _, err := tc.master.Query(chaosSQL); err == nil {
+		t.Fatal("a query inside the cooldown must short-circuit")
+	}
+	clk.Advance(breakerCooldown)
 	resp, err := tc.master.Query(chaosSQL)
 	if err != nil {
 		t.Fatalf("probe after cooldown must recover the worker: %v", err)

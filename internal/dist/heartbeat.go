@@ -29,25 +29,20 @@ var ErrRefused = errors.New("refused by master")
 // few missed beats, not a dead worker process.
 type Heartbeater struct {
 	addr string
+	// clock times the beats (clock.go).
+	clock clock
 
 	mu  sync.Mutex
 	mux *serve.Mux
+	// stopBeats stops the beats Start began (nil before Start).
+	stopBeats func()
 
 	index atomic.Int64
-
-	started  atomic.Bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewHeartbeater targets a master's client port.
 func NewHeartbeater(masterAddr string) *Heartbeater {
-	h := &Heartbeater{
-		addr: masterAddr,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	h := &Heartbeater{addr: masterAddr, clock: wallClock{}}
 	h.index.Store(-1)
 	return h
 }
@@ -126,49 +121,32 @@ func (h *Heartbeater) Leave(ctx context.Context) (MemberResponse, error) {
 	return h.call(ctx, MemberRequest{Op: MemberLeave, Index: int(idx)})
 }
 
-// Start launches the background beat loop (default period 500ms). Each beat
-// runs under its own deadline so a wedged master delays, never wedges, the
-// loop. Start may be called once; Close stops the loop.
-func (h *Heartbeater) Start(every time.Duration) {
-	if every <= 0 {
-		every = 500 * time.Millisecond
-	}
-	if !h.started.CompareAndSwap(false, true) {
+// Start begins beating every memberTick, the master's tick period. Each beat
+// runs under a deadline of its own so a wedged master delays, never wedges,
+// the beats. Start may be called once, before Close; Close stops the beats.
+func (h *Heartbeater) Start() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.stopBeats != nil {
 		return
 	}
-	go func() {
-		defer close(h.done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		timeout := every
-		if timeout < time.Second {
-			timeout = time.Second
-		}
-		for {
-			select {
-			case <-h.stop:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				_, err := h.Beat(ctx)
-				cancel()
-				if err != nil {
-					// Transient: the connection was dropped above and the
-					// next tick redials. The master's failure detector is
-					// the authority on how many misses matter.
-					continue
-				}
-			}
-		}
-	}()
+	h.stopBeats = periodic(h.clock, memberTick, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		// A failed beat dropped the connection and the next redials; the
+		// master's failure detector decides how many misses matter.
+		_, _ = h.Beat(ctx)
+	})
 }
 
-// Close stops the beat loop and drops any cached connection. It does not
-// send a leave — call Leave first for a graceful departure.
+// Close stops the beats and drops any cached connection. It does not send a
+// leave — call Leave first for a graceful departure.
 func (h *Heartbeater) Close() {
-	h.stopOnce.Do(func() { close(h.stop) })
-	if h.started.Load() {
-		<-h.done
+	h.mu.Lock()
+	stop := h.stopBeats
+	h.mu.Unlock()
+	if stop != nil {
+		stop() // not under h.mu: a beat in progress takes it
 	}
 	h.dropConn()
 }

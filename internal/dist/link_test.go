@@ -146,7 +146,7 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 	if got := snap.Counter(MetricBreakerTrips); got != 0 {
 		t.Errorf("breaker trips = %d, want 0", got)
 	}
-	if !m.fleet.Load().breakers[1].healthy(m.cfg.Retry, time.Now()) {
+	if !m.fleet.Load().breakers[1].healthy(m.cfg.Retry, m.clock) {
 		t.Error("worker 1's breaker opened")
 	}
 }

@@ -67,10 +67,10 @@ const (
 	maxQueuedPerClient = 32
 	// drainTimeout bounds the post-cutover wait for in-flight old-epoch
 	// queries before the old epoch is retired on the workers. Queries still
-	// running after it fail with an unknown-epoch error and retry-route
-	// against the new layout; the bound only exists so a wedged query cannot
-	// pin an epoch forever. Expiries with queries still in flight are counted
-	// (MetricDrainTimeouts).
+	// running after it fail with an unknown-epoch error, which a client may
+	// retry against the new layout; the bound only exists so a wedged query
+	// cannot pin an epoch forever. Expiries with queries still in flight are
+	// counted (MetricDrainTimeouts). The wait is on the master's clock.
 	drainTimeout = 30 * time.Second
 )
 
@@ -117,9 +117,8 @@ type Master struct {
 	// routedHook, when set, runs on the serving path between routing and
 	// scatter, with the routed view pinned. Test-only.
 	routedHook func()
-	// drainTimeout is the epoch drain bound retireView waits (the
-	// drainTimeout constant; tests shorten it).
-	drainTimeout time.Duration
+	// clock times the master's own schedules (clock.go).
+	clock clock
 
 	// fleet is the elastic worker-set snapshot (addresses, breakers, down
 	// flags, call histograms), swapped atomically when a worker joins or moves
@@ -212,10 +211,7 @@ func NewMasterReplicated(r *router.Master, workerAddrs []string, rep placement.R
 	if err := rep.Validate(r.Layout(), len(workerAddrs)); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	m := &Master{
-		links:        make([]*muxLink, len(workerAddrs)),
-		drainTimeout: drainTimeout,
-	}
+	m := &Master{links: make([]*muxLink, len(workerAddrs)), clock: wallClock{}}
 	m.fleet.Store(newFleet(workerAddrs))
 	m.view.Store(&routeView{router: r, replicas: rep})
 	m.Configure(DefaultConfig())
@@ -232,6 +228,24 @@ type routeView struct {
 	replicas placement.Replicated // partition -> replica set, primary first
 	epoch    uint64
 	inflight atomic.Int64
+	// drained, made by retireView, is signalled when the last pinned query
+	// unpins the retiring view.
+	drained chan struct{}
+}
+
+// retiring is what retireView takes off a view's in-flight count: a retiring
+// view's count reads -retiring once its last query unpins, a serving view's
+// is never negative, so unpin tells them apart with one compare, no lock.
+const retiring = 1 << 62
+
+// unpin releases one query's pin on v, waking a retireView that waits for it.
+func (v *routeView) unpin() {
+	if v.inflight.Add(-1) == -retiring {
+		select { // a query that pins v after its retire and unpins finds it full
+		case v.drained <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Epoch returns the layout epoch the master currently serves.
@@ -490,8 +504,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		now := time.Now()
-		ok, probe := f.breakers[w].allow(m.cfg.Retry, now)
+		ok, probe := f.breakers[w].allow(m.cfg.Retry, m.clock)
 		if !ok {
 			m.m.breakerShorts.Inc()
 			return errWorkerUnhealthy{w}
@@ -508,7 +521,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if round > 0 {
 			rpc.Int(trace.KeyFailoverRound, int64(round))
 		}
-		by := m.callDeadline(qd, now)
+		by := m.callDeadline(qd, time.Now())
 		if !by.IsZero() {
 			req.Deadline = by.UnixNano()
 		}
@@ -536,7 +549,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 			m.m.failures.Inc()
 			return err
 		}
-		if f.breakers[w].failure(m.cfg.Retry, time.Now()) {
+		if f.breakers[w].failure(m.cfg.Retry, m.clock) {
 			m.m.breakerTrips.Inc()
 		}
 		if attempt+1 >= maxAttempts {
@@ -548,7 +561,7 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 			return fmt.Errorf("dist: query retry budget exhausted: %w", err)
 		}
 		m.m.retries.Inc()
-		if serr := sleepCtx(ctx, m.jit.backoff(attempt)); serr != nil {
+		if serr := sleepCtx(ctx, m.clock, m.jit.backoff(attempt)); serr != nil {
 			m.m.failures.Inc()
 			return serr
 		}
@@ -565,16 +578,13 @@ func (m *Master) callDeadline(qd, now time.Time) time.Time {
 	return qd
 }
 
-// sleepCtx sleeps for d or until ctx is done, returning ctx's error in the
+// sleepCtx waits d on c or until ctx is done, returning ctx's error in the
 // latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+func sleepCtx(ctx context.Context, c clock, d time.Duration) error {
+	woke := make(chan struct{})
+	defer c.AfterFunc(d, func() { close(woke) }).Stop()
 	select {
-	case <-t.C:
+	case <-woke:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -659,7 +669,7 @@ func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next bool,
 				return mg.view, plan, true, nil
 			}
 		}
-		mg.view.inflight.Add(-1)
+		mg.view.unpin()
 	}
 	for {
 		v = m.view.Load()
@@ -667,11 +677,11 @@ func (m *Master) planFor(sql string) (v *routeView, plan router.Plan, next bool,
 		if m.view.Load() == v {
 			break
 		}
-		v.inflight.Add(-1) // lost a race with a cutover: pin its successor
+		v.unpin() // lost a race with a cutover: pin its successor
 	}
 	plan, err = v.router.RouteSQL(sql)
 	if err != nil {
-		v.inflight.Add(-1)
+		v.unpin()
 	}
 	return v, plan, false, err
 }
@@ -812,7 +822,7 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 		rsp.End()
 		return QueryResponse{}, err
 	}
-	defer view.inflight.Add(-1)
+	defer view.unpin()
 	if m.routedHook != nil {
 		m.routedHook()
 	}
@@ -901,8 +911,8 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 // breaker probe or fail fast), then the first untried replica at all — a
 // dead mark is a strong hint, not a verdict, so a replica set whose every
 // member is marked dead is still tried rather than silently failed. -1 when
-// the replica set is exhausted. now is the scatter round's clock reading.
-func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool, now time.Time) int {
+// the replica set is exhausted.
+func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int {
 	f := m.fleet.Load()
 	first, firstUp := -1, -1
 	for _, w := range v.replicas[id] {
@@ -918,7 +928,7 @@ func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool, now 
 		if firstUp < 0 {
 			firstUp = w
 		}
-		if f.breakers[w].healthy(m.cfg.Retry, now) {
+		if f.breakers[w].healthy(m.cfg.Retry, m.clock) {
 			return w
 		}
 	}
@@ -941,10 +951,9 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 	pending := ids
 	var tried map[layout.ID]map[int]bool // lazily allocated: only on failure
 	for round := 0; len(pending) > 0; round++ {
-		now := time.Now() // one clock read judges every replica of the round
 		byWorker := make(map[int][]layout.ID)
 		for _, id := range pending {
-			w := m.pickWorker(v, id, tried[id], now)
+			w := m.pickWorker(v, id, tried[id])
 			if w < 0 {
 				failed = append(failed, id)
 				continue
@@ -1024,7 +1033,7 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 				}
 				tried[id][r.w] = true
 				next = append(next, id)
-				if m.pickWorker(v, id, tried[id], now) >= 0 {
+				if m.pickWorker(v, id, tried[id]) >= 0 {
 					retryable = true
 				}
 			}
@@ -1072,12 +1081,11 @@ func (m *Master) Start(addr string) (string, error) {
 		return "", errors.New("dist: master is closed")
 	}
 	m.listener = l
-	m.mu.Unlock()
-	if ms := m.member.Load(); ms != nil && ms.cfg.TickEvery > 0 {
-		m.wg.Add(1)
-		go m.memberTickLoop(ms)
-	}
 	m.wg.Add(1)
+	if ms := m.member.Load(); ms != nil {
+		ms.stopTicks = periodic(m.clock, memberTick, m.membershipTick)
+	}
+	m.mu.Unlock()
 	go func() {
 		defer m.wg.Done()
 		for {
@@ -1167,7 +1175,8 @@ func (m *Master) Close() error {
 	}
 	m.mu.Unlock()
 	if ms := m.member.Load(); ms != nil {
-		ms.shutdown()
+		ms.cancel()
+		ms.stopTicks()
 	}
 	var err error
 	if l != nil {

@@ -64,9 +64,6 @@ type MembershipConfig struct {
 	// Detector is the heartbeat failure detector's thresholds
 	// (suspect/dead); zero fields use membership defaults.
 	Detector membership.Config
-	// TickEvery is the failure-detector tick period once the master starts
-	// (0: no background ticking — tests drive MembershipTick explicitly).
-	TickEvery time.Duration
 	// AutoRebalance lets ticks trigger rebalances when the placement
 	// references a dead worker or a live member hosts nothing. Flapping
 	// Alive↔Suspect members never trigger one: Suspect members keep their
@@ -74,13 +71,8 @@ type MembershipConfig struct {
 	AutoRebalance bool
 }
 
-func (c MembershipConfig) normalized() MembershipConfig {
-	c.Detector = c.Detector.Normalized()
-	return c
-}
-
-// rebalanceCooldown is the minimum spacing between automatic rebalances.
-const rebalanceCooldown = 5 * time.Second
+// memberTick is the detector's tick period; rebalanceCooldown spaces auto rounds.
+const memberTick, rebalanceCooldown = 500 * time.Millisecond, 5 * time.Second
 
 // membershipState is the master-side membership subsystem.
 type membershipState struct {
@@ -93,7 +85,8 @@ type membershipState struct {
 	// joinMu serialises join handshakes so the tracker's slot indices and
 	// the fleet's slots grow in lockstep.
 	joinMu sync.Mutex
-	// rebalanceMu serialises rebalances; the auto path TryLocks and skips.
+	// rebalanceMu serialises rebalances. A tick TryLocks it and hands it to
+	// the round it starts: once the tick returns, that round holds it.
 	rebalanceMu sync.Mutex
 
 	mu            sync.Mutex
@@ -105,38 +98,30 @@ type membershipState struct {
 	lostAt uint64
 	lost   bool
 
-	ctx      context.Context
-	cancel   context.CancelFunc
-	stop     chan struct{}
-	stopOnce sync.Once
-}
-
-func (ms *membershipState) shutdown() {
-	ms.stopOnce.Do(func() {
-		close(ms.stop)
-		ms.cancel()
-	})
+	ctx    context.Context
+	cancel context.CancelFunc
+	// stopTicks stops the ticks Start begins (a no-op before Start).
+	stopTicks func()
 }
 
 // EnableMembership switches the master to elastic membership: the current
 // fleet seeds the tracker as Alive members, and from here on workers may
-// join, leave and be declared dead. Must be called before Start; the
-// background tick loop (cfg.TickEvery > 0) launches with Start and stops
-// with Close.
+// join, leave and be declared dead. Must be called before Start; the failure
+// detector ticks every memberTick from Start until Close.
 func (m *Master) EnableMembership(cfg MembershipConfig) error {
 	replicas := 1
 	for _, ws := range m.Placement() {
 		replicas = max(replicas, len(ws))
 	}
-	cfg = cfg.normalized()
+	cfg.Detector = cfg.Detector.Normalized()
 	ctx, cancel := context.WithCancel(context.Background())
 	ms := &membershipState{
-		cfg:      cfg,
-		tracker:  membership.NewTracker(cfg.Detector, m.fleet.Load().addrs, time.Now()),
-		replicas: replicas,
-		ctx:      ctx,
-		cancel:   cancel,
-		stop:     make(chan struct{}),
+		cfg:       cfg,
+		tracker:   membership.NewTracker(cfg.Detector, m.fleet.Load().addrs, m.clock.Now()),
+		replicas:  replicas,
+		ctx:       ctx,
+		cancel:    cancel,
+		stopTicks: func() {},
 	}
 	if !m.member.CompareAndSwap(nil, ms) {
 		cancel()
@@ -145,16 +130,13 @@ func (m *Master) EnableMembership(cfg MembershipConfig) error {
 	return nil
 }
 
-// MembershipTick advances the failure detector to now: silent members go
-// Suspect then Dead, dead workers are deprioritised on the scatter path, and
-// — with AutoRebalance — a rebalance is kicked off when the placement needs
-// one. Exported so deterministic tests drive the clock explicitly; the
-// background loop calls it with the wall clock.
-func (m *Master) MembershipTick(now time.Time) []membership.Transition {
+// membershipTick advances the failure detector to the clock's now: silent
+// members go Suspect then Dead, dead workers are deprioritised on the scatter
+// path, and — with AutoRebalance — a rebalance is kicked off when the
+// placement needs one.
+func (m *Master) membershipTick() {
 	ms := m.member.Load()
-	if ms == nil {
-		return nil
-	}
+	now := m.clock.Now()
 	trs := ms.tracker.Tick(now)
 	f := m.fleet.Load()
 	for _, tr := range trs {
@@ -174,21 +156,6 @@ func (m *Master) MembershipTick(now time.Time) []membership.Transition {
 	}
 	if ms.cfg.AutoRebalance {
 		m.maybeAutoRebalance(ms, now)
-	}
-	return trs
-}
-
-func (m *Master) memberTickLoop(ms *membershipState) {
-	defer m.wg.Done()
-	t := time.NewTicker(ms.cfg.TickEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ms.stop:
-			return
-		case now := <-t.C:
-			m.MembershipTick(now)
-		}
 	}
 }
 
@@ -240,22 +207,23 @@ func (m *Master) needsRebalance(ms *membershipState) bool {
 }
 
 func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
-	version := ms.tracker.View().Version
-	ms.mu.Lock()
-	cooling := now.Sub(ms.lastRebalance) < rebalanceCooldown
-	waiting := ms.lost && ms.lostAt == version
-	ms.mu.Unlock()
-	if cooling || waiting || !m.needsRebalance(ms) {
+	// Under the lock no round runs, and the last one has recorded its outcome.
+	if !ms.rebalanceMu.TryLock() {
 		return
 	}
-	if !ms.rebalanceMu.TryLock() {
-		return // one is already running
+	version := ms.tracker.View().Version
+	ms.mu.Lock()
+	due := now.Sub(ms.lastRebalance) >= rebalanceCooldown && !(ms.lost && ms.lostAt == version)
+	ms.mu.Unlock()
+	if !due || !m.needsRebalance(ms) {
+		ms.rebalanceMu.Unlock()
+		return
 	}
-	ms.rebalanceMu.Unlock()
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		_, err := m.Rebalance(ms.ctx)
+		defer ms.rebalanceMu.Unlock()
+		_, err := m.rebalance(ms.ctx, ms)
 		ms.mu.Lock()
 		ms.lost, ms.lostAt = errors.Is(err, ErrPartitionLost), version
 		ms.mu.Unlock()
@@ -271,7 +239,7 @@ func (m *Master) handleMember(req *MemberRequest) MemberResponse {
 	if ms == nil {
 		return MemberResponse{Index: -1, Err: "dist: membership is not enabled on this master"}
 	}
-	now := time.Now()
+	now := m.clock.Now()
 	switch req.Op {
 	case MemberJoin:
 		return m.handleJoin(ms, req, now)
@@ -361,11 +329,11 @@ func (m *Master) handleLeave(ms *membershipState, req *MemberRequest, now time.T
 	// any query ever missing rows.
 	if _, err := m.Rebalance(ms.ctx); err != nil {
 		// The worker must NOT exit; revive it so it keeps serving.
-		ms.tracker.Revive(req.Index, time.Now())
+		ms.tracker.Revive(req.Index, m.clock.Now())
 		m.updateMemberGauges(ms)
 		return MemberResponse{Index: req.Index, Err: fmt.Sprintf("dist: drain failed, leave aborted: %v", err)}
 	}
-	ms.tracker.Depart(req.Index, time.Now())
+	ms.tracker.Depart(req.Index, m.clock.Now())
 	f := m.fleet.Load()
 	if req.Index < len(f.down) {
 		f.down[req.Index].Store(true)

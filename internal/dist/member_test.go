@@ -49,10 +49,13 @@ type elasticCluster struct {
 	master   *Master
 	reg      *obs.Registry
 	addr     string // master client port
+	// clock is the master's: its ticks and timers run as the test moves it.
+	clock *fakeClock
 }
 
 // startElasticCluster builds a ring-placed cluster of nWorkers with
-// membership enabled on the master and its client port listening.
+// membership enabled on the master, on a clock the test moves, and its
+// client port listening.
 func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg MembershipConfig, cfg Config) *elasticCluster {
 	t.Helper()
 	data := dataset.Uniform(rows, 2, 11)
@@ -75,7 +78,7 @@ func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg Member
 	rep := membership.RingPlacement(ids, workerIdx, replicas)
 	f := startFleet(t, l, data.Names(), store, rep, nWorkers, nil, nil)
 	tc := &elasticCluster{data: data, layout: l, store: store, rep: rep,
-		workers: make(map[int]*Worker), replicas: replicas, master: f.Master, reg: obs.New()}
+		workers: make(map[int]*Worker), replicas: replicas, master: f.Master, reg: obs.New(), clock: newFakeClock()}
 	for w, wk := range f.Workers {
 		tc.workers[w] = wk
 	}
@@ -87,6 +90,7 @@ func startElasticCluster(t *testing.T, nWorkers, replicas, rows int, mcfg Member
 	})
 	f.Master.Configure(cfg)
 	f.Master.SetMetrics(tc.reg)
+	f.Master.clock = tc.clock
 	if err := f.Master.EnableMembership(mcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +120,28 @@ func (tc *elasticCluster) joinFreshWorker(t *testing.T) (int, *Worker) {
 	}
 	tc.workers[resp.Index] = wk
 	return resp.Index, wk
+}
+
+// pass moves the clock d forward one member tick at a time; after each tick,
+// every worker in beating sends a heartbeat through the master's handler.
+func (tc *elasticCluster) pass(t *testing.T, d time.Duration, beating ...int) {
+	t.Helper()
+	for end := tc.clock.Now().Add(d); tc.clock.Now().Before(end); {
+		tc.clock.Advance(memberTick)
+		for _, w := range beating {
+			if resp := tc.master.handleMember(&MemberRequest{Op: MemberBeat, Index: w}); resp.Err != "" {
+				t.Fatalf("beat of worker %d: %s", w, resp.Err)
+			}
+		}
+	}
+}
+
+// settle waits for the automatic rebalance a tick may have started: the tick
+// hands the round rebalanceMu, which it holds until its outcome is recorded.
+func (tc *elasticCluster) settle() {
+	ms := tc.master.member.Load()
+	ms.rebalanceMu.Lock()
+	ms.rebalanceMu.Unlock()
 }
 
 // checkExact asserts three probe queries return exactly the dataset oracle's
@@ -277,28 +303,15 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	}
 }
 
-// TestMembershipSuspectDeadTick drives the failure detector with an explicit
+// TestMembershipSuspectDeadTick drives the failure detector on the master's
 // clock: a silent worker goes Suspect (still placeable, still queried) and
 // then Dead (deprioritised on the scatter path), and a beat revives it.
 func TestMembershipSuspectDeadTick(t *testing.T) {
 	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
 	m := tc.master
-	ms := m.member.Load()
-	now := time.Now()
 
-	// Keep workers 0 and 1 beating; worker 2 goes silent.
-	beatAll := func(at time.Time, except int) {
-		for w := 0; w < 3; w++ {
-			if w == except {
-				continue
-			}
-			if _, err := ms.tracker.Beat(w, at); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	beatAll(now.Add(4*time.Second), 2)
-	m.MembershipTick(now.Add(6 * time.Second))
+	// Workers 0 and 1 keep beating; worker 2 goes silent.
+	tc.pass(t, 6*time.Second, 0, 1)
 	view, _ := m.membershipView()
 	if mem, _ := view.Member(2); mem.State != membership.Suspect {
 		t.Fatalf("silent worker state = %v at 6s, want Suspect", mem.State)
@@ -308,8 +321,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	}
 	tc.checkExact(t) // suspect worker still serves
 
-	beatAll(now.Add(9*time.Second), 2)
-	m.MembershipTick(now.Add(11 * time.Second))
+	tc.pass(t, 5*time.Second, 0, 1)
 	view, _ = m.membershipView()
 	if mem, _ := view.Member(2); mem.State != membership.Dead {
 		t.Fatalf("silent worker state = %v at 11s, want Dead", mem.State)
@@ -360,13 +372,11 @@ func TestMembershipNotEnabled(t *testing.T) {
 	}
 }
 
-// TestMembershipLoopsNoGoroutineLeak: the master's tick loop and the
-// worker's heartbeat loop must both shut down cleanly — membership adds no
-// background goroutines that outlive Close.
+// TestMembershipLoopsNoGoroutineLeak: the master's ticks and the worker's
+// beats must both stop cleanly — membership adds no background goroutines
+// that outlive Close.
 func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	mcfg := elasticMemberConfig()
-	mcfg.TickEvery = 2 * time.Millisecond
 	data := dataset.Uniform(1000, 2, 11)
 	rowIdx := make([]int, data.NumRows())
 	for i := range rowIdx {
@@ -383,7 +393,9 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	f := startFleet(t, l, data.Names(), store, rep, 1, nil, nil)
 	m, waddr := f.Master, f.Addrs[0]
 	m.Configure(fastMigConfig())
-	if err := m.EnableMembership(mcfg); err != nil {
+	clk := newFakeClock()
+	m.clock = clk
+	if err := m.EnableMembership(elasticMemberConfig()); err != nil {
 		t.Fatal(err)
 	}
 	maddr, err := m.Start("127.0.0.1:0")
@@ -391,12 +403,16 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb := NewHeartbeater(maddr)
+	hb.clock = clk
 	if _, err := hb.Join(context.Background(), 0, waddr,
 		membership.Checksum(membership.HostedIDs(rep, 0))); err != nil {
 		t.Fatal(err)
 	}
-	hb.Start(2 * time.Millisecond)
-	time.Sleep(30 * time.Millisecond) // let both loops run a few periods
+	hb.Start()
+	clk.Advance(12 * memberTick) // past SuspectAfter: only the beats keep worker 0 Alive
+	if view, _ := m.membershipView(); view.Members[0].State != membership.Alive {
+		t.Fatalf("worker 0 is %v after beating over the wire, want Alive", view.Members[0].State)
+	}
 
 	hb.Close()
 	f.Close()

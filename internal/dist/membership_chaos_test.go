@@ -59,14 +59,7 @@ func TestChaosRebalanceWorkerCrash(t *testing.T) {
 			// The detector declares the joiner dead; the next round excludes
 			// it and converges back to the surviving set — a no-op here, since
 			// nothing ever moved.
-			ms := tc.master.member.Load()
-			now := time.Now()
-			for w := 0; w < 3; w++ {
-				if _, err := ms.tracker.Beat(w, now.Add(11*time.Second)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tc.master.MembershipTick(now.Add(12 * time.Second))
+			tc.pass(t, 12*time.Second, 0, 1, 2)
 			view, _ := tc.master.membershipView()
 			if mem, _ := view.Member(idx); mem.State != membership.Dead {
 				t.Fatalf("crashed joiner state = %v, want Dead", mem.State)
@@ -104,16 +97,11 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 	if len(lost) == 0 {
 		t.Fatal("fixture: no partition lives on workers 0 and 1 alone")
 	}
-	ms := tc.master.member.Load()
-	now := time.Now()
-	// declareDead beats worker c at `at` and ticks there, so every other
-	// silent slot goes Dead.
-	declareDead := func(at time.Time, dead ...int) {
+	// declareDead passes the dead threshold with only worker c beating, so
+	// every other slot goes Dead.
+	declareDead := func(dead ...int) {
 		t.Helper()
-		if _, err := ms.tracker.Beat(c, at); err != nil {
-			t.Fatal(err)
-		}
-		tc.master.MembershipTick(at)
+		tc.pass(t, 11*time.Second, c)
 		view, _ := tc.master.membershipView()
 		for _, w := range dead {
 			if mem, _ := view.Member(w); mem.State != membership.Dead {
@@ -139,7 +127,7 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 
 	tc.workers[a].Close()
 	tc.workers[b].Close()
-	declareDead(now.Add(11*time.Second), a, b)
+	declareDead(a, b)
 	_, err := tc.master.Rebalance(context.Background())
 	if !errors.Is(err, ErrPartitionLost) {
 		t.Fatalf("rebalance with every holder dead: %v, want ErrPartitionLost", err)
@@ -181,7 +169,7 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 		t.Fatalf("epoch = %d after the failed fetch, want 0", got)
 	}
 	tc.workers[a].Close()
-	declareDead(now.Add(30*time.Second), a)
+	declareDead(a)
 
 	// Holder a restarts with its store and rejoins its slot: the placement
 	// did not move, so its checksum matches and the round ships from it.
@@ -209,7 +197,9 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 // membership view make no new attempt and log no new warning; a holder
 // rejoining its slot changes the view, and the next tick's round converges.
 func TestChaosAutoRebalanceWaitsForViewChange(t *testing.T) {
-	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastChaosConfig())
+	mcfg := elasticMemberConfig()
+	mcfg.AutoRebalance = true
+	tc := startElasticCluster(t, 3, 2, 3000, mcfg, fastChaosConfig())
 	const a, b, c = 0, 1, 2
 	var warnings atomic.Int64
 	prev := slog.Default()
@@ -217,57 +207,38 @@ func TestChaosAutoRebalanceWaitsForViewChange(t *testing.T) {
 	defer slog.SetDefault(prev)
 
 	ms := tc.master.member.Load()
-	start := time.Now()
-	tc.workers[a].Close()
-	tc.workers[b].Close()
-	if _, err := ms.tracker.Beat(c, start.Add(11*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	tc.master.MembershipTick(start.Add(11 * time.Second)) // a and b go Dead
-	// tick runs the auto path past the cooldown since the last round, which
-	// Rebalance stamps with the wall clock, checks that it started a round
-	// exactly when want, and waits for that round to end.
-	tick := func(want bool) {
-		t.Helper()
+	lastRound := func() time.Time {
 		ms.mu.Lock()
-		last := ms.lastRebalance
-		ms.mu.Unlock()
-		tc.master.maybeAutoRebalance(ms, time.Now().Add(rebalanceCooldown+time.Second))
-		started := func() bool {
-			ms.mu.Lock()
-			defer ms.mu.Unlock()
-			return !ms.lastRebalance.Equal(last)
-		}
-		deadline := time.Now().Add(50 * time.Millisecond)
-		if want {
-			deadline = time.Now().Add(5 * time.Second)
-		}
-		for !started() && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if got := started(); got != want {
-			t.Fatalf("tick started a round: %v, want %v", got, want)
-		}
-		ms.rebalanceMu.Lock()
-		ms.rebalanceMu.Unlock()
+		defer ms.mu.Unlock()
+		return ms.lastRebalance
 	}
-	waitWarnings := func(want int64) {
+	// tick passes the dead threshold, and so the rebalance cooldown, with the
+	// workers in beating beating; waits for the round a tick on the way may
+	// have started; and checks that one started exactly when want.
+	tick := func(want bool, beating ...int) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for warnings.Load() < want && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
+		last := lastRound()
+		tc.pass(t, mcfg.Detector.DeadAfter+time.Second, beating...)
+		tc.settle()
+		if got := !lastRound().Equal(last); got != want {
+			t.Fatalf("ticks started a round: %v, want %v", got, want)
 		}
+	}
+	checkWarnings := func(want int64) {
+		t.Helper()
 		if got := warnings.Load(); got != want {
 			t.Fatalf("%d auto-rebalance warnings, want %d", got, want)
 		}
 	}
 
-	tick(true) // partitions sit on dead workers
-	waitWarnings(1)
+	tc.workers[a].Close()
+	tc.workers[b].Close()
+	tick(true, c) // a and b go Dead, and partitions sit on them
+	checkWarnings(1)
 	for i := 0; i < 3; i++ {
-		tick(false) // the view is unchanged
+		tick(false, c) // the view is unchanged
 	}
-	waitWarnings(1)
+	checkWarnings(1)
 
 	wk := NewWorker(tc.store, membership.HostedIDs(tc.rep, a))
 	addr, err := wk.Start("127.0.0.1:0")
@@ -279,8 +250,8 @@ func TestChaosAutoRebalanceWaitsForViewChange(t *testing.T) {
 		Sum: membership.Checksum(membership.HostedIDs(tc.master.Placement(), a))}); resp.Err != "" {
 		t.Fatalf("rejoin of slot %d: %s", a, resp.Err)
 	}
-	tick(true) // a holder rejoined
-	waitWarnings(1)
+	tick(true, a, c) // a holder rejoined
+	checkWarnings(1)
 	if got := tc.master.Epoch(); got != 1 {
 		t.Fatalf("epoch = %d after the round that followed the rejoin, want 1", got)
 	}
@@ -314,14 +285,7 @@ func TestChaosJoinWorkerCrash(t *testing.T) {
 			wk.Close()
 			tc.checkExact(t) // the dead joiner hosts nothing; nothing routes to it
 
-			ms := tc.master.member.Load()
-			now := time.Now()
-			for w := 0; w < 2; w++ {
-				if _, err := ms.tracker.Beat(w, now.Add(11*time.Second)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tc.master.MembershipTick(now.Add(12 * time.Second))
+			tc.pass(t, 12*time.Second, 0, 1)
 			view, _ := tc.master.membershipView()
 			if mem, _ := view.Member(idx); mem.State != membership.Dead {
 				t.Fatalf("crashed joiner state = %v, want Dead", mem.State)
@@ -342,33 +306,20 @@ func TestChaosMembershipFlappingNoThrash(t *testing.T) {
 	mcfg := elasticMemberConfig()
 	mcfg.AutoRebalance = true
 	tc := startElasticCluster(t, 3, 2, 3000, mcfg, fastMigConfig())
-	ms := tc.master.member.Load()
-	now := time.Now()
-
-	vt := now
 	for round := 0; round < 5; round++ {
 		// Workers 0 and 1 beat on time; worker 2's beat lands after the
-		// suspect threshold but well before the dead one. Every tick is past
-		// the rebalance cooldown, so only the trigger condition holds one
+		// suspect threshold but well before the dead one. Each round outlasts
+		// the rebalance cooldown, so only the trigger condition holds a round
 		// back.
-		vt = vt.Add(6 * time.Second)
-		for w := 0; w < 2; w++ {
-			if _, err := ms.tracker.Beat(w, vt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tc.master.MembershipTick(vt)
+		tc.pass(t, 6*time.Second, 0, 1)
 		view, _ := tc.master.membershipView()
 		if mem, _ := view.Member(2); mem.State != membership.Suspect {
 			t.Fatalf("round %d: flapper state = %v, want Suspect", round, mem.State)
 		}
-		if _, err := ms.tracker.Beat(2, vt); err != nil { // ...and it comes back
-			t.Fatal(err)
-		}
-		tc.master.MembershipTick(vt)
+		tc.pass(t, memberTick, 0, 1, 2) // ...and it comes back
 		tc.checkExact(t)
 	}
-	time.Sleep(20 * time.Millisecond) // absorb any stray auto-rebalance goroutine
+	tc.settle()
 	if got := tc.reg.Snapshot().Counter(MetricRebalances); got != 0 {
 		t.Errorf("flapping triggered %d rebalances, want 0", got)
 	}
@@ -396,9 +347,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 		}
 		mcfg := elasticMemberConfig()
 		tc := startElasticCluster(t, 2, 2, 1500, mcfg, fastChaosConfig())
-		ms := tc.master.member.Load()
 		rng := rand.New(rand.NewSource(seed))
-		vt := time.Now()
 		crashed := map[int]bool{}
 
 		liveMembers := func() []int {
@@ -453,12 +402,8 @@ func FuzzMembershipDifferential(f *testing.F) {
 				v := live[rng.Intn(len(live))]
 				crashed[v] = true
 				tc.workers[v].Close()
-			case 3: // detector tick: live members beat, crashed ones go Dead
-				vt = vt.Add(mcfg.Detector.DeadAfter + time.Second)
-				for _, w := range liveMembers() {
-					ms.tracker.Beat(w, vt)
-				}
-				tc.master.MembershipTick(vt)
+			case 3: // detector ticks: live members beat, crashed ones go Dead
+				tc.pass(t, mcfg.Detector.DeadAfter+time.Second, liveMembers()...)
 			case 4: // rebalance; failures must not corrupt
 				tc.master.Rebalance(context.Background())
 			case 5: // extra probe pressure
@@ -468,11 +413,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 		}
 		// Settle: declare crashed workers dead and converge, then the whole
 		// probe set must answer exactly.
-		vt = vt.Add(mcfg.Detector.DeadAfter + time.Second)
-		for _, w := range liveMembers() {
-			ms.tracker.Beat(w, vt)
-		}
-		tc.master.MembershipTick(vt)
+		tc.pass(t, mcfg.Detector.DeadAfter+time.Second, liveMembers()...)
 		if _, err := tc.master.Rebalance(context.Background()); err == nil {
 			tc.checkExact(t)
 		}

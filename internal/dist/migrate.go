@@ -223,17 +223,20 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 
 // retireView retires a view that has stopped being routable — the old epoch
 // after a cutover, the half-installed next epoch after an abort — once no
-// query pinned to it (planFor) is still in flight, bounded by drainTimeout so
-// a wedged query cannot pin an epoch forever.
+// query pinned to it (planFor) is still in flight: the unpin of the last one
+// wakes it. A timer at drainTimeout bounds the wait, so a wedged query cannot
+// pin an epoch forever.
 func (m *Master) retireView(v *routeView) {
-	deadline := time.Now().Add(m.drainTimeout)
-	for v.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	v.drained = make(chan struct{}, 1)
+	if v.inflight.Add(-retiring) != -retiring {
+		t := m.clock.AfterFunc(drainTimeout, func() { v.drained <- struct{}{} })
+		<-v.drained
+		t.Stop()
 	}
-	if n := v.inflight.Load(); n > 0 {
+	if n := v.inflight.Load() + retiring; n > 0 {
 		m.m.drainTimeouts.Inc()
 		slog.Warn("epoch drain timed out, retiring anyway",
-			"epoch", v.epoch, "inflight", n, "timeout", m.drainTimeout)
+			"epoch", v.epoch, "inflight", n, "timeout", drainTimeout)
 	}
 	m.retireEpoch(v.epoch)
 }
@@ -323,7 +326,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if ctx.Err() != nil {
 			return AdminResponse{}, lastErr
 		}
-		if serr := sleepCtx(ctx, m.jit.backoff(attempt)); serr != nil {
+		if serr := sleepCtx(ctx, m.clock, m.jit.backoff(attempt)); serr != nil {
 			return AdminResponse{}, lastErr
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -674,11 +675,13 @@ func TestChaosMigrationCorruptedStream(t *testing.T) {
 // cutover is concerned (benchmark/README.md, finding 1). The hook holds one
 // query between route and scatter while a migration installs and cuts over;
 // the old epoch must survive on the workers until that query has answered,
-// exactly and without a retry.
+// exactly and without a retry. Nothing moves the master's clock: the query's
+// unpin alone wakes the drain.
 func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 	cfg := fastMigConfig()
 	cfg.ResultCacheSize = 0
 	tc := buildMigFixture(t, 2, nil, cfg)
+	tc.master.clock = newFakeClock()
 	var holding atomic.Bool
 	held, release := make(chan struct{}), make(chan struct{})
 	tc.master.routedHook = func() {
@@ -708,14 +711,7 @@ func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 	waitFor(t, "the cutover", func() bool { return tc.master.Epoch() == 1 })
 	// A cutover that overlooked the held query retires epoch 0 within
 	// microseconds; give it every chance to.
-	holdsEpoch0 := func() bool {
-		for _, wk := range tc.workers {
-			if es := wk.epochs(); len(es) == 0 || es[0] != 0 {
-				return false
-			}
-		}
-		return true
-	}
+	holdsEpoch0 := func() bool { return tc.holdsEpoch0() }
 	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline) && holdsEpoch0(); {
 		time.Sleep(time.Millisecond)
 	}
@@ -748,4 +744,79 @@ func TestMigrationCutoverWaitsForRoutedQuery(t *testing.T) {
 		}
 	}
 	tc.checkQueries(t)
+}
+
+// holdsEpoch0 reports whether every worker still serves epoch 0.
+func (tc *migClusterFixture) holdsEpoch0() bool {
+	for _, wk := range tc.workers {
+		if es := wk.epochs(); len(es) == 0 || es[0] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMigrationDrainTimeoutCounted: the cutover's wait for the old epoch is
+// on the master's clock. With nothing in flight the old epoch retires at
+// once; a query wedged between route and scatter holds it until the clock
+// passes drainTimeout, when it retires anyway and the expiry is counted.
+func TestMigrationDrainTimeoutCounted(t *testing.T) {
+	t.Run("idle", func(t *testing.T) {
+		tc := buildMigFixture(t, 2, nil, fastMigConfig())
+		tc.master.clock = newFakeClock()
+		if err := tc.master.ApplyMigration(context.Background(), tc.mig); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		for w, wk := range tc.workers {
+			if es := wk.epochs(); len(es) != 1 || es[0] != 1 {
+				t.Errorf("worker %d serves epochs %v after an idle cutover, want [1]", w, es)
+			}
+		}
+		if got := tc.reg.Snapshot().Counter(MetricDrainTimeouts); got != 0 {
+			t.Errorf("drain timeouts = %d, want 0", got)
+		}
+	})
+	t.Run("wedged", func(t *testing.T) {
+		tc := buildMigFixture(t, 2, nil, fastMigConfig())
+		clk := newFakeClock()
+		tc.master.clock = clk
+		var holding atomic.Bool
+		held, release := make(chan struct{}), make(chan struct{})
+		tc.master.routedHook = func() {
+			if holding.CompareAndSwap(false, true) {
+				close(held)
+				<-release
+			}
+		}
+		answered := make(chan error, 1)
+		go func() {
+			_, err := tc.master.Query(sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain()))
+			answered <- err
+		}()
+		<-held
+
+		migrated := make(chan error, 1)
+		go func() { migrated <- tc.master.ApplyMigration(context.Background(), tc.mig) }()
+		waitFor(t, "the drain timer", func() bool { return clk.armed(drainTimeout) })
+		if !tc.holdsEpoch0() {
+			t.Fatal("epoch 0 was retired under a wedged query before the clock moved")
+		}
+		clk.Advance(drainTimeout)
+		if err := <-migrated; err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		if got := tc.reg.Snapshot().Counter(MetricDrainTimeouts); got != 1 {
+			t.Errorf("drain timeouts = %d, want 1", got)
+		}
+		for w, wk := range tc.workers {
+			if es := wk.epochs(); len(es) != 1 || es[0] != 1 {
+				t.Errorf("worker %d serves epochs %v after the drain timed out, want [1]", w, es)
+			}
+		}
+		close(release)
+		if err := <-answered; err == nil || !strings.Contains(err.Error(), "no layout epoch 0") {
+			t.Fatalf("wedged query: err = %v, want its retired epoch named", err)
+		}
+		tc.checkQueries(t)
+	})
 }

@@ -84,9 +84,10 @@ type breaker struct {
 }
 
 // allow reports whether a call to the worker may proceed. An open breaker
-// past its cooldown transitions to half-open and admits the caller as the
-// probe; probe reports whether this call is that probe.
-func (b *breaker) allow(p RetryPolicy, now time.Time) (ok, probe bool) {
+// past its cooldown on c transitions to half-open and admits the caller as
+// the probe; probe reports whether this call is that probe. Only an open
+// breaker reads c.
+func (b *breaker) allow(p RetryPolicy, c clock) (ok, probe bool) {
 	if p.BreakerThreshold <= 0 {
 		return true, false
 	}
@@ -96,7 +97,7 @@ func (b *breaker) allow(p RetryPolicy, now time.Time) (ok, probe bool) {
 	case breakerClosed:
 		return true, false
 	case breakerOpen:
-		if now.Sub(b.openedAt) >= breakerCooldown {
+		if c.Now().Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			return true, true
 		}
@@ -107,15 +108,15 @@ func (b *breaker) allow(p RetryPolicy, now time.Time) (ok, probe bool) {
 }
 
 // healthy is a side-effect-free peek used for replica selection: a worker is
-// healthy when its breaker would admit a call right now.
-func (b *breaker) healthy(p RetryPolicy, now time.Time) bool {
+// healthy when its breaker would admit a call now on c.
+func (b *breaker) healthy(p RetryPolicy, c clock) bool {
 	if p.BreakerThreshold <= 0 {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state == breakerClosed ||
-		(b.state == breakerOpen && now.Sub(b.openedAt) >= breakerCooldown)
+		(b.state == breakerOpen && c.Now().Sub(b.openedAt) >= breakerCooldown)
 }
 
 // success records a successful call: the breaker closes and the failure run
@@ -129,7 +130,7 @@ func (b *breaker) success() {
 
 // failure records a failed call and reports whether this failure tripped the
 // breaker (closed past the threshold, or a failed half-open probe).
-func (b *breaker) failure(p RetryPolicy, now time.Time) (tripped bool) {
+func (b *breaker) failure(p RetryPolicy, c clock) (tripped bool) {
 	if p.BreakerThreshold <= 0 {
 		return false
 	}
@@ -139,12 +140,12 @@ func (b *breaker) failure(p RetryPolicy, now time.Time) (tripped bool) {
 	if b.state == breakerHalfOpen ||
 		(b.state == breakerClosed && b.consecutive >= p.BreakerThreshold) {
 		b.state = breakerOpen
-		b.openedAt = now
+		b.openedAt = c.Now()
 		return true
 	}
 	if b.state == breakerOpen {
 		// Concurrent failures while open keep it open; refresh the window.
-		b.openedAt = now
+		b.openedAt = c.Now()
 	}
 	return false
 }

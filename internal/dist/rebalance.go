@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"time"
 
 	"paw/internal/layout"
 	"paw/internal/membership"
@@ -56,8 +55,13 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	}
 	ms.rebalanceMu.Lock()
 	defer ms.rebalanceMu.Unlock()
+	return m.rebalance(ctx, ms)
+}
+
+// rebalance is Rebalance for a caller that holds ms.rebalanceMu.
+func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceReport, error) {
 	ms.mu.Lock()
-	ms.lastRebalance = time.Now()
+	ms.lastRebalance = m.clock.Now()
 	ms.mu.Unlock()
 
 	view := ms.tracker.View()

@@ -76,9 +76,9 @@ type Piece struct {
 
 // QueryCost returns Cost(P, q) in bytes (Eq. 1): the total size of the
 // partitions whose descriptors intersect q, after precise-descriptor pruning
-// (§V-A) and the storage tuner's extra partitions (§V-B) are applied. Sealed
-// layouts sum over the routing index's candidates; the result is identical
-// to QueryCostLinear.
+// (§V-A) and the storage tuner's extra partitions (§V-B) are applied. It sums
+// over the routing index's candidates; the result is identical to
+// QueryCostLinear.
 func (l *Layout) QueryCost(q geom.Box, extras Extras) int64 {
 	// A query fully inside an extra partition may be answered from the
 	// cheapest such copy — but only when that beats scanning the base
@@ -92,12 +92,8 @@ func (l *Layout) QueryCost(q geom.Box, extras Extras) int64 {
 	return l.baseCost(q)
 }
 
-// baseCost is QueryCost without extras: the sealed index path when available,
-// the linear reference otherwise.
+// baseCost is QueryCost without extras.
 func (l *Layout) baseCost(q geom.Box) int64 {
-	if l.index == nil {
-		return l.baseCostLinear(q)
-	}
 	bp := candPool.Get().(*[]int)
 	cand := l.index.AppendIntersecting((*bp)[:0], q)
 	var total int64
@@ -115,7 +111,12 @@ func (l *Layout) baseCost(q geom.Box) int64 {
 // scan over every partition descriptor. Differential tests and the routing
 // benchmark compare against it.
 func (l *Layout) QueryCostLinear(q geom.Box, extras Extras) int64 {
-	base := l.baseCostLinear(q)
+	var base int64
+	for _, p := range l.Parts {
+		if p.Desc.Intersects(q) && !p.PruneWithPrecise(q) {
+			base += p.Bytes()
+		}
+	}
 	if best := cheapestExtra(extras, q); best >= 0 && best < base {
 		return best
 	}
@@ -134,20 +135,6 @@ func cheapestExtra(extras Extras, q geom.Box) int64 {
 		}
 	}
 	return best
-}
-
-func (l *Layout) baseCostLinear(q geom.Box) int64 {
-	var total int64
-	for _, p := range l.Parts {
-		if !p.Desc.Intersects(q) {
-			continue
-		}
-		if p.PruneWithPrecise(q) {
-			continue
-		}
-		total += p.Bytes()
-	}
-	return total
 }
 
 // WorkloadCost returns Cost(P, Q) in bytes (Eq. 2).
@@ -196,9 +183,8 @@ func LowerBoundRatio(data *dataset.Dataset, queries []geom.Box) float64 {
 }
 
 // PartitionsFor returns the IDs of the partitions a query must scan, in ID
-// order — the list the master sends to the storage layer (Fig. 4). Sealed
-// layouts answer from the routing index; the result is identical to
-// PartitionsForLinear. Use AppendPartitionsFor to reuse a buffer across
+// order — the list the master sends to the storage layer (Fig. 4), answered
+// from the routing index; the result is identical to PartitionsForLinear. Use AppendPartitionsFor to reuse a buffer across
 // queries.
 func (l *Layout) PartitionsFor(q geom.Box) []ID {
 	return l.AppendPartitionsFor(nil, q)
@@ -208,5 +194,5 @@ func (l *Layout) PartitionsFor(q geom.Box) []ID {
 // full scan over every partition descriptor. Differential tests and the
 // routing benchmark compare against it.
 func (l *Layout) PartitionsForLinear(q geom.Box) []ID {
-	return l.appendPartitionsForLinear(nil, q)
+	return l.AppendPartitionsForLinear(nil, q)
 }

@@ -38,15 +38,11 @@ const (
 // partition list and tree are final; the index is derived state and is never
 // serialised.
 func (l *Layout) buildIndex() {
-	if len(l.Parts) > 0 {
-		boxes := make([]geom.Box, len(l.Parts))
-		for i, p := range l.Parts {
-			boxes[i] = p.Desc.MBR()
-		}
-		l.index = rtree.PackBoxes(boxes, partLeafCap)
-	} else {
-		l.index = nil
+	boxes := make([]geom.Box, len(l.Parts))
+	for i, p := range l.Parts {
+		boxes[i] = p.Desc.MBR()
 	}
+	l.index = rtree.PackBoxes(boxes, partLeafCap) // holds no box for no partition
 	if l.Root == nil {
 		return
 	}
@@ -64,7 +60,7 @@ func (l *Layout) buildIndex() {
 }
 
 // IndexHeight reports the height of the partition-level routing index — 0
-// when the layout is unsealed (no index) or empty.
+// when the layout has no partition.
 func (l *Layout) IndexHeight() int { return l.index.Height() }
 
 // candPool recycles candidate-index buffers across concurrent searches, so
@@ -76,9 +72,6 @@ var candPool = sync.Pool{New: func() any { b := make([]int, 0, 64); return &b }}
 // allocates nothing when dst has capacity — the routing hot path for callers
 // that stream many queries. Safe for concurrent use.
 func (l *Layout) AppendPartitionsFor(dst []ID, q geom.Box) []ID {
-	if l.index == nil {
-		return l.appendPartitionsForLinear(dst, q)
-	}
 	bp := candPool.Get().(*[]int)
 	cand := l.index.AppendIntersecting((*bp)[:0], q)
 	for _, i := range cand {
@@ -123,11 +116,6 @@ func meetsNonEmpty(m, q geom.Box) bool {
 // AppendPartitionsFor: a full descriptor scan with the same append contract.
 // Kept for differential tests and the routing benchmark's baseline.
 func (l *Layout) AppendPartitionsForLinear(dst []ID, q geom.Box) []ID {
-	return l.appendPartitionsForLinear(dst, q)
-}
-
-// appendPartitionsForLinear is the append form of PartitionsForLinear.
-func (l *Layout) appendPartitionsForLinear(dst []ID, q geom.Box) []ID {
 	for _, p := range l.Parts {
 		if p.Desc.Intersects(q) && !p.PruneWithPrecise(q) {
 			dst = append(dst, p.ID)

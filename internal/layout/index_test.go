@@ -321,22 +321,36 @@ func TestCostRowsIndexedMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestUnsealedLayoutFallsBack: query paths on a hand-assembled layout (no
-// Seal, no index) still answer through the linear reference.
-func TestUnsealedLayoutFallsBack(t *testing.T) {
+// TestTinyLayoutsRoute: the routing index serves the smallest layouts Seal
+// makes — one leaf, and a root with no partition at all, whose index holds no
+// box.
+func TestTinyLayoutsRoute(t *testing.T) {
 	d := NewRect(box2(0, 0, 10, 10))
-	part := &Partition{ID: 0, Desc: d, FullRows: 5, RowBytes: 8}
-	l := &Layout{
-		Method: "manual",
-		Root:   &Node{Desc: d, Part: part},
-		Parts:  []*Partition{part},
-	}
+	part := &Partition{Desc: d, FullRows: 5}
+	one := Seal("manual", &Node{Desc: d, Part: part}, 8)
 	q := box2(1, 1, 2, 2)
-	if got := l.PartitionsFor(q); !equalIDs(got, []ID{0}) {
-		t.Fatalf("PartitionsFor = %v", got)
+	if got := one.PartitionsFor(q); !equalIDs(got, []ID{0}) {
+		t.Fatalf("one leaf: PartitionsFor = %v", got)
 	}
-	if got := l.QueryCost(q, nil); got != part.Bytes() {
-		t.Fatalf("QueryCost = %d", got)
+	if got := one.QueryCost(q, nil); got != part.Bytes() {
+		t.Fatalf("one leaf: QueryCost = %d, want %d", got, part.Bytes())
+	}
+	if got := one.Locate(geom.Point{1, 1}); got != part {
+		t.Fatalf("one leaf: Locate = %v", got)
+	}
+
+	empty := Seal("manual", &Node{Desc: d}, 8)
+	if n := empty.NumPartitions(); n != 0 {
+		t.Fatalf("empty: %d partitions", n)
+	}
+	if got := empty.PartitionsFor(q); len(got) != 0 {
+		t.Fatalf("empty: PartitionsFor = %v", got)
+	}
+	if got := empty.QueryCost(q, nil); got != 0 {
+		t.Fatalf("empty: QueryCost = %d", got)
+	}
+	if got := empty.Locate(geom.Point{1, 1}); got != nil {
+		t.Fatalf("empty: Locate = %v", got)
 	}
 }
 

@@ -285,9 +285,8 @@ type Layout struct {
 	Hist  []geom.Box
 
 	// index is the partition-level routing index over the descriptor MBRs,
-	// built at Seal/Decode (see index.go). Derived, immutable state: nil on
-	// hand-assembled layouts, in which case every query path falls back to
-	// the linear reference.
+	// built at Seal/Decode (see index.go), the only constructors. Derived,
+	// immutable state; every query path routes through it.
 	index *rtree.BoxIndex
 }
 
