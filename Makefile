@@ -344,9 +344,16 @@ loc:
 # and the heartbeater, the drain poll and the test-only drain field (the rest
 # of dist −37), by routing every layout through its index, the unsealed
 # fallback gone (layout −27), and by pawmaster's TickEvery line (−1).
+# Then +60 bought workers that serve partition files: blockstore's directory
+# format, Store.WriteDir and Open with its rows-and-envelope check (+55), the
+# lazy epoch-0 lookup and the join's layout digest (dist +31), pawcli build
+# -store (pawcli +3 net) and layout.ReadFile (+15, which pawcli check,
+# invariant −6 and pawworker now share), paid in part by pawworker's dataset
+# load, placement and three flags (pawworker −7), membership.Checksum
+# (membership −27) and pawmaster's workerStore (−4).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 23121
+LOC_CEILING := 23181
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -313,6 +313,172 @@ func TestDocNamesResolve(t *testing.T) {
 	}
 }
 
+// flagDecl is a flag definition's method: flag.String("name", …),
+// fs.IntVar(&v, "name", …) and the like.
+var flagDecl = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Var|TextVar)(Var)?$`)
+
+// TestDocFlagsExist holds the command lines of README.md's and TESTING.md's
+// fenced blocks, and the usage lines of each cmd/<bin>/main.go doc comment,
+// to the flags the binaries define: every -flag after a `go run ./cmd/<bin>`
+// or a `<bin>` that starts a command must be one that a flag.X("name", …) or
+// fs.X("name", …) call in cmd/<bin> defines.
+func TestDocFlagsExist(t *testing.T) {
+	imp, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{} // binary -> flag names
+	usage := map[string][]string{}        // file -> its doc comment's code lines
+	for path, p := range imp.pkgs {
+		bin, ok := strings.CutPrefix(path, "paw/cmd/")
+		if !ok {
+			continue
+		}
+		flags[bin] = map[string]bool{"h": true, "help": true}
+		// The repository's parse drops comments: read the doc comment again.
+		main := p.dir + "/main.go"
+		doc, err := parser.ParseFile(imp.fset, main, nil, parser.ParseComments|parser.PackageClauseOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(doc.Doc.Text(), "\n") {
+			if strings.HasPrefix(line, "\t") {
+				usage[main] = append(usage[main], line)
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !flagDecl.MatchString(sel.Sel.Name) {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" && x.Name != "fs" {
+					return true
+				}
+				for _, arg := range call.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						flags[bin][strings.Trim(lit.Value, "`\"")] = true
+						break
+					}
+				}
+				return true
+			})
+		}
+	}
+	check := func(where string, lines []string) int {
+		commands := 0
+		for _, cmd := range shellCommands(lines) {
+			bin, args := "", cmd
+			switch {
+			case len(cmd) > 2 && cmd[0] == "go" && cmd[1] == "run":
+				if b, ok := strings.CutPrefix(cmd[2], "./cmd/"); ok {
+					bin, args = b, cmd[3:]
+				}
+			case len(cmd) > 0:
+				bin, args = cmd[0], cmd[1:]
+			}
+			defined := flags[bin]
+			if defined == nil {
+				continue
+			}
+			commands++
+			for _, arg := range args {
+				name, ok := strings.CutPrefix(arg, "-")
+				if !ok || name == "" || !(name[0] >= 'a' && name[0] <= 'z' || name[0] == '-') {
+					continue
+				}
+				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+				if !defined[name] {
+					t.Errorf("%s runs %s -%s, which cmd/%s does not define", where, bin, name, bin)
+				}
+			}
+		}
+		return commands
+	}
+	for _, doc := range []string{"README.md", "TESTING.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var block []string
+		in := false
+		for _, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				in = !in
+				continue
+			}
+			if in {
+				block = append(block, strings.TrimPrefix(strings.TrimSpace(line), "$ "))
+			}
+		}
+		if check(doc, block) == 0 && doc == "README.md" {
+			t.Errorf("%s runs no binary of cmd/: its fenced blocks no longer parse", doc)
+		}
+	}
+	commands := 0
+	for main, lines := range usage {
+		commands += check(main, lines)
+	}
+	if commands == 0 {
+		t.Error("no cmd doc comment runs a binary of cmd/")
+	}
+}
+
+// shellCommands splits shell lines into commands — a trailing backslash
+// continues a line; |, ;, & and && end a command — and each command into
+// words. A quoted word is kept with its quotes, so it never reads as a flag.
+func shellCommands(lines []string) [][]string {
+	var out [][]string
+	var cmd []string
+	word, quote := "", rune(0)
+	endWord := func() {
+		if word != "" {
+			cmd = append(cmd, word)
+		}
+		word = ""
+	}
+	endCmd := func() {
+		endWord()
+		if len(cmd) > 0 {
+			out = append(out, cmd)
+		}
+		cmd = nil
+	}
+	for _, line := range lines {
+		line = strings.TrimSpace(line)
+		cont := strings.HasSuffix(line, "\\")
+		for _, r := range strings.TrimSuffix(line, "\\") {
+			switch {
+			case quote != 0:
+				word += string(r)
+				if r == quote {
+					quote = 0
+				}
+			case r == '\'' || r == '"':
+				word += string(r)
+				quote = r
+			case r == ' ' || r == '\t':
+				endWord()
+			case r == '|' || r == ';' || r == '&':
+				endCmd()
+			default:
+				word += string(r)
+			}
+		}
+		if !cont {
+			quote = 0
+			endCmd()
+		}
+		endWord()
+	}
+	endCmd()
+	return out
+}
+
 // funcKey names a function or a concrete method the same way in every
 // type-checked copy of its package: the package path, the receiver's type
 // name (a method of *T and of T alike), and the name.

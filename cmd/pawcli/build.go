@@ -20,7 +20,8 @@ import (
 // runBuild implements `pawcli build`: build the layout over the dataset file
 // -in with telemetry enabled, write it (-layout, materialised first so it
 // carries every partition's data envelope, with the QH and δ it was built
-// for) and emit a layout.BuildReport (JSON). The pipeline phases —
+// for), write the materialised partitions pawworker serves (-store) and emit
+// a layout.BuildReport (JSON). The pipeline phases —
 // load, sample, construct, route, report — are timed as sequential spans, so
 // their sum explains the wall time (`pawcli stats` prints the coverage; the
 // acceptance bar is >= 90%).
@@ -33,6 +34,7 @@ func runBuild(args []string, out io.Writer) error {
 		parallel = fs.Int("parallelism", 0, "construction workers (0 = GOMAXPROCS)")
 		report   = fs.String("report", "build_report.json", "build report output path (- for stdout)")
 		layoutF  = fs.String("layout", "", "also persist the sealed layout to this path")
+		storeDir = fs.String("store", "", "also write every partition to DIR/<id>.pawc, the files pawworker -store serves")
 		logLevel = fs.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	fs.Usage = func() {
@@ -88,15 +90,15 @@ func runBuild(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Materialising binds the dataset to the layout as pawworker's store
-	// will: beside the partition sizes of a routing pass it leaves every
-	// partition's data envelope (§V-A), which the layout file carries to
-	// pawmaster. The store itself is dropped, after the report has taken its
-	// census: the encoded bytes under each physical encoding, and how many of
-	// the packed chunks a scan can search.
+	// Materialising binds the dataset to the layout: beside the partition
+	// sizes of a routing pass it leaves every partition's data envelope
+	// (§V-A), which the layout file carries to pawmaster and pawworker. The
+	// store is written to -store, if asked, and dropped after the report has
+	// taken its census: the encoded bytes under each physical encoding, and
+	// how many of the packed chunks a scan can search.
 	stored := make(map[string]int64)
 	search := &layout.SearchCensus{ByColumn: make(map[string]int)}
-	phase("route", func() error {
+	if err := phase("route", func() error {
 		store := blockstore.Materialize(l, data, blockstore.Config{})
 		for _, part := range l.Parts {
 			if sp, err := store.Partition(part.ID); err == nil {
@@ -112,8 +114,14 @@ func runBuild(args []string, out io.Writer) error {
 				search.Rows += rows
 			}
 		}
-		return nil
-	})
+		if *storeDir == "" {
+			return nil
+		}
+		fmt.Fprintf(out, "writing %d partitions to %s\n", l.NumPartitions(), *storeDir)
+		return store.WriteDir(*storeDir)
+	}); err != nil {
+		return err
+	}
 
 	var r *layout.BuildReport
 	if err := phase("report", func() error {

@@ -53,14 +53,9 @@ func runCheck(args []string) {
 }
 
 func checkFile(path string, seed int64) (string, error) {
-	f, err := os.Open(path)
+	l, err := layout.ReadFile(path)
 	if err != nil {
 		return "", err
-	}
-	defer f.Close()
-	l, err := layout.Decode(f)
-	if err != nil {
-		return "", fmt.Errorf("decode: %w", err)
 	}
 	if err := invariant.Check(l, invariant.Inputs{
 		Domain: l.Root.Desc.MBR(),

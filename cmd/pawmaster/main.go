@@ -1,7 +1,7 @@
 // Command pawmaster is the networked master node of Fig. 4: it loads the
-// layout metadata, connects to the workers (ring partition ownership,
-// matching pawworker's derivation) and serves SQL over TCP for pawsql
-// clients.
+// layout metadata, places the partitions on the workers (ring ownership) and
+// serves SQL over TCP for pawsql clients. Placement is the master's alone: a
+// worker serves whichever stored partitions it is sent.
 //
 //	pawmaster -data data.pawd -layout layout.pawl \
 //	          -workers 127.0.0.1:7101,127.0.0.1:7102 -listen 127.0.0.1:7100
@@ -10,12 +10,10 @@
 // fails scans over to the next live replica when a worker is down.
 // Placement is consistent hashing over the workers — the rule elastic
 // clusters rebalance to, so a static fleet's first rebalance is a no-op.
-// pawworker must be started with the same -replicas value so every process
-// derives the same placement without coordination. Retries, backoff and the
-// breaker (DESIGN.md §10) run on fixed values.
+// Retries, backoff and the breaker (DESIGN.md §10) run on fixed values.
 //
 // With -membership the fleet is elastic (DESIGN.md §15): workers join and
-// leave through a checksum-validated handshake on the client port, silent
+// leave through a handshake on the client port, silent
 // workers go suspect and then dead under the heartbeat failure detector
 // (-suspect-after / -dead-after), and the master re-places partitions with
 // minimal movement — on demand after a graceful leave, or automatically when
@@ -26,7 +24,8 @@
 // partition ships from a worker that holds it. Under -replicas 1 a crashed
 // worker's partitions stay unavailable — queries fail, or answer partially
 // for clients that allow it — until that worker rejoins its slot with its
-// files; replication is what keeps them served.
+// store, which it may while the master still serves the boot layout (epoch
+// 0); replication is what keeps them served.
 //
 // With -drift the master watches live queries for workload drift (DESIGN.md
 // §13): when the stream leaves the layout's variance scope (the δ and the
@@ -68,7 +67,7 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "append one JSONL cost record per query to this file (schema "+trace.CostRecordSchema+")")
 		slowQuery   = flag.Duration("slow-query", 0, "log a structured slow-query record for queries at or above this latency (0: off)")
 
-		replicas     = flag.Int("replicas", 1, "copies per partition (pawworker needs the same value)")
+		replicas     = flag.Int("replicas", 1, "copies per partition")
 		callTimeout  = flag.Duration("call-timeout", 5*time.Second, "per-scan-RPC timeout, dial included (0: only the query deadline bounds calls)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "whole-query timeout when the client sends no deadline (0: unbounded)")
 
@@ -157,8 +156,8 @@ func main() {
 			"pprof", "http://"+srv.Addr()+"/debug/pprof/")
 	}
 	if *driftOn {
-		// Drift-rebuilt partitions are laid out like the workers' stores.
-		ctl := drift.New(m, data, workerStore.Builder(data), drift.Config{
+		// Drift-rebuilt partitions are laid out like pawcli build -store's.
+		ctl := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{
 			Window:     *driftWindow,
 			CheckEvery: *driftCheck,
 			CostFactor: *driftCost,
@@ -195,9 +194,6 @@ func main() {
 	<-sig
 	m.Close()
 }
-
-// workerStore is the block store configuration pawworker materialises with.
-var workerStore = blockstore.Config{}
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pawmaster: "+format+"\n", args...)

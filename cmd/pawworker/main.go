@@ -1,26 +1,26 @@
-// Command pawworker hosts a share of a partitioned dataset and serves scan
-// requests from a pawmaster. Workers take the dataset file pawgen wrote and
-// the layout file pawcli built over it, and refuse a pair that does not
-// belong together, as pawmaster does. Partition ownership follows the
-// consistent-hash ring (the rule elastic clusters rebalance to), so all
-// processes agree without coordination. Start every worker and the master
-// with the same -replicas value.
+// Command pawworker serves the stored partitions a pawmaster asks it for.
+// It takes the directory of partition files pawcli build -store wrote and the
+// layout file written beside it, reads only the layout at boot, and reads a
+// partition's file the first time a request names it, refusing one whose rows
+// are not what the layout records. Placement is the master's alone: every
+// worker of a static fleet gets the same directory, shared or copied, and
+// opens only what it is sent.
 //
 //	pawgen gen -dataset tpch -rows 120000 -out data.pawd
-//	pawcli build -in data.pawd -method paw -layout layout.pawl
-//	pawworker -data data.pawd -layout layout.pawl -index 0 -workers 2 -listen 127.0.0.1:7101 &
-//	pawworker -data data.pawd -layout layout.pawl -index 1 -workers 2 -listen 127.0.0.1:7102 &
+//	pawcli build -in data.pawd -method paw -layout layout.pawl -store parts
+//	pawworker -store parts -layout layout.pawl -listen 127.0.0.1:7101 &
+//	pawworker -store parts -layout layout.pawl -listen 127.0.0.1:7102 &
 //
 // With -join the worker registers with a membership-enabled master
-// (pawmaster -membership) instead of assuming a static fleet: the join
-// handshake carries a checksum of the partitions this worker derived, the
-// master rejects the join if its own placement disagrees, and a background
-// heartbeat every 500 ms keeps the worker alive in the master's failure
-// detector. A worker started with -join and NO -data/-layout is a
-// fresh scale-out node: it joins empty and receives partitions through the
-// master's live rebalancing. On SIGINT a joined worker asks for a graceful
-// leave — the master drains its partitions before the process exits (or
-// after two minutes, drained or not).
+// (pawmaster -membership) instead of assuming a static fleet, and a
+// background heartbeat every 500 ms keeps it alive in the master's failure
+// detector. The join names the layout its store was written for: the master
+// gives a slot that hosts partitions only to a worker with a store of its boot
+// layout, and only while it still serves that layout. A worker started with
+// -join and no -store/-layout is a fresh scale-out node: it joins empty and
+// receives partitions through the master's live rebalancing. On SIGINT a
+// joined worker asks for a graceful leave — the master drains its partitions
+// before the process exits (or after two minutes, drained or not).
 //
 //	pawworker -join 127.0.0.1:7100 -listen 127.0.0.1:7103 &
 package main
@@ -38,19 +38,15 @@ import (
 
 	"paw/internal/blockstore"
 	"paw/internal/dist"
-	"paw/internal/invariant"
 	"paw/internal/layout"
-	"paw/internal/membership"
 	"paw/internal/obs"
 )
 
 func main() {
 	var (
-		dataPath   = flag.String("data", "", "dataset file (.pawd); optional with -join (a fresh joiner starts empty)")
-		layoutPath = flag.String("layout", "", "layout file (.pawl); optional with -join")
-		index      = flag.Int("index", -1, "this worker's slot (-1 with -join: the master assigns one)")
-		workers    = flag.Int("workers", 1, "total worker count the static placement is derived over")
-		replicas   = flag.Int("replicas", 1, "copies per partition (match pawmaster)")
+		storeDir   = flag.String("store", "", "directory of partition files (pawcli build -store); optional with -join (a fresh joiner starts empty)")
+		layoutPath = flag.String("layout", "", "layout file (.pawl) the store was written for; goes with -store")
+		index      = flag.Int("index", -1, "the slot to rejoin with -join (-1: the master assigns one)")
 		listen     = flag.String("listen", "127.0.0.1:0", "listen address")
 		metrics    = flag.String("metrics", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address; empty disables")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -62,36 +58,34 @@ func main() {
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
 		fatalf("%v", err)
 	}
-	fresh := *dataPath == "" && *layoutPath == ""
+	fresh := *storeDir == "" && *layoutPath == ""
 	if fresh && *joinAddr == "" {
-		fatalf("-data and -layout are required (only a -join worker may start empty)")
+		fatalf("-store and -layout are required (only a -join worker may start empty)")
 	}
-	if !fresh && (*dataPath == "" || *layoutPath == "") {
-		fatalf("-data and -layout go together")
+	if !fresh && (*storeDir == "" || *layoutPath == "") {
+		fatalf("-store and -layout go together")
 	}
 
 	var (
-		w    *dist.Worker
-		mine []layout.ID
+		w *dist.Worker
+		l *layout.Layout
 	)
 	if fresh {
 		w = dist.NewWorker(nil, nil)
 	} else {
-		if *index < 0 || *index >= *workers {
-			fatalf("index %d out of range for %d workers (a worker with data needs its slot; only fresh -join workers omit -index)", *index, *workers)
+		var err error
+		if l, err = layout.ReadFile(*layoutPath); err != nil {
+			fatalf("%v", err)
 		}
-		if *replicas < 1 || *replicas > *workers {
-			fatalf("-replicas %d out of range for %d workers", *replicas, *workers)
-		}
-		data, l, err := invariant.LoadPair(*dataPath, *layoutPath)
+		store, err := blockstore.Open(*storeDir, l)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		store := blockstore.Materialize(l, data, blockstore.Config{})
-		// The same derivation pawmaster runs, so the join checksum only
-		// matches when every flag agrees.
-		mine = membership.HostedIDs(membership.StaticPlacement(l, *workers, *replicas), *index)
-		w = dist.NewWorker(store, mine)
+		all := make([]layout.ID, len(l.Parts))
+		for i, p := range l.Parts {
+			all[i] = p.ID
+		}
+		w = dist.NewWorker(store, all)
 	}
 
 	if *metrics != "" {
@@ -112,11 +106,10 @@ func main() {
 		fatalf("%v", err)
 	}
 	if !fresh {
-		fmt.Printf("pawworker %d/%d serving %d partitions on %s\n", *index, *workers, len(mine), addr)
+		fmt.Printf("pawworker serving the %d partitions of %s on %s\n", len(l.Parts), *storeDir, addr)
 	}
 
-	// Elastic mode: join handshake (the checksum proves master and worker
-	// derived the same partition set), then heartbeats until shutdown.
+	// Elastic mode: join handshake, then heartbeats until shutdown.
 	var hb *dist.Heartbeater
 	if *joinAddr != "" {
 		adv := *advertise
@@ -127,13 +120,13 @@ func main() {
 		// Fleets come up in any order: retry a join that never reached the
 		// master until the deadline, so workers started before the master still
 		// converge. A join the master executed and refused is not retried — no
-		// amount of waiting fixes disagreeing flags or a master without
+		// amount of waiting gives a store another layout or a master
 		// -membership.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		resp, err := hb.Join(ctx, *index, adv, membership.Checksum(mine))
+		resp, err := hb.Join(ctx, *index, adv, l)
 		for err != nil && ctx.Err() == nil && !errors.Is(err, dist.ErrRefused) {
 			time.Sleep(500 * time.Millisecond)
-			resp, err = hb.Join(ctx, *index, adv, membership.Checksum(mine))
+			resp, err = hb.Join(ctx, *index, adv, l)
 		}
 		cancel()
 		if err != nil {

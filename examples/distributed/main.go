@@ -3,7 +3,7 @@
 // routing metadata, and a SQL client — all in one process over loopback.
 //
 // Partitions are placed on the consistent-hash ring with two copies each, as
-// pawmaster and pawworker place them. The demo kills a worker mid-run and
+// pawmaster places them. The demo kills a worker mid-run and
 // sends a new statement that reads some of its partitions: the master must
 // fail those scans over to the surviving copies and answer exactly, or the
 // demo exits non-zero.

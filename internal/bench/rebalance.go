@@ -195,7 +195,7 @@ func RebalanceBench(cfg Config, opt RebalanceOptions) (RebalanceReport, error) {
 	var stop atomic.Bool
 	wg := hammer(&stop, &joinEv)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	jresp, err := hb.Join(ctx, -1, jaddr, membership.Checksum(nil))
+	jresp, err := hb.Join(ctx, -1, jaddr, nil)
 	if err != nil {
 		cancel()
 		stop.Store(true)

@@ -3,11 +3,16 @@
 // materialised into one columnar table per partition, occupying an integral
 // number of fixed-size blocks. The store accounts bytes written and a
 // simulated write time so the Table II construction-time breakdown (layout
-// generation vs routing + I/O) can be reproduced.
+// generation vs routing + I/O) can be reproduced. WriteDir persists a store
+// as one PAWC file per partition, and Open serves such a directory: a
+// partition is read from its file when it is asked for, not at boot.
 package blockstore
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -19,7 +24,8 @@ import (
 
 // Config configures the store.
 type Config struct {
-	// GroupRows is the row-group size of the per-partition columnar tables.
+	// GroupRows is the row-group size of the per-partition columnar tables
+	// (0: colstore.DefaultGroupRows).
 	GroupRows int
 }
 
@@ -33,24 +39,16 @@ const (
 	writeMBps = 120
 )
 
-func (c Config) withDefaults() Config {
-	if c.GroupRows <= 0 {
-		c.GroupRows = colstore.DefaultGroupRows
-	}
-	return c
-}
-
 // Builder returns the partition-table builder of a store with this
 // configuration. Whoever encodes a partition of such a store outside it — a
 // drift migration's payload — builds it with this, so that the partition is
 // laid out exactly as Materialize lays it out.
 func (c Config) Builder(data *dataset.Dataset) *colstore.Builder {
-	return colstore.NewBuilder(data, c.withDefaults().GroupRows)
+	return colstore.NewBuilder(data, c.GroupRows)
 }
 
 // StoredPartition is a materialised partition.
 type StoredPartition struct {
-	ID     layout.ID
 	Table  *colstore.Table
 	Blocks int
 }
@@ -58,11 +56,15 @@ type StoredPartition struct {
 // Bytes returns the partition's physical size.
 func (p *StoredPartition) Bytes() int64 { return p.Table.Bytes() }
 
-// Store holds the materialised partitions of one layout.
+// Store holds the materialised partitions of one layout, or, when opened
+// from a directory, reads them from it.
 type Store struct {
-	cfg      Config
 	parts    map[layout.ID]*StoredPartition
 	scanners colstore.ScannerPool
+	// dir and l are an opened store's directory and the layout its files
+	// were written for; dir is "" for a materialised store.
+	dir string
+	l   *layout.Layout
 
 	// BytesWritten is the total payload written at materialisation.
 	BytesWritten int64
@@ -88,21 +90,16 @@ type Store struct {
 // partitions concurrently. Results land in partition-indexed slots and are
 // summed in ID order, so the store is identical at any GOMAXPROCS.
 func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
-	cfg = cfg.withDefaults()
 	start := time.Now()
 	byPart := partitionRows(l, l.RouteAssign(data, runtime.GOMAXPROCS(0)))
-	s := &Store{cfg: cfg, parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
+	s := &Store{parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
 
 	stored := make([]StoredPartition, len(l.Parts))
 	cfg.Builder(data).BuildAll(byPart, func(i int, tab *colstore.Table) {
-		blocks := int((tab.Bytes() + blockBytes - 1) / blockBytes)
-		if blocks == 0 {
-			blocks = 1
-		}
-		stored[i] = StoredPartition{ID: layout.ID(i), Table: tab, Blocks: blocks}
+		stored[i] = storedOf(tab)
 	})
 	for i := range stored {
-		s.parts[stored[i].ID] = &stored[i]
+		s.parts[layout.ID(i)] = &stored[i]
 		s.BytesWritten += stored[i].Table.Bytes()
 		l.Parts[i].Precise = nil
 		if env, ok := stored[i].Table.Envelope(); ok {
@@ -130,13 +127,71 @@ func partitionRows(l *layout.Layout, assign []int32) [][]int {
 	return byPart
 }
 
+// storedOf wraps a partition's table with the blocks it occupies.
+func storedOf(tab *colstore.Table) StoredPartition {
+	return StoredPartition{Table: tab, Blocks: max(1, int((tab.Bytes()+blockBytes-1)/blockBytes))}
+}
+
+// fileName is where WriteDir puts partition id and Open looks for it.
+func fileName(dir string, id layout.ID) string {
+	return filepath.Join(dir, fmt.Sprintf("%d.pawc", id))
+}
+
+// WriteDir writes every partition of a materialised store to dir/<id>.pawc,
+// creating dir: each file holds the partition's table as colstore's Encode
+// writes it, the bytes a worker ships when a migration fetches the partition.
+func (s *Store) WriteDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	for id, p := range s.parts {
+		buf.Reset()
+		if err := p.Table.Encode(&buf); err != nil {
+			return fmt.Errorf("blockstore: encoding partition %d: %w", id, err)
+		}
+		if err := os.WriteFile(fileName(dir, id), buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Open serves the partitions of l that WriteDir wrote to dir. Nothing but the
+// directory is read here: Partition reads a partition's file each time it is
+// asked for one, and refuses a table whose rows or envelope are not what l
+// records for that partition (FullRows, and the one Precise box Materialize
+// left), so a file written for other data is never served.
+func Open(dir string, l *layout.Layout) (*Store, error) {
+	if _, err := os.ReadDir(dir); err != nil {
+		return nil, err
+	}
+	return &Store{dir: dir, l: l}, nil
+}
+
 // Partition returns the stored partition with the given ID.
 func (s *Store) Partition(id layout.ID) (*StoredPartition, error) {
-	p, ok := s.parts[id]
-	if !ok {
+	if p, ok := s.parts[id]; ok {
+		return p, nil
+	}
+	if s.dir == "" || id < 0 || int(id) >= len(s.l.Parts) {
 		return nil, fmt.Errorf("blockstore: unknown partition %d", id)
 	}
-	return p, nil
+	f, err := os.Open(fileName(s.dir, id))
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: partition %d: %w", id, err)
+	}
+	tab, err := colstore.Decode(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: partition %d: %w", id, err)
+	}
+	p := s.l.Parts[id]
+	if env, ok := tab.Envelope(); int64(tab.NumRows()) != p.FullRows || ok != (len(p.Precise) == 1) || ok && !env.Equal(p.Precise[0]) {
+		return nil, fmt.Errorf("blockstore: partition %d holds %d rows in %v, the layout records %d in %v", id, tab.NumRows(), env, p.FullRows, p.Precise)
+	}
+	sp := storedOf(tab)
+	return &sp, nil
 }
 
 // TotalBlocks returns the number of storage blocks in use.

@@ -8,9 +8,8 @@ import (
 )
 
 // instant is the longest retry backoff: maxAttempts is 2, so a call waits
-// backoff(0), and adminCallResp also backoff(1), at most baseBackoff ×
-// backoffMultiplier.
-const instant = baseBackoff * backoffMultiplier
+// at most backoff(0), at most baseBackoff.
+const instant = baseBackoff
 
 // fakeClock is the clock dist's tests move by hand. Advance runs each timer
 // that falls due, in due order, on the caller's goroutine, with Now reading
@@ -22,6 +21,8 @@ type fakeClock struct {
 	mu     sync.Mutex
 	now    time.Time
 	timers []*fakeTimer // armed, in no order
+	// instants counts the timers of at most instant armed so far.
+	instants int
 }
 
 type fakeTimer struct {
@@ -79,12 +80,13 @@ func (c *fakeClock) armed(d time.Duration) bool {
 
 func (t *fakeTimer) Reset(d time.Duration) bool {
 	was := t.Stop()
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
 	if d <= instant {
+		t.c.instants++
 		go t.f()
 		return was
 	}
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
 	t.at = t.c.now.Add(d)
 	t.c.timers = append(t.c.timers, t)
 	return was

@@ -8,11 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paw/internal/layout"
 	"paw/internal/serve"
 )
 
 // ErrRefused marks a membership request the master executed and refused
-// (checksum mismatch, membership disabled, a tracker rejection): the
+// (a slot its store cannot serve, membership disabled, a tracker rejection): the
 // connection is healthy, the request is not, and retrying it unchanged cannot
 // succeed. Transport failures never carry it.
 var ErrRefused = errors.New("refused by master")
@@ -89,10 +90,10 @@ func (h *Heartbeater) dropConn() {
 
 // Join registers with the master: index -1 resolves by the advertised
 // address (a fresh join gets a new slot; a known address revives its slot),
-// sum is the membership.Checksum of the partition IDs this worker hosts. On
-// success the assigned slot is remembered for subsequent beats.
-func (h *Heartbeater) Join(ctx context.Context, index int, advertise string, sum uint64) (MemberResponse, error) {
-	resp, err := h.call(ctx, MemberRequest{Op: MemberJoin, Index: index, Addr: advertise, Sum: sum})
+// and boot is the layout this worker's store was written for (nil: it has no
+// store). On success the assigned slot is remembered for subsequent beats.
+func (h *Heartbeater) Join(ctx context.Context, index int, advertise string, boot *layout.Layout) (MemberResponse, error) {
+	resp, err := h.call(ctx, MemberRequest{Op: MemberJoin, Index: index, Addr: advertise, Sum: layoutSum(boot)})
 	if err != nil {
 		return resp, err
 	}

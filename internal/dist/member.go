@@ -5,15 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
+	"paw/internal/layout"
 	"paw/internal/membership"
 )
 
 // Elastic cluster membership (DESIGN.md §15): workers join a running master
-// with a checksum-validated handshake, heartbeat through a suspect→dead
-// failure detector, and leave gracefully after their data is drained away.
+// with a handshake that names the layout their store holds, heartbeat
+// through a suspect→dead failure detector, and leave gracefully after their
+// data is drained away.
 // The state machine itself lives in internal/membership (pure, clock-as-
 // argument); this file owns the wire protocol and the glue to the fleet.
 //
@@ -23,10 +26,9 @@ import (
 // Member operations carried by MemberRequest.
 const (
 	// MemberJoin registers a worker: a fresh address gets a new slot, a
-	// known address (or explicit index) revives its slot. The request's
-	// checksum of hosted partition IDs must match what the master's
-	// placement expects for that slot, or the join is rejected — the
-	// defence against master and worker deriving different placements.
+	// known address (or explicit index) revives its slot. A slot that hosts
+	// partitions takes only a worker whose store is of the master's boot
+	// layout, and only while the master still serves epoch 0.
 	MemberJoin = 1
 	// MemberBeat is a heartbeat; it revives Suspect/Dead members.
 	MemberBeat = 2
@@ -43,8 +45,8 @@ type MemberRequest struct {
 	Index int
 	// Addr is the worker's advertised scan-serving address (join only).
 	Addr string
-	// Sum is the order-independent digest of the partition IDs the worker
-	// hosts (membership.Checksum; join only).
+	// Sum is the first 8 bytes of the digest of the layout the worker's
+	// store was written for, 0 for a worker with no store (join only).
 	Sum uint64
 }
 
@@ -263,6 +265,21 @@ func (m *Master) handleMember(req *MemberRequest) MemberResponse {
 	}
 }
 
+// layoutSum is what a join's Sum carries: the first 8 bytes of the digest of
+// the layout a worker's store was written for, or 0 for a worker with no
+// store (or a layout that does not encode).
+func layoutSum(l *layout.Layout) uint64 {
+	if l == nil {
+		return 0
+	}
+	d, err := l.Digest()
+	if err != nil {
+		return 0
+	}
+	sum, _ := strconv.ParseUint(d[:16], 16, 64)
+	return sum
+}
+
 func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Time) MemberResponse {
 	if req.Addr == "" && req.Index < 0 {
 		m.m.joinRejects.Inc()
@@ -270,11 +287,10 @@ func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Ti
 	}
 	ms.joinMu.Lock()
 	defer ms.joinMu.Unlock()
-	// Resolve the slot this join lands on so the hosted-partition checksum
-	// can be validated BEFORE membership mutates: a worker whose partition
-	// set disagrees with the master's placement would silently miss rows on
-	// every scan, which is exactly the failure mode the handshake exists to
-	// catch.
+	// Resolve the slot this join lands on and check, before membership
+	// mutates, that the worker can serve what the placement puts there: a
+	// worker missing those partitions would fail every scan sent to it. A
+	// store holds only epoch 0 of the layout it was written for.
 	idx := req.Index
 	if idx < 0 {
 		for _, mem := range ms.tracker.View().Members {
@@ -284,19 +300,20 @@ func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Ti
 			}
 		}
 	}
-	expected := membership.Checksum(nil)
-	if idx >= 0 {
-		expected = membership.Checksum(membership.HostedIDs(m.Placement(), idx))
-	}
-	if req.Sum != expected {
-		m.m.joinRejects.Inc()
-		slot := "a fresh slot"
-		if idx >= 0 {
-			slot = fmt.Sprintf("slot %d", idx)
+	if idx >= 0 && len(membership.HostedIDs(m.Placement(), idx)) > 0 {
+		v, why := m.view.Load(), ""
+		switch {
+		case req.Sum == 0:
+			why = "the worker has no store"
+		case v.epoch != 0:
+			why = fmt.Sprintf("a store holds epoch 0 and the master serves epoch %d", v.epoch)
+		case req.Sum != layoutSum(v.router.Layout()):
+			why = fmt.Sprintf("the worker's store is of layout %016x, not the master's", req.Sum)
 		}
-		return MemberResponse{Index: -1, Err: fmt.Sprintf(
-			"dist: join rejected for %s: worker's hosted-partition digest %016x does not match the %016x the master's placement expects — master and worker derived different placements (check that -workers, -replicas and the layout flags agree on both sides)",
-			slot, req.Sum, expected)}
+		if why != "" {
+			m.m.joinRejects.Inc()
+			return MemberResponse{Index: -1, Err: fmt.Sprintf("dist: join rejected for slot %d, which hosts partitions: %s", idx, why)}
+		}
 	}
 	mem, tr, err := ms.tracker.Join(idx, req.Addr, now)
 	if err != nil {

@@ -111,9 +111,7 @@ func (tc *elasticCluster) joinFreshWorker(t *testing.T) (int, *Worker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := tc.master.handleMember(&MemberRequest{
-		Op: MemberJoin, Index: -1, Addr: a, Sum: membership.Checksum(nil),
-	})
+	resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: -1, Addr: a})
 	if resp.Err != "" {
 		wk.Close()
 		t.Fatalf("fresh join: %s", resp.Err)
@@ -193,7 +191,7 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 	hb := NewHeartbeater(tc.addr)
 	defer hb.Close()
 	ctx := context.Background()
-	jresp, err := hb.Join(ctx, -1, waddr, membership.Checksum(nil))
+	jresp, err := hb.Join(ctx, -1, waddr, nil)
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -242,34 +240,55 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 	}
 }
 
-// TestMembershipJoinChecksumMismatch: a worker whose hosted-partition digest
-// disagrees with the master's placement must be rejected with an error that
-// names both digests — not silently admitted to drop rows on every scan.
-func TestMembershipJoinChecksumMismatch(t *testing.T) {
+// TestMembershipJoinRule: a slot that hosts partitions takes only a worker
+// whose store is of the master's boot layout, and only while the master
+// serves epoch 0. A worker with no store, one with another layout's store,
+// and one with the boot layout's store after a cutover are all refused —
+// each would fail every scan placed on it — and a refusal says why.
+func TestMembershipJoinRule(t *testing.T) {
 	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
-	f := tc.master.fleet.Load()
-	resp := tc.master.handleMember(&MemberRequest{
-		Op: MemberJoin, Index: 0, Addr: f.addrs[0], Sum: 0xdeadbeef,
-	})
-	if resp.Err == "" {
-		t.Fatal("mismatched checksum must reject the join")
+	addr0 := tc.master.fleet.Load().addrs[0]
+	boot := layoutSum(tc.layout)
+	join := func(sum uint64) MemberResponse {
+		return tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: 0, Addr: addr0, Sum: sum})
 	}
-	if !strings.Contains(resp.Err, "digest") || !strings.Contains(resp.Err, fmt.Sprintf("%016x", uint64(0xdeadbeef))) {
-		t.Errorf("rejection must name the digests, got: %s", resp.Err)
+	for _, c := range []struct {
+		name string
+		sum  uint64
+		want string
+	}{
+		{"no store", 0, "has no store"},
+		{"foreign layout", 0xdeadbeef, fmt.Sprintf("layout %016x, not the master's", uint64(0xdeadbeef))},
+	} {
+		if resp := join(c.sum); !strings.Contains(resp.Err, c.want) || !strings.Contains(resp.Err, "slot 0") {
+			t.Errorf("%s: join answered %q, want a refusal naming slot 0 and %q", c.name, resp.Err, c.want)
+		}
 	}
-	if got := tc.reg.Snapshot().Counter(MetricMemberJoinRejects); got != 1 {
-		t.Errorf("join rejects = %d, want 1", got)
+	if resp := join(boot); resp.Err != "" {
+		t.Fatalf("the boot layout's store at epoch 0 refused: %s", resp.Err)
 	}
-	// The correct digest for the same slot is accepted.
-	sum := membership.Checksum(membership.HostedIDs(tc.master.Placement(), 0))
-	if resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: 0, Addr: f.addrs[0], Sum: sum}); resp.Err != "" {
-		t.Fatalf("matching checksum rejected: %s", resp.Err)
+	tc.checkExact(t)
+
+	// A cutover: a fresh worker joins and the ring moves copies onto it.
+	tc.joinFreshWorker(t)
+	if _, err := tc.master.Rebalance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(membership.HostedIDs(tc.master.Placement(), 0)) == 0 {
+		t.Fatal("fixture: slot 0 hosts nothing after the rebalance")
+	}
+	if resp := join(boot); !strings.Contains(resp.Err, "serves epoch 1") {
+		t.Errorf("the boot layout's store after a cutover: join answered %q, want a refusal naming epoch 1", resp.Err)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricMemberJoinRejects); got != 3 {
+		t.Errorf("join rejects = %d, want 3", got)
 	}
 	tc.checkExact(t)
 }
 
 // TestHeartbeaterRefusalIsTyped: a join the master executed and refused —
-// membership off, a digest mismatch — carries ErrRefused, so a join loop can
+// membership off, a store-less worker claiming a slot that hosts partitions —
+// carries ErrRefused, so a join loop can
 // stop at once; a join that never reached a master does not, so it retries.
 func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -278,16 +297,16 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	static := startCluster(t, 2, DefaultConfig(), nil) // no EnableMembership
 	hb := NewHeartbeater(static.maddr)
 	defer hb.Close()
-	if _, err := hb.Join(ctx, -1, "127.0.0.1:1", membership.Checksum(nil)); !errors.Is(err, ErrRefused) {
+	if _, err := hb.Join(ctx, -1, "127.0.0.1:1", nil); !errors.Is(err, ErrRefused) {
 		t.Fatalf("join against a master without membership: err=%v, want ErrRefused", err)
 	}
 
 	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
 	hb2 := NewHeartbeater(tc.addr)
 	defer hb2.Close()
-	_, err := hb2.Join(ctx, 0, tc.master.fleet.Load().addrs[0], 0xdeadbeef)
-	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("mismatched digest: err=%v, want ErrRefused naming the digests", err)
+	_, err := hb2.Join(ctx, 0, tc.master.fleet.Load().addrs[0], nil)
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "no store") {
+		t.Fatalf("a store-less worker into a slot that hosts partitions: err=%v, want ErrRefused saying why", err)
 	}
 
 	l, lerr := net.Listen("tcp", "127.0.0.1:0")
@@ -298,7 +317,7 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	l.Close()
 	hb3 := NewHeartbeater(dead)
 	defer hb3.Close()
-	if _, err := hb3.Join(ctx, -1, "127.0.0.1:1", membership.Checksum(nil)); err == nil || errors.Is(err, ErrRefused) {
+	if _, err := hb3.Join(ctx, -1, "127.0.0.1:1", nil); err == nil || errors.Is(err, ErrRefused) {
 		t.Fatalf("join against a closed port: err=%v, want a transport error", err)
 	}
 }
@@ -404,8 +423,7 @@ func TestMembershipLoopsNoGoroutineLeak(t *testing.T) {
 	}
 	hb := NewHeartbeater(maddr)
 	hb.clock = clk
-	if _, err := hb.Join(context.Background(), 0, waddr,
-		membership.Checksum(membership.HostedIDs(rep, 0))); err != nil {
+	if _, err := hb.Join(context.Background(), 0, waddr, l); err != nil {
 		t.Fatal(err)
 	}
 	hb.Start()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"paw/internal/blockstore"
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/sqlrew"
@@ -109,20 +110,21 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 			}
 		}
 	}
-	// rejoin registers wk in slot w under the checksum the placement expects
-	// there.
-	rejoin := func(w int, wk *Worker) {
+	// rejoin starts a worker over store (nil: none) and asks for slot w with
+	// the join the worker would send, returning the master's refusal.
+	rejoin := func(w int, store *blockstore.Store) string {
 		t.Helper()
+		wk := NewWorker(store, membership.HostedIDs(tc.rep, w))
 		addr, err := wk.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.workers[w] = wk
-		resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: w, Addr: addr,
-			Sum: membership.Checksum(membership.HostedIDs(tc.master.Placement(), w))})
-		if resp.Err != "" {
-			t.Fatalf("rejoin of slot %d: %s", w, resp.Err)
+		var sum uint64
+		if store != nil {
+			sum = layoutSum(tc.layout)
 		}
+		return tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: w, Addr: addr, Sum: sum}).Err
 	}
 
 	tc.workers[a].Close()
@@ -158,9 +160,25 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 		t.Fatalf("partial = %v, failed partitions %v, want %v", resp.Partial, failed, lost)
 	}
 
-	// Holder a comes back without its files: it is reachable, so nothing is
-	// lost, but it refuses the fetch.
-	rejoin(a, NewWorker(nil, nil))
+	// Holder a comes back without its files: its slot hosts partitions, so
+	// the join is refused and the round still finds them lost.
+	if refusal := rejoin(a, nil); !strings.Contains(refusal, "no store") {
+		t.Fatalf("a store-less rejoin of slot %d: %q, want a refusal", a, refusal)
+	}
+	if _, err := tc.master.Rebalance(context.Background()); !errors.Is(err, ErrPartitionLost) {
+		t.Fatalf("rebalance after the refused rejoin: %v, want ErrPartitionLost", err)
+	}
+	tc.workers[a].Close()
+
+	// Holder a comes back with a store whose files are gone: the join is
+	// taken, so nothing is lost, but it refuses the fetch.
+	empty, err := blockstore.Open(t.TempDir(), tc.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refusal := rejoin(a, empty); refusal != "" {
+		t.Fatalf("rejoin of slot %d with an empty store: %s", a, refusal)
+	}
 	_, err = tc.master.Rebalance(context.Background())
 	if err == nil || errors.Is(err, ErrPartitionLost) {
 		t.Fatalf("rebalance from a holder that refuses the fetch: %v, want an error other than ErrPartitionLost", err)
@@ -171,9 +189,11 @@ func TestChaosRebalanceLostPartition(t *testing.T) {
 	tc.workers[a].Close()
 	declareDead(a)
 
-	// Holder a restarts with its store and rejoins its slot: the placement
-	// did not move, so its checksum matches and the round ships from it.
-	rejoin(a, NewWorker(tc.store, membership.HostedIDs(tc.rep, a)))
+	// Holder a restarts with its store and rejoins its slot: the master still
+	// serves the boot layout, so the join is taken and the round ships from a.
+	if refusal := rejoin(a, tc.store); refusal != "" {
+		t.Fatalf("rejoin of slot %d with its store: %s", a, refusal)
+	}
 	report, err := tc.master.Rebalance(context.Background())
 	if err != nil {
 		t.Fatalf("rebalance after the holder rejoined: %v", err)
@@ -247,7 +267,7 @@ func TestChaosAutoRebalanceWaitsForViewChange(t *testing.T) {
 	}
 	tc.workers[a] = wk
 	if resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: a, Addr: addr,
-		Sum: membership.Checksum(membership.HostedIDs(tc.master.Placement(), a))}); resp.Err != "" {
+		Sum: layoutSum(tc.layout)}); resp.Err != "" {
 		t.Fatalf("rejoin of slot %d: %s", a, resp.Err)
 	}
 	tick(true, a, c) // a holder rejoined
@@ -382,7 +402,7 @@ func FuzzMembershipDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: -1, Addr: a, Sum: membership.Checksum(nil)})
+				resp := tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: -1, Addr: a})
 				if resp.Err != "" {
 					wk.Close()
 					break

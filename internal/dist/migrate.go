@@ -302,8 +302,7 @@ func (m *Master) adminCall(ctx context.Context, w int, req AdminRequest) error {
 func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (AdminResponse, error) {
 	req.Seq = m.seq.Add(1)
 	qd, _ := ctx.Deadline()
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return AdminResponse{}, err
 		}
@@ -321,16 +320,14 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
 		m.linkFailed(ctx, w, l, err)
-		if ctx.Err() != nil {
-			return AdminResponse{}, lastErr
+		if ctx.Err() != nil || attempt+1 >= maxAttempts {
+			return AdminResponse{}, err
 		}
 		if serr := sleepCtx(ctx, m.clock, m.jit.backoff(attempt)); serr != nil {
-			return AdminResponse{}, lastErr
+			return AdminResponse{}, err
 		}
 	}
-	return AdminResponse{}, lastErr
 }
 
 // sweepCaches runs the per-partition cache invalidation at cutover, one pass

@@ -23,8 +23,9 @@ import (
 
 // ErrPartitionLost is wrapped by a rebalance that aborts because some moved
 // partition has no current holder the membership view counts as reachable.
-// The placement stays, so a holder that rejoins its slot with its files
-// passes the join checksum and the next round ships from it.
+// The placement and the epoch stay, so a holder that rejoins its slot with
+// its store is taken (the master still serves the store's layout) and the
+// next round ships from it.
 var ErrPartitionLost = errors.New("partition lost: no reachable worker holds a copy")
 
 // RebalanceReport summarises one rebalance round.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"testing"
 
 	"paw/internal/blockstore"
@@ -70,6 +71,24 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counter(MetricCallFailures); got < 1 {
 		t.Errorf("call failures after dead worker = %d, want >= 1", got)
+	}
+}
+
+// TestAdminCallBacksOffBetweenAttempts: an admin call against a closed worker
+// makes maxAttempts attempts and backs off between them only, not after the
+// last one, which no attempt follows.
+func TestAdminCallBacksOffBetweenAttempts(t *testing.T) {
+	tc := startCluster(t, 2, DefaultConfig(), nil)
+	clk := newFakeClock()
+	tc.master.clock = clk
+	tc.workers[0].Close()
+	if _, err := tc.master.adminCallResp(context.Background(), 0, AdminRequest{Op: AdminFetch}); err == nil {
+		t.Fatal("a fetch from a closed worker succeeded")
+	}
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	if clk.instants != maxAttempts-1 {
+		t.Fatalf("%d backoffs armed, want %d", clk.instants, maxAttempts-1)
 	}
 }
 

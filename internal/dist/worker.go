@@ -39,15 +39,18 @@ type Worker struct {
 	scanners colstore.ScannerPool
 	// scanHook, when set, observes every kernel scan. Test-only.
 	scanHook func(layout.ID)
+	// store is where epoch 0's tables come from.
+	store *blockstore.Store
 
 	mu sync.Mutex
 	// views maps layout epochs to the tables servable under them (DESIGN.md
-	// §13). Epoch 0 holds the tables the worker started with; migrations
-	// install later epochs partition by partition — as aliases of tables the
-	// worker already holds (renamed partitions move zero bytes) or from
-	// shipped payloads — and the master retires an epoch once no in-flight
-	// query can still reference it, which releases every table no later
-	// epoch aliases.
+	// §13). Epoch 0 holds the partitions the worker was assigned, each nil
+	// until a request first names it and lookup takes it from store;
+	// migrations install later epochs partition by partition — as aliases of
+	// tables the worker already holds (renamed partitions move zero bytes) or
+	// from shipped payloads — and the master retires an epoch once no
+	// in-flight query can still reference it, which releases every table no
+	// later epoch aliases.
 	views    map[uint64]map[layout.ID]*colstore.Table
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -61,40 +64,52 @@ type Worker struct {
 }
 
 // NewWorker builds a worker serving the assigned partitions of store as
-// layout epoch 0. Only the assigned tables are kept: the store itself is not
-// retained, and a nil store makes an empty worker (a joiner that receives its
-// partitions by install).
+// layout epoch 0, each taken from the store the first time a scan, fetch or
+// alias names it. A nil store makes an empty worker (a joiner that receives
+// its partitions by install).
 func NewWorker(store *blockstore.Store, assigned []layout.ID) *Worker {
 	base := make(map[layout.ID]*colstore.Table, len(assigned))
 	if store != nil {
 		for _, id := range assigned {
-			if sp, err := store.Partition(id); err == nil {
-				base[id] = sp.Table
-			}
+			base[id] = nil
 		}
 	}
 	return &Worker{
 		scanPool: parbuild.New(0),
 		conns:    make(map[net.Conn]bool),
 		views:    map[uint64]map[layout.ID]*colstore.Table{0: base},
+		store:    store,
 	}
 }
 
 // lookup resolves (epoch, id) to the table to scan. It locks per partition
 // rather than per batch: installs write the next epoch's map while planFor
-// already serves installed partitions from it.
+// already serves installed partitions from it. An epoch-0 table not yet taken
+// from the store is read outside the mutex, as installs decode, and kept
+// unless epoch 0 retired meanwhile, which the second lookup then reports.
 func (w *Worker) lookup(epoch uint64, id layout.ID) (*colstore.Table, error) {
 	w.mu.Lock()
 	v, ok := w.views[epoch]
-	tab := v[id]
+	tab, hosted := v[id]
 	w.mu.Unlock()
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("worker has no layout epoch %d", epoch)
-	case tab == nil:
+	case !hosted:
 		return nil, fmt.Errorf("worker does not host partition %d in epoch %d", id, epoch)
+	case tab != nil:
+		return tab, nil
 	}
-	return tab, nil
+	sp, err := w.store.Partition(id)
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	if v, ok := w.views[epoch]; ok && v[id] == nil {
+		v[id] = sp.Table
+	}
+	w.mu.Unlock()
+	return w.lookup(epoch, id)
 }
 
 // handleAdmin executes one migration-control request under the worker mutex

@@ -1,10 +1,15 @@
 package dist
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"paw/internal/blockstore"
@@ -114,6 +119,104 @@ func TestWorkerOneTablePath(t *testing.T) {
 	gone := wk.execBatch(ScanRequest{Query: q, IDs: ids[:1], Epoch: 0})
 	if !strings.Contains(gone.Err, "no layout epoch 0") || gone.FailedPartition != int64(ids[0]) {
 		t.Fatalf("retired epoch 0 answered %+v", gone)
+	}
+}
+
+// TestWorkerServesStoreDir: a worker over the files WriteDir wrote reads each
+// partition when a request first names it, and answers exactly as a worker
+// over the materialised store. Each file holds the partition's AdminFetch
+// payload byte for byte. A file holding another partition's payload is
+// refused, naming the partition, and once epoch 0 retires no file is opened.
+func TestWorkerServesStoreDir(t *testing.T) {
+	data, l, store, ids := workerFixtureLayout(t, 4)
+	dir := t.TempDir()
+	if err := store.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := blockstore.Open(dir, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, read := NewWorker(store, ids), NewWorker(opened, ids)
+	for _, id := range ids[1:] {
+		file, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%d.pawc", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wk := range []*Worker{held, read} {
+			if f := wk.handleAdmin(AdminRequest{Op: AdminFetch, Epoch: 0, ID: id}); f.Err != "" || !bytes.Equal(f.Payload, file) {
+				t.Fatalf("partition %d: fetch (err %q) and file differ", id, f.Err)
+			}
+		}
+	}
+	q := data.Domain()
+	if got, want := read.execBatch(ScanRequest{Query: q, IDs: ids[1:]}), held.execBatch(ScanRequest{Query: q, IDs: ids[1:]}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read from files: %+v, materialised: %+v", got, want)
+	}
+
+	// Partition ids[0] is not read yet: give it another partition's file.
+	other, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%d.pawc", ids[1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%d.pawc", ids[0])), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := read.execBatch(ScanRequest{Query: q, IDs: ids[:1]})
+	if want := fmt.Sprintf("partition %d", ids[0]); !strings.Contains(bad.Err, want) || bad.FailedPartition != int64(ids[0]) || bad.Rows != 0 {
+		t.Fatalf("a swapped file answered %+v, want a refusal naming %s", bad, want)
+	}
+
+	fresh := NewWorker(opened, ids)
+	if r := fresh.handleAdmin(AdminRequest{Op: AdminRetire, Epoch: 0}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if gone := fresh.execBatch(ScanRequest{Query: q, IDs: ids[1:2]}); !strings.Contains(gone.Err, "no layout epoch 0") {
+		t.Fatalf("retired epoch 0 answered %+v", gone)
+	}
+}
+
+// TestWorkerReadsStoreConcurrently: scans racing to read the same epoch-0
+// partitions from the files all answer as the materialised store does, and
+// a retire of epoch 0 racing them leaves every later scan refused.
+func TestWorkerReadsStoreConcurrently(t *testing.T) {
+	data, l, store, ids := workerFixtureLayout(t, 4)
+	dir := t.TempDir()
+	if err := store.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := blockstore.Open(dir, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := data.Domain()
+	want := NewWorker(store, ids).execBatch(ScanRequest{Query: q, IDs: ids})
+	wk := NewWorker(opened, ids)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := wk.execBatch(ScanRequest{Query: q, IDs: ids}); !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent scan: %+v, want %+v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	racing := NewWorker(opened, ids)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := racing.execBatch(ScanRequest{Query: q, IDs: ids}); got.Err == "" && !reflect.DeepEqual(got, want) {
+				t.Errorf("scan beside a retire: %+v, want %+v or a refusal", got, want)
+			}
+		}()
+	}
+	racing.handleAdmin(AdminRequest{Op: AdminRetire, Epoch: 0})
+	wg.Wait()
+	if gone := racing.execBatch(ScanRequest{Query: q, IDs: ids}); !strings.Contains(gone.Err, "no layout epoch 0") {
+		t.Fatalf("after the retire: %+v", gone)
 	}
 }
 

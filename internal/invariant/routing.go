@@ -3,7 +3,6 @@ package invariant
 import (
 	"fmt"
 	"math/rand"
-	"os"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -141,14 +140,9 @@ func LoadPair(dataPath, layoutPath string) (*dataset.Dataset, *layout.Layout, er
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.Open(layoutPath)
+	l, err := layout.ReadFile(layoutPath)
 	if err != nil {
 		return nil, nil, err
-	}
-	l, err := layout.Decode(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading %s: %w", layoutPath, err)
 	}
 	if err := CheckData(l, data); err != nil {
 		return nil, nil, fmt.Errorf("%s was not built over %s: %w", layoutPath, dataPath, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"paw/internal/binfmt"
 	"paw/internal/geom"
@@ -91,6 +92,20 @@ func appendBoxes(buf []byte, boxes []geom.Box) []byte {
 		buf = binfmt.AppendBox(buf, b)
 	}
 	return buf
+}
+
+// ReadFile decodes the layout file at path.
+func ReadFile(path string) (*Layout, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	l, err := Decode(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return l, nil
 }
 
 // Decode deserialises a layout written by Encode. The result is fully

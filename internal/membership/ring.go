@@ -1,7 +1,6 @@
 package membership
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"paw/internal/layout"
@@ -104,8 +103,7 @@ func (r *Ring) Owners(id layout.ID, n int) []int {
 }
 
 // RingPlacement places every partition on its ring owners: the canonical
-// elastic placement, shared by pawmaster and pawworker so both sides derive
-// the same assignment from the same member set without coordination. It is
+// elastic placement, which the master boots on and rebalances to. It is
 // a pure function — the same (ids, workers, replicas) always yields
 // the same placement, and placements for member sets differing by one
 // worker differ in ≈ len(ids)·replicas/(len(workers)+1) partitions.
@@ -122,9 +120,8 @@ func RingPlacement(ids []layout.ID, workers []int, replicas int) placement.Repli
 }
 
 // StaticPlacement is the ring placement of a static fleet: every partition of
-// l on workers 0…workers-1 with replicas copies each. pawmaster, pawworker
-// and the distributed example all place through it, so a worker derives the
-// master's placement from the same flags without coordination.
+// l on workers 0…workers-1 with replicas copies each. pawmaster and the
+// distributed example place through it.
 func StaticPlacement(l *layout.Layout, workers, replicas int) placement.Replicated {
 	ids := make([]layout.ID, len(l.Parts))
 	for i, p := range l.Parts {
@@ -151,28 +148,4 @@ func HostedIDs(rep placement.Replicated, w int) []layout.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Checksum is the placement checksum carried by the join handshake: an
-// order-independent digest of the partition IDs a worker hosts. The master
-// computes the same digest from its own placement and rejects a joining
-// worker whose digest disagrees — the defence against the silent
-// wrong-answer hazard of master and worker deriving different placements
-// from mismatched flags.
-func Checksum(ids []layout.ID) uint64 {
-	sorted := append([]layout.ID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b [8]byte
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	h ^= uint64(len(sorted))
-	h *= prime
-	for _, id := range sorted {
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(id)))
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime
-		}
-	}
-	return h
 }

@@ -136,23 +136,6 @@ func TestRingLoadBalance(t *testing.T) {
 	}
 }
 
-func TestChecksumOrderIndependentAndDiscriminating(t *testing.T) {
-	a := Checksum([]layout.ID{1, 2, 3})
-	b := Checksum([]layout.ID{3, 1, 2})
-	if a != b {
-		t.Fatal("checksum must be order-independent")
-	}
-	if Checksum([]layout.ID{1, 2}) == a {
-		t.Fatal("checksum must depend on the set")
-	}
-	if Checksum(nil) == a {
-		t.Fatal("empty checksum must differ from non-empty")
-	}
-	if Checksum(nil) != Checksum([]layout.ID{}) {
-		t.Fatal("nil and empty must agree")
-	}
-}
-
 func TestHostedIDsInvertsPlacement(t *testing.T) {
 	ids := seqIDs(50)
 	place := RingPlacement(ids, seqWorkers(3), 2)
