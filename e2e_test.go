@@ -130,7 +130,7 @@ func TestQuickRoutedSetCoversResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPart := l.RouteIndices(data, allRows(data.NumRows()))
+	byPart := l.RouteIndices(data, nil)
 	rng := rand.New(rand.NewSource(110))
 	for iter := 0; iter < 200; iter++ {
 		lo := geom.Point{rng.Float64(), rng.Float64()}
@@ -141,7 +141,7 @@ func TestQuickRoutedSetCoversResults(t *testing.T) {
 			selected[id] = true
 		}
 		for id, rows := range byPart {
-			if selected[id] {
+			if selected[layout.ID(id)] {
 				continue
 			}
 			for _, r := range rows {

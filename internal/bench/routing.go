@@ -163,14 +163,15 @@ func RoutingBench(cfg Config, workers []int) RoutingReport {
 	pointIndexed.SpeedupVsLinear = speedup(pointLinear.NsPerQuery, pointIndexed.NsPerQuery)
 	rep.Results = append(rep.Results, pointIndexed)
 
-	// Bulk routing (RouteAssign) of every point at once, ns per point. Both
-	// grid levels are indexed; axis-split trees are BenchmarkMaterialize's.
+	// Bulk routing (RouteRows) of every point at once, ns per point. Both
+	// grid levels are child-indexed, so every row is dealt by FirstContaining;
+	// axis-split trees are BenchmarkMaterialize's.
 	xs, ys := make([]float64, len(points)), make([]float64, len(points))
 	for i, p := range points {
 		xs[i], ys[i] = p[0], p[1]
 	}
 	pts := dataset.MustNew([]string{"x", "y"}, [][]float64{xs, ys})
-	bulk := measure("bulk-assign", runtime.GOMAXPROCS(0), len(points), func() { l.RouteAssign(pts, runtime.GOMAXPROCS(0)) })
+	bulk := measure("bulk-rows", runtime.GOMAXPROCS(0), len(points), func() { l.RouteRows(pts, runtime.GOMAXPROCS(0)) })
 	bulk.SpeedupVsLinear = speedup(pointLinear.NsPerQuery, bulk.NsPerQuery)
 	rep.Results = append(rep.Results, bulk)
 

@@ -24,7 +24,8 @@ import (
 // through a PAW layout built for a wide skewed workload like tpch-wide-scan's,
 // whose tree has Multi-Group nodes and irregular partitions. Beside ns/op and
 // B/op it reports the wall cost per row and where it goes: route-ns/row is the
-// routing pass plus the counting sort, and the rest —
+// routing pass (Layout.RouteRows, which deals the rows into per-partition
+// lists), and the rest —
 // colstore.Builder.BuildAll — splits into encode-ns/row, what encoding the
 // same partitions costs once their rows are in table order
 // (colstore.FromDataset, fanned out the same way), and cluster-ns/row, what
@@ -56,7 +57,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.ReportMetric(perRow(b.Elapsed(), b.N), "ns/row")
 			b.ReportMetric(perRow(route, b.N), "route-ns/row")
 
-			byPart := partitionRows(l, l.RouteAssign(data, runtime.GOMAXPROCS(0)))
+			byPart := l.RouteRows(data, runtime.GOMAXPROCS(0))
 			t0 := time.Now()
 			cfg.Builder(data).BuildAll(byPart, func(int, *colstore.Table) {})
 			t1 := time.Now()

@@ -85,13 +85,14 @@ type Store struct {
 // descriptor computed for other data does not survive; descriptor.Install
 // after materialising puts an N-box one back.
 //
-// Every row is routed once, in parallel; a counting sort then deals the row
-// indices into per-partition slices, and the builder clusters and encodes the
-// partitions concurrently. Results land in partition-indexed slots and are
-// summed in ID order, so the store is identical at any GOMAXPROCS.
+// Every row is routed once, in parallel, straight into per-partition lists of
+// ascending row indices (Layout.RouteRows), and the builder clusters and
+// encodes the partitions concurrently. Results land in partition-indexed
+// slots and are summed in ID order, so the store is identical at any
+// GOMAXPROCS.
 func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	start := time.Now()
-	byPart := partitionRows(l, l.RouteAssign(data, runtime.GOMAXPROCS(0)))
+	byPart := l.RouteRows(data, runtime.GOMAXPROCS(0))
 	s := &Store{parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
 
 	stored := make([]StoredPartition, len(l.Parts))
@@ -108,23 +109,6 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	}
 	s.SimWriteTime = time.Duration(float64(s.BytesWritten) / (writeMBps * 1e6) * float64(time.Second))
 	return s
-}
-
-// partitionRows turns the per-row partition assignment of a routing pass into
-// the ascending row indices of each partition: a counting sort over one
-// backing array, sized by the FullRows the same pass set.
-func partitionRows(l *layout.Layout, assign []int32) [][]int {
-	byPart := make([][]int, len(l.Parts))
-	backing := make([]int, len(assign)-int(l.Unrouted))
-	for i, p := range l.Parts {
-		byPart[i], backing = backing[:0:p.FullRows], backing[p.FullRows:]
-	}
-	for r, id := range assign {
-		if id >= 0 {
-			byPart[id] = append(byPart[id], r)
-		}
-	}
-	return byPart
 }
 
 // storedOf wraps a partition's table with the blocks it occupies.

@@ -75,7 +75,7 @@ type benchLayoutGolden struct {
 // construction and the full-Contains routing walk. Ranking by selection and
 // bucketing, and routing by derived per-split checks, must reproduce them bit
 // for bit. The digests were re-recorded when PAWL went to version 2; each
-// tree's bytes are the version-1 bytes unchanged. It also checks RouteAssign
+// tree's bytes are the version-1 bytes unchanged. It also checks RouteRows
 // against LocateLinear on every row.
 func TestBenchmarkLayoutsGolden(t *testing.T) {
 	want := map[string][3]benchLayoutGolden{ // paw, qd-tree, kd-tree
@@ -159,7 +159,7 @@ func processCPU(b *testing.B) time.Duration {
 
 var buildSink *layout.Layout
 
-// goldenOf digests l, routes data through it with RouteAssign, checks every
+// goldenOf digests l, routes data through it with RouteRows, checks every
 // row's partition against LocateLinear, and checksums the FullRows.
 func goldenOf(t *testing.T, l *layout.Layout, data *dataset.Dataset) benchLayoutGolden {
 	t.Helper()
@@ -167,18 +167,24 @@ func goldenOf(t *testing.T, l *layout.Layout, data *dataset.Dataset) benchLayout
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := l.RouteAssign(data, 2)
-	pt := make(geom.Point, data.Dims())
-	for i, id := range assign {
-		for d := range pt {
-			pt[d] = data.At(i, d)
+	want := make([]layout.ID, data.NumRows())
+	for i := range want {
+		want[i] = -1
+		if p := l.LocateLinear(data.Point(i)); p != nil {
+			want[i] = p.ID
 		}
-		want := int32(-1)
-		if p := l.LocateLinear(pt); p != nil {
-			want = int32(p.ID)
+	}
+	for id, rows := range l.RouteRows(data, 2) {
+		for k, i := range rows {
+			if want[i] != layout.ID(id) || k > 0 && rows[k-1] >= i {
+				t.Fatalf("row %d: RouteRows %d, LocateLinear %d", i, id, want[i])
+			}
+			want[i] = -2
 		}
-		if id != want {
-			t.Fatalf("row %d: RouteAssign %d, LocateLinear %d", i, id, want)
+	}
+	for i, id := range want {
+		if id != -1 && id != -2 {
+			t.Fatalf("row %d: RouteRows none, LocateLinear %d", i, id)
 		}
 	}
 	h := sha256.New()

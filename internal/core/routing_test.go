@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paw/internal/dataset"
@@ -13,14 +15,18 @@ import (
 	"paw/internal/workload"
 )
 
-// TestBulkRoutingMatchesLinear routes, through RouteAssign and RouteIndices,
+// TestBulkRoutingMatchesLinear routes, through RouteRows and RouteIndices,
 // points that probe every split of real PAW (with and without the data-aware
 // refinement, so irregular cells too), Qd-tree and k-d layouts — each node's
 // bounds and the floats either side of them on one dimension, the rest of the
 // point a sample row — plus points outside the domain, NaN and ±Inf
 // coordinates, and checks each against LocateLinear, which tests every child
 // by Desc.Contains. The PAW layouts have Multi-Group nodes, whose irregular
-// remainders bulk routing takes without testing their holes.
+// remainders bulk routing takes without testing their holes. It routes a
+// routing block less one row, a block, a block and a row, three blocks and
+// seven rows and every probe: RouteRows' lists, on 1 to 4 workers, must
+// ascend and its FullRows, Unrouted and TotalBytes match LocateLinear's
+// counts, and RouteIndices of a shuffled subset must keep the subset's order.
 func TestBulkRoutingMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, data := range []*dataset.Dataset{
@@ -42,30 +48,74 @@ func TestBulkRoutingMatchesLinear(t *testing.T) {
 				t.Fatalf("%s: no Multi-Group split, so no remainder to route", name)
 			}
 			probes := splitProbes(r, l, data)
-			assign := l.RouteAssign(probes, 2)
-			indexed := make([]int32, probes.NumRows())
-			for i := range indexed {
-				indexed[i] = -1
-			}
-			for id, idx := range l.RouteIndices(probes, allRows(probes.NumRows())) {
-				for _, i := range idx {
-					indexed[i] = int32(id)
-				}
-			}
-			for i := range assign {
-				pt := probes.Point(i)
-				want := int32(-1)
-				if p := l.LocateLinear(pt); p != nil {
-					want = int32(p.ID)
-				}
-				if assign[i] != want || indexed[i] != want {
-					t.Fatalf("%s: point %v: RouteAssign %d, RouteIndices %d, LocateLinear %d", name, pt, assign[i], indexed[i], want)
-				}
+			for _, n := range []int{routeBlock - 1, routeBlock, routeBlock + 1, 3*routeBlock + 7, probes.NumRows()} {
+				checkBulkRouting(t, r, fmt.Sprintf("%s n=%d", name, n), l, head(probes, n))
 			}
 			l.RouteParallel(data, 2)
 			if err := l.Validate(data, 0); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
+		}
+	}
+}
+
+// routeBlock is the routing engine's block (layout.routeBlock).
+const routeBlock = 4096
+
+// head is data's first n rows.
+func head(data *dataset.Dataset, n int) *dataset.Dataset {
+	cols := make([][]float64, data.Dims())
+	for d := range cols {
+		cols[d] = data.Column(d)[:n]
+	}
+	return dataset.MustNew(data.Names(), cols)
+}
+
+// checkBulkRouting routes data through l, with RouteRows on 1 to 4 workers
+// and RouteIndices, and checks every list against LocateLinear.
+func checkBulkRouting(t *testing.T, r *rand.Rand, name string, l *layout.Layout, data *dataset.Dataset) {
+	t.Helper()
+	n := data.NumRows()
+	want := make([]layout.ID, n)
+	wantRows := make([]int64, len(l.Parts))
+	var unrouted int64
+	for i := range want {
+		want[i] = -1
+		if p := l.LocateLinear(data.Point(i)); p != nil {
+			want[i] = p.ID
+			wantRows[p.ID]++
+		} else {
+			unrouted++
+		}
+	}
+	if unrouted == 0 {
+		t.Fatalf("%s: every probe routes; the test needs unrouted ones", name)
+	}
+	sub := r.Perm(n)[:n/2]
+	wantSub := make([][]int, len(l.Parts))
+	for _, i := range sub {
+		if want[i] >= 0 {
+			wantSub[want[i]] = append(wantSub[want[i]], i)
+		}
+	}
+	for id, rows := range l.RouteIndices(data, sub) {
+		if !slices.Equal(rows, wantSub[id]) {
+			t.Fatalf("%s: RouteIndices puts %d rows in partition %d in another order or set than LocateLinear's %d", name, len(rows), id, len(wantSub[id]))
+		}
+	}
+	for workers := 1; workers <= 4; workers++ {
+		for id, rows := range l.RouteRows(data, workers) {
+			for k, i := range rows {
+				if want[i] != layout.ID(id) || k > 0 && rows[k-1] >= i {
+					t.Fatalf("%s workers=%d: point %v in partition %d at %d, LocateLinear %d", name, workers, data.Point(i), id, k, want[i])
+				}
+			}
+			if got := int64(len(rows)); got != wantRows[id] || l.Parts[id].FullRows != got {
+				t.Fatalf("%s workers=%d: partition %d lists %d rows, FullRows %d, LocateLinear %d", name, workers, id, got, l.Parts[id].FullRows, wantRows[id])
+			}
+		}
+		if l.Unrouted != unrouted || l.TotalBytes != int64(n)*l.RowBytes {
+			t.Fatalf("%s workers=%d: Unrouted %d, TotalBytes %d; want %d, %d", name, workers, l.Unrouted, l.TotalBytes, unrouted, int64(n)*l.RowBytes)
 		}
 	}
 }
@@ -125,7 +175,7 @@ func splitProbes(r *rand.Rand, l *layout.Layout, data *dataset.Dataset) *dataset
 		}
 		add(p)
 	}
-	for len(cols[0]) < 8_192 {
+	for len(cols[0]) < 3*routeBlock+7 {
 		add(data.Point(r.Intn(data.NumRows())))
 	}
 	return dataset.MustNew(data.Names(), cols)

@@ -28,6 +28,18 @@ import (
 // next round ships from it.
 var ErrPartitionLost = errors.New("partition lost: no reachable worker holds a copy")
 
+// lostError is a rebalance's ErrPartitionLost: how many partitions have no
+// reachable holder and the first 8 of their IDs, ascending — a line the
+// auto-rebalance log prints, however many a dead worker held.
+func lostError(lost []layout.ID) error {
+	slices.Sort(lost)
+	ids := fmt.Sprint(lost[:min(len(lost), 8)])
+	if len(lost) > 8 {
+		ids = ids[:len(ids)-1] + " …]"
+	}
+	return fmt.Errorf("dist: rebalance aborted before any cutover: %w: %d partitions %s", ErrPartitionLost, len(lost), ids)
+}
+
 // RebalanceReport summarises one rebalance round.
 type RebalanceReport struct {
 	// Epoch is the layout epoch serving after the round.
@@ -105,7 +117,7 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 		}
 	}
 	if len(lost) > 0 {
-		return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w: partitions %v", ErrPartitionLost, lost)
+		return report, lostError(lost)
 	}
 
 	// Fetch every moved partition's payload before any install goes out, so

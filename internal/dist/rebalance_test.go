@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"slices"
 	"strings"
@@ -11,9 +12,34 @@ import (
 	"testing"
 	"time"
 
+	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/sqlrew"
 )
+
+// TestLostErrorBounded: a rebalance that finds 237 partitions with no
+// reachable holder — what one dead worker of two left on a 430-partition
+// fleet — says so in one short line, the count and the first 8 IDs
+// ascending, and still wraps ErrPartitionLost.
+func TestLostErrorBounded(t *testing.T) {
+	lost := make([]layout.ID, 237)
+	for i := range lost {
+		lost[i] = layout.ID(3 * (len(lost) - i))
+	}
+	err := lostError(lost)
+	if !errors.Is(err, ErrPartitionLost) {
+		t.Fatalf("%v does not wrap ErrPartitionLost", err)
+	}
+	if want := "237 partitions [3 6 9 12 15 18 21 24 …]"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q does not end in %q", err, want)
+	}
+	if n := len(err.Error()); n > 160 {
+		t.Fatalf("error is %d bytes long", n)
+	}
+	if err, want := lostError([]layout.ID{9, 4}), "2 partitions [4 9]"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q does not end in %q", err, want)
+	}
+}
 
 // Rebalance tests: the minimal-movement property (a join moves roughly
 // 1/(N+1) of the copies, never a reshuffle), exactness of every query served

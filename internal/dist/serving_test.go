@@ -261,11 +261,7 @@ func TestPartialResultsNotCached(t *testing.T) {
 // the same answer, the dataset's count over the partition.
 func TestWorkerConcurrentIdenticalBatches(t *testing.T) {
 	data, l, store := chaosFixture()
-	all := make([]int, data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	byPart := l.RouteIndices(data, all)
+	byPart := l.RouteIndices(data, nil)
 	q := data.Domain()
 	q.Hi[0] = (q.Lo[0] + q.Hi[0]) / 2
 	id, want := layout.ID(-1), 0

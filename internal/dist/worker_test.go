@@ -292,15 +292,10 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 	if !reflect.DeepEqual(batch, sum) {
 		t.Fatalf("batch %+v != sum of its single-partition batches %+v", batch, sum)
 	}
-	inBatch := make(map[layout.ID]bool, len(small))
-	for _, id := range small {
-		inBatch[id] = true
-	}
+	byPart := l.RouteIndices(data, nil)
 	var rows []int
-	for r, id := range l.RouteAssign(data, 1) {
-		if inBatch[layout.ID(id)] {
-			rows = append(rows, r)
-		}
+	for _, id := range small {
+		rows = append(rows, byPart[id]...)
 	}
 	if want := data.CountInBox(q, rows); batch.Rows != want {
 		t.Fatalf("batch matched %d rows, dataset says %d", batch.Rows, want)

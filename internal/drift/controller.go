@@ -299,11 +299,7 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	// the rebuild in exactly one new partition — the migration's row
 	// population is defined by old-layout routing, not by geometry, so
 	// irregular siblings keep their rows.
-	all := make([]int, c.data.NumRows())
-	for i := range all {
-		all[i] = i
-	}
-	byPart := cur.RouteIndices(c.data, all)
+	byPart := cur.RouteIndices(c.data, nil)
 	var regionRows []int
 	for _, leaf := range target.Leaves() {
 		regionRows = append(regionRows, byPart[leaf.Part.ID]...)
@@ -361,8 +357,8 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	if total != len(regionRows) {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: region rebuild conserves %d of %d rows", total, len(regionRows))
 	}
-	for id := range newByPart {
-		if !addedSet[id] {
+	for id, rows := range newByPart {
+		if len(rows) > 0 && !addedSet[layout.ID(id)] {
 			return nil, layout.Diff{}, nil, fmt.Errorf("drift: region row escaped into surviving partition %d", id)
 		}
 	}

@@ -158,7 +158,7 @@ func (l *Layout) QueryCosts(queries []geom.Box, extras Extras, workers int) []in
 
 // Locate routes a point to its leaf partition through the index-accelerated
 // tree descent (nil when no leaf accepts it). Safe for concurrent use.
-func (l *Layout) Locate(p geom.Point) *Partition { return l.Root.routeDown(p, nil) }
+func (l *Layout) Locate(p geom.Point) *Partition { return l.Root.routeDown(p) }
 
 // LocateLinear is the retained linear reference for Locate: the plain
 // first-matching-child descent. Kept for differential tests and the routing

@@ -3,6 +3,7 @@ package layout
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paw/internal/dataset"
@@ -199,11 +200,16 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 	diffBulkRouting(t, r, l)
 }
 
-// diffBulkRouting asserts that the bulk routes, which test derived per-split
-// checks, place every point where LocateLinear does: points on every node's
-// bounds and the floats either side of them, points outside the domain, and
-// NaN and ±Inf coordinates, over enough rows that RouteAssign runs in
-// parallel chunks.
+// diffBulkRouting asserts that bulk routing, which deals row blocks down the
+// tree by derived per-split checks, places every point where LocateLinear
+// does: points on every node's bounds and the floats either side of them,
+// points outside the domain, and NaN and ±Inf coordinates. It routes
+// datasets of a block less one row, a block, a block and a row, three blocks
+// and seven rows and every point, on 1 to 4 workers, through RouteRows (each
+// list ascending; FullRows, Unrouted and TotalBytes as LocateLinear counts
+// them), RouteParallel, and the engine behind RouteIndices on a shuffled
+// subset (each list in the subset's order). Blocks with a point outside the
+// root's box and blocks without are both dealt.
 func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 	t.Helper()
 	var xs, ys []float64
@@ -220,31 +226,64 @@ func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 	})
 	nan, inf := math.NaN(), math.Inf(1)
 	xs, ys = append(xs, nan, nan, 50, -1e9, 1e9, inf, -inf, 50, 50, inf), append(ys, nan, 50, nan, 50, 50, 50, 50, inf, -inf, nan)
-	for len(xs) < 5000 {
+	// Then points around the domain, and a block and more of points in the
+	// root's box only, whose blocks take the root's children on their
+	// derived checks.
+	for len(xs) < 2*routeBlock {
 		xs, ys = append(xs, r.Float64()*110-5), append(ys, r.Float64()*110-5)
 	}
-	data := dataset.MustNew([]string{"x", "y"}, [][]float64{xs, ys})
-	assign := l.RouteAssign(data, 3)
-	rows := make([]int, len(xs))
-	for i := range rows {
-		rows[i] = i
+	for m := l.Root.Desc.MBR(); len(xs) < 3*routeBlock+7; {
+		xs = append(xs, m.Lo[0]+r.Float64()*(m.Hi[0]-m.Lo[0]))
+		ys = append(ys, m.Lo[1]+r.Float64()*(m.Hi[1]-m.Lo[1]))
 	}
-	indexed := make([]int32, len(xs))
-	for i := range indexed {
-		indexed[i] = -1
-	}
-	for id, idx := range l.RouteIndices(data, rows) {
-		for _, i := range idx {
-			indexed[i] = int32(id)
+	for _, n := range []int{routeBlock - 1, routeBlock, routeBlock + 1, 3*routeBlock + 7, len(xs)} {
+		data := dataset.MustNew([]string{"x", "y"}, [][]float64{xs[:n], ys[:n]})
+		want := make([]ID, n)
+		wantRows := make([]int64, len(l.Parts))
+		var unrouted int64
+		for i := range want {
+			want[i] = -1
+			if p := l.LocateLinear(geom.Point{xs[i], ys[i]}); p != nil {
+				want[i] = p.ID
+				wantRows[p.ID]++
+			} else {
+				unrouted++
+			}
 		}
-	}
-	for i := range xs {
-		want := int32(-1)
-		if p := l.LocateLinear(geom.Point{xs[i], ys[i]}); p != nil {
-			want = int32(p.ID)
+		sub := r.Perm(n)[:n/2]
+		wantSub := make([][]int, len(l.Parts))
+		for _, i := range sub {
+			if want[i] >= 0 {
+				wantSub[want[i]] = append(wantSub[want[i]], i)
+			}
 		}
-		if assign[i] != want || indexed[i] != want {
-			t.Fatalf("point (%v, %v): RouteAssign %d, RouteIndices %d, LocateLinear %d", xs[i], ys[i], assign[i], indexed[i], want)
+		for workers := 1; workers <= 4; workers++ {
+			byPart := l.RouteRows(data, workers)
+			for id, rows := range byPart {
+				for k, i := range rows {
+					if want[i] != ID(id) || k > 0 && rows[k-1] >= i {
+						t.Fatalf("n=%d workers=%d: point (%v, %v) in partition %d at %d of %d, LocateLinear %d", n, workers, xs[i], ys[i], id, k, len(rows), want[i])
+					}
+				}
+				if got := int64(len(rows)); got != wantRows[id] || l.Parts[id].FullRows != got {
+					t.Fatalf("n=%d workers=%d: partition %d lists %d rows, FullRows %d, LocateLinear %d", n, workers, id, got, l.Parts[id].FullRows, wantRows[id])
+				}
+			}
+			if l.Unrouted != unrouted || l.TotalBytes != int64(n)*l.RowBytes {
+				t.Fatalf("n=%d workers=%d: Unrouted %d, TotalBytes %d; want %d, %d", n, workers, l.Unrouted, l.TotalBytes, unrouted, int64(n)*l.RowBytes)
+			}
+			l.RouteParallel(data, workers)
+			for id, p := range l.Parts {
+				if p.FullRows != wantRows[id] {
+					t.Fatalf("n=%d workers=%d: RouteParallel counts %d rows in partition %d, want %d", n, workers, p.FullRows, id, wantRows[id])
+				}
+			}
+			bySub, _ := l.deal(data, sub, workers)
+			for id, rows := range bySub {
+				if !slices.Equal(rows, wantSub[id]) {
+					t.Fatalf("n=%d workers=%d: RouteIndices puts %d rows in partition %d in another order or set than LocateLinear's %d", n, workers, len(rows), id, len(wantSub[id]))
+				}
+			}
 		}
 	}
 }
@@ -374,6 +413,42 @@ func TestBulkRoutingStripChildren(t *testing.T) {
 	diffBulkRouting(t, r, l)
 	mid.Children[1].Desc = NewRect(box2(55, 10, 60, 90))
 	diffBulkRouting(t, r, l)
+}
+
+// TestBulkRoutingAxisSplitGap: the second half of an axis split is taken
+// without a test only when every point its sibling rejects lies in it — the
+// two share a bound, or it starts at the float after its sibling's — not
+// when a gap lies between them, in either order of the halves.
+func TestBulkRoutingAxisSplitGap(t *testing.T) {
+	dom := box2(0, 0, 100, 100)
+	half := func(in geom.Box, dim int, lo, hi float64) geom.Box {
+		b := in.Clone()
+		b.Lo[dim], b.Hi[dim] = lo, hi
+		return b
+	}
+	split := func(box geom.Box, kids ...geom.Box) *Node {
+		n := &Node{Desc: NewRect(box)}
+		for _, k := range kids {
+			n.Children = append(n.Children, &Node{Desc: NewRect(k), Part: &Partition{Desc: NewRect(k)}})
+		}
+		return n
+	}
+	a, b := half(dom, 0, 0, 50), half(dom, 0, 50.5, 100)
+	root := &Node{Desc: NewRect(dom), Children: []*Node{
+		split(a, half(a, 1, 0, 30), half(a, 1, math.Nextafter(30, 100), 100)),
+		split(b, half(b, 1, 60, 100), half(b, 1, 0, 59.75)),
+	}}
+	l := Seal("gaps", root, 8)
+	taken := 0
+	for _, sc := range l.deriveChecks() {
+		if sc.dim == checkBox && len(sc.box) == 0 {
+			taken++
+		}
+	}
+	if taken != 1 {
+		t.Fatalf("%d halves taken without a test, want 1 (the half-open one)", taken)
+	}
+	diffBulkRouting(t, rand.New(rand.NewSource(9)), l)
 }
 
 // TestBulkRoutingRemainder: an irregular remainder whose region is its Rect

@@ -2,9 +2,7 @@ package layout
 
 import (
 	"fmt"
-	"sync"
 
-	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/rtree"
 )
@@ -99,146 +97,28 @@ func (n *Node) Leaves() []*Node {
 // grouped partitions carved out of them (boundary points then resolve to the
 // group). Returns nil when no child accepts the point. Wide nodes descend
 // through their child index, which preserves the first-matching-child
-// contract (packed indexes return the smallest accepted index). A bulk call
-// passes the checks it derived from this tree (deriveChecks); with rc == nil
-// every child is tested by Desc.Contains.
-func (n *Node) routeDown(p geom.Point, rc []splitCheck) *Partition {
-	cur, k := n, int32(0)
+// contract (packed indexes return the smallest accepted index). Bulk routing
+// deals whole row blocks instead (route.go).
+func (n *Node) routeDown(p geom.Point) *Partition {
+	cur := n
 	for !cur.IsLeaf() {
 		i := -1
 		if cur.childIndex != nil {
 			i = cur.childIndex.FirstContaining(p, cur)
 		} else {
-			var kids []splitCheck
-			if rc != nil {
-				kids = rc[rc[k].first:]
-			}
 			for j, c := range cur.Children {
-				switch {
-				case j >= len(kids) || kids[j].dim == checkDesc:
-					if !c.Desc.Contains(p) {
-						continue
-					}
-				case kids[j].dim == checkRest:
-					// Below the root p is known to lie in the parent's box.
-					if k == 0 && !c.Desc.MBR().Contains(p) {
-						continue
-					}
-				default:
-					if v := p[kids[j].dim]; v < kids[j].lo || v > kids[j].hi {
-						continue
-					}
+				if c.Desc.Contains(p) {
+					i = j
+					break
 				}
-				i = j
-				break
 			}
 		}
 		if i < 0 {
 			return nil
 		}
 		cur = cur.Children[i]
-		if rc != nil {
-			k = rc[k].first + int32(i)
-		}
 	}
 	return cur.Part
-}
-
-// splitCheck is one node's entry in the checks a bulk routing call derives
-// from the live tree (deriveChecks); nodes are numbered from the root (0) so
-// that a node's children are consecutive from first. Under a Rect parent
-// without a child index, a Rect child whose box differs from the parent's on
-// one dimension only — either child of an axis split — is tested by
-// lo <= p[dim] <= hi, its own bounds there: a point the walk brought to the
-// parent lies in the parent's box, so that is exactly its Contains, NaN
-// coordinates included (the root is never tested, so its children are not).
-// The remainder of a Multi-Group split (remainderOf) has dim checkRest: it
-// is taken once the siblings before it have rejected the point, without
-// evaluating its region. Every other node has dim checkDesc and is tested
-// by Desc.Contains. The checks live for one call, never on the tree, so a
-// descriptor edited after Seal is routed as it now is.
-type splitCheck struct {
-	first, dim int32
-	lo, hi     float64
-}
-
-// The dims of a splitCheck that tests no one dimension.
-const checkDesc, checkRest = -1, -2
-
-// deriveChecks numbers l's tree and derives every node's splitCheck. It holds
-// no node pointers, so a large tree costs the collector nothing to scan.
-func (l *Layout) deriveChecks() []splitCheck {
-	if l.Root == nil {
-		return nil
-	}
-	rc := make([]splitCheck, 1, 2*len(l.Parts)+1)
-	rc[0].dim = checkDesc
-	var number func(n *Node, k int)
-	number = func(n *Node, k int) {
-		first := len(rc)
-		rc[k].first = int32(first)
-		parent, rect := n.Desc.(Rect)
-		rect = rect && n.childIndex == nil
-		for j, c := range n.Children {
-			sc := splitCheck{dim: checkDesc}
-			switch child := c.Desc.(type) {
-			case Rect:
-				if rect && k > 0 {
-					sc = oneDimSplit(parent.Box, child.Box)
-				}
-			case Irregular:
-				if rect && remainderOf(parent.Box, child, n.Children[:j]) {
-					sc.dim = checkRest
-				}
-			}
-			rc = append(rc, sc)
-		}
-		for j, c := range n.Children {
-			number(c, first+j)
-		}
-	}
-	number(l.Root, 0)
-	return rc
-}
-
-// remainderOf reports whether ir's region is exactly parent minus the closed
-// boxes of the siblings before it: its outer box is parent, non-empty, and
-// its holes are those siblings' Rect boxes, in order. A point that reached
-// parent and that every one of them rejected then lies in the region, NaN
-// coordinates included.
-func remainderOf(parent geom.Box, ir Irregular, before []*Node) bool {
-	if len(ir.Holes) != len(before) || !sameBox(ir.Outer, parent) || parent.IsEmpty() {
-		return false
-	}
-	for i, s := range before {
-		if r, ok := s.Desc.(Rect); !ok || !sameBox(r.Box, ir.Holes[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameBox is a.Equal(b) for well-formed boxes, and false otherwise.
-func sameBox(a, b geom.Box) bool {
-	return len(a.Lo) == len(a.Hi) && len(b.Lo) == len(b.Hi) && a.Equal(b)
-}
-
-// oneDimSplit is the check of child under parent when their boxes differ on
-// exactly one dimension, and dim -1 otherwise.
-func oneDimSplit(parent, child geom.Box) splitCheck {
-	sc := splitCheck{dim: checkDesc}
-	if len(child.Lo) != len(parent.Lo) || len(child.Hi) != len(parent.Hi) || len(child.Lo) != len(child.Hi) {
-		return sc
-	}
-	for d, lo := range child.Lo {
-		if hi := child.Hi[d]; lo != parent.Lo[d] || hi != parent.Hi[d] {
-			if sc.dim >= 0 {
-				return splitCheck{dim: checkDesc}
-			}
-			sc = splitCheck{dim: int32(d), lo: lo, hi: hi}
-		}
-	}
-	return sc
 }
 
 // routeDownLinear is the retained linear reference for routeDown: every
@@ -314,114 +194,6 @@ func (l *Layout) MapSampleRows(rows []int) {
 			p.SampleRows[i] = rows[r]
 		}
 	}
-}
-
-// Route assigns every record of data to a leaf partition, setting FullRows
-// and TotalBytes. It reproduces the paper's construction protocol: the
-// logical layout is computed on a sample, then the full dataset is routed
-// through it (§VI-A). Route may be called repeatedly; counts are reset.
-func (l *Layout) Route(data *dataset.Dataset) {
-	l.route(data, 1, nil)
-}
-
-// hoistColumns caches the dataset's contiguous column slices so routing hot
-// loops probe cols[d][r] directly instead of calling data.At per (row, dim).
-func hoistColumns(data *dataset.Dataset) [][]float64 {
-	cols := make([][]float64, data.Dims())
-	for d := range cols {
-		cols[d] = data.Column(d)
-	}
-	return cols
-}
-
-// RouteParallel is Route with the row scan fanned out over up to workers
-// goroutines; results are identical to Route.
-func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) {
-	l.route(data, workers, nil)
-}
-
-// RouteAssign is RouteParallel that also returns the partition every row
-// routes to (-1 for a row no leaf accepts), so a caller that needs the rows
-// of each partition — the block store — routes the dataset exactly once.
-func (l *Layout) RouteAssign(data *dataset.Dataset, workers int) []int32 {
-	assign := make([]int32, data.NumRows())
-	l.route(data, workers, assign)
-	return assign
-}
-
-// route is the one routing pass behind Route, RouteParallel and RouteAssign:
-// contiguous row chunks are routed on up to workers goroutines, each with its
-// own count vector (and its own slice of assign, when non-nil), and the
-// counts are merged in chunk order.
-func (l *Layout) route(data *dataset.Dataset, workers int, assign []int32) {
-	n := data.NumRows()
-	if workers < 2 || n < 4096 {
-		workers = 1
-	}
-	cols := hoistColumns(data)
-	rc := l.deriveChecks()
-	counts := make([][]int64, workers)
-	unrouted := make([]int64, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		counts[w] = make([]int64, len(l.Parts))
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pt := make(geom.Point, len(cols))
-			for i := lo; i < hi; i++ {
-				for d, col := range cols {
-					pt[d] = col[i]
-				}
-				id := int32(-1)
-				if part := l.Root.routeDown(pt, rc); part != nil {
-					counts[w][part.ID]++
-					id = int32(part.ID)
-				} else {
-					unrouted[w]++
-				}
-				if assign != nil {
-					assign[i] = id
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, p := range l.Parts {
-		p.FullRows = 0
-	}
-	l.Unrouted = 0
-	for w := range counts {
-		for id, c := range counts[w] {
-			l.Parts[id].FullRows += c
-		}
-		l.Unrouted += unrouted[w]
-	}
-	l.TotalBytes = int64(n) * l.RowBytes
-}
-
-// RouteIndices routes only the given rows; used to route record subsets to
-// build precise descriptors per partition.
-func (l *Layout) RouteIndices(data *dataset.Dataset, idx []int) map[ID][]int {
-	out := make(map[ID][]int)
-	cols := hoistColumns(data)
-	rc := l.deriveChecks()
-	pt := make(geom.Point, len(cols))
-	for _, i := range idx {
-		for d, col := range cols {
-			pt[d] = col[i]
-		}
-		if part := l.Root.routeDown(pt, rc); part != nil {
-			out[part.ID] = append(out[part.ID], i)
-		}
-	}
-	return out
 }
 
 // NumPartitions returns the number of physical partitions.

@@ -39,22 +39,23 @@ func (l *Layout) Validate(data *dataset.Dataset, minRows int64) error {
 			}
 		}
 	}
-	// Re-route every record and confirm the target leaf's descriptor
-	// contains it.
-	cols := hoistColumns(data)
-	rc := l.deriveChecks()
-	pt := make(geom.Point, len(cols))
-	for i := 0; i < data.NumRows(); i++ {
-		for d, col := range cols {
-			pt[d] = col[i]
+	// Re-route every record and confirm each leaf's descriptor contains the
+	// records routed to it.
+	pt := make(geom.Point, data.Dims())
+	routed := 0
+	for id, rows := range l.RouteIndices(data, nil) {
+		for _, r := range rows {
+			for d := range pt {
+				pt[d] = data.At(r, d)
+			}
+			if !l.Parts[id].Desc.Contains(pt) {
+				return fmt.Errorf("layout: record %d routed to partition %d whose descriptor excludes it", r, id)
+			}
 		}
-		part := l.Root.routeDown(pt, rc)
-		if part == nil {
-			return fmt.Errorf("layout: record %d routes nowhere on revalidation", i)
-		}
-		if !part.Desc.Contains(pt) {
-			return fmt.Errorf("layout: record %d routed to partition %d whose descriptor excludes it", i, part.ID)
-		}
+		routed += len(rows)
+	}
+	if routed != data.NumRows() {
+		return fmt.Errorf("layout: %d records route nowhere on revalidation", data.NumRows()-routed)
 	}
 	return nil
 }
