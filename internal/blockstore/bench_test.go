@@ -59,7 +59,7 @@ func BenchmarkMaterialize(b *testing.B) {
 
 			byPart := l.RouteRows(data, runtime.GOMAXPROCS(0))
 			t0 := time.Now()
-			cfg.Builder(data).BuildAll(byPart, func(int, *colstore.Table) {})
+			cfg.Builder(data).BuildAll(byPart, l.ExtendedHist(), func(int, *colstore.Table) {})
 			t1 := time.Now()
 			pool := parbuild.New(0)
 			pool.Fan(pool.RootSlot(), len(byPart), func(i, _ int) {
@@ -72,7 +72,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			largest := slices.Clone(slices.MaxFunc(byPart, func(x, y []int) int { return len(x) - len(y) }))
 			bld := cfg.Builder(data)
 			t2 := time.Now()
-			bld.Build(largest)
+			bld.Build(largest, l.ExtendedHist())
 			b.ReportMetric(float64(time.Since(t2).Nanoseconds())/1e6, "largest-ms")
 		})
 	}

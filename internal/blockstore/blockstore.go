@@ -87,7 +87,8 @@ type Store struct {
 //
 // Every row is routed once, in parallel, straight into per-partition lists of
 // ascending row indices (Layout.RouteRows), and the builder clusters and
-// encodes the partitions concurrently. Results land in partition-indexed
+// encodes the partitions concurrently, tiling them for the workload the
+// layout was built for (Layout.ExtendedHist). Results land in partition-indexed
 // slots and are summed in ID order, so the store is identical at any
 // GOMAXPROCS.
 func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
@@ -96,7 +97,7 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	s := &Store{parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
 
 	stored := make([]StoredPartition, len(l.Parts))
-	cfg.Builder(data).BuildAll(byPart, func(i int, tab *colstore.Table) {
+	cfg.Builder(data).BuildAll(byPart, l.ExtendedHist(), func(i int, tab *colstore.Table) {
 		stored[i] = storedOf(tab)
 	})
 	for i := range stored {

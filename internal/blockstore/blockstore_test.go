@@ -202,7 +202,7 @@ func TestMaterializeRoutesOnce(t *testing.T) {
 		if err := sp.Table.Encode(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := builder.Build(byPart[p.ID]).Encode(&b); err != nil {
+		if err := builder.Build(byPart[p.ID], l.ExtendedHist()).Encode(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

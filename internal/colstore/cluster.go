@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"paw/internal/dataset"
+	"paw/internal/geom"
 	"paw/internal/parbuild"
 )
 
@@ -17,12 +18,17 @@ import (
 //
 // A Builder fixes the physical row order inside a partition (DESIGN.md §11):
 //
-//  1. Tiles. The rows are split recursively on the dimension of widest
-//     extent (measured against the dataset's domain, so the choice does not
-//     depend on column units) by an n-th-element selection at a multiple of
-//     the row-group size, until a segment fits one row group. Consecutive
-//     row groups are therefore tight k-d tiles, and their min/max envelopes
-//     prune.
+//  1. Tiles. The rows are split recursively by an n-th-element selection at a
+//     multiple of the row-group size, until a segment fits one row group, so
+//     consecutive row groups are tight k-d tiles whose min/max envelopes
+//     prune. A segment splits on the dimension of widest extent (measured
+//     against the dataset's domain, so the choice does not depend on column
+//     units) — unless the partition has two or more tail columns (step 3) and
+//     some of the workload's queries straddle the segment (overlap it
+//     without containing it): then it splits on the tail column that the
+//     fewest of those queries cross at the cut, ties to the narrowest
+//     (leastCrossed), so that a tile stays long along the column its rows
+//     ascend on.
 //  2. Runs. Inside a tile, rows are sorted lexicographically by the
 //     low-cardinality columns (at most runKeyCap distinct values in the
 //     partition), fewest distinct values first, so those columns collapse
@@ -35,16 +41,16 @@ import (
 //     (column.pieces). A permutation changes no raw chunk's size.
 //
 // Every step compares (value, source row index) pairs, which is a total order:
-// the result is a pure function of the row set, independent of the order the
-// rows arrive in and of which goroutine runs the build. A Builder is safe for
-// concurrent use.
+// the result is a pure function of the row set and the workload, independent
+// of the order the rows arrive in and of which goroutine runs the build. A
+// Builder is safe for concurrent use.
 //
 // One bounded pool serves both levels of a build. BuildAll fans the partitions
 // out on it, largest first; and because a layout built for skewed data can
 // put most of the rows in one partition (69 % of them in one of 23 on the OSM
 // stand-in, 51 % in PAW's Multi-Group remainder on tpch-selective), a large
 // partition's build fans out again on whatever workers are free: the gather,
-// the run-key census with the order words and a segment's extent pass run in
+// the run-key census with the rank words and a segment's extent pass run in
 // record chunks, the two halves of a split tile independently, and tiles sort
 // and encode independently. Chunk boundaries depend on the pool's width alone,
 // and no chunked pass's result depends on them.
@@ -75,18 +81,23 @@ func NewBuilder(data *dataset.Dataset, groupRows int) *Builder {
 }
 
 // Build encodes the partition holding the given source rows (in any order) as
-// a table, and leaves rows in the table's row order.
-func (b *Builder) Build(rows []int) *Table {
+// a table, tiled for queries (BuildAll), and leaves rows in the table's row
+// order.
+func (b *Builder) Build(rows []int, queries []geom.Box) *Table {
 	var t *Table
-	b.BuildAll([][]int{rows}, func(_ int, built *Table) { t = built })
+	b.BuildAll([][]int{rows}, queries, func(_ int, built *Table) { t = built })
 	return t
 }
 
-// BuildAll is Build for every partition of parts, concurrently. done(i, t) is
-// handed parts[i]'s table, with parts[i] already in table order, on the
-// goroutine that built it: calls for different partitions overlap.
-func (b *Builder) BuildAll(parts [][]int, done func(i int, t *Table)) {
+// BuildAll is Build for every partition of parts, concurrently. queries are
+// the workload the tiles split for: the layout's QH extended by δ and clipped
+// to its root box (layout.ExtendedHist); none keeps every split on the widest
+// dimension. done(i, t) is handed parts[i]'s table, with parts[i] already in
+// table order, on the goroutine that built it: calls for different
+// partitions overlap.
+func (b *Builder) BuildAll(parts [][]int, queries []geom.Box, done func(i int, t *Table)) {
 	scratch := make([]clusterScratch, b.pool.Slots())
+	keyed := keyBoxes(queries, b.data.Dims())
 	// Largest first: the largest partition is the critical path, so it starts
 	// at once, the rest build beside it, and workers they free join its
 	// fan-outs.
@@ -97,7 +108,7 @@ func (b *Builder) BuildAll(parts [][]int, done func(i int, t *Table)) {
 	slices.SortStableFunc(order, func(x, y int) int { return len(parts[y]) - len(parts[x]) })
 	b.pool.Fan(b.pool.RootSlot(), len(parts), func(j, slot int) {
 		i := order[j]
-		done(i, b.build(parts[i], scratch, slot))
+		done(i, b.build(parts[i], keyed, scratch, slot))
 	})
 }
 
@@ -111,24 +122,27 @@ const runKeyCap = 256
 // partition the slot is building.
 type clusterScratch struct {
 	src []int // the partition's source rows, ascending
-	// recs holds one record of stride words per row: its position in src,
-	// then its order-preserving key on every column. Tiling moves whole
-	// records, so a segment's rows are contiguous at every level of the
-	// recursion and every pass over them is sequential, however large the
-	// partition.
+	// recs holds one record of stride words per row: its position in src
+	// (above, once the census has run, the ranks of the row's values on the
+	// run-key columns in the low rankBits bits: the word still orders as the
+	// position does), then its order-preserving key on every column. Tiling
+	// moves whole records, so a segment's rows are contiguous at every level
+	// of the recursion and every pass over them is sequential, however large
+	// the partition.
 	recs []uint64
 	// order is the table order: one word per row, sorted within each tile,
-	// holding (most significant first) the ranks of the row's values on the
-	// run-key columns, its position, and — in the low bits — which record of
-	// the tile is the row's. A tile with a tail column overwrites everything
-	// below the ranks but the record number (sortTile).
+	// holding (most significant first) the row's run-key ranks, its position,
+	// and — in the low bits — which record of the tile is the row's. A tile
+	// with a tail column overwrites everything below the ranks but the record
+	// number (sortTile).
 	order []uint64
 	// census[c][d] is the census of column d over the records of chunk c;
 	// keys[d] the partition's distinct keys of one column, merged from them.
 	census [][]columnCensus
 	keys   []runKey
 	// tails lists the columns that are not run keys, ascending; rankBits is
-	// how many high bits of an order word the run-key ranks take.
+	// how many bits the run-key ranks take, of a record's first word and at
+	// the top of an order word.
 	tails    []int
 	rankBits int
 	// enc encodes, and radix backs the word sort of, the tiles this slot is
@@ -148,7 +162,7 @@ type columnCensus struct {
 
 // build puts rows in table order and encodes them as a table. The caller
 // holds pool slot slot.
-func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
+func (b *Builder) build(rows []int, queries []keyBox, scratch []clusterScratch, slot int) *Table {
 	n, dims := len(rows), b.data.Dims()
 	t := &Table{names: append([]string(nil), b.data.Names()...), rows: n}
 	if n == 0 {
@@ -163,12 +177,21 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 	}
 	stride := dims + 1
 	b.gather(sc, stride, slot)
-	b.tile(sc.recs, stride, slot)
-	slotBits := b.packOrder(sc, n, stride, slot)
-	slotMask := uint64(1)<<slotBits - 1
+	slotBits := b.census(sc, n, stride, slot)
+	// The workload chooses among tail columns only, and only where there are
+	// two or more: a run key's rows collapse into runs and its few values
+	// leave a cut little room to miss a query, and one tail leaves no choice.
+	var tails []int
+	if len(sc.tails) >= 2 && len(queries) > 0 {
+		tails = sc.tails
+	}
+	b.tile(sc.recs, stride, slot, tails, queries)
 
-	// Tiles are independent from here: sort the tile's order words, write its
-	// rows out, encode its row group.
+	// Tiles are independent from here: make the tile's order words, sort
+	// them, write its rows out, encode its row group.
+	rankBits := uint(sc.rankBits)
+	rankMask, slotMask := uint64(1)<<rankBits-1, uint64(1)<<slotBits-1
+	sc.order = slices.Grow(sc.order[:0], n)[:n]
 	t.groups = make([]rowGroup, (n+b.groupRows-1)/b.groupRows)
 	b.pool.FanChunks(slot, len(t.groups), parallelMinGroups, func(_, glo, ghi, slot int) {
 		enc, radix := &scratch[slot].enc, &scratch[slot].radix
@@ -176,9 +199,13 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 			lo := g * b.groupRows
 			tile := sc.order[lo:min(lo+b.groupRows, n)]
 			recs := sc.recs[lo*stride : (lo+len(tile))*stride]
+			for i := range tile {
+				w := recs[i*stride]
+				tile[i] = (w&rankMask)<<(64-rankBits) | w>>rankBits<<slotBits | uint64(i)
+			}
 			b.sortTile(sc, tile, recs, stride, slotBits, radix)
 			for i, k := range tile {
-				rows[lo+i] = sc.src[recs[int(k&slotMask)*stride]]
+				rows[lo+i] = sc.src[recs[int(k&slotMask)*stride]>>rankBits]
 			}
 			t.groups[g] = enc.encode(dims, len(tile), func(d int, dst []float64) {
 				for i, k := range tile {
@@ -191,7 +218,7 @@ func (b *Builder) build(rows []int, scratch []clusterScratch, slot int) *Table {
 }
 
 // parallelMinRows is the fewest records in a chunk of a pass over a
-// partition's records that fans out — the gather, the census and the order
+// partition's records that fans out — the gather, the census and the rank
 // words, and a tile segment's extent: a chunk below it takes well under a
 // millisecond.
 const parallelMinRows = 1 << 14
@@ -345,10 +372,13 @@ func keyValue(k uint64) float64 {
 const parallelTileGroups = 16
 
 // tile arranges the records so that every aligned run of groupRows of them is
-// one k-d tile: it splits the segment at a multiple of groupRows on the widest
-// dimension and recurses until a segment fits one row group. The caller holds
-// pool slot slot.
-func (b *Builder) tile(recs []uint64, stride, slot int) {
+// one k-d tile: it splits the segment at a multiple of groupRows and recurses
+// until a segment fits one row group. A segment splits on the widest
+// dimension, or — given tails, the partition's tail columns when it has two
+// or more and the build a workload — on the tail column leastCrossed picks
+// for the queries that straddle it, if any do. The caller holds pool slot
+// slot.
+func (b *Builder) tile(recs []uint64, stride, slot int, tails []int, queries []keyBox) {
 	dims := stride - 1
 	// extents holds one chunk's mins, then maxes, per chunk of the extent
 	// pass; the first chunk's end up the segment's.
@@ -364,29 +394,118 @@ func (b *Builder) tile(recs []uint64, stride, slot int) {
 				mins[d], maxs[d] = min(mins[d], at[d]), max(maxs[d], at[dims+d])
 			}
 		}
-		split, widest := 0, -1.0
-		for d, inv := range b.invExtent {
-			if w := (keyValue(maxs[d]) - keyValue(mins[d])) * inv; w > widest {
-				split, widest = d, w
-			}
-		}
 		groups := (len(recs)/stride + b.groupRows - 1) / b.groupRows
 		k := groups / 2 * b.groupRows
+		split := -1
+		if tails != nil {
+			queries = straddling(queries, mins, maxs)
+			split = b.leastCrossed(recs, stride, k, tails, queries, mins, maxs)
+		}
+		if split < 0 {
+			widest := -1.0
+			for d, inv := range b.invExtent {
+				if w := (keyValue(maxs[d]) - keyValue(mins[d])) * inv; w > widest {
+					split, widest = d, w
+				}
+			}
+		}
 		selectSmallest(recs, stride, 1+split, k)
 		left, right := recs[:k*stride], recs[k*stride:]
 		if groups >= parallelTileGroups {
 			b.pool.Fan(slot, 2, func(half, slot int) {
 				if half == 0 {
-					b.tile(left, stride, slot)
+					b.tile(left, stride, slot, tails, queries)
 				} else {
-					b.tile(right, stride, slot)
+					b.tile(right, stride, slot, tails, queries)
 				}
 			})
 			return
 		}
-		b.tile(left, stride, slot)
+		b.tile(left, stride, slot, tails, queries)
 		recs = right
 	}
+}
+
+// A keyBox is a query box in key space: the orderKey of each lower bound,
+// then of each upper bound.
+type keyBox []uint64
+
+// keyBoxes maps queries of dims dimensions to key space.
+func keyBoxes(queries []geom.Box, dims int) []keyBox {
+	out := make([]keyBox, len(queries))
+	for i, q := range queries {
+		out[i] = make(keyBox, 2*dims)
+		for d := range dims {
+			out[i][d], out[i][dims+d] = orderKey(q.Lo[d]), orderKey(q.Hi[d])
+		}
+	}
+	return out
+}
+
+// straddling returns, in a new slice, the queries that overlap the box of
+// mins and maxs without containing it: the queries a split of a segment with
+// that extent can serve better or worse. A query that contains the segment
+// reads both halves whatever the cut, one disjoint from it neither; neither
+// can straddle any part of the segment either, so a segment's halves filter
+// what it kept.
+func straddling(queries []keyBox, mins, maxs []uint64) []keyBox {
+	var out []keyBox
+	for _, q := range queries {
+		overlaps, contains := true, true
+		for d := range mins {
+			lo, hi := q[d], q[len(mins)+d]
+			overlaps = overlaps && lo <= maxs[d] && hi >= mins[d]
+			contains = contains && lo <= mins[d] && hi >= maxs[d]
+		}
+		if overlaps && !contains {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// leastCrossed returns the tail column that the fewest queries cross at the
+// segment's cut — the key of rank k on that column, estimated from a
+// deterministic sample of the segment's records; a query crosses a cut it
+// reaches on both sides of. Ties go to the narrowest tail (then the first): a
+// tile's rows ascend on its widest tail column (sortTile), so splitting the
+// narrower keeps tiles long along the column a query then searches to a short
+// span instead of sweeping. It returns -1, the widest rule's turn, when no
+// query is left to weigh or every tail is constant over the segment (mins,
+// maxs).
+func (b *Builder) leastCrossed(recs []uint64, stride, k int, tails []int, queries []keyBox, mins, maxs []uint64) int {
+	if len(queries) == 0 {
+		return -1
+	}
+	dims, n := stride-1, len(recs)/stride
+	size := max(1, min(maxPivotSample, int(math.Sqrt(float64(n)))))
+	var sample [maxPivotSample]uint64
+	keys := sample[:size]
+	best, fewest, narrowest := -1, 0, 0.0
+	for _, d := range tails {
+		w := (keyValue(maxs[d]) - keyValue(mins[d])) * b.invExtent[d]
+		if !(w > 0) {
+			continue
+		}
+		rnd := uint64(n)*0x9E3779B97F4A7C15 | 1
+		for i := range keys {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			keys[i] = recs[int(rnd%uint64(n))*stride+1+d]
+		}
+		slices.Sort(keys)
+		cut, crossed := keys[k*size/n], 0
+		for _, q := range queries {
+			if q[d] <= cut && cut <= q[dims+d] {
+				crossed++
+			}
+		}
+		if best < 0 || crossed < fewest || crossed == fewest && w < narrowest {
+			best, fewest, narrowest = d, crossed, w
+		}
+	}
+	return best
 }
 
 // extentOf sets minmax to the least, then the greatest, key of every column
@@ -573,22 +692,25 @@ func sortRecords(recs []uint64, stride, keyWord int) {
 	}
 }
 
-// packOrder fills sc.order with one sortable word per tiled record: sorting
-// the words of a tile of groupRows records orders its rows by the run-key
-// columns — those with at most runKeyCap distinct values in the partition,
-// most significant first in ascending order of distinct count (ties in column
-// order) — then by position. A column whose rank bits no longer fit in the
-// word is left out, with every column after it: those are sc.tails, the
-// candidates for a tile's tail key, and sc.rankBits is how many high bits the
-// ranks took. Below the position, the low slotBits bits (returned) say which
-// record of the tile is the row's.
+// census counts every column's distinct keys over the partition's records
+// and ranks the run-key columns — those with at most runKeyCap distinct
+// values in the partition, most significant first in ascending order of
+// distinct count (ties in column order) — into the records' first words:
+// each record's position moves up by sc.rankBits and its ranks fill the bits
+// below, so the word orders records as the position does, and a tile's order
+// words are read off its records after tiling (build). The ranks share an
+// order word with the position and, in its low slotBits bits (returned), the
+// row's record number in its tile; a column whose rank bits no longer fit is
+// left out, with every column after it: those are sc.tails, the candidates
+// for a tile's tail key and for a workload-chosen split. It runs before the
+// tiling, which needs sc.tails.
 //
 // The census runs in record chunks on the pool, each chunk counting every
 // column's keys apart; the chunks' keys merge into the partition's distinct
 // set, and each record's code maps to its key's rank through its chunk's
 // table. Only the ranks reach the words, so they do not depend on the chunks.
 // The caller holds pool slot slot.
-func (b *Builder) packOrder(sc *clusterScratch, n, stride, slot int) (slotBits int) {
+func (b *Builder) census(sc *clusterScratch, n, stride, slot int) (slotBits int) {
 	dims, groupRows := stride-1, b.groupRows
 	if sc.census == nil {
 		sc.census, sc.keys = make([][]columnCensus, b.pool.Workers()), make([]runKey, dims)
@@ -627,16 +749,19 @@ func (b *Builder) packOrder(sc *clusterScratch, n, stride, slot int) (slotBits i
 			continue // constant column
 		}
 		free -= width
-		k.shift = uint(posBits + slotBits + free)
+		k.shift = uint(free) // above the bits the later keys take
 		ranked = append(ranked, k)
 	}
 	sc.rankBits = 64 - posBits - slotBits - free
+	for i := range ranked {
+		ranked[i].shift -= uint(free)
+	}
 
-	sc.order = slices.Grow(sc.order[:0], n)[:n]
+	rankBits := uint(sc.rankBits)
 	b.pool.FanChunks(slot, n, parallelMinRows, func(c, lo, hi, _ int) {
-		order := sc.order[lo:hi]
-		for i := range order {
-			order[i] = sc.recs[(lo+i)*stride]<<slotBits | uint64((lo+i)%groupRows)
+		recs := sc.recs[lo*stride : hi*stride]
+		for w := 0; w < len(recs); w += stride {
+			recs[w] <<= rankBits
 		}
 		for _, k := range ranked {
 			// rank[f] is the shifted rank of the chunk's f-th key first seen.
@@ -647,7 +772,7 @@ func (b *Builder) packOrder(sc *clusterScratch, n, stride, slot int) (slotBits i
 				rank[f] = uint64(r) << k.shift
 			}
 			for i, f := range cc.codes {
-				order[i] |= rank[f]
+				recs[i*stride] |= rank[f]
 			}
 		}
 	})
@@ -661,7 +786,7 @@ type runKey struct {
 	// vals holds them, ascending, when it is at most runKeyCap.
 	distinct int
 	vals     []uint64
-	// shift places the column's ranks in an order word (packOrder).
+	// shift places the column's ranks in a record's first word (census).
 	shift uint
 }
 

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
@@ -107,7 +109,7 @@ func TestClusteredScanDifferential(t *testing.T) {
 			}
 			arrival := FromDataset(data, nil, groupRows)
 			rows := shuffledRows(n, int64(groupRows))
-			tab := NewBuilder(data, groupRows).Build(rows)
+			tab := NewBuilder(data, groupRows).Build(rows, nil)
 			if tab.NumRows() != n || tab.NumGroups() != arrival.NumGroups() {
 				t.Fatalf("%s/%d: clustered table has %d rows in %d groups, arrival %d in %d",
 					name, groupRows, tab.NumRows(), tab.NumGroups(), n, arrival.NumGroups())
@@ -147,13 +149,15 @@ func TestClusteredScanDifferential(t *testing.T) {
 	}
 }
 
-// TestClusterIsPureFunctionOfRowSet: the order depends on the row set only —
-// not on the order the rows arrive in, not on scratch reuse — and the table
-// order Build leaves in rows is the order of the table's rows.
+// TestClusterIsPureFunctionOfRowSet: the order depends on the row set and the
+// workload only — not on the order the rows or the queries arrive in, not on
+// scratch reuse — and the table order Build leaves in rows is the order of the
+// table's rows.
 func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 	for name, data := range orderDatasets() {
 		n := data.NumRows()
 		b := NewBuilder(data, 128)
+		queries := testWorkload(data, 12, 3)
 		// A proper subset, so source row indices and positions differ.
 		var subset []int
 		for r := 0; r < n; r++ {
@@ -162,15 +166,18 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 			}
 		}
 		ref := slices.Clone(subset)
-		refTab := b.Build(ref)
+		refTab := b.Build(ref, queries)
 		var refBytes bytes.Buffer
 		if err := refTab.Encode(&refBytes); err != nil {
 			t.Fatal(err)
 		}
 		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
 			rows := slices.Clone(subset)
-			rand.New(rand.NewSource(seed)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-			tab := NewBuilder(data, 128).Build(rows)
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			qs := slices.Clone(queries)
+			rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+			tab := NewBuilder(data, 128).Build(rows, qs)
 			if !slices.Equal(rows, ref) {
 				t.Fatalf("%s: table order depends on arrival order (seed %d)", name, seed)
 			}
@@ -179,7 +186,7 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), refBytes.Bytes()) {
-				t.Fatalf("%s: encoded table depends on arrival order (seed %d)", name, seed)
+				t.Fatalf("%s: encoded table depends on the order of rows or queries (seed %d)", name, seed)
 			}
 		}
 		// rows in table order reproduce the table, value for value.
@@ -195,6 +202,30 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testWorkload draws n query boxes over data's domain, each a tenth to a
+// half of it on every dimension (all of a dimension whose domain has no
+// finite extent), from seed.
+func testWorkload(data *dataset.Dataset, n int, seed int64) []geom.Box {
+	rng := rand.New(rand.NewSource(seed))
+	dom := data.Domain()
+	qs := make([]geom.Box, n)
+	for i := range qs {
+		lo, hi := make(geom.Point, data.Dims()), make(geom.Point, data.Dims())
+		for d := range lo {
+			ext := dom.Hi[d] - dom.Lo[d]
+			if !(ext >= 0) || math.IsInf(ext, 0) {
+				lo[d], hi[d] = math.Inf(-1), math.Inf(1)
+				continue
+			}
+			w := ext * (0.1 + 0.4*rng.Float64())
+			lo[d] = dom.Lo[d] + rng.Float64()*(ext-w)
+			hi[d] = lo[d] + w
+		}
+		qs[i] = geom.NewBox(lo, hi)
+	}
+	return qs
 }
 
 // lessOn is the (value, source row) total order the tiling splits on.
@@ -266,7 +297,7 @@ func TestClusterTilesAndRuns(t *testing.T) {
 		n, dims := data.NumRows(), data.Dims()
 		for _, groupRows := range []int{7, 256, 2048} {
 			rows := shuffledRows(n, 1)
-			tab := NewBuilder(data, groupRows).Build(rows)
+			tab := NewBuilder(data, groupRows).Build(rows, nil)
 			if tiles := checkTiling(t, data, rows, groupRows); tiles != tab.NumGroups() {
 				t.Fatalf("%s/%d: %d tiles for %d row groups", name, groupRows, tiles, tab.NumGroups())
 			}
@@ -367,7 +398,7 @@ func TestClusterTilesAndRuns(t *testing.T) {
 func TestClusterCollapsesLowCardinalityColumns(t *testing.T) {
 	data := dataset.TPCHLike(20000, 9).Project(4)
 	arrival := FromDataset(data, nil, 2048)
-	tab := NewBuilder(data, 2048).Build(shuffledRows(data.NumRows(), 2))
+	tab := NewBuilder(data, 2048).Build(shuffledRows(data.NumRows(), 2), nil)
 	if got, was := tab.EncodingCounts()["rle"], arrival.EncodingCounts()["rle"]; got <= was {
 		t.Errorf("clustered table has %d RLE chunks, arrival order %d", got, was)
 	}
@@ -392,7 +423,7 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 		for i, rows := range parts {
 			wantRows[i] = slices.Clone(rows)
 			var buf bytes.Buffer
-			if err := NewBuilder(data, 64).Build(wantRows[i]).Encode(&buf); err != nil {
+			if err := NewBuilder(data, 64).Build(wantRows[i], nil).Encode(&buf); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = buf.Bytes()
@@ -407,7 +438,7 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 				for i, rows := range parts {
 					mine[i] = slices.Clone(rows)
 				}
-				b.BuildAll(mine, func(i int, tab *Table) {
+				b.BuildAll(mine, nil, func(i int, tab *Table) {
 					var buf bytes.Buffer
 					if err := tab.Encode(&buf); err != nil {
 						t.Error(err)
@@ -423,12 +454,13 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 }
 
 // TestBuildIsWidthIndependent: a partition above every chunk threshold —
-// its gather, census, order words and top tile extents run in chunks at any
+// its gather, census, rank words and top tile extents run in chunks at any
 // width above one, and its tile halves and tiles fan out — builds into the
 // same bytes and the same row order on pools of one to four workers, from
-// rows arriving shuffled. On "ramp" each chunk of the top extent pass sees
-// only its share of the first column's range: a chunk's extent alone would
-// make the second column the wider.
+// rows arriving shuffled, under a workload. On "ramp" each chunk of the top
+// extent pass sees only its share of the first column's range: a chunk's
+// extent alone would make the second column the wider. "ramp" and "specials"
+// have two tail columns or more, so the workload chooses their splits.
 func TestBuildIsWidthIndependent(t *testing.T) {
 	n := 4*parallelMinRows + 1234
 	ramp, noise := make([]float64, n), make([]float64, n)
@@ -443,12 +475,13 @@ func TestBuildIsWidthIndependent(t *testing.T) {
 	} {
 		var want []byte
 		var wantRows []int
+		queries := testWorkload(data, 16, 4)
 		for w := 1; w <= 4; w++ {
 			b := NewBuilder(data, 64)
 			b.pool = parbuild.New(w)
 			rows := shuffledRows(n, int64(w))
 			var buf bytes.Buffer
-			if err := b.Build(rows).Encode(&buf); err != nil {
+			if err := b.Build(rows, queries).Encode(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if w == 1 {
@@ -458,6 +491,113 @@ func TestBuildIsWidthIndependent(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) || !slices.Equal(rows, wantRows) {
 				t.Fatalf("%s: %d workers build another table than one", name, w)
 			}
+		}
+	}
+}
+
+// topSplit returns the dimension on which the first k of rows, in table
+// order, all sort before the rest (-1: none), where k is the row count of the
+// left half of the builder's top split.
+func topSplit(data *dataset.Dataset, rows []int, groupRows int) int {
+	k := (len(rows) + groupRows - 1) / groupRows / 2 * groupRows
+	for d := range data.Dims() {
+		maxL, minR := rows[0], rows[k]
+		for _, r := range rows[:k] {
+			if lessOn(data, d, maxL, r) {
+				maxL = r
+			}
+		}
+		for _, r := range rows[k:] {
+			if lessOn(data, d, r, minR) {
+				minR = r
+			}
+		}
+		if lessOn(data, d, maxL, minR) {
+			return d
+		}
+	}
+	return -1
+}
+
+// TestWorkloadMovesTheSplit: in a partition with two tail columns — "wide",
+// whose values span the domain, and "narrow", which spans half of it — a
+// build without a workload splits on the widest, as before workloads reached
+// the builder. With one, the split goes to the tail fewer queries cross at
+// its cut, ties to the narrowest: a query that crosses neither cut, or only
+// wide's, leaves the split on narrow, one that crosses only narrow's moves it
+// to wide.
+func TestWorkloadMovesTheSplit(t *testing.T) {
+	const n, groupRows = 4096, 64
+	rng := rand.New(rand.NewSource(57))
+	wide, narrow := make([]float64, n), make([]float64, n)
+	var rows []int
+	for i := range wide {
+		wide[i], narrow[i] = rng.Float64(), rng.Float64()
+		if narrow[i] < 0.5 {
+			rows = append(rows, i)
+		}
+	}
+	data := dataset.MustNew([]string{"wide", "narrow"}, [][]float64{wide, narrow})
+	for _, c := range []struct {
+		name    string
+		queries []geom.Box
+		want    int
+	}{
+		{"no workload", nil, 0},
+		// The cut on narrow falls near 0.25, the one on wide near 0.5; both
+		// are estimated from a sample of √n rows, so the queries leave room.
+		{"crossing neither", []geom.Box{geom.NewBox(geom.Point{0.02, 0.02}, geom.Point{0.1, 0.08})}, 1},
+		{"crossing narrow", []geom.Box{geom.NewBox(geom.Point{0.02, 0.1}, geom.Point{0.1, 0.4})}, 0},
+		{"crossing wide", []geom.Box{geom.NewBox(geom.Point{0.3, 0.02}, geom.Point{0.7, 0.08})}, 1},
+		{"crossing both once, wide twice", []geom.Box{
+			geom.NewBox(geom.Point{0.3, 0.1}, geom.Point{0.7, 0.4}),
+			geom.NewBox(geom.Point{0.3, 0.02}, geom.Point{0.7, 0.08}),
+		}, 1},
+		{"crossing both twice, narrow thrice", []geom.Box{
+			geom.NewBox(geom.Point{0.3, 0.1}, geom.Point{0.7, 0.4}),
+			geom.NewBox(geom.Point{0.3, 0.1}, geom.Point{0.7, 0.4}),
+			geom.NewBox(geom.Point{0.02, 0.1}, geom.Point{0.1, 0.4}),
+		}, 0},
+	} {
+		got := slices.Clone(rows)
+		NewBuilder(data, groupRows).Build(got, c.queries)
+		if d := topSplit(data, got, groupRows); d != c.want {
+			t.Errorf("%s: the top split is on column %d, want %d", c.name, d, c.want)
+		}
+	}
+}
+
+// TestOneTailIgnoresTheWorkload: in a partition whose columns are all run
+// keys but one — every TPC-H partition: quantity, discount and tax hold a few
+// dozen values, price is the tail — a workload changes no byte.
+func TestOneTailIgnoresTheWorkload(t *testing.T) {
+	data := dataset.TPCHLike(6000, 3).Project(4)
+	var want bytes.Buffer
+	if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 1), nil).Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 1), testWorkload(data, 24, 5)).Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a one-tail partition built with a workload differs from the one built without")
+	}
+}
+
+// TestNoWorkloadKeepsTheOrder: without queries, a partition with two tail
+// columns is tiled on the widest dimension at every split, as before the
+// builder took a workload: the literal is the table's digest recorded on the
+// parent of that change, and an empty workload is no workload.
+func TestNoWorkloadKeepsTheOrder(t *testing.T) {
+	data := dataset.OSMLike(20_000, 6, 5)
+	for _, queries := range [][]geom.Box{nil, {}} {
+		var buf bytes.Buffer
+		if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 9), queries).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:8]) != "b4b7564656732895" {
+			t.Errorf("workload %v: table digest %x, want b4b7564656732895", queries, sum[:8])
 		}
 	}
 }
@@ -487,11 +627,11 @@ func TestBuilderExtentsMatchDomain(t *testing.T) {
 func TestBuildDegeneratePartitions(t *testing.T) {
 	data := dataset.Uniform(10, 2, 1)
 	b := NewBuilder(data, 4)
-	if tab := b.Build(nil); tab.NumRows() != 0 || tab.NumGroups() != 0 || tab.Dims() != 2 {
+	if tab := b.Build(nil, nil); tab.NumRows() != 0 || tab.NumGroups() != 0 || tab.Dims() != 2 {
 		t.Errorf("empty partition built %d rows in %d groups", tab.NumRows(), tab.NumGroups())
 	}
 	rows := []int{7}
-	tab := b.Build(rows)
+	tab := b.Build(rows, nil)
 	if pts := tab.groupPoints(0); tab.NumRows() != 1 || rows[0] != 7 || !slices.Equal(pts[0], data.Point(7)) {
 		t.Errorf("one-row partition built %d rows, order %v", tab.NumRows(), rows)
 	}

@@ -114,7 +114,7 @@ func builtGoldenTable(t *testing.T) (*dataset.Dataset, *Table) {
 	for i := range all {
 		all[i] = i
 	}
-	tab := NewBuilder(data, goldenGroupRows).Build(all)
+	tab := NewBuilder(data, goldenGroupRows).Build(all, nil)
 	var searchPrice, searchWide []int
 	for gi := range tab.groups {
 		g := &tab.groups[gi]
@@ -375,7 +375,7 @@ func TestStoredBytesGolden(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	built := NewBuilder(data, goldenGroupRows).Build(all)
+	built := NewBuilder(data, goldenGroupRows).Build(all, nil)
 	for _, c := range []struct {
 		name   string
 		tab    *Table
@@ -410,7 +410,7 @@ func TestDecodeReencodesByteForByte(t *testing.T) {
 		all[i] = i
 	}
 	payloads := [][]byte{unhex(t, recordedV5)}
-	for _, tab := range []*Table{arrival, NewBuilder(data, goldenGroupRows).Build(all)} {
+	for _, tab := range []*Table{arrival, NewBuilder(data, goldenGroupRows).Build(all, nil)} {
 		var buf bytes.Buffer
 		if err := tab.Encode(&buf); err != nil {
 			t.Fatal(err)

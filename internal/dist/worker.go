@@ -112,6 +112,28 @@ func (w *Worker) lookup(epoch uint64, id layout.ID) (*colstore.Table, error) {
 	return w.lookup(epoch, id)
 }
 
+// readAhead takes from the store, on the scan pool at once, the epoch-0
+// tables of ids that no request has taken yet, so that a batch's first reads
+// of a partition-file store decode side by side rather than one after another
+// in execBatch's loop. A table that fails to read is left to the loop's lookup
+// to report.
+func (w *Worker) readAhead(epoch uint64, ids []layout.ID) {
+	if epoch != 0 || w.store == nil {
+		return
+	}
+	var unread []layout.ID
+	w.mu.Lock()
+	for _, id := range ids {
+		if tab, hosted := w.views[0][id]; hosted && tab == nil {
+			unread = append(unread, id)
+		}
+	}
+	w.mu.Unlock()
+	if len(unread) > 1 {
+		w.scanPool.Fan(w.scanPool.RootSlot(), len(unread), func(i, _ int) { w.lookup(0, unread[i]) })
+	}
+}
+
 // handleAdmin executes one migration-control request under the worker mutex
 // (payload decoding happens outside it: decodes are the expensive part and
 // touch no shared state).
@@ -315,6 +337,7 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 	// the table lookup stays per partition (lookup says why).
 	sc := w.scanners.Get()
 	defer w.scanners.Put(sc)
+	w.readAhead(req.Epoch, req.IDs)
 	for _, id := range req.IDs {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			resp.Err = fmt.Sprintf("scan deadline exceeded at partition %d (req %d)", id, req.Seq)

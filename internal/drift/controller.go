@@ -259,10 +259,6 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	}
 	vsp.End()
 
-	// The patched layout states the scope it will be monitored against: the
-	// old reference plus what was just observed, at the same δ. The old
-	// reference keeps the queries the rebuild did not invalidate.
-	newL.Delta, newL.Hist = cur.Delta, append(slices.Clone(cur.Hist), liveBoxes...)
 	csp := tm.Start("cutover", root)
 	if err := c.master.ApplyMigration(ctx, mig); err != nil {
 		csp.Int(trace.KeyError, 1)
@@ -286,8 +282,9 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 }
 
 // rebuild constructs the replacement subtree for target within cur's scope
-// and patches it into cur. It returns the patched layout, the diff, and the
-// full-data row indices of every added partition (the migration payloads).
+// and patches it into cur. It returns the patched layout, carrying cur's
+// scope grown by live, the diff, and the full-data row indices of every added
+// partition (the migration payloads).
 //
 // The pipeline is offline construction at region scale, the two calls
 // `pawcli build` makes for the domain: core.Build with the §IV-E refinement
@@ -335,6 +332,11 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	if err != nil {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: patching layout: %w", err)
 	}
+	// The patched layout states the scope it will be monitored against: the
+	// old reference plus what was just observed, at the same δ. The old
+	// reference keeps the queries the rebuild did not invalidate. The
+	// payloads are tiled for that scope, as Materialize tiles newL's store.
+	newL.Delta, newL.Hist = cur.Delta, append(slices.Clone(cur.Hist), live.Boxes()...)
 
 	// Row-conservation cross-check: routing the region's rows through the
 	// patched layout must land them all in added partitions, with counts
@@ -391,10 +393,11 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		})
 	}
 	var moved int64
+	queries := newL.ExtendedHist()
 	for i, id := range diff.Added {
 		ws := slices.Clone(curPlace[diff.Removed[i*len(diff.Removed)/len(diff.Added)]])
 		place[id] = ws
-		tab := c.builder.Build(payloadRows[id])
+		tab := c.builder.Build(payloadRows[id], queries)
 		// The added partition's data envelope, as blockstore.Materialize
 		// sets it: surviving partitions carried theirs through the patch.
 		if env, ok := tab.Envelope(); ok {

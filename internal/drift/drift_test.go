@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,7 +209,10 @@ func offlineRebuild(t *testing.T, tc *driftCluster, live workload.Workload, cfg 
 // the same physical layout a fresh store gives it. Every payload of a
 // migration plan is byte-for-byte the encoding blockstore.Materialize produces
 // for that partition on the patched layout — both go through colstore.Builder,
-// and the rebuild's row sets arrive in region order, not row order.
+// and the rebuild's row sets arrive in region order, not row order — and both
+// tile for the patched layout's scope, the reference QH grown by the live
+// window: on two continuous columns, a partition of more than 256 rows has
+// two tail columns, so that scope chooses its splits.
 func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	cfg := testConfig()
 	tc := startDriftCluster(t, 16000, 2, cfg)
@@ -229,12 +233,15 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if newL.Delta != cur.Delta || len(newL.Hist) != len(cur.Hist)+len(live) {
+		t.Fatalf("the patched layout carries δ %g and %d QH queries, want %g and %d", newL.Delta, len(newL.Hist), cur.Delta, len(cur.Hist)+len(live))
+	}
 	mig, _, err := ctl.buildMigration(newL, diff, payloadRows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := blockstore.Materialize(newL, tc.data, storeCfg)
-	shipped, multiGroup := 0, 0
+	shipped, multiGroup, twoTails, steered := 0, 0, 0, 0
 	for _, e := range mig.Entries {
 		if e.Payload == nil {
 			continue
@@ -255,9 +262,20 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 		if sp.Table.NumGroups() > 1 {
 			multiGroup++
 		}
+		if sp.Table.NumRows() > 256 { // Uniform's columns hold no value twice
+			twoTails++
+			var unsteered bytes.Buffer
+			if err := storeCfg.Builder(tc.data).Build(slices.Clone(payloadRows[e.ID]), nil).Encode(&unsteered); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(unsteered.Bytes(), e.Payload) {
+				steered++
+			}
+		}
 	}
-	if shipped == 0 || multiGroup == 0 {
-		t.Fatalf("plan shipped %d payloads, %d of more than one row group: the comparison is vacuous", shipped, multiGroup)
+	if shipped == 0 || multiGroup == 0 || twoTails == 0 || steered == 0 {
+		t.Fatalf("plan shipped %d payloads, %d of more than one row group, %d with two tail columns, %d tiled otherwise than without a workload: the comparison is vacuous",
+			shipped, multiGroup, twoTails, steered)
 	}
 }
 

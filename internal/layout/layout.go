@@ -160,7 +160,8 @@ type Layout struct {
 	Unrouted int64
 	// Delta and Hist are the scope the layout was built for (Problem 1): the
 	// variance threshold δ in absolute domain units and the historical
-	// workload QH. Layouts built outside core.BuildMethod leave them zero.
+	// workload QH. core.Build and core.BuildMethod set them; a Qd-tree or
+	// k-d layout built by calling its builder directly leaves them zero.
 	Delta float64
 	Hist  []geom.Box
 
@@ -209,4 +210,22 @@ func (l *Layout) String() string {
 	}
 	return fmt.Sprintf("%s layout: %d partitions (%d irregular), %d bytes",
 		l.Method, len(l.Parts), irr, l.TotalBytes)
+}
+
+// ExtendedHist returns the workload the layout was built for as its builder
+// partitioned for it: every query of Hist extended by Delta on every side and
+// clipped to the root's box, those that miss it dropped (Q*F of §IV). The
+// block store and drift's payloads tile partitions for it.
+func (l *Layout) ExtendedHist() []geom.Box {
+	if l.Root == nil || len(l.Hist) == 0 {
+		return nil
+	}
+	root := l.Root.Desc.MBR()
+	out := make([]geom.Box, 0, len(l.Hist))
+	for _, q := range l.Hist {
+		if inter, ok := q.Extend(l.Delta).Intersection(root); ok {
+			out = append(out, inter)
+		}
+	}
+	return out
 }

@@ -46,7 +46,10 @@ func (l *Layout) RouteIndices(data *dataset.Dataset, idx []int) [][]int {
 
 // deal is the one bulk routing pass: each pool worker deals a contiguous
 // chunk of the rows down the tree a block at a time (dealer), and the chunks'
-// lists are joined in chunk order, so every list keeps the rows' order.
+// shares are joined in chunk order, so every list keeps the rows' order. The
+// join knows every partition's count from every chunk, so each chunk copies
+// its shares straight to their places in one backing array, and nothing is
+// grown.
 func (l *Layout) deal(data *dataset.Dataset, idx []int, workers int) ([][]int, int64) {
 	n := data.NumRows()
 	if n > math.MaxInt32 {
@@ -67,22 +70,37 @@ func (l *Layout) deal(data *dataset.Dataset, idx []int, workers int) ([][]int, i
 		d := &dealer{rc: rc, rootBox: rootBox, data: data, idx: idx,
 			block: make([][]float64, dims), gathered: make([]float64, dims*routeBlock), pt: make(geom.Point, dims),
 			rows: make([]uint16, routeBlock), take: make([]uint16, routeBlock), cand: make([]uint16, routeBlock),
-			mask: make([]uint8, routeBlock), which: make([]int32, routeBlock), out: make([][]int32, len(l.Parts))}
+			mask: make([]uint8, routeBlock), which: make([]int32, routeBlock),
+			dealt: make([]int32, 0, hi-lo), count: make([]int, len(l.Parts))}
 		for ; lo < hi; lo += routeBlock {
 			d.route(l.Root, lo, min(routeBlock, hi-lo))
 		}
 		dealers[c] = d
 	})]
-	byPart, rows := make([][]int, len(l.Parts)), make([]int, 0, n)
-	for id := range byPart {
-		from := len(rows)
+	// Partition id's rows are rows[start[id]:start[id+1]], its chunks' shares
+	// in chunk order: each chunk's count[id] becomes where its share goes.
+	start := make([]int, len(l.Parts)+1)
+	for id := range l.Parts {
+		start[id+1] = start[id]
 		for _, d := range dealers {
-			for _, r := range d.out[id] {
-				rows = append(rows, int(r))
-			}
+			d.count[id], start[id+1] = start[id+1], start[id+1]+d.count[id]
 		}
-		byPart[id] = rows[from:len(rows):len(rows)]
 	}
+	rows, byPart := make([]int, start[len(l.Parts)]), make([][]int, len(l.Parts))
+	for id := range byPart {
+		byPart[id] = rows[start[id]:start[id+1]:start[id+1]]
+	}
+	pool.Fan(pool.RootSlot(), len(dealers), func(c, _ int) {
+		d := dealers[c]
+		for i := 0; i < len(d.shares); i += 2 {
+			id, share := d.shares[i], d.dealt[:d.shares[i+1]]
+			for j, r := range share {
+				rows[d.count[id]+j] = int(r)
+			}
+			d.count[id] += len(share)
+			d.dealt = d.dealt[len(share):]
+		}
+	})
 	return byPart, int64(n - len(rows))
 }
 
@@ -90,7 +108,7 @@ func (l *Layout) deal(data *dataset.Dataset, idx []int, workers int) ([][]int, i
 // of its rows' numbers in the block (rows): at a node each child in turn
 // takes, by a stable branch-free partition, the rows it accepts of those its
 // earlier siblings left, moved to the list's end; a leaf appends its rows to
-// its partition's list (out).
+// the chunk's dealt rows as one share of its partition.
 type dealer struct {
 	rc               []splitCheck
 	rootBox          []bound
@@ -104,7 +122,12 @@ type dealer struct {
 	rows, take, cand []uint16
 	mask             []uint8
 	which, bins      []int32
-	out              [][]int32 // each partition's rows, 32 bits a row
+	// dealt holds the chunk's rows, 32 bits a row, in the order the leaves
+	// took them: per block, a leaf's share at a time. shares lists those
+	// shares as (partition ID, rows) pairs, and count[id] sums partition id's
+	// until the join (deal) makes it where they go.
+	dealt, shares []int32
+	count         []int
 }
 
 // route deals the m rows from position base down the tree.
@@ -139,15 +162,15 @@ func (d *dealer) route(root *Node, base, m int) {
 // node deals rows, which reached n (node number k), to n's leaves.
 func (d *dealer) node(n *Node, k int32, rows []uint16) {
 	if n.Part != nil {
-		out := slices.Grow(d.out[n.Part.ID], len(rows))
 		for _, x := range rows {
 			r := d.base + int(x)
 			if d.idx != nil {
 				r = d.idx[r]
 			}
-			out = append(out, int32(r))
+			d.dealt = append(d.dealt, int32(r))
 		}
-		d.out[n.Part.ID] = out
+		d.shares = append(d.shares, int32(n.Part.ID), int32(len(rows)))
+		d.count[n.Part.ID] += len(rows)
 		return
 	}
 	if n.childIndex != nil {
