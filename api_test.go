@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -321,7 +322,9 @@ var flagDecl = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|D
 // fenced blocks, and the usage lines of each cmd/<bin>/main.go doc comment,
 // to the flags the binaries define: every -flag after a `go run ./cmd/<bin>`
 // or a `<bin>` that starts a command must be one that a flag.X("name", …) or
-// fs.X("name", …) call in cmd/<bin> defines.
+// fs.X("name", …) call in cmd/<bin> defines. A table row of either document
+// whose first cell is a backticked -flag must name a flag some binary
+// defines.
 func TestDocFlagsExist(t *testing.T) {
 	imp, err := loadRepo()
 	if err != nil {
@@ -399,6 +402,10 @@ func TestDocFlagsExist(t *testing.T) {
 		}
 		return commands
 	}
+	anyBinary := map[string]bool{}
+	for _, defined := range flags {
+		maps.Copy(anyBinary, defined)
+	}
 	for _, doc := range []string{"README.md", "TESTING.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -413,6 +420,12 @@ func TestDocFlagsExist(t *testing.T) {
 			}
 			if in {
 				block = append(block, strings.TrimPrefix(strings.TrimSpace(line), "$ "))
+			}
+			if row, ok := strings.CutPrefix(line, "| `-"); ok {
+				name := strings.TrimPrefix(row[:strings.IndexAny(row+"`", "` =")], "-")
+				if !anyBinary[name] {
+					t.Errorf("%s documents -%s in a table, which no binary of cmd/ defines", doc, name)
+				}
 			}
 		}
 		if check(doc, block) == 0 && doc == "README.md" {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,15 +53,21 @@ func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 	return layoutPath, l
 }
 
-// TestBuildWritesABootableLayout: the layout `build -in` writes passes
-// pawmaster's and pawworker's boot check against the file it was built over
-// and every oracle `pawcli check` runs, and it carries the history it was
-// built for.
+// TestBuildWritesABootableLayout: the layout `build -in` writes carries the
+// column names pawmaster routes SQL by, passes `pawmaster -drift`'s check
+// against the file it was built over and every oracle `pawcli check` runs,
+// and it carries the history it was built for.
 func TestBuildWritesABootableLayout(t *testing.T) {
 	in := writeDataset(t)
 	path, l := build(t, in)
-	data, _, err := invariant.LoadPair(in, path)
+	data, err := dataset.ReadFile(in)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(l.Names, data.Names()) {
+		t.Fatalf("the layout names the columns %q, the file %q", l.Names, data.Names())
+	}
+	if err := invariant.CheckData(l, data); err != nil {
 		t.Fatalf("boot check: %v", err)
 	}
 	var rows int64

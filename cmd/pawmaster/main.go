@@ -1,36 +1,37 @@
-// Command pawmaster is the networked master node of Fig. 4: it loads the
-// layout metadata, places the partitions on the workers (ring ownership) and
-// serves SQL over TCP for pawsql clients. Placement is the master's alone: a
-// worker serves whichever stored partitions it is sent.
+// Command pawmaster is the networked master node of Fig. 4. It boots from the
+// layout file alone (partition tree, envelopes, column names), places the
+// partitions on the workers by ring ownership and serves SQL over TCP for
+// pawsql clients. It holds metadata only; a worker serves whichever stored
+// partitions it is sent.
 //
-//	pawmaster -data data.pawd -layout layout.pawl \
+//	pawmaster -layout layout.pawl \
 //	          -workers 127.0.0.1:7101,127.0.0.1:7102 -listen 127.0.0.1:7100
 //
-// With -replicas R > 1 the master keeps R copies of every partition and
-// fails scans over to the next live replica when a worker is down.
-// Placement is consistent hashing over the workers — the rule elastic
-// clusters rebalance to, so a static fleet's first rebalance is a no-op.
-// Retries, backoff and the breaker (DESIGN.md §10) run on fixed values.
+// With -replicas R > 1 the master keeps R copies of every partition and fails
+// scans over to the next live replica when a worker is down. Placement is
+// consistent hashing over the workers — the rule elastic clusters rebalance
+// to, so a static fleet's first rebalance is a no-op. Retries, backoff and the
+// breaker (DESIGN.md §10) run on fixed values.
 //
 // With -membership the fleet is elastic (DESIGN.md §15): workers join and
-// leave through a handshake on the client port, silent
-// workers go suspect and then dead under the heartbeat failure detector
-// (-suspect-after / -dead-after), and the master re-places partitions with
-// minimal movement — on demand after a graceful leave, or automatically when
-// the placement references a dead worker or a new member hosts nothing.
-// Queries keep answering exactly throughout: rebalances ride the
-// epoch-versioned migration machinery, so a failed round aborts with the old
-// placement untouched. The master holds no partition data: every moved
-// partition ships from a worker that holds it. Under -replicas 1 a crashed
-// worker's partitions stay unavailable — queries fail, or answer partially
-// for clients that allow it — until that worker rejoins its slot with its
-// store, which it may while the master still serves the boot layout (epoch
-// 0); replication is what keeps them served.
+// leave through a handshake on the client port, silent workers go suspect and
+// then dead under the heartbeat failure detector (-suspect-after /
+// -dead-after), and the master re-places partitions with minimal movement —
+// on demand after a graceful leave, or automatically when the placement
+// references a dead worker or a new member hosts nothing. Queries keep
+// answering exactly throughout: rebalances ride the epoch-versioned migration
+// machinery, so a failed round aborts with the old placement untouched. Every
+// moved partition ships from a worker that holds it. Under -replicas 1 a
+// crashed worker's partitions stay unavailable — queries fail, or answer
+// partially for clients that allow it — until that worker rejoins its slot
+// with its store, which it may while the master still serves the boot layout
+// (epoch 0); replication is what keeps them served.
 //
-// With -drift the master watches live queries for workload drift (DESIGN.md
-// §13): when the stream leaves the layout's variance scope (the δ and the
-// historical workload QH the layout file carries) and observed scan cost
-// regresses, it rebuilds the violated region and migrates the workers onto
+// With -drift data.pawd the master watches live queries for workload drift
+// (DESIGN.md §13): when the stream leaves the variance scope the layout file
+// carries (δ and the historical workload QH) and observed scan cost regresses,
+// it rebuilds the violated region from that dataset, the only one it reads
+// (refused unless invariant.CheckData holds), and migrates the workers onto
 // the patched layout without stopping service.
 package main
 
@@ -45,9 +46,11 @@ import (
 	"time"
 
 	"paw/internal/blockstore"
+	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
 	"paw/internal/invariant"
+	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
 	"paw/internal/router"
@@ -56,7 +59,6 @@ import (
 
 func main() {
 	var (
-		dataPath   = flag.String("data", "", "dataset file (.pawd; column names drive SQL routing, full rows feed drift rebuilds)")
 		layoutPath = flag.String("layout", "", "layout file (.pawl)")
 		workers    = flag.String("workers", "", "comma-separated worker addresses")
 		listen     = flag.String("listen", "127.0.0.1:7100", "client listen address")
@@ -78,29 +80,34 @@ func main() {
 		resultCache = flag.Int("result-cache", 256, "clean-result cache entries, translated or dropped per partition on layout/placement change (0: off)")
 		maxInflight = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue, 32 per client, and the excess is shed with an overload error (0: unbounded, no admission)")
 
-		driftOn     = flag.Bool("drift", false, "watch live queries for workload drift and migrate the cluster onto an incrementally rebuilt layout when the variance scope is violated (the scope is the QH and δ the layout carries)")
-		driftWindow = flag.Int("drift-window", 256, "drift monitor sliding window, in observed queries")
-		driftCheck  = flag.Int("drift-check-every", 32, "run the drift decision every N observations")
-		driftCost   = flag.Float64("drift-cost-factor", 1.3, "trigger only when the window's average opened bytes (the encoded size of the partitions its plans opened) exceed this factor times the baseline")
-		driftGain   = flag.Float64("drift-min-gain", 0.05, "minimum fraction of modeled window cost a rebuild must cut, or the migration is skipped")
+		driftData = flag.String("drift", "", "dataset file (.pawd) the layout was built over: watch live queries for workload drift and migrate the cluster onto a layout whose violated region is rebuilt from it when the variance scope (the QH and δ the layout carries) is violated; empty: off")
 	)
 	flag.Parse()
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
 		fatalf("%v", err)
 	}
-	if *dataPath == "" || *layoutPath == "" || *workers == "" {
-		fatalf("-data, -layout and -workers are required")
+	if *layoutPath == "" || *workers == "" {
+		fatalf("-layout and -workers are required")
 	}
-	data, l, err := invariant.LoadPair(*dataPath, *layoutPath)
+	l, err := layout.ReadFile(*layoutPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *driftOn && len(l.Hist) == 0 {
-		fatalf("-drift: %s carries no historical workload to watch the scope of; build it with pawcli build -in", *layoutPath)
+	var data *dataset.Dataset
+	if *driftData != "" {
+		if len(l.Hist) == 0 {
+			fatalf("-drift: %s carries no historical workload to watch the scope of; build it with pawcli build -in", *layoutPath)
+		}
+		if data, err = dataset.ReadFile(*driftData); err == nil {
+			err = invariant.CheckData(l, data)
+		}
+		if err != nil {
+			fatalf("-drift %s: %v", *driftData, err)
+		}
 	}
-	rm, err := router.NewMaster(l, data.Names())
+	rm, err := router.NewMaster(l, l.Names)
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("routing SQL by the column names %s carries: %v; build it with pawcli build", *layoutPath, err)
 	}
 	addrs := strings.Split(*workers, ",")
 	if *replicas < 1 || *replicas > len(addrs) {
@@ -155,21 +162,15 @@ func main() {
 			"traces", "http://"+srv.Addr()+"/traces",
 			"pprof", "http://"+srv.Addr()+"/debug/pprof/")
 	}
-	if *driftOn {
-		// Drift-rebuilt partitions are laid out like pawcli build -store's.
-		ctl := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{
-			Window:     *driftWindow,
-			CheckEvery: *driftCheck,
-			CostFactor: *driftCost,
-			MinGain:    *driftGain,
-			Seed:       1,
-		})
+	if data != nil {
+		// Drift-rebuilt partitions are laid out like pawcli build -store's,
+		// and the monitor runs on drift.Config's defaults.
+		ctl := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{Seed: 1})
 		ctl.SetMetrics(reg)
 		ctl.SetTracer(tracer)
 		ctl.Attach(true)
 		defer ctl.Detach()
-		slog.Info("drift monitor attached", "window", *driftWindow, "check_every", *driftCheck,
-			"delta", l.Delta, "cost_factor", *driftCost, "reference_queries", len(l.Hist))
+		slog.Info("drift monitor attached", "dataset", *driftData, "delta", l.Delta, "reference_queries", len(l.Hist))
 	}
 	if *memberOn {
 		err := m.EnableMembership(dist.MembershipConfig{

@@ -2,8 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,143 +11,201 @@ import (
 	"strings"
 	"testing"
 
-	"paw/internal/blockstore"
 	"paw/internal/dataset"
 	"paw/internal/dist"
-	"paw/internal/invariant"
 	"paw/internal/kdtree"
-	"paw/internal/membership"
+	"paw/internal/layout"
 	"paw/internal/router"
 	"paw/internal/sqlrew"
 	"paw/internal/workload"
 )
 
-// writeFile creates dir/name and fills it with enc.
-func writeFile(t *testing.T, dir, name string, enc func(w io.Writer) error) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+// fleet builds the binaries a test runs into one temporary directory and
+// writes its inputs there.
+type fleet struct {
+	t   *testing.T
+	dir string
+	bin map[string]string
+}
+
+func newFleet(t *testing.T, names ...string) *fleet {
+	f := &fleet{t: t, dir: t.TempDir(), bin: map[string]string{}}
+	for _, name := range names {
+		path := filepath.Join(f.dir, name)
+		if out, err := exec.Command("go", "build", "-o", path, "paw/cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, out)
+		}
+		f.bin[name] = path
 	}
-	if err := enc(f); err != nil {
-		t.Fatal(err)
+	return f
+}
+
+// dataFile writes d to the fleet's directory as name.
+func (f *fleet) dataFile(name string, d *dataset.Dataset) string {
+	f.t.Helper()
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		f.t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(f.dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		f.t.Fatal(err)
 	}
 	return path
 }
 
-func dataFile(t *testing.T, dir, name string, d *dataset.Dataset) string {
-	t.Helper()
-	return writeFile(t, dir, name, func(w io.Writer) error { _, err := d.WriteTo(w); return err })
+// build runs pawcli build -store on d, as name.pawd, and returns the paths
+// of the dataset, layout and store it wrote.
+func (f *fleet) build(d *dataset.Dataset, name string) (dataPath, layoutPath, store string) {
+	f.t.Helper()
+	dataPath = f.dataFile(name+".pawd", d)
+	layoutPath, store = filepath.Join(f.dir, name+".pawl"), filepath.Join(f.dir, name)
+	cmd := exec.Command(f.bin["pawcli"], "build", "-in", dataPath, "-method", "kd-tree", "-layout", layoutPath,
+		"-store", store, "-report", filepath.Join(f.dir, name+".json"), "-log-level", "warn")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		f.t.Fatalf("pawcli build: %v\n%s", err, out)
+	}
+	return dataPath, layoutPath, store
 }
 
-// TestLoadRefusesForeignDataset: the layout file carries each partition's data
-// envelope, so the boot check accepts the dataset the layout was materialised
-// over and refuses another one — naming a partition whose box disowns a row —
-// instead of serving answers with rows missing.
-func TestLoadRefusesForeignDataset(t *testing.T) {
-	dir := t.TempDir()
-	data := dataset.TPCHLike(20_000, 5)
-	l := kdtree.Build(data, data.Sample(2000, 6), data.Domain(), kdtree.Params{MinRows: 100})
-	blockstore.Materialize(l, data, blockstore.Config{})
-	layoutPath := writeFile(t, dir, "l.pawl", l.Encode)
-
-	got, gotL, err := invariant.LoadPair(dataFile(t, dir, "same.pawd", data), layoutPath)
+// start runs a binary until it prints its first line, which ends "on ADDR"
+// or "on ADDR (…)", and returns ADDR and a func that kills the process.
+func (f *fleet) start(name string, args ...string) (addr string, stop func()) {
+	f.t.Helper()
+	cmd := exec.Command(f.bin[name], args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.StdoutPipe()
 	if err != nil {
-		t.Fatalf("the dataset the layout was built over: %v", err)
+		f.t.Fatal(err)
 	}
-	if got.NumRows() != data.NumRows() || gotL.NumPartitions() != l.NumPartitions() {
-		t.Fatalf("loaded %d rows and %d partitions, wrote %d and %d", got.NumRows(), gotL.NumPartitions(), data.NumRows(), l.NumPartitions())
+	if err := cmd.Start(); err != nil {
+		f.t.Fatal(err)
 	}
-	for _, p := range gotL.Parts {
-		if (p.FullRows > 0) != (len(p.Precise) == 1) {
-			t.Fatalf("partition %d decoded with %d rows and %d boxes", p.ID, p.FullRows, len(p.Precise))
+	stop = func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}
+	line, err := bufio.NewReader(out).ReadString('\n')
+	at := strings.LastIndex(line, " on ")
+	if err != nil || at < 0 {
+		stop()
+		f.t.Fatalf("%s printed %q, %v\n%s", name, line, err, stderr.String())
+	}
+	return strings.Fields(line[at+4:])[0], stop
+}
+
+// TestLoadRefusesForeignDataset: the layout file carries each partition's
+// data envelope and the column names, so `pawmaster -drift` accepts the
+// dataset the layout was built over and exits 1 on any other: a dataset of
+// the same schema (naming a partition whose envelope disowns a row), a
+// narrower one (naming both widths) and the same rows with two columns
+// swapped (naming the columns), instead of rebuilding regions from rows the
+// cluster does not hold.
+func TestLoadRefusesForeignDataset(t *testing.T) {
+	f := newFleet(t, "pawcli", "pawmaster")
+	data := dataset.TPCHLike(20_000, 5)
+	dataPath, layoutPath, _ := f.build(data, "same")
+	master := func(drift string) []string {
+		return []string{"-layout", layoutPath, "-workers", "127.0.0.1:1", "-listen", "127.0.0.1:0",
+			"-log-level", "warn", "-drift", drift}
+	}
+
+	_, stop := f.start("pawmaster", master(dataPath)...)
+	stop()
+
+	names, cols := slices.Clone(data.Names()), make([][]float64, data.Dims())
+	for d := range cols {
+		cols[d] = data.Column(d)
+	}
+	names[0], names[1], cols[0], cols[1] = names[1], names[0], cols[1], cols[0]
+	for name, c := range map[string]struct {
+		data *dataset.Dataset
+		want string
+	}{
+		"another dataset of the same schema": {dataset.TPCHLike(20_000, 6), "precise descriptor of partition"},
+		"a narrower dataset":                 {data.Project(3), "layout has 8 dimensions, dataset has 3"},
+		"two columns swapped":                {dataset.MustNew(names, cols), "columns are"},
+	} {
+		path := f.dataFile(strings.ReplaceAll(name, " ", "-")+".pawd", c.data)
+		out, err := exec.Command(f.bin["pawmaster"], master(path)...).CombinedOutput()
+		if code := exitCode(err); code != 1 || !strings.Contains(string(out), c.want) {
+			t.Errorf("%s: exit %d with %q, want exit 1 naming %q", name, code, out, c.want)
 		}
 	}
-	other := dataFile(t, dir, "other.pawd", dataset.TPCHLike(20_000, 6))
-	_, _, err = invariant.LoadPair(other, layoutPath)
-	if err == nil || !strings.Contains(err.Error(), "precise descriptor of partition") {
-		t.Fatalf("another dataset of the same schema: got %v, want a refusal naming the partition", err)
+}
+
+// TestRefusesLayoutWithoutNames: a layout built by calling a builder directly
+// carries no column names, and pawmaster, which routes SQL by the names its
+// layout file carries, exits 1 on it instead of serving.
+func TestRefusesLayoutWithoutNames(t *testing.T) {
+	f := newFleet(t, "pawmaster")
+	data := dataset.TPCHLike(2_000, 5)
+	l := kdtree.Build(data, data.Sample(500, 6), data.Domain(), kdtree.Params{MinRows: 50})
+	var buf bytes.Buffer
+	if err := l.Encode(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err = invariant.LoadPair(dataFile(t, dir, "narrow.pawd", data.Project(3)), layoutPath); err == nil {
-		t.Fatal("a dataset of another width must be refused")
+	path := filepath.Join(f.dir, "unnamed.pawl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	out, err := exec.Command(f.bin["pawmaster"], "-layout", path, "-workers", "127.0.0.1:1", "-listen", "127.0.0.1:0").CombinedOutput()
+	if code := exitCode(err); code != 1 || !strings.Contains(string(out), "column names") {
+		t.Fatalf("exit %d with %q, want exit 1 naming the column names", code, out)
+	}
+}
+
+func exitCode(err error) int {
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	if err != nil {
+		return -1
+	}
+	return 0
 }
 
 // TestWorkersServeTheStoreDir runs the binaries as a fleet is run: pawcli
-// build -store writes the partition files, and two pawworker processes serve
-// that one directory behind a master that places on their addresses. Every
-// query of a 50-box workload equals the dataset oracle's count. Then one
-// partition's file is swapped for the same partition's file from another
-// dataset's store: the queries that touch it fail naming it, and none
-// returns a wrong count.
+// build -store writes the layout and partition files, two pawworker
+// processes serve that one directory, and a pawmaster booted from the
+// layout file alone places on their addresses. Every query of a 50-box
+// workload, sent over the client protocol, equals the dataset oracle's
+// count. Then one partition's file is swapped for the same partition's file
+// from another dataset's store: the queries that touch it fail naming it,
+// and none returns a wrong count.
 func TestWorkersServeTheStoreDir(t *testing.T) {
-	dir := t.TempDir()
-	bin := func(name string) string {
-		path := filepath.Join(dir, name)
-		if out, err := exec.Command("go", "build", "-o", path, "paw/cmd/"+name).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
-		}
-		return path
-	}
-	pawcli, pawworker := bin("pawcli"), bin("pawworker")
-	build := func(d *dataset.Dataset, name string) (dataPath, layoutPath, store string) {
-		dataPath = dataFile(t, dir, name+".pawd", d)
-		layoutPath, store = filepath.Join(dir, name+".pawl"), filepath.Join(dir, name)
-		cmd := exec.Command(pawcli, "build", "-in", dataPath, "-method", "kd-tree", "-layout", layoutPath,
-			"-store", store, "-report", filepath.Join(dir, name+".json"), "-log-level", "warn")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("pawcli build: %v\n%s", err, out)
-		}
-		return dataPath, layoutPath, store
-	}
-	dataPath, layoutPath, store := build(dataset.TPCHLike(20_000, 5), "same")
-	_, _, otherStore := build(dataset.TPCHLike(20_000, 6), "other")
-	data, l, err := invariant.LoadPair(dataPath, layoutPath)
+	f := newFleet(t, "pawcli", "pawworker", "pawmaster")
+	data := dataset.TPCHLike(20_000, 5)
+	_, layoutPath, store := f.build(data, "same")
+	_, _, otherStore := f.build(dataset.TPCHLike(20_000, 6), "other")
+	l, err := layout.ReadFile(layoutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boxes := workload.Uniform(data.Domain(), workload.Defaults(50, 8)).Boxes()
 	boxes = append(boxes, data.Domain())
 
-	// serve starts two workers on store, runs every box through a master
-	// placing on them, and returns each query's error (nil: exact).
+	// serve starts two workers on store and a master placing on them, runs
+	// every box through it, and returns each query's error (nil: exact).
 	serve := func() []error {
 		var addrs []string
 		for w := 0; w < 2; w++ {
-			cmd := exec.Command(pawworker, "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
-			out, err := cmd.StdoutPipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				cmd.Process.Kill()
-				cmd.Wait()
-			}()
-			line, err := bufio.NewReader(out).ReadString('\n')
-			if err != nil || !strings.Contains(line, " on ") {
-				t.Fatalf("pawworker printed %q, %v", line, err)
-			}
-			addrs = append(addrs, strings.TrimSpace(line[strings.LastIndex(line, " on ")+4:]))
+			addr, stop := f.start("pawworker", "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
+			defer stop()
+			addrs = append(addrs, addr)
 		}
-		rm, err := router.NewMaster(l, data.Names())
+		addr, stop := f.start("pawmaster", "-layout", layoutPath, "-workers", strings.Join(addrs, ","),
+			"-listen", "127.0.0.1:0", "-log-level", "warn")
+		defer stop()
+		c, err := dist.DialMux(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := dist.NewMasterReplicated(rm, addrs, membership.StaticPlacement(l, len(addrs), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
+		defer c.Close()
 		errs := make([]error, len(boxes))
 		for i, b := range boxes {
-			resp, err := m.Query(sqlrew.BoxSQL(data.Names(), b))
+			resp, err := c.Query(sqlrew.BoxSQL(data.Names(), b))
 			if want := data.CountInBox(b, nil); err == nil && resp.Rows != want {
 				err = fmt.Errorf("%d rows, the dataset holds %d", resp.Rows, want)
 			}
@@ -171,7 +229,7 @@ func TestWorkersServeTheStoreDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("partition %d", swapped)
-	rm, err := router.NewMaster(l, data.Names())
+	rm, err := router.NewMaster(l, l.Names)
 	if err != nil {
 		t.Fatal(err)
 	}

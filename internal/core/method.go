@@ -33,8 +33,8 @@ func (m Method) Greedy() bool { return m == MethodPAW || m == MethodQdTree }
 // p whole; the Qd-tree cuts on hist's boxes as given (no δ extension) and the
 // k-d tree ignores hist, both taking only MinRows, Parallelism and Obs from
 // p. Every layout it returns records the scope it was asked for, hist and
-// p.Delta, which its file then carries. The layout is sealed but not routed;
-// an unknown method is an error.
+// p.Delta, and data's column names, which its file carries. The layout is
+// sealed but not routed; an unknown method is an error.
 func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Workload, p Params) (*layout.Layout, error) {
 	var l *layout.Layout
 	switch m {
@@ -49,6 +49,6 @@ func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, h
 	default:
 		return nil, fmt.Errorf("unknown method %q (want %s, %s or %s)", m, MethodPAW, MethodQdTree, MethodKdTree)
 	}
-	l.Delta, l.Hist = p.Delta, hist.Boxes()
+	l.Delta, l.Hist, l.Names = p.Delta, hist.Boxes(), data.Names()
 	return l, nil
 }

@@ -14,11 +14,11 @@ import (
 )
 
 // TestBuildMethodMatchesBuilders: BuildMethod is a switch that records the
-// scope and nothing else — each method's layout carries hist and δ, and with
-// that scope given to its builder's direct call on the same inputs (the
-// Qd-tree on the history's own boxes, the baselines at the same bmin and
-// parallelism) the two digest equally; an unknown name is an error that names
-// it.
+// scope and the column names and nothing else — each method's layout carries
+// hist, δ and data's names, and with those given to its builder's direct call
+// on the same inputs (the Qd-tree on the history's own boxes, the baselines at
+// the same bmin and parallelism) the two digest equally; an unknown name is an
+// error that names it.
 func TestBuildMethodMatchesBuilders(t *testing.T) {
 	data := dataset.TPCHLike(6000, 3)
 	dom := data.Domain()
@@ -38,14 +38,15 @@ func TestBuildMethodMatchesBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.m, err)
 		}
-		if l.Delta != p.Delta || !slices.EqualFunc(l.Hist, hist.Boxes(), geom.Box.Equal) {
-			t.Errorf("%s: the layout records δ %g and %d QH queries, want %g and %d", c.m, l.Delta, len(l.Hist), p.Delta, len(hist))
+		if l.Delta != p.Delta || !slices.EqualFunc(l.Hist, hist.Boxes(), geom.Box.Equal) || !slices.Equal(l.Names, data.Names()) {
+			t.Errorf("%s: the layout records δ %g, %d QH queries and columns %q, want %g, %d and %q",
+				c.m, l.Delta, len(l.Hist), l.Names, p.Delta, len(hist), data.Names())
 		}
 		got, err := l.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.direct.Delta, c.direct.Hist = p.Delta, hist.Boxes()
+		c.direct.Delta, c.direct.Hist, c.direct.Names = p.Delta, hist.Boxes(), data.Names()
 		want, err := c.direct.Digest()
 		if err != nil {
 			t.Fatal(err)

@@ -37,8 +37,8 @@ func TestReadHostileRowCount(t *testing.T) {
 
 // FuzzRead: arbitrary bytes read as an error or as a dataset that writes out
 // to a file reading back as the same names and value bits — never a panic,
-// never memory the input did not pay for. A PAWD file is what pawworker and
-// pawmaster -data and pawcli build -in load.
+// never memory the input did not pay for. A PAWD file is what pawmaster -drift
+// and pawcli build -in load.
 func FuzzRead(f *testing.F) {
 	text, err := os.ReadFile("testdata/golden.pawd.hex")
 	if err != nil {

@@ -1,8 +1,8 @@
 package invariant
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -69,16 +69,19 @@ func CheckRouting(l *layout.Layout, in Inputs) error {
 	return nil
 }
 
-// CheckData is the data clause of CheckRouting on its own: every record of
-// data is routed through the sealed layout (fanned over GOMAXPROCS), a record
-// that lands in a partition with a precise descriptor must lie inside one of
-// its MBRs, and a record inside the root region must land somewhere. It is
-// what decides whether a layout and a dataset belong together: pawmaster and
-// pawworker run it at boot on the files they were given (LoadPair).
+// CheckData is the data clause of CheckRouting on its own: data has the
+// layout's width and any column names it carries, every record of data is
+// routed through the sealed layout (fanned over GOMAXPROCS), a record that
+// lands in a partition with a precise descriptor must lie inside one of its
+// MBRs, and a record inside the root region must land somewhere. It decides
+// whether `pawmaster -drift` may rebuild regions from a dataset file.
 func CheckData(l *layout.Layout, data *dataset.Dataset) error {
 	root := l.Root.Desc.MBR()
 	if root.Dims() != data.Dims() {
 		return violationf(OracleRouting, "layout has %d dimensions, dataset has %d", root.Dims(), data.Dims())
+	}
+	if len(l.Names) > 0 && !slices.Equal(l.Names, data.Names()) {
+		return violationf(OracleRouting, "layout's columns are %q, dataset's %q", l.Names, data.Names())
 	}
 	pool := parbuild.New(0)
 	type tally struct {
@@ -128,26 +131,6 @@ func CheckData(l *layout.Layout, data *dataset.Dataset) error {
 			"%d records lie inside the root region but only %d were routed to a partition", inside, routed)
 	}
 	return nil
-}
-
-// LoadPair reads a dataset file and a layout file and refuses the pair unless
-// CheckData holds. pawmaster and pawworker both boot through it: a worker
-// that materialised another dataset would serve rows the master's layout
-// never held (the store resets each partition's size from whatever rows it
-// is given), and a master would drop partitions that hold matching rows.
-func LoadPair(dataPath, layoutPath string) (*dataset.Dataset, *layout.Layout, error) {
-	data, err := dataset.ReadFile(dataPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	l, err := layout.ReadFile(layoutPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := CheckData(l, data); err != nil {
-		return nil, nil, fmt.Errorf("%s was not built over %s: %w", layoutPath, dataPath, err)
-	}
-	return data, l, nil
 }
 
 func checkWiring(l *layout.Layout) error {

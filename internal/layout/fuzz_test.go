@@ -14,6 +14,7 @@ func FuzzDecode(f *testing.F) {
 	// Seed with a real encoded layout plus mutations.
 	l, _ := fuzzGrid()
 	l.Delta, l.Hist = 0.5, []geom.Box{box2(1, 1, 4, 9), box2(6, 2, 7, 3)}
+	l.Names = []string{"x", "y"}
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
 		f.Fatal(err)

@@ -2,7 +2,9 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -43,7 +45,8 @@ func goldenHex(t *testing.T, path string, got []byte) []byte {
 // TestPAWLGolden pins the PAWL format byte for byte on a hand-built layout
 // with what the built layouts of internal/sim's golden digests never carry:
 // an irregular node (a rectangle with a hole) and a partition with precise
-// boxes; it also carries a scope, δ and two QH queries. It encodes to testdata/golden.pawl.hex, and the fixture decodes to a
+// boxes; it also carries a scope, δ and two QH queries, and its two column
+// names. It encodes to testdata/golden.pawl.hex, and the fixture decodes to a
 // layout that routes like the original and encodes to the fixture again.
 func TestPAWLGolden(t *testing.T) {
 	outer := box2(0, 0, 10, 10)
@@ -58,6 +61,7 @@ func TestPAWLGolden(t *testing.T) {
 	l.Parts[1].FullRows = 13
 	l.TotalBytes, l.Unrouted = 640, 3
 	l.Delta, l.Hist = 0.5, []geom.Box{box2(1, 1, 4.5, 2), box2(4.25, 4.25, 5.75, 5.75)}
+	l.Names = []string{"x", "y"}
 
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
@@ -72,8 +76,9 @@ func TestPAWLGolden(t *testing.T) {
 	if err := got.Encode(&again); err != nil {
 		t.Fatal(err)
 	}
-	if got.Delta != l.Delta || !slices.EqualFunc(got.Hist, l.Hist, geom.Box.Equal) {
-		t.Fatalf("the fixture decodes to δ %g and QH %v, want %g and %v", got.Delta, got.Hist, l.Delta, l.Hist)
+	if got.Delta != l.Delta || !slices.EqualFunc(got.Hist, l.Hist, geom.Box.Equal) || !slices.Equal(got.Names, l.Names) {
+		t.Fatalf("the fixture decodes to δ %g, QH %v and columns %q, want %g, %v and %q",
+			got.Delta, got.Hist, got.Names, l.Delta, l.Hist, l.Names)
 	}
 	if !bytes.Equal(again.Bytes(), want) {
 		t.Fatalf("the decoded fixture re-encodes to\n%x, want\n%x", again.Bytes(), want)
@@ -81,6 +86,39 @@ func TestPAWLGolden(t *testing.T) {
 	for _, q := range []geom.Box{box2(4.5, 4.5, 4.6, 4.6), box2(0, 0, 1, 1), box2(5.1, 5.1, 5.2, 5.2), outer} {
 		if a, b := l.PartitionsFor(q), got.PartitionsFor(q); !slices.Equal(a, b) {
 			t.Errorf("PartitionsFor(%v): %v after decoding, want %v", q, b, a)
+		}
+	}
+}
+
+// TestPAWLRefusesWhatItCannotRoute: the golden fixture with its version word
+// set to 2 — a file from before layouts carried their column names — is
+// refused with an error that names the version and says how to get a
+// version-3 file, and a layout whose name count is not its dimensionality is
+// refused on decoding.
+func TestPAWLRefusesWhatItCannotRoute(t *testing.T) {
+	text, err := os.ReadFile("testdata/golden.pawl.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := hex.DecodeString(strings.ReplaceAll(string(text), "\n", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(v2[4:], 2)
+	if _, err := Decode(bytes.NewReader(v2)); err == nil ||
+		!strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "rebuild with `pawcli build`") {
+		t.Errorf("a version-2 file: got %v, want a refusal naming the version and pawcli build", err)
+	}
+	l, _ := grid4(t)
+	for _, names := range [][]string{{"x"}, {"x", "y", "z"}} {
+		l.Names = names
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%d column names for a 2-d layout", len(names))
+		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d names: got %v, want %q", len(names), err, want)
 		}
 	}
 }

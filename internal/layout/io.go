@@ -6,21 +6,21 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"paw/internal/binfmt"
 	"paw/internal/geom"
 )
 
 // Binary layout format ("PAWL"): the master's durable metadata — the scope
-// the layout was built for (δ and QH) and the full partition tree with
-// descriptors, partition sizes and precise descriptors — so a master restart
-// (or a cold pawcli run) can reload routing state and the drift monitor's
-// reference without rebuilding the layout. Sample row indices are
-// construction-time state and are not persisted. Every box of a file has the
-// root's dimensionality.
+// the layout was built for (δ and QH), the full partition tree with
+// descriptors, partition sizes and precise descriptors, and the column names
+// — from which a master boots and the drift monitor takes its reference.
+// Sample row indices are construction-time state and are not persisted.
+// Every box has the root's dimensionality; a file names every dimension or none.
 //
 //	magic    uint32 'PAWL'
-//	version  uint16 2
+//	version  uint16 3
 //	method   uint16 len + bytes
 //	rowBytes, totalBytes, unrouted int64
 //	delta    float64
@@ -32,16 +32,18 @@ import (
 //	           if leaf: id int64, fullRows int64,
 //	                    nPrecise uint32, precise boxes
 //	           nChildren uint32, children...
+//	names    nNames uint16 (0 or dims), each uint16 len + bytes
 //	box      dims uint16, then 2·dims float64 (lo..., hi...)
 const (
 	layoutMagic   = 0x5041574C // "PAWL"
-	layoutVersion = 2
+	layoutVersion = 3
 )
 
 // Encode serialises the layout.
 func (l *Layout) Encode(w io.Writer) error {
-	if len(l.Method) > math.MaxUint16 {
-		return fmt.Errorf("layout: method name too long")
+	tooLong := func(s string) bool { return len(s) > math.MaxUint16 }
+	if tooLong(l.Method) || len(l.Names) > math.MaxUint16 || slices.ContainsFunc(l.Names, tooLong) {
+		return fmt.Errorf("layout: method name, column name or column list too long")
 	}
 	buf := binfmt.AppendHeader(nil, layoutMagic, layoutVersion)
 	buf = binfmt.AppendString16(buf, l.Method)
@@ -53,6 +55,10 @@ func (l *Layout) Encode(w io.Writer) error {
 	buf, err := appendNode(buf, l.Root)
 	if err != nil {
 		return err
+	}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(l.Names)))
+	for _, name := range l.Names {
+		buf = binfmt.AppendString16(buf, name)
 	}
 	_, err = w.Write(buf)
 	return err
@@ -116,7 +122,9 @@ func Decode(in io.Reader) (*Layout, error) {
 		return nil, err
 	}
 	r := binfmt.NewReader("layout", data)
-	r.Header(layoutMagic, layoutVersion)
+	if r.Header(layoutMagic, layoutVersion); r.Err() != nil {
+		return nil, fmt.Errorf("%w: rebuild with `pawcli build` (version %d carries the column names)", r.Err(), layoutVersion)
+	}
 	l := &Layout{Method: r.String16(), RowBytes: r.I64(), TotalBytes: r.I64(), Unrouted: r.I64(), Delta: r.F64()}
 	if r.Err() == nil && !(l.Delta >= 0) {
 		r.Failf("δ %g is not a threshold", l.Delta)
@@ -124,6 +132,12 @@ func Decode(in io.Reader) (*Layout, error) {
 	dims := 0
 	l.Hist = readBoxes(r, &dims)
 	l.Root = readNode(r, l, &dims)
+	for n := r.Count(uint64(r.U16()), 2); len(l.Names) < n; {
+		l.Names = append(l.Names, r.String16())
+	}
+	if n := len(l.Names); r.Err() == nil && n > 0 && n != dims {
+		r.Failf("%d column names for a %d-d layout", n, dims)
+	}
 	if r.Err() != nil {
 		return nil, r.Err()
 	}

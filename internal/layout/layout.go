@@ -158,12 +158,14 @@ type Layout struct {
 	// Unrouted counts records no leaf accepted (should be 0; kept as a
 	// safety signal for floating-point edge cases).
 	Unrouted int64
-	// Delta and Hist are the scope the layout was built for (Problem 1): the
-	// variance threshold δ in absolute domain units and the historical
-	// workload QH. core.Build and core.BuildMethod set them; a Qd-tree or
-	// k-d layout built by calling its builder directly leaves them zero.
+	// Delta and Hist are the scope the layout was built for (Problem 1) —
+	// the variance threshold δ in absolute domain units and the historical
+	// workload QH — and Names the column names SQL is routed by, one per
+	// dimension. core.Build and core.BuildMethod set them; a Qd-tree or k-d
+	// layout built by calling its builder directly leaves them zero.
 	Delta float64
 	Hist  []geom.Box
+	Names []string
 
 	// index is the partition-level routing index over the descriptor MBRs,
 	// built at Seal/Decode (see index.go), the only constructors. Derived,

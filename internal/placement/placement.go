@@ -3,7 +3,7 @@
 // Two rules produce them: LeafRuns here, which the in-process fleets of the
 // paper rows, the drift bench and the end-to-end benchmark use, and the
 // consistent-hash ring of internal/membership (membership.RingPlacement) that
-// pawmaster and pawworker derive independently.
+// pawmaster places by.
 package placement
 
 import (
