@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check build vet test race chaos fuzz fuzz-smoke paper-check loc loc-check bench-smoke bench-kernels bench-request-path bench-setup bench-construction bench-routing bench-scan bench-drift bench-rebalance obs-demo trace-demo
+.PHONY: check fmt-check build vet test race chaos fuzz fuzz-smoke paper-check loc loc-check bench-smoke bench-kernels bench-request-path bench-setup bench-construction bench-routing bench-scan bench-drift bench-drift-check bench-rebalance obs-demo trace-demo
 
 # check is the full tier-1 gate: formatting, build, vet, tests, and the race
 # detector over every package that runs concurrent construction or routing
@@ -375,6 +375,13 @@ loc:
 # tuning flags went (pawmaster +1 for -drift's own dataset load) and with
 # them invariant.LoadPair (invariant −17); the drift flags' defaults are
 # drift.Config's.
+# Then 0: a layout records the recipe it was built with (layout +29: the two
+# fields, CheckRecipe, PAWL v4's words), core.Rebuild rebuilds a drift region
+# and both offline references with it (core +54), pawcli check prints it (+6)
+# and pawmaster -drift refuses a layout without one (+3), paid by
+# drift.Config's four rebuild and gate fields, the controller's own sampler
+# and a redundant escape check (drift −49), and the drift bench's options,
+# now constants, and its own offline builder (bench −43).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
 LOC_CEILING := 23550
@@ -410,6 +417,28 @@ bench-scan:
 # PRs.
 bench-drift:
 	$(GO) run ./cmd/pawbench -drift BENCH_drift.json
+
+# bench-drift-check fails when a deterministic column of BENCH_drift.json, as
+# `make bench-drift` just wrote it, differs from the committed file (git
+# HEAD), and prints both. Deterministic are the columns equal across three runs
+# (and at GOMAXPROCS 1 and 4): meta.schema, workers, window, check_every, and
+# per scenario scenario, expect_drift, queries, triggered, migrated,
+# trigger_at_query, migrated_at_query, recovery_queries,
+# queries_during_migration, epoch, moved_bytes, renamed_parts, added_parts,
+# removed_parts, phases (name, queries, avg_scan_bytes, avg_rows),
+# cost_baseline_bytes, cost_regressed_bytes, cost_recovered_bytes,
+# patched_cost_bytes, offline_cost_bytes, recovery_vs_offline and
+# cluster_scan_bytes. Left out: migration_ms (a timing) and the rest of meta
+# (build_info, generated_at, note and the host block).
+DRIFT_COLUMNS := {schema: .meta.schema, workers, window, check_every, scenarios: [.scenarios[] | del(.migration_ms)]}
+bench-drift-check:
+	@d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	git show HEAD:BENCH_drift.json | jq -S '$(DRIFT_COLUMNS)' > $$d/committed; \
+	jq -S '$(DRIFT_COLUMNS)' BENCH_drift.json > $$d/fresh; \
+	if ! diff -u $$d/committed $$d/fresh; then \
+		echo "bench-drift-check: BENCH_drift.json's deterministic columns differ from the committed file (- committed, + this run); re-take it with make bench-drift in the change that moves them"; exit 1; \
+	fi; \
+	echo "bench-drift-check: every deterministic column equals the committed BENCH_drift.json"
 
 # bench-rebalance regenerates BENCH_rebalance.json: the elastic-membership
 # lifecycle on a live cluster — a worker joins over the wire and the master

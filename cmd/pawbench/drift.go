@@ -13,7 +13,7 @@ import (
 // cost-regression recovery time, queries served during migration, and the
 // offline-rebuild baseline.
 func runDrift(cfg bench.Config, path string) error {
-	rep, err := bench.DriftBench(cfg, bench.DriftOptions{})
+	rep, err := bench.DriftBench(cfg)
 	if err != nil {
 		return err
 	}

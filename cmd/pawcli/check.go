@@ -17,7 +17,8 @@ import (
 // scope the file carries — partition geometry, grouped-split semantics and
 // Lemma 1 against its QH and δ, routing and descriptor soundness — over the
 // root's MBR as the domain, then prints a summary beside the verdict:
-// partitions, irregular partitions, and the fewest and most rows in one. A
+// partitions, irregular partitions, the fewest and most rows in one, δ, |QH|
+// and the recipe (method, bmin in sample rows and rows, sampling rate). A
 // file keeps no sample rows, so monotonicity and bmin skip themselves; they
 // run in the simulation harness.
 //
@@ -80,6 +81,11 @@ func checkFile(path string, seed int64) (string, error) {
 	}
 	fmt.Printf("%s: %s, index height %d, precise descriptors on %d partitions (%d boxes)\n",
 		path, l, l.IndexHeight(), described, boxes)
-	return fmt.Sprintf("partitions: %d (%d irregular); rows per partition: min %d, max %d",
-		l.NumPartitions(), irregular, minRows, maxRows), nil
+	recipe := "no recipe"
+	if l.CheckRecipe() == nil {
+		recipe = fmt.Sprintf("recipe %s, bmin %d sample rows (%.0f rows) at sampling rate %g",
+			l.Method, l.MinRows, float64(l.MinRows)/l.SampleRate, l.SampleRate)
+	}
+	return fmt.Sprintf("partitions: %d (%d irregular); rows per partition: min %d, max %d; δ %g, |QH| %d, %s",
+		l.NumPartitions(), irregular, minRows, maxRows, l.Delta, len(l.Hist), recipe), nil
 }

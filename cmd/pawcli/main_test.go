@@ -56,7 +56,8 @@ func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 // TestBuildWritesABootableLayout: the layout `build -in` writes carries the
 // column names pawmaster routes SQL by, passes `pawmaster -drift`'s check
 // against the file it was built over and every oracle `pawcli check` runs,
-// and it carries the history it was built for.
+// and it carries the history it was built for and its recipe — bmin and the
+// 10 % sample's rate — which the check prints.
 func TestBuildWritesABootableLayout(t *testing.T) {
 	in := writeDataset(t)
 	path, l := build(t, in)
@@ -86,6 +87,13 @@ func TestBuildWritesABootableLayout(t *testing.T) {
 	}
 	if len(l.Hist) != 50 {
 		t.Fatalf("the layout carries %d QH queries, want the 50 of the default -queries", len(l.Hist))
+	}
+	bmin := max(2, testRows/10/sampleBlocks)
+	if l.MinRows != bmin || l.SampleRate != 0.1 {
+		t.Fatalf("the layout carries bmin %d at sampling rate %g, want %d at 0.1", l.MinRows, l.SampleRate, bmin)
+	}
+	if want := fmt.Sprintf("|QH| 50, recipe paw, bmin %d sample rows (%d rows) at sampling rate 0.1", bmin, 10*bmin); !strings.Contains(summary, want) {
+		t.Fatalf("check summary %q, want it to hold %q", summary, want)
 	}
 }
 

@@ -165,7 +165,10 @@ func main() {
 	if data != nil {
 		// Drift-rebuilt partitions are laid out like pawcli build -store's,
 		// and the monitor runs on drift.Config's defaults.
-		ctl := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{Seed: 1})
+		ctl, err := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{})
+		if err != nil {
+			fatalf("-drift: %s: %v", *layoutPath, err)
+		}
 		ctl.SetMetrics(reg)
 		ctl.SetTracer(tracer)
 		ctl.Attach(true)

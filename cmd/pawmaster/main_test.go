@@ -156,6 +156,32 @@ func TestRefusesLayoutWithoutNames(t *testing.T) {
 	}
 }
 
+// TestDriftRefusesLayoutWithoutRecipe: drift rebuilds a region with the
+// recipe its layout carries, so `pawmaster -drift` on a layout with names and
+// QH but no recipe — bmin and the sampling rate zeroed, as a builder called
+// directly leaves them — exits 1 naming the recipe instead of serving.
+func TestDriftRefusesLayoutWithoutRecipe(t *testing.T) {
+	f := newFleet(t, "pawcli", "pawmaster")
+	dataPath, layoutPath, _ := f.build(dataset.TPCHLike(20_000, 5), "bare")
+	l, err := layout.ReadFile(layoutPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.MinRows, l.SampleRate = 0, 0
+	var buf bytes.Buffer
+	if err := l.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(layoutPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(f.bin["pawmaster"], "-layout", layoutPath, "-workers", "127.0.0.1:1",
+		"-listen", "127.0.0.1:0", "-log-level", "warn", "-drift", dataPath).CombinedOutput()
+	if code := exitCode(err); code != 1 || !strings.Contains(string(out), "no build recipe (bmin and sampling rate)") {
+		t.Fatalf("exit %d with %q, want exit 1 naming the recipe", code, out)
+	}
+}
+
 func exitCode(err error) int {
 	if ee, ok := err.(*exec.ExitError); ok {
 		return ee.ExitCode()

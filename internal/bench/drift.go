@@ -7,7 +7,6 @@ import (
 
 	"paw/internal/blockstore"
 	"paw/internal/core"
-	"paw/internal/dataset"
 	"paw/internal/descriptor"
 	"paw/internal/dist"
 	"paw/internal/drift"
@@ -18,31 +17,10 @@ import (
 	"paw/internal/workload"
 )
 
-// DriftOptions tunes the drift benchmark; the zero value means "use the
-// defaults".
-type DriftOptions struct {
-	// Workers is the worker-process count of the in-process cluster
-	// (default 2).
-	Workers int
-	// Window / CheckEvery are the monitor's sliding window and check cadence
-	// (defaults 48 / 16 — small enough that every scenario stream holds
-	// several full windows).
-	Window     int
-	CheckEvery int
-}
-
-func (o DriftOptions) normalized() DriftOptions {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.Window <= 0 {
-		o.Window = 48
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 16
-	}
-	return o
-}
+// The drift benchmark's cluster and monitor: 2 workers, and a window of 48
+// statements checked every 16 — small enough that every scenario stream holds
+// several full windows.
+const driftWorkers, driftWindow, driftCheckEvery = 2, 48, 16
 
 // DriftPhaseStat is the observed per-phase serving cost of one scenario run.
 type DriftPhaseStat struct {
@@ -92,8 +70,7 @@ type DriftScenarioResult struct {
 	// over the first phase; the final phase's under the boot layout, computed
 	// from the layout and the store before the stream starts (so it does not
 	// depend on when the cutover lands); and observed over the final phase
-	// after cutover. (Until ISSUE 24 they were scan bytes, like the phases'
-	// AvgScanBytes; searched chunks made those a measure of the kernels.)
+	// after cutover.
 	CostBaseline  float64 `json:"cost_baseline_bytes"`
 	CostRegressed float64 `json:"cost_regressed_bytes"`
 	CostRecovered float64 `json:"cost_recovered_bytes"`
@@ -101,7 +78,7 @@ type DriftScenarioResult struct {
 	// PatchedCost/OfflineCost are the modeled per-query costs of the served
 	// layout and of a full offline rebuild over the final-phase workload;
 	// RecoveryVsOffline is their ratio (the incremental patch's quality bar —
-	// the E2E test holds it under 1.10).
+	// TestDriftBench holds it under 1.5).
 	PatchedCost       float64 `json:"patched_cost_bytes"`
 	OfflineCost       float64 `json:"offline_cost_bytes"`
 	RecoveryVsOffline float64 `json:"recovery_vs_offline"`
@@ -137,16 +114,10 @@ func uncachedFleet(l *layout.Layout, names []string, store *blockstore.Store, re
 // cluster with an attached drift controller: the out-of-scope scenarios must
 // trigger, rebuild only the violated region and recover observed cost while
 // serving queries throughout; the in-scope scenarios must not trigger.
-func DriftBench(cfg Config, opt DriftOptions) (DriftReport, error) {
-	opt = opt.normalized()
-	rep := DriftReport{
-		Meta:       Meta{Schema: DriftSchema},
-		Workers:    opt.Workers,
-		Window:     opt.Window,
-		CheckEvery: opt.CheckEvery,
-	}
+func DriftBench(cfg Config) (DriftReport, error) {
+	rep := DriftReport{Meta: Meta{Schema: DriftSchema}, Workers: driftWorkers, Window: driftWindow, CheckEvery: driftCheckEvery}
 	for _, sc := range sim.DriftScenarios(cfg.Seed) {
-		res, err := runDriftScenario(sc, opt)
+		res, err := runDriftScenario(sc)
 		if err != nil {
 			return rep, fmt.Errorf("%s: %w", sc.Name, err)
 		}
@@ -162,7 +133,7 @@ type triggerOutcome struct {
 	elapsed time.Duration
 }
 
-func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResult, error) {
+func runDriftScenario(sc sim.DriftScenario) (DriftScenarioResult, error) {
 	res := DriftScenarioResult{
 		Scenario:        sc.Name,
 		ExpectDrift:     sc.ExpectDrift,
@@ -185,23 +156,17 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 
 	// The result cache is off: it would absorb replayed queries at zero
 	// observed cost and blur the regression signal.
-	f, err := uncachedFleet(l, names, store, placement.LeafRuns(l, opt.Workers, 1), opt.Workers)
+	f, err := uncachedFleet(l, names, store, placement.LeafRuns(l, driftWorkers, 1), driftWorkers)
 	if err != nil {
 		return res, err
 	}
 	defer f.Close()
 	m := f.Master
 
-	dcfg := drift.Config{
-		Window:       opt.Window,
-		CheckEvery:   opt.CheckEvery,
-		CostFactor:   1.2,
-		MinGain:      0.05,
-		BuildMinRows: 10,
-		BuildSample:  800,
-		Seed:         sc.Seed,
+	ctl, err := drift.New(m, data, storeCfg.Builder(data), drift.Config{Window: driftWindow, CheckEvery: driftCheckEvery, CostFactor: 1.2})
+	if err != nil {
+		return res, err
 	}
-	ctl := drift.New(m, data, storeCfg.Builder(data), dcfg)
 	ctl.Attach(false)
 
 	stream := sc.Stream()
@@ -272,14 +237,14 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 		}
 		// A check that falls due waits for the one still running, so the
 		// checks a scenario gets follow from the statement stream alone.
-		if migCh != nil && (i+1)%opt.CheckEvery == 0 {
+		if migCh != nil && (i+1)%driftCheckEvery == 0 {
 			out := <-migCh
 			migCh = nil
 			if err := collect(out); err != nil {
 				return res, err
 			}
 		}
-		if migCh == nil && !checksMuted && (i+1)%opt.CheckEvery == 0 {
+		if migCh == nil && !checksMuted && (i+1)%driftCheckEvery == 0 {
 			migCh = make(chan triggerOutcome, 1)
 			launchedAt = i
 			inFlight = 0
@@ -380,23 +345,15 @@ func runDriftScenario(sc sim.DriftScenario, opt DriftOptions) (DriftScenarioResu
 	served := m.Router().Layout()
 	descriptor.Uninstall(served)
 	res.PatchedCost = served.AvgCost(liveBoxes, nil)
-	offline := offlineDriftLayout(data, live, sc.Delta, dcfg)
+	// The offline reference: the live workload's layout over the whole
+	// domain, rebuilt with the boot layout's recipe as a region is.
+	offline, err := core.Rebuild(l, data, nil, data.Domain(), live)
+	if err != nil {
+		return res, err
+	}
 	res.OfflineCost = offline.AvgCost(liveBoxes, nil)
 	if res.OfflineCost > 0 {
 		res.RecoveryVsOffline = res.PatchedCost / res.OfflineCost
 	}
 	return res, nil
-}
-
-// offlineDriftLayout builds the live workload's layout over the whole domain
-// the way `pawcli build` does (sample build with the §IV-E refinement, then
-// every row routed) — the quality bar the incremental patch is measured
-// against.
-func offlineDriftLayout(data *dataset.Dataset, live workload.Workload, delta float64, dcfg drift.Config) *layout.Layout {
-	sample := data.Sample(dcfg.BuildSample, dcfg.Seed+3)
-	l := core.Build(data, sample, data.Domain(), live, core.Params{
-		MinRows: dcfg.BuildMinRows, Delta: delta, DataAwareRefine: true,
-	})
-	l.Route(data)
-	return l
 }

@@ -10,7 +10,7 @@ func TestDriftBench(t *testing.T) {
 		t.Skip("drift bench drives live clusters")
 	}
 	cfg := tinyConfig()
-	rep, err := DriftBench(cfg, DriftOptions{})
+	rep, err := DriftBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

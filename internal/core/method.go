@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"paw/internal/dataset"
 	"paw/internal/geom"
@@ -33,8 +34,8 @@ func (m Method) Greedy() bool { return m == MethodPAW || m == MethodQdTree }
 // p whole; the Qd-tree cuts on hist's boxes as given (no δ extension) and the
 // k-d tree ignores hist, both taking only MinRows, Parallelism and Obs from
 // p. Every layout it returns records the scope it was asked for, hist and
-// p.Delta, and data's column names, which its file carries. The layout is
-// sealed but not routed; an unknown method is an error.
+// p.Delta, data's names and its recipe (see record), all of which its file
+// carries. It is sealed but not routed; an unknown method is an error.
 func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Workload, p Params) (*layout.Layout, error) {
 	var l *layout.Layout
 	switch m {
@@ -49,6 +50,59 @@ func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, h
 	default:
 		return nil, fmt.Errorf("unknown method %q (want %s, %s or %s)", m, MethodPAW, MethodQdTree, MethodKdTree)
 	}
+	record(l, data, rows, hist, p)
+	return l, nil
+}
+
+// record sets on l the scope it was built for, data's column names and the
+// recipe: bmin in sample rows, as the builders apply it, and the share of
+// data's rows the sample holds. An empty sample records no recipe.
+func record(l *layout.Layout, data *dataset.Dataset, rows []int, hist workload.Workload, p Params) {
 	l.Delta, l.Hist, l.Names = p.Delta, hist.Boxes(), data.Names()
+	if len(rows) > 0 {
+		l.MinRows, l.SampleRate = max(p.MinRows, 1), float64(len(rows))/float64(data.NumRows())
+	}
+}
+
+// Rebuild builds rows of data (nil: all of them) within box for hist with the
+// recipe from carries — its method, a stride sample of rows at its sampling
+// rate, its bmin and δ — and the §IV-E refinement, then routes every one of
+// rows through the result for exact FullRows; a row it cannot route is an
+// error. Drift rebuilds a region with it and an offline reference is the same
+// call over the whole domain, so both partition at from's grain.
+func Rebuild(from *layout.Layout, data *dataset.Dataset, rows []int, box geom.Box, hist workload.Workload) (*layout.Layout, error) {
+	if err := from.CheckRecipe(); err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		rows = make([]int, data.NumRows())
+		for i := range rows {
+			rows[i] = i
+		}
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("rebuild over no rows")
+	}
+	k := max(1, int(math.Round(from.SampleRate*float64(len(rows)))))
+	stride, sample := float64(len(rows))/float64(k), make([]int, k)
+	for i := range sample {
+		sample[i] = rows[int(float64(i)*stride)]
+	}
+	l, err := BuildMethod(Method(from.Method), data, sample, box, hist, Params{
+		MinRows:         from.MinRows,
+		Delta:           from.Delta,
+		DataAwareRefine: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	routed := 0
+	for id, part := range l.RouteIndices(data, rows) {
+		l.Parts[id].FullRows = int64(len(part))
+		routed += len(part)
+	}
+	if routed < len(rows) {
+		return nil, fmt.Errorf("rebuilt layout routes %d of %d rows", routed, len(rows))
+	}
 	return l, nil
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // TestBuildMethodMatchesBuilders: BuildMethod is a switch that records the
-// scope and the column names and nothing else — each method's layout carries
-// hist, δ and data's names, and with those given to its builder's direct call
+// scope, the column names and the recipe and nothing else — each method's
+// layout carries hist, δ, data's names, bmin and the sampling rate, and with
+// those given to its builder's direct call
 // on the same inputs (the Qd-tree on the history's own boxes, the baselines at
 // the same bmin and parallelism) the two digest equally; an unknown name is an
 // error that names it.
@@ -42,11 +43,15 @@ func TestBuildMethodMatchesBuilders(t *testing.T) {
 			t.Errorf("%s: the layout records δ %g, %d QH queries and columns %q, want %g, %d and %q",
 				c.m, l.Delta, len(l.Hist), l.Names, p.Delta, len(hist), data.Names())
 		}
+		if l.MinRows != p.MinRows || l.SampleRate != 0.25 {
+			t.Errorf("%s: the layout records bmin %d at sampling rate %g, want %d at 0.25", c.m, l.MinRows, l.SampleRate, p.MinRows)
+		}
 		got, err := l.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.direct.Delta, c.direct.Hist, c.direct.Names = p.Delta, hist.Boxes(), data.Names()
+		c.direct.MinRows, c.direct.SampleRate = p.MinRows, 0.25
 		want, err := c.direct.Digest()
 		if err != nil {
 			t.Fatal(err)

@@ -86,7 +86,7 @@ func (p Params) withDefaults() Params {
 // given sample rows of data. domain must cover the sample rows (typically
 // the dataset MBR). The returned layout is sealed but not routed, and records
 // the scope it was built for, p.Delta and hist, which the block store tiles
-// its partitions for (layout.ExtendedHist), and data's column names.
+// its partitions for (layout.ExtendedHist), data's names and its recipe.
 //
 // The sample is gathered into dense columns once and built on as rows
 // 0…len(rows)−1 of that copy, so no pass reads rows scattered over data;
@@ -109,7 +109,7 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Wor
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("paw", root, data.RowBytes())
 	l.MapSampleRows(rows)
-	l.Delta, l.Hist, l.Names = p.Delta, hist.Boxes(), data.Names()
+	record(l, data, rows, hist, p)
 	sp.End()
 	return l
 }

@@ -84,14 +84,23 @@ type Report struct {
 	CostBefore, CostAfter int64
 }
 
+// minGain is the benefit gate — the patch must cut the window's modeled scan
+// cost by this fraction, or the migration is skipped — and oracleSeed seeds
+// the drift oracle's probes of every patch.
+const minGain, oracleSeed = 0.05, 1
+
 // New builds a controller for a serving master. data must be the dataset the
 // cluster's layout was materialised from, builder the workers' store's
 // (blockstore.Config.Builder), so that a rebuilt partition ships laid out like
 // a materialised one. The monitor's scope is the one the served layout
-// carries: its QH is the initial reference, its δ the threshold.
-func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg Config) *Controller {
+// carries: its QH is the initial reference, its δ the threshold; a region is
+// rebuilt with its recipe, and a layout that carries none is refused.
+func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	l := m.Router().Layout()
+	if err := l.CheckRecipe(); err != nil {
+		return nil, fmt.Errorf("drift: %w", err)
+	}
 	c := &Controller{
 		cfg:     cfg,
 		master:  m,
@@ -101,7 +110,7 @@ func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg C
 	}
 	c.cur.Store(l)
 	c.inst.Store(&driftInstruments{})
-	return c
+	return c, nil
 }
 
 // SetTracer installs (or, with nil, removes) the tracer migration traces
@@ -237,15 +246,15 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	rep.CostBefore = cur.WorkloadCost(liveBoxes, nil)
 	rep.CostAfter = newL.WorkloadCost(liveBoxes, nil)
 	if rep.CostBefore <= 0 ||
-		float64(rep.CostBefore-rep.CostAfter) < c.cfg.MinGain*float64(rep.CostBefore) {
+		float64(rep.CostBefore-rep.CostAfter) < minGain*float64(rep.CostBefore) {
 		rep.SkipReason = fmt.Sprintf("benefit gate: window cost %d → %d, below min gain %.0f%%",
-			rep.CostBefore, rep.CostAfter, c.cfg.MinGain*100)
+			rep.CostBefore, rep.CostAfter, minGain*100)
 		return nil
 	}
 
 	// The drift and cutover oracles check every patch before it ships.
 	vsp := tm.Start("validate", root)
-	if verr := invariant.CheckDrift(cur, newL, diff, c.cfg.Seed); verr != nil {
+	if verr := invariant.CheckDrift(cur, newL, diff, oracleSeed); verr != nil {
 		vsp.Int(trace.KeyError, 1)
 		vsp.End()
 		rep.SkipReason = "drift oracle rejected the patch"
@@ -286,11 +295,10 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 // scope grown by live, the diff, and the full-data row indices of every added
 // partition (the migration payloads).
 //
-// The pipeline is offline construction at region scale, the two calls
-// `pawcli build` makes for the domain: core.Build with the §IV-E refinement
-// on a seeded sample of the region's rows, over the live window plus the
-// still-relevant slice of the reference workload, then every region row
-// routed through the result for exact partition sizes.
+// The subtree is core.Rebuild with cur's recipe over the rows the cluster
+// routes into target, for the live window plus the still-relevant slice of
+// the reference workload: the region is partitioned as the boot layout
+// partitioned the domain, at the same bmin.
 func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workload.Workload) (*layout.Layout, layout.Diff, map[layout.ID][]int, error) {
 	// Every row the cluster routes into the target subtree must come out of
 	// the rebuild in exactly one new partition — the migration's row
@@ -304,28 +312,11 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	if len(regionRows) == 0 {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: rebuild region holds no rows")
 	}
-
 	targetBox := target.Desc.MBR()
 	wl := append(live.Clip(targetBox), workload.FromBoxes(cur.Hist).Clip(targetBox)...)
-
-	sample := strideSample(regionRows, c.cfg.BuildSample)
-	built := core.Build(c.data, sample, targetBox, wl, core.Params{
-		MinRows:         c.cfg.BuildMinRows,
-		Delta:           cur.Delta,
-		DataAwareRefine: true,
-	})
-
-	// Full-scale pass: Route restricted to the region sets every built
-	// partition's exact FullRows.
-	routed := 0
-	for id, rows := range built.RouteIndices(c.data, regionRows) {
-		built.Parts[id].FullRows = int64(len(rows))
-		routed += len(rows)
-	}
-	if routed < len(regionRows) {
-		// A region row the replacement cannot route would silently vanish
-		// at cutover; refuse to build such a patch.
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: replacement subtree routes %d of %d region rows", routed, len(regionRows))
+	built, err := core.Rebuild(cur, c.data, regionRows, targetBox, wl)
+	if err != nil {
+		return nil, layout.Diff{}, nil, fmt.Errorf("drift: %w", err)
 	}
 
 	newL, diff, err := layout.PatchSubtree(cur, target, built.Root)
@@ -340,14 +331,13 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 
 	// Row-conservation cross-check: routing the region's rows through the
 	// patched layout must land them all in added partitions, with counts
-	// matching what the full-scale pass recorded. Any mismatch means cutover
-	// would lose or invent rows — abort before anything ships.
+	// matching what the rebuild recorded (each row lands once at most, so
+	// the total leaves none in a surviving partition). Any mismatch means
+	// cutover would lose or invent rows — abort before anything ships.
 	newByPart := newL.RouteIndices(c.data, regionRows)
-	addedSet := make(map[layout.ID]bool, len(diff.Added))
 	payloadRows := make(map[layout.ID][]int, len(diff.Added))
 	total := 0
 	for _, id := range diff.Added {
-		addedSet[id] = true
 		rows := newByPart[id]
 		if int64(len(rows)) != newL.Parts[id].FullRows {
 			return nil, layout.Diff{}, nil, fmt.Errorf("drift: partition %d routes %d rows but carries FullRows=%d",
@@ -358,11 +348,6 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	}
 	if total != len(regionRows) {
 		return nil, layout.Diff{}, nil, fmt.Errorf("drift: region rebuild conserves %d of %d rows", total, len(regionRows))
-	}
-	for id, rows := range newByPart {
-		if len(rows) > 0 && !addedSet[layout.ID(id)] {
-			return nil, layout.Diff{}, nil, fmt.Errorf("drift: region row escaped into surviving partition %d", id)
-		}
 	}
 	return newL, diff, payloadRows, nil
 }
@@ -439,18 +424,4 @@ func migrationSteps(mig *dist.Migration) []invariant.MigrationStep {
 		steps = append(steps, s)
 	}
 	return steps
-}
-
-// strideSample picks at most k of rows with a deterministic even stride
-// (rows are already in routing order, which is row order per partition).
-func strideSample(rows []int, k int) []int {
-	if len(rows) <= k {
-		return append([]int(nil), rows...)
-	}
-	out := make([]int, 0, k)
-	stride := float64(len(rows)) / float64(k)
-	for i := 0; i < k; i++ {
-		out = append(out, rows[int(float64(i)*stride)])
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -24,15 +25,7 @@ import (
 func (c *Controller) layout() *layout.Layout { return c.cur.Load() }
 
 func testConfig() Config {
-	return Config{
-		Window:       64,
-		CheckEvery:   16,
-		CostFactor:   1.2,
-		MinGain:      0.05,
-		BuildMinRows: 10,
-		BuildSample:  1000,
-		Seed:         42,
-	}
+	return Config{Window: 64, CheckEvery: 16, CostFactor: 1.2}
 }
 
 // TestDriftEndToEnd is the tentpole acceptance test: a seeded drifting
@@ -157,7 +150,10 @@ func TestDriftEndToEnd(t *testing.T) {
 	for i, b := range drifted {
 		live = append(live, workload.Query{Box: b, Seq: int64(i)})
 	}
-	offline := offlineRebuild(t, tc, live, cfg)
+	offline, err := core.Rebuild(tc.layout, tc.data, nil, tc.data.Domain(), live)
+	if err != nil {
+		t.Fatal(err)
+	}
 	liveBoxes := live.Boxes()
 	got := tc.ctl.layout().AvgCost(liveBoxes, nil)
 	want := offline.AvgCost(liveBoxes, nil)
@@ -187,22 +183,45 @@ func TestDriftEndToEnd(t *testing.T) {
 	}
 }
 
-// offlineRebuild builds the live workload's layout over the whole domain
-// with the controller's pipeline (the two calls `pawcli build` makes) — the
-// quality bar the incremental patch is measured against.
-func offlineRebuild(t *testing.T, tc *driftCluster, live workload.Workload, cfg Config) *layout.Layout {
-	t.Helper()
-	all := make([]int, tc.data.NumRows())
-	for i := range all {
-		all[i] = i
+// TestRebuildKeepsTheBootGrain: a migration rebuilds its region with the
+// recipe the boot layout carries — its method, bmin and sampling rate — so on
+// the monitor's defaults no partition it adds holds fewer than half the rows
+// the boot bmin stands for (MinRows / SampleRate).
+func TestRebuildKeepsTheBootGrain(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	tc := startDriftCluster(t, 16000, 3, Config{})
+	names := tc.data.Names()
+	for i := 0; i < cfg.Window; i++ {
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
 	}
-	l := core.Build(tc.data, strideSample(all, cfg.BuildSample), tc.data.Domain(), live, core.Params{
-		MinRows:         cfg.BuildMinRows,
-		Delta:           testDelta,
-		DataAwareRefine: true,
-	})
-	l.Route(tc.data)
-	return l
+	for _, b := range rightBoxes(cfg.Window, 99) {
+		tc.serve(t, sqlrew.BoxSQL(names, b))
+	}
+	rep, err := tc.ctl.TriggerNow(context.Background())
+	if err != nil || !rep.Migrated || rep.Added == 0 {
+		t.Fatalf("drifted traffic must migrate: %+v, %v", rep, err)
+	}
+	key := func(p *layout.Partition) string { return fmt.Sprint(p.Desc.MBR(), p.FullRows) }
+	boot := make(map[string]bool)
+	for _, p := range tc.layout.Parts {
+		boot[key(p)] = true
+	}
+	floor := float64(tc.layout.MinRows) / tc.layout.SampleRate / 2
+	added, smallest := 0, int64(math.MaxInt64)
+	for _, p := range tc.master.Router().Layout().Parts {
+		if !boot[key(p)] {
+			added++
+			smallest = min(smallest, p.FullRows)
+		}
+	}
+	if added != rep.Added {
+		t.Fatalf("found %d added partitions, the report says %d", added, rep.Added)
+	}
+	if float64(smallest) < floor {
+		t.Fatalf("the migration added a partition of %d rows; the boot bmin of %d sample rows at rate %.4f is %.0f rows, half of it %.0f",
+			smallest, tc.layout.MinRows, tc.layout.SampleRate, 2*floor, floor)
+	}
+	t.Logf("%d partitions added, the smallest of %d rows (floor %.0f)", added, smallest, floor)
 }
 
 // TestMigrationPayloadsMatchMaterialize: a drift-rebuilt partition ships in
@@ -219,7 +238,10 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	// A planning-only controller over a store configuration of 64-row groups,
 	// so that the rebuilt partitions span several.
 	storeCfg := blockstore.Config{GroupRows: 64}
-	ctl := New(tc.master, tc.data, storeCfg.Builder(tc.data), cfg)
+	ctl, err := New(tc.master, tc.data, storeCfg.Builder(tc.data), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur := ctl.layout()
 	target := cur.SubtreeFor(box2(0.55, 0.05, 0.95, 0.95))
 	if target == nil {
@@ -411,7 +433,7 @@ func TestDriftAddedPartitionsCarryEnvelopes(t *testing.T) {
 	if added == 0 {
 		t.Fatal("no partition carries an envelope")
 	}
-	if err := invariant.CheckRouting(served, invariant.Inputs{Data: tc.data, Domain: tc.data.Domain(), Seed: cfg.Seed}); err != nil {
+	if err := invariant.CheckRouting(served, invariant.Inputs{Data: tc.data, Domain: tc.data.Domain(), Seed: oracleSeed}); err != nil {
 		t.Fatal(err)
 	}
 

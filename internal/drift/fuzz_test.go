@@ -26,15 +26,7 @@ func FuzzDriftDifferential(f *testing.F) {
 		if n == 0 {
 			t.Skip("empty stream")
 		}
-		cfg := Config{
-			Window:       16,
-			CheckEvery:   8,
-			CostFactor:   1.2,
-			MinGain:      0.05,
-			BuildMinRows: 8,
-			BuildSample:  400,
-			Seed:         seed,
-		}
+		cfg := Config{Window: 16, CheckEvery: 8, CostFactor: 1.2}
 		tc := startDriftCluster(t, 3000, 2, cfg)
 		names := tc.data.Names()
 

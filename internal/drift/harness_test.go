@@ -90,7 +90,9 @@ func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place f
 	t.Cleanup(f.Close)
 	tc := &driftCluster{data: data, hist: hist, layout: l, oracle: oracle,
 		workers: f.Workers, master: f.Master, oracleRowsBySQL: make(map[string]int)}
-	tc.ctl = New(f.Master, data, storeConfig.Builder(data), cfg)
+	if tc.ctl, err = New(f.Master, data, storeConfig.Builder(data), cfg); err != nil {
+		t.Fatal(err)
+	}
 	tc.ctl.Attach(false)
 	return tc
 }

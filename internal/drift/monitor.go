@@ -25,9 +25,10 @@ import (
 	"paw/internal/workload"
 )
 
-// Config bundles the monitor and controller knobs. The zero value is
-// completed by withDefaults. The scope the monitor holds the window to, δ and
-// QH, is no knob: it is the one the serving layout was built for.
+// Config bundles the monitor's knobs. The zero value is completed by
+// withDefaults. The scope the monitor holds the window to, δ and QH, is no
+// knob: it is the one the serving layout was built for, as is the recipe a
+// region is rebuilt with.
 type Config struct {
 	// Window is the sliding-window size in observed queries.
 	Window int
@@ -42,18 +43,6 @@ type Config struct {
 	// then reads are no gate: the kernels spare most of a stale layout's
 	// extra partitions, at a hop and a few probes each.
 	CostFactor float64
-	// MinGain is the benefit gate: the patched layout must cut the window's
-	// modeled scan cost by at least this fraction, or the migration is
-	// skipped.
-	MinGain float64
-
-	// BuildMinRows is bmin (in sample rows) for the region rebuild.
-	BuildMinRows int
-	// BuildSample caps the construction sample for the region rebuild.
-	BuildSample int
-	// Seed drives the controller's deterministic sampling and the oracle
-	// probes.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -65,15 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CostFactor <= 0 {
 		c.CostFactor = 1.3
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 0.05
-	}
-	if c.BuildMinRows <= 0 {
-		c.BuildMinRows = 8
-	}
-	if c.BuildSample <= 0 {
-		c.BuildSample = 2000
 	}
 	return c
 }

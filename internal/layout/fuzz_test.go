@@ -20,6 +20,13 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same layout with the recipe a build records.
+	l.MinRows, l.SampleRate = 20, 0.1
+	buf.Reset()
+	if err := l.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x4c, 0x57, 0x41, 0x50}) // magic only
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -45,9 +46,10 @@ func goldenHex(t *testing.T, path string, got []byte) []byte {
 // TestPAWLGolden pins the PAWL format byte for byte on a hand-built layout
 // with what the built layouts of internal/sim's golden digests never carry:
 // an irregular node (a rectangle with a hole) and a partition with precise
-// boxes; it also carries a scope, δ and two QH queries, and its two column
-// names. It encodes to testdata/golden.pawl.hex, and the fixture decodes to a
-// layout that routes like the original and encodes to the fixture again.
+// boxes; it also carries a scope, δ and two QH queries, its two column names
+// and a recipe. It encodes to testdata/golden.pawl.hex, and the fixture
+// decodes to a layout that routes like the original and encodes to the
+// fixture again.
 func TestPAWLGolden(t *testing.T) {
 	outer := box2(0, 0, 10, 10)
 	hole := box2(4, 4, 6, 6)
@@ -62,6 +64,7 @@ func TestPAWLGolden(t *testing.T) {
 	l.TotalBytes, l.Unrouted = 640, 3
 	l.Delta, l.Hist = 0.5, []geom.Box{box2(1, 1, 4.5, 2), box2(4.25, 4.25, 5.75, 5.75)}
 	l.Names = []string{"x", "y"}
+	l.MinRows, l.SampleRate = 4, 0.25
 
 	var buf bytes.Buffer
 	if err := l.Encode(&buf); err != nil {
@@ -80,6 +83,9 @@ func TestPAWLGolden(t *testing.T) {
 		t.Fatalf("the fixture decodes to δ %g, QH %v and columns %q, want %g, %v and %q",
 			got.Delta, got.Hist, got.Names, l.Delta, l.Hist, l.Names)
 	}
+	if got.MinRows != l.MinRows || got.SampleRate != l.SampleRate {
+		t.Fatalf("the fixture decodes to bmin %d at rate %g, want %d at %g", got.MinRows, got.SampleRate, l.MinRows, l.SampleRate)
+	}
 	if !bytes.Equal(again.Bytes(), want) {
 		t.Fatalf("the decoded fixture re-encodes to\n%x, want\n%x", again.Bytes(), want)
 	}
@@ -91,23 +97,26 @@ func TestPAWLGolden(t *testing.T) {
 }
 
 // TestPAWLRefusesWhatItCannotRoute: the golden fixture with its version word
-// set to 2 — a file from before layouts carried their column names — is
-// refused with an error that names the version and says how to get a
-// version-3 file, and a layout whose name count is not its dimensionality is
-// refused on decoding.
+// set to 2 or 3 — a file from before layouts carried their column names or
+// their recipe — is refused with an error that names the version and says how
+// to get a version-4 file; a layout whose name count is not its
+// dimensionality, and one whose recipe cannot be built (bmin below one sample
+// row, a sampling rate outside (0, 1]), are refused on decoding.
 func TestPAWLRefusesWhatItCannotRoute(t *testing.T) {
 	text, err := os.ReadFile("testdata/golden.pawl.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := hex.DecodeString(strings.ReplaceAll(string(text), "\n", ""))
+	old, err := hex.DecodeString(strings.ReplaceAll(string(text), "\n", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(v2[4:], 2)
-	if _, err := Decode(bytes.NewReader(v2)); err == nil ||
-		!strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "rebuild with `pawcli build`") {
-		t.Errorf("a version-2 file: got %v, want a refusal naming the version and pawcli build", err)
+	for _, v := range []uint16{2, 3} {
+		binary.LittleEndian.PutUint16(old[4:], v)
+		if _, err := Decode(bytes.NewReader(old)); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "rebuild with `pawcli build`") {
+			t.Errorf("a version-%d file: got %v, want a refusal naming the version and pawcli build", v, err)
+		}
 	}
 	l, _ := grid4(t)
 	for _, names := range [][]string{{"x"}, {"x", "y", "z"}} {
@@ -119,6 +128,28 @@ func TestPAWLRefusesWhatItCannotRoute(t *testing.T) {
 		want := fmt.Sprintf("%d column names for a 2-d layout", len(names))
 		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%d names: got %v, want %q", len(names), err, want)
+		}
+	}
+	l.Names = nil
+	for _, c := range []struct {
+		minRows int
+		rate    float64
+		want    string
+	}{
+		{0, 0.25, "bmin of 0 sample rows"},
+		{-3, 0.25, "bmin of -3 sample rows"},
+		{4, 0, "sampling rate 0 is outside"},
+		{4, -0.5, "sampling rate -0.5 is outside"},
+		{4, 1.5, "sampling rate 1.5 is outside"},
+		{4, math.NaN(), "sampling rate NaN is outside"},
+	} {
+		l.MinRows, l.SampleRate = c.minRows, c.rate
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("recipe bmin %d at rate %g: got %v, want %q", c.minRows, c.rate, err, c.want)
 		}
 	}
 }

@@ -14,13 +14,14 @@ import (
 
 // Binary layout format ("PAWL"): the master's durable metadata — the scope
 // the layout was built for (δ and QH), the full partition tree with
-// descriptors, partition sizes and precise descriptors, and the column names
-// — from which a master boots and the drift monitor takes its reference.
-// Sample row indices are construction-time state and are not persisted.
-// Every box has the root's dimensionality; a file names every dimension or none.
+// descriptors, partition sizes and precise descriptors, the column names and
+// the build recipe — from which a master boots and drift watches and rebuilds.
+// Sample row indices are construction-time state and are not persisted. Every
+// box has the root's dimensionality; a file names every dimension or none and
+// carries a recipe that can be built or none (both words 0).
 //
 //	magic    uint32 'PAWL'
-//	version  uint16 3
+//	version  uint16 4
 //	method   uint16 len + bytes
 //	rowBytes, totalBytes, unrouted int64
 //	delta    float64
@@ -33,10 +34,11 @@ import (
 //	                    nPrecise uint32, precise boxes
 //	           nChildren uint32, children...
 //	names    nNames uint16 (0 or dims), each uint16 len + bytes
+//	recipe   minRows int64 (bmin in sample rows), sampleRate float64
 //	box      dims uint16, then 2·dims float64 (lo..., hi...)
 const (
 	layoutMagic   = 0x5041574C // "PAWL"
-	layoutVersion = 3
+	layoutVersion = 4
 )
 
 // Encode serialises the layout.
@@ -60,6 +62,8 @@ func (l *Layout) Encode(w io.Writer) error {
 	for _, name := range l.Names {
 		buf = binfmt.AppendString16(buf, name)
 	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.MinRows))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.SampleRate))
 	_, err = w.Write(buf)
 	return err
 }
@@ -123,7 +127,7 @@ func Decode(in io.Reader) (*Layout, error) {
 	}
 	r := binfmt.NewReader("layout", data)
 	if r.Header(layoutMagic, layoutVersion); r.Err() != nil {
-		return nil, fmt.Errorf("%w: rebuild with `pawcli build` (version %d carries the column names)", r.Err(), layoutVersion)
+		return nil, fmt.Errorf("%w: rebuild with `pawcli build` (version %d carries the build recipe)", r.Err(), layoutVersion)
 	}
 	l := &Layout{Method: r.String16(), RowBytes: r.I64(), TotalBytes: r.I64(), Unrouted: r.I64(), Delta: r.F64()}
 	if r.Err() == nil && !(l.Delta >= 0) {
@@ -137,6 +141,12 @@ func Decode(in io.Reader) (*Layout, error) {
 	}
 	if n := len(l.Names); r.Err() == nil && n > 0 && n != dims {
 		r.Failf("%d column names for a %d-d layout", n, dims)
+	}
+	l.MinRows, l.SampleRate = int(r.I64()), r.F64()
+	if r.Err() == nil && (l.MinRows != 0 || l.SampleRate != 0) {
+		if err := l.CheckRecipe(); err != nil {
+			r.Failf("%v", err)
+		}
 	}
 	if r.Err() != nil {
 		return nil, r.Err()

@@ -160,12 +160,16 @@ type Layout struct {
 	Unrouted int64
 	// Delta and Hist are the scope the layout was built for (Problem 1) —
 	// the variance threshold δ in absolute domain units and the historical
-	// workload QH — and Names the column names SQL is routed by, one per
-	// dimension. core.Build and core.BuildMethod set them; a Qd-tree or k-d
-	// layout built by calling its builder directly leaves them zero.
-	Delta float64
-	Hist  []geom.Box
-	Names []string
+	// workload QH — Names the column names SQL is routed by, one per
+	// dimension, and MinRows and SampleRate the recipe drift rebuilds a
+	// region with (bmin in sample rows, the sample's share of the rows).
+	// core.Build and core.BuildMethod set them; a Qd-tree or k-d layout
+	// built by calling its builder directly leaves them zero.
+	Delta      float64
+	Hist       []geom.Box
+	Names      []string
+	MinRows    int
+	SampleRate float64
 
 	// index is the partition-level routing index over the descriptor MBRs,
 	// built at Seal/Decode (see index.go), the only constructors. Derived,
@@ -197,6 +201,20 @@ func (l *Layout) MapSampleRows(rows []int) {
 			p.SampleRows[i] = rows[r]
 		}
 	}
+}
+
+// CheckRecipe says why l's recipe cannot rebuild a region: it carries none,
+// its bmin is below one sample row, or its sampling rate is outside (0, 1].
+func (l *Layout) CheckRecipe() error {
+	switch {
+	case l.MinRows == 0 && l.SampleRate == 0:
+		return fmt.Errorf("layout carries no build recipe (bmin and sampling rate): build it with pawcli build")
+	case l.MinRows < 1:
+		return fmt.Errorf("recipe bmin of %d sample rows is below one row", l.MinRows)
+	case !(l.SampleRate > 0 && l.SampleRate <= 1):
+		return fmt.Errorf("recipe sampling rate %g is outside (0, 1]", l.SampleRate)
+	}
+	return nil
 }
 
 // NumPartitions returns the number of physical partitions.

@@ -42,8 +42,8 @@ type Diff struct {
 // target must be a node of l's tree (matched by identity), and repl must
 // cover exactly the same region (equal descriptor MBRs) so the patched tree
 // still tiles the domain. repl's leaves must carry partitions with their
-// FullRows already set — the patch preserves them; Names and TotalBytes carry
-// over unchanged (the patch conserves the row population).
+// FullRows already set — the patch preserves them; Names, the recipe and
+// TotalBytes carry over unchanged (the patch conserves the row population).
 func PatchSubtree(l *Layout, target *Node, repl *Node) (*Layout, Diff, error) {
 	if l == nil || l.Root == nil {
 		return nil, Diff{}, fmt.Errorf("layout: patch of unsealed layout")
@@ -75,6 +75,7 @@ func PatchSubtree(l *Layout, target *Node, repl *Node) (*Layout, Diff, error) {
 
 	nl := Seal(l.Method, newRoot, l.RowBytes)
 	nl.TotalBytes, nl.Unrouted, nl.Names = l.TotalBytes, l.Unrouted, l.Names
+	nl.MinRows, nl.SampleRate = l.MinRows, l.SampleRate
 
 	d := Diff{Renamed: make(map[ID]ID, len(oldOf))}
 	for _, p := range nl.Parts {

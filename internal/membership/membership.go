@@ -3,8 +3,8 @@
 // configurable suspect→dead state machine, a consistent-hashing partition
 // placement whose movement between any two member sets is bounded by the
 // virtual-node construction, and a minimal-movement rebalance planner that
-// orders moves hottest-first under an optional byte budget, the storage
-// tuner's greedy shape (§V-B) applied to membership changes.
+// reconciles the served placement with the ring's, moving only the copies
+// that change, in the order of the partition IDs it is given.
 //
 // The package is deliberately pure: every transition takes the caller's
 // clock as an argument and no goroutines or sockets live here, so the exact

@@ -65,7 +65,11 @@ func TestMetricInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm.SetMetrics(master)
-	drift.New(f.Master, data, cfg.Builder(data), drift.Config{}).SetMetrics(master)
+	ctl, err := drift.New(f.Master, data, cfg.Builder(data), drift.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.SetMetrics(master)
 
 	regs := map[*obs.Registry]string{build: "pawcli build", tune: "tuner.SelectObserved", master: "pawmaster"}
 	for _, r := range f.Regs {
