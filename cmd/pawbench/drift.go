@@ -31,8 +31,12 @@ func runDrift(cfg bench.Config, path string) error {
 			verdict = "triggered, not migrated"
 		}
 		fmt.Fprintf(os.Stderr, "  %-22s %4d queries  %s\n", sc.Scenario, sc.Queries, verdict)
-		fmt.Fprintf(os.Stderr, "    cost B/query: baseline %.0f, regressed %.0f, recovered %.0f; patched/offline %.2f\n",
-			sc.CostBaseline, sc.CostRegressed, sc.CostRecovered, sc.RecoveryVsOffline)
+		fmt.Fprintf(os.Stderr, "    cost B/query: baseline %.0f, regressed %.0f, recovered %.0f",
+			sc.CostBaseline, sc.CostRegressed, sc.CostRecovered)
+		if sc.Migrated {
+			fmt.Fprintf(os.Stderr, "; patched/offline %.2f", sc.RecoveryVsOffline)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 	return nil
 }

@@ -78,10 +78,11 @@ type DriftScenarioResult struct {
 	// PatchedCost/OfflineCost are the modeled per-query costs of the served
 	// layout and of a full offline rebuild over the final-phase workload;
 	// RecoveryVsOffline is their ratio (the incremental patch's quality bar —
-	// TestDriftBench holds it under 1.5).
-	PatchedCost       float64 `json:"patched_cost_bytes"`
-	OfflineCost       float64 `json:"offline_cost_bytes"`
-	RecoveryVsOffline float64 `json:"recovery_vs_offline"`
+	// TestDriftBench holds it under 1.5). All three are left out of a
+	// scenario that never migrated: it has no patch to measure.
+	PatchedCost       float64 `json:"patched_cost_bytes,omitempty"`
+	OfflineCost       float64 `json:"offline_cost_bytes,omitempty"`
+	RecoveryVsOffline float64 `json:"recovery_vs_offline,omitempty"`
 
 	// ClusterScanBytes is the observed total the cluster scanned for the
 	// stream.
@@ -330,6 +331,9 @@ func runDriftScenario(sc sim.DriftScenario) (DriftScenarioResult, error) {
 		if res.RecoveryQueries < 0 {
 			res.RecoveryQueries = 0
 		}
+	}
+	if !res.Migrated {
+		return res, nil
 	}
 
 	// Modeled recovery quality: the served layout vs a full offline rebuild

@@ -31,6 +31,9 @@ func TestDriftBench(t *testing.T) {
 			if sc.Migrated || sc.Epoch != 0 {
 				t.Errorf("%s: in-scope scenario migrated: %+v", sc.Scenario, sc)
 			}
+			if sc.PatchedCost != 0 || sc.OfflineCost != 0 || sc.RecoveryVsOffline != 0 {
+				t.Errorf("%s: a scenario that never migrated reports a recovery: %+v", sc.Scenario, sc)
+			}
 			continue
 		}
 		if !sc.Migrated {

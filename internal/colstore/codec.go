@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 
@@ -28,11 +29,13 @@ import (
 // Packed values are little-endian bit fields: value i occupies bits
 // [i·bits, (i+1)·bits) of the byte string, least significant bit first.
 //
-// A payload only ever crosses the wire between processes of one build, so
-// nothing older is decodable: versions 1 (raw float64 columns), 2 (raw
+// A payload is an install on the wire or a partition file of a store
+// (`pawcli build -store` writes them, `pawworker -store` serves them).
+// Nothing older is decodable: versions 1 (raw float64 columns), 2 (raw
 // float64 values, FOR in 64-bit words), 3 (v4 plus an always-zero zone
 // count, and an SMA count and sum per group that no scan read) and 4
-// (dictionary codes of one or two bytes each) are errors.
+// (dictionary codes of one or two bytes each) are errors that name the
+// remedy, rebuilding the store.
 const (
 	colMagic   = 0x50415743 // "PAWC"
 	colVersion = 5
@@ -175,7 +178,9 @@ func Decode(in io.Reader) (*Table, error) {
 		return nil, err
 	}
 	r := binfmt.NewReader("colstore", data)
-	r.Header(colMagic, colVersion)
+	if r.Header(colMagic, colVersion); r.Err() != nil {
+		return nil, fmt.Errorf("%w: rebuild the store with `pawcli build -store` (this build reads PAWC v%d)", r.Err(), colVersion)
+	}
 	dims := r.Count(uint64(r.U16()), 2)
 	if r.Err() == nil && dims == 0 {
 		r.Failf("zero columns")

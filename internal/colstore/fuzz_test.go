@@ -321,8 +321,8 @@ func unhex(t testing.TB, s string) []byte {
 // payload takes the unsupported-version error.
 func TestDecodeRefusesRecordedV1(t *testing.T) {
 	_, err := Decode(bytes.NewReader(unhex(t, recordedV1)))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("v1 payload: err = %v, want unsupported version 1", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") || !strings.Contains(err.Error(), "pawcli build -store") {
+		t.Fatalf("v1 payload: err = %v, want unsupported version 1 and the remedy", err)
 	}
 }
 
@@ -332,8 +332,8 @@ func TestDecodeRefusesRecordedV1(t *testing.T) {
 func TestDecodeRefusesRecordedV2(t *testing.T) {
 	for _, payload := range []string{recordedV2, recordedV2Zones} {
 		_, err := Decode(bytes.NewReader(unhex(t, payload)))
-		if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-			t.Fatalf("v2 payload: err = %v, want unsupported version 2", err)
+		if err == nil || !strings.Contains(err.Error(), "unsupported version 2") || !strings.Contains(err.Error(), "pawcli build -store") {
+			t.Fatalf("v2 payload: err = %v, want unsupported version 2 and the remedy", err)
 		}
 	}
 }
@@ -343,8 +343,8 @@ func TestDecodeRefusesRecordedV2(t *testing.T) {
 // read — so the recorded v3 payload takes the unsupported-version error.
 func TestDecodeRefusesRecordedV3(t *testing.T) {
 	_, err := Decode(bytes.NewReader(unhex(t, recordedV3)))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
-		t.Fatalf("v3 payload: err = %v, want unsupported version 3", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 3") || !strings.Contains(err.Error(), "pawcli build -store") {
+		t.Fatalf("v3 payload: err = %v, want unsupported version 3 and the remedy", err)
 	}
 }
 
@@ -353,8 +353,8 @@ func TestDecodeRefusesRecordedV3(t *testing.T) {
 // unsupported-version error.
 func TestDecodeRefusesRecordedV4(t *testing.T) {
 	_, err := Decode(bytes.NewReader(unhex(t, recordedV4)))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
-		t.Fatalf("v4 payload: err = %v, want unsupported version 4", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 4") || !strings.Contains(err.Error(), "pawcli build -store") {
+		t.Fatalf("v4 payload: err = %v, want unsupported version 4 and the remedy", err)
 	}
 }
 

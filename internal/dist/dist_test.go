@@ -18,6 +18,7 @@ import (
 	"paw/internal/obs"
 	"paw/internal/placement"
 	"paw/internal/router"
+	"paw/internal/serve"
 	"paw/internal/sqlrew"
 	"paw/internal/trace"
 	"paw/internal/workload"
@@ -89,19 +90,19 @@ func startFleet(t *testing.T, l *layout.Layout, names []string, store *blockstor
 }
 
 // scanWorker sends one ScanRequest straight to a worker, bypassing the
-// master, over a one-connection link that stays open until the test ends.
+// master, over a connection of its own that stays open until the test ends.
 // The request's Deadline goes to the worker only: the call itself waits
 // unbounded, so a deadline already past reaches the worker instead of being
 // refused by the link.
 func scanWorker(t *testing.T, addr string, req ScanRequest) ScanResponse {
 	t.Helper()
-	l, err := dialMuxLink(context.Background(), addr, 1)
+	mx, err := serve.DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(l.close)
+	t.Cleanup(func() { mx.Close() })
 	var resp ScanResponse
-	if err := roundTrip(context.Background(), time.Time{}, l.pick(), msgScanReq, &req, msgScanResp, resp.UnmarshalWire); err != nil {
+	if err := roundTrip(context.Background(), time.Time{}, mx, msgScanReq, &req, msgScanResp, resp.UnmarshalWire); err != nil {
 		t.Fatal(err)
 	}
 	return resp

@@ -25,16 +25,15 @@ var ErrRefused = errors.New("refused by master")
 // answering). Member traffic rides the client port as dedicated
 // msgMemberReq/msgMemberResp frames.
 //
-// A Heartbeater survives connection loss: each failed call drops the cached
-// connection and the next call redials, so a master restart shows up as a
-// few missed beats, not a dead worker process.
+// A Heartbeater survives connection loss: each failed call drops the link's
+// connection and the next call redials, under that call's context, so a
+// master restart shows up as a few missed beats, not a dead worker process.
 type Heartbeater struct {
-	addr string
+	link link
 	// clock times the beats (clock.go).
 	clock clock
 
-	mu  sync.Mutex
-	mux *serve.Mux
+	mu sync.Mutex
 	// stopBeats stops the beats Start began (nil before Start).
 	stopBeats func()
 
@@ -43,32 +42,25 @@ type Heartbeater struct {
 
 // NewHeartbeater targets a master's client port.
 func NewHeartbeater(masterAddr string) *Heartbeater {
-	h := &Heartbeater{addr: masterAddr, clock: wallClock{}}
+	h := &Heartbeater{clock: wallClock{}}
+	h.link.addr = masterAddr
 	h.index.Store(-1)
 	return h
 }
 
 // call performs one membership exchange, dialing lazily. Any failure past
-// the send drops the cached connection — a beat that timed out against a
-// wedged master included, since a fresh dial is the cheapest probe of whether
-// the master is still there — so the next call starts clean.
+// the send drops the connection — a beat that timed out against a wedged
+// master included, since a fresh dial is the cheapest probe of whether the
+// master is still there — so the next call starts clean.
 func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberResponse, error) {
-	h.mu.Lock()
-	mx := h.mux
-	if mx == nil {
-		var err error
-		mx, err = serve.DialMux(h.addr)
-		if err != nil {
-			h.mu.Unlock()
-			return MemberResponse{}, fmt.Errorf("dist: dialing master %s: %w", h.addr, err)
-		}
-		h.mux = mx
-	}
-	h.mu.Unlock()
 	var resp MemberResponse
-	if err := roundTrip(ctx, time.Time{}, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire); err != nil {
+	mx, err := h.link.conn(ctx, time.Time{})
+	if err == nil {
+		err = roundTrip(ctx, time.Time{}, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire)
+	}
+	if err != nil {
 		if !serve.IsNotSent(err) {
-			h.dropConn()
+			h.link.drop(mx)
 		}
 		return MemberResponse{}, err
 	}
@@ -76,16 +68,6 @@ func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberRespon
 		return resp, fmt.Errorf("%w: %s", ErrRefused, resp.Err)
 	}
 	return resp, nil
-}
-
-func (h *Heartbeater) dropConn() {
-	h.mu.Lock()
-	mx := h.mux
-	h.mux = nil
-	h.mu.Unlock()
-	if mx != nil {
-		mx.Close()
-	}
 }
 
 // Join registers with the master: index -1 resolves by the advertised
@@ -140,14 +122,14 @@ func (h *Heartbeater) Start() {
 	})
 }
 
-// Close stops the beats and drops any cached connection. It does not send a
-// leave — call Leave first for a graceful departure.
+// Close stops the beats and closes the connection. It does not send a leave —
+// call Leave first for a graceful departure.
 func (h *Heartbeater) Close() {
 	h.mu.Lock()
 	stop := h.stopBeats
 	h.mu.Unlock()
 	if stop != nil {
-		stop() // not under h.mu: a beat in progress takes it
+		stop() // waits for a beat in progress, which its deadline bounds
 	}
-	h.dropConn()
+	h.link.close()
 }

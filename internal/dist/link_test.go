@@ -16,8 +16,8 @@ import (
 )
 
 // Link-lifetime tests: the master shares one multiplexed link per worker
-// among all its queries, so the link may only be dropped when a connection of
-// it is actually down — never because one query gave up on one call — and
+// among all its queries, so the link may only be dropped when its connection
+// is actually down — never because one query gave up on one call — and
 // both listeners must refuse a peer that does not speak the protocol.
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -146,7 +146,7 @@ func TestSiblingCancelKeepsSharedLink(t *testing.T) {
 	if got := snap.Counter(MetricBreakerTrips); got != 0 {
 		t.Errorf("breaker trips = %d, want 0", got)
 	}
-	if !m.fleet.Load().breakers[1].healthy(m.cfg.Retry, m.clock) {
+	if !m.slot(1).br.healthy(m.cfg.Retry, m.clock) {
 		t.Error("worker 1's breaker opened")
 	}
 }
@@ -167,11 +167,36 @@ func TestCallTimeoutDropsLink(t *testing.T) {
 	if got := tc.reg.Snapshot().Counter(MetricRedials); got != maxAttempts {
 		t.Errorf("redials = %d, want %d", got, maxAttempts)
 	}
-	tc.master.mu.Lock()
-	l := tc.master.links[0]
-	tc.master.mu.Unlock()
-	if l != nil {
+	if l := tc.master.slot(0).link.mx.Load(); l != nil {
 		t.Error("the link that stopped answering is still installed")
+	}
+}
+
+// TestOneConnectionPerWorker: concurrent fan-out queries all pipeline over
+// one connection per worker slot; no query dials a worker a second time.
+func TestOneConnectionPerWorker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ResultCacheSize = 0 // every query scans
+	tc := startCluster(t, 3, cfg, nil)
+	sql := sqlrew.BoxSQL(tc.data.Names(), tc.data.Domain())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 8; j++ {
+				if _, err := tc.master.Query(sql); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, reg := range tc.workerRegs {
+		if got := reg.Snapshot().Gauge(MetricWorkerConns); got != 1 {
+			t.Errorf("worker %d: %d active connections, want 1", w, got)
+		}
 	}
 }
 
@@ -239,9 +264,7 @@ func TestQueryDeadlineMidCallKeepsLink(t *testing.T) {
 	if _, err := tc.master.Query(sql); err != nil { // dial the link
 		t.Fatal(err)
 	}
-	tc.master.mu.Lock()
-	l := tc.master.links[0]
-	tc.master.mu.Unlock()
+	l := tc.master.slot(0).link.mx.Load()
 	hold.Store(true)
 	for i := 0; i < 16; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -257,10 +280,7 @@ func TestQueryDeadlineMidCallKeepsLink(t *testing.T) {
 			t.Errorf("%s = %d, want 0", c, got)
 		}
 	}
-	tc.master.mu.Lock()
-	now := tc.master.links[0]
-	tc.master.mu.Unlock()
-	if now != l {
+	if now := tc.master.slot(0).link.mx.Load(); now != l {
 		t.Error("the link was replaced: a query's own expiry was read as a link fault")
 	}
 }

@@ -56,10 +56,6 @@ type Config struct {
 
 // Serving constants: no binary, benchmark or test ever needed another value.
 const (
-	// connsPerWorker is the fixed pool size of multiplexed connections per
-	// worker. All in-flight scans pipeline over this pool; it spreads write
-	// contention, not concurrency.
-	connsPerWorker = 2
 	// clientPipeline bounds the requests one client session may have
 	// executing concurrently on the master.
 	clientPipeline = 32
@@ -89,8 +85,8 @@ func DefaultConfig() Config {
 
 // Master is the networked master node: it owns the routing metadata (via
 // router.Master), knows which workers host each partition (primary plus
-// failover replicas), and scatters scan work over persistent multiplexed
-// worker connections with deadlines, bounded retries and breaker-guarded
+// failover replicas), and scatters scan work over one persistent multiplexed
+// connection per worker with deadlines, bounded retries and breaker-guarded
 // failover. Above the scatter path sits the serving front-end (DESIGN.md
 // §12): a result cache and fair admission control.
 type Master struct {
@@ -120,11 +116,9 @@ type Master struct {
 	// clock times the master's own schedules (clock.go).
 	clock clock
 
-	// fleet is the elastic worker-set snapshot (addresses, breakers, down
-	// flags, call histograms), swapped atomically when a worker joins or moves
-	// so the scatter path reads it lock-free (DESIGN.md §15). The lazily
-	// dialed transports (links) stay under mu and grow with the fleet.
-	fleet atomic.Pointer[fleet]
+	// slots holds one record per worker slot. It only grows (addWorker,
+	// under mu), so the scatter path reads it without a lock (DESIGN.md §12).
+	slots atomic.Pointer[[]*slot]
 	// member, when non-nil, is the membership subsystem: the heartbeat
 	// failure detector plus the rebalancer (EnableMembership).
 	member atomic.Pointer[membershipState]
@@ -134,7 +128,6 @@ type Master struct {
 	admission   *serve.Admission
 
 	mu         sync.Mutex
-	links      []*muxLink
 	metricsReg *obs.Registry
 	listener   net.Listener
 	closed     bool
@@ -144,57 +137,17 @@ type Master struct {
 	m masterMetrics
 }
 
-// fleet is one immutable snapshot of the worker set: addresses, breakers,
-// liveness flags and call histograms, indexed by worker slot. Mutations (join,
-// address change, metrics attach) clone the slice headers under the master
-// mutex and swap the snapshot; the per-worker state itself — breakers, down
-// flags — is carried by pointer, so it survives snapshot swaps and a breaker
-// keeps its failure history across a fleet growth.
-type fleet struct {
-	addrs    []string
-	breakers []*breaker
-	// down marks workers the failure detector declared Dead: the scatter
-	// path deprioritises them exactly like an open breaker, but the flag
-	// flips on membership transitions rather than call outcomes.
-	down  []*atomic.Bool
-	calls []*obs.Histogram
-}
-
-func newFleet(addrs []string) *fleet {
-	f := &fleet{
-		addrs:    append([]string(nil), addrs...),
-		breakers: make([]*breaker, len(addrs)),
-		down:     make([]*atomic.Bool, len(addrs)),
-	}
-	for i := range f.breakers {
-		f.breakers[i] = &breaker{}
-		f.down[i] = new(atomic.Bool)
-	}
-	return f
-}
-
-// clone copies the slice headers, sharing the per-worker state pointers.
-func (f *fleet) clone() *fleet {
-	return &fleet{
-		addrs:    append([]string(nil), f.addrs...),
-		breakers: append([]*breaker(nil), f.breakers...),
-		down:     append([]*atomic.Bool(nil), f.down...),
-		calls:    append([]*obs.Histogram(nil), f.calls...),
-	}
-}
-
-// call returns worker i's call-latency histogram (nil when metrics are
-// disabled — nil histograms no-op).
-func (f *fleet) call(i int) *obs.Histogram {
-	if i >= len(f.calls) {
-		return nil
-	}
-	return f.calls[i]
-}
-
-// isDown reports whether the failure detector has declared worker i dead.
-func (f *fleet) isDown(i int) bool {
-	return i < len(f.down) && f.down[i].Load()
+// slot is one worker slot: its link, breaker, liveness flag and call-latency
+// series. A slot is made once and never moves, so its breaker keeps its
+// failure history and its link its connection as the fleet grows.
+type slot struct {
+	link link
+	br   breaker
+	// down marks a worker the failure detector declared Dead: the scatter
+	// path deprioritises it exactly like an open breaker, but the flag flips
+	// on membership transitions rather than call outcomes.
+	down  atomic.Bool
+	calls atomic.Pointer[obs.Histogram] // nil while metrics are off
 }
 
 // NewMaster wires the router with worker addresses and a single-copy
@@ -211,8 +164,11 @@ func NewMasterReplicated(r *router.Master, workerAddrs []string, rep placement.R
 	if err := rep.Validate(r.Layout(), len(workerAddrs)); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	m := &Master{links: make([]*muxLink, len(workerAddrs)), clock: wallClock{}}
-	m.fleet.Store(newFleet(workerAddrs))
+	m := &Master{clock: wallClock{}}
+	m.slots.Store(new([]*slot))
+	for _, addr := range workerAddrs {
+		m.addWorker(addr)
+	}
 	m.view.Store(&routeView{router: r, replicas: rep})
 	m.Configure(DefaultConfig())
 	return m, nil
@@ -257,41 +213,36 @@ func (m *Master) Router() *router.Master { return m.view.Load().router }
 // NumWorkers returns the current worker-slot count. Slots are stable for
 // the master's lifetime: the fleet grows on joins and never compacts, so
 // partition placements can name workers by index across membership changes.
-func (m *Master) NumWorkers() int { return len(m.fleet.Load().addrs) }
+func (m *Master) NumWorkers() int { return len(*m.slots.Load()) }
+
+// slot returns worker slot w.
+func (m *Master) slot(w int) *slot { return (*m.slots.Load())[w] }
+
+// setDown records the failure detector's verdict on slot w. The tracker may
+// name a slot a concurrent join has not appended yet; that one is skipped.
+func (m *Master) setDown(w int, down bool) {
+	if slots := *m.slots.Load(); w < len(slots) {
+		slots[w].down.Store(down)
+	}
+}
 
 // addWorker appends a fresh worker slot and returns its index. Callers must
 // serialise slot growth (the membership join path holds its own mutex) so
-// the fleet index always matches the tracker index.
+// the slot index always matches the tracker index. Readers of the old slice
+// never look past its length, so the append may share its backing array.
 func (m *Master) addWorker(addr string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.fleet.Load().clone()
-	idx := len(f.addrs)
-	f.addrs = append(f.addrs, addr)
-	f.breakers = append(f.breakers, &breaker{})
-	f.down = append(f.down, new(atomic.Bool))
-	f.calls = append(f.calls, callHistogram(m.metricsReg, idx))
-	m.links = append(m.links, nil)
-	m.fleet.Store(f)
-	return idx
-}
-
-// setWorkerAddr rebinds worker i to addr — a rejoin from a new host — and
-// drops its stale link so the next call redials the new address.
-func (m *Master) setWorkerAddr(i int, addr string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.fleet.Load()
-	if i < 0 || i >= len(f.addrs) || f.addrs[i] == addr {
-		return
+	slots := *m.slots.Load()
+	s := &slot{}
+	s.link.addr = addr
+	s.calls.Store(callHistogram(m.metricsReg, len(slots)))
+	if m.closed {
+		s.link.close()
 	}
-	nf := f.clone()
-	nf.addrs[i] = addr
-	m.fleet.Store(nf)
-	if i < len(m.links) && m.links[i] != nil {
-		m.links[i].close()
-		m.links[i] = nil
-	}
+	slots = append(slots, s)
+	m.slots.Store(&slots)
+	return len(slots) - 1
 }
 
 // Placement returns the current partition placement (shared, do not mutate).
@@ -396,62 +347,8 @@ func (m *Master) InvalidateCaches() {
 	m.m.cacheInvalidations.Inc()
 }
 
-// workerLink returns (dialing lazily) the persistent link to worker i. Only a
-// dial builds a context of the call deadline by (zero: ctx's alone).
-func (m *Master) workerLink(ctx context.Context, by time.Time, i int) (*muxLink, error) {
-	m.mu.Lock()
-	if i < len(m.links) && m.links[i] != nil {
-		l := m.links[i]
-		m.mu.Unlock()
-		return l, nil
-	}
-	m.mu.Unlock()
-	addr := m.fleet.Load().addrs[i]
-	if addr == "" {
-		return nil, fmt.Errorf("dist: worker %d has no address (not joined yet)", i)
-	}
-	if !by.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, by)
-		defer cancel()
-	}
-	l, err := dialMuxLink(ctx, addr, connsPerWorker)
-	if err != nil {
-		return nil, fmt.Errorf("dist: dialing worker %d (%s): %w", i, addr, err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i >= len(m.links) {
-		m.links = append(m.links, nil)
-	}
-	if m.links[i] != nil {
-		// A concurrent caller won the dial race; keep theirs.
-		l.close()
-		return m.links[i], nil
-	}
-	if m.closed {
-		l.close()
-		return nil, errors.New("dist: master is closed")
-	}
-	m.links[i] = l
-	return l, nil
-}
-
-// dropWorkerLink discards worker i's link so the next call redials. Every
-// call in flight on a dying link fails together; dead names the link the
-// caller saw fail, so the stragglers do not close the replacement a faster
-// sibling already dialed.
-func (m *Master) dropWorkerLink(i int, dead *muxLink) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if dead != nil && i < len(m.links) && m.links[i] == dead {
-		dead.close()
-		m.links[i] = nil
-	}
-}
-
 // linkFailed classifies a failed worker call under the serve.Mux.Call error
-// contract and drops the link when — and only when — a connection of it is
+// contract and drops the link's connection when — and only when — it is
 // down. A request that never reached the wire (serve.NotSentError: the
 // deadline expired while queued) and a call abandoned by the caller's own
 // context (done is the query's or migration's context: a sibling RPC failed,
@@ -459,17 +356,17 @@ func (m *Master) dropWorkerLink(i int, dead *muxLink) {
 // healthy: the late response is discarded by sequence number, and closing the
 // link would fail every other query pipelined on it. Anything else drops the
 // link and counts a redial: a serve.ClosedError, an I/O or decode failure, a
-// failed dial (l is nil), or the per-call timeout firing while the caller is
+// failed dial (mx is nil), or the per-call timeout firing while the caller is
 // still live — the worker has stopped answering on that link. An expiry at
 // the query's own deadline is the context's, never the call's (serve.Mux.Call).
-func (m *Master) linkFailed(done context.Context, w int, l *muxLink, err error) {
+func (m *Master) linkFailed(done context.Context, l *link, mx *serve.Mux, err error) {
 	switch {
 	case serve.IsNotSent(err):
 		m.m.cleanExpiries.Inc()
 	case done.Err() != nil && errors.Is(err, done.Err()):
 		// Abandoned by its own caller; nothing is wrong with the link.
 	default:
-		m.dropWorkerLink(w, l)
+		l.drop(mx)
 		m.m.redials.Inc()
 	}
 }
@@ -498,13 +395,13 @@ func (e errWorkerUnhealthy) Error() string {
 func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *ScanResponse, budget *atomic.Int64, tq *trace.T, parent trace.SpanRef, round int) error {
 	req.Seq = m.seq.Add(1)
 	req.TraceID = tq.ID()
-	f := m.fleet.Load()
+	s := m.slot(w)
 	qd, _ := ctx.Deadline()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ok, probe := f.breakers[w].allow(m.cfg.Retry, m.clock)
+		ok, probe := s.br.allow(m.cfg.Retry, m.clock)
 		if !ok {
 			m.m.breakerShorts.Inc()
 			return errWorkerUnhealthy{w}
@@ -525,11 +422,11 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if !by.IsZero() {
 			req.Deadline = by.UnixNano()
 		}
-		l, err := m.workerLink(ctx, by, w)
+		mx, err := s.link.conn(ctx, by)
 		if err == nil {
 			*resp = ScanResponse{} // a failed prior attempt may have partially decoded
-			sp := f.call(w).Start()
-			err = l.scan(ctx, &req, resp)
+			sp := s.calls.Load().Start()
+			err = roundTrip(ctx, by, mx, msgScanReq, &req, msgScanResp, resp.UnmarshalWire)
 			sp.End()
 		}
 		if err == nil {
@@ -537,19 +434,19 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 				tq.Attach(rpc, resp.Spans)
 			}
 			rpc.End()
-			f.breakers[w].success()
+			s.br.success()
 			return nil
 		}
 		rpc.Int(trace.KeyError, 1)
 		rpc.End()
-		m.linkFailed(ctx, w, l, err)
+		m.linkFailed(ctx, &s.link, mx, err)
 		if ctx.Err() != nil {
 			// The query itself is done (deadline or sibling cancellation):
 			// the worker is not to blame, and retrying is pointless.
 			m.m.failures.Inc()
 			return err
 		}
-		if f.breakers[w].failure(m.cfg.Retry, m.clock) {
+		if s.br.failure(m.cfg.Retry, m.clock) {
 			m.m.breakerTrips.Inc()
 		}
 		if attempt+1 >= maxAttempts {
@@ -913,7 +810,7 @@ func (m *Master) serveQuery(ctx context.Context, deadline time.Time, client, sql
 // member is marked dead is still tried rather than silently failed. -1 when
 // the replica set is exhausted.
 func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int {
-	f := m.fleet.Load()
+	slots := *m.slots.Load()
 	first, firstUp := -1, -1
 	for _, w := range v.replicas[id] {
 		if tried[w] {
@@ -922,13 +819,13 @@ func (m *Master) pickWorker(v *routeView, id layout.ID, tried map[int]bool) int 
 		if first < 0 {
 			first = w
 		}
-		if f.isDown(w) {
+		if slots[w].down.Load() {
 			continue
 		}
 		if firstUp < 0 {
 			firstUp = w
 		}
-		if f.breakers[w].healthy(m.cfg.Retry, m.clock) {
+		if slots[w].br.healthy(m.cfg.Retry, m.clock) {
 			return w
 		}
 	}
@@ -1167,13 +1064,11 @@ func (m *Master) Close() error {
 	}
 	m.closed = true
 	l := m.listener
-	for i, w := range m.links {
-		if w != nil {
-			w.close()
-			m.links[i] = nil
-		}
-	}
+	slots := *m.slots.Load()
 	m.mu.Unlock()
+	for _, s := range slots {
+		s.link.close()
+	}
 	if ms := m.member.Load(); ms != nil {
 		ms.cancel()
 		ms.stopTicks()

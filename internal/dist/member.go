@@ -116,10 +116,14 @@ func (m *Master) EnableMembership(cfg MembershipConfig) error {
 		replicas = max(replicas, len(ws))
 	}
 	cfg.Detector = cfg.Detector.Normalized()
+	var addrs []string
+	for _, s := range *m.slots.Load() {
+		addrs = append(addrs, s.link.address())
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ms := &membershipState{
 		cfg:       cfg,
-		tracker:   membership.NewTracker(cfg.Detector, m.fleet.Load().addrs, m.clock.Now()),
+		tracker:   membership.NewTracker(cfg.Detector, addrs, m.clock.Now()),
 		replicas:  replicas,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -140,17 +144,13 @@ func (m *Master) membershipTick() {
 	ms := m.member.Load()
 	now := m.clock.Now()
 	trs := ms.tracker.Tick(now)
-	f := m.fleet.Load()
 	for _, tr := range trs {
-		if tr.Index >= len(f.down) {
-			continue
-		}
 		switch tr.To {
 		case membership.Dead:
-			f.down[tr.Index].Store(true)
+			m.setDown(tr.Index, true)
 			slog.Warn("worker declared dead", "worker", tr.Index, "addr", tr.Addr)
 		case membership.Alive:
-			f.down[tr.Index].Store(false)
+			m.setDown(tr.Index, false)
 		}
 	}
 	if len(trs) > 0 {
@@ -251,10 +251,7 @@ func (m *Master) handleMember(req *MemberRequest) MemberResponse {
 			return MemberResponse{Index: req.Index, Err: err.Error()}
 		}
 		if tr.From != tr.To && tr.To == membership.Alive {
-			f := m.fleet.Load()
-			if req.Index < len(f.down) {
-				f.down[req.Index].Store(false)
-			}
+			m.setDown(req.Index, false)
 			m.updateMemberGauges(ms)
 		}
 		return MemberResponse{Index: req.Index, Epoch: m.Epoch(), Version: ms.tracker.View().Version}
@@ -323,12 +320,9 @@ func (m *Master) handleJoin(ms *membershipState, req *MemberRequest, now time.Ti
 	if mem.Index >= m.NumWorkers() {
 		m.addWorker(mem.Addr)
 	} else if req.Addr != "" {
-		m.setWorkerAddr(mem.Index, req.Addr)
+		m.slot(mem.Index).link.moveTo(req.Addr)
 	}
-	f := m.fleet.Load()
-	if mem.Index < len(f.down) {
-		f.down[mem.Index].Store(false)
-	}
+	m.setDown(mem.Index, false)
 	m.m.memberJoins.Inc()
 	m.updateMemberGauges(ms)
 	slog.Info("worker joined", "worker", mem.Index, "addr", mem.Addr, "from", tr.From.String())
@@ -351,10 +345,7 @@ func (m *Master) handleLeave(ms *membershipState, req *MemberRequest, now time.T
 		return MemberResponse{Index: req.Index, Err: fmt.Sprintf("dist: drain failed, leave aborted: %v", err)}
 	}
 	ms.tracker.Depart(req.Index, m.clock.Now())
-	f := m.fleet.Load()
-	if req.Index < len(f.down) {
-		f.down[req.Index].Store(true)
-	}
+	m.setDown(req.Index, true)
 	m.updateMemberGauges(ms)
 	slog.Info("worker left gracefully", "worker", req.Index)
 	return MemberResponse{Index: req.Index, Epoch: m.Epoch(), Version: ms.tracker.View().Version}

@@ -247,7 +247,7 @@ func TestMembershipJoinBeatLeave(t *testing.T) {
 // each would fail every scan placed on it — and a refusal says why.
 func TestMembershipJoinRule(t *testing.T) {
 	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
-	addr0 := tc.master.fleet.Load().addrs[0]
+	addr0 := tc.master.slot(0).link.address()
 	boot := layoutSum(tc.layout)
 	join := func(sum uint64) MemberResponse {
 		return tc.master.handleMember(&MemberRequest{Op: MemberJoin, Index: 0, Addr: addr0, Sum: sum})
@@ -304,7 +304,7 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	tc := startElasticCluster(t, 3, 2, 3000, elasticMemberConfig(), fastMigConfig())
 	hb2 := NewHeartbeater(tc.addr)
 	defer hb2.Close()
-	_, err := hb2.Join(ctx, 0, tc.master.fleet.Load().addrs[0], nil)
+	_, err := hb2.Join(ctx, 0, tc.master.slot(0).link.address(), nil)
 	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "no store") {
 		t.Fatalf("a store-less worker into a slot that hosts partitions: err=%v, want ErrRefused saying why", err)
 	}
@@ -322,6 +322,30 @@ func TestHeartbeaterRefusalIsTyped(t *testing.T) {
 	}
 }
 
+// TestHeartbeaterDialHonoursContext: the heartbeater dials under the call's
+// context, so a join whose context is already done fails with the context's
+// error and opens no connection — a master host that drops SYNs delays a
+// join loop by no more than its deadline.
+func TestHeartbeaterDialHonoursContext(t *testing.T) {
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hb := NewHeartbeater(ln.Addr().String())
+	defer hb.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := hb.Join(ctx, -1, "127.0.0.1:1", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("join under a cancelled context: err=%v, want context.Canceled", err)
+	}
+	ln.SetDeadline(time.Now().Add(100 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("a join under a cancelled context opened a connection to the master")
+	}
+}
+
 // TestMembershipSuspectDeadTick drives the failure detector on the master's
 // clock: a silent worker goes Suspect (still placeable, still queried) and
 // then Dead (deprioritised on the scatter path), and a beat revives it.
@@ -335,7 +359,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	if mem, _ := view.Member(2); mem.State != membership.Suspect {
 		t.Fatalf("silent worker state = %v at 6s, want Suspect", mem.State)
 	}
-	if m.fleet.Load().down[2].Load() {
+	if m.slot(2).down.Load() {
 		t.Fatal("a Suspect worker must not be marked down (hysteresis)")
 	}
 	tc.checkExact(t) // suspect worker still serves
@@ -345,7 +369,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	if mem, _ := view.Member(2); mem.State != membership.Dead {
 		t.Fatalf("silent worker state = %v at 11s, want Dead", mem.State)
 	}
-	if !m.fleet.Load().down[2].Load() {
+	if !m.slot(2).down.Load() {
 		t.Fatal("a Dead worker must be marked down")
 	}
 	// Replication degree 2: every partition still has a live replica, so
@@ -369,7 +393,7 @@ func TestMembershipSuspectDeadTick(t *testing.T) {
 	if mem, _ := view.Member(2); mem.State != membership.Alive {
 		t.Fatalf("revived worker state = %v, want Alive", mem.State)
 	}
-	if m.fleet.Load().down[2].Load() {
+	if m.slot(2).down.Load() {
 		t.Fatal("a revived worker must not stay down")
 	}
 	tc.checkExact(t)

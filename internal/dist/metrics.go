@@ -165,17 +165,13 @@ func callHistogram(reg *obs.Registry, i int) *obs.Histogram {
 // counters (retries, failovers, breaker transitions, deadline expiries,
 // partial results, dropped client sessions).
 func (m *Master) SetMetrics(reg *obs.Registry) {
-	// Rebuild the fleet's per-worker call histograms under mu so a
-	// concurrent join sees either the old or the new set, never a torn one.
-	// The registry is remembered so workers that join later get their own.
+	// Under mu, so a concurrent join gets the registry the other slots got:
+	// it is remembered so workers that join later get their own histogram.
 	m.mu.Lock()
 	m.metricsReg = reg
-	f := m.fleet.Load().clone()
-	f.calls = nil
-	for i := range f.addrs {
-		f.calls = append(f.calls, callHistogram(reg, i))
+	for i, s := range *m.slots.Load() {
+		s.calls.Store(callHistogram(reg, i))
 	}
-	m.fleet.Store(f)
 	m.mu.Unlock()
 	if reg == nil {
 		m.m = masterMetrics{}

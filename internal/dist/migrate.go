@@ -198,7 +198,7 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 				wreq.Payload = e.Payload
 				m.m.migratedBytes.Add(int64(len(e.Payload)))
 			}
-			if err := m.adminCall(ctx, w, wreq); err != nil {
+			if _, err := m.adminCallResp(ctx, w, wreq); err != nil {
 				m.abortMigration(am)
 				return fmt.Errorf("dist: installing partition %d (epoch %d) on worker %d: %w", e.ID, mig.Epoch, w, err)
 			}
@@ -263,35 +263,27 @@ func (m *Master) abortMigration(am *activeMigration) {
 }
 
 // retireEpoch asks the workers to drop a layout epoch, best-effort and all at
-// once under one shared 1s bound. Slots the fleet knows to be gone — never
+// once under one shared 1s bound. Slots the master knows to be gone — never
 // joined (no address), declared Dead, or Left — are skipped rather than
 // dialed: a departed worker has no views left to retire, and a dead one drops
 // them when it restarts.
 func (m *Master) retireEpoch(epoch uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	f := m.fleet.Load()
 	var wg sync.WaitGroup
-	for w, addr := range f.addrs {
-		if addr == "" || f.isDown(w) {
+	for w, s := range *m.slots.Load() {
+		if s.link.address() == "" || s.down.Load() {
 			continue
 		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := m.adminCall(ctx, w, AdminRequest{Op: AdminRetire, Epoch: epoch}); err != nil {
+			if _, err := m.adminCallResp(ctx, w, AdminRequest{Op: AdminRetire, Epoch: epoch}); err != nil {
 				slog.Debug("epoch retire failed", "worker", w, "epoch", epoch, "err", err)
 			}
 		}(w)
 	}
 	wg.Wait()
-}
-
-// adminCall performs one admin RPC against worker w, discarding the
-// response body.
-func (m *Master) adminCall(ctx context.Context, w int, req AdminRequest) error {
-	_, err := m.adminCallResp(ctx, w, req)
-	return err
 }
 
 // adminCallResp performs one admin RPC against worker w with bounded retries
@@ -301,6 +293,7 @@ func (m *Master) adminCall(ctx context.Context, w int, req AdminRequest) error {
 // handling is "abort the migration", not "fail over".
 func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (AdminResponse, error) {
 	req.Seq = m.seq.Add(1)
+	l := &m.slot(w).link
 	qd, _ := ctx.Deadline()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -308,9 +301,9 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		}
 		by := m.callDeadline(qd, time.Now())
 		var resp AdminResponse
-		l, err := m.workerLink(ctx, by, w)
+		mx, err := l.conn(ctx, by)
 		if err == nil {
-			err = l.admin(ctx, by, &req, &resp)
+			err = roundTrip(ctx, by, mx, msgAdminReq, &req, msgAdminResp, resp.UnmarshalWire)
 		}
 		if err == nil && resp.Err != "" {
 			// The worker executed and refused (bad payload, unknown alias):
@@ -320,7 +313,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if err == nil {
 			return resp, nil
 		}
-		m.linkFailed(ctx, w, l, err)
+		m.linkFailed(ctx, l, mx, err)
 		if ctx.Err() != nil || attempt+1 >= maxAttempts {
 			return AdminResponse{}, err
 		}

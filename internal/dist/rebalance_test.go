@@ -223,7 +223,7 @@ func TestRebalanceLeaveAbortedKeepsServing(t *testing.T) {
 	if mem, _ := view.Member(0); mem.State != membership.Alive {
 		t.Fatalf("worker 0 state = %v after the aborted leave, want Alive", mem.State)
 	}
-	if tc.master.fleet.Load().down[0].Load() {
+	if tc.master.slot(0).down.Load() {
 		t.Fatal("worker 0 marked down after the aborted leave")
 	}
 	if got := tc.master.Epoch(); got != 0 {
@@ -276,7 +276,7 @@ func TestRebalanceAutoTriggersOnTick(t *testing.T) {
 func TestRebalanceLeaveDoesNotDialDeparted(t *testing.T) {
 	tc := startElasticCluster(t, 4, 2, 4000, elasticMemberConfig(), fastMigConfig())
 	tc.checkExact(t)
-	departed := tc.master.fleet.Load().addrs[0]
+	departed := tc.master.slot(0).link.address()
 	if resp := tc.master.handleMember(&MemberRequest{Op: MemberLeave, Index: 0}); resp.Err != "" {
 		t.Fatalf("first leave: %s", resp.Err)
 	}

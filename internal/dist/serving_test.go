@@ -283,11 +283,11 @@ func TestWorkerConcurrentIdenticalBatches(t *testing.T) {
 			<-release
 		}
 	})
-	link, err := dialMuxLink(context.Background(), f.Addrs[0], 2)
+	mx, err := serve.DialMux(context.Background(), f.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer link.close()
+	defer mx.Close()
 
 	var wg sync.WaitGroup
 	resps := make([]ScanResponse, concurrent)
@@ -297,7 +297,7 @@ func TestWorkerConcurrentIdenticalBatches(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := ScanRequest{Query: q, IDs: []layout.ID{id}}
-			errs[i] = link.scan(context.Background(), &req, &resps[i])
+			errs[i] = roundTrip(context.Background(), time.Time{}, mx, msgScanReq, &req, msgScanResp, resps[i].UnmarshalWire)
 		}(i)
 	}
 	for deadline := time.Now().Add(10 * time.Second); kernelScans.Load() < concurrent; {

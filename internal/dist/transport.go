@@ -4,52 +4,99 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"paw/internal/serve"
 )
 
-// muxLink is the master's transport endpoint to one worker: scan and admin
-// calls fan over a fixed pool of multiplexed connections round-robin. Any
-// number of requests may be in flight on each connection; the pool exists to
-// spread framing/write contention, not to bound concurrency. Errors follow
-// the serve.Mux.Call contract: a serve.NotSentError or the caller's own
-// context error leaves the link healthy; anything else means a connection of
-// the pool is down and the link must be dropped and redialed.
-type muxLink struct {
-	muxes []*serve.Mux
-	next  atomic.Uint32
+// link is one lazily dialed, redialing connection to a peer: the master's to
+// each worker slot, a Heartbeater's to its master. Any number of calls
+// pipeline over its one serve.Mux. Under the serve.Mux.Call contract a
+// serve.NotSentError or the caller's own context error leaves the connection
+// healthy; anything else means it is down, and the caller drops it so the
+// next call redials.
+type link struct {
+	mx atomic.Pointer[serve.Mux] // nil: not dialed yet, or dropped
+
+	mu     sync.Mutex // guards addr and closed; a dial installs under it
+	addr   string
+	closed bool
 }
 
-// dialMuxLink opens n multiplexed connections to addr under ctx's deadline.
-// A dial cut short by ctx reports ctx's error rather than the I/O error the
-// interrupt produced, so callers can tell "deadline expired" from a genuinely
-// unreachable peer with errors.Is.
-func dialMuxLink(ctx context.Context, addr string, n int) (*muxLink, error) {
-	if n < 1 {
-		n = 1
+// conn returns the link's connection, dialing lazily under ctx and, when by
+// is set, by. Concurrent dials race and the first installed wins; a dial that
+// the link's close or move overtook is discarded.
+func (l *link) conn(ctx context.Context, by time.Time) (*serve.Mux, error) {
+	if mx := l.mx.Load(); mx != nil {
+		return mx, nil
 	}
-	l := &muxLink{muxes: make([]*serve.Mux, 0, n)}
-	var d net.Dialer
-	for i := 0; i < n; i++ {
-		nc, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			l.close()
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, err
-		}
-		mx, err := serve.NewMux(nc)
-		if err != nil {
-			l.close()
-			return nil, err
-		}
-		l.muxes = append(l.muxes, mx)
+	l.mu.Lock()
+	addr, closed := l.addr, l.closed
+	l.mu.Unlock()
+	switch {
+	case closed:
+		return nil, errors.New("dist: link is closed")
+	case addr == "":
+		return nil, errors.New("dist: no address to dial (not joined yet)")
 	}
-	return l, nil
+	if !by.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, by)
+		defer cancel()
+	}
+	mx, err := serve.DialMux(ctx, addr)
+	if err != nil {
+		return nil, fmt.Errorf("dist: dialing %s: %w", addr, err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cur := l.mx.Load(); cur != nil || l.closed || l.addr != addr {
+		mx.Close()
+		if cur == nil {
+			return nil, fmt.Errorf("dist: link to %s closed or moved while dialing", addr)
+		}
+		return cur, nil
+	}
+	l.mx.Store(mx)
+	return mx, nil
+}
+
+// drop closes mx and clears it from the link, so the next call redials. Every
+// call in flight on a dying connection fails together; naming the one the
+// caller saw fail keeps the stragglers from closing a replacement that a
+// faster sibling already dialed.
+func (l *link) drop(mx *serve.Mux) {
+	if mx != nil && l.mx.CompareAndSwap(mx, nil) {
+		mx.Close()
+	}
+}
+
+// moveTo points the link at addr (a worker rejoining from a new host),
+// closing the connection to the old one.
+func (l *link) moveTo(addr string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.addr != addr {
+		l.addr = addr
+		l.drop(l.mx.Load())
+	}
+}
+
+// address is the address the link dials.
+func (l *link) address() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.addr
+}
+
+// close closes the connection; a closed link dials no more.
+func (l *link) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.drop(l.mx.Load())
 }
 
 // roundTrip performs one pipelined exchange on mx with call deadline by: req
@@ -65,33 +112,6 @@ func roundTrip(ctx context.Context, by time.Time, mx *serve.Mux, typ byte, req s
 	})
 }
 
-// pick returns the pool's next connection, round-robin.
-func (l *muxLink) pick() *serve.Mux {
-	return l.muxes[int(l.next.Add(1)-1)%len(l.muxes)]
-}
-
-// scan performs one ScanRequest round trip by the request's own Deadline.
-func (l *muxLink) scan(ctx context.Context, req *ScanRequest, resp *ScanResponse) error {
-	var by time.Time
-	if req.Deadline > 0 {
-		by = time.Unix(0, req.Deadline)
-	}
-	return roundTrip(ctx, by, l.pick(), msgScanReq, req, msgScanResp, resp.UnmarshalWire)
-}
-
-// admin performs one migration-control round trip under the call deadline by.
-func (l *muxLink) admin(ctx context.Context, by time.Time, req *AdminRequest, resp *AdminResponse) error {
-	return roundTrip(ctx, by, l.pick(), msgAdminReq, req, msgAdminResp, resp.UnmarshalWire)
-}
-
-func (l *muxLink) close() {
-	for _, mx := range l.muxes {
-		if mx != nil {
-			mx.Close()
-		}
-	}
-}
-
 // MuxClient speaks SQL to a master over the multiplexed binary protocol. It
 // is safe for concurrent use and pipelines every in-flight query over its one
 // connection; a deadline or cancellation abandons only the one call, never
@@ -103,7 +123,7 @@ type MuxClient struct {
 
 // DialMux connects to a master's client port.
 func DialMux(addr string) (*MuxClient, error) {
-	mx, err := serve.DialMux(addr)
+	mx, err := serve.DialMux(context.Background(), addr)
 	if err != nil {
 		return nil, err
 	}

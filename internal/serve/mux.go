@@ -96,10 +96,17 @@ func NewMux(c net.Conn) (*Mux, error) {
 	return m, nil
 }
 
-// Dial connects to addr and opens a mux on the connection.
-func DialMux(addr string) (*Mux, error) {
-	c, err := net.Dial("tcp", addr)
+// DialMux connects to addr under ctx and opens a mux on the connection. A
+// dial cut short by ctx reports ctx's error rather than the I/O error the
+// interrupt produced, so a caller can tell an expired deadline from an
+// unreachable peer with errors.Is.
+func DialMux(ctx context.Context, addr string) (*Mux, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		return nil, err
 	}
 	return NewMux(c)

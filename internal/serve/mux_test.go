@@ -57,7 +57,7 @@ func echoHandler(typ byte, payload []byte) (byte, Marshaler, error) {
 
 func TestMuxConcurrentCallsPipeline(t *testing.T) {
 	addr := startServer(t, 32, echoHandler)
-	m, err := DialMux(addr)
+	m, err := DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 		}
 		return typ, blob(append([]byte(nil), payload...)), nil
 	})
-	m, err := DialMux(addr)
+	m, err := DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMuxDeadlineDoesNotPoisonConnection(t *testing.T) {
 // starts must fail with NotSentError without touching the stream.
 func TestMuxNotSentOnExpiredContext(t *testing.T) {
 	addr := startServer(t, 8, echoHandler)
-	m, err := DialMux(addr)
+	m, err := DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMuxConnectionDownFailsInflight(t *testing.T) {
 		io.ReadFull(c, magic[:])
 		conns <- c // never answer; the test kills the conn mid-call
 	}()
-	m, err := DialMux(l.Addr().String())
+	m, err := DialMux(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMuxCorruptStreamKillsConnection(t *testing.T) {
 		frame[len(frame)-1] ^= 0xFF
 		c.Write(frame)
 	}()
-	m, err := DialMux(l.Addr().String())
+	m, err := DialMux(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestServeConnBoundsInflight(t *testing.T) {
 		mu.Unlock()
 		return typ, blob(nil), nil
 	})
-	m, err := DialMux(addr)
+	m, err := DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestMuxCallDeadlineEndsTheWait(t *testing.T) {
 		return typ + 1, blob(append([]byte(nil), payload...)), nil
 	})
 	defer close(block) // before startServer's cleanup waits for its handlers
-	m, err := DialMux(addr)
+	m, err := DialMux(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func countHandlerStarts(t *testing.T) *atomic.Int64 {
 func TestServeConnHandlersResident(t *testing.T) {
 	t.Run("sequential requests reuse a handler", func(t *testing.T) {
 		starts := countHandlerStarts(t)
-		m, err := DialMux(startServer(t, 8, echoHandler))
+		m, err := DialMux(context.Background(), startServer(t, 8, echoHandler))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func benchEcho(b *testing.B, deadline string, inflight int) {
 		defer c.Close()
 		ServeConn(c, 8, echoHandler)
 	}()
-	m, err := DialMux(l.Addr().String())
+	m, err := DialMux(context.Background(), l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
