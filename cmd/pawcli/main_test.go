@@ -54,8 +54,8 @@ func build(t *testing.T, in string, extra ...string) (string, *layout.Layout) {
 }
 
 // TestBuildWritesABootableLayout: the layout `build -in` writes carries the
-// column names pawmaster routes SQL by, passes `pawmaster -drift`'s check
-// against the file it was built over and every oracle `pawcli check` runs,
+// column names pawmaster routes SQL by, passes the routing oracle against the
+// file it was built over and every oracle `pawcli check` runs,
 // and it carries the history it was built for and its recipe — bmin and the
 // 10 % sample's rate — which the check prints.
 func TestBuildWritesABootableLayout(t *testing.T) {
@@ -68,7 +68,7 @@ func TestBuildWritesABootableLayout(t *testing.T) {
 	if !slices.Equal(l.Names, data.Names()) {
 		t.Fatalf("the layout names the columns %q, the file %q", l.Names, data.Names())
 	}
-	if err := invariant.CheckData(l, data); err != nil {
+	if err := invariant.CheckRouting(l, invariant.Inputs{Data: data, Domain: data.Domain()}); err != nil {
 		t.Fatalf("boot check: %v", err)
 	}
 	var rows int64

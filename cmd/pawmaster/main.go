@@ -27,12 +27,12 @@
 // with its store, which it may while the master still serves the boot layout
 // (epoch 0); replication is what keeps them served.
 //
-// With -drift data.pawd the master watches live queries for workload drift
-// (DESIGN.md §13): when the stream leaves the variance scope the layout file
-// carries (δ and the historical workload QH) and observed scan cost regresses,
-// it rebuilds the violated region from that dataset, the only one it reads
-// (refused unless invariant.CheckData holds), and migrates the workers onto
-// the patched layout without stopping service.
+// With -drift the master watches live queries for workload drift (DESIGN.md
+// §13): when the stream leaves the variance scope the layout file carries (δ
+// and the historical workload QH) and observed scan cost regresses, it reads
+// the violated region's partitions back from the workers that hold them,
+// rebuilds the region from those rows and migrates the workers onto the
+// patched layout without stopping service. It reads no dataset.
 package main
 
 import (
@@ -46,10 +46,8 @@ import (
 	"time"
 
 	"paw/internal/blockstore"
-	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/drift"
-	"paw/internal/invariant"
 	"paw/internal/layout"
 	"paw/internal/membership"
 	"paw/internal/obs"
@@ -80,7 +78,7 @@ func main() {
 		resultCache = flag.Int("result-cache", 256, "clean-result cache entries, translated or dropped per partition on layout/placement change (0: off)")
 		maxInflight = flag.Int("max-inflight", 256, "admission control: queries executing concurrently before new ones queue, 32 per client, and the excess is shed with an overload error (0: unbounded, no admission)")
 
-		driftData = flag.String("drift", "", "dataset file (.pawd) the layout was built over: watch live queries for workload drift and migrate the cluster onto a layout whose violated region is rebuilt from it when the variance scope (the QH and δ the layout carries) is violated; empty: off")
+		driftOn = flag.Bool("drift", false, "watch live queries for workload drift and, when the variance scope (the QH and δ the layout carries) is violated, migrate the cluster onto a layout whose violated region is rebuilt from the rows its workers hold")
 	)
 	flag.Parse()
 	if _, err := obs.SetupLogger(*logLevel); err != nil {
@@ -93,17 +91,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var data *dataset.Dataset
-	if *driftData != "" {
-		if len(l.Hist) == 0 {
-			fatalf("-drift: %s carries no historical workload to watch the scope of; build it with pawcli build -in", *layoutPath)
-		}
-		if data, err = dataset.ReadFile(*driftData); err == nil {
-			err = invariant.CheckData(l, data)
-		}
-		if err != nil {
-			fatalf("-drift %s: %v", *driftData, err)
-		}
+	if *driftOn && len(l.Hist) == 0 {
+		fatalf("-drift: %s carries no historical workload to watch the scope of; build it with pawcli build -in", *layoutPath)
 	}
 	rm, err := router.NewMaster(l, l.Names)
 	if err != nil {
@@ -162,10 +151,10 @@ func main() {
 			"traces", "http://"+srv.Addr()+"/traces",
 			"pprof", "http://"+srv.Addr()+"/debug/pprof/")
 	}
-	if data != nil {
+	if *driftOn {
 		// Drift-rebuilt partitions are laid out like pawcli build -store's,
 		// and the monitor runs on drift.Config's defaults.
-		ctl, err := drift.New(m, data, blockstore.Config{}.Builder(data), drift.Config{})
+		ctl, err := drift.New(m, blockstore.Config{}, drift.Config{})
 		if err != nil {
 			fatalf("-drift: %s: %v", *layoutPath, err)
 		}
@@ -173,7 +162,7 @@ func main() {
 		ctl.SetTracer(tracer)
 		ctl.Attach(true)
 		defer ctl.Detach()
-		slog.Info("drift monitor attached", "dataset", *driftData, "delta", l.Delta, "reference_queries", len(l.Hist))
+		slog.Info("drift monitor attached", "delta", l.Delta, "reference_queries", len(l.Hist))
 	}
 	if *memberOn {
 		err := m.EnableMembership(dist.MembershipConfig{

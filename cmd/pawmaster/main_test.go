@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,46 +97,6 @@ func (f *fleet) start(name string, args ...string) (addr string, stop func()) {
 	return strings.Fields(line[at+4:])[0], stop
 }
 
-// TestLoadRefusesForeignDataset: the layout file carries each partition's
-// data envelope and the column names, so `pawmaster -drift` accepts the
-// dataset the layout was built over and exits 1 on any other: a dataset of
-// the same schema (naming a partition whose envelope disowns a row), a
-// narrower one (naming both widths) and the same rows with two columns
-// swapped (naming the columns), instead of rebuilding regions from rows the
-// cluster does not hold.
-func TestLoadRefusesForeignDataset(t *testing.T) {
-	f := newFleet(t, "pawcli", "pawmaster")
-	data := dataset.TPCHLike(20_000, 5)
-	dataPath, layoutPath, _ := f.build(data, "same")
-	master := func(drift string) []string {
-		return []string{"-layout", layoutPath, "-workers", "127.0.0.1:1", "-listen", "127.0.0.1:0",
-			"-log-level", "warn", "-drift", drift}
-	}
-
-	_, stop := f.start("pawmaster", master(dataPath)...)
-	stop()
-
-	names, cols := slices.Clone(data.Names()), make([][]float64, data.Dims())
-	for d := range cols {
-		cols[d] = data.Column(d)
-	}
-	names[0], names[1], cols[0], cols[1] = names[1], names[0], cols[1], cols[0]
-	for name, c := range map[string]struct {
-		data *dataset.Dataset
-		want string
-	}{
-		"another dataset of the same schema": {dataset.TPCHLike(20_000, 6), "precise descriptor of partition"},
-		"a narrower dataset":                 {data.Project(3), "layout has 8 dimensions, dataset has 3"},
-		"two columns swapped":                {dataset.MustNew(names, cols), "columns are"},
-	} {
-		path := f.dataFile(strings.ReplaceAll(name, " ", "-")+".pawd", c.data)
-		out, err := exec.Command(f.bin["pawmaster"], master(path)...).CombinedOutput()
-		if code := exitCode(err); code != 1 || !strings.Contains(string(out), c.want) {
-			t.Errorf("%s: exit %d with %q, want exit 1 naming %q", name, code, out, c.want)
-		}
-	}
-}
-
 // TestRefusesLayoutWithoutNames: a layout built by calling a builder directly
 // carries no column names, and pawmaster, which routes SQL by the names its
 // layout file carries, exits 1 on it instead of serving.
@@ -162,7 +124,7 @@ func TestRefusesLayoutWithoutNames(t *testing.T) {
 // directly leaves them — exits 1 naming the recipe instead of serving.
 func TestDriftRefusesLayoutWithoutRecipe(t *testing.T) {
 	f := newFleet(t, "pawcli", "pawmaster")
-	dataPath, layoutPath, _ := f.build(dataset.TPCHLike(20_000, 5), "bare")
+	_, layoutPath, _ := f.build(dataset.TPCHLike(20_000, 5), "bare")
 	l, err := layout.ReadFile(layoutPath)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +138,7 @@ func TestDriftRefusesLayoutWithoutRecipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := exec.Command(f.bin["pawmaster"], "-layout", layoutPath, "-workers", "127.0.0.1:1",
-		"-listen", "127.0.0.1:0", "-log-level", "warn", "-drift", dataPath).CombinedOutput()
+		"-listen", "127.0.0.1:0", "-log-level", "warn", "-drift").CombinedOutput()
 	if code := exitCode(err); code != 1 || !strings.Contains(string(out), "no build recipe (bmin and sampling rate)") {
 		t.Fatalf("exit %d with %q, want exit 1 naming the recipe", code, out)
 	}
@@ -279,4 +241,103 @@ func TestWorkersServeTheStoreDir(t *testing.T) {
 	if hit == 0 {
 		t.Fatalf("no query touches partition %d", swapped)
 	}
+}
+
+// TestDriftMigratesFromTheWorkers runs TestWorkersServeTheStoreDir's fleet
+// with `pawmaster -drift`, which reads no dataset: on a PAW layout of small
+// scope, point statements set the cost baseline, then wide statements outside
+// the scope are sent until /metrics reads dist_layout_epoch 1 — the master
+// read the drifted region back from the workers, rebuilt it and migrated them
+// onto the patch. Every answer before, during and after equals the dataset's.
+func TestDriftMigratesFromTheWorkers(t *testing.T) {
+	f := newFleet(t, "pawcli", "pawworker", "pawmaster")
+	data := dataset.TPCHLike(24_000, 7)
+	dataPath := f.dataFile("drift.pawd", data)
+	layoutPath, store := filepath.Join(f.dir, "drift.pawl"), filepath.Join(f.dir, "drift")
+	if out, err := exec.Command(f.bin["pawcli"], "build", "-in", dataPath, "-seed", "7", "-delta", "0.02",
+		"-layout", layoutPath, "-store", store, "-log-level", "warn").CombinedOutput(); err != nil {
+		t.Fatalf("pawcli build: %v\n%s", err, out)
+	}
+	l, err := layout.ReadFile(layoutPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := router.NewMaster(l, l.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for w := 0; w < 2; w++ {
+		addr, stop := f.start("pawworker", "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
+		defer stop()
+		addrs = append(addrs, addr)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := ln.Addr().String()
+	ln.Close()
+	addr, stop := f.start("pawmaster", "-layout", layoutPath, "-workers", strings.Join(addrs, ","),
+		"-listen", "127.0.0.1:0", "-metrics", metrics, "-drift", "-log-level", "warn")
+	defer stop()
+	c, err := dist.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(sql string) {
+		t.Helper()
+		resp, err := c.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		plan, err := rm.RouteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, rp := range plan.Ranges {
+			want += data.CountInBox(rp.Range, nil)
+		}
+		if resp.Rows != want {
+			t.Fatalf("%s: %d rows, the dataset holds %d", sql, resp.Rows, want)
+		}
+	}
+	epoch := func() string {
+		t.Helper()
+		resp, err := http.Get("http://" + metrics + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == dist.MetricLayoutEpoch {
+				return f[1]
+			}
+		}
+		return ""
+	}
+	for i := 0; i < 300; i++ {
+		send(fmt.Sprintf("SELECT * FROM lineitem WHERE l_quantity >= %d AND l_quantity <= %d AND l_shipdate >= %d AND l_shipdate <= %d",
+			1+i%50, 1+i%50, 7*i, 7*i))
+	}
+	wide := func(i int) string {
+		return fmt.Sprintf("SELECT * FROM lineitem WHERE l_discount >= 0.09 AND l_shipdate >= %d AND l_shipdate <= %d", 3*i, 3*i+400)
+	}
+	migrated := -1
+	for i := 0; i < 2000 && migrated < 0; i++ {
+		send(wide(i))
+		if i%32 == 31 && epoch() == "1" {
+			migrated = i
+		}
+	}
+	if migrated < 0 {
+		t.Fatalf("2000 out-of-scope statements and dist_layout_epoch reads %q, want 1", epoch())
+	}
+	for i := 0; i <= migrated; i += 7 {
+		send(wide(i) + " AND l_tax >= 0")
+	}
+	t.Logf("migrated after %d out-of-scope statements", migrated+1)
 }

@@ -130,7 +130,7 @@ func TestQuickRoutedSetCoversResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPart := l.RouteIndices(data, nil)
+	byPart := l.RouteIndices(data)
 	rng := rand.New(rand.NewSource(110))
 	for iter := 0; iter < 200; iter++ {
 		lo := geom.Point{rng.Float64(), rng.Float64()}

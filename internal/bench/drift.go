@@ -164,7 +164,7 @@ func runDriftScenario(sc sim.DriftScenario) (DriftScenarioResult, error) {
 	defer f.Close()
 	m := f.Master
 
-	ctl, err := drift.New(m, data, storeCfg.Builder(data), drift.Config{Window: driftWindow, CheckEvery: driftCheckEvery, CostFactor: 1.2})
+	ctl, err := drift.New(m, storeCfg, drift.Config{Window: driftWindow, CheckEvery: driftCheckEvery, CostFactor: 1.2})
 	if err != nil {
 		return res, err
 	}
@@ -351,7 +351,7 @@ func runDriftScenario(sc sim.DriftScenario) (DriftScenarioResult, error) {
 	res.PatchedCost = served.AvgCost(liveBoxes, nil)
 	// The offline reference: the live workload's layout over the whole
 	// domain, rebuilt with the boot layout's recipe as a region is.
-	offline, err := core.Rebuild(l, data, nil, data.Domain(), live)
+	offline, err := core.Rebuild(l, data, data.Domain(), live)
 	if err != nil {
 		return res, err
 	}

@@ -20,13 +20,12 @@ func pluginTables(cfg Config, s *Scenario, methods []string, idPrefix string) []
 		XLabel: "MBR amount", Unit: "scan ratio (% of dataset)",
 		Methods: append(append([]string(nil), methods...), MLB),
 	}
-	allRows := descriptor.AllRows(s.Data.NumRows())
 	lb := 100 * layout.LowerBoundRatio(s.Data, s.lbQueries())
 	for _, nmbr := range []int{1, 3, 6, 10, 20, 50, 100} {
 		row := map[string]float64{MLB: lb}
 		for _, m := range methods {
 			l := s.Layout(m)
-			if _, err := descriptor.Install(l, s.Data, allRows, nmbr); err != nil {
+			if _, err := descriptor.Install(l, s.Data, nmbr); err != nil {
 				panic(err) // nmbr >= 1 by construction
 			}
 			row[m] = 100 * l.ScanRatio(s.Fut.Boxes(), nil)

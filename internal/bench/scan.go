@@ -221,7 +221,7 @@ func ScanBench(cfg Config) ScanReport {
 	}
 
 	// The boundary family: same rows, the builder's order, a fresh box per op.
-	btab := colstore.NewBuilder(data, colstore.DefaultGroupRows).Build(all, nil)
+	btab := colstore.NewBuilder(data, data.Domain(), colstore.DefaultGroupRows).Build(all, nil)
 	for _, sel := range scanSelectivities["boundary"] {
 		base := workload.Workload{{Box: query("multidim", sel)}}
 		boxes := workload.Future(base, cfg.DeltaFrac, boundaryBoxes, cfg.Seed).Boxes()

@@ -59,7 +59,7 @@ func BenchmarkMaterialize(b *testing.B) {
 
 			byPart := l.RouteRows(data, runtime.GOMAXPROCS(0))
 			t0 := time.Now()
-			cfg.Builder(data).BuildAll(byPart, l.ExtendedHist(), func(int, *colstore.Table) {})
+			cfg.Builder(data, l).BuildAll(byPart, l.ExtendedHist(), func(int, *colstore.Table) {})
 			t1 := time.Now()
 			pool := parbuild.New(0)
 			pool.Fan(pool.RootSlot(), len(byPart), func(i, _ int) {
@@ -70,7 +70,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.ReportMetric(perRow(encode, 1), "encode-ns/row")
 
 			largest := slices.Clone(slices.MaxFunc(byPart, func(x, y []int) int { return len(x) - len(y) }))
-			bld := cfg.Builder(data)
+			bld := cfg.Builder(data, l)
 			t2 := time.Now()
 			bld.Build(largest, l.ExtendedHist())
 			b.ReportMetric(float64(time.Since(t2).Nanoseconds())/1e6, "largest-ms")

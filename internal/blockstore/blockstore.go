@@ -39,12 +39,14 @@ const (
 	writeMBps = 120
 )
 
-// Builder returns the partition-table builder of a store with this
-// configuration. Whoever encodes a partition of such a store outside it — a
-// drift migration's payload — builds it with this, so that the partition is
-// laid out exactly as Materialize lays it out.
-func (c Config) Builder(data *dataset.Dataset) *colstore.Builder {
-	return colstore.NewBuilder(data, c.GroupRows)
+// Builder returns the builder of l's partition tables from rows of data in a
+// store with this configuration: extents are measured against l's root box.
+// Whoever encodes a partition of such a store outside it — a drift
+// migration's payload, from the rows its region's holders returned — builds it
+// with this, so that the partition is laid out exactly as Materialize lays it
+// out from the whole dataset.
+func (c Config) Builder(data *dataset.Dataset, l *layout.Layout) *colstore.Builder {
+	return colstore.NewBuilder(data, l.Root.Desc.MBR(), c.GroupRows)
 }
 
 // StoredPartition is a materialised partition.
@@ -97,7 +99,7 @@ func Materialize(l *layout.Layout, data *dataset.Dataset, cfg Config) *Store {
 	s := &Store{parts: make(map[layout.ID]*StoredPartition, len(l.Parts)), RoutingTime: time.Since(start)}
 
 	stored := make([]StoredPartition, len(l.Parts))
-	cfg.Builder(data).BuildAll(byPart, l.ExtendedHist(), func(i int, tab *colstore.Table) {
+	cfg.Builder(data, l).BuildAll(byPart, l.ExtendedHist(), func(i int, tab *colstore.Table) {
 		stored[i] = storedOf(tab)
 	})
 	for i := range stored {

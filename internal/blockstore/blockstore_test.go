@@ -187,8 +187,8 @@ func TestMaterializeRoutesOnce(t *testing.T) {
 	data := dataset.OSMLike(20_000, 5, 14)
 	l := kdtree.Build(data, data.Sample(2000, 15), data.Domain(), kdtree.Params{MinRows: 50})
 	s := Materialize(l, data, Config{GroupRows: 128})
-	byPart := l.RouteIndices(data, nil)
-	builder := colstore.NewBuilder(data, 128)
+	byPart := l.RouteIndices(data)
+	builder := colstore.NewBuilder(data, data.Domain(), 128)
 	for _, p := range l.Parts {
 		sp, err := s.Partition(p.ID)
 		if err != nil {

@@ -22,8 +22,9 @@ import (
 //     multiple of the row-group size, until a segment fits one row group, so
 //     consecutive row groups are tight k-d tiles whose min/max envelopes
 //     prune. A segment splits on the dimension of widest extent (measured
-//     against the dataset's domain, so the choice does not depend on column
-//     units) — unless the partition has two or more tail columns (step 3) and
+//     against the layout's domain, so the choice does not depend on column
+//     units or on the dataset's extent) — unless the partition has two or
+//     more tail columns (step 3) and
 //     some of the workload's queries straddle the segment (overlap it
 //     without containing it): then it splits on the tail column that the
 //     fewest of those queries cross at the cut, ties to the narrowest
@@ -40,10 +41,14 @@ import (
 //     and ascending inside every run tuple it is searched, not swept
 //     (column.pieces). A permutation changes no raw chunk's size.
 //
-// Every step compares (value, source row index) pairs, which is a total order:
-// the result is a pure function of the row set and the workload, independent
-// of the order the rows arrive in and of which goroutine runs the build. A
-// Builder is safe for concurrent use.
+// Every step breaks ties on the rows' values (compareRecords), and on source
+// row only between rows equal on every column, which encode alike; the cut of
+// step 1 is estimated from rows sampled by their values. So the table
+// is a pure function of its rows' values, the domain and the workload — not of
+// where the rows sit in the dataset, the order they arrive in or which
+// goroutine builds: a partition rebuilt from the rows a worker returns is byte
+// for byte the one built from the source dataset. A Builder is safe for
+// concurrent use.
 //
 // One bounded pool serves both levels of a build. BuildAll fans the partitions
 // out on it, largest first; and because a layout built for skewed data can
@@ -58,25 +63,25 @@ type Builder struct {
 	data      *dataset.Dataset
 	groupRows int
 	pool      *parbuild.Pool
-	// invExtent[d] is 1/extent of the dataset's domain on d (0 for a
-	// constant or non-finite dimension, which is then never split on).
+	// invExtent[d] is 1/extent of the domain on d (0 for a constant or
+	// non-finite dimension, which is then never split on).
 	invExtent []float64
 }
 
 // NewBuilder returns a builder for tables of groupRows-row groups over data
-// (DefaultGroupRows when groupRows < 1).
-func NewBuilder(data *dataset.Dataset, groupRows int) *Builder {
+// (DefaultGroupRows when groupRows < 1). Extents are measured against domain,
+// the box of the layout the partitions belong to (blockstore.Config.Builder),
+// so a dataset holding some of its rows builds them as the whole one would.
+func NewBuilder(data *dataset.Dataset, domain geom.Box, groupRows int) *Builder {
 	if groupRows < 1 {
 		groupRows = DefaultGroupRows
 	}
 	b := &Builder{data: data, groupRows: groupRows, pool: parbuild.New(0), invExtent: make([]float64, data.Dims())}
-	// The domain, a column a task.
-	b.pool.Fan(b.pool.RootSlot(), data.Dims(), func(d, _ int) {
-		lo, hi := dataset.ColumnRange(data.Column(d))
-		if ext := hi - lo; ext > 0 && !math.IsInf(ext, 0) {
+	for d := range b.invExtent {
+		if ext := domain.Hi[d] - domain.Lo[d]; ext > 0 && !math.IsInf(ext, 0) {
 			b.invExtent[d] = 1 / ext
 		}
-	})
+	}
 	return b
 }
 
@@ -246,14 +251,14 @@ func (b *Builder) gather(sc *clusterScratch, stride, slot int) {
 
 // sortTile puts the order words of one tile — tile[i] still names record i of
 // recs, the tile's records — in table order: run-key ranks, then the tail
-// column's key, then position. The tail is the column of sc.tails that is
-// widest in this tile; its key goes into the word below the ranks, as many high bits
-// as fit above the record number, so one sort of plain words does nearly all
-// of it: rows whose words agree above the record number (equal values, or keys
-// that differ only in the bits cut off) are then put right by comparing their
-// records. Without a tail the words already hold (ranks, position). Either
-// way the record numbers ascend, so a radix sort above them is a full sort;
-// buf is its scratch.
+// column's key, then the rest of compareRecords' order. The
+// tail is the column of sc.tails that is widest in this tile; its key goes
+// into the word below the ranks, as many high bits as fit above the record
+// number, so one sort of plain words does nearly all of it: rows whose words
+// agree above the record number (equal values, or keys that differ only in
+// the bits cut off) are then put right by comparing their records. Without a
+// tail the word holds the ranks alone. Either way the record numbers ascend,
+// so a radix sort above them is a full sort; buf is its scratch.
 func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slotBits int, buf *[]uint64) {
 	tail, widest := -1, 0.0
 	for _, d := range sc.tails {
@@ -272,22 +277,19 @@ func (b *Builder) sortTile(sc *clusterScratch, tile, recs []uint64, stride, slot
 			tail, widest = d, w
 		}
 	}
-	if tail < 0 {
-		radixSortAbove(tile, slotBits, buf)
-		return
-	}
-	rankShift := uint(64 - sc.rankBits)
+	rankShift, first := uint(64-sc.rankBits), 0
 	for i, k := range tile {
-		tile[i] = k>>rankShift<<rankShift | recs[i*stride+1+tail]>>uint(sc.rankBits+slotBits)<<uint(slotBits) | uint64(i)
+		w := k >> rankShift << rankShift
+		if tail >= 0 {
+			first = 1 + tail
+			w |= recs[i*stride+first] >> uint(sc.rankBits+slotBits) << uint(slotBits)
+		}
+		tile[i] = w | uint64(i)
 	}
 	radixSortAbove(tile, slotBits, buf)
 	slotMask := uint64(1)<<slotBits - 1
 	byRecord := func(x, y uint64) int {
-		rx, ry := recs[int(x&slotMask)*stride:], recs[int(y&slotMask)*stride:]
-		if c := cmp.Compare(rx[1+tail], ry[1+tail]); c != 0 {
-			return c
-		}
-		return cmp.Compare(rx[0], ry[0])
+		return compareRecords(recs[int(x&slotMask)*stride:int(x&slotMask+1)*stride], recs[int(y&slotMask)*stride:int(y&slotMask+1)*stride], first)
 	}
 	for i, j := 0, 1; j <= len(tile); j++ {
 		if j < len(tile) && tile[j]>>uint(slotBits) == tile[i]>>uint(slotBits) {
@@ -465,9 +467,9 @@ func straddling(queries []keyBox, mins, maxs []uint64) []keyBox {
 }
 
 // leastCrossed returns the tail column that the fewest queries cross at the
-// segment's cut — the key of rank k on that column, estimated from a
-// deterministic sample of the segment's records; a query crosses a cut it
-// reaches on both sides of. Ties go to the narrowest tail (then the first): a
+// segment's cut — the key of rank k on that column, estimated from the
+// records sampleByValue picks; a query crosses a cut it reaches on both sides
+// of. Ties go to the narrowest tail (then the first): a
 // tile's rows ascend on its widest tail column (sortTile), so splitting the
 // narrower keeps tiles long along the column a query then searches to a short
 // span instead of sweeping. It returns -1, the widest rule's turn, when no
@@ -478,24 +480,21 @@ func (b *Builder) leastCrossed(recs []uint64, stride, k int, tails []int, querie
 		return -1
 	}
 	dims, n := stride-1, len(recs)/stride
-	size := max(1, min(maxPivotSample, int(math.Sqrt(float64(n)))))
+	var at [maxPivotSample]int32
 	var sample [maxPivotSample]uint64
-	keys := sample[:size]
+	picked := sampleByValue(recs, stride, &at)
+	keys := sample[:len(picked)]
 	best, fewest, narrowest := -1, 0, 0.0
 	for _, d := range tails {
 		w := (keyValue(maxs[d]) - keyValue(mins[d])) * b.invExtent[d]
 		if !(w > 0) {
 			continue
 		}
-		rnd := uint64(n)*0x9E3779B97F4A7C15 | 1
-		for i := range keys {
-			rnd ^= rnd << 13
-			rnd ^= rnd >> 7
-			rnd ^= rnd << 17
-			keys[i] = recs[int(rnd%uint64(n))*stride+1+d]
+		for i, r := range picked {
+			keys[i] = recs[int(r)*stride+1+d]
 		}
 		slices.Sort(keys)
-		cut, crossed := keys[k*size/n], 0
+		cut, crossed := keys[k*len(keys)/n], 0
 		for _, q := range queries {
 			if q[d] <= cut && cut <= q[dims+d] {
 				crossed++
@@ -506,6 +505,49 @@ func (b *Builder) leastCrossed(recs []uint64, stride, k int, tails []int, querie
 		}
 	}
 	return best
+}
+
+// minCutSample is the fewest records sampleByValue aims to pick: √n of them
+// would put a 2 035-row segment's cut a tenth of its range off.
+const minCutSample = 256
+
+// sampleByValue returns the positions, ascending, of the stride-word records
+// of recs whose recordHash is at most a bound: all of them when there are at
+// most minCutSample, else a bound that keeps about 2·minCutSample, raised
+// while fewer than minCutSample pass and halved, for good, while
+// maxPivotSample would not hold them. The sample depends on the records'
+// values alone, not on where they sit. at is its backing array.
+func sampleByValue(recs []uint64, stride int, at *[maxPivotSample]int32) []int32 {
+	n, bound, halved := len(recs)/stride, uint64(math.MaxUint64), false
+	if n > minCutSample {
+		bound = uint64(math.Ldexp(2*minCutSample/float64(n), 64))
+	}
+	for {
+		picked := at[:0]
+		for i := 0; i < n && len(picked) < maxPivotSample; i++ {
+			if recordHash(recs[i*stride+1:(i+1)*stride]) <= bound {
+				picked = append(picked, int32(i))
+			}
+		}
+		switch {
+		case len(picked) == maxPivotSample:
+			bound, halved = bound/2, true
+		case len(picked) < min(n, minCutSample) && !halved:
+			bound |= bound<<1 | 1
+		default:
+			return picked
+		}
+	}
+}
+
+// recordHash is a 64-bit hash of a record's keys.
+func recordHash(keys []uint64) uint64 {
+	h := uint64(len(keys))
+	for _, k := range keys {
+		h = bits.RotateLeft64((h^k)*0x9E3779B97F4A7C15, 29)
+	}
+	h = (h ^ h>>32) * 0xD6E8FEB86659FD93
+	return h ^ h>>32
 }
 
 // extentOf sets minmax to the least, then the greatest, key of every column
@@ -545,7 +587,7 @@ func extentOf(recs []uint64, stride int, minmax []uint64) {
 const maxPivotSample = 1024
 
 // selectSmallest permutes the stride-word records of recs so that the first k
-// are the k smallest under (record[keyWord], record[0]) order, in O(len(recs))
+// are the k smallest under compareRecords(·, ·, keyWord), in O(len(recs))
 // expected time. record[0] is unique, so the order is total.
 func selectSmallest(recs []uint64, stride, keyWord, k int) {
 	// Invariant: records [0,lo) sort before [lo,n), [0,hi) before [hi,n),
@@ -562,8 +604,8 @@ func selectSmallest(recs []uint64, stride, keyWord, k int) {
 	// crafted input exhaust the budget anyway, the remaining range is simply
 	// sorted.
 	type pick struct {
-		key, pos uint64 // the record's sort key
-		at       int    // where it is
+		key uint64 // the record's key
+		at  int    // where it is
 	}
 	var sample [maxPivotSample]pick
 	rnd := uint64(hi)*0x9E3779B97F4A7C15 | 1
@@ -576,13 +618,13 @@ func selectSmallest(recs []uint64, stride, keyWord, k int) {
 			rnd ^= rnd >> 7
 			rnd ^= rnd << 17
 			at := lo + int(rnd%uint64(n))
-			picks[t].key, picks[t].pos, picks[t].at = recs[at*stride+keyWord], recs[at*stride], at
+			picks[t].key, picks[t].at = recs[at*stride+keyWord], at
 		}
 		slices.SortFunc(picks, func(x, y pick) int {
 			if c := cmp.Compare(x.key, y.key); c != 0 {
 				return c
 			}
-			return cmp.Compare(x.pos, y.pos)
+			return compareRecords(recs[x.at*stride:(x.at+1)*stride], recs[y.at*stride:(y.at+1)*stride], keyWord)
 		})
 		rank, gap := float64(k-lo)*float64(size)/float64(n), math.Sqrt(float64(size))/2
 		if k-lo < hi-k {
@@ -609,16 +651,19 @@ const blockLen = 64
 
 // partitionAround partitions the stride-word records of seg around its first
 // record, the pivot, and returns where the pivot ends: the records before it
-// sort before it, those after it after. It is a block partition (BlockQuicksort,
-// Edelkamp & Weiß 2016): a block of blockLen records at each end is classified
-// without a branch into the offsets of its misplaced records, and those are
-// then swapped in pairs, so no branch of the block loop depends on how a
-// record compares.
+// sort before it (compareRecords), those after it after. It is a block
+// partition (BlockQuicksort, Edelkamp & Weiß 2016): a block of blockLen records
+// at each end is classified without a branch into the offsets of its
+// misplaced records, and those are then swapped in pairs, so no branch of the
+// block loop depends on how a record compares — but for a tie on the key.
 func partitionAround(seg []uint64, stride, keyWord int) int {
-	pk, pp := seg[keyWord], seg[0]
+	pk, ph := seg[keyWord], recordHash(seg[1:stride])
 	below := func(i int) int { // 1 when record i sorts before the pivot
-		_, borrow := bits.Sub64(seg[i*stride], pp, 0)
-		_, borrow = bits.Sub64(seg[i*stride+keyWord], pk, borrow)
+		k := seg[i*stride+keyWord]
+		if k == pk { // rare unless the key has few values
+			return int(borrowOf(seg[i*stride:(i+1)*stride], seg[:stride], ph))
+		}
+		_, borrow := bits.Sub64(k, pk, 0)
 		return int(borrow)
 	}
 	// Records [1,l) sort before the pivot, [r,n) after; the unsettled
@@ -666,6 +711,36 @@ func partitionAround(seg []uint64, stride, keyWord int) int {
 	return l - 1
 }
 
+// borrowOf is 1 when record a sorts before record b, which holds the same key
+// as a and hashes to hb, under compareRecords: a minus b as one multi-word
+// number of (hash, keys, word 0), least significant word first, borrows.
+func borrowOf(a, b []uint64, hb uint64) uint64 {
+	_, borrow := bits.Sub64(a[0], b[0], 0)
+	for w := len(a) - 1; w > 0; w-- {
+		_, borrow = bits.Sub64(a[w], b[w], borrow)
+	}
+	_, borrow = bits.Sub64(recordHash(a[1:]), hb, borrow)
+	return borrow
+}
+
+// compareRecords is the builder's order of two records: by word first (none
+// when first is 0), then by recordHash of their keys, so that ties fall in no
+// pattern of the values, then by the keys, then by word 0, whose position
+// ascends with the source row — only rows equal on every column, which encode
+// alike, are told apart by where they came from.
+func compareRecords(a, b []uint64, first int) int {
+	if c := cmp.Compare(a[first], b[first]); first > 0 && c != 0 {
+		return c
+	}
+	if c := cmp.Compare(recordHash(a[1:]), recordHash(b[1:])); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a[1:], b[1:]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[0], b[0])
+}
+
 func swapRecords(recs []uint64, stride, i, j int) {
 	a, b := recs[i*stride:(i+1)*stride], recs[j*stride:(j+1)*stride]
 	for w := range a {
@@ -673,8 +748,8 @@ func swapRecords(recs []uint64, stride, i, j int) {
 	}
 }
 
-// sortRecords sorts the stride-word records of recs by (record[keyWord],
-// record[0]): an index sort, then one pass moving the records into place.
+// sortRecords sorts the stride-word records of recs by compareRecords(·, ·,
+// keyWord): an index sort, then one pass moving the records into place.
 func sortRecords(recs []uint64, stride, keyWord int) {
 	idx := make([]int, len(recs)/stride)
 	for i := range idx {
@@ -682,10 +757,7 @@ func sortRecords(recs []uint64, stride, keyWord int) {
 	}
 	from := slices.Clone(recs)
 	slices.SortFunc(idx, func(a, b int) int {
-		if c := cmp.Compare(from[a*stride+keyWord], from[b*stride+keyWord]); c != 0 {
-			return c
-		}
-		return cmp.Compare(from[a*stride], from[b*stride])
+		return compareRecords(from[a*stride:(a+1)*stride], from[b*stride:(b+1)*stride], keyWord)
 	})
 	for to, i := range idx {
 		copy(recs[to*stride:(to+1)*stride], from[i*stride:(i+1)*stride])

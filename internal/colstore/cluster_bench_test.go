@@ -30,7 +30,7 @@ func BenchmarkBuildPhases(b *testing.B) {
 		{"osm", dataset.OSMLike(1<<17, 12, 1).Normalize()},
 	} {
 		rows := c.data.NumRows()
-		bld := NewBuilder(c.data, groupRows)
+		bld := NewBuilder(c.data, c.data.Domain(), groupRows)
 		slot := bld.pool.RootSlot()
 		scratch := make([]clusterScratch, bld.pool.Slots())
 		sc := &scratch[slot]

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -109,7 +110,7 @@ func TestClusteredScanDifferential(t *testing.T) {
 			}
 			arrival := FromDataset(data, nil, groupRows)
 			rows := shuffledRows(n, int64(groupRows))
-			tab := NewBuilder(data, groupRows).Build(rows, nil)
+			tab := NewBuilder(data, data.Domain(), groupRows).Build(rows, nil)
 			if tab.NumRows() != n || tab.NumGroups() != arrival.NumGroups() {
 				t.Fatalf("%s/%d: clustered table has %d rows in %d groups, arrival %d in %d",
 					name, groupRows, tab.NumRows(), tab.NumGroups(), n, arrival.NumGroups())
@@ -156,7 +157,7 @@ func TestClusteredScanDifferential(t *testing.T) {
 func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 	for name, data := range orderDatasets() {
 		n := data.NumRows()
-		b := NewBuilder(data, 128)
+		b := NewBuilder(data, data.Domain(), 128)
 		queries := testWorkload(data, 12, 3)
 		// A proper subset, so source row indices and positions differ.
 		var subset []int
@@ -177,7 +178,7 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 			qs := slices.Clone(queries)
 			rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
-			tab := NewBuilder(data, 128).Build(rows, qs)
+			tab := NewBuilder(data, data.Domain(), 128).Build(rows, qs)
 			if !slices.Equal(rows, ref) {
 				t.Fatalf("%s: table order depends on arrival order (seed %d)", name, seed)
 			}
@@ -204,6 +205,72 @@ func TestClusterIsPureFunctionOfRowSet(t *testing.T) {
 	}
 }
 
+// TestBuildIsPureFunctionOfValues: a partition's bytes depend on its rows'
+// values, the domain and the workload alone. Every order-test family and
+// 20 000-row TPC-H, OSM and uniform 2-d sets, with and without a workload,
+// build the same bytes from the dataset as from a copy with its rows
+// permuted, and a subset of the rows builds the same bytes from the dataset
+// as from a copy holding only those rows, in another order — which is how a
+// drift rebuild reads a region back from the workers.
+func TestBuildIsPureFunctionOfValues(t *testing.T) {
+	families := orderDatasets()
+	families["tpch-20k"] = dataset.TPCHLike(20_000, 11)
+	families["osm-20k"] = dataset.OSMLike(20_000, 6, 12)
+	families["uniform2-20k"] = dataset.Uniform(20_000, 2, 13)
+	// copyOf returns a dataset holding data's rows in the order rows names.
+	copyOf := func(data *dataset.Dataset, rows []int) *dataset.Dataset {
+		cols := make([][]float64, data.Dims())
+		for d := range cols {
+			for _, r := range rows {
+				cols[d] = append(cols[d], data.At(r, d))
+			}
+		}
+		return dataset.MustNew(data.Names(), cols)
+	}
+	encode := func(data *dataset.Dataset, dom geom.Box, rows []int, queries []geom.Box) []byte {
+		var buf bytes.Buffer
+		if err := NewBuilder(data, dom, 64).Build(rows, queries).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, data := range families {
+		n, dom := data.NumRows(), data.Domain()
+		perm := shuffledRows(n, 21)
+		var subset []int
+		for r := 0; r < n; r++ {
+			if r%3 != 1 {
+				subset = append(subset, r)
+			}
+		}
+		held := copyOf(data, shuffledSubset(subset, 22))
+		for _, queries := range [][]geom.Box{nil, testWorkload(data, 16, 23)} {
+			if !bytes.Equal(encode(data, dom, identityRows(n), queries), encode(copyOf(data, perm), dom, identityRows(n), queries)) {
+				t.Errorf("%s, %d queries: the rows permuted build other bytes", name, len(queries))
+			}
+			if !bytes.Equal(encode(data, dom, slices.Clone(subset), queries), encode(held, dom, identityRows(len(subset)), queries)) {
+				t.Errorf("%s, %d queries: a copy holding only the partition's rows builds other bytes", name, len(queries))
+			}
+		}
+	}
+}
+
+// identityRows returns 0, 1, …, n-1.
+func identityRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// shuffledSubset returns rows in an order drawn from seed.
+func shuffledSubset(rows []int, seed int64) []int {
+	out := slices.Clone(rows)
+	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
 // testWorkload draws n query boxes over data's domain, each a tenth to a
 // half of it on every dimension (all of a dimension whose domain has no
 // finite extent), from seed.
@@ -228,10 +295,26 @@ func testWorkload(data *dataset.Dataset, n int, seed int64) []geom.Box {
 	return qs
 }
 
-// lessOn is the (value, source row) total order the tiling splits on.
+// compareRest orders rows a and b of data as the builder breaks ties: by
+// recordHash of their keys, then by the keys, then by source row.
+func compareRest(data *dataset.Dataset, a, b int) int {
+	ka, kb := make([]uint64, data.Dims()), make([]uint64, data.Dims())
+	for d := range ka {
+		ka[d], kb[d] = orderKey(data.At(a, d)), orderKey(data.At(b, d))
+	}
+	if c := cmp.Compare(recordHash(ka), recordHash(kb)); c != 0 {
+		return c
+	}
+	if c := slices.Compare(ka, kb); c != 0 {
+		return c
+	}
+	return a - b
+}
+
+// lessOn is the (value, compareRest) total order the tiling splits on.
 func lessOn(data *dataset.Dataset, d, a, b int) bool {
-	va, vb := data.At(a, d), data.At(b, d)
-	return va < vb || va == vb && a < b
+	ka, kb := orderKey(data.At(a, d)), orderKey(data.At(b, d))
+	return ka < kb || ka == kb && compareRest(data, a, b) < 0
 }
 
 // checkTiling verifies the k-d structure of a clustered order: a segment
@@ -297,7 +380,7 @@ func TestClusterTilesAndRuns(t *testing.T) {
 		n, dims := data.NumRows(), data.Dims()
 		for _, groupRows := range []int{7, 256, 2048} {
 			rows := shuffledRows(n, 1)
-			tab := NewBuilder(data, groupRows).Build(rows, nil)
+			tab := NewBuilder(data, data.Domain(), groupRows).Build(rows, nil)
 			if tiles := checkTiling(t, data, rows, groupRows); tiles != tab.NumGroups() {
 				t.Fatalf("%s/%d: %d tiles for %d row groups", name, groupRows, tiles, tab.NumGroups())
 			}
@@ -364,7 +447,7 @@ func TestClusterTilesAndRuns(t *testing.T) {
 				tails[tail]++
 				for i := 1; i < len(tile); i++ {
 					a, b := tile[i-1], tile[i]
-					ordered := a < b
+					ordered := compareRest(data, a, b) < 0
 					if tail >= 0 {
 						if ka, kb := orderKey(data.At(a, tail)), orderKey(data.At(b, tail)); ka != kb {
 							ordered = ka < kb
@@ -398,7 +481,7 @@ func TestClusterTilesAndRuns(t *testing.T) {
 func TestClusterCollapsesLowCardinalityColumns(t *testing.T) {
 	data := dataset.TPCHLike(20000, 9).Project(4)
 	arrival := FromDataset(data, nil, 2048)
-	tab := NewBuilder(data, 2048).Build(shuffledRows(data.NumRows(), 2), nil)
+	tab := NewBuilder(data, data.Domain(), 2048).Build(shuffledRows(data.NumRows(), 2), nil)
 	if got, was := tab.EncodingCounts()["rle"], arrival.EncodingCounts()["rle"]; got <= was {
 		t.Errorf("clustered table has %d RLE chunks, arrival order %d", got, was)
 	}
@@ -423,12 +506,12 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 		for i, rows := range parts {
 			wantRows[i] = slices.Clone(rows)
 			var buf bytes.Buffer
-			if err := NewBuilder(data, 64).Build(wantRows[i], nil).Encode(&buf); err != nil {
+			if err := NewBuilder(data, data.Domain(), 64).Build(wantRows[i], nil).Encode(&buf); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = buf.Bytes()
 		}
-		b := NewBuilder(data, 64)
+		b := NewBuilder(data, data.Domain(), 64)
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
@@ -477,7 +560,7 @@ func TestBuildIsWidthIndependent(t *testing.T) {
 		var wantRows []int
 		queries := testWorkload(data, 16, 4)
 		for w := 1; w <= 4; w++ {
-			b := NewBuilder(data, 64)
+			b := NewBuilder(data, data.Domain(), 64)
 			b.pool = parbuild.New(w)
 			rows := shuffledRows(n, int64(w))
 			var buf bytes.Buffer
@@ -560,11 +643,70 @@ func TestWorkloadMovesTheSplit(t *testing.T) {
 		}, 0},
 	} {
 		got := slices.Clone(rows)
-		NewBuilder(data, groupRows).Build(got, c.queries)
+		NewBuilder(data, data.Domain(), groupRows).Build(got, c.queries)
 		if d := topSplit(data, got, groupRows); d != c.want {
 			t.Errorf("%s: the top split is on column %d, want %d", c.name, d, c.want)
 		}
 	}
+}
+
+// TestCutEstimateNearMedian: the cut leastCrossed weighs the queries against
+// is estimated from at least minCutSample records sampled by their values, so
+// on TestWorkloadMovesTheSplit's segment — 2 035 uniform records, cut at rank
+// 1 024 — it lies within 0.05 of the exact median on both columns, and the
+// sample is the same whatever order the records are in; a segment of at most
+// minCutSample records is read whole.
+func TestCutEstimateNearMedian(t *testing.T) {
+	const n, groupRows = 4096, 64
+	rng := rand.New(rand.NewSource(57))
+	var recs []uint64
+	for i := 0; i < n; i++ {
+		wide, narrow := rng.Float64(), rng.Float64()
+		if narrow < 0.5 {
+			recs = append(recs, uint64(len(recs)/3), orderKey(wide), orderKey(narrow))
+		}
+	}
+	rows := len(recs) / 3
+	k := (rows + groupRows - 1) / groupRows / 2 * groupRows
+	estimate := func(recs []uint64, word, k int) (uint64, []uint64) {
+		var at [maxPivotSample]int32
+		var keys []uint64
+		for _, r := range sampleByValue(recs, 3, &at) {
+			keys = append(keys, recs[int(r)*3+word])
+		}
+		slices.Sort(keys)
+		return keys[k*len(keys)/(len(recs)/3)], keys
+	}
+	for word := 1; word <= 2; word++ {
+		all := sortedKeys(recs, word)
+		got, keys := estimate(recs, word, k)
+		if len(keys) < minCutSample {
+			t.Errorf("column %d: %d keys sampled, want at least %d", word, len(keys), minCutSample)
+		}
+		if exact := keyValue(all[k]); math.Abs(keyValue(got)-exact) > 0.05 {
+			t.Errorf("column %d of %d records: estimated cut %.3f, the key of rank %d is %.3f", word, rows, keyValue(got), k, exact)
+		}
+		reversed := slices.Clone(recs)
+		for i, j := 0, rows-1; i < j; i, j = i+1, j-1 {
+			swapRecords(reversed, 3, i, j)
+		}
+		if _, again := estimate(reversed, word, k); !slices.Equal(again, keys) {
+			t.Errorf("column %d: the records reversed sample other keys", word)
+		}
+		if got, _ := estimate(recs[:200*3], word, 64); got != sortedKeys(recs[:200*3], word)[64] {
+			t.Errorf("column %d, 200 records: the estimate is not the key of rank 64", word)
+		}
+	}
+}
+
+// sortedKeys returns word word of every 3-word record of recs, ascending.
+func sortedKeys(recs []uint64, word int) []uint64 {
+	var keys []uint64
+	for i := word; i < len(recs); i += 3 {
+		keys = append(keys, recs[i])
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestOneTailIgnoresTheWorkload: in a partition whose columns are all run
@@ -573,11 +715,11 @@ func TestWorkloadMovesTheSplit(t *testing.T) {
 func TestOneTailIgnoresTheWorkload(t *testing.T) {
 	data := dataset.TPCHLike(6000, 3).Project(4)
 	var want bytes.Buffer
-	if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 1), nil).Encode(&want); err != nil {
+	if err := NewBuilder(data, data.Domain(), 64).Build(shuffledRows(data.NumRows(), 1), nil).Encode(&want); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 1), testWorkload(data, 24, 5)).Encode(&got); err != nil {
+	if err := NewBuilder(data, data.Domain(), 64).Build(shuffledRows(data.NumRows(), 1), testWorkload(data, 24, 5)).Encode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -588,27 +730,28 @@ func TestOneTailIgnoresTheWorkload(t *testing.T) {
 // TestNoWorkloadKeepsTheOrder: without queries, a partition with two tail
 // columns is tiled on the widest dimension at every split, as before the
 // builder took a workload: the literal is the table's digest recorded on the
-// parent of that change, and an empty workload is no workload.
+// parent of that change, re-recorded when ties began to break on values,
+// and an empty workload is no workload.
 func TestNoWorkloadKeepsTheOrder(t *testing.T) {
 	data := dataset.OSMLike(20_000, 6, 5)
 	for _, queries := range [][]geom.Box{nil, {}} {
 		var buf bytes.Buffer
-		if err := NewBuilder(data, 64).Build(shuffledRows(data.NumRows(), 9), queries).Encode(&buf); err != nil {
+		if err := NewBuilder(data, data.Domain(), 64).Build(shuffledRows(data.NumRows(), 9), queries).Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:8]) != "b4b7564656732895" {
-			t.Errorf("workload %v: table digest %x, want b4b7564656732895", queries, sum[:8])
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:8]) != "8595c7b90936cba8" {
+			t.Errorf("workload %v: table digest %x, want 8595c7b90936cba8", queries, sum[:8])
 		}
 	}
 }
 
-// TestBuilderExtentsMatchDomain: the builder's per-column extents, taken a
-// column a task, are those of the dataset's serial Domain — on NaNs of either
-// sign, both zeros and a column reaching ±Inf, which has no extent.
+// TestBuilderExtentsMatchDomain: the builder's per-column extents are those
+// of the domain it is handed — here the dataset's, on NaNs of either sign,
+// both zeros and a column reaching ±Inf, which has no extent.
 func TestBuilderExtentsMatchDomain(t *testing.T) {
 	data := specialsDataset(5000)
 	dom := data.Domain()
-	b := NewBuilder(data, 64)
+	b := NewBuilder(data, data.Domain(), 64)
 	for d := range data.Dims() {
 		want := 0.0
 		if ext := dom.Hi[d] - dom.Lo[d]; ext > 0 && !math.IsInf(ext, 0) {
@@ -626,7 +769,7 @@ func TestBuilderExtentsMatchDomain(t *testing.T) {
 // TestBuildDegeneratePartitions: empty and one-row partitions build.
 func TestBuildDegeneratePartitions(t *testing.T) {
 	data := dataset.Uniform(10, 2, 1)
-	b := NewBuilder(data, 4)
+	b := NewBuilder(data, data.Domain(), 4)
 	if tab := b.Build(nil, nil); tab.NumRows() != 0 || tab.NumGroups() != 0 || tab.Dims() != 2 {
 		t.Errorf("empty partition built %d rows in %d groups", tab.NumRows(), tab.NumGroups())
 	}
@@ -644,8 +787,8 @@ func TestBuildDegeneratePartitions(t *testing.T) {
 // trials stay inside the last two blocks of the block partition; the large
 // ones (~70 000 records, as a benchmark partition reaches) run its block loop
 // at every level, on random keys, on the three arrival patterns, and on
-// constant and two-valued keys, where positions order the records — arriving
-// in order or shuffled. The last trials put k near either end and in the
+// constant and two-valued keys, where the other words and positions order the
+// records — arriving in order or shuffled. The last trials put k near either end and in the
 // middle, where the sampled pivot is moved to either side of it.
 func TestSelectSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -666,8 +809,7 @@ func TestSelectSmallest(t *testing.T) {
 		want := slices.Clone(recs)
 		sortRecords(want, stride, keyWord)
 		for i := 1; i < n; i++ {
-			a, b := want[(i-1)*stride:i*stride], want[i*stride:(i+1)*stride]
-			if a[keyWord] > b[keyWord] || a[keyWord] == b[keyWord] && a[0] >= b[0] {
+			if compareRecords(want[(i-1)*stride:i*stride], want[i*stride:(i+1)*stride], keyWord) >= 0 {
 				t.Fatalf("%s: sortRecords left records %d, %d out of order", name, i-1, i)
 			}
 		}
@@ -722,7 +864,7 @@ func TestSelectSmallest(t *testing.T) {
 	// The sampled pivot with k one record and one row group in from either
 	// end, where it is moved to the far side of k, and in the middle; on
 	// ascending, descending, all-equal and two-valued keys (one value
-	// alternating, or one in fifty), where positions rank most of the sample.
+	// alternating, or one in fifty), where the other words rank most of the sample.
 	const m = 10_000
 	for _, c := range []struct {
 		name string

@@ -120,6 +120,21 @@ func (e *groupEncoder) encode(dims, n int, fill func(d int, dst []float64)) rowG
 	return newRowGroup(cols, n, stats)
 }
 
+// AppendColumns appends the table's values, column by column in its row
+// order, to cols (one slice per column) and returns them: how a drift rebuild
+// reads back the partitions its region's holders return.
+func (t *Table) AppendColumns(cols [][]float64) [][]float64 {
+	for gi := range t.groups {
+		g := &t.groups[gi]
+		for d := range cols {
+			at := len(cols[d])
+			cols[d] = slices.Grow(cols[d], g.rows)[:at+g.rows]
+			g.cols[d].decodeInto(cols[d][at:])
+		}
+	}
+	return cols
+}
+
 // NumRows returns the total row count.
 func (t *Table) NumRows() int { return t.rows }
 

@@ -233,7 +233,7 @@ func FuzzScanDifferential(f *testing.F) {
 		for i := range all {
 			all[i] = i
 		}
-		clustered := NewBuilder(data, groupRows).Build(all, nil)
+		clustered := NewBuilder(data, data.Domain(), groupRows).Build(all, nil)
 		enc = clustered.EncodedBytes()
 		check("clustered", clustered)
 		enc = tab.EncodedBytes()

@@ -148,7 +148,7 @@ func TestEnvelopeIsUnionOfGroupStats(t *testing.T) {
 		rows := rng.Perm(data.NumRows())[:n]
 		for name, tab := range map[string]*Table{
 			"FromDataset": FromDataset(data, rows, 64),
-			"Builder":     NewBuilder(data, 64).Build(append([]int{}, rows...), nil),
+			"Builder":     NewBuilder(data, data.Domain(), 64).Build(append([]int{}, rows...), nil),
 		} {
 			env, ok := tab.Envelope()
 			if ok != (n > 0) {

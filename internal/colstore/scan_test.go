@@ -31,7 +31,7 @@ func builtTable(rows int) (*dataset.Dataset, *Table) {
 	for i := range all {
 		all[i] = i
 	}
-	return data, NewBuilder(data, 2048).Build(all, nil)
+	return data, NewBuilder(data, data.Domain(), 2048).Build(all, nil)
 }
 
 func TestScannerSteadyStateAllocs(t *testing.T) {

@@ -64,29 +64,25 @@ func record(l *layout.Layout, data *dataset.Dataset, rows []int, hist workload.W
 	}
 }
 
-// Rebuild builds rows of data (nil: all of them) within box for hist with the
-// recipe from carries — its method, a stride sample of rows at its sampling
-// rate, its bmin and δ — and the §IV-E refinement, then routes every one of
-// rows through the result for exact FullRows; a row it cannot route is an
-// error. Drift rebuilds a region with it and an offline reference is the same
-// call over the whole domain, so both partition at from's grain.
-func Rebuild(from *layout.Layout, data *dataset.Dataset, rows []int, box geom.Box, hist workload.Workload) (*layout.Layout, error) {
+// Rebuild builds data within box for hist with the recipe from carries — its
+// method, a stride sample of data's rows at its sampling rate, its bmin and δ
+// — and the §IV-E refinement, then routes every row of data through the
+// result for exact FullRows; a row it cannot route is an error. Drift rebuilds
+// a region with it from the rows the region's holders return, and an offline
+// reference is the same call on the whole dataset over the whole domain, so
+// both partition at from's grain.
+func Rebuild(from *layout.Layout, data *dataset.Dataset, box geom.Box, hist workload.Workload) (*layout.Layout, error) {
 	if err := from.CheckRecipe(); err != nil {
 		return nil, err
 	}
-	if rows == nil {
-		rows = make([]int, data.NumRows())
-		for i := range rows {
-			rows[i] = i
-		}
-	}
-	if len(rows) == 0 {
+	n := data.NumRows()
+	if n == 0 {
 		return nil, fmt.Errorf("rebuild over no rows")
 	}
-	k := max(1, int(math.Round(from.SampleRate*float64(len(rows)))))
-	stride, sample := float64(len(rows))/float64(k), make([]int, k)
+	k := max(1, int(math.Round(from.SampleRate*float64(n))))
+	stride, sample := float64(n)/float64(k), make([]int, k)
 	for i := range sample {
-		sample[i] = rows[int(float64(i)*stride)]
+		sample[i] = int(float64(i) * stride)
 	}
 	l, err := BuildMethod(Method(from.Method), data, sample, box, hist, Params{
 		MinRows:         from.MinRows,
@@ -97,12 +93,12 @@ func Rebuild(from *layout.Layout, data *dataset.Dataset, rows []int, box geom.Bo
 		return nil, err
 	}
 	routed := 0
-	for id, part := range l.RouteIndices(data, rows) {
+	for id, part := range l.RouteIndices(data) {
 		l.Parts[id].FullRows = int64(len(part))
 		routed += len(part)
 	}
-	if routed < len(rows) {
-		return nil, fmt.Errorf("rebuilt layout routes %d of %d rows", routed, len(rows))
+	if routed < n {
+		return nil, fmt.Errorf("rebuilt layout routes %d of %d rows", routed, n)
 	}
 	return l, nil
 }

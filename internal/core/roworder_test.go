@@ -36,7 +36,7 @@ func TestNonAscendingSampleGolden(t *testing.T) {
 	data := dataset.TPCHLike(40_000, 31).Project(4).Normalize()
 	domain := data.Domain()
 	base := kdtree.Build(data, allRows(data.NumRows()), domain, kdtree.Params{MinRows: 2_000})
-	byPart := base.RouteIndices(data, nil)
+	byPart := base.RouteIndices(data)
 	var region []int
 	for _, p := range base.Parts {
 		region = append(region, byPart[p.ID]...)

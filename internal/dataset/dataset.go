@@ -131,30 +131,24 @@ func (d *Dataset) RowBytes() int64 { return int64(d.Dims()) * BytesPerAttribute 
 // TotalBytes returns the simulated size in bytes of the whole dataset.
 func (d *Dataset) TotalBytes() int64 { return int64(d.rows) * d.RowBytes() }
 
-// Domain returns the MBR of all records.
+// Domain returns the MBR of all records: per column the least and the
+// greatest value under <, which passes NaNs over (+Inf and -Inf for an empty
+// or all-NaN column; of two zeros the first seen).
 func (d *Dataset) Domain() geom.Box {
 	lo := make(geom.Point, d.Dims())
 	hi := make(geom.Point, d.Dims())
 	for dim, col := range d.cols {
-		lo[dim], hi[dim] = ColumnRange(col)
+		lo[dim], hi[dim] = math.Inf(1), math.Inf(-1)
+		for _, v := range col {
+			if v < lo[dim] {
+				lo[dim] = v
+			}
+			if v > hi[dim] {
+				hi[dim] = v
+			}
+		}
 	}
 	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// ColumnRange returns the least and the greatest value of col under <, which
-// passes NaNs over: +Inf and -Inf for an empty or all-NaN column. Of two zeros
-// it keeps the first seen.
-func ColumnRange(col []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range col {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }
 
 // RowInBox reports whether row i lies inside the closed box q. q may have

@@ -19,21 +19,17 @@ import (
 // dimension).
 const BytesPerBound = 16
 
-// Install builds precise descriptors with nmbr MBRs per partition and
-// attaches them to the layout's partitions. rows are the records used to
-// derive the MBRs — pass all dataset rows for exact descriptors (the paper
-// covers "all records in Pj"), or a sample for cheaper approximate ones
-// (approximate descriptors may lose pruning power but never correctness for
-// the rows they cover; with a sample, rows outside every MBR could be
-// missed, so production use routes the full dataset).
+// Install builds precise descriptors with nmbr MBRs per partition from every
+// record of data (the paper covers "all records in Pj") and attaches them to
+// the layout's partitions.
 //
 // It returns the total master-memory overhead in bytes:
 // 16 · dmax · Nmbr per partition.
-func Install(l *layout.Layout, data *dataset.Dataset, rows []int, nmbr int) (int64, error) {
+func Install(l *layout.Layout, data *dataset.Dataset, nmbr int) (int64, error) {
 	if nmbr < 1 {
 		return 0, fmt.Errorf("descriptor: Nmbr must be >= 1, got %d", nmbr)
 	}
-	byPart := l.RouteIndices(data, rows)
+	byPart := l.RouteIndices(data)
 	var mem int64
 	for _, p := range l.Parts {
 		idx := byPart[p.ID]
@@ -53,13 +49,4 @@ func Uninstall(l *layout.Layout) {
 	for _, p := range l.Parts {
 		p.Precise = nil
 	}
-}
-
-// AllRows is a convenience helper returning [0, n).
-func AllRows(n int) []int {
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }

@@ -13,14 +13,14 @@ import (
 func buildLayout(t *testing.T, rows int) (*layout.Layout, *dataset.Dataset) {
 	t.Helper()
 	data := dataset.Uniform(rows, 2, 1)
-	l := kdtree.Build(data, AllRows(rows), data.Domain(), kdtree.Params{MinRows: rows / 16})
+	l := kdtree.Build(data, allRows(rows), data.Domain(), kdtree.Params{MinRows: rows / 16})
 	l.Route(data)
 	return l, data
 }
 
 func TestInstallBasics(t *testing.T) {
 	l, data := buildLayout(t, 2000)
-	mem, err := Install(l, data, AllRows(data.NumRows()), 3)
+	mem, err := Install(l, data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestInstallBasics(t *testing.T) {
 	if mem != wantMem {
 		t.Errorf("memory accounting = %d, want %d", mem, wantMem)
 	}
-	if _, err := Install(l, data, AllRows(data.NumRows()), 0); err == nil {
+	if _, err := Install(l, data, 0); err == nil {
 		t.Error("Nmbr=0 must error")
 	}
 }
@@ -44,11 +44,11 @@ func TestInstallBasics(t *testing.T) {
 // still covers every query result row.
 func TestPruningNeverDropsResults(t *testing.T) {
 	l, data := buildLayout(t, 3000)
-	if _, err := Install(l, data, AllRows(data.NumRows()), 4); err != nil {
+	if _, err := Install(l, data, 4); err != nil {
 		t.Fatal(err)
 	}
 	w := workload.Uniform(data.Domain(), workload.Defaults(60, 2))
-	byPart := l.RouteIndices(data, nil)
+	byPart := l.RouteIndices(data)
 	for _, q := range w.Boxes() {
 		scanned := map[layout.ID]bool{}
 		for _, id := range l.PartitionsFor(q) {
@@ -80,11 +80,11 @@ func resultPartitions(data *dataset.Dataset, byPart [][]int, q geom.Box) []layou
 // partitions whose coarse MBR intersects the query but whose records do not.
 func TestPruningReducesCost(t *testing.T) {
 	data := dataset.OSMLike(5000, 8, 3)
-	l := kdtree.Build(data, AllRows(5000), data.Domain(), kdtree.Params{MinRows: 200})
+	l := kdtree.Build(data, allRows(5000), data.Domain(), kdtree.Params{MinRows: 200})
 	l.Route(data)
 	w := workload.Uniform(data.Domain(), workload.Defaults(80, 4))
 	before := l.WorkloadCost(w.Boxes(), nil)
-	if _, err := Install(l, data, AllRows(5000), 6); err != nil {
+	if _, err := Install(l, data, 6); err != nil {
 		t.Fatal(err)
 	}
 	after := l.WorkloadCost(w.Boxes(), nil)
@@ -98,7 +98,7 @@ func TestPruningReducesCost(t *testing.T) {
 
 func TestUninstall(t *testing.T) {
 	l, data := buildLayout(t, 1000)
-	if _, err := Install(l, data, AllRows(1000), 3); err != nil {
+	if _, err := Install(l, data, 3); err != nil {
 		t.Fatal(err)
 	}
 	Uninstall(l)
@@ -111,12 +111,12 @@ func TestUninstall(t *testing.T) {
 
 func TestMoreMBRsNeverWorse(t *testing.T) {
 	data := dataset.OSMLike(4000, 6, 5)
-	l := kdtree.Build(data, AllRows(4000), data.Domain(), kdtree.Params{MinRows: 150})
+	l := kdtree.Build(data, allRows(4000), data.Domain(), kdtree.Params{MinRows: 150})
 	l.Route(data)
 	w := workload.Uniform(data.Domain(), workload.Defaults(50, 6))
 	prev := int64(1 << 62)
 	for _, k := range []int{1, 3, 6, 10, 20} {
-		if _, err := Install(l, data, AllRows(4000), k); err != nil {
+		if _, err := Install(l, data, k); err != nil {
 			t.Fatal(err)
 		}
 		c := l.WorkloadCost(w.Boxes(), nil)
@@ -129,4 +129,13 @@ func TestMoreMBRsNeverWorse(t *testing.T) {
 			prev = c
 		}
 	}
+}
+
+// allRows returns [0, n).
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
+	"time"
 
 	"paw/internal/layout"
 	"paw/internal/membership"
@@ -21,23 +22,23 @@ import (
 // placement untouched, exactly like a drift migration. Every payload comes
 // from a worker that holds the partition: the master keeps no data.
 
-// ErrPartitionLost is wrapped by a rebalance that aborts because some moved
-// partition has no current holder the membership view counts as reachable.
-// The placement and the epoch stay, so a holder that rejoins its slot with
-// its store is taken (the master still serves the store's layout) and the
-// next round ships from it.
+// ErrPartitionLost is wrapped by a fetch — a rebalance's, or a drift
+// rebuild's reading its region back — that aborts because some partition it
+// needs has no live holder. The placement and the epoch stay, so a holder that
+// rejoins its slot with its store is taken (the master still serves the
+// store's layout) and the next attempt fetches from it.
 var ErrPartitionLost = errors.New("partition lost: no reachable worker holds a copy")
 
-// lostError is a rebalance's ErrPartitionLost: how many partitions have no
-// reachable holder and the first 8 of their IDs, ascending — a line the
-// auto-rebalance log prints, however many a dead worker held.
+// lostError is a fetch's ErrPartitionLost: how many partitions have no live
+// holder and the first 8 of their IDs, ascending — a line the auto-rebalance
+// log prints, however many a dead worker held.
 func lostError(lost []layout.ID) error {
 	slices.Sort(lost)
 	ids := fmt.Sprint(lost[:min(len(lost), 8)])
 	if len(lost) > 8 {
 		ids = ids[:len(ids)-1] + " …]"
 	}
-	return fmt.Errorf("dist: rebalance aborted before any cutover: %w: %d partitions %s", ErrPartitionLost, len(lost), ids)
+	return fmt.Errorf("%w: %d partitions %s", ErrPartitionLost, len(lost), ids)
 }
 
 // RebalanceReport summarises one rebalance round.
@@ -108,32 +109,19 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 		return report, nil // already balanced: no epoch bump, no thrash
 	}
 
-	// Every move needs a reachable holder to ship from; name all that have
-	// none before fetching anything.
-	var lost []layout.ID
-	for _, mv := range plan.Moves {
-		if !slices.ContainsFunc(curView.replicas[mv.ID], func(w int) bool { return reachable[w] }) {
-			lost = append(lost, mv.ID)
-		}
+	// Every payload is fetched before any install goes out, so a failed fetch
+	// aborts the round with zero cutover risk.
+	movedIDs := make([]layout.ID, len(plan.Moves))
+	for i, mv := range plan.Moves {
+		movedIDs[i] = mv.ID
 	}
-	if len(lost) > 0 {
-		return report, lostError(lost)
+	moved, err := m.fetch(ctx, curView, movedIDs, func(w int) bool { return reachable[w] })
+	if err != nil {
+		return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w", err)
 	}
-
-	// Fetch every moved partition's payload before any install goes out, so
-	// a failed fetch aborts the round with zero cutover risk.
-	moved := make(map[layout.ID][]byte, len(plan.Moves))
 	var shipped int64
 	for _, mv := range plan.Moves {
-		payload, rows, err := m.fetchPartition(ctx, curView, mv.ID, reachable)
-		if err != nil {
-			return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w", err)
-		}
-		if full := l.Parts[mv.ID].FullRows; rows != full {
-			return report, fmt.Errorf("dist: rebalance aborted before any cutover: partition %d fetched %d rows, layout says %d", mv.ID, rows, full)
-		}
-		moved[mv.ID] = payload
-		shipped += int64(len(payload)) * int64(len(mv.Gain))
+		shipped += int64(len(moved[mv.ID])) * int64(len(mv.Gain))
 	}
 
 	renamed := make(map[layout.ID]layout.ID, len(ids))
@@ -169,22 +157,72 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 	return report, nil
 }
 
-// fetchPartition retrieves a partition's colstore-encoded payload from the
-// first reachable current holder that answers.
-func (m *Master) fetchPartition(ctx context.Context, v *routeView, id layout.ID, reachable map[int]bool) ([]byte, int64, error) {
-	var lastErr error
-	for _, w := range v.replicas[id] {
-		if !reachable[w] {
-			continue
+// FetchPartitions returns the stored bytes of each partition of ids, by ID,
+// from a live holder under the served epoch: one the membership view
+// counts reachable or, with membership off, one a fresh connection reaches
+// (the link's own may not know yet that its peer is gone).
+func (m *Master) FetchPartitions(ctx context.Context, ids []layout.ID) (map[layout.ID][]byte, error) {
+	probed := make(map[int]bool)
+	live := func(w int) bool {
+		ok, seen := probed[w]
+		if !seen {
+			probe := link{addr: m.slot(w).link.address()}
+			_, err := probe.conn(ctx, m.callDeadline(time.Time{}, time.Now()))
+			probe.close()
+			ok, probed[w] = err == nil, err == nil
 		}
-		resp, err := m.adminCallResp(ctx, w, AdminRequest{Op: AdminFetch, Epoch: v.epoch, ID: id})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return resp.Payload, resp.Rows, nil
+		return ok
 	}
-	return nil, 0, fmt.Errorf("partition %d: no reachable holder answered the fetch: %w", id, lastErr)
+	if ms := m.member.Load(); ms != nil {
+		reachable := ms.tracker.View().Reachable()
+		live = func(w int) bool { return slices.Contains(reachable, w) }
+	}
+	payloads, err := m.fetch(ctx, m.view.Load(), ids, live)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	return payloads, nil
+}
+
+// fetch is FetchPartitions under view v and liveness test live, and what a
+// rebalance ships: every partition with no live holder is named, in an
+// ErrPartitionLost, before anything is fetched; a holder that refuses, or
+// returns other than the layout's row count, is another error.
+func (m *Master) fetch(ctx context.Context, v *routeView, ids []layout.ID, live func(w int) bool) (map[layout.ID][]byte, error) {
+	holders := make([][]int, len(ids))
+	var lost []layout.ID
+	for i, id := range ids {
+		for _, w := range v.replicas[id] {
+			if live(w) {
+				holders[i] = append(holders[i], w)
+			}
+		}
+		if holders[i] == nil {
+			lost = append(lost, id)
+		}
+	}
+	if len(lost) > 0 {
+		return nil, lostError(lost)
+	}
+	parts := v.router.Layout().Parts
+	payloads := make(map[layout.ID][]byte, len(ids))
+	for i, id := range ids {
+		var resp AdminResponse
+		var err error
+		for _, w := range holders[i] {
+			if resp, err = m.adminCallResp(ctx, w, AdminRequest{Op: AdminFetch, Epoch: v.epoch, ID: id}); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("partition %d: no live holder answered the fetch: %w", id, err)
+		}
+		if resp.Rows != parts[id].FullRows {
+			return nil, fmt.Errorf("partition %d fetched %d rows, layout says %d", id, resp.Rows, parts[id].FullRows)
+		}
+		payloads[id] = resp.Payload
+	}
+	return payloads, nil
 }
 
 // placementsEqual reports whether two placements assign identical replica

@@ -261,7 +261,7 @@ func TestPartialResultsNotCached(t *testing.T) {
 // the same answer, the dataset's count over the partition.
 func TestWorkerConcurrentIdenticalBatches(t *testing.T) {
 	data, l, store := chaosFixture()
-	byPart := l.RouteIndices(data, nil)
+	byPart := l.RouteIndices(data)
 	q := data.Domain()
 	q.Hi[0] = (q.Lo[0] + q.Hi[0]) / 2
 	id, want := layout.ID(-1), 0

@@ -292,7 +292,7 @@ func TestWorkerBatchOneScanner(t *testing.T) {
 	if !reflect.DeepEqual(batch, sum) {
 		t.Fatalf("batch %+v != sum of its single-partition batches %+v", batch, sum)
 	}
-	byPart := l.RouteIndices(data, nil)
+	byPart := l.RouteIndices(data)
 	var rows []int
 	for _, id := range small {
 		rows = append(rows, byPart[id]...)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"paw/internal/blockstore"
 	"paw/internal/colstore"
 	"paw/internal/core"
 	"paw/internal/dataset"
@@ -26,18 +27,16 @@ import (
 // query observer and, when the monitor triggers, rebuilds the violated
 // region of the serving layout and migrates the cluster onto the patch.
 //
-// The controller holds the full dataset — this repository's 1/1000-scale
-// stand-in for reading the affected partitions' rows back from the workers.
-// Everything else it needs it takes from the master (current layout,
-// placement, epoch) at trigger time, so a controller constructed once stays
-// correct across its own migrations.
+// The controller holds no rows: a rebuild reads its region's partitions back
+// from the workers that hold them (dist.Master.FetchPartitions). Everything
+// else it needs it takes from the master (current layout, placement, epoch)
+// at trigger time, so a controller constructed once stays correct across its
+// own migrations.
 type Controller struct {
 	cfg    Config
 	master *dist.Master
-	data   *dataset.Dataset
-	// builder encodes migration payloads in the store's physical row order.
-	builder *colstore.Builder
-	mon     *Monitor
+	store  blockstore.Config // the workers': payloads are laid out like theirs
+	mon    *Monitor
 
 	// mu serializes the trigger pipeline; the master's ApplyMigration
 	// rejects overlap anyway, but one pipeline at a time keeps cur coherent.
@@ -89,24 +88,22 @@ type Report struct {
 // the drift oracle's probes of every patch.
 const minGain, oracleSeed = 0.05, 1
 
-// New builds a controller for a serving master. data must be the dataset the
-// cluster's layout was materialised from, builder the workers' store's
-// (blockstore.Config.Builder), so that a rebuilt partition ships laid out like
-// a materialised one. The monitor's scope is the one the served layout
-// carries: its QH is the initial reference, its δ the threshold; a region is
-// rebuilt with its recipe, and a layout that carries none is refused.
-func New(m *dist.Master, data *dataset.Dataset, builder *colstore.Builder, cfg Config) (*Controller, error) {
+// New builds a controller for a serving master whose workers' partitions were
+// built with store, so that a rebuilt partition ships laid out like a
+// materialised one. The monitor's scope is the one the served layout carries:
+// its QH is the initial reference, its δ the threshold; a region is rebuilt
+// with its recipe, and a layout that carries none is refused.
+func New(m *dist.Master, store blockstore.Config, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	l := m.Router().Layout()
 	if err := l.CheckRecipe(); err != nil {
 		return nil, fmt.Errorf("drift: %w", err)
 	}
 	c := &Controller{
-		cfg:     cfg,
-		master:  m,
-		data:    data,
-		builder: builder,
-		mon:     NewMonitor(workload.FromBoxes(l.Hist), l.Delta, cfg),
+		cfg:    cfg,
+		master: m,
+		store:  store,
+		mon:    NewMonitor(workload.FromBoxes(l.Hist), l.Delta, cfg),
 	}
 	c.cur.Store(l)
 	c.inst.Store(&driftInstruments{})
@@ -166,10 +163,13 @@ func (c *Controller) TriggerNow(ctx context.Context) (Report, error) {
 	c.inst.Load().triggers.Inc()
 
 	err := c.migrate(ctx, &rep)
-	if err == nil && !rep.Migrated {
-		// Triggered but skipped (benefit gate): cool down for one window so
-		// the same window cannot re-trigger every CheckEvery observations.
-		c.inst.Load().skips.Inc()
+	if !rep.Migrated {
+		// Skipped (benefit gate) or failed (a partition lost, an install
+		// refused): cool down for one window, so the same window cannot
+		// re-trigger every CheckEvery observations.
+		if err == nil {
+			c.inst.Load().skips.Inc()
+		}
 		c.mon.MuteFor(c.cfg.Window)
 	}
 	c.inst.Load().publish(rep)
@@ -215,7 +215,7 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	}
 
 	rsp := tm.Start("rebuild", root)
-	newL, diff, payloadRows, err := c.rebuild(cur, target, live)
+	newL, diff, held, payloadRows, err := c.rebuild(ctx, cur, target, live)
 	if err != nil {
 		rsp.Int(trace.KeyError, 1)
 		rsp.End()
@@ -226,7 +226,7 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 	rep.Renamed, rep.Added, rep.Removed = len(diff.Renamed), len(diff.Added), len(diff.Removed)
 
 	bsp := tm.Start("build_payload", root)
-	mig, moved, err := c.buildMigration(newL, diff, payloadRows)
+	mig, moved, err := c.buildMigration(newL, diff, held, payloadRows)
 	if err != nil {
 		bsp.Int(trace.KeyError, 1)
 		bsp.End()
@@ -292,36 +292,48 @@ func (c *Controller) runMigration(ctx context.Context, rep *Report, tm *trace.T,
 
 // rebuild constructs the replacement subtree for target within cur's scope
 // and patches it into cur. It returns the patched layout, carrying cur's
-// scope grown by live, the diff, and the full-data row indices of every added
-// partition (the migration payloads).
+// scope grown by live, the diff, the region's rows and which of them every
+// added partition holds (the migration payloads).
 //
-// The subtree is core.Rebuild with cur's recipe over the rows the cluster
-// routes into target, for the live window plus the still-relevant slice of
-// the reference workload: the region is partitioned as the boot layout
-// partitioned the domain, at the same bmin.
-func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workload.Workload) (*layout.Layout, layout.Diff, map[layout.ID][]int, error) {
-	// Every row the cluster routes into the target subtree must come out of
-	// the rebuild in exactly one new partition — the migration's row
-	// population is defined by old-layout routing, not by geometry, so
-	// irregular siblings keep their rows.
-	byPart := cur.RouteIndices(c.data, nil)
-	var regionRows []int
+// The region's rows are those its partitions' live holders return, partitions
+// in ID order, each in stored order (none: dist.ErrPartitionLost). The
+// subtree is core.Rebuild with cur's recipe over them, for the live window
+// plus the still-relevant slice of the reference workload: the region is
+// partitioned as the boot layout partitioned the domain, at the same bmin.
+func (c *Controller) rebuild(ctx context.Context, cur *layout.Layout, target *layout.Node, live workload.Workload) (*layout.Layout, layout.Diff, *dataset.Dataset, map[layout.ID][]int, error) {
+	var ids []layout.ID
 	for _, leaf := range target.Leaves() {
-		regionRows = append(regionRows, byPart[leaf.Part.ID]...)
+		ids = append(ids, leaf.Part.ID)
 	}
-	if len(regionRows) == 0 {
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: rebuild region holds no rows")
+	payloads, err := c.master.FetchPartitions(ctx, ids)
+	if err != nil {
+		return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: reading the region back: %w", err)
+	}
+	cols := make([][]float64, len(cur.Names))
+	for _, id := range ids {
+		tab, err := colstore.Decode(bytes.NewReader(payloads[id]))
+		if err == nil && tab.Dims() != len(cols) {
+			err = fmt.Errorf("%d columns, the layout has %d", tab.Dims(), len(cols))
+		}
+		if err != nil {
+			return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: partition %d: %w", id, err)
+		}
+		cols = tab.AppendColumns(cols)
+	}
+	region, err := dataset.New(cur.Names, cols)
+	if err != nil {
+		return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: reading the region back: %w", err)
 	}
 	targetBox := target.Desc.MBR()
 	wl := append(live.Clip(targetBox), workload.FromBoxes(cur.Hist).Clip(targetBox)...)
-	built, err := core.Rebuild(cur, c.data, regionRows, targetBox, wl)
+	built, err := core.Rebuild(cur, region, targetBox, wl)
 	if err != nil {
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: %w", err)
+		return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: %w", err)
 	}
 
 	newL, diff, err := layout.PatchSubtree(cur, target, built.Root)
 	if err != nil {
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: patching layout: %w", err)
+		return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: patching layout: %w", err)
 	}
 	// The patched layout states the scope it will be monitored against: the
 	// old reference plus what was just observed, at the same δ. The old
@@ -334,22 +346,22 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 	// matching what the rebuild recorded (each row lands once at most, so
 	// the total leaves none in a surviving partition). Any mismatch means
 	// cutover would lose or invent rows — abort before anything ships.
-	newByPart := newL.RouteIndices(c.data, regionRows)
+	newByPart := newL.RouteIndices(region)
 	payloadRows := make(map[layout.ID][]int, len(diff.Added))
 	total := 0
 	for _, id := range diff.Added {
 		rows := newByPart[id]
 		if int64(len(rows)) != newL.Parts[id].FullRows {
-			return nil, layout.Diff{}, nil, fmt.Errorf("drift: partition %d routes %d rows but carries FullRows=%d",
+			return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: partition %d routes %d rows but carries FullRows=%d",
 				id, len(rows), newL.Parts[id].FullRows)
 		}
 		payloadRows[id] = rows
 		total += len(rows)
 	}
-	if total != len(regionRows) {
-		return nil, layout.Diff{}, nil, fmt.Errorf("drift: region rebuild conserves %d of %d rows", total, len(regionRows))
+	if total != region.NumRows() {
+		return nil, layout.Diff{}, nil, nil, fmt.Errorf("drift: region rebuild conserves %d of %d rows", total, region.NumRows())
 	}
-	return newL, diff, payloadRows, nil
+	return newL, diff, region, payloadRows, nil
 }
 
 // buildMigration turns a patched layout + diff into the master's migration
@@ -359,8 +371,8 @@ func (c *Controller) rebuild(cur *layout.Layout, target *layout.Node, live workl
 // Both lists ascend in leaf order, so the rebuilt region stays on the workers
 // that served it, neighbours with neighbours, with the copy count the
 // placement keeps there — never on a slot the placement does not use.
-func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, payloadRows map[layout.ID][]int) (*dist.Migration, int64, error) {
-	rm, err := router.NewMaster(newL, c.data.Names())
+func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, region *dataset.Dataset, payloadRows map[layout.ID][]int) (*dist.Migration, int64, error) {
+	rm, err := router.NewMaster(newL, newL.Names)
 	if err != nil {
 		return nil, 0, fmt.Errorf("drift: routing patched layout: %w", err)
 	}
@@ -378,11 +390,11 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, paylo
 		})
 	}
 	var moved int64
-	queries := newL.ExtendedHist()
+	builder, queries := c.store.Builder(region, newL), newL.ExtendedHist()
 	for i, id := range diff.Added {
 		ws := slices.Clone(curPlace[diff.Removed[i*len(diff.Removed)/len(diff.Added)]])
 		place[id] = ws
-		tab := c.builder.Build(payloadRows[id], queries)
+		tab := builder.Build(payloadRows[id], queries)
 		// The added partition's data envelope, as blockstore.Materialize
 		// sets it: surviving partitions carried theirs through the patch.
 		if env, ok := tab.Envelope(); ok {

@@ -3,6 +3,7 @@ package drift
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"paw/internal/blockstore"
 	"paw/internal/core"
 	"paw/internal/descriptor"
+	"paw/internal/dist"
 	"paw/internal/geom"
 	"paw/internal/invariant"
 	"paw/internal/layout"
@@ -150,7 +152,7 @@ func TestDriftEndToEnd(t *testing.T) {
 	for i, b := range drifted {
 		live = append(live, workload.Query{Box: b, Seq: int64(i)})
 	}
-	offline, err := core.Rebuild(tc.layout, tc.data, nil, tc.data.Domain(), live)
+	offline, err := core.Rebuild(tc.layout, tc.data, tc.data.Domain(), live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	// A planning-only controller over a store configuration of 64-row groups,
 	// so that the rebuilt partitions span several.
 	storeCfg := blockstore.Config{GroupRows: 64}
-	ctl, err := New(tc.master, tc.data, storeCfg.Builder(tc.data), cfg)
+	ctl, err := New(tc.master, storeCfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +253,14 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	for i, b := range rightBoxes(cfg.Window, 99) {
 		live = append(live, workload.Query{Box: b, Seq: int64(i)})
 	}
-	newL, diff, payloadRows, err := ctl.rebuild(cur, target, live)
+	newL, diff, held, payloadRows, err := ctl.rebuild(context.Background(), cur, target, live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if newL.Delta != cur.Delta || len(newL.Hist) != len(cur.Hist)+len(live) {
 		t.Fatalf("the patched layout carries δ %g and %d QH queries, want %g and %d", newL.Delta, len(newL.Hist), cur.Delta, len(cur.Hist)+len(live))
 	}
-	mig, _, err := ctl.buildMigration(newL, diff, payloadRows)
+	mig, _, err := ctl.buildMigration(newL, diff, held, payloadRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 		if sp.Table.NumRows() > 256 { // Uniform's columns hold no value twice
 			twoTails++
 			var unsteered bytes.Buffer
-			if err := storeCfg.Builder(tc.data).Build(slices.Clone(payloadRows[e.ID]), nil).Encode(&unsteered); err != nil {
+			if err := storeCfg.Builder(held, newL).Build(slices.Clone(payloadRows[e.ID]), nil).Encode(&unsteered); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(unsteered.Bytes(), e.Payload) {
@@ -298,6 +300,64 @@ func TestMigrationPayloadsMatchMaterialize(t *testing.T) {
 	if shipped == 0 || multiGroup == 0 || twoTails == 0 || steered == 0 {
 		t.Fatalf("plan shipped %d payloads, %d of more than one row group, %d with two tail columns, %d tiled otherwise than without a workload: the comparison is vacuous",
 			shipped, multiGroup, twoTails, steered)
+	}
+}
+
+// TestFailedTriggerMutesTheMonitor: on a fleet of one copy per partition, a
+// trigger whose region has a partition on a closed worker aborts before
+// anything is installed, wrapping dist.ErrPartitionLost, and mutes the monitor
+// for one window, as a skipped trigger does: the drifted window does not
+// trigger again until a window of observations has passed, so a dead holder
+// costs one fetch attempt a window, not one every CheckEvery queries.
+func TestFailedTriggerMutesTheMonitor(t *testing.T) {
+	cfg := testConfig()
+	tc := startDriftCluster(t, 16000, 3, cfg)
+	names := tc.data.Names()
+	for i := 0; i < cfg.Window; i++ {
+		tc.serve(t, sqlrew.BoxSQL(names, tc.hist[i%len(tc.hist)].Box))
+	}
+	var drifted []dist.QueryObservation
+	for _, b := range rightBoxes(cfg.Window, 99) {
+		resp := tc.serve(t, sqlrew.BoxSQL(names, b))
+		drifted = append(drifted, dist.QueryObservation{Ranges: []geom.Box{b}, BytesOpened: resp.BytesScanned + resp.BytesSkipped})
+	}
+	d := tc.ctl.mon.Evaluate()
+	if !d.Trigger {
+		t.Fatalf("fixture: the drifted window does not trigger: %s", d.Reason)
+	}
+	cur := tc.ctl.layout()
+	target := cur.SubtreeFor(d.Region.Clip(cur.Root.Desc.MBR()))
+	holder := tc.master.Placement()[target.Leaves()[0].Part.ID][0]
+	tc.workers[holder].Close()
+
+	trigger := func() Report {
+		t.Helper()
+		rep, err := tc.ctl.TriggerNow(context.Background())
+		if rep.Triggered && !errors.Is(err, dist.ErrPartitionLost) {
+			t.Fatalf("trigger with a region partition on closed worker %d: %v, want dist.ErrPartitionLost", holder, err)
+		}
+		if rep.Migrated || tc.master.Epoch() != 0 {
+			t.Fatalf("a failed trigger migrated: %+v, epoch %d", rep, tc.master.Epoch())
+		}
+		return rep
+	}
+	if rep := trigger(); !rep.Triggered {
+		t.Fatalf("the drifted window did not trigger: %+v", rep.Decision)
+	}
+	for w, reg := range tc.regs {
+		if got := reg.Snapshot().Counter(dist.MetricWorkerInstalls); got != 0 {
+			t.Fatalf("worker %d received %d installs from an aborted trigger", w, got)
+		}
+	}
+	for i := 1; i < cfg.Window; i++ {
+		tc.ctl.mon.Observe(drifted[i])
+		if rep := trigger(); rep.Triggered {
+			t.Fatalf("observation %d after the failed trigger triggered again, within its window of %d", i, cfg.Window)
+		}
+	}
+	tc.ctl.mon.Observe(drifted[0])
+	if rep := trigger(); !rep.Triggered {
+		t.Fatalf("a window after the failed trigger, the drifted window does not trigger: %s", rep.Decision.Reason)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/dist"
 	"paw/internal/layout"
+	"paw/internal/obs"
 	"paw/internal/placement"
 	"paw/internal/router"
 	"paw/internal/workload"
@@ -49,6 +50,7 @@ type driftCluster struct {
 	layout  *layout.Layout // the layout the cluster started with (epoch 0)
 	oracle  *router.Master // static router over the epoch-0 layout (row oracle)
 	workers []*dist.Worker
+	regs    []*obs.Registry // regs[w] is worker w's
 	master  *dist.Master
 	ctl     *Controller
 
@@ -89,8 +91,8 @@ func startPlacedDriftCluster(t testing.TB, rows, nSlots int, cfg Config, place f
 	}
 	t.Cleanup(f.Close)
 	tc := &driftCluster{data: data, hist: hist, layout: l, oracle: oracle,
-		workers: f.Workers, master: f.Master, oracleRowsBySQL: make(map[string]int)}
-	if tc.ctl, err = New(f.Master, data, storeConfig.Builder(data), cfg); err != nil {
+		workers: f.Workers, regs: f.Regs, master: f.Master, oracleRowsBySQL: make(map[string]int)}
+	if tc.ctl, err = New(f.Master, storeConfig, cfg); err != nil {
 		t.Fatal(err)
 	}
 	tc.ctl.Attach(false)

@@ -2,9 +2,7 @@ package invariant
 
 import (
 	"math/rand"
-	"slices"
 
-	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/layout"
 	"paw/internal/parbuild"
@@ -24,9 +22,10 @@ import (
 //     sampled points, and a located partition's descriptor contains the
 //     point.
 //   - Precise descriptors (when Data is given): routing the full dataset,
-//     every record that lands in a partition with a precise descriptor is
-//     covered by one of its MBRs — otherwise the master would skip a
-//     partition that holds matching records.
+//     fanned over GOMAXPROCS, every record that lands in a partition with a
+//     precise descriptor is covered by one of its MBRs — otherwise the master
+//     would skip a partition that holds matching records — and a record
+//     inside the root region lands somewhere.
 func CheckRouting(l *layout.Layout, in Inputs) error {
 	in = in.withDefaults()
 	if l.Root == nil {
@@ -63,26 +62,10 @@ func CheckRouting(l *layout.Layout, in Inputs) error {
 				"point %v was routed to partition %d whose region does not contain it", p, fast.ID)
 		}
 	}
-	if in.Data != nil {
-		return CheckData(l, in.Data)
+	if in.Data == nil {
+		return nil
 	}
-	return nil
-}
-
-// CheckData is the data clause of CheckRouting on its own: data has the
-// layout's width and any column names it carries, every record of data is
-// routed through the sealed layout (fanned over GOMAXPROCS), a record that
-// lands in a partition with a precise descriptor must lie inside one of its
-// MBRs, and a record inside the root region must land somewhere. It decides
-// whether `pawmaster -drift` may rebuild regions from a dataset file.
-func CheckData(l *layout.Layout, data *dataset.Dataset) error {
-	root := l.Root.Desc.MBR()
-	if root.Dims() != data.Dims() {
-		return violationf(OracleRouting, "layout has %d dimensions, dataset has %d", root.Dims(), data.Dims())
-	}
-	if len(l.Names) > 0 && !slices.Equal(l.Names, data.Names()) {
-		return violationf(OracleRouting, "layout's columns are %q, dataset's %q", l.Names, data.Names())
-	}
+	data, root := in.Data, l.Root.Desc.MBR()
 	pool := parbuild.New(0)
 	type tally struct {
 		routed, inside int

@@ -3,7 +3,6 @@ package layout
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"paw/internal/dataset"
@@ -207,9 +206,8 @@ func diffRouting(t *testing.T, r *rand.Rand, l *Layout) {
 // datasets of a block less one row, a block, a block and a row, three blocks
 // and seven rows and every point, on 1 to 4 workers, through RouteRows (each
 // list ascending; FullRows, Unrouted and TotalBytes as LocateLinear counts
-// them), RouteParallel, and the engine behind RouteIndices on a shuffled
-// subset (each list in the subset's order). Blocks with a point outside the
-// root's box and blocks without are both dealt.
+// them) and RouteParallel. Blocks with a point outside the root's box and
+// blocks without are both dealt.
 func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 	t.Helper()
 	var xs, ys []float64
@@ -250,13 +248,6 @@ func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 				unrouted++
 			}
 		}
-		sub := r.Perm(n)[:n/2]
-		wantSub := make([][]int, len(l.Parts))
-		for _, i := range sub {
-			if want[i] >= 0 {
-				wantSub[want[i]] = append(wantSub[want[i]], i)
-			}
-		}
 		for workers := 1; workers <= 4; workers++ {
 			byPart := l.RouteRows(data, workers)
 			for id, rows := range byPart {
@@ -276,12 +267,6 @@ func diffBulkRouting(t *testing.T, r *rand.Rand, l *Layout) {
 			for id, p := range l.Parts {
 				if p.FullRows != wantRows[id] {
 					t.Fatalf("n=%d workers=%d: RouteParallel counts %d rows in partition %d, want %d", n, workers, p.FullRows, id, wantRows[id])
-				}
-			}
-			bySub, _ := l.deal(data, sub, workers)
-			for id, rows := range bySub {
-				if !slices.Equal(rows, wantSub[id]) {
-					t.Fatalf("n=%d workers=%d: RouteIndices puts %d rows in partition %d in another order or set than LocateLinear's %d", n, workers, len(rows), id, len(wantSub[id]))
 				}
 			}
 		}

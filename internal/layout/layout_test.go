@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"reflect"
 	"testing"
 
 	"paw/internal/dataset"
@@ -233,12 +234,8 @@ func TestValidate(t *testing.T) {
 
 func TestRouteIndices(t *testing.T) {
 	l, data := grid4(t)
-	m := l.RouteIndices(data, []int{0, 1, 4})
-	if len(m[0]) != 2 {
-		t.Errorf("partition 0 got %v", m[0])
-	}
-	if len(m[1]) != 1 {
-		t.Errorf("partition 1 got %v", m[1])
+	if m, want := l.RouteIndices(data), [][]int{{0, 1}, {4, 5}, {2, 3}, {6, 7}}; !reflect.DeepEqual(m, want) {
+		t.Errorf("RouteIndices lists %v, want %v", m, want)
 	}
 }
 

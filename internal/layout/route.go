@@ -27,7 +27,7 @@ func (l *Layout) RouteParallel(data *dataset.Dataset, workers int) { l.RouteRows
 // RouteRows is RouteParallel that also returns every partition's rows, by ID,
 // each ascending, so the block store routes the dataset once.
 func (l *Layout) RouteRows(data *dataset.Dataset, workers int) [][]int {
-	byPart, unrouted := l.deal(data, nil, workers)
+	byPart, unrouted := l.deal(data, workers)
 	for id, p := range l.Parts {
 		p.FullRows = int64(len(byPart[id]))
 	}
@@ -35,12 +35,11 @@ func (l *Layout) RouteRows(data *dataset.Dataset, workers int) [][]int {
 	return byPart
 }
 
-// RouteIndices routes the rows idx names (nil: every row of data) on
-// GOMAXPROCS goroutines and returns them by partition ID, each partition's
-// in idx's order. It sets nothing on l, so a layout can be routed while it
-// serves.
-func (l *Layout) RouteIndices(data *dataset.Dataset, idx []int) [][]int {
-	byPart, _ := l.deal(data, idx, 0)
+// RouteIndices routes every row of data on GOMAXPROCS goroutines and returns
+// them by partition ID, each partition's ascending. It sets nothing on l, so
+// a layout can be routed while it serves.
+func (l *Layout) RouteIndices(data *dataset.Dataset) [][]int {
+	byPart, _ := l.deal(data, 0)
 	return byPart
 }
 
@@ -50,13 +49,10 @@ func (l *Layout) RouteIndices(data *dataset.Dataset, idx []int) [][]int {
 // join knows every partition's count from every chunk, so each chunk copies
 // its shares straight to their places in one backing array, and nothing is
 // grown.
-func (l *Layout) deal(data *dataset.Dataset, idx []int, workers int) ([][]int, int64) {
+func (l *Layout) deal(data *dataset.Dataset, workers int) ([][]int, int64) {
 	n := data.NumRows()
 	if n > math.MaxInt32 {
 		panic("layout: bulk routing keeps row numbers in 32 bits")
-	}
-	if idx != nil {
-		n = len(idx)
 	}
 	rc := l.deriveChecks()
 	var rootBox []bound
@@ -67,8 +63,8 @@ func (l *Layout) deal(data *dataset.Dataset, idx []int, workers int) ([][]int, i
 	dealers := make([]*dealer, pool.Workers())
 	dealers = dealers[:pool.FanChunks(pool.RootSlot(), n, routeBlock, func(c, lo, hi, _ int) {
 		dims := data.Dims()
-		d := &dealer{rc: rc, rootBox: rootBox, data: data, idx: idx,
-			block: make([][]float64, dims), gathered: make([]float64, dims*routeBlock), pt: make(geom.Point, dims),
+		d := &dealer{rc: rc, rootBox: rootBox, data: data,
+			block: make([][]float64, dims), pt: make(geom.Point, dims),
 			rows: make([]uint16, routeBlock), take: make([]uint16, routeBlock), cand: make([]uint16, routeBlock),
 			mask: make([]uint8, routeBlock), which: make([]int32, routeBlock),
 			dealt: make([]int32, 0, hi-lo), count: make([]int, len(l.Parts))}
@@ -114,10 +110,8 @@ type dealer struct {
 	rootBox          []bound
 	outside          bool // the block has a row outside rootBox
 	data             *dataset.Dataset
-	idx              []int
-	base             int         // the block's first position
-	block            [][]float64 // the block's values: views of the columns, or gathered through idx
-	gathered         []float64
+	base             int         // the block's first row
+	block            [][]float64 // the block's values: views of the columns
 	pt               geom.Point
 	rows, take, cand []uint16
 	mask             []uint8
@@ -134,16 +128,7 @@ type dealer struct {
 func (d *dealer) route(root *Node, base, m int) {
 	d.base = base
 	for c := range d.block {
-		col := d.data.Column(c)
-		if d.idx == nil {
-			d.block[c] = col[base : base+m]
-			continue
-		}
-		g := d.gathered[c*routeBlock : c*routeBlock+m]
-		for i, r := range d.idx[base : base+m] {
-			g[i] = col[r]
-		}
-		d.block[c] = g
+		d.block[c] = d.data.Column(c)[base : base+m]
 	}
 	out := 0
 	for _, b := range d.rootBox {
@@ -163,11 +148,7 @@ func (d *dealer) route(root *Node, base, m int) {
 func (d *dealer) node(n *Node, k int32, rows []uint16) {
 	if n.Part != nil {
 		for _, x := range rows {
-			r := d.base + int(x)
-			if d.idx != nil {
-				r = d.idx[r]
-			}
-			d.dealt = append(d.dealt, int32(r))
+			d.dealt = append(d.dealt, int32(d.base+int(x)))
 		}
 		d.shares = append(d.shares, int32(n.Part.ID), int32(len(rows)))
 		d.count[n.Part.ID] += len(rows)

@@ -43,7 +43,7 @@ func (l *Layout) Validate(data *dataset.Dataset, minRows int64) error {
 	// records routed to it.
 	pt := make(geom.Point, data.Dims())
 	routed := 0
-	for id, rows := range l.RouteIndices(data, nil) {
+	for id, rows := range l.RouteIndices(data) {
 		for _, r := range rows {
 			for d := range pt {
 				pt[d] = data.At(r, d)

@@ -20,7 +20,7 @@ func Methods() []string {
 func Check(sc Scenario, method string, parallelism int, withPrecise bool, tunerBudget int64) error {
 	l := Build(sc, method, parallelism)
 	if withPrecise {
-		if _, err := descriptor.Install(l, sc.Data, descriptor.AllRows(sc.Data.NumRows()), 4); err != nil {
+		if _, err := descriptor.Install(l, sc.Data, 4); err != nil {
 			return fmt.Errorf("sim: precise install: %w", err)
 		}
 	}

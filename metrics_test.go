@@ -65,7 +65,7 @@ func TestMetricInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm.SetMetrics(master)
-	ctl, err := drift.New(f.Master, data, cfg.Builder(data), drift.Config{})
+	ctl, err := drift.New(f.Master, cfg, drift.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func FractionOfDomain(domain Box, frac float64) float64 {
 // partition gets nmbr covering MBRs extracted R-tree-style from its records.
 // Returns the master-memory overhead in bytes.
 func InstallPreciseDescriptors(l *Layout, data *Dataset, nmbr int) (int64, error) {
-	return descriptor.Install(l, data, descriptor.AllRows(data.NumRows()), nmbr)
+	return descriptor.Install(l, data, nmbr)
 }
 
 // SelectExtraPartitions runs the §V-B storage tuner: redundant partitions
