@@ -399,9 +399,12 @@ loc:
 # −11), invariant.CheckData's own entry point (invariant −17), RouteIndices'
 # row subset and descriptor.AllRows (layout −19, descriptor −13, bench −1),
 # core.Rebuild's rows (core −4) and dataset.ColumnRange (dataset −6).
+# Then −34 gave master and worker one session server and every call one link
+# rule: the worker's session tracking, the master's accept goroutine and
+# Master.linkFailed went (dist −41); serve.Mux.Down (serve +7).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 23516
+LOC_CEILING := 23481
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
@@ -412,7 +415,7 @@ loc-check:
 # doc-check fails when DESIGN.md, README.md or TESTING.md passes its line
 # ceiling, as loc-check does for the code: a diff that grows a document on
 # purpose raises its number here, and one that shrinks it may lower it.
-DOC_CEILINGS := DESIGN.md:2491 README.md:929 TESTING.md:1155
+DOC_CEILINGS := DESIGN.md:2490 README.md:929 TESTING.md:1153
 doc-check:
 	@fail=0; for c in $(DOC_CEILINGS); do f=$${c%%:*}; max=$${c##*:}; n=$$(wc -l < $$f); \
 		if [ "$$n" -gt "$$max" ]; then echo "doc-check: $$f has $$n lines, over its ceiling of $$max (Makefile, DOC_CEILINGS)"; fail=1; \
@@ -456,11 +459,10 @@ bench-drift:
 # committed file (git HEAD), and prints both. Deterministic are the columns
 # equal across three runs and at GOMAXPROCS 1 (it needs jq); left out are
 # timings, allocation counts, the host block and the rest of meta, and:
-# construction's tpch_rows, sample_rows and min_rows (CI runs it at its own
-# scale), routing's and scan's per-result workers (a GOMAXPROCS-wide pool),
+# routing's and scan's per-result workers (a GOMAXPROCS-wide pool),
 # drift's migration_ms, and rebalance's queries_during (18 to 21 across runs)
 # and rebalance_ms.
-BENCH_COLUMNS_construction := {schema: .meta.schema, hist_queries, results: [.results[] | {method, workers}]}
+BENCH_COLUMNS_construction := {schema: .meta.schema, tpch_rows, sample_rows, min_rows, hist_queries, results: [.results[] | {method, workers}]}
 BENCH_COLUMNS_routing := {schema: .meta.schema, index_height, partitions, point_queries, range_queries, modes: [.results[].mode]}
 BENCH_COLUMNS_scan := del(.meta, .gomaxprocs, .num_cpu) + {schema: .meta.schema} | .results |= map(del(.allocs_per_op, .decoded_mb_per_sec, .mb_per_sec, .ns_per_op, .rows_per_sec, .speedup_vs_naive, .workers))
 BENCH_COLUMNS_drift := {schema: .meta.schema, workers, window, check_every, scenarios: [.scenarios[] | del(.migration_ms)]}

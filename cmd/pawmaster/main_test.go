@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"paw/internal/dataset"
 	"paw/internal/dist"
@@ -71,8 +72,10 @@ func (f *fleet) build(d *dataset.Dataset, name string) (dataPath, layoutPath, st
 }
 
 // start runs a binary until it prints its first line, which ends "on ADDR"
-// or "on ADDR (…)", and returns ADDR and a func that kills the process.
-func (f *fleet) start(name string, args ...string) (addr string, stop func()) {
+// or "on ADDR (…)", and returns ADDR and a func that sends the process sig
+// and waits for it, killing it after 2 s and then reporting that it was
+// still running.
+func (f *fleet) start(name string, args ...string) (addr string, stop func(sig os.Signal) error) {
 	f.t.Helper()
 	cmd := exec.Command(f.bin[name], args...)
 	var stderr bytes.Buffer
@@ -84,17 +87,64 @@ func (f *fleet) start(name string, args ...string) (addr string, stop func()) {
 	if err := cmd.Start(); err != nil {
 		f.t.Fatal(err)
 	}
-	stop = func() {
-		cmd.Process.Kill()
-		cmd.Wait()
+	stop = func(sig os.Signal) error {
+		cmd.Process.Signal(sig)
+		done := make(chan struct{})
+		go func() {
+			cmd.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+			return nil
+		case <-time.After(2 * time.Second):
+			cmd.Process.Kill()
+			<-done
+			return fmt.Errorf("%s was still running 2 s after %v", name, sig)
+		}
 	}
 	line, err := bufio.NewReader(out).ReadString('\n')
 	at := strings.LastIndex(line, " on ")
 	if err != nil || at < 0 {
-		stop()
+		stop(os.Kill)
 		f.t.Fatalf("%s printed %q, %v\n%s", name, line, err, stderr.String())
 	}
 	return strings.Fields(line[at+4:])[0], stop
+}
+
+// TestInterruptClosesSessions: pawmaster exits within 2 s of SIGINT with a
+// session still open, since closing the master closes every session it
+// serves: an idle client's, and with -membership the session a joined
+// pawworker beats on.
+func TestInterruptClosesSessions(t *testing.T) {
+	f := newFleet(t, "pawcli", "pawworker", "pawmaster")
+	_, layoutPath, store := f.build(dataset.TPCHLike(4_000, 5), "l")
+	for _, member := range []bool{false, true} {
+		waddr, wstop := f.start("pawworker", "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
+		defer wstop(os.Kill)
+		args := []string{"-layout", layoutPath, "-workers", waddr, "-listen", "127.0.0.1:0", "-log-level", "warn"}
+		if member {
+			args = append(args, "-membership")
+		}
+		addr, stop := f.start("pawmaster", args...)
+		defer stop(os.Kill)
+		if member {
+			_, jstop := f.start("pawworker", "-join", addr, "-listen", "127.0.0.1:0", "-log-level", "warn")
+			defer jstop(os.Kill)
+		} else {
+			c, err := dist.DialMux(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Query("SELECT * FROM lineitem WHERE l_quantity >= 10"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := stop(os.Interrupt); err != nil {
+			t.Errorf("-membership=%v: %v", member, err)
+		}
+	}
 }
 
 // TestRefusesLayoutWithoutNames: a layout built by calling a builder directly
@@ -180,12 +230,12 @@ func TestWorkersServeTheStoreDir(t *testing.T) {
 		var addrs []string
 		for w := 0; w < 2; w++ {
 			addr, stop := f.start("pawworker", "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
-			defer stop()
+			defer stop(os.Kill)
 			addrs = append(addrs, addr)
 		}
 		addr, stop := f.start("pawmaster", "-layout", layoutPath, "-workers", strings.Join(addrs, ","),
 			"-listen", "127.0.0.1:0", "-log-level", "warn")
-		defer stop()
+		defer stop(os.Kill)
 		c, err := dist.DialMux(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +319,7 @@ func TestDriftMigratesFromTheWorkers(t *testing.T) {
 	var addrs []string
 	for w := 0; w < 2; w++ {
 		addr, stop := f.start("pawworker", "-store", store, "-layout", layoutPath, "-listen", "127.0.0.1:0")
-		defer stop()
+		defer stop(os.Kill)
 		addrs = append(addrs, addr)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -280,7 +330,7 @@ func TestDriftMigratesFromTheWorkers(t *testing.T) {
 	ln.Close()
 	addr, stop := f.start("pawmaster", "-layout", layoutPath, "-workers", strings.Join(addrs, ","),
 		"-listen", "127.0.0.1:0", "-metrics", metrics, "-drift", "-log-level", "warn")
-	defer stop()
+	defer stop(os.Kill)
 	c, err := dist.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"paw/internal/layout"
-	"paw/internal/serve"
 )
 
 // ErrRefused marks a membership request the master executed and refused
@@ -25,9 +24,10 @@ var ErrRefused = errors.New("refused by master")
 // answering). Member traffic rides the client port as dedicated
 // msgMemberReq/msgMemberResp frames.
 //
-// A Heartbeater survives connection loss: each failed call drops the link's
-// connection and the next call redials, under that call's context, so a
-// master restart shows up as a few missed beats, not a dead worker process.
+// A Heartbeater survives connection loss: its link drops a dead connection
+// by the master's rule (link.call) and the next call redials, under that
+// call's context, so a master restart shows up as a few missed beats, not a
+// dead worker process.
 type Heartbeater struct {
 	link link
 	// clock times the beats (clock.go).
@@ -43,25 +43,16 @@ type Heartbeater struct {
 // NewHeartbeater targets a master's client port.
 func NewHeartbeater(masterAddr string) *Heartbeater {
 	h := &Heartbeater{clock: wallClock{}}
-	h.link.addr = masterAddr
+	h.link.addr, h.link.m = masterAddr, new(masterMetrics) // counts nothing
 	h.index.Store(-1)
 	return h
 }
 
-// call performs one membership exchange, dialing lazily. Any failure past
-// the send drops the connection — a beat that timed out against a wedged
-// master included, since a fresh dial is the cheapest probe of whether the
-// master is still there — so the next call starts clean.
-func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberResponse, error) {
+// call performs one membership exchange under ctx and call deadline by
+// (zero: none beyond ctx's), dialing lazily.
+func (h *Heartbeater) call(ctx context.Context, by time.Time, req MemberRequest) (MemberResponse, error) {
 	var resp MemberResponse
-	mx, err := h.link.conn(ctx, time.Time{})
-	if err == nil {
-		err = roundTrip(ctx, time.Time{}, mx, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire)
-	}
-	if err != nil {
-		if !serve.IsNotSent(err) {
-			h.link.drop(mx)
-		}
+	if err := h.link.call(ctx, by, msgMemberReq, &req, msgMemberResp, resp.UnmarshalWire); err != nil {
 		return MemberResponse{}, err
 	}
 	if resp.Err != "" {
@@ -75,7 +66,7 @@ func (h *Heartbeater) call(ctx context.Context, req MemberRequest) (MemberRespon
 // and boot is the layout this worker's store was written for (nil: it has no
 // store). On success the assigned slot is remembered for subsequent beats.
 func (h *Heartbeater) Join(ctx context.Context, index int, advertise string, boot *layout.Layout) (MemberResponse, error) {
-	resp, err := h.call(ctx, MemberRequest{Op: MemberJoin, Index: index, Addr: advertise, Sum: layoutSum(boot)})
+	resp, err := h.call(ctx, time.Time{}, MemberRequest{Op: MemberJoin, Index: index, Addr: advertise, Sum: layoutSum(boot)})
 	if err != nil {
 		return resp, err
 	}
@@ -83,13 +74,16 @@ func (h *Heartbeater) Join(ctx context.Context, index int, advertise string, boo
 	return resp, nil
 }
 
-// Beat sends one heartbeat for the joined slot.
+// Beat sends one heartbeat for the joined slot, bounded by a call deadline
+// a second out: a beat that outlives it against a wedged master drops the
+// connection, since a fresh dial is the cheapest probe of whether the master
+// is still there.
 func (h *Heartbeater) Beat(ctx context.Context) (MemberResponse, error) {
 	idx := h.index.Load()
 	if idx < 0 {
 		return MemberResponse{}, errors.New("dist: heartbeat before join")
 	}
-	return h.call(ctx, MemberRequest{Op: MemberBeat, Index: int(idx)})
+	return h.call(ctx, time.Now().Add(time.Second), MemberRequest{Op: MemberBeat, Index: int(idx)})
 }
 
 // Leave asks the master for a graceful leave. The call returns only after
@@ -101,12 +95,13 @@ func (h *Heartbeater) Leave(ctx context.Context) (MemberResponse, error) {
 	if idx < 0 {
 		return MemberResponse{}, errors.New("dist: leave before join")
 	}
-	return h.call(ctx, MemberRequest{Op: MemberLeave, Index: int(idx)})
+	return h.call(ctx, time.Time{}, MemberRequest{Op: MemberLeave, Index: int(idx)})
 }
 
 // Start begins beating every memberTick, the master's tick period. Each beat
-// runs under a deadline of its own so a wedged master delays, never wedges,
-// the beats. Start may be called once, before Close; Close stops the beats.
+// runs under a deadline of its own (Beat) so a wedged master delays, never
+// wedges, the beats. Start may be called once, before Close; Close stops the
+// beats.
 func (h *Heartbeater) Start() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -114,11 +109,9 @@ func (h *Heartbeater) Start() {
 		return
 	}
 	h.stopBeats = periodic(h.clock, memberTick, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
 		// A failed beat dropped the connection and the next redials; the
 		// master's failure detector decides how many misses matter.
-		_, _ = h.Beat(ctx)
+		_, _ = h.Beat(context.Background())
 	})
 }
 

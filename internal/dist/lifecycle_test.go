@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Lifecycle edge cases: Close is idempotent on both node types, a closed
@@ -78,6 +80,57 @@ func TestMasterDoubleStart(t *testing.T) {
 	}
 	if _, err := tc.master.Start("127.0.0.1:0"); err == nil {
 		t.Fatal("second Start must error while the first listener serves")
+	}
+}
+
+// TestMasterCloseEndsSessions: Master.Close closes the sessions it serves,
+// as Worker.Close does, so it returns at once with an idle client connection
+// open and with a heartbeater beating on one.
+func TestMasterCloseEndsSessions(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		open func(t *testing.T, addr string) (close func())
+	}{
+		{"idle client", func(t *testing.T, addr string) func() {
+			cl, err := DialMux(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Query(chaosSQL); err != nil {
+				t.Fatal(err)
+			}
+			return func() { cl.Close() }
+		}},
+		{"beating heartbeater", func(t *testing.T, addr string) func() {
+			hb := NewHeartbeater(addr)
+			if _, err := hb.Join(context.Background(), -1, "127.0.0.1:1", nil); err != nil {
+				t.Fatal(err)
+			}
+			hb.Start()
+			return hb.Close
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := startChaosCluster(t, 1, 1, nil, fastChaosConfig())
+			if err := tc.master.EnableMembership(MembershipConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			addr, err := tc.master.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tt.open(t, addr)()
+			closed := make(chan error, 1)
+			go func() { closed <- tc.master.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("Master.Close still waiting after 1 s with %s open", tt.name)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sort"
@@ -129,9 +128,9 @@ type Master struct {
 
 	mu         sync.Mutex
 	metricsReg *obs.Registry
-	listener   net.Listener
 	closed     bool
-	wg         sync.WaitGroup
+	// srv serves the client sessions and runs the background rebalances.
+	srv server
 	// m is the optional distributed-path telemetry (SetMetrics); the zero
 	// value is fully disabled.
 	m masterMetrics
@@ -235,7 +234,7 @@ func (m *Master) addWorker(addr string) int {
 	defer m.mu.Unlock()
 	slots := *m.slots.Load()
 	s := &slot{}
-	s.link.addr = addr
+	s.link.addr, s.link.m = addr, &m.m
 	s.calls.Store(callHistogram(m.metricsReg, len(slots)))
 	if m.closed {
 		s.link.close()
@@ -347,30 +346,6 @@ func (m *Master) InvalidateCaches() {
 	m.m.cacheInvalidations.Inc()
 }
 
-// linkFailed classifies a failed worker call under the serve.Mux.Call error
-// contract and drops the link's connection when — and only when — it is
-// down. A request that never reached the wire (serve.NotSentError: the
-// deadline expired while queued) and a call abandoned by the caller's own
-// context (done is the query's or migration's context: a sibling RPC failed,
-// the client hung up, the deadline passed) both leave the multiplexed link
-// healthy: the late response is discarded by sequence number, and closing the
-// link would fail every other query pipelined on it. Anything else drops the
-// link and counts a redial: a serve.ClosedError, an I/O or decode failure, a
-// failed dial (mx is nil), or the per-call timeout firing while the caller is
-// still live — the worker has stopped answering on that link. An expiry at
-// the query's own deadline is the context's, never the call's (serve.Mux.Call).
-func (m *Master) linkFailed(done context.Context, l *link, mx *serve.Mux, err error) {
-	switch {
-	case serve.IsNotSent(err):
-		m.m.cleanExpiries.Inc()
-	case done.Err() != nil && errors.Is(err, done.Err()):
-		// Abandoned by its own caller; nothing is wrong with the link.
-	default:
-		l.drop(mx)
-		m.m.redials.Inc()
-	}
-}
-
 // errWorkerUnhealthy is returned when a worker's breaker short-circuits the
 // call without touching the network.
 type errWorkerUnhealthy struct{ w int }
@@ -387,7 +362,7 @@ func (e errWorkerUnhealthy) Error() string {
 // A failure that leaves the multiplexed link healthy — the request never
 // reached the wire, or the query's own context abandoned the call — keeps the
 // link and, being no fault of the worker, counts neither a redial nor a
-// breaker failure (linkFailed).
+// breaker failure (link.call).
 //
 // When the query is traced (tq non-nil), every attempt records an "rpc" span
 // under parent — so retries and failovers are visible as sibling spans — and
@@ -422,13 +397,10 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		if !by.IsZero() {
 			req.Deadline = by.UnixNano()
 		}
-		mx, err := s.link.conn(ctx, by)
-		if err == nil {
-			*resp = ScanResponse{} // a failed prior attempt may have partially decoded
-			sp := s.calls.Load().Start()
-			err = roundTrip(ctx, by, mx, msgScanReq, &req, msgScanResp, resp.UnmarshalWire)
-			sp.End()
-		}
+		*resp = ScanResponse{} // a failed prior attempt may have partially decoded
+		sp := s.calls.Load().Start()
+		err := s.link.call(ctx, by, msgScanReq, &req, msgScanResp, resp.UnmarshalWire)
+		sp.End()
 		if err == nil {
 			if tq != nil && len(resp.Spans) > 0 {
 				tq.Attach(rpc, resp.Spans)
@@ -439,7 +411,6 @@ func (m *Master) callWorker(ctx context.Context, w int, req ScanRequest, resp *S
 		}
 		rpc.Int(trace.KeyError, 1)
 		rpc.End()
-		m.linkFailed(ctx, &s.link, mx, err)
 		if ctx.Err() != nil {
 			// The query itself is done (deadline or sibling cancellation):
 			// the worker is not to blame, and retrying is pointless.
@@ -510,9 +481,7 @@ func (m *Master) QueryContext(ctx context.Context, sql string) (QueryResponse, e
 // routing is double-resolving while placements change underneath — load
 // balancers should prefer settled masters). The string explains a false.
 func (m *Master) Ready() (bool, string) {
-	m.mu.Lock()
-	started, closed := m.listener != nil, m.closed
-	m.mu.Unlock()
+	started, closed := m.srv.state()
 	if closed {
 		return false, "master is closed"
 	}
@@ -957,46 +926,23 @@ func (m *Master) scatterRange(ctx context.Context, v *routeView, q geom.Box, ids
 
 // Start serves the client protocol on addr and returns the bound address.
 func (m *Master) Start(addr string) (string, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return "", errors.New("dist: master is closed")
-	}
-	if m.listener != nil {
-		m.mu.Unlock()
-		return "", errors.New("dist: master already started")
-	}
-	m.mu.Unlock()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		l.Close()
 		return "", errors.New("dist: master is closed")
 	}
-	m.listener = l
-	m.wg.Add(1)
+	if err := m.srv.serve(l, "master", m.serveClient, func() { m.m.clientsDropped.Inc() }); err != nil {
+		l.Close()
+		return "", err
+	}
 	if ms := m.member.Load(); ms != nil {
 		ms.stopTicks = periodic(m.clock, memberTick, m.membershipTick)
 	}
-	m.mu.Unlock()
-	go func() {
-		defer m.wg.Done()
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			m.wg.Add(1)
-			go func() {
-				defer m.wg.Done()
-				m.serveClient(c)
-			}()
-		}
-	}()
 	return l.Addr().String(), nil
 }
 
@@ -1018,12 +964,10 @@ func (m *Master) handleQueryRequest(client string, req QueryRequest) QueryRespon
 // over it, up to clientPipeline requests executing at once on the session's
 // handler goroutines, with responses returning in completion order, so one
 // expensive query never blocks the cheap ones behind it on the same
-// connection. A peer that does not open with the protocol preamble, or whose
-// stream breaks mid-frame, is dropped and counted.
-func (m *Master) serveClient(c net.Conn) {
-	defer c.Close()
+// connection.
+func (m *Master) serveClient(c net.Conn) error {
 	client := c.RemoteAddr().String()
-	err := serve.ServeConn(c, clientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
+	return serve.ServeConn(c, clientPipeline, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
 		switch typ {
 		case msgQueryReq:
 			var req QueryRequest
@@ -1043,19 +987,11 @@ func (m *Master) serveClient(c net.Conn) {
 			return 0, nil, fmt.Errorf("dist: unexpected client frame type %d", typ)
 		}
 	})
-	if err != nil && !errors.Is(err, io.EOF) && !m.isClosed() {
-		m.m.clientsDropped.Inc()
-	}
 }
 
-func (m *Master) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
-
-// Close shuts down the client listener and worker links. Close is
-// idempotent; it waits for in-flight client sessions to finish.
+// Close closes the worker links, stops the membership ticks and closes the
+// client server: its listener, every session, and then a wait for the
+// session handlers and background rebalances. Close is idempotent.
 func (m *Master) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -1063,7 +999,6 @@ func (m *Master) Close() error {
 		return nil
 	}
 	m.closed = true
-	l := m.listener
 	slots := *m.slots.Load()
 	m.mu.Unlock()
 	for _, s := range slots {
@@ -1073,10 +1008,5 @@ func (m *Master) Close() error {
 		ms.cancel()
 		ms.stopTicks()
 	}
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	m.wg.Wait()
-	return err
+	return m.srv.close()
 }

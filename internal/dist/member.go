@@ -221,9 +221,7 @@ func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 		ms.rebalanceMu.Unlock()
 		return
 	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
+	m.srv.spawn(func() {
 		defer ms.rebalanceMu.Unlock()
 		_, err := m.rebalance(ms.ctx, ms)
 		ms.mu.Lock()
@@ -232,7 +230,7 @@ func (m *Master) maybeAutoRebalance(ms *membershipState, now time.Time) {
 		if err != nil {
 			slog.Warn("auto-rebalance failed", "err", err)
 		}
-	}()
+	})
 }
 
 // handleMember executes one membership operation.

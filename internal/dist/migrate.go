@@ -301,10 +301,7 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		}
 		by := m.callDeadline(qd, time.Now())
 		var resp AdminResponse
-		mx, err := l.conn(ctx, by)
-		if err == nil {
-			err = roundTrip(ctx, by, mx, msgAdminReq, &req, msgAdminResp, resp.UnmarshalWire)
-		}
+		err := l.call(ctx, by, msgAdminReq, &req, msgAdminResp, resp.UnmarshalWire)
 		if err == nil && resp.Err != "" {
 			// The worker executed and refused (bad payload, unknown alias):
 			// retrying cannot help.
@@ -313,7 +310,6 @@ func (m *Master) adminCallResp(ctx context.Context, w int, req AdminRequest) (Ad
 		if err == nil {
 			return resp, nil
 		}
-		m.linkFailed(ctx, l, mx, err)
 		if ctx.Err() != nil || attempt+1 >= maxAttempts {
 			return AdminResponse{}, err
 		}

@@ -159,16 +159,14 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 
 // FetchPartitions returns the stored bytes of each partition of ids, by ID,
 // from a live holder under the served epoch: one the membership view
-// counts reachable or, with membership off, one a fresh connection reaches
-// (the link's own may not know yet that its peer is gone).
+// counts reachable or, with membership off, one whose link holds or dials a
+// live connection.
 func (m *Master) FetchPartitions(ctx context.Context, ids []layout.ID) (map[layout.ID][]byte, error) {
 	probed := make(map[int]bool)
 	live := func(w int) bool {
 		ok, seen := probed[w]
 		if !seen {
-			probe := link{addr: m.slot(w).link.address()}
-			_, err := probe.conn(ctx, m.callDeadline(time.Time{}, time.Now()))
-			probe.close()
+			_, err := m.slot(w).link.conn(ctx, m.callDeadline(time.Time{}, time.Now()))
 			ok, probed[w] = err == nil, err == nil
 		}
 		return ok
@@ -186,8 +184,10 @@ func (m *Master) FetchPartitions(ctx context.Context, ids []layout.ID) (map[layo
 
 // fetch is FetchPartitions under view v and liveness test live, and what a
 // rebalance ships: every partition with no live holder is named, in an
-// ErrPartitionLost, before anything is fetched; a holder that refuses, or
-// returns other than the layout's row count, is another error.
+// ErrPartitionLost, before anything is fetched, and one whose live holders
+// all stop answering before its fetch (a holder can die after the liveness
+// test) is lost too; a holder that refuses, or returns other than the
+// layout's row count, is another error.
 func (m *Master) fetch(ctx context.Context, v *routeView, ids []layout.ID, live func(w int) bool) (map[layout.ID][]byte, error) {
 	holders := make([][]int, len(ids))
 	var lost []layout.ID
@@ -209,12 +209,17 @@ func (m *Master) fetch(ctx context.Context, v *routeView, ids []layout.ID, live 
 	for i, id := range ids {
 		var resp AdminResponse
 		var err error
+		refused := false
 		for _, w := range holders[i] {
 			if resp, err = m.adminCallResp(ctx, w, AdminRequest{Op: AdminFetch, Epoch: v.epoch, ID: id}); err == nil {
 				break
 			}
+			refused = refused || resp.Err != ""
 		}
-		if err != nil {
+		switch {
+		case err != nil && !refused && ctx.Err() == nil:
+			return nil, fmt.Errorf("%w (%v)", lostError([]layout.ID{id}), err)
+		case err != nil:
 			return nil, fmt.Errorf("partition %d: no live holder answered the fetch: %w", id, err)
 		}
 		if resp.Rows != parts[id].FullRows {

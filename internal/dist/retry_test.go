@@ -12,12 +12,12 @@ import (
 	"paw/internal/workload"
 )
 
-// TestMasterRetriesAfterWorkerRestart is the regression test for the bounded
-// retry in Master.Query: a worker is killed mid-session — after the master
-// has established connections — and a replacement is started on the same
-// address. The master's stale connection fails on the next call; the single
-// redial must recover the query transparently, and the telemetry must show
-// the redial happened.
+// TestMasterRetriesAfterWorkerRestart: a worker is killed mid-session —
+// after the master has established connections — and a replacement is
+// started on the same address. The link sees that its connection's read loop
+// has ended and redials before the next call, so the query recovers without
+// a failed attempt: the telemetry shows the redial, and no retry or breaker
+// trip.
 func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	// The test re-issues one SQL statement to drive the stale-connection call
 	// path; a result-cache hit would answer without touching the wire and
@@ -44,6 +44,7 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 		t.Fatalf("restarting worker on %s: %v", tc.addrs[0], err)
 	}
 	tc.workers[0] = replacement
+	waitFor(t, "the master's connection to worker 0 to end", func() bool { return m.slot(0).link.mx.Load().Down() })
 
 	second, err := m.Query(sql)
 	if err != nil {
@@ -59,6 +60,11 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 	if got := snap.Counter(MetricCallFailures); got != 0 {
 		t.Errorf("call failures = %d, want 0 (redial recovered)", got)
+	}
+	for _, c := range []string{MetricRetries, MetricBreakerTrips} {
+		if got := snap.Counter(c); got != 0 {
+			t.Errorf("%s = %d, want 0 (the dead connection was never called)", c, got)
+		}
 	}
 	if got := snap.Counter(MetricQueries); got != 2 {
 		t.Errorf("queries = %d, want 2", got)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,14 +13,108 @@ import (
 	"paw/internal/serve"
 )
 
+// server is the one session server a Master and a Worker serve through: one
+// accept loop, the set of live sessions, each on a goroutine of its own, and
+// a close that ends them all (a peer parked in a frame read sees the reset).
+type server struct {
+	mu       sync.Mutex
+	l        net.Listener // nil until serve
+	closed   bool
+	sessions map[net.Conn]struct{}
+	wg       sync.WaitGroup
+}
+
+// serve accepts sessions on l until close; the server owns l from here on
+// and what names it in errors. handle runs one session and returns how it
+// ended; one that broke (not a clean hang-up, not the server's own close)
+// is counted by dropped.
+func (s *server) serve(l net.Listener, what string, handle func(net.Conn) error, dropped func()) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return fmt.Errorf("dist: %s is closed", what)
+	case s.l != nil:
+		return fmt.Errorf("dist: %s already started", what)
+	}
+	s.l, s.sessions = l, make(map[net.Conn]struct{})
+	s.spawn(func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				c.Close()
+				continue
+			}
+			s.sessions[c] = struct{}{}
+			s.spawn(func() {
+				err := handle(c)
+				c.Close()
+				s.mu.Lock()
+				delete(s.sessions, c)
+				closed := s.closed
+				s.mu.Unlock()
+				if err != nil && !errors.Is(err, io.EOF) && !closed {
+					dropped()
+				}
+			})
+			s.mu.Unlock()
+		}
+	})
+	return nil
+}
+
+// spawn runs f on a goroutine that close waits for.
+func (s *server) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
+// state reports whether serve has started the server and whether close has
+// closed it.
+func (s *server) state() (started, closed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.l != nil, s.closed
+}
+
+// close closes the listener, then every live session, then waits for the
+// server's goroutines. It is idempotent.
+func (s *server) close() error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
+	var err error
+	if s.l != nil {
+		err = s.l.Close()
+	}
+	for c := range s.sessions {
+		c.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+	return err
+}
+
 // link is one lazily dialed, redialing connection to a peer: the master's to
 // each worker slot, a Heartbeater's to its master. Any number of calls
-// pipeline over its one serve.Mux. Under the serve.Mux.Call contract a
-// serve.NotSentError or the caller's own context error leaves the connection
-// healthy; anything else means it is down, and the caller drops it so the
-// next call redials.
+// pipeline over its one serve.Mux, and the link alone decides when that
+// connection is dead (call).
 type link struct {
 	mx atomic.Pointer[serve.Mux] // nil: not dialed yet, or dropped
+	// m counts the link's redials and clean expiries: the master's series on
+	// a worker slot's link, a zero set on a Heartbeater's.
+	m *masterMetrics
 
 	mu     sync.Mutex // guards addr and closed; a dial installs under it
 	addr   string
@@ -26,11 +122,16 @@ type link struct {
 }
 
 // conn returns the link's connection, dialing lazily under ctx and, when by
-// is set, by. Concurrent dials race and the first installed wins; a dial that
-// the link's close or move overtook is discarded.
+// is set, by. A connection whose read loop has ended is dropped, counted a
+// redial, and replaced. Concurrent dials race and the first installed wins;
+// a dial that the link's close or move overtook is discarded.
 func (l *link) conn(ctx context.Context, by time.Time) (*serve.Mux, error) {
-	if mx := l.mx.Load(); mx != nil {
+	mx := l.mx.Load()
+	if mx != nil && !mx.Down() {
 		return mx, nil
+	}
+	if mx != nil && l.mx.CompareAndSwap(mx, nil) {
+		l.m.redials.Inc()
 	}
 	l.mu.Lock()
 	addr, closed := l.addr, l.closed
@@ -61,6 +162,35 @@ func (l *link) conn(ctx context.Context, by time.Time) (*serve.Mux, error) {
 	}
 	l.mx.Store(mx)
 	return mx, nil
+}
+
+// call performs one pipelined exchange over the link with call deadline by
+// (zero: none beyond ctx's): req goes out as a frame of type typ and the
+// reply, which must be of type want, is handed to dec (a message's
+// UnmarshalWire). It keeps the one link rule, under the serve.Mux.Call error
+// contract: a request that never reached the wire (serve.NotSentError,
+// counted a clean expiry) and a call abandoned by the caller's own context
+// (a sibling RPC failed, the client hung up, the query's deadline passed)
+// leave the connection in place — the late response is discarded by
+// sequence number, and dropping it would fail every other call pipelined on
+// it. Anything else drops it, counted a redial, so the next call redials: a
+// failed dial, a serve.ClosedError, an I/O or decode failure, or by passing
+// while ctx is live — the peer has stopped answering on that connection.
+func (l *link) call(ctx context.Context, by time.Time, typ byte, req serve.Marshaler, want byte, dec func([]byte) error) error {
+	mx, err := l.conn(ctx, by)
+	if err == nil {
+		err = roundTrip(ctx, by, mx, typ, req, want, dec)
+	}
+	switch {
+	case err == nil:
+	case serve.IsNotSent(err):
+		l.m.cleanExpiries.Inc()
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+	default:
+		l.drop(mx)
+		l.m.redials.Inc()
+	}
+	return err
 }
 
 // drop closes mx and clears it from the link, so the next call redials. Every
@@ -99,10 +229,9 @@ func (l *link) close() {
 	l.drop(l.mx.Load())
 }
 
-// roundTrip performs one pipelined exchange on mx with call deadline by: req
-// goes out as a frame of type typ and the reply, which must be of type want, is
-// handed to dec (a message's UnmarshalWire). Distinct request and response
-// types catch a mismatched reply at the protocol layer instead of misdecoding.
+// roundTrip performs one pipelined exchange on mx with call deadline by (see
+// link.call). Distinct request and response types catch a mismatched reply
+// at the protocol layer instead of misdecoding.
 func roundTrip(ctx context.Context, by time.Time, mx *serve.Mux, typ byte, req serve.Marshaler, want byte, dec func([]byte) error) error {
 	return mx.Call(ctx, by, typ, req, func(got byte, payload []byte) error {
 		if got != want {

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -51,14 +49,9 @@ type Worker struct {
 	// from shipped payloads — and the master retires an epoch once no
 	// in-flight query can still reference it, which releases every table no
 	// later epoch aliases.
-	views    map[uint64]map[layout.ID]*colstore.Table
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   bool
-	// conns tracks live sessions so Close can terminate connections parked
-	// in a frame read (a master holds its connections open between queries;
-	// without this, Close would block on wg.Wait forever).
-	conns map[net.Conn]bool
+	views map[uint64]map[layout.ID]*colstore.Table
+	// srv serves the worker's sessions.
+	srv server
 	// m is the optional worker telemetry (SetMetrics).
 	m workerMetrics
 }
@@ -76,7 +69,6 @@ func NewWorker(store *blockstore.Store, assigned []layout.ID) *Worker {
 	}
 	return &Worker{
 		scanPool: parbuild.New(0),
-		conns:    make(map[net.Conn]bool),
 		views:    map[uint64]map[layout.ID]*colstore.Table{0: base},
 		store:    store,
 	}
@@ -207,69 +199,14 @@ func (w *Worker) Start(addr string) (string, error) {
 // wrapped in faultnet. The worker owns l from here on and closes it on Close.
 // Serving on a closed or already-started worker is an error.
 func (w *Worker) Serve(l net.Listener) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("dist: worker is closed")
-	}
-	if w.listener != nil {
-		return errors.New("dist: worker already started")
-	}
-	w.listener = l
-	w.wg.Add(1)
-	go w.acceptLoop(l)
-	return nil
-}
-
-func (w *Worker) acceptLoop(l net.Listener) {
-	defer w.wg.Done()
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			w.serveConn(c)
-		}()
-	}
-}
-
-// trackConn registers a live session; it reports false when the worker is
-// already closed (the connection must be rejected).
-func (w *Worker) trackConn(c net.Conn) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return false
-	}
-	w.conns[c] = true
-	w.m.activeConns.Add(1)
-	return true
-}
-
-func (w *Worker) untrackConn(c net.Conn) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.conns[c] {
-		delete(w.conns, c)
-		w.m.activeConns.Add(-1)
-	}
+	return w.srv.serve(l, "worker", w.serveConn, func() { w.m.dropped.Inc() })
 }
 
 // serveConn runs one master session: scan and admin frames pipeline over it.
-// A peer that does not open with the protocol preamble, or whose stream
-// breaks mid-frame, is dropped and counted; a clean hang-up or the worker's
-// own Close is not a drop.
-func (w *Worker) serveConn(c net.Conn) {
-	if !w.trackConn(c) {
-		c.Close()
-		return
-	}
-	defer w.untrackConn(c)
-	defer c.Close()
-	err := serve.ServeConn(c, workerMaxInflight, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
+func (w *Worker) serveConn(c net.Conn) error {
+	w.m.activeConns.Add(1)
+	defer w.m.activeConns.Add(-1)
+	return serve.ServeConn(c, workerMaxInflight, func(typ byte, payload []byte) (byte, serve.Marshaler, error) {
 		switch typ {
 		case msgScanReq:
 			var req ScanRequest
@@ -289,9 +226,6 @@ func (w *Worker) serveConn(c net.Conn) {
 			return 0, nil, fmt.Errorf("dist: unexpected worker frame type %d", typ)
 		}
 	})
-	if err != nil && !errors.Is(err, io.EOF) && !w.isClosed() {
-		w.m.dropped.Inc()
-	}
 }
 
 // scanPartition runs the kernel scan of one partition under one layout epoch
@@ -392,21 +326,13 @@ func (w *Worker) execBatch(req ScanRequest) ScanResponse {
 	return resp
 }
 
-func (w *Worker) isClosed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.closed
-}
-
 // Ready reports whether the worker can serve scans — it is listening and not
 // closed. The /readyz endpoint of pawworker is built on it.
 func (w *Worker) Ready() (bool, string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch {
-	case w.closed:
+	switch started, closed := w.srv.state(); {
+	case closed:
 		return false, "worker is closed"
-	case w.listener == nil:
+	case !started:
 		return false, "worker is not serving yet"
 	}
 	return true, "ok"
@@ -415,22 +341,4 @@ func (w *Worker) Ready() (bool, string) {
 // Close stops the listener, terminates live sessions (masters park
 // connections in a frame read between queries — they observe the reset and
 // redial) and waits for the serving goroutines to finish. Close is idempotent.
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	l := w.listener
-	for c := range w.conns {
-		c.Close()
-	}
-	w.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	w.wg.Wait()
-	return err
-}
+func (w *Worker) Close() error { return w.srv.close() }

@@ -74,6 +74,8 @@ type Mux struct {
 	pbuf    []byte        // payload scratch, reused across calls
 	writing atomic.Uint64 // seq of the frame being written, if it has a deadline
 
+	down atomic.Bool // set with err: one load tells a caller the mux is dead
+
 	mu      sync.Mutex
 	waiters map[uint64]waiter
 	err     error // set once the connection is down
@@ -147,6 +149,7 @@ func (m *Mux) closeWith(cause error) {
 		return
 	}
 	m.err = cause
+	m.down.Store(true)
 	waiters := m.waiters
 	m.waiters = nil
 	m.reaper.Stop()
@@ -162,6 +165,10 @@ func (m *Mux) Close() error {
 	m.closeWith(errors.New("serve: mux closed"))
 	return nil
 }
+
+// Down reports whether the connection is down: its read loop has ended or
+// Close was called. A Mux that is down fails every call.
+func (m *Mux) Down() bool { return m.down.Load() }
 
 // closedErr is the error of a call the connection's end failed.
 func (m *Mux) closedErr() error {
