@@ -402,9 +402,12 @@ loc:
 # Then −34 gave master and worker one session server and every call one link
 # rule: the worker's session tracking, the master's accept goroutine and
 # Master.linkFailed went (dist −41); serve.Mux.Down (serve +7).
+# Then −41 dropped the layouts' per-leaf sample rows and made PAW's irregular
+# refinement the k-d builder's (core −68, qdtree −4; layout.LeafRows, the
+# tests' record of them, layout +21; kdtree +7, invariant +3).
 # Growing the module from here on is an edit of this
 # line, in the diff that does the growing.
-LOC_CEILING := 23481
+LOC_CEILING := 23440
 loc-check:
 	@n=$$($(MAKE) -s loc | awk 'END { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \
@@ -415,7 +418,7 @@ loc-check:
 # doc-check fails when DESIGN.md, README.md or TESTING.md passes its line
 # ceiling, as loc-check does for the code: a diff that grows a document on
 # purpose raises its number here, and one that shrinks it may lower it.
-DOC_CEILINGS := DESIGN.md:2490 README.md:929 TESTING.md:1153
+DOC_CEILINGS := DESIGN.md:2490 README.md:928 TESTING.md:1153
 doc-check:
 	@fail=0; for c in $(DOC_CEILINGS); do f=$${c%%:*}; max=$${c##*:}; n=$$(wc -l < $$f); \
 		if [ "$$n" -gt "$$max" ]; then echo "doc-check: $$f has $$n lines, over its ceiling of $$max (Makefile, DOC_CEILINGS)"; fail=1; \

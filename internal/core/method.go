@@ -40,7 +40,7 @@ func BuildMethod(m Method, data *dataset.Dataset, rows []int, domain geom.Box, h
 	var l *layout.Layout
 	switch m {
 	case MethodPAW:
-		l = Build(data, rows, domain, hist, p)
+		return Build(data, rows, domain, hist, p), nil // Build records its layout
 	case MethodQdTree:
 		l = qdtree.Build(data, rows, domain, hist.Boxes(),
 			qdtree.Params{MinRows: p.MinRows, Parallelism: p.Parallelism, Obs: p.Obs})

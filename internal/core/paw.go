@@ -89,15 +89,15 @@ func (p Params) withDefaults() Params {
 // its partitions for (layout.ExtendedHist), data's names and its recipe.
 //
 // The sample is gathered into dense columns once and built on as rows
-// 0…len(rows)−1 of that copy, so no pass reads rows scattered over data;
-// the partitions' SampleRows are mapped back to rows at the end.
+// 0…len(rows)−1 of that copy, so no pass reads rows scattered over data.
+// The layout holds no rows: the builder drops each node's rows with it.
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Workload, p Params) *layout.Layout {
 	p = p.withDefaults()
 	ext := hist.Extend(p.Delta)
 	// Clip the worst-case workload to the domain: the parts of extended
 	// queries outside the data space contain no records and would only
 	// distort group MBRs.
-	queries := clipBoxes(ext.Boxes(), domain)
+	queries := qdtree.ClipBoxes(ext.Boxes(), domain)
 	m := newBuildMetrics(p.Obs)
 	sp := m.tConstruct.Start()
 	pool := parbuild.New(p.Parallelism)
@@ -108,7 +108,6 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, hist workload.Wor
 	b.flushScratchStats()
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("paw", root, data.RowBytes())
-	l.MapSampleRows(rows)
 	record(l, data, rows, hist, p)
 	sp.End()
 	return l
@@ -133,7 +132,8 @@ type builder struct {
 	scratch []*buildScratch
 	// m is the optional construction telemetry; the zero value (all-nil
 	// instruments) disables it with no allocations on any path.
-	m buildMetrics
+	m      buildMetrics
+	leaves *layout.LeafRows // each leaf's rows, for the tests; nil in a build
 }
 
 // buildMetrics bundles the construction instruments. All fields are nil when
@@ -259,7 +259,7 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 	b.m.nodes.Inc()
 	b.m.maxDepth.SetMax(int64(depth))
 	if len(queries) == 0 {
-		return b.queryFreeLeaf(box, rows)
+		return b.refine(layout.NewRect(box), rows, slot)
 	}
 	size := len(rows)
 	tryMulti := !b.p.DisableMultiGroup && float64(size) >= b.p.Alpha*float64(b.p.MinRows)
@@ -267,7 +267,7 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 	if !tryAxis {
 		// Ψ(Po) = ∅: below 2·bmin nothing can be split.
 		b.m.policyTerminal.Inc()
-		return leaf(box, rows)
+		return b.leaves.Leaf(layout.NewRect(box), rows)
 	}
 	// Ψ(α) decision (Eq. 4): which split set this node is offered.
 	if tryMulti {
@@ -309,7 +309,7 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 		}
 	}
 	if best == nil {
-		return leaf(box, rows)
+		return b.leaves.Leaf(layout.NewRect(box), rows)
 	}
 	if bestIsMulti {
 		b.m.multiAccepted.Inc()
@@ -328,9 +328,9 @@ func (b *builder) construct(box geom.Box, rows []int, queries []geom.Box, depth,
 		if pc.irregular {
 			// Irregular partitions terminate: they intersect no query in
 			// Q*F(Po), so their cost is already 0 (§IV-D).
-			node.Children[i] = b.irregularLeaf(pc, s)
+			node.Children[i] = b.refine(pc.desc, pc.rows, s)
 		} else {
-			node.Children[i] = b.construct(pc.box, pc.rows, clipBoxes(queries, pc.box), depth+1, s)
+			node.Children[i] = b.construct(pc.box, pc.rows, qdtree.ClipBoxes(queries, pc.box), depth+1, s)
 		}
 	})
 	return node
@@ -613,70 +613,17 @@ func (b *builder) medianCuts(box geom.Box, rows []int, sc *buildScratch) []qdtre
 	return out
 }
 
-// queryFreeLeaf finalises a partition no extended query intersects. With
-// DataAwareRefine on, it is k-d split to the finest size (§IV-E).
-func (b *builder) queryFreeLeaf(box geom.Box, rows []int) *layout.Node {
-	if b.p.DataAwareRefine && len(rows) >= 2*b.p.MinRows {
-		b.m.refineCalls.Inc()
-		sp := b.m.tRefine.Start()
-		n := kdtree.RefineLeaf(b.data, box, rows, b.p.MinRows, 0)
-		sp.End()
-		return n
-	}
-	return leaf(box, rows)
-}
-
-// irregularLeaf finalises an irregular piece. With DataAwareRefine on, the
-// irregular region is cut data-aware into cells: the outer box is k-d split
-// and every cell keeps the irregular semantics (cell minus the holes inside
-// it), so partially intersecting unpredictable queries scan one small cell
-// instead of the entire remainder.
-func (b *builder) irregularLeaf(pc piece, slot int) *layout.Node {
-	ir := pc.desc.(layout.Irregular)
-	if !b.p.DataAwareRefine || len(pc.rows) < 2*b.p.MinRows {
-		return &layout.Node{Desc: pc.desc, Part: &layout.Partition{Desc: pc.desc, SampleRows: pc.rows}}
+// refine finalises a leaf no extended query intersects: a query-free box or
+// an irregular remainder (§IV-D, its cost is 0). With DataAwareRefine on, it
+// is k-d split to the finest size (§IV-E), an irregular one into cells that
+// keep its holes.
+func (b *builder) refine(desc layout.Descriptor, rows []int, slot int) *layout.Node {
+	if !b.p.DataAwareRefine || len(rows) < 2*b.p.MinRows {
+		return b.leaves.Leaf(desc, rows)
 	}
 	b.m.refineCalls.Inc()
-	sp := b.m.tRefine.Start()
-	n := b.refineIrregular(ir.Outer, ir.Holes, pc.rows, 0, slot)
-	sp.End()
-	return n
-}
-
-func (b *builder) refineIrregular(outer geom.Box, holes []geom.Box, rows []int, depth, slot int) *layout.Node {
-	desc := layout.NewIrregular(outer, holes)
-	if len(rows) < 2*b.p.MinRows {
-		return &layout.Node{Desc: desc, Part: &layout.Partition{Desc: desc, SampleRows: rows}}
-	}
-	dims := b.data.Dims()
-	sc := b.scratchFor(slot)
-	vals := sc.floats(len(rows))
-	for off := 0; off < dims; off++ {
-		dim := (depth + off) % dims
-		_, m, nLeft, ok := kdtree.MedianCut(b.cols[dim], rows, vals)
-		if !ok {
-			continue
-		}
-		cut := qdtree.CutAtUpper(dim, m)
-		if !cut.Inside(outer) {
-			continue
-		}
-		if nLeft < b.p.MinRows || len(rows)-nLeft < b.p.MinRows {
-			continue
-		}
-		left, right := qdtree.SplitRowsN(b.data, rows, cut, nLeft)
-		lbox, rbox := cut.Apply(outer)
-		node := &layout.Node{Desc: desc, Children: make([]*layout.Node, 2)}
-		b.pool.Fan(slot, 2, func(i, s int) {
-			if i == 0 {
-				node.Children[0] = b.refineIrregular(lbox, clipBoxes(holes, lbox), left, depth+1, s)
-			} else {
-				node.Children[1] = b.refineIrregular(rbox, clipBoxes(holes, rbox), right, depth+1, s)
-			}
-		})
-		return node
-	}
-	return &layout.Node{Desc: desc, Part: &layout.Partition{Desc: desc, SampleRows: rows}}
+	defer b.m.tRefine.Start().End()
+	return kdtree.RefineLeaf(b.data, b.pool, slot, desc, rows, b.p.MinRows, b.leaves)
 }
 
 // groupIntersecting unions queries into groups of transitively intersecting
@@ -720,19 +667,4 @@ func groupIntersecting(queries []geom.Box) [][]int {
 		out = append(out, byRoot[find(first)])
 	}
 	return out
-}
-
-func clipBoxes(queries []geom.Box, box geom.Box) []geom.Box {
-	var out []geom.Box
-	for _, q := range queries {
-		if inter, ok := q.Intersection(box); ok {
-			out = append(out, inter)
-		}
-	}
-	return out
-}
-
-func leaf(box geom.Box, rows []int) *layout.Node {
-	d := layout.NewRect(box)
-	return &layout.Node{Desc: d, Part: &layout.Partition{Desc: d, SampleRows: rows}}
 }

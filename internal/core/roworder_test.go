@@ -17,11 +17,11 @@ import (
 // TestNonAscendingSampleGolden builds each of the three builders on a sample
 // whose rows do not ascend, shaped like a drift region rebuild: a k-d
 // layout's rows concatenated partition by partition in leaf order, then a
-// stride sample of them. It pins each layout's digest and a hash of every
-// partition's SampleRows, in order, to literals recorded on the builders
-// that read the dataset at the sample rows directly: a builder that works on
-// a gathered copy must hand back the caller's row indices, in the caller's
-// order. The PAW digest was re-recorded when core.Build began to record δ and
+// stride sample of them. It pins each layout's digest and a hash of the
+// sample rows routing sends every partition, in the sample's order, to
+// literals recorded on the builders that read the dataset at the sample rows
+// directly and kept those rows on each partition: a builder that works on a
+// gathered copy must cut the same tree. The PAW digest was re-recorded when core.Build began to record δ and
 // QH on the layout; with both cleared it is the literal before. All three
 // were re-recorded when PAWL went to version 3: with the names block
 // stripped and the version word set back to 2 each is the literal before;
@@ -52,6 +52,7 @@ func TestNonAscendingSampleGolden(t *testing.T) {
 		NumQueries: 80, MaxRangeFrac: 0.3, Centers: 6, SigmaFrac: 0.1, Seed: 32,
 	})
 	minRows := len(sample) / 100
+	sampled, _ := data.Gather(sample, 1)
 	for i, l := range []*layout.Layout{
 		Build(data, sample, domain, hist, Params{MinRows: minRows, Delta: 0.01, DataAwareRefine: true}),
 		qdtree.Build(data, sample, domain, hist.Boxes(), qdtree.Params{MinRows: minRows}),
@@ -62,10 +63,10 @@ func TestNonAscendingSampleGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := sha256.New()
-		for _, p := range l.Parts {
-			binary.Write(h, binary.LittleEndian, int64(len(p.SampleRows)))
-			for _, r := range p.SampleRows {
-				binary.Write(h, binary.LittleEndian, int64(r))
+		for _, rows := range l.RouteIndices(sampled) {
+			binary.Write(h, binary.LittleEndian, int64(len(rows)))
+			for _, r := range rows {
+				binary.Write(h, binary.LittleEndian, int64(sample[r]))
 			}
 		}
 		got := struct{ digest, rows string }{digest[:16], hex.EncodeToString(h.Sum(nil))[:16]}

@@ -86,8 +86,8 @@ func (d *Dataset) Column(dim int) []float64 { return d.cols[dim] }
 // Gather copies rows of d into a dataset of their own, with d's names, and
 // returns it with its row indices 0…len(rows)−1: row i of the copy is row
 // rows[i] of d. The layout builders build on a gathered sample, so their
-// passes read dense columns instead of rows scattered over all of d;
-// layout.Layout.MapSampleRows(rows) turns the copy's indices back into d's.
+// passes read dense columns instead of rows scattered over all of d, and
+// what they build keeps no row index of either.
 // Up to workers goroutines copy a contiguous share of rows each; the copy
 // does not depend on workers.
 func (d *Dataset) Gather(rows []int, workers int) (*Dataset, []int) {

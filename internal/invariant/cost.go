@@ -10,7 +10,8 @@ import (
 // at every internal node, using the construction cost model (CostRows over
 // sample rows) and independently re-derived per-node state: the node's
 // extended queries (Q*F clipped down the path) and its sample-row count
-// (sum over descendant leaves).
+// (the construction rows routed to its descendant leaves). It needs
+// Inputs.Rows and Inputs.Data, and checks nothing without rows.
 //
 // Universal bound: replacing a node by its children never increases the
 // node's Q*F cost — true for any split into covering interior-disjoint
@@ -26,22 +27,23 @@ func CheckMonotonicity(l *layout.Layout, in Inputs) error {
 	if l.Root == nil {
 		return violationf(OracleMonotonicity, "layout has no root")
 	}
-	if totalSampleRows(l) == 0 {
-		return nil // reloaded layout: sample state is gone, nothing to check
+	parts, err := routedSample(l, in)
+	if err != nil || parts == nil {
+		return err // no rows (a layout read from a file): nothing to count
 	}
 	queries := clipAll(in.Hist.Extend(in.Delta).Boxes(), in.Domain)
-	_, err := checkMonoNode(l.Root, queries, in.Greedy)
+	_, err = checkMonoNode(l.Root, queries, in.Greedy, parts)
 	return err
 }
 
-func checkMonoNode(n *layout.Node, queries []geom.Box, greedy bool) (int, error) {
+func checkMonoNode(n *layout.Node, queries []geom.Box, greedy bool, parts [][]int) (int, error) {
 	if n.IsLeaf() {
-		return len(n.Part.SampleRows), nil
+		return len(parts[n.Part.ID]), nil
 	}
 	rows := 0
 	pieces := make([]layout.Piece, len(n.Children))
 	for i, c := range n.Children {
-		r, err := checkMonoNode(c, clipAll(queries, c.Desc.MBR()), greedy)
+		r, err := checkMonoNode(c, clipAll(queries, c.Desc.MBR()), greedy, parts)
 		if err != nil {
 			return 0, err
 		}
@@ -61,14 +63,6 @@ func checkMonoNode(n *layout.Node, queries []geom.Box, greedy bool) (int, error)
 			n.Desc.MBR(), parentCost, childCost)
 	}
 	return rows, nil
-}
-
-func totalSampleRows(l *layout.Layout) int {
-	n := 0
-	for _, p := range l.Parts {
-		n += len(p.SampleRows)
-	}
-	return n
 }
 
 // CheckLemma1 verifies the robustness guarantee of Lemma 1 (§IV-A)

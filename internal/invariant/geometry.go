@@ -23,10 +23,9 @@ const volumeRelTol = 1e-6
 //   - the children of every node cover it: leaf volumes sum to the root
 //     volume, rectangular splits conserve volume node-by-node, and every
 //     sampled domain point is contained in at least one leaf;
-//   - the leaves' sample rows are exactly a partition of the construction
-//     rows (no row lost, duplicated, or invented), and each leaf's
-//     descriptor contains the rows assigned to it;
-//   - every partition holds at least bmin sample rows (Ψ feasibility),
+//   - routing the construction rows (Inputs.Rows over Inputs.Data) sends
+//     every one of them to a leaf whose descriptor contains it;
+//   - every partition is routed at least bmin sample rows (Ψ feasibility),
 //     except a root that was too small to split at all.
 func CheckGeometry(l *layout.Layout, in Inputs) error {
 	in = in.withDefaults()
@@ -135,43 +134,60 @@ func CheckGeometry(l *layout.Layout, in Inputs) error {
 		}
 	}
 
-	// Sample-row conservation: leaves partition the construction rows.
-	if in.Rows != nil {
-		var got []int
-		for _, p := range l.Parts {
-			got = append(got, p.SampleRows...)
-		}
-		if err := equalRowMultiset(in.Rows, got); err != nil {
-			return err
-		}
-		if in.Data != nil {
-			pt := make(geom.Point, in.Data.Dims())
-			for _, p := range l.Parts {
-				for _, r := range p.SampleRows {
-					for d := 0; d < in.Data.Dims(); d++ {
-						pt[d] = in.Data.At(r, d)
-					}
-					if !p.Desc.Contains(pt) {
-						return violationf(OracleGeometry,
-							"partition %d was assigned row %d at %v outside its region", p.ID, r, pt)
-					}
-				}
-			}
-		}
+	// Sample rows, on the rows routing sends each leaf: every construction
+	// row reaches a leaf, whose descriptor contains it, and every leaf gets
+	// at least bmin of them (Ψ feasibility) — except a root too small to
+	// split at all, when no split function was admissible.
+	parts, err := routedSample(l, in)
+	if err != nil || parts == nil {
+		return err
 	}
-
-	// bmin feasibility (Ψ): every partition must reach the minimum size. A
-	// layout of one partition is exempt — the whole input may be below 2·bmin,
-	// in which case no split function is admissible and the root stays whole.
-	if in.MinRows > 0 && in.Rows != nil && l.NumPartitions() > 1 {
-		for _, p := range l.Parts {
-			if len(p.SampleRows) < in.MinRows {
-				return violationf(OracleGeometry,
-					"partition %d holds %d sample rows, below bmin=%d", p.ID, len(p.SampleRows), in.MinRows)
+	routed := 0
+	for _, rows := range parts {
+		routed += len(rows)
+	}
+	if routed != len(in.Rows) {
+		return violationf(OracleGeometry,
+			"leaves route %d of the %d construction rows", routed, len(in.Rows))
+	}
+	pt := make(geom.Point, in.Data.Dims())
+	for id, rows := range parts {
+		p := l.Parts[id]
+		for _, r := range rows {
+			for d := range pt {
+				pt[d] = in.Data.At(r, d)
 			}
+			if !p.Desc.Contains(pt) {
+				return violationf(OracleGeometry,
+					"partition %d was routed row %d at %v outside its region", p.ID, r, pt)
+			}
+		}
+		if in.MinRows > 0 && l.NumPartitions() > 1 && len(rows) < in.MinRows {
+			return violationf(OracleGeometry,
+				"partition %d holds %d sample rows, below bmin=%d", p.ID, len(rows), in.MinRows)
 		}
 	}
 	return nil
+}
+
+// routedSample returns the construction rows l routes to each partition, by
+// ID, as rows of in.Data in the order of in.Rows: nil when in names no rows,
+// and an error when it names rows but not the dataset they index.
+func routedSample(l *layout.Layout, in Inputs) ([][]int, error) {
+	if in.Rows == nil {
+		return nil, nil
+	}
+	if in.Data == nil {
+		return nil, errRowsWithoutData
+	}
+	sample, _ := in.Data.Gather(in.Rows, 1)
+	parts := l.RouteIndices(sample)
+	for _, rows := range parts {
+		for i, r := range rows {
+			rows[i] = in.Rows[r]
+		}
+	}
+	return parts, nil
 }
 
 // CheckGroupedSplit verifies the Multi-Group Split semantics of Algorithm 1
@@ -418,25 +434,6 @@ func approxEqual(a, b float64) bool {
 		scale = s
 	}
 	return diff <= volumeRelTol*scale
-}
-
-func equalRowMultiset(want, got []int) error {
-	if len(want) != len(got) {
-		return violationf(OracleGeometry,
-			"leaves hold %d sample rows, construction supplied %d", len(got), len(want))
-	}
-	ws := append([]int(nil), want...)
-	gs := append([]int(nil), got...)
-	sort.Ints(ws)
-	sort.Ints(gs)
-	for i := range ws {
-		if ws[i] != gs[i] {
-			return violationf(OracleGeometry,
-				"sample rows diverge at sorted position %d: layout has %d, construction supplied %d",
-				i, gs[i], ws[i])
-		}
-	}
-	return nil
 }
 
 func clipAll(queries []geom.Box, box geom.Box) []geom.Box {

@@ -31,7 +31,9 @@
 // Check(l, in) runs every applicable oracle against a layout plus its
 // construction inputs: internal/sim drives it across all builders with the
 // sample rows, and `pawcli check` drives it on a layout file with the scope
-// the file carries (QH and δ) and no rows, so monotonicity skips itself.
+// the file carries (QH and δ) and no rows, so monotonicity skips itself. A
+// layout holds no rows: the sample-row checks route Inputs.Rows over
+// Inputs.Data through it.
 package invariant
 
 import (
@@ -55,6 +57,10 @@ const (
 	OracleTuner        = "tuner"
 )
 
+// errRowsWithoutData refuses Inputs that name sample rows but not the
+// dataset to route them over.
+var errRowsWithoutData = errors.New("invariant: Inputs.Rows is set without Inputs.Data to route them over")
+
 // Violation is a failed invariant, tagged with the oracle that detected it.
 type Violation struct {
 	Oracle string
@@ -69,12 +75,15 @@ func violationf(oracle, format string, args ...any) error {
 }
 
 // Inputs are the construction-time facts the oracles verify a layout
-// against. Data-dependent checks are skipped when Data is nil.
+// against. Data-dependent checks are skipped when Data is nil; Rows without
+// Data is an error.
 type Inputs struct {
 	// Data is the dataset the layout was built over (nil: skip data checks).
 	Data *dataset.Dataset
-	// Rows are the construction sample rows (nil: skip sample-row checks,
-	// e.g. for layouts reloaded from disk, which drop sample state).
+	// Rows are the construction sample rows, as rows of Data (nil: skip
+	// sample-row checks, e.g. for a layout read from a file, whose sample
+	// is not known). The checks route them through the layout, so Rows
+	// without Data is an error.
 	Rows []int
 	// Domain is the construction domain (the box handed to the builder).
 	Domain geom.Box
@@ -126,6 +135,9 @@ func (in Inputs) withDefaults() Inputs {
 // Check runs every applicable oracle and returns all violations joined (nil
 // when the layout satisfies every contract).
 func Check(l *layout.Layout, in Inputs) error {
+	if in.Rows != nil && in.Data == nil {
+		return errRowsWithoutData
+	}
 	in = in.withDefaults()
 	return errors.Join(
 		CheckGeometry(l, in),

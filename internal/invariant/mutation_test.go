@@ -2,8 +2,11 @@ package invariant_test
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
+	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/invariant"
 	"paw/internal/layout"
@@ -113,30 +116,76 @@ func TestMutationGeometryLostRows(t *testing.T) {
 	in := sim.Inputs(sc, sim.MethodPAW)
 	expectClean(t, invariant.CheckGeometry(l, in))
 
-	// Drop half of a partition's sample rows: the leaves no longer
-	// partition the construction sample.
-	p := l.Parts[0]
-	p.SampleRows = p.SampleRows[:len(p.SampleRows)/2]
-	expectOracle(t, invariant.CheckGeometry(l, in), invariant.OracleGeometry)
+	// Add a construction row beyond the root on every dimension: no leaf
+	// routes it, so the leaves no longer partition the construction sample.
+	// The other geometry checks read the layout, or data rows the row is
+	// not among, so only sample-row conservation can see it.
+	root := l.Root.Desc.MBR()
+	n := in.Data.NumRows()
+	cols := make([][]float64, in.Data.Dims())
+	for d := range cols {
+		cols[d] = append(in.Data.Column(d)[:n:n], root.Hi[d]+1)
+	}
+	in.Data = dataset.MustNew(in.Data.Names(), cols)
+	in.Rows = append(in.Rows[:len(in.Rows):len(in.Rows)], n)
+	in.Points = 1 // the point probe then reads data row 0 alone, not row n
+	err := invariant.CheckGeometry(l, in)
+	expectOracle(t, err, invariant.OracleGeometry)
+	if !strings.Contains(err.Error(), "construction rows") {
+		t.Fatalf("want the unrouted row reported, got: %v", err)
+	}
+}
+
+func TestCheckRefusesRowsWithoutData(t *testing.T) {
+	sc, l := findLayout(t, anyLayout)
+	in := sim.Inputs(sc, sim.MethodPAW)
+	expectClean(t, invariant.Check(l, in))
+
+	// Sample rows are checked by routing them over the dataset: without it
+	// there is nothing to route, which must be an error, not a skip.
+	in.Data = nil
+	if err := invariant.Check(l, in); err == nil || !strings.Contains(err.Error(), "without Inputs.Data") {
+		t.Fatalf("Check with Rows and no Data: got %v, want the missing dataset named", err)
+	}
+}
+
+// splitPair returns a node split into exactly two rectangular leaves.
+func splitPair(l *layout.Layout) *layout.Node {
+	var pair *layout.Node
+	l.Root.Walk(func(n *layout.Node) {
+		if pair == nil && len(n.Children) == 2 && n.Desc.Kind() == layout.KindRect &&
+			n.Children[0].IsLeaf() && n.Children[0].Desc.Kind() == layout.KindRect &&
+			n.Children[1].IsLeaf() && n.Children[1].Desc.Kind() == layout.KindRect {
+			pair = n
+		}
+	})
+	return pair
 }
 
 func TestMutationGeometryBmin(t *testing.T) {
-	sc, l := findLayout(t, anyLayout)
+	sc, l := findLayout(t, func(l *layout.Layout) bool { return splitPair(l) != nil })
 	in := sim.Inputs(sc, sim.MethodPAW)
 	expectClean(t, invariant.CheckGeometry(l, in))
 
-	// Move rows from one partition to another until the donor drops below
-	// bmin. The sample multiset is preserved, so this exercises the bmin
-	// and row-containment checks rather than row conservation.
-	donor, rcpt := l.Parts[0], l.Parts[1]
-	keep := in.MinRows - 1
-	if keep < 0 {
-		keep = 0
+	// Move the cut between two leaf siblings to the left leaf's lower edge:
+	// the leaves still tile their parent, every row still routes to a leaf
+	// that contains it, but the left leaf is routed (almost) none of them,
+	// below bmin.
+	pair := splitPair(l)
+	left, right := pair.Children[0], pair.Children[1]
+	lb, rb := left.Desc.MBR().Clone(), right.Desc.MBR().Clone()
+	d := 0
+	for lb.Hi[d] == rb.Hi[d] {
+		d++
 	}
-	moved := donor.SampleRows[keep:]
-	donor.SampleRows = donor.SampleRows[:keep]
-	rcpt.SampleRows = append(rcpt.SampleRows, moved...)
-	expectOracle(t, invariant.CheckGeometry(l, in), invariant.OracleGeometry)
+	lb.Hi[d], rb.Lo[d] = lb.Lo[d], math.Nextafter(lb.Lo[d], math.Inf(1))
+	left.Desc, right.Desc = layout.NewRect(lb), layout.NewRect(rb)
+	left.Part.Desc, right.Part.Desc = left.Desc, right.Desc
+	err := invariant.CheckGeometry(l, in)
+	expectOracle(t, err, invariant.OracleGeometry)
+	if !strings.Contains(err.Error(), "below bmin") {
+		t.Fatalf("want the emptied leaf reported below bmin, got: %v", err)
+	}
 }
 
 func findMultiGroup(l *layout.Layout) *layout.Node {

@@ -39,9 +39,9 @@ type Params struct {
 
 // Build constructs a k-d tree layout over the given sample rows of data.
 // domain must cover all sample rows (typically the dataset's MBR). The
-// returned layout is sealed but not routed. Like core.Build it builds on the
-// sample gathered into dense columns (dataset.Gather) and maps the
-// partitions' SampleRows back to rows.
+// returned layout is sealed but not routed, and holds no rows. Like
+// core.Build it builds on the sample gathered into dense columns
+// (dataset.Gather).
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, p Params) *layout.Layout {
 	if p.MinRows < 1 {
 		p.MinRows = 1
@@ -50,13 +50,12 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, p Params) *layout
 	sp := m.tConstruct.Start()
 	pool := parbuild.New(p.Parallelism)
 	sample, local := data.Gather(rows, pool.Workers())
-	b := newBuilder(sample, p.MinRows, pool)
+	b := newBuilder(sample, p.MinRows, pool, nil)
 	b.m = m
-	root := b.split(domain, local, 0, b.pool.RootSlot())
+	root := b.split(domain, nil, local, 0, b.pool.RootSlot())
 	sp.End()
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("kd-tree", root, data.RowBytes())
-	l.MapSampleRows(rows)
 	sp.End()
 	return l
 }
@@ -71,6 +70,10 @@ type builder struct {
 	scratch [][]float64
 	moved   [][]int
 	m       buildMetrics
+	leaves  *layout.LeafRows // each leaf's rows, for tests; nil in a build
+	// irregular marks the refinement of an irregular region (RefineLeaf):
+	// every node is its box minus the region's holes inside it.
+	irregular bool
 }
 
 // buildMetrics is the optional construction telemetry; zero value = disabled
@@ -94,23 +97,29 @@ func newBuildMetrics(reg *obs.Registry) buildMetrics {
 	}
 }
 
-func newBuilder(data *dataset.Dataset, minRows int, pool *parbuild.Pool) *builder {
+func newBuilder(data *dataset.Dataset, minRows int, pool *parbuild.Pool, leaves *layout.LeafRows) *builder {
 	return &builder{
 		data:    data,
 		minRows: minRows,
 		pool:    pool,
 		scratch: make([][]float64, pool.Slots()),
 		moved:   make([][]int, pool.Slots()),
+		leaves:  leaves,
 	}
 }
 
-// split recursively divides box/rows, cycling the split dimension by depth.
-func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node {
+// split recursively divides box/rows, cycling the split dimension by depth;
+// holes are the irregular region's holes inside box.
+func (b *builder) split(box geom.Box, holes []geom.Box, rows []int, depth, slot int) *layout.Node {
 	b.m.nodes.Inc()
 	b.m.maxDepth.SetMax(int64(depth))
+	desc := layout.Descriptor(layout.NewRect(box))
+	if b.irregular {
+		desc = layout.NewIrregular(box, holes)
+	}
 	if len(rows) < 2*b.minRows {
 		b.m.terminal.Inc()
-		return leaf(box, rows)
+		return b.leaves.Leaf(desc, rows)
 	}
 	dims := b.data.Dims()
 	vals := slices.Grow(b.scratch[slot][:0], len(rows))[:len(rows)]
@@ -131,20 +140,17 @@ func (b *builder) split(box geom.Box, rows []int, depth, slot int) *layout.Node 
 		c := qdtree.CutAtUpper(dim, cut)
 		left, right := b.splitRows(rows, c, slot)
 		lbox, rbox := c.Apply(box)
-		node := &layout.Node{
-			Desc:     layout.NewRect(box),
-			Children: make([]*layout.Node, 2),
-		}
+		node := &layout.Node{Desc: desc, Children: make([]*layout.Node, 2)}
 		b.pool.Fan(slot, 2, func(i, s int) {
 			if i == 0 {
-				node.Children[0] = b.split(lbox, left, depth+1, s)
+				node.Children[0] = b.split(lbox, qdtree.ClipBoxes(holes, lbox), left, depth+1, s)
 			} else {
-				node.Children[1] = b.split(rbox, right, depth+1, s)
+				node.Children[1] = b.split(rbox, qdtree.ClipBoxes(holes, rbox), right, depth+1, s)
 			}
 		})
 		return node
 	}
-	return leaf(box, rows)
+	return b.leaves.Leaf(desc, rows)
 }
 
 // splitRows divides rows in place at the cut's boundary, each side keeping its
@@ -276,18 +282,19 @@ func b2i(b bool) int {
 	return 0
 }
 
-func leaf(box geom.Box, rows []int) *layout.Node {
-	d := layout.NewRect(box)
-	return &layout.Node{Desc: d, Part: &layout.Partition{Desc: d, SampleRows: rows}}
-}
-
-// RefineLeaf splits one box/row-set k-d style until pieces fall below
-// 2·minRows, returning the subtree. PAW's data-aware optimisation (§IV-E)
-// uses it to keep splitting query-free leaves to the finest size, on PAW's
-// gathered sample: it gathers nothing itself, and its leaves hold rows of
-// data. The refinement runs serially: PAW's builder already parallelises
-// across the leaves that call it.
-func RefineLeaf(data *dataset.Dataset, box geom.Box, rows []int, minRows int, depth int) *layout.Node {
-	b := newBuilder(data, minRows, nil)
-	return b.split(box, rows, depth, b.pool.RootSlot())
+// RefineLeaf splits the region of a leaf descriptor k-d style until pieces
+// fall below 2·minRows, returning the subtree and recording its leaves' rows
+// of data in leaves. PAW's data-aware optimisation (§IV-E) uses it on PAW's
+// gathered sample to split query-free leaves and irregular remainders to the
+// finest size: an Irregular region is cut by its outer box, and every node
+// keeps the irregular semantics, its box minus the holes inside it, so a
+// partially intersecting query scans one small cell, not the remainder. It
+// fans out on pool from the caller's slot.
+func RefineLeaf(data *dataset.Dataset, pool *parbuild.Pool, slot int, desc layout.Descriptor, rows []int, minRows int, leaves *layout.LeafRows) *layout.Node {
+	b := newBuilder(data, minRows, pool, leaves)
+	if ir, ok := desc.(layout.Irregular); ok {
+		b.irregular = true
+		return b.split(ir.Outer, ir.Holes, rows, 0, slot)
+	}
+	return b.split(desc.MBR(), nil, rows, 0, slot)
 }

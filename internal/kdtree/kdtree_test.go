@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"paw/internal/dataset"
+	"paw/internal/geom"
+	"paw/internal/layout"
+	"paw/internal/parbuild"
 )
 
 func allRows(n int) []int {
@@ -20,13 +23,6 @@ func TestBuildBasic(t *testing.T) {
 	if l.Method != "kd-tree" {
 		t.Errorf("method = %q", l.Method)
 	}
-	// Every leaf must satisfy [bmin, 2bmin) on the sample rows.
-	for _, p := range l.Parts {
-		n := len(p.SampleRows)
-		if n < 50 || n >= 100 {
-			t.Errorf("partition %d has %d sample rows, want [50, 100)", p.ID, n)
-		}
-	}
 	// 1000 rows in [50,100) chunks → between 11 and 20 partitions.
 	if got := l.NumPartitions(); got < 11 || got > 20 {
 		t.Errorf("partitions = %d", got)
@@ -34,6 +30,12 @@ func TestBuildBasic(t *testing.T) {
 	l.Route(data)
 	if err := l.Validate(data, 50); err != nil {
 		t.Error(err)
+	}
+	// Every leaf must satisfy [bmin, 2bmin) on the sample, here every row.
+	for _, p := range l.Parts {
+		if p.FullRows >= 100 {
+			t.Errorf("partition %d has %d sample rows, want [50, 100)", p.ID, p.FullRows)
+		}
 	}
 }
 
@@ -102,33 +104,68 @@ func TestChildrenDoNotOverlap(t *testing.T) {
 }
 
 func TestRouteMatchesSampleAssignment(t *testing.T) {
-	// Building on all rows and routing the same dataset must agree with the
-	// sample assignment per partition.
-	data := dataset.Uniform(400, 2, 9)
-	l := Build(data, allRows(400), data.Domain(), Params{MinRows: 40})
-	l.Route(data)
-	for _, p := range l.Parts {
-		if int64(len(p.SampleRows)) != p.FullRows {
-			t.Errorf("partition %d: sample %d vs routed %d", p.ID, len(p.SampleRows), p.FullRows)
+	// The rows every leaf was built with, here and through RefineLeaf, must
+	// be the sample rows routing sends it, in order.
+	data := dataset.Uniform(4000, 3, 9)
+	sample := data.Sample(1500, 10)
+	sampled, local := data.Gather(sample, 1)
+	leaves := &layout.LeafRows{}
+	pool := parbuild.New(2)
+	b := newBuilder(sampled, 40, pool, leaves)
+	l := layout.Seal("kd-tree", b.split(data.Domain(), nil, local, 0, pool.RootSlot()), data.RowBytes())
+	if err := leaves.MatchRouting(l, sampled); err != nil {
+		t.Error(err)
+	}
+	// An irregular region, the domain minus two holes: every cell must keep
+	// the irregular semantics, and hold the region's rows routing sends it.
+	dom := data.Domain()
+	hole := func(lo, hi float64) geom.Box {
+		b := dom.Clone()
+		for d := range b.Lo {
+			b.Lo[d], b.Hi[d] = dom.Lo[d]+lo*(dom.Hi[d]-dom.Lo[d]), dom.Lo[d]+hi*(dom.Hi[d]-dom.Lo[d])
 		}
+		return b
+	}
+	ir := layout.NewIrregular(dom, []geom.Box{hole(0, 0.3), hole(0.5, 0.8)})
+	var rows []int
+	for r := range local {
+		if ir.Contains(sampled.Point(r)) {
+			rows = append(rows, r)
+		}
+	}
+	leaves = &layout.LeafRows{}
+	l = layout.Seal("kd-tree", RefineLeaf(sampled, pool, pool.RootSlot(), ir, rows, 40, leaves), data.RowBytes())
+	if l.NumPartitions() < 8 {
+		t.Fatalf("want a refined region, got %d cells", l.NumPartitions())
+	}
+	for _, p := range l.Parts {
+		if p.Desc.Kind() != layout.KindIrregular {
+			t.Errorf("cell %d is not irregular", p.ID)
+		}
+	}
+	if err := leaves.MatchRouting(l, sampled); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestRefineLeaf(t *testing.T) {
 	data := dataset.Uniform(300, 2, 5)
 	box := data.Domain()
-	node := RefineLeaf(data, box, allRows(300), 30, 0)
+	node := RefineLeaf(data, nil, 0, layout.NewRect(box), allRows(300), 30, nil)
 	leaves := node.Leaves()
 	if len(leaves) < 4 {
 		t.Errorf("RefineLeaf produced %d leaves", len(leaves))
 	}
 	for _, lf := range leaves {
-		n := len(lf.Part.SampleRows)
-		if n < 30 || n >= 60 {
-			t.Errorf("leaf has %d rows, want [30,60)", n)
-		}
 		if !box.ContainsBox(lf.Desc.MBR()) {
 			t.Error("leaf escapes the parent box")
+		}
+	}
+	l := layout.Seal("kd-tree", node, data.RowBytes())
+	l.Route(data)
+	for _, p := range l.Parts {
+		if n := p.FullRows; n < 30 || n >= 60 {
+			t.Errorf("leaf has %d rows, want [30,60)", n)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package layout
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
+	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/rtree"
 )
@@ -11,18 +14,13 @@ import (
 type ID int
 
 // Partition is a leaf of the partition tree: a physical block-set in the
-// storage layer. SampleRows holds the construction sample's rows that fell
-// into the partition, as row indices of the dataset the layout was built
-// over; FullRows is set by routing the complete dataset.
+// storage layer. It holds no rows: FullRows is set by routing the complete
+// dataset, and the construction sample's rows in it are the ones routing
+// sends it.
 type Partition struct {
 	ID   ID
 	Desc Descriptor
 
-	// SampleRows are row indices of the dataset the builder was given
-	// (data.At(r, dim) reads one): a subsequence of the sample rows it was
-	// given, in their order. Together the partitions hold each sample row
-	// once.
-	SampleRows []int
 	// FullRows is the number of records of the full dataset routed here.
 	FullRows int64
 	// RowBytes is the simulated size of one record.
@@ -90,6 +88,44 @@ func (n *Node) Leaves() []*Node {
 		}
 	})
 	return out
+}
+
+// LeafRows is a builder's record of the sample rows each leaf it made holds,
+// as rows of the dataset it built on. Builders make every leaf through Leaf. A
+// build passes a nil LeafRows, which records nothing, so the rows are dropped
+// with the builder; a builder's tests pass one and hold it to routing
+// (MatchRouting).
+type LeafRows struct {
+	mu   sync.Mutex
+	rows map[*Partition][]int
+}
+
+// Leaf returns a leaf over desc and, on a non-nil lr, records rows as its
+// rows. Safe for concurrent use.
+func (lr *LeafRows) Leaf(desc Descriptor, rows []int) *Node {
+	n := &Node{Desc: desc, Part: &Partition{Desc: desc}}
+	if lr != nil {
+		lr.mu.Lock()
+		defer lr.mu.Unlock()
+		if lr.rows == nil {
+			lr.rows = make(map[*Partition][]int)
+		}
+		lr.rows[n.Part] = rows
+	}
+	return n
+}
+
+// MatchRouting names the first partition of l whose recorded rows are not
+// the rows of sample, in order, that l routes to it; sample is the dataset
+// the builder built on.
+func (lr *LeafRows) MatchRouting(l *Layout, sample *dataset.Dataset) error {
+	for id, routed := range l.RouteIndices(sample) {
+		if built := lr.rows[l.Parts[id]]; !slices.Equal(built, routed) {
+			return fmt.Errorf("partition %d was built with %d sample rows, but routing sends it %d rows (or other ones)",
+				id, len(built), len(routed))
+		}
+	}
+	return nil
 }
 
 // routeDown descends from n to the leaf whose region contains p. Children
@@ -188,19 +224,6 @@ func Seal(method string, root *Node, rowBytes int64) *Layout {
 	}
 	l.buildIndex()
 	return l
-}
-
-// MapSampleRows rewrites every partition's SampleRows through rows, each r
-// becoming rows[r]. A builder builds on its sample gathered into a dataset
-// of its own (dataset.Gather), whose rows are numbered 0…len(rows)−1; this
-// hands back the indices of the rows it gathered from. Each sample row is in
-// one partition, so every index is rewritten once.
-func (l *Layout) MapSampleRows(rows []int) {
-	for _, p := range l.Parts {
-		for i, r := range p.SampleRows {
-			p.SampleRows[i] = rows[r]
-		}
-	}
 }
 
 // CheckRecipe says why l's recipe cannot rebuild a region: it carries none,

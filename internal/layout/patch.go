@@ -101,8 +101,6 @@ func cloneExcept(n, target, repl *Node, oldOf map[*Partition]*Partition) *Node {
 	c := &Node{Desc: n.Desc}
 	if n.Part != nil {
 		p := *n.Part
-		p.SampleRows = n.Part.SampleRows
-		p.Precise = n.Part.Precise
 		c.Part = &p
 		oldOf[c.Part] = n.Part
 		return c

@@ -43,9 +43,9 @@ type Params struct {
 }
 
 // Build constructs a greedy Qd-tree layout for the given workload over the
-// sample rows of data. The returned layout is sealed but not routed. Like
-// core.Build it builds on the sample gathered into dense columns
-// (dataset.Gather) and maps the partitions' SampleRows back to rows.
+// sample rows of data. The returned layout is sealed but not routed, and
+// holds no rows. Like core.Build it builds on the sample gathered into dense
+// columns (dataset.Gather).
 func Build(data *dataset.Dataset, rows []int, domain geom.Box, queries []geom.Box, p Params) *layout.Layout {
 	if p.MinRows < 1 {
 		p.MinRows = 1
@@ -71,7 +71,6 @@ func Build(data *dataset.Dataset, rows []int, domain geom.Box, queries []geom.Bo
 	}
 	sp = b.m.tSeal.Start()
 	l := layout.Seal("qd-tree", root, data.RowBytes())
-	l.MapSampleRows(rows)
 	sp.End()
 	return l
 }
@@ -84,6 +83,7 @@ type builder struct {
 	// goroutine at a time, so entries need no locking.
 	scratch []*Scratch
 	m       buildMetrics
+	leaves  *layout.LeafRows // each leaf's rows, for the tests; nil in a build
 }
 
 // buildMetrics is the optional construction telemetry; zero value = disabled
@@ -160,13 +160,13 @@ func (b *builder) split(box geom.Box, rows []int, queries []geom.Box, depth, slo
 	b.m.maxDepth.SetMax(int64(depth))
 	if len(rows) < 2*b.minRows || len(queries) == 0 {
 		b.m.terminal.Inc()
-		return leaf(box, rows)
+		return b.leaves.Leaf(layout.NewRect(box), rows)
 	}
 	// Current (unsplit) cost: every intersecting query scans all rows.
 	curCost := int64(len(queries)) * int64(len(rows))
 	best, ok := BestCut(b.data, box, rows, queries, nil, b.minRows, b.scratchFor(slot))
 	if !ok || best.Cost >= curCost {
-		return leaf(box, rows)
+		return b.leaves.Leaf(layout.NewRect(box), rows)
 	}
 	b.m.axisAccepted.Inc()
 	left, right := SplitRowsN(b.data, rows, best.Cut, best.LeftRows)
@@ -177,9 +177,9 @@ func (b *builder) split(box geom.Box, rows []int, queries []geom.Box, depth, slo
 	}
 	b.pool.Fan(slot, 2, func(i, s int) {
 		if i == 0 {
-			node.Children[0] = b.split(lbox, left, clipQueries(queries, lbox), depth+1, s)
+			node.Children[0] = b.split(lbox, left, ClipBoxes(queries, lbox), depth+1, s)
 		} else {
-			node.Children[1] = b.split(rbox, right, clipQueries(queries, rbox), depth+1, s)
+			node.Children[1] = b.split(rbox, right, ClipBoxes(queries, rbox), depth+1, s)
 		}
 	})
 	return node
@@ -403,17 +403,13 @@ func SplitRowsN(data *dataset.Dataset, rows []int, c Cut, nLeft int) (left, righ
 	return left, right
 }
 
-func clipQueries(queries []geom.Box, box geom.Box) []geom.Box {
+// ClipBoxes returns the intersections with box of the boxes that meet it.
+func ClipBoxes(boxes []geom.Box, box geom.Box) []geom.Box {
 	var out []geom.Box
-	for _, q := range queries {
-		if inter, ok := q.Intersection(box); ok {
+	for _, b := range boxes {
+		if inter, ok := b.Intersection(box); ok {
 			out = append(out, inter)
 		}
 	}
 	return out
-}
-
-func leaf(box geom.Box, rows []int) *layout.Node {
-	d := layout.NewRect(box)
-	return &layout.Node{Desc: d, Part: &layout.Partition{Desc: d, SampleRows: rows}}
 }

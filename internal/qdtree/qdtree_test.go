@@ -7,6 +7,7 @@ import (
 	"paw/internal/dataset"
 	"paw/internal/geom"
 	"paw/internal/layout"
+	"paw/internal/parbuild"
 	"paw/internal/workload"
 )
 
@@ -114,13 +115,44 @@ func TestRespectsMinRows(t *testing.T) {
 	dom := data.Domain()
 	w := workload.Uniform(dom, workload.Defaults(20, 5))
 	l := Build(data, allRows(1000), dom, w.Boxes(), Params{MinRows: 100})
-	for _, p := range l.Parts {
-		if len(p.SampleRows) < 100 {
-			t.Errorf("partition %d has %d rows, below bmin", p.ID, len(p.SampleRows))
+	l.Route(data) // the sample is every row, so Validate holds FullRows to bmin
+	if err := l.Validate(data, 100); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLeafRowsMatchRouting(t *testing.T) {
+	// The rows every leaf was built with must be the sample rows routing
+	// sends it, in order. Values and query bounds lie on a grid, so rows
+	// sit on the cuts, whose side is the boundary ownership's to decide.
+	grid := func(b geom.Box) geom.Box {
+		for d := range b.Lo {
+			b.Lo[d], b.Hi[d] = math.Round(b.Lo[d]*20), math.Round(b.Hi[d]*20)
+		}
+		return b
+	}
+	uni := dataset.Uniform(4000, 3, 5)
+	cols := make([][]float64, uni.Dims())
+	for d := range cols {
+		for _, v := range uni.Column(d) {
+			cols[d] = append(cols[d], math.Round(v*20))
 		}
 	}
-	l.Route(data)
-	if err := l.Validate(data, 100); err != nil {
+	data := dataset.MustNew(uni.Names(), cols)
+	sample := data.Sample(1500, 6)
+	sampled, local := data.Gather(sample, 1)
+	var qs []geom.Box
+	for _, q := range workload.Uniform(uni.Domain(), workload.Defaults(30, 7)).Boxes() {
+		qs = append(qs, grid(q.Clone()))
+	}
+	leaves := &layout.LeafRows{}
+	pool := parbuild.New(2)
+	b := &builder{data: sampled, minRows: 20, pool: pool, scratch: make([]*Scratch, pool.Slots()), leaves: leaves}
+	l := layout.Seal("qd-tree", b.split(data.Domain(), local, ClipBoxes(qs, data.Domain()), 0, pool.RootSlot()), data.RowBytes())
+	if l.NumPartitions() < 8 {
+		t.Fatalf("want a split layout, got %d partitions", l.NumPartitions())
+	}
+	if err := leaves.MatchRouting(l, sampled); err != nil {
 		t.Error(err)
 	}
 }

@@ -19,7 +19,7 @@ func box2(x0, y0, x1, y1 float64) geom.Box {
 // domain — the degenerate case where extras are the only possible pruning.
 func singlePartitionLayout(data *dataset.Dataset) *layout.Layout {
 	desc := layout.NewRect(data.Domain())
-	root := &layout.Node{Desc: desc, Part: &layout.Partition{Desc: desc, SampleRows: allRows(data.NumRows())}}
+	root := &layout.Node{Desc: desc, Part: &layout.Partition{Desc: desc}}
 	l := layout.Seal("single", root, data.RowBytes())
 	l.Route(data)
 	return l
