@@ -305,7 +305,7 @@ func TestDriftMigratesFromTheWorkers(t *testing.T) {
 	dataPath := f.dataFile("drift.pawd", data)
 	layoutPath, store := filepath.Join(f.dir, "drift.pawl"), filepath.Join(f.dir, "drift")
 	if out, err := exec.Command(f.bin["pawcli"], "build", "-in", dataPath, "-seed", "7", "-delta", "0.02",
-		"-layout", layoutPath, "-store", store, "-log-level", "warn").CombinedOutput(); err != nil {
+		"-layout", layoutPath, "-store", store, "-report", filepath.Join(f.dir, "drift.json"), "-log-level", "warn").CombinedOutput(); err != nil {
 		t.Fatalf("pawcli build: %v\n%s", err, out)
 	}
 	l, err := layout.ReadFile(layoutPath)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,9 @@ import (
 // Partition migration (DESIGN.md §13): the drift re-partitioner hands the
 // master a Migration — the next layout's router and placement plus one
 // install step per partition — and ApplyMigration executes it without
-// stopping service. Install steps land one by one; the query path
+// stopping service. A worker that holds a kept partition aliases it; every
+// other copy is shipped, a kept one's bytes fetched from a live holder
+// before any install. Install steps land one by one; the query path
 // double-routes the whole time (planFor) and serves a query from the next
 // epoch only once every partition its plan touches is installed. When all
 // steps have landed the master cuts over atomically, sweeps the result cache
@@ -36,13 +39,14 @@ type MigrationEntry struct {
 	// Workers is the replica set to install on (placement of the next
 	// layout; must match Replicas[ID]).
 	Workers []int
-	// ReuseID, when >= 0, aliases the current epoch's partition ReuseID:
-	// the partition survived the patch unchanged, so every worker that
-	// holds it just learns the new name — zero bytes move. When < 0 the
-	// Payload carries the encoded column-store table.
+	// ReuseID, when >= 0, names the current epoch's partition the entry
+	// keeps unchanged: a worker that holds it just learns the new name — zero
+	// bytes move — and any other worker is sent its bytes. When < 0 the
+	// partition is rebuilt and Payload carries it.
 	ReuseID layout.ID
-	// Payload is the colstore-encoded table for a rebuilt partition
-	// (ReuseID < 0).
+	// Payload is the colstore-encoded table. A rebuilt partition (ReuseID <
+	// 0) needs one; a reused one without it is fetched from a live holder
+	// when some worker of the entry lacks it.
 	Payload []byte
 	// Rows is the partition's row count, cross-checked on the worker.
 	Rows int64
@@ -89,10 +93,9 @@ func (am *activeMigration) planReady(plan router.Plan) bool {
 	return true
 }
 
-// validate cross-checks the migration against the master's fleet and the
-// served epoch before any install goes out.
-func (m *Master) validateMigration(mig *Migration) error {
-	cur := m.view.Load()
+// validateMigration cross-checks the migration against the master's fleet
+// and the served view cur before any install goes out.
+func (m *Master) validateMigration(cur *routeView, mig *Migration) error {
 	if mig == nil || mig.Router == nil {
 		return errors.New("dist: nil migration")
 	}
@@ -141,10 +144,48 @@ func (m *Master) validateMigration(mig *Migration) error {
 // keeps serving throughout. On error the old placement is untouched and
 // still serving — there is no partial cutover.
 func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
-	if err := m.validateMigration(mig); err != nil {
-		return err
-	}
+	_, err := m.applyMigration(ctx, mig)
+	return err
+}
+
+// shipped is what one migration sent, the one tally its counters and a
+// rebalance's report read: partitions shipped to at least one worker and
+// partitions every worker aliased, the installs that carried a payload, and
+// their payload bytes, once per such install.
+type shipped struct {
+	parts, reused, copies int
+	bytes                 int64
+}
+
+// applyMigration is ApplyMigration, returning what it shipped. It is the one
+// place that decides, per partition and worker, whether a copy is aliased
+// (the worker holds the reused partition under the served epoch) or shipped.
+// A shipped copy of a reused partition without a payload is fetched from a
+// live holder before the migration starts, so a partition with no live
+// holder is an ErrPartitionLost that installs nothing.
+func (m *Master) applyMigration(ctx context.Context, mig *Migration) (shipped, error) {
 	cur := m.view.Load()
+	if err := m.validateMigration(cur, mig); err != nil {
+		return shipped{}, err
+	}
+	// ships is the rule: worker w is sent e's bytes unless it holds the
+	// partition e reuses.
+	ships := func(e MigrationEntry, w int) bool {
+		return e.ReuseID < 0 || !slices.Contains(cur.replicas[e.ReuseID], w)
+	}
+	var need []layout.ID
+	for _, e := range mig.Entries {
+		if e.ReuseID >= 0 && len(e.Payload) == 0 && slices.ContainsFunc(e.Workers, func(w int) bool { return ships(e, w) }) {
+			need = append(need, e.ReuseID)
+		}
+	}
+	var fetched map[layout.ID][]byte
+	if len(need) > 0 {
+		var err error
+		if fetched, err = m.FetchPartitions(ctx, need); err != nil {
+			return shipped{}, fmt.Errorf("dist: migration to epoch %d aborted before any install: %w", mig.Epoch, err)
+		}
+	}
 	am := &activeMigration{
 		mig: mig,
 		view: &routeView{
@@ -158,7 +199,12 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 		am.ready[e.ID] = new(atomic.Bool)
 	}
 	if !m.mig.CompareAndSwap(nil, am) {
-		return errors.New("dist: a migration is already in progress")
+		return shipped{}, errors.New("dist: a migration is already in progress")
+	}
+	if m.view.Load() != cur {
+		// Another migration cut over while this one validated or fetched.
+		m.mig.Store(nil)
+		return shipped{}, fmt.Errorf("dist: migration targets epoch %d, master serves %d", mig.Epoch, m.Epoch())
 	}
 
 	// Install deterministically in ID order: renamed partitions become
@@ -171,37 +217,37 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 		}
 		return entries[i].ID < entries[j].ID
 	})
-	for i := range entries {
-		e := &entries[i]
-		req := AdminRequest{
-			Op:         AdminInstall,
-			Epoch:      mig.Epoch,
-			ID:         e.ID,
-			ReuseEpoch: cur.epoch,
-			ReuseID:    e.ReuseID,
-			Rows:       e.Rows,
+	var out shipped
+	for _, e := range entries {
+		payload := e.Payload
+		if len(payload) == 0 && e.ReuseID >= 0 {
+			payload = fetched[e.ReuseID]
 		}
-		if e.ReuseID < 0 {
-			req.Payload = e.Payload
-			m.m.migratedPartitions.Inc()
-			m.m.migratedBytes.Add(int64(len(e.Payload)))
-		} else {
-			m.m.reusedPartitions.Inc()
-		}
+		copies := 0
 		for _, w := range e.Workers {
-			wreq := req
-			if e.ReuseID >= 0 && len(e.Payload) > 0 && !workerHolds(cur.replicas[e.ReuseID], w) {
-				// Hybrid entry (a rebalance move): this worker does not hold
-				// the source partition under the current epoch, so it gets
-				// the payload; workers that already hold it alias for free.
-				wreq.ReuseID = -1
-				wreq.Payload = e.Payload
-				m.m.migratedBytes.Add(int64(len(e.Payload)))
+			req := AdminRequest{
+				Op:         AdminInstall,
+				Epoch:      mig.Epoch,
+				ID:         e.ID,
+				ReuseEpoch: cur.epoch,
+				ReuseID:    e.ReuseID,
+				Rows:       e.Rows,
 			}
-			if _, err := m.adminCallResp(ctx, w, wreq); err != nil {
+			if ships(e, w) {
+				req.ReuseID, req.Payload = -1, payload
+				copies++
+				out.bytes += int64(len(payload))
+			}
+			if _, err := m.adminCallResp(ctx, w, req); err != nil {
 				m.abortMigration(am)
-				return fmt.Errorf("dist: installing partition %d (epoch %d) on worker %d: %w", e.ID, mig.Epoch, w, err)
+				return shipped{}, fmt.Errorf("dist: installing partition %d (epoch %d) on worker %d: %w", e.ID, mig.Epoch, w, err)
 			}
+		}
+		if copies > 0 {
+			out.parts++
+			out.copies += copies
+		} else {
+			out.reused++
 		}
 		am.ready[e.ID].Store(true)
 	}
@@ -215,10 +261,13 @@ func (m *Master) ApplyMigration(ctx context.Context, mig *Migration) error {
 	m.mig.Store(nil)
 	m.sweepCaches(mig)
 	m.m.migrations.Inc()
+	m.m.migratedPartitions.Add(int64(out.parts))
+	m.m.reusedPartitions.Add(int64(out.reused))
+	m.m.migratedBytes.Add(out.bytes)
 	m.m.layoutEpoch.Set(int64(mig.Epoch))
 
 	m.retireView(cur)
-	return nil
+	return out, nil
 }
 
 // retireView retires a view that has stopped being routable — the old epoch
@@ -239,16 +288,6 @@ func (m *Master) retireView(v *routeView) {
 			"epoch", v.epoch, "inflight", n, "timeout", drainTimeout)
 	}
 	m.retireEpoch(v.epoch)
-}
-
-// workerHolds reports whether w appears in the replica set ws.
-func workerHolds(ws []int, w int) bool {
-	for _, h := range ws {
-		if h == w {
-			return true
-		}
-	}
-	return false
 }
 
 // abortMigration tears down a failed migration: double-routing stops, the

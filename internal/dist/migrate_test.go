@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -239,6 +240,113 @@ func TestMigrationAppliesAliasesAndPayloads(t *testing.T) {
 	}
 }
 
+// TestMigrationTally: the migration counters read one tally of what the
+// installs sent. A partition counts as migrated when it shipped to at least
+// one worker and as reused when every worker aliased it, and each payload
+// counts once per worker it went to. A kept partition without a payload is
+// shipped, from a live holder, to a worker that lacks it; with no live holder
+// the migration is an ErrPartitionLost that installs nothing.
+func TestMigrationTally(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		// change rewrites the fixture's migration (entries and replicas are
+		// copies) and returns the worker it must leave holding one kept
+		// partition, or -1.
+		change  func(tc *migClusterFixture, m *Migration) (int, layout.ID)
+		shipped int // kept partitions that ship
+		copies  int // copies of each rebuilt partition
+		lost    bool
+	}{
+		{"as-built", func(*migClusterFixture, *Migration) (int, layout.ID) { return -1, 0 }, 0, 1, false},
+		{"rebuilt-on-two-workers", func(_ *migClusterFixture, m *Migration) (int, layout.ID) {
+			for i, e := range m.Entries {
+				if e.ReuseID < 0 {
+					ws := []int{int(e.ID) % 3, (int(e.ID) + 1) % 3}
+					m.Entries[i].Workers, m.Replicas[e.ID] = ws, ws
+				}
+			}
+			return -1, 0
+		}, 0, 2, false},
+		{"kept-on-a-worker-lacking-it", func(_ *migClusterFixture, m *Migration) (int, layout.ID) {
+			i := slices.IndexFunc(m.Entries, func(e MigrationEntry) bool { return e.ReuseID >= 0 })
+			e := &m.Entries[i]
+			w := (e.Workers[0] + 1) % 3
+			e.Workers = append(slices.Clone(e.Workers), w)
+			m.Replicas[e.ID] = e.Workers
+			return w, e.ID
+		}, 1, 1, false},
+		{"kept-with-no-live-holder", func(tc *migClusterFixture, m *Migration) (int, layout.ID) {
+			i := slices.IndexFunc(m.Entries, func(e MigrationEntry) bool { return e.ReuseID >= 0 })
+			e := &m.Entries[i]
+			tc.workers[e.Workers[0]].Close()
+			e.Workers = []int{(e.Workers[0] + 1) % 3}
+			m.Replicas[e.ID] = e.Workers
+			return -1, 0
+		}, 0, 1, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := buildMigFixture(t, 3, nil, fastMigConfig())
+			mig := *tc.mig
+			mig.Entries = slices.Clone(tc.mig.Entries)
+			mig.Replicas = make(placement.Replicated, len(tc.mig.Replicas))
+			for id, ws := range tc.mig.Replicas {
+				mig.Replicas[id] = slices.Clone(ws)
+			}
+			var want int64
+			for _, e := range tc.mig.Entries {
+				want += int64(len(e.Payload) * tt.copies)
+			}
+			var keptIDs []layout.ID
+			for id := range tc.diff.Renamed {
+				keptIDs = append(keptIDs, id)
+			}
+			kept, err := tc.master.FetchPartitions(context.Background(), keptIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, id := tt.change(tc, &mig)
+			for _, e := range mig.Entries {
+				for _, w := range e.Workers {
+					if e.ReuseID >= 0 && !slices.Contains(tc.rep[e.ReuseID], w) {
+						want += int64(len(kept[e.ReuseID]))
+					}
+				}
+			}
+
+			err = tc.master.ApplyMigration(context.Background(), &mig)
+			snap := tc.reg.Snapshot()
+			if tt.lost {
+				if !errors.Is(err, ErrPartitionLost) {
+					t.Fatalf("apply: %v, want ErrPartitionLost", err)
+				}
+				if got := snap.Counter(MetricMigrationsAborted); got != 0 || tc.master.Epoch() != 0 {
+					t.Fatalf("a lost partition aborted %d migrations, epoch %d; want none started", got, tc.master.Epoch())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("apply: %v", err)
+			}
+			tc.checkQueries(t)
+			parts := int64(len(tc.diff.Added) + tt.shipped)
+			if got := snap.Counter(MetricMigratedPartitions); got != parts {
+				t.Errorf("migrated partitions = %d, want %d", got, parts)
+			}
+			if got, wantReused := snap.Counter(MetricReusedPartitions), int64(len(tc.diff.Renamed)-tt.shipped); got != wantReused {
+				t.Errorf("reused partitions = %d, want %d", got, wantReused)
+			}
+			if got := snap.Counter(MetricMigratedBytes); got != want {
+				t.Errorf("migrated bytes = %d, want %d", got, want)
+			}
+			if w >= 0 {
+				if _, err := tc.workers[w].lookup(1, id); err != nil {
+					t.Errorf("worker %d after the cutover: %v", w, err)
+				}
+			}
+		})
+	}
+}
+
 func TestMigrationValidationRejects(t *testing.T) {
 	tc := buildMigFixture(t, 2, nil, fastMigConfig())
 	base := tc.mig
@@ -276,9 +384,9 @@ func TestMigrationValidationRejects(t *testing.T) {
 		}},
 		{"bad-placement", func(m *Migration) { m.Replicas = placement.Replicated{} }},
 		{"workers-disagree-with-replicas", func(m *Migration) {
-			// Install a rebuilt partition (an alias would be refused by a
-			// worker without its source) on the workers the placement does
-			// not route it to: validation must refuse before any install.
+			// Install a rebuilt partition on the workers the placement does
+			// not route it to: validation must refuse before any install,
+			// though every one of those installs would succeed.
 			m.Entries = append([]MigrationEntry(nil), m.Entries...)
 			i := slices.IndexFunc(m.Entries, func(e MigrationEntry) bool { return e.ReuseID < 0 })
 			if i < 0 {
@@ -544,6 +652,56 @@ func TestMigrationAbortsOnWorkerRefusal(t *testing.T) {
 	// The fixed plan still applies afterwards.
 	if err := tc.master.ApplyMigration(context.Background(), tc.mig); err != nil {
 		t.Fatalf("apply after abort: %v", err)
+	}
+	tc.checkQueries(t)
+}
+
+// TestMigrationFetchOutlastedByACutover: a rebalance that validated against
+// epoch 0 is still fetching a copy (worker 2 holds its first reply back) when
+// the patch, which does not touch worker 2, cuts over to epoch 1. The
+// rebalance must then refuse without installing anything: its installs would
+// land in, or its abort retire, the epoch the patch serves.
+func TestMigrationFetchOutlastedByACutover(t *testing.T) {
+	tc := buildMigFixture(t, 3, map[int]faultnet.Script{2: {Rules: []faultnet.Rule{
+		{Conn: -1, Op: faultnet.OnWrite, Call: 0, Action: faultnet.Delay, Duration: 300 * time.Millisecond},
+	}}}, fastMigConfig())
+	patch := *tc.mig
+	patch.Entries = slices.Clone(tc.mig.Entries)
+	patch.Replicas = make(placement.Replicated, len(tc.mig.Replicas))
+	for i, e := range patch.Entries {
+		if e.ReuseID < 0 {
+			patch.Entries[i].Workers = []int{0}
+		} else if slices.Contains(e.Workers, 2) {
+			t.Fatal("fixture: the patch keeps a partition on worker 2")
+		}
+		patch.Replicas[e.ID] = patch.Entries[i].Workers
+	}
+	grow := &Migration{Epoch: 1, Router: tc.master.Router(), Replicas: make(placement.Replicated, len(tc.old.Parts)),
+		Renamed: make(map[layout.ID]layout.ID, len(tc.old.Parts))}
+	for _, p := range tc.old.Parts {
+		ws := tc.rep[p.ID]
+		if ws[0] == 2 {
+			ws = []int{2, 0}
+		}
+		grow.Replicas[p.ID], grow.Renamed[p.ID] = ws, p.ID
+		grow.Entries = append(grow.Entries, MigrationEntry{ID: p.ID, Workers: ws, ReuseID: p.ID, Rows: p.FullRows})
+	}
+
+	seq := tc.master.seq.Load()
+	errc := make(chan error, 1)
+	go func() { errc <- tc.master.ApplyMigration(context.Background(), grow) }()
+	waitFor(t, "the rebalance's fetch", func() bool { return tc.master.seq.Load() > seq })
+	if err := tc.master.ApplyMigration(context.Background(), &patch); err != nil {
+		t.Fatalf("patch: %v", err)
+	}
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "master serves 1") {
+		t.Fatalf("rebalance after the patch cut over: %v, want a refusal", err)
+	}
+	if got := tc.reg.Snapshot().Counter(MetricMigrationsAborted); got != 0 {
+		t.Errorf("aborted migrations = %d, want 0: the rebalance installed nothing", got)
+	}
+	if got := tc.master.Epoch(); got != 1 {
+		t.Fatalf("epoch = %d, want 1", got)
 	}
 	tc.checkQueries(t)
 }

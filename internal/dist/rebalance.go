@@ -16,13 +16,13 @@ import (
 // recomputes the consistent-hash target placement and ships only the delta
 // through the epoch-versioned migration machinery. The layout does not
 // change — every partition keeps its ID (identity rename) — so the whole
-// rebalance is one epoch bump in which unmoved partitions alias for free and
-// moved partitions ship their encoded payload to the new holders. Queries
-// double-route throughout and any install failure aborts with the old
-// placement untouched, exactly like a drift migration. Every payload comes
-// from a worker that holds the partition: the master keeps no data.
+// rebalance is one migration: ApplyMigration aliases each copy a worker
+// already holds and ships every other one, fetched from a worker that holds
+// the partition (the master keeps no data). Queries double-route throughout
+// and any install failure aborts with the old placement untouched, exactly
+// like a drift migration.
 
-// ErrPartitionLost is wrapped by a fetch — a rebalance's, or a drift
+// ErrPartitionLost is wrapped by a fetch — a migration's, or a drift
 // rebuild's reading its region back — that aborts because some partition it
 // needs has no live holder. The placement and the epoch stay, so a holder that
 // rejoins its slot with its store is taken (the master still serves the
@@ -49,18 +49,18 @@ type RebalanceReport struct {
 	Workers int
 	// Partitions is the total partition count of the layout.
 	Partitions int
-	// MovedPartitions / MovedBytes is the data this round actually shipped:
-	// MovedBytes sums the encoded payload of each moved partition once per
-	// worker it was installed on, and is 0 unless the round cut over.
+	// MovedPartitions / MovedBytes is what the round's migration shipped:
+	// the copies installed from a payload and their encoded bytes, once per
+	// copy; both are 0 unless the round cut over.
 	MovedPartitions int
 	MovedBytes      int64
-	// ReusedPartitions stayed put (alias-only installs).
+	// ReusedPartitions stayed put: every worker of their target aliased them.
 	ReusedPartitions int
 }
 
-// Rebalance computes the minimal-movement delta between the current
-// placement and the consistent-hash target over the placeable members, and
-// applies it as one migration. A no-op delta returns immediately without
+// Rebalance migrates the current placement onto the consistent-hash target
+// over the placeable members, as one migration that ships only the copies a
+// worker lacks. A round that is already balanced returns at once without
 // burning an epoch. Requires EnableMembership.
 func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	ms := m.member.Load()
@@ -72,22 +72,18 @@ func (m *Master) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	return m.rebalance(ctx, ms)
 }
 
-// rebalance is Rebalance for a caller that holds ms.rebalanceMu.
+// rebalance is Rebalance for a caller that holds ms.rebalanceMu. It hands
+// ApplyMigration the ring target alone — every partition kept under its own
+// ID, no payload — and reports what that migration shipped.
 func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceReport, error) {
 	ms.mu.Lock()
 	ms.lastRebalance = m.clock.Now()
 	ms.mu.Unlock()
 
-	view := ms.tracker.View()
-	placeable := view.Placeable()
+	placeable := ms.tracker.View().Placeable()
 	if len(placeable) == 0 {
 		return RebalanceReport{}, fmt.Errorf("dist: no placeable members to rebalance onto")
 	}
-	reachable := make(map[int]bool)
-	for _, w := range view.Reachable() {
-		reachable[w] = true
-	}
-
 	curView := m.view.Load()
 	l := curView.router.Layout()
 	ids := make([]layout.ID, len(l.Parts))
@@ -95,46 +91,17 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 		ids[i] = p.ID
 	}
 	want := membership.RingPlacement(ids, placeable, min(ms.replicas, len(placeable)))
-	plan := membership.PlanRebalance(ids, curView.replicas, want,
-		func(w int) bool { return reachable[w] })
-
-	report := RebalanceReport{
-		Epoch:            curView.epoch,
-		Workers:          len(placeable),
-		Partitions:       len(ids),
-		MovedPartitions:  plan.MovedPartitions,
-		ReusedPartitions: plan.ReusedPartitions,
-	}
-	if len(plan.Moves) == 0 && placementsEqual(curView.replicas, want) {
+	report := RebalanceReport{Epoch: curView.epoch, Workers: len(placeable), Partitions: len(ids)}
+	if placementsEqual(curView.replicas, want) {
+		report.ReusedPartitions = len(ids)
 		return report, nil // already balanced: no epoch bump, no thrash
-	}
-
-	// Every payload is fetched before any install goes out, so a failed fetch
-	// aborts the round with zero cutover risk.
-	movedIDs := make([]layout.ID, len(plan.Moves))
-	for i, mv := range plan.Moves {
-		movedIDs[i] = mv.ID
-	}
-	moved, err := m.fetch(ctx, curView, movedIDs, func(w int) bool { return reachable[w] })
-	if err != nil {
-		return report, fmt.Errorf("dist: rebalance aborted before any cutover: %w", err)
-	}
-	var shipped int64
-	for _, mv := range plan.Moves {
-		shipped += int64(len(moved[mv.ID])) * int64(len(mv.Gain))
 	}
 
 	renamed := make(map[layout.ID]layout.ID, len(ids))
 	entries := make([]MigrationEntry, 0, len(ids))
 	for _, id := range ids {
 		renamed[id] = id
-		entries = append(entries, MigrationEntry{
-			ID:      id,
-			Workers: want[id],
-			ReuseID: id,
-			Payload: moved[id], // nil for unmoved partitions
-			Rows:    l.Parts[id].FullRows,
-		})
+		entries = append(entries, MigrationEntry{ID: id, Workers: want[id], ReuseID: id, Rows: l.Parts[id].FullRows})
 	}
 	mig := &Migration{
 		Epoch:    curView.epoch + 1,
@@ -143,25 +110,31 @@ func (m *Master) rebalance(ctx context.Context, ms *membershipState) (RebalanceR
 		Entries:  entries,
 		Renamed:  renamed,
 	}
-	if err := m.ApplyMigration(ctx, mig); err != nil {
+	out, err := m.applyMigration(ctx, mig)
+	if err != nil {
 		return report, err
 	}
-	report.Epoch, report.MovedBytes = mig.Epoch, shipped
+	report.Epoch, report.MovedPartitions, report.MovedBytes, report.ReusedPartitions = mig.Epoch, out.copies, out.bytes, out.reused
 	m.m.rebalances.Inc()
-	m.m.rebalanceMovedParts.Add(int64(plan.MovedPartitions))
-	m.m.rebalanceMovedBytes.Add(report.MovedBytes)
+	m.m.rebalanceMovedParts.Add(int64(out.copies))
+	m.m.rebalanceMovedBytes.Add(out.bytes)
 	slog.Info("rebalance complete",
 		"epoch", mig.Epoch, "workers", len(placeable),
-		"moved_partitions", plan.MovedPartitions, "moved_bytes", report.MovedBytes,
-		"reused", plan.ReusedPartitions)
+		"moved_partitions", out.copies, "moved_bytes", out.bytes, "reused", out.reused)
 	return report, nil
 }
 
 // FetchPartitions returns the stored bytes of each partition of ids, by ID,
-// from a live holder under the served epoch: one the membership view
-// counts reachable or, with membership off, one whose link holds or dials a
-// live connection.
+// from a live holder under the served epoch: one the membership view counts
+// reachable or, with membership off, one whose link holds or dials a live
+// connection. It is what a drift rebuild reads its region back with and what
+// ApplyMigration ships a kept copy from. Every partition with no live holder
+// is named, in an ErrPartitionLost, before anything is fetched, and one whose
+// live holders all stop answering before its fetch (a holder can die after
+// the liveness test) is lost too; a holder that refuses, or returns other
+// than the layout's row count, is another error.
 func (m *Master) FetchPartitions(ctx context.Context, ids []layout.ID) (map[layout.ID][]byte, error) {
+	v := m.view.Load()
 	probed := make(map[int]bool)
 	live := func(w int) bool {
 		ok, seen := probed[w]
@@ -175,20 +148,6 @@ func (m *Master) FetchPartitions(ctx context.Context, ids []layout.ID) (map[layo
 		reachable := ms.tracker.View().Reachable()
 		live = func(w int) bool { return slices.Contains(reachable, w) }
 	}
-	payloads, err := m.fetch(ctx, m.view.Load(), ids, live)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	return payloads, nil
-}
-
-// fetch is FetchPartitions under view v and liveness test live, and what a
-// rebalance ships: every partition with no live holder is named, in an
-// ErrPartitionLost, before anything is fetched, and one whose live holders
-// all stop answering before its fetch (a holder can die after the liveness
-// test) is lost too; a holder that refuses, or returns other than the
-// layout's row count, is another error.
-func (m *Master) fetch(ctx context.Context, v *routeView, ids []layout.ID, live func(w int) bool) (map[layout.ID][]byte, error) {
 	holders := make([][]int, len(ids))
 	var lost []layout.ID
 	for i, id := range ids {

@@ -122,6 +122,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 	// once per worker that gained a copy — not its nominal FullRows × row
 	// bytes.
 	var shipped int64
+	moved := 0 // partitions that gained a copy
 	for id, now := range tc.master.Placement() {
 		gained := 0
 		for _, w := range now {
@@ -132,6 +133,7 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 		if gained == 0 {
 			continue
 		}
+		moved++
 		sp, err := tc.store.Partition(id)
 		if err != nil {
 			t.Fatal(err)
@@ -154,6 +156,17 @@ func TestRebalanceJoinMovementBound(t *testing.T) {
 	}
 	if got := snap.Counter(MetricRebalanceBytes); got != report.MovedBytes {
 		t.Errorf("moved-bytes counter = %d, want %d", got, report.MovedBytes)
+	}
+	// The migration's own counters read the same tally: a partition that
+	// shipped to the joiner is migrated, every other one reused.
+	if got := snap.Counter(MetricMigratedPartitions); got != int64(moved) {
+		t.Errorf("migrated partitions = %d, want the %d that shipped", got, moved)
+	}
+	if got, want := snap.Counter(MetricReusedPartitions), int64(len(tc.layout.Parts)-moved); got != want || report.ReusedPartitions != int(want) {
+		t.Errorf("reused partitions = %d (report %d), want %d", got, report.ReusedPartitions, want)
+	}
+	if got := snap.Counter(MetricMigratedBytes); got != shipped {
+		t.Errorf("migrated bytes = %d, want %d", got, shipped)
 	}
 
 	// A second round is a no-op: the placement already matches the ring, so

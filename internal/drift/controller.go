@@ -76,7 +76,7 @@ type Report struct {
 	Epoch uint64
 	// Renamed/Added/Removed are the patch diff sizes.
 	Renamed, Added, Removed int
-	// MovedBytes is the total payload volume shipped to workers.
+	// MovedBytes is the payload volume shipped to workers, once per copy.
 	MovedBytes int64
 	// CostBefore/CostAfter are the window's modeled scan cost under the old
 	// and the patched layout (the benefit gate's evidence).
@@ -404,7 +404,7 @@ func (c *Controller) buildMigration(newL *layout.Layout, diff layout.Diff, regio
 		if err := tab.Encode(&buf); err != nil {
 			return nil, 0, fmt.Errorf("drift: encoding partition %d payload: %w", id, err)
 		}
-		moved += int64(buf.Len())
+		moved += int64(buf.Len()) * int64(len(ws))
 		entries = append(entries, dist.MigrationEntry{
 			ID:      id,
 			Workers: ws,

@@ -431,6 +431,24 @@ func TestDriftPlacesOnTheServingFleet(t *testing.T) {
 			if added != rep.Added || removed != rep.Removed {
 				t.Fatalf("found %d added and %d removed partitions, the report says %d and %d", added, removed, rep.Added, rep.Removed)
 			}
+			// Each added partition's payload is counted once per copy.
+			var addedIDs []layout.ID
+			for _, p := range newL.Parts {
+				if !oldKeys[key(p)] {
+					addedIDs = append(addedIDs, p.ID)
+				}
+			}
+			payloads, err := tc.master.FetchPartitions(context.Background(), addedIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var moved int64
+			for _, id := range addedIDs {
+				moved += int64(len(payloads[id]) * len(newPlace[id]))
+			}
+			if rep.MovedBytes != moved {
+				t.Errorf("moved bytes = %d, want %d: each added payload once per copy", rep.MovedBytes, moved)
+			}
 			for id, ws := range newPlace {
 				distinct := make(map[int]bool)
 				for _, w := range ws {

@@ -15,9 +15,8 @@ import (
 //  2. every leaf's descriptor region actually contains the records routed
 //     to it (spot-checked exhaustively — routing guarantees it, so this
 //     detects descriptor/tree disagreements);
-//  3. every partition respects the minimum size when minRows > 0, except
-//     those explicitly allowed (a build may produce one undersized leaf
-//     when the parent itself was barely above bmin).
+//  3. every partition holds at least minRows rows when minRows > 0; there
+//     is no exception.
 //
 // It returns a descriptive error for the first violation found.
 func (l *Layout) Validate(data *dataset.Dataset, minRows int64) error {

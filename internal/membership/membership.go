@@ -2,16 +2,15 @@
 // distributed serving path: a heartbeat-driven failure detector with a
 // configurable suspect→dead state machine, a consistent-hashing partition
 // placement whose movement between any two member sets is bounded by the
-// virtual-node construction, and a minimal-movement rebalance planner that
-// reconciles the served placement with the ring's, moving only the copies
-// that change, in the order of the partition IDs it is given.
+// virtual-node construction.
 //
 // The package is deliberately pure: every transition takes the caller's
 // clock as an argument and no goroutines or sockets live here, so the exact
 // same state machine runs under the deterministic chaos/fuzz suites and
 // under the real wall clock in internal/dist. The dist layer owns the wire
 // protocol (join handshake, heartbeats, graceful leave) and the migration
-// machinery that ships the planner's deltas.
+// that moves the placement onto the ring's, shipping only the copies that
+// change.
 package membership
 
 import (
